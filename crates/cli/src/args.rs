@@ -1,5 +1,9 @@
 //! Minimal `--flag value` option parsing (no external dependencies).
 
+/// Largest `--socs`: the simulated network indexes its links (two per
+/// SoC, two per five-SoC board, one switch) with 16 bits.
+const MAX_SOCS: usize = 16_384;
+
 /// Parsed command-line options; every field has a sensible default.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -199,6 +203,9 @@ impl Options {
         }
         if o.socs == 0 {
             return Err("--socs must be positive".into());
+        }
+        if o.socs > MAX_SOCS {
+            return Err(format!("--socs must be at most {MAX_SOCS}"));
         }
         if o.resume && o.checkpoint_dir.is_none() {
             return Err("--resume needs --checkpoint-dir".into());
@@ -464,5 +471,7 @@ mod tests {
     #[test]
     fn rejects_zero_socs() {
         assert!(parse(&["--socs", "0"]).is_err());
+        assert!(parse(&["--socs", "16384"]).is_ok());
+        assert!(parse(&["--socs", "16385"]).is_err());
     }
 }

@@ -445,6 +445,14 @@ pub fn tune(opts: &Options) -> Result<(), String> {
         "{} candidates priced, {} pruned by the compute bound, {} skipped (budget)",
         report.evaluated, report.pruned, report.skipped
     );
+    let work = report.timeline;
+    println!(
+        "timeline: {} steps, {} rate solves, {} table reuses ({:.1}% of steps without a solve)",
+        work.steps,
+        work.rate_solves,
+        work.rate_reuses,
+        100.0 * (1.0 - work.rate_solves as f64 / work.steps.max(1) as f64)
+    );
     println!("\nrank  groups  schedule     bucket   beta      predicted(s)");
     for (i, c) in report.ranked.iter().take(10).enumerate() {
         println!(

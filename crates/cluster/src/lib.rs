@@ -53,8 +53,8 @@ pub use compute::{ComputeModel, Processor};
 pub use energy::{EnergyMeter, PowerState};
 pub use net::{ClusterNet, Flow, TransferStats};
 pub use timeline::{
-    reset_scratch_stats, scratch_stats, Completion, FluidTimeline, LinkClassUtil, ScratchStats,
-    TaskId,
+    reset_scratch_stats, scratch_stats, timeline_stats, Completion, FluidTimeline, LinkClassUtil,
+    ScratchStats, TaskId, TimelineStats,
 };
 pub use topology::{BoardId, ClusterSpec, SocId};
 

@@ -56,6 +56,40 @@ pub struct TransferStats {
     pub crossed_boards: bool,
 }
 
+/// The fixed link path of one flow, stored inline: the longest route
+/// (SoC tx → uplink tx → switch → uplink rx → SoC rx) has five links.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct LinkPath {
+    links: [u16; 5],
+    len: u8,
+}
+
+impl LinkPath {
+    fn new(links: &[usize]) -> Self {
+        let mut path = LinkPath::default();
+        debug_assert!(links.len() <= path.links.len());
+        for (slot, &l) in path.links.iter_mut().zip(links) {
+            *slot = u16::try_from(l).expect("link indices fit u16 (checked in ClusterNet::new)");
+        }
+        path.len = links.len() as u8;
+        path
+    }
+
+    /// The link indices, in route order (empty for a self-flow).
+    pub(crate) fn links(&self) -> &[u16] {
+        &self.links[..self.len as usize]
+    }
+}
+
+/// Workspaces of [`ClusterNet::max_min_rates`], owned by the caller so
+/// that a warm solve allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct MaxMinScratch {
+    caps: Vec<f64>,
+    counts: Vec<usize>,
+    frozen: Vec<bool>,
+}
+
 /// The simulated cluster network.
 #[derive(Clone)]
 pub struct ClusterNet {
@@ -63,6 +97,8 @@ pub struct ClusterNet {
     /// Fraction of every link's capacity consumed by co-located user
     /// workloads (cloud-gaming streams), in `[0, 1)`.
     background: f64,
+    /// Per-link capacities in bytes/s, background load already deducted.
+    caps: Vec<f64>,
     /// Telemetry sink; `None` (the default) skips all event construction.
     sink: Option<Arc<dyn EventSink>>,
 }
@@ -84,8 +120,19 @@ impl std::fmt::Debug for ClusterNet {
 // the switch backplane as the last index.
 impl ClusterNet {
     /// Builds the network for a cluster spec (no background traffic).
+    ///
+    /// # Panics
+    /// Panics if the cluster has more than 65 536 link resources (paths
+    /// store link indices as `u16`).
     pub fn new(spec: ClusterSpec) -> Self {
+        let caps = Self::caps_for(&spec, 0.0);
+        assert!(
+            caps.len() <= usize::from(u16::MAX) + 1,
+            "cluster too large: {} links",
+            caps.len()
+        );
         ClusterNet {
+            caps,
             spec,
             background: 0.0,
             sink: None,
@@ -111,6 +158,7 @@ impl ClusterNet {
             "background fraction must be in [0,1)"
         );
         self.background = fraction;
+        self.caps = Self::caps_for(&self.spec, fraction);
         self
     }
 
@@ -127,40 +175,34 @@ impl ClusterNet {
     /// Number of modelled link resources (SoC tx/rx pairs, board uplink
     /// tx/rx pairs, switch backplane). Shared with the fluid timeline.
     pub(crate) fn num_links(&self) -> usize {
-        2 * self.spec.total_socs() + 2 * self.spec.boards + 1
+        self.caps.len()
     }
 
-    /// Per-link capacities in bytes/s, background load already deducted.
-    pub(crate) fn link_caps(&self) -> Vec<f64> {
-        let socs = self.spec.total_socs();
-        let avail = 1.0 - self.background;
-        let mut caps = Vec::with_capacity(self.num_links());
+    fn caps_for(spec: &ClusterSpec, background: f64) -> Vec<f64> {
+        let socs = spec.total_socs();
+        let avail = 1.0 - background;
+        let mut caps = Vec::with_capacity(2 * socs + 2 * spec.boards + 1);
         caps.extend(std::iter::repeat_n(
-            self.spec.soc_link_bps / 8.0 * avail,
+            spec.soc_link_bps / 8.0 * avail,
             2 * socs,
         ));
         caps.extend(std::iter::repeat_n(
-            self.spec.board_uplink_bps / 8.0 * avail,
-            2 * self.spec.boards,
+            spec.board_uplink_bps / 8.0 * avail,
+            2 * spec.boards,
         ));
-        caps.push(self.spec.switch_bps / 8.0 * avail);
+        caps.push(spec.switch_bps / 8.0 * avail);
         caps
     }
 
-    /// The fixed link path a flow occupies (empty for self-flows).
-    pub(crate) fn path(&self, f: &Flow) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.path_into(f, &mut out);
-        out
+    /// Per-link capacities in bytes/s, background load already deducted.
+    pub(crate) fn link_caps(&self) -> &[f64] {
+        &self.caps
     }
 
-    /// Writes a flow's link path into `out` (cleared first) — the
-    /// allocation-free variant for callers recycling path buffers, like
-    /// the timeline's scratch free-list.
-    pub(crate) fn path_into(&self, f: &Flow, out: &mut Vec<usize>) {
-        out.clear();
+    /// The fixed link path a flow occupies (empty for self-flows).
+    pub(crate) fn path(&self, f: &Flow) -> LinkPath {
         if f.src == f.dst {
-            return;
+            return LinkPath::default();
         }
         let socs = self.spec.total_socs();
         let soc_tx = |s: SocId| 2 * s.0;
@@ -168,15 +210,15 @@ impl ClusterNet {
         let a = self.spec.board_of(f.src);
         let b = self.spec.board_of(f.dst);
         if a == b {
-            out.extend_from_slice(&[soc_tx(f.src), soc_rx(f.dst)]);
+            LinkPath::new(&[soc_tx(f.src), soc_rx(f.dst)])
         } else {
-            out.extend_from_slice(&[
+            LinkPath::new(&[
                 soc_tx(f.src),
                 2 * socs + 2 * a.0,              // uplink tx of board A
                 2 * socs + 2 * self.spec.boards, // switch
                 2 * socs + 2 * b.0 + 1,          // uplink rx of board B
                 soc_rx(f.dst),
-            ]);
+            ])
         }
     }
 
@@ -206,7 +248,7 @@ impl ClusterNet {
     /// assert!((stats.makespan - 2.0).abs() < 1e-3);
     /// ```
     pub fn transfer(&self, flows: &[Flow]) -> TransferStats {
-        let paths: Vec<Vec<usize>> = flows.iter().map(|f| self.path(f)).collect();
+        let paths: Vec<LinkPath> = flows.iter().map(|f| self.path(f)).collect();
         let crossed = flows.iter().any(|f| self.crosses_boards(f));
         let bytes: Vec<f64> = flows.iter().map(|f| f.bytes).collect();
         self.simulate(paths, bytes, crossed)
@@ -219,14 +261,14 @@ impl ClusterNet {
     pub fn control_transfer(&self, members: &[SocId], bytes: f64, up: bool) -> TransferStats {
         let socs = self.spec.total_socs();
         let switch = 2 * socs + 2 * self.spec.boards;
-        let paths: Vec<Vec<usize>> = members
+        let paths: Vec<LinkPath> = members
             .iter()
             .map(|&s| {
                 let b = self.spec.board_of(s).0;
                 if up {
-                    vec![2 * s.0, 2 * socs + 2 * b, switch]
+                    LinkPath::new(&[2 * s.0, 2 * socs + 2 * b, switch])
                 } else {
-                    vec![switch, 2 * socs + 2 * b + 1, 2 * s.0 + 1]
+                    LinkPath::new(&[switch, 2 * socs + 2 * b + 1, 2 * s.0 + 1])
                 }
             })
             .collect();
@@ -234,18 +276,20 @@ impl ClusterNet {
         self.simulate(paths, byte_list, true)
     }
 
-    fn simulate(&self, paths: Vec<Vec<usize>>, bytes: Vec<f64>, crossed: bool) -> TransferStats {
+    fn simulate(&self, paths: Vec<LinkPath>, bytes: Vec<f64>, crossed: bool) -> TransferStats {
         let n = paths.len();
         let mut remaining: Vec<f64> = bytes.clone();
         let mut done: Vec<Seconds> = vec![0.0; n];
         let mut active: Vec<usize> = (0..n)
-            .filter(|&i| remaining[i] > 0.0 && !paths[i].is_empty())
+            .filter(|&i| remaining[i] > 0.0 && !paths[i].links().is_empty())
             .collect();
         let total_bytes: f64 = bytes.iter().sum();
 
         let mut now: Seconds = 0.0;
+        let mut work = MaxMinScratch::default();
+        let mut rates = Vec::new();
         while !active.is_empty() {
-            let rates = self.max_min_rates(&active, &paths);
+            self.max_min_rates(active.len(), |k| paths[active[k]], &mut work, &mut rates);
             // time until the first active flow drains
             let mut dt = f64::INFINITY;
             for (&i, &r) in active.iter().zip(&rates) {
@@ -284,37 +328,58 @@ impl ClusterNet {
     /// Utilization of the busiest link over a finished transfer: bytes the
     /// link carried divided by what it could have carried in `makespan`
     /// seconds. Only computed when a telemetry sink is attached.
-    fn peak_utilization(&self, paths: &[Vec<usize>], bytes: &[f64], makespan: Seconds) -> f64 {
+    fn peak_utilization(&self, paths: &[LinkPath], bytes: &[f64], makespan: Seconds) -> f64 {
         if makespan <= 0.0 {
             return 0.0;
         }
-        let caps = self.link_caps();
         let mut carried = vec![0.0f64; self.num_links()];
         for (path, b) in paths.iter().zip(bytes) {
-            for &l in path {
-                carried[l] += b;
+            for &l in path.links() {
+                carried[usize::from(l)] += b;
             }
         }
         carried
             .iter()
-            .zip(&caps)
+            .zip(&self.caps)
             .map(|(c, cap)| c / (cap * makespan))
             .fold(0.0, f64::max)
     }
 
-    /// Max-min fair rates (bytes/s) for the active flows, in `active` order.
-    pub(crate) fn max_min_rates(&self, active: &[usize], paths: &[Vec<usize>]) -> Vec<f64> {
-        let mut caps = self.link_caps();
-        let mut counts = vec![0usize; self.num_links()];
-        for &i in active {
-            for &l in &paths[i] {
-                counts[l] += 1;
+    /// Max-min fair rates (bytes/s) of `n` concurrent flows, flow `k`
+    /// occupying `path_of(k)`, written to `rate` in flow order.
+    ///
+    /// Progressive filling, one bottleneck link per round: the first link
+    /// (by index) with the smallest fair share freezes its flows at that
+    /// share. Tied links are *not* frozen together — the residual share
+    /// `(cap − k·s)/(n − k)` is not `s` in floating point, and the
+    /// simulated clock is compared bit for bit across commits.
+    pub(crate) fn max_min_rates(
+        &self,
+        n: usize,
+        path_of: impl Fn(usize) -> LinkPath,
+        work: &mut MaxMinScratch,
+        rate: &mut Vec<f64>,
+    ) {
+        let MaxMinScratch {
+            caps,
+            counts,
+            frozen,
+        } = work;
+        caps.clear();
+        caps.extend_from_slice(&self.caps);
+        counts.clear();
+        counts.resize(self.caps.len(), 0);
+        for k in 0..n {
+            for &l in path_of(k).links() {
+                counts[usize::from(l)] += 1;
             }
         }
-        let mut rate = vec![0.0f64; active.len()];
-        let mut frozen = vec![false; active.len()];
+        rate.clear();
+        rate.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
         let mut n_frozen = 0;
-        while n_frozen < active.len() {
+        while n_frozen < n {
             // bottleneck link: min cap/count over links with unfrozen flows
             let mut best_link = usize::MAX;
             let mut best_share = f64::INFINITY;
@@ -329,26 +394,26 @@ impl ClusterNet {
             }
             debug_assert_ne!(best_link, usize::MAX);
             // freeze every unfrozen flow crossing the bottleneck
-            for (pos, &i) in active.iter().enumerate() {
-                if frozen[pos] || !paths[i].contains(&best_link) {
+            for k in 0..n {
+                let path = path_of(k);
+                if frozen[k] || !path.links().iter().any(|&l| usize::from(l) == best_link) {
                     continue;
                 }
-                rate[pos] = best_share;
-                frozen[pos] = true;
+                rate[k] = best_share;
+                frozen[k] = true;
                 n_frozen += 1;
-                for &l in &paths[i] {
-                    caps[l] -= best_share;
-                    counts[l] -= 1;
+                for &l in path.links() {
+                    caps[usize::from(l)] -= best_share;
+                    counts[usize::from(l)] -= 1;
                 }
             }
             // numeric guard: clamp tiny negatives
-            for c in &mut caps {
+            for c in caps.iter_mut() {
                 if *c < 0.0 {
                     *c = 0.0;
                 }
             }
         }
-        rate
     }
 
     /// Wall-clock time of one collective step: protocol latency (intra- or

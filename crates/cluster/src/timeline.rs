@@ -4,9 +4,17 @@
 //! flow set in isolation. The timeline generalizes that to *many* tasks
 //! live at once: fixed-duration **spans** (compute, parameter updates) and
 //! fluid **flow batches** (collective steps) all advance against one
-//! simulated clock, and every batch admitted mid-flight re-triggers the
-//! max-min rate computation so concurrent transfers contend exactly as the
-//! fluid model says they should (preemptable fluid flows).
+//! simulated clock, and every batch admitted mid-flight changes the
+//! max-min rates so concurrent transfers contend exactly as the fluid
+//! model says they should (preemptable fluid flows).
+//!
+//! Rates are a pure function of the ordered active flow set and the link
+//! capacities, so they are recomputed only when that set changes (a
+//! batch gets past its latency, a flow drains), and a change first looks
+//! its configuration up in a table of the ones this run has already
+//! solved: the iterations of an epoch and the ring steps of a bucket
+//! repeat the same few dozen flow sets, and the solver runs once for
+//! each. [`timeline_stats`] counts steps, solves and reuses.
 //!
 //! The driver pattern is event-reactive: callers admit tasks at the
 //! current clock, call [`FluidTimeline::advance`] to step to the next
@@ -19,9 +27,10 @@
 //! links, board NICs, switch backplane) — the observability half of the
 //! paper's §2.3 bottleneck story.
 
-use crate::net::{ClusterNet, Flow};
+use crate::net::{ClusterNet, Flow, LinkPath, MaxMinScratch};
 use crate::Seconds;
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 
 /// Handle to a task admitted to the timeline. Ids are dense and assigned
 /// in admission order, which also fixes the tie-break order when several
@@ -57,74 +66,111 @@ const DRAIN_EPS: f64 = 1e-9;
 /// Residual-seconds threshold below which a span or latency is complete.
 const TIME_EPS: f64 = 1e-12;
 
+#[derive(Clone, Copy)]
 struct FlowState {
-    path: Vec<usize>,
     remaining: f64,
+    path: LinkPath,
+    /// `src << 16 | dst`. A path is a function of its endpoints, so the
+    /// pair is the path's id in the rate table's keys.
+    pair: u32,
 }
 
 enum Work {
     Span {
         remaining: Seconds,
     },
+    /// `flows` indexes the scratch's flow arena (meaningful while the
+    /// batch is live); `undrained` counts the flows of that range still
+    /// above [`DRAIN_EPS`].
     Batch {
         latency_left: Seconds,
-        flows: Vec<FlowState>,
+        flows: std::ops::Range<u32>,
+        undrained: u32,
     },
 }
 
-struct TaskState {
-    work: Work,
-    reported: bool,
+impl Work {
+    fn is_complete(&self) -> bool {
+        match self {
+            Work::Span { remaining } => *remaining <= TIME_EPS,
+            Work::Batch {
+                latency_left,
+                undrained,
+                ..
+            } => *latency_left <= TIME_EPS && *undrained == 0,
+        }
+    }
+}
+
+/// One flow of the active set: its arena index and owning task.
+#[derive(Clone, Copy)]
+struct ActiveFlow {
+    flow: u32,
+    task: u32,
 }
 
 /// Max scratches parked per thread; repeated pricing is serial per
 /// thread, so a small pool covers nested timelines without hoarding.
 const SCRATCH_POOL_CAP: usize = 4;
-/// Max recycled flow-path buffers kept inside one scratch.
-const PATH_POOL_CAP: usize = 512;
+/// Max flows (key words, and as many rates) one run's rate table holds.
+/// A full table stops learning and every further miss just solves.
+const RATE_TABLE_CAP: usize = 1 << 16;
 
-/// Reusable buffers for one timeline run: the task/event queue, the live
-/// set, per-link carried bytes, the `step()` workspace, and a free-list
-/// of flow-path buffers. Parked in a thread-local pool between runs so
-/// repeated pricing (the autotuner's bread and butter) stops paying
-/// allocation churn per call.
+/// Solved rates by active-flow configuration, for one run. Max-min rates
+/// are a pure function of the ordered active paths and the link
+/// capacities, and an epoch repeats a few dozen configurations thousands
+/// of times (every iteration, every ring step of every bucket).
+#[derive(Default)]
+struct RateTable {
+    /// Configuration hash → offset of its entry in `keys` / `rates`.
+    index: HashMap<u64, (u32, u32)>,
+    /// Concatenated keys: the `pair` of every active flow, in live order.
+    keys: Vec<u32>,
+    /// Concatenated rates, at the same offsets as `keys`.
+    rates: Vec<f64>,
+}
+
+impl RateTable {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.keys.clear();
+        self.rates.clear();
+    }
+}
+
+/// Reusable buffers for one timeline run: the task/event queue, the flow
+/// arena, the live and active sets, per-link carried bytes, the rate
+/// table and the solver's workspaces. Parked in a thread-local pool
+/// between runs so repeated pricing (the autotuner's bread and butter)
+/// stops paying allocation churn per call.
 #[derive(Default)]
 struct TimelineScratch {
-    tasks: Vec<TaskState>,
+    tasks: Vec<Work>,
+    /// The flows of the live batches, batch after batch in live order,
+    /// between those of batches already reported (compacted away once
+    /// they are most of the arena).
+    flows: Vec<FlowState>,
     live: Vec<usize>,
     carried: Vec<f64>,
-    /// `step()` workspace: active-flow paths. Outer and inner capacity
-    /// both persist across steps and runs.
-    paths: Vec<Vec<usize>>,
-    /// `step()` workspace: (task, flow) of each active path.
-    locate: Vec<(usize, usize)>,
-    /// `step()` workspace: active indices for the max-min solver.
-    active: Vec<usize>,
-    /// Recycled `FlowState` path buffers, harvested when a run ends.
-    path_pool: Vec<Vec<usize>>,
+    /// Undrained flows of the live batches past their latency, in live
+    /// order; valid unless `FluidTimeline::stale`.
+    active: Vec<ActiveFlow>,
+    /// Max-min rate of each active flow, parallel to `active`.
+    rates: Vec<f64>,
+    table: RateTable,
+    solver: MaxMinScratch,
 }
 
 impl TimelineScratch {
-    /// Clears run state, harvesting flow-path buffers into the pool.
-    /// Capacity is what the free-list exists to keep.
+    /// Clears run state; capacity is what the free-list exists to keep.
     fn reset(&mut self) {
-        for t in self.tasks.drain(..) {
-            if let Work::Batch { flows, .. } = t.work {
-                for mut f in flows {
-                    if self.path_pool.len() < PATH_POOL_CAP {
-                        f.path.clear();
-                        self.path_pool.push(f.path);
-                    }
-                }
-            }
-        }
+        self.tasks.clear();
+        self.flows.clear();
         self.live.clear();
         self.carried.clear();
-        self.locate.clear();
         self.active.clear();
-        for p in &mut self.paths {
-            p.clear();
-        }
+        self.rates.clear();
+        self.table.clear();
     }
 }
 
@@ -132,6 +178,7 @@ thread_local! {
     static SCRATCH_POOL: RefCell<Vec<TimelineScratch>> = const { RefCell::new(Vec::new()) };
     static SCRATCH_ACQUIRES: Cell<u64> = const { Cell::new(0) };
     static SCRATCH_MISSES: Cell<u64> = const { Cell::new(0) };
+    static TIMELINE_STATS: Cell<TimelineStats> = const { Cell::new(TimelineStats::ZERO) };
 }
 
 fn acquire_scratch() -> TimelineScratch {
@@ -181,16 +228,52 @@ pub fn reset_scratch_stats() {
     SCRATCH_MISSES.with(|c| c.set(0));
 }
 
-impl TaskState {
-    fn is_complete(&self) -> bool {
-        match &self.work {
-            Work::Span { remaining } => *remaining <= TIME_EPS,
-            Work::Batch {
-                latency_left,
-                flows,
-            } => *latency_left <= TIME_EPS && flows.iter().all(|f| f.remaining <= DRAIN_EPS),
+/// How much rate solving the timelines of one thread did. The counts are
+/// exact functions of the admitted task sequences, so a difference of
+/// two snapshots is evidence a noisy host cannot blur.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TimelineStats {
+    /// Fluid integration steps (one per event: span end, latency expiry
+    /// or flow drain).
+    pub steps: u64,
+    /// Changes of the active flow set answered by running the max-min
+    /// solver.
+    pub rate_solves: u64,
+    /// Changes of the active flow set answered from the run's rate table.
+    pub rate_reuses: u64,
+}
+
+impl TimelineStats {
+    const ZERO: TimelineStats = TimelineStats {
+        steps: 0,
+        rate_solves: 0,
+        rate_reuses: 0,
+    };
+}
+
+impl std::ops::Sub for TimelineStats {
+    type Output = TimelineStats;
+    fn sub(self, earlier: TimelineStats) -> TimelineStats {
+        TimelineStats {
+            steps: self.steps - earlier.steps,
+            rate_solves: self.rate_solves - earlier.rate_solves,
+            rate_reuses: self.rate_reuses - earlier.rate_reuses,
         }
     }
+}
+
+impl std::ops::AddAssign for TimelineStats {
+    fn add_assign(&mut self, other: TimelineStats) {
+        self.steps += other.steps;
+        self.rate_solves += other.rate_solves;
+        self.rate_reuses += other.rate_reuses;
+    }
+}
+
+/// Running totals over every timeline this thread has dropped (see
+/// [`TimelineStats`]); subtract two snapshots to measure a region.
+pub fn timeline_stats() -> TimelineStats {
+    TIMELINE_STATS.with(|c| c.get())
 }
 
 /// The event-driven timeline simulator (see the module docs for the
@@ -202,9 +285,16 @@ pub struct FluidTimeline<'n> {
     /// unreported-task live set (kept in admission order, so each event
     /// is O(live) instead of O(all admitted) — an epoch can admit ~10⁵
     /// tasks but only ~10² are ever live at once), per-link carried
-    /// bytes, and the `step()` workspace. Acquired from a thread-local
-    /// free-list and parked again on drop.
+    /// bytes, and the rate state. Acquired from a thread-local free-list
+    /// and parked again on drop.
     scratch: TimelineScratch,
+    /// The active flow set changed since `scratch.rates` was computed: a
+    /// batch got past its latency (or was admitted without one) or a flow
+    /// drained. Nothing else moves the rates.
+    stale: bool,
+    /// Arena flows whose batch has been reported.
+    dead_flows: usize,
+    stats: TimelineStats,
 }
 
 impl std::fmt::Debug for FluidTimeline<'_> {
@@ -218,6 +308,9 @@ impl std::fmt::Debug for FluidTimeline<'_> {
 
 impl Drop for FluidTimeline<'_> {
     fn drop(&mut self) {
+        let mut total = timeline_stats();
+        total += self.stats;
+        TIMELINE_STATS.with(|c| c.set(total));
         release_scratch(std::mem::take(&mut self.scratch));
     }
 }
@@ -231,6 +324,9 @@ impl<'n> FluidTimeline<'n> {
             now: 0.0,
             net,
             scratch,
+            stale: false,
+            dead_flows: 0,
+            stats: TimelineStats::ZERO,
         }
     }
 
@@ -265,31 +361,32 @@ impl<'n> FluidTimeline<'n> {
     /// Panics if `latency` is negative or not finite.
     pub fn start_flows(&mut self, flows: &[Flow], latency: Seconds) -> TaskId {
         assert!(latency.is_finite() && latency >= 0.0, "invalid latency");
-        let mut states = Vec::with_capacity(flows.len());
+        let arena = &mut self.scratch.flows;
+        let first = arena.len();
         for f in flows {
-            if f.bytes > 0.0 && f.src != f.dst {
-                // recycled path buffers: the free-list's hottest customer
-                let mut path = self.scratch.path_pool.pop().unwrap_or_default();
-                self.net.path_into(f, &mut path);
-                states.push(FlowState {
-                    path,
+            // a flow at or under the drain threshold never becomes active
+            if f.bytes > DRAIN_EPS && f.src != f.dst {
+                arena.push(FlowState {
                     remaining: f.bytes,
+                    path: self.net.path(f),
+                    pair: (f.src.0 as u32) << 16 | f.dst.0 as u32,
                 });
             }
         }
+        let end = u32::try_from(arena.len()).expect("flow arena indexed by u32");
+        let undrained = end - first as u32;
+        self.stale |= undrained > 0 && latency <= TIME_EPS;
         self.push(Work::Batch {
             latency_left: latency,
-            flows: states,
+            flows: first as u32..end,
+            undrained,
         })
     }
 
     fn push(&mut self, work: Work) -> TaskId {
         let id = TaskId(self.scratch.tasks.len());
         self.scratch.live.push(id.0);
-        self.scratch.tasks.push(TaskState {
-            work,
-            reported: false,
-        });
+        self.scratch.tasks.push(work);
         id
     }
 
@@ -317,92 +414,161 @@ impl<'n> FluidTimeline<'n> {
             .iter()
             .position(|&i| self.scratch.tasks[i].is_complete())?;
         let i = self.scratch.live.remove(pos);
-        self.scratch.tasks[i].reported = true;
+        if let Work::Batch { flows, .. } = &self.scratch.tasks[i] {
+            self.dead_flows += flows.len();
+        }
         Some(Completion {
             id: TaskId(i),
             at: self.now,
         })
     }
 
-    /// Integrates the fluid system forward to the next event (span end,
-    /// latency expiry, or flow drain). Returns `false` if nothing is live.
-    fn step(&mut self) -> bool {
-        // Gather the active flow set (batches past their setup latency)
-        // into the persistent workspace: inner path buffers keep their
-        // capacity across steps, so a warm step allocates nothing.
+    /// Recomputes the active flow set and its rates: the run's table
+    /// answers a configuration it has solved before, the solver the rest.
+    fn refresh_rates(&mut self) {
         let TimelineScratch {
             tasks,
+            flows,
             live,
-            carried,
-            paths,
-            locate,
             active,
+            rates,
+            table,
+            solver,
             ..
         } = &mut self.scratch;
-        locate.clear();
-        let mut used = 0usize;
-        let mut dt = f64::INFINITY;
+        // An epoch admits ~10⁶ flows and has ~10² live at a time: keep
+        // the arena to the live ones. Order is kept, and nothing else
+        // holds arena indices while the rates are stale.
+        if self.dead_flows > flows.len() / 2 {
+            let mut kept = 0u32;
+            for &ti in live.iter() {
+                if let Work::Batch { flows: range, .. } = &mut tasks[ti] {
+                    flows.copy_within(range.start as usize..range.end as usize, kept as usize);
+                    *range = kept..kept + (range.end - range.start);
+                    kept = range.end;
+                }
+            }
+            flows.truncate(kept as usize);
+            self.dead_flows = 0;
+        }
+        active.clear();
         for &ti in live.iter() {
-            let t = &tasks[ti];
-            match &t.work {
-                Work::Span { remaining } => dt = dt.min(*remaining),
-                Work::Batch {
-                    latency_left,
-                    flows,
-                } => {
-                    if *latency_left > TIME_EPS {
-                        dt = dt.min(*latency_left);
-                    } else {
-                        for (fi, f) in flows.iter().enumerate() {
-                            if f.remaining > DRAIN_EPS {
-                                if used == paths.len() {
-                                    paths.push(Vec::with_capacity(f.path.len()));
-                                }
-                                paths[used].clear();
-                                paths[used].extend_from_slice(&f.path);
-                                used += 1;
-                                locate.push((ti, fi));
-                            }
+            if let Work::Batch {
+                latency_left,
+                flows: range,
+                undrained,
+            } = &tasks[ti]
+            {
+                if *latency_left <= TIME_EPS && *undrained > 0 {
+                    for fi in range.clone() {
+                        if flows[fi as usize].remaining > DRAIN_EPS {
+                            active.push(ActiveFlow {
+                                flow: fi,
+                                task: ti as u32,
+                            });
                         }
                     }
                 }
             }
         }
-        active.clear();
-        active.extend(0..used);
-        let rates = if active.is_empty() {
-            Vec::new()
-        } else {
-            self.net.max_min_rates(active, &paths[..used])
-        };
-        for ((ti, fi), &r) in locate.iter().zip(&rates) {
-            debug_assert!(r > 0.0, "max-min must give every flow a rate");
-            if let Work::Batch { flows, .. } = &tasks[*ti].work {
-                dt = dt.min(flows[*fi].remaining / r);
+        self.stale = false;
+        rates.clear();
+        if active.is_empty() {
+            return;
+        }
+        let n = active.len();
+        let key = || active.iter().map(|a| flows[a.flow as usize].pair);
+        // FNV-1a over the key words
+        let hash = key().fold(0xcbf29ce484222325u64, |h, w| {
+            (h ^ u64::from(w)).wrapping_mul(0x100000001b3)
+        });
+        let known = table.index.get(&hash).copied();
+        if let Some((at, len)) = known {
+            let (at, len) = (at as usize, len as usize);
+            if len == n && key().eq(table.keys[at..at + len].iter().copied()) {
+                rates.extend_from_slice(&table.rates[at..at + len]);
+                self.stats.rate_reuses += 1;
+                return;
             }
         }
-        if !dt.is_finite() {
-            return false; // nothing live at all
+        self.net
+            .max_min_rates(n, |k| flows[active[k].flow as usize].path, solver, rates);
+        self.stats.rate_solves += 1;
+        // a hash collision keeps the older entry
+        if known.is_none() && table.keys.len() + n <= RATE_TABLE_CAP {
+            table
+                .index
+                .insert(hash, (table.keys.len() as u32, n as u32));
+            table.keys.extend(key());
+            table.rates.extend_from_slice(rates);
         }
-        // Integrate forward by dt.
-        self.now += dt;
+    }
+
+    /// Integrates the fluid system forward to the next event (span end,
+    /// latency expiry, or flow drain). Returns `false` if nothing is live.
+    fn step(&mut self) -> bool {
+        if self.stale {
+            self.refresh_rates();
+        }
+        let TimelineScratch {
+            tasks,
+            flows,
+            live,
+            carried,
+            active,
+            rates,
+            ..
+        } = &mut self.scratch;
+        let mut dt = f64::INFINITY;
         for &ti in live.iter() {
-            match &mut tasks[ti].work {
-                Work::Span { remaining } => *remaining -= dt,
+            match &tasks[ti] {
+                Work::Span { remaining } => dt = dt.min(*remaining),
                 Work::Batch { latency_left, .. } => {
                     if *latency_left > TIME_EPS {
-                        *latency_left -= dt;
+                        dt = dt.min(*latency_left);
                     }
                 }
             }
         }
-        for ((ti, fi), &r) in locate.iter().zip(&rates) {
-            if let Work::Batch { flows, .. } = &mut tasks[*ti].work {
-                let moved = r * dt;
-                flows[*fi].remaining -= moved;
-                for &l in &flows[*fi].path {
-                    carried[l] += moved;
+        for (a, &r) in active.iter().zip(rates.iter()) {
+            debug_assert!(r > 0.0, "max-min must give every flow a rate");
+            dt = dt.min(flows[a.flow as usize].remaining / r);
+        }
+        if !dt.is_finite() {
+            return false; // nothing live at all
+        }
+        self.stats.steps += 1;
+        // Integrate forward by dt. The expressions and their order are
+        // the simulated clock's definition: results are compared bit for
+        // bit across commits.
+        self.now += dt;
+        for &ti in live.iter() {
+            match &mut tasks[ti] {
+                Work::Span { remaining } => *remaining -= dt,
+                Work::Batch {
+                    latency_left,
+                    undrained,
+                    ..
+                } => {
+                    if *latency_left > TIME_EPS {
+                        *latency_left -= dt;
+                        self.stale |= *latency_left <= TIME_EPS && *undrained > 0;
+                    }
                 }
+            }
+        }
+        for (a, &r) in active.iter().zip(rates.iter()) {
+            let f = &mut flows[a.flow as usize];
+            let moved = r * dt;
+            f.remaining -= moved;
+            for &l in f.path.links() {
+                carried[usize::from(l)] += moved;
+            }
+            if f.remaining <= DRAIN_EPS {
+                if let Work::Batch { undrained, .. } = &mut tasks[a.task as usize] {
+                    *undrained -= 1;
+                }
+                self.stale = true;
             }
         }
         true
@@ -434,6 +600,9 @@ impl<'n> FluidTimeline<'n> {
         }
     }
 }
+
+#[cfg(test)]
+mod props;
 
 #[cfg(test)]
 mod tests {

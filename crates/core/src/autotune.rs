@@ -51,7 +51,9 @@ use crate::mapping::{self, GroupId};
 use crate::planning::{divide_communication_groups, CommunicationGroups};
 use crate::sim::{simulate_socflow_schedule, SyncSchedule};
 use crate::timemodel::TimeModel;
-use socflow_cluster::ClusterSpec;
+use socflow_cluster::{timeline_stats, ClusterSpec, TimelineStats};
+use socflow_data::DatasetPreset;
+use socflow_nn::models::ModelKind;
 use socflow_nn::GradReady;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -125,6 +127,10 @@ pub struct TuneReport {
     pub pruned: usize,
     /// Candidates left unpriced when the budget ran out.
     pub skipped: usize,
+    /// Timeline work this search simulated itself, summed in candidate
+    /// order. A candidate answered by the plan memo adds nothing, so a
+    /// repeated search reports zeros where everything else is equal.
+    pub timeline: TimelineStats,
 }
 
 impl TuneReport {
@@ -214,30 +220,61 @@ fn topology_for(
     (mapping, cgs)
 }
 
-/// Canonical memo key of one (job, plan) pricing — every input the
-/// priced time depends on, and nothing else (seed, epochs and LR don't
-/// move the clock model, so jobs differing only there share entries).
-fn plan_key(spec: &TrainJobSpec, cand: &PlanCandidate) -> String {
-    let cfg = socflow_cfg(spec);
-    format!(
-        "{}|{:?}|{}|{}|{}|{}|{:?}|{}|{}|{}|{}|{:016x}",
-        spec.model,
-        spec.preset,
-        spec.method.name(),
-        cfg.mixed_precision,
-        spec.socs,
-        spec.global_batch,
-        cfg.mapping,
-        cfg.planning,
-        cand.groups,
-        cand.schedule_name(),
-        cand.bucket_kb.unwrap_or(0),
-        cand.profiled_beta.unwrap_or(-1.0).to_bits(),
-    )
+/// Memo key of one pricing — every input the priced time depends on,
+/// and nothing else (seed, epochs and LR don't move the clock model, so
+/// jobs differing only there share entries). A lookup hashes the fields
+/// in place and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum PlanKey {
+    /// A tuner candidate ([`price_plan`]).
+    Tuned {
+        model: ModelKind,
+        preset: DatasetPreset,
+        method: &'static str,
+        mixed_precision: bool,
+        socs: usize,
+        global_batch: usize,
+        mapping: MappingMode,
+        planning: bool,
+        groups: usize,
+        schedule: SyncSchedule,
+        bucket_kb: Option<usize>,
+        /// Bits of the profiled β, `None` for the calibrated one.
+        profiled_beta: Option<u64>,
+    },
+    /// A fleet epoch ([`crate::fleet::priced_epoch_seconds`]): Eq. 1 on
+    /// an integrity-greedy mapping, with the fleet's fixed 0.5 CPU share
+    /// for `mixed` jobs where the tuner derives the share from β.
+    Fleet {
+        model: ModelKind,
+        preset: DatasetPreset,
+        global_batch: usize,
+        socs: usize,
+        groups: usize,
+        mixed: bool,
+    },
 }
 
-fn memo() -> &'static Mutex<HashMap<String, f64>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, f64>>> = OnceLock::new();
+fn plan_key(spec: &TrainJobSpec, cand: &PlanCandidate) -> PlanKey {
+    let cfg = socflow_cfg(spec);
+    PlanKey::Tuned {
+        model: spec.model,
+        preset: spec.preset,
+        method: spec.method.name(),
+        mixed_precision: cfg.mixed_precision,
+        socs: spec.socs,
+        global_batch: spec.global_batch,
+        mapping: cfg.mapping,
+        planning: cfg.planning,
+        groups: cand.groups,
+        schedule: cand.schedule,
+        bucket_kb: cand.bucket_kb,
+        profiled_beta: cand.profiled_beta.map(f64::to_bits),
+    }
+}
+
+fn memo() -> &'static Mutex<HashMap<PlanKey, f64>> {
+    static MEMO: OnceLock<Mutex<HashMap<PlanKey, f64>>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -246,7 +283,7 @@ fn memo() -> &'static Mutex<HashMap<String, f64>> {
 /// module's pricing and the fleet's [`crate::fleet::priced_epoch_seconds`]
 /// are), so concurrent misses on the same key store the same bits and
 /// the cache can never change a result.
-pub(crate) fn memoized(key: String, compute: impl FnOnce() -> f64) -> f64 {
+pub(crate) fn memoized(key: PlanKey, compute: impl FnOnce() -> f64) -> f64 {
     if let Some(&hit) = memo().lock().unwrap().get(&key) {
         return hit;
     }
@@ -373,8 +410,15 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
     let candidates = enumerate(spec, opts);
     let budget = opts.budget.unwrap_or(DEFAULT_BUDGET).max(1);
 
+    // counters are per thread: each pricing is measured on the thread
+    // that runs it
+    let measured = |cand: &PlanCandidate| {
+        let before = timeline_stats();
+        let price = price_plan(spec, layout, cand);
+        (price, timeline_stats() - before)
+    };
     let default_cand = default_candidate(spec);
-    let default_s = price_plan(spec, layout, &default_cand);
+    let (default_s, mut timeline) = measured(&default_cand);
     let default_plan = PlanChoice {
         candidate: default_cand,
         predicted_s: default_s,
@@ -416,7 +460,7 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
         // Fan the wave out over the worker pool; each job writes its own
         // slot, so the reduction below sees prices in candidate order no
         // matter which thread produced them.
-        let mut prices: Vec<f64> = vec![0.0; wave.len()];
+        let mut prices = vec![(0.0, TimelineStats::default()); wave.len()];
         {
             let jobs: Vec<socflow_tensor::runtime::ScopedJob<'_>> = prices
                 .iter_mut()
@@ -424,14 +468,15 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
                 .map(|(slot, &ci)| {
                     let cand = candidates[ci];
                     Box::new(move || {
-                        *slot = price_plan(spec, layout, &cand);
+                        *slot = measured(&cand);
                     }) as socflow_tensor::runtime::ScopedJob<'_>
                 })
                 .collect();
             socflow_tensor::runtime::run_scoped(jobs);
         }
-        for (&ci, &price) in wave.iter().zip(&prices) {
+        for (&ci, &(price, work)) in wave.iter().zip(&prices) {
             evaluated += 1;
+            timeline += work;
             incumbent = incumbent.min(price);
             ranked.push(PlanChoice {
                 candidate: candidates[ci],
@@ -451,6 +496,7 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
         evaluated,
         pruned,
         skipped,
+        timeline,
     }
 }
 

@@ -6,7 +6,7 @@ use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 
 /// How logical groups are mapped onto PCB boards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MappingMode {
     /// Naive sequential packing (the "+Group" ablation arm).
     Sequential,

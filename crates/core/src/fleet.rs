@@ -37,7 +37,7 @@ use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::engine::Workload;
 use crate::mapping;
 use crate::planning::{divide_communication_groups, CommunicationGroups};
-use crate::scheduler::GlobalScheduler;
+use crate::scheduler::{GlobalScheduler, NetworkShape};
 use crate::timemodel::TimeModel;
 use serde::Serialize;
 use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -46,7 +46,7 @@ use socflow_cluster::{ClusterSpec, Seconds, SocId};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_telemetry::{Event, EventSink};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// How the fleet admits and places queued jobs.
@@ -244,10 +244,14 @@ pub fn priced_epoch_seconds(spec: &TrainJobSpec, socs: usize) -> Seconds {
     spec.socs = socs;
     // Everything the priced time depends on: model/preset/batch shape the
     // time model, socs+groups shape the topology, mixed picks the split.
-    let key = format!(
-        "fleet|{}|{:?}|{}|{}|{}|{}",
-        spec.model, spec.preset, spec.global_batch, socs, groups, mixed
-    );
+    let key = crate::autotune::PlanKey::Fleet {
+        model: spec.model,
+        preset: spec.preset,
+        global_batch: spec.global_batch,
+        socs,
+        groups,
+        mixed,
+    };
     crate::autotune::memoized(key, || {
         let cluster = ClusterSpec::for_socs(socs);
         let mapping = mapping::integrity_greedy(&cluster, socs, groups);
@@ -426,12 +430,21 @@ impl FleetSim {
     }
 
     /// Whether the job's per-SoC footprint fits the SoC memory budget —
-    /// the scheduler's own (topology-aware) estimate.
-    fn fits_memory(req: &JobRequest) -> bool {
+    /// the scheduler's own (topology-aware) estimate. Of the network the
+    /// estimate reads two counts, and getting them means building it
+    /// (random-initialising every weight), so `shapes` keeps them per
+    /// distinct input of that build: the model, and the preset that sets
+    /// its channels and classes.
+    fn fits_memory(
+        req: &JobRequest,
+        shapes: &mut HashMap<(ModelKind, DatasetPreset), NetworkShape>,
+    ) -> bool {
         let workload = Workload::standard(&req.spec, 64, 8, 0.5);
-        GlobalScheduler::new(req.spec, workload)
-            .check_memory()
-            .fits_soc()
+        let sched = GlobalScheduler::new(req.spec, workload);
+        let shape = *shapes
+            .entry((req.spec.model, req.spec.preset))
+            .or_insert_with(|| sched.network_shape());
+        sched.check_memory_for(shape).fits_soc()
     }
 
     /// Runs the simulation to the horizon and reports.
@@ -458,6 +471,7 @@ impl FleetSim {
             })
             .collect();
         let mut queue: VecDeque<usize> = VecDeque::new();
+        let mut network_shapes = HashMap::new();
         let mut gross_soc_hours = 0.0;
         let mut waste_soc_hours = 0.0;
         let mut idle_soc_hours = 0.0;
@@ -478,7 +492,7 @@ impl FleetSim {
                         socs: req.spec.socs,
                         epochs: req.spec.epochs,
                     });
-                    if Self::fits_memory(req) {
+                    if Self::fits_memory(req, &mut network_shapes) {
                         queue.push_back(id);
                     } else {
                         states[id].rejected = true;

@@ -21,6 +21,15 @@ use socflow_telemetry::{Event, EventSink};
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// What the memory estimate reads of a job's network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetworkShape {
+    /// Learnable parameters.
+    pub params: usize,
+    /// Layers.
+    pub layers: usize,
+}
+
 /// The resolved execution plan for a SoCFlow job.
 #[derive(Debug, Clone)]
 pub struct TopologyPlan {
@@ -278,16 +287,38 @@ impl GlobalScheduler {
         (self.spec.global_batch.max(1)).div_ceil(min_group)
     }
 
+    /// Parameter and layer counts of the network this job trains. Builds
+    /// the network to count them, so callers checking many jobs of one
+    /// model keep the result ([`Self::check_memory_for`]).
+    pub fn network_shape(&self) -> NetworkShape {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.spec.seed);
+        let net = self.spec.model.build(self.workload.model_cfg, &mut rng);
+        NetworkShape {
+            params: net.param_count(),
+            layers: net.num_layers(),
+        }
+    }
+
     /// Estimates the per-SoC training memory footprint of this job and
     /// whether it fits the SoC's budget — checked before dispatch (each
     /// Snapdragon 865 has 12 GB shared with the OS and user services).
     pub fn check_memory(&self) -> socflow_nn::memory::MemoryEstimate {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.spec.seed);
-        let net = self.spec.model.build(self.workload.model_cfg, &mut rng);
+        self.check_memory_for(self.network_shape())
+    }
+
+    /// [`Self::check_memory`] for a network whose shape is already known.
+    pub fn check_memory_for(&self, shape: NetworkShape) -> socflow_nn::memory::MemoryEstimate {
         let cfg = self.workload.model_cfg;
         let input_elems = cfg.in_channels * cfg.input_size * cfg.input_size;
-        let est = socflow_nn::memory::estimate(&net, self.per_soc_batch(), input_elems, 1, 2.0);
+        let est = socflow_nn::memory::estimate_counts(
+            shape.params,
+            shape.layers,
+            self.per_soc_batch(),
+            input_elems,
+            1,
+            2.0,
+        );
         self.emit(Event::MemoryChecked {
             bytes: est.total(),
             fits: est.fits_soc(),

@@ -238,7 +238,7 @@ impl TimeModel {
 }
 
 /// How the event-driven simulation schedules sync against compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncSchedule {
     /// The paper's interleaving: a CG's sync becomes ready the moment its
     /// member groups *begin* an iteration, running alongside compute.

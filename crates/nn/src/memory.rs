@@ -52,12 +52,32 @@ pub fn estimate(
     optimizer_slots: u64,
     activation_factor: f64,
 ) -> MemoryEstimate {
-    let params = net.param_count() as u64;
+    estimate_counts(
+        net.param_count(),
+        net.num_layers(),
+        batch,
+        input_elems,
+        optimizer_slots,
+        activation_factor,
+    )
+}
+
+/// [`estimate`] from the two counts it reads of a network, for callers
+/// that know them without holding the network.
+pub fn estimate_counts(
+    params: usize,
+    layers: usize,
+    batch: usize,
+    input_elems: usize,
+    optimizer_slots: u64,
+    activation_factor: f64,
+) -> MemoryEstimate {
+    let params = params as u64;
     let weights = params * 4;
     let gradients = params * 4;
     let optimizer = params * 4 * optimizer_slots;
     let per_layer = (batch * input_elems * 4) as f64 * activation_factor;
-    let activations = (per_layer * net.num_layers() as f64) as u64;
+    let activations = (per_layer * layers as f64) as u64;
     MemoryEstimate {
         weights,
         gradients,

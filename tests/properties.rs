@@ -874,7 +874,13 @@ proptest! {
         runtime::set_threads(1);
         let narrow = autotune(&spec, &layout, &opts);
         runtime::set_threads(8);
-        prop_assert_eq!(&wide, &narrow);
+        // all but `timeline`: the second search is answered by the memo
+        prop_assert_eq!(&wide.ranked, &narrow.ranked);
+        prop_assert_eq!(wide.default_plan, narrow.default_plan);
+        prop_assert_eq!(
+            (wide.evaluated, wide.pruned, wide.skipped),
+            (narrow.evaluated, narrow.pruned, narrow.skipped)
+        );
         for (a, b) in wide.ranked.iter().zip(&narrow.ranked) {
             prop_assert_eq!(a.predicted_s.to_bits(), b.predicted_s.to_bits());
             prop_assert_eq!(a.bound_s.to_bits(), b.bound_s.to_bits());
