@@ -3,6 +3,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
 use socflow::report::RunResult;
 
 /// Scaled-workload knobs shared by a comparison run.
@@ -53,7 +54,7 @@ pub fn run_methods(
             let mut spec = *base;
             spec.method = method;
             let workload = Workload::standard(&spec, scale.samples, scale.input_size, scale.width);
-            Engine::new(spec, workload).run()
+            Engine::new(spec, workload, RunOptions::default()).run()
         })
         .collect()
 }

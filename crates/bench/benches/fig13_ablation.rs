@@ -10,6 +10,7 @@
 
 use socflow::config::{MappingMode, MethodSpec, SocFlowConfig};
 use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
 use socflow_bench::{build_spec, epochs, hours, paper_workloads, print_table, samples};
 
 fn main() {
@@ -66,7 +67,7 @@ fn main() {
             let spec = build_spec(def, method, 32, n_epochs);
             let workload =
                 Workload::standard(&spec, samples(), socflow_bench::INPUT_SIZE, def.width);
-            let r = Engine::new(spec, workload).run();
+            let r = Engine::new(spec, workload, RunOptions::default()).run();
             let t = r.total_time();
             let gain = prev.map(|p| format!("{:.2}x", p / t)).unwrap_or_default();
             prev = Some(t);

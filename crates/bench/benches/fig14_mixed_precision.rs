@@ -9,6 +9,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig};
 use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
 use socflow_bench::{build_spec, paper_workloads, print_table, samples};
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
             let spec = build_spec(def, method, 32, n_epochs);
             let workload =
                 Workload::standard(&spec, samples(), socflow_bench::INPUT_SIZE, def.width);
-            let r = Engine::new(spec, workload).run();
+            let r = Engine::new(spec, workload, RunOptions::default()).run();
             // cumulative (time h, accuracy %) pairs per epoch
             let mut t = 0.0;
             let curve: Vec<String> = r

@@ -11,6 +11,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig};
 use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
 use socflow::timemodel::TimeModel;
 use socflow_bench::{build_spec, hours, paper_workloads, print_table};
 use socflow_cluster::{ClusterNet, ClusterSpec, Processor, SocId};
@@ -80,7 +81,7 @@ fn fig4c() {
         let fp_spec = build_spec(def, MethodSpec::Ring, 32, epochs);
         let workload = Workload::standard(&fp_spec, socflow_bench::samples(), 8, def.width);
         // FP32 reference: the pure synchronous FP32 stream (Ring)
-        let fp_run = Engine::new(fp_spec, workload.clone()).run();
+        let fp_run = Engine::new(fp_spec, workload.clone(), RunOptions::default()).run();
         let int8_run = Engine::new(
             build_spec(
                 def,
@@ -89,6 +90,7 @@ fn fig4c() {
                 epochs,
             ),
             workload,
+            RunOptions::default(),
         )
         .run();
         rows.push(vec![

@@ -8,6 +8,7 @@
 use socflow::config::{MethodSpec, SocFlowConfig};
 use socflow::engine::{Engine, Workload};
 use socflow::grouping::choose_group_count;
+use socflow::options::RunOptions;
 use socflow_bench::{build_spec, paper_workloads, print_table, samples};
 
 fn main() {
@@ -30,9 +31,9 @@ fn main() {
             );
             let workload =
                 Workload::standard(&spec, samples(), socflow_bench::INPUT_SIZE, def.width);
-            let engine = Engine::new(spec, workload.clone());
+            let engine = Engine::new(spec, workload.clone(), RunOptions::default());
             let first = engine.first_epoch_accuracy(groups);
-            let run = Engine::new(spec, workload).run();
+            let run = Engine::new(spec, workload, RunOptions::default()).run();
             profile.push((groups, first));
             rows.push(vec![
                 groups.to_string(),

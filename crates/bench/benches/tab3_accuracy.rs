@@ -8,6 +8,7 @@
 
 use socflow::config::MethodSpec;
 use socflow::engine::Engine;
+use socflow::options::RunOptions;
 use socflow_bench::{
     build_spec, build_workload, epochs, paper_workloads, print_table, run_comparison,
 };
@@ -23,7 +24,7 @@ fn main() {
         // Local reference
         let local_spec = build_spec(&def, MethodSpec::Local, 1, n_epochs);
         let workload = build_workload(&local_spec, &def);
-        let local = Engine::new(local_spec, workload).run();
+        let local = Engine::new(local_spec, workload, RunOptions::default()).run();
         let local_acc = local.best_accuracy() * 100.0;
 
         let runs = run_comparison(&def, socs, n_epochs, 8);

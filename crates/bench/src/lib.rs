@@ -16,6 +16,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
 use socflow::report::RunResult;
 use socflow::timemodel::{SyncCollective, TimeModel};
 use socflow_cluster::calibration;
@@ -171,7 +172,7 @@ pub fn build_workload(spec: &TrainJobSpec, def: &WorkloadDef) -> Workload {
     pre_spec.epochs = 4;
     pre_spec.seed = spec.seed ^ 0x51C0;
     let pre_w = Workload::standard(&pre_spec, samples(), INPUT_SIZE, def.width);
-    let mut engine = Engine::new(pre_spec, pre_w);
+    let mut engine = Engine::new(pre_spec, pre_w, RunOptions::default());
     let weights = engine.pretrain_weights();
     w.with_init_weights(weights)
 }
@@ -202,9 +203,9 @@ pub fn run_comparison(
     let ring_spec = build_spec(def, MethodSpec::Ring, socs, n_epochs);
     let workload = build_workload(&ring_spec, def);
 
-    let ring = Engine::new(ring_spec, workload.clone()).run();
+    let ring = Engine::new(ring_spec, workload.clone(), RunOptions::default()).run();
     let fed_spec = build_spec(def, MethodSpec::FedAvg, socs, n_epochs);
-    let fed = Engine::new(fed_spec, workload.clone()).run();
+    let fed = Engine::new(fed_spec, workload.clone(), RunOptions::default()).run();
     // topology keeps the requested group count (intra-board groups at the
     // paper's scale); accuracy streams are capped so the scaled dataset
     // keeps the paper's steps-per-aggregation regime (DESIGN.md §6)
@@ -213,7 +214,7 @@ pub fn run_comparison(
         ..SocFlowConfig::with_groups(groups)
     };
     let ours_spec = build_spec(def, MethodSpec::SocFlow(ours_cfg), socs, n_epochs);
-    let ours = Engine::new(ours_spec, workload).run();
+    let ours = Engine::new(ours_spec, workload, RunOptions::default()).run();
 
     let tm = TimeModel::new(&ring_spec);
     let reprice = |base: &RunResult, name: &'static str, cost: socflow::timemodel::EpochCost| {
@@ -290,7 +291,14 @@ pub fn run_comparison(
 /// behaviour without re-deriving them from [`RunResult`].
 pub fn run_traced(spec: TrainJobSpec, workload: Workload) -> (RunResult, Vec<Event>) {
     let sink = Arc::new(MemorySink::new());
-    let mut engine = Engine::new(spec, workload).with_sink(sink.clone());
+    let mut engine = Engine::new(
+        spec,
+        workload,
+        RunOptions {
+            sink: Some(sink.clone()),
+            ..RunOptions::default()
+        },
+    );
     let result = engine.run();
     (result, sink.take())
 }

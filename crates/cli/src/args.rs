@@ -1,5 +1,9 @@
 //! Minimal `--flag value` option parsing (no external dependencies).
 
+use socflow::options::Pricing;
+use socflow::timemodel::DEFAULT_BUCKET_KB;
+use std::num::NonZeroUsize;
+
 /// Largest `--socs`: the simulated network indexes its links (two per
 /// SoC, two per five-SoC board, one switch) with 16 bits.
 const MAX_SOCS: usize = 16_384;
@@ -31,15 +35,10 @@ pub struct Options {
     pub checkpoint_every: Option<usize>,
     /// Resume from the latest checkpoint in `--checkpoint-dir`.
     pub resume: bool,
-    /// Price SoCFlow epochs with the event-driven fluid timeline instead
-    /// of the closed-form Eq. 1 sums.
-    pub timeline: bool,
-    /// Overlap per-bucket gradient transfers with backprop on the fluid
-    /// timeline (wait-free bucketing; implies `--timeline`).
-    pub overlap: bool,
-    /// Minimum gradient-bucket size in KiB of reference payload
-    /// (requires `--overlap`).
-    pub bucket_kb: Option<usize>,
+    /// How SoCFlow epochs are priced: Eq. 1 by default, the fluid
+    /// timeline with `--timeline`, wait-free bucketing on it with
+    /// `--overlap [--bucket-kb N]`.
+    pub pricing: Pricing,
     /// Worker-pool size for host compute (overrides `SOCFLOW_THREADS`).
     /// Results are bit-identical at any thread count; this only changes
     /// wall-clock time.
@@ -95,9 +94,7 @@ impl Default for Options {
             checkpoint_dir: None,
             checkpoint_every: None,
             resume: false,
-            timeline: false,
-            overlap: false,
-            bucket_kb: None,
+            pricing: Pricing::Eq1,
             threads: None,
             profiled_beta: None,
             servers: 4,
@@ -122,6 +119,7 @@ impl Options {
     /// Returns a description of the first malformed flag.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
         let mut o = Options::default();
+        let (mut timeline, mut overlap, mut bucket_kb) = (false, false, None);
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             if flag == "--json" {
@@ -137,11 +135,11 @@ impl Options {
                 continue;
             }
             if flag == "--timeline" {
-                o.timeline = true;
+                timeline = true;
                 continue;
             }
             if flag == "--overlap" {
-                o.overlap = true;
+                overlap = true;
                 continue;
             }
             if flag == "--streaming" {
@@ -169,7 +167,7 @@ impl Options {
                 "--checkpoint-dir" => o.checkpoint_dir = Some(value.clone()),
                 "--checkpoint-every" => o.checkpoint_every = Some(parse_num(flag, value)?),
                 "--threads" => o.threads = Some(parse_num(flag, value)?),
-                "--bucket-kb" => o.bucket_kb = Some(parse_num(flag, value)?),
+                "--bucket-kb" => bucket_kb = Some(parse_num(flag, value)?),
                 "--auto-budget" => o.auto_budget = Some(parse_num(flag, value)?),
                 "--rates" => o.rates = value.clone(),
                 "--buffer-batches" => o.buffer_batches = parse_num(flag, value)?,
@@ -213,16 +211,18 @@ impl Options {
         if o.threads == Some(0) {
             return Err("--threads must be positive".into());
         }
-        if o.bucket_kb == Some(0) {
-            return Err("--bucket-kb must be positive".into());
-        }
-        if o.bucket_kb.is_some() && !o.overlap {
-            return Err("--bucket-kb needs --overlap".into());
-        }
+        o.pricing = match (overlap, bucket_kb.map(NonZeroUsize::new), timeline) {
+            (_, Some(None), _) => return Err("--bucket-kb must be positive".into()),
+            (true, Some(Some(bucket_kb)), _) => Pricing::WaitFree { bucket_kb },
+            (true, None, _) => Pricing::wait_free_kb(DEFAULT_BUCKET_KB),
+            (false, Some(_), _) => return Err("--bucket-kb needs --overlap".into()),
+            (false, None, true) => Pricing::Timeline,
+            (false, None, false) => Pricing::Eq1,
+        };
         if o.auto_budget == Some(0) {
             return Err("--auto-budget must be positive".into());
         }
-        if o.auto && (o.timeline || o.overlap || o.bucket_kb.is_some()) {
+        if o.auto && o.pricing != Pricing::Eq1 {
             return Err(
                 "--auto picks the schedule itself; drop --timeline/--overlap/--bucket-kb".into(),
             );
@@ -310,19 +310,20 @@ mod tests {
     #[test]
     fn timeline_is_a_bare_switch() {
         let o = parse(&["--timeline", "--epochs", "2"]).unwrap();
-        assert!(o.timeline);
+        assert_eq!(o.pricing, Pricing::Timeline);
         assert_eq!(o.epochs, 2);
-        assert!(!parse(&[]).unwrap().timeline);
+        assert_eq!(parse(&[]).unwrap().pricing, Pricing::Eq1);
     }
 
     #[test]
     fn overlap_and_bucket_kb_parse_together() {
         let o = parse(&["--overlap", "--bucket-kb", "2048"]).unwrap();
-        assert!(o.overlap);
-        assert_eq!(o.bucket_kb, Some(2048));
+        assert_eq!(o.pricing, Pricing::wait_free_kb(2048));
         let bare = parse(&["--overlap"]).unwrap();
-        assert!(bare.overlap && bare.bucket_kb.is_none());
-        assert!(!parse(&[]).unwrap().overlap);
+        assert_eq!(bare.pricing, Pricing::wait_free_kb(DEFAULT_BUCKET_KB));
+        // wait-free pricing runs on the timeline either way
+        let both = parse(&["--timeline", "--overlap"]).unwrap();
+        assert_eq!(both.pricing, bare.pricing);
         assert!(parse(&["--bucket-kb", "512"]).is_err(), "needs --overlap");
         assert!(parse(&["--overlap", "--bucket-kb", "0"]).is_err());
         assert!(parse(&["--overlap", "--bucket-kb"]).is_err());

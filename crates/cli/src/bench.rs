@@ -293,6 +293,18 @@ fn to_json(results: &[Measurement], fast: bool) -> serde_json::Value {
     ])
 }
 
+/// Schedules and runs `spec` on the suites' standard scaled workload
+/// (`samples` samples, 8 pixels, half width).
+fn run_job(
+    spec: socflow::TrainJobSpec,
+    samples: usize,
+    options: socflow::options::RunOptions,
+) -> socflow::RunResult {
+    use socflow::options::Plan;
+    let workload = socflow::Workload::standard(&spec, samples, 8, 0.5);
+    socflow::scheduler::GlobalScheduler::new(spec, workload, options, Plan::Fixed).run()
+}
+
 /// One fault-bench scenario result.
 struct FaultRun {
     scenario: &'static str,
@@ -314,8 +326,7 @@ struct FaultRun {
 /// seeded, so the numbers are machine-independent.
 fn run_fault_suite(fast: bool) -> Vec<FaultRun> {
     use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
-    use socflow::engine::Workload;
-    use socflow::scheduler::GlobalScheduler;
+    use socflow::options::RunOptions;
     use socflow_cluster::faults::FaultPlan;
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
@@ -339,7 +350,7 @@ fn run_fault_suite(fast: bool) -> Vec<FaultRun> {
         spec
     };
     let spec = job();
-    let baseline = GlobalScheduler::new(spec, Workload::standard(&spec, samples, 8, 0.5)).run();
+    let baseline = run_job(spec, samples, RunOptions::default());
     let horizon = baseline.total_time();
 
     let mut out = vec![FaultRun {
@@ -366,10 +377,12 @@ fn run_fault_suite(fast: bool) -> Vec<FaultRun> {
             spec.seed,
         );
         let sink = Arc::new(MemorySink::new());
-        let r = GlobalScheduler::new(spec, Workload::standard(&spec, samples, 8, 0.5))
-            .with_fault_plan(plan)
-            .with_sink(sink.clone())
-            .run();
+        let options = RunOptions {
+            sink: Some(sink.clone()),
+            faults: Some(plan),
+            ..RunOptions::default()
+        };
+        let r = run_job(spec, samples, options);
         let injected = sink
             .events()
             .iter()
@@ -727,6 +740,7 @@ struct E2eRun {
 fn run_e2e_suite(fast: bool) -> Vec<E2eRun> {
     use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
     use socflow::engine::Workload;
+    use socflow::options::{Plan, RunOptions};
     use socflow::scheduler::GlobalScheduler;
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
@@ -766,7 +780,7 @@ fn run_e2e_suite(fast: bool) -> Vec<E2eRun> {
         for _ in 0..reps {
             let workload = Workload::standard(&spec, samples, 8, 0.5);
             let t0 = Instant::now();
-            let r = GlobalScheduler::new(spec, workload).run();
+            let r = GlobalScheduler::new(spec, workload, RunOptions::default(), Plan::Fixed).run();
             run_s = run_s.min(t0.elapsed().as_secs_f64());
             digest = r.epoch_accuracy.iter().map(|&x| f64::from(x)).sum();
         }
@@ -1111,8 +1125,7 @@ struct StreamingRun {
 /// numbers are machine-independent.
 fn run_streaming_suite(fast: bool) -> (Vec<StreamingRun>, f64) {
     use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
-    use socflow::engine::Workload;
-    use socflow::scheduler::GlobalScheduler;
+    use socflow::options::RunOptions;
     use socflow_data::stream::RateProfile;
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
@@ -1139,10 +1152,12 @@ fn run_streaming_suite(fast: bool) -> (Vec<StreamingRun>, f64) {
         let mut scfg = StreamingConfig::new(profile);
         scfg.rate_aware = rate_aware;
         let sink = Arc::new(MemorySink::new());
-        let r = GlobalScheduler::new(spec, Workload::standard(&spec, samples, 8, 0.5))
-            .with_streaming(scfg)
-            .with_sink(sink.clone())
-            .run();
+        let options = RunOptions {
+            sink: Some(sink.clone()),
+            streaming: Some(scfg),
+            ..RunOptions::default()
+        };
+        let r = run_job(spec, samples, options);
         let s = Summary::from_events(&sink.events());
         runs.push((r, s, name, rate_aware));
     }

@@ -1,10 +1,12 @@
 //! The CLI subcommands.
 
 use crate::args::Options;
+use socflow::autotune::DEFAULT_BUDGET;
 use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
 use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::engine::Workload;
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
+use socflow::options::{Checkpointing, Plan, RunOptions};
 use socflow::scheduler::GlobalScheduler;
 use socflow_cluster::faults::FaultPlan;
 use socflow_cluster::tidal::TidalTrace;
@@ -213,71 +215,53 @@ fn fault_plan_of(spec: &str, socs: usize, seed: u64) -> Result<FaultPlan, String
     Ok(FaultPlan::sample(socs, 1e9, mean_reclaim, mean_crash, seed))
 }
 
-/// `socflow-cli train`: run one training job and report the results.
-pub fn train(opts: &Options) -> Result<(), String> {
-    if let Some(t) = opts.threads {
-        socflow_tensor::runtime::set_threads(t);
-    }
-    let model = model_of(&opts.model)?;
-    let preset = dataset_of(&opts.dataset)?;
-    let method = method_of(&opts.method, opts.groups)?;
-    let mut spec = TrainJobSpec::new(model, preset, method);
+/// The job `train`, `tune` and `compare` size from the flags.
+fn job_spec(opts: &Options, method: MethodSpec) -> Result<TrainJobSpec, String> {
+    let mut spec = TrainJobSpec::new(model_of(&opts.model)?, dataset_of(&opts.dataset)?, method);
     spec.socs = opts.socs;
     spec.epochs = opts.epochs;
     spec.seed = opts.seed;
     spec.lr = 0.05;
-    if opts.auto_budget.is_some() && !opts.auto {
-        return Err("--auto-budget needs --auto (or the `tune` command)".into());
-    }
-    if opts.auto
-        && !matches!(
-            method,
-            MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_)
-        )
-    {
-        return Err(format!(
-            "--auto tunes the SoCFlow plan space and needs a SoCFlow method \
-             (ours | ours-int8 | ours-half), got `{}`",
-            opts.method
-        ));
-    }
-    let workload = Workload::standard(&spec, opts.samples, 8, default_width(model));
-    let mut sched = GlobalScheduler::new(spec, workload);
-    if opts.auto {
-        sched = sched.with_autotune(opts.auto_budget);
-    }
-    if opts.timeline {
-        sched = sched.with_timeline(true);
-    }
-    if opts.overlap {
-        sched = sched.with_overlap(true);
-    }
-    if let Some(kb) = opts.bucket_kb {
-        sched = sched.with_bucket_kb(kb);
-    }
-    if let Some(beta) = opts.profiled_beta {
-        sched = sched.with_profiled_beta(beta);
-    }
+    Ok(spec)
+}
+
+/// The scheduler for a job whose options [`RunOptions::validate`] accepts.
+fn scheduler(
+    opts: &Options,
+    spec: TrainJobSpec,
+    options: RunOptions,
+    plan: Plan,
+) -> Result<GlobalScheduler, String> {
+    options.validate(&spec, plan).map_err(|e| e.to_string())?;
+    let workload = Workload::standard(&spec, opts.samples, 8, default_width(spec.model));
+    Ok(GlobalScheduler::new(spec, workload, options, plan))
+}
+
+/// The [`RunOptions`] the `train` flags describe, minus the trace sink
+/// (creating that truncates a file, so it waits for validation).
+fn run_options(opts: &Options) -> Result<RunOptions, String> {
+    let mut options = RunOptions {
+        pricing: opts.pricing,
+        profiled_beta: opts.profiled_beta,
+        ..RunOptions::default()
+    };
     if opts.streaming {
         let mut scfg = StreamingConfig::new(socflow_data::stream::RateProfile::parse(&opts.rates)?);
         scfg.buffer_batches = opts.buffer_batches;
         scfg.on_full = socflow_data::stream::OnFull::parse(&opts.on_full)?;
-        sched = sched.with_streaming(scfg);
-    }
-    if let Some(path) = &opts.trace {
-        let writer = TraceWriter::create(path)
-            .map_err(|e| format!("cannot create trace file `{path}`: {e}"))?;
-        sched = sched.with_sink(Arc::new(writer));
+        options.streaming = Some(scfg);
     }
     if let Some(fspec) = &opts.faults {
-        sched = sched.with_fault_plan(fault_plan_of(fspec, opts.socs, opts.seed)?);
+        options.faults = Some(fault_plan_of(fspec, opts.socs, opts.seed)?);
     }
     if let Some(dir) = &opts.checkpoint_dir {
         let policy = CheckpointPolicy {
             every_epochs: Some(opts.checkpoint_every.unwrap_or(1).max(1)),
             on_reclaim: true,
         };
-        sched = sched.with_checkpointing(dir.into(), policy);
+        let durable = Checkpointing::new(dir, policy)
+            .map_err(|e| format!("cannot use checkpoint dir `{dir}`: {e}"))?;
+        options.checkpointing = Some(durable);
         if opts.resume {
             let ckpt = Checkpoint::load(std::path::Path::new(dir))
                 .map_err(|e| format!("cannot resume from `{dir}`: {e}"))?;
@@ -287,9 +271,35 @@ pub fn train(opts: &Options) -> Result<(), String> {
                 ckpt.num_replicas(),
                 ckpt.alive.len()
             );
-            sched = sched.with_resume(ckpt);
+            options.resume = Some(ckpt);
         }
     }
+    Ok(options)
+}
+
+/// `socflow-cli train`: run one training job and report the results.
+pub fn train(opts: &Options) -> Result<(), String> {
+    if let Some(t) = opts.threads {
+        socflow_tensor::runtime::set_threads(t);
+    }
+    let spec = job_spec(opts, method_of(&opts.method, opts.groups)?)?;
+    let plan = match (opts.auto, opts.auto_budget) {
+        (true, budget) => Plan::Auto {
+            budget: budget.unwrap_or(DEFAULT_BUDGET),
+        },
+        (false, Some(_)) => return Err("--auto-budget needs --auto (or the `tune` command)".into()),
+        (false, None) => Plan::Fixed,
+    };
+    let mut options = run_options(opts)?;
+    options.validate(&spec, plan).map_err(|e| e.to_string())?;
+    if let Some(path) = &opts.trace {
+        let writer = TraceWriter::create(path)
+            .map_err(|e| format!("cannot create trace file `{path}`: {e}"))?;
+        options.sink = Some(Arc::new(writer));
+    }
+    let (model, preset) = (spec.model, spec.preset);
+    let workload = Workload::standard(&spec, opts.samples, 8, default_width(model));
+    let sched = GlobalScheduler::new(spec, workload, options, plan);
     let profile_base = opts.profile_kernels.then(|| {
         socflow_tensor::profile::set_enabled(true);
         socflow_tensor::profile::snapshot()
@@ -384,29 +394,16 @@ pub fn tune(opts: &Options) -> Result<(), String> {
     if let Some(t) = opts.threads {
         socflow_tensor::runtime::set_threads(t);
     }
-    let model = model_of(&opts.model)?;
-    let preset = dataset_of(&opts.dataset)?;
-    let method = method_of(&opts.method, opts.groups)?;
-    if !matches!(
-        method,
-        MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_)
-    ) {
-        return Err(format!(
-            "tune searches the SoCFlow plan space and needs a SoCFlow method \
-             (ours | ours-int8 | ours-half), got `{}`",
-            opts.method
-        ));
-    }
-    let mut spec = TrainJobSpec::new(model, preset, method);
-    spec.socs = opts.socs;
-    spec.epochs = opts.epochs;
-    spec.seed = opts.seed;
-    spec.lr = 0.05;
-    let workload = Workload::standard(&spec, opts.samples, 8, default_width(model));
-    let mut sched = GlobalScheduler::new(spec, workload).with_autotune(opts.auto_budget);
-    if let Some(beta) = opts.profiled_beta {
-        sched = sched.with_profiled_beta(beta);
-    }
+    let spec = job_spec(opts, method_of(&opts.method, opts.groups)?)?;
+    let (model, preset) = (spec.model, spec.preset);
+    let options = RunOptions {
+        profiled_beta: opts.profiled_beta,
+        ..RunOptions::default()
+    };
+    let plan = Plan::Auto {
+        budget: opts.auto_budget.unwrap_or(DEFAULT_BUDGET),
+    };
+    let sched = scheduler(opts, spec, options, plan)?;
     let report = sched.tune();
     let default = report.default_plan;
     let best = report.best();
@@ -493,8 +490,6 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     if let Some(t) = opts.threads {
         socflow_tensor::runtime::set_threads(t);
     }
-    let model = model_of(&opts.model)?;
-    let preset = dataset_of(&opts.dataset)?;
     let methods: Vec<(&str, MethodSpec)> = vec![
         ("PS", MethodSpec::ParameterServer),
         ("RING", MethodSpec::Ring),
@@ -505,20 +500,19 @@ pub fn compare(opts: &Options) -> Result<(), String> {
     ];
     println!(
         "{} on {} — {} SoCs, {} epochs, {} samples",
-        model, preset, opts.socs, opts.epochs, opts.samples
+        model_of(&opts.model)?,
+        dataset_of(&opts.dataset)?,
+        opts.socs,
+        opts.epochs,
+        opts.samples
     );
     println!(
         "{:<10} {:>9} {:>11} {:>10}",
         "method", "best acc", "sim time h", "energy kJ"
     );
     for (name, method) in methods {
-        let mut spec = TrainJobSpec::new(model, preset, method);
-        spec.socs = opts.socs;
-        spec.epochs = opts.epochs;
-        spec.seed = opts.seed;
-        spec.lr = 0.05;
-        let workload = Workload::standard(&spec, opts.samples, 8, default_width(model));
-        let r = GlobalScheduler::new(spec, workload).run();
+        let spec = job_spec(opts, method)?;
+        let r = scheduler(opts, spec, RunOptions::default(), Plan::Fixed)?.run();
         println!(
             "{:<10} {:>8.1}% {:>11.2} {:>10.0}",
             name,
@@ -666,6 +660,7 @@ pub fn info() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socflow::options::Pricing;
 
     #[test]
     fn model_and_dataset_lookup() {
@@ -744,7 +739,7 @@ mod tests {
             groups: Some(2),
             epochs: 1,
             samples: 128,
-            timeline: true,
+            pricing: Pricing::Timeline,
             ..Options::default()
         };
         train(&opts).unwrap();
@@ -759,8 +754,7 @@ mod tests {
             groups: Some(2),
             epochs: 1,
             samples: 128,
-            overlap: true,
-            bucket_kb: Some(32),
+            pricing: Pricing::wait_free_kb(32),
             trace: Some(path.to_string_lossy().into_owned()),
             ..Options::default()
         };
@@ -799,6 +793,95 @@ mod tests {
             ..Options::default()
         };
         train(&opts).unwrap();
+    }
+
+    #[test]
+    fn unusable_checkpoint_dir_is_an_error_before_training() {
+        let opts = Options {
+            socs: 8,
+            groups: Some(2),
+            epochs: 1,
+            samples: 128,
+            checkpoint_dir: Some("/proc/nope".into()),
+            ..Options::default()
+        };
+        let err = train(&opts).unwrap_err();
+        assert!(
+            err.starts_with("cannot use checkpoint dir `/proc/nope`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn socflow_only_flags_are_rejected_on_baselines_by_name() {
+        let tiny = Options {
+            socs: 8,
+            epochs: 1,
+            samples: 128,
+            ..Options::default()
+        };
+        let on = |method: &str| Options {
+            method: method.into(),
+            ..tiny.clone()
+        };
+        let cases = [
+            (
+                Options {
+                    pricing: Pricing::wait_free_kb(4096),
+                    ..on("ring")
+                },
+                "--overlap",
+            ),
+            (
+                Options {
+                    streaming: true,
+                    ..on("ring")
+                },
+                "--streaming",
+            ),
+            (
+                Options {
+                    faults: Some("100:100".into()),
+                    ..on("fedavg")
+                },
+                "--faults",
+            ),
+            (
+                Options {
+                    auto: true,
+                    ..on("ps")
+                },
+                "--auto",
+            ),
+            (
+                Options {
+                    groups: Some(0),
+                    ..tiny.clone()
+                },
+                "--groups",
+            ),
+            (
+                Options {
+                    groups: Some(99),
+                    ..tiny.clone()
+                },
+                "--groups",
+            ),
+        ];
+        for (opts, flag) in cases {
+            let err = train(&opts).unwrap_err();
+            assert!(err.contains(flag), "`{err}` should name {flag}");
+        }
+        assert!(tune(&on("ring")).unwrap_err().contains("--auto"));
+        // observing a baseline stays legal
+        let path = std::env::temp_dir().join("socflow_cli_ring_trace.jsonl");
+        let traced = Options {
+            trace: Some(path.to_string_lossy().into_owned()),
+            json: true,
+            ..on("ring")
+        };
+        train(&traced).unwrap();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -47,11 +47,11 @@
 
 use crate::config::{MappingMode, MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::engine::DEFAULT_GROUPS;
-use crate::mapping::{self, GroupId};
-use crate::planning::{divide_communication_groups, CommunicationGroups};
+use crate::mapping;
+use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::sim::{simulate_socflow_schedule, SyncSchedule};
 use crate::timemodel::TimeModel;
-use socflow_cluster::{timeline_stats, ClusterSpec, TimelineStats};
+use socflow_cluster::{timeline_stats, ClusterSpec, SocId, TimelineStats};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_nn::GradReady;
@@ -172,10 +172,9 @@ pub struct TuneOptions {
 /// The SoCFlow config of a spec, or a panic for baseline methods — the
 /// autotuner searches SoCFlow plans only.
 fn socflow_cfg(spec: &TrainJobSpec) -> SocFlowConfig {
-    match spec.method {
-        MethodSpec::SocFlow(c) | MethodSpec::SocFlowInt8(c) | MethodSpec::SocFlowHalf(c) => c,
-        other => panic!("autotune on non-SoCFlow method {}", other.name()),
-    }
+    spec.method
+        .socflow()
+        .unwrap_or_else(|| panic!("autotune on non-SoCFlow method {}", spec.method.name()))
 }
 
 /// The CPU share of each batch the engine would run this spec with,
@@ -208,15 +207,9 @@ fn topology_for(
     let socs = spec.socs.max(1);
     let groups = groups.clamp(1, socs);
     let cluster = ClusterSpec::for_socs(socs);
-    let mapping = match mode {
-        MappingMode::IntegrityGreedy => mapping::integrity_greedy(&cluster, socs, groups),
-        MappingMode::Sequential => mapping::sequential(&cluster, socs, groups),
-    };
-    let cgs = divide_communication_groups(&mapping).unwrap_or_else(|_| CommunicationGroups {
-        cgs: (0..mapping.num_groups())
-            .map(|g| vec![GroupId(g)])
-            .collect(),
-    });
+    let alive: Vec<SocId> = (0..socs).map(SocId).collect();
+    let mapping = mode.map_over(&cluster, &alive, groups);
+    let (cgs, _) = divide_or_serialize(&mapping);
     (mapping, cgs)
 }
 

@@ -158,6 +158,32 @@ impl MethodSpec {
         }
     }
 
+    /// The SoCFlow configuration of the three SoCFlow variants; `None`
+    /// for the baselines.
+    pub fn socflow(&self) -> Option<SocFlowConfig> {
+        match *self {
+            MethodSpec::SocFlow(c) | MethodSpec::SocFlowInt8(c) | MethodSpec::SocFlowHalf(c) => {
+                Some(c)
+            }
+            _ => None,
+        }
+    }
+
+    /// The same method with its logical-group count pinned to `groups`
+    /// (baselines have none and come back unchanged).
+    pub fn pin_groups(self, groups: usize) -> Self {
+        let pin = |c: SocFlowConfig| SocFlowConfig {
+            groups: Some(groups),
+            ..c
+        };
+        match self {
+            MethodSpec::SocFlow(c) => MethodSpec::SocFlow(pin(c)),
+            MethodSpec::SocFlowInt8(c) => MethodSpec::SocFlowInt8(pin(c)),
+            MethodSpec::SocFlowHalf(c) => MethodSpec::SocFlowHalf(pin(c)),
+            other => other,
+        }
+    }
+
     /// `true` for the methods that synchronize every batch across all SoCs
     /// (their converged accuracy equals Local's: synchronous SGD).
     pub fn is_fully_synchronous(&self) -> bool {

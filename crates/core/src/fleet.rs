@@ -36,7 +36,8 @@
 use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::engine::Workload;
 use crate::mapping;
-use crate::planning::{divide_communication_groups, CommunicationGroups};
+use crate::options::{Plan, RunOptions};
+use crate::planning::divide_or_serialize;
 use crate::scheduler::{GlobalScheduler, NetworkShape};
 use crate::timemodel::TimeModel;
 use serde::Serialize;
@@ -255,14 +256,7 @@ pub fn priced_epoch_seconds(spec: &TrainJobSpec, socs: usize) -> Seconds {
     crate::autotune::memoized(key, || {
         let cluster = ClusterSpec::for_socs(socs);
         let mapping = mapping::integrity_greedy(&cluster, socs, groups);
-        let cgs = match divide_communication_groups(&mapping) {
-            Ok(cgs) => cgs,
-            Err(_) => CommunicationGroups {
-                cgs: (0..mapping.num_groups())
-                    .map(|g| vec![crate::mapping::GroupId(g)])
-                    .collect(),
-            },
-        };
+        let (cgs, _) = divide_or_serialize(&mapping);
         let mut tm = TimeModel::new(&spec);
         tm.set_simulated(true);
         let cpu_fraction = if mixed { 0.5 } else { 1.0 };
@@ -378,20 +372,11 @@ struct Placement {
 }
 
 /// The fleet simulator: runs a [`FleetSpec`] over an arrival trace.
+#[derive(Debug)]
 pub struct FleetSim {
     spec: FleetSpec,
     jobs: Vec<JobRequest>,
     sink: Option<Arc<dyn EventSink>>,
-}
-
-impl std::fmt::Debug for FleetSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetSim")
-            .field("spec", &self.spec)
-            .field("jobs", &self.jobs.len())
-            .field("sink", &self.sink.as_ref().map(|_| "EventSink"))
-            .finish()
-    }
 }
 
 impl FleetSim {
@@ -440,7 +425,7 @@ impl FleetSim {
         shapes: &mut HashMap<(ModelKind, DatasetPreset), NetworkShape>,
     ) -> bool {
         let workload = Workload::standard(&req.spec, 64, 8, 0.5);
-        let sched = GlobalScheduler::new(req.spec, workload);
+        let sched = GlobalScheduler::new(req.spec, workload, RunOptions::default(), Plan::Fixed);
         let shape = *shapes
             .entry((req.spec.model, req.spec.preset))
             .or_insert_with(|| sched.network_shape());

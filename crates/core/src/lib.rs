@@ -56,6 +56,7 @@ pub mod fleet;
 pub mod grouping;
 pub mod mapping;
 pub mod mixed;
+pub mod options;
 pub mod planning;
 pub mod report;
 pub mod scheduler;
@@ -81,6 +82,7 @@ pub use report::{Breakdown, RunResult};
 pub mod prelude {
     pub use crate::config::{MappingMode, MethodSpec, SocFlowConfig, TrainJobSpec};
     pub use crate::engine::{Engine, Workload};
+    pub use crate::options::{Plan, Pricing, RunOptions};
     pub use crate::report::RunResult;
     pub use crate::scheduler::GlobalScheduler;
     pub use socflow_data::DatasetPreset;

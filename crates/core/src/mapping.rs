@@ -19,6 +19,7 @@
 //! communication-group division (see [`crate::planning`]) a bipartite
 //! 2-coloring.
 
+use crate::config::MappingMode;
 use serde::{Deserialize, Serialize};
 use socflow_cluster::{ClusterSpec, SocId};
 
@@ -279,6 +280,17 @@ pub fn sequential_over(spec: &ClusterSpec, alive: &[SocId], n_groups: usize) -> 
         next += size;
     }
     Mapping::from_members(members, spec)
+}
+
+impl MappingMode {
+    /// Maps `n_groups` logical groups onto the surviving SoCs `alive`
+    /// ([`integrity_greedy_over`] or [`sequential_over`], with their panics).
+    pub fn map_over(self, spec: &ClusterSpec, alive: &[SocId], n_groups: usize) -> Mapping {
+        match self {
+            MappingMode::IntegrityGreedy => integrity_greedy_over(spec, alive, n_groups),
+            MappingMode::Sequential => sequential_over(spec, alive, n_groups),
+        }
+    }
 }
 
 /// Exhaustive minimum conflict count for small instances (test oracle for

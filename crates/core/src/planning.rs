@@ -121,6 +121,22 @@ pub fn divide_communication_groups(mapping: &Mapping) -> Result<CommunicationGro
     Ok(CommunicationGroups { cgs })
 }
 
+/// [`divide_communication_groups`] with the serialized fallback: when the
+/// conflict graph is not bipartite (ad-hoc mappings only) every logical
+/// group becomes its own CG — correct, just slower. The error comes back
+/// alongside so callers with a telemetry sink can say why sync serialized.
+pub fn divide_or_serialize(mapping: &Mapping) -> (CommunicationGroups, Option<PlanError>) {
+    match divide_communication_groups(mapping) {
+        Ok(cgs) => (cgs, None),
+        Err(e) => {
+            let cgs = (0..mapping.num_groups())
+                .map(|g| vec![GroupId(g)])
+                .collect();
+            (CommunicationGroups { cgs }, Some(e))
+        }
+    }
+}
+
 /// Steady-state wall-clock time of one training iteration under the Fig. 7
 /// schedule, plus the visible-time breakdown.
 ///

@@ -8,18 +8,15 @@
 //! engine. It also owns the preemption policy: when user workload returns
 //! during training, one logical group is surrendered.
 
-use crate::checkpoint::{Checkpoint, CheckpointPolicy};
-use crate::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
+use crate::config::TrainJobSpec;
 use crate::engine::{Engine, Workload};
 use crate::grouping::{choose_group_count, GroupChoice};
 use crate::mapping::{self, Mapping};
-use crate::planning::{divide_communication_groups, CommunicationGroups};
+use crate::options::{Plan, Pricing, RunOptions};
+use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::RunResult;
-use socflow_cluster::faults::FaultPlan;
-use socflow_cluster::ClusterSpec;
-use socflow_telemetry::{Event, EventSink};
-use std::path::PathBuf;
-use std::sync::Arc;
+use socflow_cluster::{ClusterSpec, SocId};
+use socflow_telemetry::Event;
 
 /// What the memory estimate reads of a job's network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,149 +41,27 @@ pub struct TopologyPlan {
 }
 
 /// The global scheduler.
+#[derive(Debug)]
 pub struct GlobalScheduler {
     spec: TrainJobSpec,
     workload: Workload,
-    sink: Option<Arc<dyn EventSink>>,
-    fault_plan: Option<FaultPlan>,
-    ckpt_dir: Option<PathBuf>,
-    ckpt_policy: CheckpointPolicy,
-    resume: Option<Checkpoint>,
-    timeline: bool,
-    overlap: bool,
-    bucket_kb: Option<usize>,
-    profiled_beta: Option<f64>,
-    streaming: Option<StreamingConfig>,
-    autotune: bool,
-    auto_budget: Option<usize>,
-}
-
-impl std::fmt::Debug for GlobalScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GlobalScheduler")
-            .field("spec", &self.spec)
-            .field("workload", &self.workload)
-            .field("sink", &self.sink.as_ref().map(|_| "EventSink"))
-            .field("fault_plan", &self.fault_plan)
-            .field("ckpt_dir", &self.ckpt_dir)
-            .field("ckpt_policy", &self.ckpt_policy)
-            .field("resume", &self.resume.as_ref().map(|c| c.epoch))
-            .field("timeline", &self.timeline)
-            .field("overlap", &self.overlap)
-            .field("bucket_kb", &self.bucket_kb)
-            .field("profiled_beta", &self.profiled_beta)
-            .field("streaming", &self.streaming)
-            .field("autotune", &self.autotune)
-            .field("auto_budget", &self.auto_budget)
-            .finish()
-    }
+    /// How the job runs — forwarded to the [`Engine`] at dispatch, changed
+    /// only by an adopted [`Plan::Auto`] winner. Planning and admission
+    /// decisions are emitted to its sink too.
+    options: RunOptions,
+    /// Who picks the parallelization plan.
+    plan: Plan,
 }
 
 impl GlobalScheduler {
-    /// Creates a scheduler for a job.
-    pub fn new(spec: TrainJobSpec, workload: Workload) -> Self {
+    /// Creates a scheduler for a job. Nothing is checked until
+    /// [`Self::run`] or [`Self::tune`] ([`RunOptions::validate`]).
+    pub fn new(spec: TrainJobSpec, workload: Workload, options: RunOptions, plan: Plan) -> Self {
         GlobalScheduler {
             spec,
             workload,
-            sink: None,
-            fault_plan: None,
-            ckpt_dir: None,
-            ckpt_policy: CheckpointPolicy::default(),
-            resume: None,
-            timeline: false,
-            overlap: false,
-            bucket_kb: None,
-            profiled_beta: None,
-            streaming: None,
-            autotune: false,
-            auto_budget: None,
-        }
-    }
-
-    /// Runs the plan-space autotuner ([`crate::autotune`]) before dispatch
-    /// (the `--auto` CLI flag) and adopts the winning plan: the tuned group
-    /// count is pinned (replacing the first-epoch warm-up heuristic), the
-    /// fluid timeline is switched on, and a wait-free winner carries its
-    /// bucket size and β source into the engine. `budget` caps the number
-    /// of candidates priced ([`crate::autotune::DEFAULT_BUDGET`] when
-    /// `None`).
-    pub fn with_autotune(mut self, budget: Option<usize>) -> Self {
-        self.autotune = true;
-        self.auto_budget = budget;
-        self
-    }
-
-    /// Switches ingestion to live per-SoC streams (the `--streaming` CLI
-    /// flag; see [`Engine::with_streaming`]), forwarded to the [`Engine`]
-    /// at dispatch. SoCFlow methods only; baselines ignore it.
-    pub fn with_streaming(mut self, cfg: StreamingConfig) -> Self {
-        self.streaming = Some(cfg);
-        self
-    }
-
-    /// Overrides the calibrated β compute-power ratio with a measured value
-    /// (the `--profiled-beta` CLI flag; see [`Engine::with_profiled_beta`]),
-    /// forwarded to the [`Engine`] at dispatch.
-    pub fn with_profiled_beta(mut self, beta: f64) -> Self {
-        self.profiled_beta = Some(beta);
-        self
-    }
-
-    /// Prices SoCFlow epochs with the event-driven fluid timeline instead
-    /// of the closed-form sums (the `--timeline` CLI flag), forwarded to
-    /// the [`Engine`] at dispatch.
-    pub fn with_timeline(mut self, on: bool) -> Self {
-        self.timeline = on;
-        self
-    }
-
-    /// Overlaps per-bucket gradient transfers with backprop on the fluid
-    /// timeline (the `--overlap` CLI flag; see [`Engine::with_overlap`]),
-    /// forwarded to the [`Engine`] at dispatch. Implies the timeline.
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.overlap = on;
-        self
-    }
-
-    /// Sets the minimum gradient-bucket size in KiB (the `--bucket-kb`
-    /// CLI flag; see [`Engine::with_bucket_kb`]), forwarded to the
-    /// [`Engine`] at dispatch.
-    pub fn with_bucket_kb(mut self, kb: usize) -> Self {
-        self.bucket_kb = Some(kb);
-        self
-    }
-
-    /// Attaches a telemetry sink. Planning and admission decisions are
-    /// emitted here; the sink is forwarded to the [`Engine`] at dispatch.
-    pub fn with_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Attaches a fault timeline, forwarded to the [`Engine`] at dispatch.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Enables durable checkpointing under `dir` per `policy`.
-    pub fn with_checkpointing(mut self, dir: PathBuf, policy: CheckpointPolicy) -> Self {
-        self.ckpt_dir = Some(dir);
-        self.ckpt_policy = policy;
-        self
-    }
-
-    /// Continues from a restored checkpoint: the group-count warm-up
-    /// heuristic is skipped (the snapshot pins the group count the job
-    /// started with) and the engine resumes bit-exactly.
-    pub fn with_resume(mut self, ckpt: Checkpoint) -> Self {
-        self.resume = Some(ckpt);
-        self
-    }
-
-    fn emit(&self, event: Event) {
-        if let Some(sink) = &self.sink {
-            sink.emit(&event);
+            options,
+            plan,
         }
     }
 
@@ -197,14 +72,15 @@ impl GlobalScheduler {
     /// # Panics
     /// Panics if the job's method is not a SoCFlow variant.
     pub fn plan_topology(&self) -> TopologyPlan {
-        let cfg = match self.spec.method {
-            MethodSpec::SocFlow(c) | MethodSpec::SocFlowInt8(c) | MethodSpec::SocFlowHalf(c) => c,
-            other => panic!("plan_topology on non-SoCFlow method {}", other.name()),
-        };
+        let cfg = self
+            .spec
+            .method
+            .socflow()
+            .expect("plan_topology on a non-SoCFlow method");
         let (groups, group_choice) = match cfg.groups {
             Some(g) => (g.clamp(1, self.spec.socs), None),
             None => {
-                let engine = Engine::new(self.spec, self.workload.clone());
+                let engine = Engine::new(self.spec, self.workload.clone(), RunOptions::default());
                 let choice = choose_group_count(self.spec.socs, 0.15, 0.5, |n| {
                     engine.first_epoch_accuracy(n)
                 });
@@ -212,33 +88,18 @@ impl GlobalScheduler {
             }
         };
         let cluster = ClusterSpec::for_socs(self.spec.socs);
-        let mapping = match cfg.mapping {
-            crate::config::MappingMode::IntegrityGreedy => {
-                mapping::integrity_greedy(&cluster, self.spec.socs, groups)
-            }
-            crate::config::MappingMode::Sequential => {
-                mapping::sequential(&cluster, self.spec.socs, groups)
-            }
-        };
-        let cgs = match divide_communication_groups(&mapping) {
-            Ok(cgs) => cgs,
-            Err(e) => {
-                // Fall back to one CG per logical group (correct, but every
-                // group syncs in its own serial slot) and say so: a silent
-                // fallback makes the slow sync unexplainable from traces.
-                let cgs = CommunicationGroups {
-                    cgs: (0..mapping.num_groups())
-                        .map(|g| vec![crate::mapping::GroupId(g)])
-                        .collect(),
-                };
-                self.emit(Event::CgFallback {
-                    groups: cgs.len(),
-                    reason: format!("{e:?}"),
-                });
-                cgs
-            }
-        };
-        self.emit(Event::PlanComputed {
+        let everyone: Vec<SocId> = (0..self.spec.socs).map(SocId).collect();
+        let mapping = cfg.mapping.map_over(&cluster, &everyone, groups);
+        // a silent serialized fallback would make the slow sync
+        // unexplainable from traces
+        let (cgs, fallback) = divide_or_serialize(&mapping);
+        if let Some(e) = fallback {
+            self.options.emit(Event::CgFallback {
+                groups: cgs.len(),
+                reason: format!("{e:?}"),
+            });
+        }
+        self.options.emit(Event::PlanComputed {
             groups,
             probes: group_choice.as_ref().map(|c| c.profile.len()).unwrap_or(0),
             cgs: cgs.len(),
@@ -259,25 +120,22 @@ impl GlobalScheduler {
     /// and federated methods train the full batch per participant.
     pub fn per_soc_batch(&self) -> usize {
         let socs = self.spec.socs.max(1);
-        let groups = match self.spec.method {
-            MethodSpec::SocFlow(c) | MethodSpec::SocFlowInt8(c) | MethodSpec::SocFlowHalf(c) => {
-                match c.groups {
-                    Some(g) => g.clamp(1, socs),
-                    // a resumed job is pinned to the snapshot topology; an
-                    // unplanned one is admitted against the worst case the
-                    // warm-up heuristic could pick (one SoC per group, i.e.
-                    // the full batch) rather than paying probe epochs here
-                    None => match &self.resume {
-                        Some(c) => c.initial_groups.clamp(1, socs),
-                        None => socs,
-                    },
-                }
-            }
-            MethodSpec::Local | MethodSpec::FedAvg | MethodSpec::TFedAvg { .. } => {
-                return self.spec.global_batch.max(1)
-            }
+        let groups = match self.spec.method.socflow() {
+            Some(c) => match c.groups {
+                Some(g) => g.clamp(1, socs),
+                // a resumed job is pinned to the snapshot topology; an
+                // unplanned one is admitted against the worst case the
+                // warm-up heuristic could pick (one SoC per group, i.e.
+                // the full batch) rather than paying probe epochs here
+                None => match &self.options.resume {
+                    Some(c) => c.initial_groups.clamp(1, socs),
+                    None => socs,
+                },
+            },
             // synchronous baselines: one data-parallel world over all SoCs
-            _ => 1,
+            None if self.spec.method.is_fully_synchronous() => 1,
+            // local and federated participants train the full batch
+            None => return self.spec.global_batch.max(1),
         };
         let min_group = mapping::group_sizes(socs, groups)
             .into_iter()
@@ -287,13 +145,18 @@ impl GlobalScheduler {
         (self.spec.global_batch.max(1)).div_ceil(min_group)
     }
 
+    /// The network this job trains, freshly initialised from its seed.
+    fn build_network(&self) -> socflow_nn::Network {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.spec.seed);
+        self.spec.model.build(self.workload.model_cfg, &mut rng)
+    }
+
     /// Parameter and layer counts of the network this job trains. Builds
     /// the network to count them, so callers checking many jobs of one
     /// model keep the result ([`Self::check_memory_for`]).
     pub fn network_shape(&self) -> NetworkShape {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.spec.seed);
-        let net = self.spec.model.build(self.workload.model_cfg, &mut rng);
+        let net = self.build_network();
         NetworkShape {
             params: net.param_count(),
             layers: net.num_layers(),
@@ -319,7 +182,7 @@ impl GlobalScheduler {
             1,
             2.0,
         );
-        self.emit(Event::MemoryChecked {
+        self.options.emit(Event::MemoryChecked {
             bytes: est.total(),
             fits: est.fits_soc(),
         });
@@ -332,53 +195,44 @@ impl GlobalScheduler {
     /// heuristic would waste probe epochs and could disagree with the
     /// snapshot's topology), else from [`Self::plan_topology`].
     pub fn resolved_spec(&self) -> TrainJobSpec {
-        match self.spec.method {
-            MethodSpec::SocFlow(cfg)
-            | MethodSpec::SocFlowInt8(cfg)
-            | MethodSpec::SocFlowHalf(cfg)
-                if cfg.groups.is_none() =>
-            {
-                let groups = match &self.resume {
-                    Some(c) => c.initial_groups.clamp(1, self.spec.socs),
-                    None => self.plan_topology().groups,
-                };
-                let pinned = SocFlowConfig {
-                    groups: Some(groups),
-                    ..cfg
-                };
-                let mut s = self.spec;
-                s.method = match self.spec.method {
-                    MethodSpec::SocFlowInt8(_) => MethodSpec::SocFlowInt8(pinned),
-                    MethodSpec::SocFlowHalf(_) => MethodSpec::SocFlowHalf(pinned),
-                    _ => MethodSpec::SocFlow(pinned),
-                };
-                s
-            }
-            _ => self.spec,
+        let mut spec = self.spec;
+        let unpinned = |c: crate::config::SocFlowConfig| c.groups.is_none();
+        if spec.method.socflow().is_some_and(unpinned) {
+            let groups = match &self.options.resume {
+                Some(c) => c.initial_groups.clamp(1, self.spec.socs),
+                None => self.plan_topology().groups,
+            };
+            spec.method = spec.method.pin_groups(groups);
         }
+        spec
     }
 
     /// Runs the plan-space search for this job's spec and emits the
     /// telemetry: one [`Event::PlanEvaluated`] per priced candidate (in
     /// ranked order) and a closing [`Event::PlanChosen`]. Does not train —
-    /// [`Self::run`] calls this when [`Self::with_autotune`] is set, and
-    /// `socflow-cli tune` calls it directly for the ranked table.
+    /// [`Self::run`] calls this under [`Plan::Auto`], and `socflow-cli
+    /// tune` calls it directly for the ranked table. The budget is
+    /// [`Plan::Auto`]'s ([`crate::autotune::DEFAULT_BUDGET`] under
+    /// [`Plan::Fixed`]).
     ///
     /// # Panics
-    /// Panics if the job's method is not a SoCFlow variant.
+    /// Panics with the [`RunOptions::validate`] message if the options do
+    /// not fit the job's method, and if that method is not a SoCFlow
+    /// variant.
     pub fn tune(&self) -> crate::autotune::TuneReport {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.spec.seed);
-        let net = self.spec.model.build(self.workload.model_cfg, &mut rng);
-        let layout = net.grad_layout();
+        self.options.assert_valid(&self.spec, self.plan);
+        let layout = self.build_network().grad_layout();
         let opts = crate::autotune::TuneOptions {
-            budget: self.auto_budget,
-            profiled_beta: self.profiled_beta,
+            budget: match self.plan {
+                Plan::Auto { budget } => Some(budget),
+                Plan::Fixed => None,
+            },
+            profiled_beta: self.options.profiled_beta,
             max_groups: None,
         };
         let report = crate::autotune::autotune(&self.spec, &layout, &opts);
         for choice in &report.ranked {
-            self.emit(Event::PlanEvaluated {
+            self.options.emit(Event::PlanEvaluated {
                 groups: choice.candidate.groups,
                 schedule: choice.candidate.schedule_name().to_string(),
                 bucket_kb: choice.candidate.bucket_kb.unwrap_or(0),
@@ -387,7 +241,7 @@ impl GlobalScheduler {
             });
         }
         let best = report.best();
-        self.emit(Event::PlanChosen {
+        self.options.emit(Event::PlanChosen {
             groups: best.candidate.groups,
             schedule: best.candidate.schedule_name().to_string(),
             bucket_kb: best.candidate.bucket_kb.unwrap_or(0),
@@ -402,72 +256,36 @@ impl GlobalScheduler {
     }
 
     /// Plans (for SoCFlow methods) and runs the job.
+    ///
+    /// # Panics
+    /// Panics with the [`RunOptions::validate`] message if the options do
+    /// not fit the job's method: SoCFlow-only options and [`Plan::Auto`]
+    /// are rejected on baselines rather than ignored, and a requested
+    /// group count must lie in `1..=socs`.
     pub fn run(mut self) -> RunResult {
-        if self.autotune {
-            let best = self.tune().best();
+        self.options.assert_valid(&self.spec, self.plan);
+        if let Plan::Auto { .. } = self.plan {
             // Adopt the winner: pin its group count (the search replaces
             // the warm-up heuristic), price on the timeline it was tuned
             // against, and carry the wait-free bucket / β source only when
             // the winning plan actually uses them.
-            let pin = |cfg: SocFlowConfig| SocFlowConfig {
-                groups: Some(best.candidate.groups),
-                ..cfg
+            let best = self.tune().best().candidate;
+            self.spec.method = self.spec.method.pin_groups(best.groups);
+            self.options.pricing = match best.bucket_kb {
+                Some(kb) => Pricing::wait_free_kb(kb),
+                None => Pricing::Timeline,
             };
-            self.spec.method = match self.spec.method {
-                MethodSpec::SocFlow(c) => MethodSpec::SocFlow(pin(c)),
-                MethodSpec::SocFlowInt8(c) => MethodSpec::SocFlowInt8(pin(c)),
-                MethodSpec::SocFlowHalf(c) => MethodSpec::SocFlowHalf(pin(c)),
-                other => other,
-            };
-            self.timeline = true;
-            match best.candidate.bucket_kb {
-                Some(kb) => {
-                    self.overlap = true;
-                    self.bucket_kb = Some(kb);
-                }
-                None => {
-                    self.overlap = false;
-                    self.bucket_kb = None;
-                }
-            }
-            self.profiled_beta = best.candidate.profiled_beta;
+            self.options.profiled_beta = best.profiled_beta;
         }
-        let spec = self.resolved_spec();
-        let mut engine = Engine::new(spec, self.workload);
-        if self.timeline {
-            engine = engine.with_timeline(true);
-        }
-        if self.overlap {
-            engine = engine.with_overlap(true);
-        }
-        if let Some(kb) = self.bucket_kb {
-            engine = engine.with_bucket_kb(kb);
-        }
-        if let Some(sink) = self.sink {
-            engine = engine.with_sink(sink);
-        }
-        if let Some(plan) = self.fault_plan {
-            engine = engine.with_fault_plan(plan);
-        }
-        if let Some(dir) = self.ckpt_dir {
-            engine = engine.with_checkpointing(dir, self.ckpt_policy);
-        }
-        if let Some(ckpt) = self.resume {
-            engine = engine.with_resume(ckpt);
-        }
-        if let Some(beta) = self.profiled_beta {
-            engine = engine.with_profiled_beta(beta);
-        }
-        if let Some(streaming) = self.streaming {
-            engine = engine.with_streaming(streaming);
-        }
-        engine.run()
+        Engine::new(self.resolved_spec(), self.workload, self.options).run()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
+    use crate::config::{MethodSpec, SocFlowConfig, StreamingConfig};
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
 
@@ -483,7 +301,7 @@ mod tests {
     fn plans_fixed_group_count() {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let plan = GlobalScheduler::new(s, w).plan_topology();
+        let plan = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Fixed).plan_topology();
         assert_eq!(plan.groups, 4);
         assert!(plan.group_choice.is_none());
         assert_eq!(plan.mapping.num_groups(), 4);
@@ -494,7 +312,7 @@ mod tests {
     fn heuristic_plan_profiles_candidates() {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::full()));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let plan = GlobalScheduler::new(s, w).plan_topology();
+        let plan = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Fixed).plan_topology();
         let choice = plan.group_choice.expect("heuristic must run");
         assert!(!choice.profile.is_empty());
         assert!(plan.groups >= 1 && plan.groups <= 8);
@@ -504,7 +322,7 @@ mod tests {
     fn scheduler_runs_end_to_end() {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let r = GlobalScheduler::new(s, w).run();
+        let r = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Fixed).run();
         assert_eq!(r.epoch_accuracy.len(), 2);
     }
 
@@ -514,10 +332,17 @@ mod tests {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
         let sink = std::sync::Arc::new(socflow_telemetry::MemorySink::new());
-        let r = GlobalScheduler::new(s, w)
-            .with_streaming(StreamingConfig::new(RateProfile::Heterogeneous))
-            .with_sink(sink.clone())
-            .run();
+        let r = GlobalScheduler::new(
+            s,
+            w,
+            RunOptions {
+                sink: Some(sink.clone()),
+                streaming: Some(StreamingConfig::new(RateProfile::Heterogeneous)),
+                ..RunOptions::default()
+            },
+            Plan::Fixed,
+        )
+        .run();
         assert_eq!(r.epoch_accuracy.len(), 2);
         // the hetero profile's spread exceeds the default threshold, so
         // the engine's rate-aware regrouping must have fired
@@ -531,28 +356,26 @@ mod tests {
     fn overlap_run_matches_plain_accuracy() {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let plain = GlobalScheduler::new(s, w.clone()).run();
-        let overlapped = GlobalScheduler::new(s, w)
-            .with_overlap(true)
-            .with_bucket_kb(32)
-            .run();
+        let plain = GlobalScheduler::new(s, w.clone(), RunOptions::default(), Plan::Fixed).run();
+        let overlapped = GlobalScheduler::new(
+            s,
+            w,
+            RunOptions {
+                pricing: Pricing::wait_free_kb(32),
+                ..RunOptions::default()
+            },
+            Plan::Fixed,
+        )
+        .run();
         assert_eq!(plain.epoch_accuracy, overlapped.epoch_accuracy);
         assert!(overlapped.total_time() > 0.0);
-    }
-
-    #[test]
-    fn profiled_beta_reaches_the_compute_model() {
-        let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
-        let w = Workload::standard(&s, 128, 8, 0.5);
-        let mut e = Engine::new(s, w).with_profiled_beta(0.42);
-        assert_eq!(e.time_model_mut().compute().beta(), 0.42);
     }
 
     #[test]
     fn memory_admission_passes_for_scaled_jobs() {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let est = GlobalScheduler::new(s, w).check_memory();
+        let est = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Fixed).check_memory();
         assert!(
             est.fits_soc(),
             "scaled jobs must fit: {} bytes",
@@ -572,7 +395,7 @@ mod tests {
         s.socs = 60;
         s.global_batch = 240;
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let sched = GlobalScheduler::new(s, w.clone());
+        let sched = GlobalScheduler::new(s, w.clone(), RunOptions::default(), Plan::Fixed);
         assert_eq!(
             sched.per_soc_batch(),
             4,
@@ -602,7 +425,7 @@ mod tests {
             s.socs = 8;
             s.global_batch = 64;
             let w = Workload::standard(&s, 128, 8, 0.5);
-            GlobalScheduler::new(s, w)
+            GlobalScheduler::new(s, w, RunOptions::default(), Plan::Fixed)
         };
         // 2 groups of 4 SoCs: 64 / 4 = 16 per SoC
         assert_eq!(
@@ -641,9 +464,16 @@ mod tests {
         for make in variants {
             let s = spec(make(SocFlowConfig::full()));
             let w = Workload::standard(&s, 128, 8, 0.5);
-            let resolved = GlobalScheduler::new(s, w)
-                .with_resume(ckpt.clone())
-                .resolved_spec();
+            let resolved = GlobalScheduler::new(
+                s,
+                w,
+                RunOptions {
+                    resume: Some(ckpt.clone()),
+                    ..RunOptions::default()
+                },
+                Plan::Fixed,
+            )
+            .resolved_spec();
             let got = match resolved.method {
                 MethodSpec::SocFlow(c)
                 | MethodSpec::SocFlowInt8(c)
@@ -664,10 +494,16 @@ mod tests {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
         let w = Workload::standard(&s, 128, 8, 0.5);
         let sink = std::sync::Arc::new(socflow_telemetry::MemorySink::new());
-        let r = GlobalScheduler::new(s, w)
-            .with_autotune(Some(8))
-            .with_sink(sink.clone())
-            .run();
+        let r = GlobalScheduler::new(
+            s,
+            w,
+            RunOptions {
+                sink: Some(sink.clone()),
+                ..RunOptions::default()
+            },
+            Plan::Auto { budget: 8 },
+        )
+        .run();
         assert_eq!(r.epoch_accuracy.len(), 2);
         assert!(r.total_time() > 0.0);
         let events = sink.events();
@@ -702,8 +538,8 @@ mod tests {
         // the same group count must reproduce accuracy bit-for-bit.
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let plain = GlobalScheduler::new(s, w.clone()).run();
-        let sched = GlobalScheduler::new(s, w).with_autotune(Some(16));
+        let plain = GlobalScheduler::new(s, w.clone(), RunOptions::default(), Plan::Fixed).run();
+        let sched = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Auto { budget: 16 });
         let report = sched.tune();
         let tuned = sched.run();
         if report.best().candidate.groups == 2 {
@@ -717,6 +553,6 @@ mod tests {
     fn plan_rejects_baselines() {
         let s = spec(MethodSpec::Ring);
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let _ = GlobalScheduler::new(s, w).plan_topology();
+        let _ = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Fixed).plan_topology();
     }
 }

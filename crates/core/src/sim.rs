@@ -39,9 +39,7 @@ use crate::mapping::{GroupId, Mapping};
 use crate::planning::CommunicationGroups;
 use crate::report::Breakdown;
 use crate::timemodel::{EpochCost, TimeModel};
-use socflow_cluster::{
-    calibration, Flow, FluidTimeline, LinkClassUtil, PowerState, Processor, Seconds,
-};
+use socflow_cluster::{calibration, Flow, FluidTimeline, LinkClassUtil, PowerState, Seconds};
 
 /// One scheduled interval of the simulated epoch, in epoch-local seconds.
 #[derive(Debug, Clone, PartialEq)]
@@ -386,16 +384,10 @@ pub fn simulate_socflow_schedule(
 
     // Per-group compute time: underclocking-aware re-balanced shares, the
     // slower of the CPU-FP32 and NPU-INT8 halves of the split batch.
-    let compute_t: Vec<Seconds> = (0..n_groups)
-        .map(|gi| {
-            let g = mapping.group(GroupId(gi));
-            let speed_sum: f64 = g.iter().map(|s| tm.compute().underclock(s.0)).sum();
-            let cpu_n = tm.batch() as f64 * cpu_fraction;
-            let npu_n = tm.batch() as f64 - cpu_n;
-            let t_cpu = tm.compute().per_sample(Processor::SocCpuFp32) * cpu_n / speed_sum;
-            let t_npu = tm.compute().per_sample(Processor::SocNpuInt8) * npu_n / speed_sum;
-            t_cpu.max(t_npu)
-        })
+    let compute_t: Vec<Seconds> = mapping
+        .groups()
+        .iter()
+        .map(|g| tm.group_compute_time(g, cpu_fraction))
         .collect();
 
     // Sync slots: the CGs with planning, one all-groups slot without —

@@ -227,6 +227,31 @@ impl TimeModel {
         self.sample_bytes
     }
 
+    /// Per-batch compute time of one logical group: re-balancing gives
+    /// each SoC a share proportional to its clock, so the group finishes
+    /// together, at the slower of the CPU-FP32 and NPU-INT8 batch halves.
+    pub(crate) fn group_compute_time(
+        &self,
+        group: &[socflow_cluster::SocId],
+        cpu_fraction: f64,
+    ) -> Seconds {
+        let speed_sum: f64 = group.iter().map(|s| self.compute.underclock(s.0)).sum();
+        let cpu_n = self.batch as f64 * cpu_fraction;
+        let npu_n = self.batch as f64 - cpu_n;
+        let t_cpu = self.compute.per_sample(Processor::SocCpuFp32) * cpu_n / speed_sum;
+        let t_npu = self.compute.per_sample(Processor::SocNpuInt8) * npu_n / speed_sum;
+        t_cpu.max(t_npu)
+    }
+
+    /// The slowest group's compute time (groups run in parallel).
+    fn slowest_group_compute(&self, mapping: &Mapping, cpu_fraction: f64) -> Seconds {
+        mapping
+            .groups()
+            .iter()
+            .map(|g| self.group_compute_time(g, cpu_fraction))
+            .fold(0.0, f64::max)
+    }
+
     pub(crate) fn update_time(&self) -> Seconds {
         self.params * calibration::UPDATE_FLOPS_PER_PARAM / calibration::SOC_CPU_FLOPS
     }
@@ -433,19 +458,7 @@ impl TimeModel {
         let n_groups = mapping.num_groups();
         let iters = (self.ref_samples as f64 / (n_groups as f64 * self.batch as f64)).ceil();
 
-        // compute: slowest group (groups run in parallel). Within a group,
-        // underclocking-aware re-balancing gives each SoC a share
-        // proportional to its clock, so the group finishes together.
-        let mut compute: Seconds = 0.0;
-        for gi in 0..n_groups {
-            let g = mapping.group(crate::mapping::GroupId(gi));
-            let speed_sum: f64 = g.iter().map(|s| self.compute.underclock(s.0)).sum();
-            let cpu_n = self.batch as f64 * cpu_fraction;
-            let npu_n = self.batch as f64 - cpu_n;
-            let t_cpu = self.compute.per_sample(Processor::SocCpuFp32) * cpu_n / speed_sum;
-            let t_npu = self.compute.per_sample(Processor::SocNpuInt8) * npu_n / speed_sum;
-            compute = compute.max(t_cpu.max(t_npu));
-        }
+        let compute = self.slowest_group_compute(mapping, cpu_fraction);
 
         // Intra-group sync. All groups of one "communication slot" run
         // their ring steps simultaneously, so each slot is priced as a
@@ -551,16 +564,7 @@ impl TimeModel {
         let iters = (self.ref_samples as f64 / (n_groups as f64 * self.batch as f64))
             .ceil()
             .max(1.0);
-        let mut compute: Seconds = 0.0;
-        for gi in 0..n_groups {
-            let g = mapping.group(crate::mapping::GroupId(gi));
-            let speed_sum: f64 = g.iter().map(|s| self.compute.underclock(s.0)).sum();
-            let cpu_n = self.batch as f64 * cpu_fraction;
-            let npu_n = self.batch as f64 - cpu_n;
-            let t_cpu = self.compute.per_sample(Processor::SocCpuFp32) * cpu_n / speed_sum;
-            let t_npu = self.compute.per_sample(Processor::SocNpuInt8) * npu_n / speed_sum;
-            compute = compute.max(t_cpu.max(t_npu));
-        }
+        let compute = self.slowest_group_compute(mapping, cpu_fraction);
         iters * (compute + self.update_time())
     }
 

@@ -347,7 +347,7 @@ pub enum Event {
 ///
 /// Sinks must be shareable across the components of one run (engine,
 /// time model, network), hence `Send + Sync`; emission takes `&self`.
-pub trait EventSink: Send + Sync {
+pub trait EventSink: Send + Sync + std::fmt::Debug {
     fn emit(&self, event: &Event);
 }
 
@@ -397,6 +397,7 @@ impl EventSink for MemorySink {
 
 /// Writes one compact JSON line per event (JSONL), flushing after each
 /// event so a trace survives an aborted run.
+#[derive(Debug)]
 pub struct TraceWriter {
     out: Mutex<BufWriter<File>>,
 }

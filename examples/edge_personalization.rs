@@ -14,6 +14,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
 use socflow_cluster::tidal::TidalTrace;
 use socflow_data::DatasetPreset;
@@ -46,10 +47,10 @@ fn main() {
     let workload = Workload::standard(&spec, 4096, 8, 0.5);
 
     // --- 3. train with SoCFlow and with RING -------------------------
-    let ours = Engine::new(spec, workload.clone()).run();
+    let ours = Engine::new(spec, workload.clone(), RunOptions::default()).run();
     let mut ring_spec = spec;
     ring_spec.method = MethodSpec::Ring;
-    let ring = Engine::new(ring_spec, workload).run();
+    let ring = Engine::new(ring_spec, workload, RunOptions::default()).run();
 
     // --- 4. does the nightly update ship on time? --------------------
     let window_secs = len as f64 * 3600.0;

@@ -10,6 +10,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 
@@ -25,13 +26,18 @@ fn main() {
     let workload = Workload::standard(&spec, 4096, 8, 0.5);
 
     // undisturbed run
-    let calm = Engine::new(spec, workload.clone()).run();
-    // user burst after epoch 3: one logical group is preempted
-    let preempted = Engine::new(spec, workload.clone()).with_preemption(3).run();
+    let calm = Engine::new(spec, workload.clone(), RunOptions::default()).run();
+    // a user burst after epoch 3 — the one thing that differs between runs
+    let burst = RunOptions {
+        preempt_after: Some(3),
+        ..RunOptions::default()
+    };
+    // SoCFlow gives up one logical group and continues
+    let preempted = Engine::new(spec, workload.clone(), burst.clone()).run();
     // the same event under RING: the whole job checkpoints and stalls
     let mut ring_spec = spec;
     ring_spec.method = MethodSpec::Ring;
-    let ring_preempted = Engine::new(ring_spec, workload).with_preemption(3).run();
+    let ring_preempted = Engine::new(ring_spec, workload, burst).run();
 
     println!("scenario: user burst preempts training after epoch 3\n");
     println!("{:<28} {:>10} {:>12}", "run", "best acc", "total time");

@@ -10,6 +10,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::Workload;
+use socflow::options::{Plan, RunOptions};
 use socflow::scheduler::GlobalScheduler;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
@@ -33,7 +34,8 @@ fn main() {
 
     // 3. The global scheduler profiles group counts during warm-up, maps
     //    logical groups onto PCBs and plans communication groups...
-    let scheduler = GlobalScheduler::new(spec, workload.clone());
+    let scheduler =
+        GlobalScheduler::new(spec, workload.clone(), RunOptions::default(), Plan::Fixed);
     let plan = scheduler.plan_topology();
     println!("logical groups        : {}", plan.groups);
     // (pass `SocFlowConfig::full()` instead to let the warm-up heuristic
@@ -43,7 +45,7 @@ fn main() {
 
     // 4. ...and runs the job: real SGD for accuracy, calibrated cluster
     //    simulation for wall-clock time and energy at paper scale.
-    let result = GlobalScheduler::new(spec, workload).run();
+    let result = GlobalScheduler::new(spec, workload, RunOptions::default(), Plan::Fixed).run();
     println!("\nepoch  accuracy  α      sim-time");
     let mut t = 0.0;
     for (i, acc) in result.epoch_accuracy.iter().enumerate() {

@@ -5,6 +5,7 @@
 use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::options::{Checkpointing, RunOptions};
 use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
 use socflow_cluster::SocId;
 use socflow_data::DatasetPreset;
@@ -49,8 +50,16 @@ fn plan_of(events: Vec<(f64, usize, FaultKind)>) -> FaultPlan {
 fn preempted_run_still_converges() {
     let s = spec(4);
     let workload = Workload::standard(&s, 1024, 8, 0.5);
-    let calm = Engine::new(s, workload.clone()).run();
-    let preempted = Engine::new(s, workload).with_preemption(3).run();
+    let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
+    let preempted = Engine::new(
+        s,
+        workload,
+        RunOptions {
+            preempt_after: Some(3),
+            ..RunOptions::default()
+        },
+    )
+    .run();
 
     assert_eq!(
         preempted.epoch_accuracy.len(),
@@ -97,12 +106,24 @@ fn checkpoint_roundtrip_and_redistribute() {
 fn crashes_cost_a_stall_reclaims_do_not() {
     let s = small_spec(4);
     let w = Workload::standard(&s, 512, 8, 0.5);
-    let reclaimed = Engine::new(s, w.clone())
-        .with_fault_plan(plan_of(vec![(0.0, 7, FaultKind::Reclaimed)]))
-        .run();
-    let crashed = Engine::new(s, w)
-        .with_fault_plan(plan_of(vec![(0.0, 7, FaultKind::Crashed)]))
-        .run();
+    let reclaimed = Engine::new(
+        s,
+        w.clone(),
+        RunOptions {
+            faults: Some(plan_of(vec![(0.0, 7, FaultKind::Reclaimed)])),
+            ..RunOptions::default()
+        },
+    )
+    .run();
+    let crashed = Engine::new(
+        s,
+        w,
+        RunOptions {
+            faults: Some(plan_of(vec![(0.0, 7, FaultKind::Crashed)])),
+            ..RunOptions::default()
+        },
+    )
+    .run();
     assert_eq!(reclaimed.recovery_time, 0.0, "graceful exits are free");
     assert!(crashed.recovery_time > 0.0, "crashes lose in-flight work");
     // the survivor topology is identical, so per-epoch progress matches
@@ -122,9 +143,15 @@ fn resume_across_a_fault_is_bit_identical() {
     let w = Workload::standard(&s, 512, 8, 0.5);
     let plan = plan_of(vec![(0.0, 6, FaultKind::Reclaimed)]);
 
-    let full = Engine::new(s, w.clone())
-        .with_fault_plan(plan.clone())
-        .run();
+    let full = Engine::new(
+        s,
+        w.clone(),
+        RunOptions {
+            faults: Some(plan.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .run();
 
     let mut short = s;
     short.epochs = 2;
@@ -132,20 +159,34 @@ fn resume_across_a_fault_is_bit_identical() {
         every_epochs: Some(2),
         on_reclaim: true,
     };
-    let _ = Engine::new(short, Workload::standard(&short, 512, 8, 0.5))
-        .with_fault_plan(plan.clone())
-        .with_checkpointing(dir.clone(), policy)
-        .run();
+    let _ = Engine::new(
+        short,
+        Workload::standard(&short, 512, 8, 0.5),
+        RunOptions {
+            faults: Some(plan.clone()),
+            checkpointing: Some(
+                Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir"),
+            ),
+            ..RunOptions::default()
+        },
+    )
+    .run();
 
     let ckpt = Checkpoint::load(&dir).expect("killed run persisted a checkpoint");
     assert_eq!(ckpt.epoch, 2);
     assert_eq!(ckpt.alive.len(), 7, "the reclaimed SoC is gone from disk");
     assert!(!ckpt.alive.contains(&6));
 
-    let resumed = Engine::new(s, w)
-        .with_fault_plan(plan)
-        .with_resume(ckpt)
-        .run();
+    let resumed = Engine::new(
+        s,
+        w,
+        RunOptions {
+            faults: Some(plan),
+            resume: Some(ckpt),
+            ..RunOptions::default()
+        },
+    )
+    .run();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(resumed, full, "continuation must be bit-identical");
 }
@@ -206,9 +247,15 @@ fn tidal_preemption_resume_is_bit_identical_across_variants() {
             "the tide must reclaim at least one SoC"
         );
 
-        let full = Engine::new(s, w.clone())
-            .with_fault_plan(plan.clone())
-            .run();
+        let full = Engine::new(
+            s,
+            w.clone(),
+            RunOptions {
+                faults: Some(plan.clone()),
+                ..RunOptions::default()
+            },
+        )
+        .run();
         assert!(
             !plan.between(0.0, full.total_time()).is_empty(),
             "a reclaim must land inside the run ({})",
@@ -223,18 +270,32 @@ fn tidal_preemption_resume_is_bit_identical_across_variants() {
             every_epochs: Some(2),
             on_reclaim: true,
         };
-        let _ = Engine::new(short, Workload::standard(&short, 512, 8, 0.5))
-            .with_fault_plan(plan.clone())
-            .with_checkpointing(dir.clone(), policy)
-            .run();
+        let _ = Engine::new(
+            short,
+            Workload::standard(&short, 512, 8, 0.5),
+            RunOptions {
+                faults: Some(plan.clone()),
+                checkpointing: Some(
+                    Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir"),
+                ),
+                ..RunOptions::default()
+            },
+        )
+        .run();
 
         let ckpt = Checkpoint::load(&dir).expect("killed run persisted a checkpoint");
         assert_eq!(ckpt.epoch, 2);
 
-        let resumed = Engine::new(s, w)
-            .with_fault_plan(plan)
-            .with_resume(ckpt)
-            .run();
+        let resumed = Engine::new(
+            s,
+            w,
+            RunOptions {
+                faults: Some(plan),
+                resume: Some(ckpt),
+                ..RunOptions::default()
+            },
+        )
+        .run();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             resumed, full,
@@ -248,8 +309,16 @@ fn baseline_preemption_costs_a_stall() {
     let mut s = spec(4);
     s.method = MethodSpec::Ring;
     let workload = Workload::standard(&s, 512, 8, 0.5);
-    let calm = Engine::new(s, workload.clone()).run();
-    let stalled = Engine::new(s, workload).with_preemption(2).run();
+    let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
+    let stalled = Engine::new(
+        s,
+        workload,
+        RunOptions {
+            preempt_after: Some(2),
+            ..RunOptions::default()
+        },
+    )
+    .run();
     assert!(
         stalled.total_time() > calm.total_time(),
         "the checkpoint-restore stall must show up in the total time"

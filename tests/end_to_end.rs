@@ -6,6 +6,7 @@
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::options::{Plan, RunOptions};
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
 use socflow_baselines::suite::{run_methods, SuiteScale};
 use socflow_data::DatasetPreset;
@@ -154,7 +155,12 @@ fn scheduler_auto_groups() {
         s
     };
     let workload = Workload::standard(&spec, 512, 8, 0.5);
-    let scheduler = socflow::scheduler::GlobalScheduler::new(spec, workload);
+    let scheduler = socflow::scheduler::GlobalScheduler::new(
+        spec,
+        workload,
+        RunOptions::default(),
+        Plan::Fixed,
+    );
     let plan = scheduler.plan_topology();
     assert!((1..=16).contains(&plan.groups));
     assert!(plan.cgs.len() <= 2, "Theorem 2 ⇒ at most two CGs");
@@ -171,15 +177,15 @@ fn mixed_precision_beats_int8_only() {
     spec.socs = 16;
     let workload = Workload::standard(&spec, 4096, 8, 0.5);
 
-    let mixed = Engine::new(spec, workload.clone()).run();
+    let mixed = Engine::new(spec, workload.clone(), RunOptions::default()).run();
     let mut int8_spec = spec;
     int8_spec.method = MethodSpec::SocFlowInt8(cfg);
-    let int8 = Engine::new(int8_spec, workload.clone()).run();
+    let int8 = Engine::new(int8_spec, workload.clone(), RunOptions::default()).run();
     let mut fp_cfg = cfg;
     fp_cfg.mixed_precision = false;
     let mut fp_spec = spec;
     fp_spec.method = MethodSpec::SocFlow(fp_cfg);
-    let fp32 = Engine::new(fp_spec, workload).run();
+    let fp32 = Engine::new(fp_spec, workload, RunOptions::default()).run();
 
     assert!(
         mixed.best_accuracy() >= int8.best_accuracy() - 0.02,

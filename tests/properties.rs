@@ -614,6 +614,7 @@ proptest! {
     ) {
         use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
         use socflow::engine::{Engine, Workload};
+        use socflow::options::RunOptions;
         use socflow_nn::models::ModelKind;
         use socflow_data::DatasetPreset;
         use socflow_telemetry::MemorySink;
@@ -632,7 +633,7 @@ proptest! {
             spec.seed = seed;
             let workload = Workload::standard(&spec, 96, 8, 0.5);
             let sink = Arc::new(MemorySink::new());
-            let result = Engine::new(spec, workload).with_sink(sink.clone()).run();
+            let result = Engine::new(spec, workload, RunOptions { sink: Some(sink.clone()), ..RunOptions::default() }).run();
             let result_json = serde_json::to_string(&result).unwrap();
             let trace: Vec<String> = sink
                 .take()
@@ -658,6 +659,7 @@ proptest! {
     ) {
         use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
         use socflow::engine::{Engine, Workload};
+        use socflow::options::{Pricing, RunOptions};
         use socflow_nn::models::ModelKind;
         use socflow_data::DatasetPreset;
         use socflow_telemetry::{Event, MemorySink};
@@ -676,9 +678,7 @@ proptest! {
             spec.seed = seed;
             let workload = Workload::standard(&spec, 96, 8, 0.5);
             let sink = Arc::new(MemorySink::new());
-            let result = Engine::new(spec, workload)
-                .with_timeline(true)
-                .with_sink(sink.clone())
+            let result = Engine::new(spec, workload, RunOptions { pricing: Pricing::Timeline, sink: Some(sink.clone()), ..RunOptions::default() })
                 .run();
             let result_json = serde_json::to_string(&result).unwrap();
             let events = sink.take();
@@ -710,6 +710,7 @@ proptest! {
         use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
         use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
         use socflow::engine::{Engine, Workload};
+        use socflow::options::{Checkpointing, RunOptions};
         use socflow_nn::models::ModelKind;
         use socflow_data::DatasetPreset;
 
@@ -727,18 +728,17 @@ proptest! {
         };
         let full_spec = spec_of(4);
         let workload = Workload::standard(&full_spec, 96, 8, 0.5);
-        let full = Engine::new(full_spec, workload.clone()).run();
+        let full = Engine::new(full_spec, workload.clone(), RunOptions::default()).run();
 
         let dir = std::env::temp_dir().join(format!("socflow_prop_resume_{seed}_{groups}"));
         std::fs::remove_dir_all(&dir).ok();
         let short = spec_of(2);
         let policy = CheckpointPolicy { every_epochs: Some(2), on_reclaim: true };
-        let _ = Engine::new(short, Workload::standard(&short, 96, 8, 0.5))
-            .with_checkpointing(dir.clone(), policy)
+        let _ = Engine::new(short, Workload::standard(&short, 96, 8, 0.5), RunOptions { checkpointing: Some(Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir")), ..RunOptions::default() })
             .run();
 
         let ckpt = Checkpoint::load(&dir).expect("checkpoint persisted");
-        let resumed = Engine::new(full_spec, workload).with_resume(ckpt).run();
+        let resumed = Engine::new(full_spec, workload, RunOptions { resume: Some(ckpt), ..RunOptions::default() }).run();
         std::fs::remove_dir_all(&dir).ok();
         prop_assert_eq!(resumed, full, "resume must continue bit-exactly");
     }

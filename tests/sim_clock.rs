@@ -8,6 +8,7 @@
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::Workload;
 use socflow::mapping::integrity_greedy;
+use socflow::options::{Plan, RunOptions};
 use socflow::planning::divide_communication_groups;
 use socflow::scheduler::GlobalScheduler;
 use socflow::sim::{simulate_socflow_schedule, SyncSchedule};
@@ -31,9 +32,13 @@ fn paper_scale_plan_search_matches_the_golden_ranking() {
     spec.socs = 60;
     spec.seed = 11;
     let workload = Workload::standard(&spec, 64, 8, 0.18);
-    let report = GlobalScheduler::new(spec, workload)
-        .with_autotune(Some(100))
-        .tune();
+    let report = GlobalScheduler::new(
+        spec,
+        workload,
+        RunOptions::default(),
+        Plan::Auto { budget: 100 },
+    )
+    .tune();
 
     let golden: serde_json::Value = serde_json::from_str(GOLDEN).unwrap();
     let count = |name: &str| golden.get(name).as_u64().unwrap() as usize;

@@ -8,6 +8,7 @@
 use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::options::{Checkpointing, Pricing, RunOptions};
 use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
 use socflow_cluster::SocId;
 use socflow_data::DatasetPreset;
@@ -74,7 +75,14 @@ fn socflow_arms_are_thread_count_invariant() {
         let spec = spec_of(arm);
         let workload = Workload::standard(&spec, 96, 8, 0.5);
         assert_thread_invariant(label, &|sink| {
-            Engine::new(spec, workload.clone()).with_sink(sink)
+            Engine::new(
+                spec,
+                workload.clone(),
+                RunOptions {
+                    sink: Some(sink),
+                    ..RunOptions::default()
+                },
+            )
         });
     }
 }
@@ -90,7 +98,14 @@ fn baseline_and_federated_methods_are_thread_count_invariant() {
         let spec = spec_of(method);
         let workload = Workload::standard(&spec, 96, 8, 0.5);
         assert_thread_invariant(label, &|sink| {
-            Engine::new(spec, workload.clone()).with_sink(sink)
+            Engine::new(
+                spec,
+                workload.clone(),
+                RunOptions {
+                    sink: Some(sink),
+                    ..RunOptions::default()
+                },
+            )
         });
     }
 }
@@ -104,10 +119,15 @@ fn overlap_runs_are_thread_count_invariant() {
     let spec = spec_of(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
     let workload = Workload::standard(&spec, 96, 8, 0.5);
     assert_thread_invariant("overlap", &|sink| {
-        Engine::new(spec, workload.clone())
-            .with_overlap(true)
-            .with_bucket_kb(32)
-            .with_sink(sink)
+        Engine::new(
+            spec,
+            workload.clone(),
+            RunOptions {
+                pricing: Pricing::wait_free_kb(32),
+                sink: Some(sink),
+                ..RunOptions::default()
+            },
+        )
     });
 }
 
@@ -128,9 +148,15 @@ fn faulted_runs_are_thread_count_invariant() {
     let spec = spec_of(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
     let workload = Workload::standard(&spec, 96, 8, 0.5);
     assert_thread_invariant("faulted", &|sink| {
-        Engine::new(spec, workload.clone())
-            .with_fault_plan(plan.clone())
-            .with_sink(sink)
+        Engine::new(
+            spec,
+            workload.clone(),
+            RunOptions {
+                sink: Some(sink),
+                faults: Some(plan.clone()),
+                ..RunOptions::default()
+            },
+        )
     });
 }
 
@@ -169,9 +195,15 @@ fn streaming_runs_are_thread_count_invariant() {
             scfg.base_rate = Some(1.0e6);
         }
         assert_thread_invariant(label, &|sink| {
-            Engine::new(spec, workload.clone())
-                .with_streaming(scfg)
-                .with_sink(sink)
+            Engine::new(
+                spec,
+                workload.clone(),
+                RunOptions {
+                    sink: Some(sink),
+                    streaming: Some(scfg),
+                    ..RunOptions::default()
+                },
+            )
         });
     }
 }
@@ -188,7 +220,7 @@ fn checkpoint_resume_crosses_thread_counts_bit_exactly() {
     let workload = Workload::standard(&spec, 96, 8, 0.5);
 
     runtime::set_threads(1);
-    let full = Engine::new(spec, workload.clone()).run();
+    let full = Engine::new(spec, workload.clone(), RunOptions::default()).run();
 
     runtime::set_threads(8);
     let mut short = spec;
@@ -197,14 +229,30 @@ fn checkpoint_resume_crosses_thread_counts_bit_exactly() {
         every_epochs: Some(1),
         on_reclaim: true,
     };
-    let _ = Engine::new(short, Workload::standard(&short, 96, 8, 0.5))
-        .with_checkpointing(dir.clone(), policy)
-        .run();
+    let _ = Engine::new(
+        short,
+        Workload::standard(&short, 96, 8, 0.5),
+        RunOptions {
+            checkpointing: Some(
+                Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir"),
+            ),
+            ..RunOptions::default()
+        },
+    )
+    .run();
     let ckpt = Checkpoint::load(&dir).expect("short run persisted a checkpoint");
     assert_eq!(ckpt.epoch, 1);
 
     runtime::set_threads(2);
-    let resumed = Engine::new(spec, workload).with_resume(ckpt).run();
+    let resumed = Engine::new(
+        spec,
+        workload,
+        RunOptions {
+            resume: Some(ckpt),
+            ..RunOptions::default()
+        },
+    )
+    .run();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(
         resumed, full,
