@@ -28,6 +28,7 @@
 //! work should be judged against.
 
 use socflow_tensor::conv::{self, ConvParams, ConvScratch};
+use socflow_tensor::isa::Isa;
 use socflow_tensor::quant::{self, QuantFormat, QuantParams};
 use socflow_tensor::{linalg, Tensor};
 use std::time::Instant;
@@ -289,6 +290,8 @@ fn to_json(results: &[Measurement], fast: bool) -> serde_json::Value {
             "profiled_beta".into(),
             Value::F64(measured_beta(results).unwrap_or(0.0)),
         ),
+        // which kernel instantiation this host ran: "avx2" | "portable"
+        ("isa".into(), Value::Str(Isa::active().name().into())),
         ("results".into(), Value::Array(rows)),
     ])
 }
@@ -1326,11 +1329,12 @@ fn run_autotune_suite(fast: bool) -> (usize, Vec<AutotuneRun>) {
     // 7 groups is the multi-CG count (as in the timeline suite's sweep)
     let (socs, default_groups) = if fast { (20, 7) } else { (60, 8) };
     // the β that bench kernels measured on the reference machine
+    // (`profiled_beta` of the committed BENCH_kernels.json)
     let arms: &[(&str, ModelKind, &str, f32, Option<f64>)] = &[
         ("vgg11", ModelKind::Vgg11, "vgg11", 0.22, None),
         ("resnet18", ModelKind::ResNet18, "resnet18", 0.18, None),
         ("mobilenet", ModelKind::MobileNetV1, "mobilenet", 0.22, None),
-        ("vgg11-pbeta", ModelKind::Vgg11, "vgg11", 0.22, Some(0.2502)),
+        ("vgg11-pbeta", ModelKind::Vgg11, "vgg11", 0.22, Some(0.6200)),
     ];
     let rows = arms
         .iter()
@@ -1544,6 +1548,7 @@ pub fn bench(argv: &[String]) -> Result<(), String> {
     }
 
     let results = run_suite(fast);
+    println!("kernel isa: {}", Isa::active().name());
     println!(
         "{:<16} {:<18} {:>6} {:>12} {:>9}",
         "op", "shape", "iters", "ns/iter", "GFLOP/s"
@@ -1594,6 +1599,7 @@ mod tests {
         assert_eq!(doc.get("schema").as_str(), Some("socflow-kernel-bench/v1"));
         assert_eq!(doc.get("mode").as_str(), Some("fast"));
         assert_eq!(doc.get("profiled_beta").as_f64(), Some(beta));
+        assert_eq!(doc.get("isa").as_str(), Some(Isa::active().name()));
         assert_eq!(doc.get("results").as_array().unwrap().len(), results.len());
     }
 

@@ -61,12 +61,9 @@ impl Linear {
         self.iacc.clear();
         self.iacc.resize(m * self.out_features, 0);
         linalg::matmul_i8_a_bt_slices(&self.qx, &self.qwt, &mut self.iacc, m, k, self.out_features);
-        let s = px.scale * pw.scale;
         let mut y = Tensor::default();
         y.resize([m, self.out_features]);
-        for (o, &v) in y.data_mut().iter_mut().zip(self.iacc.iter()) {
-            *o = v as f32 * s;
-        }
+        quant::scale_i32_into(&self.iacc, px.scale * pw.scale, y.data_mut());
         y.add_row_broadcast_inplace(&self.bias.value);
         if mode.train {
             let mut cache = self.cached_input.take().unwrap_or_default();

@@ -395,11 +395,8 @@ pub fn conv2d_int8_scratch(
         cols,
         oc,
     );
-    let s = pp.scale * pw.scale;
     scratch.mat.resize([rows, oc]);
-    for (o, &v) in scratch.mat.data_mut().iter_mut().zip(scratch.imat.iter()) {
-        *o = v as f32 * s;
-    }
+    quant::scale_i32_into(&scratch.imat, pp.scale * pw.scale, scratch.mat.data_mut());
     nhwc_rows_to_nchw_into(&scratch.mat, n, oc, oh, ow, out);
     // Replace the raw patches with their dequantized INT8 values for backward.
     let shape = scratch.patches.shape().clone();

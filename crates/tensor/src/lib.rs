@@ -14,6 +14,8 @@
 //! - weight initializers ([`init`]);
 //! - scratch-buffer pooling for allocation-free steady-state training
 //!   ([`pool`]) and opt-in kernel timing counters ([`profile`]);
+//! - one runtime decision between the portable and the AVX2 instantiation
+//!   of the hot kernels ([`isa`]), bit-identical either way;
 //! - a deterministic intra-op parallel runtime ([`runtime`]): a persistent
 //!   worker pool whose output partitioning is fixed by problem shape, so
 //!   results are bit-identical at any thread count.
@@ -34,6 +36,7 @@
 
 pub mod conv;
 pub mod init;
+pub mod isa;
 pub mod linalg;
 pub mod pool;
 pub mod profile;

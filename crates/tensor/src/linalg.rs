@@ -6,14 +6,26 @@
 //! `MR × NR` micro-kernel that keeps a fixed-size accumulator tile in
 //! registers and streams contiguously over the operands, so rustc
 //! autovectorizes the inner loops without any nightly SIMD or external
-//! dependencies. Edge tails (shapes that are not multiples of the tile) fall
-//! back to scalar loops with the same accumulation order.
+//! dependencies. The last `n % NR` columns run through the same tile over a
+//! zero-padded copy of `B`'s tail columns; the last `m % MR` rows run one
+//! row at a time. Either way the accumulation order is the same.
 //!
 //! **Numerics contract:** every kernel accumulates each output element
 //! strictly sequentially over the shared dimension `p` in ascending order —
-//! the same order as a naive triple loop. Tiling changes *which* elements are
+//! the same order as a naive triple loop — with a separate multiply and add
+//! (never a fused one). Tiling and lane width change *which* elements are
 //! computed together, never the floating-point summation order, so results
 //! are bit-identical to the pre-tiled kernels and deterministic across runs.
+//!
+//! **Two instantiations:** the f32 panel kernel is one `#[inline(always)]`
+//! body compiled twice by `isa_kernel!` — for the crate's baseline target
+//! and under `#[target_feature(enable = "avx2")]` — and [`Isa::active`] picks
+//! one per call (see [`crate::isa`]). The lanes run across the *output*
+//! dimension, so both satisfy the contract above and agree bit for bit. All
+//! three products share it: `Aᵀ × B` is a stride choice on the left operand
+//! and `A × Bᵀ` transposes `B` once per call. The i8 GEMM is the one kernel
+//! with hand-written intrinsics; it is exact in `i32`, where no order can
+//! matter.
 //!
 //! **Parallelism:** large products are split into fixed-size row panels of
 //! the output (`ROWS_PER_CHUNK` rows each) and dispatched on the
@@ -30,7 +42,9 @@
 //!
 //! [`socflow_nn`]: https://docs.rs/socflow-nn
 
+use crate::isa::{isa_kernel, Isa};
 use crate::profile::{KernelOp, Timer};
+use crate::runtime::SendPtr;
 use crate::Tensor;
 use std::cell::RefCell;
 
@@ -40,11 +54,14 @@ const MR: usize = 4;
 const NR: usize = 16;
 
 thread_local! {
-    /// Scratch panel used by [`matmul_a_bt_slices`] to pack a transposed
-    /// `k × NR` tile of `B`. Thread-local so replica jobs and pool workers
-    /// never contend; reused across calls so steady-state matmuls allocate
-    /// nothing.
-    static PACK_PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// `Bᵀ` of the running [`matmul_a_bt_slices`] call (`k × n`), transposed
+    /// once on the calling thread and read by every row panel. Thread-local
+    /// so replica jobs never contend; reused across calls so steady-state
+    /// matmuls allocate nothing.
+    static PACKED_BT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The last `n % NR` columns of the running product's `B`, zero-padded
+    /// to a `k × NR` panel (see [`pad_tail_columns`]); same ownership rules.
+    static PADDED_TAIL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Rows of output per parallel panel. A multiple of `MR`, so interior panels
@@ -57,8 +74,6 @@ const ROWS_PER_CHUNK: usize = 32;
 /// serial and parallel paths produce identical bytes, so this threshold
 /// affects wall-clock only.
 const PAR_MIN_WORK: usize = 1 << 18;
-
-use crate::runtime::SendPtr;
 
 /// Splits `m` output rows into shape-fixed panels and runs
 /// `panel(i0, i1, out_rows)` for each on the worker pool. `out_rows` is the
@@ -87,171 +102,150 @@ fn worth_parallel(m: usize, k: usize, n: usize) -> bool {
     m > ROWS_PER_CHUNK && m * k * n >= PAR_MIN_WORK && crate::runtime::threads() > 1
 }
 
-// ---------------------------------------------------------------------------
-// Micro-kernel accumulate steps: scalar reference + optional SIMD lanes
-// ---------------------------------------------------------------------------
-//
-// The `simd` cargo feature swaps the micro-kernels' innermost accumulate
-// steps for explicit `std::arch` lanes — SSE2 on x86_64 and NEON on aarch64,
-// both part of their target's baseline ABI, so no runtime feature detection
-// is needed. The SIMD bodies use a separate multiply and add (never FMA) and
-// keep each accumulator lane's additions in the same ascending-`p` order as
-// the scalar loop, so every output element sees the identical sequence of
-// f32 roundings: scalar and SIMD builds are bitwise-identical
-// (property-pinned in `tests/properties.rs`). The integer dot product is
-// exact in i32, where ordering cannot matter at all.
-
-/// Scalar reference for the f32 accumulate step: `acc[c] += av * brow[c]`
-/// over the `NR` lanes. Kept compiled in every configuration — the SIMD
-/// lanes are property-pinned against it.
-#[cfg_attr(
-    all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
+/// The micro-kernels' accumulate step: `acc[c] += av * brow[c]` over the
+/// `NR` lanes — one multiply and one add per lane, in that order.
 #[inline(always)]
-fn axpy_nr_scalar(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
+fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
     for (c, &bv) in acc.iter_mut().zip(brow.iter()) {
         *c += av * bv;
     }
 }
 
-/// SSE2 f32 accumulate step: four 4-lane vectors cover the `NR = 16` tile.
-/// `_mm_mul_ps` + `_mm_add_ps` (no FMA) round exactly like the scalar loop.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
-    debug_assert!(brow.len() >= NR);
-    // Safety: SSE2 is part of the x86_64 baseline ABI; loads/stores are the
-    // unaligned variants; both buffers hold at least NR elements.
-    unsafe {
-        use std::arch::x86_64::*;
-        let avv = _mm_set1_ps(av);
-        let mut lane = 0;
-        while lane < NR {
-            let b = _mm_loadu_ps(brow.as_ptr().add(lane));
-            let c = _mm_loadu_ps(acc.as_ptr().add(lane));
-            let r = _mm_add_ps(c, _mm_mul_ps(avv, b));
-            _mm_storeu_ps(acc.as_mut_ptr().add(lane), r);
-            lane += 4;
+/// The left operand of a product as the panel kernel reads it: element
+/// `(i, p)` is `data[i * row_stride + p * p_stride]`. `A` itself is
+/// `(k, 1)`; the `Aᵀ` of [`matmul_at_b_slices`] is `(1, m)` over the
+/// untransposed storage, so one kernel serves both.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    p_stride: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// The operand from row `i0` on (what a row panel is handed).
+    fn rows_from(self, i0: usize) -> Lhs<'a> {
+        Lhs {
+            data: &self.data[i0 * self.row_stride..],
+            ..self
         }
     }
 }
 
-/// NEON f32 accumulate step (`vmulq_f32` + `vaddq_f32`, no fused multiply).
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-#[inline(always)]
-fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
-    debug_assert!(brow.len() >= NR);
-    // Safety: NEON is part of the aarch64 baseline ABI; both buffers hold at
-    // least NR elements.
-    unsafe {
-        use std::arch::aarch64::*;
-        let avv = vdupq_n_f32(av);
-        let mut lane = 0;
-        while lane < NR {
-            let b = vld1q_f32(brow.as_ptr().add(lane));
-            let c = vld1q_f32(acc.as_ptr().add(lane));
-            let r = vaddq_f32(c, vmulq_f32(avv, b));
-            vst1q_f32(acc.as_mut_ptr().add(lane), r);
-            lane += 4;
+/// `C = lhs × B` for `B: (k, n)` row-major, by row panels — on the pool
+/// when the shape is worth it. The `n % NR` tail columns of `B` are padded
+/// once, here, and shared by every panel.
+fn gemm_rows(isa: Isa, lhs: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    PADDED_TAIL.with(|tail| {
+        // the submitting thread only ever runs its own panels while it
+        // waits, so the borrow cannot be re-entered
+        let mut tail = tail.borrow_mut();
+        pad_tail_columns(b, &mut tail, k, n);
+        let tail = &tail[..];
+        if worth_parallel(m, k, n) {
+            par_row_panels(out, m, n, &|i0, i1, out_rows| {
+                gemm_panel(isa, lhs.rows_from(i0), b, tail, out_rows, i1 - i0, k, n);
+            });
+        } else {
+            gemm_panel(isa, lhs, b, tail, out, m, k, n);
         }
+    });
+}
+
+/// Copies the last `n % NR` columns of `b: (k, n)` into `tail` as a
+/// `k × NR` panel, the missing lanes zero. The tail columns then run
+/// through the same register tile as every full column panel — each of
+/// their elements still the sum over ascending `p` — and the padded lanes'
+/// results are dropped. Empty when `n` is a multiple of `NR`.
+fn pad_tail_columns(b: &[f32], tail: &mut Vec<f32>, k: usize, n: usize) {
+    let w = n % NR;
+    tail.resize(if w == 0 { 0 } else { k * NR }, 0.0);
+    for (trow, brow) in tail.chunks_exact_mut(NR).zip(b.chunks_exact(n.max(1))) {
+        trow[..w].copy_from_slice(&brow[n - w..]);
+        trow[w..].fill(0.0);
     }
 }
 
-/// Without the `simd` feature (or on other architectures) the accumulate
-/// step *is* the scalar reference.
-#[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-#[inline(always)]
-fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
-    axpy_nr_scalar(acc, av, brow);
+isa_kernel! {
+    /// Sequential `MR × NR` kernel over `m` rows of `lhs`/`out`: the
+    /// single-threaded sweep, reused verbatim by every parallel panel.
+    /// `tail` is `b`'s [`pad_tail_columns`] panel.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_panel(
+        lhs: Lhs,
+        b: &[f32],
+        tail: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) = gemm_panel_body;
 }
 
-/// Scalar reference for the integer dot product: widen to i32, accumulate
-/// exactly. `a.len() == b.len()` must hold; the sum must stay within `i32`
-/// (callers bound `k ≤ 2^17`, far below any layer in the model zoo).
-#[cfg_attr(
-    all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
 #[inline(always)]
-fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x as i32 * y as i32;
+fn gemm_panel_body(
+    lhs: Lhs,
+    b: &[f32],
+    tail: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut j = 0;
+    while j + NR <= n {
+        column_panel(lhs, b, n, j, out, m, k, n, j, NR);
+        j += NR;
     }
-    acc
-}
-
-/// SSE2 i8 dot product: sign-extend 16 bytes to i16 lanes, then
-/// `_mm_madd_epi16` multiplies i16 pairs and sums them into i32 — exact,
-/// since `|i8·i8| ≤ 127² = 16129` fits an i16 product pair summed into i32.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    // Safety: SSE2 baseline; unaligned loads; tail handled in scalar.
-    unsafe {
-        use std::arch::x86_64::*;
-        let k = a.len();
-        let zero = _mm_setzero_si128();
-        let mut acc = _mm_setzero_si128();
-        let mut p = 0;
-        while p + 16 <= k {
-            let va = _mm_loadu_si128(a.as_ptr().add(p) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(p) as *const __m128i);
-            // Sign-extend each byte half to i16: unpack into the high byte
-            // of each i16 lane, then arithmetic-shift back down.
-            let a_lo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, va), 8);
-            let a_hi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, va), 8);
-            let b_lo = _mm_srai_epi16(_mm_unpacklo_epi8(zero, vb), 8);
-            let b_hi = _mm_srai_epi16(_mm_unpackhi_epi8(zero, vb), 8);
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(a_lo, b_lo));
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(a_hi, b_hi));
-            p += 16;
-        }
-        let mut lanes = [0i32; 4];
-        _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, acc);
-        let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        while p < k {
-            sum += a[p] as i32 * b[p] as i32;
-            p += 1;
-        }
-        sum
+    if j < n {
+        column_panel(lhs, tail, NR, 0, out, m, k, n, j, n - j);
     }
 }
 
-/// NEON i8 dot product: `vmull_s8` widens 8 products to i16 (exact), then
-/// `vpadalq_s16` folds pairs into i32 accumulators.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+/// Output columns `j..j + w` (`w ≤ NR`) for all `m` rows: `MR × NR`
+/// register tiles, then single rows. The tile reads row `p` of the `B`
+/// panel at `b[p * b_stride + b_off..][..NR]` and keeps its first `w` lanes.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    // Safety: NEON baseline; tail handled in scalar.
-    unsafe {
-        use std::arch::aarch64::*;
-        let k = a.len();
-        let mut acc = vdupq_n_s32(0);
-        let mut p = 0;
-        while p + 8 <= k {
-            let va = vld1_s8(a.as_ptr().add(p));
-            let vb = vld1_s8(b.as_ptr().add(p));
-            acc = vpadalq_s16(acc, vmull_s8(va, vb));
-            p += 8;
+fn column_panel(
+    lhs: Lhs,
+    b: &[f32],
+    b_stride: usize,
+    b_off: usize,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+    w: usize,
+) {
+    let a = lhs.data;
+    let mut i = 0;
+    while i + MR <= m {
+        let mut acc = [[0.0f32; NR]; MR];
+        for p in 0..k {
+            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + NR];
+            for (mi, accrow) in acc.iter_mut().enumerate() {
+                let av = a[(i + mi) * lhs.row_stride + p * lhs.p_stride];
+                axpy_nr(accrow, av, brow);
+            }
         }
-        let mut sum = vaddvq_s32(acc);
-        while p < k {
-            sum += a[p] as i32 * b[p] as i32;
-            p += 1;
+        for (mi, accrow) in acc.iter().enumerate() {
+            let o = (i + mi) * n + j;
+            out[o..o + w].copy_from_slice(&accrow[..w]);
         }
-        sum
+        i += MR;
     }
-}
-
-/// Without the `simd` feature the integer dot *is* the scalar reference.
-#[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-#[inline(always)]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_scalar(a, b)
+    // Row tail: fewer than MR rows left.
+    while i < m {
+        let mut acc = [0.0f32; NR];
+        for p in 0..k {
+            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + NR];
+            axpy_nr(&mut acc, a[i * lhs.row_stride + p * lhs.p_stride], brow);
+        }
+        out[i * n + j..i * n + j + w].copy_from_slice(&acc[..w]);
+        i += 1;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -298,64 +292,15 @@ pub fn matmul_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
     assert_eq!(b.len(), k * n, "matmul_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_slices: out length");
     let _t = Timer::start(KernelOp::Matmul);
-    if worth_parallel(m, k, n) {
-        par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_panel(&a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
-        });
-    } else {
-        matmul_panel(a, b, out, m, k, n);
-    }
+    gemm_rows(Isa::active(), row_major(a, k), b, out, m, k, n);
 }
 
-/// Sequential `MR × NR` kernel over an `m`-row slice of `A`/`out`: the
-/// original single-threaded sweep, reused verbatim by every parallel panel.
-fn matmul_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut j = 0;
-    // Full NR-wide column panels.
-    while j + NR <= n {
-        let mut i = 0;
-        // MR × NR register tiles.
-        while i + MR <= m {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let brow = &b[p * n + j..p * n + j + NR];
-                for (mi, accrow) in acc.iter_mut().enumerate() {
-                    let av = a[(i + mi) * k + p];
-                    axpy_nr(accrow, av, brow);
-                }
-            }
-            for (mi, accrow) in acc.iter().enumerate() {
-                let orow = i + mi;
-                out[orow * n + j..orow * n + j + NR].copy_from_slice(accrow);
-            }
-            i += MR;
-        }
-        // Row tail: fewer than MR rows left, still NR-wide.
-        while i < m {
-            let mut acc = [0.0f32; NR];
-            for p in 0..k {
-                let av = a[i * k + p];
-                let brow = &b[p * n + j..p * n + j + NR];
-                axpy_nr(&mut acc, av, brow);
-            }
-            out[i * n + j..i * n + j + NR].copy_from_slice(&acc);
-            i += 1;
-        }
-        j += NR;
-    }
-    // Column tail: fewer than NR columns left, all rows.
-    if j < n {
-        for i in 0..m {
-            let orow = &mut out[i * n + j..(i + 1) * n];
-            orow.fill(0.0);
-            for p in 0..k {
-                let av = a[i * k + p];
-                let brow = &b[p * n + j..(p + 1) * n];
-                for (c, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *c += av * bv;
-                }
-            }
-        }
+/// `a: (m, k)` row-major as a left operand.
+fn row_major(a: &[f32], k: usize) -> Lhs<'_> {
+    Lhs {
+        data: a,
+        row_stride: k,
+        p_stride: 1,
     }
 }
 
@@ -388,6 +333,10 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// `C = Aᵀ × B` on raw row-major slices: `a: (k, m)`, `b: (k, n)`,
 /// `out: (m, n)`. `out` is fully overwritten.
 ///
+/// Row `i` of `Aᵀ` is the stride-`m` column `i` of `A`, and the `MR` values
+/// a tile needs per `p` are contiguous in `A`'s row `p`; nothing is
+/// transposed.
+///
 /// # Panics
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn matmul_at_b_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -395,85 +344,20 @@ pub fn matmul_at_b_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     assert_eq!(b.len(), k * n, "matmul_at_b_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_at_b_slices: out length");
     let _t = Timer::start(KernelOp::MatmulAtB);
-    if worth_parallel(m, k, n) {
-        par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_at_b_panel(a, b, out_rows, i0, i1, m, k, n);
-        });
-    } else {
-        matmul_at_b_panel(a, b, out, 0, m, m, k, n);
-    }
-}
-
-/// Sequential kernel for output rows `i0..i1` of `C = Aᵀ × B`. Unlike
-/// [`matmul_panel`], `a` cannot be row-sliced (row `i` of `Aᵀ` is the
-/// stride-`m` column `i` of `A`), so the panel takes the full operands plus
-/// a global row range; `out` holds only the panel's rows.
-///
-/// Identical tiling to `matmul_panel`; only the A addressing differs: the
-/// MR values needed per `p` are contiguous in A's row `p`.
-#[allow(clippy::too_many_arguments)]
-fn matmul_at_b_panel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    i1: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NR <= n {
-        let mut i = i0;
-        while i + MR <= i1 {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                let apanel = &a[p * m + i..p * m + i + MR];
-                let brow = &b[p * n + j..p * n + j + NR];
-                for (accrow, &av) in acc.iter_mut().zip(apanel.iter()) {
-                    axpy_nr(accrow, av, brow);
-                }
-            }
-            for (mi, accrow) in acc.iter().enumerate() {
-                let orow = i - i0 + mi;
-                out[orow * n + j..orow * n + j + NR].copy_from_slice(accrow);
-            }
-            i += MR;
-        }
-        while i < i1 {
-            let mut acc = [0.0f32; NR];
-            for p in 0..k {
-                let av = a[p * m + i];
-                let brow = &b[p * n + j..p * n + j + NR];
-                axpy_nr(&mut acc, av, brow);
-            }
-            let orow = i - i0;
-            out[orow * n + j..orow * n + j + NR].copy_from_slice(&acc);
-            i += 1;
-        }
-        j += NR;
-    }
-    if j < n {
-        for i in i0..i1 {
-            let li = i - i0;
-            let orow = &mut out[li * n + j..(li + 1) * n];
-            orow.fill(0.0);
-            for p in 0..k {
-                let av = a[p * m + i];
-                let brow = &b[p * n + j..(p + 1) * n];
-                for (c, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *c += av * bv;
-                }
-            }
-        }
-    }
+    let at = Lhs {
+        data: a,
+        row_stride: 1,
+        p_stride: m,
+    };
+    gemm_rows(Isa::active(), at, b, out, m, k, n);
 }
 
 // ---------------------------------------------------------------------------
 // C = A × Bᵀ
 // ---------------------------------------------------------------------------
 
-/// `C = A × Bᵀ` for `A: (m, k)`, `B: (n, k)` without materializing `Bᵀ`.
+/// `C = A × Bᵀ` for `A: (m, k)`, `B: (n, k)`; `Bᵀ` only ever exists in
+/// reused scratch (see [`matmul_a_bt_slices`]).
 ///
 /// # Panics
 /// Panics if the operands are not rank-2 or the shared dimension disagrees.
@@ -498,10 +382,11 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// `C = A × Bᵀ` on raw row-major slices: `a: (m, k)`, `b: (n, k)`,
 /// `out: (m, n)`. `out` is fully overwritten.
 ///
-/// Packs each `NR`-row tile of `B` into a transposed `k × NR` panel (held in
-/// thread-local scratch) so the same lane-parallel micro-kernel as
-/// [`matmul_slices`] applies; per-element accumulation stays sequential over
-/// `p`, bit-identical to a scalar dot product.
+/// Transposes `B` once per call into thread-local scratch (`k·n` floats on
+/// the calling thread) and runs the [`matmul_slices`] panels over the
+/// shared result, so no panel packs anything. Each element is still the
+/// sequential sum over ascending `p` of `a[i][p] * b[j][p]`, bit-identical
+/// to a scalar dot product.
 ///
 /// # Panics
 /// Panics if the slice lengths do not match the given dimensions.
@@ -510,74 +395,12 @@ pub fn matmul_a_bt_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     assert_eq!(b.len(), n * k, "matmul_a_bt_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_a_bt_slices: out length");
     let _t = Timer::start(KernelOp::MatmulABt);
-    if worth_parallel(m, k, n) {
-        par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_a_bt_panel(&a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
-        });
-    } else {
-        matmul_a_bt_panel(a, b, out, m, k, n);
-    }
-}
-
-/// Sequential kernel over an `m`-row slice of `A`/`out` for `C = A × Bᵀ`.
-/// Each executing thread packs `B` tiles into its own `PACK_PANEL`, so
-/// parallel panels re-pack redundantly (~`k·n` extra reads per panel, a few
-/// percent of the panel's `rows·k·n` multiply-adds) but never share scratch.
-fn matmul_a_bt_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    PACK_PANEL.with(|panel| {
-        let mut panel = panel.borrow_mut();
-        panel.resize(k * NR, 0.0);
-        let mut j = 0;
-        while j + NR <= n {
-            // Pack rows j..j+NR of B, transposed: panel[p * NR + nj] = B[j+nj][p].
-            for nj in 0..NR {
-                let brow = &b[(j + nj) * k..(j + nj + 1) * k];
-                for (p, &bv) in brow.iter().enumerate() {
-                    panel[p * NR + nj] = bv;
-                }
-            }
-            let mut i = 0;
-            while i + MR <= m {
-                let mut acc = [[0.0f32; NR]; MR];
-                for p in 0..k {
-                    let brow = &panel[p * NR..(p + 1) * NR];
-                    for (mi, accrow) in acc.iter_mut().enumerate() {
-                        let av = a[(i + mi) * k + p];
-                        axpy_nr(accrow, av, brow);
-                    }
-                }
-                for (mi, accrow) in acc.iter().enumerate() {
-                    let orow = i + mi;
-                    out[orow * n + j..orow * n + j + NR].copy_from_slice(accrow);
-                }
-                i += MR;
-            }
-            while i < m {
-                let mut acc = [0.0f32; NR];
-                for p in 0..k {
-                    let av = a[i * k + p];
-                    let brow = &panel[p * NR..(p + 1) * NR];
-                    axpy_nr(&mut acc, av, brow);
-                }
-                out[i * n + j..i * n + j + NR].copy_from_slice(&acc);
-                i += 1;
-            }
-            j += NR;
-        }
-        // Column tail: plain sequential dot products (same order as packed path).
-        if j < n {
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                for jj in j..n {
-                    let brow = &b[jj * k..(jj + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                        acc += av * bv;
-                    }
-                    out[i * n + jj] = acc;
-                }
-            }
-        }
+    PACKED_BT.with(|bt| {
+        // not re-entered, for the reason given in `gemm_rows`
+        let mut bt = bt.borrow_mut();
+        bt.resize(k * n, 0.0);
+        transpose_blocks(b, &mut bt, n, k);
+        gemm_rows(Isa::active(), row_major(a, k), &bt, out, m, k, n);
     });
 }
 
@@ -585,41 +408,70 @@ fn matmul_a_bt_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 // Integer GEMM: C(i32) = A(i8) × B(i8)ᵀ
 // ---------------------------------------------------------------------------
 
+/// Largest shared dimension of the integer GEMM: `k · 128² < 2³¹`, so no
+/// sum of `k` products of `i8` pairs — in any order, over any subset, the
+/// `-128` the quantizer never emits included — leaves `i32`.
+const I8_GEMM_MAX_K: usize = (1 << 17) - 1;
+
 /// `C = A × Bᵀ` over `i8` operands with exact `i32` accumulation:
 /// `a: (m, k)` and `b: (n, k)` row-major — every output element is one
 /// contiguous length-`k` dot product — writing `out: (m, n)`, fully
 /// overwritten.
 ///
 /// This is the NPU arm's compute kernel: integer accumulation is exact (no
-/// rounding at any summation order), so the scalar, SIMD and row-parallel
+/// rounding at any summation order), so the portable, AVX2 and row-parallel
 /// paths are bitwise-identical by construction. Per-tensor scales are *not*
 /// applied here; callers apply `sa·sb` once at the i32→f32 epilogue
-/// ([`crate::quant::quantized_matmul`] does exactly that).
-///
-/// The accumulator bounds the shared dimension: `k · 127² < 2³¹` requires
-/// `k ≤ 2¹⁷`, far above any layer in the model zoo.
+/// ([`crate::quant::scale_i32_into`]).
 ///
 /// # Panics
-/// Panics if the slice lengths do not match the given dimensions.
+/// Panics if the slice lengths do not match the given dimensions, or if
+/// `k ≥ 2¹⁷` (the accumulator bound; far above any layer in the model zoo).
 pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "matmul_i8_a_bt_slices: a length");
     assert_eq!(b.len(), n * k, "matmul_i8_a_bt_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_i8_a_bt_slices: out length");
+    assert!(
+        k <= I8_GEMM_MAX_K,
+        "matmul_i8_a_bt_slices: k = {k} of ({m},{k}) x ({n},{k})ᵀ can overflow the i32 \
+         accumulator (k must stay below 2^17)"
+    );
     let _t = Timer::start(KernelOp::MatmulI8);
+    let isa = Isa::active();
     if worth_parallel(m, k, n) {
         par_row_panels(out, m, n, &|i0, i1, out_rows| {
-            matmul_i8_panel(&a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
+            matmul_i8_panel(isa, &a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
         });
     } else {
-        matmul_i8_panel(a, b, out, m, k, n);
+        matmul_i8_panel(isa, a, b, out, m, k, n);
     }
 }
 
-/// Sequential i8 dot-product kernel over an `m`-row slice of `A`/`out`.
+/// Sequential i8 kernel over an `m`-row slice of `A`/`out`. The one kernel
+/// that is written twice rather than instantiated twice: autovectorizing
+/// the widening dot product stops well short of the f32 kernel's AVX2 time.
+fn matmul_i8_panel(isa: Isa, a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if isa.has_avx2() {
+        // SAFETY: an `Isa` reports AVX2 only after
+        // `is_x86_feature_detected!("avx2")` held on this host.
+        return unsafe { matmul_i8_panel_avx2(a, b, out, m, k, n) };
+    }
+    let _ = isa;
+    matmul_i8_panel_portable(a, b, out, m, k, n);
+}
+
+/// The widened-`i32` reference: one contiguous dot product per element.
 /// Columns are walked in blocks of four so each `A` row stays register/L1
-/// resident across several `B` rows; i32 exactness makes the blocking
-/// order-irrelevant.
-fn matmul_i8_panel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+/// resident across several `B` rows.
+fn matmul_i8_panel_portable(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+    fn dot(a: &[i8], b: &[i8]) -> i32 {
+        let mut acc = 0i32;
+        for (&x, &y) in a.iter().zip(b.iter()) {
+            acc += x as i32 * y as i32;
+        }
+        acc
+    }
     const JB: usize = 4;
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
@@ -627,15 +479,147 @@ fn matmul_i8_panel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: u
         let mut j = 0;
         while j + JB <= n {
             for jj in j..j + JB {
-                orow[jj] = dot_i8(arow, &b[jj * k..(jj + 1) * k]);
+                orow[jj] = dot(arow, &b[jj * k..(jj + 1) * k]);
             }
             j += JB;
         }
         while j < n {
-            orow[j] = dot_i8(arow, &b[j * k..(j + 1) * k]);
+            orow[j] = dot(arow, &b[j * k..(j + 1) * k]);
             j += 1;
         }
     }
+}
+
+/// Register-blocked widening-dot micro-kernel: tiles of 2 `A` rows × 4 `B`
+/// rows (eight `i32×8` accumulators); an odd last row and the last `n % 4`
+/// columns run the narrower instantiations of the same tile. A `k` below
+/// one vector has nothing to block and takes the portable loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_i8_panel_avx2(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+    if k < 16 {
+        return matmul_i8_panel_portable(a, b, out, m, k, n);
+    }
+    let mut i = 0;
+    while i + 2 <= m {
+        i8_row_block_avx2::<2>(a, b, out, i, k, n);
+        i += 2;
+    }
+    if i < m {
+        i8_row_block_avx2::<1>(a, b, out, i, k, n);
+    }
+}
+
+/// Output rows `i..i + R` of the i8 panel: four columns per tile, then
+/// single columns. Requires `k >= 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn i8_row_block_avx2<const R: usize>(
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i32],
+    i: usize,
+    k: usize,
+    n: usize,
+) {
+    let ar: [*const i8; R] = std::array::from_fn(|r| a[(i + r) * k..(i + r + 1) * k].as_ptr());
+    let brow = |j: usize| b[j * k..(j + 1) * k].as_ptr();
+    // SAFETY (both `dot_tile_avx2` calls): each pointer is the start of a
+    // `k`-byte row slice taken just above, and the caller checked `k >= 16`.
+    let mut j = 0;
+    while j + 4 <= n {
+        let br = [brow(j), brow(j + 1), brow(j + 2), brow(j + 3)];
+        let t = unsafe { dot_tile_avx2(ar, br, k) };
+        for (r, sums) in t.iter().enumerate() {
+            out[(i + r) * n + j..(i + r) * n + j + 4].copy_from_slice(sums);
+        }
+        j += 4;
+    }
+    while j < n {
+        let t = unsafe { dot_tile_avx2(ar, [brow(j)], k) };
+        for (r, sums) in t.iter().enumerate() {
+            out[(i + r) * n + j] = sums[0];
+        }
+        j += 1;
+    }
+}
+
+/// `R × C` dot products of `k`-byte `i8` rows, exact in `i32`. Each step
+/// sign-extends 16 bytes of every row to `i16` lanes; `madd_epi16`
+/// multiplies lane pairs and adds each pair into an `i32` lane. It
+/// saturates only on `2 · (-32768)²`, and sign-extended `i8` lanes give at
+/// most `2 · 128² = 2¹⁵` per pair, so it is exact here. The last
+/// `k % 16` bytes are taken by one more step over the *final* 16 bytes of
+/// the rows, with the bytes already counted zeroed on the `A` side.
+///
+/// # Safety
+/// Every pointer must be valid for reads of `k` bytes, and `k >= 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn dot_tile_avx2<const R: usize, const C: usize>(
+    a: [*const i8; R],
+    b: [*const i8; C],
+    k: usize,
+) -> [[i32; C]; R] {
+    use std::arch::x86_64::*;
+    /// `TAIL_MASK[rem..rem + 16]` keeps the last `rem` of 16 bytes.
+    static TAIL_MASK: [u8; 32] = {
+        let mut t = [0u8; 32];
+        let mut i = 16;
+        while i < 32 {
+            t[i] = 0xFF;
+            i += 1;
+        }
+        t
+    };
+    let mut acc = [[_mm256_setzero_si256(); C]; R];
+    let mut step = |p: usize, keep: __m128i| {
+        // SAFETY: callers pass `p + 16 <= k`, inside every row.
+        let av = a.map(|row| unsafe {
+            _mm256_cvtepi8_epi16(_mm_and_si128(_mm_loadu_si128(row.add(p).cast()), keep))
+        });
+        for c in 0..C {
+            let bv = unsafe { _mm256_cvtepi8_epi16(_mm_loadu_si128(b[c].add(p).cast())) };
+            for r in 0..R {
+                acc[r][c] = _mm256_add_epi32(acc[r][c], _mm256_madd_epi16(av[r], bv));
+            }
+        }
+    };
+    let all = _mm_set1_epi8(-1);
+    let mut p = 0;
+    while p + 16 <= k {
+        step(p, all);
+        p += 16;
+    }
+    let rem = k - p;
+    if rem > 0 {
+        // SAFETY: `rem < 16`, so the 16 bytes read end inside the table.
+        let keep = unsafe { _mm_loadu_si128(TAIL_MASK.as_ptr().add(rem).cast()) };
+        step(k - 16, keep);
+    }
+    let mut sums = [[0i32; C]; R];
+    for (row, sums) in acc.iter().zip(sums.iter_mut()) {
+        if C == 4 {
+            // [Σ0 Σ1 Σ2 Σ3] of the four accumulators, per 128-bit half
+            let v = _mm256_hadd_epi32(
+                _mm256_hadd_epi32(row[0], row[1]),
+                _mm256_hadd_epi32(row[2], row[3]),
+            );
+            let v = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+            // SAFETY: `sums` is `C == 4` contiguous `i32`s.
+            unsafe { _mm_storeu_si128(sums.as_mut_ptr().cast(), v) };
+        } else {
+            for (&v, sum) in row.iter().zip(sums.iter_mut()) {
+                let v = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+                let v = _mm_add_epi32(v, _mm_shuffle_epi32::<0b00_00_11_10>(v));
+                let v = _mm_add_epi32(v, _mm_shuffle_epi32::<0b00_00_00_01>(v));
+                *sum = _mm_cvtsi128_si32(v);
+            }
+        }
+    }
+    sums
 }
 
 // ---------------------------------------------------------------------------
@@ -643,7 +627,7 @@ fn matmul_i8_panel(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: u
 // ---------------------------------------------------------------------------
 
 /// Tile edge for the blocked transpose; 32 × 32 f32 = 4 KiB, well inside L1.
-const TR: usize = 32;
+pub(crate) const TR: usize = 32;
 
 /// Transpose of a rank-2 tensor.
 ///
@@ -674,15 +658,44 @@ pub fn transpose_slices(a: &[f32], out: &mut [f32], m: usize, n: usize) {
     assert_eq!(a.len(), m * n, "transpose_slices: a length");
     assert_eq!(out.len(), m * n, "transpose_slices: out length");
     let _t = Timer::start(KernelOp::Transpose);
-    // TR × TR blocks keep both the source rows and destination rows resident
-    // in L1 while the block is swapped.
+    transpose_blocks(a, out, m, n);
+}
+
+/// The transpose itself, untimed ([`matmul_a_bt_slices`] runs it under its
+/// own timer). `TR × TR` blocks keep both the source rows and destination
+/// rows resident in L1 while the block is swapped; inside a block, `TQ × TQ`
+/// sub-blocks are read and written as whole `TQ`-float rows, so only the
+/// shuffle in between moves single elements.
+fn transpose_blocks(a: &[f32], out: &mut [f32], m: usize, n: usize) {
+    const TQ: usize = 8;
     for ib in (0..m).step_by(TR) {
         let i_end = (ib + TR).min(m);
         for jb in (0..n).step_by(TR) {
             let j_end = (jb + TR).min(n);
-            for i in ib..i_end {
-                for j in jb..j_end {
-                    out[j * m + i] = a[i * n + j];
+            let mut i = ib;
+            while i + TQ <= i_end {
+                let mut j = jb;
+                while j + TQ <= j_end {
+                    let mut blk = [[0.0f32; TQ]; TQ];
+                    for (r, row) in blk.iter_mut().enumerate() {
+                        row.copy_from_slice(&a[(i + r) * n + j..(i + r) * n + j + TQ]);
+                    }
+                    for c in 0..TQ {
+                        let col: [f32; TQ] = std::array::from_fn(|r| blk[r][c]);
+                        out[(j + c) * m + i..(j + c) * m + i + TQ].copy_from_slice(&col);
+                    }
+                    j += TQ;
+                }
+                for r in i..i + TQ {
+                    for c in j..j_end {
+                        out[c * m + r] = a[r * n + c];
+                    }
+                }
+                i += TQ;
+            }
+            for r in i..i_end {
+                for c in jb..j_end {
+                    out[c * m + r] = a[r * n + c];
                 }
             }
         }
@@ -692,6 +705,7 @@ pub fn transpose_slices(a: &[f32], out: &mut [f32], m: usize, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::avx2_or_skip;
     use crate::Shape;
 
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -816,35 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_panels_match_serial_bitwise() {
-        // Shapes above PAR_MIN_WORK with awkward row counts (tails smaller
-        // than MR and ROWS_PER_CHUNK, primes, exact multiples).
-        crate::runtime::set_threads(8);
-        for &(m, k, n) in &[(97, 64, 48), (130, 70, 33), (256, 64, 17), (64, 64, 64)] {
-            let a = rand_matrix(m, k, (m + k) as u64);
-            let b = rand_matrix(k, n, (k + n + 7) as u64);
-            assert!(worth_parallel(m, k, n) || m * k * n < PAR_MIN_WORK);
-
-            let mut serial = vec![0.0f32; m * n];
-            matmul_panel(a.data(), b.data(), &mut serial, m, k, n);
-            let par = matmul(&a, &b);
-            assert_eq!(par.data(), &serial[..], "matmul {m}x{k}x{n}");
-
-            let at = transpose(&a);
-            let mut serial = vec![0.0f32; m * n];
-            matmul_at_b_panel(at.data(), b.data(), &mut serial, 0, m, m, k, n);
-            let par = matmul_at_b(&at, &b);
-            assert_eq!(par.data(), &serial[..], "matmul_at_b {m}x{k}x{n}");
-
-            let bt = transpose(&b);
-            let mut serial = vec![0.0f32; m * n];
-            matmul_a_bt_panel(a.data(), bt.data(), &mut serial, m, k, n);
-            let par = matmul_a_bt(&a, &bt);
-            assert_eq!(par.data(), &serial[..], "matmul_a_bt {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "inner dims")]
     fn matmul_dim_mismatch_panics() {
         let a = Tensor::zeros([2, 3]);
@@ -872,39 +857,6 @@ mod tests {
                 (state >> 33) as i8
             })
             .collect()
-    }
-
-    /// The dispatched accumulate step (SIMD when the `simd` feature is on)
-    /// is bitwise-identical to the scalar reference for arbitrary inputs.
-    #[test]
-    fn axpy_step_matches_scalar_bitwise() {
-        for seed in 0..32u64 {
-            let a = rand_matrix(1, NR, seed);
-            let base = rand_matrix(1, NR, seed ^ 0xFFFF);
-            let av = a.data()[0] * 1.7 - 0.3;
-            let mut acc = [0.0f32; NR];
-            let mut acc_ref = [0.0f32; NR];
-            acc.copy_from_slice(base.data());
-            acc_ref.copy_from_slice(base.data());
-            axpy_nr(&mut acc, av, a.data());
-            axpy_nr_scalar(&mut acc_ref, av, a.data());
-            assert_eq!(
-                acc.map(f32::to_bits),
-                acc_ref.map(f32::to_bits),
-                "seed {seed}"
-            );
-        }
-    }
-
-    /// The dispatched i8 dot (SIMD when enabled) equals the scalar widened
-    /// reference exactly, across lengths that exercise every tail path.
-    #[test]
-    fn dot_i8_matches_scalar_exactly() {
-        for &len in &[0usize, 1, 7, 8, 15, 16, 17, 31, 32, 33, 63, 100, 257] {
-            let a = rand_i8(len, len as u64 + 1);
-            let b = rand_i8(len, len as u64 * 31 + 7);
-            assert_eq!(dot_i8(&a, &b), dot_i8_scalar(&a, &b), "len {len}");
-        }
     }
 
     /// The i8 GEMM equals a naive widened-i32 triple loop exactly on
@@ -948,10 +900,216 @@ mod tests {
             let a = rand_i8(m * k, (m + k) as u64);
             let b = rand_i8(n * k, (k + n + 7) as u64);
             let mut serial = vec![0i32; m * n];
-            matmul_i8_panel(&a, &b, &mut serial, m, k, n);
+            matmul_i8_panel(Isa::active(), &a, &b, &mut serial, m, k, n);
             let mut par = vec![0i32; m * n];
             matmul_i8_a_bt_slices(&a, &b, &mut par, m, k, n);
             assert_eq!(par, serial, "matmul_i8 {m}x{k}x{n}");
         }
+    }
+
+    /// The per-panel `A × Bᵀ` kernel that pack-once replaced, kept verbatim
+    /// as the reference: it packs each `NR`-row tile of `B` into a `k × NR`
+    /// panel and runs the same micro-kernel over it.
+    fn matmul_a_bt_per_panel(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        let mut panel = vec![0.0f32; k * NR];
+        let mut j = 0;
+        while j + NR <= n {
+            // Pack rows j..j+NR of B, transposed: panel[p * NR + nj] = B[j+nj][p].
+            for nj in 0..NR {
+                let brow = &b[(j + nj) * k..(j + nj + 1) * k];
+                for (p, &bv) in brow.iter().enumerate() {
+                    panel[p * NR + nj] = bv;
+                }
+            }
+            let mut i = 0;
+            while i + MR <= m {
+                let mut acc = [[0.0f32; NR]; MR];
+                for p in 0..k {
+                    let brow = &panel[p * NR..(p + 1) * NR];
+                    for (mi, accrow) in acc.iter_mut().enumerate() {
+                        let av = a[(i + mi) * k + p];
+                        axpy_nr(accrow, av, brow);
+                    }
+                }
+                for (mi, accrow) in acc.iter().enumerate() {
+                    let orow = i + mi;
+                    out[orow * n + j..orow * n + j + NR].copy_from_slice(accrow);
+                }
+                i += MR;
+            }
+            while i < m {
+                let mut acc = [0.0f32; NR];
+                for p in 0..k {
+                    let av = a[i * k + p];
+                    let brow = &panel[p * NR..(p + 1) * NR];
+                    axpy_nr(&mut acc, av, brow);
+                }
+                out[i * n + j..i * n + j + NR].copy_from_slice(&acc);
+                i += 1;
+            }
+            j += NR;
+        }
+        // Column tail: plain sequential dot products (same order as packed path).
+        if j < n {
+            for i in 0..m {
+                let arow = &a[i * k..(i + 1) * k];
+                for jj in j..n {
+                    let brow = &b[jj * k..(jj + 1) * k];
+                    let mut acc = 0.0f32;
+                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                        acc += av * bv;
+                    }
+                    out[i * n + jj] = acc;
+                }
+            }
+        }
+    }
+
+    /// `C = A × B` as one serial panel on `isa`, off the pool.
+    fn serial_matmul(isa: Isa, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        serial_gemm(isa, row_major(a, k), b, m, k, n)
+    }
+
+    /// `C = Aᵀ × B` for `at: (k, m)` as one serial panel on `isa`.
+    fn serial_at_b(isa: Isa, at: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let lhs = Lhs {
+            data: at,
+            row_stride: 1,
+            p_stride: m,
+        };
+        serial_gemm(isa, lhs, b, m, k, n)
+    }
+
+    fn serial_gemm(isa: Isa, lhs: Lhs, b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut tail = Vec::new();
+        pad_tail_columns(b, &mut tail, k, n);
+        let mut c = vec![f32::NAN; m * n];
+        gemm_panel(isa, lhs, b, &tail, &mut c, m, k, n);
+        c
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Tile-edge torture list shared by the instantiation tests: `m`, `n`
+    /// off the 4/16 grid, `k` around one vector and at the conv shapes.
+    fn awkward_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![
+            (1, 1, 1),
+            (4, 4, 16),
+            (5, 13, 17),
+            (19, 29, 31),
+            (40, 2, 48),
+        ];
+        for &k in &[0usize, 1, 15, 16, 17, 27, 31] {
+            shapes.extend([(7, k, 33), (6, k, 16), (2, k, 5), (33, k, 50)]);
+        }
+        shapes
+    }
+
+    /// Portable and AVX2 instantiations of all three f32 panel kernels are
+    /// `to_bits()`-equal, and equal to the naive ascending-`p` triple loop.
+    #[test]
+    fn f32_panels_agree_across_instantiations_bitwise() {
+        let Some(avx2) = avx2_or_skip("f32_panels_agree_across_instantiations_bitwise") else {
+            return;
+        };
+        for (m, k, n) in awkward_shapes() {
+            let a = rand_matrix(m, k, (m * 131 + k) as u64);
+            let b = rand_matrix(k, n, (k * 137 + n) as u64);
+            let naive = naive_matmul(&a, &b);
+            let at = transpose(&a);
+            let run = |isa: Isa| {
+                (
+                    bits(&serial_matmul(isa, a.data(), b.data(), m, k, n)),
+                    bits(&serial_at_b(isa, at.data(), b.data(), m, k, n)),
+                )
+            };
+            let (p, p_at) = run(Isa::PORTABLE);
+            let (v, v_at) = run(avx2);
+            assert_eq!(p, bits(naive.data()), "matmul vs naive {m}x{k}x{n}");
+            assert_eq!(p, v, "matmul {m}x{k}x{n}");
+            assert_eq!(p_at, v_at, "matmul_at_b {m}x{k}x{n}");
+            assert_eq!(p, p_at, "matmul_at_b vs matmul {m}x{k}x{n}");
+        }
+    }
+
+    /// The dispatched public GEMMs — row panels on the pool included — equal
+    /// the portable serial panels at pool sizes 1 and 4, and pack-once
+    /// `A × Bᵀ` equals the per-panel kernel it replaced.
+    #[test]
+    fn dispatched_gemms_match_portable_at_1_and_4_threads() {
+        let mut shapes = awkward_shapes();
+        // above PAR_MIN_WORK, rows off the panel grid
+        shapes.extend([(97, 64, 48), (130, 70, 33), (256, 64, 17), (64, 64, 64)]);
+        for threads in [1, 4] {
+            crate::runtime::set_threads(threads);
+            for &(m, k, n) in &shapes {
+                let a = rand_matrix(m, k, (m * 31 + k) as u64);
+                let b = rand_matrix(k, n, (k * 37 + n) as u64);
+                let (at, bt) = (transpose(&a), transpose(&b));
+                let want = serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n);
+                let mut want_bt = vec![f32::NAN; m * n];
+                matmul_a_bt_per_panel(a.data(), bt.data(), &mut want_bt, m, k, n);
+                assert_eq!(bits(&want_bt), bits(&want), "per-panel a_bt {m}x{k}x{n}");
+
+                let tag = format!("{m}x{k}x{n} at {threads} threads");
+                assert_eq!(bits(matmul(&a, &b).data()), bits(&want), "matmul {tag}");
+                assert_eq!(bits(matmul_at_b(&at, &b).data()), bits(&want), "at_b {tag}");
+                assert_eq!(bits(matmul_a_bt(&a, &bt).data()), bits(&want), "a_bt {tag}");
+            }
+        }
+    }
+
+    /// Both i8 panels equal the widened-`i32` triple loop exactly: random
+    /// operands, all `-128` (the largest products), `k` below one vector,
+    /// every row/column tail of the 2×4 tile.
+    #[test]
+    fn i8_panels_match_widened_reference() {
+        let avx2 = avx2_or_skip("i8_panels_match_widened_reference");
+        let mut shapes = awkward_shapes();
+        shapes.extend([(3, 144, 9), (5, 288, 6), (2, 300, 4)]);
+        for (m, k, n) in shapes {
+            for fill in [None, Some(-128i8), Some(127)] {
+                let a =
+                    fill.map_or_else(|| rand_i8(m * k, (m * 100 + k) as u64), |v| vec![v; m * k]);
+                let b =
+                    fill.map_or_else(|| rand_i8(n * k, (k * 100 + n) as u64), |v| vec![v; n * k]);
+                let mut want = vec![0i32; m * n];
+                for i in 0..m {
+                    for j in 0..n {
+                        for p in 0..k {
+                            want[i * n + j] += a[i * k + p] as i32 * b[j * k + p] as i32;
+                        }
+                    }
+                }
+                for isa in [Some(Isa::PORTABLE), avx2].into_iter().flatten() {
+                    let mut got = vec![i32::MIN; m * n];
+                    matmul_i8_panel(isa, &a, &b, &mut got, m, k, n);
+                    assert_eq!(got, want, "{} {m}x{k}x{n} fill {fill:?}", isa.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "can overflow the i32 accumulator")]
+    fn i8_gemm_rejects_k_that_can_overflow() {
+        let k = 1 << 17;
+        let (a, b) = (vec![-128i8; k], vec![-128i8; k]);
+        matmul_i8_a_bt_slices(&a, &b, &mut [0i32], 1, k, 1);
+    }
+
+    /// The largest `k` the kernel accepts cannot wrap, on either path.
+    #[test]
+    fn i8_gemm_is_exact_at_the_k_bound() {
+        let k = I8_GEMM_MAX_K;
+        let (a, b) = (vec![-128i8; k], vec![-128i8; k]);
+        let mut out = [0i32];
+        matmul_i8_a_bt_slices(&a, &b, &mut out, 1, k, 1);
+        assert_eq!(out[0] as i64, k as i64 * 128 * 128);
+        matmul_i8_panel(Isa::PORTABLE, &a, &b, &mut out, 1, k, 1);
+        assert_eq!(out[0] as i64, k as i64 * 128 * 128);
     }
 }

@@ -17,7 +17,13 @@
 //!
 //! The NiTi-style integer optimizer in `socflow-nn` builds on these
 //! primitives.
+//!
+//! The elementwise sweeps are slice loops instantiated twice (portable and
+//! AVX2, see [`crate::isa`]); every element is computed independently with
+//! the same scalar operations — `round` is half-away-from-zero on both —
+//! so the two agree bit for bit.
 
+use crate::isa::{isa_kernel, Isa};
 use crate::profile::{KernelOp, Timer};
 use crate::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -92,9 +98,7 @@ impl QuantFormat {
                 let m = t.abs_max();
                 let gm = self.grid_max();
                 let scale = if m == 0.0 { 1.0 } else { m / gm };
-                for (o, &v) in od.iter_mut().zip(t.data()) {
-                    *o = (v / scale).round().clamp(-gm, gm) * scale;
-                }
+                fake_quant_slices(Isa::active(), t.data(), od, scale, gm);
             }
         }
     }
@@ -169,17 +173,120 @@ impl QuantParams {
     }
 }
 
+isa_kernel! {
+    /// `dst[i] = round(clamp(src[i] / scale)) * scale` on the `±gm` grid.
+    fn fake_quant_slices(src: &[f32], dst: &mut [f32], scale: f32, gm: f32) = fake_quant_body;
+}
+
+#[inline(always)]
+fn fake_quant_body(src: &[f32], dst: &mut [f32], scale: f32, gm: f32) {
+    for (o, &v) in dst.iter_mut().zip(src) {
+        *o = (v / scale).round().clamp(-gm, gm) * scale;
+    }
+}
+
+isa_kernel! {
+    /// [`fake_quant_slices`] over one buffer.
+    fn fake_quant_slice_inplace(d: &mut [f32], scale: f32, gm: f32) = fake_quant_inplace_body;
+}
+
+#[inline(always)]
+fn fake_quant_inplace_body(d: &mut [f32], scale: f32, gm: f32) {
+    for v in d.iter_mut() {
+        *v = (*v / scale).round().clamp(-gm, gm) * scale;
+    }
+}
+
+/// [`QuantParams::quantize_value`] for the slice kernels, without the
+/// float→int `as` that LLVM converts one lane at a time. The clamped value
+/// `q` is an integer in `±127` or NaN; `q + 1.5·2²³` is then exact and its
+/// bit pattern is `0x4B40_0000 + q`, so the low byte *is* `q as i8`. NaN
+/// (any payload) maps to 0, as `as i8` does.
+#[inline(always)]
+fn to_i8_grid(v: f32, scale: f32) -> i8 {
+    const ROUND_TO_LOW_BITS: f32 = 12_582_912.0; // 1.5 · 2²³, low byte 0x00
+    let q = (v / scale).round().clamp(-INT8_MAX, INT8_MAX);
+    let bits = if q.is_nan() {
+        0
+    } else {
+        (q + ROUND_TO_LOW_BITS).to_bits()
+    };
+    bits as u8 as i8
+}
+
+isa_kernel! {
+    /// `dst[i] = quantize_value(src[i])`.
+    fn quantize_slices(src: &[f32], dst: &mut [i8], scale: f32) = quantize_body;
+}
+
+#[inline(always)]
+fn quantize_body(src: &[f32], dst: &mut [i8], scale: f32) {
+    for (o, &v) in dst.iter_mut().zip(src) {
+        *o = to_i8_grid(v, scale);
+    }
+}
+
+isa_kernel! {
+    /// `dst: (c, r)` = quantized transpose of `src: (r, c)`.
+    fn quantize_transposed_slices(src: &[f32], dst: &mut [i8], r: usize, c: usize, scale: f32)
+        = quantize_transposed_body;
+}
+
+/// Blocked like [`crate::linalg::transpose_slices`]: a plain row sweep
+/// writes every element `r` bytes from the last one.
+#[inline(always)]
+fn quantize_transposed_body(src: &[f32], dst: &mut [i8], r: usize, c: usize, scale: f32) {
+    use crate::linalg::TR;
+    for ib in (0..r).step_by(TR) {
+        let i_end = (ib + TR).min(r);
+        for jb in (0..c).step_by(TR) {
+            let j_end = (jb + TR).min(c);
+            for j in jb..j_end {
+                for i in ib..i_end {
+                    dst[j * r + i] = to_i8_grid(src[i * c + j], scale);
+                }
+            }
+        }
+    }
+}
+
+isa_kernel! {
+    /// `dst[i] = src[i] as f32 * scale`.
+    fn dequantize_slices(src: &[i8], dst: &mut [f32], scale: f32) = dequantize_body;
+}
+
+#[inline(always)]
+fn dequantize_body(src: &[i8], dst: &mut [f32], scale: f32) {
+    for (o, &q) in dst.iter_mut().zip(src) {
+        *o = q as f32 * scale;
+    }
+}
+
+isa_kernel! {
+    /// `dst[i] = src[i] as f32 * scale` over `i32` accumulators.
+    fn scale_i32_slices(src: &[i32], dst: &mut [f32], scale: f32) = scale_i32_body;
+}
+
+#[inline(always)]
+fn scale_i32_body(src: &[i32], dst: &mut [f32], scale: f32) {
+    for (o, &v) in dst.iter_mut().zip(src) {
+        *o = v as f32 * scale;
+    }
+}
+
 /// Quantizes an f32 tensor to INT8 with the given parameters.
 pub fn quantize(t: &Tensor, p: QuantParams) -> Vec<i8> {
-    t.data().iter().map(|&v| p.quantize_value(v)).collect()
+    let mut out = vec![0; t.len()];
+    quantize_slices(Isa::active(), t.data(), &mut out, p.scale);
+    out
 }
 
 /// [`quantize`] writing into a caller-owned buffer (cleared and refilled),
 /// so steady-state integer forwards allocate nothing.
 pub fn quantize_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
     let _timer = Timer::start(KernelOp::Quant);
-    out.clear();
-    out.extend(t.data().iter().map(|&v| p.quantize_value(v)));
+    out.resize(t.len(), 0);
+    quantize_slices(Isa::active(), t.data(), out, p.scale);
 }
 
 /// Quantizes a rank-2 tensor's *transpose* into `out`: `t: (r, c)` yields a
@@ -192,14 +299,8 @@ pub fn quantize_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
 pub fn quantize_transposed_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
     let _timer = Timer::start(KernelOp::Quant);
     let (r, c) = t.shape().as_matrix();
-    out.clear();
     out.resize(r * c, 0);
-    let d = t.data();
-    for (i, row) in d.chunks_exact(c).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            out[j * r + i] = p.quantize_value(v);
-        }
-    }
+    quantize_transposed_slices(Isa::active(), t.data(), out, r, c, p.scale);
 }
 
 /// Dequantizes an INT8 buffer back to an f32 tensor of the given shape.
@@ -207,15 +308,18 @@ pub fn quantize_transposed_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
 /// # Panics
 /// Panics if `q.len() != shape.len()`.
 pub fn dequantize(q: &[i8], shape: impl Into<Shape>, p: QuantParams) -> Tensor {
-    let data = q.iter().map(|&v| p.dequantize_value(v)).collect();
-    Tensor::from_vec(data, shape)
+    let mut out = Tensor::zeros(shape);
+    assert_eq!(q.len(), out.len(), "dequantize: length mismatch");
+    dequantize_slices(Isa::active(), q, out.data_mut(), p.scale);
+    out
 }
 
 /// [`dequantize`] writing into `out`, reusing its storage.
 ///
 /// `dequantize_into(quantize(x), ..)` is bitwise-identical to
 /// [`fake_quant`]`(x)` for finite inputs (both compute
-/// `round(clamp(v/s)) * s` with the same operand order), so integer-path
+/// `round(clamp(v/s)) * s` with the same operand order; only a `-0.0`
+/// result comes back as `+0.0`, an `i8` having one zero), so integer-path
 /// layers can cache the dequantized activations and leave every backward
 /// pass untouched.
 pub fn dequantize_into(q: &[i8], shape: impl Into<Shape>, p: QuantParams, out: &mut Tensor) {
@@ -223,9 +327,17 @@ pub fn dequantize_into(q: &[i8], shape: impl Into<Shape>, p: QuantParams, out: &
     out.resize(shape.into());
     let od = out.data_mut();
     assert_eq!(q.len(), od.len(), "dequantize_into: length mismatch");
-    for (o, &v) in od.iter_mut().zip(q) {
-        *o = p.dequantize_value(v);
-    }
+    dequantize_slices(Isa::active(), q, od, p.scale);
+}
+
+/// The integer GEMM's epilogue: `out[i] = acc[i] as f32 * scale`, with
+/// `scale` the product of both operands' quantization scales.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn scale_i32_into(acc: &[i32], scale: f32, out: &mut [f32]) {
+    assert_eq!(acc.len(), out.len(), "scale_i32_into: length mismatch");
+    scale_i32_slices(Isa::active(), acc, out, scale);
 }
 
 /// Quantize-dequantize in f32 (the QAT "fake quantization" transform).
@@ -236,20 +348,16 @@ pub fn dequantize_into(q: &[i8], shape: impl Into<Shape>, p: QuantParams, out: &
 /// mask.
 pub fn fake_quant(t: &Tensor, p: QuantParams) -> Tensor {
     let _timer = Timer::start(KernelOp::Quant);
-    t.map(|v| {
-        let q = (v / p.scale).round().clamp(-INT8_MAX, INT8_MAX);
-        q * p.scale
-    })
+    let mut out = Tensor::zeros(t.shape().clone());
+    fake_quant_slices(Isa::active(), t.data(), out.data_mut(), p.scale, INT8_MAX);
+    out
 }
 
 /// [`fake_quant`] applied in place: fuses quantize→dequantize into one
 /// read-modify-write sweep over the tensor's storage.
 pub fn fake_quant_inplace(t: &mut Tensor, p: QuantParams) {
     let _timer = Timer::start(KernelOp::Quant);
-    t.map_inplace(|v| {
-        let q = (v / p.scale).round().clamp(-INT8_MAX, INT8_MAX);
-        q * p.scale
-    });
+    fake_quant_slice_inplace(Isa::active(), t.data_mut(), p.scale, INT8_MAX);
 }
 
 /// Straight-through-estimator mask: 1.0 where the value is inside the
@@ -293,13 +401,11 @@ pub fn quantized_matmul(
             bt[j * k + p] = bv;
         }
     }
-    let mut out = vec![0i32; m * n];
-    crate::linalg::matmul_i8_a_bt_slices(a, &bt, &mut out, m, k, n);
-    let s = pa.scale * pb.scale;
-    Tensor::from_vec(
-        out.into_iter().map(|v| v as f32 * s).collect(),
-        Shape::from([m, n]),
-    )
+    let mut acc = vec![0i32; m * n];
+    crate::linalg::matmul_i8_a_bt_slices(a, &bt, &mut acc, m, k, n);
+    let mut out = Tensor::zeros([m, n]);
+    scale_i32_into(&acc, pa.scale * pb.scale, out.data_mut());
+    out
 }
 
 /// Adds simulated quantization noise to a gradient tensor, as integer
@@ -320,7 +426,17 @@ pub fn gradient_quant_noise_into(grad: &Tensor, seed: u64, out: &mut Tensor) {
     let p = QuantParams::from_tensor(grad);
     let half = max_rounding_error(p);
     out.resize(grad.shape().clone());
-    for (i, (o, &g)) in out.data_mut().iter_mut().zip(grad.data()).enumerate() {
+    quant_noise_slices(Isa::active(), grad.data(), out.data_mut(), seed, half);
+}
+
+isa_kernel! {
+    /// `dst[i] = src[i] + noise(i, seed)`, uniform in `±half`.
+    fn quant_noise_slices(src: &[f32], dst: &mut [f32], seed: u64, half: f32) = quant_noise_body;
+}
+
+#[inline(always)]
+fn quant_noise_body(src: &[f32], dst: &mut [f32], seed: u64, half: f32) {
+    for (i, (o, &g)) in dst.iter_mut().zip(src).enumerate() {
         let mut h = seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
         h ^= h >> 33;
         h = h.wrapping_mul(0xFF51AFD7ED558CCD);
@@ -560,6 +676,172 @@ mod tests {
         let half = max_rounding_error(p);
         for (orig, noisy) in g.data().iter().zip(n1.data()) {
             assert!((orig - noisy).abs() <= half + 1e-6);
+        }
+    }
+
+    /// Inputs every sweep must agree on across instantiations: exact ties
+    /// of both signs (`x.5 · scale` for a power-of-two scale), ±0, ±∞, NaN
+    /// with and without payload, values far beyond `±127 · scale`,
+    /// subnormals and a smooth ramp — 1003 values, not a multiple of 8.
+    fn edge_values(scale: f32) -> Vec<f32> {
+        let mut v = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFFC0_00AB),
+            1e30,
+            -1e30,
+            200.0 * scale,
+            -200.0 * scale,
+            127.49 * scale,
+            -127.51 * scale,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 4.0,
+        ];
+        for x in 0..130 {
+            v.push((x as f32 + 0.5) * scale);
+            v.push(-(x as f32 + 0.5) * scale);
+        }
+        let ramp = 1003 - v.len();
+        v.extend((0..ramp).map(|i| (i as f32 * 0.731).sin() * 140.0 * scale));
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every slice sweep on `isa`, over `src` at `scale`, as comparable bits.
+    fn all_sweeps(isa: Isa, src: &[f32], scale: f32) -> Vec<Vec<u32>> {
+        let n = src.len();
+        let mut out = Vec::new();
+        for gm in [7.0, INT8_MAX, 32767.0] {
+            let mut fq = vec![f32::NAN; n];
+            fake_quant_slices(isa, src, &mut fq, scale, gm);
+            let mut inplace = src.to_vec();
+            fake_quant_slice_inplace(isa, &mut inplace, scale, gm);
+            assert_eq!(bits(&fq), bits(&inplace), "in place vs out of place, ±{gm}");
+            out.push(bits(&fq));
+        }
+        let mut q = vec![55i8; n];
+        quantize_slices(isa, src, &mut q, scale);
+        out.push(q.iter().map(|&b| b as u32).collect());
+        let (r, c) = (17, n / 17); // 17 × 59: both off the 32-tile grid
+        let mut qt = vec![55i8; r * c];
+        quantize_transposed_slices(isa, &src[..r * c], &mut qt, r, c, scale);
+        out.push(qt.iter().map(|&b| b as u32).collect());
+        let mut dq = vec![f32::NAN; n];
+        dequantize_slices(isa, &q, &mut dq, scale);
+        out.push(bits(&dq));
+        let acc: Vec<i32> = (0..n as i32).map(|i| (i - 500) * 16_411).collect();
+        let mut scaled = vec![f32::NAN; n];
+        scale_i32_slices(isa, &acc, &mut scaled, scale);
+        out.push(bits(&scaled));
+        let mut noisy = vec![f32::NAN; n];
+        quant_noise_slices(isa, src, &mut noisy, 0xC0FFEE, scale * 0.5);
+        out.push(bits(&noisy));
+        out
+    }
+
+    /// Portable and AVX2 instantiations of every quant sweep are bitwise
+    /// equal on ties, signed zeros, infinities, NaNs, out-of-range values, an
+    /// all-zero tensor and a length that is not a multiple of 8.
+    #[test]
+    fn sweeps_agree_across_instantiations_bitwise() {
+        let Some(avx2) = crate::isa::avx2_or_skip("sweeps_agree_across_instantiations_bitwise")
+        else {
+            return;
+        };
+        for scale in [0.25, 0.0371, 1.0] {
+            for src in [edge_values(scale), vec![0.0; 1003], vec![-0.0; 13]] {
+                let portable = all_sweeps(Isa::PORTABLE, &src, scale);
+                let wide = all_sweeps(avx2, &src, scale);
+                for (i, (p, w)) in portable.iter().zip(&wide).enumerate() {
+                    assert_eq!(p, w, "sweep {i} at scale {scale}");
+                }
+            }
+        }
+    }
+
+    /// The slice kernels compute exactly the documented scalar formulas —
+    /// `round` is half away from zero (not `cvtps`'s half-even), the clamp
+    /// saturates, NaN quantizes to 0 — whichever instantiation runs.
+    #[test]
+    fn sweeps_match_the_scalar_definitions() {
+        let avx2 = crate::isa::avx2_or_skip("sweeps_match_the_scalar_definitions");
+        let isas = [Some(Isa::PORTABLE), avx2];
+        for isa in isas.into_iter().flatten() {
+            for scale in [0.25, 0.0371] {
+                let p = QuantParams { scale };
+                let src = edge_values(scale);
+                let mut q = vec![0i8; src.len()];
+                quantize_slices(isa, &src, &mut q, scale);
+                let mut fq = vec![0.0; src.len()];
+                fake_quant_slices(isa, &src, &mut fq, scale, INT8_MAX);
+                for ((&v, &qi), &f) in src.iter().zip(&q).zip(&fq) {
+                    assert_eq!(qi, p.quantize_value(v), "quantize({v}) on {}", isa.name());
+                    let want = (v / scale).round().clamp(-INT8_MAX, INT8_MAX) * scale;
+                    assert_eq!(f.to_bits(), want.to_bits(), "fake_quant({v})");
+                    if !v.is_nan() {
+                        // the integer path caches this in place of fake_quant
+                        // (an `i8` has no -0, so that one sign is lost)
+                        let cached = p.dequantize_value(qi);
+                        assert_eq!(cached, f, "{v}");
+                        assert!(
+                            cached.to_bits() == f.to_bits() || f.to_bits() == (-0.0f32).to_bits()
+                        );
+                    }
+                }
+            }
+            // exact ties: 2.5 → 3, -2.5 → -3, 0.5 → 1 (half-even would give 2, -2, 0)
+            let mut q = [0i8; 4];
+            quantize_slices(isa, &[0.625, -0.625, 0.125, 31.875], &mut q, 0.25);
+            assert_eq!(q, [3, -3, 1, 127]);
+        }
+    }
+
+    /// The public entry points run the same sweeps, so they equal the
+    /// portable slice kernels bit for bit on this host's dispatched path.
+    #[test]
+    fn public_entry_points_match_the_portable_sweeps() {
+        let scale = 0.0371;
+        let p = QuantParams { scale };
+        let src = edge_values(scale);
+        let n = src.len();
+        let t = Tensor::from_vec(src.clone(), [n]);
+        let want = all_sweeps(Isa::PORTABLE, &src, scale);
+
+        assert_eq!(bits(fake_quant(&t, p).data()), want[1]);
+        let mut inplace = t.clone();
+        fake_quant_inplace(&mut inplace, p);
+        assert_eq!(bits(inplace.data()), want[1]);
+
+        let mut q = vec![1i8; 3];
+        quantize_into(&t, p, &mut q);
+        assert_eq!(q.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[3]);
+        assert_eq!(q, quantize(&t, p));
+        let (r, c) = (17, n / 17);
+        let mut qt = Vec::new();
+        let t2 = Tensor::from_vec(src[..r * c].to_vec(), [r, c]);
+        quantize_transposed_into(&t2, p, &mut qt);
+        assert_eq!(qt.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[4]);
+        let mut dq = Tensor::default();
+        dequantize_into(&q, [n], p, &mut dq);
+        assert_eq!(bits(dq.data()), want[5]);
+        assert_eq!(bits(dequantize(&q, [n], p).data()), want[5]);
+
+        // Format-level fake quant picks its own scale from max-|x|; finite
+        // input only (an infinite max makes every quotient NaN or 0).
+        let finite: Vec<f32> = src.iter().copied().filter(|v| v.is_finite()).collect();
+        let tf = Tensor::from_vec(finite.clone(), [finite.len()]);
+        for f in [QuantFormat::Int4, QuantFormat::Int8, QuantFormat::Int16] {
+            let s = tf.abs_max() / f.grid_max();
+            let mut want = vec![0.0; finite.len()];
+            fake_quant_slices(Isa::PORTABLE, &finite, &mut want, s, f.grid_max());
+            assert_eq!(bits(f.fake_quant(&tf).data()), bits(&want), "{f}");
         }
     }
 }

@@ -1,5 +1,32 @@
+use crate::isa::{isa_kernel, Isa};
 use crate::{Shape, TensorError};
 use serde::{Deserialize, Serialize};
+
+isa_kernel! {
+    /// Largest non-NaN `|x|` of the slice, `0.0` if there is none.
+    fn abs_max_slice(d: &[f32]) -> f32 = abs_max_body;
+}
+
+/// Independent running maxima so the sweep vectorizes — four AVX2 vectors
+/// of them, which is what hides the latency of `max` and its NaN select;
+/// `max` over non-negative, non-NaN values is exact, so regrouping cannot
+/// change it.
+#[inline(always)]
+fn abs_max_body(d: &[f32]) -> f32 {
+    const LANES: usize = 32;
+    let mut acc = [0.0f32; LANES];
+    let mut chunks = d.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &a) in acc.iter_mut().zip(chunk) {
+            *m = m.max(a.abs());
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0f32, |m, &a| m.max(a.abs()));
+    acc.iter().fold(tail, |m, &a| m.max(a))
+}
 
 /// A dense, row-major `f32` tensor.
 ///
@@ -308,9 +335,11 @@ impl Tensor {
         }
     }
 
-    /// Maximum absolute value; 0 for an empty tensor.
+    /// Maximum absolute value; 0 for an empty tensor. NaN elements are
+    /// skipped (`f32::max` returns its non-NaN operand), so the result is
+    /// the largest non-NaN magnitude — the same under any lane order.
     pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &a| m.max(a.abs()))
+        abs_max_slice(Isa::active(), &self.data)
     }
 
     /// Euclidean (L2) norm.
@@ -601,5 +630,41 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [4]).reshape([2, 2]);
         assert_eq!(t.shape().dims(), &[2, 2]);
         assert_eq!(t.at(&[1, 1]), 4.0);
+    }
+
+    /// `abs_max` is the largest non-NaN magnitude on both instantiations:
+    /// NaNs are skipped wherever they sit, an all-NaN or empty tensor gives
+    /// 0, and lengths around the 32-lane block agree with the plain fold.
+    #[test]
+    fn abs_max_agrees_across_instantiations_and_skips_nan() {
+        let fold = |d: &[f32]| d.iter().fold(0.0f32, |m, &a| m.max(a.abs()));
+        let isas = [Some(Isa::PORTABLE), crate::isa::avx2_or_skip("abs_max")];
+        for isa in isas.into_iter().flatten() {
+            for len in [0usize, 1, 15, 31, 32, 33, 65, 1003] {
+                let mut d: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+                assert_eq!(
+                    abs_max_slice(isa, &d).to_bits(),
+                    fold(&d).to_bits(),
+                    "{len}"
+                );
+                for at in [0, len / 2, len.saturating_sub(1)] {
+                    if let Some(v) = d.get_mut(at) {
+                        *v = f32::NAN;
+                    }
+                }
+                assert_eq!(
+                    abs_max_slice(isa, &d).to_bits(),
+                    fold(&d).to_bits(),
+                    "{len}"
+                );
+                assert!(!abs_max_slice(isa, &d).is_nan());
+            }
+            assert_eq!(abs_max_slice(isa, &[f32::NAN; 40]), 0.0);
+            assert_eq!(abs_max_slice(isa, &[-0.0; 40]).to_bits(), 0.0f32.to_bits());
+            assert_eq!(
+                abs_max_slice(isa, &[1.0, f32::NEG_INFINITY, f32::NAN]),
+                f32::INFINITY
+            );
+        }
     }
 }
