@@ -1,7 +1,8 @@
 //! The CLI subcommands.
 
 use crate::args::Options;
-use socflow::autotune::DEFAULT_BUDGET;
+use serde::Serialize;
+use socflow::autotune::{PlanChoice, DEFAULT_BUDGET};
 use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
 use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::engine::Workload;
@@ -18,7 +19,12 @@ use std::sync::Arc;
 
 /// Prints the usage banner.
 pub fn print_usage() {
-    eprintln!(
+    eprintln!("{}", usage());
+}
+
+/// The usage banner; the `bench` line is generated from the suite table.
+fn usage() -> String {
+    format!(
         "socflow-cli — SoCFlow reproduction CLI
 
 USAGE:
@@ -37,13 +43,7 @@ USAGE:
                 [--socs N] [--horizon H] [--interarrival S] [--seed S]
                 [--trace <path>] [--json]
   socflow-cli trace summarize <run.jsonl> [--spans-full]
-  socflow-cli bench kernels [--fast] [--json <path>]
-  socflow-cli bench faults [--fast] [--json <path>]
-  socflow-cli bench timeline [--fast] [--json <path>]
-  socflow-cli bench e2e [--fast] [--json <path>]
-  socflow-cli bench fleet [--fast] [--json <path>]
-  socflow-cli bench streaming [--fast] [--json <path>]
-  socflow-cli bench autotune [--fast] [--json <path>]
+  {bench}
   socflow-cli info
 
   --threads <N> (train, compare): size of the host worker pool
@@ -103,8 +103,9 @@ USAGE:
   models:   lenet5 | vgg11 | resnet18 | resnet50 | mobilenet | tinyvit
   datasets: cifar10 | emnist | fmnist | celeba | cinic10
   methods:  ours | ours-int8 | ours-half | ring | ps | hipress | 2d |
-            fedavg | t-fedavg | local"
-    );
+            fedavg | t-fedavg | local",
+        bench = crate::bench::usage()
+    )
 }
 
 fn model_of(name: &str) -> Result<ModelKind, String> {
@@ -155,7 +156,8 @@ fn method_of(name: &str, groups: Option<usize>) -> Result<MethodSpec, String> {
     })
 }
 
-fn default_width(model: ModelKind) -> f32 {
+/// The width multiplier `train`, `tune` and `compare` build `model` at.
+pub fn default_width(model: ModelKind) -> f32 {
     match model {
         ModelKind::LeNet5 => 0.5,
         ModelKind::Vgg11 => 0.22,
@@ -356,32 +358,37 @@ pub fn train(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Serializes a [`socflow::autotune::PlanChoice`] as a JSON object.
-fn plan_choice_json(c: &socflow::autotune::PlanChoice) -> serde_json::Value {
-    use serde_json::Value;
-    Value::Object(vec![
-        ("groups".into(), Value::U64(c.candidate.groups as u64)),
-        (
-            "schedule".into(),
-            Value::Str(c.candidate.schedule_name().into()),
-        ),
-        (
-            "bucket_kb".into(),
-            match c.candidate.bucket_kb {
-                Some(kb) => Value::U64(kb as u64),
-                None => Value::Null,
-            },
-        ),
-        (
-            "profiled_beta".into(),
-            match c.candidate.profiled_beta {
-                Some(b) => Value::F64(b),
-                None => Value::Null,
-            },
-        ),
-        ("predicted_s".into(), Value::F64(c.predicted_s)),
-        ("bound_s".into(), Value::F64(c.bound_s)),
-    ])
+/// A priced plan as `bench autotune --json` reports it, and (with the
+/// candidate's lower bound appended) as `tune --json` does.
+#[derive(Serialize)]
+pub struct PlanJson {
+    pub groups: usize,
+    pub schedule: &'static str,
+    pub bucket_kb: Option<usize>,
+    pub profiled_beta: Option<f64>,
+    pub predicted_s: f64,
+}
+
+impl From<&PlanChoice> for PlanJson {
+    fn from(c: &PlanChoice) -> Self {
+        Self {
+            groups: c.candidate.groups,
+            schedule: c.candidate.schedule_name(),
+            bucket_kb: c.candidate.bucket_kb,
+            profiled_beta: c.candidate.profiled_beta,
+            predicted_s: c.predicted_s,
+        }
+    }
+}
+
+/// `tune --json`'s plan object: [`PlanJson`] plus `bound_s`, the analytic
+/// lower bound the candidate was admitted against.
+fn plan_choice_json(c: &PlanChoice) -> serde_json::Value {
+    let mut plan = PlanJson::from(c).to_json();
+    if let serde_json::Value::Object(fields) = &mut plan {
+        fields.push(("bound_s".into(), c.bound_s.to_json()));
+    }
+    plan
 }
 
 /// `socflow-cli tune`: search the parallelization-plan space and print the
@@ -661,6 +668,13 @@ pub fn info() -> Result<(), String> {
 mod tests {
     use super::*;
     use socflow::options::Pricing;
+
+    #[test]
+    fn usage_names_exactly_the_bench_suites_in_the_table() {
+        let text = usage();
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains("-cli bench")).collect();
+        assert_eq!(lines, [format!("  {}", crate::bench::usage())]);
+    }
 
     #[test]
     fn model_and_dataset_lookup() {

@@ -12,12 +12,7 @@
 //! socflow-cli fleet [--servers N] [--jobs M] [--policy tidal|fifo] [--socs N]
 //!               [--horizon H] [--interarrival S] [--seed S] [--json]
 //! socflow-cli trace summarize <run.jsonl>
-//! socflow-cli bench kernels [--fast] [--json <path>]
-//! socflow-cli bench faults [--fast] [--json <path>]
-//! socflow-cli bench timeline [--fast] [--json <path>]
-//! socflow-cli bench e2e [--fast] [--json <path>]
-//! socflow-cli bench fleet [--fast] [--json <path>]
-//! socflow-cli bench autotune [--fast] [--json <path>]
+//! socflow-cli bench <suite> [--fast] [--json <path>]
 //! socflow-cli info
 //! ```
 

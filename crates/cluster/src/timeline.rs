@@ -203,7 +203,7 @@ fn release_scratch(mut scratch: TimelineScratch) {
 /// Counters over the calling thread's scratch free-list (the pool is
 /// thread-local, so the counters are too — measurements can't be
 /// polluted by other threads pricing concurrently).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
 pub struct ScratchStats {
     /// Scratch acquisitions — one per [`FluidTimeline::new`].
     pub acquires: u64,
