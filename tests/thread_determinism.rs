@@ -208,6 +208,54 @@ fn streaming_runs_are_thread_count_invariant() {
     }
 }
 
+/// Training numerics across commits *and* pool sizes: `train --json` stdout
+/// of the binary before the ISA-dispatched kernels (one epoch of a
+/// batch-norm-free LeNet) and of the binary before the in-place parameter
+/// sweeps (three epochs over four mixed VGG-11 replicas, accuracy 0.11 →
+/// 0.20 → 0.30, so the averaged momentum of both arms feeds later steps).
+/// CI `cmp`s the CLI against the same two files.
+#[test]
+fn mixed_training_matches_the_parent_commit_goldens_at_1_and_4_threads() {
+    use socflow::options::Plan;
+    use socflow::scheduler::GlobalScheduler;
+
+    // (golden, model, preset, the CLI's width for it, socs, groups, epochs, samples)
+    let goldens = [
+        (
+            include_str!("golden/train_lenet5_mixed_e1_s11.json"),
+            ModelKind::LeNet5,
+            DatasetPreset::FashionMnist,
+            0.5,
+            (4, 2, 1, 128),
+        ),
+        (
+            include_str!("golden/train_vgg11_mixed_g4_e3_s11.json"),
+            ModelKind::Vgg11,
+            DatasetPreset::Cifar10,
+            0.22,
+            (8, 4, 3, 768),
+        ),
+    ];
+    for (golden, model, preset, width, (socs, groups, epochs, samples)) in goldens {
+        // the CLI's `train` set-up
+        let method = MethodSpec::SocFlow(SocFlowConfig::with_groups(groups));
+        let mut spec = TrainJobSpec::new(model, preset, method);
+        spec.socs = socs;
+        spec.epochs = epochs;
+        spec.seed = 11;
+        spec.lr = 0.05;
+        for threads in [1, 4] {
+            runtime::set_threads(threads);
+            let workload = Workload::standard(&spec, samples, 8, width);
+            let result =
+                GlobalScheduler::new(spec, workload, RunOptions::default(), Plan::Fixed).run();
+            let printed = serde_json::to_string_pretty(&result).unwrap() + "\n";
+            assert_eq!(printed, golden, "{model} at {threads} threads");
+        }
+    }
+    runtime::set_threads(1);
+}
+
 /// Checkpoint bytes written at one pool size must resume bit-exactly at
 /// another: the durable artifact itself is part of the determinism
 /// contract, so the full run, the checkpointing run and the resumed
