@@ -730,6 +730,21 @@ mod tests {
         train(&opts).unwrap();
     }
 
+    /// More groups than samples: most replicas' shards are empty, so they
+    /// never step — they used to reach momentum averaging without a
+    /// velocity and panic there (exit 101).
+    #[test]
+    fn train_survives_replicas_with_empty_shards() {
+        let opts = Options {
+            socs: 8,
+            groups: Some(8),
+            epochs: 2,
+            samples: 4,
+            ..Options::default()
+        };
+        train(&opts).unwrap();
+    }
+
     #[test]
     fn train_runs_streaming() {
         let opts = Options {

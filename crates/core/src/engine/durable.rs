@@ -54,13 +54,11 @@ pub(super) fn restore(
         }
         r.opt.set_lr(c.lr);
         if let Some(v) = c.velocities.get(i) {
-            r.opt.ensure_velocity(&mut r.net);
             r.opt.set_flat_velocity(v);
         }
         if let Some(arm) = &mut r.int8 {
             arm.opt.set_lr(c.lr_int8);
             if let Some(v) = c.velocities_int8.get(i) {
-                arm.opt.ensure_velocity(&mut arm.net);
                 arm.opt.set_flat_velocity(v);
             }
             if let Some(s) = c.states_int8.get(i).filter(|s| !s.is_empty()) {

@@ -160,46 +160,27 @@ impl Engine {
             .collect()
     }
 
-    /// Eval-set accuracy, sharded across the worker pool.
+    /// Eval-set accuracy, one [`EVAL_SHARD`]-sample forward at a time.
     ///
-    /// The eval set is split into fixed [`EVAL_SHARD`]-sample shards — the
-    /// shard count follows from the eval-set size alone, never the thread
-    /// count — and each shard forwards on its own clone of `net` (forward
-    /// needs `&mut` for scratch; eval mode mutates no persistent state).
-    /// Shards reduce an integer correct-count, which is order-independent,
-    /// so the returned accuracy is byte-identical at any `SOCFLOW_THREADS`.
+    /// The shard boundaries follow from the eval-set size alone — INT8
+    /// activation scales depend on the batch a forward sees, so they are
+    /// part of the result. The shards run in order on `net` itself (eval
+    /// mode mutates no persistent state, only scratch) with whatever
+    /// parallelism the kernels have, so no copy of the network is made;
+    /// the accuracy is byte-identical at any `SOCFLOW_THREADS`.
     fn evaluate(&self, net: &mut Network, precision: Precision) -> f32 {
         let test = &self.workload.test;
         let total = test.len().min(EVAL_CAP);
         if total == 0 {
             return 0.0;
         }
-        let shard_count = total.div_ceil(EVAL_SHARD);
-        if shard_count == 1 {
-            let batch = test.head_batch(EVAL_CAP);
-            let logits = net.forward(&batch.images, Mode::eval(precision));
-            return metrics::accuracy(&logits, &batch.labels);
-        }
-        let correct: Vec<std::sync::atomic::AtomicUsize> = (0..shard_count)
-            .map(|_| std::sync::atomic::AtomicUsize::new(0))
-            .collect();
-        let net_ref: &Network = net;
-        socflow_tensor::runtime::parallel_for_chunks(shard_count, &|s| {
-            let lo = s * EVAL_SHARD;
-            let hi = (lo + EVAL_SHARD).min(total);
-            let idx: Vec<usize> = (lo..hi).collect();
+        let mut hits = 0;
+        for lo in (0..total).step_by(EVAL_SHARD) {
+            let idx: Vec<usize> = (lo..(lo + EVAL_SHARD).min(total)).collect();
             let batch = test.batch(&idx);
-            let mut shard_net = net_ref.clone();
-            let logits = shard_net.forward(&batch.images, Mode::eval(precision));
-            correct[s].store(
-                metrics::correct_count(&logits, &batch.labels),
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        });
-        let hits: usize = correct
-            .iter()
-            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-            .sum();
+            let logits = net.forward(&batch.images, Mode::eval(precision));
+            hits += metrics::correct_count(&logits, &batch.labels);
+        }
         hits as f32 / total as f32
     }
 
@@ -426,8 +407,7 @@ impl Engine {
             replica.step_all(batches, Precision::Fp32);
         }
         average_replicas(&mut replicas);
-        let mut net = replicas.remove(0).net;
-        self.evaluate(&mut net, Precision::Fp32)
+        self.evaluate(&mut replicas[0].net, Precision::Fp32)
     }
 
     fn empty_result(&self) -> RunResult {

@@ -23,26 +23,39 @@ pub(super) struct Replica {
     /// steps — every other method is spared a full `Network` clone per
     /// replica.
     pub(super) int8: Option<Box<Int8Arm>>,
-    /// Flat-weight staging reused across mixed steps (FP32 side / merge).
-    stage_fp32: Vec<f32>,
-    /// Flat-weight staging reused across mixed steps (INT8 side).
-    stage_int8: Vec<f32>,
+}
+
+/// An optimizer for `net` with its momentum already allocated (all zero,
+/// as a lazily allocated one starts): a replica whose shard is empty never
+/// steps, and must still bring a row to momentum averaging.
+fn optimizer_for(net: &Network, lr: f32, momentum: f32) -> Sgd {
+    let mut opt = Sgd::new(lr, momentum, 5e-4);
+    opt.ensure_velocity(net);
+    opt
+}
+
+/// One SGD step of `net` on `batch`; returns the loss.
+fn sgd_step(net: &mut Network, opt: &mut Sgd, batch: &Batch, precision: Precision) -> f32 {
+    let mode = Mode::train(precision);
+    let logits = net.forward(&batch.images, mode);
+    let (l, grad) = loss::softmax_cross_entropy(&logits, &batch.labels);
+    net.backward(&grad, mode);
+    opt.step_zero_grad(net);
+    l
 }
 
 impl Replica {
     pub(super) fn new(net: Network, lr: f32, momentum: f32, with_int8: bool) -> Self {
         let int8 = with_int8.then(|| {
             Box::new(Int8Arm {
+                opt: optimizer_for(&net, lr, momentum),
                 net: net.clone(),
-                opt: Sgd::new(lr, momentum, 5e-4),
             })
         });
         Replica {
+            opt: optimizer_for(&net, lr, momentum),
             net,
-            opt: Sgd::new(lr, momentum, 5e-4),
             int8,
-            stage_fp32: Vec::new(),
-            stage_int8: Vec::new(),
         }
     }
 
@@ -60,13 +73,7 @@ impl Replica {
         if batch.is_empty() {
             return 0.0;
         }
-        let mode = Mode::train(precision);
-        let logits = self.net.forward(&batch.images, mode);
-        let (l, grad) = loss::softmax_cross_entropy(&logits, &batch.labels);
-        self.net.backward(&grad, mode);
-        self.opt.step(&mut self.net);
-        self.net.zero_grad();
-        l
+        sgd_step(&mut self.net, &mut self.opt, batch, precision)
     }
 
     /// Plain SGD steps over `batches`, in order. The batches are
@@ -80,8 +87,9 @@ impl Replica {
 
     /// One mixed-precision step: CPU-FP32 and NPU-INT8 models train on
     /// disjoint batch parts from the same starting weights, then merge
-    /// (paper Eq. 5). Weight staging goes through the replica's scratch
-    /// vectors, so steady-state steps allocate nothing.
+    /// (paper Eq. 5). Four passes over the model, each parameter by
+    /// parameter in its own storage: the INT8 arm takes the merged
+    /// weights, either arm steps and clears its gradients, the merge.
     pub(super) fn mixed_step(&mut self, batch: &Batch, ctrl: &MixedPrecisionController) {
         if batch.is_empty() {
             return;
@@ -93,126 +101,250 @@ impl Replica {
         let (cpu_n, _npu_n) = ctrl.split_batch(batch.len());
         let (cpu_b, npu_b) = batch.split(cpu_n);
         // both sides start from the merged weights
-        self.net.flat_weights_into(&mut self.stage_fp32);
-        arm.net.set_flat_weights(&self.stage_fp32);
+        arm.net.zip_parameters_mut(&self.net, |w8, w| {
+            w8.value.data_mut().copy_from_slice(w.value.data())
+        });
         if !cpu_b.is_empty() {
-            let mode = Mode::train(Precision::Fp32);
-            let logits = self.net.forward(&cpu_b.images, mode);
-            let (_, grad) = loss::softmax_cross_entropy(&logits, &cpu_b.labels);
-            self.net.backward(&grad, mode);
-            self.opt.step(&mut self.net);
-            self.net.zero_grad();
+            sgd_step(&mut self.net, &mut self.opt, &cpu_b, Precision::Fp32);
         }
         if !npu_b.is_empty() {
-            let mode = Mode::train(Precision::Int8);
-            let logits = arm.net.forward(&npu_b.images, mode);
-            let (_, grad) = loss::softmax_cross_entropy(&logits, &npu_b.labels);
-            arm.net.backward(&grad, mode);
-            arm.opt.step(&mut arm.net);
-            arm.net.zero_grad();
+            sgd_step(&mut arm.net, &mut arm.opt, &npu_b, Precision::Int8);
         }
-        self.net.flat_weights_into(&mut self.stage_fp32);
-        arm.net.flat_weights_into(&mut self.stage_int8);
-        ctrl.merge_weights_inplace(&mut self.stage_fp32, &self.stage_int8);
-        self.net.set_flat_weights(&self.stage_fp32);
+        self.net.zip_parameters_mut(&arm.net, |w, w8| {
+            ctrl.merge_weights_inplace(w.value.data_mut(), w8.value.data())
+        });
+    }
+}
+
+/// Averages tensor `t` of every replica with tensor `t` of all the others,
+/// in place, for each `t`: `tensors_of` lists one replica's tensors.
+///
+/// # Panics
+/// Panics if the replicas do not list equally many tensors of equal
+/// lengths.
+fn average_tensors<'r>(
+    replicas: &'r mut [Replica],
+    tensors_of: impl Fn(&'r mut Replica) -> Vec<&'r mut [f32]>,
+) {
+    let mut lists: Vec<_> = replicas
+        .iter_mut()
+        .map(|r| tensors_of(r).into_iter())
+        .collect();
+    loop {
+        let mut rows: Vec<&mut [f32]> = lists.iter_mut().filter_map(|l| l.next()).collect();
+        if rows.is_empty() {
+            return;
+        }
+        assert_eq!(rows.len(), lists.len(), "replicas differ in structure");
+        socflow_tensor::sweep::replica_mean(&mut rows);
     }
 }
 
 /// Average all replicas' weights in place (delayed aggregation /
-/// FedAvg-style merge) and return the averaged flat weights.
+/// FedAvg-style merge), tensor by tensor where they live.
 ///
-/// Also averages the replicas' momentum buffers: after the merge each
-/// stream's velocity describes its *own* pre-merge trajectory, and
-/// carrying those divergent buffers across the aggregation boundary
+/// Also averages the replicas' momentum buffers, of both arms: after the
+/// merge each stream's velocity describes its *own* pre-merge trajectory,
+/// and carrying those divergent buffers across the aggregation boundary
 /// drags every stream back toward where it came from. Averaging keeps
 /// the coherent component of the momentum (the shared descent
 /// direction) and cancels the divergent parts, exactly like the
 /// weights themselves.
-pub(super) fn average_replicas(replicas: &mut [Replica]) -> Vec<f32> {
-    let has_int8 = replicas[0].int8.is_some();
-
-    // Materialize every replica's flat vectors once (once per epoch;
-    // the chunked reduction below then reads them in fixed replica
-    // order). Summing first and scaling once by a precomputed 1/n does
-    // n-fold fewer divisions than dividing per replica and rounds once.
-    let weights: Vec<Vec<f32>> = replicas
-        .iter()
-        .map(|r| {
-            let mut v = Vec::new();
-            r.net.flat_weights_into(&mut v);
-            v
-        })
-        .collect();
-    let vels: Vec<Vec<f32>> = replicas
-        .iter()
-        .map(|r| {
-            let mut v = Vec::new();
-            r.opt.flat_velocity_into(&mut v);
-            v
-        })
-        .collect();
-    let vels8: Option<Vec<Vec<f32>>> = has_int8.then(|| {
-        replicas
-            .iter()
-            .map(|r| {
-                let arm = r.int8.as_ref().expect("uniform INT8 arms across replicas");
-                let mut v = Vec::new();
-                arm.opt.flat_velocity_into(&mut v);
-                v
-            })
-            .collect()
+pub(super) fn average_replicas(replicas: &mut [Replica]) {
+    average_tensors(replicas, |r| {
+        let mut weights = Vec::new();
+        r.net
+            .for_each_parameter_mut(|p| weights.push(p.value.data_mut()));
+        weights
     });
-
-    let mean = mean_of(&weights);
-    let mean_vel = mean_of(&vels);
-    let mean_vel8 = vels8.as_deref().map(mean_of);
-
-    // Broadcasting the means back into every replica is independent
-    // per replica — run it as pool jobs.
-    let mean_ref = &mean;
-    let mean_vel_ref = &mean_vel;
-    let mean_vel8_ref = &mean_vel8;
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = replicas
-        .iter_mut()
-        .map(|r| {
-            Box::new(move || {
-                r.net.set_flat_weights(mean_ref);
-                r.opt.set_flat_velocity(mean_vel_ref);
-                if let Some(arm) = &mut r.int8 {
-                    arm.opt
-                        .set_flat_velocity(mean_vel8_ref.as_ref().expect("INT8 mean"));
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    socflow_tensor::runtime::run_scoped(jobs);
-    mean
+    average_tensors(replicas, |r| r.opt.velocity_slices_mut().collect());
+    if replicas[0].int8.is_some() {
+        average_tensors(replicas, |r| {
+            let arm = r.int8.as_mut().expect("uniform INT8 arms across replicas");
+            arm.opt.velocity_slices_mut().collect()
+        });
+    }
 }
 
-/// Element-wise mean of equal-length rows: chunked across the worker
-/// pool, each chunk summing in fixed (ascending-replica) order and
-/// scaling once by a precomputed `1/n`. Chunk boundaries depend only on
-/// the parameter count, so the result is byte-identical at any thread
-/// count.
-fn mean_of(rows: &[Vec<f32>]) -> Vec<f32> {
-    /// Elements per reduction chunk (shape-fixed).
-    const MEAN_CHUNK: usize = 16 * 1024;
-    let inv_n = 1.0 / rows.len() as f32;
-    let len = rows[0].len();
-    let mut out = vec![0.0f32; len];
-    socflow_tensor::runtime::parallel_for_slice_chunks(&mut out, MEAN_CHUNK, &|c, chunk| {
-        let lo = c * MEAN_CHUNK;
-        for row in rows {
-            let hi = (lo + chunk.len()).min(row.len());
-            if lo < hi {
-                for (m, &v) in chunk.iter_mut().zip(&row[lo..hi]) {
-                    *m += v;
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{easy_workload, tiny_spec};
+    use super::super::Engine;
+    use super::*;
+    use crate::config::{MethodSpec, SocFlowConfig};
+    use crate::options::RunOptions;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use socflow_nn::models::{ModelConfig, ModelKind};
+
+    /// `average_replicas` as it was before the in-place sweeps, verbatim
+    /// but for the dropped return value: every family materialised as flat
+    /// rows, `mean_of` over them, the means broadcast back.
+    fn average_replicas_reference(replicas: &mut [Replica]) {
+        let has_int8 = replicas[0].int8.is_some();
+        let weights: Vec<Vec<f32>> = replicas
+            .iter()
+            .map(|r| {
+                let mut v = Vec::new();
+                r.net.flat_weights_into(&mut v);
+                v
+            })
+            .collect();
+        let vels: Vec<Vec<f32>> = replicas
+            .iter()
+            .map(|r| {
+                let mut v = Vec::new();
+                r.opt.flat_velocity_into(&mut v);
+                v
+            })
+            .collect();
+        let vels8: Option<Vec<Vec<f32>>> = has_int8.then(|| {
+            replicas
+                .iter()
+                .map(|r| {
+                    let arm = r.int8.as_ref().expect("uniform INT8 arms across replicas");
+                    let mut v = Vec::new();
+                    arm.opt.flat_velocity_into(&mut v);
+                    v
+                })
+                .collect()
+        });
+
+        let mean = mean_of(&weights);
+        let mean_vel = mean_of(&vels);
+        let mean_vel8 = vels8.as_deref().map(mean_of);
+
+        for r in replicas.iter_mut() {
+            r.net.set_flat_weights(&mean);
+            r.opt.set_flat_velocity(&mean_vel);
+            if let Some(arm) = &mut r.int8 {
+                arm.opt
+                    .set_flat_velocity(mean_vel8.as_ref().expect("INT8 mean"));
+            }
+        }
+    }
+
+    /// The materialised mean `average_replicas` was built on, verbatim.
+    fn mean_of(rows: &[Vec<f32>]) -> Vec<f32> {
+        /// Elements per reduction chunk (shape-fixed).
+        const MEAN_CHUNK: usize = 16 * 1024;
+        let inv_n = 1.0 / rows.len() as f32;
+        let len = rows[0].len();
+        let mut out = vec![0.0f32; len];
+        socflow_tensor::runtime::parallel_for_slice_chunks(&mut out, MEAN_CHUNK, &|c, chunk| {
+            let lo = c * MEAN_CHUNK;
+            for row in rows {
+                let hi = (lo + chunk.len()).min(row.len());
+                if lo < hi {
+                    for (m, &v) in chunk.iter_mut().zip(&row[lo..hi]) {
+                        *m += v;
+                    }
+                }
+            }
+            for m in chunk.iter_mut() {
+                *m *= inv_n;
+            }
+        });
+        out
+    }
+
+    /// `count` replicas of a small batch-norm ResNet; replica `i` has taken
+    /// `steps[i]` steps (mixed ones when `with_int8`), each on its own
+    /// batches, so weights, both momentum families and the batch-norm
+    /// state all differ between them.
+    fn trained(steps: &[usize], with_int8: bool) -> Vec<Replica> {
+        let mut spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
+        spec.model = ModelKind::ResNet18;
+        let mut workload = easy_workload(&spec, 128);
+        workload.model_cfg = ModelConfig::new(1, 8, 10, 0.1);
+        let engine = Engine::new(spec, workload, RunOptions::default());
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut replicas = engine.build_replicas(steps.len(), &mut rng, with_int8);
+        let batches: Vec<Batch> = engine.workload.train.epoch_batches(16, &mut rng).collect();
+        let mut ctrl = MixedPrecisionController::new(0.4);
+        ctrl.set_alpha(0.61);
+        for (i, (r, &n)) in replicas.iter_mut().zip(steps).enumerate() {
+            for b in batches.iter().skip(i).take(n) {
+                if with_int8 {
+                    r.mixed_step(b, &ctrl);
+                } else {
+                    r.step(b, Precision::Fp32);
                 }
             }
         }
-        for m in chunk.iter_mut() {
-            *m *= inv_n;
+        replicas
+    }
+
+    /// Weights, FP32 momentum and INT8 momentum (empty without the arm) of
+    /// every replica, as bits.
+    fn families(replicas: &[Replica]) -> Vec<[Vec<u32>; 3]> {
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        replicas
+            .iter()
+            .map(|r| {
+                let vel8 = r.int8.as_ref().map(|arm| arm.opt.flat_velocity());
+                [
+                    bits(r.net.flat_weights()),
+                    bits(r.opt.flat_velocity()),
+                    bits(vel8.unwrap_or_default()),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_place_aggregation_is_the_materialised_one_bit_for_bit() {
+        for with_int8 in [true, false] {
+            let steps = [3, 1, 2, 4];
+            let (mut got, mut want) = (trained(&steps, with_int8), trained(&steps, with_int8));
+            let before = families(&got);
+            assert_eq!(before, families(&want), "the set-up is deterministic");
+            assert_ne!(before[0], before[1], "the replicas diverged");
+            assert_eq!(before[0][2].is_empty(), !with_int8);
+
+            average_replicas(&mut got);
+            average_replicas_reference(&mut want);
+            let after = families(&got);
+            assert_eq!(after, families(&want), "int8 arm: {with_int8}");
+            assert!(after.iter().all(|f| f == &after[0]), "one mean everywhere");
+            assert_ne!(after[0], before[0]);
+            // the averaged momentum is not trivially zero
+            assert!(after[0][1].iter().any(|&b| b != 0));
+            assert_eq!(after[0][2].iter().any(|&b| b != 0), with_int8);
         }
-    });
-    out
+    }
+
+    /// A replica whose shard is empty never steps. Its momentum is all
+    /// zero, not absent: the mean is `Σ/n` over every replica — whether the
+    /// stepless one comes first (it used to switch momentum averaging off
+    /// for everyone) or later (it used to panic).
+    #[test]
+    fn a_replica_that_never_stepped_averages_in_as_a_zero_row() {
+        for steps in [[0, 2, 3], [2, 0, 3]] {
+            let stepless = steps.iter().position(|&n| n == 0).unwrap();
+            let mut replicas = trained(&steps, true);
+            let before = families(&replicas);
+            for family in [1, 2] {
+                assert!(before[stepless][family].iter().all(|&b| b == 0));
+                assert_eq!(before[stepless][family].len(), before[0][0].len());
+            }
+            average_replicas(&mut replicas);
+            let after = families(&replicas);
+            let inv_n = 1.0 / 3.0f32;
+            for family in 0..3 {
+                let mean: Vec<u32> = (0..before[0][family].len())
+                    .map(|i| {
+                        let sum = before
+                            .iter()
+                            .fold(0.0, |s, r| s + f32::from_bits(r[family][i]));
+                        (sum * inv_n).to_bits()
+                    })
+                    .collect();
+                assert!(mean.iter().any(|&b| b != 0));
+                for r in &after {
+                    assert_eq!(r[family], mean, "family {family}, steps {steps:?}");
+                }
+            }
+        }
+    }
 }

@@ -112,16 +112,13 @@ impl MixedPrecisionController {
     }
 
     /// [`MixedPrecisionController::merge_weights`] merging into the FP32
-    /// slice in place — the per-batch merge path reuses staging storage.
+    /// slice in place — the per-batch merge runs it over each parameter's
+    /// own storage.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
     pub fn merge_weights_inplace(&self, w_fp32: &mut [f32], w_int8: &[f32]) {
-        assert_eq!(w_fp32.len(), w_int8.len(), "weight length mismatch");
-        let k = (-self.alpha).exp();
-        for (a, &b) in w_fp32.iter_mut().zip(w_int8) {
-            *a = k * *a + (1.0 - k) * b;
-        }
+        socflow_tensor::sweep::lerp(w_fp32, w_int8, (-self.alpha).exp());
     }
 }
 

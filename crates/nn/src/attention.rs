@@ -213,12 +213,14 @@ impl Layer for PatchEmbed {
         Tensor::zeros(self.cached_shape.clone().expect("cached input shape"))
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        vec![&self.weight, &self.bias]
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.weight);
+        visit(&self.bias);
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.weight, &mut self.bias]
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.weight);
+        visit(&mut self.bias);
     }
 
     fn describe(&self) -> String {
@@ -313,12 +315,14 @@ impl Layer for LayerNorm {
         Tensor::from_vec(gx, grad_out.shape().clone())
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        vec![&self.gamma, &self.beta]
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.gamma);
+        visit(&self.beta);
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.gamma, &mut self.beta]
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.gamma);
+        visit(&mut self.beta);
     }
 
     fn describe(&self) -> String {
@@ -371,14 +375,6 @@ impl Layer for Gelu {
             .expect("Gelu::backward without training forward");
         let deriv = x.map(Self::derivative);
         grad_out.mul(&deriv)
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
     }
 
     fn describe(&self) -> String {
@@ -719,12 +715,18 @@ impl Layer for SelfAttention {
         gx
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        vec![&self.wq, &self.wk, &self.wv, &self.wo]
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.wq);
+        visit(&self.wk);
+        visit(&self.wv);
+        visit(&self.wo);
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo]
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.wq);
+        visit(&mut self.wk);
+        visit(&mut self.wv);
+        visit(&mut self.wo);
     }
 
     fn describe(&self) -> String {
@@ -875,12 +877,18 @@ impl Layer for TokenFeedForward {
         gx
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        vec![&self.w1, &self.b1, &self.w2, &self.b2]
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.w1);
+        visit(&self.b1);
+        visit(&self.w2);
+        visit(&self.b2);
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2]
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.w1);
+        visit(&mut self.b1);
+        visit(&mut self.w2);
+        visit(&mut self.b2);
     }
 
     fn describe(&self) -> String {
@@ -940,14 +948,6 @@ impl Layer for MeanPoolTokens {
             }
         }
         Tensor::from_vec(gx, Shape::from([b, t, d]))
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
     }
 
     fn describe(&self) -> String {

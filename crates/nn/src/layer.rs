@@ -93,9 +93,9 @@ impl Parameter {
 /// `backward`.
 ///
 /// `Send + Sync` is part of the contract: replicas move across the worker
-/// pool's jobs, and parallel evaluation shares a `&Network` across pool
-/// workers (each of which clones it before forwarding). Layers are plain
-/// data — no interior mutability — so both bounds hold structurally.
+/// pool's jobs, and a `&Network` may be read from several of them. Layers
+/// are plain data — no interior mutability — so both bounds hold
+/// structurally.
 pub trait Layer: Send + Sync {
     /// Runs the layer on `input`, caching state when `mode.train`.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
@@ -107,11 +107,32 @@ pub trait Layer: Send + Sync {
     /// May panic if called without a preceding training-mode `forward`.
     fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor;
 
-    /// Immutable access to this layer's parameters (possibly empty).
-    fn parameters(&self) -> Vec<&Parameter>;
+    /// Hands each of this layer's parameters to `visit`, in a fixed order
+    /// (nested layers in theirs). The default is a layer without any. The
+    /// references live as long as the borrow of the layer, so a visitor
+    /// may keep them.
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        let _ = visit;
+    }
 
-    /// Mutable access to this layer's parameters (possibly empty).
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter>;
+    /// [`Layer::visit_parameters`] with mutable access, same order.
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        let _ = visit;
+    }
+
+    /// This layer's parameters (possibly empty), collected.
+    fn parameters(&self) -> Vec<&Parameter> {
+        let mut out = Vec::new();
+        self.visit_parameters(&mut |p| out.push(p));
+        out
+    }
+
+    /// This layer's parameters, mutably, collected.
+    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
+        let mut out = Vec::new();
+        self.visit_parameters_mut(&mut |p| out.push(p));
+        out
+    }
 
     /// Flattened views of the layer's non-learnable state carried across
     /// steps (batch-norm running statistics and the like) — the part of a
@@ -130,6 +151,21 @@ pub trait Layer: Send + Sync {
 
     /// Clones the layer into a box — enables `Clone` for layer stacks.
     fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+/// Threads a tensor through `layers` in iteration order: `step` maps each
+/// layer and the tensor so far to the next one. The first layer borrows
+/// `input` — nothing is copied unless there is no layer at all.
+pub(crate) fn chain<L>(
+    layers: impl Iterator<Item = L>,
+    input: &Tensor,
+    mut step: impl FnMut(L, &Tensor) -> Tensor,
+) -> Tensor {
+    let mut cur: Option<Tensor> = None;
+    for l in layers {
+        cur = Some(step(l, cur.as_ref().unwrap_or(input)));
+    }
+    cur.unwrap_or_else(|| input.clone())
 }
 
 impl Clone for Box<dyn Layer> {

@@ -1,4 +1,4 @@
-use crate::layer::{Layer, Mode, Parameter};
+use crate::layer::{Layer, Mode};
 use socflow_tensor::Tensor;
 
 /// Rectified linear unit, `y = max(0, x)`.
@@ -25,14 +25,6 @@ impl Layer for Relu {
     fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
         let mask = self.mask.as_ref().expect("Relu::backward without forward");
         grad_out.mul(mask)
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
     }
 
     fn describe(&self) -> String {

@@ -165,12 +165,12 @@ impl Layer for DepthwiseConv2d {
         gx
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        vec![&self.weight]
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.weight);
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.weight]
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.weight);
     }
 
     fn describe(&self) -> String {

@@ -1,4 +1,4 @@
-use crate::layer::{Layer, Mode, Parameter};
+use crate::layer::{Layer, Mode};
 use socflow_tensor::Tensor;
 
 /// Inverted dropout: during training each activation is zeroed with
@@ -70,14 +70,6 @@ impl Layer for Dropout {
             .as_ref()
             .expect("Dropout::backward without forward");
         grad_out.mul(mask)
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
     }
 
     fn state_buffers(&self) -> Vec<&[f32]> {

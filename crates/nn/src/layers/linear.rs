@@ -150,12 +150,14 @@ impl Layer for Linear {
         linalg::matmul_a_bt(grad_out, &self.weight.value)
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        vec![&self.weight, &self.bias]
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.weight);
+        visit(&self.bias);
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.weight, &mut self.bias]
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.weight);
+        visit(&mut self.bias);
     }
 
     fn state_buffers(&self) -> Vec<&[f32]> {

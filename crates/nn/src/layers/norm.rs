@@ -143,12 +143,14 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(gx, grad_out.shape().clone())
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        vec![&self.gamma, &self.beta]
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.gamma);
+        visit(&self.beta);
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        vec![&mut self.gamma, &mut self.beta]
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.gamma);
+        visit(&mut self.beta);
     }
 
     fn state_buffers(&self) -> Vec<&[f32]> {

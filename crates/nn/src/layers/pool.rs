@@ -1,4 +1,4 @@
-use crate::layer::{Layer, Mode, Parameter};
+use crate::layer::{Layer, Mode};
 use socflow_tensor::conv::{
     global_avg_pool, global_avg_pool_backward, max_pool2d, max_pool2d_backward, ConvParams,
 };
@@ -40,14 +40,6 @@ impl Layer for MaxPool2d {
         max_pool2d_backward(grad_out, arg, shape)
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
-    }
-
     fn describe(&self) -> String {
         format!("maxpool({k}x{k})", k = self.k)
     }
@@ -84,14 +76,6 @@ impl Layer for GlobalAvgPool {
             .as_ref()
             .expect("GlobalAvgPool::backward without forward");
         global_avg_pool_backward(grad_out, shape)
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
     }
 
     fn describe(&self) -> String {

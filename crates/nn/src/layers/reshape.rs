@@ -1,4 +1,4 @@
-use crate::layer::{Layer, Mode, Parameter};
+use crate::layer::{Layer, Mode};
 use socflow_tensor::{Shape, Tensor};
 
 /// Flattens `(n, …)` into `(n, prod(…))` for the transition from
@@ -33,14 +33,6 @@ impl Layer for Flatten {
             .as_ref()
             .expect("Flatten::backward without forward");
         grad_out.clone().reshape(shape.clone())
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
     }
 
     fn describe(&self) -> String {

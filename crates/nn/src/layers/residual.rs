@@ -1,4 +1,4 @@
-use crate::layer::{Layer, Mode, Parameter};
+use crate::layer::{chain, Layer, Mode, Parameter};
 use socflow_tensor::Tensor;
 
 /// A residual block: `y = body(x) + shortcut(x)`.
@@ -50,19 +50,11 @@ impl std::fmt::Debug for Residual {
 }
 
 fn run_forward(layers: &mut [Box<dyn Layer>], x: &Tensor, mode: Mode) -> Tensor {
-    let mut cur = x.clone();
-    for l in layers {
-        cur = l.forward(&cur, mode);
-    }
-    cur
+    chain(layers.iter_mut(), x, |l, x| l.forward(x, mode))
 }
 
 fn run_backward(layers: &mut [Box<dyn Layer>], g: &Tensor, mode: Mode) -> Tensor {
-    let mut cur = g.clone();
-    for l in layers.iter_mut().rev() {
-        cur = l.backward(&cur, mode);
-    }
-    cur
+    chain(layers.iter_mut().rev(), g, |l, g| l.backward(g, mode))
 }
 
 impl Layer for Residual {
@@ -84,24 +76,20 @@ impl Layer for Residual {
         g_main.add(&g_skip)
     }
 
-    fn parameters(&self) -> Vec<&Parameter> {
-        let mut out: Vec<&Parameter> = self.body.iter().flat_map(|l| l.parameters()).collect();
-        if let Some(s) = &self.shortcut {
-            out.extend(s.iter().flat_map(|l| l.parameters()));
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        for l in self.body.iter().chain(self.shortcut.iter().flatten()) {
+            l.visit_parameters(visit);
         }
-        out
     }
 
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        let mut out: Vec<&mut Parameter> = self
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        for l in self
             .body
             .iter_mut()
-            .flat_map(|l| l.parameters_mut())
-            .collect();
-        if let Some(s) = &mut self.shortcut {
-            out.extend(s.iter_mut().flat_map(|l| l.parameters_mut()));
+            .chain(self.shortcut.iter_mut().flatten())
+        {
+            l.visit_parameters_mut(visit);
         }
-        out
     }
 
     fn state_buffers(&self) -> Vec<&[f32]> {

@@ -1,4 +1,4 @@
-use crate::layer::{Layer, Mode, Parameter};
+use crate::layer::{chain, Layer, Mode, Parameter};
 use socflow_tensor::Tensor;
 
 /// One layer's slice of the flat gradient vector: the gradients of layer
@@ -87,6 +87,31 @@ pub fn bucketize(layout: &[GradReady], min_params: usize) -> Vec<GradBucket> {
     buckets
 }
 
+/// Copies `flat` over the slices `walk` hands to its callback, front to
+/// back — the one scatter behind every `set_flat_*`.
+///
+/// # Panics
+/// Panics if the slices do not add up to `flat.len()` scalars.
+fn scatter(flat: &[f32], what: &str, walk: impl FnOnce(&mut dyn FnMut(&mut [f32]))) {
+    let mut rest = flat;
+    walk(&mut |dst| {
+        assert!(
+            dst.len() <= rest.len(),
+            "flat {what} length mismatch: {} scalars are too few",
+            flat.len()
+        );
+        let (head, tail) = rest.split_at(dst.len());
+        dst.copy_from_slice(head);
+        rest = tail;
+    });
+    assert!(
+        rest.is_empty(),
+        "flat {what} length mismatch: {} of {} scalars left over",
+        rest.len(),
+        flat.len()
+    );
+}
+
 /// A sequential stack of layers — the model replica each SoC worker owns.
 ///
 /// Besides forward/backward, `Network` exposes the *flat views* distributed
@@ -110,22 +135,16 @@ impl Network {
 
     /// Runs the full forward pass.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut cur = input.clone();
-        for l in &mut self.layers {
-            cur = l.forward(&cur, mode);
-        }
-        cur
+        chain(self.layers.iter_mut(), input, |l, x| l.forward(x, mode))
     }
 
     /// Runs the full backward pass, accumulating parameter gradients.
     /// Equivalent to [`Network::backward_with_ready`] with a no-op
     /// callback, without paying for the layout table on the hot path.
     pub fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
-        let mut cur = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur, mode);
-        }
-        cur
+        chain(self.layers.iter_mut().rev(), grad_out, |l, g| {
+            l.backward(g, mode)
+        })
     }
 
     /// [`Network::backward`] with a gradient-readiness stream: after each
@@ -142,14 +161,14 @@ impl Network {
         mut on_ready: F,
     ) -> Tensor {
         let layout = self.grad_layout();
-        let mut cur = grad_out.clone();
-        for (i, l) in self.layers.iter_mut().enumerate().rev() {
-            cur = l.backward(&cur, mode);
+        let layers = self.layers.iter_mut().enumerate().rev();
+        chain(layers, grad_out, |(i, l), g| {
+            let grad_in = l.backward(g, mode);
             if layout[i].len > 0 {
                 on_ready(layout[i]);
             }
-        }
-        cur
+            grad_in
+        })
     }
 
     /// The flat-gradient layout table: one [`GradReady`] span per layer, in
@@ -176,55 +195,98 @@ impl Network {
             .collect()
     }
 
+    /// Hands every parameter to `visit`, in layer order, without building
+    /// a list of them — the walk every parameter-wide operation (optimizer
+    /// step, flat views, aggregation) is made of.
+    pub fn for_each_parameter<'a>(&'a self, mut visit: impl FnMut(&'a Parameter)) {
+        for l in &self.layers {
+            l.visit_parameters(&mut visit);
+        }
+    }
+
+    /// [`Network::for_each_parameter`] with mutable access.
+    pub fn for_each_parameter_mut<'a>(&'a mut self, mut visit: impl FnMut(&'a mut Parameter)) {
+        for l in &mut self.layers {
+            l.visit_parameters_mut(&mut visit);
+        }
+    }
+
+    /// Walks this network's parameters and those of `other`, a network of
+    /// the same architecture, in step: `visit(mine, theirs)` for every
+    /// parameter, in layer order, without building a list of either.
+    ///
+    /// # Panics
+    /// Panics if the two networks do not have the same number of layers
+    /// with the same number of parameters each.
+    pub fn zip_parameters_mut(
+        &mut self,
+        other: &Network,
+        mut visit: impl FnMut(&mut Parameter, &Parameter),
+    ) {
+        const MISMATCH: &str = "zip_parameters_mut: the networks differ in architecture";
+        assert_eq!(self.layers.len(), other.layers.len(), "{MISMATCH}");
+        for (mine, theirs) in self.layers.iter_mut().zip(&other.layers) {
+            // a layer holds a handful of parameters: for each of mine, walk
+            // theirs up to the one in the same position
+            let (mut seen, mut paired) = (0, 0);
+            mine.visit_parameters_mut(&mut |p| {
+                let mut at = 0;
+                theirs.visit_parameters(&mut |q| {
+                    if at == seen {
+                        visit(p, q);
+                        paired += 1;
+                    }
+                    at += 1;
+                });
+                seen += 1;
+            });
+            assert_eq!(seen, paired, "{MISMATCH}");
+        }
+    }
+
     /// All parameters, in layer order.
     pub fn parameters(&self) -> Vec<&Parameter> {
-        self.layers.iter().flat_map(|l| l.parameters()).collect()
+        let mut out = Vec::new();
+        self.for_each_parameter(|p| out.push(p));
+        out
     }
 
     /// All parameters, mutably, in layer order.
     pub fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.parameters_mut())
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_parameter_mut(|p| out.push(p));
+        out
     }
 
     /// Total number of learnable scalars.
     pub fn param_count(&self) -> usize {
-        self.parameters().iter().map(|p| p.len()).sum()
+        let mut count = 0;
+        self.for_each_parameter(|p| count += p.len());
+        count
     }
 
     /// Zeroes all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.parameters_mut() {
-            p.grad.fill_zero();
-        }
+        self.for_each_parameter_mut(|p| p.grad.fill_zero());
     }
 
     /// Concatenates all parameter values into one flat vector.
     pub fn flat_weights(&self) -> Vec<f32> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.param_count());
         self.flat_weights_into(&mut out);
         out
     }
 
-    /// [`Network::flat_weights`] writing into `out`, reusing its storage —
-    /// the per-batch mixed-precision merge stages weights through a scratch
-    /// vector instead of allocating each step.
+    /// [`Network::flat_weights`] writing into `out`, reusing its storage.
     pub fn flat_weights_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.param_count());
-        for p in self.parameters() {
-            out.extend_from_slice(p.value.data());
-        }
+        self.for_each_parameter(|p| out.extend_from_slice(p.value.data()));
     }
 
     /// Concatenates all gradients into one flat vector.
     pub fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        for p in self.parameters() {
-            out.extend_from_slice(p.grad.data());
-        }
+        self.for_each_parameter(|p| out.extend_from_slice(p.grad.data()));
         out
     }
 
@@ -233,16 +295,9 @@ impl Network {
     /// # Panics
     /// Panics if `flat.len() != param_count()`.
     pub fn set_flat_weights(&mut self, flat: &[f32]) {
-        let expected = self.param_count();
-        assert_eq!(flat.len(), expected, "flat weight length mismatch");
-        let mut offset = 0;
-        for p in self.parameters_mut() {
-            let n = p.len();
-            p.value
-                .data_mut()
-                .copy_from_slice(&flat[offset..offset + n]);
-            offset += n;
-        }
+        scatter(flat, "weight", |put| {
+            self.for_each_parameter_mut(|p| put(p.value.data_mut()))
+        });
     }
 
     /// Overwrites all gradients from a flat vector.
@@ -250,14 +305,9 @@ impl Network {
     /// # Panics
     /// Panics if `flat.len() != param_count()`.
     pub fn set_flat_grads(&mut self, flat: &[f32]) {
-        let expected = self.param_count();
-        assert_eq!(flat.len(), expected, "flat grad length mismatch");
-        let mut offset = 0;
-        for p in self.parameters_mut() {
-            let n = p.len();
-            p.grad.data_mut().copy_from_slice(&flat[offset..offset + n]);
-            offset += n;
-        }
+        scatter(flat, "grad", |put| {
+            self.for_each_parameter_mut(|p| put(p.grad.data_mut()))
+        });
     }
 
     /// Total number of non-learnable state scalars (batch-norm running
@@ -293,14 +343,12 @@ impl Network {
     /// # Panics
     /// Panics if `flat.len() != state_count()`.
     pub fn set_flat_state(&mut self, flat: &[f32]) {
-        let expected = self.state_count();
-        assert_eq!(flat.len(), expected, "flat state length mismatch");
-        let mut offset = 0;
-        for s in self.layers.iter_mut().flat_map(|l| l.state_buffers_mut()) {
-            let n = s.len();
-            s.copy_from_slice(&flat[offset..offset + n]);
-            offset += n;
-        }
+        scatter(flat, "state", |put| {
+            self.layers
+                .iter_mut()
+                .flat_map(|l| l.state_buffers_mut())
+                .for_each(put)
+        });
     }
 
     /// Serializes the flat weights to JSON bytes (checkpoint payload).
@@ -381,6 +429,86 @@ mod tests {
         let doubled: Vec<f32> = w.iter().map(|v| v * 2.0).collect();
         n.set_flat_weights(&doubled);
         assert_eq!(n.flat_weights(), doubled);
+    }
+
+    /// A net whose second layer nests parameters three deep in one
+    /// top-level slot: conv + bn in the body, conv + bn in the shortcut.
+    fn nested_net(seed: u64) -> Network {
+        use crate::layers::{BatchNorm2d, Conv2d, Residual};
+        let mut rng = StdRng::seed_from_u64(seed);
+        Network::new(vec![
+            Box::new(Conv2d::new(1, 2, 3, 1, 1, &mut rng)),
+            Box::new(Residual::projected(
+                vec![
+                    Box::new(Conv2d::new(2, 3, 3, 1, 1, &mut rng)),
+                    Box::new(BatchNorm2d::new(3)),
+                ],
+                vec![
+                    Box::new(Conv2d::new(2, 3, 1, 1, 0, &mut rng)),
+                    Box::new(BatchNorm2d::new(3)),
+                ],
+            )),
+            Box::new(Relu::new()),
+        ])
+    }
+
+    #[test]
+    fn the_walks_visit_every_parameter_once_in_layer_order() {
+        let mut n = nested_net(1);
+        let listed: Vec<*const Parameter> = n.parameters().into_iter().map(|p| p as _).collect();
+        assert_eq!(listed.len(), 1 + 3 + 3);
+        let mut walked = Vec::new();
+        n.for_each_parameter(|p| walked.push(p as *const Parameter));
+        assert_eq!(walked, listed);
+        let mut walked_mut = Vec::new();
+        n.for_each_parameter_mut(|p| walked_mut.push(p as *const Parameter));
+        assert_eq!(walked_mut, listed);
+        let mut count = 0;
+        n.for_each_parameter(|p| count += p.len());
+        assert_eq!(count, n.param_count());
+    }
+
+    #[test]
+    fn zipped_walk_pairs_parameters_by_position() {
+        let (mut a, b) = (nested_net(1), nested_net(2));
+        let theirs: Vec<*const Parameter> = b.parameters().into_iter().map(|p| p as _).collect();
+        let mine: Vec<*const Parameter> = a.parameters().into_iter().map(|p| p as _).collect();
+        let mut pairs = Vec::new();
+        a.zip_parameters_mut(&b, |p, q| {
+            assert_eq!(p.value.shape(), q.value.shape());
+            pairs.push((p as *const Parameter, q as *const Parameter));
+        });
+        let want: Vec<_> = mine.into_iter().zip(theirs).collect();
+        assert_eq!(pairs, want);
+
+        // the per-parameter copy is the flat copy
+        a.zip_parameters_mut(&b, |p, q| {
+            p.value.data_mut().copy_from_slice(q.value.data())
+        });
+        assert_eq!(a.flat_weights(), b.flat_weights());
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in architecture")]
+    fn zipped_walk_refuses_another_architecture() {
+        let mut a = nested_net(1);
+        let b = Network::new(vec![
+            Box::new(Relu::new()),
+            Box::new(Relu::new()),
+            Box::new(Relu::new()),
+        ]);
+        a.zip_parameters_mut(&b, |_, _| {});
+    }
+
+    #[test]
+    fn flat_setters_refuse_both_too_few_and_too_many_scalars() {
+        for len in [0, 66, 68] {
+            let flat = vec![0.0; len];
+            let caught = std::panic::catch_unwind(|| tiny_net(4).set_flat_grads(&flat));
+            let msg = *caught.unwrap_err().downcast::<String>().unwrap();
+            assert!(msg.contains("flat grad length mismatch"), "{len}: {msg}");
+        }
+        tiny_net(4).set_flat_grads(&[0.0; 67]);
     }
 
     #[test]

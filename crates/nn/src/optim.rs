@@ -2,7 +2,8 @@
 //! INT8 path's integer optimizer is modelled by the gradient quantization in
 //! the layers, so the update rule itself is shared.
 
-use crate::Network;
+use crate::{Network, Parameter};
+use socflow_tensor::sweep::{self, SgdStep};
 use socflow_tensor::Tensor;
 
 /// Stochastic gradient descent with classical momentum and (decoupled) L2
@@ -74,18 +75,23 @@ impl Sgd {
         }
     }
 
-    /// Allocates the momentum buffers to match `net`'s parameter structure
-    /// without taking a step — checkpoint restore needs somewhere to put a
-    /// saved velocity before the first post-resume step. A no-op once the
-    /// buffers exist.
-    pub fn ensure_velocity(&mut self, net: &mut Network) {
+    /// Allocates the momentum buffers (all zero) to match `net`'s parameter
+    /// structure without taking a step — checkpoint restore needs somewhere
+    /// to put a saved velocity before the first post-resume step, and a
+    /// replica that never steps still takes part in momentum averaging. A
+    /// no-op once the buffers exist.
+    pub fn ensure_velocity(&mut self, net: &Network) {
         if self.velocity.is_empty() {
-            self.velocity = net
-                .parameters_mut()
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().clone()))
-                .collect();
+            net.for_each_parameter(|p| self.velocity.push(Tensor::zeros(p.value.shape().clone())));
         }
+    }
+
+    /// The momentum buffers as mutable slices, one per parameter in
+    /// parameter order (none before the first step or
+    /// [`Sgd::ensure_velocity`]) — what delayed aggregation averages in
+    /// place.
+    pub fn velocity_slices_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        self.velocity.iter_mut().map(|v| v.data_mut())
     }
 
     /// Overwrites the momentum buffers from a flat vector (the inverse of
@@ -117,26 +123,34 @@ impl Sgd {
     /// # Panics
     /// Panics if the network's parameter count changed since the first step.
     pub fn step(&mut self, net: &mut Network) {
-        let mut params = net.parameters_mut();
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().clone()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "parameter structure changed between optimizer steps"
-        );
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            for i in 0..p.value.len() {
-                let g = p.grad.data()[i] + self.weight_decay * p.value.data()[i];
-                let vel = self.momentum * v.data()[i] + g;
-                v.data_mut()[i] = vel;
-                p.value.data_mut()[i] -= self.lr * vel;
-            }
-        }
+        self.sweep(net, |p, v, h| {
+            sweep::sgd_momentum(p.value.data_mut(), p.grad.data(), v, h)
+        });
+    }
+
+    /// [`Sgd::step`] followed by [`Network::zero_grad`], as one pass over
+    /// each parameter instead of two.
+    ///
+    /// # Panics
+    /// Panics if the network's parameter count changed since the first step.
+    pub fn step_zero_grad(&mut self, net: &mut Network) {
+        self.sweep(net, |p, v, h| {
+            sweep::sgd_momentum_zero_grad(p.value.data_mut(), p.grad.data_mut(), v, h)
+        });
+    }
+
+    /// Pairs every parameter of `net` with its velocity buffer.
+    fn sweep(&mut self, net: &mut Network, update: impl Fn(&mut Parameter, &mut [f32], SgdStep)) {
+        const CHANGED: &str = "parameter structure changed between optimizer steps";
+        self.ensure_velocity(net);
+        let h = SgdStep {
+            lr: self.lr,
+            momentum: self.momentum,
+            weight_decay: self.weight_decay,
+        };
+        let mut velocity = self.velocity.iter_mut();
+        net.for_each_parameter_mut(|p| update(p, velocity.next().expect(CHANGED).data_mut(), h));
+        assert!(velocity.next().is_none(), "{CHANGED}");
     }
 }
 
@@ -217,36 +231,31 @@ impl Adam {
     /// # Panics
     /// Panics if the network's parameter count changed since the first step.
     pub fn step(&mut self, net: &mut Network) {
-        let mut params = net.parameters_mut();
+        const CHANGED: &str = "parameter structure changed between optimizer steps";
         if self.m.is_empty() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().clone()))
-                .collect();
+            net.for_each_parameter(|p| self.m.push(Tensor::zeros(p.value.shape().clone())));
             self.v = self.m.clone();
         }
-        assert_eq!(
-            self.m.len(),
-            params.len(),
-            "parameter structure changed between optimizer steps"
-        );
         self.step_count += 1;
         let bc1 = 1.0 - self.beta1.powi(self.step_count as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step_count as i32);
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            for i in 0..p.value.len() {
-                let g = p.grad.data()[i];
-                let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.data()[i] + (1.0 - self.beta2) * g * g;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
-                let mhat = mi / bc1;
-                let vhat = vi / bc2;
-                let w = p.value.data()[i];
-                p.value.data_mut()[i] =
-                    w - self.lr * (mhat / (vhat.sqrt() + self.eps) + self.weight_decay * w);
+        let (lr, beta1, beta2, eps, decay) =
+            (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let mut moments = self.m.iter_mut().zip(&mut self.v);
+        net.for_each_parameter_mut(|p| {
+            let (m, v) = moments.next().expect(CHANGED);
+            assert_eq!(m.len(), p.len(), "{CHANGED}");
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            let values = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for ((w, &g), (m, v)) in values.zip(moments) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *w -= lr * (mhat / (vhat.sqrt() + eps) + decay * *w);
             }
-        }
+        });
+        assert!(moments.next().is_none(), "{CHANGED}");
     }
 }
 
@@ -324,6 +333,98 @@ mod tests {
         }
         let norm1: f32 = net.flat_weights().iter().map(|v| v * v).sum();
         assert!(norm1 < norm0 * 0.5);
+    }
+
+    /// A net with gradients from one backward pass.
+    fn net_with_grads() -> Network {
+        let mut net = quadratic_net();
+        let x = Tensor::from_vec(vec![1.0, -1.0, 0.5, 2.0], [2, 2]);
+        let mode = Mode::train(Precision::Fp32);
+        let logits = net.forward(&x, mode);
+        let (_, g) = loss::softmax_cross_entropy(&logits, &[0, 1]);
+        net.backward(&g, mode);
+        net
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_step_is_step_then_zero_grad() {
+        let (mut a, mut b) = (net_with_grads(), net_with_grads());
+        let (mut opt_a, mut opt_b) = (Sgd::new(0.1, 0.9, 5e-4), Sgd::new(0.1, 0.9, 5e-4));
+        for _ in 0..3 {
+            opt_a.step(&mut a);
+            a.zero_grad();
+            opt_b.step_zero_grad(&mut b);
+            assert_eq!(bits(&a.flat_weights()), bits(&b.flat_weights()));
+            assert_eq!(bits(&opt_a.flat_velocity()), bits(&opt_b.flat_velocity()));
+            assert_eq!(bits(&b.flat_grads()), bits(&[0.0; 6]));
+            // the next round steps on real gradients again
+            let g = net_with_grads().flat_grads();
+            a.set_flat_grads(&g);
+            b.set_flat_grads(&g);
+        }
+    }
+
+    #[test]
+    fn velocity_allocated_ahead_of_the_first_step_is_the_lazy_one() {
+        let (mut a, mut b) = (net_with_grads(), net_with_grads());
+        let (mut eager, mut lazy) = (Sgd::new(0.1, 0.9, 5e-4), Sgd::new(0.1, 0.9, 5e-4));
+        assert!(lazy.flat_velocity().is_empty());
+        eager.ensure_velocity(&a);
+        assert_eq!(bits(&eager.flat_velocity()), bits(&[0.0; 6]));
+        assert_eq!(eager.velocity_slices_mut().count(), 2);
+        eager.step(&mut a);
+        lazy.step(&mut b);
+        assert_eq!(bits(&a.flat_weights()), bits(&b.flat_weights()));
+        assert_eq!(bits(&eager.flat_velocity()), bits(&lazy.flat_velocity()));
+    }
+
+    /// `Adam::step` as it was, an indexed loop over each parameter.
+    fn adam_reference(opt: &mut Adam, net: &mut Network) {
+        let mut params = net.parameters_mut();
+        if opt.m.is_empty() {
+            opt.m = params
+                .iter()
+                .map(|p| Tensor::zeros(p.value.shape().clone()))
+                .collect();
+            opt.v = opt.m.clone();
+        }
+        opt.step_count += 1;
+        let bc1 = 1.0 - opt.beta1.powi(opt.step_count as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.step_count as i32);
+        for ((p, m), v) in params.iter_mut().zip(&mut opt.m).zip(&mut opt.v) {
+            for i in 0..p.value.len() {
+                let g = p.grad.data()[i];
+                let mi = opt.beta1 * m.data()[i] + (1.0 - opt.beta1) * g;
+                let vi = opt.beta2 * v.data()[i] + (1.0 - opt.beta2) * g * g;
+                m.data_mut()[i] = mi;
+                v.data_mut()[i] = vi;
+                let mhat = mi / bc1;
+                let vhat = vi / bc2;
+                let w = p.value.data()[i];
+                p.value.data_mut()[i] =
+                    w - opt.lr * (mhat / (vhat.sqrt() + opt.eps) + opt.weight_decay * w);
+            }
+        }
+    }
+
+    #[test]
+    fn adam_matches_its_scalar_reference_bitwise() {
+        let (mut a, mut b) = (net_with_grads(), net_with_grads());
+        let (mut opt_a, mut opt_b) = (Adam::new(0.01, 0.3), Adam::new(0.01, 0.3));
+        for _ in 0..4 {
+            opt_a.step(&mut a);
+            adam_reference(&mut opt_b, &mut b);
+            assert_eq!(bits(&a.flat_weights()), bits(&b.flat_weights()));
+        }
+        for (got, want) in [(&opt_a.m, &opt_b.m), (&opt_a.v, &opt_b.v)] {
+            for (g, w) in got.iter().zip(want) {
+                assert_eq!(bits(g.data()), bits(w.data()));
+            }
+        }
     }
 
     #[test]

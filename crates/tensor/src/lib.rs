@@ -11,6 +11,9 @@
 //!   passes ([`conv`]);
 //! - symmetric per-tensor INT8 quantization with straight-through-estimator
 //!   helpers for quantization-aware training ([`quant`]);
+//! - the in-place parameter sweeps of a training step and a delayed
+//!   aggregation — SGD with momentum, the Eq. 5 merge, the replica mean
+//!   ([`sweep`]);
 //! - weight initializers ([`init`]);
 //! - scratch-buffer pooling for allocation-free steady-state training
 //!   ([`pool`]) and opt-in kernel timing counters ([`profile`]);
@@ -43,6 +46,7 @@ pub mod profile;
 pub mod quant;
 pub mod runtime;
 mod shape;
+pub mod sweep;
 mod tensor;
 
 pub use pool::TensorPool;

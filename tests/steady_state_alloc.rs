@@ -1,0 +1,193 @@
+//! A guard against model-sized copies coming back into the training loop.
+//!
+//! This test binary counts, through its own `#[global_allocator]`, every
+//! allocation of at least the model's size (`param_count × 4` bytes: one
+//! flat copy of the weights, of a momentum family, or of the gradients),
+//! and a sink snapshots the count at each epoch's end. The first epoch may
+//! allocate what it likes — networks, momentum, scratch buffers growing to
+//! their working size. From the second epoch on a SoCFlow run steps,
+//! merges, aggregates and evaluates in storage it already owns, so the
+//! count must not move. One `#[test]` only: the allocator is global to the
+//! process.
+
+use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use socflow::engine::{Engine, Workload};
+use socflow::options::RunOptions;
+use socflow_data::DatasetPreset;
+use socflow_nn::models::ModelKind;
+use socflow_telemetry::{Event, EventSink};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
+
+/// Distinct large sizes the table can hold; more than any run here makes.
+const SLOTS: usize = 128;
+
+/// Sizes at or above which an allocation is recorded (`usize::MAX`: off).
+static FLOOR: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// `(size, count)` per distinct recorded size; a size of 0 is a free slot.
+static TABLE: [(AtomicUsize, AtomicUsize); SLOTS] =
+    [const { (AtomicUsize::new(0), AtomicUsize::new(0)) }; SLOTS];
+
+/// Counts one allocation of `size` bytes — without allocating.
+fn record(size: usize) {
+    if size < FLOOR.load(Relaxed) {
+        return;
+    }
+    for (slot, count) in &TABLE {
+        let held = match slot.compare_exchange(0, size, Relaxed, Relaxed) {
+            Ok(_) => size,
+            Err(held) => held,
+        };
+        if held == size {
+            count.fetch_add(1, Relaxed);
+            return;
+        }
+    }
+    panic!("more than {SLOTS} distinct large allocation sizes");
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// `record` only touches atomics.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            record(new_size); // a buffer growing, e.g. a `Vec` being extended
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `size → count` of every large allocation so far.
+fn snapshot() -> Vec<(usize, usize)> {
+    TABLE
+        .iter()
+        .map(|(size, count)| (size.load(Relaxed), count.load(Relaxed)))
+        .filter(|&(size, _)| size > 0)
+        .collect()
+}
+
+/// Snapshots the allocation table as each epoch completes.
+#[derive(Debug, Default)]
+struct EpochMarks(Mutex<Vec<Vec<(usize, usize)>>>);
+
+impl EventSink for EpochMarks {
+    fn emit(&self, event: &Event) {
+        if matches!(event, Event::EpochCompleted { .. }) {
+            self.0.lock().unwrap().push(snapshot());
+        }
+    }
+}
+
+/// What a large allocation of `size` bytes most likely is, for a model of
+/// `model` bytes — the class of call site to go looking for.
+fn class_of(size: usize, model: usize) -> &'static str {
+    match size as f64 / model as f64 {
+        r if (0.99..=1.01).contains(&r) => {
+            "one flat copy of the model: flat_weights / flat_velocity / a staging vector"
+        }
+        r if (1.01..2.5).contains(&r) => {
+            "a growing flat vector (extend_from_slice) or values + gradients: a Network clone"
+        }
+        _ => "not a multiple of the model: an activation, batch or scratch buffer",
+    }
+}
+
+/// Runs the job and asserts that no allocation of at least the model's
+/// size happens after the first epoch.
+fn assert_steady_state(label: &str, spec: TrainJobSpec, workload: Workload) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
+    let model = 4 * spec.model.build(workload.model_cfg, &mut rng).param_count();
+    let marks = Arc::new(EpochMarks::default());
+    let options = RunOptions {
+        sink: Some(marks.clone()),
+        ..RunOptions::default()
+    };
+    let mut engine = Engine::new(spec, workload, options);
+    FLOOR.store(model, Relaxed);
+    let result = engine.run();
+    FLOOR.store(usize::MAX, Relaxed);
+    assert_eq!(result.epoch_accuracy.len(), spec.epochs);
+
+    let marks = marks.0.lock().unwrap();
+    assert_eq!(marks.len(), spec.epochs);
+    let count_at = |mark: &[(usize, usize)], size| {
+        let held = mark.iter().find(|&&(s, _)| s == size);
+        held.map_or(0, |&(_, count)| count)
+    };
+    let warm: usize = marks[0].iter().map(|&(_, count)| count).sum();
+    println!(
+        "{label}: model {model} B; {warm} allocations of at least that in epoch 1, \
+         of {} distinct sizes",
+        marks[0].len()
+    );
+    let mut late = Vec::new();
+    for (epoch, pair) in marks.windows(2).enumerate() {
+        for &(size, count) in &pair[1] {
+            let new = count - count_at(&pair[0], size);
+            if new > 0 {
+                late.push(format!(
+                    "  epoch {}: {new} x {size} B ({:.2} x model) - {}",
+                    epoch + 2,
+                    size as f64 / model as f64,
+                    class_of(size, model)
+                ));
+            }
+        }
+    }
+    assert!(
+        late.is_empty(),
+        "{label}: allocations of at least the model's {model} B after the first epoch:\n{}",
+        late.join("\n")
+    );
+}
+
+#[test]
+fn nothing_model_sized_is_allocated_after_the_first_epoch() {
+    // LeNet, two mixed groups. The model is 20 KB, so every batch the run
+    // forwards — training, alpha probe, evaluation — is kept to 16 samples:
+    // a bigger one's activations would outweigh the model.
+    let mut spec = TrainJobSpec::new(
+        ModelKind::LeNet5,
+        DatasetPreset::FashionMnist,
+        MethodSpec::SocFlow(SocFlowConfig::with_groups(2)),
+    );
+    spec.socs = 8;
+    spec.epochs = 4;
+    spec.global_batch = 16;
+    spec.seed = 11;
+    let mut workload = Workload::standard(&spec, 128, 8, 0.5);
+    workload.test = workload.test.subset(&(0..16).collect::<Vec<_>>());
+    workload.probe = workload.test.head_batch(16);
+    assert_steady_state("lenet5, 2 mixed groups", spec, workload);
+
+    // VGG-11, four mixed groups, 160 test samples: evaluation runs in two
+    // shards. The model is 1.8 MB and no activation comes near it.
+    let mut spec = TrainJobSpec::new(
+        ModelKind::Vgg11,
+        DatasetPreset::Cifar10,
+        MethodSpec::SocFlow(SocFlowConfig::with_groups(4)),
+    );
+    spec.socs = 8;
+    spec.epochs = 3;
+    spec.seed = 11;
+    let workload = Workload::standard(&spec, 640, 8, 0.22);
+    assert!(workload.test.len() > 128);
+    assert_steady_state("vgg11, 4 mixed groups", spec, workload);
+}

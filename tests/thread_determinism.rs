@@ -110,6 +110,28 @@ fn baseline_and_federated_methods_are_thread_count_invariant() {
     }
 }
 
+/// Delayed aggregation averages every tensor in fixed chunks on the pool:
+/// four mixed replicas of a batch-norm model — weights, both momentum
+/// families and a sharded evaluation of the merged model — must come out
+/// byte-identical however many workers take the chunks.
+#[test]
+fn delayed_aggregation_is_thread_count_invariant() {
+    let mut spec = spec_of(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
+    spec.model = ModelKind::ResNet18;
+    // 640 / 4 = 160 test samples: two evaluation shards
+    let workload = Workload::standard(&spec, 640, 8, 0.18);
+    assert_thread_invariant("delayed aggregation", &|sink| {
+        Engine::new(
+            spec,
+            workload.clone(),
+            RunOptions {
+                sink: Some(sink),
+                ..RunOptions::default()
+            },
+        )
+    });
+}
+
 /// Wait-free gradient overlap changes only the *pricing* of an epoch (the
 /// fluid-timeline schedule), never the learning dynamics — so an overlap
 /// run's result and trace (bucket spans, `BucketFlushed` events and all)
