@@ -152,10 +152,8 @@ fn average_tensors<'r>(
 /// weights themselves.
 pub(super) fn average_replicas(replicas: &mut [Replica]) {
     average_tensors(replicas, |r| {
-        let mut weights = Vec::new();
-        r.net
-            .for_each_parameter_mut(|p| weights.push(p.value.data_mut()));
-        weights
+        let weights = r.net.parameters_mut().into_iter();
+        weights.map(|p| p.value.data_mut()).collect()
     });
     average_tensors(replicas, |r| r.opt.velocity_slices_mut().collect());
     if replicas[0].int8.is_some() {

@@ -123,7 +123,7 @@ impl Sgd {
     /// # Panics
     /// Panics if the network's parameter count changed since the first step.
     pub fn step(&mut self, net: &mut Network) {
-        self.sweep(net, |p, v, h| {
+        self.step_with(net, |p, v, h| {
             sweep::sgd_momentum(p.value.data_mut(), p.grad.data(), v, h)
         });
     }
@@ -134,13 +134,18 @@ impl Sgd {
     /// # Panics
     /// Panics if the network's parameter count changed since the first step.
     pub fn step_zero_grad(&mut self, net: &mut Network) {
-        self.sweep(net, |p, v, h| {
+        self.step_with(net, |p, v, h| {
             sweep::sgd_momentum_zero_grad(p.value.data_mut(), p.grad.data_mut(), v, h)
         });
     }
 
-    /// Pairs every parameter of `net` with its velocity buffer.
-    fn sweep(&mut self, net: &mut Network, update: impl Fn(&mut Parameter, &mut [f32], SgdStep)) {
+    /// One step: `update` on every parameter of `net` and its velocity
+    /// buffer.
+    fn step_with(
+        &mut self,
+        net: &mut Network,
+        update: impl Fn(&mut Parameter, &mut [f32], SgdStep),
+    ) {
         const CHANGED: &str = "parameter structure changed between optimizer steps";
         self.ensure_velocity(net);
         let h = SgdStep {

@@ -165,9 +165,6 @@ pub fn replica_mean(rows: &mut [&mut [f32]]) {
     );
     let isa = Isa::active();
     let inv_n = 1.0 / rows.len() as f32;
-    if len <= MEAN_CHUNK {
-        return replica_mean_slices(isa, rows, inv_n);
-    }
     let bases: Vec<SendPtr<f32>> = rows.iter_mut().map(|r| SendPtr::new(r)).collect();
     parallel_for_chunks(len.div_ceil(MEAN_CHUNK), &|c| {
         let lo = c * MEAN_CHUNK;
