@@ -232,10 +232,15 @@ fn streaming_runs_are_thread_count_invariant() {
 
 /// Training numerics across commits *and* pool sizes: `train --json` stdout
 /// of the binary before the ISA-dispatched kernels (one epoch of a
-/// batch-norm-free LeNet) and of the binary before the in-place parameter
+/// batch-norm-free LeNet), of the binary before the in-place parameter
 /// sweeps (three epochs over four mixed VGG-11 replicas, accuracy 0.11 →
-/// 0.20 → 0.30, so the averaged momentum of both arms feeds later steps).
-/// CI `cmp`s the CLI against the same two files.
+/// 0.20 → 0.30, so the averaged momentum of both arms feeds later steps)
+/// and of the binary before the live-tap convolution lowering (three epochs
+/// over two mixed ResNet-18 replicas: the stride-2 convs, projected 1×1
+/// shortcuts and residual blocks the other two lack; accuracy is still at
+/// chance, so the fingerprint is the `alpha_trace`, a cosine over probe
+/// logits that moves with any weight bit).
+/// CI `cmp`s the CLI against the same three files.
 #[test]
 fn mixed_training_matches_the_parent_commit_goldens_at_1_and_4_threads() {
     use socflow::options::Plan;
@@ -256,6 +261,13 @@ fn mixed_training_matches_the_parent_commit_goldens_at_1_and_4_threads() {
             DatasetPreset::Cifar10,
             0.22,
             (8, 4, 3, 768),
+        ),
+        (
+            include_str!("golden/train_resnet18_mixed_g2_e3_s11.json"),
+            ModelKind::ResNet18,
+            DatasetPreset::Cifar10,
+            0.18,
+            (8, 2, 3, 768),
         ),
     ];
     for (golden, model, preset, width, (socs, groups, epochs, samples)) in goldens {
