@@ -412,6 +412,27 @@ fn kernels(fast: bool) -> KernelDoc {
         linalg::matmul_i8_a_bt_slices(&qa2, &qbt2, &mut ci2, m2, k2, n2);
     });
 
+    // --- Both GEMMs well above their pool thresholds ---------------------
+    // 128³ sits below the i8 kernel's threshold and just above the f32
+    // one's; at 256³ both products go to the pool, so running the suite at
+    // SOCFLOW_THREADS=1 and =2 shows each threshold from both sides.
+    let (m3, k3, n3) = (256, 256, 256);
+    let a3 = tensor([m3, k3], 0x5eed_000d);
+    let b3 = tensor([k3, n3], 0x5eed_000e);
+    let mut c3 = Tensor::zeros([m3, n3]);
+    let big_shape = format!("{m3}x{k3}x{n3}");
+    let big_flops = 2.0 * (m3 * k3 * n3) as f64;
+    time("matmul", big_shape.clone(), big_flops, &mut || {
+        linalg::matmul_slices(a3.data(), b3.data(), c3.data_mut(), m3, k3, n3);
+    });
+    let (mut qa3, mut qbt3) = (Vec::new(), Vec::new());
+    quant::quantize_into(&a3, QuantParams::from_tensor(&a3), &mut qa3);
+    quant::quantize_into(&b3, QuantParams::from_tensor(&b3), &mut qbt3);
+    let mut ci3 = vec![0i32; m3 * n3];
+    time("matmul_i8", big_shape, big_flops, &mut || {
+        linalg::matmul_i8_a_bt_slices(&qa3, &qbt3, &mut ci3, m3, k3, n3);
+    });
+
     // --- Transpose (data movement; "flops" = elements moved) ------------
     let (tm, tn) = (256, 256);
     let src = tensor([tm, tn], 0x5eed_0007);
@@ -1152,8 +1173,8 @@ mod tests {
         }
         assert_eq!(
             doc.results.iter().filter(|r| r.op == "matmul_i8").count(),
-            2,
-            "integer GEMM rows at both shapes"
+            3,
+            "integer GEMM rows at all three shapes"
         );
         let ns = |op| {
             let cube = |r: &&KernelRow| r.op == op && r.shape == "128x128x128";

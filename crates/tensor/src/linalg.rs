@@ -69,11 +69,19 @@ thread_local! {
 /// shape only (never the thread count) to keep the partition deterministic.
 const ROWS_PER_CHUNK: usize = 32;
 
-/// Minimum multiply-add count before a product takes the parallel path;
-/// below this the pool round-trip costs more than the kernel itself. The
-/// serial and parallel paths produce identical bytes, so this threshold
+/// Minimum multiply-add count before an f32 product takes the parallel
+/// path; below this the pool round-trip costs more than the kernel itself.
+/// The serial and parallel paths produce identical bytes, so this threshold
 /// affects wall-clock only.
-const PAR_MIN_WORK: usize = 1 << 18;
+pub(crate) const PAR_MIN_WORK_F32: usize = 1 << 18;
+
+/// The same threshold for the i8 GEMM. The pool round-trip costs what it
+/// costs whatever the element type, and the widening-dot tile retires a
+/// multiply-add several times faster than the f32 panel does, so the i8
+/// break-even sits at a proportionally larger product. Measured on the
+/// 2-thread reference host: a 128³ product (2²¹ multiply-adds, ≈ 70 µs
+/// serial) ran 15 % *slower* on two workers, so it now stays serial.
+pub(crate) const PAR_MIN_WORK_I8: usize = 1 << 22;
 
 /// Splits `m` output rows into shape-fixed panels and runs
 /// `panel(i0, i1, out_rows)` for each on the worker pool. `out_rows` is the
@@ -97,9 +105,10 @@ fn par_row_panels<T: Send>(
     });
 }
 
-/// Whether a product of this shape is worth dispatching on the pool.
-fn worth_parallel(m: usize, k: usize, n: usize) -> bool {
-    m > ROWS_PER_CHUNK && m * k * n >= PAR_MIN_WORK && crate::runtime::threads() > 1
+/// Whether a product of this shape is worth dispatching on the pool, given
+/// its kernel's `min_work` ([`PAR_MIN_WORK_F32`] / [`PAR_MIN_WORK_I8`]).
+fn worth_parallel(m: usize, k: usize, n: usize, min_work: usize) -> bool {
+    m > ROWS_PER_CHUNK && m * k * n >= min_work && crate::runtime::threads() > 1
 }
 
 /// The micro-kernels' accumulate step: `acc[c] += av * brow[c]` over the
@@ -142,7 +151,7 @@ fn gemm_rows(isa: Isa, lhs: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize,
         let mut tail = tail.borrow_mut();
         pad_tail_columns(b, &mut tail, k, n);
         let tail = &tail[..];
-        if worth_parallel(m, k, n) {
+        if worth_parallel(m, k, n, PAR_MIN_WORK_F32) {
             par_row_panels(out, m, n, &|i0, i1, out_rows| {
                 gemm_panel(isa, lhs.rows_from(i0), b, tail, out_rows, i1 - i0, k, n);
             });
@@ -438,7 +447,7 @@ pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: u
     );
     let _t = Timer::start(KernelOp::MatmulI8);
     let isa = Isa::active();
-    if worth_parallel(m, k, n) {
+    if worth_parallel(m, k, n, PAR_MIN_WORK_I8) {
         par_row_panels(out, m, n, &|i0, i1, out_rows| {
             matmul_i8_panel(isa, &a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
         });
@@ -892,11 +901,23 @@ mod tests {
         }
     }
 
-    /// Row-parallel i8 GEMM is identical to the serial panel at 8 workers.
+    /// Row-parallel i8 GEMM is identical to the serial panel at 8 workers:
+    /// two shapes above `PAR_MIN_WORK_I8` with rows off the panel grid, and
+    /// the smaller ones that now stay serial.
     #[test]
     fn parallel_i8_matches_serial() {
         crate::runtime::set_threads(8);
-        for &(m, k, n) in &[(97, 64, 48), (130, 70, 33), (256, 64, 17)] {
+        let shapes = [
+            (161, 200, 136),
+            (97, 512, 96),
+            (97, 64, 48),
+            (130, 70, 33),
+            (256, 64, 17),
+        ];
+        assert!(shapes[..2]
+            .iter()
+            .all(|(m, k, n)| m * k * n >= PAR_MIN_WORK_I8));
+        for &(m, k, n) in &shapes {
             let a = rand_i8(m * k, (m + k) as u64);
             let b = rand_i8(n * k, (k + n + 7) as u64);
             let mut serial = vec![0i32; m * n];
@@ -1041,7 +1062,7 @@ mod tests {
     #[test]
     fn dispatched_gemms_match_portable_at_1_and_4_threads() {
         let mut shapes = awkward_shapes();
-        // above PAR_MIN_WORK, rows off the panel grid
+        // above PAR_MIN_WORK_F32, rows off the panel grid
         shapes.extend([(97, 64, 48), (130, 70, 33), (256, 64, 17), (64, 64, 64)]);
         for threads in [1, 4] {
             crate::runtime::set_threads(threads);
