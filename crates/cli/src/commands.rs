@@ -172,6 +172,7 @@ pub fn default_width(model: ModelKind) -> f32 {
 pub fn plan(opts: &Options) -> Result<(), String> {
     let cluster = ClusterSpec::for_socs(opts.socs);
     let groups = opts.groups.unwrap_or(opts.socs.div_euclid(4).max(1));
+    socflow::options::groups_in_range(groups, opts.socs).map_err(|e| e.to_string())?;
     println!(
         "cluster: {} boards x {} SoCs — planning {} logical groups over {} SoCs",
         cluster.boards, cluster.socs_per_board, groups, opts.socs
@@ -706,6 +707,27 @@ mod tests {
             ..Options::default()
         };
         plan(&opts).unwrap();
+    }
+
+    /// `plan --groups 0` and `--groups socs + 1` used to reach the mapper's
+    /// asserts (exit 101 with a backtrace); they get the message `train`
+    /// gives, and the ends of the legal range still plan.
+    #[test]
+    fn plan_rejects_a_group_count_outside_the_soc_count() {
+        for (groups, ok) in [(0, false), (9, false), (99, false), (1, true), (8, true)] {
+            let opts = Options {
+                socs: 8,
+                groups: Some(groups),
+                ..Options::default()
+            };
+            match plan(&opts) {
+                Ok(()) => assert!(ok, "--groups {groups} planned"),
+                Err(msg) => {
+                    assert!(!ok, "--groups {groups}: {msg}");
+                    assert!(msg.contains("--groups") && msg.contains("(8)"), "{msg}");
+                }
+            }
+        }
     }
 
     #[test]

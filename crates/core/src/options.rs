@@ -179,6 +179,20 @@ impl std::fmt::Display for OptionsError {
 
 impl std::error::Error for OptionsError {}
 
+/// The one rule for a logical-group count: `1..=socs`. Part of
+/// [`RunOptions::validate`]; `plan`, which maps groups without running a
+/// job, calls it directly.
+///
+/// # Errors
+/// [`OptionsError::GroupsOutOfRange`] otherwise.
+pub fn groups_in_range(groups: usize, socs: usize) -> Result<(), OptionsError> {
+    if (1..=socs).contains(&groups) {
+        Ok(())
+    } else {
+        Err(OptionsError::GroupsOutOfRange { groups, socs })
+    }
+}
+
 impl RunOptions {
     /// The one rule for which options a method accepts: the CLI prints the
     /// error, the scheduler and the engine panic with it.
@@ -210,13 +224,8 @@ impl RunOptions {
                 None => Ok(()),
             };
         };
-        match cfg.groups {
-            Some(groups) if !(1..=spec.socs).contains(&groups) => {
-                let socs = spec.socs;
-                Err(OptionsError::GroupsOutOfRange { groups, socs })
-            }
-            _ => Ok(()),
-        }
+        cfg.groups
+            .map_or(Ok(()), |groups| groups_in_range(groups, spec.socs))
     }
 
     /// [`Self::validate`], panicking with the error's message.
