@@ -15,6 +15,10 @@ use socflow_tensor::{init, Shape, Tensor, TensorPool};
 /// reused across batches; fake-quant operands and gradient staging come from
 /// a per-layer [`TensorPool`]. Train-time patches ping-pong between the
 /// scratch and the cache so eval forwards in between never clobber them.
+/// The cached matrix is `(n·oh·ow, ic·lh·lw)` — one column per channel and
+/// *live* kernel tap ([`socflow_tensor::conv::LiveTaps`]), so a 3×3 layer
+/// on a 1×1 map caches a ninth of what it would over all nine taps; the
+/// weight and its gradient keep their full `(oc, ic, k, k)` shape.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Parameter,
@@ -252,5 +256,93 @@ mod tests {
         let (patches, shape) = c.cached.as_ref().unwrap();
         assert_eq!(patches, &s.patches);
         assert_eq!(shape, x.shape());
+    }
+
+    /// The centre taps of a `(oc, ic, 3, 3)` tensor as the `(oc, ic, 1, 1)`
+    /// kernel that computes the same function on a 1×1 map.
+    fn centre_taps(t: &Tensor) -> Tensor {
+        let (oc, ic, _, _) = t.shape().as_nchw();
+        let centre = t.data().iter().skip(4).step_by(9);
+        Tensor::from_vec(centre.copied().collect(), [oc, ic, 1, 1])
+    }
+
+    /// On a 1×1 map only the centre tap of a 3×3 / pad-1 kernel is live, so
+    /// the layer must equal — bit for bit, through a training forward, an
+    /// eval forward of another batch in between, and the backward — the 1×1
+    /// convolution over its centre taps, which has no tap to drop; the dead
+    /// taps' gradient is `+0.0`.
+    #[test]
+    fn one_by_one_map_equals_the_centre_tap_convolution() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut c3 = Conv2d::new(5, 7, 3, 1, 1, &mut rng);
+        let mut c1 = Conv2d::new(5, 7, 1, 1, 0, &mut rng);
+        c1.weight.value = centre_taps(&c3.weight.value);
+        let x = init::normal([6, 5, 1, 1], 1.0, &mut rng);
+        let other = init::normal([3, 5, 1, 1], 1.0, &mut rng);
+        let gy = init::normal([6, 7, 1, 1], 1.0, &mut rng);
+        let (train, eval) = (Mode::train(Precision::Fp32), Mode::eval(Precision::Fp32));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        for step in 0..2 {
+            let (y3, y1) = (c3.forward(&x, train), c1.forward(&x, train));
+            assert_eq!(bits(&y3), bits(&y1), "step {step}: y");
+            let cached = &c3.cached.as_ref().unwrap().0;
+            assert_eq!(cached.shape().dims(), &[6, 5], "live-tap patch matrix");
+            assert_eq!(
+                bits(&c3.forward(&other, eval)),
+                bits(&c1.forward(&other, eval)),
+                "step {step}: eval forward in between"
+            );
+            c3.weight.grad.data_mut().fill(0.0);
+            c1.weight.grad.data_mut().fill(0.0);
+            let (gx3, gx1) = (c3.backward(&gy, train), c1.backward(&gy, train));
+            assert_eq!(bits(&gx3), bits(&gx1), "step {step}: dX");
+            assert_eq!(
+                bits(&centre_taps(&c3.weight.grad)),
+                bits(&c1.weight.grad),
+                "step {step}: dW"
+            );
+            let dead = c3
+                .weight
+                .grad
+                .data()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 9 != 4);
+            assert!(
+                dead.clone().all(|(_, g)| g.to_bits() == 0),
+                "step {step}: dead dW"
+            );
+            // an optimizer step: the next forward must see the new weights
+            for w in c3.weight.value.data_mut() {
+                *w *= 0.9;
+            }
+            c1.weight.value = centre_taps(&c3.weight.value);
+        }
+    }
+
+    /// The INT8 arm's gradient noise is drawn per element of the *full*
+    /// `(oc, ic, k, k)` gradient, so on a 1×1 map the dead taps — exact
+    /// zeros before the noise — receive it like every other tap.
+    #[test]
+    fn int8_gradient_noise_covers_the_dead_taps() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut c = Conv2d::new(3, 4, 3, 1, 1, &mut rng);
+        let x = init::normal([2, 3, 1, 1], 1.0, &mut rng);
+        let mode = Mode::train(Precision::Int8);
+        let y = c.forward(&x, mode);
+        c.backward(&y.scale(2.0), mode);
+        let dead = c
+            .weight
+            .grad
+            .data()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 9 != 4);
+        assert!(dead.clone().all(|(_, g)| g.is_finite()));
+        assert!(
+            dead.filter(|(_, g)| **g != 0.0).count() > 90,
+            "noise on 96 dead taps"
+        );
     }
 }

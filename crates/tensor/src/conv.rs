@@ -5,12 +5,31 @@
 //! [`matmul`](crate::linalg::matmul), and the backward pass reuses the same
 //! patch matrix (`dW = dYᵀ·patches`) plus a `col2im` scatter (`dX`).
 //!
+//! **Live taps.** The lowering walks only the kernel taps that can ever
+//! overlap the input ([`LiveTaps`]: a window `lh × lw` of the `kh × kw`
+//! kernel, a function of the geometry alone), so the patch matrix is
+//! `(n·oh·ow, c·lh·lw)`. A tap outside the window reads padding at every
+//! output position: its patch column is `0.0` in every row, and dropping it
+//! removes from each GEMM accumulator — started at `+0.0`, summed in
+//! ascending `p`, multiply and add separate ([`crate::linalg`]'s numerics
+//! contract) — only terms `acc + (±0.0)`, which cannot change `acc`. The
+//! surviving taps keep their `(ci, ky, kx)` order, the weight gradient at a
+//! dropped tap is written `+0.0` (what a sum of `g·0.0` gives), and `col2im`
+//! never scattered such a column, so every output is bit-identical to the
+//! lowering over all `kh·kw` taps — **provided weights and output gradients
+//! are finite**: `0.0·∞` on a padding tap used to turn a diverged run's
+//! outputs to NaN, and a tap that is never read cannot. When the window is
+//! the whole kernel (any map larger than the kernel's reach) the patch
+//! matrix is the classic `(n·oh·ow, c·kh·kw)` one and the weight tensor is
+//! consumed as a raw `(oc, ic·kh·kw)` view of its storage — no
+//! clone/reshape; otherwise its live `(oc, ic·lh·lw)` view is gathered into
+//! the layer's [`ConvScratch`] on every call.
+//!
 //! The heavy entry points come in two flavors: allocating wrappers
 //! ([`conv2d`], [`conv2d_backward`], [`im2col`], [`col2im`]) and
 //! scratch-reusing variants ([`conv2d_scratch`], [`conv2d_backward_scratch`],
 //! [`im2col_into`], [`col2im_into`]) that write into caller-owned buffers so
-//! steady-state training allocates nothing per batch. The weight tensor is
-//! consumed as a raw `(oc, ic·kh·kw)` view of its storage — no clone/reshape.
+//! steady-state training allocates nothing per batch.
 //!
 //! All image tensors are NCHW.
 
@@ -64,8 +83,118 @@ impl Default for ConvParams {
     }
 }
 
+/// The kernel taps of a convolution that can ever overlap its input.
+///
+/// Tap `(ky, kx)` is *live* iff some output position maps it inside the
+/// `h × w` input; every other tap only ever reads padding. The value is the
+/// smallest window `[ky0, ky1) × [kx0, kx1)` holding every live tap — a
+/// function of `(h, w, kh, kw, stride, padding)` alone, one axis at a time.
+/// A 3×3 / pad-1 kernel keeps its centre tap on a 1×1 map, the 2×2 window
+/// from `(1, 1)` at stride 2 on a 2×2 map, and all nine taps on any map of
+/// 2×2 or more at stride 1; a 1×1 or an unpadded kernel always keeps the
+/// whole kernel. (At a stride above 1 a tap *inside* the window can be
+/// dead; it is lowered like a live one and reads the zeros it always did. A
+/// geometry with no live tap at all keeps the whole kernel.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiveTaps {
+    kh: usize,
+    kw: usize,
+    ky0: usize,
+    ky1: usize,
+    kx0: usize,
+    kx1: usize,
+}
+
+impl LiveTaps {
+    /// The live window of a `kh × kw` kernel over an `h × w` input.
+    ///
+    /// # Panics
+    /// Panics if the window does not fit the padded input.
+    pub fn of(h: usize, w: usize, kh: usize, kw: usize, p: ConvParams) -> Self {
+        let axis = |in_size: usize, k: usize| {
+            let out = p.out_size(in_size, k);
+            // `o`: the first output position whose window puts tap `t` at or
+            // past the input's first element. Later ones only move it
+            // further right, so `t` is live iff this one lands inside.
+            let live = |t: &usize| {
+                let o = p.padding.saturating_sub(*t).div_ceil(p.stride);
+                o < out && o * p.stride + t < p.padding + in_size
+            };
+            match ((0..k).find(live), (0..k).rfind(live)) {
+                (Some(first), Some(last)) => (first, last + 1),
+                _ => (0, k),
+            }
+        };
+        let (ky0, ky1) = axis(h, kh);
+        let (kx0, kx1) = axis(w, kw);
+        LiveTaps {
+            kh,
+            kw,
+            ky0,
+            ky1,
+            kx0,
+            kx1,
+        }
+    }
+
+    /// Live kernel rows `[ky0, ky1)`.
+    pub fn rows(&self) -> std::ops::Range<usize> {
+        self.ky0..self.ky1
+    }
+
+    /// Live kernel columns `[kx0, kx1)`.
+    pub fn cols(&self) -> std::ops::Range<usize> {
+        self.kx0..self.kx1
+    }
+
+    /// Taps in the window, `lh · lw`: the patch matrix has this many
+    /// columns per input channel.
+    pub fn taps(&self) -> usize {
+        self.rows().len() * self.cols().len()
+    }
+
+    /// `true` when the window is the whole kernel, i.e. the lowering is the
+    /// classic one and weights are read in place.
+    pub fn is_full(&self) -> bool {
+        self.taps() == self.kh * self.kw
+    }
+
+    /// Calls `f(i, at)` for every live tap of `planes` consecutive
+    /// `kh × kw` kernels: `at` is the tap's offset in that storage and `i`
+    /// its offset in the live view, which keeps `(plane, ky, kx)` order.
+    fn for_each_tap(&self, planes: usize, mut f: impl FnMut(usize, usize)) {
+        let mut i = 0;
+        for plane in 0..planes {
+            for ky in self.rows() {
+                let row = (plane * self.kh + ky) * self.kw;
+                for kx in self.cols() {
+                    f(i, row + kx);
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// `weight: (oc, ic, kh, kw)` as the `(oc, ic·lh·lw)` matrix the GEMMs
+    /// consume: the storage itself when every tap is live, otherwise the
+    /// live taps gathered into `buf` — afresh on every call, the weights
+    /// having moved since the last one.
+    fn weight_view<'a>(&self, weight: &'a Tensor, buf: &'a mut Tensor) -> &'a [f32] {
+        if self.is_full() {
+            return weight.data();
+        }
+        let (oc, ic, _, _) = weight.shape().as_nchw();
+        buf.resize([oc, ic * self.taps()]);
+        let (src, dst) = (weight.data(), buf.data_mut());
+        self.for_each_tap(oc * ic, |i, at| dst[i] = src[at]);
+        buf.data()
+    }
+}
+
 /// Lowers NCHW `input` into a patch matrix of shape
-/// `(n·oh·ow, c·kh·kw)`; returns `(patches, oh, ow)`.
+/// `(n·oh·ow, c·lh·lw)`, one column per channel and *live* tap
+/// ([`LiveTaps`]; `lh·lw = kh·kw` unless the map is smaller than the
+/// kernel's reach); returns `(patches, oh, ow)`.
 ///
 /// # Panics
 /// Panics if `input` is not rank-4 or the window does not fit.
@@ -89,8 +218,9 @@ pub fn im2col_into(
     let (n, c, h, w) = input.shape().as_nchw();
     let oh = p.out_size(h, kh);
     let ow = p.out_size(w, kw);
+    let live = LiveTaps::of(h, w, kh, kw, p);
     let rows = n * oh * ow;
-    let cols = c * kh * kw;
+    let cols = c * live.taps();
     let _t = Timer::start(KernelOp::Im2col);
     patches.resize([rows, cols]);
     let out = patches.data_mut();
@@ -105,19 +235,19 @@ pub fn im2col_into(
         runtime::parallel_for_chunks(n, &|ni| {
             // Safety: per-sample regions are disjoint and in-bounds.
             let sample = unsafe { out_ptr.slice(ni * sample_rows, sample_rows) };
-            im2col_sample(data, sample, ni, c, h, w, kh, kw, oh, ow, p);
+            im2col_sample(data, sample, ni, c, h, w, live, oh, ow, p);
         });
     } else {
         for ni in 0..n {
             let sample = &mut out[ni * sample_rows..(ni + 1) * sample_rows];
-            im2col_sample(data, sample, ni, c, h, w, kh, kw, oh, ow, p);
+            im2col_sample(data, sample, ni, c, h, w, live, oh, ow, p);
         }
     }
     (oh, ow)
 }
 
 /// Extracts the patch rows of batch sample `ni` into `out` (that sample's
-/// `oh·ow × c·kh·kw` region of the patch matrix).
+/// `oh·ow × c·lh·lw` region of the patch matrix).
 #[allow(clippy::too_many_arguments)]
 fn im2col_sample(
     data: &[f32],
@@ -126,13 +256,13 @@ fn im2col_sample(
     c: usize,
     h: usize,
     w: usize,
-    kh: usize,
-    kw: usize,
+    live: LiveTaps,
     oh: usize,
     ow: usize,
     p: ConvParams,
 ) {
-    let cols = c * kh * kw;
+    let (lh, lw) = (live.rows().len(), live.cols().len());
+    let cols = c * lh * lw;
     // Zero first: padding positions are skipped by the scatter below and must
     // read as zero even when the buffer is recycled.
     out.fill(0.0);
@@ -142,19 +272,19 @@ fn im2col_sample(
             let row = (oy * ow + ox) * cols;
             for ci in 0..c {
                 let chan = (ni * c + ci) * h * w;
-                for ky in 0..kh {
+                for ky in live.rows() {
                     let iy = (oy * p.stride + ky) as isize - pad;
                     if iy < 0 || iy >= h as isize {
                         continue;
                     }
                     let src_row = chan + iy as usize * w;
-                    let dst = row + (ci * kh + ky) * kw;
-                    for kx in 0..kw {
+                    let dst = row + (ci * lh + ky - live.ky0) * lw;
+                    for kx in live.cols() {
                         let ix = (ox * p.stride + kx) as isize - pad;
                         if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        out[dst + kx] = data[src_row + ix as usize];
+                        out[dst + kx - live.kx0] = data[src_row + ix as usize];
                     }
                 }
             }
@@ -162,7 +292,8 @@ fn im2col_sample(
     }
 }
 
-/// Inverse of [`im2col`]: scatters (accumulates) a patch-matrix gradient back
+/// Inverse of [`im2col`]: scatters (accumulates) a `(n·oh·ow, c·lh·lw)`
+/// patch-matrix gradient — live taps only, as [`im2col`] lays them out — back
 /// into an NCHW gradient of shape `(n, c, h, w)`.
 ///
 /// # Panics
@@ -201,11 +332,12 @@ pub fn col2im_into(
 ) {
     let oh = p.out_size(h, kh);
     let ow = p.out_size(w, kw);
-    let cols = c * kh * kw;
+    let live = LiveTaps::of(h, w, kh, kw, p);
+    let cols = c * live.taps();
     assert_eq!(
         patches.shape().dims(),
         &[n * oh * ow, cols],
-        "patch matrix shape mismatch"
+        "patch matrix shape mismatch (rows n·oh·ow, one column per channel and live tap)"
     );
     let _t = Timer::start(KernelOp::Col2im);
     grad.resize([n, c, h, w]);
@@ -221,12 +353,12 @@ pub fn col2im_into(
         runtime::parallel_for_chunks(n, &|ni| {
             // Safety: per-sample regions are disjoint and in-bounds.
             let sample = unsafe { out_ptr.slice(ni * sample_len, sample_len) };
-            col2im_sample(data, sample, ni, c, h, w, kh, kw, oh, ow, p);
+            col2im_sample(data, sample, ni, c, h, w, live, oh, ow, p);
         });
     } else {
         for ni in 0..n {
             let sample = &mut out[ni * sample_len..(ni + 1) * sample_len];
-            col2im_sample(data, sample, ni, c, h, w, kh, kw, oh, ow, p);
+            col2im_sample(data, sample, ni, c, h, w, live, oh, ow, p);
         }
     }
 }
@@ -241,13 +373,13 @@ fn col2im_sample(
     c: usize,
     h: usize,
     w: usize,
-    kh: usize,
-    kw: usize,
+    live: LiveTaps,
     oh: usize,
     ow: usize,
     p: ConvParams,
 ) {
-    let cols = c * kh * kw;
+    let (lh, lw) = (live.rows().len(), live.cols().len());
+    let cols = c * lh * lw;
     out.fill(0.0);
     let pad = p.padding as isize;
     for oy in 0..oh {
@@ -255,19 +387,19 @@ fn col2im_sample(
             let row = ((ni * oh + oy) * ow + ox) * cols;
             for ci in 0..c {
                 let chan = ci * h * w;
-                for ky in 0..kh {
+                for ky in live.rows() {
                     let iy = (oy * p.stride + ky) as isize - pad;
                     if iy < 0 || iy >= h as isize {
                         continue;
                     }
                     let dst_row = chan + iy as usize * w;
-                    let src = row + (ci * kh + ky) * kw;
-                    for kx in 0..kw {
+                    let src = row + (ci * lh + ky - live.ky0) * lw;
+                    for kx in live.cols() {
                         let ix = (ox * p.stride + kx) as isize - pad;
                         if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        out[dst_row + ix as usize] += data[src + kx];
+                        out[dst_row + ix as usize] += data[src + kx - live.kx0];
                     }
                 }
             }
@@ -278,20 +410,29 @@ fn col2im_sample(
 /// Reusable scratch buffers for one convolution layer.
 ///
 /// Holds the im2col patch matrix (shared between forward and backward) plus
-/// the staging matrices of both passes. Owned by the layer that runs the
-/// convolution; `Clone` yields empty buffers so cloning a layer never aliases
-/// scratch storage (see [`crate::pool`] for the ownership rules).
+/// the staging matrices of both passes and — for a layer whose map is
+/// smaller than its kernel's reach — the live-tap views of its weights and
+/// weight gradient ([`LiveTaps`]; sized once per layer, empty otherwise).
+/// Owned by the layer that runs the convolution; `Clone` yields empty
+/// buffers so cloning a layer never aliases scratch storage (see
+/// [`crate::pool`] for the ownership rules).
 #[derive(Debug, Default)]
 pub struct ConvScratch {
-    /// The im2col patch matrix of the last forward pass.
+    /// The `(n·oh·ow, ic·lh·lw)` im2col patch matrix of the last forward
+    /// pass.
     pub patches: Tensor,
     /// `(n·oh·ow, oc)` staging matrix (forward output / backward gradient).
     mat: Tensor,
     /// Patch-gradient matrix of the backward pass.
     gpatches: Tensor,
+    /// Live `(oc, ic·lh·lw)` view of the weights, when some tap is dead.
+    wlive: Tensor,
+    /// Live `(oc, ic·lh·lw)` weight gradient, before it is scattered into
+    /// the `(oc, ic, kh, kw)` one.
+    gwlive: Tensor,
     /// Quantized patch matrix of the integer forward path.
     qpatches: Vec<i8>,
-    /// Quantized `(oc, ic·kh·kw)` weight view of the integer forward path.
+    /// Quantized `(oc, ic·lh·lw)` weight view of the integer forward path.
     qweight: Vec<i8>,
     /// i32 accumulator of the integer forward path.
     imat: Vec<i32>,
@@ -330,18 +471,20 @@ pub fn conv2d_scratch(
     scratch: &mut ConvScratch,
     out: &mut Tensor,
 ) {
-    let (n, ic, _h, _w) = input.shape().as_nchw();
+    let (n, ic, h, w) = input.shape().as_nchw();
     let (oc, ic2, kh, kw) = weight.shape().as_nchw();
     assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
     let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
+    let live = LiveTaps::of(h, w, kh, kw, p);
     let rows = n * oh * ow;
-    let cols = ic * kh * kw;
-    // (n·oh·ow, cols) × (oc, cols)ᵀ = (n·oh·ow, oc); the weight storage is
-    // already the row-major (oc, cols) matrix — no clone/reshape needed.
+    let cols = ic * live.taps();
+    // (n·oh·ow, cols) × (oc, cols)ᵀ = (n·oh·ow, oc); with every tap live the
+    // weight storage is already the row-major (oc, cols) matrix — no
+    // clone/reshape needed.
     scratch.mat.resize([rows, oc]);
     linalg::matmul_a_bt_slices(
         scratch.patches.data(),
-        weight.data(),
+        live.weight_view(weight, &mut scratch.wlive),
         scratch.mat.data_mut(),
         rows,
         cols,
@@ -353,12 +496,15 @@ pub fn conv2d_scratch(
 /// Integer-path forward convolution: the INT8 replica arm's conv kernel.
 ///
 /// Lowers the raw input with im2col, quantizes the patch matrix and the
-/// `(oc, ic·kh·kw)` weight view to symmetric per-tensor INT8, runs the
+/// live `(oc, ic·lh·lw)` weight view to symmetric per-tensor INT8, runs the
 /// `i8×i8→i32` GEMM ([`linalg::matmul_i8_a_bt_slices`]) and applies both
 /// scales once at the i32→f32 epilogue — no f32 fake-quant matmul anywhere
 /// on this path. The patch scale is taken from the patch matrix itself
 /// (padding zeros cannot raise max-|x|, so it equals the in-window input
-/// scale).
+/// scale, whichever taps are lowered). The weight scale is taken from the
+/// **whole** weight tensor: a tap that only ever reads padding still
+/// carries weight decay, momentum and gradient noise, so it is not zero
+/// and may well hold the maximum.
 ///
 /// On return `scratch.patches` holds the **dequantized** patch matrix — the
 /// exact values the integer kernel consumed — so the standard
@@ -375,16 +521,22 @@ pub fn conv2d_int8_scratch(
     scratch: &mut ConvScratch,
     out: &mut Tensor,
 ) -> (QuantParams, QuantParams) {
-    let (n, ic, _h, _w) = input.shape().as_nchw();
+    let (n, ic, h, w) = input.shape().as_nchw();
     let (oc, ic2, kh, kw) = weight.shape().as_nchw();
     assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
     let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
+    let live = LiveTaps::of(h, w, kh, kw, p);
     let rows = n * oh * ow;
-    let cols = ic * kh * kw;
+    let cols = ic * live.taps();
     let pp = QuantParams::from_tensor(&scratch.patches);
     let pw = QuantParams::from_tensor(weight);
     quant::quantize_into(&scratch.patches, pp, &mut scratch.qpatches);
-    quant::quantize_into(weight, pw, &mut scratch.qweight);
+    if live.is_full() {
+        quant::quantize_into(weight, pw, &mut scratch.qweight);
+    } else {
+        live.weight_view(weight, &mut scratch.wlive);
+        quant::quantize_into(&scratch.wlive, pw, &mut scratch.qweight);
+    }
     scratch.imat.clear();
     scratch.imat.resize(rows * oc, 0);
     linalg::matmul_i8_a_bt_slices(
@@ -438,9 +590,11 @@ pub fn conv2d_backward(
 /// [`conv2d_backward`] reusing `scratch` staging buffers and writing the
 /// gradients into `gx` / `gw`.
 ///
-/// `patches` is the im2col matrix of the matching forward pass — usually
-/// `scratch.patches` moved out by the caller (a layer caches the train-time
-/// patches while the scratch may be overwritten by eval forwards in between).
+/// `patches` is the `(n·oh·ow, ic·lh·lw)` im2col matrix of the matching
+/// forward pass — usually `scratch.patches` moved out by the caller (a layer
+/// caches the train-time patches while the scratch may be overwritten by
+/// eval forwards in between). `gw` is always the full `(oc, ic, kh, kw)`
+/// gradient; a tap outside the live window gets `+0.0`.
 ///
 /// # Panics
 /// Panics on any geometry inconsistency.
@@ -459,25 +613,45 @@ pub fn conv2d_backward_scratch(
     let (oc, _ic, kh, kw) = weight.shape().as_nchw();
     let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
     assert_eq!((gn, goc), (n, oc), "grad_out batch/channel mismatch");
+    let live = LiveTaps::of(h, w, kh, kw, p);
     let rows = n * oh * ow;
-    let cols = ic * kh * kw;
+    let cols = ic * live.taps();
+    assert_eq!(
+        patches.shape().dims(),
+        &[rows, cols],
+        "conv2d_backward: `patches` must be the forward pass's (n·oh·ow, ic·lh·lw) = \
+         ({rows}, {cols}) patch matrix ({} of the {kh}x{kw} taps are live on a {h}x{w} input)",
+        live.taps()
+    );
     // (n·oh·ow, oc)
     nchw_to_nhwc_rows_into(grad_out, &mut scratch.mat);
-    // dW = gmatᵀ × patches  →  (oc, ic·kh·kw)
+    // dW = gmatᵀ × patches  →  (oc, ic·lh·lw)
     gw.resize([oc, ic, kh, kw]);
+    let gwmat = if live.is_full() {
+        &mut *gw
+    } else {
+        scratch.gwlive.resize([oc, cols]);
+        &mut scratch.gwlive
+    };
     linalg::matmul_at_b_slices(
         scratch.mat.data(),
         patches.data(),
-        gw.data_mut(),
+        gwmat.data_mut(),
         oc,
         rows,
         cols,
     );
-    // dPatches = gmat × Wmat  →  (n·oh·ow, ic·kh·kw)
+    if !live.is_full() {
+        // a dead tap's gradient is a sum of `g · 0.0`: exactly `+0.0`
+        let (src, dst) = (scratch.gwlive.data(), gw.data_mut());
+        dst.fill(0.0);
+        live.for_each_tap(oc * ic, |i, at| dst[at] = src[i]);
+    }
+    // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
     scratch.gpatches.resize([rows, cols]);
     linalg::matmul_slices(
         scratch.mat.data(),
-        weight.data(),
+        live.weight_view(weight, &mut scratch.wlive),
         scratch.gpatches.data_mut(),
         rows,
         oc,
@@ -607,6 +781,8 @@ pub fn global_avg_pool_backward(grad_out: &Tensor, input_shape: &Shape) -> Tenso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn seq_tensor(shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
@@ -818,6 +994,540 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
+    /// The lowering over all `kh·kw` taps — the per-sample bodies and the
+    /// three convolutions exactly as they stood before the live-tap window
+    /// (the batch loops serial, which the pool path equalled byte for byte) —
+    /// kept as the reference the live-tap lowering must equal bit for bit.
+    mod reference {
+        use super::super::*;
+
+        pub fn im2col_into(
+            input: &Tensor,
+            kh: usize,
+            kw: usize,
+            p: ConvParams,
+            patches: &mut Tensor,
+        ) -> (usize, usize) {
+            let (n, c, h, w) = input.shape().as_nchw();
+            let oh = p.out_size(h, kh);
+            let ow = p.out_size(w, kw);
+            let cols = c * kh * kw;
+            patches.resize([n * oh * ow, cols]);
+            let sample_rows = oh * ow * cols;
+            for (ni, sample) in patches
+                .data_mut()
+                .chunks_mut(sample_rows.max(1))
+                .enumerate()
+            {
+                im2col_sample(input.data(), sample, ni, c, h, w, kh, kw, oh, ow, p);
+            }
+            (oh, ow)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn im2col_sample(
+            data: &[f32],
+            out: &mut [f32],
+            ni: usize,
+            c: usize,
+            h: usize,
+            w: usize,
+            kh: usize,
+            kw: usize,
+            oh: usize,
+            ow: usize,
+            p: ConvParams,
+        ) {
+            let cols = c * kh * kw;
+            // Zero first: padding positions are skipped by the scatter below and must
+            // read as zero even when the buffer is recycled.
+            out.fill(0.0);
+            let pad = p.padding as isize;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = (oy * ow + ox) * cols;
+                    for ci in 0..c {
+                        let chan = (ni * c + ci) * h * w;
+                        for ky in 0..kh {
+                            let iy = (oy * p.stride + ky) as isize - pad;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            let src_row = chan + iy as usize * w;
+                            let dst = row + (ci * kh + ky) * kw;
+                            for kx in 0..kw {
+                                let ix = (ox * p.stride + kx) as isize - pad;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                out[dst + kx] = data[src_row + ix as usize];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn col2im_into(
+            patches: &Tensor,
+            n: usize,
+            c: usize,
+            h: usize,
+            w: usize,
+            kh: usize,
+            kw: usize,
+            p: ConvParams,
+            grad: &mut Tensor,
+        ) {
+            let oh = p.out_size(h, kh);
+            let ow = p.out_size(w, kw);
+            assert_eq!(patches.shape().dims(), &[n * oh * ow, c * kh * kw]);
+            grad.resize([n, c, h, w]);
+            for (ni, sample) in grad.data_mut().chunks_mut((c * h * w).max(1)).enumerate() {
+                col2im_sample(patches.data(), sample, ni, c, h, w, kh, kw, oh, ow, p);
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn col2im_sample(
+            data: &[f32],
+            out: &mut [f32],
+            ni: usize,
+            c: usize,
+            h: usize,
+            w: usize,
+            kh: usize,
+            kw: usize,
+            oh: usize,
+            ow: usize,
+            p: ConvParams,
+        ) {
+            let cols = c * kh * kw;
+            out.fill(0.0);
+            let pad = p.padding as isize;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = ((ni * oh + oy) * ow + ox) * cols;
+                    for ci in 0..c {
+                        let chan = ci * h * w;
+                        for ky in 0..kh {
+                            let iy = (oy * p.stride + ky) as isize - pad;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            let dst_row = chan + iy as usize * w;
+                            let src = row + (ci * kh + ky) * kw;
+                            for kx in 0..kw {
+                                let ix = (ox * p.stride + kx) as isize - pad;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                out[dst_row + ix as usize] += data[src + kx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn conv2d_scratch(
+            input: &Tensor,
+            weight: &Tensor,
+            p: ConvParams,
+            scratch: &mut ConvScratch,
+            out: &mut Tensor,
+        ) {
+            let (n, ic, _h, _w) = input.shape().as_nchw();
+            let (oc, ic2, kh, kw) = weight.shape().as_nchw();
+            assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
+            let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
+            let rows = n * oh * ow;
+            let cols = ic * kh * kw;
+            // (n·oh·ow, cols) × (oc, cols)ᵀ = (n·oh·ow, oc); the weight storage is
+            // already the row-major (oc, cols) matrix — no clone/reshape needed.
+            scratch.mat.resize([rows, oc]);
+            linalg::matmul_a_bt_slices(
+                scratch.patches.data(),
+                weight.data(),
+                scratch.mat.data_mut(),
+                rows,
+                cols,
+                oc,
+            );
+            nhwc_rows_to_nchw_into(&scratch.mat, n, oc, oh, ow, out);
+        }
+
+        pub fn conv2d_int8_scratch(
+            input: &Tensor,
+            weight: &Tensor,
+            p: ConvParams,
+            scratch: &mut ConvScratch,
+            out: &mut Tensor,
+        ) -> (QuantParams, QuantParams) {
+            let (n, ic, _h, _w) = input.shape().as_nchw();
+            let (oc, ic2, kh, kw) = weight.shape().as_nchw();
+            assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
+            let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
+            let rows = n * oh * ow;
+            let cols = ic * kh * kw;
+            let pp = QuantParams::from_tensor(&scratch.patches);
+            let pw = QuantParams::from_tensor(weight);
+            quant::quantize_into(&scratch.patches, pp, &mut scratch.qpatches);
+            quant::quantize_into(weight, pw, &mut scratch.qweight);
+            scratch.imat.clear();
+            scratch.imat.resize(rows * oc, 0);
+            linalg::matmul_i8_a_bt_slices(
+                &scratch.qpatches,
+                &scratch.qweight,
+                &mut scratch.imat,
+                rows,
+                cols,
+                oc,
+            );
+            scratch.mat.resize([rows, oc]);
+            quant::scale_i32_into(&scratch.imat, pp.scale * pw.scale, scratch.mat.data_mut());
+            nhwc_rows_to_nchw_into(&scratch.mat, n, oc, oh, ow, out);
+            // Replace the raw patches with their dequantized INT8 values for backward.
+            let shape = scratch.patches.shape().clone();
+            quant::dequantize_into(&scratch.qpatches, shape, pp, &mut scratch.patches);
+            (pp, pw)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn conv2d_backward_scratch(
+            grad_out: &Tensor,
+            patches: &Tensor,
+            weight: &Tensor,
+            input_shape: &Shape,
+            p: ConvParams,
+            scratch: &mut ConvScratch,
+            gx: &mut Tensor,
+            gw: &mut Tensor,
+        ) {
+            let (n, ic, h, w) = input_shape.as_nchw();
+            let (oc, _ic, kh, kw) = weight.shape().as_nchw();
+            let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
+            assert_eq!((gn, goc), (n, oc), "grad_out batch/channel mismatch");
+            let rows = n * oh * ow;
+            let cols = ic * kh * kw;
+            // (n·oh·ow, oc)
+            nchw_to_nhwc_rows_into(grad_out, &mut scratch.mat);
+            // dW = gmatᵀ × patches  →  (oc, ic·kh·kw)
+            gw.resize([oc, ic, kh, kw]);
+            linalg::matmul_at_b_slices(
+                scratch.mat.data(),
+                patches.data(),
+                gw.data_mut(),
+                oc,
+                rows,
+                cols,
+            );
+            // dPatches = gmat × Wmat  →  (n·oh·ow, ic·kh·kw)
+            scratch.gpatches.resize([rows, cols]);
+            linalg::matmul_slices(
+                scratch.mat.data(),
+                weight.data(),
+                scratch.gpatches.data_mut(),
+                rows,
+                oc,
+                cols,
+            );
+            col2im_into(&scratch.gpatches, n, ic, h, w, kh, kw, p, gx);
+        }
+    }
+
+    /// Bit patterns, so `-0.0` against `+0.0` and NaN payloads count.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Values in `[-1, 1)` with exact `+0.0` and `-0.0` sprinkled in.
+    fn signed_zero_values(shape: impl Into<Shape>, rng: &mut StdRng) -> Tensor {
+        let shape = shape.into();
+        let data = (0..shape.len())
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+            .collect();
+        Tensor::from_vec(data, shape)
+    }
+
+    /// Finite non-zero weights: a dead tap must not be able to hide behind
+    /// a zero weight.
+    fn weights(shape: impl Into<Shape>, rng: &mut StdRng) -> Tensor {
+        let shape = shape.into();
+        let data = (0..shape.len())
+            .map(|_| rng.gen_range(0.05f32..1.0) * if rng.gen() { 1.0 } else { -1.0 })
+            .collect();
+        Tensor::from_vec(data, shape)
+    }
+
+    /// A gradient buffer as a layer's pool hands it over: right size, stale
+    /// contents.
+    fn stale(shape: impl Into<Shape>) -> Tensor {
+        let shape = shape.into();
+        Tensor::from_vec(vec![f32::NAN; shape.len()], shape)
+    }
+
+    /// One convolution through the live-tap lowering and through the
+    /// reference, forward (f32 or INT8) and backward, each side recycling
+    /// its own scratch; asserts `y`, the scales, `dX` and `dW` equal bit
+    /// for bit. `what` names the case in a failure.
+    fn assert_matches_reference(
+        x: &Tensor,
+        w: &Tensor,
+        gy_of: &dyn Fn(&Tensor) -> Tensor,
+        p: ConvParams,
+        int8: bool,
+        scratch: &mut (ConvScratch, ConvScratch),
+        what: &str,
+    ) {
+        let (s, r) = scratch;
+        let (mut y, mut ry) = (Tensor::default(), Tensor::default());
+        if int8 {
+            let scales = conv2d_int8_scratch(x, w, p, s, &mut y);
+            let rscales = reference::conv2d_int8_scratch(x, w, p, r, &mut ry);
+            assert_eq!(scales, rscales, "{what}: quantization scales");
+        } else {
+            conv2d_scratch(x, w, p, s, &mut y);
+            reference::conv2d_scratch(x, w, p, r, &mut ry);
+        }
+        assert_eq!(y.shape(), ry.shape(), "{what}: output shape");
+        assert_eq!(bits(&y), bits(&ry), "{what}: y");
+
+        let gy = gy_of(&y);
+        let (oc, ic, kh, kw) = w.shape().as_nchw();
+        let (mut gx, mut rgx) = (stale(x.shape().clone()), stale(x.shape().clone()));
+        let (mut gw, mut rgw) = (stale([oc, ic, kh, kw]), stale([oc, ic, kh, kw]));
+        let patches = std::mem::take(&mut s.patches);
+        conv2d_backward_scratch(&gy, &patches, w, x.shape(), p, s, &mut gx, &mut gw);
+        s.patches = patches;
+        let patches = std::mem::take(&mut r.patches);
+        reference::conv2d_backward_scratch(&gy, &patches, w, x.shape(), p, r, &mut rgx, &mut rgw);
+        r.patches = patches;
+        assert_eq!(bits(&gx), bits(&rgx), "{what}: dX");
+        assert_eq!(gw.shape(), rgw.shape(), "{what}: dW shape");
+        assert_eq!(bits(&gw), bits(&rgw), "{what}: dW");
+    }
+
+    /// The window rule on the geometries the model zoo meets at 8×8 inputs
+    /// (and the ones that must keep the whole kernel).
+    #[test]
+    fn live_window_rule() {
+        let window = |h, w, k, stride, pad| {
+            let live = LiveTaps::of(h, w, k, k, ConvParams::new(stride, pad));
+            (live.rows(), live.cols(), live.is_full())
+        };
+        // 1×1 map, 3×3 / pad 1: the centre tap alone
+        assert_eq!(window(1, 1, 3, 1, 1), (1..2, 1..2, false));
+        // 2×2 → 1×1 at stride 2: the one window starts at (-1, -1)
+        assert_eq!(window(2, 2, 3, 2, 1), (1..3, 1..3, false));
+        // 2×2 at stride 1: four windows, every tap lands inside once
+        assert_eq!(window(2, 2, 3, 1, 1), (0..3, 0..3, true));
+        // 1×1 kernels and unpadded kernels have no padding to read
+        assert_eq!(window(1, 1, 1, 1, 0), (0..1, 0..1, true));
+        assert_eq!(window(4, 4, 1, 2, 0), (0..1, 0..1, true));
+        assert_eq!(window(3, 3, 3, 1, 0), (0..3, 0..3, true));
+        assert_eq!(window(5, 6, 5, 2, 0), (0..5, 0..5, true));
+        // one axis at a time
+        let live = LiveTaps::of(1, 4, 3, 3, ConvParams::new(1, 1));
+        assert_eq!((live.rows(), live.cols(), live.taps()), (1..2, 0..3, 3));
+        // 5×5 / pad 2 on 1×1 and on 2×2
+        assert_eq!(window(1, 1, 5, 1, 2), (2..3, 2..3, false));
+        assert_eq!(window(2, 2, 5, 1, 2), (1..4, 1..4, false));
+        // stride 2 over a 1-wide map, pad 2: outputs 0 and 1 see taps 2 and
+        // 0, tap 1 is dead *inside* the window — lowered as before
+        assert_eq!(window(1, 1, 3, 2, 2), (0..3, 0..3, true));
+        // no live tap at all (k1, pad 1, stride 2 on 1×1): whole kernel
+        assert_eq!(window(1, 1, 1, 2, 1), (0..1, 0..1, true));
+    }
+
+    /// The window is exactly the hull of the live taps, by brute force over
+    /// every output position.
+    #[test]
+    fn live_window_is_the_hull_of_the_taps_that_meet_the_input() {
+        for (k, stride, pad, size) in geometries() {
+            let p = ConvParams::new(stride, pad);
+            let out = p.out_size(size, k);
+            let meets = |t: usize| (0..out).any(|o| (pad..pad + size).contains(&(o * stride + t)));
+            let hull = match ((0..k).find(|&t| meets(t)), (0..k).rfind(|&t| meets(t))) {
+                (Some(first), Some(last)) => first..last + 1,
+                _ => 0..k,
+            };
+            let live = LiveTaps::of(size, 1, k, 1, p);
+            assert_eq!(live.rows(), hull, "k{k} s{stride} p{pad} on {size}");
+            let live = LiveTaps::of(1, size, 1, k, p);
+            assert_eq!(live.cols(), hull, "k{k} s{stride} p{pad} on {size}");
+        }
+    }
+
+    /// Every `(k, stride, padding, extent)` of the differential property
+    /// whose window fits.
+    fn geometries() -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        [1usize, 3, 5].into_iter().flat_map(|k| {
+            (1..=2).flat_map(move |stride| {
+                (0..=2).flat_map(move |pad| {
+                    (1..=6)
+                        .filter(move |size| size + 2 * pad >= k)
+                        .map(move |size| (k, stride, pad, size))
+                })
+            })
+        })
+    }
+
+    /// The differential property: over every kernel ∈ {1, 3, 5}, stride ∈
+    /// {1, 2}, padding 0…2 and rectangular input 1…6 × 1…6 that fits — batch
+    /// 1…5 and odd channel counts drawn per case, inputs and gradients
+    /// holding `-0.0` — the f32 and the INT8 forward, the returned scales,
+    /// `dX` and `dW` equal the all-taps reference bit for bit, with one
+    /// scratch recycled across every case.
+    #[test]
+    fn live_tap_lowering_matches_the_all_taps_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut scratch = Default::default();
+        let (mut cases, mut trimmed) = (0, 0);
+        for (k, stride, pad, h) in geometries() {
+            for w in (1..=6).filter(|w| w + 2 * pad >= k) {
+                let p = ConvParams::new(stride, pad);
+                let n = rng.gen_range(1..=5usize);
+                let ic = 2 * rng.gen_range(0..3usize) + 1;
+                let oc = 2 * rng.gen_range(0..3usize) + 1;
+                let x = signed_zero_values([n, ic, h, w], &mut rng);
+                let wt = weights([oc, ic, k, k], &mut rng);
+                let gy = |y: &Tensor| {
+                    signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(cases))
+                };
+                for int8 in [false, true] {
+                    let what = format!(
+                        "k{k} s{stride} p{pad} on {n}x{ic}x{h}x{w} -> {oc}, {}",
+                        if int8 { "INT8" } else { "f32" }
+                    );
+                    assert_matches_reference(&x, &wt, &gy, p, int8, &mut scratch, &what);
+                }
+                cases += 1;
+                trimmed += usize::from(!LiveTaps::of(h, w, k, k, p).is_full());
+            }
+        }
+        println!("{trimmed} of {cases} geometries had a dead tap to drop");
+        assert!(trimmed >= 50, "only {trimmed} of {cases} were trimmed");
+    }
+
+    /// The live weight view is gathered on every call: the same scratch must
+    /// follow the weights through an optimizer step, forward and backward.
+    #[test]
+    fn live_weight_view_follows_the_weights() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let p = ConvParams::new(1, 1);
+        let x = signed_zero_values([3, 5, 1, 1], &mut rng);
+        let gy = |y: &Tensor| y.scale(2.0);
+        let mut scratch = Default::default();
+        for step in 0..3 {
+            let wt = weights([7, 5, 3, 3], &mut rng);
+            for int8 in [false, true] {
+                let what = format!("step {step}, int8 {int8}");
+                assert_matches_reference(&x, &wt, &gy, p, int8, &mut scratch, &what);
+            }
+        }
+    }
+
+    /// The INT8 weight scale comes from the whole tensor: a dead tap that
+    /// holds the largest weight still sets it.
+    #[test]
+    fn int8_weight_scale_sees_the_dead_taps() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let p = ConvParams::new(1, 1);
+        let x = signed_zero_values([2, 3, 1, 1], &mut rng);
+        let mut wt = weights([3, 3, 3, 3], &mut rng);
+        wt.data_mut()[0] = 40.0; // tap (0, 0): dead on a 1×1 map
+        let mut s = ConvScratch::default();
+        let mut y = Tensor::default();
+        let (_, pw) = conv2d_int8_scratch(&x, &wt, p, &mut s, &mut y);
+        assert_eq!(pw.scale, 40.0 / 127.0);
+        let gy = |y: &Tensor| y.scale(0.5);
+        assert_matches_reference(&x, &wt, &gy, p, true, &mut Default::default(), "dead max");
+    }
+
+    /// The stated precondition, pinned: a non-finite weight on a dead tap
+    /// does not reach the output (the all-taps lowering multiplied it by a
+    /// padding zero and got NaN), on a live tap it still does; likewise a
+    /// non-finite output gradient leaves the dead taps of `dW` at `+0.0`.
+    #[test]
+    fn non_finite_operands_reach_the_output_through_live_taps_only() {
+        let p = ConvParams::new(1, 1);
+        let x = Tensor::from_vec(vec![0.5, -0.25], [1, 2, 1, 1]);
+        let clean = Tensor::from_vec(
+            (0..18).map(|i| i as f32 * 0.1 - 0.9).collect(),
+            [1, 2, 3, 3],
+        );
+        let (y_clean, _) = conv2d(&x, &clean, p);
+
+        let mut dead = clean.clone();
+        dead.data_mut()[0] = f32::INFINITY; // (ci 0, tap (0, 0))
+        let (y, patches) = conv2d(&x, &dead, p);
+        assert_eq!(bits(&y), bits(&y_clean));
+        let mut r = ConvScratch::default();
+        let mut ry = Tensor::default();
+        reference::conv2d_scratch(&x, &dead, p, &mut r, &mut ry);
+        assert!(ry.data()[0].is_nan(), "the all-taps lowering did read it");
+
+        let mut live = clean.clone();
+        live.data_mut()[4] = f32::INFINITY; // (ci 0, centre tap)
+        assert_eq!(conv2d(&x, &live, p).0.data(), &[f32::INFINITY]);
+
+        let gy = Tensor::from_vec(vec![f32::INFINITY], [1, 1, 1, 1]);
+        let (gx, gw) = conv2d_backward(&gy, &patches, &clean, x.shape(), p);
+        assert!(gx.data().iter().all(|v| v.is_infinite()));
+        for (i, g) in gw.data().iter().enumerate() {
+            if i % 9 == 4 {
+                assert!(g.is_infinite(), "live tap {i}: {g}");
+            } else {
+                assert_eq!(g.to_bits(), 0.0f32.to_bits(), "dead tap {i}: {g}");
+            }
+        }
+    }
+
+    /// A wrong-width patch matrix is refused by name, not deep inside a
+    /// GEMM's length check.
+    #[test]
+    #[should_panic(expected = "(n·oh·ow, ic·lh·lw) = (2, 3) patch matrix (1 of the 3x3 taps")]
+    fn backward_names_the_patch_matrix_it_expects() {
+        let p = ConvParams::new(1, 1);
+        let x = Tensor::ones([2, 3, 1, 1]);
+        let w = Tensor::ones([4, 3, 3, 3]);
+        let all_taps = Tensor::zeros([2, 27]);
+        let gy = Tensor::ones([2, 4, 1, 1]);
+        conv2d_backward(&gy, &all_taps, &w, x.shape(), p);
+    }
+
+    /// One trimmed shape (2×2 → 1×1 at stride 2: a 2×2 window) that crosses
+    /// `PAR_MIN_ELEMS` and both GEMM pool thresholds, at pool sizes 1, 2 and
+    /// 8: the pool paths of the lowering, the scatter and all four products
+    /// equal the serial all-taps reference bit for bit.
+    #[test]
+    fn trimmed_lowering_matches_the_reference_on_the_pool() {
+        let (n, ic, oc) = (144usize, 96, 128);
+        let p = ConvParams::new(2, 1);
+        let live = LiveTaps::of(2, 2, 3, 3, p);
+        assert_eq!(live.taps(), 4);
+        let (rows, cols) = (n, ic * live.taps());
+        assert!(rows * cols >= PAR_MIN_ELEMS);
+        assert!(rows * cols * oc >= linalg::PAR_MIN_WORK_F32.max(linalg::PAR_MIN_WORK_I8));
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = signed_zero_values([n, ic, 2, 2], &mut rng);
+        let wt = weights([oc, ic, 3, 3], &mut rng);
+        let gy = |y: &Tensor| y.scale(0.25);
+        for threads in [1, 2, 8] {
+            crate::runtime::set_threads(threads);
+            for int8 in [false, true] {
+                let what = format!("{threads} threads, int8 {int8}");
+                assert_matches_reference(&x, &wt, &gy, p, int8, &mut Default::default(), &what);
+            }
+        }
+    }
+
     /// The batch-parallel im2col/col2im paths must be bitwise-identical to
     /// composing the per-sample kernel serially — the shape is chosen to
     /// cross `PAR_MIN_ELEMS` so the pool path actually runs.
@@ -834,6 +1544,7 @@ mod tests {
         );
         let mut patches = Tensor::default();
         let (oh, ow) = im2col_into(&x, kh, kw, p, &mut patches);
+        let live = LiveTaps::of(h, w, kh, kw, p);
         let cols = c * kh * kw;
         assert!(
             n * oh * ow * cols >= PAR_MIN_ELEMS,
@@ -849,8 +1560,7 @@ mod tests {
                 c,
                 h,
                 w,
-                kh,
-                kw,
+                live,
                 oh,
                 ow,
                 p,
@@ -876,8 +1586,7 @@ mod tests {
                 c,
                 h,
                 w,
-                kh,
-                kw,
+                live,
                 oh,
                 ow,
                 p,

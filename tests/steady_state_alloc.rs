@@ -7,11 +7,16 @@
 //! allocate what it likes — networks, momentum, scratch buffers growing to
 //! their working size. From the second epoch on a SoCFlow run steps,
 //! merges, aggregates and evaluates in storage it already owns, so the
-//! count must not move. One `#[test]` only: the allocator is global to the
-//! process. The pool is pinned to one thread: the kernels keep thread-local
-//! scratch, and with several workers it is scheduling noise which of them
-//! first meets a kernel shape — in whichever epoch that happens — whereas
-//! what the training stack itself copies does not depend on the pool size.
+//! count must not move. Beside the floor the allocator watches a few exact
+//! sizes, far below the model's: the live-tap weight views a convolution
+//! keeps in its `ConvScratch` when its map is smaller than its kernel's
+//! reach. They are gathered on every forward and backward, so they too must
+//! be buffers sized once, in the first epoch. One `#[test]` only: the
+//! allocator is global to the process. The pool is pinned to one thread: the
+//! kernels keep thread-local scratch, and with several workers it is
+//! scheduling noise which of them first meets a kernel shape — in whichever
+//! epoch that happens — whereas what the training stack itself copies does
+//! not depend on the pool size.
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
@@ -28,13 +33,15 @@ const SLOTS: usize = 128;
 
 /// Sizes at or above which an allocation is recorded (`usize::MAX`: off).
 static FLOOR: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// Exact sizes recorded whatever the floor (0: unused).
+static WATCH: [AtomicUsize; 8] = [const { AtomicUsize::new(0) }; 8];
 /// `(size, count)` per distinct recorded size; a size of 0 is a free slot.
 static TABLE: [(AtomicUsize, AtomicUsize); SLOTS] =
     [const { (AtomicUsize::new(0), AtomicUsize::new(0)) }; SLOTS];
 
 /// Counts one allocation of `size` bytes — without allocating.
 fn record(size: usize) {
-    if size < FLOOR.load(Relaxed) {
+    if size < FLOOR.load(Relaxed) && WATCH.iter().all(|w| w.load(Relaxed) != size) {
         return;
     }
     for (slot, count) in &TABLE {
@@ -110,8 +117,9 @@ fn class_of(size: usize, model: usize) -> &'static str {
 }
 
 /// Runs the job and asserts that no allocation of at least the model's
-/// size happens after the first epoch.
-fn assert_steady_state(label: &str, spec: TrainJobSpec, workload: Workload) {
+/// size, or of exactly one of the `watch` sizes, happens after the first
+/// epoch — and that the first epoch did make every watched one.
+fn assert_steady_state(label: &str, spec: TrainJobSpec, workload: Workload, watch: &[usize]) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
     let model = 4 * spec.model.build(workload.model_cfg, &mut rng).param_count();
     let marks = Arc::new(EpochMarks::default());
@@ -120,9 +128,13 @@ fn assert_steady_state(label: &str, spec: TrainJobSpec, workload: Workload) {
         ..RunOptions::default()
     };
     let mut engine = Engine::new(spec, workload, options);
+    for (slot, &size) in WATCH.iter().zip(watch) {
+        slot.store(size, Relaxed);
+    }
     FLOOR.store(model, Relaxed);
     let result = engine.run();
     FLOOR.store(usize::MAX, Relaxed);
+    WATCH.iter().for_each(|slot| slot.store(0, Relaxed));
     assert_eq!(result.epoch_accuracy.len(), spec.epochs);
 
     let marks = marks.0.lock().unwrap();
@@ -133,10 +145,14 @@ fn assert_steady_state(label: &str, spec: TrainJobSpec, workload: Workload) {
     };
     let warm: usize = marks[0].iter().map(|&(_, count)| count).sum();
     println!(
-        "{label}: model {model} B; {warm} allocations of at least that in epoch 1, \
-         of {} distinct sizes",
+        "{label}: model {model} B; {warm} allocations of at least that (or of a watched size) \
+         in epoch 1, of {} distinct sizes",
         marks[0].len()
     );
+    for &size in watch {
+        let seen = count_at(&marks[0], size);
+        assert!(seen > 0, "{label}: no allocation of the watched {size} B");
+    }
     let mut late = Vec::new();
     for (epoch, pair) in marks.windows(2).enumerate() {
         for &(size, count) in &pair[1] {
@@ -153,7 +169,8 @@ fn assert_steady_state(label: &str, spec: TrainJobSpec, workload: Workload) {
     }
     assert!(
         late.is_empty(),
-        "{label}: allocations of at least the model's {model} B after the first epoch:\n{}",
+        "{label}: allocations of at least the model's {model} B, or of a watched size \
+         {watch:?}, after the first epoch:\n{}",
         late.join("\n")
     );
 }
@@ -176,10 +193,13 @@ fn nothing_model_sized_is_allocated_after_the_first_epoch() {
     let mut workload = Workload::standard(&spec, 128, 8, 0.5);
     workload.test = workload.test.subset(&(0..16).collect::<Vec<_>>());
     workload.probe = workload.test.head_batch(16);
-    assert_steady_state("lenet5, 2 mixed groups", spec, workload);
+    assert_steady_state("lenet5, 2 mixed groups", spec, workload, &[]);
 
     // VGG-11, four mixed groups, 160 test samples: evaluation runs in two
-    // shards. The model is 1.8 MB and no activation comes near it.
+    // shards. The model is 1.8 MB and no activation comes near it. On 8×8
+    // inputs its last four convolutions run on 1×1 maps, where one tap of
+    // nine is live: each keeps an f32 `(oc, ic)` view of its weights, a
+    // same-sized live weight gradient and an i8 view for the INT8 arm.
     let mut spec = TrainJobSpec::new(
         ModelKind::Vgg11,
         DatasetPreset::Cifar10,
@@ -190,5 +210,17 @@ fn nothing_model_sized_is_allocated_after_the_first_epoch() {
     spec.seed = 11;
     let workload = Workload::standard(&spec, 640, 8, 0.22);
     assert!(workload.test.len() > 128);
-    assert_steady_state("vgg11, 4 mixed groups", spec, workload);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
+    let mut convs = Vec::new();
+    let net = spec.model.build(workload.model_cfg, &mut rng);
+    net.for_each_parameter(|p| {
+        if let [oc, ic, 3, 3] = *p.value.shape().dims() {
+            convs.push(oc * ic);
+        }
+    });
+    assert_eq!(convs.len(), 8);
+    let mut views: Vec<usize> = convs[4..].iter().flat_map(|&n| [4 * n, n]).collect();
+    views.sort_unstable();
+    views.dedup();
+    assert_steady_state("vgg11, 4 mixed groups", spec, workload, &views);
 }
