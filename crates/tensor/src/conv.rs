@@ -176,18 +176,18 @@ impl LiveTaps {
     }
 
     /// `weight: (oc, ic, kh, kw)` as the `(oc, ic·lh·lw)` matrix the GEMMs
-    /// consume: the storage itself when every tap is live, otherwise the
-    /// live taps gathered into `buf` — afresh on every call, the weights
-    /// having moved since the last one.
-    fn weight_view<'a>(&self, weight: &'a Tensor, buf: &'a mut Tensor) -> &'a [f32] {
+    /// consume: the tensor itself when every tap is live (its storage is
+    /// that matrix already), otherwise the live taps gathered into `buf` —
+    /// afresh on every call, the weights having moved since the last one.
+    fn weight_view<'a>(&self, weight: &'a Tensor, buf: &'a mut Tensor) -> &'a Tensor {
         if self.is_full() {
-            return weight.data();
+            return weight;
         }
         let (oc, ic, _, _) = weight.shape().as_nchw();
         buf.resize([oc, ic * self.taps()]);
         let (src, dst) = (weight.data(), buf.data_mut());
         self.for_each_tap(oc * ic, |i, at| dst[i] = src[at]);
-        buf.data()
+        buf
     }
 }
 
@@ -484,7 +484,7 @@ pub fn conv2d_scratch(
     scratch.mat.resize([rows, oc]);
     linalg::matmul_a_bt_slices(
         scratch.patches.data(),
-        live.weight_view(weight, &mut scratch.wlive),
+        live.weight_view(weight, &mut scratch.wlive).data(),
         scratch.mat.data_mut(),
         rows,
         cols,
@@ -531,12 +531,8 @@ pub fn conv2d_int8_scratch(
     let pp = QuantParams::from_tensor(&scratch.patches);
     let pw = QuantParams::from_tensor(weight);
     quant::quantize_into(&scratch.patches, pp, &mut scratch.qpatches);
-    if live.is_full() {
-        quant::quantize_into(weight, pw, &mut scratch.qweight);
-    } else {
-        live.weight_view(weight, &mut scratch.wlive);
-        quant::quantize_into(&scratch.wlive, pw, &mut scratch.qweight);
-    }
+    let wmat = live.weight_view(weight, &mut scratch.wlive);
+    quant::quantize_into(wmat, pw, &mut scratch.qweight);
     scratch.imat.clear();
     scratch.imat.resize(rows * oc, 0);
     linalg::matmul_i8_a_bt_slices(
@@ -651,7 +647,7 @@ pub fn conv2d_backward_scratch(
     scratch.gpatches.resize([rows, cols]);
     linalg::matmul_slices(
         scratch.mat.data(),
-        live.weight_view(weight, &mut scratch.wlive),
+        live.weight_view(weight, &mut scratch.wlive).data(),
         scratch.gpatches.data_mut(),
         rows,
         oc,

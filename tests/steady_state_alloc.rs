@@ -128,6 +128,7 @@ fn assert_steady_state(label: &str, spec: TrainJobSpec, workload: Workload, watc
         ..RunOptions::default()
     };
     let mut engine = Engine::new(spec, workload, options);
+    assert!(watch.len() <= WATCH.len(), "more sizes than watch slots");
     for (slot, &size) in WATCH.iter().zip(watch) {
         slot.store(size, Relaxed);
     }
