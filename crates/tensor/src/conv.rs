@@ -159,18 +159,37 @@ impl LiveTaps {
         self.taps() == self.kh * self.kw
     }
 
-    /// Calls `f(i, at)` for every live tap of `planes` consecutive
-    /// `kh × kw` kernels: `at` is the tap's offset in that storage and `i`
-    /// its offset in the live view, which keeps `(plane, ky, kx)` order.
-    fn for_each_tap(&self, planes: usize, mut f: impl FnMut(usize, usize)) {
-        let mut i = 0;
-        for plane in 0..planes {
-            for ky in self.rows() {
-                let row = (plane * self.kh + ky) * self.kw;
-                for kx in self.cols() {
-                    f(i, row + kx);
-                    i += 1;
-                }
+    /// Offsets of the window's taps inside one `kh × kw` kernel, in the
+    /// `(ky, kx)` order the live view keeps them in.
+    fn offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows()
+            .flat_map(move |ky| self.cols().map(move |kx| ky * self.kw + kx))
+    }
+
+    /// Gathers the live taps of `full` — consecutive `kh × kw` kernels —
+    /// into `live`, `lh·lw` per kernel. One strided pass per tap: for the
+    /// common one-tap window that is a single walk with nothing but a load
+    /// and a store in it, and reading the kernels (cold, after an optimizer
+    /// step) is what the pass costs.
+    fn gather(&self, full: &[f32], live: &mut [f32]) {
+        let (taps, kernel) = (self.taps(), self.kh * self.kw);
+        for (j, at) in self.offsets().enumerate() {
+            let column = live[j..].iter_mut().step_by(taps);
+            for (dst, src) in column.zip(full[at..].iter().step_by(kernel)) {
+                *dst = *src;
+            }
+        }
+    }
+
+    /// Inverse of [`Self::gather`]: writes `live` back to its taps of `full`
+    /// and `+0.0` to every other tap.
+    fn scatter(&self, live: &[f32], full: &mut [f32]) {
+        let (taps, kernel) = (self.taps(), self.kh * self.kw);
+        full.fill(0.0);
+        for (j, at) in self.offsets().enumerate() {
+            let column = live[j..].iter().step_by(taps);
+            for (dst, src) in full[at..].iter_mut().step_by(kernel).zip(column) {
+                *dst = *src;
             }
         }
     }
@@ -185,8 +204,7 @@ impl LiveTaps {
         }
         let (oc, ic, _, _) = weight.shape().as_nchw();
         buf.resize([oc, ic * self.taps()]);
-        let (src, dst) = (weight.data(), buf.data_mut());
-        self.for_each_tap(oc * ic, |i, at| dst[i] = src[at]);
+        self.gather(weight.data(), buf.data_mut());
         buf
     }
 }
@@ -639,9 +657,7 @@ pub fn conv2d_backward_scratch(
     );
     if !live.is_full() {
         // a dead tap's gradient is a sum of `g · 0.0`: exactly `+0.0`
-        let (src, dst) = (scratch.gwlive.data(), gw.data_mut());
-        dst.fill(0.0);
-        live.for_each_tap(oc * ic, |i, at| dst[at] = src[i]);
+        live.scatter(scratch.gwlive.data(), gw.data_mut());
     }
     // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
     scratch.gpatches.resize([rows, cols]);
