@@ -15,67 +15,55 @@
 //! [`dgc`] implements the Deep Gradient Compression sparsifier HiPress
 //! uses (top-k selection with residual accumulation and momentum
 //! correction), exercised functionally in tests and priced on the wire by
-//! the time model. [`suite`] runs a workload through every method.
+//! the time model. [`suite`] names the six as [`socflow::config::MethodSpec`]
+//! values and runs a workload through them and SoCFlow, training each
+//! distinct SGD stream once.
 
 pub mod dgc;
 pub mod suite;
 
-use socflow::config::MethodSpec;
-
-/// The PS baseline.
-pub fn parameter_server() -> MethodSpec {
-    MethodSpec::ParameterServer
-}
-
-/// The RING (Horovod) baseline.
-pub fn ring() -> MethodSpec {
-    MethodSpec::Ring
-}
-
-/// The HiPress baseline (DGC compression over ring synchronization).
-pub fn hipress() -> MethodSpec {
-    MethodSpec::HiPress
-}
-
-/// The 2D-parallelism baseline with the paper's group size of 4.
-pub fn two_d_parallel() -> MethodSpec {
-    MethodSpec::TwoDParallel { group_size: 4 }
-}
-
-/// The FedAvg baseline.
-pub fn fedavg() -> MethodSpec {
-    MethodSpec::FedAvg
-}
-
-/// The tree-aggregation hierarchical FedAvg baseline (fanout 2).
-pub fn t_fedavg() -> MethodSpec {
-    MethodSpec::TFedAvg { fanout: 2 }
-}
-
-/// Every baseline, in the paper's legend order.
-pub fn all_baselines() -> Vec<MethodSpec> {
-    vec![
-        parameter_server(),
-        ring(),
-        hipress(),
-        two_d_parallel(),
-        fedavg(),
-        t_fedavg(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::suite::{comparison_methods, Comparison};
+    use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+    use socflow::engine::Workload;
+    use socflow_data::DatasetPreset;
+    use socflow_nn::models::ModelKind;
+
+    #[test]
+    fn comparison_produces_seven_methods() {
+        let mut spec = TrainJobSpec::new(
+            ModelKind::LeNet5,
+            DatasetPreset::FashionMnist,
+            MethodSpec::Ring,
+        );
+        spec.epochs = 2;
+        let workload = Workload::standard(&spec, 256, 8, 0.5);
+        let methods = comparison_methods(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
+        let mut comparison = Comparison::new(spec, workload);
+        let runs = comparison.run_all(&methods, 8);
+        let names: Vec<&str> = runs.iter().map(|r| r.method.as_str()).collect();
+        assert_eq!(
+            names,
+            vec!["PS", "RING", "HiPress", "2D-Paral", "FedAvg", "T-FedAvg", "Ours"]
+        );
+        // sync methods share RING's accuracy
+        assert_eq!(runs[0].epoch_accuracy, runs[1].epoch_accuracy);
+        assert_eq!(runs[2].epoch_accuracy, runs[1].epoch_accuracy);
+        // but not its timing
+        assert_ne!(runs[0].total_time(), runs[1].total_time());
+        // three SGD streams behind the seven
+        assert_eq!(comparison.counts(), (7, 3));
+    }
 
     #[test]
     fn six_baselines() {
-        let all = all_baselines();
-        assert_eq!(all.len(), 6);
-        let names: Vec<&str> = all.iter().map(|m| m.name()).collect();
+        let all = comparison_methods(MethodSpec::SocFlow(SocFlowConfig::full()));
+        let names: Vec<&str> = all[..6].iter().map(|m| m.name()).collect();
         assert_eq!(
             names,
             vec!["PS", "RING", "HiPress", "2D-Paral", "FedAvg", "T-FedAvg"]
         );
+        assert!(all[..6].iter().all(|m| m.socflow().is_none()));
     }
 }

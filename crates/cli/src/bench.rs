@@ -1,6 +1,6 @@
 //! `socflow-cli bench` — reproducible benchmark baselines.
 //!
-//! Six suites behind one harness. Each suite is one function that runs the
+//! Seven suites behind one harness. Each suite is one function that runs the
 //! experiment, prints its table and returns a `#[derive(Serialize)]`
 //! document whose field order is the key order of the committed
 //! `BENCH_<suite>.json`; [`SUITES`] lists them, and dispatch, the usage
@@ -19,16 +19,20 @@
 //! machine; longer host-clock runs are the repo benchmark's job, see
 //! `benchmark/README.md`).
 //!
-//! The other five run on the simulated clock, seeded, so their numbers are
+//! The other six run on the simulated clock, seeded, so their numbers are
 //! machine-independent and byte-identical at any worker-pool size:
 //! `faults` is the fault-tolerance recovery experiment, `timeline` compares
 //! the closed-form Eq. 1 epoch pricing against the event-driven fluid
 //! timeline across logical-group counts, `fleet` replays the tidal-trace
 //! multi-tenant scheduler comparison, `streaming` measures time-to-accuracy
 //! under live per-SoC data streams (uniform vs heterogeneous rates,
-//! rate-aware regrouping on vs off), and `autotune` runs the plan-space
+//! rate-aware regrouping on vs off), `autotune` runs the plan-space
 //! search for the bundled model families and reports tuned-vs-default
-//! predicted epoch seconds.
+//! predicted epoch seconds, and `paper` ([`paper`]) reruns the paper's own
+//! evaluation — every table and figure as rows of paper value against
+//! measured value — and fails when one of the paper's orderings breaks.
+
+mod paper;
 
 use crate::commands::{default_width, PlanJson};
 use rand::{rngs::StdRng, SeedableRng};
@@ -123,6 +127,11 @@ const SUITES: &[Suite] = &[
         name: "autotune",
         schema: "socflow-autotune-bench/v1",
         run: |fast| Ok(autotune_suite(fast)?.to_json()),
+    },
+    Suite {
+        name: "paper",
+        schema: "socflow-paper-bench/v1",
+        run: |fast| Ok(paper::paper(fast)?.to_json()),
     },
 ];
 
@@ -1136,6 +1145,9 @@ mod tests {
             assert_eq!(doc.get("mode").as_str(), Some("fast"), "{}", suite.name);
             let results = doc.get("results").as_array().expect(suite.name);
             assert!(!results.is_empty(), "{}", suite.name);
+            if suite.name == "paper" {
+                paper::assert_rows_cover_every_experiment(results);
+            }
             // kernels is the one suite that reads the host clock
             if suite.name != "kernels" {
                 let again = suite.document(true).expect(suite.name);
@@ -1231,6 +1243,22 @@ mod tests {
         let kept = std::fs::read_to_string(&path).unwrap();
         assert_eq!(kept, "null\n", "an earlier file survives a failed rerun");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `run_job` is the workspace's one traced-run helper: the trace alone
+    /// must reproduce the run's `Breakdown`, total time and energy.
+    #[test]
+    fn traced_run_reproduces_breakdown() {
+        let (result, summary) = run_job(lenet_job(8, 2, 2, 64), 256, RunOptions::default());
+        assert!((summary.compute - result.breakdown.compute).abs() < 1e-6);
+        assert!((summary.sync - result.breakdown.sync).abs() < 1e-6);
+        assert!((summary.update - result.breakdown.update).abs() < 1e-6);
+        assert!((summary.total_time - result.total_time()).abs() < 1e-6);
+        assert!((summary.energy - result.energy_joules).abs() < 1e-6);
+        let f = summary.sync_fraction();
+        assert!(f > 0.0 && f < 1.0, "sync fraction {f}");
+        // network events rode along in the same stream
+        assert!(summary.transfers > 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use socflow::engine::Workload;
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
 use socflow::options::{Checkpointing, Plan, RunOptions};
 use socflow::scheduler::GlobalScheduler;
+use socflow_baselines::suite::{comparison_methods, Comparison};
 use socflow_cluster::faults::FaultPlan;
 use socflow_cluster::tidal::TidalTrace;
 use socflow_cluster::ClusterSpec;
@@ -493,41 +494,42 @@ pub fn tune(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `socflow-cli compare`: run the method comparison on one workload.
+/// `socflow-cli compare`: run the paper's seven-method comparison on one
+/// workload. Ours' group count is the scheduler's — `--groups`, else the
+/// warm-up heuristic.
 pub fn compare(opts: &Options) -> Result<(), String> {
+    compare_to(opts, |line| println!("{line}"))
+}
+
+/// [`compare`], handing each output line to `print` as soon as its method
+/// has run.
+fn compare_to(opts: &Options, mut print: impl FnMut(String)) -> Result<(), String> {
     if let Some(t) = opts.threads {
         socflow_tensor::runtime::set_threads(t);
     }
-    let methods: Vec<(&str, MethodSpec)> = vec![
-        ("PS", MethodSpec::ParameterServer),
-        ("RING", MethodSpec::Ring),
-        ("HiPress", MethodSpec::HiPress),
-        ("2D-Paral", MethodSpec::TwoDParallel { group_size: 4 }),
-        ("FedAvg", MethodSpec::FedAvg),
-        ("Ours", method_of("ours", opts.groups)?),
-    ];
-    println!(
+    let spec = job_spec(opts, method_of("ours", opts.groups)?)?;
+    let ours = scheduler(opts, spec, RunOptions::default(), Plan::Fixed)?
+        .resolved_spec()
+        .method;
+    print(format!(
         "{} on {} — {} SoCs, {} epochs, {} samples",
-        model_of(&opts.model)?,
-        dataset_of(&opts.dataset)?,
-        opts.socs,
-        opts.epochs,
-        opts.samples
-    );
-    println!(
+        spec.model, spec.preset, opts.socs, opts.epochs, opts.samples
+    ));
+    print(format!(
         "{:<10} {:>9} {:>11} {:>10}",
         "method", "best acc", "sim time h", "energy kJ"
-    );
-    for (name, method) in methods {
-        let spec = job_spec(opts, method)?;
-        let r = scheduler(opts, spec, RunOptions::default(), Plan::Fixed)?.run();
-        println!(
+    ));
+    let workload = Workload::standard(&spec, opts.samples, 8, default_width(spec.model));
+    let mut comparison = Comparison::new(spec, workload);
+    for method in comparison_methods(ours) {
+        let r = comparison.run(method, opts.socs);
+        print(format!(
             "{:<10} {:>8.1}% {:>11.2} {:>10.0}",
-            name,
+            r.method,
             r.best_accuracy() * 100.0,
             r.total_time() / 3600.0,
             r.energy_joules / 1e3
-        );
+        ));
     }
     Ok(())
 }
@@ -738,6 +740,36 @@ mod tests {
         };
         tidal(&opts).unwrap();
         info().unwrap();
+    }
+
+    /// `compare` used to list six methods of its own; the table is the
+    /// runner's seven now, T-FedAvg between FedAvg and Ours.
+    #[test]
+    fn compare_prints_the_seven_methods_of_the_paper() {
+        let opts = Options {
+            model: "lenet5".into(),
+            socs: 8,
+            groups: Some(2),
+            epochs: 1,
+            samples: 128,
+            ..Options::default()
+        };
+        let mut lines = Vec::new();
+        compare_to(&opts, |line| lines.push(line)).unwrap();
+        let methods: Vec<&str> = lines[2..]
+            .iter()
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(
+            methods,
+            ["PS", "RING", "HiPress", "2D-Paral", "FedAvg", "T-FedAvg", "Ours"]
+        );
+        let too_many = Options {
+            groups: Some(9),
+            ..opts
+        };
+        let err = compare_to(&too_many, |_| ()).unwrap_err();
+        assert!(err.contains("--groups"), "{err}");
     }
 
     #[test]

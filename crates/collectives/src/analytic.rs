@@ -1,6 +1,6 @@
-//! Closed-form cost models of the collectives, used for sanity checks and
-//! for quick what-if estimation by the group-size planner (paper Eq. 1
-//! needs a `T_sync` estimate before any simulation runs).
+//! Closed-form ring and parameter-server costs: the reference the tests
+//! below hold the simulated [`crate::RingAllReduce`] and
+//! [`crate::ParameterServer`] to on one board, where nothing contends.
 
 use socflow_cluster::Seconds;
 
@@ -34,33 +34,6 @@ pub fn ps_time(n: usize, bytes: f64, bandwidth_bytes_per_s: f64, step_latency: S
         return 0.0;
     }
     2.0 * ((n - 1) as f64 * bytes / bandwidth_bytes_per_s + step_latency)
-}
-
-/// Analytic tree-aggregation time: `2·⌈log_f(n)⌉` levels, each moving one
-/// payload per edge (edges of one level run in parallel).
-///
-/// # Panics
-/// Panics if `bandwidth <= 0` or `fanout < 2`.
-pub fn tree_time(
-    n: usize,
-    fanout: usize,
-    bytes: f64,
-    bandwidth_bytes_per_s: f64,
-    step_latency: Seconds,
-) -> Seconds {
-    assert!(bandwidth_bytes_per_s > 0.0, "bandwidth must be positive");
-    assert!(fanout >= 2, "fanout must be at least 2");
-    if n < 2 || bytes == 0.0 {
-        return 0.0;
-    }
-    let mut levels = 0usize;
-    let mut covered = 1usize;
-    while covered < n {
-        covered *= fanout;
-        levels += 1;
-    }
-    // children of one parent share the parent's link at each level
-    2.0 * levels as f64 * (fanout as f64 * bytes / bandwidth_bytes_per_s + step_latency)
 }
 
 #[cfg(test)]
@@ -103,14 +76,6 @@ mod tests {
             (sim - ana).abs() / ana < 0.01,
             "simulator {sim} vs analytic {ana}"
         );
-    }
-
-    #[test]
-    fn tree_levels_count() {
-        // 8 nodes fanout 2 → 3 levels up + 3 down
-        let t = tree_time(8, 2, 1e6, BW, 0.0);
-        let per_level = 2.0 * 1e6 / BW;
-        assert!((t - 6.0 * per_level).abs() < 1e-9);
     }
 
     #[test]

@@ -28,12 +28,11 @@ mod stream;
 
 use crate::config::{MethodSpec, TrainJobSpec};
 use crate::options::{Plan, Pricing, RunOptions};
-use crate::report::{Breakdown, RunResult};
-use crate::timemodel::{EpochCost, SyncCollective, TimeModel};
+use crate::report::RunResult;
+use crate::timemodel::{EpochCost, TimeModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use replica::{average_replicas, Replica};
-use socflow_cluster::{calibration, Processor};
 use socflow_data::{iid_partition, Batch, Dataset};
 use socflow_nn::models::ModelConfig;
 use socflow_nn::{metrics, Mode, Network, Precision};
@@ -226,26 +225,12 @@ impl Engine {
             socflow_tensor::profile::enabled().then(socflow_tensor::profile::snapshot);
         let pool_base = kernel_base.is_some().then(socflow_tensor::runtime::stats);
         let result = match self.spec.method {
-            MethodSpec::Local => self.run_single(|tm| tm.local_epoch(Processor::SocCpuFp32)),
-            MethodSpec::ParameterServer => {
-                self.run_single(|tm| tm.sync_epoch(SyncCollective::Ps, 1.0, 0.0, None))
-            }
-            MethodSpec::Ring => {
-                self.run_single(|tm| tm.sync_epoch(SyncCollective::Ring, 1.0, 0.0, None))
-            }
-            MethodSpec::HiPress => self.run_single(|tm| {
-                tm.sync_epoch(
-                    SyncCollective::Ring,
-                    calibration::DGC_WIRE_FRACTION,
-                    calibration::DGC_OVERHEAD_FLOPS_PER_PARAM,
-                    None,
-                )
-            }),
-            MethodSpec::TwoDParallel { group_size } => self.run_single(move |tm| {
-                tm.sync_epoch(SyncCollective::Ring, 1.0, 0.0, Some(group_size))
-            }),
-            MethodSpec::FedAvg => self.run_federated(None),
-            MethodSpec::TFedAvg { fanout } => self.run_federated(Some(fanout)),
+            MethodSpec::Local
+            | MethodSpec::ParameterServer
+            | MethodSpec::Ring
+            | MethodSpec::HiPress
+            | MethodSpec::TwoDParallel { .. } => self.run_single(),
+            MethodSpec::FedAvg | MethodSpec::TFedAvg { .. } => self.run_federated(),
             MethodSpec::SocFlow(cfg) if cfg.mixed_precision => {
                 self.run_socflow(cfg, MixedMode::Adaptive)
             }
@@ -301,14 +286,14 @@ impl Engine {
 
     /// Single-stream methods (Local + all fully synchronous baselines):
     /// per-batch all-reduce makes the whole cluster one SGD stream.
-    fn run_single(&mut self, epoch_cost: impl Fn(&TimeModel) -> EpochCost) -> RunResult {
+    fn run_single(&mut self) -> RunResult {
         let mut rng = StdRng::seed_from_u64(self.spec.seed);
         let mut replica = self.build_replicas(1, &mut rng, false).remove(0);
         let mut result = self.empty_result();
         for epoch in 0..self.spec.epochs {
             self.single_stream_epoch(&mut replica, epoch);
             let acc = self.evaluate(&mut replica.net, Precision::Fp32);
-            let cost = epoch_cost(&self.time_model);
+            let cost = self.baseline_epoch();
             self.push_epoch(&mut result, epoch, acc, &cost, 1, CPU_ONLY);
             if Some(epoch + 1) == self.options.preempt_after {
                 // baselines stall for a checkpoint-restore round trip
@@ -326,7 +311,7 @@ impl Engine {
     }
 
     /// Federated methods: fixed IID client shards, per-epoch averaging.
-    fn run_federated(&mut self, tree_fanout: Option<usize>) -> RunResult {
+    fn run_federated(&mut self) -> RunResult {
         let mut rng = StdRng::seed_from_u64(self.spec.seed);
         let clients = self.spec.socs.min(MAX_FL_REPLICAS);
         let mut replicas = self.build_replicas(clients, &mut rng, false);
@@ -375,7 +360,7 @@ impl Engine {
                 r.decay_lr_floored(LR_DECAY, self.spec.lr * LR_FLOOR);
             }
             let acc = self.evaluate(&mut replicas[0].net, Precision::Fp32);
-            let cost = self.time_model.federated_epoch(tree_fanout);
+            let cost = self.baseline_epoch();
             self.push_epoch(&mut result, epoch, acc, &cost, clients, CPU_ONLY);
         }
         result
@@ -411,15 +396,14 @@ impl Engine {
     }
 
     fn empty_result(&self) -> RunResult {
-        RunResult {
-            method: self.spec.method.name().to_string(),
-            epoch_accuracy: Vec::new(),
-            epoch_time: Vec::new(),
-            breakdown: Breakdown::default(),
-            energy_joules: 0.0,
-            alpha_trace: Vec::new(),
-            recovery_time: 0.0,
-        }
+        RunResult::empty(self.spec.method.name())
+    }
+
+    /// This epoch's price for a method whose price training cannot move.
+    fn baseline_epoch(&self) -> EpochCost {
+        self.time_model
+            .baseline_epoch(self.spec.method)
+            .expect("only SoCFlow's price follows its training")
     }
 
     /// Appends one epoch to `result` and reports it; `split` is the
@@ -433,11 +417,7 @@ impl Engine {
         groups: usize,
         (alpha, cpu_fraction): (f32, f64),
     ) {
-        result.epoch_accuracy.push(accuracy);
-        result.epoch_time.push(cost.time);
-        result.breakdown.add(&cost.breakdown);
-        result.energy_joules += cost.energy;
-        result.alpha_trace.push(alpha);
+        result.push_epoch(accuracy, cost, alpha);
         self.options.emit(Event::EpochCompleted {
             epoch,
             accuracy,

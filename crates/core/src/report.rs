@@ -1,5 +1,6 @@
 //! Run results: accuracy curves, simulated time breakdowns, energy.
 
+use crate::timemodel::EpochCost;
 use serde::{Deserialize, Serialize};
 use socflow_cluster::Seconds;
 
@@ -70,6 +71,31 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// The run of `method` before its first epoch.
+    pub fn empty(method: &str) -> Self {
+        RunResult {
+            method: method.to_string(),
+            epoch_accuracy: Vec::new(),
+            epoch_time: Vec::new(),
+            breakdown: Breakdown::default(),
+            energy_joules: 0.0,
+            alpha_trace: Vec::new(),
+            recovery_time: 0.0,
+        }
+    }
+
+    /// Appends one epoch: the accuracy it reached, what it cost on the
+    /// simulated clock and the α it trained at (NaN for methods without
+    /// one). The one place a run accumulates time, breakdown and energy,
+    /// so a result priced after the fact adds up exactly as a trained one.
+    pub fn push_epoch(&mut self, accuracy: f32, cost: &EpochCost, alpha: f32) {
+        self.epoch_accuracy.push(accuracy);
+        self.epoch_time.push(cost.time);
+        self.breakdown.add(&cost.breakdown);
+        self.energy_joules += cost.energy;
+        self.alpha_trace.push(alpha);
+    }
+
     /// Best (maximum) test accuracy reached.
     pub fn best_accuracy(&self) -> f32 {
         self.epoch_accuracy.iter().copied().fold(0.0, f32::max)

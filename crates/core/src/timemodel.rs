@@ -12,7 +12,7 @@
 //! are `max(compute, sync)` rather than sums) and underclocking-aware
 //! re-balancing (see [`TimeModel::rebalanced_compute_time`]).
 
-use crate::config::TrainJobSpec;
+use crate::config::{MethodSpec, TrainJobSpec};
 use crate::mapping::Mapping;
 use crate::planning::{iteration_time, CommunicationGroups};
 use crate::report::Breakdown;
@@ -399,6 +399,32 @@ impl TimeModel {
             // federated sync *is* the end-of-epoch aggregation
             aggregation: sync,
         }
+    }
+
+    /// One epoch of `method` when nothing that happens in training moves
+    /// its price: Local and the six baselines cost the same every epoch.
+    /// `None` for the SoCFlow variants, whose CPU share follows α
+    /// ([`Self::socflow_epoch`]).
+    pub fn baseline_epoch(&self, method: MethodSpec) -> Option<EpochCost> {
+        Some(match method {
+            MethodSpec::Local => self.local_epoch(Processor::SocCpuFp32),
+            MethodSpec::ParameterServer => self.sync_epoch(SyncCollective::Ps, 1.0, 0.0, None),
+            MethodSpec::Ring => self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, None),
+            MethodSpec::HiPress => self.sync_epoch(
+                SyncCollective::Ring,
+                calibration::DGC_WIRE_FRACTION,
+                calibration::DGC_OVERHEAD_FLOPS_PER_PARAM,
+                None,
+            ),
+            MethodSpec::TwoDParallel { group_size } => {
+                self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, Some(group_size))
+            }
+            MethodSpec::FedAvg => self.federated_epoch(None),
+            MethodSpec::TFedAvg { fanout } => self.federated_epoch(Some(fanout)),
+            MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_) => {
+                return None
+            }
+        })
     }
 
     /// SoCFlow's epoch: per-batch intra-group rings (scheduled over the

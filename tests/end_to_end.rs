@@ -8,7 +8,7 @@ use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::{Plan, RunOptions};
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
-use socflow_baselines::suite::{run_methods, SuiteScale};
+use socflow_baselines::suite::Comparison;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 
@@ -21,17 +21,24 @@ fn base_spec(method: MethodSpec) -> TrainJobSpec {
     s
 }
 
-fn scale() -> SuiteScale {
-    // 4096 samples give each of 4 group replicas 16 batches per epoch —
-    // the same steps-per-aggregation regime as the paper's 8 groups on
-    // 50k samples; fewer batches starve group-parallel streams (the very
-    // effect Fig. 6 documents)
-    SuiteScale {
-        samples: 4096,
-        input_size: 8,
-        width: 0.5,
-    }
+/// `base` under each of `methods` on `samples` samples at model `width`,
+/// through the one comparison runner.
+fn run_methods(
+    base: &TrainJobSpec,
+    methods: &[MethodSpec],
+    samples: usize,
+    width: f32,
+) -> Vec<socflow::RunResult> {
+    let workload = Workload::standard(base, samples, 8, width);
+    Comparison::new(*base, workload).run_all(methods, base.socs)
 }
+
+// 4096 samples give each of 4 group replicas 16 batches per epoch — the
+// same steps-per-aggregation regime as the paper's 8 groups on 50k
+// samples; fewer batches starve group-parallel streams (the very effect
+// Fig. 6 documents)
+const SAMPLES: usize = 4096;
+const WIDTH: f32 = 0.5;
 
 /// Paper Fig. 8 / Table 3 shape on one workload: SoCFlow is the fastest
 /// method and keeps accuracy close to synchronous SGD.
@@ -45,7 +52,7 @@ fn socflow_wins_end_to_end() {
         MethodSpec::FedAvg,
         MethodSpec::SocFlow(SocFlowConfig::with_groups(4)),
     ];
-    let results = run_methods(&base_spec(MethodSpec::Ring), &methods, scale());
+    let results = run_methods(&base_spec(MethodSpec::Ring), &methods, SAMPLES, WIDTH);
     let ours = results.last().unwrap();
     let sync_acc = results[1].best_accuracy();
 
@@ -96,7 +103,7 @@ fn federated_methods_degrade_more() {
     ];
     let mut spec = base_spec(MethodSpec::Ring);
     spec.epochs = 16;
-    let results = run_methods(&spec, &methods, scale());
+    let results = run_methods(&spec, &methods, SAMPLES, WIDTH);
     let (sync, fed, ours) = (&results[0], &results[1], &results[2]);
     assert!(
         fed.best_accuracy() <= ours.best_accuracy() + 0.02,
@@ -125,15 +132,7 @@ fn sync_share_ordering() {
     spec.model = ModelKind::Vgg11; // bandwidth-bound regime
     spec.preset = DatasetPreset::Cifar10;
     spec.epochs = 2;
-    let results = run_methods(
-        &spec,
-        &methods,
-        SuiteScale {
-            samples: 512,
-            input_size: 8,
-            width: 0.2,
-        },
-    );
+    let results = run_methods(&spec, &methods, 512, 0.2);
     let share = |i: usize| {
         let b = results[i].breakdown;
         b.sync / b.total()
@@ -214,15 +213,7 @@ fn only_socflow_fits_idle_window() {
     spec.model = ModelKind::Vgg11;
     spec.preset = DatasetPreset::Cifar10;
     spec.epochs = 10;
-    let results = run_methods(
-        &spec,
-        &methods,
-        SuiteScale {
-            samples: 1024,
-            input_size: 8,
-            width: 0.2,
-        },
-    );
+    let results = run_methods(&spec, &methods, 1024, 0.2);
     let target = results[0].best_accuracy().min(results[1].best_accuracy()) * 0.95;
     let window = socflow_cluster::tidal::DAILY_IDLE_WINDOW;
     // scaled runs converge in ~5 epochs where the reference tasks need
