@@ -10,7 +10,8 @@
 //!
 //! `kernels` is the host micro-kernel suite: the tensor kernels the
 //! training hot path lives in (tiled GEMM variants, transpose, the pooled
-//! conv2d forward/backward, the fused fake-quantize pass) on fixed shapes
+//! conv2d forward/backward, the lowering's im2col / col2im / reorder /
+//! max-pool, the fused fake-quantize pass) on fixed shapes
 //! with deterministic inputs, reported as minimum wall time per iteration
 //! plus achieved GFLOP/s. Minimum-of-N timing is used instead of the mean:
 //! the minimum estimates the noise-free cost of the kernel, which is the
@@ -476,6 +477,45 @@ fn kernels(fast: bool) -> KernelDoc {
     time("conv2d_backward", conv_shape, 2.0 * conv_flops, &mut || {
         conv::conv2d_backward_scratch(&gy, &patches, &w, x.shape(), p, &mut back, &mut gx, &mut gw);
     });
+
+    // --- The lowering's data movement ("flops" = elements moved) ---------
+    // At the repo benchmark's shapes: ResNet-18's stage 1 and LeNet-5's
+    // first pool at the CLI's widths, one 64-sample step.
+    let (ln, lc, lhw) = (64, 12, 8);
+    let lx = tensor([ln, lc, lhw, lhw], 0x5eed_000f);
+    let lowering_shape = format!("{ln}x{lc}x{lhw}x{lhw} k{kk}");
+    let mut lpatches = Tensor::default();
+    conv::im2col_into(&lx, kk, kk, p, &mut lpatches);
+    let moved = lpatches.len() as f64;
+    time("im2col", lowering_shape.clone(), moved, &mut || {
+        conv::im2col_into(&lx, kk, kk, p, &mut lpatches);
+    });
+    let gpatches = tensor(lpatches.shape().clone(), 0x5eed_0010);
+    let mut lgx = Tensor::default();
+    time("col2im", lowering_shape, moved, &mut || {
+        conv::col2im_into(&gpatches, ln, lc, lhw, lhw, kk, kk, p, &mut lgx);
+    });
+    let rows = tensor([ln * lhw * lhw, lc], 0x5eed_0011);
+    let mut nchw = Tensor::default();
+    let reorder_shape = format!("{}x{lc}", ln * lhw * lhw);
+    time(
+        "nchw_reorder",
+        reorder_shape,
+        rows.len() as f64,
+        &mut || {
+            conv::nhwc_rows_to_nchw_into(&rows, ln, lc, lhw, lhw, &mut nchw);
+        },
+    );
+    let px = tensor([64, 3, 8, 8], 0x5eed_0012);
+    let (mut pooled, mut argmax) = (Tensor::default(), Vec::new());
+    time(
+        "max_pool2d",
+        "64x3x8x8 k2".into(),
+        px.len() as f64,
+        &mut || {
+            conv::max_pool2d_into(&px, 2, ConvParams::new(2, 0), &mut pooled, &mut argmax);
+        },
+    );
 
     // --- Fused quantize→dequantize ---------------------------------------
     let q_in = tensor([256, 256], 0x5eed_000b);

@@ -1,15 +1,27 @@
 use crate::layer::{Layer, Mode};
 use socflow_tensor::conv::{
-    global_avg_pool, global_avg_pool_backward, max_pool2d, max_pool2d_backward, ConvParams,
+    global_avg_pool, global_avg_pool_backward, max_pool2d_backward_into, max_pool2d_into,
+    ConvParams,
 };
 use socflow_tensor::{Shape, Tensor};
 
 /// `k×k` max pooling with stride `k` (the non-overlapping pooling used by
 /// the reference CNNs).
+///
+/// The argmax indices live in two buffers the layer owns, each sized by
+/// the largest batch it has met: a training forward writes `argmax`, which
+/// `backward` reads, and an eval forward writes `eval_argmax`, so one in
+/// between never clobbers the other. The output and the input gradient are
+/// returned by value, as [`Layer`] has it, and so are allocated per call.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     k: usize,
-    cached: Option<(Vec<usize>, Shape)>,
+    /// Flat argmax per output element of the last training forward.
+    argmax: Vec<usize>,
+    /// Where an eval forward puts the indices nobody reads.
+    eval_argmax: Vec<usize>,
+    /// Input shape of the last training forward.
+    input_shape: Option<Shape>,
 }
 
 impl MaxPool2d {
@@ -19,25 +31,36 @@ impl MaxPool2d {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "pool window must be positive");
-        MaxPool2d { k, cached: None }
+        MaxPool2d {
+            k,
+            argmax: Vec::new(),
+            eval_argmax: Vec::new(),
+            input_shape: None,
+        }
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let (y, arg) = max_pool2d(input, self.k, ConvParams::new(self.k, 0));
+        let mut y = Tensor::default();
+        let p = ConvParams::new(self.k, 0);
         if mode.train {
-            self.cached = Some((arg, input.shape().clone()));
+            max_pool2d_into(input, self.k, p, &mut y, &mut self.argmax);
+            self.input_shape = Some(input.shape().clone());
+        } else {
+            max_pool2d_into(input, self.k, p, &mut y, &mut self.eval_argmax);
         }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
-        let (arg, shape) = self
-            .cached
+        let shape = self
+            .input_shape
             .as_ref()
             .expect("MaxPool2d::backward without forward");
-        max_pool2d_backward(grad_out, arg, shape)
+        let mut gx = Tensor::default();
+        max_pool2d_backward_into(grad_out, &self.argmax, shape, &mut gx);
+        gx
     }
 
     fn describe(&self) -> String {
@@ -100,6 +123,29 @@ mod tests {
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
         let gx = p.backward(&Tensor::ones([1, 1, 2, 2]), Mode::train(Precision::Fp32));
+        assert_eq!(gx.sum(), 4.0);
+    }
+
+    #[test]
+    fn an_eval_forward_between_the_passes_leaves_the_argmax_alone() {
+        let mut p = MaxPool2d::new(2);
+        let x = Tensor::from_vec((0..16).map(|i| i as f32).collect::<Vec<_>>(), [1, 1, 4, 4]);
+        p.forward(&x, Mode::train(Precision::Fp32));
+        // a bigger batch with its maxima elsewhere
+        let other = Tensor::from_vec(
+            (0..32).map(|i| -(i as f32)).collect::<Vec<_>>(),
+            [2, 1, 4, 4],
+        );
+        let y = p.forward(&other, Mode::eval(Precision::Fp32));
+        assert_eq!(
+            y.data(),
+            &[0.0, -2.0, -8.0, -10.0, -16.0, -18.0, -24.0, -26.0]
+        );
+        let gx = p.backward(&Tensor::ones([1, 1, 2, 2]), Mode::train(Precision::Fp32));
+        assert_eq!(gx.shape().dims(), &[1, 1, 4, 4]);
+        for at in [5, 7, 13, 15] {
+            assert_eq!(gx.data()[at], 1.0);
+        }
         assert_eq!(gx.sum(), 4.0);
     }
 

@@ -25,6 +25,21 @@
 //! clone/reshape; otherwise its live `(oc, ic·lh·lw)` view is gathered into
 //! the layer's [`ConvScratch`] on every call.
 //!
+//! **The halo.** Neither lowering loop tests a bound. `im2col` copies each
+//! sample into a zero border `padding` cells wide (thread-local scratch, as
+//! the GEMM's packed panels are) and then reads every live window whole,
+//! the zeros with it, one fixed-width move per kernel row; `col2im` adds
+//! every live tap of every window into a zeroed halo, in the `(oy, ox, ci,
+//! ky, kx)` order the bounds-tested loop had, and copies the interior out.
+//! A cell of the interior receives exactly the adds it always did, in the
+//! same order, so its bits are the same whatever the operands — NaN and ∞
+//! included; the adds that land in the border are the ones the bounds test
+//! used to skip, and the border is dropped. The 4-float move of a 3-float
+//! run writes one float too many, always onto the head of the run written
+//! next, never past the sample's region (the last output position moves at
+//! exact width). The bounds-tested bodies live on in this module's tests as
+//! the oracle.
+//!
 //! The heavy entry points come in two flavors: allocating wrappers
 //! ([`conv2d`], [`conv2d_backward`], [`im2col`], [`col2im`]) and
 //! scratch-reusing variants ([`conv2d_scratch`], [`conv2d_backward_scratch`],
@@ -37,6 +52,7 @@ use crate::profile::{KernelOp, Timer};
 use crate::quant::{self, QuantParams};
 use crate::runtime::{self, SendPtr};
 use crate::{linalg, Shape, Tensor};
+use std::cell::RefCell;
 
 /// Minimum per-call element count before the im2col/col2im lowering is
 /// dispatched on the worker pool; the partition is one chunk per batch
@@ -209,6 +225,126 @@ impl LiveTaps {
     }
 }
 
+/// The geometry of one lowering call — what [`im2col_into`] and
+/// [`col2im_into`] work out once and every sample of the batch reads.
+#[derive(Debug, Clone, Copy)]
+struct Lowering {
+    c: usize,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    live: LiveTaps,
+    p: ConvParams,
+}
+
+impl Lowering {
+    fn new(c: usize, h: usize, w: usize, kh: usize, kw: usize, p: ConvParams) -> Self {
+        Lowering {
+            c,
+            h,
+            w,
+            oh: p.out_size(h, kh),
+            ow: p.out_size(w, kw),
+            live: LiveTaps::of(h, w, kh, kw, p),
+            p,
+        }
+    }
+
+    /// Columns of the patch matrix: one per channel and live tap.
+    fn cols(&self) -> usize {
+        self.c * self.live.taps()
+    }
+
+    /// Floats of one sample's patch rows, `oh·ow × cols`.
+    fn sample_patches(&self) -> usize {
+        self.oh * self.ow * self.cols()
+    }
+
+    /// Floats of one sample's image, `c·h·w`.
+    fn sample_image(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// Extent of one zero-bordered plane of the halo, `(h + 2p, w + 2p)`.
+    fn padded(&self) -> (usize, usize) {
+        (self.h + 2 * self.p.padding, self.w + 2 * self.p.padding)
+    }
+
+    /// `true` when a sample's patch rows *are* its image, float for float:
+    /// one output position whose live window is the whole map (a padded 3×3
+    /// kernel on a 1×1 map, or at stride 2 on a 2×2 one).
+    fn is_identity(&self) -> bool {
+        let pad = self.p.padding;
+        self.oh * self.ow == 1
+            && (self.live.rows(), self.live.cols()) == (pad..pad + self.h, pad..pad + self.w)
+    }
+}
+
+thread_local! {
+    /// One sample's image inside a zero border `padding` cells wide —
+    /// `(c, h + 2p, w + 2p)` floats and [`SPILL`] more — so that neither
+    /// lowering loop tests a bound: [`im2col_sample`] reads its windows out
+    /// of it, [`col2im_sample`] accumulates its windows into it and copies
+    /// the interior out. Thread-local because pool workers run the
+    /// per-sample bodies (same ownership rules as the GEMM's packed
+    /// panels in [`crate::linalg`]); grown to the largest layer's once.
+    static HALO: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Floats past the halo's last plane that a wide move may read.
+const SPILL: usize = 1;
+
+/// Runs `f` on this thread's halo, cut to `g`'s planes plus [`SPILL`].
+/// The per-sample bodies never call into the pool, so the borrow is not
+/// re-entered.
+fn with_halo<R>(g: &Lowering, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    let (hp, wp) = g.padded();
+    let len = g.c * hp * wp + SPILL;
+    HALO.with(|halo| {
+        let mut halo = halo.borrow_mut();
+        if halo.len() < len {
+            // exactly: the largest layer's planes, not twice the last one's
+            let grow = len - halo.len();
+            halo.reserve_exact(grow);
+            halo.resize(len, 0.0);
+        }
+        f(&mut halo[..len])
+    })
+}
+
+/// The `w`-float rows of the halo's interior, plane by plane, top to bottom
+/// — each beside the image row it mirrors when zipped with the image's
+/// `chunks_exact(w)`. `w` is [`Lowering::w`], handed in by
+/// [`with_const_width`].
+#[inline(always)]
+fn interior<'a>(
+    halo: &'a mut [f32],
+    g: &Lowering,
+    w: usize,
+) -> impl Iterator<Item = &'a mut [f32]> {
+    let (hp, wp) = g.padded();
+    let (h, pad) = (g.h, g.p.padding);
+    halo.chunks_exact_mut(hp * wp).flat_map(move |plane| {
+        let rows = plane[pad * wp..].chunks_exact_mut(wp).take(h);
+        rows.map(move |row| &mut row[pad..pad + w])
+    })
+}
+
+/// Calls `f(w)` with `w` a constant at the map widths an 8×8 input meets, so
+/// that the row copies between an image and its halo inline as fixed-width
+/// moves, not as one `memcpy` call per two floats.
+#[inline(always)]
+fn with_const_width(w: usize, f: impl FnOnce(usize)) {
+    match w {
+        1 => f(1),
+        2 => f(2),
+        4 => f(4),
+        8 => f(8),
+        w => f(w),
+    }
+}
+
 /// Lowers NCHW `input` into a patch matrix of shape
 /// `(n·oh·ow, c·lh·lw)`, one column per channel and *live* tap
 /// ([`LiveTaps`]; `lh·lw = kh·kw` unless the map is smaller than the
@@ -234,77 +370,135 @@ pub fn im2col_into(
     patches: &mut Tensor,
 ) -> (usize, usize) {
     let (n, c, h, w) = input.shape().as_nchw();
-    let oh = p.out_size(h, kh);
-    let ow = p.out_size(w, kw);
-    let live = LiveTaps::of(h, w, kh, kw, p);
-    let rows = n * oh * ow;
-    let cols = c * live.taps();
+    let g = Lowering::new(c, h, w, kh, kw, p);
+    let rows = n * g.oh * g.ow;
     let _t = Timer::start(KernelOp::Im2col);
-    patches.resize([rows, cols]);
+    patches.resize([rows, g.cols()]);
     let out = patches.data_mut();
-    let data = input.data();
-    let sample_rows = oh * ow * cols;
-    if n > 1 && rows * cols >= PAR_MIN_ELEMS && runtime::threads() > 1 {
+    let image = |ni: usize| &input.data()[ni * g.sample_image()..][..g.sample_image()];
+    let sample_rows = g.sample_patches();
+    if n > 1 && rows * g.cols() >= PAR_MIN_ELEMS && runtime::threads() > 1 {
         // One chunk per batch sample: sample `ni` owns exactly the patch
         // rows `[ni·oh·ow, (ni+1)·oh·ow)` — disjoint output regions, and
-        // the per-sample fill/scatter below is the same code the serial
-        // path runs, so the bytes are identical at any thread count.
+        // the per-sample body below is the same code the serial path runs,
+        // so the bytes are identical at any thread count.
         let out_ptr = SendPtr::new(out);
         runtime::parallel_for_chunks(n, &|ni| {
             // Safety: per-sample regions are disjoint and in-bounds.
             let sample = unsafe { out_ptr.slice(ni * sample_rows, sample_rows) };
-            im2col_sample(data, sample, ni, c, h, w, live, oh, ow, p);
+            im2col_sample(image(ni), sample, &g);
         });
     } else {
         for ni in 0..n {
             let sample = &mut out[ni * sample_rows..(ni + 1) * sample_rows];
-            im2col_sample(data, sample, ni, c, h, w, live, oh, ow, p);
+            im2col_sample(image(ni), sample, &g);
         }
     }
-    (oh, ow)
+    (g.oh, g.ow)
 }
 
-/// Extracts the patch rows of batch sample `ni` into `out` (that sample's
-/// `oh·ow × c·lh·lw` region of the patch matrix).
-#[allow(clippy::too_many_arguments)]
-fn im2col_sample(
-    data: &[f32],
-    out: &mut [f32],
-    ni: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    live: LiveTaps,
-    oh: usize,
-    ow: usize,
-    p: ConvParams,
-) {
-    let (lh, lw) = (live.rows().len(), live.cols().len());
-    let cols = c * lh * lw;
-    // Zero first: padding positions are skipped by the scatter below and must
-    // read as zero even when the buffer is recycled.
-    out.fill(0.0);
-    let pad = p.padding as isize;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = (oy * ow + ox) * cols;
-            for ci in 0..c {
-                let chan = (ni * c + ci) * h * w;
-                for ky in live.rows() {
-                    let iy = (oy * p.stride + ky) as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src_row = chan + iy as usize * w;
-                    let dst = row + (ci * lh + ky - live.ky0) * lw;
-                    for kx in live.cols() {
-                        let ix = (ox * p.stride + kx) as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out[dst + kx - live.kx0] = data[src_row + ix as usize];
-                    }
+/// Extracts the patch rows of one batch sample — `image`, its `c·h·w`
+/// floats — into `out` (that sample's `oh·ow × c·lh·lw` region of the patch
+/// matrix). Pure movement: the image is embedded in the zero-bordered halo
+/// and every window is then read whole, padding included, so no tap tests a
+/// bound.
+fn im2col_sample(image: &[f32], out: &mut [f32], g: &Lowering) {
+    if g.is_identity() {
+        out.copy_from_slice(image);
+    } else if image.is_empty() {
+        out.fill(0.0);
+    } else if g.p.padding == 0 {
+        gather_windows(image, out, g, false);
+    } else {
+        with_halo(g, |halo| {
+            halo.fill(0.0);
+            with_const_width(g.w, |w| {
+                for (row, src) in interior(halo, g, w).zip(image.chunks_exact(w)) {
+                    row.copy_from_slice(src);
                 }
+            });
+            gather_windows(halo, out, g, true);
+        });
+    }
+}
+
+/// Instantiates [`gather_body`] for the run lengths the model zoo meets.
+/// With `spill` — `src` is the halo — a 3-float run moves as 4 floats.
+fn gather_windows(src: &[f32], out: &mut [f32], g: &Lowering, spill: bool) {
+    match (g.live.cols().len(), spill) {
+        (1, _) => gather_body(src, out, g, 1, 1),
+        (2, _) => gather_body(src, out, g, 2, 2),
+        (3, true) => gather_body(src, out, g, 3, 4),
+        (3, false) => gather_body(src, out, g, 3, 3),
+        (lw, _) => gather_body(src, out, g, lw, lw),
+    }
+}
+
+/// Copies every live window of `src` — `c` planes of [`Lowering::padded`]
+/// extent, windows at their padded coordinates — into the patch rows `out`,
+/// one `lw`-float run per channel and live kernel row, in ascending address
+/// order. A run is moved as `wide ≥ lw` floats (constants after inlining, so
+/// each move is a fixed-width load and store): the `wide − lw` floats
+/// written past it are the head of the next run, which overwrites them, and
+/// the last output position — whose last run ends the sample's region, the
+/// next float being another pool chunk's — is moved at exactly `lw`.
+#[inline(always)]
+fn gather_body(src: &[f32], out: &mut [f32], g: &Lowering, lw: usize, wide: usize) {
+    let (hp, wp) = g.padded();
+    let (lh, stride) = (g.live.rows().len(), g.p.stride);
+    let cols = g.c * lh * lw;
+    // What the unchecked moves in `gather_row` rest on: the run length is
+    // the live window's, the furthest window ends inside a plane, `src`
+    // holds every plane plus what a wide move reads past the last one, and
+    // `out` is exactly the sample's rows.
+    assert_eq!(lw, g.live.cols().len());
+    assert!((g.oh - 1) * stride + g.live.ky1 <= hp && (g.ow - 1) * stride + g.live.kx1 <= wp);
+    assert!(src.len() >= g.c * hp * wp + (wide - lw));
+    assert_eq!(out.len(), g.oh * g.ow * cols);
+    let last = out.len() - cols;
+    for oy in 0..g.oh {
+        for ox in 0..g.ow {
+            let row = (oy * g.ow + ox) * cols;
+            let corner = (oy * stride + g.live.ky0) * wp + ox * stride + g.live.kx0;
+            if row == last {
+                gather_row(src, out, corner, row, g.c, lh, hp * wp, wp, lw, lw);
+            } else {
+                gather_row(src, out, corner, row, g.c, lh, hp * wp, wp, lw, wide);
+            }
+        }
+    }
+}
+
+/// One output position of [`gather_body`]: `c·lh` runs from `src[corner..]`
+/// (plane stride `plane`, row stride `wp`) to `out[row..]`, each moved as
+/// `run` floats and `lw` apart in `out`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gather_row(
+    src: &[f32],
+    out: &mut [f32],
+    corner: usize,
+    row: usize,
+    c: usize,
+    lh: usize,
+    plane: usize,
+    wp: usize,
+    lw: usize,
+    run: usize,
+) {
+    for ci in 0..c {
+        for r in 0..lh {
+            let (s, d) = (corner + ci * plane + r * wp, row + (ci * lh + r) * lw);
+            debug_assert!(s + run <= src.len() && d + run <= out.len());
+            // SAFETY: by `gather_body`'s asserts the window row `r` of
+            // channel `ci` lies inside plane `ci`, so `s + lw ≤ c·plane`,
+            // and `src` is `wide − lw` floats longer than that; `d + lw ≤
+            // row + c·lh·lw`, the end of this patch row, and a run wider
+            // than `lw` is only asked for before the last row, where at
+            // least one more row follows in `out`. `src` and `out` are
+            // distinct borrows, so the ranges cannot overlap.
+            unsafe {
+                std::ptr::copy_nonoverlapping(src.as_ptr().add(s), out.as_mut_ptr().add(d), run);
             }
         }
     }
@@ -348,21 +542,18 @@ pub fn col2im_into(
     p: ConvParams,
     grad: &mut Tensor,
 ) {
-    let oh = p.out_size(h, kh);
-    let ow = p.out_size(w, kw);
-    let live = LiveTaps::of(h, w, kh, kw, p);
-    let cols = c * live.taps();
+    let g = Lowering::new(c, h, w, kh, kw, p);
     assert_eq!(
         patches.shape().dims(),
-        &[n * oh * ow, cols],
+        &[n * g.oh * g.ow, g.cols()],
         "patch matrix shape mismatch (rows n·oh·ow, one column per channel and live tap)"
     );
     let _t = Timer::start(KernelOp::Col2im);
     grad.resize([n, c, h, w]);
     let out = grad.data_mut();
-    let data = patches.data();
-    let sample_len = c * h * w;
-    if n > 1 && n * oh * ow * cols >= PAR_MIN_ELEMS && runtime::threads() > 1 {
+    let rows = |ni: usize| &patches.data()[ni * g.sample_patches()..][..g.sample_patches()];
+    let sample_len = g.sample_image();
+    if n > 1 && patches.len() >= PAR_MIN_ELEMS && runtime::threads() > 1 {
         // One chunk per batch sample: sample `ni`'s patch rows scatter only
         // into its own `c·h·w` gradient region, and within a sample the
         // accumulation order is the serial one — bit-identical at any
@@ -371,53 +562,86 @@ pub fn col2im_into(
         runtime::parallel_for_chunks(n, &|ni| {
             // Safety: per-sample regions are disjoint and in-bounds.
             let sample = unsafe { out_ptr.slice(ni * sample_len, sample_len) };
-            col2im_sample(data, sample, ni, c, h, w, live, oh, ow, p);
+            col2im_sample(rows(ni), sample, &g);
         });
     } else {
         for ni in 0..n {
             let sample = &mut out[ni * sample_len..(ni + 1) * sample_len];
-            col2im_sample(data, sample, ni, c, h, w, live, oh, ow, p);
+            col2im_sample(rows(ni), sample, &g);
         }
     }
 }
 
-/// Scatters batch sample `ni`'s patch-row gradients into `out` (that
-/// sample's `c·h·w` region of the NCHW gradient).
-#[allow(clippy::too_many_arguments)]
-fn col2im_sample(
-    data: &[f32],
-    out: &mut [f32],
-    ni: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    live: LiveTaps,
-    oh: usize,
-    ow: usize,
-    p: ConvParams,
-) {
-    let (lh, lw) = (live.rows().len(), live.cols().len());
-    let cols = c * lh * lw;
-    out.fill(0.0);
-    let pad = p.padding as isize;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = ((ni * oh + oy) * ow + ox) * cols;
-            for ci in 0..c {
-                let chan = ci * h * w;
-                for ky in live.rows() {
-                    let iy = (oy * p.stride + ky) as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let dst_row = chan + iy as usize * w;
-                    let src = row + (ci * lh + ky - live.ky0) * lw;
-                    for kx in live.cols() {
-                        let ix = (ox * p.stride + kx) as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+/// Scatters one batch sample's patch-row gradients `rows` into `out` (that
+/// sample's `c·h·w` region of the NCHW gradient): every live tap of every
+/// window is added into the zeroed halo, unconditionally and in `(oy, ox,
+/// ci, ky, kx)` order, and the interior is copied out. An add that lands on
+/// a real cell is the add the bounds-tested loop made, in the same order; one
+/// that lands in the border is one it skipped, and the border is dropped.
+fn col2im_sample(rows: &[f32], out: &mut [f32], g: &Lowering) {
+    if g.is_identity() {
+        // the one add each cell receives, onto its fresh `+0.0`
+        for (cell, v) in out.iter_mut().zip(rows) {
+            *cell = 0.0 + v;
+        }
+    } else if out.is_empty() {
+        // nothing to scatter into
+    } else if g.p.padding == 0 {
+        out.fill(0.0);
+        scatter_windows(rows, out, g);
+    } else {
+        with_halo(g, |halo| {
+            halo.fill(0.0);
+            scatter_windows(rows, halo, g);
+            with_const_width(g.w, |w| {
+                for (src, row) in interior(halo, g, w).zip(out.chunks_exact_mut(w)) {
+                    row.copy_from_slice(src);
+                }
+            });
+        });
+    }
+}
+
+/// Instantiates [`scatter_body`] for the run lengths the model zoo meets.
+fn scatter_windows(rows: &[f32], dst: &mut [f32], g: &Lowering) {
+    match g.live.cols().len() {
+        1 => scatter_body(rows, dst, g, 1),
+        2 => scatter_body(rows, dst, g, 2),
+        3 => scatter_body(rows, dst, g, 3),
+        lw => scatter_body(rows, dst, g, lw),
+    }
+}
+
+/// Adds the patch rows `rows` into `dst` — `c` planes of
+/// [`Lowering::padded`] extent, zeroed by the caller — one `lw`-float run per
+/// output position, channel and live kernel row, in that order (`lw` is a
+/// constant after inlining).
+#[inline(always)]
+fn scatter_body(rows: &[f32], dst: &mut [f32], g: &Lowering, lw: usize) {
+    let (hp, wp) = g.padded();
+    let (lh, stride, plane) = (g.live.rows().len(), g.p.stride, hp * wp);
+    let cols = g.c * lh * lw;
+    // What the unchecked adds below rest on; see `gather_body`.
+    assert_eq!(lw, g.live.cols().len());
+    assert!((g.oh - 1) * stride + g.live.ky1 <= hp && (g.ow - 1) * stride + g.live.kx1 <= wp);
+    assert!(dst.len() >= g.c * plane);
+    assert_eq!(rows.len(), g.oh * g.ow * cols);
+    for oy in 0..g.oh {
+        for ox in 0..g.ow {
+            let row = (oy * g.ow + ox) * cols;
+            let corner = (oy * stride + g.live.ky0) * wp + ox * stride + g.live.kx0;
+            for ci in 0..g.c {
+                for r in 0..lh {
+                    let (s, d) = (row + (ci * lh + r) * lw, corner + ci * plane + r * wp);
+                    debug_assert!(s + lw <= rows.len() && d + lw <= dst.len());
+                    for j in 0..lw {
+                        // SAFETY: `s + lw ≤ row + c·lh·lw`, the end of this
+                        // patch row of `rows`; by the asserts above window
+                        // row `r` of channel `ci` lies inside plane `ci` of
+                        // `dst`, so `d + lw ≤ c·plane ≤ dst.len()`.
+                        unsafe {
+                            *dst.get_unchecked_mut(d + j) += *rows.get_unchecked(s + j);
                         }
-                        out[dst_row + ix as usize] += data[src + kx - live.kx0];
                     }
                 }
             }
@@ -672,35 +896,50 @@ pub fn conv2d_backward_scratch(
     col2im_into(&scratch.gpatches, n, ic, h, w, kh, kw, p, gx);
 }
 
-/// Reorders a `(n·oh·ow, c)` matrix (rows in NHWC order) into NCHW.
-fn nhwc_rows_to_nchw_into(mat: &Tensor, n: usize, c: usize, oh: usize, ow: usize, t: &mut Tensor) {
+/// Reorders a `(n·oh·ow, c)` matrix (rows in NHWC order) into NCHW: one
+/// `(oh·ow, c) → (c, oh·ow)` transpose per sample, and a plain copy on a 1×1
+/// map, where the two orders are the same.
+///
+/// # Panics
+/// Panics if `mat` does not hold `n·oh·ow·c` elements.
+pub fn nhwc_rows_to_nchw_into(
+    mat: &Tensor,
+    n: usize,
+    c: usize,
+    oh: usize,
+    ow: usize,
+    t: &mut Tensor,
+) {
+    assert_eq!(mat.len(), n * oh * ow * c, "nhwc_rows_to_nchw_into: size");
     t.resize([n, c, oh, ow]);
-    let out = t.data_mut();
-    let data = mat.data();
-    for ni in 0..n {
-        for y in 0..oh {
-            for x in 0..ow {
-                let row = ((ni * oh + y) * ow + x) * c;
-                for ci in 0..c {
-                    out[((ni * c + ci) * oh + y) * ow + x] = data[row + ci];
-                }
-            }
-        }
-    }
+    transpose_samples(mat.data(), t.data_mut(), oh * ow, c);
 }
 
-/// Reorders an NCHW tensor into a `(n·h·w, c)` matrix (rows in NHWC order).
+/// Reorders an NCHW tensor into a `(n·h·w, c)` matrix (rows in NHWC order),
+/// the inverse of [`nhwc_rows_to_nchw_into`].
 fn nchw_to_nhwc_rows_into(t: &Tensor, mat: &mut Tensor) {
     let (n, c, h, w) = t.shape().as_nchw();
     mat.resize([n * h * w, c]);
-    let out = mat.data_mut();
-    let data = t.data();
-    for ni in 0..n {
-        for ci in 0..c {
-            for y in 0..h {
-                for x in 0..w {
-                    out[((ni * h + y) * w + x) * c + ci] = data[((ni * c + ci) * h + y) * w + x];
-                }
+    transpose_samples(t.data(), mat.data_mut(), c, h * w);
+}
+
+/// Transposes every `(m, k)` sample of `src` into the `(k, m)` sample of
+/// `dst` beside it. A sample is a few KB and stays in L1, so nothing is
+/// blocked: each destination row is one strided pass over its sample,
+/// written contiguously, with no index tested inside it.
+fn transpose_samples(src: &[f32], dst: &mut [f32], m: usize, k: usize) {
+    assert_eq!(src.len(), dst.len());
+    if m == 1 || k == 1 {
+        return dst.copy_from_slice(src);
+    }
+    let sample = (m * k).max(1);
+    for (src, dst) in src.chunks_exact(sample).zip(dst.chunks_exact_mut(sample)) {
+        for (j, row) in dst.chunks_exact_mut(m).enumerate() {
+            for (i, cell) in row.iter_mut().enumerate() {
+                debug_assert!(i * k + j < src.len());
+                // SAFETY: `dst` splits into `k` rows of `m`, so `j < k` and
+                // `i < m`: `i·k + j < m·k = src.len()`.
+                *cell = unsafe { *src.get_unchecked(i * k + j) };
             }
         }
     }
@@ -710,52 +949,138 @@ fn nchw_to_nhwc_rows_into(t: &Tensor, mat: &mut Tensor) {
 /// of each output element (for the backward scatter).
 ///
 /// # Panics
-/// Panics if `input` is not rank-4 or the window does not fit.
+/// Panics if `input` is not rank-4, the window does not fit or
+/// `p.padding >= k`.
 pub fn max_pool2d(input: &Tensor, k: usize, p: ConvParams) -> (Tensor, Vec<usize>) {
+    let (mut out, mut argmax) = (Tensor::default(), Vec::new());
+    max_pool2d_into(input, k, p, &mut out, &mut argmax);
+    (out, argmax)
+}
+
+/// [`max_pool2d`] writing into `out` and `argmax`, reusing their storage.
+///
+/// The first maximum of a window in `(ky, kx)` order wins (strict `>`). A
+/// window with nothing above `-∞` in it — every element NaN or `-∞` —
+/// yields `-∞` and the index of its first in-bounds element, so the
+/// backward pass routes its gradient into that window.
+///
+/// # Panics
+/// Panics if `input` is not rank-4, the window does not fit or
+/// `p.padding >= k` (some window would hold no input element at all).
+pub fn max_pool2d_into(
+    input: &Tensor,
+    k: usize,
+    p: ConvParams,
+    out: &mut Tensor,
+    argmax: &mut Vec<usize>,
+) {
     let (n, c, h, w) = input.shape().as_nchw();
+    assert!(
+        p.padding < k,
+        "max_pool2d: padding {} leaves a {k}x{k} window without an input element",
+        p.padding
+    );
     let oh = p.out_size(h, k);
     let ow = p.out_size(w, k);
-    let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
-    let mut arg = vec![0usize; n * c * oh * ow];
-    let data = input.data();
-    let pad = p.padding as isize;
-    for ni in 0..n {
-        for ci in 0..c {
-            let chan = (ni * c + ci) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let o = ((ni * c + ci) * oh + oy) * ow + ox;
-                    for ky in 0..k {
-                        let iy = (oy * p.stride + ky) as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * p.stride + kx) as isize - pad;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let idx = chan + iy as usize * w + ix as usize;
-                            if data[idx] > out[o] {
-                                out[o] = data[idx];
-                                arg[o] = idx;
-                            }
-                        }
+    out.resize([n, c, oh, ow]);
+    argmax.resize(n * c * oh * ow, 0);
+    let dims = (n * c, h, w, oh, ow);
+    match (k, p.stride, p.padding) {
+        (2, 2, 0) => max_pool_body(input.data(), out.data_mut(), argmax, dims, 2, 2, 0),
+        (k, stride, pad) => {
+            max_pool_body(input.data(), out.data_mut(), argmax, dims, k, stride, pad)
+        }
+    }
+}
+
+/// The pooling loop over `planes` maps of `h × w`; `k`, `stride` and `pad`
+/// are constants in the 2×2 instantiation. Each window is clamped to the map
+/// once per output position, so the compare loop tests no bound.
+#[inline(always)]
+fn max_pool_body(
+    data: &[f32],
+    out: &mut [f32],
+    argmax: &mut [usize],
+    (planes, h, w, oh, ow): (usize, usize, usize, usize, usize),
+    k: usize,
+    stride: usize,
+    pad: usize,
+) {
+    // What the unchecked reads rest on: every plane is in `data`, and
+    // (below) every window is clamped to its plane.
+    assert_eq!(data.len(), planes * h * w);
+    assert!(
+        pad < k && (oh - 1) * stride + k <= h + 2 * pad && (ow - 1) * stride + k <= w + 2 * pad
+    );
+    // `[first, end)` of output position `o`'s window along an axis. Without
+    // padding the clamp never binds (`out_size` fits the last window); said
+    // outright, the 2×2 instantiation sees constant trip counts.
+    let span = |o: usize, extent: usize| {
+        if pad == 0 {
+            (o * stride, o * stride + k)
+        } else {
+            (
+                (o * stride).saturating_sub(pad),
+                (o * stride + k - pad).min(extent),
+            )
+        }
+    };
+    let planes = out
+        .chunks_exact_mut((oh * ow).max(1))
+        .zip(argmax.chunks_exact_mut((oh * ow).max(1)));
+    for (plane, (out, argmax)) in planes.enumerate() {
+        let base = plane * h * w;
+        let rows = out.chunks_exact_mut(ow).zip(argmax.chunks_exact_mut(ow));
+        for (oy, (out, argmax)) in rows.enumerate() {
+            let (y0, y1) = span(oy, h);
+            for (ox, (cell, arg)) in out.iter_mut().zip(argmax).enumerate() {
+                let (x0, x1) = span(ox, w);
+                debug_assert!(y0 < y1 && y1 <= h && x0 < x1 && x1 <= w);
+                let (mut best, mut at) = (f32::NEG_INFINITY, base + y0 * w + x0);
+                for y in y0..y1 {
+                    for idx in base + y * w + x0..base + y * w + x1 {
+                        // SAFETY: `y < y1 ≤ h` and `x1 ≤ w`, so `idx < base +
+                        // h·w`, at most `planes·h·w = data.len()`.
+                        let v = unsafe { *data.get_unchecked(idx) };
+                        // two selects, not a branch: which element of a
+                        // window wins is a coin toss
+                        let wins = v > best;
+                        best = if wins { v } else { best };
+                        at = if wins { idx } else { at };
                     }
                 }
+                (*cell, *arg) = (best, at);
             }
         }
     }
-    (Tensor::from_vec(out, Shape::from([n, c, oh, ow])), arg)
 }
 
 /// Backward max pooling: routes each output gradient to its argmax input.
+///
+/// # Panics
+/// Panics if an index of `argmax` is outside `input_shape`.
 pub fn max_pool2d_backward(grad_out: &Tensor, argmax: &[usize], input_shape: &Shape) -> Tensor {
-    let mut gx = vec![0.0f32; input_shape.len()];
-    for (g, &idx) in grad_out.data().iter().zip(argmax.iter()) {
+    let mut gx = Tensor::default();
+    max_pool2d_backward_into(grad_out, argmax, input_shape, &mut gx);
+    gx
+}
+
+/// [`max_pool2d_backward`] writing into `gx`, reusing its storage.
+///
+/// # Panics
+/// Panics if an index of `argmax` is outside `input_shape`.
+pub fn max_pool2d_backward_into(
+    grad_out: &Tensor,
+    argmax: &[usize],
+    input_shape: &Shape,
+    gx: &mut Tensor,
+) {
+    gx.resize(input_shape.clone());
+    let gx = gx.data_mut();
+    gx.fill(0.0);
+    for (g, &idx) in grad_out.data().iter().zip(argmax) {
         gx[idx] += g;
     }
-    Tensor::from_vec(gx, input_shape.clone())
 }
 
 /// Global average pooling over the spatial dimensions: `(n,c,h,w) → (n,c)`.
@@ -1006,12 +1331,27 @@ mod tests {
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
-    /// The lowering over all `kh·kw` taps — the per-sample bodies and the
-    /// three convolutions exactly as they stood before the live-tap window
-    /// (the batch loops serial, which the pool path equalled byte for byte) —
-    /// kept as the reference the live-tap lowering must equal bit for bit.
+    /// The oracle: the bounds-tested per-sample bodies over a tap window,
+    /// the index-arithmetic reorders and the bounds-tested pool exactly as
+    /// production ran them before the halo, and — over the window that is
+    /// the whole kernel — the three convolutions as they stood before the
+    /// live-tap window (batch loops serial, which the pool path equalled
+    /// byte for byte). The halo bodies must equal the former and the
+    /// live-tap lowering the latter, bit for bit.
     mod reference {
         use super::super::*;
+
+        /// All `kh × kw` taps as a window.
+        fn all_taps(kh: usize, kw: usize) -> LiveTaps {
+            LiveTaps {
+                kh,
+                kw,
+                ky0: 0,
+                ky1: kh,
+                kx0: 0,
+                kx1: kw,
+            }
+        }
 
         pub fn im2col_into(
             input: &Tensor,
@@ -1026,31 +1366,34 @@ mod tests {
             let cols = c * kh * kw;
             patches.resize([n * oh * ow, cols]);
             let sample_rows = oh * ow * cols;
+            let live = all_taps(kh, kw);
             for (ni, sample) in patches
                 .data_mut()
                 .chunks_mut(sample_rows.max(1))
                 .enumerate()
             {
-                im2col_sample(input.data(), sample, ni, c, h, w, kh, kw, oh, ow, p);
+                im2col_sample(input.data(), sample, ni, c, h, w, live, oh, ow, p);
             }
             (oh, ow)
         }
 
+        /// Extracts the patch rows of batch sample `ni` of `data` into
+        /// `out`, testing every tap against the map's bounds.
         #[allow(clippy::too_many_arguments)]
-        fn im2col_sample(
+        pub fn im2col_sample(
             data: &[f32],
             out: &mut [f32],
             ni: usize,
             c: usize,
             h: usize,
             w: usize,
-            kh: usize,
-            kw: usize,
+            live: LiveTaps,
             oh: usize,
             ow: usize,
             p: ConvParams,
         ) {
-            let cols = c * kh * kw;
+            let (lh, lw) = (live.rows().len(), live.cols().len());
+            let cols = c * lh * lw;
             // Zero first: padding positions are skipped by the scatter below and must
             // read as zero even when the buffer is recycled.
             out.fill(0.0);
@@ -1060,19 +1403,19 @@ mod tests {
                     let row = (oy * ow + ox) * cols;
                     for ci in 0..c {
                         let chan = (ni * c + ci) * h * w;
-                        for ky in 0..kh {
+                        for ky in live.rows() {
                             let iy = (oy * p.stride + ky) as isize - pad;
                             if iy < 0 || iy >= h as isize {
                                 continue;
                             }
                             let src_row = chan + iy as usize * w;
-                            let dst = row + (ci * kh + ky) * kw;
-                            for kx in 0..kw {
+                            let dst = row + (ci * lh + ky - live.ky0) * lw;
+                            for kx in live.cols() {
                                 let ix = (ox * p.stride + kx) as isize - pad;
                                 if ix < 0 || ix >= w as isize {
                                     continue;
                                 }
-                                out[dst + kx] = data[src_row + ix as usize];
+                                out[dst + kx - live.kx0] = data[src_row + ix as usize];
                             }
                         }
                     }
@@ -1096,26 +1439,29 @@ mod tests {
             let ow = p.out_size(w, kw);
             assert_eq!(patches.shape().dims(), &[n * oh * ow, c * kh * kw]);
             grad.resize([n, c, h, w]);
+            let live = all_taps(kh, kw);
             for (ni, sample) in grad.data_mut().chunks_mut((c * h * w).max(1)).enumerate() {
-                col2im_sample(patches.data(), sample, ni, c, h, w, kh, kw, oh, ow, p);
+                col2im_sample(patches.data(), sample, ni, c, h, w, live, oh, ow, p);
             }
         }
 
+        /// Scatters batch sample `ni`'s rows of the patch matrix `data`
+        /// into `out`, testing every tap against the map's bounds.
         #[allow(clippy::too_many_arguments)]
-        fn col2im_sample(
+        pub fn col2im_sample(
             data: &[f32],
             out: &mut [f32],
             ni: usize,
             c: usize,
             h: usize,
             w: usize,
-            kh: usize,
-            kw: usize,
+            live: LiveTaps,
             oh: usize,
             ow: usize,
             p: ConvParams,
         ) {
-            let cols = c * kh * kw;
+            let (lh, lw) = (live.rows().len(), live.cols().len());
+            let cols = c * lh * lw;
             out.fill(0.0);
             let pad = p.padding as isize;
             for oy in 0..oh {
@@ -1123,24 +1469,107 @@ mod tests {
                     let row = ((ni * oh + oy) * ow + ox) * cols;
                     for ci in 0..c {
                         let chan = ci * h * w;
-                        for ky in 0..kh {
+                        for ky in live.rows() {
                             let iy = (oy * p.stride + ky) as isize - pad;
                             if iy < 0 || iy >= h as isize {
                                 continue;
                             }
                             let dst_row = chan + iy as usize * w;
-                            let src = row + (ci * kh + ky) * kw;
-                            for kx in 0..kw {
+                            let src = row + (ci * lh + ky - live.ky0) * lw;
+                            for kx in live.cols() {
                                 let ix = (ox * p.stride + kx) as isize - pad;
                                 if ix < 0 || ix >= w as isize {
                                     continue;
                                 }
-                                out[dst_row + ix as usize] += data[src + kx];
+                                out[dst_row + ix as usize] += data[src + kx - live.kx0];
                             }
                         }
                     }
                 }
             }
+        }
+
+        pub fn nhwc_rows_to_nchw_into(
+            mat: &Tensor,
+            n: usize,
+            c: usize,
+            oh: usize,
+            ow: usize,
+            t: &mut Tensor,
+        ) {
+            t.resize([n, c, oh, ow]);
+            let out = t.data_mut();
+            let data = mat.data();
+            for ni in 0..n {
+                for y in 0..oh {
+                    for x in 0..ow {
+                        let row = ((ni * oh + y) * ow + x) * c;
+                        for ci in 0..c {
+                            out[((ni * c + ci) * oh + y) * ow + x] = data[row + ci];
+                        }
+                    }
+                }
+            }
+        }
+
+        pub fn nchw_to_nhwc_rows_into(t: &Tensor, mat: &mut Tensor) {
+            let (n, c, h, w) = t.shape().as_nchw();
+            mat.resize([n * h * w, c]);
+            let out = mat.data_mut();
+            let data = t.data();
+            for ni in 0..n {
+                for ci in 0..c {
+                    for y in 0..h {
+                        for x in 0..w {
+                            out[((ni * h + y) * w + x) * c + ci] =
+                                data[((ni * c + ci) * h + y) * w + x];
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The pool as it stood, but for the argmax of a window nothing in
+        /// which beats `-∞`: its first in-bounds element, not element 0 of
+        /// the tensor.
+        pub fn max_pool2d(input: &Tensor, k: usize, p: ConvParams) -> (Tensor, Vec<usize>) {
+            let (n, c, h, w) = input.shape().as_nchw();
+            let oh = p.out_size(h, k);
+            let ow = p.out_size(w, k);
+            let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
+            let mut arg = vec![usize::MAX; n * c * oh * ow];
+            let data = input.data();
+            let pad = p.padding as isize;
+            for ni in 0..n {
+                for ci in 0..c {
+                    let chan = (ni * c + ci) * h * w;
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let o = ((ni * c + ci) * oh + oy) * ow + ox;
+                            for ky in 0..k {
+                                let iy = (oy * p.stride + ky) as isize - pad;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..k {
+                                    let ix = (ox * p.stride + kx) as isize - pad;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let idx = chan + iy as usize * w + ix as usize;
+                                    if data[idx] > out[o] {
+                                        out[o] = data[idx];
+                                        arg[o] = idx;
+                                    } else if arg[o] == usize::MAX {
+                                        arg[o] = idx;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            (Tensor::from_vec(out, Shape::from([n, c, oh, ow])), arg)
         }
 
         pub fn conv2d_scratch(
@@ -1540,9 +1969,119 @@ mod tests {
         }
     }
 
+    /// A value no kernel under test produces: a NaN with its own payload.
+    const SENTINEL: u32 = 0x7fc5_e471;
+
+    /// Values in `[-1, 1)` with `±0.0` and, per `specials`, other bit
+    /// patterns sprinkled in.
+    fn sprinkled(len: usize, specials: &[f32], rng: &mut StdRng) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => [0.0f32, -0.0][rng.gen_range(0..2usize)],
+                1 if !specials.is_empty() => specials[rng.gen_range(0..specials.len())],
+                _ => rng.gen_range(-1.0f32..1.0),
+            })
+            .collect()
+    }
+
+    /// Runs `body` on the middle `len` floats of a sentinel-filled buffer
+    /// and hands them back — after checking that not one float on either
+    /// side of them changed (the spill lane of a wide move would).
+    fn guarded(len: usize, what: &str, body: impl FnOnce(&mut [f32])) -> Vec<u32> {
+        const MARGIN: usize = 8;
+        let mut buf = vec![f32::from_bits(SENTINEL); len + 2 * MARGIN];
+        body(&mut buf[MARGIN..MARGIN + len]);
+        let outside = buf[..MARGIN].iter().chain(&buf[MARGIN + len..]);
+        assert!(
+            outside.into_iter().all(|v| v.to_bits() == SENTINEL),
+            "{what}: wrote outside its region"
+        );
+        buf[MARGIN..MARGIN + len]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// One geometry through both per-sample bodies, the halo one against the
+    /// bounds-tested one: sample 1 of a 3-sample batch, each side writing
+    /// into a guarded region, compared by bit pattern. The image carries
+    /// NaNs of several payloads and both infinities (`im2col` only moves
+    /// them); the patch gradient carries `+∞` and the one canonical NaN, so
+    /// that which operand's payload an add of two NaNs keeps cannot matter.
+    fn assert_sample_bodies_match(
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        p: ConvParams,
+        seed: u64,
+    ) {
+        let what = format!("k{k} s{} p{} on {c}x{h}x{w}", p.stride, p.padding);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = Lowering::new(c, h, w, k, k, p);
+        let (n, ni) = (3, 1);
+        let odd_nans = [0x7fa0_0001, 0xffc1_2345, 0x7fc0_0000].map(f32::from_bits);
+        let specials = [&odd_nans[..], &[f32::INFINITY, f32::NEG_INFINITY]].concat();
+        let images = sprinkled(n * g.sample_image(), &specials, &mut rng);
+        let image = &images[ni * g.sample_image()..][..g.sample_image()];
+        let got = guarded(g.sample_patches(), &what, |out| {
+            im2col_sample(image, out, &g)
+        });
+        let want = guarded(g.sample_patches(), &what, |out| {
+            reference::im2col_sample(&images, out, ni, c, h, w, g.live, g.oh, g.ow, p)
+        });
+        assert_eq!(got, want, "{what}: im2col");
+
+        let grads = sprinkled(n * g.sample_patches(), &[f32::INFINITY, f32::NAN], &mut rng);
+        let rows = &grads[ni * g.sample_patches()..][..g.sample_patches()];
+        let got = guarded(g.sample_image(), &what, |out| col2im_sample(rows, out, &g));
+        let want = guarded(g.sample_image(), &what, |out| {
+            reference::col2im_sample(&grads, out, ni, c, h, w, g.live, g.oh, g.ow, p)
+        });
+        assert_eq!(got, want, "{what}: col2im");
+    }
+
+    /// The halo bodies against the bounds-tested ones, bit for bit and
+    /// without a float written outside the sample's region: the geometries
+    /// of the live-tap property — kernels 1, 3 and 5, strides 1 and 2,
+    /// padding 0…2, maps 1…6 × 1…6, which brings every run length from 1 to 5,
+    /// the identity lowering and the unpadded path — and the 8×8 and
+    /// non-square maps of the training workloads, at odd channel counts.
+    #[test]
+    fn halo_bodies_match_the_bounds_tested_ones_and_stay_in_their_region() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let (mut cases, mut runs) = (0u64, [0usize; 6]);
+        for (k, stride, pad, h) in geometries() {
+            for w in (1..=6).filter(|w| w + 2 * pad >= k) {
+                let c = 2 * rng.gen_range(0..3usize) + 1;
+                let p = ConvParams::new(stride, pad);
+                assert_sample_bodies_match(c, h, w, k, p, cases);
+                runs[LiveTaps::of(h, w, k, k, p).cols().len()] += 1;
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 504);
+        assert!(runs[1..].iter().all(|&n| n > 0), "{runs:?}");
+        for (c, h, w, k, stride, pad) in [
+            (1, 8, 8, 3, 1, 1),
+            (12, 8, 8, 3, 1, 1),
+            (12, 8, 8, 3, 2, 1),
+            (12, 8, 8, 1, 2, 0),
+            (5, 7, 9, 5, 1, 2),
+            (5, 9, 7, 5, 2, 2),
+            (3, 1, 8, 3, 1, 1),
+            (3, 8, 1, 3, 1, 1),
+            (7, 2, 2, 3, 2, 1),
+        ] {
+            assert_sample_bodies_match(c, h, w, k, ConvParams::new(stride, pad), cases);
+            cases += 1;
+        }
+    }
+
     /// The batch-parallel im2col/col2im paths must be bitwise-identical to
-    /// composing the per-sample kernel serially — the shape is chosen to
-    /// cross `PAR_MIN_ELEMS` so the pool path actually runs.
+    /// composing the bounds-tested per-sample body serially — the shape is
+    /// chosen to cross `PAR_MIN_ELEMS` so the pool path actually runs, on
+    /// worker threads whose halo starts empty.
     #[test]
     fn parallel_im2col_and_col2im_match_serial_bitwise() {
         crate::runtime::set_threads(8);
@@ -1564,19 +2103,8 @@ mod tests {
         );
         let sample_rows = oh * ow * cols;
         let mut expect = vec![f32::NAN; n * sample_rows];
-        for ni in 0..n {
-            im2col_sample(
-                x.data(),
-                &mut expect[ni * sample_rows..(ni + 1) * sample_rows],
-                ni,
-                c,
-                h,
-                w,
-                live,
-                oh,
-                ow,
-                p,
-            );
+        for (ni, sample) in expect.chunks_mut(sample_rows).enumerate() {
+            reference::im2col_sample(x.data(), sample, ni, c, h, w, live, oh, ow, p);
         }
         assert_eq!(patches.data(), &expect[..]);
 
@@ -1588,23 +2116,42 @@ mod tests {
         );
         let mut grad = Tensor::default();
         col2im_into(&probe, n, c, h, w, kh, kw, p, &mut grad);
-        let sample_len = c * h * w;
-        let mut gexpect = vec![f32::NAN; n * sample_len];
-        for ni in 0..n {
-            col2im_sample(
-                probe.data(),
-                &mut gexpect[ni * sample_len..(ni + 1) * sample_len],
-                ni,
-                c,
-                h,
-                w,
-                live,
-                oh,
-                ow,
-                p,
-            );
+        let mut gexpect = vec![f32::NAN; n * c * h * w];
+        for (ni, sample) in gexpect.chunks_mut(c * h * w).enumerate() {
+            reference::col2im_sample(probe.data(), sample, ni, c, h, w, live, oh, ow, p);
         }
         assert_eq!(grad.data(), &gexpect[..]);
+    }
+
+    /// Both reorders against their index-arithmetic references, bit for
+    /// bit, on 1×1 maps (a plain copy), one-channel matrices and ragged
+    /// shapes, into recycled buffers.
+    #[test]
+    fn reorders_match_the_index_arithmetic_ones_bitwise() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let (mut t, mut rt) = (stale([7]), stale([3]));
+        for (n, c, oh, ow) in [
+            (1, 1, 1, 1),
+            (5, 7, 1, 1),
+            (3, 1, 4, 2),
+            (4, 3, 8, 8),
+            (2, 13, 3, 5),
+            (3, 56, 2, 2),
+        ] {
+            let specials = [f32::from_bits(0x7fa0_0001), f32::NEG_INFINITY];
+            let rows = sprinkled(n * oh * ow * c, &specials, &mut rng);
+            let mat = Tensor::from_vec(rows, [n * oh * ow, c]);
+            nhwc_rows_to_nchw_into(&mat, n, c, oh, ow, &mut t);
+            reference::nhwc_rows_to_nchw_into(&mat, n, c, oh, ow, &mut rt);
+            assert_eq!(t.shape(), rt.shape());
+            assert_eq!(bits(&t), bits(&rt), "{n}x{c}x{oh}x{ow} to NCHW");
+            let (mut back, mut rback) = (stale([5]), stale([9]));
+            nchw_to_nhwc_rows_into(&t, &mut back);
+            reference::nchw_to_nhwc_rows_into(&t, &mut rback);
+            assert_eq!(back.shape(), mat.shape());
+            assert_eq!(bits(&back), bits(&rback), "{n}x{c}x{oh}x{ow} to rows");
+            assert_eq!(bits(&back), bits(&mat), "{n}x{c}x{oh}x{ow} round trip");
+        }
     }
 
     #[test]
@@ -1621,6 +2168,82 @@ mod tests {
         let gx = max_pool2d_backward(&g, &arg, x.shape());
         assert_eq!(gx.sum(), 4.0);
         assert_eq!(gx.data()[5], 1.0); // the 6.0 in the top-left window
+    }
+
+    /// What the argmax is when the compare cannot say: the first maximum in
+    /// `(ky, kx)` order on a tie, and the window's own first in-bounds
+    /// element — not element 0 of the tensor — when nothing in the window
+    /// beats `-∞`; a padded window counts its in-bounds elements only.
+    #[test]
+    fn max_pool_argmax_ties_dead_windows_and_padding() {
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        // plane 0: a tie between (0, 1) and (1, 0); plane 1: all NaN;
+        // plane 2: all -inf
+        let x = Tensor::from_vec(
+            vec![
+                1.0, 2.0, 2.0, 0.5, nan, nan, nan, nan, ninf, ninf, ninf, ninf,
+            ],
+            [1, 3, 2, 2],
+        );
+        let (y, arg) = max_pool2d(&x, 2, ConvParams::new(2, 0));
+        assert_eq!(bits(&y), [2.0, ninf, ninf].map(f32::to_bits));
+        assert_eq!(arg, [1, 4, 8]);
+        let gy = Tensor::from_vec(vec![1.0, 10.0, 100.0], [1, 3, 1, 1]);
+        let gx = max_pool2d_backward(&gy, &arg, x.shape());
+        let mut want = [0.0; 12];
+        (want[1], want[4], want[8]) = (1.0, 10.0, 100.0);
+        assert_eq!(gx.data(), &want);
+
+        // 3×3 windows at stride 2, padding 1, on a 3×3 map: the four
+        // windows hold its four 2×2 corners.
+        let x = Tensor::from_vec(
+            vec![nan, 7.0, 1.0, 7.0, nan, 2.0, 3.0, 4.0, nan],
+            [1, 1, 3, 3],
+        );
+        let (y, arg) = max_pool2d(&x, 3, ConvParams::new(2, 1));
+        assert_eq!(y.data(), &[7.0, 7.0, 7.0, 4.0]);
+        assert_eq!(arg, [1, 1, 3, 7]);
+    }
+
+    /// The pool against the bounds-tested one, values by bit pattern and
+    /// argmax by index: windows 1…3, strides 1…3, every padding below the
+    /// window, ragged maps, NaNs and `-∞` among the inputs — and both
+    /// instantiations of the body (2×2 at stride 2 is its own).
+    #[test]
+    fn max_pool_matches_the_bounds_tested_one() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let (mut out, mut arg) = (stale([3]), vec![77usize; 5]);
+        let mut cases = 0;
+        for k in 1..=3usize {
+            for stride in 1..=3 {
+                for pad in 0..k {
+                    for (h, w) in [(1, 1), (2, 2), (4, 4), (8, 8), (5, 7), (3, 6)] {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        let p = ConvParams::new(stride, pad);
+                        let (n, c) = (rng.gen_range(1..4usize), rng.gen_range(1..4usize));
+                        let specials = [f32::NAN, f32::NEG_INFINITY, f32::INFINITY];
+                        let x = sprinkled(n * c * h * w, &specials, &mut rng);
+                        let x = Tensor::from_vec(x, [n, c, h, w]);
+                        max_pool2d_into(&x, k, p, &mut out, &mut arg);
+                        let (rout, rarg) = reference::max_pool2d(&x, k, p);
+                        let what = format!("k{k} s{stride} p{pad} on {n}x{c}x{h}x{w}");
+                        assert_eq!(out.shape(), rout.shape(), "{what}");
+                        assert_eq!(bits(&out), bits(&rout), "{what}: values");
+                        assert_eq!(arg, rarg, "{what}: argmax");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases > 90, "{cases}");
+    }
+
+    #[test]
+    #[should_panic(expected = "padding 2 leaves a 2x2 window without an input element")]
+    fn max_pool_refuses_a_window_of_padding_only() {
+        max_pool2d(&Tensor::ones([1, 1, 4, 4]), 2, ConvParams::new(2, 2));
     }
 
     #[test]

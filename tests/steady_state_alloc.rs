@@ -8,15 +8,28 @@
 //! their working size. From the second epoch on a SoCFlow run steps,
 //! merges, aggregates and evaluates in storage it already owns, so the
 //! count must not move. Beside the floor the allocator watches a few exact
-//! sizes, far below the model's: the live-tap weight views a convolution
-//! keeps in its `ConvScratch` when its map is smaller than its kernel's
-//! reach. They are gathered on every forward and backward, so they too must
-//! be buffers sized once, in the first epoch. One `#[test]` only: the
-//! allocator is global to the process. The pool is pinned to one thread: the
-//! kernels keep thread-local scratch, and with several workers it is
-//! scheduling noise which of them first meets a kernel shape — in whichever
-//! epoch that happens — whereas what the training stack itself copies does
-//! not depend on the pool size.
+//! sizes, far below the model's — buffers that are written on every forward
+//! or backward and so must be sized once, in the first epoch: the live-tap
+//! weight views a convolution keeps in its `ConvScratch` when its map is
+//! smaller than its kernel's reach; the halo, the zero-bordered copy of one
+//! sample that `im2col`/`col2im` gather from and scatter into; and the
+//! argmax indices a max-pool layer keeps between its passes. The halo is a
+//! thread-local of the tensor crate, not a field of the layer: the
+//! per-sample bodies that use it run on pool workers, several samples of one
+//! call at a time, so it belongs to whichever thread runs the body, and it
+//! grows — to exactly the largest layer's planes — the first time that
+//! thread meets the layer. A pool layer's output and input gradient are not
+//! on the list: `Layer::forward`/`backward` return them by value, so like
+//! every layer's they are allocated per call; and on VGG-11, whose widths
+//! double from stage to stage, an argmax buffer (8 bytes an element) is
+//! exactly as large as the next convolution's output (twice the channels, 4
+//! bytes), which no exact-size watch can tell apart — so the argmax sizes
+//! are watched on LeNet-5, where they are nobody else's. One `#[test]`
+//! only: the allocator is global to the process. The pool is pinned to one
+//! thread: the kernels keep thread-local scratch, and with several workers
+//! it is scheduling noise which of them first meets a kernel shape — in
+//! whichever epoch that happens — whereas what the training stack itself
+//! copies does not depend on the pool size.
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
@@ -34,7 +47,7 @@ const SLOTS: usize = 128;
 /// Sizes at or above which an allocation is recorded (`usize::MAX`: off).
 static FLOOR: AtomicUsize = AtomicUsize::new(usize::MAX);
 /// Exact sizes recorded whatever the floor (0: unused).
-static WATCH: [AtomicUsize; 8] = [const { AtomicUsize::new(0) }; 8];
+static WATCH: [AtomicUsize; 16] = [const { AtomicUsize::new(0) }; 16];
 /// `(size, count)` per distinct recorded size; a size of 0 is a free slot.
 static TABLE: [(AtomicUsize, AtomicUsize); SLOTS] =
     [const { (AtomicUsize::new(0), AtomicUsize::new(0)) }; SLOTS];
@@ -194,7 +207,16 @@ fn nothing_model_sized_is_allocated_after_the_first_epoch() {
     let mut workload = Workload::standard(&spec, 128, 8, 0.5);
     workload.test = workload.test.subset(&(0..16).collect::<Vec<_>>());
     workload.probe = workload.test.head_batch(16);
-    assert_steady_state("lenet5, 2 mixed groups", spec, workload, &[]);
+    // Its convolutions (1 → 3 channels on 8×8, 3 → 8 on 4×4, both padded by
+    // one) gather from halos of 1·10·10 and 3·6·6 floats, and its first pool
+    // (3 channels, 8×8 → 4×4) keeps a `usize` per output element: for the 6
+    // samples of a step the INT8 arm trains on, and for the 16 an
+    // evaluation forwards. (The FP32 arm's 10 samples make that buffer as
+    // large as a 10-sample input batch, and the second pool's are as large
+    // as other activations: not watchable.)
+    let pool = 3 * 4 * 4 * std::mem::size_of::<usize>();
+    let watch = [halo_bytes(1, 8), halo_bytes(3, 4), 6 * pool, 16 * pool];
+    assert_steady_state("lenet5, 2 mixed groups", spec, workload, &watch);
 
     // VGG-11, four mixed groups, 160 test samples: evaluation runs in two
     // shards. The model is 1.8 MB and no activation comes near it. On 8×8
@@ -220,8 +242,18 @@ fn nothing_model_sized_is_allocated_after_the_first_epoch() {
         }
     });
     assert_eq!(convs.len(), 8);
-    let mut views: Vec<usize> = convs[4..].iter().flat_map(|&n| [4 * n, n]).collect();
-    views.sort_unstable();
-    views.dedup();
-    assert_steady_state("vgg11, 4 mixed groups", spec, workload, &views);
+    let mut watch: Vec<usize> = convs[4..].iter().flat_map(|&n| [4 * n, n]).collect();
+    // The first convolution's halo: 3 channels of 8×8. The thread's halo is
+    // LeNet's by now, so this is it growing once more.
+    watch.push(halo_bytes(3, 8));
+    watch.sort_unstable();
+    watch.dedup();
+    assert_steady_state("vgg11, 4 mixed groups", spec, workload, &watch);
+}
+
+/// Bytes of the halo a padding-1 convolution over `c` channels of
+/// `size × size` asks for: the zero-bordered planes and the one float a
+/// 4-lane move may read past them.
+fn halo_bytes(c: usize, size: usize) -> usize {
+    4 * (c * (size + 2) * (size + 2) + 1)
 }
