@@ -1,25 +1,23 @@
 use crate::layer::{Layer, Mode};
 use socflow_tensor::conv::{
-    global_avg_pool, global_avg_pool_backward, max_pool2d_backward_into, max_pool2d_into,
-    ConvParams,
+    global_avg_pool, global_avg_pool_backward, max_pool2d_backward, max_pool2d_into, ConvParams,
 };
 use socflow_tensor::{Shape, Tensor};
 
 /// `k×k` max pooling with stride `k` (the non-overlapping pooling used by
 /// the reference CNNs).
 ///
-/// The argmax indices live in two buffers the layer owns, each sized by
-/// the largest batch it has met: a training forward writes `argmax`, which
-/// `backward` reads, and an eval forward writes `eval_argmax`, so one in
-/// between never clobbers the other. The output and the input gradient are
-/// returned by value, as [`Layer`] has it, and so are allocated per call.
+/// The argmax indices of a training forward live in a buffer the layer
+/// owns, sized by the largest training batch it has met; `backward` reads
+/// them. An eval forward, whose indices nobody reads, uses a buffer of its
+/// own and drops it, so one in between the two passes clobbers nothing. The
+/// output and the input gradient are returned by value, as [`Layer`] has
+/// it, and so are allocated per call.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     k: usize,
     /// Flat argmax per output element of the last training forward.
     argmax: Vec<usize>,
-    /// Where an eval forward puts the indices nobody reads.
-    eval_argmax: Vec<usize>,
     /// Input shape of the last training forward.
     input_shape: Option<Shape>,
 }
@@ -34,7 +32,6 @@ impl MaxPool2d {
         MaxPool2d {
             k,
             argmax: Vec::new(),
-            eval_argmax: Vec::new(),
             input_shape: None,
         }
     }
@@ -48,7 +45,7 @@ impl Layer for MaxPool2d {
             max_pool2d_into(input, self.k, p, &mut y, &mut self.argmax);
             self.input_shape = Some(input.shape().clone());
         } else {
-            max_pool2d_into(input, self.k, p, &mut y, &mut self.eval_argmax);
+            max_pool2d_into(input, self.k, p, &mut y, &mut Vec::new());
         }
         y
     }
@@ -58,9 +55,7 @@ impl Layer for MaxPool2d {
             .input_shape
             .as_ref()
             .expect("MaxPool2d::backward without forward");
-        let mut gx = Tensor::default();
-        max_pool2d_backward_into(grad_out, &self.argmax, shape, &mut gx);
-        gx
+        max_pool2d_backward(grad_out, &self.argmax, shape)
     }
 
     fn describe(&self) -> String {

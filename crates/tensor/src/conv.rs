@@ -405,15 +405,13 @@ pub fn im2col_into(
 fn im2col_sample(image: &[f32], out: &mut [f32], g: &Lowering) {
     if g.is_identity() {
         out.copy_from_slice(image);
-    } else if image.is_empty() {
-        out.fill(0.0);
     } else if g.p.padding == 0 {
         gather_windows(image, out, g, false);
     } else {
         with_halo(g, |halo| {
             halo.fill(0.0);
             with_const_width(g.w, |w| {
-                for (row, src) in interior(halo, g, w).zip(image.chunks_exact(w)) {
+                for (row, src) in interior(halo, g, w).zip(image.chunks_exact(w.max(1))) {
                     row.copy_from_slice(src);
                 }
             });
@@ -584,8 +582,6 @@ fn col2im_sample(rows: &[f32], out: &mut [f32], g: &Lowering) {
         for (cell, v) in out.iter_mut().zip(rows) {
             *cell = 0.0 + v;
         }
-    } else if out.is_empty() {
-        // nothing to scatter into
     } else if g.p.padding == 0 {
         out.fill(0.0);
         scatter_windows(rows, out, g);
@@ -594,7 +590,7 @@ fn col2im_sample(rows: &[f32], out: &mut [f32], g: &Lowering) {
             halo.fill(0.0);
             scatter_windows(rows, halo, g);
             with_const_width(g.w, |w| {
-                for (src, row) in interior(halo, g, w).zip(out.chunks_exact_mut(w)) {
+                for (src, row) in interior(halo, g, w).zip(out.chunks_exact_mut(w.max(1))) {
                     row.copy_from_slice(src);
                 }
             });
@@ -1006,12 +1002,11 @@ fn max_pool_body(
     stride: usize,
     pad: usize,
 ) {
-    // What the unchecked reads rest on: every plane is in `data`, and
-    // (below) every window is clamped to its plane.
+    // What the unchecked reads rest on: every plane is in `data`, an
+    // unpadded window fits its plane, and a padded one is clamped to it
+    // (below).
     assert_eq!(data.len(), planes * h * w);
-    assert!(
-        pad < k && (oh - 1) * stride + k <= h + 2 * pad && (ow - 1) * stride + k <= w + 2 * pad
-    );
+    assert!((oh - 1) * stride + k <= h + 2 * pad && (ow - 1) * stride + k <= w + 2 * pad);
     // `[first, end)` of output position `o`'s window along an axis. Without
     // padding the clamp never binds (`out_size` fits the last window); said
     // outright, the 2×2 instantiation sees constant trip counts.
@@ -1060,27 +1055,11 @@ fn max_pool_body(
 /// # Panics
 /// Panics if an index of `argmax` is outside `input_shape`.
 pub fn max_pool2d_backward(grad_out: &Tensor, argmax: &[usize], input_shape: &Shape) -> Tensor {
-    let mut gx = Tensor::default();
-    max_pool2d_backward_into(grad_out, argmax, input_shape, &mut gx);
-    gx
-}
-
-/// [`max_pool2d_backward`] writing into `gx`, reusing its storage.
-///
-/// # Panics
-/// Panics if an index of `argmax` is outside `input_shape`.
-pub fn max_pool2d_backward_into(
-    grad_out: &Tensor,
-    argmax: &[usize],
-    input_shape: &Shape,
-    gx: &mut Tensor,
-) {
-    gx.resize(input_shape.clone());
-    let gx = gx.data_mut();
-    gx.fill(0.0);
-    for (g, &idx) in grad_out.data().iter().zip(argmax) {
+    let mut gx = vec![0.0f32; input_shape.len()];
+    for (g, &idx) in grad_out.data().iter().zip(argmax.iter()) {
         gx[idx] += g;
     }
+    Tensor::from_vec(gx, input_shape.clone())
 }
 
 /// Global average pooling over the spatial dimensions: `(n,c,h,w) → (n,c)`.
@@ -2072,6 +2051,9 @@ mod tests {
             (3, 1, 8, 3, 1, 1),
             (3, 8, 1, 3, 1, 1),
             (7, 2, 2, 3, 2, 1),
+            // an empty map: every window is padding
+            (2, 0, 3, 1, 1, 1),
+            (2, 3, 0, 1, 2, 1),
         ] {
             assert_sample_bodies_match(c, h, w, k, ConvParams::new(stride, pad), cases);
             cases += 1;
