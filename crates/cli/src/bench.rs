@@ -55,10 +55,10 @@ use socflow_data::stream::RateProfile;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::{ModelConfig, ModelKind};
 use socflow_telemetry::{MemorySink, Summary};
-use socflow_tensor::conv::{self, ConvParams, ConvScratch};
+use socflow_tensor::conv::{self, ConvParams};
 use socflow_tensor::isa::Isa;
 use socflow_tensor::quant::{self, QuantFormat, QuantParams};
-use socflow_tensor::{linalg, Tensor};
+use socflow_tensor::{linalg, pool, Tensor};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -456,26 +456,26 @@ fn kernels(fast: bool) -> KernelDoc {
         },
     );
 
-    // --- Conv2d through the pooled scratch path --------------------------
+    // --- Conv2d on the step scratch, as a layer runs it -------------------
     let (cn, ic, hw, oc, kk) = (4, 16, 16, 32, 3);
     let p = ConvParams::new(1, 1);
     let x = tensor([cn, ic, hw, hw], 0x5eed_0008);
     let w = tensor([oc, ic, kk, kk], 0x5eed_0009);
-    let mut scratch = ConvScratch::default();
-    let mut y = Tensor::default();
     let oh = p.out_size(hw, kk);
     let conv_shape = format!("{cn}x{ic}x{hw}x{hw}->{oc}");
     let conv_flops = 2.0 * (cn * oh * oh * oc * ic * kk * kk) as f64;
     time("conv2d", conv_shape.clone(), conv_flops, &mut || {
-        conv::conv2d_scratch(&x, &w, p, &mut scratch, &mut y);
+        let (y, patches) = conv::conv2d(&x, &w, p);
+        pool::recycle(y);
+        pool::recycle(patches);
     });
+    let (y, patches) = conv::conv2d(&x, &w, p);
     let gy = tensor(y.shape().clone(), 0x5eed_000a);
-    let patches = scratch.patches.clone();
-    let mut back = ConvScratch::default();
-    let (mut gx, mut gw) = (Tensor::default(), Tensor::default());
     // two GEMMs of the forward's size
     time("conv2d_backward", conv_shape, 2.0 * conv_flops, &mut || {
-        conv::conv2d_backward_scratch(&gy, &patches, &w, x.shape(), p, &mut back, &mut gx, &mut gw);
+        let (gx, gw) = conv::conv2d_backward(&gy, &patches, &w, x.shape(), p, true);
+        pool::recycle(gx.expect("asked for"));
+        pool::recycle(gw);
     });
 
     // --- The lowering's data movement ("flops" = elements moved) ---------

@@ -412,8 +412,10 @@ pub fn tune(opts: &Options) -> Result<(), String> {
     let plan = Plan::Auto {
         budget: opts.auto_budget.unwrap_or(DEFAULT_BUDGET),
     };
-    let sched = scheduler(opts, spec, options, plan)?;
-    let report = sched.tune();
+    options.validate(&spec, plan).map_err(|e| e.to_string())?;
+    // the search reads the model's gradient layout, not one sample
+    let model_cfg = Workload::model_config(&spec, 8, default_width(model));
+    let report = socflow::scheduler::tune_job(&spec, model_cfg, &options, plan);
     let default = report.default_plan;
     let best = report.best();
 

@@ -32,7 +32,8 @@ use crate::report::RunResult;
 use crate::timemodel::{EpochCost, TimeModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use replica::{average_replicas, Replica};
+use replica::average_replicas;
+pub use replica::Replica;
 use socflow_data::{iid_partition, Batch, Dataset};
 use socflow_nn::models::ModelConfig;
 use socflow_nn::{metrics, Mode, Network, Precision};
@@ -98,7 +99,11 @@ impl Workload {
         let train = all.subset(&(0..samples).collect::<Vec<_>>());
         let test = all.subset(&(samples..samples + test_n).collect::<Vec<_>>());
         let probe = test.head_batch(64);
-        let model_cfg = ModelConfig::new(train.channels(), input_size, train.classes(), width);
+        let model_cfg = Self::model_config(spec, input_size, width);
+        debug_assert_eq!(
+            (model_cfg.in_channels, model_cfg.classes),
+            (train.channels(), train.classes())
+        );
         Workload {
             train,
             test,
@@ -106,6 +111,15 @@ impl Workload {
             model_cfg,
             init_weights: None,
         }
+    }
+
+    /// The model geometry of [`Workload::standard`] — the preset's channels
+    /// and classes at `input_size` pixels and `width` channel scaling —
+    /// without generating a sample: all that planning a job needs of its
+    /// workload.
+    pub fn model_config(spec: &TrainJobSpec, input_size: usize, width: f32) -> ModelConfig {
+        let geometry = spec.preset.synthetic_spec(0, input_size, spec.seed);
+        ModelConfig::new(geometry.channels, input_size, geometry.classes, width)
     }
 
     /// Returns the workload with pretrained initial weights (fine-tuning).

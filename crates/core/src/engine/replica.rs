@@ -8,6 +8,7 @@
 use crate::mixed::MixedPrecisionController;
 use socflow_data::Batch;
 use socflow_nn::{loss, optim::Sgd, Mode, Network, Precision};
+use socflow_tensor::{pool, Tensor};
 
 /// The NPU-side half of a mixed-precision replica.
 pub(super) struct Int8Arm {
@@ -15,8 +16,11 @@ pub(super) struct Int8Arm {
     pub(super) opt: Sgd,
 }
 
-/// One independent SGD stream (a group replica).
-pub(super) struct Replica {
+/// One independent SGD stream (a group replica): the engine's training
+/// step. Public so that the step can be driven, and measured, without an
+/// [`Engine`](super::Engine) around it — `tests/steady_state_alloc.rs`
+/// counts its allocations.
+pub struct Replica {
     pub(super) net: Network,
     pub(super) opt: Sgd,
     /// INT8-side model + optimizer, built only for methods that run mixed
@@ -34,18 +38,58 @@ fn optimizer_for(net: &Network, lr: f32, momentum: f32) -> Sgd {
     opt
 }
 
-/// One SGD step of `net` on `batch`; returns the loss.
-fn sgd_step(net: &mut Network, opt: &mut Sgd, batch: &Batch, precision: Precision) -> f32 {
+/// One SGD step of `net` on `images` and their `labels`; returns the loss.
+///
+/// One job on one thread from the first layer's forward to the optimizer:
+/// everything the step makes on the way is borrowed from that thread's step
+/// scratch ([`socflow_tensor::pool`]) and back there when this returns —
+/// the logits and the loss gradient from here, the rest by the layers — so
+/// after its thread's first step of a shape a step allocates nothing. The
+/// backward pass stops at the first parameterised layer: nobody reads the
+/// gradient with respect to the images.
+fn sgd_step(
+    net: &mut Network,
+    opt: &mut Sgd,
+    images: &Tensor,
+    labels: &[usize],
+    precision: Precision,
+) -> f32 {
     let mode = Mode::train(precision);
-    let logits = net.forward(&batch.images, mode);
-    let (l, grad) = loss::softmax_cross_entropy(&logits, &batch.labels);
-    net.backward(&grad, mode);
+    let logits = net.forward(images, mode);
+    let (l, grad) = loss::softmax_cross_entropy(&logits, labels);
+    pool::recycle(logits);
+    net.backward_parameters(&grad, mode);
+    pool::recycle(grad);
     opt.step_zero_grad(net);
     l
 }
 
+/// One SGD step of `net` on samples `range` of `batch`, if there are any:
+/// their images are copied into a step-scratch tensor, as a split batch's
+/// always were into one of their own.
+fn sgd_step_on(
+    net: &mut Network,
+    opt: &mut Sgd,
+    batch: &Batch,
+    range: std::ops::Range<usize>,
+    precision: Precision,
+) {
+    if range.is_empty() {
+        return;
+    }
+    let (_, c, h, w) = batch.images.shape().as_nchw();
+    let per = c * h * w;
+    let mut images = pool::tensor([range.len(), c, h, w]);
+    let samples = &batch.images.data()[range.start * per..range.end * per];
+    images.data_mut().copy_from_slice(samples);
+    sgd_step(net, opt, &images, &batch.labels[range], precision);
+    pool::recycle(images);
+}
+
 impl Replica {
-    pub(super) fn new(net: Network, lr: f32, momentum: f32, with_int8: bool) -> Self {
+    /// A stream training `net` by SGD with momentum (weight decay 5e-4);
+    /// `with_int8` adds the INT8 arm [`Replica::mixed_step`] needs.
+    pub fn new(net: Network, lr: f32, momentum: f32, with_int8: bool) -> Self {
         let int8 = with_int8.then(|| {
             Box::new(Int8Arm {
                 opt: optimizer_for(&net, lr, momentum),
@@ -68,12 +112,18 @@ impl Replica {
         }
     }
 
-    /// One plain SGD step at a fixed precision.
-    pub(super) fn step(&mut self, batch: &Batch, precision: Precision) -> f32 {
+    /// One plain SGD step at a fixed precision; returns the loss.
+    pub fn step(&mut self, batch: &Batch, precision: Precision) -> f32 {
         if batch.is_empty() {
             return 0.0;
         }
-        sgd_step(&mut self.net, &mut self.opt, batch, precision)
+        sgd_step(
+            &mut self.net,
+            &mut self.opt,
+            &batch.images,
+            &batch.labels,
+            precision,
+        )
     }
 
     /// Plain SGD steps over `batches`, in order. The batches are
@@ -90,7 +140,10 @@ impl Replica {
     /// (paper Eq. 5). Four passes over the model, each parameter by
     /// parameter in its own storage: the INT8 arm takes the merged
     /// weights, either arm steps and clears its gradients, the merge.
-    pub(super) fn mixed_step(&mut self, batch: &Batch, ctrl: &MixedPrecisionController) {
+    ///
+    /// # Panics
+    /// Panics if the replica was built without the INT8 arm.
+    pub fn mixed_step(&mut self, batch: &Batch, ctrl: &MixedPrecisionController) {
         if batch.is_empty() {
             return;
         }
@@ -99,17 +152,13 @@ impl Replica {
             .as_mut()
             .expect("mixed_step on a replica built without the INT8 arm");
         let (cpu_n, _npu_n) = ctrl.split_batch(batch.len());
-        let (cpu_b, npu_b) = batch.split(cpu_n);
         // both sides start from the merged weights
         arm.net.zip_parameters_mut(&self.net, |w8, w| {
             w8.value.data_mut().copy_from_slice(w.value.data())
         });
-        if !cpu_b.is_empty() {
-            sgd_step(&mut self.net, &mut self.opt, &cpu_b, Precision::Fp32);
-        }
-        if !npu_b.is_empty() {
-            sgd_step(&mut arm.net, &mut arm.opt, &npu_b, Precision::Int8);
-        }
+        let (cpu, npu) = (0..cpu_n, cpu_n..batch.len());
+        sgd_step_on(&mut self.net, &mut self.opt, batch, cpu, Precision::Fp32);
+        sgd_step_on(&mut arm.net, &mut arm.opt, batch, npu, Precision::Int8);
         self.net.zip_parameters_mut(&arm.net, |w, w8| {
             ctrl.merge_weights_inplace(w.value.data_mut(), w8.value.data())
         });

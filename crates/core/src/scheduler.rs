@@ -147,9 +147,7 @@ impl GlobalScheduler {
 
     /// The network this job trains, freshly initialised from its seed.
     fn build_network(&self) -> socflow_nn::Network {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.spec.seed);
-        self.spec.model.build(self.workload.model_cfg, &mut rng)
+        network_of(&self.spec, self.workload.model_cfg)
     }
 
     /// Parameter and layer counts of the network this job trains. Builds
@@ -220,39 +218,12 @@ impl GlobalScheduler {
     /// not fit the job's method, and if that method is not a SoCFlow
     /// variant.
     pub fn tune(&self) -> crate::autotune::TuneReport {
-        self.options.assert_valid(&self.spec, self.plan);
-        let layout = self.build_network().grad_layout();
-        let opts = crate::autotune::TuneOptions {
-            budget: match self.plan {
-                Plan::Auto { budget } => Some(budget),
-                Plan::Fixed => None,
-            },
-            profiled_beta: self.options.profiled_beta,
-            max_groups: None,
-        };
-        let report = crate::autotune::autotune(&self.spec, &layout, &opts);
-        for choice in &report.ranked {
-            self.options.emit(Event::PlanEvaluated {
-                groups: choice.candidate.groups,
-                schedule: choice.candidate.schedule_name().to_string(),
-                bucket_kb: choice.candidate.bucket_kb.unwrap_or(0),
-                profiled_beta: choice.candidate.profiled_beta.is_some(),
-                predicted_s: choice.predicted_s,
-            });
-        }
-        let best = report.best();
-        self.options.emit(Event::PlanChosen {
-            groups: best.candidate.groups,
-            schedule: best.candidate.schedule_name().to_string(),
-            bucket_kb: best.candidate.bucket_kb.unwrap_or(0),
-            profiled_beta: best.candidate.profiled_beta.is_some(),
-            predicted_s: best.predicted_s,
-            default_s: report.default_plan.predicted_s,
-            evaluated: report.evaluated,
-            pruned: report.pruned,
-            skipped: report.skipped,
-        });
-        report
+        tune_job(
+            &self.spec,
+            self.workload.model_cfg,
+            &self.options,
+            self.plan,
+        )
     }
 
     /// Plans (for SoCFlow methods) and runs the job.
@@ -281,6 +252,65 @@ impl GlobalScheduler {
     }
 }
 
+/// The network `spec` trains at geometry `model_cfg`, freshly initialised
+/// from the job's seed.
+fn network_of(
+    spec: &TrainJobSpec,
+    model_cfg: socflow_nn::models::ModelConfig,
+) -> socflow_nn::Network {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
+    spec.model.build(model_cfg, &mut rng)
+}
+
+/// [`GlobalScheduler::tune`] for a job nobody has built the datasets of:
+/// the search reads the model's gradient layout — its geometry
+/// ([`Workload::model_config`]) — and not one sample, which is why
+/// `socflow-cli tune` calls this and synthesises no corpus.
+///
+/// # Panics
+/// As [`GlobalScheduler::tune`].
+pub fn tune_job(
+    spec: &TrainJobSpec,
+    model_cfg: socflow_nn::models::ModelConfig,
+    options: &RunOptions,
+    plan: Plan,
+) -> crate::autotune::TuneReport {
+    options.assert_valid(spec, plan);
+    let layout = network_of(spec, model_cfg).grad_layout();
+    let opts = crate::autotune::TuneOptions {
+        budget: match plan {
+            Plan::Auto { budget } => Some(budget),
+            Plan::Fixed => None,
+        },
+        profiled_beta: options.profiled_beta,
+        max_groups: None,
+    };
+    let report = crate::autotune::autotune(spec, &layout, &opts);
+    for choice in &report.ranked {
+        options.emit(Event::PlanEvaluated {
+            groups: choice.candidate.groups,
+            schedule: choice.candidate.schedule_name().to_string(),
+            bucket_kb: choice.candidate.bucket_kb.unwrap_or(0),
+            profiled_beta: choice.candidate.profiled_beta.is_some(),
+            predicted_s: choice.predicted_s,
+        });
+    }
+    let best = report.best();
+    options.emit(Event::PlanChosen {
+        groups: best.candidate.groups,
+        schedule: best.candidate.schedule_name().to_string(),
+        bucket_kb: best.candidate.bucket_kb.unwrap_or(0),
+        profiled_beta: best.candidate.profiled_beta.is_some(),
+        predicted_s: best.predicted_s,
+        default_s: report.default_plan.predicted_s,
+        evaluated: report.evaluated,
+        pruned: report.pruned,
+        skipped: report.skipped,
+    });
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +325,39 @@ mod tests {
         s.epochs = 2;
         s.global_batch = 32;
         s
+    }
+
+    /// `tune_job` plans from the geometry alone: on every preset it is the
+    /// geometry the generated workload ends up with, and the search it
+    /// drives ranks as the scheduler's own.
+    #[test]
+    fn tuning_needs_the_geometry_and_no_sample() {
+        let method = MethodSpec::SocFlow(SocFlowConfig::full());
+        for preset in DatasetPreset::ALL {
+            let mut s = spec(method);
+            s.preset = preset;
+            let built = Workload::standard(&s, 64, 8, 0.5).model_cfg;
+            assert_eq!(Workload::model_config(&s, 8, 0.5), built, "{preset}");
+        }
+        let s = spec(method);
+        let plan = Plan::Auto { budget: 8 };
+        let sched = GlobalScheduler::new(
+            s,
+            Workload::standard(&s, 64, 8, 0.5),
+            RunOptions::default(),
+            plan,
+        );
+        let geometry = Workload::model_config(&s, 8, 0.5);
+        let (a, b) = (
+            sched.tune(),
+            tune_job(&s, geometry, &RunOptions::default(), plan),
+        );
+        let ranks = |r: &crate::autotune::TuneReport| -> Vec<(usize, u64)> {
+            let key =
+                |c: &crate::autotune::PlanChoice| (c.candidate.groups, c.predicted_s.to_bits());
+            r.ranked.iter().map(key).collect()
+        };
+        assert_eq!(ranks(&a), ranks(&b));
     }
 
     #[test]

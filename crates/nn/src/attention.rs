@@ -8,14 +8,15 @@
 //! [`TokenFeedForward`] and [`MeanPoolTokens`]. Sequences are rank-3
 //! `(batch, tokens, dim)` tensors.
 //!
-//! All blocks honour [`Precision::Quant`] by fake-quantizing weights and
-//! inputs exactly like the CNN layers, so the mixed-precision experiments
-//! extend to Transformers unchanged.
+//! All blocks honour [`crate::Precision::Quant`] by fake-quantizing weights
+//! and inputs exactly like the CNN layers, so the mixed-precision experiments
+//! extend to Transformers unchanged; like them, every block borrows what a
+//! pass makes from the step scratch ([`socflow_tensor::pool`]).
 
-use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::{quant_fake_into, quant_grad_into};
+use crate::layer::{Layer, Mode, Parameter};
+use crate::layers::{accumulate_grad, mapped, product, staged};
 use rand::Rng;
-use socflow_tensor::{init, linalg, Shape, Tensor, TensorPool};
+use socflow_tensor::{init, linalg, pool, Shape, Tensor};
 
 fn as_btd(t: &Tensor) -> (usize, usize, usize) {
     let d = t.shape().dims();
@@ -54,17 +55,6 @@ fn sum_rows_slice(src: &[f32], acc: &mut [f32], rows: usize, cols: usize) {
     }
 }
 
-/// Stages the fused quantize→dequantize of `src` in a pooled buffer.
-fn quant_staged(
-    src: &Tensor,
-    f: socflow_tensor::quant::QuantFormat,
-    pool: &mut TensorPool,
-) -> Tensor {
-    let mut out = pool.take_any();
-    quant_fake_into(src, f, &mut out);
-    out
-}
-
 /// Splits square images into non-overlapping patches and linearly embeds
 /// each: `(n, c, h, w) → (n, (h/p)·(w/p), dim)`.
 #[derive(Debug, Clone)]
@@ -76,7 +66,6 @@ pub struct PatchEmbed {
     dim: usize,
     cached_patches: Option<Tensor>, // (n·t, c·p·p)
     cached_shape: Option<Shape>,
-    pool: TensorPool,
 }
 
 impl PatchEmbed {
@@ -100,12 +89,12 @@ impl PatchEmbed {
             dim,
             cached_patches: None,
             cached_shape: None,
-            pool: TensorPool::new(),
         }
     }
 
-    /// Writes the `(n·t, c·p·p)` patch matrix into `out`; returns `t`.
-    fn patchify_into(&self, x: &Tensor, out: &mut Tensor) -> usize {
+    /// The `(n·t, c·p·p)` patch matrix of `x`, in a step-scratch tensor,
+    /// and `t`.
+    fn patchify(&self, x: &Tensor) -> (Tensor, usize) {
         let (n, c, h, w) = x.shape().as_nchw();
         assert_eq!(h % self.patch, 0, "input height not divisible by patch");
         assert_eq!(w % self.patch, 0, "input width not divisible by patch");
@@ -113,7 +102,7 @@ impl PatchEmbed {
         let pw = w / self.patch;
         let t = ph * pw;
         let f = self.in_features;
-        out.resize([n * t, f]);
+        let mut out = pool::tensor([n * t, f]);
         let od = out.data_mut();
         let xd = x.data();
         for ni in 0..n {
@@ -133,27 +122,24 @@ impl PatchEmbed {
                 }
             }
         }
-        t
+        (out, t)
     }
 }
 
 impl Layer for PatchEmbed {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (n, _, _, _) = input.shape().as_nchw();
-        let mut patches = self.pool.take_any();
-        let t = self.patchify_into(input, &mut patches);
-        let wq = match mode.precision {
-            Precision::Fp32 => None,
-            Precision::Quant(f) => {
-                let mut pq = self.pool.take_any();
-                quant_fake_into(&patches, f, &mut pq);
-                self.pool.recycle(std::mem::replace(&mut patches, pq));
-                Some(quant_staged(&self.weight.value, f, &mut self.pool))
+        let (raw, t) = self.patchify(input);
+        let [pq, wq] = staged(mode.precision, [&raw, &self.weight.value]);
+        let patches = match pq {
+            Some(pq) => {
+                pool::recycle(raw);
+                pq
             }
+            None => raw,
         };
         let w = wq.as_ref().unwrap_or(&self.weight.value);
-        let mut y = Tensor::default();
-        y.resize([n * t, self.dim]);
+        let mut y = pool::tensor([n * t, self.dim]);
         linalg::matmul_slices(
             patches.data(),
             w.data(),
@@ -164,28 +150,24 @@ impl Layer for PatchEmbed {
         );
         y.add_row_broadcast_inplace(&self.bias.value);
         if mode.train {
-            if let Some(old) = self.cached_patches.take() {
-                self.pool.recycle(old);
-            }
+            self.release();
             self.cached_patches = Some(patches);
             self.cached_shape = Some(input.shape().clone());
         } else {
-            self.pool.recycle(patches);
+            pool::recycle(patches);
         }
-        if let Some(b) = wq {
-            self.pool.recycle(b);
-        }
+        pool::recycle_all(wq);
         y.reshape([n, t, self.dim])
     }
 
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
         let (n, t, d) = as_btd(grad_out);
         let patches = self
             .cached_patches
-            .as_ref()
+            .take()
             .expect("PatchEmbed::backward without training forward");
         let rows = n * t;
-        let mut gw = self.pool.take([self.in_features, d]);
+        let mut gw = pool::tensor([self.in_features, d]);
         linalg::matmul_at_b_slices(
             patches.data(),
             grad_out.data(),
@@ -194,23 +176,18 @@ impl Layer for PatchEmbed {
             rows,
             d,
         );
-        let mut gb = self.pool.take_zeroed([d]);
+        pool::recycle(patches);
+        let mut gb = pool::zeroed([d]);
         sum_rows_slice(grad_out.data(), gb.data_mut(), rows, d);
-        if let Precision::Quant(f) = mode.precision {
-            let mut q = self.pool.take_any();
-            quant_grad_into(&gw, 0xBEEF, f, &mut q);
-            self.weight.grad.add_inplace(&q);
-            quant_grad_into(&gb, 0xFEED, f, &mut q);
-            self.bias.grad.add_inplace(&q);
-            self.pool.recycle(q);
-        } else {
-            self.weight.grad.add_inplace(&gw);
-            self.bias.grad.add_inplace(&gb);
-        }
-        self.pool.recycle(gw);
-        self.pool.recycle(gb);
+        accumulate_grad(&mut self.weight, gw, mode.precision, 0xBEEF);
+        accumulate_grad(&mut self.bias, gb, mode.precision, 0xFEED);
         // image gradient unused by the classifier stack (patches are leaves)
-        Tensor::zeros(self.cached_shape.clone().expect("cached input shape"))
+        let shape = self.cached_shape.clone().expect("cached input shape");
+        want_gx.then(|| pool::zeroed(shape))
+    }
+
+    fn release(&mut self) {
+        pool::recycle_all(self.cached_patches.take());
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -260,14 +237,14 @@ impl LayerNorm {
 
 impl Layer for LayerNorm {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let dims = input.shape().dims().to_vec();
-        let d = *dims.last().expect("rank >= 1");
+        let d = *input.shape().dims().last().expect("rank >= 1");
         assert_eq!(d, self.dim, "LayerNorm dim mismatch");
         let rows = input.len() / d;
         let xd = input.data();
-        let mut out = vec![0.0f32; input.len()];
-        let mut xhat = vec![0.0f32; input.len()];
-        let mut inv_stds = vec![0.0f32; rows];
+        let mut out_t = pool::tensor(input.shape().clone());
+        let mut xhat_t = pool::tensor(input.shape().clone());
+        let mut inv_stds = pool::take::<f32>(rows);
+        let (out, xhat) = (out_t.data_mut(), xhat_t.data_mut());
         for r in 0..rows {
             let row = &xd[r * d..(r + 1) * d];
             let mean: f32 = row.iter().sum::<f32>() / d as f32;
@@ -281,21 +258,26 @@ impl Layer for LayerNorm {
             }
         }
         if mode.train {
-            self.cached = Some((Tensor::from_vec(xhat, input.shape().clone()), inv_stds));
+            self.release();
+            self.cached = Some((xhat_t, inv_stds));
+        } else {
+            pool::recycle(xhat_t);
+            pool::give(inv_stds);
         }
-        Tensor::from_vec(out, input.shape().clone())
+        out_t
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
         let (xhat, inv_stds) = self
             .cached
-            .as_ref()
+            .take()
             .expect("LayerNorm::backward without training forward");
         let d = self.dim;
         let rows = grad_out.len() / d;
         let gd = grad_out.data();
         let xh = xhat.data();
-        let mut gx = vec![0.0f32; grad_out.len()];
+        let mut gx_t = want_gx.then(|| pool::tensor(grad_out.shape().clone()));
+        let mut gx = gx_t.as_mut().map(Tensor::data_mut);
         for r in 0..rows {
             let mut sum_g = 0.0f32;
             let mut sum_gx = 0.0f32;
@@ -306,13 +288,24 @@ impl Layer for LayerNorm {
             }
             for i in 0..d {
                 let gy = gd[r * d + i] * self.gamma.value.data()[i];
-                gx[r * d + i] =
-                    inv_stds[r] / d as f32 * (d as f32 * gy - sum_g - xh[r * d + i] * sum_gx);
+                if let Some(gx) = gx.as_deref_mut() {
+                    gx[r * d + i] =
+                        inv_stds[r] / d as f32 * (d as f32 * gy - sum_g - xh[r * d + i] * sum_gx);
+                }
                 self.gamma.grad.data_mut()[i] += gd[r * d + i] * xh[r * d + i];
                 self.beta.grad.data_mut()[i] += gd[r * d + i];
             }
         }
-        Tensor::from_vec(gx, grad_out.shape().clone())
+        pool::recycle(xhat);
+        pool::give(inv_stds);
+        gx_t
+    }
+
+    fn release(&mut self) {
+        if let Some((xhat, inv_stds)) = self.cached.take() {
+            pool::recycle(xhat);
+            pool::give(inv_stds);
+        }
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -363,18 +356,29 @@ impl Gelu {
 impl Layer for Gelu {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         if mode.train {
-            self.cached_input = Some(input.clone());
+            self.release();
+            self.cached_input = Some(pool::copy_of(input));
         }
-        input.map(Self::value)
+        mapped(input, Self::value)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
         let x = self
             .cached_input
-            .as_ref()
+            .take()
             .expect("Gelu::backward without training forward");
-        let deriv = x.map(Self::derivative);
-        grad_out.mul(&deriv)
+        let gx = want_gx.then(|| {
+            let deriv = mapped(&x, Self::derivative);
+            let gx = product(grad_out, &deriv);
+            pool::recycle(deriv);
+            gx
+        });
+        pool::recycle(x);
+        gx
+    }
+
+    fn release(&mut self) {
+        pool::recycle_all(self.cached_input.take());
     }
 
     fn describe(&self) -> String {
@@ -397,7 +401,6 @@ pub struct SelfAttention {
     dim: usize,
     heads: usize,
     cache: Option<AttnCache>,
-    pool: TensorPool,
 }
 
 #[derive(Debug, Clone)]
@@ -408,6 +411,12 @@ struct AttnCache {
     v: Tensor,
     attn: Tensor,   // (b, heads, t, t) softmax weights
     concat: Tensor, // (b, t, d) pre-Wo
+}
+
+impl AttnCache {
+    fn release(self) {
+        pool::recycle_all([self.x, self.q, self.k, self.v, self.attn, self.concat]);
+    }
 }
 
 impl SelfAttention {
@@ -429,7 +438,6 @@ impl SelfAttention {
             dim,
             heads,
             cache: None,
-            pool: TensorPool::new(),
         }
     }
 }
@@ -439,17 +447,15 @@ impl Layer for SelfAttention {
         let (b, t, d) = as_btd(input);
         assert_eq!(d, self.dim, "SelfAttention dim mismatch");
         // Fp32 borrows the operands directly; the quantized path stages the
-        // fused quantize→dequantize results in pooled buffers.
-        let (xq, wqb, wkb, wvb, wob) = match mode.precision {
-            Precision::Fp32 => (None, None, None, None, None),
-            Precision::Quant(f) => (
-                Some(quant_staged(input, f, &mut self.pool)),
-                Some(quant_staged(&self.wq.value, f, &mut self.pool)),
-                Some(quant_staged(&self.wk.value, f, &mut self.pool)),
-                Some(quant_staged(&self.wv.value, f, &mut self.pool)),
-                Some(quant_staged(&self.wo.value, f, &mut self.pool)),
-            ),
-        };
+        // fused quantize→dequantize results.
+        let operands = [
+            input,
+            &self.wq.value,
+            &self.wk.value,
+            &self.wv.value,
+            &self.wo.value,
+        ];
+        let [xq, wqb, wkb, wvb, wob] = staged(mode.precision, operands);
         let x = xq.as_ref().unwrap_or(input);
         let wq = wqb.as_ref().unwrap_or(&self.wq.value);
         let wk = wkb.as_ref().unwrap_or(&self.wk.value);
@@ -459,19 +465,19 @@ impl Layer for SelfAttention {
         let scale = 1.0 / (dh as f32).sqrt();
         let bt = b * t;
 
-        let mut q = self.pool.take([b, t, d]);
-        let mut k = self.pool.take([b, t, d]);
-        let mut v = self.pool.take([b, t, d]);
+        let mut q = pool::tensor([b, t, d]);
+        let mut k = pool::tensor([b, t, d]);
+        let mut v = pool::tensor([b, t, d]);
         linalg::matmul_slices(x.data(), wq.data(), q.data_mut(), bt, d, d);
         linalg::matmul_slices(x.data(), wk.data(), k.data_mut(), bt, d, d);
         linalg::matmul_slices(x.data(), wv.data(), v.data_mut(), bt, d, d);
 
-        let mut attn = self.pool.take([b, self.heads, t, t]);
-        let mut concat = self.pool.take([b, t, d]);
-        let mut qh = self.pool.take([t, dh]);
-        let mut kh = self.pool.take([t, dh]);
-        let mut vh = self.pool.take([t, dh]);
-        let mut yh = self.pool.take([t, dh]);
+        let mut attn = pool::tensor([b, self.heads, t, t]);
+        let mut concat = pool::tensor([b, t, d]);
+        let mut qh = pool::tensor([t, dh]);
+        let mut kh = pool::tensor([t, dh]);
+        let mut vh = pool::tensor([t, dh]);
+        let mut yh = pool::tensor([t, dh]);
         for bi in 0..b {
             let s0 = bi * t * d;
             for h in 0..self.heads {
@@ -506,27 +512,18 @@ impl Layer for SelfAttention {
             }
         }
         // y = input + concat·Wo (residual)
-        let mut proj = self.pool.take([bt, d]);
+        let mut proj = pool::tensor([bt, d]);
         linalg::matmul_slices(concat.data(), wo.data(), proj.data_mut(), bt, d, d);
-        let mut y = Tensor::default();
-        y.copy_from(input);
+        let mut y = pool::copy_of(input);
         for (o, &p) in y.data_mut().iter_mut().zip(proj.data()) {
             *o += p;
         }
-        self.pool.recycle(proj);
-        for buf in [qh, kh, vh, yh] {
-            self.pool.recycle(buf);
-        }
+        pool::recycle_all([proj, qh, kh, vh, yh]);
         if mode.train {
-            if let Some(old) = self.cache.take() {
-                for buf in [old.x, old.q, old.k, old.v, old.attn, old.concat] {
-                    self.pool.recycle(buf);
-                }
-            }
-            let mut xc = self.pool.take_any();
-            xc.copy_from(x);
+            let x = pool::copy_of(x);
+            self.release();
             self.cache = Some(AttnCache {
-                x: xc,
+                x,
                 q,
                 k,
                 v,
@@ -534,20 +531,16 @@ impl Layer for SelfAttention {
                 concat,
             });
         } else {
-            for buf in [q, k, v, attn, concat] {
-                self.pool.recycle(buf);
-            }
+            pool::recycle_all([q, k, v, attn, concat]);
         }
-        for buf in [xq, wqb, wkb, wvb, wob].into_iter().flatten() {
-            self.pool.recycle(buf);
-        }
+        pool::recycle_all([xq, wqb, wkb, wvb, wob].into_iter().flatten());
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
         let cache = self
             .cache
-            .as_ref()
+            .take()
             .expect("SelfAttention::backward without training forward");
         let (b, t, d) = as_btd(grad_out);
         let dh = d / self.heads;
@@ -555,7 +548,7 @@ impl Layer for SelfAttention {
         let bt = b * t;
 
         // y = x + concat·Wo  →  d_concat = g·Woᵀ ; dWo = concatᵀ·g ; dx += g
-        let mut gwo = self.pool.take([d, d]);
+        let mut gwo = pool::tensor([d, d]);
         linalg::matmul_at_b_slices(
             cache.concat.data(),
             grad_out.data(),
@@ -564,7 +557,7 @@ impl Layer for SelfAttention {
             bt,
             d,
         );
-        let mut gconcat = self.pool.take([b, t, d]);
+        let mut gconcat = pool::tensor([b, t, d]);
         linalg::matmul_a_bt_slices(
             grad_out.data(),
             self.wo.value.data(),
@@ -574,18 +567,18 @@ impl Layer for SelfAttention {
             d,
         );
 
-        let mut gq = self.pool.take([b, t, d]);
-        let mut gk = self.pool.take([b, t, d]);
-        let mut gv = self.pool.take([b, t, d]);
-        let mut qh = self.pool.take([t, dh]);
-        let mut kh = self.pool.take([t, dh]);
-        let mut vh = self.pool.take([t, dh]);
-        let mut gyh = self.pool.take([t, dh]);
-        let mut gvh = self.pool.take([t, dh]);
-        let mut gqh = self.pool.take([t, dh]);
-        let mut gkh = self.pool.take([t, dh]);
-        let mut ga = self.pool.take([t, t]);
-        let mut gs = self.pool.take([t, t]);
+        let mut gq = pool::tensor([b, t, d]);
+        let mut gk = pool::tensor([b, t, d]);
+        let mut gv = pool::tensor([b, t, d]);
+        let mut qh = pool::tensor([t, dh]);
+        let mut kh = pool::tensor([t, dh]);
+        let mut vh = pool::tensor([t, dh]);
+        let mut gyh = pool::tensor([t, dh]);
+        let mut gvh = pool::tensor([t, dh]);
+        let mut gqh = pool::tensor([t, dh]);
+        let mut gkh = pool::tensor([t, dh]);
+        let mut ga = pool::tensor([t, t]);
+        let mut gs = pool::tensor([t, t]);
         for bi in 0..b {
             let s0 = bi * t * d;
             for h in 0..self.heads {
@@ -668,51 +661,42 @@ impl Layer for SelfAttention {
         }
 
         // projections: P = X·W → dW = Xᵀ·dP ; dX += dP·Wᵀ
-        let mut gwq = self.pool.take([d, d]);
-        let mut gwk = self.pool.take([d, d]);
-        let mut gwv = self.pool.take([d, d]);
+        let mut gwq = pool::tensor([d, d]);
+        let mut gwk = pool::tensor([d, d]);
+        let mut gwv = pool::tensor([d, d]);
         linalg::matmul_at_b_slices(cache.x.data(), gq.data(), gwq.data_mut(), d, bt, d);
         linalg::matmul_at_b_slices(cache.x.data(), gk.data(), gwk.data_mut(), d, bt, d);
         linalg::matmul_at_b_slices(cache.x.data(), gv.data(), gwv.data_mut(), d, bt, d);
-        let mut gx = Tensor::default();
-        gx.resize([b, t, d]);
-        linalg::matmul_a_bt_slices(gq.data(), self.wq.value.data(), gx.data_mut(), bt, d, d);
-        let mut tmp = self.pool.take([bt, d]);
-        linalg::matmul_a_bt_slices(gk.data(), self.wk.value.data(), tmp.data_mut(), bt, d, d);
-        for (o, &v_) in gx.data_mut().iter_mut().zip(tmp.data()) {
-            *o += v_;
-        }
-        linalg::matmul_a_bt_slices(gv.data(), self.wv.value.data(), tmp.data_mut(), bt, d, d);
-        for (o, &v_) in gx.data_mut().iter_mut().zip(tmp.data()) {
-            *o += v_;
-        }
-        for (o, &g) in gx.data_mut().iter_mut().zip(grad_out.data()) {
-            *o += g; // residual path
-        }
+        let gx = want_gx.then(|| {
+            let mut gx = pool::tensor([b, t, d]);
+            linalg::matmul_a_bt_slices(gq.data(), self.wq.value.data(), gx.data_mut(), bt, d, d);
+            let mut tmp = pool::tensor([bt, d]);
+            for (g, w) in [(&gk, &self.wk), (&gv, &self.wv)] {
+                linalg::matmul_a_bt_slices(g.data(), w.value.data(), tmp.data_mut(), bt, d, d);
+                for (o, &v_) in gx.data_mut().iter_mut().zip(tmp.data()) {
+                    *o += v_;
+                }
+            }
+            pool::recycle(tmp);
+            for (o, &g) in gx.data_mut().iter_mut().zip(grad_out.data()) {
+                *o += g; // residual path
+            }
+            gx
+        });
 
-        if let Precision::Quant(f) = mode.precision {
-            let mut q = self.pool.take_any();
-            quant_grad_into(&gwq, 0x0071, f, &mut q);
-            self.wq.grad.add_inplace(&q);
-            quant_grad_into(&gwk, 0x0072, f, &mut q);
-            self.wk.grad.add_inplace(&q);
-            quant_grad_into(&gwv, 0x0073, f, &mut q);
-            self.wv.grad.add_inplace(&q);
-            quant_grad_into(&gwo, 0x0074, f, &mut q);
-            self.wo.grad.add_inplace(&q);
-            self.pool.recycle(q);
-        } else {
-            self.wq.grad.add_inplace(&gwq);
-            self.wk.grad.add_inplace(&gwk);
-            self.wv.grad.add_inplace(&gwv);
-            self.wo.grad.add_inplace(&gwo);
-        }
-        for buf in [
-            gwq, gwk, gwv, gwo, gconcat, gq, gk, gv, qh, kh, vh, gyh, gvh, gqh, gkh, ga, gs, tmp,
-        ] {
-            self.pool.recycle(buf);
-        }
+        accumulate_grad(&mut self.wq, gwq, mode.precision, 0x0071);
+        accumulate_grad(&mut self.wk, gwk, mode.precision, 0x0072);
+        accumulate_grad(&mut self.wv, gwv, mode.precision, 0x0073);
+        accumulate_grad(&mut self.wo, gwo, mode.precision, 0x0074);
+        pool::recycle_all([gconcat, gq, gk, gv, qh, kh, vh, gyh, gvh, gqh, gkh, ga, gs]);
+        cache.release();
         gx
+    }
+
+    fn release(&mut self) {
+        if let Some(cache) = self.cache.take() {
+            cache.release();
+        }
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -748,8 +732,7 @@ pub struct TokenFeedForward {
     b2: Parameter,
     dim: usize,
     hidden: usize,
-    cache: Option<(Tensor, Tensor, Tensor)>, // (x flat, pre-gelu, post-gelu)
-    pool: TensorPool,
+    cache: Option<[Tensor; 3]>, // x flat, pre-gelu, post-gelu
 }
 
 impl TokenFeedForward {
@@ -763,7 +746,6 @@ impl TokenFeedForward {
             dim,
             hidden,
             cache: None,
-            pool: TensorPool::new(),
         }
     }
 }
@@ -772,66 +754,47 @@ impl Layer for TokenFeedForward {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (b, t, d) = as_btd(input);
         assert_eq!(d, self.dim, "TokenFeedForward dim mismatch");
-        let (xq, w1b, w2b) = match mode.precision {
-            Precision::Fp32 => (None, None, None),
-            Precision::Quant(f) => (
-                Some(quant_staged(input, f, &mut self.pool)),
-                Some(quant_staged(&self.w1.value, f, &mut self.pool)),
-                Some(quant_staged(&self.w2.value, f, &mut self.pool)),
-            ),
-        };
+        let [xq, w1b, w2b] = staged(mode.precision, [input, &self.w1.value, &self.w2.value]);
         let x = xq.as_ref().unwrap_or(input);
         let w1 = w1b.as_ref().unwrap_or(&self.w1.value);
         let w2 = w2b.as_ref().unwrap_or(&self.w2.value);
         let bt = b * t;
-        let mut pre = self.pool.take([bt, self.hidden]);
+        let mut pre = pool::tensor([bt, self.hidden]);
         linalg::matmul_slices(x.data(), w1.data(), pre.data_mut(), bt, d, self.hidden);
         pre.add_row_broadcast_inplace(&self.b1.value);
-        let mut post = self.pool.take([bt, self.hidden]);
-        for (o, &v) in post.data_mut().iter_mut().zip(pre.data()) {
-            *o = Gelu::value(v);
-        }
-        let mut out = self.pool.take([bt, d]);
+        let post = mapped(&pre, Gelu::value);
+        let mut out = pool::tensor([bt, d]);
         linalg::matmul_slices(post.data(), w2.data(), out.data_mut(), bt, self.hidden, d);
         out.add_row_broadcast_inplace(&self.b2.value);
-        let mut y = Tensor::default();
-        y.copy_from(input); // residual
+        let mut y = pool::copy_of(input); // residual
         for (o, &v) in y.data_mut().iter_mut().zip(out.data()) {
             *o += v;
         }
-        self.pool.recycle(out);
+        pool::recycle(out);
         if mode.train {
-            if let Some((f_, p_, q_)) = self.cache.take() {
-                self.pool.recycle(f_);
-                self.pool.recycle(p_);
-                self.pool.recycle(q_);
-            }
-            let mut flat = self.pool.take_any();
-            flat.copy_from(x);
-            self.cache = Some((flat, pre, post));
+            let flat = pool::copy_of(x);
+            self.release();
+            self.cache = Some([flat, pre, post]);
         } else {
-            self.pool.recycle(pre);
-            self.pool.recycle(post);
+            pool::recycle_all([pre, post]);
         }
-        for buf in [xq, w1b, w2b].into_iter().flatten() {
-            self.pool.recycle(buf);
-        }
+        pool::recycle_all([xq, w1b, w2b].into_iter().flatten());
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
         let (b, t, d) = as_btd(grad_out);
-        let (flat, pre, post) = self
+        let [flat, pre, post] = self
             .cache
-            .as_ref()
+            .take()
             .expect("TokenFeedForward::backward without training forward");
         let bt = b * t;
         let h = self.hidden;
-        let mut gw2 = self.pool.take([h, d]);
+        let mut gw2 = pool::tensor([h, d]);
         linalg::matmul_at_b_slices(post.data(), grad_out.data(), gw2.data_mut(), h, bt, d);
-        let mut gb2 = self.pool.take_zeroed([d]);
+        let mut gb2 = pool::zeroed([d]);
         sum_rows_slice(grad_out.data(), gb2.data_mut(), bt, d);
-        let mut gpre = self.pool.take([bt, h]);
+        let mut gpre = pool::tensor([bt, h]);
         linalg::matmul_a_bt_slices(
             grad_out.data(),
             self.w2.value.data(),
@@ -844,37 +807,28 @@ impl Layer for TokenFeedForward {
         for (o, &p) in gpre.data_mut().iter_mut().zip(pre.data()) {
             *o *= Gelu::derivative(p);
         }
-        let mut gw1 = self.pool.take([d, h]);
+        let mut gw1 = pool::tensor([d, h]);
         linalg::matmul_at_b_slices(flat.data(), gpre.data(), gw1.data_mut(), d, bt, h);
-        let mut gb1 = self.pool.take_zeroed([h]);
+        let mut gb1 = pool::zeroed([h]);
         sum_rows_slice(gpre.data(), gb1.data_mut(), bt, h);
-        let mut gx = Tensor::default();
-        gx.resize([b, t, d]);
-        linalg::matmul_a_bt_slices(gpre.data(), self.w1.value.data(), gx.data_mut(), bt, h, d);
-        for (o, &g) in gx.data_mut().iter_mut().zip(grad_out.data()) {
-            *o += g; // residual
-        }
-        if let Precision::Quant(f) = mode.precision {
-            let mut q = self.pool.take_any();
-            quant_grad_into(&gw1, 0x0081, f, &mut q);
-            self.w1.grad.add_inplace(&q);
-            quant_grad_into(&gb1, 0x0082, f, &mut q);
-            self.b1.grad.add_inplace(&q);
-            quant_grad_into(&gw2, 0x0083, f, &mut q);
-            self.w2.grad.add_inplace(&q);
-            quant_grad_into(&gb2, 0x0084, f, &mut q);
-            self.b2.grad.add_inplace(&q);
-            self.pool.recycle(q);
-        } else {
-            self.w1.grad.add_inplace(&gw1);
-            self.b1.grad.add_inplace(&gb1);
-            self.w2.grad.add_inplace(&gw2);
-            self.b2.grad.add_inplace(&gb2);
-        }
-        for buf in [gw1, gb1, gw2, gb2, gpre] {
-            self.pool.recycle(buf);
-        }
+        let gx = want_gx.then(|| {
+            let mut gx = pool::tensor([b, t, d]);
+            linalg::matmul_a_bt_slices(gpre.data(), self.w1.value.data(), gx.data_mut(), bt, h, d);
+            for (o, &g) in gx.data_mut().iter_mut().zip(grad_out.data()) {
+                *o += g; // residual
+            }
+            gx
+        });
+        accumulate_grad(&mut self.w1, gw1, mode.precision, 0x0081);
+        accumulate_grad(&mut self.b1, gb1, mode.precision, 0x0082);
+        accumulate_grad(&mut self.w2, gw2, mode.precision, 0x0083);
+        accumulate_grad(&mut self.b2, gb2, mode.precision, 0x0084);
+        pool::recycle_all([gpre, flat, pre, post]);
         gx
+    }
+
+    fn release(&mut self) {
+        pool::recycle_all(self.cache.take().into_iter().flatten());
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -919,7 +873,8 @@ impl Layer for MeanPoolTokens {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (b, t, d) = as_btd(input);
         let xd = input.data();
-        let mut out = vec![0.0f32; b * d];
+        let mut out_t = pool::zeroed([b, d]);
+        let out = out_t.data_mut();
         for bi in 0..b {
             for ti in 0..t {
                 for di in 0..d {
@@ -930,16 +885,20 @@ impl Layer for MeanPoolTokens {
         if mode.train {
             self.cached_tokens = Some(t);
         }
-        Tensor::from_vec(out, Shape::from([b, d]))
+        out_t
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
         let t = self
             .cached_tokens
             .expect("MeanPoolTokens::backward without training forward");
+        if !want_gx {
+            return None;
+        }
         let (b, d) = grad_out.shape().as_matrix();
         let gd = grad_out.data();
-        let mut gx = vec![0.0f32; b * t * d];
+        let mut gx_t = pool::tensor([b, t, d]);
+        let gx = gx_t.data_mut();
         for bi in 0..b {
             for ti in 0..t {
                 for di in 0..d {
@@ -947,7 +906,7 @@ impl Layer for MeanPoolTokens {
                 }
             }
         }
-        Tensor::from_vec(gx, Shape::from([b, t, d]))
+        Some(gx_t)
     }
 
     fn describe(&self) -> String {
@@ -962,6 +921,7 @@ impl Layer for MeanPoolTokens {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Precision;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -976,7 +936,7 @@ mod tests {
         let x = Tensor::ones([2, 3, 8, 8]);
         let y = pe.forward(&x, Mode::train(Precision::Fp32));
         assert_eq!(y.shape().dims(), &[2, 4, 16]); // 2x2 patches of 4x4
-        let gx = pe.backward(&y, Mode::train(Precision::Fp32));
+        let gx = pe.backward(&y, Mode::train(Precision::Fp32), true).unwrap();
         assert_eq!(gx.shape(), x.shape());
         assert!(pe.parameters().iter().any(|p| p.grad.l2_norm() > 0.0));
     }
@@ -1002,7 +962,7 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         let y = ln.forward(&x, mode);
         let gy = y.scale(2.0);
-        let gx = ln.backward(&gy, mode);
+        let gx = ln.backward(&gy, mode, true).unwrap();
         let eps = 1e-3;
         for idx in [0usize, 3, 6] {
             let mut xp = x.clone();
@@ -1059,7 +1019,7 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         let y = attn.forward(&x, mode);
         let gy = y.scale(2.0);
-        let gx = attn.backward(&gy, mode);
+        let gx = attn.backward(&gy, mode, true).unwrap();
 
         let eps = 1e-3;
         let mut fresh = attn.clone();
@@ -1107,7 +1067,7 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         let y = ffn.forward(&x, mode);
         let gy = y.scale(2.0);
-        let gx = ffn.backward(&gy, mode);
+        let gx = ffn.backward(&gy, mode, true).unwrap();
         let eps = 1e-3;
         let f = |f_: &mut TokenFeedForward, x: &Tensor| -> f32 {
             f_.forward(x, Mode::eval(Precision::Fp32))
@@ -1137,7 +1097,9 @@ mod tests {
         let y = mp.forward(&x, Mode::train(Precision::Fp32));
         assert_eq!(y.shape().dims(), &[2, 4]);
         assert_eq!(y.at(&[0, 0]), 4.0); // mean(0, 4, 8)
-        let gx = mp.backward(&Tensor::ones([2, 4]), Mode::train(Precision::Fp32));
+        let gx = mp
+            .backward(&Tensor::ones([2, 4]), Mode::train(Precision::Fp32), true)
+            .unwrap();
         assert_eq!(gx.shape().dims(), &[2, 3, 4]);
         assert!((gx.sum() - 8.0).abs() < 1e-5);
     }

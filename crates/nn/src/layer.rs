@@ -1,5 +1,5 @@
 use serde::{Deserialize, Serialize};
-use socflow_tensor::Tensor;
+use socflow_tensor::{pool, Tensor};
 
 /// Numeric precision a forward/backward pass executes in.
 ///
@@ -90,22 +90,42 @@ impl Parameter {
 /// needs (inputs, masks, intermediate activations), and `backward` both
 /// accumulates parameter gradients and returns the gradient w.r.t. its
 /// input. A layer must tolerate `forward` in eval mode without a following
-/// `backward`.
+/// `backward`, also between a training forward and its backward, and a
+/// second training `forward` with no `backward` in between.
+///
+/// **Whose memory.** Everything a layer makes during a pass — its output,
+/// its input gradient, what it caches, its staging — is borrowed from the
+/// calling thread's step scratch ([`socflow_tensor::pool`]). The tensors it
+/// returns are the caller's, to hand back once consumed ([`Network`]
+/// does); what it caches it hands back by the end of `backward`. Between
+/// steps a layer owns its parameters, their gradients and its running
+/// state, nothing else.
 ///
 /// `Send + Sync` is part of the contract: replicas move across the worker
 /// pool's jobs, and a `&Network` may be read from several of them. Layers
 /// are plain data — no interior mutability — so both bounds hold
 /// structurally.
+///
+/// [`Network`]: crate::Network
 pub trait Layer: Send + Sync {
     /// Runs the layer on `input`, caching state when `mode.train`.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
     /// Propagates `grad_out` backwards, accumulating parameter gradients
-    /// (into [`Parameter::grad`]) and returning the input gradient.
+    /// (into [`Parameter::grad`]), and hands the caches of the training
+    /// forward back ([`Layer::release`]). Returns the input gradient when
+    /// `want_gx`, and `None` — without computing it — when nobody
+    /// will read it: the first parameterised layer of a training step.
     ///
     /// # Panics
     /// May panic if called without a preceding training-mode `forward`.
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor;
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor>;
+
+    /// Hands whatever the last training `forward` cached back to the step
+    /// scratch. `backward` ends with it; a chain calls it on the layers in
+    /// front of the first parameterised one when their `backward` is
+    /// skipped. The default is a layer that caches nothing there.
+    fn release(&mut self) {}
 
     /// Hands each of this layer's parameters to `visit`, in a fixed order
     /// (nested layers in theirs). The default is a layer without any. The
@@ -153,19 +173,62 @@ pub trait Layer: Send + Sync {
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
-/// Threads a tensor through `layers` in iteration order: `step` maps each
-/// layer and the tensor so far to the next one. The first layer borrows
-/// `input` — nothing is copied unless there is no layer at all.
-pub(crate) fn chain<L>(
-    layers: impl Iterator<Item = L>,
-    input: &Tensor,
-    mut step: impl FnMut(L, &Tensor) -> Tensor,
-) -> Tensor {
+/// Runs `layers` front to back on `input`. Each intermediate activation
+/// goes back to the step scratch once the next layer has consumed it; the
+/// first layer borrows `input`, which is copied only if there is no layer.
+pub(crate) fn forward_chain(layers: &mut [Box<dyn Layer>], input: &Tensor, mode: Mode) -> Tensor {
     let mut cur: Option<Tensor> = None;
     for l in layers {
-        cur = Some(step(l, cur.as_ref().unwrap_or(input)));
+        let next = l.forward(cur.as_ref().unwrap_or(input), mode);
+        if let Some(consumed) = cur.replace(next) {
+            pool::recycle(consumed);
+        }
     }
-    cur.unwrap_or_else(|| input.clone())
+    cur.unwrap_or_else(|| pool::copy_of(input))
+}
+
+/// Runs `layers` back to front on `grad_out`, calling `done(i)` as layer
+/// `i`'s backward completes, and returns the gradient w.r.t. the chain's
+/// input if `want_gx`. Each intermediate gradient goes back to the
+/// step scratch once the layer in front has consumed it.
+///
+/// A layer is asked for its input gradient only if somebody reads it: the
+/// caller, or a parameterised layer further to the front. So when the
+/// caller does not, the first parameterised layer computes none, and the
+/// parameterless layers in front of it (a `Flatten` before a `Linear`) are
+/// not run at all — they only [`Layer::release`] their caches.
+pub(crate) fn backward_chain(
+    layers: &mut [Box<dyn Layer>],
+    grad_out: &Tensor,
+    mode: Mode,
+    want_gx: bool,
+    mut done: impl FnMut(usize),
+) -> Option<Tensor> {
+    let has_parameters = |l: &dyn Layer| {
+        let mut any = false;
+        l.visit_parameters(&mut |_| any = true);
+        any
+    };
+    if want_gx && layers.is_empty() {
+        return Some(pool::copy_of(grad_out));
+    }
+    // the leading layers whose gradients nobody reads: none if the caller does
+    let lead = layers.iter().take_while(|l| !has_parameters(l.as_ref()));
+    let skipped = if want_gx { 0 } else { lead.count() };
+    layers[..skipped].iter_mut().for_each(|l| l.release());
+    let mut cur: Option<Tensor> = None;
+    for (i, l) in layers.iter_mut().enumerate().skip(skipped).rev() {
+        let next = l.backward(
+            cur.as_ref().unwrap_or(grad_out),
+            mode,
+            want_gx || i > skipped,
+        );
+        if let Some(consumed) = std::mem::replace(&mut cur, next) {
+            pool::recycle(consumed);
+        }
+        done(i);
+    }
+    cur
 }
 
 impl Clone for Box<dyn Layer> {

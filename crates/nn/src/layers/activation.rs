@@ -1,5 +1,6 @@
 use crate::layer::{Layer, Mode};
-use socflow_tensor::Tensor;
+use crate::layers::{mapped, product};
+use socflow_tensor::{pool, Tensor};
 
 /// Rectified linear unit, `y = max(0, x)`.
 #[derive(Debug, Clone, Default)]
@@ -17,14 +18,21 @@ impl Relu {
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         if mode.train {
-            self.mask = Some(input.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
+            self.release();
+            self.mask = Some(mapped(input, |v| if v > 0.0 { 1.0 } else { 0.0 }));
         }
-        input.map(|v| v.max(0.0))
+        mapped(input, |v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
-        let mask = self.mask.as_ref().expect("Relu::backward without forward");
-        grad_out.mul(mask)
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
+        let mask = self.mask.take().expect("Relu::backward without forward");
+        let gx = want_gx.then(|| product(grad_out, &mask));
+        pool::recycle(mask);
+        gx
+    }
+
+    fn release(&mut self) {
+        pool::recycle_all(self.mask.take());
     }
 
     fn describe(&self) -> String {
@@ -54,10 +62,8 @@ mod tests {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 3.0], [2]);
         r.forward(&x, Mode::train(Precision::Fp32));
-        let gx = r.backward(
-            &Tensor::from_vec(vec![5.0, 7.0], [2]),
-            Mode::train(Precision::Fp32),
-        );
+        let g = Tensor::from_vec(vec![5.0, 7.0], [2]);
+        let gx = r.backward(&g, Mode::train(Precision::Fp32), true).unwrap();
         assert_eq!(gx.data(), &[0.0, 7.0]);
     }
 }

@@ -1,23 +1,18 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::{quant_fake_into, quant_grad_into};
+use crate::layers::{accumulate_grad, staged};
 use rand::Rng;
-use socflow_tensor::conv::{
-    conv2d_backward_scratch, conv2d_int8_scratch, conv2d_scratch, ConvParams, ConvScratch,
-};
+use socflow_tensor::conv::{conv2d, conv2d_backward, conv2d_int8, ConvParams};
 use socflow_tensor::quant::QuantFormat;
-use socflow_tensor::{init, Shape, Tensor, TensorPool};
+use socflow_tensor::{init, pool, Shape, Tensor};
 
 /// 2-D convolution layer (no bias — models here always follow a conv with
 /// batch-norm or include bias via the linear head, matching the reference
 /// architectures).
 ///
-/// The im2col patch matrix and matmul staging live in a [`ConvScratch`]
-/// reused across batches; fake-quant operands and gradient staging come from
-/// a per-layer [`TensorPool`]. Train-time patches ping-pong between the
-/// scratch and the cache so eval forwards in between never clobber them.
-/// The cached matrix is `(n·oh·ow, ic·lh·lw)` — one column per channel and
-/// *live* kernel tap ([`socflow_tensor::conv::LiveTaps`]), so a 3×3 layer
-/// on a 1×1 map caches a ninth of what it would over all nine taps; the
+/// A training forward keeps its im2col patch matrix — `(n·oh·ow, ic·lh·lw)`,
+/// one column per channel and *live* kernel tap
+/// ([`socflow_tensor::conv::LiveTaps`]), so a 3×3 layer on a 1×1 map keeps a
+/// ninth of what it would over all nine taps — until its backward; the
 /// weight and its gradient keep their full `(oc, ic, k, k)` shape.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -27,8 +22,6 @@ pub struct Conv2d {
     kernel: usize,
     params: ConvParams,
     cached: Option<(Tensor, Shape)>, // (patches, input shape)
-    scratch: ConvScratch,
-    pool: TensorPool,
     /// Quantized-backward counter seeding the gradient noise. Kept as f32
     /// so it rides [`Layer::state_buffers`] into checkpoints (exact up to
     /// 2^24 steps — far past any realistic run).
@@ -55,8 +48,6 @@ impl Conv2d {
             kernel,
             params: ConvParams::new(stride, padding),
             cached: None,
-            scratch: ConvScratch::default(),
-            pool: TensorPool::new(),
             step: 0.0,
         }
     }
@@ -74,74 +65,60 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        // INT8 runs the integer im2col-GEMM path ([`conv2d_int8_scratch`]),
-        // which leaves the dequantized patches in the scratch so the cache
-        // handoff and backward below are shared with the other precisions.
-        let (xq, wq) = match mode.precision {
-            Precision::Fp32 | Precision::Quant(QuantFormat::Int8) => (None, None),
-            Precision::Quant(f) => {
-                let mut xq = self.pool.take_any();
-                quant_fake_into(input, f, &mut xq);
-                let mut wq = self.pool.take_any();
-                quant_fake_into(&self.weight.value, f, &mut wq);
-                (Some(xq), Some(wq))
-            }
+        // INT8 runs the integer im2col-GEMM path ([`conv2d_int8`]), which
+        // returns the dequantized patches, so the cache and the backward
+        // below are shared with the other precisions.
+        let int8 = mode.precision == Precision::Quant(QuantFormat::Int8);
+        let staging = if int8 {
+            Precision::Fp32
+        } else {
+            mode.precision
         };
+        let [xq, wq] = staged(staging, [input, &self.weight.value]);
         let x = xq.as_ref().unwrap_or(input);
         let w = wq.as_ref().unwrap_or(&self.weight.value);
-        let mut y = Tensor::default();
-        if mode.precision == Precision::Quant(QuantFormat::Int8) {
-            conv2d_int8_scratch(x, w, self.params, &mut self.scratch, &mut y);
+        let (y, patches) = if int8 {
+            let (y, patches, _, _) = conv2d_int8(x, w, self.params);
+            (y, patches)
         } else {
-            conv2d_scratch(x, w, self.params, &mut self.scratch, &mut y);
-        }
+            conv2d(x, w, self.params)
+        };
+        pool::recycle_all([xq, wq].into_iter().flatten());
         if mode.train {
-            // Move the fresh patches into the cache and hand the previous
-            // cache buffer back to the scratch for the next im2col.
-            let prev = match self.cached.take() {
-                Some((t, _)) => t,
-                None => Tensor::default(),
-            };
-            let patches = std::mem::replace(&mut self.scratch.patches, prev);
+            self.release();
             self.cached = Some((patches, input.shape().clone()));
-        }
-        if let Some(t) = xq {
-            self.pool.recycle(t);
-        }
-        if let Some(t) = wq {
-            self.pool.recycle(t);
+        } else {
+            pool::recycle(patches);
         }
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
         let (patches, input_shape) = self
             .cached
-            .as_ref()
+            .take()
             .expect("Conv2d::backward without training forward");
-        let mut gx = Tensor::default();
-        let mut gw = self.pool.take_any();
-        conv2d_backward_scratch(
+        let (gx, gw) = conv2d_backward(
             grad_out,
-            patches,
+            &patches,
             &self.weight.value,
-            input_shape,
+            &input_shape,
             self.params,
-            &mut self.scratch,
-            &mut gx,
-            &mut gw,
+            want_gx,
         );
-        if let Precision::Quant(f) = mode.precision {
+        pool::recycle(patches);
+        if mode.precision.is_quantized() {
             self.step += 1.0;
-            let mut q = self.pool.take_any();
-            quant_grad_into(&gw, (self.step as u64).wrapping_mul(0xC2B2), f, &mut q);
-            self.weight.grad.add_inplace(&q);
-            self.pool.recycle(q);
-        } else {
-            self.weight.grad.add_inplace(&gw);
         }
-        self.pool.recycle(gw);
+        let seed = (self.step as u64).wrapping_mul(0xC2B2);
+        accumulate_grad(&mut self.weight, gw, mode.precision, seed);
         gx
+    }
+
+    fn release(&mut self) {
+        if let Some((patches, _)) = self.cached.take() {
+            pool::recycle(patches);
+        }
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -202,7 +179,7 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         let y = c.forward(&x, mode);
         let gy = y.scale(2.0);
-        let gx = c.backward(&gy, mode);
+        let gx = c.backward(&gy, mode, true).unwrap();
         assert_eq!(gx.shape(), x.shape());
 
         let eps = 1e-3;
@@ -249,12 +226,10 @@ mod tests {
         let x = init::normal([2, 2, 5, 5], 1.0, &mut rng);
         let y = c.forward(&x, Mode::train(Precision::Int8));
 
-        let mut s = ConvScratch::default();
-        let mut expect = Tensor::default();
-        conv2d_int8_scratch(&x, &c.weight.value, c.params, &mut s, &mut expect);
+        let (expect, deq, _, _) = conv2d_int8(&x, &c.weight.value, c.params);
         assert_eq!(y, expect);
         let (patches, shape) = c.cached.as_ref().unwrap();
-        assert_eq!(patches, &s.patches);
+        assert_eq!(patches, &deq);
         assert_eq!(shape, x.shape());
     }
 
@@ -295,7 +270,8 @@ mod tests {
             );
             c3.weight.grad.data_mut().fill(0.0);
             c1.weight.grad.data_mut().fill(0.0);
-            let (gx3, gx1) = (c3.backward(&gy, train), c1.backward(&gy, train));
+            let gx3 = c3.backward(&gy, train, true).unwrap();
+            let gx1 = c1.backward(&gy, train, true).unwrap();
             assert_eq!(bits(&gx3), bits(&gx1), "step {step}: dX");
             assert_eq!(
                 bits(&centre_taps(&c3.weight.grad)),
@@ -331,7 +307,7 @@ mod tests {
         let x = init::normal([2, 3, 1, 1], 1.0, &mut rng);
         let mode = Mode::train(Precision::Int8);
         let y = c.forward(&x, mode);
-        c.backward(&y.scale(2.0), mode);
+        c.backward(&y.scale(2.0), mode, true);
         let dead = c
             .weight
             .grad

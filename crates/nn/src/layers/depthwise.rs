@@ -1,8 +1,8 @@
-use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::{quant_fake_into, quant_grad_into};
+use crate::layer::{Layer, Mode, Parameter};
+use crate::layers::{accumulate_grad, staged};
 use rand::Rng;
 use socflow_tensor::conv::ConvParams;
-use socflow_tensor::{init, Shape, Tensor, TensorPool};
+use socflow_tensor::{init, pool, Tensor};
 
 /// Depthwise 2-D convolution: each input channel is convolved with its own
 /// `k×k` filter (groups = channels) — the signature operation of
@@ -14,7 +14,6 @@ pub struct DepthwiseConv2d {
     kernel: usize,
     params: ConvParams,
     cached: Option<Tensor>, // quantized/raw input used in forward
-    pool: TensorPool,
 }
 
 impl DepthwiseConv2d {
@@ -34,7 +33,6 @@ impl DepthwiseConv2d {
             kernel,
             params: ConvParams::new(stride, padding),
             cached: None,
-            pool: TensorPool::new(),
         }
     }
 
@@ -49,23 +47,15 @@ impl DepthwiseConv2d {
 
 impl Layer for DepthwiseConv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let (xq, wq) = match mode.precision {
-            Precision::Fp32 => (None, None),
-            Precision::Quant(f) => {
-                let mut xq = self.pool.take_any();
-                quant_fake_into(input, f, &mut xq);
-                let mut wq = self.pool.take_any();
-                quant_fake_into(&self.weight.value, f, &mut wq);
-                (Some(xq), Some(wq))
-            }
-        };
+        let [xq, wq] = staged(mode.precision, [input, &self.weight.value]);
         let x = xq.as_ref().unwrap_or(input);
         let wt = wq.as_ref().unwrap_or(&self.weight.value);
         let (n, c, h, w, oh, ow) = self.geometry(input);
         let k = self.kernel;
         let pad = self.params.padding as isize;
         let stride = self.params.stride;
-        let mut out = vec![0.0f32; n * c * oh * ow];
+        let mut y = pool::tensor([n, c, oh, ow]);
+        let out = y.data_mut();
         let xd = x.data();
         let wd = wt.data();
         for ni in 0..n {
@@ -94,23 +84,18 @@ impl Layer for DepthwiseConv2d {
             }
         }
         if mode.train {
-            let mut cache = self.cached.take().unwrap_or_default();
-            cache.copy_from(x);
+            let cache = pool::copy_of(x);
+            self.release();
             self.cached = Some(cache);
         }
-        if let Some(t) = xq {
-            self.pool.recycle(t);
-        }
-        if let Some(t) = wq {
-            self.pool.recycle(t);
-        }
-        Tensor::from_vec(out, Shape::from([n, c, oh, ow]))
+        pool::recycle_all([xq, wq].into_iter().flatten());
+        y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
         let x = self
             .cached
-            .as_ref()
+            .take()
             .expect("DepthwiseConv2d::backward without training forward");
         let (n, c, h, w) = x.shape().as_nchw();
         let (_, _, oh, ow) = grad_out.shape().as_nchw();
@@ -120,8 +105,10 @@ impl Layer for DepthwiseConv2d {
         let xd = x.data();
         let gd = grad_out.data();
         let wd = self.weight.value.data();
-        let mut gw = vec![0.0f32; c * k * k];
-        let mut gx = vec![0.0f32; n * c * h * w];
+        let mut gw_t = pool::zeroed(self.weight.value.shape().clone());
+        let gw = gw_t.data_mut();
+        let mut gx_t = want_gx.then(|| pool::zeroed(x.shape().clone()));
+        let mut gx = gx_t.as_mut().map(Tensor::data_mut);
         for ni in 0..n {
             for ci in 0..c {
                 let chan = (ni * c + ci) * h * w;
@@ -144,25 +131,22 @@ impl Layer for DepthwiseConv2d {
                                 }
                                 let xi = chan + iy as usize * w + ix as usize;
                                 gw[ci * k * k + ky * k + kx] += g * xd[xi];
-                                gx[xi] += g * filt[ky * k + kx];
+                                if let Some(gx) = gx.as_deref_mut() {
+                                    gx[xi] += g * filt[ky * k + kx];
+                                }
                             }
                         }
                     }
                 }
             }
         }
-        let gw = Tensor::from_vec(gw, self.weight.value.shape().clone());
-        let gx = Tensor::from_vec(gx, x.shape().clone());
-        if let Precision::Quant(f) = mode.precision {
-            let mut q = self.pool.take_any();
-            quant_grad_into(&gw, 0xD3AD, f, &mut q);
-            self.weight.grad.add_inplace(&q);
-            self.pool.recycle(q);
-        } else {
-            self.weight.grad.add_inplace(&gw);
-        }
-        self.pool.recycle(gw);
-        gx
+        pool::recycle(x);
+        accumulate_grad(&mut self.weight, gw_t, mode.precision, 0xD3AD);
+        gx_t
+    }
+
+    fn release(&mut self) {
+        pool::recycle_all(self.cached.take());
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -188,6 +172,7 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Precision;
     use crate::layers::Conv2d;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -240,7 +225,7 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         let y = dw.forward(&x, mode);
         let gy = y.scale(2.0);
-        let gx = dw.backward(&gy, mode);
+        let gx = dw.backward(&gy, mode, true).unwrap();
 
         let eps = 1e-3;
         let loss = |dw: &mut DepthwiseConv2d, x: &Tensor| -> f32 {

@@ -1,5 +1,6 @@
 use crate::layer::{Layer, Mode};
-use socflow_tensor::Tensor;
+use crate::layers::product;
+use socflow_tensor::{pool, Tensor};
 
 /// Inverted dropout: during training each activation is zeroed with
 /// probability `p` and survivors are scaled by `1/(1−p)`; evaluation is the
@@ -45,31 +46,33 @@ impl Dropout {
 impl Layer for Dropout {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         if !mode.train || self.p == 0.0 {
-            return input.clone();
+            return pool::copy_of(input);
         }
         self.calls += 1.0;
         let keep = 1.0 - self.p;
-        let mask_data: Vec<f32> = (0..input.len())
-            .map(|i| {
-                if self.hash_unit(i) < self.p {
-                    0.0
-                } else {
-                    1.0 / keep
-                }
-            })
-            .collect();
-        let mask = Tensor::from_vec(mask_data, input.shape().clone());
-        let out = input.mul(&mask);
+        let mut mask = pool::tensor(input.shape().clone());
+        for (i, m) in mask.data_mut().iter_mut().enumerate() {
+            *m = if self.hash_unit(i) < self.p {
+                0.0
+            } else {
+                1.0 / keep
+            };
+        }
+        let out = product(input, &mask);
+        self.release();
         self.mask = Some(mask);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
-        let mask = self
-            .mask
-            .as_ref()
-            .expect("Dropout::backward without forward");
-        grad_out.mul(mask)
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
+        let mask = self.mask.take().expect("Dropout::backward without forward");
+        let gx = want_gx.then(|| product(grad_out, &mask));
+        pool::recycle(mask);
+        gx
+    }
+
+    fn release(&mut self) {
+        pool::recycle_all(self.mask.take());
     }
 
     fn state_buffers(&self) -> Vec<&[f32]> {
@@ -118,7 +121,9 @@ mod tests {
         let mut d = Dropout::new(0.3, 3);
         let x = Tensor::ones([2, 50]);
         let y = d.forward(&x, Mode::train(Precision::Fp32));
-        let g = d.backward(&Tensor::ones([2, 50]), Mode::train(Precision::Fp32));
+        let g = d
+            .backward(&Tensor::ones([2, 50]), Mode::train(Precision::Fp32), true)
+            .unwrap();
         for (yv, gv) in y.data().iter().zip(g.data()) {
             assert_eq!(yv, gv, "gradient must pass exactly where activations did");
         }

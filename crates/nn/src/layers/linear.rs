@@ -1,14 +1,13 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::{quant_fake_into, quant_grad_into};
+use crate::layers::{accumulate_grad, staged};
 use rand::Rng;
 use socflow_tensor::quant::{self, QuantFormat, QuantParams};
-use socflow_tensor::{init, linalg, Tensor, TensorPool};
+use socflow_tensor::{init, linalg, pool, Tensor};
 
 /// Fully connected layer: `y = x·W + b` with `x: (n, in)`, `W: (in, out)`.
 ///
-/// Temporaries (fake-quantized operands, gradient staging) come from a
-/// per-layer [`TensorPool`], so steady-state training allocates only the
-/// returned output/gradient tensors.
+/// A training forward keeps a copy of the activations it multiplied
+/// (fake-quantized in a quantized pass) until its backward.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Parameter,
@@ -16,12 +15,6 @@ pub struct Linear {
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
-    pool: TensorPool,
-    /// INT8 staging for the integer forward: quantized activations,
-    /// quantized transposed weight, i32 accumulator.
-    qx: Vec<i8>,
-    qwt: Vec<i8>,
-    iacc: Vec<i32>,
     /// Quantized-backward counter seeding the gradient noise. Kept as f32
     /// so it rides [`Layer::state_buffers`] into checkpoints (exact up to
     /// 2^24 steps — far past any realistic run).
@@ -38,10 +31,6 @@ impl Linear {
             in_features,
             out_features,
             cached_input: None,
-            pool: TensorPool::new(),
-            qx: Vec::new(),
-            qwt: Vec::new(),
-            iacc: Vec::new(),
             step: 0.0,
         }
     }
@@ -54,22 +43,27 @@ impl Linear {
     fn forward_int8(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (m, k) = input.shape().as_matrix();
         assert_eq!(k, self.in_features, "Linear input width mismatch");
+        let n = self.out_features;
         let px = QuantParams::from_tensor(input);
         let pw = QuantParams::from_tensor(&self.weight.value);
-        quant::quantize_into(input, px, &mut self.qx);
-        quant::quantize_transposed_into(&self.weight.value, pw, &mut self.qwt);
-        self.iacc.clear();
-        self.iacc.resize(m * self.out_features, 0);
-        linalg::matmul_i8_a_bt_slices(&self.qx, &self.qwt, &mut self.iacc, m, k, self.out_features);
-        let mut y = Tensor::default();
-        y.resize([m, self.out_features]);
-        quant::scale_i32_into(&self.iacc, px.scale * pw.scale, y.data_mut());
+        let mut qx = pool::take::<i8>(m * k);
+        quant::quantize_into(input, px, &mut qx);
+        let mut qwt = pool::take::<i8>(k * n);
+        quant::quantize_transposed_into(&self.weight.value, pw, &mut qwt);
+        let mut iacc = pool::take::<i32>(m * n);
+        linalg::matmul_i8_a_bt_slices(&qx, &qwt, &mut iacc, m, k, n);
+        pool::give(qwt);
+        let mut y = pool::tensor([m, n]);
+        quant::scale_i32_into(&iacc, px.scale * pw.scale, y.data_mut());
+        pool::give(iacc);
         y.add_row_broadcast_inplace(&self.bias.value);
         if mode.train {
-            let mut cache = self.cached_input.take().unwrap_or_default();
-            quant::dequantize_into(&self.qx, input.shape().clone(), px, &mut cache);
+            let mut cache = pool::tensor(input.shape().clone());
+            quant::dequantize_into(&qx, input.shape().clone(), px, &mut cache);
+            self.release();
             self.cached_input = Some(cache);
         }
+        pool::give(qx);
         y
     }
 
@@ -87,67 +81,62 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         // INT8 runs the true integer kernel; other quantized formats stage
-        // fused quantize→dequantize results in pooled buffers (no integer
-        // grid of their own on the GEMM), and Fp32 borrows the operands
-        // directly.
+        // fused quantize→dequantize results (no integer grid of their own
+        // on the GEMM), and Fp32 borrows the operands directly.
         if mode.precision == Precision::Quant(QuantFormat::Int8) {
             return self.forward_int8(input, mode);
         }
-        let (xq, wq) = match mode.precision {
-            Precision::Fp32 => (None, None),
-            Precision::Quant(f) => {
-                let mut xq = self.pool.take_any();
-                quant_fake_into(input, f, &mut xq);
-                let mut wq = self.pool.take_any();
-                quant_fake_into(&self.weight.value, f, &mut wq);
-                (Some(xq), Some(wq))
-            }
-        };
+        let [xq, wq] = staged(mode.precision, [input, &self.weight.value]);
         let x = xq.as_ref().unwrap_or(input);
         let w = wq.as_ref().unwrap_or(&self.weight.value);
-        let mut y = Tensor::default();
+        let mut y = pool::tensor([x.shape().dim(0), self.out_features]);
         linalg::matmul_into(x, w, &mut y);
         y.add_row_broadcast_inplace(&self.bias.value);
         if mode.train {
-            let mut cache = self.cached_input.take().unwrap_or_default();
-            cache.copy_from(x);
+            let cache = pool::copy_of(x);
+            self.release();
             self.cached_input = Some(cache);
         }
-        if let Some(t) = xq {
-            self.pool.recycle(t);
-        }
-        if let Some(t) = wq {
-            self.pool.recycle(t);
-        }
+        pool::recycle_all([xq, wq].into_iter().flatten());
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
         let x = self
             .cached_input
-            .as_ref()
+            .take()
             .expect("Linear::backward without training forward");
         // dW = xᵀ·gy ; db = Σrows gy ; dx = gy·Wᵀ
-        let mut gw = self.pool.take_any();
-        linalg::matmul_at_b_into(x, grad_out, &mut gw);
-        let mut gb = self.pool.take_any();
+        let mut gw = pool::tensor(self.weight.value.shape().clone());
+        linalg::matmul_at_b_into(&x, grad_out, &mut gw);
+        pool::recycle(x);
+        let mut gb = pool::tensor([self.out_features]);
         grad_out.sum_rows_into(&mut gb);
-        if let Precision::Quant(f) = mode.precision {
+        if mode.precision.is_quantized() {
             self.step += 1.0;
-            let step = self.step as u64;
-            let mut q = self.pool.take_any();
-            quant_grad_into(&gw, step.wrapping_mul(0x9E37), f, &mut q);
-            self.weight.grad.add_inplace(&q);
-            quant_grad_into(&gb, step.wrapping_mul(0x79B9), f, &mut q);
-            self.bias.grad.add_inplace(&q);
-            self.pool.recycle(q);
-        } else {
-            self.weight.grad.add_inplace(&gw);
-            self.bias.grad.add_inplace(&gb);
         }
-        self.pool.recycle(gw);
-        self.pool.recycle(gb);
-        linalg::matmul_a_bt(grad_out, &self.weight.value)
+        let step = self.step as u64;
+        accumulate_grad(
+            &mut self.weight,
+            gw,
+            mode.precision,
+            step.wrapping_mul(0x9E37),
+        );
+        accumulate_grad(
+            &mut self.bias,
+            gb,
+            mode.precision,
+            step.wrapping_mul(0x79B9),
+        );
+        want_gx.then(|| {
+            let mut gx = pool::tensor([grad_out.shape().dim(0), self.in_features]);
+            linalg::matmul_a_bt_into(grad_out, &self.weight.value, &mut gx);
+            gx
+        })
+    }
+
+    fn release(&mut self) {
+        pool::recycle_all(self.cached_input.take());
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -204,7 +193,7 @@ mod tests {
 
         let y = l.forward(&x, mode);
         let gy = y.scale(2.0); // loss = sum(y^2)
-        let gx = l.backward(&gy, mode);
+        let gx = l.backward(&gy, mode, true).unwrap();
 
         let eps = 1e-3;
         let loss = |l: &mut Linear, x: &Tensor| -> f32 {
@@ -290,10 +279,10 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         let y = l.forward(&x, mode);
         let g = Tensor::ones(y.shape().clone());
-        l.backward(&g, mode);
+        l.backward(&g, mode, true);
         let g1 = l.weight.grad.clone();
         l.forward(&x, mode);
-        l.backward(&g, mode);
+        l.backward(&g, mode, true);
         assert_eq!(l.weight.grad, g1.scale(2.0));
     }
 }

@@ -10,6 +10,7 @@ mod norm;
 mod pool;
 mod reshape;
 mod residual;
+mod staging;
 
 pub use activation::Relu;
 pub use conv::Conv2d;
@@ -20,35 +21,4 @@ pub use norm::BatchNorm2d;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use reshape::Flatten;
 pub use residual::Residual;
-
-use socflow_tensor::quant::{self, QuantFormat};
-use socflow_tensor::Tensor;
-
-/// Fake-quantizes `t` to the given NPU format (quantize–dequantize in f32)
-/// using a scale derived from its own max-|x|, writing into `out` and
-/// reusing its storage — the fused quantize→dequantize pass shared by the
-/// quantized paths of every layer with pooled scratch.
-pub(crate) fn quant_fake_into(t: &Tensor, format: QuantFormat, out: &mut Tensor) {
-    format.fake_quant_into(t, out);
-}
-
-/// Applies gradient quantization noise with a deterministic per-step seed,
-/// modelling low-precision gradient storage on the NPU, writing into `out`
-/// and reusing its storage. Noise amplitude scales with the format's grid
-/// coarseness relative to INT8 (FP16's 10-bit mantissa is ~8x finer than
-/// INT8's grid).
-pub(crate) fn quant_grad_into(grad: &Tensor, seed: u64, format: QuantFormat, out: &mut Tensor) {
-    let rel = match format {
-        QuantFormat::Fp16 => 0.125,
-        _ => 127.0 / format.grid_max(),
-    };
-    quant::gradient_quant_noise_into(grad, seed, out);
-    if (rel - 1.0).abs() < 1e-9 {
-        return;
-    }
-    // Re-scale the injected noise component: out = g + rel·(noisy − g),
-    // with the same subtract-multiply-add order as the allocating original.
-    for (o, &g) in out.data_mut().iter_mut().zip(grad.data()) {
-        *o = g + rel * (*o - g);
-    }
-}
+pub(crate) use staging::{accumulate_grad, mapped, product, staged};

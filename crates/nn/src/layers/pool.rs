@@ -1,25 +1,20 @@
 use crate::layer::{Layer, Mode};
 use socflow_tensor::conv::{
-    global_avg_pool, global_avg_pool_backward, max_pool2d_backward, max_pool2d_into, ConvParams,
+    global_avg_pool, global_avg_pool_backward, max_pool2d, max_pool2d_backward, ConvParams,
 };
-use socflow_tensor::{Shape, Tensor};
+use socflow_tensor::{pool, Shape, Tensor};
 
 /// `k×k` max pooling with stride `k` (the non-overlapping pooling used by
 /// the reference CNNs).
 ///
-/// The argmax indices of a training forward live in a buffer the layer
-/// owns, sized by the largest training batch it has met; `backward` reads
-/// them. An eval forward, whose indices nobody reads, uses a buffer of its
-/// own and drops it, so one in between the two passes clobbers nothing. The
-/// output and the input gradient are returned by value, as [`Layer`] has
-/// it, and so are allocated per call.
+/// A training forward keeps the flat argmax of each output element until
+/// its backward; an eval forward's indices, which nobody reads, go straight
+/// back, so one in between the two passes clobbers nothing.
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     k: usize,
-    /// Flat argmax per output element of the last training forward.
-    argmax: Vec<usize>,
-    /// Input shape of the last training forward.
-    input_shape: Option<Shape>,
+    /// Argmax indices and input shape of the last training forward.
+    cached: Option<(Vec<usize>, Shape)>,
 }
 
 impl MaxPool2d {
@@ -29,33 +24,36 @@ impl MaxPool2d {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "pool window must be positive");
-        MaxPool2d {
-            k,
-            argmax: Vec::new(),
-            input_shape: None,
-        }
+        MaxPool2d { k, cached: None }
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut y = Tensor::default();
-        let p = ConvParams::new(self.k, 0);
+        let (y, argmax) = max_pool2d(input, self.k, ConvParams::new(self.k, 0));
         if mode.train {
-            max_pool2d_into(input, self.k, p, &mut y, &mut self.argmax);
-            self.input_shape = Some(input.shape().clone());
+            self.release();
+            self.cached = Some((argmax, input.shape().clone()));
         } else {
-            max_pool2d_into(input, self.k, p, &mut y, &mut Vec::new());
+            pool::give(argmax);
         }
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
-        let shape = self
-            .input_shape
-            .as_ref()
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
+        let (argmax, shape) = self
+            .cached
+            .take()
             .expect("MaxPool2d::backward without forward");
-        max_pool2d_backward(grad_out, &self.argmax, shape)
+        let gx = want_gx.then(|| max_pool2d_backward(grad_out, &argmax, &shape));
+        pool::give(argmax);
+        gx
+    }
+
+    fn release(&mut self) {
+        if let Some((argmax, _)) = self.cached.take() {
+            pool::give(argmax);
+        }
     }
 
     fn describe(&self) -> String {
@@ -88,12 +86,12 @@ impl Layer for GlobalAvgPool {
         global_avg_pool(input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
         let shape = self
             .cached_shape
             .as_ref()
             .expect("GlobalAvgPool::backward without forward");
-        global_avg_pool_backward(grad_out, shape)
+        want_gx.then(|| global_avg_pool_backward(grad_out, shape))
     }
 
     fn describe(&self) -> String {
@@ -117,7 +115,13 @@ mod tests {
         let y = p.forward(&x, Mode::train(Precision::Fp32));
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
-        let gx = p.backward(&Tensor::ones([1, 1, 2, 2]), Mode::train(Precision::Fp32));
+        let gx = p
+            .backward(
+                &Tensor::ones([1, 1, 2, 2]),
+                Mode::train(Precision::Fp32),
+                true,
+            )
+            .unwrap();
         assert_eq!(gx.sum(), 4.0);
     }
 
@@ -136,7 +140,13 @@ mod tests {
             y.data(),
             &[0.0, -2.0, -8.0, -10.0, -16.0, -18.0, -24.0, -26.0]
         );
-        let gx = p.backward(&Tensor::ones([1, 1, 2, 2]), Mode::train(Precision::Fp32));
+        let gx = p
+            .backward(
+                &Tensor::ones([1, 1, 2, 2]),
+                Mode::train(Precision::Fp32),
+                true,
+            )
+            .unwrap();
         assert_eq!(gx.shape().dims(), &[1, 1, 4, 4]);
         for at in [5, 7, 13, 15] {
             assert_eq!(gx.data()[at], 1.0);
@@ -151,7 +161,9 @@ mod tests {
         let y = g.forward(&x, Mode::train(Precision::Fp32));
         assert_eq!(y.shape().dims(), &[2, 5]);
         assert_eq!(y.data()[0], 1.0);
-        let gx = g.backward(&Tensor::ones([2, 5]), Mode::train(Precision::Fp32));
+        let gx = g
+            .backward(&Tensor::ones([2, 5]), Mode::train(Precision::Fp32), true)
+            .unwrap();
         assert_eq!(gx.shape().dims(), &[2, 5, 3, 3]);
     }
 }

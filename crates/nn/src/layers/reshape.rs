@@ -1,5 +1,5 @@
 use crate::layer::{Layer, Mode};
-use socflow_tensor::{Shape, Tensor};
+use socflow_tensor::{pool, Shape, Tensor};
 
 /// Flattens `(n, …)` into `(n, prod(…))` for the transition from
 /// convolutional features to a classifier head.
@@ -24,15 +24,15 @@ impl Layer for Flatten {
         if mode.train {
             self.cached_shape = Some(input.shape().clone());
         }
-        input.clone().reshape([n, rest])
+        pool::copy_of(input).reshape([n, rest])
     }
 
-    fn backward(&mut self, grad_out: &Tensor, _mode: Mode) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, _mode: Mode, want_gx: bool) -> Option<Tensor> {
         let shape = self
             .cached_shape
             .as_ref()
             .expect("Flatten::backward without forward");
-        grad_out.clone().reshape(shape.clone())
+        want_gx.then(|| pool::copy_of(grad_out).reshape(shape.clone()))
     }
 
     fn describe(&self) -> String {
@@ -55,7 +55,7 @@ mod tests {
         let x = Tensor::ones([2, 3, 4, 4]);
         let y = f.forward(&x, Mode::train(Precision::Fp32));
         assert_eq!(y.shape().dims(), &[2, 48]);
-        let gx = f.backward(&y, Mode::train(Precision::Fp32));
+        let gx = f.backward(&y, Mode::train(Precision::Fp32), true).unwrap();
         assert_eq!(gx.shape().dims(), &[2, 3, 4, 4]);
     }
 }

@@ -1,5 +1,5 @@
-use crate::layer::{chain, Layer, Mode, Parameter};
-use socflow_tensor::Tensor;
+use crate::layer::{backward_chain, forward_chain, Layer, Mode, Parameter};
+use socflow_tensor::{pool, Tensor};
 
 /// A residual block: `y = body(x) + shortcut(x)`.
 ///
@@ -49,31 +49,41 @@ impl std::fmt::Debug for Residual {
     }
 }
 
-fn run_forward(layers: &mut [Box<dyn Layer>], x: &Tensor, mode: Mode) -> Tensor {
-    chain(layers.iter_mut(), x, |l, x| l.forward(x, mode))
-}
-
-fn run_backward(layers: &mut [Box<dyn Layer>], g: &Tensor, mode: Mode) -> Tensor {
-    chain(layers.iter_mut().rev(), g, |l, g| l.backward(g, mode))
-}
-
 impl Layer for Residual {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let main = run_forward(&mut self.body, input, mode);
-        let skip = match &mut self.shortcut {
-            Some(s) => run_forward(s, input, mode),
-            None => input.clone(),
-        };
-        main.add(&skip)
+        let mut main = forward_chain(&mut self.body, input, mode);
+        match &mut self.shortcut {
+            Some(s) => {
+                let skip = forward_chain(s, input, mode);
+                main.add_inplace(&skip);
+                pool::recycle(skip);
+            }
+            None => main.add_inplace(input),
+        }
+        main
     }
 
-    fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
-        let g_main = run_backward(&mut self.body, grad_out, mode);
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
+        let mut g_main = backward_chain(&mut self.body, grad_out, mode, want_gx, |_| ());
         let g_skip = match &mut self.shortcut {
-            Some(s) => run_backward(s, grad_out, mode),
-            None => grad_out.clone(),
+            Some(s) => backward_chain(s, grad_out, mode, want_gx, |_| ()),
+            None => None,
         };
-        g_main.add(&g_skip)
+        if let Some(g_main) = &mut g_main {
+            g_main.add_inplace(g_skip.as_ref().unwrap_or(grad_out));
+        }
+        if let Some(g_skip) = g_skip {
+            pool::recycle(g_skip);
+        }
+        g_main
+    }
+
+    fn release(&mut self) {
+        let shortcut = self.shortcut.iter_mut().flatten();
+        self.body
+            .iter_mut()
+            .chain(shortcut)
+            .for_each(|l| l.release());
     }
 
     fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
@@ -180,7 +190,7 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         r.forward(&x, mode);
         let g = Tensor::ones([1, 2, 4, 4]);
-        let gx = r.backward(&g, mode);
+        let gx = r.backward(&g, mode, true).unwrap();
         // identity branch guarantees at least the upstream gradient arrives
         assert_eq!(gx.shape(), x.shape());
         assert!(gx.sum().is_finite());
@@ -196,7 +206,7 @@ mod tests {
         let mode = Mode::train(Precision::Fp32);
         let y = r.forward(&x, mode);
         let gy = y.scale(2.0);
-        let gx = r.backward(&gy, mode);
+        let gx = r.backward(&gy, mode, true).unwrap();
 
         let eps = 1e-3;
         for idx in [0usize, 7] {

@@ -9,7 +9,9 @@
 //! Highlights:
 //!
 //! - [`Layer`]: the forward/backward/parameters contract; layers cache what
-//!   their backward needs.
+//!   their backward needs — in buffers borrowed from the calling thread's
+//!   step scratch ([`socflow_tensor::pool`]) and handed back by the end of
+//!   `backward`, which is told whether its input gradient is wanted.
 //! - [`Network`]: an owned stack of layers with flat parameter/gradient
 //!   views, the unit that SoC workers replicate and synchronize.
 //! - [`GradReady`] / [`Network::grad_layout`] /

@@ -1,6 +1,6 @@
 //! Loss functions (forward value + gradient w.r.t. logits in one call).
 
-use socflow_tensor::Tensor;
+use socflow_tensor::{pool, Tensor};
 
 /// Numerically stable row-wise softmax of a `(n, classes)` logits matrix.
 pub fn softmax(logits: &Tensor) -> Tensor {
@@ -38,7 +38,9 @@ pub fn softmax_rows_inplace(data: &mut [f32], rows: usize, cols: usize) {
 /// Mean softmax cross-entropy over a batch.
 ///
 /// Returns `(loss, grad_logits)` where the gradient is already divided by
-/// the batch size, ready to feed straight into `Network::backward`.
+/// the batch size, ready to feed straight into `Network::backward`. The
+/// gradient comes from the step scratch ([`socflow_tensor::pool`]): a
+/// training step hands it back there once the backward pass has read it.
 ///
 /// # Panics
 /// Panics if `labels.len()` differs from the batch size or any label is out
@@ -46,8 +48,9 @@ pub fn softmax_rows_inplace(data: &mut [f32], rows: usize, cols: usize) {
 pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     let (n, c) = logits.shape().as_matrix();
     assert_eq!(labels.len(), n, "one label per row required");
-    let probs = softmax(logits);
-    let mut grad = probs.clone();
+    let mut probs = pool::copy_of(logits);
+    softmax_rows_inplace(probs.data_mut(), n, c);
+    let mut grad = pool::copy_of(&probs);
     let mut loss = 0.0f32;
     for (r, &label) in labels.iter().enumerate() {
         assert!(label < c, "label {label} out of range for {c} classes");
@@ -55,6 +58,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
         loss -= p.ln();
         grad.data_mut()[r * c + label] -= 1.0;
     }
+    pool::recycle(probs);
     let inv_n = 1.0 / n as f32;
     grad.scale_inplace(inv_n);
     (loss * inv_n, grad)

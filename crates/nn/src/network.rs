@@ -1,5 +1,5 @@
-use crate::layer::{chain, Layer, Mode, Parameter};
-use socflow_tensor::Tensor;
+use crate::layer::{backward_chain, forward_chain, Layer, Mode, Parameter};
+use socflow_tensor::{pool, Tensor};
 
 /// One layer's slice of the flat gradient vector: the gradients of layer
 /// `layer` occupy `flat_grads()[offset..offset + len]`.
@@ -133,18 +133,36 @@ impl Network {
         self.layers.len()
     }
 
-    /// Runs the full forward pass.
+    /// Runs the full forward pass. The result is the caller's: a step hands
+    /// it back to the step scratch ([`socflow_tensor::pool`]) once the loss
+    /// has read it. An evaluation forward borrows nothing from the scratch
+    /// and leaves nothing there ([`pool::transient`]): its shapes come by
+    /// once an epoch and must not crowd out the training step's.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        chain(self.layers.iter_mut(), input, |l, x| l.forward(x, mode))
+        match mode.train {
+            true => forward_chain(&mut self.layers, input, mode),
+            false => pool::transient(|| forward_chain(&mut self.layers, input, mode)),
+        }
     }
 
-    /// Runs the full backward pass, accumulating parameter gradients.
+    /// Runs the full backward pass, accumulating parameter gradients, and
+    /// returns the gradient w.r.t. the network's input.
     /// Equivalent to [`Network::backward_with_ready`] with a no-op
     /// callback, without paying for the layout table on the hot path.
     pub fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
-        chain(self.layers.iter_mut().rev(), grad_out, |l, g| {
-            l.backward(g, mode)
-        })
+        backward_chain(&mut self.layers, grad_out, mode, true, |_| ())
+            .expect("the input gradient was asked for")
+    }
+
+    /// [`Network::backward`] for a caller that reads the parameter
+    /// gradients only — a training step. The first parameterised layer is
+    /// not asked for its input gradient (a convolution's patch-gradient
+    /// GEMM and `col2im`), and parameterless layers in front of it are not
+    /// run at all; every parameter gradient and state buffer ends up
+    /// bit-identical to [`Network::backward`]'s.
+    pub fn backward_parameters(&mut self, grad_out: &Tensor, mode: Mode) {
+        let none = backward_chain(&mut self.layers, grad_out, mode, false, |_| ());
+        debug_assert!(none.is_none());
     }
 
     /// [`Network::backward`] with a gradient-readiness stream: after each
@@ -161,14 +179,12 @@ impl Network {
         mut on_ready: F,
     ) -> Tensor {
         let layout = self.grad_layout();
-        let layers = self.layers.iter_mut().enumerate().rev();
-        chain(layers, grad_out, |(i, l), g| {
-            let grad_in = l.backward(g, mode);
+        backward_chain(&mut self.layers, grad_out, mode, true, |i| {
             if layout[i].len > 0 {
                 on_ready(layout[i]);
             }
-            grad_in
         })
+        .expect("the input gradient was asked for")
     }
 
     /// The flat-gradient layout table: one [`GradReady`] span per layer, in

@@ -23,7 +23,7 @@
 //! matrix is the classic `(n·oh·ow, c·kh·kw)` one and the weight tensor is
 //! consumed as a raw `(oc, ic·kh·kw)` view of its storage — no
 //! clone/reshape; otherwise its live `(oc, ic·lh·lw)` view is gathered into
-//! the layer's [`ConvScratch`] on every call.
+//! a step-scratch buffer on every call.
 //!
 //! **The halo.** Neither lowering loop tests a bound. `im2col` copies each
 //! sample into a zero border `padding` cells wide (thread-local scratch, as
@@ -40,18 +40,20 @@
 //! exact width). The bounds-tested bodies live on in this module's tests as
 //! the oracle.
 //!
-//! The heavy entry points come in two flavors: allocating wrappers
-//! ([`conv2d`], [`conv2d_backward`], [`im2col`], [`col2im`]) and
-//! scratch-reusing variants ([`conv2d_scratch`], [`conv2d_backward_scratch`],
-//! [`im2col_into`], [`col2im_into`]) that write into caller-owned buffers so
-//! steady-state training allocates nothing per batch.
+//! **Whose memory.** The convolutions ([`conv2d`], [`conv2d_int8`],
+//! [`conv2d_backward`]) and the pooling passes take what they return, and
+//! every staging matrix in between, from the calling thread's step scratch
+//! ([`crate::pool`]): a caller that hands the results back when it is done
+//! with them runs without allocating, one that drops them pays what it
+//! always did. The lowering itself comes as allocating wrappers ([`im2col`],
+//! [`col2im`]) and `_into` variants that write into a caller's tensor.
 //!
 //! All image tensors are NCHW.
 
 use crate::profile::{KernelOp, Timer};
 use crate::quant::{self, QuantParams};
 use crate::runtime::{self, SendPtr};
-use crate::{linalg, Shape, Tensor};
+use crate::{linalg, pool, Shape, Tensor};
 use std::cell::RefCell;
 
 /// Minimum per-call element count before the im2col/col2im lowering is
@@ -210,18 +212,18 @@ impl LiveTaps {
         }
     }
 
-    /// `weight: (oc, ic, kh, kw)` as the `(oc, ic·lh·lw)` matrix the GEMMs
-    /// consume: the tensor itself when every tap is live (its storage is
-    /// that matrix already), otherwise the live taps gathered into `buf` —
-    /// afresh on every call, the weights having moved since the last one.
-    fn weight_view<'a>(&self, weight: &'a Tensor, buf: &'a mut Tensor) -> &'a Tensor {
+    /// The live `(oc, ic·lh·lw)` view of `weight: (oc, ic, kh, kw)`,
+    /// gathered into a step-scratch tensor — afresh on every call, the
+    /// weights having moved since the last one. `None` when every tap is
+    /// live: the tensor's own storage is that matrix already.
+    fn live_view(&self, weight: &Tensor) -> Option<Tensor> {
         if self.is_full() {
-            return weight;
+            return None;
         }
         let (oc, ic, _, _) = weight.shape().as_nchw();
-        buf.resize([oc, ic * self.taps()]);
-        self.gather(weight.data(), buf.data_mut());
-        buf
+        let mut view = pool::tensor([oc, ic * self.taps()]);
+        self.gather(weight.data(), view.data_mut());
+        Some(view)
     }
 }
 
@@ -645,90 +647,68 @@ fn scatter_body(rows: &[f32], dst: &mut [f32], g: &Lowering, lw: usize) {
     }
 }
 
-/// Reusable scratch buffers for one convolution layer.
-///
-/// Holds the im2col patch matrix (shared between forward and backward) plus
-/// the staging matrices of both passes and — for a layer whose map is
-/// smaller than its kernel's reach — the live-tap views of its weights and
-/// weight gradient ([`LiveTaps`]; sized once per layer, empty otherwise).
-/// Owned by the layer that runs the convolution; `Clone` yields empty
-/// buffers so cloning a layer never aliases scratch storage (see
-/// [`crate::pool`] for the ownership rules).
-#[derive(Debug, Default)]
-pub struct ConvScratch {
-    /// The `(n·oh·ow, ic·lh·lw)` im2col patch matrix of the last forward
-    /// pass.
-    pub patches: Tensor,
-    /// `(n·oh·ow, oc)` staging matrix (forward output / backward gradient).
-    mat: Tensor,
-    /// Patch-gradient matrix of the backward pass.
-    gpatches: Tensor,
-    /// Live `(oc, ic·lh·lw)` view of the weights, when some tap is dead.
-    wlive: Tensor,
-    /// Live `(oc, ic·lh·lw)` weight gradient, before it is scattered into
-    /// the `(oc, ic, kh, kw)` one.
-    gwlive: Tensor,
-    /// Quantized patch matrix of the integer forward path.
-    qpatches: Vec<i8>,
-    /// Quantized `(oc, ic·lh·lw)` weight view of the integer forward path.
-    qweight: Vec<i8>,
-    /// i32 accumulator of the integer forward path.
-    imat: Vec<i32>,
+/// Shapes one convolution call works out once: `(n, oc, oh, ow)`, the live
+/// window, and the patch matrix's `(rows, cols)`.
+struct ConvDims {
+    n: usize,
+    oc: usize,
+    oh: usize,
+    ow: usize,
+    live: LiveTaps,
+    rows: usize,
+    cols: usize,
 }
 
-impl Clone for ConvScratch {
-    fn clone(&self) -> Self {
-        ConvScratch::default()
+impl ConvDims {
+    fn of(input_shape: &Shape, weight: &Tensor, p: ConvParams) -> Self {
+        let (n, ic, h, w) = input_shape.as_nchw();
+        let (oc, ic2, kh, kw) = weight.shape().as_nchw();
+        assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
+        let (oh, ow) = (p.out_size(h, kh), p.out_size(w, kw));
+        let live = LiveTaps::of(h, w, kh, kw, p);
+        ConvDims {
+            n,
+            oc,
+            oh,
+            ow,
+            live,
+            rows: n * oh * ow,
+            cols: ic * live.taps(),
+        }
     }
 }
 
 /// Forward 2-D convolution.
 ///
 /// `input: (n, ic, h, w)`, `weight: (oc, ic, kh, kw)` → `(n, oc, oh, ow)`.
-/// Also returns the im2col patch matrix so the backward pass can reuse it.
+/// Also returns the `(n·oh·ow, ic·lh·lw)` im2col patch matrix, which the
+/// backward pass reuses. Both come from the step scratch ([`crate::pool`]).
 ///
 /// # Panics
 /// Panics if channel counts disagree or the window does not fit.
 pub fn conv2d(input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, Tensor) {
-    let mut s = ConvScratch::default();
-    let mut out = Tensor::default();
-    conv2d_scratch(input, weight, p, &mut s, &mut out);
-    (out, s.patches)
-}
-
-/// [`conv2d`] writing into `out` and reusing `scratch` across batches.
-///
-/// The patch matrix is left in `scratch.patches` for the backward pass.
-///
-/// # Panics
-/// Panics if channel counts disagree or the window does not fit.
-pub fn conv2d_scratch(
-    input: &Tensor,
-    weight: &Tensor,
-    p: ConvParams,
-    scratch: &mut ConvScratch,
-    out: &mut Tensor,
-) {
-    let (n, ic, h, w) = input.shape().as_nchw();
-    let (oc, ic2, kh, kw) = weight.shape().as_nchw();
-    assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
-    let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
-    let live = LiveTaps::of(h, w, kh, kw, p);
-    let rows = n * oh * ow;
-    let cols = ic * live.taps();
+    let d = ConvDims::of(input.shape(), weight, p);
+    let (_, _, kh, kw) = weight.shape().as_nchw();
+    let mut patches = pool::tensor([d.rows, d.cols]);
+    im2col_into(input, kh, kw, p, &mut patches);
     // (n·oh·ow, cols) × (oc, cols)ᵀ = (n·oh·ow, oc); with every tap live the
     // weight storage is already the row-major (oc, cols) matrix — no
     // clone/reshape needed.
-    scratch.mat.resize([rows, oc]);
+    let view = d.live.live_view(weight);
+    let mut mat = pool::tensor([d.rows, d.oc]);
     linalg::matmul_a_bt_slices(
-        scratch.patches.data(),
-        live.weight_view(weight, &mut scratch.wlive).data(),
-        scratch.mat.data_mut(),
-        rows,
-        cols,
-        oc,
+        patches.data(),
+        view.as_ref().unwrap_or(weight).data(),
+        mat.data_mut(),
+        d.rows,
+        d.cols,
+        d.oc,
     );
-    nhwc_rows_to_nchw_into(&scratch.mat, n, oc, oh, ow, out);
+    let mut out = pool::tensor([d.n, d.oc, d.oh, d.ow]);
+    nhwc_rows_to_nchw_into(&mat, d.n, d.oc, d.oh, d.ow, &mut out);
+    pool::recycle(mat);
+    pool::recycle_all(view);
+    (out, patches)
 }
 
 /// Integer-path forward convolution: the INT8 replica arm's conv kernel.
@@ -744,57 +724,55 @@ pub fn conv2d_scratch(
 /// carries weight decay, momentum and gradient noise, so it is not zero
 /// and may well hold the maximum.
 ///
-/// On return `scratch.patches` holds the **dequantized** patch matrix — the
-/// exact values the integer kernel consumed — so the standard
-/// [`conv2d_backward_scratch`] differentiates the function the integer
-/// kernel actually computed, unchanged. Returns the `(patches, weight)`
-/// quantization parameters.
+/// Returns `(out, patches, patch params, weight params)`, tensors from the
+/// step scratch as [`conv2d`]'s. `patches` is the **dequantized** patch
+/// matrix — the exact values the integer kernel consumed — so the standard
+/// [`conv2d_backward`] differentiates the function the integer kernel
+/// actually computed, unchanged.
 ///
 /// # Panics
 /// Panics if channel counts disagree or the window does not fit.
-pub fn conv2d_int8_scratch(
+pub fn conv2d_int8(
     input: &Tensor,
     weight: &Tensor,
     p: ConvParams,
-    scratch: &mut ConvScratch,
-    out: &mut Tensor,
-) -> (QuantParams, QuantParams) {
-    let (n, ic, h, w) = input.shape().as_nchw();
-    let (oc, ic2, kh, kw) = weight.shape().as_nchw();
-    assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
-    let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
-    let live = LiveTaps::of(h, w, kh, kw, p);
-    let rows = n * oh * ow;
-    let cols = ic * live.taps();
-    let pp = QuantParams::from_tensor(&scratch.patches);
+) -> (Tensor, Tensor, QuantParams, QuantParams) {
+    let d = ConvDims::of(input.shape(), weight, p);
+    let (_, _, kh, kw) = weight.shape().as_nchw();
+    let mut patches = pool::tensor([d.rows, d.cols]);
+    im2col_into(input, kh, kw, p, &mut patches);
+    let pp = QuantParams::from_tensor(&patches);
     let pw = QuantParams::from_tensor(weight);
-    quant::quantize_into(&scratch.patches, pp, &mut scratch.qpatches);
-    let wmat = live.weight_view(weight, &mut scratch.wlive);
-    quant::quantize_into(wmat, pw, &mut scratch.qweight);
-    scratch.imat.clear();
-    scratch.imat.resize(rows * oc, 0);
-    linalg::matmul_i8_a_bt_slices(
-        &scratch.qpatches,
-        &scratch.qweight,
-        &mut scratch.imat,
-        rows,
-        cols,
-        oc,
-    );
-    scratch.mat.resize([rows, oc]);
-    quant::scale_i32_into(&scratch.imat, pp.scale * pw.scale, scratch.mat.data_mut());
-    nhwc_rows_to_nchw_into(&scratch.mat, n, oc, oh, ow, out);
+    let mut qpatches = pool::take::<i8>(d.rows * d.cols);
+    quant::quantize_into(&patches, pp, &mut qpatches);
+    let view = d.live.live_view(weight);
+    let mut qweight = pool::take::<i8>(d.oc * d.cols);
+    quant::quantize_into(view.as_ref().unwrap_or(weight), pw, &mut qweight);
+    pool::recycle_all(view);
+    let mut imat = pool::take::<i32>(d.rows * d.oc);
+    linalg::matmul_i8_a_bt_slices(&qpatches, &qweight, &mut imat, d.rows, d.cols, d.oc);
+    pool::give(qweight);
+    let mut mat = pool::tensor([d.rows, d.oc]);
+    quant::scale_i32_into(&imat, pp.scale * pw.scale, mat.data_mut());
+    pool::give(imat);
+    let mut out = pool::tensor([d.n, d.oc, d.oh, d.ow]);
+    nhwc_rows_to_nchw_into(&mat, d.n, d.oc, d.oh, d.ow, &mut out);
+    pool::recycle(mat);
     // Replace the raw patches with their dequantized INT8 values for backward.
-    let shape = scratch.patches.shape().clone();
-    quant::dequantize_into(&scratch.qpatches, shape, pp, &mut scratch.patches);
-    (pp, pw)
+    quant::dequantize_into(&qpatches, [d.rows, d.cols], pp, &mut patches);
+    pool::give(qpatches);
+    (out, patches, pp, pw)
 }
 
 /// Backward 2-D convolution.
 ///
-/// Given `grad_out: (n, oc, oh, ow)`, the forward `patches` matrix, the
-/// `weight: (oc, ic, kh, kw)` and the input geometry, returns
-/// `(grad_input, grad_weight)`.
+/// Given `grad_out: (n, oc, oh, ow)`, the `(n·oh·ow, ic·lh·lw)` `patches`
+/// matrix of the matching forward pass, the `weight: (oc, ic, kh, kw)` and
+/// the input geometry, returns `(grad_input, grad_weight)`, both from the
+/// step scratch. The weight gradient is always the full `(oc, ic, kh, kw)`
+/// one; a tap outside the live window gets `+0.0`. The input gradient — one
+/// GEMM for the patch gradients and their `col2im` — is computed only when
+/// `want_gx`: the first layer of a network has nobody to hand it to.
 ///
 /// # Panics
 /// Panics on any geometry inconsistency.
@@ -804,52 +782,15 @@ pub fn conv2d_backward(
     weight: &Tensor,
     input_shape: &Shape,
     p: ConvParams,
-) -> (Tensor, Tensor) {
-    let mut s = ConvScratch::default();
-    let mut gx = Tensor::default();
-    let mut gw = Tensor::default();
-    conv2d_backward_scratch(
-        grad_out,
-        patches,
-        weight,
-        input_shape,
-        p,
-        &mut s,
-        &mut gx,
-        &mut gw,
-    );
-    (gx, gw)
-}
-
-/// [`conv2d_backward`] reusing `scratch` staging buffers and writing the
-/// gradients into `gx` / `gw`.
-///
-/// `patches` is the `(n·oh·ow, ic·lh·lw)` im2col matrix of the matching
-/// forward pass — usually `scratch.patches` moved out by the caller (a layer
-/// caches the train-time patches while the scratch may be overwritten by
-/// eval forwards in between). `gw` is always the full `(oc, ic, kh, kw)`
-/// gradient; a tap outside the live window gets `+0.0`.
-///
-/// # Panics
-/// Panics on any geometry inconsistency.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward_scratch(
-    grad_out: &Tensor,
-    patches: &Tensor,
-    weight: &Tensor,
-    input_shape: &Shape,
-    p: ConvParams,
-    scratch: &mut ConvScratch,
-    gx: &mut Tensor,
-    gw: &mut Tensor,
-) {
+    want_gx: bool,
+) -> (Option<Tensor>, Tensor) {
+    let d = ConvDims::of(input_shape, weight, p);
     let (n, ic, h, w) = input_shape.as_nchw();
-    let (oc, _ic, kh, kw) = weight.shape().as_nchw();
+    let (_, _, kh, kw) = weight.shape().as_nchw();
     let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
-    assert_eq!((gn, goc), (n, oc), "grad_out batch/channel mismatch");
-    let live = LiveTaps::of(h, w, kh, kw, p);
-    let rows = n * oh * ow;
-    let cols = ic * live.taps();
+    assert_eq!((gn, goc), (n, d.oc), "grad_out batch/channel mismatch");
+    assert_eq!((oh, ow), (d.oh, d.ow), "grad_out spatial mismatch");
+    let (rows, cols, live) = (d.rows, d.cols, d.live);
     assert_eq!(
         patches.shape().dims(),
         &[rows, cols],
@@ -858,38 +799,44 @@ pub fn conv2d_backward_scratch(
         live.taps()
     );
     // (n·oh·ow, oc)
-    nchw_to_nhwc_rows_into(grad_out, &mut scratch.mat);
+    let mut mat = pool::tensor([rows, d.oc]);
+    nchw_to_nhwc_rows_into(grad_out, &mut mat);
     // dW = gmatᵀ × patches  →  (oc, ic·lh·lw)
-    gw.resize([oc, ic, kh, kw]);
-    let gwmat = if live.is_full() {
-        &mut *gw
-    } else {
-        scratch.gwlive.resize([oc, cols]);
-        &mut scratch.gwlive
-    };
+    let mut gw = pool::tensor([d.oc, ic, kh, kw]);
+    let mut gwlive = (!live.is_full()).then(|| pool::tensor([d.oc, cols]));
     linalg::matmul_at_b_slices(
-        scratch.mat.data(),
+        mat.data(),
         patches.data(),
-        gwmat.data_mut(),
-        oc,
+        gwlive.as_mut().unwrap_or(&mut gw).data_mut(),
+        d.oc,
         rows,
         cols,
     );
-    if !live.is_full() {
+    if let Some(gwlive) = gwlive {
         // a dead tap's gradient is a sum of `g · 0.0`: exactly `+0.0`
-        live.scatter(scratch.gwlive.data(), gw.data_mut());
+        live.scatter(gwlive.data(), gw.data_mut());
+        pool::recycle(gwlive);
     }
-    // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
-    scratch.gpatches.resize([rows, cols]);
-    linalg::matmul_slices(
-        scratch.mat.data(),
-        live.weight_view(weight, &mut scratch.wlive).data(),
-        scratch.gpatches.data_mut(),
-        rows,
-        oc,
-        cols,
-    );
-    col2im_into(&scratch.gpatches, n, ic, h, w, kh, kw, p, gx);
+    let gx = want_gx.then(|| {
+        // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
+        let view = live.live_view(weight);
+        let mut gpatches = pool::tensor([rows, cols]);
+        linalg::matmul_slices(
+            mat.data(),
+            view.as_ref().unwrap_or(weight).data(),
+            gpatches.data_mut(),
+            rows,
+            d.oc,
+            cols,
+        );
+        pool::recycle_all(view);
+        let mut gx = pool::tensor([n, ic, h, w]);
+        col2im_into(&gpatches, n, ic, h, w, kh, kw, p, &mut gx);
+        pool::recycle(gpatches);
+        gx
+    });
+    pool::recycle(mat);
+    (gx, gw)
 }
 
 /// Reorders a `(n·oh·ow, c)` matrix (rows in NHWC order) into NCHW: one
@@ -942,13 +889,16 @@ fn transpose_samples(src: &[f32], dst: &mut [f32], m: usize, k: usize) {
 }
 
 /// Forward max pooling. Returns the pooled output and the flat argmax index
-/// of each output element (for the backward scatter).
+/// of each output element (for the backward scatter), both from the step
+/// scratch ([`crate::pool`]).
 ///
 /// # Panics
 /// Panics if `input` is not rank-4, the window does not fit or
 /// `p.padding >= k`.
 pub fn max_pool2d(input: &Tensor, k: usize, p: ConvParams) -> (Tensor, Vec<usize>) {
-    let (mut out, mut argmax) = (Tensor::default(), Vec::new());
+    let (n, c, h, w) = input.shape().as_nchw();
+    let mut out = pool::tensor([n, c, p.out_size(h, k), p.out_size(w, k)]);
+    let mut argmax = pool::take(out.len());
     max_pool2d_into(input, k, p, &mut out, &mut argmax);
     (out, argmax)
 }
@@ -1051,47 +1001,46 @@ fn max_pool_body(
 }
 
 /// Backward max pooling: routes each output gradient to its argmax input.
+/// The gradient comes from the step scratch ([`crate::pool`]).
 ///
 /// # Panics
 /// Panics if an index of `argmax` is outside `input_shape`.
 pub fn max_pool2d_backward(grad_out: &Tensor, argmax: &[usize], input_shape: &Shape) -> Tensor {
-    let mut gx = vec![0.0f32; input_shape.len()];
+    let mut gx = pool::zeroed(input_shape.clone());
+    let cells = gx.data_mut();
     for (g, &idx) in grad_out.data().iter().zip(argmax.iter()) {
-        gx[idx] += g;
+        cells[idx] += g;
     }
-    Tensor::from_vec(gx, input_shape.clone())
+    gx
 }
 
-/// Global average pooling over the spatial dimensions: `(n,c,h,w) → (n,c)`.
+/// Global average pooling over the spatial dimensions: `(n,c,h,w) → (n,c)`,
+/// into a step-scratch tensor ([`crate::pool`]).
 ///
 /// # Panics
 /// Panics if `input` is not rank-4.
 pub fn global_avg_pool(input: &Tensor) -> Tensor {
     let (n, c, h, w) = input.shape().as_nchw();
     let hw = (h * w) as f32;
-    let mut out = vec![0.0f32; n * c];
+    let mut out = pool::tensor([n, c]);
     let data = input.data();
-    for i in 0..n * c {
-        let s: f32 = data[i * h * w..(i + 1) * h * w].iter().sum();
-        out[i] = s / hw;
+    for (i, o) in out.data_mut().iter_mut().enumerate() {
+        *o = data[i * h * w..(i + 1) * h * w].iter().sum::<f32>() / hw;
     }
-    Tensor::from_vec(out, Shape::from([n, c]))
+    out
 }
 
 /// Backward of [`global_avg_pool`]: spreads each `(n,c)` gradient uniformly
-/// over the `(h, w)` window.
+/// over the `(h, w)` window, into a step-scratch tensor.
 pub fn global_avg_pool_backward(grad_out: &Tensor, input_shape: &Shape) -> Tensor {
-    let (n, c, h, w) = input_shape.as_nchw();
+    let (_, _, h, w) = input_shape.as_nchw();
     let hw = (h * w) as f32;
-    let mut gx = vec![0.0f32; input_shape.len()];
-    let g = grad_out.data();
-    for i in 0..n * c {
-        let v = g[i] / hw;
-        for e in &mut gx[i * h * w..(i + 1) * h * w] {
-            *e = v;
-        }
+    let mut gx = pool::tensor(input_shape.clone());
+    let cells = gx.data_mut();
+    for (i, g) in grad_out.data().iter().enumerate() {
+        cells[i * h * w..(i + 1) * h * w].fill(g / hw);
     }
-    Tensor::from_vec(gx, input_shape.clone())
+    gx
 }
 
 #[cfg(test)]
@@ -1168,7 +1117,8 @@ mod tests {
             |x: &Tensor, w: &Tensor| conv2d(x, w, p).0.data().iter().map(|v| v * v).sum::<f32>();
         let (y, patches) = conv2d(&x, &w, p);
         let grad_y = y.scale(2.0); // d(sum y^2)/dy
-        let (gx, gw) = conv2d_backward(&grad_y, &patches, &w, x.shape(), p);
+        let (gx, gw) = conv2d_backward(&grad_y, &patches, &w, x.shape(), p, true);
+        let gx = gx.unwrap();
 
         let eps = 1e-3;
         for idx in [0usize, 5, 17, 30] {
@@ -1197,6 +1147,9 @@ mod tests {
         }
     }
 
+    /// A run whose every buffer comes out of the step scratch with stale
+    /// contents equals a run on fresh allocations, forward and backward,
+    /// with and without the input gradient.
     #[test]
     fn scratch_variants_match_allocating() {
         let p = ConvParams::new(1, 1);
@@ -1210,26 +1163,30 @@ mod tests {
                 .collect(),
             [3, 2, 3, 3],
         );
-        let (y, patches) = conv2d(&x, &w, p);
-        let gy = y.scale(2.0);
-        let (gx, gw) = conv2d_backward(&gy, &patches, &w, x.shape(), p);
-
-        // Prime the scratch with garbage by running a *different* shape first,
-        // then check the reused buffers produce identical results.
-        let mut s = ConvScratch::default();
-        let mut out = Tensor::default();
-        let x0 = Tensor::ones([1, 2, 4, 4]);
-        conv2d_scratch(&x0, &w, p, &mut s, &mut out);
-        conv2d_scratch(&x, &w, p, &mut s, &mut out);
-        assert_eq!(out, y);
-        assert_eq!(s.patches, patches);
-        let mut gx2 = Tensor::default();
-        let mut gw2 = Tensor::default();
-        // Move the patches out, the way a layer caches them across passes.
-        let pt = std::mem::take(&mut s.patches);
-        conv2d_backward_scratch(&gy, &pt, &w, x.shape(), p, &mut s, &mut gx2, &mut gw2);
-        assert_eq!(gx2, gx);
-        assert_eq!(gw2, gw);
+        let run = || {
+            let (y, patches) = conv2d(&x, &w, p);
+            let gy = y.scale(2.0);
+            let (gx, gw) = conv2d_backward(&gy, &patches, &w, x.shape(), p, true);
+            let (none, gw_only) = conv2d_backward(&gy, &patches, &w, x.shape(), p, false);
+            assert!(none.is_none());
+            assert_eq!(bits(&gw_only), bits(&gw), "dW without dX");
+            (y, patches, gx.unwrap(), gw)
+        };
+        let fresh = pool::transient(run);
+        // Prime the scratch by running a *different* shape first, then hand
+        // the first run's buffers over: the second run finds every size it
+        // asks for parked, poisoned.
+        let (y0, p0) = conv2d(&Tensor::ones([1, 2, 4, 4]), &w, p);
+        pool::recycle(y0);
+        pool::recycle(p0);
+        let (y, patches, gx, gw) = run();
+        let ptr = patches.data().as_ptr(); // the one 50 x 18 buffer of a run
+        for t in [y, patches, gx, gw] {
+            pool::recycle(t);
+        }
+        let again = run();
+        assert_eq!(again.1.data().as_ptr(), ptr, "the parked patch matrix");
+        assert_eq!(again, fresh);
     }
 
     /// The integer conv forward must reproduce the widened-i32 reference
@@ -1251,9 +1208,7 @@ mod tests {
                 .collect(),
             [oc, ic, kh, kw],
         );
-        let mut s = ConvScratch::default();
-        let mut y8 = Tensor::default();
-        let (pp, pw) = conv2d_int8_scratch(&x, &w, p, &mut s, &mut y8);
+        let (y8, deq, pp, pw) = conv2d_int8(&x, &w, p);
 
         // Reference: quantize the raw patches and weight, accumulate in i32.
         let (patches, oh, ow) = im2col(&x, kh, kw, p);
@@ -1280,10 +1235,7 @@ mod tests {
         assert_eq!(y8, expect);
 
         // Patches left behind are the dequantized values the kernel saw.
-        assert_eq!(
-            s.patches,
-            quant::dequantize(&qp, patches.shape().clone(), pp)
-        );
+        assert_eq!(deq, quant::dequantize(&qp, patches.shape().clone(), pp));
 
         // And the whole thing stays close to the f32 convolution.
         let (y32, _) = conv2d(&x, &w, p);
@@ -1319,6 +1271,18 @@ mod tests {
     /// live-tap lowering the latter, bit for bit.
     mod reference {
         use super::super::*;
+
+        /// The buffers a convolution layer kept for itself before the step
+        /// scratch: the oracle still runs on them.
+        #[derive(Debug, Default)]
+        pub struct ConvScratch {
+            pub patches: Tensor,
+            mat: Tensor,
+            gpatches: Tensor,
+            qpatches: Vec<i8>,
+            qweight: Vec<i8>,
+            imat: Vec<i32>,
+        }
 
         /// All `kh × kw` taps as a window.
         fn all_taps(kh: usize, kw: usize) -> LiveTaps {
@@ -1685,52 +1649,58 @@ mod tests {
         Tensor::from_vec(data, shape)
     }
 
-    /// A gradient buffer as a layer's pool hands it over: right size, stale
-    /// contents.
+    /// A gradient buffer as the reference's caller hands it over: right
+    /// size, stale contents.
     fn stale(shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
         Tensor::from_vec(vec![f32::NAN; shape.len()], shape)
     }
 
     /// One convolution through the live-tap lowering and through the
-    /// reference, forward (f32 or INT8) and backward, each side recycling
-    /// its own scratch; asserts `y`, the scales, `dX` and `dW` equal bit
-    /// for bit. `what` names the case in a failure.
+    /// reference, forward (f32 or INT8) and backward, the lowering on the
+    /// step scratch (whose parked buffers are poisoned in this build) and
+    /// the reference recycling its own; asserts `y`, the scales, `dX` and
+    /// `dW` equal bit for bit. `what` names the case in a failure.
     fn assert_matches_reference(
         x: &Tensor,
         w: &Tensor,
         gy_of: &dyn Fn(&Tensor) -> Tensor,
         p: ConvParams,
         int8: bool,
-        scratch: &mut (ConvScratch, ConvScratch),
+        r: &mut reference::ConvScratch,
         what: &str,
     ) {
-        let (s, r) = scratch;
-        let (mut y, mut ry) = (Tensor::default(), Tensor::default());
-        if int8 {
-            let scales = conv2d_int8_scratch(x, w, p, s, &mut y);
+        let mut ry = Tensor::default();
+        let (y, patches) = if int8 {
+            let (y, patches, pp, pw) = conv2d_int8(x, w, p);
             let rscales = reference::conv2d_int8_scratch(x, w, p, r, &mut ry);
-            assert_eq!(scales, rscales, "{what}: quantization scales");
+            assert_eq!((pp, pw), rscales, "{what}: quantization scales");
+            (y, patches)
         } else {
-            conv2d_scratch(x, w, p, s, &mut y);
             reference::conv2d_scratch(x, w, p, r, &mut ry);
-        }
+            conv2d(x, w, p)
+        };
         assert_eq!(y.shape(), ry.shape(), "{what}: output shape");
         assert_eq!(bits(&y), bits(&ry), "{what}: y");
 
         let gy = gy_of(&y);
         let (oc, ic, kh, kw) = w.shape().as_nchw();
-        let (mut gx, mut rgx) = (stale(x.shape().clone()), stale(x.shape().clone()));
-        let (mut gw, mut rgw) = (stale([oc, ic, kh, kw]), stale([oc, ic, kh, kw]));
-        let patches = std::mem::take(&mut s.patches);
-        conv2d_backward_scratch(&gy, &patches, w, x.shape(), p, s, &mut gx, &mut gw);
-        s.patches = patches;
-        let patches = std::mem::take(&mut r.patches);
-        reference::conv2d_backward_scratch(&gy, &patches, w, x.shape(), p, r, &mut rgx, &mut rgw);
-        r.patches = patches;
+        let (gx, gw) = conv2d_backward(&gy, &patches, w, x.shape(), p, true);
+        let (mut rgx, mut rgw) = (stale(x.shape().clone()), stale([oc, ic, kh, kw]));
+        let rpatches = std::mem::take(&mut r.patches);
+        reference::conv2d_backward_scratch(&gy, &rpatches, w, x.shape(), p, r, &mut rgx, &mut rgw);
+        r.patches = rpatches;
+        let gx = gx.expect("asked for");
         assert_eq!(bits(&gx), bits(&rgx), "{what}: dX");
         assert_eq!(gw.shape(), rgw.shape(), "{what}: dW shape");
         assert_eq!(bits(&gw), bits(&rgw), "{what}: dW");
+        // without the input gradient the weight gradient is the same one
+        let (none, gw_only) = conv2d_backward(&gy, &patches, w, x.shape(), p, false);
+        assert!(none.is_none(), "{what}: dX nobody asked for");
+        assert_eq!(bits(&gw_only), bits(&rgw), "{what}: dW without dX");
+        for t in [y, patches, gx, gw, gw_only] {
+            pool::recycle(t);
+        }
     }
 
     /// The window rule on the geometries the model zoo meets at 8×8 inputs
@@ -1862,9 +1832,7 @@ mod tests {
         let x = signed_zero_values([2, 3, 1, 1], &mut rng);
         let mut wt = weights([3, 3, 3, 3], &mut rng);
         wt.data_mut()[0] = 40.0; // tap (0, 0): dead on a 1×1 map
-        let mut s = ConvScratch::default();
-        let mut y = Tensor::default();
-        let (_, pw) = conv2d_int8_scratch(&x, &wt, p, &mut s, &mut y);
+        let (_, _, _, pw) = conv2d_int8(&x, &wt, p);
         assert_eq!(pw.scale, 40.0 / 127.0);
         let gy = |y: &Tensor| y.scale(0.5);
         assert_matches_reference(&x, &wt, &gy, p, true, &mut Default::default(), "dead max");
@@ -1888,7 +1856,7 @@ mod tests {
         dead.data_mut()[0] = f32::INFINITY; // (ci 0, tap (0, 0))
         let (y, patches) = conv2d(&x, &dead, p);
         assert_eq!(bits(&y), bits(&y_clean));
-        let mut r = ConvScratch::default();
+        let mut r = reference::ConvScratch::default();
         let mut ry = Tensor::default();
         reference::conv2d_scratch(&x, &dead, p, &mut r, &mut ry);
         assert!(ry.data()[0].is_nan(), "the all-taps lowering did read it");
@@ -1898,8 +1866,8 @@ mod tests {
         assert_eq!(conv2d(&x, &live, p).0.data(), &[f32::INFINITY]);
 
         let gy = Tensor::from_vec(vec![f32::INFINITY], [1, 1, 1, 1]);
-        let (gx, gw) = conv2d_backward(&gy, &patches, &clean, x.shape(), p);
-        assert!(gx.data().iter().all(|v| v.is_infinite()));
+        let (gx, gw) = conv2d_backward(&gy, &patches, &clean, x.shape(), p, true);
+        assert!(gx.unwrap().data().iter().all(|v| v.is_infinite()));
         for (i, g) in gw.data().iter().enumerate() {
             if i % 9 == 4 {
                 assert!(g.is_infinite(), "live tap {i}: {g}");
@@ -1919,7 +1887,7 @@ mod tests {
         let w = Tensor::ones([4, 3, 3, 3]);
         let all_taps = Tensor::zeros([2, 27]);
         let gy = Tensor::ones([2, 4, 1, 1]);
-        conv2d_backward(&gy, &all_taps, &w, x.shape(), p);
+        conv2d_backward(&gy, &all_taps, &w, x.shape(), p, true);
     }
 
     /// One trimmed shape (2×2 → 1×1 at stride 2: a 2×2 window) that crosses

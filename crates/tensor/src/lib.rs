@@ -15,8 +15,9 @@
 //!   aggregation — SGD with momentum, the Eq. 5 merge, the replica mean
 //!   ([`sweep`]);
 //! - weight initializers ([`init`]);
-//! - scratch-buffer pooling for allocation-free steady-state training
-//!   ([`pool`]) and opt-in kernel timing counters ([`profile`]);
+//! - the step scratch, a thread-local exact-size free-list that every
+//!   buffer of a training step is borrowed from ([`pool`]), and opt-in
+//!   kernel timing counters ([`profile`]);
 //! - one runtime decision between the portable and the AVX2 instantiation
 //!   of the hot kernels ([`isa`]), bit-identical either way;
 //! - a deterministic intra-op parallel runtime ([`runtime`]): a persistent
@@ -49,7 +50,6 @@ mod shape;
 pub mod sweep;
 mod tensor;
 
-pub use pool::TensorPool;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -24,35 +24,54 @@
 //! worker is busy. Calls made *from* a worker thread (nested parallelism)
 //! run all chunks inline, in order, on that worker — same partition, same
 //! bytes, no deadlock.
+//!
+//! ## No allocation
+//!
+//! A parallel call allocates nothing: its task lives on the submitter's
+//! stack, the queue holds pointers to it, and the submitter takes the ones
+//! nobody picked up back out before it returns. A kernel inside a training
+//! step therefore costs the heap nothing at any pool size, and a busy pool
+//! does not pile finished tasks' handles up in the queue.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// One in-flight `parallel_for_chunks` call. Workers claim chunk indices
-/// from `next`; the last finisher flips `done` and wakes the submitter.
+/// One in-flight `parallel_for_chunks` call, on its submitter's stack.
+/// Workers claim chunk indices from `next`; whoever brings `pending` to
+/// zero wakes the submitter.
 struct Task {
     /// Type- and lifetime-erased pointer to the caller's chunk body. Safety:
     /// the submitting thread owns the referent and does not return from
-    /// [`parallel_for_chunks`] until `remaining == 0`, so the pointer is
-    /// live whenever a worker dereferences it.
+    /// [`parallel_for_chunks`] until `pending == 0`, so the pointer is live
+    /// whenever a worker dereferences it.
     body: *const (dyn Fn(usize) + Sync),
     chunks: usize,
     next: AtomicUsize,
-    remaining: AtomicUsize,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    /// Chunks not yet finished plus [`Handle`]s not yet retired: what the
+    /// submitter waits for, because either can still reach this task.
+    pending: AtomicUsize,
 }
+
+/// A pointer to a [`Task`] in the pool's queue or in a worker's hands.
+///
+/// The task counts every handle in `pending` from before it is queued until
+/// it is retired — by the worker that popped it, after its last access, or
+/// by the submitter taking it back out of the queue — and the submitter does
+/// not leave [`parallel_for_chunks`] while `pending > 0`. So a handle never
+/// outlives its task.
+struct Handle(*const Task);
+
+// Safety: the pointee is Sync (below) and outlives the handle (above).
+unsafe impl Send for Handle {}
 
 // Safety: `body` is only dereferenced while the submitter blocks in
 // `parallel_for_chunks` (see `Task::body`); all other fields are Sync.
-unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
 impl Task {
-    /// Claims and runs chunks until none are left. Returns whether this
-    /// call executed the final chunk (and thus signalled completion).
+    /// Claims and runs chunks until none are left.
     fn help(&self, pool: &Pool) {
         let timing = crate::profile::enabled();
         loop {
@@ -69,19 +88,33 @@ impl Task {
                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
             pool.chunks.fetch_add(1, Ordering::Relaxed);
-            if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let mut done = self.done.lock().unwrap();
-                *done = true;
-                self.done_cv.notify_all();
-            }
+            self.settle(pool, 1);
+        }
+    }
+
+    /// Takes `n` finished chunks or retired handles off `pending` and wakes
+    /// the submitter if that was the last of them. The decrement is the
+    /// last access to `self`: once `pending` is zero the task may be gone,
+    /// so the wake-up goes through the pool.
+    fn settle(&self, pool: &Pool, n: usize) {
+        if self.pending.fetch_sub(n, Ordering::AcqRel) == n {
+            // Taking the lock orders this wake-up after a submitter that
+            // has just read `pending > 0` has started to wait.
+            drop(pool.done.lock().unwrap());
+            pool.done_cv.notify_all();
         }
     }
 }
 
 /// Pool shared state: a FIFO of tasks that want helpers, plus counters.
 struct Pool {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<VecDeque<Handle>>,
     work_cv: Condvar,
+    /// Where submitters wait for their task's `pending` to reach zero. One
+    /// pair for the pool, not one per task: a waker must not touch a task
+    /// that may already be gone.
+    done: Mutex<()>,
+    done_cv: Condvar,
     /// Worker-participation budget (what [`threads`] reports). Workers
     /// beyond this limit exist but stay parked.
     target: AtomicUsize,
@@ -94,6 +127,13 @@ struct Pool {
     busy_nanos: AtomicU64,
     wall_nanos: AtomicU64,
 }
+
+/// Handles the queue has room for from the start, so that queueing one
+/// does not allocate: a submitter has fewer than [`threads`] of them out
+/// per nesting level, and how many of those are still unclaimed when the
+/// next call queues more is a race — which a count of allocations must not
+/// see. Hundreds of threads submitting at once would still grow the queue.
+const QUEUE_SLOTS: usize = 1024;
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
@@ -116,8 +156,10 @@ fn env_threads() -> usize {
 
 fn pool() -> &'static Pool {
     let pool = POOL.get_or_init(|| Pool {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(VecDeque::with_capacity(QUEUE_SLOTS)),
         work_cv: Condvar::new(),
+        done: Mutex::new(()),
+        done_cv: Condvar::new(),
         target: AtomicUsize::new(env_threads()),
         spawned: Mutex::new(0),
         tasks: AtomicU64::new(0),
@@ -149,16 +191,19 @@ fn ensure_workers(pool: &'static Pool) {
 fn worker_loop(pool: &'static Pool) {
     IN_WORKER.with(|f| f.set(true));
     loop {
-        let task = {
+        let handle = {
             let mut q = pool.queue.lock().unwrap();
             loop {
-                if let Some(t) = q.pop_front() {
-                    break t;
+                if let Some(h) = q.pop_front() {
+                    break h;
                 }
                 q = pool.work_cv.wait(q).unwrap();
             }
         };
+        // Safety: the task counts this handle until `settle` below.
+        let task = unsafe { &*handle.0 };
         task.help(pool);
+        task.settle(pool, 1);
     }
 }
 
@@ -214,22 +259,22 @@ pub fn parallel_for_chunks(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
     // referent outlives every dereference. See `Task::body`.
     let body_static: &'static (dyn Fn(usize) + Sync) =
         unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(body) };
-    let task = Arc::new(Task {
+    // One helper handle per extra lane; a helper that comes late finds
+    // `next >= chunks` and retires its handle without touching `body`.
+    let helpers = (budget - 1).min(chunks - 1);
+    let task = Task {
         body: body_static as *const _,
         chunks,
         next: AtomicUsize::new(0),
-        remaining: AtomicUsize::new(chunks),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-    });
-
-    // Enqueue one helper handle per extra lane; surplus helpers find
-    // `next >= chunks` and exit without touching `body`.
-    let helpers = (budget - 1).min(chunks - 1);
+        pending: AtomicUsize::new(chunks + helpers),
+    };
+    // From here to the end of `Completion::drop` — also when a chunk run on
+    // this thread panics — the task stays where the handles point.
+    let completion = Completion { task: &task, pool };
     {
         let mut q = pool.queue.lock().unwrap();
         for _ in 0..helpers {
-            q.push_back(Arc::clone(&task));
+            q.push_back(Handle(&task));
         }
     }
     if helpers == 1 {
@@ -242,14 +287,45 @@ pub fn parallel_for_chunks(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
     // The submitter works too: guarantees progress even if all workers are
     // wedged on other tasks.
     task.help(pool);
-    let mut done = task.done.lock().unwrap();
-    while !*done {
-        done = task.done_cv.wait(done).unwrap();
-    }
-    drop(done);
+    drop(completion);
     if let Some(t0) = t0 {
         pool.wall_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
+/// Keeps a submitter inside [`parallel_for_chunks`] until nothing can reach
+/// its task any more.
+struct Completion<'a> {
+    task: &'a Task,
+    pool: &'a Pool,
+}
+
+impl Drop for Completion<'_> {
+    fn drop(&mut self) {
+        let (task, pool) = (self.task, self.pool);
+        // The handles still queued are nobody's yet: retire them here. The
+        // queue holds live tasks' handles only, a few per submitter.
+        let unclaimed = {
+            let mut q = pool.queue.lock().unwrap();
+            let before = q.len();
+            q.retain(|h| !std::ptr::eq(h.0, task));
+            before - q.len()
+        };
+        let mut settled = unclaimed;
+        if std::thread::panicking() {
+            // A chunk panicked on this thread: it will not finish, and
+            // nobody is to start another one. The panic goes on to the
+            // caller once the chunks already running elsewhere are done.
+            let claimed = task.next.fetch_add(task.chunks, Ordering::Relaxed);
+            settled += 1 + task.chunks - claimed.min(task.chunks);
+        }
+        // Not `settle`: nobody needs waking if this thread ends the count.
+        task.pending.fetch_sub(settled, Ordering::AcqRel);
+        let mut waiting = pool.done.lock().unwrap();
+        while task.pending.load(Ordering::Acquire) != 0 {
+            waiting = pool.done_cv.wait(waiting).unwrap();
+        }
     }
 }
 
@@ -430,6 +506,49 @@ mod tests {
             run_scoped(jobs);
         }
         assert_eq!(results, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+    }
+
+    /// A chunk that panics on the submitting thread takes the call down
+    /// with it — after the chunks running elsewhere have finished with the
+    /// task — instead of leaving it waiting for a count that cannot end.
+    #[test]
+    fn a_panic_in_the_submitters_chunk_reaches_the_caller() {
+        set_threads(4);
+        let ran = AtomicUsize::new(0);
+        let submitter = std::thread::current().id();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_for_chunks(64, &|_| {
+                if std::thread::current().id() == submitter {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    panic!("chunk");
+                }
+                // a helper leaves the submitter a chunk to panic in
+                while ran.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+            });
+        }));
+        assert!(caught.is_err());
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        // the pool still works
+        let again = AtomicUsize::new(0);
+        parallel_for_chunks(16, &|_| {
+            again.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(again.load(Ordering::Relaxed), 16);
+    }
+
+    /// Handles nobody picked up leave the queue with their task: a busy
+    /// pool does not collect them.
+    #[test]
+    fn finished_tasks_leave_no_handles_queued() {
+        set_threads(4);
+        for _ in 0..200 {
+            parallel_for_chunks(2, &|_| {});
+        }
+        let queued = pool().queue.lock().unwrap().len();
+        // other tests' tasks may be in flight; this one's 200 are not
+        assert!(queued < 50, "{queued} handles queued");
     }
 
     #[test]

@@ -1,10 +1,14 @@
+use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// The dimensions of a [`Tensor`](crate::Tensor), outermost first.
 ///
-/// A `Shape` is an ordered list of dimension sizes. Tensors are stored
+/// A `Shape` is an ordered list of at most [`Shape::MAX_RANK`] dimension sizes,
+/// stored inline: building, cloning and comparing one touches no heap, so a
+/// training step can make tensors without allocating. Tensors are stored
 /// row-major, so the last dimension is contiguous in memory. An empty shape
-/// denotes a scalar with one element.
+/// denotes a scalar with one element. It serializes as the plain list of its
+/// dimensions.
 ///
 /// ```
 /// use socflow_tensor::Shape;
@@ -12,33 +16,49 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.len(), 24);
 /// assert_eq!(s.rank(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Shape(Vec<usize>);
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Shape {
+    /// The first `rank` entries are the dimensions; the rest stay zero, so
+    /// the derived comparisons see one representation per shape.
+    dims: [usize; Shape::MAX_RANK],
+    rank: u8,
+}
 
 impl Shape {
+    /// The highest rank a shape holds: NCHW image batches. Nothing in the
+    /// workspace builds a tensor of more dimensions, and [`Shape::new`] says
+    /// so if something starts to.
+    pub const MAX_RANK: usize = 4;
+
     /// Creates a shape from dimension sizes, outermost first.
+    ///
+    /// # Panics
+    /// Panics if there are more than [`Shape::MAX_RANK`] dimensions.
     pub fn new(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape::from(dims.as_slice())
     }
 
     /// Shape of a scalar (rank 0, one element).
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape {
+            dims: [0; Shape::MAX_RANK],
+            rank: 0,
+        }
     }
 
     /// The dimension sizes.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank as usize]
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.rank as usize
     }
 
     /// Total number of elements (product of dimensions; 1 for a scalar).
     pub fn len(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// `true` if the shape holds zero elements.
@@ -51,7 +71,7 @@ impl Shape {
     /// # Panics
     /// Panics if `i >= rank()`.
     pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
+        self.dims()[i]
     }
 
     /// Interprets this shape as a 2-D `(rows, cols)` matrix.
@@ -60,7 +80,7 @@ impl Shape {
     /// Panics if the rank is not 2.
     pub fn as_matrix(&self) -> (usize, usize) {
         assert_eq!(self.rank(), 2, "expected rank-2 shape, got {self}");
-        (self.0[0], self.0[1])
+        (self.dims[0], self.dims[1])
     }
 
     /// Interprets this shape as NCHW image batch `(n, c, h, w)`.
@@ -69,23 +89,49 @@ impl Shape {
     /// Panics if the rank is not 4.
     pub fn as_nchw(&self) -> (usize, usize, usize, usize) {
         assert_eq!(self.rank(), 4, "expected rank-4 (NCHW) shape, got {self}");
-        (self.0[0], self.0[1], self.0[2], self.0[3])
+        (self.dims[0], self.dims[1], self.dims[2], self.dims[3])
     }
 
     /// Row-major strides for this shape.
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.rank()];
         for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+            strides[i] = strides[i + 1] * self.dims[i + 1];
         }
         strides
+    }
+}
+
+impl std::fmt::Debug for Shape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Shape").field(&self.dims()).finish()
+    }
+}
+
+impl Serialize for Shape {
+    fn to_json(&self) -> Value {
+        self.dims().to_vec().to_json()
+    }
+}
+
+impl Deserialize for Shape {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        let dims = Vec::<usize>::from_json(v)?;
+        if dims.len() > Shape::MAX_RANK {
+            return Err(Error::msg(format!(
+                "shape of rank {} (at most {})",
+                dims.len(),
+                Shape::MAX_RANK
+            )));
+        }
+        Ok(Shape::new(dims))
     }
 }
 
 impl std::fmt::Display for Shape {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.0.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, "x")?;
             }
@@ -103,13 +149,22 @@ impl From<Vec<usize>> for Shape {
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape::new(dims.to_vec())
+        assert!(
+            dims.len() <= Shape::MAX_RANK,
+            "shape of rank {} (at most {})",
+            dims.len(),
+            Shape::MAX_RANK
+        );
+        let mut shape = Shape::scalar();
+        shape.dims[..dims.len()].copy_from_slice(dims);
+        shape.rank = dims.len() as u8;
+        shape
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape::from(&dims[..])
     }
 }
 
@@ -150,6 +205,28 @@ mod tests {
     #[should_panic(expected = "rank-2")]
     fn as_matrix_wrong_rank_panics() {
         Shape::from([3]).as_matrix();
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5")]
+    fn rank_five_is_refused() {
+        let _ = Shape::from([1, 2, 3, 4, 5]);
+    }
+
+    /// The inline form serializes as the list `Shape(Vec<usize>)` did, so
+    /// `Parameter` JSON and checkpoints do not move; a list too long for it
+    /// is an error, not a panic.
+    #[test]
+    fn serializes_as_the_plain_list() {
+        let s = Shape::from([2, 3, 8, 8]);
+        assert_eq!(s.to_json(), vec![2usize, 3, 8, 8].to_json());
+        assert_eq!(Shape::from_json(&s.to_json()).unwrap(), s);
+        assert_eq!(
+            Shape::from_json(&Vec::<usize>::new().to_json()).unwrap(),
+            Shape::scalar()
+        );
+        assert!(Shape::from_json(&vec![1usize; 5].to_json()).is_err());
+        assert_eq!(format!("{s:?}"), "Shape([2, 3, 8, 8])");
     }
 
     #[test]
