@@ -11,7 +11,9 @@
 //! `kernels` is the host micro-kernel suite: the tensor kernels the
 //! training hot path lives in (tiled GEMM variants, transpose, the pooled
 //! conv2d forward/backward, the lowering's im2col / col2im / reorder /
-//! max-pool, the fused fake-quantize pass) on fixed shapes
+//! max-pool, the fused fake-quantize pass, the two GEMMs of a ResNet-18
+//! step on one and on two pool threads, a parallel region's round trip) on
+//! fixed shapes
 //! with deterministic inputs, reported as minimum wall time per iteration
 //! plus achieved GFLOP/s. Minimum-of-N timing is used instead of the mean:
 //! the minimum estimates the noise-free cost of the kernel, which is the
@@ -58,7 +60,7 @@ use socflow_telemetry::{MemorySink, Summary};
 use socflow_tensor::conv::{self, ConvParams};
 use socflow_tensor::isa::Isa;
 use socflow_tensor::quant::{self, QuantFormat, QuantParams};
-use socflow_tensor::{linalg, pool, Tensor};
+use socflow_tensor::{linalg, pool, runtime, Tensor};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -297,8 +299,8 @@ struct KernelRow {
     shape: String,
     iters: u32,
     ns_per_iter: f64,
-    /// Floating-point (or element, for data-movement ops) operations per
-    /// nanosecond.
+    /// Floating-point (or element, for data-movement ops; chunk, for the
+    /// pool's round trip) operations per nanosecond.
     gflops: f64,
 }
 
@@ -528,6 +530,56 @@ fn kernels(fast: bool) -> KernelDoc {
             QuantFormat::Int8.fake_quant_into(&q_in, &mut q_out);
         },
     );
+
+    // --- The pool itself, and the two GEMMs a ResNet-18 step lives in ----
+    // On one and on two pool threads, whatever the process was started
+    // with: stage 1's `dY × Wᵀ` (row panels) and its weight gradient
+    // `dYᵀ × patches` (one row panel: column panels) at the repo
+    // benchmark's 64-sample step. Last, because they resize the pool.
+    let (rm, rk, rn) = (4096, 108, 12);
+    let ra = tensor([rm, rk], 0x5eed_0013);
+    let rbt = tensor([rn, rk], 0x5eed_0014);
+    let mut rc = Tensor::zeros([rm, rn]);
+    let (gm, gk, gn) = (12, 4096, 108);
+    let gat = tensor([gk, gm], 0x5eed_0015);
+    let gb = tensor([gk, gn], 0x5eed_0016);
+    let mut gc = Tensor::zeros([gm, gn]);
+    let budget = runtime::threads();
+    for threads in [1, 2] {
+        runtime::set_threads(threads);
+        let flops = 2.0 * (rm * rk * rn) as f64;
+        let shape = |m, k, n| format!("{m}x{k}x{n} t{threads}");
+        time("matmul_a_bt", shape(rm, rk, rn), flops, &mut || {
+            linalg::matmul_a_bt_slices(ra.data(), rbt.data(), rc.data_mut(), rm, rk, rn);
+        });
+        time("matmul_at_b", shape(gm, gk, gn), flops, &mut || {
+            linalg::matmul_at_b_slices(gat.data(), gb.data(), gc.data_mut(), gm, gk, gn);
+        });
+    }
+    // What a region costs its caller — two empty chunks — straight after
+    // another one (the second lane is polling) and after 2 ms without one
+    // (it has parked, and is woken first).
+    for idle_us in [0u64, 2000] {
+        let region = || {
+            std::thread::sleep(std::time::Duration::from_micros(idle_us));
+            let t0 = Instant::now();
+            runtime::parallel_for_chunks(2, &|_| {});
+            t0.elapsed().as_nanos() as f64
+        };
+        let ns_per_iter = (0..warmup + iters)
+            .map(|_| region())
+            .skip(warmup as usize)
+            .fold(f64::INFINITY, f64::min);
+        results.push(KernelRow {
+            op: "pool_region",
+            shape: format!("t2, idle {idle_us} us"),
+            iters,
+            ns_per_iter,
+            // chunks per nanosecond
+            gflops: 2.0 / ns_per_iter,
+        });
+    }
+    runtime::set_threads(budget);
 
     let isa = Isa::active().name();
     println!("kernel isa: {isa}");

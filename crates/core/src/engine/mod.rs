@@ -274,6 +274,8 @@ impl Engine {
                 jobs: now.jobs.saturating_sub(base.jobs),
                 busy_nanos: now.busy_nanos.saturating_sub(base.busy_nanos),
                 wall_nanos: now.wall_nanos.saturating_sub(base.wall_nanos),
+                parks: now.parks.saturating_sub(base.parks),
+                wakes: now.wakes.saturating_sub(base.wakes),
             });
         }
         self.options.emit(Event::RunCompleted {

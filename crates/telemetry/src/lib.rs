@@ -232,7 +232,9 @@ pub enum Event {
     /// one-shot scoped jobs (per-replica training work). `busy_nanos` is
     /// chunk execution time summed over all lanes and `wall_nanos` the
     /// submitters' wall time for the same regions: their ratio is the
-    /// pool's effective parallelism.
+    /// pool's effective parallelism. `parks` counts the times an idle lane
+    /// gave up polling and blocked, `wakes` the wake-ups issued because one
+    /// was blocked when work arrived.
     PoolTotals {
         threads: usize,
         tasks: u64,
@@ -240,6 +242,8 @@ pub enum Event {
         jobs: u64,
         busy_nanos: u64,
         wall_nanos: u64,
+        parks: u64,
+        wakes: u64,
     },
     /// A training job entered the fleet scheduler's queue (multi-tenant
     /// fleet runs only). `at` is the fleet clock in seconds.
@@ -576,6 +580,10 @@ pub struct PoolTime {
     pub busy_nanos: u64,
     /// Submitter-side wall nanoseconds of the same regions.
     pub wall_nanos: u64,
+    /// Times an idle lane gave up polling and blocked.
+    pub parks: u64,
+    /// Wake-ups issued to blocked lanes.
+    pub wakes: u64,
 }
 
 impl PoolTime {
@@ -673,6 +681,8 @@ impl Summary {
                     jobs,
                     busy_nanos,
                     wall_nanos,
+                    parks,
+                    wakes,
                 } => {
                     let row = s.pool.get_or_insert(PoolTime {
                         threads: 0,
@@ -681,6 +691,8 @@ impl Summary {
                         jobs: 0,
                         busy_nanos: 0,
                         wall_nanos: 0,
+                        parks: 0,
+                        wakes: 0,
                     });
                     row.threads = row.threads.max(*threads);
                     row.tasks += tasks;
@@ -688,6 +700,8 @@ impl Summary {
                     row.jobs += jobs;
                     row.busy_nanos += busy_nanos;
                     row.wall_nanos += wall_nanos;
+                    row.parks += parks;
+                    row.wakes += wakes;
                 }
                 Event::SpanBegin { .. } => s.spans += 1,
                 Event::BucketFlushed { bytes, .. } => {
@@ -895,8 +909,8 @@ impl Summary {
         }
         if let Some(p) = &self.pool {
             out.push_str(&format!(
-                "worker pool      {} threads, {} tasks ({} chunks), {} jobs\n",
-                p.threads, p.tasks, p.chunks, p.jobs
+                "worker pool      {} threads, {} tasks ({} chunks), {} jobs, {} parks, {} wakes\n",
+                p.threads, p.tasks, p.chunks, p.jobs, p.parks, p.wakes
             ));
             if p.wall_nanos > 0 {
                 out.push_str(&format!(

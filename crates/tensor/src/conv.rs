@@ -52,15 +52,9 @@
 
 use crate::profile::{KernelOp, Timer};
 use crate::quant::{self, QuantParams};
-use crate::runtime::{self, SendPtr};
+use crate::runtime::{self, SendPtr, PAR_MIN_ELEMS};
 use crate::{linalg, pool, Shape, Tensor};
 use std::cell::RefCell;
-
-/// Minimum per-call element count before the im2col/col2im lowering is
-/// dispatched on the worker pool; the partition is one chunk per batch
-/// sample (shape-fixed), so serial and parallel paths are bit-identical and
-/// the threshold affects wall-clock only.
-const PAR_MIN_ELEMS: usize = 1 << 15;
 
 /// Stride and zero-padding of a convolution or pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1896,7 +1890,7 @@ mod tests {
     /// equal the serial all-taps reference bit for bit.
     #[test]
     fn trimmed_lowering_matches_the_reference_on_the_pool() {
-        let (n, ic, oc) = (144usize, 96, 128);
+        let (n, ic, oc) = (176usize, 96, 128);
         let p = ConvParams::new(2, 1);
         let live = LiveTaps::of(2, 2, 3, 3, p);
         assert_eq!(live.taps(), 4);

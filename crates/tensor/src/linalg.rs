@@ -27,13 +27,15 @@
 //! with hand-written intrinsics; it is exact in `i32`, where no order can
 //! matter.
 //!
-//! **Parallelism:** large products are split into fixed-size row panels of
-//! the output (`ROWS_PER_CHUNK` rows each) and dispatched on the
-//! [`crate::runtime`] worker pool. The panel decomposition depends only on
-//! `m` — never on the thread count — and each panel is computed by the same
-//! sequential micro-kernel writing a disjoint output region, so the
-//! parallel kernels are bit-identical to the single-threaded ones at any
-//! `SOCFLOW_THREADS` setting.
+//! **Parallelism:** large products are cut into panels of the output and
+//! dispatched on the [`crate::runtime`] worker pool: `ROWS_PER_CHUNK` rows
+//! each when there is more than one such panel, otherwise (`m ≤ 32`: every
+//! convolution's weight gradient `Aᵀ × B`) groups of `NR`-column panels. The
+//! cut depends only on the shape — never on the thread count — and each
+//! panel is computed by the same sequential micro-kernel writing its own
+//! cells, every element still the ascending-`p` sum, so the parallel kernels
+//! are bit-identical to the single-threaded ones at any `SOCFLOW_THREADS`
+//! setting.
 //!
 //! Every entry point has an `_into` variant that writes into a caller-owned
 //! [`Tensor`] (resizing its storage as needed) and a `_slices` variant that
@@ -47,6 +49,7 @@ use crate::profile::{KernelOp, Timer};
 use crate::runtime::SendPtr;
 use crate::Tensor;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Rows of the register accumulator tile.
 const MR: usize = 4;
@@ -72,27 +75,33 @@ const ROWS_PER_CHUNK: usize = 32;
 /// Minimum multiply-add count before an f32 product takes the parallel
 /// path; below this the pool round-trip costs more than the kernel itself.
 /// The serial and parallel paths produce identical bytes, so this threshold
-/// affects wall-clock only.
+/// affects wall-clock only. Measured on the 2-thread reference host with
+/// the second lane polling ([`crate::runtime`]), two threads against one:
+/// 64×64×32 (2¹⁷) ×1.05, 64³ (2¹⁸) ×0.92, 256×32×32 (2¹⁸) ×0.72–0.81,
+/// 128×64×64 (2¹⁹) ×0.83, 128³ (2²¹) ×0.55–0.74 (86 → 47–64 µs; with
+/// workers that parked at once, two threads took 83 µs); column-split
+/// `Aᵀ × B` 12×64×108 (2¹⁶·³) ×1.8, 12×256×108 (2¹⁸·³) ×0.81, 12×1024×108
+/// ×0.64. A product whose row panels are a few thousand multiply-adds each
+/// (4096×8×8) still loses above the threshold, ×1.1–1.3; no layer of the
+/// model zoo has one.
 pub(crate) const PAR_MIN_WORK_F32: usize = 1 << 18;
 
 /// The same threshold for the i8 GEMM. The pool round-trip costs what it
 /// costs whatever the element type, and the widening-dot tile retires a
-/// multiply-add several times faster than the f32 panel does, so the i8
-/// break-even sits at a proportionally larger product. Measured on the
-/// 2-thread reference host: a 128³ product (2²¹ multiply-adds, ≈ 70 µs
-/// serial) ran 15 % *slower* on two workers, so it now stays serial.
-pub(crate) const PAR_MIN_WORK_I8: usize = 1 << 22;
+/// multiply-add about twice as fast as the f32 panel does (128³: 38 µs
+/// against 67 µs), so the i8 break-even sits at a larger product. Same
+/// host, same protocol: 64³ (2¹⁸) ×1.04, 1024×27×12 (2¹⁸·³) ×0.89,
+/// 128×64×64 (2¹⁹) ×0.80, 128³ (2²¹) ×0.83, 256×128×128 (2²²) ×0.66.
+pub(crate) const PAR_MIN_WORK_I8: usize = 1 << 20;
 
 /// Splits `m` output rows into shape-fixed panels and runs
 /// `panel(i0, i1, out_rows)` for each on the worker pool. `out_rows` is the
-/// `(i1 - i0) × n` sub-slice of `out` starting at row `i0`. Generic over the
-/// element type so the f32 kernels and the i8→i32 integer GEMM share one
-/// partitioner.
-fn par_row_panels<T: Send>(
-    out: &mut [T],
+/// `(i1 - i0) × n` sub-slice of `out` starting at row `i0`.
+fn par_row_panels(
+    out: &mut [i32],
     m: usize,
     n: usize,
-    panel: &(dyn Fn(usize, usize, &mut [T]) + Sync),
+    panel: &(dyn Fn(usize, usize, &mut [i32]) + Sync),
 ) {
     let chunks = m.div_ceil(ROWS_PER_CHUNK);
     let out_ptr = SendPtr::new(out);
@@ -108,8 +117,42 @@ fn par_row_panels<T: Send>(
 /// Whether a product of this shape is worth dispatching on the pool, given
 /// its kernel's `min_work` ([`PAR_MIN_WORK_F32`] / [`PAR_MIN_WORK_I8`]).
 fn worth_parallel(m: usize, k: usize, n: usize, min_work: usize) -> bool {
-    m > ROWS_PER_CHUNK && m * k * n >= min_work && crate::runtime::threads() > 1
+    m * k * n >= min_work && crate::runtime::threads() > 1
 }
+
+/// How an f32 product's output is cut into chunks for the pool — from the
+/// shape alone, like every partition here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Split {
+    /// One panel, on the calling thread.
+    Serial,
+    /// Panels of [`ROWS_PER_CHUNK`] rows, all columns each.
+    Rows,
+    /// All rows, this many columns a chunk (a multiple of `NR`): a product
+    /// with no second row panel — every weight gradient `Aᵀ × B` of a
+    /// convolution has as many rows as the layer has filters — still has
+    /// `n / NR` independent column panels.
+    Columns(usize),
+}
+
+impl Split {
+    fn of(m: usize, k: usize, n: usize) -> Split {
+        if !worth_parallel(m, k, n, PAR_MIN_WORK_F32) {
+            Split::Serial
+        } else if m > ROWS_PER_CHUNK {
+            Split::Rows
+        } else if n > NR {
+            Split::Columns(n.div_ceil(NR).div_ceil(MAX_COLUMN_CHUNKS) * NR)
+        } else {
+            Split::Serial
+        }
+    }
+}
+
+/// Most chunks a column split makes: enough that two to four lanes claiming
+/// them one at a time end within an eighth of each other, few enough that
+/// the claims (one shared counter) stay small beside a chunk's work.
+const MAX_COLUMN_CHUNKS: usize = 8;
 
 /// The micro-kernels' accumulate step: `acc[c] += av * brow[c]` over the
 /// `NR` lanes — one multiply and one add per lane, in that order.
@@ -131,32 +174,79 @@ struct Lhs<'a> {
     p_stride: usize,
 }
 
-impl<'a> Lhs<'a> {
-    /// The operand from row `i0` on (what a row panel is handed).
-    fn rows_from(self, i0: usize) -> Lhs<'a> {
-        Lhs {
-            data: &self.data[i0 * self.row_stride..],
-            ..self
-        }
+/// The cells `rows × cols` of a product's row-major `m × n` output: what
+/// one panel of the product computes, and the only cells it can write.
+struct Panel<'a> {
+    out: &'a SendPtr<f32>,
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl<'a> Panel<'a> {
+    /// # Safety
+    /// No other live panel of the matrix behind `out` may share a cell with
+    /// this one.
+    unsafe fn new(
+        out: &'a SendPtr<f32>,
+        n: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> Panel<'a> {
+        // whole `NR` panels, short only at the matrix's right edge: that is
+        // where `pad_tail_columns` took the tail panel from
+        assert!(
+            cols.start.is_multiple_of(NR)
+                && (cols.end.is_multiple_of(NR) || cols.end == n)
+                && cols.end <= n,
+            "panel columns {cols:?} of {n}"
+        );
+        Panel { out, n, rows, cols }
+    }
+
+    /// Cells `j..j + w` of row `i`.
+    #[inline(always)]
+    fn lanes(&mut self, i: usize, j: usize, w: usize) -> &mut [f32] {
+        assert!(self.rows.contains(&i) && self.cols.start <= j && j + w <= self.cols.end);
+        // SAFETY: inside this panel's rows and columns (just checked), so in
+        // nobody else's cells (`Panel::new`), and the `&mut self` keeps this
+        // panel from handing the same cells out twice. `slice` checks that
+        // they are inside the matrix.
+        unsafe { self.out.slice(i * self.n + j, w) }
     }
 }
 
-/// `C = lhs × B` for `B: (k, n)` row-major, by row panels — on the pool
-/// when the shape is worth it. The `n % NR` tail columns of `B` are padded
-/// once, here, and shared by every panel.
-fn gemm_rows(isa: Isa, lhs: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// `C = lhs × B` for `B: (k, n)` row-major, by panels — on the pool when
+/// [`Split::of`] the shape says so. The `n % NR` tail columns of `B` are
+/// padded once, here, and shared by every panel.
+fn gemm_panels(isa: Isa, lhs: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     PADDED_TAIL.with(|tail| {
         // the submitting thread only ever runs its own panels while it
         // waits, so the borrow cannot be re-entered
         let mut tail = tail.borrow_mut();
         pad_tail_columns(b, &mut tail, k, n);
         let tail = &tail[..];
-        if worth_parallel(m, k, n, PAR_MIN_WORK_F32) {
-            par_row_panels(out, m, n, &|i0, i1, out_rows| {
-                gemm_panel(isa, lhs.rows_from(i0), b, tail, out_rows, i1 - i0, k, n);
-            });
-        } else {
-            gemm_panel(isa, lhs, b, tail, out, m, k, n);
+        let out = SendPtr::new(out);
+        let panel = |rows: Range<usize>, cols: Range<usize>| {
+            // SAFETY: `out` is the whole `m × n` output, and each arm below
+            // cuts `0..m × 0..n` into panels that share no cell.
+            let cells = unsafe { Panel::new(&out, n, rows, cols) };
+            gemm_panel(isa, lhs, b, tail, cells, k);
+        };
+        match Split::of(m, k, n) {
+            Split::Serial => panel(0..m, 0..n),
+            Split::Rows => {
+                crate::runtime::parallel_for_chunks(m.div_ceil(ROWS_PER_CHUNK), &|c| {
+                    let i0 = c * ROWS_PER_CHUNK;
+                    panel(i0..(i0 + ROWS_PER_CHUNK).min(m), 0..n);
+                });
+            }
+            Split::Columns(width) => {
+                crate::runtime::parallel_for_chunks(n.div_ceil(width), &|c| {
+                    let j0 = c * width;
+                    panel(0..m, j0..(j0 + width).min(n));
+                });
+            }
         }
     });
 }
@@ -176,42 +266,27 @@ fn pad_tail_columns(b: &[f32], tail: &mut Vec<f32>, k: usize, n: usize) {
 }
 
 isa_kernel! {
-    /// Sequential `MR × NR` kernel over `m` rows of `lhs`/`out`: the
-    /// single-threaded sweep, reused verbatim by every parallel panel.
-    /// `tail` is `b`'s [`pad_tail_columns`] panel.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_panel(
-        lhs: Lhs,
-        b: &[f32],
-        tail: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) = gemm_panel_body;
+    /// Sequential `MR × NR` kernel over the rows and columns of `cells`
+    /// (columns from a multiple of `NR` on): the single-threaded sweep,
+    /// reused verbatim by every parallel panel. `tail` is `b`'s
+    /// [`pad_tail_columns`] panel.
+    fn gemm_panel(lhs: Lhs, b: &[f32], tail: &[f32], cells: Panel, k: usize) = gemm_panel_body;
 }
 
 #[inline(always)]
-fn gemm_panel_body(
-    lhs: Lhs,
-    b: &[f32],
-    tail: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut j = 0;
-    while j + NR <= n {
-        column_panel(lhs, b, n, j, out, m, k, n, j, NR);
+fn gemm_panel_body(lhs: Lhs, b: &[f32], tail: &[f32], mut cells: Panel, k: usize) {
+    let (n, end) = (cells.n, cells.cols.end);
+    let mut j = cells.cols.start;
+    while j + NR <= end {
+        column_panel(lhs, b, n, j, &mut cells, k, j, NR);
         j += NR;
     }
-    if j < n {
-        column_panel(lhs, tail, NR, 0, out, m, k, n, j, n - j);
+    if j < end {
+        column_panel(lhs, tail, NR, 0, &mut cells, k, j, end - j);
     }
 }
 
-/// Output columns `j..j + w` (`w ≤ NR`) for all `m` rows: `MR × NR`
+/// Output columns `j..j + w` (`w ≤ NR`) for the rows of `cells`: `MR × NR`
 /// register tiles, then single rows. The tile reads row `p` of the `B`
 /// panel at `b[p * b_stride + b_off..][..NR]` and keeps its first `w` lanes.
 #[allow(clippy::too_many_arguments)]
@@ -221,15 +296,13 @@ fn column_panel(
     b: &[f32],
     b_stride: usize,
     b_off: usize,
-    out: &mut [f32],
-    m: usize,
+    cells: &mut Panel,
     k: usize,
-    n: usize,
     j: usize,
     w: usize,
 ) {
     let a = lhs.data;
-    let mut i = 0;
+    let (mut i, m) = (cells.rows.start, cells.rows.end);
     while i + MR <= m {
         let mut acc = [[0.0f32; NR]; MR];
         for p in 0..k {
@@ -240,8 +313,7 @@ fn column_panel(
             }
         }
         for (mi, accrow) in acc.iter().enumerate() {
-            let o = (i + mi) * n + j;
-            out[o..o + w].copy_from_slice(&accrow[..w]);
+            store_lanes(cells.lanes(i + mi, j, w), *accrow);
         }
         i += MR;
     }
@@ -252,9 +324,21 @@ fn column_panel(
             let brow = &b[p * b_stride + b_off..p * b_stride + b_off + NR];
             axpy_nr(&mut acc, a[i * lhs.row_stride + p * lhs.p_stride], brow);
         }
-        out[i * n + j..i * n + j + w].copy_from_slice(&acc[..w]);
+        store_lanes(cells.lanes(i, j, w), acc);
         i += 1;
     }
+}
+
+/// Writes the first `out.len()` lanes of a finished accumulator row. The
+/// row comes by value: a `copy_from_slice` of run-time length straight out
+/// of the accumulator takes its address, and a tile whose address is taken
+/// lives in memory for the whole `p` loop instead of in registers — which
+/// is what the last `n % NR` columns cost while they did that (`A × B`
+/// 4096×108×12 ran 466 µs against 299 µs for ×16; 320 µs this way), and no
+/// convolution of the width-scaled nets has a multiple of 16 filters.
+#[inline(always)]
+fn store_lanes(out: &mut [f32], lanes: [f32; NR]) {
+    out.copy_from_slice(&lanes[..out.len()]);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +385,7 @@ pub fn matmul_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
     assert_eq!(b.len(), k * n, "matmul_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_slices: out length");
     let _t = Timer::start(KernelOp::Matmul);
-    gemm_rows(Isa::active(), row_major(a, k), b, out, m, k, n);
+    gemm_panels(Isa::active(), row_major(a, k), b, out, m, k, n);
 }
 
 /// `a: (m, k)` row-major as a left operand.
@@ -358,7 +442,7 @@ pub fn matmul_at_b_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
         row_stride: 1,
         p_stride: m,
     };
-    gemm_rows(Isa::active(), at, b, out, m, k, n);
+    gemm_panels(Isa::active(), at, b, out, m, k, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -405,11 +489,11 @@ pub fn matmul_a_bt_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     assert_eq!(out.len(), m * n, "matmul_a_bt_slices: out length");
     let _t = Timer::start(KernelOp::MatmulABt);
     PACKED_BT.with(|bt| {
-        // not re-entered, for the reason given in `gemm_rows`
+        // not re-entered, for the reason given in `gemm_panels`
         let mut bt = bt.borrow_mut();
         bt.resize(k * n, 0.0);
         transpose_blocks(b, &mut bt, n, k);
-        gemm_rows(Isa::active(), row_major(a, k), &bt, out, m, k, n);
+        gemm_panels(Isa::active(), row_major(a, k), &bt, out, m, k, n);
     });
 }
 
@@ -447,7 +531,7 @@ pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: u
     );
     let _t = Timer::start(KernelOp::MatmulI8);
     let isa = Isa::active();
-    if worth_parallel(m, k, n, PAR_MIN_WORK_I8) {
+    if m > ROWS_PER_CHUNK && worth_parallel(m, k, n, PAR_MIN_WORK_I8) {
         par_row_panels(out, m, n, &|i0, i1, out_rows| {
             matmul_i8_panel(isa, &a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
         });
@@ -1005,7 +1089,10 @@ mod tests {
         let mut tail = Vec::new();
         pad_tail_columns(b, &mut tail, k, n);
         let mut c = vec![f32::NAN; m * n];
-        gemm_panel(isa, lhs, b, &tail, &mut c, m, k, n);
+        let out = SendPtr::new(&mut c);
+        // SAFETY: the one panel of `c`, all of it.
+        let cells = unsafe { Panel::new(&out, n, 0..m, 0..n) };
+        gemm_panel(isa, lhs, b, &tail, cells, k);
         c
     }
 
@@ -1079,6 +1166,79 @@ mod tests {
                 assert_eq!(bits(matmul(&a, &b).data()), bits(&want), "matmul {tag}");
                 assert_eq!(bits(matmul_at_b(&at, &b).data()), bits(&want), "at_b {tag}");
                 assert_eq!(bits(matmul_a_bt(&a, &bt).data()), bits(&want), "a_bt {tag}");
+            }
+        }
+    }
+
+    /// Every width of the tail panel — `n % NR` from 1 to 15, alone and
+    /// behind a full panel — with the row tails of the `MR` tile, in all
+    /// three orientations: bit for bit the naive ascending-`p` triple loop.
+    #[test]
+    fn tail_panels_match_the_triple_loop_bitwise() {
+        for w in 1..NR {
+            for n in [w, NR + w] {
+                for (m, k) in [(1, 5), (3, 1), (4, 17), (7, 9), (9, 33)] {
+                    let a = rand_matrix(m, k, (m * 53 + k + w) as u64);
+                    let b = rand_matrix(k, n, (k * 59 + n) as u64);
+                    let (at, bt) = (transpose(&a), transpose(&b));
+                    let want = bits(naive_matmul(&a, &b).data());
+                    let tag = format!("{m}x{k}x{n}");
+                    assert_eq!(bits(matmul(&a, &b).data()), want, "matmul {tag}");
+                    assert_eq!(bits(matmul_at_b(&at, &b).data()), want, "at_b {tag}");
+                    assert_eq!(bits(matmul_a_bt(&a, &bt).data()), want, "a_bt {tag}");
+                }
+            }
+        }
+    }
+
+    /// Products with a single row panel — up to `ROWS_PER_CHUNK` rows, the
+    /// weight gradients' shape — above the pool threshold are cut by
+    /// columns: equal to the serial panel bit for bit, in all three
+    /// orientations, for `n` on and off the `NR` grid, at pool sizes 1, 2
+    /// and 4.
+    #[test]
+    fn column_split_matches_serial_bitwise() {
+        for threads in [1, 2, 4] {
+            crate::runtime::set_threads(threads);
+            for m in [1usize, 4, 12, 23, 32] {
+                for n in [17usize, 108, 130, 144] {
+                    let k = PAR_MIN_WORK_F32.div_ceil(m * n) + 3;
+                    // another test may have resized the pool meanwhile; the
+                    // bytes below must hold either way
+                    if crate::runtime::threads() > 1 {
+                        assert!(matches!(Split::of(m, k, n), Split::Columns(_)));
+                    }
+                    let a = rand_matrix(m, k, (m * 41 + n) as u64);
+                    let b = rand_matrix(k, n, (k * 43 + n) as u64);
+                    let (at, bt) = (transpose(&a), transpose(&b));
+                    let want = bits(&serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n));
+                    let tag = format!("{m}x{k}x{n} at {threads} threads");
+                    assert_eq!(bits(matmul(&a, &b).data()), want, "matmul {tag}");
+                    assert_eq!(bits(matmul_at_b(&at, &b).data()), want, "at_b {tag}");
+                    assert_eq!(bits(matmul_a_bt(&a, &bt).data()), want, "a_bt {tag}");
+                }
+            }
+        }
+    }
+
+    /// The column cut is a function of the shape: whole `NR` panels, at
+    /// most `MAX_COLUMN_CHUNKS` chunks, nothing for a product too small or
+    /// one panel wide, rows first when there is more than one row panel.
+    #[test]
+    fn the_split_is_chosen_from_the_shape() {
+        crate::runtime::set_threads(2);
+        let big = PAR_MIN_WORK_F32;
+        let cases = [
+            ((12, big, 108), Split::Columns(16)), // 7 panels, one each
+            ((12, big, 300), Split::Columns(48)), // 19 panels, 3 a chunk
+            ((32, big, 17), Split::Columns(16)),
+            ((32, big, 16), Split::Serial), // one panel wide
+            ((33, big, 17), Split::Rows),
+            ((12, 4, 108), Split::Serial), // below the threshold
+        ];
+        for ((m, k, n), want) in cases {
+            if crate::runtime::threads() > 1 {
+                assert_eq!(Split::of(m, k, n), want, "{m}x{k}x{n}");
             }
         }
     }
