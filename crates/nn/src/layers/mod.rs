@@ -21,4 +21,4 @@ pub use norm::BatchNorm2d;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use reshape::Flatten;
 pub use residual::Residual;
-pub(crate) use staging::{accumulate_grad, for_chunks, mapped, product, staged};
+pub(crate) use staging::{accumulate_grad, mapped, product, staged};

@@ -1,5 +1,4 @@
 use crate::layer::{Layer, Mode, Parameter};
-use crate::layers::for_chunks;
 use socflow_tensor::{pool, Tensor};
 
 /// Batch normalization over NCHW activations (per-channel statistics).
@@ -59,19 +58,6 @@ fn planes(data: &[f32], c: usize, hw: usize, ci: usize) -> impl Iterator<Item = 
     data.chunks_exact(hw.max(1)).skip(ci).step_by(c)
 }
 
-/// A running estimate after one step of `momentum` towards the batch's.
-///
-/// Out of line on purpose. When the estimate and the batch statistic are
-/// both NaN, the payload the sum keeps is the one in the first operand of
-/// one `addss`, and which term the compiler puts there depends on the loop
-/// this is inlined into — nothing a finite run can see, but
-/// `passes_match_the_old_bodies_bitwise` compares those payloads. Compiled
-/// once, the running term comes first at every call.
-#[inline(never)]
-fn step_towards(running: f32, batch: f32, momentum: f32) -> f32 {
-    (1.0 - momentum) * running + momentum * batch
-}
-
 /// [`planes`], mutably.
 fn planes_mut(
     data: &mut [f32],
@@ -82,98 +68,67 @@ fn planes_mut(
     data.chunks_exact_mut(hw.max(1)).skip(ci).step_by(c)
 }
 
-// Both passes run in two steps, each cut into shape-fixed chunks that go to
-// the worker pool when the activation is large enough (`for_chunks`): the
-// per-channel sums, one channel after another with every sum in the order
-// it always had (samples ascending, a plane front to back), then the
-// per-element arithmetic over runs of whole samples, channel by channel
-// inside a run.
 impl Layer for BatchNorm2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (n, c, h, w) = input.shape().as_nchw();
         assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
         let (hw, per) = (h * w, n * h * w);
-        let x = input.data();
+        let data = input.data();
         let mut out = pool::tensor(input.shape().clone());
-        let (mut mean, mut inv_std) = (pool::take::<f32>(c), pool::take::<f32>(c));
-
-        if mode.train {
-            // the batch's mean and variance, and the running estimates' step
-            // towards them
-            let momentum = self.momentum;
-            let (running_mean, running_var) = (&mut self.running_mean, &mut self.running_var);
-            for_chunks(
-                [&mut mean, &mut inv_std, running_mean, running_var],
-                1,
-                per,
-                &|c0, [mean, var, running_mean, running_var]| {
-                    for i in 0..mean.len() {
-                        let mut sum = 0.0f64;
-                        let mut sum_sq = 0.0f64;
-                        for plane in planes(x, c, hw, c0 + i) {
-                            for &v in plane {
-                                sum += v as f64;
-                                sum_sq += (v as f64) * (v as f64);
-                            }
-                        }
-                        mean[i] = (sum / per as f64) as f32;
-                        let m = mean[i] as f64;
-                        var[i] = ((sum_sq / per as f64) - m * m).max(0.0) as f32;
-                        running_mean[i] = step_towards(running_mean[i], mean[i], momentum);
-                        running_var[i] = step_towards(running_var[i], var[i], momentum);
-                    }
-                },
-            );
-        } else {
-            mean.copy_from_slice(&self.running_mean);
-            inv_std.copy_from_slice(&self.running_var);
-        }
-        for var in &mut inv_std {
-            *var = 1.0 / (*var + self.eps).sqrt();
-        }
-
-        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
-        let sample = c * hw;
         // eval mode normalizes and keeps nothing
-        let xhat = if mode.train {
-            let mut xhat = pool::tensor(input.shape().clone());
-            let outs = [out.data_mut(), xhat.data_mut()];
-            for_chunks(outs, sample, sample, &|s0, [out, xhat]| {
-                let x = &x[s0 * sample..][..out.len()];
-                for ci in 0..c {
-                    let (mean, inv_std, g, b) = (mean[ci], inv_std[ci], gamma[ci], beta[ci]);
-                    let rows = planes_mut(out, c, hw, ci).zip(planes(x, c, hw, ci));
-                    for ((out, x), xhat) in rows.zip(planes_mut(xhat, c, hw, ci)) {
+        let mut cache = mode.train.then(|| Cache {
+            xhat: pool::tensor(input.shape().clone()),
+            inv_std: pool::take::<f32>(c),
+        });
+
+        for ci in 0..c {
+            let (mean, var) = if mode.train {
+                let mut sum = 0.0f64;
+                let mut sum_sq = 0.0f64;
+                for plane in planes(data, c, hw, ci) {
+                    for &v in plane {
+                        sum += v as f64;
+                        sum_sq += (v as f64) * (v as f64);
+                    }
+                }
+                let mean = (sum / per as f64) as f32;
+                let var = ((sum_sq / per as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
+                self.running_mean[ci] =
+                    (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
+                self.running_var[ci] =
+                    (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
+                (mean, var)
+            } else {
+                (self.running_mean[ci], self.running_var[ci])
+            };
+            let inv_std = 1.0 / (var + self.eps).sqrt();
+            let g = self.gamma.value.data()[ci];
+            let b = self.beta.value.data()[ci];
+            let rows = planes_mut(out.data_mut(), c, hw, ci).zip(planes(data, c, hw, ci));
+            match &mut cache {
+                Some(cache) => {
+                    cache.inv_std[ci] = inv_std;
+                    let xhat = planes_mut(cache.xhat.data_mut(), c, hw, ci);
+                    for ((out, x), xhat) in rows.zip(xhat) {
                         for ((o, &x), xh) in out.iter_mut().zip(x).zip(xhat) {
                             *xh = (x - mean) * inv_std;
                             *o = g * *xh + b;
                         }
                     }
                 }
-            });
-            Some(xhat)
-        } else {
-            for_chunks([out.data_mut()], sample, sample, &|s0, [out]| {
-                let x = &x[s0 * sample..][..out.len()];
-                for ci in 0..c {
-                    let (mean, inv_std, g, b) = (mean[ci], inv_std[ci], gamma[ci], beta[ci]);
-                    for (out, x) in planes_mut(out, c, hw, ci).zip(planes(x, c, hw, ci)) {
+                None => {
+                    for (out, x) in rows {
                         for (o, &x) in out.iter_mut().zip(x) {
                             let xh = (x - mean) * inv_std;
                             *o = g * xh + b;
                         }
                     }
                 }
-            });
-            None
-        };
-        pool::give(mean);
-        match xhat {
-            Some(xhat) => {
-                self.release();
-                self.cached = Some(Cache { xhat, inv_std });
             }
-            None => pool::give(inv_std),
+        }
+        if mode.train {
+            self.release();
+            self.cached = cache;
         }
         out
     }
@@ -185,55 +140,35 @@ impl Layer for BatchNorm2d {
             .expect("BatchNorm2d::backward without training forward");
         let (n, c, h, w) = grad_out.shape().as_nchw();
         let hw = h * w;
-        let per = n * hw;
+        let per = (n * hw) as f32;
         let gy = grad_out.data();
         let xh = cache.xhat.data();
+        let mut gx = want_gx.then(|| pool::tensor(grad_out.shape().clone()));
 
-        // channel-wise sums, added to the parameter gradients as they finish
-        let (mut sum_gy, mut sum_gy_xh) = (pool::take::<f32>(c), pool::take::<f32>(c));
-        let (g_gamma, g_beta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
-        for_chunks(
-            [g_gamma, g_beta, &mut sum_gy, &mut sum_gy_xh],
-            1,
-            per,
-            &|c0, [g_gamma, g_beta, sum_gy, sum_gy_xh]| {
-                let grads = g_gamma.iter_mut().zip(g_beta);
-                let sums = sum_gy.iter_mut().zip(sum_gy_xh);
-                for (ci, (grads, sums)) in (c0..).zip(grads.zip(sums)) {
-                    let (mut sum_gy, mut sum_gy_xh) = (0.0f32, 0.0f32);
-                    for (gy, xh) in planes(gy, c, hw, ci).zip(planes(xh, c, hw, ci)) {
-                        for (&gy, &xh) in gy.iter().zip(xh) {
-                            sum_gy += gy;
-                            sum_gy_xh += gy * xh;
-                        }
-                    }
-                    *grads.0 += sum_gy_xh;
-                    *grads.1 += sum_gy;
-                    (*sums.0, *sums.1) = (sum_gy, sum_gy_xh);
+        for ci in 0..c {
+            // channel-wise sums
+            let mut sum_gy = 0.0f32;
+            let mut sum_gy_xh = 0.0f32;
+            for (gy, xh) in planes(gy, c, hw, ci).zip(planes(xh, c, hw, ci)) {
+                for (&gy, &xh) in gy.iter().zip(xh) {
+                    sum_gy += gy;
+                    sum_gy_xh += gy * xh;
                 }
-            },
-        );
+            }
+            self.gamma.grad.data_mut()[ci] += sum_gy_xh;
+            self.beta.grad.data_mut()[ci] += sum_gy;
 
-        let gx = want_gx.then(|| {
-            let mut gx = pool::tensor(grad_out.shape().clone());
-            let (gamma, per, sample) = (self.gamma.value.data(), per as f32, c * hw);
-            for_chunks([gx.data_mut()], sample, sample, &|s0, [gx]| {
-                let (gy, xh) = (&gy[s0 * sample..][..gx.len()], &xh[s0 * sample..]);
-                for ci in 0..c {
-                    let (sum_gy, sum_gy_xh) = (sum_gy[ci], sum_gy_xh[ci]);
-                    let k = gamma[ci] * cache.inv_std[ci] / per;
-                    let operands = planes(gy, c, hw, ci).zip(planes(xh, c, hw, ci));
-                    for (gx, (gy, xh)) in planes_mut(gx, c, hw, ci).zip(operands) {
-                        for ((o, &gy), &xh) in gx.iter_mut().zip(gy).zip(xh) {
-                            *o = k * (per * gy - sum_gy - xh * sum_gy_xh);
-                        }
-                    }
+            let Some(gx) = &mut gx else { continue };
+            let g = self.gamma.value.data()[ci];
+            let inv_std = cache.inv_std[ci];
+            let k = g * inv_std / per;
+            let operands = planes(gy, c, hw, ci).zip(planes(xh, c, hw, ci));
+            for (gx, (gy, xh)) in planes_mut(gx.data_mut(), c, hw, ci).zip(operands) {
+                for ((o, &gy), &xh) in gx.iter_mut().zip(gy).zip(xh) {
+                    *o = k * (per * gy - sum_gy - xh * sum_gy_xh);
                 }
-            });
-            gx
-        });
-        pool::give(sum_gy);
-        pool::give(sum_gy_xh);
+            }
+        }
         pool::recycle(cache.xhat);
         pool::give(cache.inv_std);
         gx
@@ -481,50 +416,12 @@ mod tests {
     /// with its parked buffers poisoned.
     #[test]
     fn passes_match_the_old_bodies_bitwise() {
-        passes_match_the_old_bodies(
-            [[3, 4, 2, 2], [1, 3, 1, 1], [5, 2, 3, 1], [2, 1, 4, 4]],
-            bits,
-        );
-    }
-
-    /// [`bits`] with every NaN mapped to one: where two NaNs meet in an add
-    /// or a multiply, which payload survives is the operand order the
-    /// compiler gave that instruction, and the old bodies are other loops.
-    fn bits_any_nan(values: &[f32]) -> Vec<u32> {
-        let one_nan = |v: &f32| if v.is_nan() { f32::NAN } else { *v }.to_bits();
-        values.iter().map(one_nan).collect()
-    }
-
-    /// The same at sizes whose passes go to the worker pool in chunks —
-    /// channel chunks for the sums, runs of samples for the arithmetic, the
-    /// last run short: equal to the old bodies (`±0`, `±∞` and where the
-    /// NaNs are, bit for bit), and to themselves at pool sizes 1, 2 and 4
-    /// down to the NaN payloads.
-    #[test]
-    fn chunked_passes_match_the_old_bodies_bitwise() {
-        let shapes = [[70, 8, 16, 16], [33, 65, 8, 8]];
-        for shape in shapes {
-            assert!(shape.iter().product::<usize>() >= crate::layers::staging::PAR_MIN_ELEMS);
-        }
-        let runs = [1, 2, 4].map(|threads| {
-            socflow_tensor::runtime::set_threads(threads);
-            passes_match_the_old_bodies(shapes, bits_any_nan)
-        });
-        assert!(runs[0] == runs[1], "pool sizes 1 and 2 differ");
-        assert!(runs[0] == runs[2], "pool sizes 1 and 4 differ");
-    }
-
-    /// Runs both implementations side by side, comparing by `bits`; returns
-    /// every float the new one produced, exactly.
-    fn passes_match_the_old_bodies<const N: usize>(
-        shapes: [[usize; 4]; N],
-        bits: fn(&[f32]) -> Vec<u32>,
-    ) -> Vec<u32> {
-        let mut produced = Vec::new();
-        let mut keep = |values: &[f32]| produced.extend(values.iter().map(|v| v.to_bits()));
         let mut rng = StdRng::seed_from_u64(21);
         let train = Mode::train(Precision::Fp32);
-        for (case, shape) in shapes.into_iter().enumerate() {
+        for (case, shape) in [[3, 4, 2, 2], [1, 3, 1, 1], [5, 2, 3, 1], [2, 1, 4, 4]]
+            .into_iter()
+            .enumerate()
+        {
             for special in [false, true] {
                 let what = format!("case {case}, special values {special}");
                 let (mut new, mut old) = (BatchNorm2d::new(shape[1]), BatchNorm2d::new(shape[1]));
@@ -544,8 +441,6 @@ mod tests {
                     let cache = new.cached.as_ref().unwrap();
                     assert_eq!(bits(cache.xhat.data()), bits(&oxh), "{what}: xhat");
                     assert_eq!(bits(&cache.inv_std), bits(&oinv), "{what}: inv_std");
-                    keep(cache.xhat.data());
-                    keep(&cache.inv_std);
                     // an eval forward in between keeps nothing and clobbers nothing
                     let ye = new.forward(&gy, Mode::eval(Precision::Fp32));
                     let (oye, _, _) = old::forward(&mut old, &gy, Mode::eval(Precision::Fp32));
@@ -563,19 +458,14 @@ mod tests {
                     );
                     for (a, b) in new.parameters().iter().zip(old.parameters()) {
                         assert_eq!(bits(a.grad.data()), bits(b.grad.data()), "{what}: grads");
-                        keep(a.grad.data());
                     }
                     assert_eq!(bits(&new.running_mean), bits(&old.running_mean), "{what}");
                     assert_eq!(bits(&new.running_var), bits(&old.running_var), "{what}");
-                    keep(&new.running_mean);
-                    keep(&new.running_var);
                     for t in [Some(y), Some(ye), gx].into_iter().flatten() {
-                        keep(t.data());
                         pool::recycle(t);
                     }
                 }
             }
         }
-        produced
     }
 }

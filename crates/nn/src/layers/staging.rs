@@ -3,7 +3,6 @@
 
 use crate::layer::{Parameter, Precision};
 use socflow_tensor::quant::{self, QuantFormat};
-use socflow_tensor::runtime;
 use socflow_tensor::{pool, Tensor};
 
 /// The operands of a pass at `precision`: `None` for the ones it reads as
@@ -25,53 +24,12 @@ pub(crate) fn staged<const N: usize>(
     })
 }
 
-/// Fewest elements a per-element pass (batch-norm, ReLU, a mask) touches
-/// before it goes to the worker pool: twice the lowering's
-/// [`runtime::PAR_MIN_ELEMS`], because such a pass does so little per
-/// element that fetching what the other lane wrote shows. Two threads
-/// against one, second lane polling, `(64, c, h, w)` activations, batch-norm
-/// forward / backward, ReLU forward / backward: 2¹⁵·⁶ elements ×0.85 /
-/// ×1.4 / ×2.4 / ×1.6, 2¹⁶·⁶ ×0.74 / ×1.4 / ×1.3 / ×0.9, 2¹⁷·⁶ ×0.53 /
-/// ×0.78 / ×0.77 / ×0.52, 2¹⁸·⁶ ×0.60 / ×0.82 / ×0.70 / ×0.64.
-pub(crate) const PAR_MIN_ELEMS: usize = 1 << 17;
-
-/// Elements' worth of work in one pool chunk of a per-element pass: a few
-/// microseconds, so that claiming a chunk costs little beside running it.
-const CHUNK_WORK: usize = 1 << 12;
-
-/// Runs `body(first_unit, chunks)` over `outs` (equal lengths, `unit`
-/// elements to a unit) cut into runs of whole units — on the worker pool
-/// when the pass is [`PAR_MIN_ELEMS`] elements of work or more (`unit_work` elements
-/// read or written per unit), as one chunk on this thread otherwise. The
-/// cut depends on the shapes alone, and a body writes its own chunks only,
-/// so the bytes are the same at any pool size.
-pub(crate) fn for_chunks<const N: usize>(
-    outs: [&mut [f32]; N],
-    unit: usize,
-    unit_work: usize,
-    body: &(dyn Fn(usize, [&mut [f32]; N]) + Sync),
-) {
-    let (unit, unit_work) = (unit.max(1), unit_work.max(1));
-    let units = outs[0].len() / unit;
-    let per_chunk = if units * unit_work >= PAR_MIN_ELEMS {
-        CHUNK_WORK.div_ceil(unit_work)
-    } else {
-        units.max(1)
-    };
-    runtime::parallel_for_zip_chunks(outs, per_chunk * unit, &|c, chunks| {
-        body(c * per_chunk, chunks)
-    });
-}
-
 /// `f` of every element of `src`, in a step-scratch tensor.
-pub(crate) fn mapped(src: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+pub(crate) fn mapped(src: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let mut out = pool::tensor(src.shape().clone());
-    let src = src.data();
-    for_chunks([out.data_mut()], 1, 1, &|lo, [out]| {
-        for (o, &v) in out.iter_mut().zip(&src[lo..]) {
-            *o = f(v);
-        }
-    });
+    for (o, &v) in out.data_mut().iter_mut().zip(src.data()) {
+        *o = f(v);
+    }
     out
 }
 
@@ -83,12 +41,10 @@ pub(crate) fn mapped(src: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
 pub(crate) fn product(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "shape mismatch in `product`");
     let mut out = pool::tensor(a.shape().clone());
-    let (a, b) = (a.data(), b.data());
-    for_chunks([out.data_mut()], 1, 1, &|lo, [out]| {
-        for (o, (x, y)) in out.iter_mut().zip(a[lo..].iter().zip(&b[lo..])) {
-            *o = x * y;
-        }
-    });
+    let operands = a.data().iter().zip(b.data());
+    for (o, (x, y)) in out.data_mut().iter_mut().zip(operands) {
+        *o = x * y;
+    }
     out
 }
 

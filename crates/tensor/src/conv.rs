@@ -52,9 +52,19 @@
 
 use crate::profile::{KernelOp, Timer};
 use crate::quant::{self, QuantParams};
-use crate::runtime::{self, SendPtr, PAR_MIN_ELEMS};
+use crate::runtime::{self, SendPtr};
 use crate::{linalg, pool, Shape, Tensor};
 use std::cell::RefCell;
+
+/// Fewest patch-matrix elements an `im2col`/`col2im` call (one chunk per
+/// batch sample) moves before it is dispatched on the worker pool. Serial and
+/// parallel paths produce the same bytes, so the threshold affects
+/// wall-clock only. Measured with the second lane polling
+/// ([`crate::runtime`]), 3×3 lowering of 64 samples, `im2col` / `col2im` on
+/// two threads against one: 2¹⁴·⁸ elements ×1.4 / ×1.4, 2¹⁵·⁸ ×1.1–1.2 /
+/// ×1.1–1.2 (slower), 2¹⁶·⁷⁻¹⁶·⁸ ×0.7–0.9 / ×0.8–1.0, 2¹⁷·⁷ ×0.73 / ×0.72,
+/// 2¹⁸·⁸ ×0.65 / ×0.6.
+const PAR_MIN_ELEMS: usize = 1 << 16;
 
 /// Stride and zero-padding of a convolution or pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

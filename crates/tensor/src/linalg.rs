@@ -151,7 +151,15 @@ impl Split {
 
 /// Most chunks a column split makes: enough that two to four lanes claiming
 /// them one at a time end within an eighth of each other, few enough that
-/// the claims (one shared counter) stay small beside a chunk's work.
+/// the claims (one shared counter) stay small beside a chunk's work. A wide
+/// product with a short `k` is where one `NR` panel per chunk loses. `Aᵀ × B`
+/// on two threads, µs at a cap of 2 / 4 / 8 / none (medians over nine
+/// interleaved rounds of each round's lower quartile): 32×64×1024 (64
+/// panels) 55 / 56 / 65 / 95, 10×64×512 (32 panels) 11.2 / 11.5 / 12.0 /
+/// 15.0; with a long `k` the cut makes no difference one can measure —
+/// 12×1024×300 (19 panels) 110 / 106 / 109 / 111, 23×1024×207 166 / 186 /
+/// 166 / 168, 12×4096×108 (7 panels, the cap not reached past 4) 228 / 212 /
+/// 231 / 246.
 const MAX_COLUMN_CHUNKS: usize = 8;
 
 /// The micro-kernels' accumulate step: `acc[c] += av * brow[c]` over the

@@ -43,7 +43,10 @@
 //! inside the budget poll; the surplus left by a shrinking [`set_threads`]
 //! parks at once. The poll reads a relaxed mirror of the queue length,
 //! which is a hint and nothing more: a handle only ever changes hands
-//! under the queue lock.
+//! under the queue lock. A polling lane takes that lock with `try_lock`
+//! only, and polls on when somebody else holds it or was quicker to the
+//! handle: several pollers never queue up on the lock behind one push. Only
+//! a lane on its way to sleep waits for the lock.
 //!
 //! No wake-up is lost, and none is paid for nothing. A worker registers as
 //! a sleeper under the queue lock, after looking at the queue once more;
@@ -66,7 +69,7 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::{Duration, Instant};
 
 /// How long an idle lane polls before it blocks. From the gaps between one
@@ -222,6 +225,15 @@ impl Pool {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The queue if nobody holds its lock right now.
+    fn try_queue(&self) -> Option<MutexGuard<'_, Queue>> {
+        match self.queue.try_lock() {
+            Ok(q) => Some(q),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// The count of submitters blocked on `done_cv`, locked.
     fn done(&self) -> MutexGuard<'_, usize> {
         self.done.lock().unwrap_or_else(|e| e.into_inner())
@@ -318,16 +330,22 @@ fn worker_loop(pool: &'static Pool, id: usize) {
 /// budget, asleep on the queue condvar otherwise or once [`SPIN`] is up.
 fn next_handle(pool: &Pool, id: usize) -> Handle {
     loop {
-        let saw_work = id + 1 < pool.target.load(Ordering::Relaxed)
-            && spin_until(|| pool.queued.load(Ordering::Relaxed) > 0);
+        let polls = id + 1 < pool.target.load(Ordering::Relaxed);
+        if polls && spin_until(|| pool.queued.load(Ordering::Relaxed) > 0) {
+            // A poller only tries the lock: with several lanes polling, a
+            // push would otherwise line all of them up on it, in the way of
+            // the submitter's own `Completion::drop`. Whoever holds it is
+            // taking the handle or queueing more.
+            if let Some(handle) = pool.try_queue().and_then(|mut q| pool.pop(&mut q)) {
+                return handle;
+            }
+            // another lane was quicker; regions are coming, so poll on
+            continue;
+        }
         let mut q = pool.queue();
         loop {
             if let Some(handle) = pool.pop(&mut q) {
                 return handle;
-            }
-            if saw_work {
-                // another lane was quicker; regions are coming, so poll on
-                break;
             }
             q.sleepers += 1;
             pool.parks.fetch_add(1, Ordering::Relaxed);
@@ -519,44 +537,21 @@ pub fn parallel_for_slice_chunks(
     chunk_len: usize,
     body: &(dyn Fn(usize, &mut [f32]) + Sync),
 ) {
-    parallel_for_zip_chunks([out], chunk_len, &|c, [chunk]| body(c, chunk));
-}
-
-/// [`parallel_for_slice_chunks`] over `N` outputs of one length cut at the
-/// same places: `body(i, chunks)` gets chunk `i` of each — what a pass that
-/// writes two results per element needs.
-///
-/// # Panics
-/// Panics if `chunk_len == 0` or the slices differ in length.
-pub fn parallel_for_zip_chunks<const N: usize>(
-    outs: [&mut [f32]; N],
-    chunk_len: usize,
-    body: &(dyn Fn(usize, [&mut [f32]; N]) + Sync),
-) {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let len = outs.first().map_or(0, |out| out.len());
-    assert!(
-        outs.iter().all(|out| out.len() == len),
-        "zipped slices differ in length"
-    );
-    let bases = outs.map(SendPtr::new);
-    parallel_for_chunks(len.div_ceil(chunk_len), &|c| {
+    let len = out.len();
+    if len == 0 {
+        return;
+    }
+    let chunks = len.div_ceil(chunk_len);
+    let base = SendPtr::new(out);
+    parallel_for_chunks(chunks, &|c| {
         let lo = c * chunk_len;
-        let n = chunk_len.min(len - lo);
-        // Safety: chunk ranges are pairwise disjoint, and each slice is
-        // borrowed mutably for the whole call.
-        body(c, bases.each_ref().map(|base| unsafe { base.slice(lo, n) }));
+        let hi = (lo + chunk_len).min(len);
+        // Safety: chunk ranges are pairwise disjoint and in-bounds.
+        let chunk = unsafe { base.slice(lo, hi - lo) };
+        body(c, chunk);
     });
 }
-
-/// Fewest elements a data-movement pass (`im2col`, `col2im`: one chunk per
-/// batch sample) moves before it is dispatched on the pool. Serial and
-/// parallel paths produce the same bytes, so the threshold affects
-/// wall-clock only. Measured with the second lane polling, 3×3 lowering of
-/// 64 samples, `im2col` / `col2im` on two threads against one: 2¹⁴·⁸
-/// elements ×1.4 / ×1.4, 2¹⁵·⁸ ×1.1–1.2 / ×1.1–1.2 (slower), 2¹⁶·⁷⁻¹⁶·⁸
-/// ×0.7–0.9 / ×0.8–1.0, 2¹⁷·⁷ ×0.73 / ×0.72, 2¹⁸·⁸ ×0.65 / ×0.6.
-pub const PAR_MIN_ELEMS: usize = 1 << 16;
 
 /// Crate-internal wrapper that lets kernels hand disjoint sub-slices of one
 /// output buffer (`f32` accumulators, `i32` integer-GEMM outputs, …) to pool
