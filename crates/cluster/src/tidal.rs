@@ -10,6 +10,7 @@ use crate::topology::SocId;
 use crate::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::json::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 /// Mean busy-SoC fraction for each hour of the day, matching the shape of
@@ -21,12 +22,46 @@ pub const HOURLY_BUSY_FRACTION: [f64; 24] = [
     0.72, 0.70, 0.65, 0.62, 0.60, 0.55, 0.42, 0.28, // 16-23
 ];
 
+/// An idle run this long means the SoC is never busy: it is idle through
+/// a window of any length.
+const WHOLE_DAY: usize = 24;
+
 /// A synthetic one-day utilization trace for a cluster of SoCs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serializes as its busy schedule (`busy`, `socs`); the idle-run table
+/// every window test reads is derived from the schedule whenever a trace
+/// is made or loaded.
+#[derive(Debug, Clone)]
 pub struct TidalTrace {
     /// `busy[hour][soc]` — whether the SoC serves user workload that hour.
     busy: Vec<Vec<bool>>,
     socs: usize,
+    /// `runs[hour * socs + soc]` — how many hours from `hour` on the SoC
+    /// stays idle, wrapping midnight: 0 when busy at `hour`, at most 23
+    /// when busy at some hour, [`WHOLE_DAY`] when never.
+    runs: Vec<u8>,
+}
+
+impl Serialize for TidalTrace {
+    fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("busy".to_string(), self.busy.to_json()),
+            ("socs".to_string(), self.socs.to_json()),
+        ])
+    }
+}
+
+impl Deserialize for TidalTrace {
+    fn from_json(v: &Value) -> Result<Self, Error> {
+        let busy: Vec<Vec<bool>> = Deserialize::from_json(v.get("busy"))?;
+        let socs = Deserialize::from_json(v.get("socs"))?;
+        if busy.len() != 24 || busy.iter().any(|row| row.len() != socs) {
+            return Err(Error::msg(format!(
+                "a tidal trace is 24 hourly rows of {socs} SoCs"
+            )));
+        }
+        Ok(TidalTrace::from_busy(busy, socs))
+    }
 }
 
 impl TidalTrace {
@@ -39,10 +74,7 @@ impl TidalTrace {
     /// rather than panicking in the correction loop's `gen_range(0..0)`.
     pub fn generate(socs: usize, seed: u64) -> Self {
         if socs == 0 {
-            return TidalTrace {
-                busy: vec![Vec::new(); 24],
-                socs: 0,
-            };
+            return TidalTrace::from_busy(vec![Vec::new(); 24], 0);
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut busy = Vec::with_capacity(24);
@@ -80,7 +112,27 @@ impl TidalTrace {
             prev = cur.clone();
             busy.push(cur);
         }
-        TidalTrace { busy, socs }
+        TidalTrace::from_busy(busy, socs)
+    }
+
+    /// A trace over a 24-row schedule of `socs`-long rows, with its
+    /// idle-run table.
+    fn from_busy(busy: Vec<Vec<bool>>, socs: usize) -> Self {
+        let mut runs = vec![0u8; 24 * socs];
+        for s in 0..socs {
+            // two days backwards: by the second day every run that wraps
+            // past midnight has met the busy hour that ends it
+            let mut run = 0;
+            for h in (0..48).rev().map(|h| h % 24) {
+                run = if busy[h][s] {
+                    0
+                } else {
+                    (run + 1).min(WHOLE_DAY)
+                };
+                runs[h * socs + s] = run as u8;
+            }
+        }
+        TidalTrace { busy, socs, runs }
     }
 
     /// Number of SoCs in the trace.
@@ -109,12 +161,30 @@ impl TidalTrace {
         self.busy[hour][soc.0]
     }
 
+    /// How many hours from `hour` on a SoC stays idle, wrapping midnight:
+    /// 0 when it is busy at `hour`, 24 when it is never busy (and so idle
+    /// through a window of any length). Reads a table, costs O(1).
+    ///
+    /// # Panics
+    /// Panics if the SoC is out of range.
+    pub fn idle_run(&self, soc: SocId, hour: usize) -> usize {
+        assert!(soc.0 < self.socs, "SoC {} of {}", soc.0, self.socs);
+        self.runs[(hour % 24) * self.socs + soc.0] as usize
+    }
+
+    /// Whether a SoC is idle for the *entire* window
+    /// `[start_hour, start_hour + len)` (wrapping midnight) — the one
+    /// window test.
+    pub fn idle_for(&self, soc: SocId, start_hour: usize, len: usize) -> bool {
+        self.idle_run(soc, start_hour) >= len.min(WHOLE_DAY)
+    }
+
     /// SoCs idle for the *entire* window `[start_hour, start_hour + len)`
     /// (wrapping midnight) — candidates for a training job of that length.
     pub fn idle_through(&self, start_hour: usize, len: usize) -> Vec<SocId> {
         (0..self.socs)
             .map(SocId)
-            .filter(|&s| (0..len).all(|h| !self.is_busy(s, (start_hour + h) % 24)))
+            .filter(|&s| self.idle_for(s, start_hour, len))
             .collect()
     }
 
@@ -202,6 +272,81 @@ mod tests {
         let (_, len) = t.best_idle_window(0);
         assert_eq!(len, 24);
         assert_eq!(t.best_idle_window(1).1, 0);
+    }
+
+    /// The window test as it was before the run table: brute force over
+    /// the busy schedule.
+    fn brute_idle_through(t: &TidalTrace, start: usize, len: usize) -> Vec<SocId> {
+        (0..t.socs())
+            .map(SocId)
+            .filter(|&s| (0..len).all(|h| !t.is_busy(s, (start + h) % 24)))
+            .collect()
+    }
+
+    #[test]
+    fn the_run_table_is_the_window_test() {
+        for seed in [1, 5, 11, 42] {
+            for socs in [0, 1, 7, 32, 60] {
+                let t = TidalTrace::generate(socs, seed);
+                for start in 0..24 {
+                    for len in 1..=24 {
+                        let brute = brute_idle_through(&t, start, len);
+                        let by_run: Vec<SocId> = (0..socs)
+                            .map(SocId)
+                            .filter(|&s| t.idle_run(s, start) >= len)
+                            .collect();
+                        assert_eq!(by_run, brute, "seed {seed}, {socs} SoCs, {start}+{len}");
+                    }
+                    // idle_through reads the table too, past a whole day
+                    for len in 0..=30 {
+                        assert_eq!(
+                            t.idle_through(start, len),
+                            brute_idle_through(&t, start, len)
+                        );
+                    }
+                }
+                // the best window, searched with the brute-force test
+                for min_socs in [0, 1, socs / 2, socs] {
+                    let mut best = (0, 0);
+                    for start in 0..24 {
+                        let mut len = 0;
+                        while len < 24 && brute_idle_through(&t, start, len + 1).len() >= min_socs {
+                            len += 1;
+                        }
+                        if len > best.1 {
+                            best = (start, len);
+                        }
+                    }
+                    assert_eq!(
+                        t.best_idle_window(min_socs),
+                        best,
+                        "seed {seed}, {socs} SoCs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_trace_serializes_as_its_schedule_and_reloads_its_runs() {
+        let t = TidalTrace::generate(7, 3);
+        let json = serde_json::to_string(&t).unwrap();
+        assert!(
+            json.starts_with("{\"busy\":[[") && !json.contains("runs"),
+            "{json}"
+        );
+        let back: TidalTrace = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for h in 0..24 {
+            for s in (0..7).map(SocId) {
+                assert_eq!(back.idle_run(s, h), t.idle_run(s, h));
+            }
+        }
+        // a schedule the table cannot be built from is refused on load
+        let one_hour = "{\"busy\":[[false]],\"socs\":1}";
+        assert!(serde_json::from_str::<TidalTrace>(one_hour).is_err());
+        let wrong_socs = json.replace("\"socs\":7", "\"socs\":8");
+        assert!(serde_json::from_str::<TidalTrace>(&wrong_socs).is_err());
     }
 
     #[test]

@@ -235,9 +235,9 @@ pub(crate) enum PlanKey {
         /// Bits of the profiled β, `None` for the calibrated one.
         profiled_beta: Option<u64>,
     },
-    /// A fleet epoch ([`crate::fleet::priced_epoch_seconds`]): Eq. 1 on
-    /// an integrity-greedy mapping, with the fleet's fixed 0.5 CPU share
-    /// for `mixed` jobs where the tuner derives the share from β.
+    /// A fleet epoch ([`crate::fleet::priced_epoch_seconds`]): the fluid
+    /// timeline on an integrity-greedy mapping, with the fleet's fixed 0.5
+    /// CPU share for `mixed` jobs where the tuner derives the share from β.
     Fleet {
         model: ModelKind,
         preset: DatasetPreset,

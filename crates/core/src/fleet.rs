@@ -10,11 +10,14 @@
 //! - **arrivals** are a deterministic trace — seeded Poisson
 //!   inter-arrival times ([`sample_poisson_arrivals`]) over a small job
 //!   mix ([`standard_job_mix`]);
-//! - **admission** reuses the scheduler's per-SoC memory estimate
-//!   ([`GlobalScheduler::check_memory`]) and the [`TidalTrace`] idle
-//!   windows: the `Tidal` policy only places a job on SoCs that stay
-//!   idle through the job's estimated runtime, the naive `Fifo` baseline
-//!   grabs whatever is idle *right now*;
+//! - **admission** gates each arrival on the scheduler's per-SoC memory
+//!   estimate ([`memory_estimate`]), read off the job's geometry and its
+//!   network's counts (built once per model and preset; no sample is
+//!   synthesised), and places queued jobs on [`TidalTrace`] idle runs:
+//!   the `Tidal` policy only on SoCs that stay idle through the job's
+//!   estimated runtime (capped at 6 h), the naive `Fifo` baseline on
+//!   whatever is idle *right now*. A server with fewer such free SoCs
+//!   than the job asks for is passed over on an hourly count, unscanned;
 //! - **placement** packs jobs onto servers and SoC subsets in priority
 //!   order with elastic capacity sharing: when user load takes some of a
 //!   running job's SoCs back, the job shrinks onto the survivors and its
@@ -36,9 +39,8 @@
 use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::engine::Workload;
 use crate::mapping;
-use crate::options::{Plan, RunOptions};
 use crate::planning::divide_or_serialize;
-use crate::scheduler::{GlobalScheduler, NetworkShape};
+use crate::scheduler::{memory_estimate, NetworkShape};
 use crate::timemodel::TimeModel;
 use serde::Serialize;
 use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -346,6 +348,10 @@ impl FleetReport {
     }
 }
 
+/// The longest window, in hours, the `Tidal` policy asks a job's SoCs to
+/// stay idle for.
+const MAX_LOOKAHEAD: usize = 6;
+
 /// Internal per-job simulation state.
 #[derive(Debug, Clone)]
 struct JobState {
@@ -354,6 +360,9 @@ struct JobState {
     remaining_s: f64,
     /// Current epoch cost over the current allocation, seconds.
     epoch_s: f64,
+    /// Epoch cost over the job's full ask, priced at its first admission
+    /// attempt.
+    full_ask_epoch_s: Option<f64>,
     /// Restore stall charged at the next (re-)admission, seconds.
     pending_penalty_s: f64,
     arrived: bool,
@@ -415,21 +424,21 @@ impl FleetSim {
     }
 
     /// Whether the job's per-SoC footprint fits the SoC memory budget —
-    /// the scheduler's own (topology-aware) estimate. Of the network the
-    /// estimate reads two counts, and getting them means building it
-    /// (random-initialising every weight), so `shapes` keeps them per
-    /// distinct input of that build: the model, and the preset that sets
-    /// its channels and classes.
+    /// the scheduler's own (topology-aware) estimate, which reads the
+    /// job's geometry and not one sample. Of the network it reads two
+    /// counts, and getting them means building it (random-initialising
+    /// every weight), so `shapes` keeps them per distinct input of that
+    /// build: the model, and the preset that sets its channels and
+    /// classes.
     fn fits_memory(
         req: &JobRequest,
         shapes: &mut HashMap<(ModelKind, DatasetPreset), NetworkShape>,
     ) -> bool {
-        let workload = Workload::standard(&req.spec, 64, 8, 0.5);
-        let sched = GlobalScheduler::new(req.spec, workload, RunOptions::default(), Plan::Fixed);
+        let geometry = Workload::model_config(&req.spec, 8, 0.5);
         let shape = *shapes
             .entry((req.spec.model, req.spec.preset))
-            .or_insert_with(|| sched.network_shape());
-        sched.check_memory_for(shape).fits_soc()
+            .or_insert_with(|| NetworkShape::of(&req.spec, geometry));
+        memory_estimate(&req.spec, geometry, shape).fits_soc()
     }
 
     /// Runs the simulation to the horizon and reports.
@@ -446,6 +455,7 @@ impl FleetSim {
                 remaining_epochs: req.spec.epochs,
                 remaining_s: 0.0,
                 epoch_s: 0.0,
+                full_ask_epoch_s: None,
                 pending_penalty_s: 0.0,
                 arrived: false,
                 rejected: false,
@@ -576,39 +586,54 @@ impl FleetSim {
                         .then(a.cmp(&b))
                 }),
             }
+            // per server, how many free SoCs stay idle for each look-ahead
+            // (`free_idle[server][l - 1]` for `l` hours): a server short
+            // of a job's ask is passed over without a scan
+            let mut free_idle: Vec<[usize; MAX_LOOKAHEAD]> = traces
+                .iter()
+                .zip(&alloc)
+                .map(|(trace, held)| {
+                    let mut counts = [0; MAX_LOOKAHEAD];
+                    for s in (0..held.len()).filter(|&s| held[s].is_none()) {
+                        let run = trace.idle_run(SocId(s), hour).min(MAX_LOOKAHEAD);
+                        counts[..run].iter_mut().for_each(|c| *c += 1);
+                    }
+                    counts
+                })
+                .collect();
             for id in order {
                 let req = &self.jobs[id];
                 let need = req.spec.socs;
-                // estimated runtime over a full ask, for the window test
-                let est_epoch = Self::epoch_seconds(req, need);
-                let est_s =
-                    states[id].remaining_epochs as f64 * est_epoch + states[id].pending_penalty_s;
-                let lookahead = ((est_s / 3600.0).ceil() as usize).clamp(1, 6);
-                let mut placed = None;
-                for (server, trace) in traces.iter().enumerate() {
-                    let candidates: Vec<usize> = match self.spec.policy {
-                        FleetPolicy::Fifo => (0..self.spec.socs_per_server)
-                            .filter(|&s| {
-                                alloc[server][s].is_none() && !trace.is_busy(SocId(s), hour)
-                            })
-                            .collect(),
-                        FleetPolicy::Tidal => trace
-                            .idle_through(hour, lookahead)
-                            .into_iter()
-                            .map(|s| s.0)
-                            .filter(|&s| alloc[server][s].is_none())
-                            .collect(),
-                    };
-                    if candidates.len() >= need {
-                        placed = Some((server, candidates[..need].to_vec()));
-                        break;
+                // estimated runtime over a full ask, for the window test;
+                // the full ask's price never changes, so it is looked up once
+                let est_epoch = *states[id]
+                    .full_ask_epoch_s
+                    .get_or_insert_with(|| Self::epoch_seconds(req, need));
+                let lookahead = match self.spec.policy {
+                    // whatever is idle right now
+                    FleetPolicy::Fifo => 1,
+                    FleetPolicy::Tidal => {
+                        let est_s = states[id].remaining_epochs as f64 * est_epoch
+                            + states[id].pending_penalty_s;
+                        ((est_s / 3600.0).ceil() as usize).clamp(1, MAX_LOOKAHEAD)
                     }
-                }
-                let Some((server, socs)) = placed else {
+                };
+                let Some(server) = free_idle.iter().position(|c| c[lookahead - 1] >= need) else {
                     continue;
                 };
+                // the first `need` free SoCs idle through the look-ahead,
+                // in SoC order
+                let trace = &traces[server];
+                let socs: Vec<usize> = (0..self.spec.socs_per_server)
+                    .filter(|&s| {
+                        alloc[server][s].is_none() && trace.idle_for(SocId(s), hour, lookahead)
+                    })
+                    .take(need)
+                    .collect();
                 for &s in &socs {
                     alloc[server][s] = Some(id);
+                    let run = trace.idle_run(SocId(s), hour).min(MAX_LOOKAHEAD);
+                    free_idle[server][..run].iter_mut().for_each(|c| *c -= 1);
                 }
                 let st = &mut states[id];
                 st.epoch_s = est_epoch;

@@ -8,7 +8,7 @@
 //! engine. It also owns the preemption policy: when user workload returns
 //! during training, one logical group is surrendered.
 
-use crate::config::TrainJobSpec;
+use crate::config::{SocFlowConfig, TrainJobSpec};
 use crate::engine::{Engine, Workload};
 use crate::grouping::{choose_group_count, GroupChoice};
 use crate::mapping::{self, Mapping};
@@ -16,6 +16,8 @@ use crate::options::{Plan, Pricing, RunOptions};
 use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::RunResult;
 use socflow_cluster::{ClusterSpec, SocId};
+use socflow_nn::memory::MemoryEstimate;
+use socflow_nn::models::ModelConfig;
 use socflow_telemetry::Event;
 
 /// What the memory estimate reads of a job's network.
@@ -25,6 +27,70 @@ pub struct NetworkShape {
     pub params: usize,
     /// Layers.
     pub layers: usize,
+}
+
+impl NetworkShape {
+    /// Parameter and layer counts of the network `spec` trains at
+    /// geometry `model_cfg`. Builds the network (random-initialising
+    /// every weight) to count them, so callers checking many jobs of one
+    /// model and preset keep the result.
+    pub fn of(spec: &TrainJobSpec, model_cfg: ModelConfig) -> Self {
+        let net = network_of(spec, model_cfg);
+        NetworkShape {
+            params: net.param_count(),
+            layers: net.num_layers(),
+        }
+    }
+}
+
+/// The per-SoC training memory footprint of `spec` and whether it fits
+/// the SoC's budget (each Snapdragon 865 has 12 GB shared with the OS and
+/// user services): what [`GlobalScheduler::check_memory`] checks before
+/// dispatch, read off the job's geometry and its network's counts alone —
+/// no sample, no scheduler.
+pub fn memory_estimate(
+    spec: &TrainJobSpec,
+    model_cfg: ModelConfig,
+    shape: NetworkShape,
+) -> MemoryEstimate {
+    let input_elems = model_cfg.in_channels * model_cfg.input_size * model_cfg.input_size;
+    socflow_nn::memory::estimate_counts(
+        shape.params,
+        shape.layers,
+        per_soc_batch(spec),
+        input_elems,
+        1,
+        2.0,
+    )
+}
+
+/// Per-SoC batch share implied by the planned topology. SoCFlow runs each
+/// logical group data-parallel over its members (the time model prices
+/// `batch / group_size` samples per SoC), so the share is the global batch
+/// over the *smallest* planned group — the most loaded SoC. Synchronous
+/// baselines divide the batch across all SoCs; local and federated
+/// methods train the full batch per participant.
+fn per_soc_batch(spec: &TrainJobSpec) -> usize {
+    let socs = spec.socs.max(1);
+    let groups = match spec.method.socflow() {
+        Some(c) => match c.groups {
+            Some(g) => g.clamp(1, socs),
+            // an unplanned job is admitted against the worst case the
+            // warm-up heuristic could pick (one SoC per group, i.e. the
+            // full batch) rather than paying probe epochs here
+            None => socs,
+        },
+        // synchronous baselines: one data-parallel world over all SoCs
+        None if spec.method.is_fully_synchronous() => 1,
+        // local and federated participants train the full batch
+        None => return spec.global_batch.max(1),
+    };
+    let min_group = mapping::group_sizes(socs, groups)
+        .into_iter()
+        .min()
+        .unwrap_or(1)
+        .max(1);
+    (spec.global_batch.max(1)).div_ceil(min_group)
 }
 
 /// The resolved execution plan for a SoCFlow job.
@@ -112,74 +178,21 @@ impl GlobalScheduler {
         }
     }
 
-    /// Per-SoC batch share implied by the planned topology. SoCFlow runs
-    /// each logical group data-parallel over its members (the time model
-    /// prices `batch / group_size` samples per SoC), so the share is the
-    /// global batch over the *smallest* planned group — the most loaded
-    /// SoC. Synchronous baselines divide the batch across all SoCs; local
-    /// and federated methods train the full batch per participant.
+    /// Per-SoC batch share implied by the planned topology (see
+    /// [`memory_estimate`]); a resumed job is pinned to its snapshot's.
     pub fn per_soc_batch(&self) -> usize {
-        let socs = self.spec.socs.max(1);
-        let groups = match self.spec.method.socflow() {
-            Some(c) => match c.groups {
-                Some(g) => g.clamp(1, socs),
-                // a resumed job is pinned to the snapshot topology; an
-                // unplanned one is admitted against the worst case the
-                // warm-up heuristic could pick (one SoC per group, i.e.
-                // the full batch) rather than paying probe epochs here
-                None => match &self.options.resume {
-                    Some(c) => c.initial_groups.clamp(1, socs),
-                    None => socs,
-                },
-            },
-            // synchronous baselines: one data-parallel world over all SoCs
-            None if self.spec.method.is_fully_synchronous() => 1,
-            // local and federated participants train the full batch
-            None => return self.spec.global_batch.max(1),
-        };
-        let min_group = mapping::group_sizes(socs, groups)
-            .into_iter()
-            .min()
-            .unwrap_or(1)
-            .max(1);
-        (self.spec.global_batch.max(1)).div_ceil(min_group)
-    }
-
-    /// The network this job trains, freshly initialised from its seed.
-    fn build_network(&self) -> socflow_nn::Network {
-        network_of(&self.spec, self.workload.model_cfg)
-    }
-
-    /// Parameter and layer counts of the network this job trains. Builds
-    /// the network to count them, so callers checking many jobs of one
-    /// model keep the result ([`Self::check_memory_for`]).
-    pub fn network_shape(&self) -> NetworkShape {
-        let net = self.build_network();
-        NetworkShape {
-            params: net.param_count(),
-            layers: net.num_layers(),
-        }
+        per_soc_batch(&self.resumed_spec())
     }
 
     /// Estimates the per-SoC training memory footprint of this job and
-    /// whether it fits the SoC's budget — checked before dispatch (each
-    /// Snapdragon 865 has 12 GB shared with the OS and user services).
-    pub fn check_memory(&self) -> socflow_nn::memory::MemoryEstimate {
-        self.check_memory_for(self.network_shape())
+    /// whether it fits the SoC's budget — checked before dispatch.
+    pub fn check_memory(&self) -> MemoryEstimate {
+        self.check_memory_for(NetworkShape::of(&self.spec, self.workload.model_cfg))
     }
 
     /// [`Self::check_memory`] for a network whose shape is already known.
-    pub fn check_memory_for(&self, shape: NetworkShape) -> socflow_nn::memory::MemoryEstimate {
-        let cfg = self.workload.model_cfg;
-        let input_elems = cfg.in_channels * cfg.input_size * cfg.input_size;
-        let est = socflow_nn::memory::estimate_counts(
-            shape.params,
-            shape.layers,
-            self.per_soc_batch(),
-            input_elems,
-            1,
-            2.0,
-        );
+    pub fn check_memory_for(&self, shape: NetworkShape) -> MemoryEstimate {
+        let est = memory_estimate(&self.resumed_spec(), self.workload.model_cfg, shape);
         self.options.emit(Event::MemoryChecked {
             bytes: est.total(),
             fits: est.fits_soc(),
@@ -187,20 +200,29 @@ impl GlobalScheduler {
         est
     }
 
+    /// The job spec with a resumed SoCFlow-variant job's unset group
+    /// count pinned to the snapshot's `initial_groups`: re-running the
+    /// warm-up heuristic would waste probe epochs and could disagree with
+    /// the snapshot's topology.
+    fn resumed_spec(&self) -> TrainJobSpec {
+        let mut spec = self.spec;
+        if let Some(c) = &self.options.resume {
+            if spec.method.socflow().is_some_and(unpinned) {
+                let groups = c.initial_groups.clamp(1, spec.socs.max(1));
+                spec.method = spec.method.pin_groups(groups);
+            }
+        }
+        spec
+    }
+
     /// The job spec the engine will actually run: SoCFlow-variant jobs
     /// with `groups: None` get the group count pinned — from the resume
-    /// snapshot's `initial_groups` when resuming (re-running the warm-up
-    /// heuristic would waste probe epochs and could disagree with the
-    /// snapshot's topology), else from [`Self::plan_topology`].
+    /// snapshot's `initial_groups` when resuming, else from
+    /// [`Self::plan_topology`].
     pub fn resolved_spec(&self) -> TrainJobSpec {
-        let mut spec = self.spec;
-        let unpinned = |c: crate::config::SocFlowConfig| c.groups.is_none();
+        let mut spec = self.resumed_spec();
         if spec.method.socflow().is_some_and(unpinned) {
-            let groups = match &self.options.resume {
-                Some(c) => c.initial_groups.clamp(1, self.spec.socs),
-                None => self.plan_topology().groups,
-            };
-            spec.method = spec.method.pin_groups(groups);
+            spec.method = spec.method.pin_groups(self.plan_topology().groups);
         }
         spec
     }
@@ -252,12 +274,14 @@ impl GlobalScheduler {
     }
 }
 
+/// Whether a SoCFlow config leaves the group count to the planner.
+fn unpinned(c: SocFlowConfig) -> bool {
+    c.groups.is_none()
+}
+
 /// The network `spec` trains at geometry `model_cfg`, freshly initialised
 /// from the job's seed.
-fn network_of(
-    spec: &TrainJobSpec,
-    model_cfg: socflow_nn::models::ModelConfig,
-) -> socflow_nn::Network {
+fn network_of(spec: &TrainJobSpec, model_cfg: ModelConfig) -> socflow_nn::Network {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
     spec.model.build(model_cfg, &mut rng)
@@ -327,9 +351,11 @@ mod tests {
         s
     }
 
-    /// `tune_job` plans from the geometry alone: on every preset it is the
-    /// geometry the generated workload ends up with, and the search it
-    /// drives ranks as the scheduler's own.
+    /// `tune_job` plans and `memory_estimate` admits from the geometry
+    /// alone: on every preset it is the geometry the generated workload
+    /// ends up with, the search it drives ranks as the scheduler's own,
+    /// and the memory gate reads as the scheduler's on every fleet job
+    /// shape.
     #[test]
     fn tuning_needs_the_geometry_and_no_sample() {
         let method = MethodSpec::SocFlow(SocFlowConfig::full());
@@ -338,6 +364,41 @@ mod tests {
             s.preset = preset;
             let built = Workload::standard(&s, 64, 8, 0.5).model_cfg;
             assert_eq!(Workload::model_config(&s, 8, 0.5), built, "{preset}");
+        }
+        let variants: [fn(SocFlowConfig) -> MethodSpec; 3] = [
+            MethodSpec::SocFlow,
+            MethodSpec::SocFlowInt8,
+            MethodSpec::SocFlowHalf,
+        ];
+        for preset in DatasetPreset::ALL {
+            for model in [
+                ModelKind::Vgg11,
+                ModelKind::ResNet18,
+                ModelKind::MobileNetV1,
+            ] {
+                let mut s = TrainJobSpec::new(model, preset, method);
+                let geometry = Workload::model_config(&s, 8, 0.5);
+                let shape = NetworkShape::of(&s, geometry);
+                for make in variants {
+                    for ask in [16, 24, 32] {
+                        s.method = make(SocFlowConfig::with_groups(ask / 4));
+                        s.socs = ask;
+                        s.global_batch = 64;
+                        let sched = GlobalScheduler::new(
+                            s,
+                            Workload::standard(&s, 64, 8, 0.5),
+                            RunOptions::default(),
+                            Plan::Fixed,
+                        );
+                        assert_eq!(
+                            memory_estimate(&s, geometry, shape),
+                            sched.check_memory(),
+                            "{preset} {model:?} {} x{ask}",
+                            s.method.name()
+                        );
+                    }
+                }
+            }
         }
         let s = spec(method);
         let plan = Plan::Auto { budget: 8 };
