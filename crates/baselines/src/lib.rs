@@ -12,14 +12,12 @@
 //! | FedAvg | federated | per-epoch control-board averaging |
 //! | T-FedAvg | federated | tree-aggregation hierarchical FedAvg |
 //!
-//! [`dgc`] implements the Deep Gradient Compression sparsifier HiPress
-//! uses (top-k selection with residual accumulation and momentum
-//! correction), exercised functionally in tests and priced on the wire by
-//! the time model. [`suite`] names the six as [`socflow::config::MethodSpec`]
-//! values and runs a workload through them and SoCFlow, training each
-//! distinct SGD stream once.
+//! HiPress's DGC compression is priced on the wire by the time model
+//! (`calibration::DGC_WIRE_FRACTION`); its SGD stream is RING's. [`suite`]
+//! names the six as [`socflow::config::MethodSpec`] values and runs a
+//! workload through them and SoCFlow, training each distinct SGD stream
+//! once.
 
-pub mod dgc;
 pub mod suite;
 
 #[cfg(test)]

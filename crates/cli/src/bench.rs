@@ -59,7 +59,7 @@ use socflow_nn::models::{ModelConfig, ModelKind};
 use socflow_telemetry::{MemorySink, Summary};
 use socflow_tensor::conv::{self, ConvParams};
 use socflow_tensor::isa::Isa;
-use socflow_tensor::quant::{self, QuantFormat, QuantParams};
+use socflow_tensor::quant::{self, QuantParams};
 use socflow_tensor::{linalg, pool, runtime, Tensor};
 use std::sync::Arc;
 use std::time::Instant;
@@ -527,7 +527,7 @@ fn kernels(fast: bool) -> KernelDoc {
         "65536".into(),
         (256 * 256) as f64,
         &mut || {
-            QuantFormat::Int8.fake_quant_into(&q_in, &mut q_out);
+            quant::fake_quant_into(&q_in, &mut q_out);
         },
     );
 
@@ -1347,7 +1347,7 @@ mod tests {
         assert!((summary.update - result.breakdown.update).abs() < 1e-6);
         assert!((summary.total_time - result.total_time()).abs() < 1e-6);
         assert!((summary.energy - result.energy_joules).abs() < 1e-6);
-        let f = summary.sync_fraction();
+        let f = summary.sync / summary.total_time;
         assert!(f > 0.0 && f < 1.0, "sync fraction {f}");
         // network events rode along in the same stream
         assert!(summary.transfers > 0);

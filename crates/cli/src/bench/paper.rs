@@ -1,5 +1,5 @@
 //! `bench paper` — the paper's evaluation (§4: Table 3, Figs. 3–14) and the
-//! four extension experiments of DESIGN.md §3 as one row set.
+//! three extension experiments of DESIGN.md §3 as one row set.
 //!
 //! Every row is one quantity of one experiment: what the paper reports for
 //! it (where it reports a number), what this run measured, and — for the
@@ -17,7 +17,6 @@
 
 use super::{col, plan_groups, print_table, Cell};
 use crate::commands::default_width;
-use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::mapping::sequential;
@@ -33,11 +32,7 @@ use socflow_cluster::Processor::{GpuA100, GpuV100, SocCpuFp32, SocNpuInt8};
 use socflow_cluster::{ClusterNet, ClusterSpec, SocId};
 use socflow_collectives::{Collective, ParameterServer, RingAllReduce};
 use socflow_data::DatasetPreset::{self, CelebA, Cifar10, Cinic10, Emnist, FashionMnist};
-use socflow_nn::models::ModelKind::{
-    self, LeNet5, MobileNetV1, ResNet18, ResNet50, TinyViT, Vgg11,
-};
-use socflow_nn::{loss, metrics, optim::Sgd, Mode, Precision};
-use socflow_tensor::quant::QuantFormat;
+use socflow_nn::models::ModelKind::{self, LeNet5, MobileNetV1, ResNet18, ResNet50, Vgg11};
 use std::collections::BTreeMap;
 
 /// One of the paper's eight evaluation workloads (a Table 3 row); the model
@@ -99,8 +94,6 @@ struct Size {
     fig6_groups: &'static [usize],
     /// Fig. 10's workloads and SoC counts.
     fig10: (&'static [&'static str], &'static [usize]),
-    /// Extension A's model/dataset pairs.
-    formats_on: &'static [(ModelKind, DatasetPreset)],
 }
 
 const FULL: Size = Size {
@@ -119,7 +112,6 @@ const FULL: Size = Size {
     models: &["VGG11", "ResNet18"],
     fig6_groups: &[1, 2, 4, 8, 16, 32],
     fig10: (&["VGG11", "ResNet18", "LeNet5-FMNIST"], &[8, 16, 24, 32]),
-    formats_on: &[(LeNet5, FashionMnist), (TinyViT, Cifar10)],
 };
 
 const FAST: Size = Size {
@@ -129,7 +121,6 @@ const FAST: Size = Size {
     models: &["VGG11"],
     fig6_groups: &[1, 8],
     fig10: (&["VGG11"], &[8, 32]),
-    formats_on: &[(LeNet5, FashionMnist)],
 };
 
 /// SoCs of the paper's main evaluation, and its logical-group count there.
@@ -247,7 +238,6 @@ pub(super) fn paper(fast: bool) -> Result<PaperDoc, String> {
     p.fig12();
     p.fig13();
     p.fig14();
-    p.ext_formats();
     p.ext_colocation();
     p.ext_underclock();
     p.ext_design_space();
@@ -301,28 +291,6 @@ fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 /// The shared convergence target of one seven-method comparison.
 fn target(runs: &[RunResult]) -> f32 {
     runs[RING].best_accuracy().min(runs[OURS].best_accuracy()) * TARGET_OF_BEST as f32
-}
-
-/// Best eval accuracy of `kind` trained at `precision`. The engine trains
-/// at FP32 and INT8 only, so the format sweep steps the network itself.
-fn train_at(kind: ModelKind, w: &Workload, precision: Precision, epochs: usize) -> f32 {
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut net = kind.build(w.model_cfg, &mut rng);
-    let mut opt = Sgd::new(0.05, 0.9, 5e-4);
-    let eval = w.test.head_batch(512);
-    let mut best = 0.0f32;
-    for _ in 0..epochs {
-        for batch in w.train.epoch_batches(64, &mut rng) {
-            let logits = net.forward(&batch.images, Mode::train(precision));
-            let (_, grad) = loss::softmax_cross_entropy(&logits, &batch.labels);
-            net.backward(&grad, Mode::train(precision));
-            opt.step_zero_grad(&mut net);
-        }
-        opt.set_lr((opt.lr() * 0.9).max(0.01));
-        let logits = net.forward(&eval.images, Mode::eval(precision));
-        best = best.max(metrics::accuracy(&logits, &eval.labels));
-    }
-    best
 }
 
 /// One run of the suite: the size, the per-workload comparisons (the run
@@ -705,22 +673,6 @@ impl Paper {
         }
     }
 
-    /// Extension A (§5): one workload trained at every NPU format.
-    fn ext_formats(&mut self) {
-        use QuantFormat::{Fp16, Int16, Int4, Int8};
-        let (epochs, samples) = (self.size.epochs.min(12), self.size.samples.min(2048));
-        for &(kind, preset) in self.size.formats_on {
-            let spec = TrainJobSpec::new(kind, preset, MethodSpec::Local);
-            let w = Workload::standard(&spec, samples, 8, default_width(kind));
-            let quantized = [Int4, Int8, Int16, Fp16].map(|f| (f.to_string(), Precision::Quant(f)));
-            let fp32 = [("FP32".to_string(), Precision::Fp32)];
-            for (format, precision) in fp32.into_iter().chain(quantized) {
-                let acc = train_at(kind, &w, precision, epochs) as f64 * 100.0;
-                self.row(format!("extA/{kind}/{format}_acc"), acc, "%");
-            }
-        }
-    }
-
     /// Extension B: epoch time while user traffic shares the links.
     fn ext_colocation(&mut self) {
         let mut clear = None;
@@ -798,7 +750,7 @@ impl Paper {
 pub(super) fn assert_rows_cover_every_experiment(results: &[serde_json::Value]) {
     let experiments = [
         "fig3", "fig4a", "fig4b", "fig4c", "fig6", "tab3", "fig8", "fig9", "fig10", "fig11",
-        "fig12", "fig13", "fig14", "extA", "extB", "extC", "extD",
+        "fig12", "fig13", "fig14", "extB", "extC", "extD",
     ];
     let ids: Vec<&str> = results
         .iter()

@@ -8,7 +8,7 @@ use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::engine::Workload;
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
 use socflow::options::{Checkpointing, Plan, RunOptions};
-use socflow::scheduler::GlobalScheduler;
+use socflow::scheduler::{GlobalScheduler, NetworkShape};
 use socflow_baselines::suite::{comparison_methods, Comparison};
 use socflow_cluster::faults::FaultPlan;
 use socflow_cluster::tidal::TidalTrace;
@@ -101,7 +101,7 @@ USAGE:
       fifo = naive greedy). All simulated-clock and deterministic in
       --seed; --trace records job lifecycle events
 
-  models:   lenet5 | vgg11 | resnet18 | resnet50 | mobilenet | tinyvit
+  models:   lenet5 | vgg11 | resnet18 | resnet50 | mobilenet
   datasets: cifar10 | emnist | fmnist | celeba | cinic10
   methods:  ours | ours-int8 | ours-half | ring | ps | hipress | 2d |
             fedavg | t-fedavg | local",
@@ -116,11 +116,10 @@ fn model_of(name: &str) -> Result<ModelKind, String> {
         "resnet18" | "r18" => ModelKind::ResNet18,
         "resnet50" | "r50" => ModelKind::ResNet50,
         "mobilenet" => ModelKind::MobileNetV1,
-        "tinyvit" | "vit" => ModelKind::TinyViT,
         other => {
             return Err(format!(
                 "unknown model `{other}`; known models: lenet5 | vgg11 | resnet18 | \
-                 resnet50 | mobilenet | tinyvit"
+                 resnet50 | mobilenet"
             ))
         }
     })
@@ -165,7 +164,6 @@ pub fn default_width(model: ModelKind) -> f32 {
         ModelKind::ResNet18 => 0.18,
         ModelKind::ResNet50 => 0.1,
         ModelKind::MobileNetV1 => 0.22,
-        ModelKind::TinyViT => 0.5,
     }
 }
 
@@ -303,6 +301,16 @@ pub fn train(opts: &Options) -> Result<(), String> {
     }
     let (model, preset) = (spec.model, spec.preset);
     let workload = Workload::standard(&spec, opts.samples, 8, default_width(model));
+    if let Some(ckpt) = &options.resume {
+        let params = NetworkShape::of(&spec, workload.model_cfg).params;
+        let saved = ckpt.replicas[0].len();
+        if saved != params {
+            return Err(format!(
+                "cannot resume: the checkpoint holds {saved} parameters per replica, \
+                 but {model} on {preset} has {params}"
+            ));
+        }
+    }
     let sched = GlobalScheduler::new(spec, workload, options, plan);
     let profile_base = opts.profile_kernels.then(|| {
         socflow_tensor::profile::set_enabled(true);
@@ -684,7 +692,6 @@ mod tests {
     #[test]
     fn model_and_dataset_lookup() {
         assert_eq!(model_of("vgg11").unwrap(), ModelKind::Vgg11);
-        assert_eq!(model_of("tinyvit").unwrap(), ModelKind::TinyViT);
         let err = model_of("gpt4").unwrap_err();
         assert!(
             err.contains("gpt4") && err.contains("known models:"),
@@ -692,6 +699,23 @@ mod tests {
         );
         assert_eq!(dataset_of("cifar10").unwrap(), DatasetPreset::Cifar10);
         assert!(dataset_of("imagenet").is_err());
+    }
+
+    /// `--model` takes the paper's five CNNs; the transformer names are
+    /// rejected with the list, which the usage banner repeats.
+    #[test]
+    fn tinyvit_is_rejected_with_the_five_known_models() {
+        let five = "lenet5 | vgg11 | resnet18 | resnet50 | mobilenet";
+        for name in ["tinyvit", "vit"] {
+            let err = model_of(name).unwrap_err();
+            assert_eq!(err, format!("unknown model `{name}`; known models: {five}"));
+        }
+        assert!(usage().contains(&format!("models:   {five}\n")));
+        let opts = Options {
+            model: "tinyvit".into(),
+            ..Options::default()
+        };
+        assert!(train(&opts).unwrap_err().contains(five));
     }
 
     #[test]
@@ -989,6 +1013,13 @@ mod tests {
             ..base.clone()
         };
         train(&resumed).unwrap();
+        // a snapshot of another model is refused before training starts
+        let other_model = Options {
+            model: "vgg11".into(),
+            ..resumed.clone()
+        };
+        let err = train(&other_model).unwrap_err();
+        assert!(err.starts_with("cannot resume"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
         // resuming from a missing dir errors cleanly
         let missing = Options {

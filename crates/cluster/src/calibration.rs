@@ -44,10 +44,6 @@ pub const STEP_LATENCY_INTRA: f64 = 0.009;
 /// "preparing and starting" overhead at 32 SoCs.
 pub const STEP_LATENCY_INTER: f64 = 0.021;
 
-/// Per-flow setup latency for a point-to-point transfer outside a
-/// collective (e.g. dispatching checkpoints), seconds.
-pub const FLOW_SETUP_LATENCY: f64 = 0.004;
-
 /// Mobile CPU effective training throughput, FLOP/s (Kryo 585 octa-core,
 /// MNN backend; consistent with the VGG-11 anchor above).
 pub const SOC_CPU_FLOPS: f64 = 50e9;
@@ -111,7 +107,7 @@ pub const PIPELINE_EFFICIENCY: f64 = 0.7;
 /// Fig. 4(a) as documented above. GPU numbers are per-sample times of the
 /// PyTorch reference implementations at batch 128 (small models underutilize
 /// datacenter GPUs — the premise of paper §4.4).
-pub const PER_SAMPLE_MS: [(&str, f64, f64, f64, f64); 6] = [
+pub const PER_SAMPLE_MS: [(&str, f64, f64, f64, f64); 5] = [
     // LeNet is overhead-bound, not FLOP-bound, on every platform: mobile
     // training frameworks pay per-layer dispatch costs that dwarf the
     // 0.85 MFLOP of compute (hence 0.8 ms, not the ~0.05 ms FLOPs would
@@ -123,10 +119,6 @@ pub const PER_SAMPLE_MS: [(&str, f64, f64, f64, f64); 6] = [
     ("ResNet-18", 83.9, 13.0, 0.60, 0.42),
     ("ResNet-50", 160.0, 26.0, 1.30, 0.90),
     ("MobileNetV1", 4.3, 1.5, 0.18, 0.13),
-    // §5 extension: ViT-Tiny-class Transformer. Attention is memory-bound
-    // on mobile CPUs (softmax + small GEMMs); NPU INT8/FP16 paths on
-    // 8gen-class silicon recover a ~5x factor.
-    ("TinyViT", 60.0, 12.0, 0.50, 0.35),
 ];
 
 /// Error returned when a model has no calibration anchor row.

@@ -88,11 +88,6 @@ impl ComputeModel {
         self.profiled_beta
     }
 
-    /// The DNN this model describes.
-    pub fn model_name(&self) -> &str {
-        &self.model
-    }
-
     /// Sets the DVFS frequency factor of one SoC.
     ///
     /// # Panics
@@ -129,15 +124,6 @@ impl ComputeModel {
     /// Panics if the SoC index is out of range.
     pub fn batch_time(&self, soc: usize, proc: Processor, n: usize) -> Seconds {
         self.per_sample(proc) * n as f64 / self.underclock[soc]
-    }
-
-    /// Time for one SoC to train a batch split across CPU and NPU in
-    /// parallel (SoCFlow's on-chip data parallelism): the slower side
-    /// dominates.
-    pub fn mixed_batch_time(&self, soc: usize, cpu_n: usize, npu_n: usize) -> Seconds {
-        let t_cpu = self.batch_time(soc, Processor::SocCpuFp32, cpu_n);
-        let t_npu = self.batch_time(soc, Processor::SocNpuInt8, npu_n);
-        t_cpu.max(t_npu)
     }
 
     /// The β compute-power ratio of paper Eq. 6: the NPU's share of the
@@ -213,15 +199,6 @@ mod tests {
     fn unknown_model_is_rejected_with_known_list() {
         let err = ComputeModel::new("gpt4", 1).unwrap_err();
         assert!(err.to_string().contains("known models:"), "{err}");
-    }
-
-    #[test]
-    fn mixed_batch_is_max_of_sides() {
-        let m = ComputeModel::new("VGG-11", 1).unwrap();
-        let t = m.mixed_batch_time(0, 10, 0);
-        assert!((t - m.batch_time(0, Processor::SocCpuFp32, 10)).abs() < 1e-12);
-        let t2 = m.mixed_batch_time(0, 0, 10);
-        assert!((t2 - m.batch_time(0, Processor::SocNpuInt8, 10)).abs() < 1e-12);
     }
 
     #[test]

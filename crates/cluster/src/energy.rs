@@ -69,24 +69,9 @@ impl EnergyMeter {
         self.joules += state.watts() * duration;
     }
 
-    /// Charges `count` devices in the same state for the same interval.
-    pub fn charge_many(&mut self, state: PowerState, duration: Seconds, count: usize) {
-        self.charge(state, duration * count as f64);
-    }
-
     /// Total energy, joules.
     pub fn joules(&self) -> f64 {
         self.joules
-    }
-
-    /// Total energy, kilojoules.
-    pub fn kilojoules(&self) -> f64 {
-        self.joules / 1e3
-    }
-
-    /// Merges another meter into this one.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        self.joules += other.joules;
     }
 }
 
@@ -111,17 +96,6 @@ mod tests {
     #[test]
     fn gpu_orders_of_magnitude_hungrier() {
         assert!(PowerState::GpuV100.watts() / PowerState::SocMixedTrain.watts() > 30.0);
-    }
-
-    #[test]
-    fn charge_many_and_merge() {
-        let mut a = EnergyMeter::new();
-        a.charge_many(PowerState::SocIdle, 2.0, 10);
-        assert!((a.joules() - 10.0).abs() < 1e-9);
-        let mut b = EnergyMeter::new();
-        b.charge(PowerState::GpuV100, 1.0);
-        a.merge(&b);
-        assert!((a.joules() - (10.0 + calibration::V100_W)).abs() < 1e-9);
     }
 
     #[test]

@@ -133,18 +133,6 @@ impl FaultPlan {
             .collect();
         (0..socs).map(SocId).filter(|s| !dead.contains(s)).collect()
     }
-
-    /// The expected fraction of a job horizon a SoC survives, given the
-    /// combined hazard of reclaim and crash — a quick feasibility check for
-    /// the scheduler ("can a 4 h job expect to keep 32 of 40 SoCs?").
-    pub fn expected_survival(
-        horizon_s: Seconds,
-        mean_reclaim_s: Seconds,
-        mean_crash_s: Seconds,
-    ) -> f64 {
-        let hazard = 1.0 / mean_reclaim_s + 1.0 / mean_crash_s;
-        (-horizon_s * hazard).exp()
-    }
 }
 
 #[cfg(test)]
@@ -191,10 +179,21 @@ mod tests {
         assert_eq!(p.survivors(40, 0.0).len() + p.between(0.0, 0.0).len(), 40);
     }
 
+    /// The closed-form fraction of SoCs that survive `horizon_s`, given the
+    /// combined hazard of reclaim and crash.
+    fn expected_survival(
+        horizon_s: Seconds,
+        mean_reclaim_s: Seconds,
+        mean_crash_s: Seconds,
+    ) -> f64 {
+        let hazard = 1.0 / mean_reclaim_s + 1.0 / mean_crash_s;
+        (-horizon_s * hazard).exp()
+    }
+
     #[test]
     fn expected_survival_matches_samples() {
         // 1 h horizon, 2 h mean reclaim, effectively no crashes
-        let expect = FaultPlan::expected_survival(3600.0, 7200.0, 1e12);
+        let expect = expected_survival(3600.0, 7200.0, 1e12);
         let p = FaultPlan::sample(2000, 3600.0, 7200.0, 1e12, 4);
         let measured = p.survivors(2000, 3600.0).len() as f64 / 2000.0;
         assert!((measured - expect).abs() < 0.04, "{measured} vs {expect}");

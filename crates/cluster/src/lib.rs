@@ -47,7 +47,6 @@ pub mod net;
 pub mod tidal;
 pub mod timeline;
 pub mod topology;
-pub mod trace;
 
 pub use compute::{ComputeModel, Processor};
 pub use energy::{EnergyMeter, PowerState};

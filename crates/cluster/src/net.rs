@@ -94,9 +94,6 @@ pub(crate) struct MaxMinScratch {
 #[derive(Clone)]
 pub struct ClusterNet {
     spec: ClusterSpec,
-    /// Fraction of every link's capacity consumed by co-located user
-    /// workloads (cloud-gaming streams), in `[0, 1)`.
-    background: f64,
     /// Per-link capacities in bytes/s, background load already deducted.
     caps: Vec<f64>,
     /// Telemetry sink; `None` (the default) skips all event construction.
@@ -107,7 +104,6 @@ impl std::fmt::Debug for ClusterNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterNet")
             .field("spec", &self.spec)
-            .field("background", &self.background)
             .field("sink", &self.sink.as_ref().map(|_| "EventSink"))
             .finish()
     }
@@ -134,7 +130,6 @@ impl ClusterNet {
         ClusterNet {
             caps,
             spec,
-            background: 0.0,
             sink: None,
         }
     }
@@ -157,14 +152,8 @@ impl ClusterNet {
             (0.0..1.0).contains(&fraction),
             "background fraction must be in [0,1)"
         );
-        self.background = fraction;
         self.caps = Self::caps_for(&self.spec, fraction);
         self
-    }
-
-    /// Current background-load fraction.
-    pub fn background_load(&self) -> f64 {
-        self.background
     }
 
     /// The underlying cluster spec.
@@ -429,15 +418,6 @@ impl ClusterNet {
             calibration::STEP_LATENCY_INTRA
         };
         latency + stats.makespan
-    }
-
-    /// Time for one point-to-point transfer including per-flow setup.
-    pub fn p2p_time(&self, src: SocId, dst: SocId, bytes: f64) -> Seconds {
-        if src == dst || bytes == 0.0 {
-            return 0.0;
-        }
-        let stats = self.transfer(&[Flow::new(src, dst, bytes)]);
-        calibration::FLOW_SETUP_LATENCY + stats.makespan
     }
 }
 

@@ -87,11 +87,6 @@ impl ClusterSpec {
             .collect()
     }
 
-    /// All SoC ids, board-major.
-    pub fn all_socs(&self) -> Vec<SocId> {
-        (0..self.total_socs()).map(SocId).collect()
-    }
-
     /// `true` if two SoCs share a PCB (their traffic avoids the board NIC).
     pub fn same_board(&self, a: SocId, b: SocId) -> bool {
         self.board_of(a) == self.board_of(b)

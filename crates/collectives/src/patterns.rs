@@ -139,71 +139,14 @@ impl Collective for TreeAggregate {
     }
 }
 
-/// Two-level hierarchical all-reduce: board-local rings reduce first, then
-/// one delegate per board runs an inter-board ring, then delegates
-/// broadcast back inside their boards. This is the datacenter-style
-/// topology SoCFlow's group-wise design generalizes — provided here both
-/// as a comparison point and as the inter-group epoch-boundary pattern.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HierarchicalAllReduce;
-
-impl Collective for HierarchicalAllReduce {
-    fn name(&self) -> &'static str {
-        "Hierarchical-AllReduce"
-    }
-
-    fn time(&self, net: &ClusterNet, members: &[SocId], bytes: f64) -> Seconds {
-        let n = members.len();
-        if n < 2 || bytes == 0.0 {
-            return 0.0;
-        }
-        // partition members by board
-        let mut by_board: std::collections::BTreeMap<usize, Vec<SocId>> =
-            std::collections::BTreeMap::new();
-        for &m in members {
-            by_board
-                .entry(net.spec().board_of(m).0)
-                .or_default()
-                .push(m);
-        }
-        // stage 1: intra-board rings run simultaneously (disjoint links)
-        let intra: Seconds = by_board
-            .values()
-            .map(|g| RingAllReduce.time(net, g, bytes))
-            .fold(0.0, f64::max);
-        // stage 2: delegates ring across boards
-        let delegates: Vec<SocId> = by_board.values().map(|g| g[0]).collect();
-        let inter = RingAllReduce.time(net, &delegates, bytes);
-        // stage 3: delegates broadcast the result inside their board
-        let bcast_flows: Vec<Flow> = by_board
-            .values()
-            .flat_map(|g| {
-                let d = g[0];
-                g[1..].iter().map(move |&m| Flow::new(d, m, bytes))
-            })
-            .collect();
-        let bcast = net.collective_step_time(&bcast_flows);
-        intra + inter + bcast
-    }
-}
-
-/// One-to-all broadcast from `root` to the other members, as a single
-/// simultaneous flow fan-out (the model-dispatch step when a job starts).
-pub fn broadcast_time(net: &ClusterNet, root: SocId, members: &[SocId], bytes: f64) -> Seconds {
-    let flows: Vec<Flow> = members
-        .iter()
-        .filter(|&&m| m != root)
-        .map(|&m| Flow::new(root, m, bytes))
-        .collect();
-    net.collective_step_time(&flows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socflow_cluster::ClusterSpec;
+    use socflow_cluster::{calibration, ClusterSpec};
 
     const MB: f64 = 1e6;
+    /// One SoC link, bytes per second.
+    const BW: f64 = 1e9 / 8.0;
 
     fn net() -> ClusterNet {
         ClusterNet::new(ClusterSpec::paper_server())
@@ -211,6 +154,61 @@ mod tests {
 
     fn socs(n: usize) -> Vec<SocId> {
         (0..n).map(SocId).collect()
+    }
+
+    /// Closed-form Ring-AllReduce time: `2(n−1)` steps of `bytes/n` at
+    /// `bw` plus per-step latency.
+    fn ring_time(n: usize, bytes: f64, bw: f64, step_latency: Seconds) -> Seconds {
+        if n < 2 || bytes == 0.0 {
+            return 0.0;
+        }
+        let steps = 2 * (n - 1);
+        steps as f64 * (bytes / n as f64 / bw + step_latency)
+    }
+
+    /// Closed-form parameter-server time: `n−1` pushes into the server
+    /// link, then `n−1` pulls out of it, serialized on that one link.
+    fn ps_time(n: usize, bytes: f64, bw: f64, step_latency: Seconds) -> Seconds {
+        if n < 2 || bytes == 0.0 {
+            return 0.0;
+        }
+        2.0 * ((n - 1) as f64 * bytes / bw + step_latency)
+    }
+
+    #[test]
+    fn ring_formula_basics() {
+        // n=4, 40 MB, no latency: 6 steps × 10 MB / 125 MB/s = 0.48 s
+        let t = ring_time(4, 40e6, BW, 0.0);
+        assert!((t - 0.48).abs() < 1e-9);
+        assert_eq!(ring_time(1, 40e6, BW, 0.0), 0.0);
+    }
+
+    #[test]
+    fn latency_term_dominates_small_payloads() {
+        let t = ring_time(32, 1.0, BW, 0.02);
+        assert!((t - 62.0 * 0.02).abs() < 1e-6);
+    }
+
+    /// On one board nothing contends, so the fluid simulation must equal
+    /// the closed form.
+    #[test]
+    fn analytic_ring_matches_simulator_intra_board() {
+        let sim = RingAllReduce.time(&net(), &socs(5), 36.9 * MB);
+        let ana = ring_time(5, 36.9 * MB, BW, calibration::STEP_LATENCY_INTRA);
+        assert!(
+            (sim - ana).abs() / ana < 0.01,
+            "simulator {sim} vs analytic {ana}"
+        );
+    }
+
+    #[test]
+    fn analytic_ps_matches_simulator_intra_board() {
+        let sim = ParameterServer::default().time(&net(), &socs(5), 36.9 * MB);
+        let ana = ps_time(5, 36.9 * MB, BW, calibration::STEP_LATENCY_INTRA);
+        assert!(
+            (sim - ana).abs() / ana < 0.01,
+            "simulator {sim} vs analytic {ana}"
+        );
     }
 
     #[test]
@@ -272,55 +270,6 @@ mod tests {
         assert_eq!(RingAllReduce.time(&n, &socs(4), 0.0), 0.0);
         assert_eq!(ParameterServer::default().time(&n, &socs(1), MB), 0.0);
         assert_eq!(TreeAggregate::default().time(&n, &socs(1), MB), 0.0);
-    }
-
-    #[test]
-    fn hierarchical_is_no_silver_bullet_per_batch() {
-        // On SoC-Cluster's 1 Gb/s links, the delegate ring carries the FULL
-        // payload and the board broadcast serializes on one tx link, so
-        // per-batch hierarchical all-reduce does NOT beat the flat ring —
-        // the quantitative reason SoCFlow synchronizes across groups per
-        // EPOCH (delayed aggregation) instead of hierarchically per batch.
-        let flat = RingAllReduce.time(&net(), &socs(32), 36.9 * MB);
-        let hier = HierarchicalAllReduce.time(&net(), &socs(32), 36.9 * MB);
-        assert!(
-            hier > flat * 0.8,
-            "hier {hier} should not decisively beat flat {flat} here"
-        );
-        // …but it still crushes the incast-bound parameter server
-        let ps = ParameterServer::default().time(&net(), &socs(32), 36.9 * MB);
-        assert!(hier < ps / 3.0, "hier {hier} vs ps {ps}");
-    }
-
-    #[test]
-    fn hierarchical_single_board_is_ring_plus_broadcast() {
-        let hier = HierarchicalAllReduce.time(&net(), &socs(5), 10.0 * MB);
-        let ring = RingAllReduce.time(&net(), &socs(5), 10.0 * MB);
-        let bcast = broadcast_time(&net(), SocId(0), &socs(5), 10.0 * MB);
-        assert!(
-            (hier - (ring + bcast)).abs() < 1e-6,
-            "{hier} vs {} + {}",
-            ring,
-            bcast
-        );
-    }
-
-    #[test]
-    fn hierarchical_degenerate_cases() {
-        let n = net();
-        assert_eq!(HierarchicalAllReduce.time(&n, &socs(1), MB), 0.0);
-        assert_eq!(HierarchicalAllReduce.time(&n, &socs(8), 0.0), 0.0);
-    }
-
-    #[test]
-    fn broadcast_is_one_fanout_step() {
-        let n = net();
-        // intra-board fan-out to 4 receivers through the root's tx link
-        let t = broadcast_time(&n, SocId(0), &socs(5), 12.5 * MB);
-        // 4 x 12.5 MB through one 125 MB/s tx link = 0.4 s + latency
-        assert!((t - 0.409).abs() < 0.01, "{t}");
-        // root-only broadcast costs nothing
-        assert_eq!(broadcast_time(&n, SocId(0), &[SocId(0)], MB), 0.0);
     }
 
     #[test]

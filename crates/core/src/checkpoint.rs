@@ -386,7 +386,8 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
+        // `pos + n` could overflow on a corrupt length prefix
+        if n > self.buf.len() - self.pos {
             return Err("truncated checkpoint".into());
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -537,6 +538,26 @@ mod tests {
                 "cut at {cut} must not parse"
             );
         }
+    }
+
+    /// Any one byte of a checkpoint set to 0x00, 0x80 or 0xFF parses or
+    /// fails with a message, never a panic — and so does a string length
+    /// prefix of `u64::MAX`, whose end offset used to overflow.
+    #[test]
+    fn corrupt_bytes_never_panic() {
+        let bytes = full_checkpoint().to_bytes().unwrap();
+        for i in 0..bytes.len() {
+            for v in [0x00, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] = v;
+                let _ = Checkpoint::from_bytes(&bad);
+            }
+        }
+        let method = bytes.windows(4).position(|w| w == b"Ours").unwrap();
+        let mut bad = bytes;
+        bad[method - 8..method].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = Checkpoint::from_bytes(&bad).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]

@@ -271,27 +271,19 @@ mod tests {
         }
     }
 
-    /// The materialised mean `average_replicas` was built on, verbatim.
+    /// The materialised mean `average_replicas` was built on: each element
+    /// summed over the rows in order, then scaled.
     fn mean_of(rows: &[Vec<f32>]) -> Vec<f32> {
-        /// Elements per reduction chunk (shape-fixed).
-        const MEAN_CHUNK: usize = 16 * 1024;
         let inv_n = 1.0 / rows.len() as f32;
-        let len = rows[0].len();
-        let mut out = vec![0.0f32; len];
-        socflow_tensor::runtime::parallel_for_slice_chunks(&mut out, MEAN_CHUNK, &|c, chunk| {
-            let lo = c * MEAN_CHUNK;
-            for row in rows {
-                let hi = (lo + chunk.len()).min(row.len());
-                if lo < hi {
-                    for (m, &v) in chunk.iter_mut().zip(&row[lo..hi]) {
-                        *m += v;
-                    }
-                }
+        let mut out = vec![0.0f32; rows[0].len()];
+        for row in rows {
+            for (m, &v) in out.iter_mut().zip(row) {
+                *m += v;
             }
-            for m in chunk.iter_mut() {
-                *m *= inv_n;
-            }
-        });
+        }
+        for m in out.iter_mut() {
+            *m *= inv_n;
+        }
         out
     }
 

@@ -1,50 +1,9 @@
-//! Group-size selection (paper §3.1, "Determining group size").
-//!
-//! Two tools:
-//!
-//! - [`epoch_time_model`]: the paper's Eq. 1 — per-epoch time as a function
-//!   of the group count `N`, showing why more groups are faster;
-//! - [`choose_group_count`]: the first-epoch-accuracy heuristic — profile
-//!   growing group counts during warm-up and stop at the first count whose
-//!   first-epoch accuracy collapses (Fig. 6 shows first-epoch accuracy
-//!   mirrors converged accuracy).
-
-use socflow_cluster::Seconds;
-
-/// Inputs of the paper's Eq. 1 per-epoch time model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochTimeInputs {
-    /// Total dataset samples (`NUM_sample`).
-    pub samples: usize,
-    /// Per-group global batch size (`BS_g`).
-    pub group_batch: usize,
-    /// Total SoCs (`M`).
-    pub socs: usize,
-    /// Time for ONE SoC to train `BS_g` samples (`T_train^{BS_g}`).
-    pub train_bsg: Seconds,
-    /// Per-iteration synchronization time (`T_sync`, intra + amortized
-    /// inter).
-    pub sync: Seconds,
-}
-
-/// Paper Eq. 1:
-/// `T_epoch = NUM/(N·BS_g) · (T_train^{BS_g} · N/M + T_sync)`.
-///
-/// The `N/M` factor reflects that a group of `M/N` SoCs shares the batch;
-/// the `NUM/(N·BS_g)` factor is the iteration count — all `N` groups
-/// consume data in parallel.
-///
-/// # Panics
-/// Panics if `n_groups` is zero or exceeds `socs`.
-pub fn epoch_time_model(inputs: EpochTimeInputs, n_groups: usize) -> Seconds {
-    assert!(
-        n_groups > 0 && n_groups <= inputs.socs,
-        "invalid group count"
-    );
-    let iters = inputs.samples as f64 / (n_groups as f64 * inputs.group_batch as f64);
-    let per_iter = inputs.train_bsg * n_groups as f64 / inputs.socs as f64 + inputs.sync;
-    iters * per_iter
-}
+//! Group-size selection (paper §3.1, "Determining group size"): the
+//! first-epoch-accuracy heuristic — profile growing group counts during
+//! warm-up and stop at the first count whose first-epoch accuracy collapses
+//! (Fig. 6 shows first-epoch accuracy mirrors converged accuracy). The
+//! paper's Eq. 1, which says why more groups are faster, is priced by
+//! [`crate::timemodel::TimeModel::socflow_epoch`].
 
 /// Outcome of the warm-up group-count search.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,95 +59,9 @@ pub fn choose_group_count(
     }
 }
 
-/// Joint (group count, per-group batch) suggestion from the Eq. 1 model.
-///
-/// Minimizes [`epoch_time_model`] over the candidate grid subject to an
-/// accuracy guard: the *effective global batch* `N·BS_g` may not exceed
-/// `max_global_batch` (large effective batches degrade convergence — the
-/// Fig. 6 phenomenon). `sync_of(batch)` supplies the per-iteration sync
-/// estimate for a batch size (it is batch-independent for ring topologies,
-/// but callers may model pipelined variants).
-///
-/// Returns `(groups, batch, epoch_seconds)`.
-///
-/// # Panics
-/// Panics if a candidate list is empty or no candidate satisfies the guard.
-pub fn choose_group_and_batch(
-    samples: usize,
-    socs: usize,
-    train_per_sample: Seconds,
-    group_candidates: &[usize],
-    batch_candidates: &[usize],
-    max_global_batch: usize,
-    mut sync_of: impl FnMut(usize) -> Seconds,
-) -> (usize, usize, Seconds) {
-    assert!(
-        !group_candidates.is_empty() && !batch_candidates.is_empty(),
-        "need candidates"
-    );
-    let mut best: Option<(usize, usize, Seconds)> = None;
-    for &n in group_candidates {
-        if n == 0 || n > socs {
-            continue;
-        }
-        for &bs in batch_candidates {
-            if n * bs > max_global_batch {
-                continue; // accuracy guard
-            }
-            let t = epoch_time_model(
-                EpochTimeInputs {
-                    samples,
-                    group_batch: bs,
-                    socs,
-                    train_bsg: train_per_sample * bs as f64,
-                    sync: sync_of(bs),
-                },
-                n,
-            );
-            if best.is_none_or(|(_, _, bt)| t < bt) {
-                best = Some((n, bs, t));
-            }
-        }
-    }
-    best.expect("no (groups, batch) candidate satisfies the accuracy guard")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn inputs() -> EpochTimeInputs {
-        EpochTimeInputs {
-            samples: 50_000,
-            group_batch: 64,
-            socs: 32,
-            train_bsg: 64.0 * 0.0105, // VGG-11 CPU per-sample anchor
-            sync: 0.3,
-        }
-    }
-
-    #[test]
-    fn epoch_time_decreases_with_groups() {
-        let i = inputs();
-        let t1 = epoch_time_model(i, 1);
-        let t8 = epoch_time_model(i, 8);
-        let t32 = epoch_time_model(i, 32);
-        assert!(t8 < t1, "{t8} < {t1}");
-        assert!(t32 < t8, "{t32} < {t8}");
-    }
-
-    #[test]
-    fn epoch_time_matches_hand_computation() {
-        let i = EpochTimeInputs {
-            samples: 1000,
-            group_batch: 100,
-            socs: 10,
-            train_bsg: 10.0,
-            sync: 1.0,
-        };
-        // N=5: iters = 1000/500 = 2; per-iter = 10*5/10 + 1 = 6; total 12
-        assert!((epoch_time_model(i, 5) - 12.0).abs() < 1e-9);
-    }
 
     #[test]
     fn heuristic_stops_at_cliff() {
@@ -229,39 +102,6 @@ mod tests {
         // accuracy collapses immediately at 2 groups
         let choice = choose_group_count(32, 0.15, 0.5, |n| if n == 1 { 0.5 } else { 0.1 });
         assert_eq!(choice.groups, 1);
-    }
-
-    #[test]
-    fn joint_suggestion_respects_guard_and_minimizes() {
-        // fixed sync, so more groups & bigger batches are always faster —
-        // the guard must bind
-        let (n, bs, t) = choose_group_and_batch(
-            50_000,
-            32,
-            0.0105,
-            &[1, 2, 4, 8, 16],
-            &[32, 64, 128],
-            512,
-            |_| 0.3,
-        );
-        assert!(n * bs <= 512, "guard violated: {n}x{bs}");
-        // the unguarded optimum (16, 128) is excluded; expect a boundary point
-        assert!(n * bs >= 256, "should sit near the guard: {n}x{bs}");
-        assert!(t > 0.0);
-    }
-
-    #[test]
-    fn joint_suggestion_prefers_big_batch_when_sync_dominates() {
-        // huge sync per iteration → fewer iterations (big batch) wins
-        let (_, bs, _) =
-            choose_group_and_batch(10_000, 16, 0.001, &[4], &[16, 64, 256], 2048, |_| 5.0);
-        assert_eq!(bs, 256);
-    }
-
-    #[test]
-    #[should_panic(expected = "no (groups, batch) candidate")]
-    fn joint_suggestion_panics_when_guard_excludes_all() {
-        let _ = choose_group_and_batch(100, 8, 0.01, &[8], &[64], 63, |_| 0.1);
     }
 
     #[test]

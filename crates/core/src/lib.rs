@@ -7,8 +7,8 @@
 //! The crate implements the two techniques of the paper end to end:
 //!
 //! 1. **Group-wise parallelism with delayed aggregation** (§3.1)
-//!    - [`grouping`]: the per-epoch time model (Eq. 1) and the first-epoch
-//!      accuracy heuristic that picks the logical-group count;
+//!    - [`grouping`]: the first-epoch accuracy heuristic that picks the
+//!      logical-group count (Eq. 1 lives in [`timemodel`]);
 //!    - [`mapping`]: the *integrity-greedy* logical→physical mapping with
 //!      its optimality (Theorem 1) and ≤2-contender (Theorem 2) guarantees;
 //!    - [`planning`]: communication-group division by bipartite 2-coloring

@@ -52,11 +52,10 @@ impl MixedPrecisionController {
         self.beta
     }
 
-    /// Refreshes α from probe-set logits of the two models (Eq. 4),
-    /// clamping to `[0, 1]` (anti-correlated logits mean the INT8 model is
-    /// useless: zero confidence).
+    /// Refreshes α from probe-set logits of the two models (Eq. 4,
+    /// [`socflow_nn::metrics::logits_confidence`]).
     pub fn update_alpha(&mut self, logits_fp32: &Tensor, logits_int8: &Tensor) {
-        self.alpha = logits_fp32.cosine_similarity(logits_int8).clamp(0.0, 1.0);
+        self.alpha = socflow_nn::metrics::logits_confidence(logits_fp32, logits_int8);
     }
 
     /// Overrides α directly (tests, "Ours-Half" ablation).
@@ -100,20 +99,10 @@ impl MixedPrecisionController {
         (cpu, n - cpu)
     }
 
-    /// Merges per-parameter weights (Eq. 5):
-    /// `w = e^{-α}·w_FP32 + (1−e^{-α})·w_INT8`.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length.
-    pub fn merge_weights(&self, w_fp32: &[f32], w_int8: &[f32]) -> Vec<f32> {
-        let mut out = w_fp32.to_vec();
-        self.merge_weights_inplace(&mut out, w_int8);
-        out
-    }
-
-    /// [`MixedPrecisionController::merge_weights`] merging into the FP32
-    /// slice in place — the per-batch merge runs it over each parameter's
-    /// own storage.
+    /// Merges per-parameter weights (Eq. 5),
+    /// `w = e^{-α}·w_FP32 + (1−e^{-α})·w_INT8`, into the FP32 slice in
+    /// place — the per-batch merge runs it over each parameter's own
+    /// storage.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
@@ -187,13 +176,17 @@ mod tests {
 
     #[test]
     fn merge_weights_eq5() {
+        let merged = |c: &MixedPrecisionController| {
+            let mut w = [2.0];
+            c.merge_weights_inplace(&mut w, &[10.0]);
+            w[0]
+        };
         let mut c = MixedPrecisionController::new(0.5);
         c.set_alpha(0.0); // k = 1 → pure FP32
-        assert_eq!(c.merge_weights(&[2.0], &[10.0]), vec![2.0]);
+        assert_eq!(merged(&c), 2.0);
         c.set_alpha(1.0); // k = e^{-1}
         let k = (-1.0f32).exp();
-        let m = c.merge_weights(&[2.0], &[10.0]);
-        assert!((m[0] - (k * 2.0 + (1.0 - k) * 10.0)).abs() < 1e-6);
+        assert!((merged(&c) - (k * 2.0 + (1.0 - k) * 10.0)).abs() < 1e-6);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl RunResult {
         self.epoch_accuracy.iter().copied().fold(0.0, f32::max)
     }
 
-    /// Final-epoch accuracy.
-    pub fn final_accuracy(&self) -> f32 {
-        *self.epoch_accuracy.last().unwrap_or(&0.0)
-    }
-
     /// Total simulated training time, seconds (epoch time plus any
     /// crash-restore stalls).
     pub fn total_time(&self) -> Seconds {
@@ -162,7 +157,6 @@ mod tests {
     fn accuracy_accessors() {
         let r = result();
         assert_eq!(r.best_accuracy(), 0.7);
-        assert_eq!(r.final_accuracy(), 0.69);
     }
 
     #[test]

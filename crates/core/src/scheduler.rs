@@ -45,21 +45,20 @@ impl NetworkShape {
 
 /// The per-SoC training memory footprint of `spec` and whether it fits
 /// the SoC's budget (each Snapdragon 865 has 12 GB shared with the OS and
-/// user services): what [`GlobalScheduler::check_memory`] checks before
-/// dispatch, read off the job's geometry and its network's counts alone —
-/// no sample, no scheduler.
+/// user services): what fleet admission checks before dispatch, read off
+/// the job's geometry and its network's counts alone — no sample, no
+/// scheduler.
 pub fn memory_estimate(
     spec: &TrainJobSpec,
     model_cfg: ModelConfig,
     shape: NetworkShape,
 ) -> MemoryEstimate {
     let input_elems = model_cfg.in_channels * model_cfg.input_size * model_cfg.input_size;
-    socflow_nn::memory::estimate_counts(
+    socflow_nn::memory::estimate(
         shape.params,
         shape.layers,
         per_soc_batch(spec),
         input_elems,
-        1,
         2.0,
     )
 }
@@ -182,22 +181,6 @@ impl GlobalScheduler {
     /// [`memory_estimate`]); a resumed job is pinned to its snapshot's.
     pub fn per_soc_batch(&self) -> usize {
         per_soc_batch(&self.resumed_spec())
-    }
-
-    /// Estimates the per-SoC training memory footprint of this job and
-    /// whether it fits the SoC's budget — checked before dispatch.
-    pub fn check_memory(&self) -> MemoryEstimate {
-        self.check_memory_for(NetworkShape::of(&self.spec, self.workload.model_cfg))
-    }
-
-    /// [`Self::check_memory`] for a network whose shape is already known.
-    pub fn check_memory_for(&self, shape: NetworkShape) -> MemoryEstimate {
-        let est = memory_estimate(&self.resumed_spec(), self.workload.model_cfg, shape);
-        self.options.emit(Event::MemoryChecked {
-            bytes: est.total(),
-            fits: est.fits_soc(),
-        });
-        est
     }
 
     /// The job spec with a resumed SoCFlow-variant job's unset group
@@ -384,15 +367,11 @@ mod tests {
                         s.method = make(SocFlowConfig::with_groups(ask / 4));
                         s.socs = ask;
                         s.global_batch = 64;
-                        let sched = GlobalScheduler::new(
-                            s,
-                            Workload::standard(&s, 64, 8, 0.5),
-                            RunOptions::default(),
-                            Plan::Fixed,
-                        );
+                        let built = Workload::standard(&s, 64, 8, 0.5).model_cfg;
+                        let from_built = NetworkShape::of(&s, built);
                         assert_eq!(
                             memory_estimate(&s, geometry, shape),
-                            sched.check_memory(),
+                            memory_estimate(&s, built, from_built),
                             "{preset} {model:?} {} x{ask}",
                             s.method.name()
                         );
@@ -499,7 +478,7 @@ mod tests {
     fn memory_admission_passes_for_scaled_jobs() {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let est = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Fixed).check_memory();
+        let est = memory_estimate(&s, w.model_cfg, NetworkShape::of(&s, w.model_cfg));
         assert!(
             est.fits_soc(),
             "scaled jobs must fit: {} bytes",
@@ -508,7 +487,7 @@ mod tests {
         assert!(est.total() > 0);
     }
 
-    /// Regression (ISSUE 8): `check_memory` used to hardcode a
+    /// Regression: the memory gate used to hardcode a
     /// `global_batch / 4` per-SoC share. A 60-SoC single-group job actually
     /// spreads the batch over 60 members, so the old estimate overpriced
     /// activations ~15x and could refuse admission to jobs that fit.
@@ -525,14 +504,22 @@ mod tests {
             4,
             "240 samples over one 60-SoC group"
         );
-        let est = sched.check_memory();
+        let est = memory_estimate(&s, w.model_cfg, NetworkShape::of(&s, w.model_cfg));
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(s.seed);
         let net = s.model.build(w.model_cfg, &mut rng);
         let cfg = w.model_cfg;
         let input_elems = cfg.in_channels * cfg.input_size * cfg.input_size;
-        let expected = socflow_nn::memory::estimate(&net, 4, input_elems, 1, 2.0);
-        let old = socflow_nn::memory::estimate(&net, 240 / 4, input_elems, 1, 2.0);
+        let of = |batch| {
+            socflow_nn::memory::estimate(
+                net.param_count(),
+                net.num_layers(),
+                batch,
+                input_elems,
+                2.0,
+            )
+        };
+        let (expected, old) = (of(4), of(240 / 4));
         assert_eq!(est.total(), expected.total());
         assert!(
             old.total() > 2 * est.total(),

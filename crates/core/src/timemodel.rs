@@ -169,12 +169,6 @@ impl TimeModel {
         });
     }
 
-    /// Removes the wait-free overlap plan (planned simulated epochs fall
-    /// back to [`crate::sim::SyncSchedule::Interleaved`]).
-    pub fn clear_overlap(&mut self) {
-        self.overlap = None;
-    }
-
     /// The active wait-free overlap plan, if any.
     pub fn overlap(&self) -> Option<&OverlapPlan> {
         self.overlap.as_ref()

@@ -39,13 +39,11 @@
 
 #![deny(missing_docs)]
 
-pub mod augment;
 mod dataset;
 mod partition;
 mod presets;
 pub mod stream;
 
-pub use augment::Augment;
 pub use dataset::{Batch, BatchIter, Dataset, SyntheticSpec};
 pub use partition::{dirichlet_partition, iid_partition, label_shard_partition, Partitioner};
 pub use presets::{DatasetPreset, PresetSpec};

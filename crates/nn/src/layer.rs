@@ -9,25 +9,12 @@ use socflow_tensor::{pool, Tensor};
 /// bounded quantization noise — the numeric behaviour of NiTi-style integer
 /// training that causes the accuracy degradation SoCFlow's mixed-precision
 /// controller manages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// Full 32-bit floating point (mobile CPU).
     Fp32,
-    /// Quantization-aware training at a low-precision NPU format.
-    /// [`Precision::Int8`] is the format the paper's Snapdragon 865 NPU
-    /// uses; newer NPUs add INT4/INT16/FP16 (paper §5).
-    Quant(socflow_tensor::quant::QuantFormat),
-}
-
-impl Precision {
-    /// The paper's NPU format: 8-bit integer QAT.
-    #[allow(non_upper_case_globals)]
-    pub const Int8: Precision = Precision::Quant(socflow_tensor::quant::QuantFormat::Int8);
-
-    /// `true` for any low-precision (non-FP32) mode.
-    pub fn is_quantized(self) -> bool {
-        matches!(self, Precision::Quant(_))
-    }
+    /// 8-bit integer quantization-aware training (mobile NPU).
+    Int8,
 }
 
 /// Execution mode of one pass: train vs. eval, and the numeric precision.

@@ -1,8 +1,7 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::{accumulate_grad, staged};
+use crate::layers::accumulate_grad;
 use rand::Rng;
 use socflow_tensor::conv::{conv2d, conv2d_backward, conv2d_int8, ConvParams};
-use socflow_tensor::quant::QuantFormat;
 use socflow_tensor::{init, pool, Shape, Tensor};
 
 /// 2-D convolution layer (no bias — models here always follow a conv with
@@ -52,11 +51,6 @@ impl Conv2d {
         }
     }
 
-    /// The convolution geometry (stride/padding).
-    pub fn conv_params(&self) -> ConvParams {
-        self.params
-    }
-
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.out_channels
@@ -67,23 +61,13 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         // INT8 runs the integer im2col-GEMM path ([`conv2d_int8`]), which
         // returns the dequantized patches, so the cache and the backward
-        // below are shared with the other precisions.
-        let int8 = mode.precision == Precision::Quant(QuantFormat::Int8);
-        let staging = if int8 {
-            Precision::Fp32
-        } else {
-            mode.precision
-        };
-        let [xq, wq] = staged(staging, [input, &self.weight.value]);
-        let x = xq.as_ref().unwrap_or(input);
-        let w = wq.as_ref().unwrap_or(&self.weight.value);
-        let (y, patches) = if int8 {
-            let (y, patches, _, _) = conv2d_int8(x, w, self.params);
+        // below are shared with FP32.
+        let (y, patches) = if mode.precision == Precision::Int8 {
+            let (y, patches, _, _) = conv2d_int8(input, &self.weight.value, self.params);
             (y, patches)
         } else {
-            conv2d(x, w, self.params)
+            conv2d(input, &self.weight.value, self.params)
         };
-        pool::recycle_all([xq, wq].into_iter().flatten());
         if mode.train {
             self.release();
             self.cached = Some((patches, input.shape().clone()));
@@ -107,7 +91,7 @@ impl Layer for Conv2d {
             want_gx,
         );
         pool::recycle(patches);
-        if mode.precision.is_quantized() {
+        if mode.precision == Precision::Int8 {
             self.step += 1.0;
         }
         let seed = (self.step as u64).wrapping_mul(0xC2B2);

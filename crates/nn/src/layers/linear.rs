@@ -1,13 +1,13 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::{accumulate_grad, staged};
+use crate::layers::accumulate_grad;
 use rand::Rng;
-use socflow_tensor::quant::{self, QuantFormat, QuantParams};
+use socflow_tensor::quant::{self, QuantParams};
 use socflow_tensor::{init, linalg, pool, Tensor};
 
 /// Fully connected layer: `y = x·W + b` with `x: (n, in)`, `W: (in, out)`.
 ///
 /// A training forward keeps a copy of the activations it multiplied
-/// (fake-quantized in a quantized pass) until its backward.
+/// (dequantized in an INT8 pass) until its backward.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Parameter,
@@ -80,24 +80,17 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        // INT8 runs the true integer kernel; other quantized formats stage
-        // fused quantize→dequantize results (no integer grid of their own
-        // on the GEMM), and Fp32 borrows the operands directly.
-        if mode.precision == Precision::Quant(QuantFormat::Int8) {
+        if mode.precision == Precision::Int8 {
             return self.forward_int8(input, mode);
         }
-        let [xq, wq] = staged(mode.precision, [input, &self.weight.value]);
-        let x = xq.as_ref().unwrap_or(input);
-        let w = wq.as_ref().unwrap_or(&self.weight.value);
-        let mut y = pool::tensor([x.shape().dim(0), self.out_features]);
-        linalg::matmul_into(x, w, &mut y);
+        let mut y = pool::tensor([input.shape().dim(0), self.out_features]);
+        linalg::matmul_into(input, &self.weight.value, &mut y);
         y.add_row_broadcast_inplace(&self.bias.value);
         if mode.train {
-            let cache = pool::copy_of(x);
+            let cache = pool::copy_of(input);
             self.release();
             self.cached_input = Some(cache);
         }
-        pool::recycle_all([xq, wq].into_iter().flatten());
         y
     }
 
@@ -112,7 +105,7 @@ impl Layer for Linear {
         pool::recycle(x);
         let mut gb = pool::tensor([self.out_features]);
         grad_out.sum_rows_into(&mut gb);
-        if mode.precision.is_quantized() {
+        if mode.precision == Precision::Int8 {
             self.step += 1.0;
         }
         let step = self.step as u64;
@@ -252,8 +245,9 @@ mod tests {
 
         let px = quant::QuantParams::from_tensor(&x);
         let pw = quant::QuantParams::from_tensor(&l.weight.value);
-        let qx = quant::quantize(&x, px);
-        let qw = quant::quantize(&l.weight.value, pw); // (in, out) row-major
+        let (mut qx, mut qw) = (Vec::new(), Vec::new());
+        quant::quantize_into(&x, px, &mut qx);
+        quant::quantize_into(&l.weight.value, pw, &mut qw); // (in, out) row-major
         let s = px.scale * pw.scale;
         for i in 0..batch {
             for j in 0..nout {

@@ -4,7 +4,6 @@
 mod activation;
 mod conv;
 mod depthwise;
-mod dropout;
 mod linear;
 mod norm;
 mod pool;
@@ -15,7 +14,6 @@ mod staging;
 pub use activation::Relu;
 pub use conv::Conv2d;
 pub use depthwise::DepthwiseConv2d;
-pub use dropout::Dropout;
 pub use linear::Linear;
 pub use norm::BatchNorm2d;
 pub use pool::{GlobalAvgPool, MaxPool2d};

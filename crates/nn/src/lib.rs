@@ -12,13 +12,12 @@
 //!   their backward needs — in buffers borrowed from the calling thread's
 //!   step scratch ([`socflow_tensor::pool`]) and handed back by the end of
 //!   `backward`, which is told whether its input gradient is wanted.
-//! - [`Network`]: an owned stack of layers with flat parameter/gradient
+//! - [`Network`]: an owned stack of layers with flat parameter and state
 //!   views, the unit that SoC workers replicate and synchronize.
-//! - [`GradReady`] / [`Network::grad_layout`] /
-//!   [`Network::backward_with_ready`]: the flat-gradient layout table and
-//!   the per-layer readiness stream backprop emits in reverse layer order,
-//!   plus [`bucketize`] to coalesce layers into [`GradBucket`] transfer
-//!   units — the hooks wait-free communication overlap builds on.
+//! - [`GradReady`] / [`Network::grad_layout`]: the flat-gradient layout
+//!   table, whose spans backprop completes in reverse layer order, plus
+//!   [`bucketize`] to coalesce layers into [`GradBucket`] transfer units —
+//!   the hooks wait-free communication overlap builds on.
 //! - [`Precision`]: FP32 (mobile CPU path) or INT8 quantization-aware
 //!   training (mobile NPU path, NiTi-style): weights and activations are
 //!   fake-quantized in the forward pass and gradients receive bounded
@@ -52,7 +51,6 @@
 //! }
 //! ```
 
-pub mod attention;
 mod layer;
 pub mod layers;
 pub mod loss;
@@ -61,7 +59,6 @@ pub mod metrics;
 pub mod models;
 mod network;
 pub mod optim;
-pub mod schedule;
 
 pub use layer::{Layer, Mode, Parameter, Precision};
 pub use network::{bucketize, GradBucket, GradReady, Network};

@@ -2,24 +2,9 @@
 
 use socflow_tensor::{pool, Tensor};
 
-/// Numerically stable row-wise softmax of a `(n, classes)` logits matrix.
-pub fn softmax(logits: &Tensor) -> Tensor {
-    let (n, c) = logits.shape().as_matrix();
-    let mut out = logits.clone();
-    softmax_rows_inplace(out.data_mut(), n, c);
-    out
-}
-
-/// Row-wise softmax over a flat `rows × cols` slice, in place.
-///
-/// Shares the exact arithmetic of [`softmax`] so callers that operate on
-/// pooled scratch (e.g. attention scores) stay bit-identical with the
-/// allocating path.
-///
-/// # Panics
-/// Panics if `data.len() != rows * cols`.
-pub fn softmax_rows_inplace(data: &mut [f32], rows: usize, cols: usize) {
-    assert_eq!(data.len(), rows * cols, "softmax slice length mismatch");
+/// Numerically stable row-wise softmax over a flat `rows × cols` slice, in
+/// place.
+fn softmax_rows_inplace(data: &mut [f32], rows: usize, cols: usize) {
     for r in 0..rows {
         let row = &mut data[r * cols..(r + 1) * cols];
         let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
@@ -67,6 +52,13 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn softmax(logits: &Tensor) -> Tensor {
+        let (n, c) = logits.shape().as_matrix();
+        let mut out = logits.clone();
+        softmax_rows_inplace(out.data_mut(), n, c);
+        out
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {

@@ -8,7 +8,6 @@
 //! *reference* full-size statistics from [`ModelKind::reference_params`] and
 //! [`ModelKind::reference_flops`].
 
-use crate::attention::{LayerNorm, MeanPoolTokens, PatchEmbed, SelfAttention, TokenFeedForward};
 use crate::layers::{
     BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu, Residual,
 };
@@ -60,21 +59,16 @@ pub enum ModelKind {
     ResNet50,
     /// MobileNetV1 (CIFAR-10 workload).
     MobileNetV1,
-    /// A compact ViT-style Transformer — the paper's §5 future-work
-    /// direction (newer NPUs make Transformer training on SoC-Cluster
-    /// feasible). Reference statistics follow ViT-Tiny.
-    TinyViT,
 }
 
 impl ModelKind {
-    /// All model kinds: the paper's Table 2 order, then the §5 extension.
-    pub const ALL: [ModelKind; 6] = [
+    /// All model kinds, in the paper's Table 2 order.
+    pub const ALL: [ModelKind; 5] = [
         ModelKind::LeNet5,
         ModelKind::Vgg11,
         ModelKind::ResNet18,
         ModelKind::ResNet50,
         ModelKind::MobileNetV1,
-        ModelKind::TinyViT,
     ];
 
     /// Reference (width = 1.0, paper-scale) learnable parameter count, used
@@ -86,7 +80,6 @@ impl ModelKind {
             ModelKind::ResNet18 => 11_173_962,
             ModelKind::ResNet50 => 23_520_842,
             ModelKind::MobileNetV1 => 3_217_226,
-            ModelKind::TinyViT => 5_717_416,
         }
     }
 
@@ -100,7 +93,6 @@ impl ModelKind {
             ModelKind::ResNet18 => 557_000_000,
             ModelKind::ResNet50 => 1_310_000_000,
             ModelKind::MobileNetV1 => 47_000_000,
-            ModelKind::TinyViT => 1_080_000_000,
         }
     }
 
@@ -117,7 +109,6 @@ impl ModelKind {
             ModelKind::ResNet18 => resnet18(cfg, rng),
             ModelKind::ResNet50 => resnet50(cfg, rng),
             ModelKind::MobileNetV1 => mobilenet_v1(cfg, rng),
-            ModelKind::TinyViT => tiny_vit(cfg, rng),
         }
     }
 }
@@ -130,7 +121,6 @@ impl std::fmt::Display for ModelKind {
             ModelKind::ResNet18 => "ResNet-18",
             ModelKind::ResNet50 => "ResNet-50",
             ModelKind::MobileNetV1 => "MobileNetV1",
-            ModelKind::TinyViT => "TinyViT",
         };
         f.write_str(s)
     }
@@ -400,33 +390,6 @@ pub fn mobilenet_v1_depthwise(cfg: ModelConfig, rng: &mut impl Rng) -> Network {
     Network::new(layers)
 }
 
-/// A compact ViT: patch embedding, two Transformer blocks (attention and
-/// feed-forward both carry their residual connections internally), token
-/// mean pooling, linear head. `width` scales the embedding dimension.
-pub fn tiny_vit(cfg: ModelConfig, rng: &mut impl Rng) -> Network {
-    let heads = 2usize;
-    // embedding dim: 64·width rounded to a multiple of the head count
-    let dim = (((64.0 * cfg.width).round() as usize).max(heads * 4) / heads) * heads;
-    let patch = if cfg.input_size.is_multiple_of(4) {
-        cfg.input_size / 4
-    } else {
-        1
-    }
-    .max(1);
-    let mut layers: Vec<Box<dyn Layer>> =
-        vec![Box::new(PatchEmbed::new(cfg.in_channels, patch, dim, rng))];
-    for _ in 0..2 {
-        layers.push(Box::new(LayerNorm::new(dim)));
-        layers.push(Box::new(SelfAttention::new(dim, heads, rng)));
-        layers.push(Box::new(LayerNorm::new(dim)));
-        layers.push(Box::new(TokenFeedForward::new(dim, dim * 2, rng)));
-    }
-    layers.push(Box::new(LayerNorm::new(dim)));
-    layers.push(Box::new(MeanPoolTokens::new()));
-    layers.push(Box::new(Linear::new(dim, cfg.classes, rng)));
-    Network::new(layers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,11 +472,6 @@ mod tests {
         for k in ModelKind::ALL {
             assert_eq!(k.payload_bytes_fp32(), k.reference_params() as u64 * 4);
         }
-    }
-
-    #[test]
-    fn tiny_vit_smoke() {
-        smoke(ModelKind::TinyViT, ModelConfig::new(3, 8, 10, 0.5));
     }
 
     #[test]

@@ -1,15 +1,12 @@
 use crate::layer::{backward_chain, forward_chain, Layer, Mode, Parameter};
 use socflow_tensor::{pool, Tensor};
 
-/// One layer's slice of the flat gradient vector: the gradients of layer
-/// `layer` occupy `flat_grads()[offset..offset + len]`.
-///
-/// This is the first-class layout table behind [`Network::flat_grads`] /
-/// [`Network::set_flat_grads`]: both walk the parameters in layer order, so
-/// the spans returned by [`Network::grad_layout`] are exactly the offsets
-/// those flat views use. [`Network::backward_with_ready`] streams the same
-/// spans in *reverse* layer order as each layer's backward completes —
-/// gradient readiness for wait-free communication overlap.
+/// One layer's slice of the flat parameter vector: the parameters (and
+/// gradients) of layer `layer` occupy `[offset..offset + len]` of the
+/// layer-ordered concatenation every flat view uses
+/// ([`Network::flat_weights`] / [`Network::set_flat_weights`]). Backprop
+/// completes these spans in *reverse* layer order — the gradient readiness
+/// wait-free communication overlap buckets ([`bucketize`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GradReady {
     /// Top-level layer index (position in the network's layer stack).
@@ -147,8 +144,6 @@ impl Network {
 
     /// Runs the full backward pass, accumulating parameter gradients, and
     /// returns the gradient w.r.t. the network's input.
-    /// Equivalent to [`Network::backward_with_ready`] with a no-op
-    /// callback, without paying for the layout table on the hot path.
     pub fn backward(&mut self, grad_out: &Tensor, mode: Mode) -> Tensor {
         backward_chain(&mut self.layers, grad_out, mode, true, |_| ())
             .expect("the input gradient was asked for")
@@ -165,31 +160,9 @@ impl Network {
         debug_assert!(none.is_none());
     }
 
-    /// [`Network::backward`] with a gradient-readiness stream: after each
-    /// parameterized layer's backward completes, `on_ready` receives that
-    /// layer's [`GradReady`] span. Spans arrive in reverse layer order
-    /// (output layers first — the order backprop produces gradients) and
-    /// agree exactly with the [`Network::grad_layout`] table, hence with
-    /// the offsets [`Network::flat_grads`] / [`Network::set_flat_grads`]
-    /// use. Layers without parameters produce no callback.
-    pub fn backward_with_ready<F: FnMut(GradReady)>(
-        &mut self,
-        grad_out: &Tensor,
-        mode: Mode,
-        mut on_ready: F,
-    ) -> Tensor {
-        let layout = self.grad_layout();
-        backward_chain(&mut self.layers, grad_out, mode, true, |i| {
-            if layout[i].len > 0 {
-                on_ready(layout[i]);
-            }
-        })
-        .expect("the input gradient was asked for")
-    }
-
     /// The flat-gradient layout table: one [`GradReady`] span per layer, in
     /// layer order, with offsets matching the concatenation order of
-    /// [`Network::flat_grads`] (and every other flat view — they all walk
+    /// [`Network::flat_weights`] (and every other flat view — they all walk
     /// [`Network::parameters`], which is layer-ordered). Layers without
     /// parameters appear with `len == 0` so indices stay aligned with the
     /// layer stack.
@@ -299,13 +272,6 @@ impl Network {
         self.for_each_parameter(|p| out.extend_from_slice(p.value.data()));
     }
 
-    /// Concatenates all gradients into one flat vector.
-    pub fn flat_grads(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.for_each_parameter(|p| out.extend_from_slice(p.grad.data()));
-        out
-    }
-
     /// Overwrites all parameter values from a flat vector.
     ///
     /// # Panics
@@ -313,16 +279,6 @@ impl Network {
     pub fn set_flat_weights(&mut self, flat: &[f32]) {
         scatter(flat, "weight", |put| {
             self.for_each_parameter_mut(|p| put(p.value.data_mut()))
-        });
-    }
-
-    /// Overwrites all gradients from a flat vector.
-    ///
-    /// # Panics
-    /// Panics if `flat.len() != param_count()`.
-    pub fn set_flat_grads(&mut self, flat: &[f32]) {
-        scatter(flat, "grad", |put| {
-            self.for_each_parameter_mut(|p| put(p.grad.data_mut()))
         });
     }
 
@@ -367,25 +323,12 @@ impl Network {
         });
     }
 
-    /// Serializes the flat weights to JSON bytes (checkpoint payload).
-    ///
-    /// # Errors
-    /// Returns an error if serialization fails (practically impossible).
-    pub fn save_weights(&self) -> Result<Vec<u8>, serde_json::Error> {
-        serde_json::to_vec(&self.flat_weights())
-    }
-
-    /// Restores weights from [`Network::save_weights`] bytes.
-    ///
-    /// # Errors
-    /// Returns an error when the bytes are not valid JSON.
-    ///
-    /// # Panics
-    /// Panics if the decoded weight count mismatches this network.
-    pub fn load_weights(&mut self, bytes: &[u8]) -> Result<(), serde_json::Error> {
-        let flat: Vec<f32> = serde_json::from_slice(bytes)?;
-        self.set_flat_weights(&flat);
-        Ok(())
+    /// All gradients concatenated in layer order, for the unit tests.
+    #[cfg(test)]
+    pub(crate) fn flat_grads(&self) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.for_each_parameter(|p| out.extend_from_slice(p.grad.data()));
+        out
     }
 
     /// One-line architecture summary.
@@ -520,11 +463,11 @@ mod tests {
     fn flat_setters_refuse_both_too_few_and_too_many_scalars() {
         for len in [0, 66, 68] {
             let flat = vec![0.0; len];
-            let caught = std::panic::catch_unwind(|| tiny_net(4).set_flat_grads(&flat));
+            let caught = std::panic::catch_unwind(|| tiny_net(4).set_flat_weights(&flat));
             let msg = *caught.unwrap_err().downcast::<String>().unwrap();
-            assert!(msg.contains("flat grad length mismatch"), "{len}: {msg}");
+            assert!(msg.contains("flat weight length mismatch"), "{len}: {msg}");
         }
-        tiny_net(4).set_flat_grads(&[0.0; 67]);
+        tiny_net(4).set_flat_weights(&[0.0; 67]);
     }
 
     #[test]
@@ -551,17 +494,6 @@ mod tests {
         n.backward(&Tensor::ones(y.shape().clone()), mode);
         n.zero_grad();
         assert!(n.flat_grads().iter().all(|g| *g == 0.0));
-    }
-
-    #[test]
-    fn save_load_weights_roundtrip() {
-        let a = tiny_net(9);
-        let bytes = a.save_weights().unwrap();
-        let mut b = tiny_net(10);
-        assert_ne!(a.flat_weights(), b.flat_weights());
-        b.load_weights(&bytes).unwrap();
-        assert_eq!(a.flat_weights(), b.flat_weights());
-        assert!(b.load_weights(b"not json").is_err());
     }
 
     #[test]
@@ -599,36 +531,14 @@ mod tests {
         );
         assert_eq!(layout.iter().map(|g| g.len).sum::<usize>(), n.param_count());
 
-        // writing one layer's span through set_flat_grads changes exactly
-        // that span of flat_grads
-        let mut flat = vec![0.0f32; n.param_count()];
-        let g = layout[2];
-        for v in &mut flat[g.offset..g.offset + g.len] {
-            *v = 7.0;
-        }
-        n.set_flat_grads(&flat);
-        let out = n.flat_grads();
-        assert!(out[..g.offset].iter().all(|v| *v == 0.0));
-        assert!(out[g.offset..].iter().all(|v| *v == 7.0));
-    }
-
-    #[test]
-    fn backward_streams_ready_spans_in_reverse_layer_order() {
-        let mut n = tiny_net(6);
+        // the output layer's backward alone fills its span and nothing else
         let mode = Mode::train(Precision::Fp32);
         let y = n.forward(&Tensor::ones([2, 4]), mode);
-        let mut seen = Vec::new();
-        let g1 = n.backward_with_ready(&Tensor::ones(y.shape().clone()), mode, |r| seen.push(r));
-        let layout = n.grad_layout();
-        // parameterized layers only, output-most first
-        assert_eq!(seen, vec![layout[2], layout[0]]);
-
-        // identical input gradient and parameter gradients as plain backward
-        let mut m = tiny_net(6);
-        let y2 = m.forward(&Tensor::ones([2, 4]), mode);
-        let g2 = m.backward(&Tensor::ones(y2.shape().clone()), mode);
-        assert_eq!(g1.data(), g2.data());
-        assert_eq!(n.flat_grads(), m.flat_grads());
+        n.layers[2].backward(&Tensor::ones(y.shape().clone()), mode, false);
+        let out = n.flat_grads();
+        let g = layout[2];
+        assert!(out[..g.offset].iter().all(|v| *v == 0.0));
+        assert!(out[g.offset..].iter().any(|v| *v != 0.0));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! **The unread gradient.** `Network::backward_parameters` does not ask the
 //! first parameterised layer for its input gradient, and does not run the
 //! parameterless layers in front of it at all. Whatever comes first —
-//! convolution, linear, depthwise convolution, patch embedding, a residual
-//! block, a `Flatten` or `Dropout` that passes the bit on — every parameter
-//! gradient and every state buffer must end up bit-identical to
-//! `Network::backward`'s, at every precision.
+//! convolution, linear, depthwise convolution, a residual block, a
+//! `Flatten` that passes the bit on — every parameter gradient and every
+//! state buffer must end up bit-identical to `Network::backward`'s, at
+//! every precision.
 //!
 //! **A free-list, not a stack.** Buffers are borrowed per pass and owned
 //! until given back, so passes may interleave on a thread: two networks'
@@ -20,18 +20,22 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use socflow_nn::attention::{LayerNorm, MeanPoolTokens, PatchEmbed, SelfAttention};
 use socflow_nn::layers::{
-    BatchNorm2d, Conv2d, DepthwiseConv2d, Dropout, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu,
-    Residual,
+    BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu, Residual,
 };
 use socflow_nn::models::{ModelConfig, ModelKind};
 use socflow_nn::{Layer, Mode, Network, Precision};
-use socflow_tensor::quant::QuantFormat;
 use socflow_tensor::{init, pool, Tensor};
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every parameter gradient of `net`, in layer order.
+fn grads(net: &Network) -> Vec<f32> {
+    let mut out = Vec::new();
+    net.for_each_parameter(|p| out.extend_from_slice(p.grad.data()));
+    out
 }
 
 /// Networks by what comes first, each with the input shape (per sample) it
@@ -52,10 +56,9 @@ fn first_layer_cases(rng: &mut StdRng) -> Vec<(&'static str, Network, [usize; 3]
             [2, 4, 4],
         ),
         (
-            "linear behind a flatten and a dropout",
+            "linear behind a flatten",
             boxed(vec![
                 Box::new(Flatten::new()),
-                Box::new(Dropout::new(0.25, 7)),
                 Box::new(Linear::new(32, 6, rng)),
                 Box::new(Relu::new()),
                 Box::new(Linear::new(6, 5, rng)),
@@ -69,17 +72,6 @@ fn first_layer_cases(rng: &mut StdRng) -> Vec<(&'static str, Network, [usize; 3]
                 Box::new(Conv2d::new(2, 4, 1, 1, 0, rng)),
                 Box::new(GlobalAvgPool::new()),
                 Box::new(Linear::new(4, 5, rng)),
-            ]),
-            [2, 4, 4],
-        ),
-        (
-            "patch embedding",
-            boxed(vec![
-                Box::new(PatchEmbed::new(2, 2, 8, rng)),
-                Box::new(LayerNorm::new(8)),
-                Box::new(SelfAttention::new(8, 2, rng)),
-                Box::new(MeanPoolTokens::new()),
-                Box::new(Linear::new(8, 5, rng)),
             ]),
             [2, 4, 4],
         ),
@@ -122,8 +114,8 @@ fn assert_unread_gradient_changes_nothing(
         assert_eq!(gx.shape(), x.shape(), "{what}: input gradient shape");
         params_only.backward_parameters(&g, mode);
         assert_eq!(
-            bits(&full.flat_grads()),
-            bits(&params_only.flat_grads()),
+            bits(&grads(&full)),
+            bits(&grads(&params_only)),
             "{what}, step {step}: parameter gradients"
         );
         assert_eq!(
@@ -146,14 +138,9 @@ proptest! {
         batch in 1usize..5,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let precisions = [
-            Precision::Fp32,
-            Precision::Int8,
-            Precision::Quant(QuantFormat::Fp16),
-        ];
         for (what, net, [c, h, w]) in first_layer_cases(&mut rng) {
             let x = init::normal([batch, c, h, w], 1.0, &mut rng);
-            for precision in precisions {
+            for precision in [Precision::Fp32, Precision::Int8] {
                 let what = format!("{what} first, {precision:?}, batch {batch}, seed {seed}");
                 assert_unread_gradient_changes_nothing(&what, &net, &x, precision);
             }
@@ -168,14 +155,7 @@ fn the_bundled_models_train_the_same_without_their_input_gradient() {
     let mut rng = StdRng::seed_from_u64(21);
     let cfg = ModelConfig::new(3, 8, 10, 0.1);
     let x = init::normal([3, 3, 8, 8], 1.0, &mut rng);
-    for kind in [
-        ModelKind::LeNet5,
-        ModelKind::Vgg11,
-        ModelKind::ResNet18,
-        ModelKind::ResNet50,
-        ModelKind::MobileNetV1,
-        ModelKind::TinyViT,
-    ] {
+    for kind in ModelKind::ALL {
         let net = kind.build(cfg, &mut rng);
         for precision in [Precision::Fp32, Precision::Int8] {
             let what = format!("{kind:?}, {precision:?}");
@@ -202,7 +182,7 @@ fn assert_same_on_the_scratch(what: &str, sequence: impl Fn() -> Vec<Vec<u32>>) 
 
 /// Everything a pass leaves in `net`.
 fn left_behind(net: &Network) -> Vec<u32> {
-    let mut seen = bits(&net.flat_grads());
+    let mut seen = bits(&grads(net));
     seen.extend(bits(&net.flat_state()));
     seen
 }

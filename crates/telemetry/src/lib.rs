@@ -85,8 +85,6 @@ pub enum Event {
         probes: usize,
         cgs: usize,
     },
-    /// The scheduler checked the per-SoC memory plan.
-    MemoryChecked { bytes: u64, fits: bool },
     /// CG division failed (non-bipartite conflict graph — possible for
     /// ad-hoc mappings) and the planner fell back to one communication
     /// group per logical group: correct, but the per-batch sync serializes.
@@ -759,23 +757,12 @@ impl Summary {
                 }
                 Event::RunStarted { .. }
                 | Event::PlanComputed { .. }
-                | Event::MemoryChecked { .. }
                 | Event::CgFallback { .. }
                 | Event::SpanEnd { .. }
                 | Event::RunCompleted { .. } => {}
             }
         }
         s
-    }
-
-    /// Fraction of epoch time spent synchronizing — the headline number
-    /// SoCFlow's delayed aggregation drives down.
-    pub fn sync_fraction(&self) -> f64 {
-        if self.total_time > 0.0 {
-            self.sync / self.total_time
-        } else {
-            0.0
-        }
     }
 
     /// Human-readable multi-line report (what `socflow trace summarize`
@@ -1222,7 +1209,7 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert_eq!(s.first_alpha, Some(0.2));
         assert_eq!(s.last_alpha, Some(0.3));
-        assert!((s.sync_fraction() - 1.75 / 8.75).abs() < 1e-12);
+        assert!((s.sync / s.total_time - 1.75 / 8.75).abs() < 1e-12);
         let report = s.render();
         assert!(report.contains("epochs           2"));
         assert!(report.contains("alpha            0.2000 -> 0.3000"));

@@ -1218,8 +1218,9 @@ mod tests {
         let (patches, oh, ow) = im2col(&x, kh, kw, p);
         assert_eq!(pp.scale, QuantParams::from_tensor(&patches).scale);
         let cols = ic * kh * kw;
-        let qp = quant::quantize(&patches, pp);
-        let qw = quant::quantize(&w, pw);
+        let (mut qp, mut qw) = (Vec::new(), Vec::new());
+        quant::quantize_into(&patches, pp, &mut qp);
+        quant::quantize_into(&w, pw, &mut qw);
         let scale = pp.scale * pw.scale;
         let mut expect = Tensor::zeros([n, oc, oh, ow]);
         for ni in 0..n {
@@ -1239,7 +1240,9 @@ mod tests {
         assert_eq!(y8, expect);
 
         // Patches left behind are the dequantized values the kernel saw.
-        assert_eq!(deq, quant::dequantize(&qp, patches.shape().clone(), pp));
+        let mut want = Tensor::default();
+        quant::dequantize_into(&qp, patches.shape().clone(), pp, &mut want);
+        assert_eq!(deq, want);
 
         // And the whole thing stays close to the f32 convolution.
         let (y32, _) = conv2d(&x, &w, p);

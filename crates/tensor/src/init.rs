@@ -28,22 +28,6 @@ pub fn kaiming_uniform(shape: impl Into<Shape>, fan_in: usize, rng: &mut impl Rn
     uniform(shape, limit, rng)
 }
 
-/// Xavier/Glorot uniform initialization:
-/// `U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out)))`.
-///
-/// # Panics
-/// Panics if `fan_in + fan_out == 0`.
-pub fn xavier_uniform(
-    shape: impl Into<Shape>,
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut impl Rng,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fan_in + fan_out must be positive");
-    let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(shape, limit, rng)
-}
-
 /// Standard normal initialization scaled by `std`.
 pub fn normal(shape: impl Into<Shape>, std: f32, rng: &mut impl Rng) -> Tensor {
     let shape = shape.into();
@@ -80,13 +64,6 @@ mod tests {
         assert!(t.abs_max() <= limit);
         // and actually uses a decent part of the range
         assert!(t.abs_max() > limit * 0.8);
-    }
-
-    #[test]
-    fn xavier_respects_limit() {
-        let t = xavier_uniform([1000], 50, 50, &mut StdRng::seed_from_u64(2));
-        let limit = (6.0f32 / 100.0).sqrt();
-        assert!(t.abs_max() <= limit);
     }
 
     #[test]

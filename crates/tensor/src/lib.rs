@@ -9,8 +9,8 @@
 //! - blocked matrix multiplication ([`linalg`]);
 //! - im2col-based 2-D convolution and pooling with hand-written backward
 //!   passes ([`conv`]);
-//! - symmetric per-tensor INT8 quantization with straight-through-estimator
-//!   helpers for quantization-aware training ([`quant`]);
+//! - symmetric per-tensor INT8 quantization for quantization-aware
+//!   training and the integer GEMM's operands ([`quant`]);
 //! - the in-place parameter sweeps of a training step and a delayed
 //!   aggregation — SGD with momentum, the Eq. 5 merge, the replica mean
 //!   ([`sweep`]);
@@ -52,42 +52,3 @@ mod tensor;
 
 pub use shape::Shape;
 pub use tensor::Tensor;
-
-/// Errors produced by fallible tensor operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorError {
-    /// The shapes of two operands are incompatible for the requested op.
-    ShapeMismatch {
-        /// Shape of the left / primary operand.
-        left: Shape,
-        /// Shape of the right / secondary operand.
-        right: Shape,
-        /// Name of the operation that failed.
-        op: &'static str,
-    },
-    /// The provided data length does not match the product of the shape dims.
-    LengthMismatch {
-        /// Number of elements implied by the shape.
-        expected: usize,
-        /// Number of elements actually provided.
-        actual: usize,
-    },
-}
-
-impl std::fmt::Display for TensorError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TensorError::ShapeMismatch { left, right, op } => {
-                write!(f, "shape mismatch in `{op}`: {left} vs {right}")
-            }
-            TensorError::LengthMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "length mismatch: shape implies {expected} elements, got {actual}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for TensorError {}

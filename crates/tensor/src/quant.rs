@@ -6,14 +6,14 @@
 //! weights, activations and gradients. We implement:
 //!
 //! - [`QuantParams`]: a symmetric scale chosen from the tensor's max-|x|;
-//! - [`quantize`] / [`dequantize`] round-trips;
+//! - [`quantize_into`] / [`dequantize_into`] round-trips;
 //! - [`fake_quant`]: quantize-dequantize in f32, the standard
 //!   quantization-aware-training forward transform whose backward is the
 //!   straight-through estimator (identity inside the clip range);
-//! - [`quantized_matmul`]: an actual INT8×INT8→i32 GEMM (backed by the
-//!   register-blocked integer kernel in [`crate::linalg`]) — the execution
-//!   path of the mixed-precision INT8 replica arm, with per-tensor scales
-//!   applied once at the i32→f32 epilogue.
+//! - [`scale_i32_into`]: the i32→f32 epilogue of the INT8×INT8→i32 GEMM
+//!   (the register-blocked integer kernel in [`crate::linalg`], the
+//!   execution path of the mixed-precision INT8 replica arm), applying both
+//!   per-tensor scales once.
 //!
 //! The NiTi-style integer optimizer in `socflow-nn` builds on these
 //! primitives.
@@ -26,122 +26,10 @@
 use crate::isa::{isa_kernel, Isa};
 use crate::profile::{KernelOp, Timer};
 use crate::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Quantization range of signed INT8 (symmetric; -128 is unused so the range
 /// is symmetric around zero, as in most NPU kernels).
 pub const INT8_MAX: f32 = 127.0;
-
-/// A low-precision number format supported by mobile NPUs.
-///
-/// The SoCFlow paper's §5 notes that newer NPUs (Snapdragon 8gen1/8gen2)
-/// support INT4/INT8/INT16/FP16 concurrently; this enum parameterizes the
-/// fake-quantization transform so training can run in any of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum QuantFormat {
-    /// 4-bit signed integer, symmetric (±7).
-    Int4,
-    /// 8-bit signed integer, symmetric (±127).
-    Int8,
-    /// 16-bit signed integer, symmetric (±32767).
-    Int16,
-    /// IEEE 754 half precision (10-bit mantissa).
-    Fp16,
-}
-
-impl QuantFormat {
-    /// Maximum representable integer magnitude of the symmetric grid
-    /// (unused for [`QuantFormat::Fp16`]).
-    pub fn grid_max(self) -> f32 {
-        match self {
-            QuantFormat::Int4 => 7.0,
-            QuantFormat::Int8 => 127.0,
-            QuantFormat::Int16 => 32767.0,
-            QuantFormat::Fp16 => f32::NAN, // not a fixed grid
-        }
-    }
-
-    /// Bytes per value on the wire.
-    pub fn wire_bytes(self) -> f64 {
-        match self {
-            QuantFormat::Int4 => 0.5,
-            QuantFormat::Int8 => 1.0,
-            QuantFormat::Int16 | QuantFormat::Fp16 => 2.0,
-        }
-    }
-
-    /// Fake-quantizes a tensor to this format: integer formats quantize to
-    /// the symmetric grid scaled by max-|x|; FP16 rounds the mantissa to
-    /// 10 bits (flushing below-half-min-normal values to zero).
-    pub fn fake_quant(self, t: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.fake_quant_into(t, &mut out);
-        out
-    }
-
-    /// [`QuantFormat::fake_quant`] writing into `out`, reusing its storage.
-    ///
-    /// The quantize→dequantize round-trip is fused into a single output pass
-    /// (one read of `t` for the scale, one read-transform-write), so the INT8
-    /// side of mixed precision produces no intermediate tensor.
-    pub fn fake_quant_into(self, t: &Tensor, out: &mut Tensor) {
-        let _timer = Timer::start(KernelOp::Quant);
-        out.resize(t.shape().clone());
-        let od = out.data_mut();
-        match self {
-            QuantFormat::Fp16 => {
-                for (o, &v) in od.iter_mut().zip(t.data()) {
-                    *o = fp16_round(v);
-                }
-            }
-            _ => {
-                let m = t.abs_max();
-                let gm = self.grid_max();
-                let scale = if m == 0.0 { 1.0 } else { m / gm };
-                fake_quant_slices(Isa::active(), t.data(), od, scale, gm);
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for QuantFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            QuantFormat::Int4 => "INT4",
-            QuantFormat::Int8 => "INT8",
-            QuantFormat::Int16 => "INT16",
-            QuantFormat::Fp16 => "FP16",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Rounds an f32 to the nearest representable IEEE half-precision value
-/// (returned as f32).
-pub fn fp16_round(v: f32) -> f32 {
-    if !v.is_finite() {
-        return v;
-    }
-    // clamp to f16 range
-    const F16_MAX: f32 = 65504.0;
-    if v > F16_MAX {
-        return F16_MAX;
-    }
-    if v < -F16_MAX {
-        return -F16_MAX;
-    }
-    if v.abs() < 6.1e-5 {
-        // subnormal range: quantize to multiples of the smallest subnormal
-        const SUB: f32 = 5.960_464_5e-8;
-        return (v / SUB).round() * SUB;
-    }
-    // keep 10 mantissa bits: round in the scaled-integer domain
-    let bits = v.to_bits();
-    let shift = 13u32; // 23 - 10 mantissa bits
-    let mask = (1u32 << shift) - 1;
-    let rounded = bits.wrapping_add(1 << (shift - 1)) & !mask;
-    f32::from_bits(rounded)
-}
 
 /// Symmetric per-tensor quantization parameters: `real = scale * int`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,48 +48,25 @@ impl QuantParams {
             scale: if m == 0.0 { 1.0 } else { m / INT8_MAX },
         }
     }
-
-    /// Quantizes one value to the clipped INT8 grid.
-    pub fn quantize_value(&self, v: f32) -> i8 {
-        let q = (v / self.scale).round();
-        q.clamp(-INT8_MAX, INT8_MAX) as i8
-    }
-
-    /// Recovers the real value of one quantized step.
-    pub fn dequantize_value(&self, q: i8) -> f32 {
-        q as f32 * self.scale
-    }
 }
 
 isa_kernel! {
-    /// `dst[i] = round(clamp(src[i] / scale)) * scale` on the `±gm` grid.
-    fn fake_quant_slices(src: &[f32], dst: &mut [f32], scale: f32, gm: f32) = fake_quant_body;
+    /// `dst[i] = round(clamp(src[i] / scale)) * scale` on the `±127` grid.
+    fn fake_quant_slices(src: &[f32], dst: &mut [f32], scale: f32) = fake_quant_body;
 }
 
 #[inline(always)]
-fn fake_quant_body(src: &[f32], dst: &mut [f32], scale: f32, gm: f32) {
+fn fake_quant_body(src: &[f32], dst: &mut [f32], scale: f32) {
     for (o, &v) in dst.iter_mut().zip(src) {
-        *o = (v / scale).round().clamp(-gm, gm) * scale;
+        *o = (v / scale).round().clamp(-INT8_MAX, INT8_MAX) * scale;
     }
 }
 
-isa_kernel! {
-    /// [`fake_quant_slices`] over one buffer.
-    fn fake_quant_slice_inplace(d: &mut [f32], scale: f32, gm: f32) = fake_quant_inplace_body;
-}
-
-#[inline(always)]
-fn fake_quant_inplace_body(d: &mut [f32], scale: f32, gm: f32) {
-    for v in d.iter_mut() {
-        *v = (*v / scale).round().clamp(-gm, gm) * scale;
-    }
-}
-
-/// [`QuantParams::quantize_value`] for the slice kernels, without the
-/// float→int `as` that LLVM converts one lane at a time. The clamped value
-/// `q` is an integer in `±127` or NaN; `q + 1.5·2²³` is then exact and its
-/// bit pattern is `0x4B40_0000 + q`, so the low byte *is* `q as i8`. NaN
-/// (any payload) maps to 0, as `as i8` does.
+/// `round(clamp(v / scale))` on the INT8 grid, for the slice kernels,
+/// without the float→int `as` that LLVM converts one lane at a time. The
+/// clamped value `q` is an integer in `±127` or NaN; `q + 1.5·2²³` is then
+/// exact and its bit pattern is `0x4B40_0000 + q`, so the low byte *is*
+/// `q as i8`. NaN (any payload) maps to 0, as `as i8` does.
 #[inline(always)]
 fn to_i8_grid(v: f32, scale: f32) -> i8 {
     const ROUND_TO_LOW_BITS: f32 = 12_582_912.0; // 1.5 · 2²³, low byte 0x00
@@ -215,7 +80,7 @@ fn to_i8_grid(v: f32, scale: f32) -> i8 {
 }
 
 isa_kernel! {
-    /// `dst[i] = quantize_value(src[i])`.
+    /// `dst[i] = to_i8_grid(src[i])`.
     fn quantize_slices(src: &[f32], dst: &mut [i8], scale: f32) = quantize_body;
 }
 
@@ -274,15 +139,9 @@ fn scale_i32_body(src: &[i32], dst: &mut [f32], scale: f32) {
     }
 }
 
-/// Quantizes an f32 tensor to INT8 with the given parameters.
-pub fn quantize(t: &Tensor, p: QuantParams) -> Vec<i8> {
-    let mut out = vec![0; t.len()];
-    quantize_slices(Isa::active(), t.data(), &mut out, p.scale);
-    out
-}
-
-/// [`quantize`] writing into a caller-owned buffer (cleared and refilled),
-/// so steady-state integer forwards allocate nothing.
+/// Quantizes an f32 tensor to INT8 with the given parameters, into a
+/// caller-owned buffer (cleared and refilled), so steady-state integer
+/// forwards allocate nothing.
 pub fn quantize_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
     let _timer = Timer::start(KernelOp::Quant);
     out.resize(t.len(), 0);
@@ -303,25 +162,18 @@ pub fn quantize_transposed_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
     quantize_transposed_slices(Isa::active(), t.data(), out, r, c, p.scale);
 }
 
-/// Dequantizes an INT8 buffer back to an f32 tensor of the given shape.
+/// Dequantizes an INT8 buffer into `out` at the given shape, reusing its
+/// storage.
 ///
-/// # Panics
-/// Panics if `q.len() != shape.len()`.
-pub fn dequantize(q: &[i8], shape: impl Into<Shape>, p: QuantParams) -> Tensor {
-    let mut out = Tensor::zeros(shape);
-    assert_eq!(q.len(), out.len(), "dequantize: length mismatch");
-    dequantize_slices(Isa::active(), q, out.data_mut(), p.scale);
-    out
-}
-
-/// [`dequantize`] writing into `out`, reusing its storage.
-///
-/// `dequantize_into(quantize(x), ..)` is bitwise-identical to
+/// `dequantize_into(quantize_into(x), ..)` is bitwise-identical to
 /// [`fake_quant`]`(x)` for finite inputs (both compute
 /// `round(clamp(v/s)) * s` with the same operand order; only a `-0.0`
 /// result comes back as `+0.0`, an `i8` having one zero), so integer-path
 /// layers can cache the dequantized activations and leave every backward
 /// pass untouched.
+///
+/// # Panics
+/// Panics if `q.len() != shape.len()`.
 pub fn dequantize_into(q: &[i8], shape: impl Into<Shape>, p: QuantParams, out: &mut Tensor) {
     let _timer = Timer::start(KernelOp::Quant);
     out.resize(shape.into());
@@ -343,28 +195,27 @@ pub fn scale_i32_into(acc: &[i32], scale: f32, out: &mut [f32]) {
 /// Quantize-dequantize in f32 (the QAT "fake quantization" transform).
 ///
 /// Forward: `round(clamp(x/s)) * s`. The corresponding backward pass is the
-/// straight-through estimator: gradients flow unchanged for values inside the
-/// representable range and are zeroed outside; [`ste_mask`] computes that
-/// mask.
+/// straight-through estimator: gradients flow unchanged for values inside
+/// the representable range.
 pub fn fake_quant(t: &Tensor, p: QuantParams) -> Tensor {
     let _timer = Timer::start(KernelOp::Quant);
     let mut out = Tensor::zeros(t.shape().clone());
-    fake_quant_slices(Isa::active(), t.data(), out.data_mut(), p.scale, INT8_MAX);
+    fake_quant_slices(Isa::active(), t.data(), out.data_mut(), p.scale);
     out
 }
 
-/// [`fake_quant`] applied in place: fuses quantize→dequantize into one
-/// read-modify-write sweep over the tensor's storage.
-pub fn fake_quant_inplace(t: &mut Tensor, p: QuantParams) {
+/// [`fake_quant`] at `t`'s own scale ([`QuantParams::from_tensor`]),
+/// writing into `out` and reusing its storage — how the NPU arm stages an
+/// operand.
+///
+/// The quantize→dequantize round-trip is fused into a single output pass
+/// (one read of `t` for the scale, one read-transform-write), so the INT8
+/// side of mixed precision produces no intermediate tensor.
+pub fn fake_quant_into(t: &Tensor, out: &mut Tensor) {
     let _timer = Timer::start(KernelOp::Quant);
-    fake_quant_slice_inplace(Isa::active(), t.data_mut(), p.scale, INT8_MAX);
-}
-
-/// Straight-through-estimator mask: 1.0 where the value is inside the
-/// representable range `±127·scale`, else 0.0.
-pub fn ste_mask(t: &Tensor, p: QuantParams) -> Tensor {
-    let lim = INT8_MAX * p.scale;
-    t.map(|v| if v.abs() <= lim { 1.0 } else { 0.0 })
+    let p = QuantParams::from_tensor(t);
+    out.resize(t.shape().clone());
+    fake_quant_slices(Isa::active(), t.data(), out.data_mut(), p.scale);
 }
 
 /// Worst-case absolute rounding error of [`fake_quant`] for in-range values:
@@ -373,54 +224,13 @@ pub fn max_rounding_error(p: QuantParams) -> f32 {
     p.scale * 0.5
 }
 
-/// INT8×INT8→i32 matrix multiply, dequantized to f32 at the end.
-///
-/// `a: (m, k)` with params `pa`; `b: (k, n)` with params `pb`. The result
-/// equals `dequant(int_gemm(quant(a), quant(b)))`, exactly what an NPU kernel
-/// would produce.
-///
-/// # Panics
-/// Panics if the inner dimensions disagree or buffer lengths are wrong.
-pub fn quantized_matmul(
-    a: &[i8],
-    pa: QuantParams,
-    b: &[i8],
-    pb: QuantParams,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Tensor {
-    assert_eq!(a.len(), m * k, "lhs buffer length");
-    assert_eq!(b.len(), k * n, "rhs buffer length");
-    // Pack Bᵀ so both operands of every dot product are contiguous, then run
-    // the register-blocked integer kernel. i32 accumulation is exact, so the
-    // packing changes nothing numerically.
-    let mut bt = vec![0i8; n * k];
-    for (p, brow) in b.chunks_exact(n).enumerate() {
-        for (j, &bv) in brow.iter().enumerate() {
-            bt[j * k + p] = bv;
-        }
-    }
-    let mut acc = vec![0i32; m * n];
-    crate::linalg::matmul_i8_a_bt_slices(a, &bt, &mut acc, m, k, n);
-    let mut out = Tensor::zeros([m, n]);
-    scale_i32_into(&acc, pa.scale * pb.scale, out.data_mut());
-    out
-}
-
 /// Adds simulated quantization noise to a gradient tensor, as integer
-/// training does when gradients themselves are kept in INT8.
+/// training does when gradients themselves are kept in INT8, writing into
+/// `out` and reusing its storage.
 ///
 /// The noise is deterministic (hash of the index and `seed`), uniform in
 /// ±half a quantization step of the gradient's own scale — the worst-case
 /// rounding error model used in integer-training analyses.
-pub fn gradient_quant_noise(grad: &Tensor, seed: u64) -> Tensor {
-    let mut out = Tensor::default();
-    gradient_quant_noise_into(grad, seed, &mut out);
-    out
-}
-
-/// [`gradient_quant_noise`] writing into `out`, reusing its storage.
 pub fn gradient_quant_noise_into(grad: &Tensor, seed: u64, out: &mut Tensor) {
     let _timer = Timer::start(KernelOp::Quant);
     let p = QuantParams::from_tensor(grad);
@@ -449,6 +259,55 @@ fn quant_noise_body(src: &[f32], dst: &mut [f32], seed: u64, half: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`quantize_into`] into a fresh buffer.
+    fn quantize(t: &Tensor, p: QuantParams) -> Vec<i8> {
+        let mut out = Vec::new();
+        quantize_into(t, p, &mut out);
+        out
+    }
+
+    /// [`dequantize_into`] into a fresh tensor.
+    fn dequantize(q: &[i8], shape: impl Into<Shape>, p: QuantParams) -> Tensor {
+        let mut out = Tensor::default();
+        dequantize_into(q, shape, p, &mut out);
+        out
+    }
+
+    /// [`gradient_quant_noise_into`] into a fresh tensor.
+    fn gradient_quant_noise(grad: &Tensor, seed: u64) -> Tensor {
+        let mut out = Tensor::default();
+        gradient_quant_noise_into(grad, seed, &mut out);
+        out
+    }
+
+    /// INT8×INT8→i32 matrix multiply of `a: (m, k)` and `b: (k, n)`,
+    /// dequantized at the end: the integer kernel plus its epilogue, as the
+    /// INT8 layers run them.
+    fn quantized_matmul(
+        a: &[i8],
+        pa: QuantParams,
+        b: &[i8],
+        pb: QuantParams,
+        (m, k, n): (usize, usize, usize),
+    ) -> Tensor {
+        let mut bt = vec![0i8; n * k];
+        for (p, brow) in b.chunks_exact(n).enumerate() {
+            for (j, &bv) in brow.iter().enumerate() {
+                bt[j * k + p] = bv;
+            }
+        }
+        let mut acc = vec![0i32; m * n];
+        crate::linalg::matmul_i8_a_bt_slices(a, &bt, &mut acc, m, k, n);
+        let mut out = Tensor::zeros([m, n]);
+        scale_i32_into(&acc, pa.scale * pb.scale, out.data_mut());
+        out
+    }
+
+    /// The scalar definition the quantizing sweeps are pinned to.
+    fn quantize_value(v: f32, scale: f32) -> i8 {
+        (v / scale).round().clamp(-INT8_MAX, INT8_MAX) as i8
+    }
 
     #[test]
     fn quantize_roundtrip_within_half_step() {
@@ -492,33 +351,14 @@ mod tests {
     #[test]
     fn fused_variants_match_allocating() {
         let t = Tensor::from_vec((0..96).map(|i| (i as f32 * 0.37).sin()).collect(), [96]);
-        let p = QuantParams::from_tensor(&t);
-        let mut inplace = t.clone();
-        fake_quant_inplace(&mut inplace, p);
-        assert_eq!(inplace, fake_quant(&t, p));
+        // recycled buffers of the wrong shape must be resized + overwritten
+        let mut out = Tensor::full([3], 9.0);
+        fake_quant_into(&t, &mut out);
+        assert_eq!(out, fake_quant(&t, QuantParams::from_tensor(&t)));
 
-        for f in [
-            QuantFormat::Int4,
-            QuantFormat::Int8,
-            QuantFormat::Int16,
-            QuantFormat::Fp16,
-        ] {
-            // recycled buffer of the wrong shape must be resized + overwritten
-            let mut out = Tensor::full([3], 9.0);
-            f.fake_quant_into(&t, &mut out);
-            assert_eq!(out, f.fake_quant(&t));
-        }
-
-        let mut noisy = Tensor::default();
+        let mut noisy = Tensor::full([5], -1.0);
         gradient_quant_noise_into(&t, 42, &mut noisy);
         assert_eq!(noisy, gradient_quant_noise(&t, 42));
-    }
-
-    #[test]
-    fn ste_mask_zeroes_out_of_range() {
-        let p = QuantParams { scale: 0.01 }; // range ±1.27
-        let t = Tensor::from_vec(vec![0.5, -1.2, 2.0, -3.0], [4]);
-        assert_eq!(ste_mask(&t, p).data(), &[1.0, 1.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -538,7 +378,7 @@ mod tests {
         let pb = QuantParams::from_tensor(&b);
         let qa = quantize(&a, pa);
         let qb = quantize(&b, pb);
-        let qres = quantized_matmul(&qa, pa, &qb, pb, m, k, n);
+        let qres = quantized_matmul(&qa, pa, &qb, pb, (m, k, n));
         let fres = crate::linalg::matmul(&a, &b);
         // Error per output element is bounded by k * (sa*|b| + sb*|a| + sa*sb) / 2-ish;
         // for unit-magnitude inputs a loose bound of k * 2.5 * max_step suffices.
@@ -562,7 +402,7 @@ mod tests {
         let b: Vec<i8> = (0..k * n).map(|_| next_i8()).collect();
         let pa = QuantParams { scale: 0.031 };
         let pb = QuantParams { scale: 0.27 };
-        let got = quantized_matmul(&a, pa, &b, pb, m, k, n);
+        let got = quantized_matmul(&a, pa, &b, pb, (m, k, n));
         let s = pa.scale * pb.scale;
         for i in 0..m {
             for j in 0..n {
@@ -610,58 +450,14 @@ mod tests {
     }
 
     #[test]
-    fn formats_rank_by_fidelity() {
-        // finer formats must reconstruct with smaller error
-        let t = Tensor::from_vec(
-            (0..256).map(|i| ((i as f32) * 0.41).sin() * 3.0).collect(),
-            [256],
-        );
-        let err = |f: QuantFormat| f.fake_quant(&t).sub(&t).l2_norm();
-        let (e4, e8, e16) = (
-            err(QuantFormat::Int4),
-            err(QuantFormat::Int8),
-            err(QuantFormat::Int16),
-        );
-        let ef16 = err(QuantFormat::Fp16);
-        assert!(e4 > e8, "INT4 {e4} must be coarser than INT8 {e8}");
-        assert!(e8 > e16, "INT8 {e8} must be coarser than INT16 {e16}");
-        assert!(ef16 < e8, "FP16 {ef16} should beat INT8 {e8} on this range");
-    }
-
-    #[test]
     fn format_fake_quant_matches_int8_path() {
         let t = Tensor::from_vec((0..64).map(|i| (i as f32 * 0.37).sin()).collect(), [64]);
-        let via_format = QuantFormat::Int8.fake_quant(&t);
+        let mut via_own_scale = Tensor::default();
+        fake_quant_into(&t, &mut via_own_scale);
         let via_params = fake_quant(&t, QuantParams::from_tensor(&t));
-        for (a, b) in via_format.data().iter().zip(via_params.data()) {
+        for (a, b) in via_own_scale.data().iter().zip(via_params.data()) {
             assert!((a - b).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn fp16_round_properties() {
-        // exactly representable values survive
-        for v in [0.0f32, 1.0, -2.5, 0.125, 65504.0] {
-            assert_eq!(fp16_round(v), v, "{v}");
-        }
-        // overflow clamps
-        assert_eq!(fp16_round(1e6), 65504.0);
-        assert_eq!(fp16_round(-1e6), -65504.0);
-        // relative error below 2^-10 for normal values
-        for v in [std::f32::consts::PI, 1234.567, -0.003_456_7] {
-            let r = fp16_round(v);
-            assert!(((r - v) / v).abs() < 1.0 / 1024.0, "{v} → {r}");
-        }
-        // idempotent
-        let r = fp16_round(std::f32::consts::E);
-        assert_eq!(fp16_round(r), r);
-    }
-
-    #[test]
-    fn wire_bytes_per_format() {
-        assert_eq!(QuantFormat::Int4.wire_bytes(), 0.5);
-        assert_eq!(QuantFormat::Int8.wire_bytes(), 1.0);
-        assert_eq!(QuantFormat::Fp16.wire_bytes(), 2.0);
     }
 
     #[test]
@@ -714,18 +510,15 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every slice sweep on `isa`, over `src` at `scale`, as comparable bits.
+    /// Every slice sweep on `isa`, over `src` at `scale`, as comparable bits:
+    /// fake quant, quantize, quantized transpose, dequantize, the i32
+    /// epilogue and gradient noise, in that order.
     fn all_sweeps(isa: Isa, src: &[f32], scale: f32) -> Vec<Vec<u32>> {
         let n = src.len();
         let mut out = Vec::new();
-        for gm in [7.0, INT8_MAX, 32767.0] {
-            let mut fq = vec![f32::NAN; n];
-            fake_quant_slices(isa, src, &mut fq, scale, gm);
-            let mut inplace = src.to_vec();
-            fake_quant_slice_inplace(isa, &mut inplace, scale, gm);
-            assert_eq!(bits(&fq), bits(&inplace), "in place vs out of place, ±{gm}");
-            out.push(bits(&fq));
-        }
+        let mut fq = vec![f32::NAN; n];
+        fake_quant_slices(isa, src, &mut fq, scale);
+        out.push(bits(&fq));
         let mut q = vec![55i8; n];
         quantize_slices(isa, src, &mut q, scale);
         out.push(q.iter().map(|&b| b as u32).collect());
@@ -775,20 +568,24 @@ mod tests {
         let isas = [Some(Isa::PORTABLE), avx2];
         for isa in isas.into_iter().flatten() {
             for scale in [0.25, 0.0371] {
-                let p = QuantParams { scale };
                 let src = edge_values(scale);
                 let mut q = vec![0i8; src.len()];
                 quantize_slices(isa, &src, &mut q, scale);
                 let mut fq = vec![0.0; src.len()];
-                fake_quant_slices(isa, &src, &mut fq, scale, INT8_MAX);
+                fake_quant_slices(isa, &src, &mut fq, scale);
                 for ((&v, &qi), &f) in src.iter().zip(&q).zip(&fq) {
-                    assert_eq!(qi, p.quantize_value(v), "quantize({v}) on {}", isa.name());
+                    assert_eq!(
+                        qi,
+                        quantize_value(v, scale),
+                        "quantize({v}) on {}",
+                        isa.name()
+                    );
                     let want = (v / scale).round().clamp(-INT8_MAX, INT8_MAX) * scale;
                     assert_eq!(f.to_bits(), want.to_bits(), "fake_quant({v})");
                     if !v.is_nan() {
                         // the integer path caches this in place of fake_quant
                         // (an `i8` has no -0, so that one sign is lost)
-                        let cached = p.dequantize_value(qi);
+                        let cached = qi as f32 * scale;
                         assert_eq!(cached, f, "{v}");
                         assert!(
                             cached.to_bits() == f.to_bits() || f.to_bits() == (-0.0f32).to_bits()
@@ -814,34 +611,29 @@ mod tests {
         let t = Tensor::from_vec(src.clone(), [n]);
         let want = all_sweeps(Isa::PORTABLE, &src, scale);
 
-        assert_eq!(bits(fake_quant(&t, p).data()), want[1]);
-        let mut inplace = t.clone();
-        fake_quant_inplace(&mut inplace, p);
-        assert_eq!(bits(inplace.data()), want[1]);
+        assert_eq!(bits(fake_quant(&t, p).data()), want[0]);
 
         let mut q = vec![1i8; 3];
         quantize_into(&t, p, &mut q);
-        assert_eq!(q.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[3]);
-        assert_eq!(q, quantize(&t, p));
+        assert_eq!(q.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[1]);
         let (r, c) = (17, n / 17);
         let mut qt = Vec::new();
         let t2 = Tensor::from_vec(src[..r * c].to_vec(), [r, c]);
         quantize_transposed_into(&t2, p, &mut qt);
-        assert_eq!(qt.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[4]);
+        assert_eq!(qt.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[2]);
         let mut dq = Tensor::default();
         dequantize_into(&q, [n], p, &mut dq);
-        assert_eq!(bits(dq.data()), want[5]);
-        assert_eq!(bits(dequantize(&q, [n], p).data()), want[5]);
+        assert_eq!(bits(dq.data()), want[3]);
 
-        // Format-level fake quant picks its own scale from max-|x|; finite
+        // The own-scale fake quant picks its scale from max-|x|; finite
         // input only (an infinite max makes every quotient NaN or 0).
         let finite: Vec<f32> = src.iter().copied().filter(|v| v.is_finite()).collect();
         let tf = Tensor::from_vec(finite.clone(), [finite.len()]);
-        for f in [QuantFormat::Int4, QuantFormat::Int8, QuantFormat::Int16] {
-            let s = tf.abs_max() / f.grid_max();
-            let mut want = vec![0.0; finite.len()];
-            fake_quant_slices(Isa::PORTABLE, &finite, &mut want, s, f.grid_max());
-            assert_eq!(bits(f.fake_quant(&tf).data()), bits(&want), "{f}");
-        }
+        let s = tf.abs_max() / INT8_MAX;
+        let mut want = vec![0.0; finite.len()];
+        fake_quant_slices(Isa::PORTABLE, &finite, &mut want, s);
+        let mut got = Tensor::default();
+        fake_quant_into(&tf, &mut got);
+        assert_eq!(bits(got.data()), bits(&want));
     }
 }

@@ -207,7 +207,7 @@ struct Pool {
     target: AtomicUsize,
     /// Workers actually spawned so far (pool only ever grows).
     spawned: Mutex<usize>,
-    // Cumulative counters since process start / last `reset_stats`.
+    // Cumulative counters since process start.
     tasks: AtomicU64,
     chunks: AtomicU64,
     jobs: AtomicU64,
@@ -524,35 +524,6 @@ pub fn run_scoped<'scope>(jobs: Vec<ScopedJob<'scope>>) {
     });
 }
 
-/// Splits `out` into fixed-size chunks of `chunk_len` elements (the last
-/// may be short) and runs `body(i, chunk_i)` for each on the pool. The
-/// partition depends only on `out.len()` and `chunk_len` — never the thread
-/// count — so any reduction whose chunk bodies are internally ordered is
-/// bit-identical at every `SOCFLOW_THREADS` setting.
-///
-/// # Panics
-/// Panics if `chunk_len == 0`.
-pub fn parallel_for_slice_chunks(
-    out: &mut [f32],
-    chunk_len: usize,
-    body: &(dyn Fn(usize, &mut [f32]) + Sync),
-) {
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let len = out.len();
-    if len == 0 {
-        return;
-    }
-    let chunks = len.div_ceil(chunk_len);
-    let base = SendPtr::new(out);
-    parallel_for_chunks(chunks, &|c| {
-        let lo = c * chunk_len;
-        let hi = (lo + chunk_len).min(len);
-        // Safety: chunk ranges are pairwise disjoint and in-bounds.
-        let chunk = unsafe { base.slice(lo, hi - lo) };
-        body(c, chunk);
-    });
-}
-
 /// Crate-internal wrapper that lets kernels hand disjoint sub-slices of one
 /// output buffer (`f32` accumulators, `i32` integer-GEMM outputs, …) to pool
 /// workers; every chunk derives a non-overlapping range from it.
@@ -622,8 +593,7 @@ pub struct PoolStats {
     pub sleepers: usize,
 }
 
-/// Returns cumulative pool counters since process start or the last
-/// [`reset_stats`]. Chunk/wall timing is only collected while the kernel
+/// Returns cumulative pool counters since process start. Chunk/wall timing is only collected while the kernel
 /// profiler is enabled, mirroring `socflow_tensor::profile`.
 pub fn stats() -> PoolStats {
     let p = pool();
@@ -638,18 +608,6 @@ pub fn stats() -> PoolStats {
         wakes: p.wakes.load(Ordering::Relaxed),
         sleepers: p.queue().sleepers,
     }
-}
-
-/// Zeroes all cumulative pool counters.
-pub fn reset_stats() {
-    let p = pool();
-    p.tasks.store(0, Ordering::Relaxed);
-    p.chunks.store(0, Ordering::Relaxed);
-    p.jobs.store(0, Ordering::Relaxed);
-    p.busy_nanos.store(0, Ordering::Relaxed);
-    p.wall_nanos.store(0, Ordering::Relaxed);
-    p.parks.store(0, Ordering::Relaxed);
-    p.wakes.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 use crate::isa::{isa_kernel, Isa};
-use crate::{Shape, TensorError};
+use crate::Shape;
 use serde::{Deserialize, Serialize};
 
 isa_kernel! {
@@ -62,22 +62,6 @@ impl Tensor {
             data.len()
         );
         Tensor { data, shape }
-    }
-
-    /// Fallible version of [`Tensor::from_vec`].
-    ///
-    /// # Errors
-    /// Returns [`TensorError::LengthMismatch`] if the data length does not
-    /// equal the number of elements implied by the shape.
-    pub fn try_from_vec(data: Vec<f32>, shape: impl Into<Shape>) -> Result<Self, TensorError> {
-        let shape = shape.into();
-        if data.len() != shape.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.len(),
-                actual: data.len(),
-            });
-        }
-        Ok(Tensor { data, shape })
     }
 
     /// A tensor filled with zeros.
@@ -170,15 +154,6 @@ impl Tensor {
         self.shape = shape;
     }
 
-    /// Overwrites `self` with a copy of `other`, reusing `self`'s storage.
-    ///
-    /// Equivalent to `*self = other.clone()` without the fresh allocation.
-    pub fn copy_from(&mut self, other: &Tensor) {
-        self.data.clear();
-        self.data.extend_from_slice(&other.data);
-        self.shape = other.shape.clone();
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics
@@ -240,14 +215,6 @@ impl Tensor {
         }
     }
 
-    /// `self += scale * other` (axpy). Panics on shape mismatch.
-    pub fn add_scaled_inplace(&mut self, other: &Tensor, scale: f32) {
-        self.zip_check(other, "add_scaled_inplace");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// Elementwise difference. Panics on shape mismatch.
     pub fn sub(&self, other: &Tensor) -> Tensor {
         self.zip_check(other, "sub");
@@ -258,34 +225,6 @@ impl Tensor {
             .map(|(a, b)| a - b)
             .collect();
         Tensor::from_vec(data, self.shape.clone())
-    }
-
-    /// In-place elementwise difference. Panics on shape mismatch.
-    pub fn sub_inplace(&mut self, other: &Tensor) {
-        self.zip_check(other, "sub_inplace");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
-    /// Elementwise (Hadamard) product. Panics on shape mismatch.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_check(other, "mul");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Tensor::from_vec(data, self.shape.clone())
-    }
-
-    /// In-place elementwise (Hadamard) product. Panics on shape mismatch.
-    pub fn mul_inplace(&mut self, other: &Tensor) {
-        self.zip_check(other, "mul_inplace");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
     }
 
     /// Multiplies every element by `s`.
@@ -305,13 +244,6 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let data = self.data.iter().map(|&a| f(a)).collect();
         Tensor::from_vec(data, self.shape.clone())
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
     }
 
     /// Overwrites every element with zero, keeping the allocation.
@@ -368,22 +300,6 @@ impl Tensor {
 
     // ----- matrix/row helpers (used by NN layers) -----
 
-    /// Adds a bias vector to every row of a `(rows, cols)` matrix.
-    ///
-    /// # Panics
-    /// Panics if `self` is not rank-2 or `bias.len() != cols`.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        let (rows, cols) = self.shape.as_matrix();
-        assert_eq!(bias.len(), cols, "bias length must equal column count");
-        let mut out = self.clone();
-        for r in 0..rows {
-            for c in 0..cols {
-                out.data[r * cols + c] += bias.data[c];
-            }
-        }
-        out
-    }
-
     /// Adds a bias vector to every row of a `(rows, cols)` matrix in place.
     ///
     /// # Panics
@@ -399,17 +315,8 @@ impl Tensor {
         }
     }
 
-    /// Sums a `(rows, cols)` matrix down to a length-`cols` vector.
-    ///
-    /// # Panics
-    /// Panics if `self` is not rank-2.
-    pub fn sum_rows(&self) -> Tensor {
-        let mut out = Tensor::default();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::sum_rows`] writing into `out`, reusing its storage.
+    /// Sums a `(rows, cols)` matrix down to a length-`cols` vector in
+    /// `out`, reusing its storage.
     ///
     /// # Panics
     /// Panics if `self` is not rank-2.
@@ -423,47 +330,6 @@ impl Tensor {
                 *o += self.data[r * cols + c];
             }
         }
-    }
-
-    /// Concatenates tensors along axis 0 (all other dimensions must match).
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or trailing dimensions disagree.
-    pub fn concat0(parts: &[&Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat of nothing");
-        let first = parts[0].shape().dims();
-        assert!(!first.is_empty(), "concat needs rank >= 1");
-        let tail = &first[1..];
-        let mut dim0 = 0;
-        for p in parts {
-            let d = p.shape().dims();
-            assert_eq!(&d[1..], tail, "trailing dims must match");
-            dim0 += d[0];
-        }
-        let mut data = Vec::with_capacity(dim0 * tail.iter().product::<usize>());
-        for p in parts {
-            data.extend_from_slice(p.data());
-        }
-        let mut dims = vec![dim0];
-        dims.extend_from_slice(tail);
-        Tensor::from_vec(data, Shape::new(dims))
-    }
-
-    /// A copy of rows `[from, to)` along axis 0.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or reversed.
-    pub fn slice0(&self, from: usize, to: usize) -> Tensor {
-        let dims = self.shape.dims();
-        assert!(!dims.is_empty(), "slice needs rank >= 1");
-        assert!(from <= to && to <= dims[0], "invalid slice {from}..{to}");
-        let per: usize = dims[1..].iter().product();
-        let mut out_dims = dims.to_vec();
-        out_dims[0] = to - from;
-        Tensor::from_vec(
-            self.data[from * per..to * per].to_vec(),
-            Shape::new(out_dims),
-        )
     }
 
     /// Index of the maximum element in each row of a `(rows, cols)` matrix.
@@ -525,18 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn try_from_vec_rejects_bad_length() {
-        let err = Tensor::try_from_vec(vec![1.0; 5], [2, 3]).unwrap_err();
-        assert_eq!(
-            err,
-            TensorError::LengthMismatch {
-                expected: 6,
-                actual: 5
-            }
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "does not match shape")]
     fn from_vec_panics_on_bad_length() {
         Tensor::from_vec(vec![1.0; 5], [2, 3]);
@@ -548,11 +402,10 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 5.0], [2]);
         assert_eq!(a.add(&b).data(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).data(), &[2.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[3.0, 10.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
         let mut c = a.clone();
-        c.add_scaled_inplace(&b, 0.5);
-        assert_eq!(c.data(), &[2.5, 4.5]);
+        c.add_inplace(&b);
+        assert_eq!(c.data(), &[4.0, 7.0]);
     }
 
     #[test]
@@ -588,41 +441,18 @@ mod tests {
     fn row_broadcast_and_sum_rows() {
         let m = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
         let bias = Tensor::from_vec(vec![10.0, 20.0], [2]);
-        assert_eq!(m.add_row_broadcast(&bias).data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(m.sum_rows().data(), &[4.0, 6.0]);
+        let mut sums = Tensor::default();
+        m.sum_rows_into(&mut sums);
+        assert_eq!(sums.data(), &[4.0, 6.0]);
+        let mut m = m;
+        m.add_row_broadcast_inplace(&bias);
+        assert_eq!(m.data(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]
     fn argmax_rows_picks_first_max() {
         let m = Tensor::from_vec(vec![0.1, 0.9, 0.5, 0.5], [2, 2]);
         assert_eq!(m.argmax_rows(), vec![1, 0]);
-    }
-
-    #[test]
-    fn concat0_and_slice0_roundtrip() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
-        let b = Tensor::from_vec(vec![5.0, 6.0], [1, 2]);
-        let c = Tensor::concat0(&[&a, &b]);
-        assert_eq!(c.shape().dims(), &[3, 2]);
-        assert_eq!(c.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(c.slice0(0, 2), a);
-        assert_eq!(c.slice0(2, 3), b);
-        // empty slice is legal
-        assert_eq!(c.slice0(1, 1).shape().dims(), &[0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "trailing dims")]
-    fn concat0_checks_trailing_dims() {
-        let a = Tensor::zeros([2, 2]);
-        let b = Tensor::zeros([2, 3]);
-        let _ = Tensor::concat0(&[&a, &b]);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid slice")]
-    fn slice0_checks_bounds() {
-        Tensor::zeros([2, 2]).slice0(1, 3);
     }
 
     #[test]

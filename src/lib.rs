@@ -1,7 +1,7 @@
 //! Umbrella crate for the SoCFlow reproduction workspace.
 //!
-//! Re-exports the member crates so examples and integration tests can use a
-//! single dependency. Library users should depend on the individual crates
+//! Re-exports the member crates so integration tests can use a single
+//! dependency. Library users should depend on the individual crates
 //! ([`socflow`], [`socflow_cluster`], ...) directly.
 pub use socflow;
 pub use socflow_baselines;
