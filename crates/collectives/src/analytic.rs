@@ -6,16 +6,7 @@ use socflow_cluster::Seconds;
 
 /// Analytic Ring-AllReduce time: `2(n−1)` steps of `bytes/n` at
 /// `bandwidth` plus per-step latency.
-///
-/// # Panics
-/// Panics if `bandwidth <= 0`.
-pub fn ring_time(
-    n: usize,
-    bytes: f64,
-    bandwidth_bytes_per_s: f64,
-    step_latency: Seconds,
-) -> Seconds {
-    assert!(bandwidth_bytes_per_s > 0.0, "bandwidth must be positive");
+fn ring_time(n: usize, bytes: f64, bandwidth_bytes_per_s: f64, step_latency: Seconds) -> Seconds {
     if n < 2 || bytes == 0.0 {
         return 0.0;
     }
@@ -25,11 +16,7 @@ pub fn ring_time(
 
 /// Analytic parameter-server time: `n−1` pushes into the server link, then
 /// `n−1` pulls out of it, serialized on that single link.
-///
-/// # Panics
-/// Panics if `bandwidth <= 0`.
-pub fn ps_time(n: usize, bytes: f64, bandwidth_bytes_per_s: f64, step_latency: Seconds) -> Seconds {
-    assert!(bandwidth_bytes_per_s > 0.0, "bandwidth must be positive");
+fn ps_time(n: usize, bytes: f64, bandwidth_bytes_per_s: f64, step_latency: Seconds) -> Seconds {
     if n < 2 || bytes == 0.0 {
         return 0.0;
     }

@@ -38,9 +38,77 @@ pub fn allreduce_mean(buffers: &mut [Vec<f32>]) {
     }
 }
 
+/// The actual chunked Ring-AllReduce algorithm: `n−1` reduce-scatter steps
+/// followed by `n−1` all-gather steps over `n` chunks.
+///
+/// Produces bitwise the ring schedule's result (summation order differs from
+/// the direct sum, so floating-point results can differ in the last ulp;
+/// tests bound the divergence). Exists to validate that the *time* model's
+/// step structure matches a real data-plane schedule.
+///
+/// # Panics
+/// Panics if the buffers have different lengths or `buffers` is empty.
+pub fn ring_allreduce_sum(buffers: &mut [Vec<f32>]) {
+    let n = buffers.len();
+    assert!(n > 0, "all-reduce needs at least one worker");
+    if n == 1 {
+        return;
+    }
+    let len = buffers[0].len();
+    assert!(
+        buffers.iter().all(|b| b.len() == len),
+        "all buffers must have equal length"
+    );
+    // chunk boundaries (chunk c = [starts[c], starts[c+1]))
+    let starts: Vec<usize> = (0..=n).map(|c| c * len / n).collect();
+
+    // Reduce-scatter: in step s, worker w sends chunk (w - s) mod n to w+1,
+    // which accumulates it. After n-1 steps, worker w owns the full sum of
+    // chunk (w + 1) mod n.
+    for s in 0..n - 1 {
+        // gather the outgoing chunks first (simultaneous sends)
+        let outgoing: Vec<(usize, Vec<f32>)> = (0..n)
+            .map(|w| {
+                let c = (w + n - s) % n;
+                (c, buffers[w][starts[c]..starts[c + 1]].to_vec())
+            })
+            .collect();
+        for w in 0..n {
+            let (c, chunk) = &outgoing[(w + n - 1) % n]; // from predecessor
+            for (dst, v) in buffers[w][starts[*c]..starts[c + 1]].iter_mut().zip(chunk) {
+                *dst += v;
+            }
+        }
+    }
+    // All-gather: in step s, worker w sends its completed chunk
+    // (w + 1 - s) mod n onwards.
+    for s in 0..n - 1 {
+        let outgoing: Vec<(usize, Vec<f32>)> = (0..n)
+            .map(|w| {
+                let c = (w + 1 + n - s) % n;
+                (c, buffers[w][starts[c]..starts[c + 1]].to_vec())
+            })
+            .collect();
+        for w in 0..n {
+            let (c, chunk) = &outgoing[(w + n - 1) % n];
+            buffers[w][starts[*c]..starts[c + 1]].copy_from_slice(chunk);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn make_buffers(workers: usize, len: usize) -> Vec<Vec<f32>> {
+        (0..workers)
+            .map(|w| {
+                (0..len)
+                    .map(|i| ((w * 31 + i * 7) % 13) as f32 - 6.0)
+                    .collect()
+            })
+            .collect()
+    }
 
     #[test]
     fn sum_replicates_total() {
@@ -56,6 +124,45 @@ mod tests {
         let mut b = vec![vec![2.0], vec![4.0]];
         allreduce_mean(&mut b);
         assert_eq!(b, vec![vec![3.0], vec![3.0]]);
+    }
+
+    #[test]
+    fn ring_equals_direct_sum() {
+        for workers in [2usize, 3, 4, 5, 8] {
+            for len in [1usize, 7, 16, 33] {
+                let mut ring = make_buffers(workers, len);
+                let mut direct = ring.clone();
+                ring_allreduce_sum(&mut ring);
+                allreduce_sum(&mut direct);
+                for w in 0..workers {
+                    for i in 0..len {
+                        assert!(
+                            (ring[w][i] - direct[w][i]).abs() < 1e-4,
+                            "workers={workers} len={len} w={w} i={i}: {} vs {}",
+                            ring[w][i],
+                            direct[w][i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_single_worker_noop() {
+        let mut b = vec![vec![1.0, 2.0, 3.0]];
+        ring_allreduce_sum(&mut b);
+        assert_eq!(b[0], vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn ring_more_workers_than_elements() {
+        // len < n: some chunks are empty; result must still be the sum
+        let mut ring = make_buffers(5, 3);
+        let mut direct = ring.clone();
+        ring_allreduce_sum(&mut ring);
+        allreduce_sum(&mut direct);
+        assert_eq!(ring, direct);
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! - **preemption** models the PR-3 checkpoint/reclaim machinery: a job
 //!   squeezed below its SoC floor checkpoints at the last epoch boundary
 //!   (the partial epoch is lost), re-queues, and pays a restore stall
-//!   when re-admitted. `tests/checkpoint_preemption.rs` maps the same
-//!   tidal transitions onto an engine fault plan and shows that a
-//!   *real* training run preempted by the trace resumes bit-exactly.
+//!   when re-admitted. [`tidal_fault_plan`] maps the same tidal
+//!   transitions onto an engine [`FaultPlan`] so a *real* training run
+//!   preempted by the trace resumes bit-exactly (see
+//!   `tests/checkpoint_preemption.rs`).
 //!
 //! Epochs are priced with [`TimeModel`] in simulated mode, i.e. on the
 //! event-driven fluid timeline — the FlexFlow-style "simulator as cost
@@ -42,6 +43,7 @@ use crate::planning::divide_or_serialize;
 use crate::scheduler::{memory_estimate, NetworkShape};
 use crate::timemodel::TimeModel;
 use serde::Serialize;
+use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
 use socflow_cluster::tidal::TidalTrace;
 use socflow_cluster::{ClusterSpec, Seconds, SocId};
 use socflow_data::DatasetPreset;
@@ -181,6 +183,40 @@ pub fn standard_job_mix(jobs: usize, mean_interarrival_s: Seconds, seed: u64) ->
             }
         })
         .collect()
+}
+
+/// Maps a server's tidal trace onto a job-local [`FaultPlan`]: the job
+/// starts at `start_hour` on the server SoCs `assigned` (listed in
+/// job-rank order), and whenever an assigned SoC turns busy at a later
+/// hour boundary within `hours`, the plan records a graceful
+/// [`FaultKind::Reclaimed`] event for that job rank at
+/// `h * hour_seconds` on the job clock (pass `3600.0` for real tidal
+/// hours; tests compress the clock to fit short runs). Only the first
+/// transition per SoC matters — a reclaimed SoC does not rejoin the
+/// job. Feeding this plan to the engine preempts a real training run
+/// exactly where the fleet simulation would, so checkpointed jobs
+/// evicted by the tide resume bit-exactly.
+pub fn tidal_fault_plan(
+    trace: &TidalTrace,
+    assigned: &[SocId],
+    start_hour: usize,
+    hours: usize,
+    hour_seconds: Seconds,
+) -> FaultPlan {
+    let mut events = Vec::new();
+    for (rank, &soc) in assigned.iter().enumerate() {
+        for h in 1..=hours {
+            if trace.is_busy(soc, (start_hour + h) % 24) {
+                events.push(FaultEvent {
+                    at: h as Seconds * hour_seconds,
+                    soc: SocId(rank),
+                    kind: FaultKind::Reclaimed,
+                });
+                break;
+            }
+        }
+    }
+    FaultPlan::from_events(events)
 }
 
 /// Prices one epoch of a SoCFlow-variant job over `socs` SoCs on the
@@ -759,6 +795,28 @@ mod tests {
             tidal.utilization,
             fifo.utilization
         );
+    }
+
+    #[test]
+    fn tidal_fault_plan_marks_first_busy_transition_per_rank() {
+        let trace = TidalTrace::generate(60, 3);
+        let (start, len) = trace.best_idle_window(16);
+        assert!(len >= 1);
+        let assigned: Vec<SocId> = trace
+            .idle_through(start, len)
+            .into_iter()
+            .take(16)
+            .collect();
+        let plan = tidal_fault_plan(&trace, &assigned, start, len + 6, 3600.0);
+        // job-local ranks only, each at an hour boundary after the start
+        for e in plan.events() {
+            assert!(e.soc.0 < 16);
+            assert_eq!(e.kind, FaultKind::Reclaimed);
+            assert!(e.at >= 3600.0);
+            assert_eq!(e.at % 3600.0, 0.0);
+        }
+        // inside the idle window nothing is reclaimed
+        assert!(plan.events().iter().all(|e| e.at >= len as f64 * 3600.0));
     }
 
     #[test]

@@ -63,6 +63,34 @@ pub fn choose_group_count(
 mod tests {
     use super::*;
 
+    /// Eq. 1 as the time model prices it: all groups consume data in
+    /// parallel and synchronize inside smaller groups, so more groups mean
+    /// a shorter epoch — the speed the heuristic trades against accuracy.
+    #[test]
+    fn epoch_time_decreases_with_groups() {
+        use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+        use crate::mapping::integrity_greedy;
+        use crate::planning::divide_communication_groups;
+        use crate::timemodel::TimeModel;
+        use socflow_cluster::ClusterSpec;
+        use socflow_data::DatasetPreset;
+        use socflow_nn::models::ModelKind;
+
+        let epoch = |groups: usize| {
+            let model = TimeModel::new(&TrainJobSpec::new(
+                ModelKind::Vgg11,
+                DatasetPreset::Cifar10,
+                MethodSpec::SocFlow(SocFlowConfig::with_groups(groups)),
+            ));
+            let mapping = integrity_greedy(&ClusterSpec::for_socs(32), 32, groups);
+            let cgs = divide_communication_groups(&mapping).unwrap();
+            model.socflow_epoch(&mapping, &cgs, true, 1.0).time
+        };
+        let (t1, t8, t32) = (epoch(1), epoch(8), epoch(32));
+        assert!(t8 < t1, "{t8} < {t1}");
+        assert!(t32 < t8, "{t32} < {t8}");
+    }
+
     #[test]
     fn heuristic_stops_at_cliff() {
         // synthetic profile: fine until 8 groups, collapses at 16

@@ -497,6 +497,20 @@ mod tests {
     }
 
     #[test]
+    fn save_load_weights_roundtrip() {
+        // a checkpoint saves the flat weights of one network and loads
+        // them into another of the same architecture
+        let mut a = tiny_net(9);
+        let mut b = tiny_net(10);
+        assert_ne!(a.flat_weights(), b.flat_weights());
+        b.set_flat_weights(&a.flat_weights());
+        assert_eq!(a.flat_weights(), b.flat_weights());
+        let x = Tensor::ones([2, 4]);
+        let mode = Mode::eval(Precision::Fp32);
+        assert_eq!(a.forward(&x, mode).data(), b.forward(&x, mode).data());
+    }
+
+    #[test]
     #[should_panic(expected = "length mismatch")]
     fn set_flat_weights_checks_length() {
         let mut n = tiny_net(4);
@@ -539,6 +553,28 @@ mod tests {
         let g = layout[2];
         assert!(out[..g.offset].iter().all(|v| *v == 0.0));
         assert!(out[g.offset..].iter().any(|v| *v != 0.0));
+    }
+
+    #[test]
+    fn backward_streams_ready_spans_in_reverse_layer_order() {
+        let mut n = tiny_net(6);
+        let mode = Mode::train(Precision::Fp32);
+        let y = n.forward(&Tensor::ones([2, 4]), mode);
+        let layout = n.grad_layout();
+        let mut seen = Vec::new();
+        let ones = Tensor::ones(y.shape().clone());
+        let ready = |i: usize| seen.extend(Some(layout[i]).filter(|g| g.len > 0));
+        let g1 = backward_chain(&mut n.layers, &ones, mode, true, ready)
+            .expect("the input gradient was asked for");
+        // parameterized layers only, output-most first
+        assert_eq!(seen, vec![layout[2], layout[0]]);
+
+        // identical input gradient and parameter gradients as plain backward
+        let mut m = tiny_net(6);
+        let y2 = m.forward(&Tensor::ones([2, 4]), mode);
+        let g2 = m.backward(&Tensor::ones(y2.shape().clone()), mode);
+        assert_eq!(g1.data(), g2.data());
+        assert_eq!(n.flat_grads(), m.flat_grads());
     }
 
     #[test]

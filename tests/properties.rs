@@ -1,12 +1,13 @@
 //! Property-based tests (proptest) over the core invariants:
 //! mapping optimality and the contention bound, CG coloring validity,
-//! max-min fairness of the flow network, quantization error bounds, and
-//! partitioner correctness.
+//! max-min fairness of the flow network, all-reduce semantics,
+//! quantization error bounds, and partitioner correctness.
 
 use proptest::prelude::*;
 use socflow::mapping::{brute_force_min_conflicts, group_sizes, integrity_greedy, GroupId};
 use socflow::planning::divide_communication_groups;
 use socflow_cluster::{ClusterNet, ClusterSpec, Flow, SocId};
+use socflow_collectives::{allreduce_sum, ring_allreduce_sum};
 use socflow_data::{dirichlet_partition, iid_partition, label_shard_partition};
 use socflow_tensor::quant::{self, QuantParams};
 use socflow_tensor::Tensor;
@@ -161,6 +162,33 @@ proptest! {
         if flows.len() > 1 {
             let fewer = net.transfer(&flows[..flows.len() - 1]);
             prop_assert!(fewer.makespan <= stats.makespan + 1e-9);
+        }
+    }
+
+    /// Ring all-reduce computes the same sums as the direct reduction for
+    /// arbitrary worker counts and vector lengths.
+    #[test]
+    fn ring_allreduce_equals_direct(
+        workers in 1usize..9,
+        len in 1usize..40,
+        seed in 0u64..500,
+    ) {
+        let mut state = seed;
+        let mut buffers: Vec<Vec<f32>> = (0..workers)
+            .map(|_| {
+                (0..len)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(99991);
+                        ((state >> 40) % 2000) as f32 / 100.0 - 10.0
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut direct = buffers.clone();
+        ring_allreduce_sum(&mut buffers);
+        allreduce_sum(&mut direct);
+        for (r, d) in buffers.iter().flatten().zip(direct.iter().flatten()) {
+            prop_assert!((r - d).abs() < 1e-3 * (1.0 + d.abs()), "{} vs {}", r, d);
         }
     }
 
@@ -331,14 +359,21 @@ proptest! {
         }
     }
 
-    /// The NPU arm's own-scale fake quant is idempotent for any input
-    /// tensor: a staged operand staged again is unchanged.
+    /// The finer numeric path never reconstructs worse than the coarser
+    /// one, for any input tensor: FP32 (the CPU arm) is exact, and the NPU
+    /// arm's own-scale INT8 fake quant stays within half a step of every
+    /// value. The INT8 transform is idempotent: a staged operand staged
+    /// again is unchanged.
     #[test]
-    fn int8_fake_quant_is_idempotent(vals in proptest::collection::vec(-50.0f32..50.0, 2..64)) {
+    fn format_fidelity_monotone(vals in proptest::collection::vec(-50.0f32..50.0, 2..64)) {
         let n = vals.len();
         let t = Tensor::from_vec(vals, [n]);
         let (mut once, mut twice) = (Tensor::default(), Tensor::default());
         quant::fake_quant_into(&t, &mut once);
+        let bound = quant::max_rounding_error(QuantParams::from_tensor(&t));
+        for (q, v) in once.data().iter().zip(t.data()) {
+            prop_assert!((q - v).abs() <= bound * (1.0 + 1e-5), "{} -> {}", v, q);
+        }
         quant::fake_quant_into(&once, &mut twice);
         for (a, b) in once.data().iter().zip(twice.data()) {
             prop_assert!((a - b).abs() < 1e-6, "not idempotent");

@@ -34,6 +34,14 @@ const ALLOWED: &[(&str, &str)] = &[
         "normal",
         "Gaussian inputs of the layer gradchecks and step-scratch properties",
     ),
+    (
+        "ring_allreduce_sum",
+        "data-plane ring tests/properties.rs holds to the direct sum",
+    ),
+    (
+        "tidal_fault_plan",
+        "tidal preemption plan tests/checkpoint_preemption.rs resumes through",
+    ),
     ("reference_flops", "owned by ROADMAP item 11(b)"),
     ("mobilenet_v1_depthwise", "owned by ROADMAP item 11(c)"),
 ];
