@@ -38,7 +38,6 @@
 mod paper;
 
 use crate::commands::{default_width, PlanJson};
-use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
 use serde_json::Value;
 use socflow::autotune::{autotune, TuneOptions, BUCKET_GRID_KB, DEFAULT_BUDGET};
@@ -55,7 +54,7 @@ use socflow_cluster::faults::FaultPlan;
 use socflow_cluster::{ClusterSpec, ScratchStats};
 use socflow_data::stream::RateProfile;
 use socflow_data::DatasetPreset;
-use socflow_nn::models::{ModelConfig, ModelKind};
+use socflow_nn::models::{self, ModelConfig, ModelKind};
 use socflow_telemetry::{MemorySink, Summary};
 use socflow_tensor::conv::{self, ConvParams};
 use socflow_tensor::isa::Isa;
@@ -270,12 +269,9 @@ fn lenet_job(socs: usize, groups: usize, epochs: usize, global_batch: usize) -> 
 }
 
 /// The gradient layout the timeline and autotune suites bucket: `kind` at
-/// `width` on CIFAR-shaped input. The init seed is irrelevant — only the
-/// per-layer parameter counts matter here.
+/// `width` on CIFAR-shaped input, off its layer table.
 fn grad_layout(kind: ModelKind, width: f32) -> Vec<socflow_nn::GradReady> {
-    let mut rng = StdRng::seed_from_u64(0);
-    kind.build(ModelConfig::new(3, 32, 10, width), &mut rng)
-        .grad_layout()
+    models::grad_layout(&kind.layers(ModelConfig::new(3, 32, 10, width)))
 }
 
 /// Schedules and runs `spec` on the suites' standard scaled workload

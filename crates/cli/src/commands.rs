@@ -14,7 +14,7 @@ use socflow_cluster::faults::FaultPlan;
 use socflow_cluster::tidal::TidalTrace;
 use socflow_cluster::ClusterSpec;
 use socflow_data::DatasetPreset;
-use socflow_nn::models::ModelKind;
+use socflow_nn::models::{LayerSpec, ModelKind};
 use socflow_telemetry::{read_trace, Summary, TraceWriter};
 use std::sync::Arc;
 
@@ -302,7 +302,7 @@ pub fn train(opts: &Options) -> Result<(), String> {
     let (model, preset) = (spec.model, spec.preset);
     let workload = Workload::standard(&spec, opts.samples, 8, default_width(model));
     if let Some(ckpt) = &options.resume {
-        let params = NetworkShape::of(&spec, workload.model_cfg).params;
+        let params = NetworkShape::of(model, workload.model_cfg).params;
         let saved = ckpt.replicas[0].len();
         if saved != params {
             return Err(format!(
@@ -649,12 +649,19 @@ fn trace_summarize(path: &str, spans_full: bool) -> Result<(), String> {
 
 /// `socflow-cli info`: models, datasets and calibration summary.
 pub fn info() -> Result<(), String> {
-    println!("models (reference params / payload):");
+    println!(
+        "models (reference params / FP32 payload | the layer table at the paper's input: \
+         params, forward multiply-adds and activations per sample):"
+    );
     for m in ModelKind::ALL {
+        let table = m.layers(m.paper_config());
         println!(
-            "  {m:<12} {:>10} params  {:>6.1} MB FP32 payload",
+            "  {m:<12} {:>10} params  {:>6.1} MB  | {:>10} params  {:>7.1} M MACs  {:>6.1} K activations",
             m.reference_params(),
-            m.payload_bytes_fp32() as f64 / 1e6
+            m.payload_bytes_fp32() as f64 / 1e6,
+            table.iter().map(LayerSpec::params).sum::<usize>(),
+            table.iter().map(LayerSpec::macs).sum::<u64>() as f64 / 1e6,
+            table.iter().map(LayerSpec::activations).sum::<usize>() as f64 / 1e3,
         );
     }
     println!("\ndatasets (reference size):");

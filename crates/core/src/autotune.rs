@@ -497,10 +497,8 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
 mod tests {
     use super::*;
     use crate::config::TrainJobSpec;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use socflow_data::DatasetPreset;
-    use socflow_nn::models::{ModelConfig, ModelKind};
+    use socflow_nn::models::{self, ModelConfig, ModelKind};
 
     fn spec(socs: usize) -> TrainJobSpec {
         let mut s = TrainJobSpec::new(
@@ -513,11 +511,7 @@ mod tests {
     }
 
     fn layout() -> Vec<GradReady> {
-        let net = ModelKind::Vgg11.build(
-            ModelConfig::new(3, 32, 10, 0.25),
-            &mut StdRng::seed_from_u64(0),
-        );
-        net.grad_layout()
+        models::grad_layout(&ModelKind::Vgg11.layers(ModelConfig::new(3, 32, 10, 0.25)))
     }
 
     #[test]

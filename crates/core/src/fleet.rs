@@ -12,8 +12,8 @@
 //!   mix ([`standard_job_mix`]);
 //! - **admission** gates each arrival on the scheduler's per-SoC memory
 //!   estimate ([`memory_estimate`]), read off the job's geometry and its
-//!   network's counts (built once per model and preset; no sample is
-//!   synthesised), and places queued jobs on [`TidalTrace`] idle runs:
+//!   model's layer table (no sample is synthesised, no weight
+//!   initialised), and places queued jobs on [`TidalTrace`] idle runs:
 //!   the `Tidal` policy only on SoCs that stay idle through the job's
 //!   estimated runtime (capped at 6 h), the naive `Fifo` baseline on
 //!   whatever is idle *right now*. A server with fewer such free SoCs
@@ -49,7 +49,7 @@ use socflow_cluster::{ClusterSpec, Seconds, SocId};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_telemetry::{Event, EventSink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How the fleet admits and places queued jobs.
@@ -426,18 +426,10 @@ impl FleetSim {
     /// Whether the job's per-SoC footprint fits the SoC memory budget —
     /// the scheduler's own (topology-aware) estimate, which reads the
     /// job's geometry and not one sample. Of the network it reads two
-    /// counts, and getting them means building it (random-initialising
-    /// every weight), so `shapes` keeps them per distinct input of that
-    /// build: the model, and the preset that sets its channels and
-    /// classes.
-    fn fits_memory(
-        req: &JobRequest,
-        shapes: &mut HashMap<(ModelKind, DatasetPreset), NetworkShape>,
-    ) -> bool {
+    /// counts, off the model's layer table: no weight is initialised.
+    fn fits_memory(req: &JobRequest) -> bool {
         let geometry = Workload::model_config(&req.spec, 8, 0.5);
-        let shape = *shapes
-            .entry((req.spec.model, req.spec.preset))
-            .or_insert_with(|| NetworkShape::of(&req.spec, geometry));
+        let shape = NetworkShape::of(req.spec.model, geometry);
         memory_estimate(&req.spec, geometry, shape).fits_soc()
     }
 
@@ -466,7 +458,6 @@ impl FleetSim {
             })
             .collect();
         let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut network_shapes = HashMap::new();
         let mut gross_soc_hours = 0.0;
         let mut waste_soc_hours = 0.0;
         let mut idle_soc_hours = 0.0;
@@ -487,7 +478,7 @@ impl FleetSim {
                         socs: req.spec.socs,
                         epochs: req.spec.epochs,
                     });
-                    if Self::fits_memory(req, &mut network_shapes) {
+                    if Self::fits_memory(req) {
                         queue.push_back(id);
                     } else {
                         states[id].rejected = true;

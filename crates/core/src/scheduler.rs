@@ -17,7 +17,7 @@ use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::RunResult;
 use socflow_cluster::{ClusterSpec, SocId};
 use socflow_nn::memory::MemoryEstimate;
-use socflow_nn::models::ModelConfig;
+use socflow_nn::models::{self, LayerSpec, ModelConfig, ModelKind};
 use socflow_telemetry::Event;
 
 /// What the memory estimate reads of a job's network.
@@ -30,15 +30,14 @@ pub struct NetworkShape {
 }
 
 impl NetworkShape {
-    /// Parameter and layer counts of the network `spec` trains at
-    /// geometry `model_cfg`. Builds the network (random-initialising
-    /// every weight) to count them, so callers checking many jobs of one
-    /// model and preset keep the result.
-    pub fn of(spec: &TrainJobSpec, model_cfg: ModelConfig) -> Self {
-        let net = network_of(spec, model_cfg);
+    /// Parameter and layer counts of `model` at geometry `model_cfg`, read
+    /// off its layer table ([`ModelKind::layers`]): no weight is
+    /// initialised, so it is cheap enough to ask once per job.
+    pub fn of(model: ModelKind, model_cfg: ModelConfig) -> Self {
+        let table = model.layers(model_cfg);
         NetworkShape {
-            params: net.param_count(),
-            layers: net.num_layers(),
+            params: table.iter().map(LayerSpec::params).sum(),
+            layers: table.len(),
         }
     }
 }
@@ -262,29 +261,22 @@ fn unpinned(c: SocFlowConfig) -> bool {
     c.groups.is_none()
 }
 
-/// The network `spec` trains at geometry `model_cfg`, freshly initialised
-/// from the job's seed.
-fn network_of(spec: &TrainJobSpec, model_cfg: ModelConfig) -> socflow_nn::Network {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(spec.seed);
-    spec.model.build(model_cfg, &mut rng)
-}
-
 /// [`GlobalScheduler::tune`] for a job nobody has built the datasets of:
-/// the search reads the model's gradient layout — its geometry
-/// ([`Workload::model_config`]) — and not one sample, which is why
-/// `socflow-cli tune` calls this and synthesises no corpus.
+/// the search reads the model's gradient layout — off its layer table at
+/// its geometry ([`Workload::model_config`]) — and not one sample or
+/// weight, which is why `socflow-cli tune` calls this and synthesises no
+/// corpus.
 ///
 /// # Panics
 /// As [`GlobalScheduler::tune`].
 pub fn tune_job(
     spec: &TrainJobSpec,
-    model_cfg: socflow_nn::models::ModelConfig,
+    model_cfg: ModelConfig,
     options: &RunOptions,
     plan: Plan,
 ) -> crate::autotune::TuneReport {
     options.assert_valid(spec, plan);
-    let layout = network_of(spec, model_cfg).grad_layout();
+    let layout = models::grad_layout(&spec.model.layers(model_cfg));
     let opts = crate::autotune::TuneOptions {
         budget: match plan {
             Plan::Auto { budget } => Some(budget),
@@ -324,7 +316,6 @@ mod tests {
     use crate::checkpoint::Checkpoint;
     use crate::config::{MethodSpec, SocFlowConfig, StreamingConfig};
     use socflow_data::DatasetPreset;
-    use socflow_nn::models::ModelKind;
 
     fn spec(method: MethodSpec) -> TrainJobSpec {
         let mut s = TrainJobSpec::new(ModelKind::LeNet5, DatasetPreset::FashionMnist, method);
@@ -361,14 +352,14 @@ mod tests {
             ] {
                 let mut s = TrainJobSpec::new(model, preset, method);
                 let geometry = Workload::model_config(&s, 8, 0.5);
-                let shape = NetworkShape::of(&s, geometry);
+                let shape = NetworkShape::of(s.model, geometry);
                 for make in variants {
                     for ask in [16, 24, 32] {
                         s.method = make(SocFlowConfig::with_groups(ask / 4));
                         s.socs = ask;
                         s.global_batch = 64;
                         let built = Workload::standard(&s, 64, 8, 0.5).model_cfg;
-                        let from_built = NetworkShape::of(&s, built);
+                        let from_built = NetworkShape::of(s.model, built);
                         assert_eq!(
                             memory_estimate(&s, geometry, shape),
                             memory_estimate(&s, built, from_built),
@@ -478,7 +469,7 @@ mod tests {
     fn memory_admission_passes_for_scaled_jobs() {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
-        let est = memory_estimate(&s, w.model_cfg, NetworkShape::of(&s, w.model_cfg));
+        let est = memory_estimate(&s, w.model_cfg, NetworkShape::of(s.model, w.model_cfg));
         assert!(
             est.fits_soc(),
             "scaled jobs must fit: {} bytes",
@@ -504,7 +495,7 @@ mod tests {
             4,
             "240 samples over one 60-SoC group"
         );
-        let est = memory_estimate(&s, w.model_cfg, NetworkShape::of(&s, w.model_cfg));
+        let est = memory_estimate(&s, w.model_cfg, NetworkShape::of(s.model, w.model_cfg));
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(s.seed);
         let net = s.model.build(w.model_cfg, &mut rng);
@@ -513,7 +504,7 @@ mod tests {
         let of = |batch| {
             socflow_nn::memory::estimate(
                 net.param_count(),
-                net.num_layers(),
+                net.grad_layout().len(),
                 batch,
                 input_elems,
                 2.0,

@@ -23,8 +23,10 @@
 //!   fake-quantized in the forward pass and gradients receive bounded
 //!   quantization noise in the backward pass, so INT8 runs genuinely lose
 //!   accuracy the way NPU training does.
-//! - [`models`]: LeNet-5, VGG-11, ResNet-18/50 and MobileNetV1 builders with
-//!   a width multiplier, plus the *reference* (full-size) parameter counts
+//! - [`models`]: LeNet-5, VGG-11, ResNet-18/50 and MobileNetV1, each one
+//!   layer table with a width multiplier ([`models::ModelKind::layers`]),
+//!   which counts and lays out a model without a weight and builds it by
+//!   walking the table; plus the *reference* (full-size) parameter counts
 //!   used by the cluster simulator for communication volume.
 //! - [`loss`]: softmax cross-entropy with logits.
 //! - [`optim::Sgd`]: SGD with momentum and weight decay.
@@ -32,12 +34,17 @@
 //! ## Example: two SGD steps on a tiny MLP
 //!
 //! ```
-//! use socflow_nn::{models, loss, optim::Sgd, Mode, Precision};
+//! use socflow_nn::layers::{Linear, Relu};
+//! use socflow_nn::{loss, optim::Sgd, Mode, Network, Precision};
 //! use socflow_tensor::Tensor;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let mut net = models::mlp(&[4, 16, 3], &mut rng);
+//! let mut net = Network::new(vec![
+//!     Box::new(Linear::new(4, 16, &mut rng)),
+//!     Box::new(Relu::new()),
+//!     Box::new(Linear::new(16, 3, &mut rng)),
+//! ]);
 //! let mut opt = Sgd::new(0.1, 0.9, 0.0);
 //! let x = Tensor::ones([2, 4]);
 //! let y = vec![0usize, 2];

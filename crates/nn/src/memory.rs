@@ -68,20 +68,23 @@ pub fn estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{self, ModelConfig, ModelKind};
-    use crate::Network;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::models::{LayerSpec, ModelConfig, ModelKind};
 
-    fn of(net: &Network, batch: usize, input_elems: usize) -> MemoryEstimate {
-        estimate(net.param_count(), net.num_layers(), batch, input_elems, 2.0)
+    /// The estimate for `kind` at `cfg`, counted off its layer table.
+    fn of(kind: ModelKind, cfg: ModelConfig, batch: usize, input_elems: usize) -> MemoryEstimate {
+        let table = kind.layers(cfg);
+        let params = table.iter().map(LayerSpec::params).sum();
+        estimate(params, table.len(), batch, input_elems, 2.0)
     }
 
     #[test]
     fn scaled_models_fit_comfortably() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let net = ModelKind::Vgg11.build(ModelConfig::new(3, 8, 10, 0.22), &mut rng);
-        let est = of(&net, 64, 3 * 8 * 8);
+        let est = of(
+            ModelKind::Vgg11,
+            ModelConfig::new(3, 8, 10, 0.22),
+            64,
+            3 * 8 * 8,
+        );
         assert!(est.fits_soc());
         assert!(est.total() > 0);
         assert_eq!(est.weights, est.gradients);
@@ -90,19 +93,17 @@ mod tests {
 
     #[test]
     fn activations_scale_with_batch() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let net = models::mlp(&[64, 64, 10], &mut rng);
-        let small = of(&net, 16, 64);
-        let big = of(&net, 64, 64);
+        let cfg = ModelConfig::new(1, 8, 10, 0.5);
+        let small = of(ModelKind::LeNet5, cfg, 16, 64);
+        let big = of(ModelKind::LeNet5, cfg, 64, 64);
         assert_eq!(big.activations, small.activations * 4);
     }
 
     #[test]
     fn absurd_batch_blows_the_budget() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let net = ModelKind::Vgg11.build(ModelConfig::new(3, 8, 10, 0.25), &mut rng);
+        let cfg = ModelConfig::new(3, 8, 10, 0.25);
         // 100M samples of 3·32·32 won't fit 8 GB
-        let est = of(&net, 100_000_000, 3 * 32 * 32);
+        let est = of(ModelKind::Vgg11, cfg, 100_000_000, 3 * 32 * 32);
         assert!(!est.fits_soc());
     }
 }

@@ -84,6 +84,22 @@ pub fn bucketize(layout: &[GradReady], min_params: usize) -> Vec<GradBucket> {
     buckets
 }
 
+/// The layout of layers holding `lens` parameters each, in layer order:
+/// their spans laid back to back from offset 0.
+pub(crate) fn layout_of(lens: impl Iterator<Item = usize>) -> Vec<GradReady> {
+    let mut offset = 0;
+    lens.enumerate()
+        .map(|(layer, len)| {
+            offset += len;
+            GradReady {
+                layer,
+                offset: offset - len,
+                len,
+            }
+        })
+        .collect()
+}
+
 /// Copies `flat` over the slices `walk` hands to its callback, front to
 /// back — the one scatter behind every `set_flat_*`.
 ///
@@ -125,11 +141,6 @@ impl Network {
         Network { layers }
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Runs the full forward pass. The result is the caller's: a step hands
     /// it back to the step scratch ([`socflow_tensor::pool`]) once the loss
     /// has read it. An evaluation forward borrows nothing from the scratch
@@ -167,21 +178,11 @@ impl Network {
     /// parameters appear with `len == 0` so indices stay aligned with the
     /// layer stack.
     pub fn grad_layout(&self) -> Vec<GradReady> {
-        let mut offset = 0;
-        self.layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let len: usize = l.parameters().iter().map(|p| p.len()).sum();
-                let g = GradReady {
-                    layer: i,
-                    offset,
-                    len,
-                };
-                offset += len;
-                g
-            })
-            .collect()
+        layout_of(
+            self.layers
+                .iter()
+                .map(|l| l.parameters().iter().map(|p| p.len()).sum()),
+        )
     }
 
     /// Hands every parameter to `visit`, in layer order, without building
@@ -521,7 +522,7 @@ mod tests {
     fn grad_layout_matches_flat_grads_offsets() {
         let mut n = tiny_net(5);
         let layout = n.grad_layout();
-        assert_eq!(layout.len(), n.num_layers());
+        assert_eq!(layout.len(), n.layers.len());
         // Linear(4→8): 32+8, Relu: 0, Linear(8→3): 24+3
         assert_eq!(
             layout,

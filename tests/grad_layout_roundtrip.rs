@@ -23,7 +23,7 @@ fn check_model(kind: ModelKind) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut net = kind.build(cfg, &mut rng);
     let layout = net.grad_layout();
-    assert_eq!(layout.len(), net.num_layers(), "{kind}");
+    assert_eq!(layout.len(), kind.layers(cfg).len(), "{kind}");
 
     // the layout table tiles [0, param_count) contiguously in layer order
     let mut expected_offset = 0;

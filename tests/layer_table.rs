@@ -1,14 +1,34 @@
-//! What the model builders draw from their rng, pinned.
+//! Each architecture is one layer table ([`ModelKind::layers`]), and the
+//! network built from it is what the table says.
 //!
-//! The goldens train VGG-11, ResNet-18 and LeNet-5, so a change in the
-//! order in which those three draw their initial weights shows there. No
-//! golden trains ResNet-50 or either MobileNetV1; this file holds all six
-//! builds to the exact bits of their initial weights at one seed and one
-//! geometry.
+//! Whatever only counts or lays out a model — fleet admission, the tuner's
+//! gradient layout — reads the table and builds nothing, so the table's
+//! counts must be the built network's on every model, preset and width the
+//! product trains. And building walks the table: the goldens train VGG-11,
+//! ResNet-18 and LeNet-5, so a change in the order in which those three
+//! draw their initial weights shows there; no golden trains ResNet-50 or
+//! either MobileNetV1, so this file holds all six builds to the exact bits
+//! of their initial weights at one seed and one geometry.
 
 use rand::{rngs::StdRng, SeedableRng};
-use socflow_nn::models::{self, ModelConfig, ModelKind};
+use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use socflow::engine::Workload;
+use socflow_data::DatasetPreset;
+use socflow_nn::models::{self, LayerSpec, ModelConfig, ModelKind};
 use socflow_nn::Network;
+
+/// The six tables: every model kind, then the depthwise MobileNetV1.
+fn tables(cfg: ModelConfig) -> Vec<(String, Vec<LayerSpec>)> {
+    let mut out: Vec<(String, Vec<LayerSpec>)> = ModelKind::ALL
+        .into_iter()
+        .map(|kind| (kind.to_string(), kind.layers(cfg)))
+        .collect();
+    out.push((
+        "MobileNetV1 depthwise".into(),
+        models::mobilenet_v1_depthwise(cfg),
+    ));
+    out
+}
 
 /// FNV-1a over the bits of every initial weight, in flat order.
 fn weight_hash(net: &Network) -> u64 {
@@ -23,14 +43,19 @@ fn weight_hash(net: &Network) -> u64 {
 #[test]
 fn every_builder_draws_its_weights_in_the_pinned_order() {
     let cfg = ModelConfig::new(3, 8, 10, 0.25);
-    let rng = || StdRng::seed_from_u64(7);
     let mut builds: Vec<(String, Network)> = ModelKind::ALL
         .into_iter()
-        .map(|kind| (kind.to_string(), kind.build(cfg, &mut rng())))
+        .map(|kind| {
+            (
+                kind.to_string(),
+                kind.build(cfg, &mut StdRng::seed_from_u64(7)),
+            )
+        })
         .collect();
+    let depthwise = models::mobilenet_v1_depthwise(cfg);
     builds.push((
         "MobileNetV1 depthwise".into(),
-        models::mobilenet_v1_depthwise(cfg, &mut rng()),
+        models::instantiate(&depthwise, &mut StdRng::seed_from_u64(7)),
     ));
     let got: Vec<(String, usize, u64)> = builds
         .iter()
@@ -49,4 +74,32 @@ fn every_builder_draws_its_weights_in_the_pinned_order() {
         .map(|&(name, params, hash)| (name.to_string(), params, hash))
         .collect();
     assert_eq!(got, want);
+}
+
+#[test]
+fn the_table_counts_and_lays_out_the_network_built_from_it() {
+    let method = MethodSpec::SocFlow(SocFlowConfig::full());
+    for preset in DatasetPreset::ALL {
+        for width in [0.125, 0.18, 0.22, 0.5] {
+            let spec = TrainJobSpec::new(ModelKind::Vgg11, preset, method);
+            let cfg = Workload::model_config(&spec, 8, width);
+            for (name, table) in tables(cfg) {
+                let net = models::instantiate(&table, &mut StdRng::seed_from_u64(0));
+                let at = format!("{name}, {preset}, width {width}");
+                let params: usize = table.iter().map(LayerSpec::params).sum();
+                assert_eq!(params, net.param_count(), "{at}");
+                // one span per top-level layer: equal layouts are equal
+                // layer counts too
+                let layout = net.grad_layout();
+                assert_eq!(table.len(), layout.len(), "{at}");
+                assert_eq!(models::grad_layout(&table), layout, "{at}");
+                // the geometry chains, and ends in one score per class
+                for pair in table.windows(2) {
+                    assert_eq!(pair[0].output, pair[1].input, "{at}");
+                }
+                let last = table.last().expect("a non-empty table");
+                assert_eq!(last.output, [cfg.classes, 1, 1], "{at}");
+            }
+        }
+    }
 }

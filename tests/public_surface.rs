@@ -42,7 +42,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "tidal_fault_plan",
         "tidal preemption plan tests/checkpoint_preemption.rs resumes through",
     ),
-    ("reference_flops", "owned by ROADMAP item 11(b)"),
     ("mobilenet_v1_depthwise", "owned by ROADMAP item 11(c)"),
 ];
 
