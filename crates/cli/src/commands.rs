@@ -656,7 +656,8 @@ pub fn info() -> Result<(), String> {
     for m in ModelKind::ALL {
         let table = m.layers(m.paper_config());
         println!(
-            "  {m:<12} {:>10} params  {:>6.1} MB  | {:>10} params  {:>7.1} M MACs  {:>6.1} K activations",
+            "  {:<12} {:>10} params  {:>6.1} MB  | {:>10} params  {:>7.1} M MACs  {:>6.1} K activations",
+            m.to_string(),
             m.reference_params(),
             m.payload_bytes_fp32() as f64 / 1e6,
             table.iter().map(LayerSpec::params).sum::<usize>(),

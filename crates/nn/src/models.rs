@@ -142,60 +142,42 @@ impl std::fmt::Display for ModelKind {
 /// follow from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayerKind {
-    /// A bias-free `kernel×kernel` convolution ([`Conv2d`]).
+    /// A bias-free `kernel×kernel` convolution ([`Conv2d`]) from
+    /// `in_channels` to `out_channels`, with `padding` zeros on each side.
     Conv {
-        /// Input channels.
         in_channels: usize,
-        /// Output channels.
         out_channels: usize,
-        /// Window side.
         kernel: usize,
-        /// Stride.
         stride: usize,
-        /// Zero padding on each side.
         padding: usize,
     },
-    /// A `kernel×kernel` convolution of each channel on its own
+    /// A `kernel×kernel` convolution of each of `channels` on its own
     /// ([`DepthwiseConv2d`]).
     Depthwise {
-        /// Channels, in and out.
         channels: usize,
-        /// Window side.
         kernel: usize,
-        /// Stride.
         stride: usize,
-        /// Zero padding on each side.
         padding: usize,
     },
-    /// Per-channel batch normalisation ([`BatchNorm2d`]).
-    BatchNorm {
-        /// Channels.
-        channels: usize,
-    },
+    /// Batch normalisation of `channels` feature maps ([`BatchNorm2d`]).
+    BatchNorm { channels: usize },
     /// [`Relu`].
     Relu,
-    /// Non-overlapping `k×k` max pooling ([`MaxPool2d`]).
-    MaxPool {
-        /// Window side and stride.
-        k: usize,
-    },
+    /// Non-overlapping `k×k` max pooling, stride `k` ([`MaxPool2d`]).
+    MaxPool { k: usize },
     /// [`GlobalAvgPool`].
     GlobalAvgPool,
     /// [`Flatten`].
     Flatten,
     /// A fully connected layer with bias ([`Linear`]).
     Linear {
-        /// Input features.
         in_features: usize,
-        /// Output features.
         out_features: usize,
     },
-    /// `body(x) + shortcut(x)`, with the identity for a `None` shortcut
-    /// ([`Residual`]).
+    /// `body(x) + shortcut(x)` ([`Residual`]); a `None` shortcut is the
+    /// identity, `Some` a projection.
     Residual {
-        /// The main branch.
         body: Vec<LayerSpec>,
-        /// The projection branch, if any.
         shortcut: Option<Vec<LayerSpec>>,
     },
 }
