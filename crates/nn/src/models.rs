@@ -284,17 +284,19 @@ impl LayerSpec {
                 ref body,
                 ref shortcut,
             } => {
-                let body = body.iter().map(|l| l.instantiate(rng)).collect();
+                let body = walk(body, rng);
                 match shortcut {
-                    Some(s) => Box::new(Residual::projected(
-                        body,
-                        s.iter().map(|l| l.instantiate(rng)).collect(),
-                    )),
+                    Some(s) => Box::new(Residual::projected(body, walk(s, rng))),
                     None => Box::new(Residual::identity(body)),
                 }
             }
         }
     }
+}
+
+/// Fresh layers of `table`, made in order, each drawing from `rng`.
+fn walk(table: &[LayerSpec], rng: &mut impl Rng) -> Vec<Box<dyn Layer>> {
+    table.iter().map(|l| l.instantiate(rng)).collect()
 }
 
 /// `count` summed over the layers of both branches of a residual block.
@@ -312,7 +314,7 @@ fn branches<T: std::iter::Sum<T>>(
 /// A network of the layers of `table`, in order, each drawing its weights
 /// from `rng` as it is made.
 pub fn instantiate(table: &[LayerSpec], rng: &mut impl Rng) -> Network {
-    Network::new(table.iter().map(|l| l.instantiate(rng)).collect())
+    Network::new(walk(table, rng))
 }
 
 /// The flat-gradient layout of the network `table` describes: what
