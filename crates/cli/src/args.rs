@@ -35,8 +35,8 @@ pub struct Options {
     pub checkpoint_every: Option<usize>,
     /// Resume from the latest checkpoint in `--checkpoint-dir`.
     pub resume: bool,
-    /// How SoCFlow epochs are priced: Eq. 1 by default, the fluid
-    /// timeline with `--timeline`, wait-free bucketing on it with
+    /// How SoCFlow epochs are priced on the fluid timeline: one CG sync
+    /// per iteration by default, wait-free bucketing with
     /// `--overlap [--bucket-kb N]`.
     pub pricing: Pricing,
     /// Worker-pool size for host compute (overrides `SOCFLOW_THREADS`).
@@ -94,7 +94,7 @@ impl Default for Options {
             checkpoint_dir: None,
             checkpoint_every: None,
             resume: false,
-            pricing: Pricing::Eq1,
+            pricing: Pricing::Timeline,
             threads: None,
             profiled_beta: None,
             servers: 4,
@@ -119,7 +119,7 @@ impl Options {
     /// Returns a description of the first malformed flag.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
         let mut o = Options::default();
-        let (mut timeline, mut overlap, mut bucket_kb) = (false, false, None);
+        let (mut overlap, mut bucket_kb) = (false, None);
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             if flag == "--json" {
@@ -132,10 +132,6 @@ impl Options {
             }
             if flag == "--resume" {
                 o.resume = true;
-                continue;
-            }
-            if flag == "--timeline" {
-                timeline = true;
                 continue;
             }
             if flag == "--overlap" {
@@ -211,21 +207,18 @@ impl Options {
         if o.threads == Some(0) {
             return Err("--threads must be positive".into());
         }
-        o.pricing = match (overlap, bucket_kb.map(NonZeroUsize::new), timeline) {
-            (_, Some(None), _) => return Err("--bucket-kb must be positive".into()),
-            (true, Some(Some(bucket_kb)), _) => Pricing::WaitFree { bucket_kb },
-            (true, None, _) => Pricing::wait_free_kb(DEFAULT_BUCKET_KB),
-            (false, Some(_), _) => return Err("--bucket-kb needs --overlap".into()),
-            (false, None, true) => Pricing::Timeline,
-            (false, None, false) => Pricing::Eq1,
+        o.pricing = match (overlap, bucket_kb.map(NonZeroUsize::new)) {
+            (_, Some(None)) => return Err("--bucket-kb must be positive".into()),
+            (true, Some(Some(bucket_kb))) => Pricing::WaitFree { bucket_kb },
+            (true, None) => Pricing::wait_free_kb(DEFAULT_BUCKET_KB),
+            (false, Some(_)) => return Err("--bucket-kb needs --overlap".into()),
+            (false, None) => Pricing::Timeline,
         };
         if o.auto_budget == Some(0) {
             return Err("--auto-budget must be positive".into());
         }
-        if o.auto && o.pricing != Pricing::Eq1 {
-            return Err(
-                "--auto picks the schedule itself; drop --timeline/--overlap/--bucket-kb".into(),
-            );
+        if o.auto && o.pricing != Pricing::Timeline {
+            return Err("--auto picks the schedule itself; drop --overlap/--bucket-kb".into());
         }
         if o.servers == 0 {
             return Err("--servers must be positive".into());
@@ -278,6 +271,7 @@ mod tests {
         assert_eq!(o.socs, 32);
         assert_eq!(o.method, "ours");
         assert!(!o.json);
+        assert_eq!(o.pricing, Pricing::Timeline);
     }
 
     #[test]
@@ -308,22 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn timeline_is_a_bare_switch() {
-        let o = parse(&["--timeline", "--epochs", "2"]).unwrap();
-        assert_eq!(o.pricing, Pricing::Timeline);
-        assert_eq!(o.epochs, 2);
-        assert_eq!(parse(&[]).unwrap().pricing, Pricing::Eq1);
-    }
-
-    #[test]
     fn overlap_and_bucket_kb_parse_together() {
         let o = parse(&["--overlap", "--bucket-kb", "2048"]).unwrap();
         assert_eq!(o.pricing, Pricing::wait_free_kb(2048));
         let bare = parse(&["--overlap"]).unwrap();
         assert_eq!(bare.pricing, Pricing::wait_free_kb(DEFAULT_BUCKET_KB));
-        // wait-free pricing runs on the timeline either way
-        let both = parse(&["--timeline", "--overlap"]).unwrap();
-        assert_eq!(both.pricing, bare.pricing);
         assert!(parse(&["--bucket-kb", "512"]).is_err(), "needs --overlap");
         assert!(parse(&["--overlap", "--bucket-kb", "0"]).is_err());
         assert!(parse(&["--overlap", "--bucket-kb"]).is_err());
@@ -448,10 +431,10 @@ mod tests {
         assert!(!parse(&[]).unwrap().auto);
         assert!(parse(&["--auto-budget", "0"]).is_err());
         assert!(
-            parse(&["--auto", "--timeline"]).is_err(),
+            parse(&["--auto", "--overlap"]).is_err(),
             "auto picks the schedule"
         );
-        assert!(parse(&["--auto", "--overlap"]).is_err());
+        assert!(parse(&["--auto", "--overlap", "--bucket-kb", "64"]).is_err());
     }
 
     #[test]

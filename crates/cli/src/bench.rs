@@ -1345,8 +1345,10 @@ mod tests {
         assert!((summary.energy - result.energy_joules).abs() < 1e-6);
         let f = summary.sync / summary.total_time;
         assert!(f > 0.0 && f < 1.0, "sync fraction {f}");
-        // network events rode along in the same stream
-        assert!(summary.transfers > 0);
+        // the timeline's span digest and one link-utilization row per
+        // epoch rode along in the same stream
+        assert!(summary.spans > 0);
+        assert_eq!(summary.link_timeline.len(), result.epoch_time.len());
     }
 
     #[test]
@@ -1447,10 +1449,16 @@ mod tests {
                 r.no_overlap_s,
                 r.simulated_s
             );
-            // board-aligned counts reproduce the analytic model within 1%
+            // board-aligned counts reproduce the analytic model to rounding;
+            // interleaving only ever prices below it, and not by much
             if r.split_lgs == 0 {
-                assert!((r.agreement - 1.0).abs() < 0.01, "{} groups", r.groups);
+                assert!((r.agreement - 1.0).abs() < 1e-12, "{} groups", r.groups);
             }
+            assert!(
+                (0.994..=1.0 + 1e-11).contains(&r.agreement),
+                "{} groups",
+                r.groups
+            );
         }
         // at least one multi-CG config must gain from bucketing over
         // plain interleaving (the acceptance bar for the wait-free arm)

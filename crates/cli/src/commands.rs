@@ -50,7 +50,9 @@ USAGE:
   --threads <N> (train, compare): size of the host worker pool
       (default: SOCFLOW_THREADS env var, else all cores). Results are
       bit-identical at any thread count; only wall-clock time changes.
-  --trace <path> (train): write a JSONL telemetry trace of the run
+  --trace <path> (train): write a JSONL telemetry trace of the run; a
+      SoCFlow run's trace carries the fluid timeline's span digest and
+      link utilization of every epoch
   --profile-kernels (train): attribute host compute time to tensor
       kernels (matmul/conv/quant) — printed after the run and recorded
       in the trace as KernelTotals events
@@ -61,14 +63,10 @@ USAGE:
       (default 1 when --checkpoint-dir is set)
   --resume (train): continue bit-exactly from the latest checkpoint
       in --checkpoint-dir
-  --timeline (train): price SoCFlow epochs with the event-driven fluid
-      timeline (compute and CG collectives contend on one simulated
-      clock) instead of the closed-form Eq. 1 sums; with --trace, span
-      and link-utilization events land in the trace
   --overlap (train): bucket gradients per layer and overlap their CG
       transfers with the remainder of backprop on the fluid timeline
-      (wait-free bucketing; implies --timeline). Pricing only — the
-      accuracy stream is bit-identical to a non-overlapped run
+      (wait-free bucketing). Pricing only — the accuracy stream is
+      bit-identical to a non-overlapped run
   --bucket-kb <N> (train): minimum gradient-bucket size in KiB of
       reference payload (default 4096; requires --overlap)
   --profiled-beta <f> (train): override the calibrated β compute-power
@@ -77,8 +75,8 @@ USAGE:
   --auto (train): search the parallelization-plan space (group count x
       sync schedule x bucket size x β source) on the simulated clock
       before training and adopt the fastest predicted plan. Replaces
-      --timeline/--overlap/--bucket-kb — the winner decides them. The
-      search is deterministic: bit-identical at any --threads setting
+      --overlap/--bucket-kb — the winner decides them. The search is
+      deterministic: bit-identical at any --threads setting
   --auto-budget <N> (train --auto, tune): cap on candidate plans priced
       on the fluid timeline (default 64). `tune` prints the ranked
       candidate table without training; --json emits it on stdout
@@ -209,7 +207,8 @@ fn fault_plan_of(spec: &str, socs: usize, seed: u64) -> Result<FaultPlan, String
     let (reclaim, crash) = spec.split_once(':').ok_or_else(err)?;
     let mean_reclaim: f64 = reclaim.parse().map_err(|_| err())?;
     let mean_crash: f64 = crash.parse().map_err(|_| err())?;
-    if mean_reclaim <= 0.0 || mean_crash <= 0.0 {
+    // `!(x > 0)` so that NaN is rejected too, not handed to the sampler
+    if !(mean_reclaim > 0.0 && mean_crash > 0.0) {
         return Err("`--faults` means must be positive seconds".into());
     }
     // a horizon far past any simulated run: events beyond the job's
@@ -849,17 +848,25 @@ mod tests {
         train(&opts).unwrap();
     }
 
+    /// A plain `train --trace` is priced on the timeline: its trace carries
+    /// the span digest and one link-utilization row per epoch.
     #[test]
     fn train_runs_with_timeline() {
+        let path = std::env::temp_dir().join("socflow_cli_timeline_trace.jsonl");
+        std::fs::remove_file(&path).ok();
         let opts = Options {
             socs: 8,
             groups: Some(2),
-            epochs: 1,
+            epochs: 2,
             samples: 128,
-            pricing: Pricing::Timeline,
+            trace: Some(path.to_string_lossy().into_owned()),
             ..Options::default()
         };
         train(&opts).unwrap();
+        let summary = Summary::from_events(&read_trace(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+        assert!(summary.spans > 0, "{summary:?}");
+        assert_eq!(summary.link_timeline.len(), 2);
     }
 
     #[test]
@@ -897,6 +904,11 @@ mod tests {
         assert!(fault_plan_of("600", 8, 42).is_err());
         assert!(fault_plan_of("0:3600", 8, 42).is_err());
         assert!(fault_plan_of("x:y", 8, 42).is_err());
+        // NaN passes a `<= 0.0` check and used to panic in the sampler
+        for nan in ["nan:3600", "600:nan", "NaN:NaN"] {
+            let err = fault_plan_of(nan, 8, 42).unwrap_err();
+            assert!(err.contains("positive"), "{nan}: {err}");
+        }
     }
 
     #[test]

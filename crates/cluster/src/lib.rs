@@ -20,7 +20,8 @@
 //!   window extraction and preemption events;
 //! - [`timeline`]: a discrete-event fluid timeline that lets compute spans
 //!   and collective transfers from *different* tasks contend and overlap
-//!   on a shared simulated clock (the substrate of `--timeline` mode);
+//!   on a shared simulated clock (the substrate every SoCFlow epoch is
+//!   priced on);
 //! - [`calibration`]: every constant, with its derivation, in one place.
 //!
 //! Simulated time is plain `f64` seconds ([`Seconds`]).

@@ -292,7 +292,6 @@ pub fn price_plan_uncached(spec: &TrainJobSpec, layout: &[GradReady], cand: &Pla
     let cfg = socflow_cfg(spec);
     let (mapping, cgs) = topology_for(spec, cfg.mapping, cand.groups);
     let mut tm = TimeModel::new(spec);
-    tm.set_simulated(true);
     if let Some(beta) = cand.profiled_beta {
         tm.compute_mut().set_profiled_beta(beta);
     }
@@ -337,7 +336,7 @@ fn lower_bound(spec: &TrainJobSpec, groups: usize, profiled_beta: Option<f64>) -
 /// The default plan [`autotune`] measures candidates against: the
 /// spec's own group count (or [`DEFAULT_GROUPS`]) on the interleaved
 /// schedule with no bucketing and the calibrated β — exactly what a
-/// plain `--timeline` run prices today.
+/// plain `train` run prices.
 pub fn default_candidate(spec: &TrainJobSpec) -> PlanCandidate {
     let cfg = socflow_cfg(spec);
     PlanCandidate {

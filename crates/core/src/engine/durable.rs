@@ -101,14 +101,12 @@ impl SocflowRun<'_> {
             bytes,
             cost,
         });
-        if engine.time_model.simulated() {
-            engine.options.emit_all(super::digest::cluster_span(
-                epoch_done,
-                "checkpoint",
-                self.clock,
-                cost,
-            ));
-        }
+        engine.options.emit_all(super::digest::cluster_span(
+            epoch_done,
+            "checkpoint",
+            self.clock,
+            cost,
+        ));
     }
 }
 

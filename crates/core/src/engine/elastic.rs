@@ -97,14 +97,12 @@ impl SocflowRun<'_> {
         // snapshot and redo it — a real stall on the clock
         let stall = crashes as f64 * engine.time_model.restore_stall_time();
         if stall > 0.0 {
-            if engine.time_model.simulated() {
-                engine.options.emit_all(super::digest::cluster_span(
-                    epoch + 1,
-                    "stall",
-                    self.clock,
-                    stall,
-                ));
-            }
+            engine.options.emit_all(super::digest::cluster_span(
+                epoch + 1,
+                "stall",
+                self.clock,
+                stall,
+            ));
             self.clock += stall;
             self.result.recovery_time += stall;
         }

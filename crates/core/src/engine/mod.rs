@@ -27,7 +27,7 @@ mod socflow;
 mod stream;
 
 use crate::config::{MethodSpec, TrainJobSpec};
-use crate::options::{Plan, Pricing, RunOptions};
+use crate::options::{Plan, RunOptions};
 use crate::report::RunResult;
 use crate::timemodel::{EpochCost, TimeModel};
 use rand::rngs::StdRng;
@@ -147,7 +147,6 @@ impl Engine {
     pub fn new(spec: TrainJobSpec, workload: Workload, options: RunOptions) -> Self {
         options.assert_valid(&spec, Plan::Fixed);
         let mut time_model = TimeModel::new(&spec);
-        time_model.set_simulated(options.pricing != Pricing::Eq1);
         if let Some(sink) = &options.sink {
             time_model.set_sink(sink.clone());
         }

@@ -301,30 +301,26 @@ impl<'e> SocflowRun<'e> {
         let engine = self.engine;
         let tm = &engine.time_model;
         let (planning, cpu_fraction) = (self.cfg.planning, self.cpu_fraction());
-        let mut cost = if tm.simulated() {
-            let sim = tm.socflow_epoch_timeline(&self.mapping, &self.cgs, planning, cpu_fraction);
-            if engine.options.sink.is_some() {
-                engine
-                    .options
-                    .emit_all(digest::span_digest(epoch, self.clock, &sim.spans));
-                let layers = tm.overlap().map_or(&[][..], |p| &p.layers[..]);
-                engine.options.emit_all(digest::bucket_digest(
-                    epoch,
-                    self.clock,
-                    &sim.bucket_flushes,
-                    layers,
-                ));
-                engine.options.emit(Event::LinkUtilization {
-                    epoch,
-                    soc_links: sim.link_util.soc_links,
-                    board_nics: sim.link_util.board_nics,
-                    switch: sim.link_util.switch,
-                });
-            }
-            sim.cost
-        } else {
-            tm.socflow_epoch(&self.mapping, &self.cgs, planning, cpu_fraction)
-        };
+        let sim = tm.socflow_epoch_timeline(&self.mapping, &self.cgs, planning, cpu_fraction);
+        if engine.options.sink.is_some() {
+            engine
+                .options
+                .emit_all(digest::span_digest(epoch, self.clock, &sim.spans));
+            let layers = tm.overlap().map_or(&[][..], |p| &p.layers[..]);
+            engine.options.emit_all(digest::bucket_digest(
+                epoch,
+                self.clock,
+                &sim.bucket_flushes,
+                layers,
+            ));
+            engine.options.emit(Event::LinkUtilization {
+                epoch,
+                soc_links: sim.link_util.soc_links,
+                board_nics: sim.link_util.board_nics,
+                switch: sim.link_util.switch,
+            });
+        }
+        let mut cost = sim.cost;
         if let Some(st) = self.stream.as_mut() {
             st.calibrate(engine.spec.socs, cost.time);
             let needs: Vec<usize> = shards.iter().map(|s| s.len()).collect();
@@ -401,7 +397,6 @@ mod tests {
             spec,
             workload,
             RunOptions {
-                pricing: Pricing::Timeline,
                 sink: Some(sink.clone()),
                 ..RunOptions::default()
             },
@@ -447,30 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn timeline_mode_accuracy_matches_analytic_mode() {
-        // the timeline changes epoch *pricing*, never the learning dynamics
-        let analytic = tiny_engine(MethodSpec::SocFlow(SocFlowConfig::with_groups(2))).run();
-        let spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
-        let workload = easy_workload(&spec, 512);
-        let timeline = Engine::new(
-            spec,
-            workload,
-            RunOptions {
-                pricing: Pricing::Timeline,
-                ..RunOptions::default()
-            },
-        )
-        .run();
-        assert_eq!(analytic.epoch_accuracy, timeline.epoch_accuracy);
-        assert_eq!(analytic.alpha_trace, timeline.alpha_trace);
-        assert!(timeline.total_time() > 0.0);
-    }
-
-    #[test]
     fn overlap_mode_emits_bucket_flushes_and_keeps_accuracy() {
         // wait-free bucketing changes epoch *pricing*, never the learning
         // dynamics: accuracy and alpha streams stay bit-identical
-        let analytic = tiny_engine(MethodSpec::SocFlow(SocFlowConfig::with_groups(2))).run();
+        let interleaved = tiny_engine(MethodSpec::SocFlow(SocFlowConfig::with_groups(2))).run();
         let sink = Arc::new(socflow_telemetry::MemorySink::new());
         let spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let workload = easy_workload(&spec, 512);
@@ -484,8 +459,8 @@ mod tests {
             },
         );
         let r = e.run();
-        assert_eq!(analytic.epoch_accuracy, r.epoch_accuracy);
-        assert_eq!(analytic.alpha_trace, r.alpha_trace);
+        assert_eq!(interleaved.epoch_accuracy, r.epoch_accuracy);
+        assert_eq!(interleaved.alpha_trace, r.alpha_trace);
         assert!(r.total_time() > 0.0);
         let events = sink.events();
         let flushes: Vec<_> = events

@@ -259,10 +259,11 @@ pub fn priced_epoch_seconds(spec: &TrainJobSpec, socs: usize) -> Seconds {
         let cluster = ClusterSpec::for_socs(socs);
         let mapping = mapping::integrity_greedy(&cluster, socs, groups);
         let (cgs, _) = divide_or_serialize(&mapping);
-        let mut tm = TimeModel::new(&spec);
-        tm.set_simulated(true);
+        let tm = TimeModel::new(&spec);
         let cpu_fraction = if mixed { 0.5 } else { 1.0 };
-        tm.socflow_epoch(&mapping, &cgs, true, cpu_fraction).time
+        tm.socflow_epoch_timeline(&mapping, &cgs, true, cpu_fraction)
+            .cost
+            .time
     })
 }
 

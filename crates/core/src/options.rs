@@ -17,18 +17,17 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// How SoCFlow epochs are priced on the simulated clock. Pricing never
+/// How SoCFlow epochs are priced on the simulated clock. Both schedules
+/// run on the event-driven fluid timeline ([`crate::sim`]); pricing never
 /// touches the learning dynamics: accuracy and α streams are bit-identical
-/// across the three.
+/// across the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Pricing {
-    /// The closed-form Eq. 1 sums.
+    /// Compute spans and CG collectives contend on one simulated clock,
+    /// each CG syncing once per iteration. With a sink attached the engine
+    /// also emits a bounded span digest and one link-utilization row per
+    /// epoch.
     #[default]
-    Eq1,
-    /// The event-driven fluid timeline ([`crate::sim`], `--timeline`):
-    /// compute spans and CG collectives contend on one simulated clock.
-    /// With a sink attached the engine also emits a bounded span digest
-    /// and one link-utilization row per epoch.
     Timeline,
     /// The timeline with wait-free gradient bucketing (`--overlap`):
     /// per-bucket CG transfers release as backprop produces them
@@ -97,7 +96,7 @@ pub enum Plan {
 }
 
 /// Everything about a run that is not the job itself; the defaults are a
-/// plain Eq. 1-priced run.
+/// plain timeline-priced run.
 ///
 /// `pricing`, `streaming`, `faults`, `checkpointing` and `resume` act on
 /// the SoCFlow epoch loop only. [`Self::validate`] rejects them on a
@@ -109,8 +108,8 @@ pub struct RunOptions {
     /// How SoCFlow epochs are priced.
     pub pricing: Pricing,
     /// Telemetry sink. Events are emitted from the coordinating thread, so
-    /// traces are deterministic given the seed; the network simulation's
-    /// per-transfer records land in the same stream.
+    /// traces are deterministic given the seed; a baseline's per-transfer
+    /// records and a SoCFlow run's timeline digest land in the same stream.
     pub sink: Option<Arc<dyn EventSink>>,
     /// Fault timeline, consumed per SoC against the simulated clock at
     /// every epoch boundary: a reclaimed SoC leaves gracefully (checkpoint
@@ -197,7 +196,7 @@ impl RunOptions {
     /// The one rule for which options a method accepts: the CLI prints the
     /// error, the scheduler and the engine panic with it.
     ///
-    /// Non-[`Pricing::Eq1`] pricing, `streaming`, `faults`, `checkpointing`,
+    /// [`Pricing::WaitFree`], `streaming`, `faults`, `checkpointing`,
     /// `resume` and [`Plan::Auto`] are rejected on every baseline method,
     /// and a SoCFlow group count must lie in `1..=socs`. The sink,
     /// `profiled_beta` and `preempt_after` are legal everywhere.
@@ -207,7 +206,6 @@ impl RunOptions {
     pub fn validate(&self, spec: &TrainJobSpec, plan: Plan) -> Result<(), OptionsError> {
         let Some(cfg) = spec.method.socflow() else {
             let socflow_only = [
-                (self.pricing == Pricing::Timeline, "--timeline"),
                 (
                     matches!(self.pricing, Pricing::WaitFree { .. }),
                     "--overlap",
@@ -299,11 +297,6 @@ mod tests {
         };
         std::fs::remove_dir_all(&dir).ok();
         vec![
-            (
-                with(|o| o.pricing = Pricing::Timeline),
-                Plan::Fixed,
-                "--timeline",
-            ),
             (
                 with(|o| o.pricing = Pricing::wait_free_kb(512)),
                 Plan::Fixed,

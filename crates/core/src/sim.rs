@@ -1,8 +1,9 @@
-//! Event-driven SoCFlow epoch simulation (`--timeline` mode).
+//! Event-driven SoCFlow epoch simulation: how every SoCFlow run is priced.
 //!
-//! [`TimeModel::socflow_epoch`] prices an epoch with the closed-form Fig. 7
-//! schedule (Eq. 1): `iters · (max(compute, Σ CG syncs) + update)`. This
-//! module replaces the formula with a *schedule*: every per-batch compute
+//! [`TimeModel::socflow_epoch`] is the closed-form Fig. 7 schedule
+//! (Eq. 1): `iters · (max(compute, Σ CG syncs) + update)`, kept as the
+//! group-size heuristic's model and as this module's oracle. This module
+//! replaces the formula with a *schedule*: every per-batch compute
 //! span, parameter update, and communication-group ring step is placed on
 //! one [`FluidTimeline`], so overlap is something that *happens* — CG
 //! transfers drain as preemptable fluid flows while compute spans tick on
@@ -26,9 +27,10 @@
 //! no-overlap schedule: a single slot holding every group, whose sync
 //! only becomes ready when every member has *finished* computing. On
 //! conflict-free (zero split-LG) mappings the event-driven total
-//! reproduces the analytic closed form; the property tests pin both that
-//! agreement and the strict win over the no-overlap schedule whenever
-//! there is synchronization to hide.
+//! reproduces the analytic closed form to rounding, and on every other
+//! mapping it stays in a narrow measured band below it; the property
+//! tests pin that agreement, the band, and the strict win over the
+//! no-overlap schedule whenever there is synchronization to hide.
 //!
 //! After the last update the epoch-boundary phases — leader ring, weight
 //! broadcast, cross-group shuffle — run as sequential flow batches on the
@@ -220,10 +222,14 @@ struct Driver {
 }
 
 impl TimeModel {
-    /// Simulates one SoCFlow epoch on the event-driven timeline instead of
-    /// the closed-form schedule (see the [module docs](crate::sim)).
-    /// Returns the same cost shape as [`TimeModel::socflow_epoch`] plus
-    /// the full span schedule and the per-link-class utilization.
+    /// Simulates one SoCFlow epoch on the event-driven timeline (see the
+    /// [module docs](crate::sim)): the price of every SoCFlow run. Returns
+    /// the same cost shape as the closed-form [`TimeModel::socflow_epoch`]
+    /// plus the full span schedule and the per-link-class utilization.
+    ///
+    /// `planning` selects the closed form's semantics wholesale: CG slots
+    /// and interleaving (wait-free once [`TimeModel::set_overlap`] set a
+    /// plan) when `true`, one joint slot and serial sync when `false`.
     pub fn socflow_epoch_timeline(
         &self,
         mapping: &Mapping,
@@ -231,7 +237,14 @@ impl TimeModel {
         planning: bool,
         cpu_fraction: f64,
     ) -> SimulatedEpoch {
-        simulate_socflow_epoch(self, mapping, cgs, planning, cpu_fraction)
+        let schedule = if !planning {
+            SyncSchedule::Serial
+        } else if self.overlap().is_some() {
+            SyncSchedule::WaitFree
+        } else {
+            SyncSchedule::Interleaved
+        };
+        simulate_socflow_schedule(self, mapping, cgs, planning, schedule, cpu_fraction)
     }
 }
 
@@ -330,26 +343,6 @@ fn boundary_phases(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<Boundary
         });
     }
     plan
-}
-
-/// Free-function entry point behind [`TimeModel::socflow_epoch_timeline`].
-/// `planning` selects the analytic model's semantics wholesale: CG slots +
-/// interleaving when `true`, one joint slot + serial when `false`.
-pub fn simulate_socflow_epoch(
-    tm: &TimeModel,
-    mapping: &Mapping,
-    cgs: &CommunicationGroups,
-    planning: bool,
-    cpu_fraction: f64,
-) -> SimulatedEpoch {
-    let schedule = if !planning {
-        SyncSchedule::Serial
-    } else if tm.overlap().is_some() {
-        SyncSchedule::WaitFree
-    } else {
-        SyncSchedule::Interleaved
-    };
-    simulate_socflow_schedule(tm, mapping, cgs, planning, schedule, cpu_fraction)
 }
 
 /// The fully-parameterized simulation: `planning_slots` picks the sync
@@ -841,7 +834,7 @@ mod tests {
     }
 
     /// Board-aligned groups (no split LGs): event-driven and analytic
-    /// schedules are the same schedule, so the totals agree tightly.
+    /// schedules are the same schedule, so the totals agree to rounding.
     #[test]
     fn zero_split_agrees_with_analytic() {
         let m = model(60);
@@ -857,7 +850,7 @@ mod tests {
             let sim = m.socflow_epoch_timeline(&mapping, &cgs, true, 1.0);
             let rel = (sim.cost.time - analytic.time).abs() / analytic.time;
             assert!(
-                rel < 0.01,
+                rel < 1e-12,
                 "{groups} groups: sim {} vs analytic {} (rel {rel})",
                 sim.cost.time,
                 analytic.time
@@ -921,7 +914,7 @@ mod tests {
         assert!(sim.spans.iter().all(|s| s.kind != "sync"));
         let analytic = m.socflow_epoch(&mapping, &cgs, true, 1.0);
         let rel = (sim.cost.time - analytic.time).abs() / analytic.time;
-        assert!(rel < 0.01, "rel {rel}");
+        assert!(rel < 1e-12, "rel {rel}");
     }
 
     fn layout(lens: &[usize]) -> Vec<socflow_nn::GradReady> {

@@ -78,11 +78,8 @@ pub struct TimeModel {
     socs: usize,
     batch: usize,
     params: f64,
-    /// Price SoCFlow epochs on the event-driven timeline ([`crate::sim`])
-    /// instead of the closed-form schedule.
-    simulated: bool,
-    /// Wait-free gradient bucketing: when set (and `simulated`), planned
-    /// SoCFlow epochs use [`crate::sim::SyncSchedule::WaitFree`].
+    /// Wait-free gradient bucketing: when set, planned SoCFlow epochs use
+    /// [`crate::sim::SyncSchedule::WaitFree`].
     overlap: Option<OverlapPlan>,
 }
 
@@ -104,22 +101,15 @@ impl TimeModel {
             socs: spec.socs,
             batch: spec.global_batch,
             params: spec.model.reference_params() as f64,
-            simulated: false,
             overlap: None,
         }
     }
 
-    /// Selects how [`Self::socflow_epoch`] prices an epoch: `true` runs
-    /// the event-driven timeline simulation ([`crate::sim`]), `false`
-    /// (the default) keeps the analytic closed form.
-    pub fn set_simulated(&mut self, on: bool) {
-        self.simulated = on;
-    }
-
-    /// `true` when SoCFlow epochs are priced on the event-driven timeline.
-    pub fn simulated(&self) -> bool {
-        self.simulated
-    }
+    /// Does nothing: every SoCFlow run is priced on the event-driven
+    /// timeline ([`Self::socflow_epoch_timeline`]), so there is no mode to
+    /// select. Kept only because the benchmark probe still calls it; it
+    /// goes together with that call in the next benchmark change.
+    pub fn set_simulated(&mut self, _on: bool) {}
 
     /// Enables wait-free gradient bucketing for simulated SoCFlow epochs:
     /// the scaled model's flat-gradient `layout` is coalesced into buckets
@@ -398,7 +388,7 @@ impl TimeModel {
     /// One epoch of `method` when nothing that happens in training moves
     /// its price: Local and the six baselines cost the same every epoch.
     /// `None` for the SoCFlow variants, whose CPU share follows α
-    /// ([`Self::socflow_epoch`]).
+    /// ([`Self::socflow_epoch_timeline`]).
     pub fn baseline_epoch(&self, method: MethodSpec) -> Option<EpochCost> {
         Some(match method {
             MethodSpec::Local => self.local_epoch(Processor::SocCpuFp32),
@@ -421,9 +411,14 @@ impl TimeModel {
         })
     }
 
-    /// SoCFlow's epoch: per-batch intra-group rings (scheduled over the
-    /// CGs), one delayed inter-group aggregation + data shuffle at the
-    /// epoch boundary.
+    /// SoCFlow's epoch in the closed form of the paper's Eq. 1: per-batch
+    /// intra-group rings (scheduled over the CGs), one delayed inter-group
+    /// aggregation + data shuffle at the epoch boundary.
+    ///
+    /// Runs are priced on the event-driven timeline
+    /// ([`Self::socflow_epoch_timeline`]); this closed form is what the
+    /// paper uses Eq. 1 for — the model behind the group-size heuristic —
+    /// and the oracle the timeline is property-tested against.
     ///
     /// `cpu_fraction` is the mixed-precision controller's current CPU share
     /// (1.0 = pure FP32, 0.0 = pure INT8). SoCFlow's underclocking-aware
@@ -431,10 +426,6 @@ impl TimeModel {
     /// proportional to current clocks, so a throttled SoC slows its group
     /// by the *average* deficit, not the worst one (see
     /// [`Self::rebalanced_compute_time`]).
-    ///
-    /// When [`Self::set_simulated`] enabled timeline mode, the epoch is
-    /// priced by the event-driven simulation ([`crate::sim`]) instead of
-    /// the closed form below.
     ///
     /// # Examples
     ///
@@ -470,11 +461,6 @@ impl TimeModel {
         planning: bool,
         cpu_fraction: f64,
     ) -> EpochCost {
-        if self.simulated {
-            return self
-                .socflow_epoch_timeline(mapping, cgs, planning, cpu_fraction)
-                .cost;
-        }
         let n_groups = mapping.num_groups();
         let iters = (self.ref_samples as f64 / (n_groups as f64 * self.batch as f64)).ceil();
 

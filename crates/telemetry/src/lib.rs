@@ -162,7 +162,7 @@ pub enum Event {
     /// A gang-scheduled baseline stalled on a preempted member and paid a
     /// checkpoint/restore penalty (Fig. 3's tidal argument).
     BaselineStalled { epoch: usize, stall: f64 },
-    /// A simulated timeline span opened (`--timeline` mode only). `kind`
+    /// A simulated timeline span opened (SoCFlow runs only). `kind`
     /// names the activity (`"compute"`, `"sync"`, `"update"`,
     /// `"leader_ring"`, `"broadcast"`, `"shuffle"`, `"stall"`,
     /// `"checkpoint"`); `lane` names the resource it occupies (`"g3"` for
@@ -186,7 +186,7 @@ pub enum Event {
         at: f64,
     },
     /// Per-epoch link-class utilization from the fluid timeline
-    /// (`--timeline` mode only): fraction of each class's aggregate
+    /// (SoCFlow runs only): fraction of each class's aggregate
     /// byte-capacity actually carried over the epoch, in `0..=1`. Classes
     /// follow the cluster topology: per-SoC SAS links, shared per-board
     /// NICs, and the switch backplane.
@@ -493,11 +493,11 @@ pub struct Summary {
     /// Worker-pool totals (merged across the runs in a window), present only
     /// for traces recorded with the profiler on.
     pub pool: Option<PoolTime>,
-    /// Timeline spans recorded (count of `SpanBegin` events; `--timeline`
-    /// runs only, 0 otherwise).
+    /// Timeline spans recorded (count of `SpanBegin` events; SoCFlow runs
+    /// only, 0 otherwise).
     pub spans: usize,
-    /// Per-epoch link-class utilization rows, in emission order
-    /// (`--timeline` runs only, empty otherwise).
+    /// Per-epoch link-class utilization rows, in emission order (SoCFlow
+    /// runs only, empty otherwise).
     pub link_timeline: Vec<LinkUtilRow>,
     /// Gradient-bucket flushes recorded (`--overlap` runs only, 0
     /// otherwise).

@@ -231,7 +231,8 @@ fn streaming_runs_are_thread_count_invariant() {
 }
 
 /// Training numerics across commits *and* pool sizes: `train --json` stdout
-/// of the binary before the ISA-dispatched kernels (one epoch of a
+/// whose accuracies and α traces are those of the binary before the
+/// ISA-dispatched kernels (one epoch of a
 /// batch-norm-free LeNet), of the binary before the in-place parameter
 /// sweeps (three epochs over four mixed VGG-11 replicas, accuracy 0.11 →
 /// 0.20 → 0.30, so the averaged momentum of both arms feeds later steps)
@@ -239,7 +240,10 @@ fn streaming_runs_are_thread_count_invariant() {
 /// over two mixed ResNet-18 replicas: the stride-2 convs, projected 1×1
 /// shortcuts and residual blocks the other two lack; accuracy is still at
 /// chance, so the fingerprint is the `alpha_trace`, a cosine over probe
-/// logits that moves with any weight bit).
+/// logits that moves with any weight bit). The files were last re-written
+/// when every SoCFlow epoch came to be priced on the fluid timeline, which
+/// moved their simulated times by at most 7e-12 relative and their
+/// accuracies and α traces not at all.
 /// CI `cmp`s the CLI against the same three files.
 #[test]
 fn mixed_training_matches_the_parent_commit_goldens_at_1_and_4_threads() {
