@@ -629,8 +629,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Same seed ⇒ byte-identical run results AND byte-identical telemetry
-    /// traces, the timeline's span digest and link-utilization events
-    /// included. Everything downstream (run reports, trace files, the
+    /// traces. Everything downstream (run reports, trace files, the
     /// summarizer) relies on runs being exactly reproducible; events are
     /// emitted from the coordinating thread only, so the group threads'
     /// scheduling must not leak into the stream.
@@ -645,7 +644,7 @@ proptest! {
         use socflow::options::RunOptions;
         use socflow_nn::models::ModelKind;
         use socflow_data::DatasetPreset;
-        use socflow_telemetry::{Event, MemorySink};
+        use socflow_telemetry::MemorySink;
         use std::sync::Arc;
 
         let run = || {
@@ -662,6 +661,56 @@ proptest! {
             let workload = Workload::standard(&spec, 96, 8, 0.5);
             let sink = Arc::new(MemorySink::new());
             let result = Engine::new(spec, workload, RunOptions { sink: Some(sink.clone()), ..RunOptions::default() }).run();
+            let result_json = serde_json::to_string(&result).unwrap();
+            let trace: Vec<String> = sink
+                .take()
+                .iter()
+                .map(|e| serde_json::to_string(e).unwrap())
+                .collect();
+            (result_json, trace)
+        };
+        let (r1, t1) = run();
+        let (r2, t2) = run();
+        prop_assert_eq!(r1, r2, "RunResult must be byte-identical");
+        prop_assert!(!t1.is_empty(), "trace must not be empty");
+        prop_assert_eq!(t1, t2, "telemetry traces must be byte-identical");
+    }
+
+    /// Both timeline schedules — one CG sync per iteration and wait-free
+    /// bucketing — leave the same deterministic footprint in a trace: a
+    /// span digest and one link-utilization row per epoch, byte-identical
+    /// for the same seed.
+    #[test]
+    fn timeline_traces_are_deterministic(
+        seed in 0u64..1000,
+        groups in 1usize..4,
+        epochs in 1usize..3,
+        wait_free_draw in 0u8..2,
+    ) {
+        use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+        use socflow::engine::{Engine, Workload};
+        use socflow::options::{Pricing, RunOptions};
+        use socflow_nn::models::ModelKind;
+        use socflow_data::DatasetPreset;
+        use socflow_telemetry::{Event, MemorySink};
+        use std::sync::Arc;
+
+        let pricing = if wait_free_draw == 1 { Pricing::wait_free_kb(32) } else { Pricing::Timeline };
+        let run = || {
+            let cfg = SocFlowConfig::with_groups(groups);
+            let mut spec = TrainJobSpec::new(
+                ModelKind::LeNet5,
+                DatasetPreset::FashionMnist,
+                MethodSpec::SocFlow(cfg),
+            );
+            spec.socs = 8;
+            spec.epochs = epochs;
+            spec.global_batch = 32;
+            spec.seed = seed;
+            let workload = Workload::standard(&spec, 96, 8, 0.5);
+            let sink = Arc::new(MemorySink::new());
+            let result = Engine::new(spec, workload, RunOptions { pricing, sink: Some(sink.clone()), ..RunOptions::default() })
+                .run();
             let result_json = serde_json::to_string(&result).unwrap();
             let events = sink.take();
             let spans = events
