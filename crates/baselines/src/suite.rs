@@ -15,15 +15,15 @@ use socflow::timemodel::{EpochCost, TimeModel};
 
 /// The methods of the paper's end-to-end comparison, in legend order:
 /// PS, RING, HiPress, 2D-Paral (pipeline groups of 4), FedAvg, T-FedAvg
-/// (fanout 2), then `ours`.
+/// (binary tree), then `ours`.
 pub fn comparison_methods(ours: MethodSpec) -> [MethodSpec; 7] {
     [
         MethodSpec::ParameterServer,
         MethodSpec::Ring,
         MethodSpec::HiPress,
-        MethodSpec::TwoDParallel { group_size: 4 },
+        MethodSpec::TwoDParallel,
         MethodSpec::FedAvg,
-        MethodSpec::TFedAvg { fanout: 2 },
+        MethodSpec::TFedAvg,
         ours,
     ]
 }
@@ -49,8 +49,8 @@ impl Stream {
             | MethodSpec::ParameterServer
             | MethodSpec::Ring
             | MethodSpec::HiPress
-            | MethodSpec::TwoDParallel { .. } => Stream::Single,
-            MethodSpec::FedAvg | MethodSpec::TFedAvg { .. } => Stream::Federated {
+            | MethodSpec::TwoDParallel => Stream::Single,
+            MethodSpec::FedAvg | MethodSpec::TFedAvg => Stream::Federated {
                 clients: socs.min(MAX_FL_REPLICAS),
             },
             MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_) => {

@@ -436,7 +436,7 @@ impl Paper {
                 let at = anchor(latency_ms[0], latency_ms[1]);
                 self.row(format!("fig4b/{name}/ring_{socs}_socs"), ring, "ms")
                     .paper(at, at);
-                let ps = ParameterServer::default().time(&net, &members, payload) * 1e3;
+                let ps = ParameterServer.time(&net, &members, payload) * 1e3;
                 let at = anchor(latency_ms[2], latency_ms[3]);
                 self.row(format!("fig4b/{name}/ps_{socs}_socs"), ps, "ms")
                     .paper(at, at);

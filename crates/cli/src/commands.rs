@@ -3,7 +3,7 @@
 use crate::args::Options;
 use serde::Serialize;
 use socflow::autotune::{PlanChoice, DEFAULT_BUDGET};
-use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
+use socflow::checkpoint::Checkpoint;
 use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::engine::Workload;
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
@@ -146,9 +146,9 @@ fn method_of(name: &str, groups: Option<usize>) -> Result<MethodSpec, String> {
         "ring" => MethodSpec::Ring,
         "ps" => MethodSpec::ParameterServer,
         "hipress" => MethodSpec::HiPress,
-        "2d" | "2d-paral" => MethodSpec::TwoDParallel { group_size: 4 },
+        "2d" | "2d-paral" => MethodSpec::TwoDParallel,
         "fedavg" => MethodSpec::FedAvg,
-        "t-fedavg" | "tfedavg" => MethodSpec::TFedAvg { fanout: 2 },
+        "t-fedavg" | "tfedavg" => MethodSpec::TFedAvg,
         "local" => MethodSpec::Local,
         other => return Err(format!("unknown method `{other}`")),
     })
@@ -256,11 +256,8 @@ fn run_options(opts: &Options) -> Result<RunOptions, String> {
         options.faults = Some(fault_plan_of(fspec, opts.socs, opts.seed)?);
     }
     if let Some(dir) = &opts.checkpoint_dir {
-        let policy = CheckpointPolicy {
-            every_epochs: Some(opts.checkpoint_every.unwrap_or(1).max(1)),
-            on_reclaim: true,
-        };
-        let durable = Checkpointing::new(dir, policy)
+        let every = opts.checkpoint_every.unwrap_or(1).max(1);
+        let durable = Checkpointing::new(dir, Some(every))
             .map_err(|e| format!("cannot use checkpoint dir `{dir}`: {e}"))?;
         options.checkpointing = Some(durable);
         if opts.resume {
@@ -276,6 +273,40 @@ fn run_options(opts: &Options) -> Result<RunOptions, String> {
         }
     }
     Ok(options)
+}
+
+/// Whether `ckpt` can continue the job the flags describe: the same
+/// parameter count per replica, surviving SoCs inside `--socs`, and no
+/// `--groups` other than the one the snapshot's run started with (the
+/// snapshot's group counts win, so another value would be ignored).
+fn resumable(
+    ckpt: &Checkpoint,
+    spec: &TrainJobSpec,
+    groups: Option<usize>,
+    params: usize,
+) -> Result<(), String> {
+    let saved = ckpt.replicas[0].len();
+    if saved != params {
+        let (model, preset) = (spec.model, spec.preset);
+        return Err(format!(
+            "the checkpoint holds {saved} parameters per replica, \
+             but {model} on {preset} has {params}"
+        ));
+    }
+    if ckpt.alive.iter().any(|&s| s >= spec.socs) {
+        return Err(format!(
+            "the checkpoint's surviving SoCs are {:?}, outside --socs {}",
+            ckpt.alive, spec.socs
+        ));
+    }
+    match groups {
+        Some(g) if g != ckpt.initial_groups => Err(format!(
+            "the checkpoint's run started with {} logical groups, but --groups is {g} \
+             (drop --groups to continue with the snapshot's)",
+            ckpt.initial_groups
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// `socflow-cli train`: run one training job and report the results.
@@ -302,13 +333,7 @@ pub fn train(opts: &Options) -> Result<(), String> {
     let workload = Workload::standard(&spec, opts.samples, 8, default_width(model));
     if let Some(ckpt) = &options.resume {
         let params = NetworkShape::of(model, workload.model_cfg).params;
-        let saved = ckpt.replicas[0].len();
-        if saved != params {
-            return Err(format!(
-                "cannot resume: the checkpoint holds {saved} parameters per replica, \
-                 but {model} on {preset} has {params}"
-            ));
-        }
+        resumable(ckpt, &spec, opts.groups, params).map_err(|e| format!("cannot resume: {e}"))?;
     }
     let sched = GlobalScheduler::new(spec, workload, options, plan);
     let profile_base = opts.profile_kernels.then(|| {
@@ -1047,5 +1072,66 @@ mod tests {
             ..base
         };
         assert!(train(&missing).is_err());
+    }
+
+    /// A two-group snapshot of an 8-SoC run in `dir`, and the options
+    /// that resume it.
+    fn resumable_snapshot(dir: &std::path::Path) -> Options {
+        std::fs::remove_dir_all(dir).ok();
+        let base = Options {
+            socs: 8,
+            groups: Some(2),
+            epochs: 2,
+            samples: 128,
+            checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
+            ..Options::default()
+        };
+        train(&base).unwrap();
+        Options {
+            groups: None,
+            epochs: 4,
+            resume: true,
+            ..base
+        }
+    }
+
+    /// The snapshot holds SoCs 0–7; resuming on 4 used to reach the
+    /// mapper's "SoC outside cluster" assert (exit 101).
+    #[test]
+    fn resume_rejects_socs_that_drop_the_snapshots_survivors() {
+        let dir = std::env::temp_dir().join("socflow_cli_resume_socs_test");
+        let resume = resumable_snapshot(&dir);
+        let err = train(&Options { socs: 4, ..resume }).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(err.starts_with("cannot resume"), "{err}");
+        assert!(
+            err.contains("--socs 4") && err.contains("[0, 1, 2, 3, 4, 5, 6, 7]"),
+            "{err}"
+        );
+    }
+
+    /// The snapshot's group counts win on resume; a different `--groups`
+    /// used to be ignored silently (exit 0, two groups trained).
+    #[test]
+    fn resume_rejects_a_group_count_the_snapshot_would_override() {
+        let dir = std::env::temp_dir().join("socflow_cli_resume_groups_test");
+        let resume = resumable_snapshot(&dir);
+        let err = train(&Options {
+            groups: Some(4),
+            ..resume.clone()
+        });
+        let same = train(&Options {
+            groups: Some(2),
+            json: true,
+            ..resume
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        let err = err.unwrap_err();
+        assert!(err.starts_with("cannot resume"), "{err}");
+        assert!(
+            err.contains("--groups is 4") && err.contains("2 logical groups"),
+            "{err}"
+        );
+        same.expect("the snapshot's own group count resumes");
     }
 }

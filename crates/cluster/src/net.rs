@@ -12,14 +12,21 @@
 //! Bandwidth is allocated by progressive filling (max-min fairness): the
 //! most contended link is saturated first, its flows are frozen at the fair
 //! share, and the residual capacity is redistributed. Completion times come
-//! from fluid integration between freeze events.
+//! from the fluid timeline ([`FluidTimeline`]), which integrates the flows
+//! between drain events.
 
 use std::sync::Arc;
 
+use crate::timeline::FluidTimeline;
 use crate::topology::{ClusterSpec, SocId};
 use crate::{calibration, Seconds};
 use serde::{Deserialize, Serialize};
 use socflow_telemetry::{Event, EventSink};
+
+/// The cluster's control board as a flow endpoint. It hangs off the switch
+/// (the global scheduler and federated aggregation live there), so a flow
+/// to or from it crosses its SoC's board uplink and the switch backplane.
+const CONTROL_BOARD: SocId = SocId(u16::MAX as usize);
 
 /// One point-to-point transfer within a collective step.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -196,24 +203,27 @@ impl ClusterNet {
         let socs = self.spec.total_socs();
         let soc_tx = |s: SocId| 2 * s.0;
         let soc_rx = |s: SocId| 2 * s.0 + 1;
-        let a = self.spec.board_of(f.src);
-        let b = self.spec.board_of(f.dst);
+        // a board's uplink tx; its rx is the next index
+        let uplink = |s: SocId| 2 * socs + 2 * self.spec.board_of(s).0;
+        let switch = 2 * socs + 2 * self.spec.boards;
+        if f.dst == CONTROL_BOARD {
+            return LinkPath::new(&[soc_tx(f.src), uplink(f.src), switch]);
+        }
+        if f.src == CONTROL_BOARD {
+            return LinkPath::new(&[switch, uplink(f.dst) + 1, soc_rx(f.dst)]);
+        }
+        let (a, b) = (uplink(f.src), uplink(f.dst));
         if a == b {
             LinkPath::new(&[soc_tx(f.src), soc_rx(f.dst)])
         } else {
-            LinkPath::new(&[
-                soc_tx(f.src),
-                2 * socs + 2 * a.0,              // uplink tx of board A
-                2 * socs + 2 * self.spec.boards, // switch
-                2 * socs + 2 * b.0 + 1,          // uplink rx of board B
-                soc_rx(f.dst),
-            ])
+            LinkPath::new(&[soc_tx(f.src), a, switch, b + 1, soc_rx(f.dst)])
         }
     }
 
-    /// `true` if the flow's endpoints are on different PCBs.
+    /// `true` if the flow's endpoints are on different PCBs (the control
+    /// board counts as one of its own).
     pub fn crosses_boards(&self, f: &Flow) -> bool {
-        !self.spec.same_board(f.src, f.dst)
+        f.src == CONTROL_BOARD || f.dst == CONTROL_BOARD || !self.spec.same_board(f.src, f.dst)
     }
 
     /// Simulates a set of flows that start at the same instant, returning
@@ -237,10 +247,33 @@ impl ClusterNet {
     /// assert!((stats.makespan - 2.0).abs() < 1e-3);
     /// ```
     pub fn transfer(&self, flows: &[Flow]) -> TransferStats {
-        let paths: Vec<LinkPath> = flows.iter().map(|f| self.path(f)).collect();
-        let crossed = flows.iter().any(|f| self.crosses_boards(f));
-        let bytes: Vec<f64> = flows.iter().map(|f| f.bytes).collect();
-        self.simulate(paths, bytes, crossed)
+        // one zero-latency batch per flow: task ids are flow indices
+        let mut timeline = FluidTimeline::new(self);
+        for f in flows {
+            timeline.start_flows(std::slice::from_ref(f), 0.0);
+        }
+        let mut flow_times = vec![0.0; flows.len()];
+        while let Some(c) = timeline.advance() {
+            flow_times[c.id.0] = c.at;
+        }
+        let makespan = timeline.now();
+        let total_bytes: f64 = flows.iter().map(|f| f.bytes).sum();
+        let crossed_boards = flows.iter().any(|f| self.crosses_boards(f));
+        if let Some(sink) = &self.sink {
+            sink.emit(&Event::Transfer {
+                flows: flows.len(),
+                total_bytes,
+                makespan,
+                crossed_boards,
+                link_utilization: self.peak_utilization(flows, makespan),
+            });
+        }
+        TransferStats {
+            makespan,
+            flow_times,
+            total_bytes,
+            crossed_boards,
+        }
     }
 
     /// Simulates transfers between every member SoC and the cluster's
@@ -248,83 +281,30 @@ impl ClusterNet {
     /// scheduler and federated aggregation live there). `up = true` is
     /// SoC → control board; `false` is the scatter back.
     pub fn control_transfer(&self, members: &[SocId], bytes: f64, up: bool) -> TransferStats {
-        let socs = self.spec.total_socs();
-        let switch = 2 * socs + 2 * self.spec.boards;
-        let paths: Vec<LinkPath> = members
+        let flows: Vec<Flow> = members
             .iter()
             .map(|&s| {
-                let b = self.spec.board_of(s).0;
                 if up {
-                    LinkPath::new(&[2 * s.0, 2 * socs + 2 * b, switch])
+                    Flow::new(s, CONTROL_BOARD, bytes)
                 } else {
-                    LinkPath::new(&[switch, 2 * socs + 2 * b + 1, 2 * s.0 + 1])
+                    Flow::new(CONTROL_BOARD, s, bytes)
                 }
             })
             .collect();
-        let byte_list = vec![bytes; members.len()];
-        self.simulate(paths, byte_list, true)
-    }
-
-    fn simulate(&self, paths: Vec<LinkPath>, bytes: Vec<f64>, crossed: bool) -> TransferStats {
-        let n = paths.len();
-        let mut remaining: Vec<f64> = bytes.clone();
-        let mut done: Vec<Seconds> = vec![0.0; n];
-        let mut active: Vec<usize> = (0..n)
-            .filter(|&i| remaining[i] > 0.0 && !paths[i].links().is_empty())
-            .collect();
-        let total_bytes: f64 = bytes.iter().sum();
-
-        let mut now: Seconds = 0.0;
-        let mut work = MaxMinScratch::default();
-        let mut rates = Vec::new();
-        while !active.is_empty() {
-            self.max_min_rates(active.len(), |k| paths[active[k]], &mut work, &mut rates);
-            // time until the first active flow drains
-            let mut dt = f64::INFINITY;
-            for (&i, &r) in active.iter().zip(&rates) {
-                debug_assert!(r > 0.0, "max-min must give every flow a rate");
-                dt = dt.min(remaining[i] / r);
-            }
-            now += dt;
-            let mut still = Vec::with_capacity(active.len());
-            for (&i, &r) in active.iter().zip(&rates) {
-                remaining[i] -= r * dt;
-                if remaining[i] <= 1e-9 {
-                    done[i] = now;
-                } else {
-                    still.push(i);
-                }
-            }
-            active = still;
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&Event::Transfer {
-                flows: n,
-                total_bytes,
-                makespan: now,
-                crossed_boards: crossed,
-                link_utilization: self.peak_utilization(&paths, &bytes, now),
-            });
-        }
-        TransferStats {
-            makespan: now,
-            flow_times: done,
-            total_bytes,
-            crossed_boards: crossed,
-        }
+        self.transfer(&flows)
     }
 
     /// Utilization of the busiest link over a finished transfer: bytes the
     /// link carried divided by what it could have carried in `makespan`
     /// seconds. Only computed when a telemetry sink is attached.
-    fn peak_utilization(&self, paths: &[LinkPath], bytes: &[f64], makespan: Seconds) -> f64 {
+    fn peak_utilization(&self, flows: &[Flow], makespan: Seconds) -> f64 {
         if makespan <= 0.0 {
             return 0.0;
         }
         let mut carried = vec![0.0f64; self.num_links()];
-        for (path, b) in paths.iter().zip(bytes) {
-            for &l in path.links() {
-                carried[usize::from(l)] += b;
+        for f in flows {
+            for &l in self.path(f).links() {
+                carried[usize::from(l)] += f.bytes;
             }
         }
         carried

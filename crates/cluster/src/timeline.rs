@@ -1,12 +1,13 @@
 //! Discrete-event fluid timeline: spans and flow sets on a shared clock.
 //!
 //! [`ClusterNet::transfer`](crate::net::ClusterNet::transfer) prices one
-//! flow set in isolation. The timeline generalizes that to *many* tasks
-//! live at once: fixed-duration **spans** (compute, parameter updates) and
-//! fluid **flow batches** (collective steps) all advance against one
-//! simulated clock, and every batch admitted mid-flight changes the
-//! max-min rates so concurrent transfers contend exactly as the fluid
-//! model says they should (preemptable fluid flows).
+//! flow set in isolation, as one batch per flow on a timeline of its own.
+//! The timeline holds *many* tasks live at once: fixed-duration **spans**
+//! (compute, parameter updates) and fluid **flow batches** (collective
+//! steps) all advance against one simulated clock, and every batch
+//! admitted mid-flight changes the max-min rates so concurrent transfers
+//! contend exactly as the fluid model says they should (preemptable fluid
+//! flows).
 //!
 //! Rates are a pure function of the ordered active flow set and the link
 //! capacities, so they are recomputed only when that set changes (a
@@ -60,8 +61,8 @@ pub struct LinkClassUtil {
     pub switch: f64,
 }
 
-/// Drain threshold matching `ClusterNet`'s fluid integration: a flow with
-/// fewer residual bytes than this is complete.
+/// Drain threshold: a flow with no more residual bytes than this is
+/// complete.
 const DRAIN_EPS: f64 = 1e-9;
 /// Residual-seconds threshold below which a span or latency is complete.
 const TIME_EPS: f64 = 1e-12;

@@ -57,7 +57,7 @@ mod tests {
     fn analytic_ps_matches_simulator_intra_board() {
         let net = ClusterNet::new(ClusterSpec::paper_server());
         let members: Vec<SocId> = (0..5).map(SocId).collect();
-        let sim = ParameterServer::default().time(&net, &members, 36.9e6);
+        let sim = ParameterServer.time(&net, &members, 36.9e6);
         let ana = ps_time(5, 36.9e6, BW, calibration::STEP_LATENCY_INTRA);
         assert!(
             (sim - ana).abs() / ana < 0.01,

@@ -25,7 +25,7 @@
 //! let net = ClusterNet::new(ClusterSpec::paper_server());
 //! let members: Vec<SocId> = (0..32).map(SocId).collect();
 //! let ring = RingAllReduce.time(&net, &members, 36.9e6);
-//! let ps = ParameterServer::default().time(&net, &members, 36.9e6);
+//! let ps = ParameterServer.time(&net, &members, 36.9e6);
 //! assert!(ring < ps, "at 32 SoCs the ring beats the incast-bound PS");
 //! ```
 

@@ -5,9 +5,6 @@ use socflow_cluster::{ClusterNet, Flow, Seconds, SocId};
 /// A communication pattern whose wall-clock cost can be evaluated on the
 /// simulated cluster network.
 pub trait Collective {
-    /// Pattern name for reports.
-    fn name(&self) -> &'static str;
-
     /// Wall-clock time to synchronize `bytes` of gradients/weights across
     /// `members` (every member ends with the combined result).
     ///
@@ -25,10 +22,6 @@ pub trait Collective {
 pub struct RingAllReduce;
 
 impl Collective for RingAllReduce {
-    fn name(&self) -> &'static str {
-        "Ring-AllReduce"
-    }
-
     fn time(&self, net: &ClusterNet, members: &[SocId], bytes: f64) -> Seconds {
         let n = members.len();
         if n < 2 || bytes == 0.0 {
@@ -44,27 +37,18 @@ impl Collective for RingAllReduce {
     }
 }
 
-/// Classic parameter server: all workers push `bytes` to one server SoC,
-/// which pushes the aggregate back. The server's single 1 Gb/s link is the
-/// incast bottleneck.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParameterServer {
-    /// Index *into the member slice* of the SoC acting as the server.
-    pub server_index: usize,
-}
+/// Classic parameter server: all workers push `bytes` to the first member,
+/// the server, which pushes the aggregate back. The server's single
+/// 1 Gb/s link is the incast bottleneck.
+#[derive(Debug, Clone, Copy)]
+pub struct ParameterServer;
 
 impl Collective for ParameterServer {
-    fn name(&self) -> &'static str {
-        "Parameter Server"
-    }
-
     fn time(&self, net: &ClusterNet, members: &[SocId], bytes: f64) -> Seconds {
-        let n = members.len();
-        if n < 2 || bytes == 0.0 {
+        if members.len() < 2 || bytes == 0.0 {
             return 0.0;
         }
-        assert!(self.server_index < n, "server index out of range");
-        let server = members[self.server_index];
+        let server = members[0];
         let push: Vec<Flow> = members
             .iter()
             .filter(|&&m| m != server)
@@ -79,39 +63,28 @@ impl Collective for ParameterServer {
     }
 }
 
-/// Tree aggregation (hierarchical federated learning): reduce up a
-/// `fanout`-ary tree over the members, then broadcast back down.
-#[derive(Debug, Clone, Copy)]
-pub struct TreeAggregate {
-    /// Children per tree node (≥ 2).
-    pub fanout: usize,
-}
+/// Children per node of the [`TreeAggregate`] tree.
+const FANOUT: usize = 2;
 
-impl Default for TreeAggregate {
-    fn default() -> Self {
-        TreeAggregate { fanout: 2 }
-    }
-}
+/// Tree aggregation (hierarchical federated learning): reduce up a binary
+/// tree over the members, then broadcast back down.
+#[derive(Debug, Clone, Copy)]
+pub struct TreeAggregate;
 
 impl Collective for TreeAggregate {
-    fn name(&self) -> &'static str {
-        "Tree-Aggregate"
-    }
-
     fn time(&self, net: &ClusterNet, members: &[SocId], bytes: f64) -> Seconds {
-        assert!(self.fanout >= 2, "fanout must be at least 2");
         let n = members.len();
         if n < 2 || bytes == 0.0 {
             return 0.0;
         }
-        // members[0] is the root; node i's parent is (i-1)/fanout
+        // members[0] is the root; node i's parent is (i-1)/FANOUT
         let mut total = 0.0;
         // Reduce: level by level from the deepest, children send to parents.
         let mut levels: Vec<Vec<Flow>> = Vec::new();
         let depth_of = |mut i: usize| {
             let mut d = 0;
             while i > 0 {
-                i = (i - 1) / self.fanout;
+                i = (i - 1) / FANOUT;
                 d += 1;
             }
             d
@@ -120,7 +93,7 @@ impl Collective for TreeAggregate {
         for level in (1..=max_depth).rev() {
             let flows: Vec<Flow> = (1..n)
                 .filter(|&i| depth_of(i) == level)
-                .map(|i| Flow::new(members[i], members[(i - 1) / self.fanout], bytes))
+                .map(|i| Flow::new(members[i], members[(i - 1) / FANOUT], bytes))
                 .collect();
             levels.push(flows);
         }
@@ -168,8 +141,7 @@ mod tests {
     #[test]
     fn ps_intra_board_matches_paper_anchor() {
         // Paper: ~2060 ms for VGG-11 intra-PCB parameter server.
-        let ps = ParameterServer::default();
-        let t = ps.time(&net(), &socs(5), 36.9 * MB);
+        let t = ParameterServer.time(&net(), &socs(5), 36.9 * MB);
         assert!((1.8..2.9).contains(&t), "VGG-11 intra PS: {t}s");
     }
 
@@ -195,14 +167,14 @@ mod tests {
     #[test]
     fn ps_worse_than_ring_at_scale() {
         let ring = RingAllReduce.time(&net(), &socs(32), 36.9 * MB);
-        let ps = ParameterServer::default().time(&net(), &socs(32), 36.9 * MB);
+        let ps = ParameterServer.time(&net(), &socs(32), 36.9 * MB);
         assert!(ps > ring * 2.0, "PS {ps} should be >> ring {ring}");
     }
 
     #[test]
     fn tree_beats_ps_at_scale() {
-        let tree = TreeAggregate { fanout: 2 }.time(&net(), &socs(32), 36.9 * MB);
-        let ps = ParameterServer::default().time(&net(), &socs(32), 36.9 * MB);
+        let tree = TreeAggregate.time(&net(), &socs(32), 36.9 * MB);
+        let ps = ParameterServer.time(&net(), &socs(32), 36.9 * MB);
         assert!(tree < ps, "tree {tree} should beat PS {ps}");
     }
 
@@ -211,8 +183,8 @@ mod tests {
         let n = net();
         assert_eq!(RingAllReduce.time(&n, &socs(1), MB), 0.0);
         assert_eq!(RingAllReduce.time(&n, &socs(4), 0.0), 0.0);
-        assert_eq!(ParameterServer::default().time(&n, &socs(1), MB), 0.0);
-        assert_eq!(TreeAggregate::default().time(&n, &socs(1), MB), 0.0);
+        assert_eq!(ParameterServer.time(&n, &socs(1), MB), 0.0);
+        assert_eq!(TreeAggregate.time(&n, &socs(1), MB), 0.0);
     }
 
     #[test]

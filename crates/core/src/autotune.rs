@@ -45,13 +45,13 @@
 //! re-adopting the plan, or by the fleet scheduler re-pricing a job on
 //! every arrival/shrink/resume — is a hash lookup.
 
-use crate::config::{MappingMode, MethodSpec, SocFlowConfig, TrainJobSpec};
+use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::engine::DEFAULT_GROUPS;
 use crate::mapping;
 use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::sim::{simulate_socflow_schedule, SyncSchedule};
 use crate::timemodel::TimeModel;
-use socflow_cluster::{timeline_stats, ClusterSpec, SocId, TimelineStats};
+use socflow_cluster::{timeline_stats, ClusterSpec, TimelineStats};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_nn::GradReady;
@@ -195,20 +195,14 @@ fn cpu_fraction_for(spec: &TrainJobSpec, tm: &TimeModel) -> f64 {
     }
 }
 
-/// Builds the mapping + CGs for a group count under the spec's mapping
-/// mode, with the same silent one-CG-per-group fallback the fleet cost
-/// model uses (non-bipartite conflict graphs are possible for ad-hoc
-/// mappings; the fallback is correct, just serial).
-fn topology_for(
-    spec: &TrainJobSpec,
-    mode: MappingMode,
-    groups: usize,
-) -> (mapping::Mapping, CommunicationGroups) {
+/// Builds the integrity-greedy mapping + CGs for a group count, with the
+/// same silent one-CG-per-group fallback the fleet cost model uses
+/// (non-bipartite conflict graphs are possible for ad-hoc mappings; the
+/// fallback is correct, just serial).
+fn topology_for(spec: &TrainJobSpec, groups: usize) -> (mapping::Mapping, CommunicationGroups) {
     let socs = spec.socs.max(1);
     let groups = groups.clamp(1, socs);
-    let cluster = ClusterSpec::for_socs(socs);
-    let alive: Vec<SocId> = (0..socs).map(SocId).collect();
-    let mapping = mode.map_over(&cluster, &alive, groups);
+    let mapping = mapping::integrity_greedy(&ClusterSpec::for_socs(socs), socs, groups);
     let (cgs, _) = divide_or_serialize(&mapping);
     (mapping, cgs)
 }
@@ -227,8 +221,6 @@ pub(crate) enum PlanKey {
         mixed_precision: bool,
         socs: usize,
         global_batch: usize,
-        mapping: MappingMode,
-        planning: bool,
         groups: usize,
         schedule: SyncSchedule,
         bucket_kb: Option<usize>,
@@ -257,8 +249,6 @@ fn plan_key(spec: &TrainJobSpec, cand: &PlanCandidate) -> PlanKey {
         mixed_precision: cfg.mixed_precision,
         socs: spec.socs,
         global_batch: spec.global_batch,
-        mapping: cfg.mapping,
-        planning: cfg.planning,
         groups: cand.groups,
         schedule: cand.schedule,
         bucket_kb: cand.bucket_kb,
@@ -289,8 +279,7 @@ pub(crate) fn memoized(key: PlanKey, compute: impl FnOnce() -> f64) -> f64 {
 /// plan-key memo — the reference [`price_plan`] is property-tested
 /// against.
 pub fn price_plan_uncached(spec: &TrainJobSpec, layout: &[GradReady], cand: &PlanCandidate) -> f64 {
-    let cfg = socflow_cfg(spec);
-    let (mapping, cgs) = topology_for(spec, cfg.mapping, cand.groups);
+    let (mapping, cgs) = topology_for(spec, cand.groups);
     let mut tm = TimeModel::new(spec);
     if let Some(beta) = cand.profiled_beta {
         tm.compute_mut().set_profiled_beta(beta);
@@ -299,16 +288,9 @@ pub fn price_plan_uncached(spec: &TrainJobSpec, layout: &[GradReady], cand: &Pla
         tm.set_overlap(kb, layout);
     }
     let cpu_fraction = cpu_fraction_for(spec, &tm);
-    simulate_socflow_schedule(
-        &tm,
-        &mapping,
-        &cgs,
-        cfg.planning,
-        cand.schedule,
-        cpu_fraction,
-    )
-    .cost
-    .time
+    simulate_socflow_schedule(&tm, &mapping, &cgs, true, cand.schedule, cpu_fraction)
+        .cost
+        .time
 }
 
 /// Prices one candidate plan, memoized on its plan key. Exact: a hit
@@ -323,8 +305,7 @@ pub fn price_plan(spec: &TrainJobSpec, layout: &[GradReady], cand: &PlanCandidat
 /// The analytic admission floor of a candidate (schedule-independent:
 /// only the group count and β move it).
 fn lower_bound(spec: &TrainJobSpec, groups: usize, profiled_beta: Option<f64>) -> f64 {
-    let cfg = socflow_cfg(spec);
-    let (mapping, _) = topology_for(spec, cfg.mapping, groups);
+    let (mapping, _) = topology_for(spec, groups);
     let mut tm = TimeModel::new(spec);
     if let Some(beta) = profiled_beta {
         tm.compute_mut().set_profiled_beta(beta);

@@ -29,24 +29,6 @@ pub const FORMAT_VERSION: u32 = 2;
 /// File name of the most recent checkpoint inside a checkpoint directory.
 pub const LATEST_FILE: &str = "latest.ckpt";
 
-/// When the engine persists durable checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Persist after every N completed epochs (`None` = only on faults).
-    pub every_epochs: Option<usize>,
-    /// Persist when a graceful reclaim shrinks the cluster.
-    pub on_reclaim: bool,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy {
-            every_epochs: None,
-            on_reclaim: true,
-        }
-    }
-}
-
 /// A resumable snapshot of a group-parallel training job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {

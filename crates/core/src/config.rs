@@ -5,26 +5,15 @@ use socflow_data::stream::{OnFull, RateProfile};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 
-/// How logical groups are mapped onto PCB boards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MappingMode {
-    /// Naive sequential packing (the "+Group" ablation arm).
-    Sequential,
-    /// The paper's integrity-greedy mapping (Theorems 1 & 2).
-    IntegrityGreedy,
-}
-
-/// Configuration of the SoCFlow method proper. The four booleans/knobs map
-/// one-to-one onto the ablation arms of paper Fig. 13.
+/// Configuration of the SoCFlow method proper. Integrity-greedy mapping
+/// and communication-group planning are not settings: every SoCFlow run
+/// uses both (paper §3.1); Fig. 13's ablation arms price their absence
+/// directly (`bench paper`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SocFlowConfig {
     /// Number of logical groups; `None` lets the scheduler choose via the
     /// first-epoch heuristic (paper §3.1 "determining group size").
     pub groups: Option<usize>,
-    /// Logical→physical mapping algorithm.
-    pub mapping: MappingMode,
-    /// Enable communication-group planning (overlap sync with compute).
-    pub planning: bool,
     /// Enable data-parallel mixed-precision training (CPU FP32 + NPU INT8).
     pub mixed_precision: bool,
     /// Number of independent SGD streams the *accuracy* simulation runs
@@ -41,8 +30,6 @@ impl SocFlowConfig {
     pub fn full() -> Self {
         SocFlowConfig {
             groups: None,
-            mapping: MappingMode::IntegrityGreedy,
-            planning: true,
             mixed_precision: true,
             accuracy_streams: None,
         }
@@ -79,17 +66,16 @@ pub struct StreamingConfig {
     pub on_full: OnFull,
     /// Re-run grouping by observed stream rate (with rate-proportional
     /// data shares) when the per-SoC rate spread exceeds
-    /// [`StreamingConfig::regroup_spread`]. Off = topology-only grouping.
+    /// [`REGROUP_SPREAD`]. Off = topology-only grouping.
     pub rate_aware: bool,
-    /// Max/min per-SoC rate ratio above which rate-aware regrouping
-    /// triggers.
-    pub regroup_spread: f64,
 }
+
+/// Max/min per-SoC rate ratio above which rate-aware regrouping triggers.
+pub const REGROUP_SPREAD: f64 = 1.25;
 
 impl StreamingConfig {
     /// Streaming defaults for a profile: self-calibrated base rate, a
-    /// two-batch buffer, backpressure on overflow, rate-aware regrouping
-    /// at a 1.25× spread threshold.
+    /// two-batch buffer, backpressure on overflow, rate-aware regrouping.
     pub fn new(profile: RateProfile) -> Self {
         StreamingConfig {
             profile,
@@ -97,7 +83,6 @@ impl StreamingConfig {
             buffer_batches: 2,
             on_full: OnFull::Block,
             rate_aware: true,
-            regroup_spread: 1.25,
         }
     }
 }
@@ -107,6 +92,9 @@ impl Default for StreamingConfig {
         Self::new(RateProfile::Uniform)
     }
 }
+
+/// SoCs per pipeline group of [`MethodSpec::TwoDParallel`].
+pub const PIPELINE_GROUP: usize = 4;
 
 /// The training method: SoCFlow or one of the paper's six baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -120,18 +108,14 @@ pub enum MethodSpec {
     Ring,
     /// HiPress: Ring-AllReduce with DGC top-k gradient compression.
     HiPress,
-    /// 2D parallelism: intra-group pipeline, inter-group Ring-AllReduce.
-    TwoDParallel {
-        /// SoCs per pipeline group.
-        group_size: usize,
-    },
+    /// 2D parallelism: intra-group pipeline over [`PIPELINE_GROUP`] SoCs,
+    /// inter-group Ring-AllReduce.
+    TwoDParallel,
     /// FedAvg: per-epoch central weight averaging, fixed local shards.
     FedAvg,
-    /// Tree-aggregation hierarchical FedAvg.
-    TFedAvg {
-        /// Aggregation-tree fanout.
-        fanout: usize,
-    },
+    /// Tree-aggregation hierarchical FedAvg, over a binary tree
+    /// (`socflow_collectives::TreeAggregate`).
+    TFedAvg,
     /// SoCFlow (this paper).
     SocFlow(SocFlowConfig),
     /// SoCFlow variant training only on NPUs in INT8 (the "Ours-INT8"
@@ -149,9 +133,9 @@ impl MethodSpec {
             MethodSpec::ParameterServer => "PS",
             MethodSpec::Ring => "RING",
             MethodSpec::HiPress => "HiPress",
-            MethodSpec::TwoDParallel { .. } => "2D-Paral",
+            MethodSpec::TwoDParallel => "2D-Paral",
             MethodSpec::FedAvg => "FedAvg",
-            MethodSpec::TFedAvg { .. } => "T-FedAvg",
+            MethodSpec::TFedAvg => "T-FedAvg",
             MethodSpec::SocFlow(_) => "Ours",
             MethodSpec::SocFlowInt8(_) => "Ours-INT8",
             MethodSpec::SocFlowHalf(_) => "Ours-Half",
@@ -192,7 +176,7 @@ impl MethodSpec {
             MethodSpec::ParameterServer
                 | MethodSpec::Ring
                 | MethodSpec::HiPress
-                | MethodSpec::TwoDParallel { .. }
+                | MethodSpec::TwoDParallel
         )
     }
 }
@@ -212,8 +196,6 @@ pub struct TrainJobSpec {
     pub epochs: usize,
     /// SGD learning rate.
     pub lr: f32,
-    /// SGD momentum.
-    pub momentum: f32,
     /// Master seed (model init, shuffling, data generation).
     pub seed: u64,
     /// Method under test.
@@ -230,7 +212,6 @@ impl TrainJobSpec {
             global_batch: 64,
             epochs: 10,
             lr: 0.05,
-            momentum: 0.9,
             seed: 42,
             method,
         }
@@ -245,7 +226,7 @@ mod tests {
     fn names_match_paper_legends() {
         assert_eq!(MethodSpec::Ring.name(), "RING");
         assert_eq!(MethodSpec::SocFlow(SocFlowConfig::full()).name(), "Ours");
-        assert_eq!(MethodSpec::TFedAvg { fanout: 2 }.name(), "T-FedAvg");
+        assert_eq!(MethodSpec::TFedAvg.name(), "T-FedAvg");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use super::replica::Replica;
 use super::socflow::SocflowRun;
-use crate::checkpoint::{Checkpoint, CheckpointPolicy};
+use crate::checkpoint::Checkpoint;
 use crate::mixed::MixedPrecisionController;
+use crate::options::Checkpointing;
 use socflow_nn::optim::Sgd;
 use socflow_telemetry::Event;
 
@@ -71,14 +72,14 @@ pub(super) fn restore(
 
 impl SocflowRun<'_> {
     /// Persists a durable checkpoint of the run as of `epoch_done` when
-    /// checkpointing is on and its policy says this one is `due`, and
+    /// checkpointing is on and says this one is `due`, and
     /// reports it via telemetry. Write-behind: the persist overlaps
     /// training, so its cost shows up in the trace but never on the
     /// training clock.
-    pub(super) fn persist(&self, epoch_done: usize, due: impl Fn(&CheckpointPolicy) -> bool) {
+    pub(super) fn persist(&self, epoch_done: usize, due: impl Fn(&Checkpointing) -> bool) {
         let engine = self.engine;
         let checkpointing = engine.options.checkpointing.as_ref();
-        let Some(durable) = checkpointing.filter(|c| due(&c.policy)) else {
+        let Some(durable) = checkpointing.filter(|c| due(c)) else {
             return;
         };
         let mut ckpt = capture(epoch_done, &self.replicas, self.ctrl.alpha());
@@ -116,7 +117,7 @@ mod tests {
     use super::super::{Engine, MixedMode};
     use super::*;
     use crate::config::{MethodSpec, SocFlowConfig};
-    use crate::options::{Checkpointing, RunOptions};
+    use crate::options::RunOptions;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use socflow_nn::models::{ModelConfig, ModelKind};
@@ -213,16 +214,12 @@ mod tests {
         // "killed" run: first 2 of 4 epochs, persisting at epoch 2
         let mut short = spec;
         short.epochs = 2;
-        let policy = crate::checkpoint::CheckpointPolicy {
-            every_epochs: Some(2),
-            on_reclaim: true,
-        };
         let _ = Engine::new(
             short,
             easy_workload(&short, 512),
             RunOptions {
                 checkpointing: Some(
-                    Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir"),
+                    Checkpointing::new(dir.clone(), Some(2)).expect("usable checkpoint dir"),
                 ),
                 ..RunOptions::default()
             },

@@ -108,7 +108,7 @@ impl SocflowRun<'_> {
         }
         // graceful reclaims checkpoint before leaving
         if reclaims > 0 {
-            self.persist(epoch + 1, |policy| policy.on_reclaim);
+            self.persist(epoch + 1, |_| true);
         }
         engine.options.emit(Event::RecoveryCompleted {
             epoch: epoch + 1,
@@ -163,13 +163,8 @@ impl SocflowRun<'_> {
     /// membership changes go through.
     pub(super) fn retopologize(&mut self, epoch: usize) {
         let engine = self.engine;
-        (self.mapping, self.cgs) = engine.socflow_topology(
-            &self.cfg,
-            &self.alive,
-            self.groups,
-            self.stream.as_ref(),
-            epoch,
-        );
+        (self.mapping, self.cgs) =
+            engine.socflow_topology(&self.alive, self.groups, self.stream.as_ref(), epoch);
         if let Some(st) = self.stream.as_mut() {
             st.rebuild_buffers(self.groups, engine.spec.global_batch);
         }
@@ -254,7 +249,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
         let sink = Arc::new(MemorySink::new());
-        let policy = crate::checkpoint::CheckpointPolicy::default();
         let options = RunOptions {
             sink: Some(sink.clone()),
             faults: Some(socflow_cluster::faults::FaultPlan::from_events(vec![
@@ -262,7 +256,7 @@ mod tests {
                 ev(6, FaultKind::Reclaimed),
                 ev(5, FaultKind::Crashed),
             ])),
-            checkpointing: Some(crate::options::Checkpointing::new(&dir, policy).unwrap()),
+            checkpointing: Some(crate::options::Checkpointing::new(&dir, None).unwrap()),
             ..RunOptions::default()
         };
         let mut engine = Engine::new(spec, easy_workload(&spec, 256), options);

@@ -58,6 +58,9 @@ const EVAL_SHARD: usize = 128;
 /// to every method so comparisons stay fair.
 const LR_DECAY: f32 = 0.88;
 
+/// SGD momentum of every optimizer the engine builds.
+const MOMENTUM: f32 = 0.9;
+
 /// Learning-rate floor as a fraction of the initial rate: methods with few
 /// sequential steps per epoch (group/federated streams) need more epochs to
 /// converge, and unbounded decay would freeze them first.
@@ -168,7 +171,7 @@ impl Engine {
             base.set_flat_weights(w);
         }
         (0..count)
-            .map(|_| Replica::new(base.clone(), self.spec.lr, self.spec.momentum, with_int8))
+            .map(|_| Replica::new(base.clone(), self.spec.lr, with_int8))
             .collect()
     }
 
@@ -242,8 +245,8 @@ impl Engine {
             | MethodSpec::ParameterServer
             | MethodSpec::Ring
             | MethodSpec::HiPress
-            | MethodSpec::TwoDParallel { .. } => self.run_single(),
-            MethodSpec::FedAvg | MethodSpec::TFedAvg { .. } => self.run_federated(),
+            | MethodSpec::TwoDParallel => self.run_single(),
+            MethodSpec::FedAvg | MethodSpec::TFedAvg => self.run_federated(),
             MethodSpec::SocFlow(cfg) if cfg.mixed_precision => {
                 self.run_socflow(cfg, MixedMode::Adaptive)
             }

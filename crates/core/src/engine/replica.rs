@@ -32,8 +32,8 @@ pub struct Replica {
 /// An optimizer for `net` with its momentum already allocated (all zero,
 /// as a lazily allocated one starts): a replica whose shard is empty never
 /// steps, and must still bring a row to momentum averaging.
-fn optimizer_for(net: &Network, lr: f32, momentum: f32) -> Sgd {
-    let mut opt = Sgd::new(lr, momentum, 5e-4);
+fn optimizer_for(net: &Network, lr: f32) -> Sgd {
+    let mut opt = Sgd::new(lr, super::MOMENTUM, 5e-4);
     opt.ensure_velocity(net);
     opt
 }
@@ -87,17 +87,17 @@ fn sgd_step_on(
 }
 
 impl Replica {
-    /// A stream training `net` by SGD with momentum (weight decay 5e-4);
-    /// `with_int8` adds the INT8 arm [`Replica::mixed_step`] needs.
-    pub fn new(net: Network, lr: f32, momentum: f32, with_int8: bool) -> Self {
+    /// A stream training `net` by SGD with momentum 0.9 (weight decay
+    /// 5e-4); `with_int8` adds the INT8 arm [`Replica::mixed_step`] needs.
+    pub fn new(net: Network, lr: f32, with_int8: bool) -> Self {
         let int8 = with_int8.then(|| {
             Box::new(Int8Arm {
-                opt: optimizer_for(&net, lr, momentum),
+                opt: optimizer_for(&net, lr),
                 net: net.clone(),
             })
         });
         Replica {
-            opt: optimizer_for(&net, lr, momentum),
+            opt: optimizer_for(&net, lr),
             net,
             int8,
         }

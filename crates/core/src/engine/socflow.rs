@@ -12,7 +12,7 @@ use super::replica::{average_replicas, Replica};
 use super::stream::StreamState;
 use super::{digest, durable, Engine, MixedMode, DEFAULT_GROUPS, LR_DECAY, LR_FLOOR};
 use crate::config::SocFlowConfig;
-use crate::mapping::Mapping;
+use crate::mapping::{integrity_greedy_over, Mapping};
 use crate::mixed::MixedPrecisionController;
 use crate::options::Pricing;
 use crate::planning::{divide_or_serialize, CommunicationGroups};
@@ -28,7 +28,6 @@ use socflow_telemetry::Event;
 /// Everything one SoCFlow run carries from epoch to epoch.
 pub(super) struct SocflowRun<'e> {
     pub(super) engine: &'e Engine,
-    pub(super) cfg: SocFlowConfig,
     pub(super) mixed: MixedMode,
     /// Logical-group count the job started with: the anchor of the
     /// elastic shrink target.
@@ -74,31 +73,28 @@ impl Engine {
                 run.preempt(epoch + 1);
             }
             let periodic = |n: usize| n > 0 && (epoch + 1) % n == 0;
-            run.persist(epoch + 1, |policy| {
-                policy.every_epochs.is_some_and(periodic)
-            });
+            run.persist(epoch + 1, |c| c.every_epochs.is_some_and(periodic));
         }
         run.result
     }
 
     /// Mapping and communication groups for `groups` logical groups over
     /// the surviving SoCs. With a live stream whose rate spread calls for
-    /// it ([`StreamState::regroup_spread`]), membership is re-dealt by
+    /// it ([`StreamState::spread_to_regroup`]), membership is re-dealt by
     /// rate inside the topology mapping's physical shape
     /// ([`StreamState::regrouped`]) and an [`Event::RegroupedByRate`]
     /// marks the decision; a serialized CG fallback is surfaced as
     /// [`Event::CgFallback`] so slow syncs are explainable from traces.
     pub(super) fn socflow_topology(
         &self,
-        cfg: &SocFlowConfig,
         alive: &[SocId],
         groups: usize,
         stream: Option<&StreamState>,
         epoch: usize,
     ) -> (Mapping, CommunicationGroups) {
         let cluster = ClusterSpec::for_socs(self.spec.socs);
-        let mut mapping = cfg.mapping.map_over(&cluster, alive, groups);
-        let regroup = stream.and_then(|st| Some((st, st.regroup_spread(alive)?)));
+        let mut mapping = integrity_greedy_over(&cluster, alive, groups);
+        let regroup = stream.and_then(|st| Some((st, st.spread_to_regroup(alive)?)));
         if let Some((st, _)) = regroup {
             mapping = st.regrouped(&mapping, &cluster, alive);
         }
@@ -186,14 +182,12 @@ impl<'e> SocflowRun<'e> {
             .options
             .streaming
             .map(|scfg| StreamState::new(scfg, &engine.spec, train_len));
-        let (mapping, cgs) =
-            engine.socflow_topology(&cfg, &alive, groups, stream.as_ref(), start_epoch);
+        let (mapping, cgs) = engine.socflow_topology(&alive, groups, stream.as_ref(), start_epoch);
         if let Some(st) = stream.as_mut() {
             st.rebuild_buffers(groups, engine.spec.global_batch);
         }
         let run = SocflowRun {
             engine,
-            cfg,
             mixed,
             initial_groups,
             groups,
@@ -300,8 +294,7 @@ impl<'e> SocflowRun<'e> {
     fn price_epoch(&mut self, epoch: usize, shards: &[Vec<usize>]) -> EpochCost {
         let engine = self.engine;
         let tm = &engine.time_model;
-        let (planning, cpu_fraction) = (self.cfg.planning, self.cpu_fraction());
-        let sim = tm.socflow_epoch_timeline(&self.mapping, &self.cgs, planning, cpu_fraction);
+        let sim = tm.socflow_epoch_timeline(&self.mapping, &self.cgs, true, self.cpu_fraction());
         if engine.options.sink.is_some() {
             engine
                 .options

@@ -2,7 +2,7 @@
 //! bounded ingest buffers settled against the simulated clock, and
 //! shape-preserving rate-aware regrouping.
 
-use crate::config::{StreamingConfig, TrainJobSpec};
+use crate::config::{StreamingConfig, TrainJobSpec, REGROUP_SPREAD};
 use crate::mapping::{GroupId, Mapping};
 use socflow_cluster::{ClusterSpec, SocId};
 use socflow_data::stream::{IngestBuffer, StreamSource};
@@ -91,11 +91,11 @@ impl StreamState {
     }
 
     /// The observed rate spread over `alive` when it calls for rate-aware
-    /// regrouping (the mode is on and the spread exceeds the configured
-    /// threshold); `None` keeps the topology-only grouping.
-    pub(super) fn regroup_spread(&self, alive: &[SocId]) -> Option<f64> {
+    /// regrouping (the mode is on and the spread exceeds
+    /// [`REGROUP_SPREAD`]); `None` keeps the topology-only grouping.
+    pub(super) fn spread_to_regroup(&self, alive: &[SocId]) -> Option<f64> {
         let spread = self.spread_over(alive);
-        (self.cfg.rate_aware && spread > self.cfg.regroup_spread).then_some(spread)
+        (self.cfg.rate_aware && spread > REGROUP_SPREAD).then_some(spread)
     }
 
     /// Re-deals `base`'s membership by stream rate while keeping its

@@ -14,21 +14,22 @@ pub struct GroupChoice {
     pub profile: Vec<(usize, f32)>,
 }
 
+/// The paper describes halting where accuracy "falls significantly,
+/// typically to around 15 %": the cliff is [`ABS_FLOOR`], or
+/// [`REL_FLOOR`] of the one-group accuracy when that is higher.
+const ABS_FLOOR: f32 = 0.15;
+/// See [`ABS_FLOOR`].
+const REL_FLOOR: f32 = 0.5;
+
 /// The first-epoch-accuracy heuristic: profile candidate group counts
 /// (1, 2, 4, … up to `max_groups`), halting at the first candidate whose
-/// first-epoch accuracy falls below the cliff — `max(abs_floor,
-/// rel_floor · acc(1))` — and returning the largest pre-cliff candidate.
-///
-/// The paper describes halting where accuracy "falls significantly,
-/// typically to around 15 %"; `abs_floor = 0.15`, `rel_floor = 0.5` encode
-/// that rule.
+/// first-epoch accuracy falls below the cliff — `max(ABS_FLOOR,
+/// REL_FLOOR · acc(1))` — and returning the largest pre-cliff candidate.
 ///
 /// # Panics
 /// Panics if `max_groups == 0`.
 pub fn choose_group_count(
     max_groups: usize,
-    abs_floor: f32,
-    rel_floor: f32,
     mut profile_fn: impl FnMut(usize) -> f32,
 ) -> GroupChoice {
     assert!(max_groups > 0, "need at least one candidate");
@@ -40,7 +41,7 @@ pub fn choose_group_count(
         let acc = profile_fn(candidate);
         profile.push((candidate, acc));
         let base = *base_acc.get_or_insert(acc);
-        let cliff = abs_floor.max(rel_floor * base);
+        let cliff = ABS_FLOOR.max(REL_FLOOR * base);
         if candidate > 1 && acc < cliff {
             break; // this candidate collapsed; keep the previous one
         }
@@ -100,14 +101,14 @@ mod tests {
                 _ => 0.12,
             }
         };
-        let choice = choose_group_count(32, 0.15, 0.5, acc);
+        let choice = choose_group_count(32, acc);
         assert_eq!(choice.groups, 8);
         assert_eq!(choice.profile.len(), 5); // probed 1,2,4,8,16
     }
 
     #[test]
     fn heuristic_accepts_all_when_no_cliff() {
-        let choice = choose_group_count(32, 0.15, 0.5, |_| 0.7);
+        let choice = choose_group_count(32, |_| 0.7);
         assert_eq!(choice.groups, 32);
     }
 
@@ -116,7 +117,7 @@ mod tests {
         // max_groups = 12: the probe sequence must be 1, 2, 4, 8, 12 — the
         // final candidate clamps to the budget instead of stopping at 8
         let mut probed = Vec::new();
-        let choice = choose_group_count(12, 0.15, 0.5, |n| {
+        let choice = choose_group_count(12, |n| {
             probed.push(n);
             0.7
         });
@@ -128,14 +129,14 @@ mod tests {
     #[test]
     fn heuristic_keeps_one_group_for_hard_tasks() {
         // accuracy collapses immediately at 2 groups
-        let choice = choose_group_count(32, 0.15, 0.5, |n| if n == 1 { 0.5 } else { 0.1 });
+        let choice = choose_group_count(32, |n| if n == 1 { 0.5 } else { 0.1 });
         assert_eq!(choice.groups, 1);
     }
 
     #[test]
     fn relative_floor_matters_for_strong_baselines() {
         // base accuracy 0.9; 0.4 is above abs floor but below 0.5·0.9
-        let choice = choose_group_count(8, 0.15, 0.5, |n| if n <= 2 { 0.9 } else { 0.4 });
+        let choice = choose_group_count(8, |n| if n <= 2 { 0.9 } else { 0.4 });
         assert_eq!(choice.groups, 2);
     }
 }

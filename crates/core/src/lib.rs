@@ -80,7 +80,7 @@ pub use report::{Breakdown, RunResult};
 /// assert_eq!(spec.method.name(), "Ours");
 /// ```
 pub mod prelude {
-    pub use crate::config::{MappingMode, MethodSpec, SocFlowConfig, TrainJobSpec};
+    pub use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
     pub use crate::engine::{Engine, Workload};
     pub use crate::options::{Plan, Pricing, RunOptions};
     pub use crate::report::RunResult;

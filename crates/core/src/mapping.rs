@@ -19,7 +19,6 @@
 //! communication-group division (see [`crate::planning`]) a bipartite
 //! 2-coloring.
 
-use crate::config::MappingMode;
 use serde::{Deserialize, Serialize};
 use socflow_cluster::{ClusterSpec, SocId};
 
@@ -256,41 +255,13 @@ pub fn integrity_greedy_over(spec: &ClusterSpec, alive: &[SocId], n_groups: usiz
 /// Panics if `socs` exceeds the cluster or `n_groups` is invalid.
 pub fn sequential(spec: &ClusterSpec, socs: usize, n_groups: usize) -> Mapping {
     assert!(socs <= spec.total_socs(), "not enough SoCs in cluster");
-    let alive: Vec<SocId> = (0..socs).map(SocId).collect();
-    sequential_over(spec, &alive, n_groups)
-}
-
-/// Sequential mapping over an explicit surviving SoC set: groups take
-/// consecutive survivors in id order, ignoring board boundaries.
-///
-/// # Panics
-/// Panics if a SoC is outside the cluster or `n_groups` is invalid.
-pub fn sequential_over(spec: &ClusterSpec, alive: &[SocId], n_groups: usize) -> Mapping {
-    assert!(
-        alive.iter().all(|s| s.0 < spec.total_socs()),
-        "SoC outside cluster"
-    );
-    let mut ordered = alive.to_vec();
-    ordered.sort_unstable();
-    let sizes = group_sizes(ordered.len(), n_groups);
     let mut members = Vec::with_capacity(n_groups);
     let mut next = 0;
-    for size in sizes {
-        members.push(ordered[next..next + size].to_vec());
+    for size in group_sizes(socs, n_groups) {
+        members.push((next..next + size).map(SocId).collect());
         next += size;
     }
     Mapping::from_members(members, spec)
-}
-
-impl MappingMode {
-    /// Maps `n_groups` logical groups onto the surviving SoCs `alive`
-    /// ([`integrity_greedy_over`] or [`sequential_over`], with their panics).
-    pub fn map_over(self, spec: &ClusterSpec, alive: &[SocId], n_groups: usize) -> Mapping {
-        match self {
-            MappingMode::IntegrityGreedy => integrity_greedy_over(spec, alive, n_groups),
-            MappingMode::Sequential => sequential_over(spec, alive, n_groups),
-        }
-    }
 }
 
 /// Exhaustive minimum conflict count for small instances (test oracle for
@@ -499,12 +470,6 @@ mod tests {
         // 4 survivors per board, groups of 3: each board hosts one whole
         // group; the residual slots carry the fourth → conflict stays ≤2
         assert!(m.conflict_count() <= 2);
-
-        let naive = sequential_over(&s, &alive, 4);
-        let mut used: Vec<SocId> = naive.groups().iter().flatten().copied().collect();
-        used.sort_unstable();
-        assert_eq!(used, alive);
-        assert!(m.conflict_count() <= naive.conflict_count());
     }
 
     #[test]
@@ -515,7 +480,6 @@ mod tests {
             integrity_greedy(&s, 32, 8),
             integrity_greedy_over(&s, &alive, 8)
         );
-        assert_eq!(sequential(&s, 32, 8), sequential_over(&s, &alive, 8));
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! builds it from flags), checked once by [`RunOptions::validate`], and
 //! handed unchanged through the scheduler to the engine. Combinations that
 //! used to be policed flag by flag cannot be written down: a bucket size
-//! exists only inside [`Pricing::WaitFree`], a checkpoint policy only
+//! exists only inside [`Pricing::WaitFree`], a checkpoint period only
 //! inside a [`Checkpointing`] that owns a usable directory, a tuning budget
 //! only inside [`Plan::Auto`].
 
-use crate::checkpoint::{Checkpoint, CheckpointPolicy, LATEST_FILE};
+use crate::checkpoint::{Checkpoint, LATEST_FILE};
 use crate::config::{StreamingConfig, TrainJobSpec};
 use socflow_cluster::faults::FaultPlan;
 use socflow_telemetry::{Event, EventSink};
@@ -50,14 +50,16 @@ impl Pricing {
     }
 }
 
-/// Durable checkpointing: where snapshots go and when they are taken.
+/// Durable checkpointing: where snapshots go and how often they are
+/// taken. A graceful reclaim always persists one before the SoC leaves.
 /// Holding one proves the directory was writable when the run was set up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpointing {
     /// The checkpoint directory (`latest.ckpt` lives inside).
     pub(crate) dir: PathBuf,
-    /// When snapshots are persisted.
-    pub(crate) policy: CheckpointPolicy,
+    /// Persist after every N completed epochs (`None` = only on
+    /// reclaims).
+    pub(crate) every_epochs: Option<usize>,
 }
 
 impl Checkpointing {
@@ -68,13 +70,13 @@ impl Checkpointing {
     ///
     /// # Errors
     /// Returns the I/O error that makes the directory unusable.
-    pub fn new(dir: impl Into<PathBuf>, policy: CheckpointPolicy) -> std::io::Result<Self> {
+    pub fn new(dir: impl Into<PathBuf>, every_epochs: Option<usize>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let probe = dir.join(format!("{LATEST_FILE}.tmp"));
         std::fs::write(&probe, b"")?;
         std::fs::remove_file(&probe)?;
-        Ok(Checkpointing { dir, policy })
+        Ok(Checkpointing { dir, every_epochs })
     }
 }
 
@@ -265,9 +267,9 @@ mod tests {
             MethodSpec::ParameterServer,
             MethodSpec::Ring,
             MethodSpec::HiPress,
-            MethodSpec::TwoDParallel { group_size: 4 },
+            MethodSpec::TwoDParallel,
             MethodSpec::FedAvg,
-            MethodSpec::TFedAvg { fanout: 2 },
+            MethodSpec::TFedAvg,
         ]
     }
 
@@ -290,9 +292,7 @@ mod tests {
             o
         };
         let ckpt = RunOptions {
-            checkpointing: Some(
-                Checkpointing::new(&dir, CheckpointPolicy::default()).expect("temp dir"),
-            ),
+            checkpointing: Some(Checkpointing::new(&dir, None).expect("temp dir")),
             ..RunOptions::default()
         };
         std::fs::remove_dir_all(&dir).ok();
@@ -400,10 +400,10 @@ mod tests {
 
     #[test]
     fn checkpointing_rejects_an_unusable_directory_up_front() {
-        let err = Checkpointing::new("/proc/nope", CheckpointPolicy::default());
+        let err = Checkpointing::new("/proc/nope", None);
         assert!(err.is_err(), "procfs cannot hold a checkpoint dir");
         let dir = std::env::temp_dir().join("socflow_options_ckpt_test/nested");
-        let ok = Checkpointing::new(&dir, CheckpointPolicy::default()).expect("temp dir");
+        let ok = Checkpointing::new(&dir, None).expect("temp dir");
         assert!(dir.is_dir(), "the directory is created up front");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "probe removed");
         assert_eq!(ok.dir, dir);

@@ -15,7 +15,7 @@ use crate::mapping::{self, Mapping};
 use crate::options::{Plan, Pricing, RunOptions};
 use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::RunResult;
-use socflow_cluster::{ClusterSpec, SocId};
+use socflow_cluster::ClusterSpec;
 use socflow_nn::memory::MemoryEstimate;
 use socflow_nn::models::{self, LayerSpec, ModelConfig, ModelKind};
 use socflow_telemetry::Event;
@@ -53,13 +53,7 @@ pub fn memory_estimate(
     shape: NetworkShape,
 ) -> MemoryEstimate {
     let input_elems = model_cfg.in_channels * model_cfg.input_size * model_cfg.input_size;
-    socflow_nn::memory::estimate(
-        shape.params,
-        shape.layers,
-        per_soc_batch(spec),
-        input_elems,
-        2.0,
-    )
+    socflow_nn::memory::estimate(shape.params, shape.layers, per_soc_batch(spec), input_elems)
 }
 
 /// Per-SoC batch share implied by the planned topology. SoCFlow runs each
@@ -145,15 +139,12 @@ impl GlobalScheduler {
             Some(g) => (g.clamp(1, self.spec.socs), None),
             None => {
                 let engine = Engine::new(self.spec, self.workload.clone(), RunOptions::default());
-                let choice = choose_group_count(self.spec.socs, 0.15, 0.5, |n| {
-                    engine.first_epoch_accuracy(n)
-                });
+                let choice = choose_group_count(self.spec.socs, |n| engine.first_epoch_accuracy(n));
                 (choice.groups, Some(choice))
             }
         };
         let cluster = ClusterSpec::for_socs(self.spec.socs);
-        let everyone: Vec<SocId> = (0..self.spec.socs).map(SocId).collect();
-        let mapping = cfg.mapping.map_over(&cluster, &everyone, groups);
+        let mapping = mapping::integrity_greedy(&cluster, self.spec.socs, groups);
         // a silent serialized fallback would make the slow sync
         // unexplainable from traces
         let (cgs, fallback) = divide_or_serialize(&mapping);
@@ -507,7 +498,6 @@ mod tests {
                 net.grad_layout().len(),
                 batch,
                 input_elems,
-                2.0,
             )
         };
         let (expected, old) = (of(4), of(240 / 4));

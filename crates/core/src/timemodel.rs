@@ -12,7 +12,7 @@
 //! are `max(compute, sync)` rather than sums) and underclocking-aware
 //! re-balancing (see [`TimeModel::rebalanced_compute_time`]).
 
-use crate::config::{MethodSpec, TrainJobSpec};
+use crate::config::{MethodSpec, TrainJobSpec, PIPELINE_GROUP};
 use crate::mapping::Mapping;
 use crate::planning::{iteration_time, CommunicationGroups};
 use crate::report::Breakdown;
@@ -293,39 +293,38 @@ impl TimeModel {
     /// - `wire_fraction` scales the payload on the wire (1.0 plain FP32,
     ///   [`calibration::DGC_WIRE_FRACTION`] for HiPress).
     /// - `extra_flops_per_param` charges compression CPU overhead.
-    /// - `pipeline_group` enables the 2D-Paral shape: SoCs form pipeline
-    ///   units of that size; only unit leaders join the inter-unit ring.
+    /// - `pipelined` selects the 2D-Paral shape: SoCs form pipeline units
+    ///   of [`PIPELINE_GROUP`]; only unit leaders join the inter-unit ring.
     pub fn sync_epoch(
         &self,
         collective: SyncCollective,
         wire_fraction: f64,
         extra_flops_per_param: f64,
-        pipeline_group: Option<usize>,
+        pipelined: bool,
     ) -> EpochCost {
         let iters = (self.ref_samples as f64 / self.batch as f64).ceil();
         let all: Vec<_> = (0..self.socs).map(socflow_cluster::SocId).collect();
 
-        let (compute, sync_members): (Seconds, Vec<socflow_cluster::SocId>) =
-            if let Some(g) = pipeline_group {
-                let g = g.max(1).min(self.socs);
-                let units = (self.socs / g).max(1);
-                let unit_share = self.batch as f64 / units as f64;
-                let t = self.compute.per_sample(Processor::SocCpuFp32) * unit_share
-                    / (g as f64 * calibration::PIPELINE_EFFICIENCY);
-                // unit leaders: every g-th SoC
-                let leaders = (0..units).map(|u| socflow_cluster::SocId(u * g)).collect();
-                (t, leaders)
-            } else {
-                let per_soc = self.batch as f64 / self.socs as f64;
-                let t = self.compute.per_sample(Processor::SocCpuFp32) * per_soc;
-                (t, all)
-            };
+        let (compute, sync_members): (Seconds, Vec<socflow_cluster::SocId>) = if pipelined {
+            let g = PIPELINE_GROUP.min(self.socs);
+            let units = (self.socs / g).max(1);
+            let unit_share = self.batch as f64 / units as f64;
+            let t = self.compute.per_sample(Processor::SocCpuFp32) * unit_share
+                / (g as f64 * calibration::PIPELINE_EFFICIENCY);
+            // unit leaders: every g-th SoC
+            let leaders = (0..units).map(|u| socflow_cluster::SocId(u * g)).collect();
+            (t, leaders)
+        } else {
+            let per_soc = self.batch as f64 / self.socs as f64;
+            let t = self.compute.per_sample(Processor::SocCpuFp32) * per_soc;
+            (t, all)
+        };
         let compute = compute + extra_flops_per_param * self.params / calibration::SOC_CPU_FLOPS;
 
         let wire = self.payload * wire_fraction;
         let sync = match collective {
             SyncCollective::Ring => RingAllReduce.time(&self.net, &sync_members, wire),
-            SyncCollective::Ps => ParameterServer::default().time(&self.net, &sync_members, wire),
+            SyncCollective::Ps => ParameterServer.time(&self.net, &sync_members, wire),
         };
         // PS cannot overlap (centralized blocking aggregation); ring-style
         // methods use layer-by-layer overlap.
@@ -349,8 +348,8 @@ impl TimeModel {
     }
 
     /// Federated methods: local training all epoch, one aggregation at the
-    /// end (PS for FedAvg, tree for T-FedAvg).
-    pub fn federated_epoch(&self, tree_fanout: Option<usize>) -> EpochCost {
+    /// end (PS for FedAvg, `tree` for T-FedAvg's binary tree).
+    pub fn federated_epoch(&self, tree: bool) -> EpochCost {
         let all: Vec<_> = (0..self.socs).map(socflow_cluster::SocId).collect();
         let shard = self.ref_samples as f64 / self.socs as f64;
         let compute = self.compute.per_sample(Processor::SocCpuFp32) * shard;
@@ -358,16 +357,15 @@ impl TimeModel {
         let update = self.update_time() * local_iters;
         // FedAvg aggregates on the control board (20 Gb/s switch path);
         // T-FedAvg reduces over an in-cluster tree first.
-        let sync = match tree_fanout {
-            Some(f) => TreeAggregate { fanout: f }.time(&self.net, &all, self.payload),
-            None => {
-                2.0 * calibration::STEP_LATENCY_INTER
-                    + self.net.control_transfer(&all, self.payload, true).makespan
-                    + self
-                        .net
-                        .control_transfer(&all, self.payload, false)
-                        .makespan
-            }
+        let sync = if tree {
+            TreeAggregate.time(&self.net, &all, self.payload)
+        } else {
+            2.0 * calibration::STEP_LATENCY_INTER
+                + self.net.control_transfer(&all, self.payload, true).makespan
+                + self
+                    .net
+                    .control_transfer(&all, self.payload, false)
+                    .makespan
         };
         let time = compute + update + sync;
         let energy =
@@ -392,19 +390,17 @@ impl TimeModel {
     pub fn baseline_epoch(&self, method: MethodSpec) -> Option<EpochCost> {
         Some(match method {
             MethodSpec::Local => self.local_epoch(Processor::SocCpuFp32),
-            MethodSpec::ParameterServer => self.sync_epoch(SyncCollective::Ps, 1.0, 0.0, None),
-            MethodSpec::Ring => self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, None),
+            MethodSpec::ParameterServer => self.sync_epoch(SyncCollective::Ps, 1.0, 0.0, false),
+            MethodSpec::Ring => self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false),
             MethodSpec::HiPress => self.sync_epoch(
                 SyncCollective::Ring,
                 calibration::DGC_WIRE_FRACTION,
                 calibration::DGC_OVERHEAD_FLOPS_PER_PARAM,
-                None,
+                false,
             ),
-            MethodSpec::TwoDParallel { group_size } => {
-                self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, Some(group_size))
-            }
-            MethodSpec::FedAvg => self.federated_epoch(None),
-            MethodSpec::TFedAvg { fanout } => self.federated_epoch(Some(fanout)),
+            MethodSpec::TwoDParallel => self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, true),
+            MethodSpec::FedAvg => self.federated_epoch(false),
+            MethodSpec::TFedAvg => self.federated_epoch(true),
             MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_) => {
                 return None
             }
@@ -701,20 +697,20 @@ mod tests {
     #[test]
     fn ring_beats_ps() {
         let m = model();
-        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, None);
-        let ps = m.sync_epoch(SyncCollective::Ps, 1.0, 0.0, None);
+        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false);
+        let ps = m.sync_epoch(SyncCollective::Ps, 1.0, 0.0, false);
         assert!(ring.time < ps.time, "ring {} vs ps {}", ring.time, ps.time);
     }
 
     #[test]
     fn hipress_beats_plain_ring() {
         let m = model();
-        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, None);
+        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false);
         let hipress = m.sync_epoch(
             SyncCollective::Ring,
             calibration::DGC_WIRE_FRACTION,
             calibration::DGC_OVERHEAD_FLOPS_PER_PARAM,
-            None,
+            false,
         );
         assert!(hipress.time < ring.time);
     }
@@ -726,8 +722,8 @@ mod tests {
         let mapping = integrity_greedy(&spec, 32, 8);
         let cgs = divide_communication_groups(&mapping).unwrap();
         let ours = m.socflow_epoch(&mapping, &cgs, true, 0.3);
-        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, None);
-        let two_d = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, Some(4));
+        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false);
+        let two_d = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, true);
         assert!(
             ours.time < ring.time / 5.0,
             "ours {} ring {}",
@@ -745,7 +741,7 @@ mod tests {
     #[test]
     fn federated_sync_is_tiny_fraction() {
         let m = model();
-        let fed = m.federated_epoch(None);
+        let fed = m.federated_epoch(false);
         // paper Fig. 12: FedAvg sync is 16.5-34.7% of total
         let frac = fed.breakdown.sync / fed.time;
         assert!(frac < 0.4, "FedAvg sync fraction {frac}");

@@ -19,9 +19,9 @@
 //! accuracy on them the way they do on the real datasets, which is what the
 //! accuracy experiments need.
 //!
-//! [`Partitioner`] implements the data-parallel sharding strategies
-//! (IID shuffle-shard, label-sharded non-IID, Dirichlet non-IID) used when
-//! dispatching data to SoCs. The [`stream`] module models live per-SoC
+//! [`iid_partition`] and [`dirichlet_partition`] shard a dataset across
+//! SoCs: IID shuffle-shards for SoCFlow and the synchronous baselines,
+//! Dirichlet non-IID clients for the federated ones. The [`stream`] module models live per-SoC
 //! ingestion: seeded rate-heterogeneity profiles, stateless
 //! position-indexed sample streams, and bounded ingest buffers with
 //! drop-vs-backpressure overflow policies.
@@ -29,11 +29,11 @@
 //! ## Example
 //!
 //! ```
-//! use socflow_data::{Dataset, DatasetPreset, Partitioner};
+//! use socflow_data::{iid_partition, Dataset, DatasetPreset};
 //!
 //! let d = Dataset::synthetic(DatasetPreset::Cifar10.synthetic_spec(128, 8, 42));
 //! assert_eq!((d.len(), d.channels(), d.classes()), (128, 3, 10));
-//! let shards = Partitioner::Iid.split(&d, 4, 0);
+//! let shards = iid_partition(d.len(), 4, 0);
 //! assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 128);
 //! ```
 
@@ -45,6 +45,6 @@ mod presets;
 pub mod stream;
 
 pub use dataset::{Batch, BatchIter, Dataset, SyntheticSpec};
-pub use partition::{dirichlet_partition, iid_partition, label_shard_partition, Partitioner};
+pub use partition::{dirichlet_partition, iid_partition};
 pub use presets::{DatasetPreset, PresetSpec};
 pub use stream::{IngestBuffer, OnFull, RateProfile, StreamSource};

@@ -3,45 +3,11 @@
 //! SoCFlow dispatches an IID shard to every SoC and *reshuffles data across
 //! logical groups between epochs*, which is what lets its delayed
 //! aggregation keep convergence accuracy (unlike federated learning, whose
-//! clients keep fixed — possibly non-IID — local data). The non-IID
-//! partitioners here let experiments quantify that difference.
+//! clients keep fixed — possibly non-IID — local data). The Dirichlet
+//! partitioner gives the federated baselines those non-IID clients.
 
-use crate::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// The sharding strategy used to dispatch training data to workers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Partitioner {
-    /// Shuffle all indices and deal them round-robin: every shard is an
-    /// unbiased sample of the dataset.
-    Iid,
-    /// Sort by label and cut into contiguous shards: each worker sees only
-    /// a few classes (pathological non-IID, as in the FedAvg paper).
-    LabelShard,
-    /// Dirichlet(α) label distribution per worker; small α = more skew.
-    Dirichlet {
-        /// Concentration parameter; 0.1 is heavily skewed, 100 is near-IID.
-        alpha: f32,
-    },
-}
-
-impl Partitioner {
-    /// Splits `dataset` into `workers` index shards with the given seed.
-    ///
-    /// # Panics
-    /// Panics if `workers == 0`.
-    pub fn split(self, dataset: &Dataset, workers: usize, seed: u64) -> Vec<Vec<usize>> {
-        match self {
-            Partitioner::Iid => iid_partition(dataset.len(), workers, seed),
-            Partitioner::LabelShard => label_shard_partition(dataset.labels(), workers, seed),
-            Partitioner::Dirichlet { alpha } => {
-                dirichlet_partition(dataset.labels(), dataset.classes(), workers, alpha, seed)
-            }
-        }
-    }
-}
 
 /// IID partition: shuffles `0..n` and deals round-robin into `workers`
 /// shards (sizes differ by at most one).
@@ -61,36 +27,6 @@ pub fn iid_partition(n: usize, workers: usize, seed: u64) -> Vec<Vec<usize>> {
         shards[pos % workers].push(idx);
     }
     shards
-}
-
-/// Label-sharded non-IID partition: sorts by label, cuts into `2·workers`
-/// contiguous shards, gives each worker two (the FedAvg pathology).
-///
-/// # Panics
-/// Panics if `workers == 0`.
-pub fn label_shard_partition(labels: &[usize], workers: usize, seed: u64) -> Vec<Vec<usize>> {
-    assert!(workers > 0, "need at least one worker");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<usize> = (0..labels.len()).collect();
-    order.sort_by_key(|&i| labels[i]);
-    let num_shards = workers * 2;
-    let shard_len = labels.len().div_ceil(num_shards);
-    let mut shard_ids: Vec<usize> = (0..num_shards).collect();
-    for i in (1..num_shards).rev() {
-        let j = rng.gen_range(0..=i);
-        shard_ids.swap(i, j);
-    }
-    let mut out = vec![Vec::new(); workers];
-    for (w, pair) in shard_ids.chunks(2).enumerate().take(workers) {
-        for &s in pair {
-            let start = s * shard_len;
-            let end = ((s + 1) * shard_len).min(labels.len());
-            if start < end {
-                out[w].extend_from_slice(&order[start..end]);
-            }
-        }
-    }
-    out
 }
 
 /// Dirichlet non-IID partition: for each class, splits its samples across
@@ -159,7 +95,7 @@ fn gamma_sample(alpha: f32, rng: &mut StdRng) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SyntheticSpec;
+    use crate::{Dataset, SyntheticSpec};
 
     fn dataset() -> Dataset {
         Dataset::synthetic(SyntheticSpec {
@@ -196,7 +132,7 @@ mod tests {
     #[test]
     fn iid_shards_have_mixed_labels() {
         let d = dataset();
-        let shards = Partitioner::Iid.split(&d, 4, 2);
+        let shards = iid_partition(d.len(), 4, 2);
         for s in &shards {
             let mut classes: Vec<usize> = s.iter().map(|&i| d.labels()[i]).collect();
             classes.dedup();
@@ -207,23 +143,9 @@ mod tests {
     }
 
     #[test]
-    fn label_shard_is_skewed() {
-        let d = dataset();
-        let shards = Partitioner::LabelShard.split(&d, 5, 3);
-        assert_disjoint_cover(&shards, d.len());
-        // each worker should see at most ~3 distinct labels (2 shards)
-        for s in &shards {
-            let mut classes: Vec<usize> = s.iter().map(|&i| d.labels()[i]).collect();
-            classes.sort_unstable();
-            classes.dedup();
-            assert!(classes.len() <= 3, "label shard too diverse: {classes:?}");
-        }
-    }
-
-    #[test]
     fn dirichlet_covers_all() {
         let d = dataset();
-        let shards = Partitioner::Dirichlet { alpha: 0.3 }.split(&d, 6, 4);
+        let shards = dirichlet_partition(d.labels(), d.classes(), 6, 0.3, 4);
         assert_disjoint_cover(&shards, d.len());
     }
 
@@ -231,7 +153,7 @@ mod tests {
     fn dirichlet_small_alpha_more_skewed_than_large() {
         let d = dataset();
         let skew = |alpha: f32| -> f32 {
-            let shards = Partitioner::Dirichlet { alpha }.split(&d, 5, 9);
+            let shards = dirichlet_partition(d.labels(), d.classes(), 5, alpha, 9);
             // mean, over workers, of the max class share in the worker's shard
             let mut total = 0.0;
             let mut counted = 0;

@@ -36,26 +36,22 @@ impl MemoryEstimate {
     }
 }
 
+/// Activation memory per layer, in multiples of the batch's input size:
+/// CNN stacks retain roughly one input-sized tensor per parameterized
+/// layer (im2col patches dominate and are proportional to the input), and
+/// twice that is conservative.
+const ACTIVATION_FACTOR: f64 = 2.0;
+
 /// Estimates the training footprint of a network with `params` learnable
 /// scalars in `layers` layers, at `batch` samples of `input_elems` scalars
 /// each, trained by SGD with momentum (one optimizer slot per parameter).
-///
-/// Activation memory is approximated as `activation_factor` × the input
-/// size per layer — CNN stacks retain roughly one input-sized tensor per
-/// parameterized layer (im2col patches dominate and are proportional to
-/// the input); 2.0 is a conservative default.
-pub fn estimate(
-    params: usize,
-    layers: usize,
-    batch: usize,
-    input_elems: usize,
-    activation_factor: f64,
-) -> MemoryEstimate {
+/// Activations take twice the batch's input size per layer.
+pub fn estimate(params: usize, layers: usize, batch: usize, input_elems: usize) -> MemoryEstimate {
     let params = params as u64;
     let weights = params * 4;
     let gradients = params * 4;
     let optimizer = params * 4;
-    let per_layer = (batch * input_elems * 4) as f64 * activation_factor;
+    let per_layer = (batch * input_elems * 4) as f64 * ACTIVATION_FACTOR;
     let activations = (per_layer * layers as f64) as u64;
     MemoryEstimate {
         weights,
@@ -74,7 +70,7 @@ mod tests {
     fn of(kind: ModelKind, cfg: ModelConfig, batch: usize, input_elems: usize) -> MemoryEstimate {
         let table = kind.layers(cfg);
         let params = table.iter().map(LayerSpec::params).sum();
-        estimate(params, table.len(), batch, input_elems, 2.0)
+        estimate(params, table.len(), batch, input_elems)
     }
 
     #[test]

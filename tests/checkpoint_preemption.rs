@@ -2,7 +2,7 @@
 //! claim that a user-workload burst only costs one logical group, not the
 //! training job.
 
-use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
+use socflow::checkpoint::Checkpoint;
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::{Checkpointing, RunOptions};
@@ -155,17 +155,13 @@ fn resume_across_a_fault_is_bit_identical() {
 
     let mut short = s;
     short.epochs = 2;
-    let policy = CheckpointPolicy {
-        every_epochs: Some(2),
-        on_reclaim: true,
-    };
     let _ = Engine::new(
         short,
         Workload::standard(&short, 512, 8, 0.5),
         RunOptions {
             faults: Some(plan.clone()),
             checkpointing: Some(
-                Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir"),
+                Checkpointing::new(dir.clone(), Some(2)).expect("usable checkpoint dir"),
             ),
             ..RunOptions::default()
         },
@@ -266,17 +262,13 @@ fn tidal_preemption_resume_is_bit_identical_across_variants() {
         std::fs::remove_dir_all(&dir).ok();
         let mut short = s;
         short.epochs = 2;
-        let policy = CheckpointPolicy {
-            every_epochs: Some(2),
-            on_reclaim: true,
-        };
         let _ = Engine::new(
             short,
             Workload::standard(&short, 512, 8, 0.5),
             RunOptions {
                 faults: Some(plan.clone()),
                 checkpointing: Some(
-                    Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir"),
+                    Checkpointing::new(dir.clone(), Some(2)).expect("usable checkpoint dir"),
                 ),
                 ..RunOptions::default()
             },

@@ -48,7 +48,7 @@ fn socflow_wins_end_to_end() {
         MethodSpec::ParameterServer,
         MethodSpec::Ring,
         MethodSpec::HiPress,
-        MethodSpec::TwoDParallel { group_size: 4 },
+        MethodSpec::TwoDParallel,
         MethodSpec::FedAvg,
         MethodSpec::SocFlow(SocFlowConfig::with_groups(4)),
     ];

@@ -8,7 +8,7 @@ use socflow::mapping::{brute_force_min_conflicts, group_sizes, integrity_greedy,
 use socflow::planning::divide_communication_groups;
 use socflow_cluster::{ClusterNet, ClusterSpec, Flow, SocId};
 use socflow_collectives::{allreduce_sum, ring_allreduce_sum};
-use socflow_data::{dirichlet_partition, iid_partition, label_shard_partition};
+use socflow_data::{dirichlet_partition, iid_partition};
 use socflow_tensor::quant::{self, QuantParams};
 use socflow_tensor::Tensor;
 
@@ -338,14 +338,13 @@ proptest! {
         }
     }
 
-    /// All three partitioners produce disjoint shards covering the dataset.
+    /// Both partitioners produce disjoint shards covering the dataset.
     #[test]
     fn partitioners_cover(n in 10usize..200, workers in 1usize..12, seed in 0u64..100) {
         prop_assume!(workers <= n);
         let labels: Vec<usize> = (0..n).map(|i| i % 7).collect();
         for shards in [
             iid_partition(n, workers, seed),
-            label_shard_partition(&labels, workers, seed),
             dirichlet_partition(&labels, 7, workers, 0.5, seed),
         ] {
             let mut seen = vec![false; n];
@@ -743,7 +742,7 @@ proptest! {
     /// fault cursor) must round-trip through the on-disk format.
     #[test]
     fn resume_is_byte_identical(seed in 0u64..1000, groups in 1usize..4) {
-        use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
+        use socflow::checkpoint::Checkpoint;
         use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
         use socflow::engine::{Engine, Workload};
         use socflow::options::{Checkpointing, RunOptions};
@@ -769,8 +768,7 @@ proptest! {
         let dir = std::env::temp_dir().join(format!("socflow_prop_resume_{seed}_{groups}"));
         std::fs::remove_dir_all(&dir).ok();
         let short = spec_of(2);
-        let policy = CheckpointPolicy { every_epochs: Some(2), on_reclaim: true };
-        let _ = Engine::new(short, Workload::standard(&short, 96, 8, 0.5), RunOptions { checkpointing: Some(Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir")), ..RunOptions::default() })
+        let _ = Engine::new(short, Workload::standard(&short, 96, 8, 0.5), RunOptions { checkpointing: Some(Checkpointing::new(dir.clone(), Some(2)).expect("usable checkpoint dir")), ..RunOptions::default() })
             .run();
 
         let ckpt = Checkpoint::load(&dir).expect("checkpoint persisted");

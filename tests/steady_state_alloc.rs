@@ -117,7 +117,7 @@ impl Case {
         let workload = Workload::standard(&spec, groups * steps * batch, 8, width);
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let net = model.build(workload.model_cfg, &mut rng);
-        let replica = || Mutex::new(Replica::new(net.clone(), spec.lr, spec.momentum, mixed));
+        let replica = || Mutex::new(Replica::new(net.clone(), spec.lr, mixed));
         let shard = |g: usize| (g * steps * batch..(g + 1) * steps * batch).collect::<Vec<_>>();
         let epoch = |g| {
             workload

@@ -5,7 +5,7 @@
 //! tests pin that contract across the training methods (including the
 //! mixed-precision and INT8 arms) and the fault / checkpoint-resume paths.
 
-use socflow::checkpoint::{Checkpoint, CheckpointPolicy};
+use socflow::checkpoint::Checkpoint;
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::{Checkpointing, Pricing, RunOptions};
@@ -311,16 +311,12 @@ fn checkpoint_resume_crosses_thread_counts_bit_exactly() {
     runtime::set_threads(8);
     let mut short = spec;
     short.epochs = 1;
-    let policy = CheckpointPolicy {
-        every_epochs: Some(1),
-        on_reclaim: true,
-    };
     let _ = Engine::new(
         short,
         Workload::standard(&short, 96, 8, 0.5),
         RunOptions {
             checkpointing: Some(
-                Checkpointing::new(dir.clone(), policy).expect("usable checkpoint dir"),
+                Checkpointing::new(dir.clone(), Some(1)).expect("usable checkpoint dir"),
             ),
             ..RunOptions::default()
         },
