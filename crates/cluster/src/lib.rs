@@ -54,7 +54,7 @@ pub use energy::{EnergyMeter, PowerState};
 pub use net::{ClusterNet, Flow, TransferStats};
 pub use timeline::{
     reset_scratch_stats, scratch_stats, timeline_stats, Completion, FluidTimeline, LinkClassUtil,
-    ScratchStats, TaskId, TimelineStats,
+    Route, ScratchStats, TaskId, TimelineStats,
 };
 pub use topology::{BoardId, ClusterSpec, SocId};
 

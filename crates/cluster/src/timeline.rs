@@ -17,6 +17,13 @@
 //! repeat the same few dozen flow sets, and the solver runs once for
 //! each. [`timeline_stats`] counts steps, solves and reuses.
 //!
+//! The same repetition is why a flow set is resolved once: a driver turns
+//! it into a [`Route`] ([`FluidTimeline::route`]: self-flows and drained
+//! flows dropped, every link path looked up) and admits that route as
+//! often as it likes ([`FluidTimeline::start_route`]), each admission a
+//! copy of resolved flows. [`FluidTimeline::start_flows`] is the two in
+//! one call.
+//!
 //! The driver pattern is event-reactive: callers admit tasks at the
 //! current clock, call [`FluidTimeline::advance`] to step to the next
 //! completion, and admit successor tasks in response. Because admissions
@@ -67,6 +74,7 @@ const DRAIN_EPS: f64 = 1e-9;
 /// Residual-seconds threshold below which a span or latency is complete.
 const TIME_EPS: f64 = 1e-12;
 
+/// One resolved flow: the bytes it has left, its links, and its endpoints.
 #[derive(Clone, Copy)]
 struct FlowState {
     remaining: f64,
@@ -76,37 +84,20 @@ struct FlowState {
     pair: u32,
 }
 
-enum Work {
-    Span {
-        remaining: Seconds,
-    },
-    /// `flows` indexes the scratch's flow arena (meaningful while the
-    /// batch is live); `undrained` counts the flows of that range still
-    /// above [`DRAIN_EPS`].
-    Batch {
-        latency_left: Seconds,
-        flows: std::ops::Range<u32>,
-        undrained: u32,
-    },
+/// A flow set resolved once by [`FluidTimeline::route`], to be admitted
+/// any number of times by [`FluidTimeline::start_route`]. It names a
+/// range of the resolving timeline's route arena, so it means nothing to
+/// any other timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    start: u32,
+    end: u32,
 }
 
-impl Work {
-    fn is_complete(&self) -> bool {
-        match self {
-            Work::Span { remaining } => *remaining <= TIME_EPS,
-            Work::Batch {
-                latency_left,
-                undrained,
-                ..
-            } => *latency_left <= TIME_EPS && *undrained == 0,
-        }
-    }
-}
-
-/// One flow of the active set: its arena index and owning task.
+/// One flow of the active set and the batch it belongs to.
 #[derive(Clone, Copy)]
 struct ActiveFlow {
-    flow: u32,
+    flow: FlowState,
     task: u32,
 }
 
@@ -125,7 +116,7 @@ const RATE_TABLE_CAP: usize = 1 << 16;
 struct RateTable {
     /// Configuration hash → offset of its entry in `keys` / `rates`.
     index: HashMap<u64, (u32, u32)>,
-    /// Concatenated keys: the `pair` of every active flow, in live order.
+    /// Concatenated keys: the `pair` of every active flow, in order.
     keys: Vec<u32>,
     /// Concatenated rates, at the same offsets as `keys`.
     rates: Vec<f64>,
@@ -139,24 +130,30 @@ impl RateTable {
     }
 }
 
-/// Reusable buffers for one timeline run: the task/event queue, the flow
-/// arena, the live and active sets, per-link carried bytes, the rate
-/// table and the solver's workspaces. Parked in a thread-local pool
-/// between runs so repeated pricing (the autotuner's bread and butter)
-/// stops paying allocation churn per call.
+/// Reusable buffers for one timeline run: the route arena, the live
+/// spans, the batches inside their latency, the active flows, the
+/// complete-but-unreported tasks, per-link carried bytes, the rate table
+/// and the solver's workspaces. Parked in a thread-local pool between
+/// runs so repeated pricing (the autotuner's bread and butter) stops
+/// paying allocation churn per call.
 #[derive(Default)]
 struct TimelineScratch {
-    tasks: Vec<Work>,
-    /// The flows of the live batches, batch after batch in live order,
-    /// between those of batches already reported (compacted away once
-    /// they are most of the arena).
-    flows: Vec<FlowState>,
-    live: Vec<usize>,
-    carried: Vec<f64>,
-    /// Undrained flows of the live batches past their latency, in live
-    /// order; valid unless `FluidTimeline::stale`.
+    /// Every resolved flow set of the run, route after route.
+    routes: Vec<FlowState>,
+    /// Running spans as `(remaining, task)`.
+    spans: Vec<(Seconds, u32)>,
+    /// Batches still inside their latency as `(latency_left, task,
+    /// route)`.
+    pending: Vec<(Seconds, u32, Route)>,
+    /// Undrained flows of the batches past their latency, in task order
+    /// and, within a batch, in route order. A batch's flows are
+    /// contiguous.
     active: Vec<ActiveFlow>,
-    /// Max-min rate of each active flow, parallel to `active`.
+    /// Complete tasks not yet reported, in no order.
+    done: Vec<u32>,
+    carried: Vec<f64>,
+    /// Max-min rate of each active flow, parallel to `active` unless
+    /// `FluidTimeline::stale`.
     rates: Vec<f64>,
     table: RateTable,
     solver: MaxMinScratch,
@@ -165,14 +162,35 @@ struct TimelineScratch {
 impl TimelineScratch {
     /// Clears run state; capacity is what the free-list exists to keep.
     fn reset(&mut self) {
-        self.tasks.clear();
-        self.flows.clear();
-        self.live.clear();
-        self.carried.clear();
+        self.routes.clear();
+        self.spans.clear();
+        self.pending.clear();
         self.active.clear();
+        self.done.clear();
+        self.carried.clear();
         self.rates.clear();
         self.table.clear();
     }
+}
+
+/// Lets a batch's flows into the active set at their place in task order,
+/// or marks the batch done if it has none. Returns whether the active set
+/// changed.
+fn join(
+    routes: &[FlowState],
+    active: &mut Vec<ActiveFlow>,
+    done: &mut Vec<u32>,
+    task: u32,
+    route: Route,
+) -> bool {
+    let flows = &routes[route.start as usize..route.end as usize];
+    if flows.is_empty() {
+        done.push(task);
+        return false;
+    }
+    let at = active.partition_point(|a| a.task < task);
+    active.splice(at..at, flows.iter().map(|&flow| ActiveFlow { flow, task }));
+    true
 }
 
 thread_local! {
@@ -282,19 +300,21 @@ pub fn timeline_stats() -> TimelineStats {
 pub struct FluidTimeline<'n> {
     net: &'n ClusterNet,
     now: Seconds,
-    /// All run state lives in the scratch: the task/event queue, the
-    /// unreported-task live set (kept in admission order, so each event
-    /// is O(live) instead of O(all admitted) — an epoch can admit ~10⁵
-    /// tasks but only ~10² are ever live at once), per-link carried
-    /// bytes, and the rate state. Acquired from a thread-local free-list
-    /// and parked again on drop.
+    /// All run state lives in the scratch: the routes, the live tasks in
+    /// three dense lists (running spans, batches inside their latency,
+    /// active flows), the complete-but-unreported tasks, per-link carried
+    /// bytes, and the rate state. A step touches only the live lists:
+    /// an epoch admits ~10⁵ tasks, but the paper-scale `tune` search
+    /// (ResNet-18, 60 SoCs) averages 15.7 live tasks and 36.2 active
+    /// flows per step. Acquired from a thread-local free-list and parked
+    /// again on drop.
     scratch: TimelineScratch,
     /// The active flow set changed since `scratch.rates` was computed: a
     /// batch got past its latency (or was admitted without one) or a flow
     /// drained. Nothing else moves the rates.
     stale: bool,
-    /// Arena flows whose batch has been reported.
-    dead_flows: usize,
+    /// Tasks admitted so far: the next task's id.
+    admitted: u32,
     stats: TimelineStats,
 }
 
@@ -302,7 +322,7 @@ impl std::fmt::Debug for FluidTimeline<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FluidTimeline")
             .field("now", &self.now)
-            .field("tasks", &self.scratch.tasks.len())
+            .field("admitted", &self.admitted)
             .finish()
     }
 }
@@ -326,7 +346,7 @@ impl<'n> FluidTimeline<'n> {
             net,
             scratch,
             stale: false,
-            dead_flows: 0,
+            admitted: 0,
             stats: TimelineStats::ZERO,
         }
     }
@@ -334,6 +354,12 @@ impl<'n> FluidTimeline<'n> {
     /// Current simulated clock, seconds.
     pub fn now(&self) -> Seconds {
         self.now
+    }
+
+    fn next_task(&mut self) -> u32 {
+        let task = self.admitted;
+        self.admitted = task.checked_add(1).expect("task ids fit u32");
+        task
     }
 
     /// Admits a fixed-duration span (compute, update, stall) starting at
@@ -346,49 +372,71 @@ impl<'n> FluidTimeline<'n> {
             duration.is_finite() && duration >= 0.0,
             "invalid span duration"
         );
-        self.push(Work::Span {
-            remaining: duration,
-        })
+        let task = self.next_task();
+        if duration > TIME_EPS {
+            self.scratch.spans.push((duration, task));
+        } else {
+            self.scratch.done.push(task);
+        }
+        TaskId(task as usize)
     }
 
-    /// Admits a fluid flow batch (one collective step) starting at the
-    /// current clock. The batch first waits out `latency` seconds of
-    /// protocol setup, then its flows drain under max-min fair sharing
-    /// with every other active batch; it completes when the last flow
-    /// drains. Self-flows and zero-byte flows are dropped (they complete
-    /// instantly, as in [`ClusterNet::transfer`]).
+    /// Resolves a flow set once for any number of admissions by
+    /// [`FluidTimeline::start_route`]: looks up every flow's link path and
+    /// drops self-flows and flows of at most the drain threshold (they
+    /// complete instantly, as in [`ClusterNet::transfer`]).
+    pub fn route(&mut self, flows: &[Flow]) -> Route {
+        let net = self.net;
+        let arena = &mut self.scratch.routes;
+        let start = arena.len() as u32;
+        arena.extend(
+            flows
+                .iter()
+                .filter(|f| f.bytes > DRAIN_EPS && f.src != f.dst)
+                .map(|f| FlowState {
+                    remaining: f.bytes,
+                    path: net.path(f),
+                    pair: (f.src.0 as u32) << 16 | f.dst.0 as u32,
+                }),
+        );
+        let end = u32::try_from(arena.len()).expect("route arena indexed by u32");
+        Route { start, end }
+    }
+
+    /// Admits a fluid flow batch (one collective step) of a route this
+    /// timeline resolved, starting at the current clock. The batch first
+    /// waits out `latency` seconds of protocol setup, then its flows drain
+    /// under max-min fair sharing with every other active batch; it
+    /// completes when the last flow drains.
+    ///
+    /// # Panics
+    /// Panics if `latency` is negative or not finite.
+    pub fn start_route(&mut self, route: Route, latency: Seconds) -> TaskId {
+        assert!(latency.is_finite() && latency >= 0.0, "invalid latency");
+        let task = self.next_task();
+        let TimelineScratch {
+            routes,
+            pending,
+            active,
+            done,
+            ..
+        } = &mut self.scratch;
+        if latency > TIME_EPS {
+            pending.push((latency, task, route));
+        } else {
+            self.stale |= join(routes, active, done, task, route);
+        }
+        TaskId(task as usize)
+    }
+
+    /// [`FluidTimeline::route`] and [`FluidTimeline::start_route`] in one
+    /// call, for a flow set admitted once.
     ///
     /// # Panics
     /// Panics if `latency` is negative or not finite.
     pub fn start_flows(&mut self, flows: &[Flow], latency: Seconds) -> TaskId {
-        assert!(latency.is_finite() && latency >= 0.0, "invalid latency");
-        let arena = &mut self.scratch.flows;
-        let first = arena.len();
-        for f in flows {
-            // a flow at or under the drain threshold never becomes active
-            if f.bytes > DRAIN_EPS && f.src != f.dst {
-                arena.push(FlowState {
-                    remaining: f.bytes,
-                    path: self.net.path(f),
-                    pair: (f.src.0 as u32) << 16 | f.dst.0 as u32,
-                });
-            }
-        }
-        let end = u32::try_from(arena.len()).expect("flow arena indexed by u32");
-        let undrained = end - first as u32;
-        self.stale |= undrained > 0 && latency <= TIME_EPS;
-        self.push(Work::Batch {
-            latency_left: latency,
-            flows: first as u32..end,
-            undrained,
-        })
-    }
-
-    fn push(&mut self, work: Work) -> TaskId {
-        let id = TaskId(self.scratch.tasks.len());
-        self.scratch.live.push(id.0);
-        self.scratch.tasks.push(work);
-        id
+        let route = self.route(flows);
+        self.start_route(route, latency)
     }
 
     /// Advances to the next task completion and returns it; `None` when
@@ -406,79 +454,34 @@ impl<'n> FluidTimeline<'n> {
         }
     }
 
-    /// Reports one complete-but-unreported task, lowest id first (`live`
-    /// is kept in admission order, so a linear scan finds it).
+    /// Reports the complete-but-unreported task with the lowest id.
     fn harvest(&mut self) -> Option<Completion> {
-        let pos = self
-            .scratch
-            .live
-            .iter()
-            .position(|&i| self.scratch.tasks[i].is_complete())?;
-        let i = self.scratch.live.remove(pos);
-        if let Work::Batch { flows, .. } = &self.scratch.tasks[i] {
-            self.dead_flows += flows.len();
-        }
+        let done = &mut self.scratch.done;
+        let (pos, _) = done.iter().enumerate().min_by_key(|&(_, &task)| task)?;
+        let task = done.swap_remove(pos);
         Some(Completion {
-            id: TaskId(i),
+            id: TaskId(task as usize),
             at: self.now,
         })
     }
 
-    /// Recomputes the active flow set and its rates: the run's table
+    /// Recomputes the rates of the active flow set: the run's table
     /// answers a configuration it has solved before, the solver the rest.
     fn refresh_rates(&mut self) {
         let TimelineScratch {
-            tasks,
-            flows,
-            live,
             active,
             rates,
             table,
             solver,
             ..
         } = &mut self.scratch;
-        // An epoch admits ~10⁶ flows and has ~10² live at a time: keep
-        // the arena to the live ones. Order is kept, and nothing else
-        // holds arena indices while the rates are stale.
-        if self.dead_flows > flows.len() / 2 {
-            let mut kept = 0u32;
-            for &ti in live.iter() {
-                if let Work::Batch { flows: range, .. } = &mut tasks[ti] {
-                    flows.copy_within(range.start as usize..range.end as usize, kept as usize);
-                    *range = kept..kept + (range.end - range.start);
-                    kept = range.end;
-                }
-            }
-            flows.truncate(kept as usize);
-            self.dead_flows = 0;
-        }
-        active.clear();
-        for &ti in live.iter() {
-            if let Work::Batch {
-                latency_left,
-                flows: range,
-                undrained,
-            } = &tasks[ti]
-            {
-                if *latency_left <= TIME_EPS && *undrained > 0 {
-                    for fi in range.clone() {
-                        if flows[fi as usize].remaining > DRAIN_EPS {
-                            active.push(ActiveFlow {
-                                flow: fi,
-                                task: ti as u32,
-                            });
-                        }
-                    }
-                }
-            }
-        }
         self.stale = false;
         rates.clear();
         if active.is_empty() {
             return;
         }
         let n = active.len();
-        let key = || active.iter().map(|a| flows[a.flow as usize].pair);
+        let key = || active.iter().map(|a| a.flow.pair);
         // FNV-1a over the key words
         let hash = key().fold(0xcbf29ce484222325u64, |h, w| {
             (h ^ u64::from(w)).wrapping_mul(0x100000001b3)
@@ -493,7 +496,7 @@ impl<'n> FluidTimeline<'n> {
             }
         }
         self.net
-            .max_min_rates(n, |k| flows[active[k].flow as usize].path, solver, rates);
+            .max_min_rates(n, |k| active[k].flow.path, solver, rates);
         self.stats.rate_solves += 1;
         // a hash collision keeps the older entry
         if known.is_none() && table.keys.len() + n <= RATE_TABLE_CAP {
@@ -512,66 +515,76 @@ impl<'n> FluidTimeline<'n> {
             self.refresh_rates();
         }
         let TimelineScratch {
-            tasks,
-            flows,
-            live,
-            carried,
+            routes,
+            spans,
+            pending,
             active,
+            done,
+            carried,
             rates,
             ..
         } = &mut self.scratch;
         let mut dt = f64::INFINITY;
-        for &ti in live.iter() {
-            match &tasks[ti] {
-                Work::Span { remaining } => dt = dt.min(*remaining),
-                Work::Batch { latency_left, .. } => {
-                    if *latency_left > TIME_EPS {
-                        dt = dt.min(*latency_left);
-                    }
-                }
-            }
+        for &(remaining, _) in spans.iter() {
+            dt = dt.min(remaining);
+        }
+        for &(latency_left, ..) in pending.iter() {
+            dt = dt.min(latency_left);
         }
         for (a, &r) in active.iter().zip(rates.iter()) {
             debug_assert!(r > 0.0, "max-min must give every flow a rate");
-            dt = dt.min(flows[a.flow as usize].remaining / r);
+            dt = dt.min(a.flow.remaining / r);
         }
         if !dt.is_finite() {
             return false; // nothing live at all
         }
         self.stats.steps += 1;
-        // Integrate forward by dt. The expressions and their order are
-        // the simulated clock's definition: results are compared bit for
-        // bit across commits.
+        // Integrate forward by dt. The expressions, and the order in which
+        // the flows add to `carried`, are the simulated clock's definition:
+        // results are compared bit for bit across commits.
         self.now += dt;
-        for &ti in live.iter() {
-            match &mut tasks[ti] {
-                Work::Span { remaining } => *remaining -= dt,
-                Work::Batch {
-                    latency_left,
-                    undrained,
-                    ..
-                } => {
-                    if *latency_left > TIME_EPS {
-                        *latency_left -= dt;
-                        self.stale |= *latency_left <= TIME_EPS && *undrained > 0;
-                    }
-                }
+        spans.retain_mut(|(remaining, task)| {
+            *remaining -= dt;
+            let running = *remaining > TIME_EPS;
+            if !running {
+                done.push(*task);
             }
-        }
-        for (a, &r) in active.iter().zip(rates.iter()) {
-            let f = &mut flows[a.flow as usize];
-            let moved = r * dt;
-            f.remaining -= moved;
-            for &l in f.path.links() {
+            running
+        });
+        // Drained flows leave the set in place; a batch is done when its
+        // run of flows ends with none of them kept.
+        let n = active.len();
+        let mut kept = 0;
+        for i in 0..n {
+            let mut a = active[i];
+            let moved = rates[i] * dt;
+            a.flow.remaining -= moved;
+            for &l in a.flow.path.links() {
                 carried[usize::from(l)] += moved;
             }
-            if f.remaining <= DRAIN_EPS {
-                if let Work::Batch { undrained, .. } = &mut tasks[a.task as usize] {
-                    *undrained -= 1;
-                }
+            if a.flow.remaining > DRAIN_EPS {
+                active[kept] = a;
+                kept += 1;
+            } else {
                 self.stale = true;
             }
+            let run_ends = i + 1 == n || active[i + 1].task != a.task;
+            if run_ends && (kept == 0 || active[kept - 1].task != a.task) {
+                done.push(a.task);
+            }
         }
+        active.truncate(kept);
+        // batches whose latency expired join after this step's flows moved
+        let mut joined = false;
+        pending.retain_mut(|(latency_left, task, route)| {
+            *latency_left -= dt;
+            if *latency_left > TIME_EPS {
+                return true;
+            }
+            joined |= join(routes, active, done, *task, *route);
+            false
+        });
+        self.stale |= joined;
         true
     }
 

@@ -209,7 +209,7 @@ fn random_admission(rng: &mut StdRng, socs: usize) -> Admit {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Over random clusters and batches admitted at random event times,
     /// the incremental timeline and the solve-every-step reference give
@@ -333,4 +333,110 @@ fn full_rate_table_just_solves() {
         full_stats.rate_solves,
         stats.rate_solves + stats.rate_reuses
     );
+}
+
+/// Drives both timelines to the end, checking every completion and, after
+/// each, that the active set is in task order. Returns the completions.
+fn drain_both(tl: &mut FluidTimeline<'_>, oracle: &mut Reference<'_>) -> Vec<Completion> {
+    let mut done = Vec::new();
+    loop {
+        let (got, want) = (tl.advance(), oracle.advance());
+        assert_eq!(
+            got.map(|c| (c.id, c.at.to_bits())),
+            want.map(|c| (c.id, c.at.to_bits()))
+        );
+        let tasks: Vec<u32> = tl.scratch.active.iter().map(|a| a.task).collect();
+        assert!(tasks.windows(2).all(|w| w[0] <= w[1]), "{tasks:?}");
+        match got {
+            Some(c) => done.push(c),
+            None => return done,
+        }
+    }
+}
+
+fn assert_same_clock_and_bytes(tl: &FluidTimeline<'_>, oracle: &Reference<'_>) {
+    assert_eq!(tl.now().to_bits(), oracle.now.to_bits());
+    let bits = |c: &[f64]| c.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&tl.scratch.carried), bits(&oracle.carried));
+}
+
+/// Batches whose latencies expire out of admission order join the active
+/// set in task order. A (21 ms) is admitted before B (9 ms), both sending
+/// through board 0's NIC; C has no latency and is admitted at B's expiry,
+/// so A's flows join last but go ahead of B's and C's.
+#[test]
+fn batches_join_the_active_set_in_task_order() {
+    let net = ClusterNet::new(ClusterSpec::paper_server());
+    let a = [
+        Flow::new(SocId(0), SocId(5), 4e6),
+        Flow::new(SocId(1), SocId(10), 3e6),
+    ];
+    let b = [Flow::new(SocId(2), SocId(6), 2e6)];
+    let c = [
+        Flow::new(SocId(3), SocId(11), 2e6),
+        Flow::new(SocId(4), SocId(7), 1.5e6),
+    ];
+    let mut tl = FluidTimeline::new(&net);
+    let mut oracle = Reference::new(&net);
+    let ta = tl.start_flows(&a, 0.021);
+    oracle.start_flows(&a, 0.021);
+    let tb = tl.start_flows(&b, 0.009);
+    oracle.start_flows(&b, 0.009);
+    // B's expiry is no completion: a span of the same length marks it
+    let gate = tl.start_span(0.009);
+    oracle.push(RefWork::Span { remaining: 0.009 });
+    let first = tl.advance().unwrap();
+    assert_eq!(first.id, gate);
+    assert_eq!(Some(first), oracle.advance());
+    let tc = tl.start_flows(&c, 0.0);
+    oracle.start_flows(&c, 0.0);
+    let order = |tl: &FluidTimeline<'_>| {
+        let mut tasks: Vec<u32> = tl.scratch.active.iter().map(|f| f.task).collect();
+        tasks.dedup();
+        tasks
+    };
+    assert_eq!(order(&tl), [tb.0 as u32, tc.0 as u32]);
+    // a second gate ends 1 ms after A's expiry, while B and C still drain
+    let gate = tl.start_span(0.013);
+    oracle.push(RefWork::Span { remaining: 0.013 });
+    let second = tl.advance().unwrap();
+    assert_eq!(second.id, gate);
+    assert_eq!(Some(second), oracle.advance());
+    assert_eq!(order(&tl), [ta.0 as u32, tb.0 as u32, tc.0 as u32]);
+
+    let done = drain_both(&mut tl, &mut oracle);
+    assert_eq!(done.len(), 3);
+    assert_same_clock_and_bytes(&tl, &oracle);
+}
+
+/// A zero-length span admitted while an older task is still unreported is
+/// reported after that task, at the same instant. The two tasks that end
+/// together at 1 s finish in different lists (a span, then an empty batch
+/// leaving its latency), so they also come out against the order they
+/// were found complete in.
+#[test]
+fn zero_length_span_waits_for_older_unreported_tasks() {
+    let net = ClusterNet::new(ClusterSpec::paper_server());
+    let mut tl = FluidTimeline::new(&net);
+    let mut oracle = Reference::new(&net);
+    let batch = tl.start_flows(&[], 1.0);
+    oracle.start_flows(&[], 1.0);
+    let span = tl.start_span(1.0);
+    oracle.push(RefWork::Span { remaining: 1.0 });
+    let flows = [Flow::new(SocId(0), SocId(5), 4e6)];
+    tl.start_flows(&flows, 0.009);
+    oracle.start_flows(&flows, 0.009);
+    let flows_done = tl.advance();
+    assert_eq!(flows_done, oracle.advance());
+    let first = tl.advance();
+    assert_eq!(first.map(|c| c.id), Some(batch));
+    assert_eq!(first, oracle.advance());
+    // the span is complete and unreported; z is complete at admission
+    let z = tl.start_span(0.0);
+    oracle.push(RefWork::Span { remaining: 0.0 });
+    let done = drain_both(&mut tl, &mut oracle);
+    assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), [span, z]);
+    assert!(done.iter().all(|c| c.at == 1.0));
+    assert!(flows_done.is_some_and(|c| c.at < 1.0));
+    assert_same_clock_and_bytes(&tl, &oracle);
 }

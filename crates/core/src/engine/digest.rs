@@ -5,7 +5,7 @@
 //! rest. The digests keep those plus every epoch-boundary phase, which
 //! keeps traces bounded.
 
-use crate::sim::{BucketFlush, Span};
+use crate::sim::{BucketFlush, Lane, Span};
 use socflow_telemetry::Event;
 
 /// How many items of each key a digest keeps: spans per `(lane, kind)`
@@ -33,18 +33,19 @@ fn head_per_key<'a, T, K: PartialEq>(items: &'a [T], key: impl Fn(&'a T) -> K) -
 }
 
 /// A begin/end event pair for one span on the run clock.
-fn span_pair(epoch: usize, kind: &str, lane: &str, start: f64, end: f64) -> [Event; 2] {
+fn span_pair(epoch: usize, kind: &str, lane: Lane, start: f64, end: f64) -> [Event; 2] {
+    let lane = lane.to_string();
     [
         Event::SpanBegin {
             epoch,
             kind: kind.to_string(),
-            lane: lane.to_string(),
+            lane: lane.clone(),
             at: start,
         },
         Event::SpanEnd {
             epoch,
             kind: kind.to_string(),
-            lane: lane.to_string(),
+            lane,
             at: end,
         },
     ]
@@ -53,18 +54,19 @@ fn span_pair(epoch: usize, kind: &str, lane: &str, start: f64, end: f64) -> [Eve
 /// A span on the `"cluster"` lane: phases that involve the whole job
 /// (crash-recovery stalls, checkpoint persists).
 pub(super) fn cluster_span(epoch: usize, kind: &str, at: f64, duration: f64) -> [Event; 2] {
-    span_pair(epoch, kind, "cluster", at, at + duration)
+    span_pair(epoch, kind, Lane::Cluster, at, at + duration)
 }
 
 /// The span digest of one simulated epoch: the first
 /// [`SPAN_DIGEST_PER_LANE`] spans of each (lane, kind) pair, with span
-/// times shifted from epoch-local onto the run clock by `offset`.
-/// Boundary phases (leader ring, broadcast, shuffle) occur once per epoch
-/// on the `"cluster"` lane, so the cap never drops them.
+/// times shifted from epoch-local onto the run clock by `offset`. Only
+/// the spans kept have their lane formatted. Boundary phases (leader
+/// ring, broadcast, shuffle) occur once per epoch on the `"cluster"`
+/// lane, so the cap never drops them.
 pub(super) fn span_digest(epoch: usize, offset: f64, spans: &[Span]) -> Vec<Event> {
-    head_per_key(spans, |s| (s.lane.as_str(), s.kind))
+    head_per_key(spans, |s| (s.lane, s.kind))
         .into_iter()
-        .flat_map(|s| span_pair(epoch, s.kind, &s.lane, offset + s.start, offset + s.end))
+        .flat_map(|s| span_pair(epoch, s.kind, s.lane, offset + s.start, offset + s.end))
         .collect()
 }
 
@@ -99,9 +101,9 @@ pub(super) fn bucket_digest(
 mod tests {
     use super::*;
 
-    fn span(lane: &str, kind: &'static str, start: f64) -> Span {
+    fn span(lane: Lane, kind: &'static str, start: f64) -> Span {
         Span {
-            lane: lane.to_string(),
+            lane,
             kind,
             start,
             end: start + 1.0,
@@ -124,15 +126,15 @@ mod tests {
         let mut spans = Vec::new();
         for it in 0..50 {
             let t = it as f64 * 10.0;
-            spans.push(span("lg0", "compute", t));
-            spans.push(span("lg1", "compute", t));
-            spans.push(span("cg0", "sync", t + 1.0));
+            spans.push(span(Lane::Group(0), "compute", t));
+            spans.push(span(Lane::Group(1), "compute", t));
+            spans.push(span(Lane::Cg(0), "sync", t + 1.0));
         }
         for (i, kind) in ["leader_ring", "broadcast", "shuffle"]
             .into_iter()
             .enumerate()
         {
-            spans.push(span("cluster", kind, 500.0 + i as f64));
+            spans.push(span(Lane::Cluster, kind, 500.0 + i as f64));
         }
         let events = span_digest(3, 1000.0, &spans);
         let begins: Vec<(&str, &str, f64)> = events
@@ -151,7 +153,7 @@ mod tests {
             })
             .collect();
         assert_eq!(events.len(), 2 * begins.len(), "every span closes");
-        for key in [("lg0", "compute"), ("lg1", "compute"), ("cg0", "sync")] {
+        for key in [("g0", "compute"), ("g1", "compute"), ("cg0", "sync")] {
             let n = begins.iter().filter(|b| (b.0, b.1) == key).count();
             assert_eq!(n, SPAN_DIGEST_PER_LANE, "{key:?}");
         }

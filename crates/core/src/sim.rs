@@ -41,17 +41,46 @@ use crate::mapping::{GroupId, Mapping};
 use crate::planning::CommunicationGroups;
 use crate::report::Breakdown;
 use crate::timemodel::{EpochCost, TimeModel};
-use socflow_cluster::{calibration, Flow, FluidTimeline, LinkClassUtil, PowerState, Seconds};
+use socflow_cluster::{
+    calibration, Flow, FluidTimeline, LinkClassUtil, PowerState, Route, Seconds,
+};
+use std::fmt;
+
+/// Where a [`Span`] ran. Displays as the lane strings of traces, which
+/// `trace summarize --spans-full` parses: `g3`, `cg1`, `cg0/b2`,
+/// `cluster`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Lane {
+    /// Group-local work (compute, update) of logical group `g`.
+    Group(usize),
+    /// The monolithic sync of a communication group.
+    Cg(usize),
+    /// One gradient bucket's ring of a communication group, `(cg,
+    /// bucket)` (wait-free schedule).
+    Bucket(usize, usize),
+    /// Epoch-boundary phases, which involve the whole job.
+    Cluster,
+}
+
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Lane::Group(g) => write!(f, "g{g}"),
+            Lane::Cg(c) => write!(f, "cg{c}"),
+            Lane::Bucket(c, b) => write!(f, "cg{c}/b{b}"),
+            Lane::Cluster => f.write_str("cluster"),
+        }
+    }
+}
 
 /// One scheduled interval of the simulated epoch, in epoch-local seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// What ran: `"compute"`, `"sync"`, `"update"`, `"leader_ring"`,
-    /// `"broadcast"` or `"shuffle"`.
+    /// What ran: `"compute"`, `"update"`, `"sync"`, `"bucket"`,
+    /// `"leader_ring"`, `"broadcast"` or `"shuffle"`.
     pub kind: &'static str,
-    /// Where it ran: `"g<idx>"` for group-local work, `"cg<idx>"` for a
-    /// communication-group sync, `"cluster"` for epoch-boundary phases.
-    pub lane: String,
+    /// Where it ran.
+    pub lane: Lane,
     /// Start, seconds from epoch begin.
     pub start: Seconds,
     /// End, seconds from epoch begin.
@@ -63,7 +92,8 @@ pub struct Span {
 pub struct SimulatedEpoch {
     /// The epoch cost in the same shape the analytic model produces.
     pub cost: EpochCost,
-    /// Every scheduled span, ordered by start time (ties by admission).
+    /// Every scheduled span, ordered by start time; ties break by end
+    /// time, then by completion order.
     pub spans: Vec<Span>,
     /// Average per-link-class utilization over the epoch.
     pub link_util: LinkClassUtil,
@@ -152,6 +182,8 @@ struct SlotState {
     groups: Vec<usize>,
     /// The identical flow set of every ring step (empty ⇒ instant sync).
     flows: Vec<Flow>,
+    /// `flows`, resolved once on the epoch's timeline.
+    route: Route,
     /// Ring steps per sync (max over member groups of `2(n−1)`).
     steps: usize,
     /// Protocol latency per step (intra- vs inter-board).
@@ -167,15 +199,15 @@ struct SlotState {
 /// the shuffle).
 struct BoundaryPhase {
     kind: &'static str,
-    flows: Vec<Flow>,
+    route: Route,
     latency: Seconds,
 }
 
 /// Per-slot wait-free bucket state (one ring per bucket per iteration).
 struct WfSlot {
-    /// One ring step's flow set per bucket: the slot's flows with each
-    /// flow's bytes residual-split by the bucket shares.
-    flows: Vec<Vec<Flow>>,
+    /// One ring step's flow set per bucket, resolved: the slot's flows
+    /// with each flow's bytes residual-split by the bucket shares.
+    routes: Vec<Route>,
     /// Per-bucket gradient wire bytes (residual split of the slot total).
     bytes: Vec<f64>,
     /// Ring steps left per in-flight bucket, this iteration.
@@ -282,11 +314,16 @@ fn step_latency(tm: &TimeModel, flows: &[Flow]) -> Seconds {
     }
 }
 
-/// Builds the ordered epoch-boundary phases: `2(L−1)` leader-ring steps,
-/// the weight broadcast, the cross-group data shuffle. Degenerate phases
-/// (single leader, singleton groups, lone participant) are omitted, like
-/// in the analytic model.
-fn boundary_phases(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<BoundaryPhase> {
+/// Builds the ordered epoch-boundary phases, resolved on `tl`: `2(L−1)`
+/// leader-ring steps, the weight broadcast, the cross-group data shuffle.
+/// Degenerate phases (single leader, singleton groups, lone participant)
+/// are omitted, like in the analytic model.
+fn boundary_phases(
+    tm: &TimeModel,
+    tl: &mut FluidTimeline<'_>,
+    mapping: &Mapping,
+    wire: f64,
+) -> Vec<BoundaryPhase> {
     let mut plan = Vec::new();
     let leaders = mapping.leaders();
     let l = leaders.len();
@@ -296,10 +333,11 @@ fn boundary_phases(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<Boundary
             .map(|i| Flow::new(leaders[i], leaders[(i + 1) % l], chunk))
             .collect();
         let latency = step_latency(tm, &flows);
+        let route = tl.route(&flows);
         for _ in 0..2 * (l - 1) {
             plan.push(BoundaryPhase {
                 kind: "leader_ring",
-                flows: flows.clone(),
+                route,
                 latency,
             });
         }
@@ -316,7 +354,7 @@ fn boundary_phases(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<Boundary
         let latency = step_latency(tm, &bcast);
         plan.push(BoundaryPhase {
             kind: "broadcast",
-            flows: bcast,
+            route: tl.route(&bcast),
             latency,
         });
     }
@@ -338,7 +376,7 @@ fn boundary_phases(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<Boundary
         let latency = step_latency(tm, &flows);
         plan.push(BoundaryPhase {
             kind: "shuffle",
-            flows,
+            route: tl.route(&flows),
             latency,
         });
     }
@@ -393,6 +431,8 @@ pub fn simulate_socflow_schedule(
     } else {
         vec![(0..n_groups).collect()]
     };
+    // every flow set the epoch admits is resolved once, on its timeline
+    let mut tl = FluidTimeline::new(tm.net());
     let wire = if cpu_fraction < 1.0 {
         tm.payload() * calibration::INT8_WIRE_FRACTION
     } else {
@@ -422,6 +462,7 @@ pub fn simulate_socflow_schedule(
             SlotState {
                 latency: step_latency(tm, &flows),
                 steps: if flows.is_empty() { 0 } else { steps },
+                route: tl.route(&flows),
                 flows,
                 ready_count: vec![0; iters],
                 done: vec![false; iters],
@@ -472,7 +513,7 @@ pub fn simulate_socflow_schedule(
                     partition_exact(slot_wire, &shares)
                 };
                 WfSlot {
-                    flows,
+                    routes: flows.iter().map(|fs| tl.route(fs)).collect(),
                     bytes,
                     steps_left: vec![0; n_buckets],
                     started: vec![0.0; n_buckets],
@@ -512,11 +553,10 @@ pub fn simulate_socflow_schedule(
         queue: Vec::new(),
         sync_busy: 0.0,
         finished_groups: 0,
-        boundary_plan: boundary_phases(tm, mapping, wire),
+        boundary_plan: boundary_phases(tm, &mut tl, mapping, wire),
         boundary_next: 0,
     };
 
-    let mut tl = FluidTimeline::new(tm.net());
     for g in 0..n_groups {
         drv.begin_iteration(&mut tl, g);
     }
@@ -535,7 +575,7 @@ pub fn simulate_socflow_schedule(
                 let (kind, started) = current_boundary.take().expect("boundary bookkeeping");
                 drv.spans.push(Span {
                     kind,
-                    lane: "cluster".into(),
+                    lane: Lane::Cluster,
                     start: started,
                     end: c.at,
                 });
@@ -548,7 +588,7 @@ pub fn simulate_socflow_schedule(
                 batch_end = Some(c.at);
             }
             if let Some(phase) = drv.boundary_plan.get(drv.boundary_next) {
-                let id = tl.start_flows(&phase.flows, phase.latency);
+                let id = tl.start_route(phase.route, phase.latency);
                 debug_assert_eq!(id.0, drv.tags.len());
                 drv.tags.push(Tag::Boundary);
                 current_boundary = Some((phase.kind, c.at));
@@ -617,7 +657,7 @@ impl Driver {
         let iter = self.groups[g].iter;
         self.spans.push(Span {
             kind: "compute",
-            lane: format!("g{g}"),
+            lane: Lane::Group(g),
             start: self.groups[g].begun_at,
             end: at,
         });
@@ -664,7 +704,7 @@ impl Driver {
     }
 
     fn start_sync_step(&mut self, tl: &mut FluidTimeline<'_>, slot: usize) {
-        let id = tl.start_flows(&self.slots[slot].flows, self.slots[slot].latency);
+        let id = tl.start_route(self.slots[slot].route, self.slots[slot].latency);
         debug_assert_eq!(id.0, self.tags.len());
         self.tags.push(Tag::SyncStep { slot });
     }
@@ -683,7 +723,7 @@ impl Driver {
         let iter = self.groups[self.slots[slot].groups[0]].iter;
         self.spans.push(Span {
             kind: "sync",
-            lane: format!("cg{slot}"),
+            lane: Lane::Cg(slot),
             start: started,
             end: at,
         });
@@ -703,7 +743,7 @@ impl Driver {
         let lead = self.slots[slot].steps as f64 * self.slots[slot].latency;
         let wf = self.wf.as_mut().expect("wait-free state");
         wf.slots[slot].done = 0;
-        let n_buckets = wf.slots[slot].flows.len();
+        let n_buckets = wf.slots[slot].routes.len();
         for b in 0..n_buckets {
             let frac = wf.release_frac[b];
             let release_at = self.slots[slot]
@@ -734,7 +774,7 @@ impl Driver {
 
     fn start_bucket_step(&mut self, tl: &mut FluidTimeline<'_>, slot: usize, bucket: usize) {
         let wf = self.wf.as_ref().expect("wait-free state");
-        let id = tl.start_flows(&wf.slots[slot].flows[bucket], self.slots[slot].latency);
+        let id = tl.start_route(wf.slots[slot].routes[bucket], self.slots[slot].latency);
         debug_assert_eq!(id.0, self.tags.len());
         self.tags.push(Tag::BucketStep { slot, bucket });
     }
@@ -755,10 +795,10 @@ impl Driver {
         let started = ws.started[bucket];
         let bytes = ws.bytes[bucket];
         ws.done += 1;
-        let all_done = ws.done == ws.flows.len();
+        let all_done = ws.done == ws.routes.len();
         self.spans.push(Span {
             kind: "bucket",
-            lane: format!("cg{slot}/b{bucket}"),
+            lane: Lane::Bucket(slot, bucket),
             start: started,
             end: at,
         });
@@ -802,7 +842,7 @@ impl Driver {
     fn on_update_done(&mut self, tl: &mut FluidTimeline<'_>, g: usize, at: Seconds) {
         self.spans.push(Span {
             kind: "update",
-            lane: format!("g{g}"),
+            lane: Lane::Group(g),
             start: at - self.update_t,
             end: at,
         });
@@ -1047,6 +1087,22 @@ mod tests {
         for chunk in wf.bucket_flushes.chunks(n_buckets) {
             assert_eq!(chunk.iter().map(|f| f.bytes).sum::<f64>(), slot_wire);
         }
+    }
+
+    /// Traces carry lanes as these strings, and `trace summarize
+    /// --spans-full` parses them back.
+    #[test]
+    fn lanes_display_as_the_trace_strings() {
+        let shown: Vec<String> = [
+            Lane::Group(3),
+            Lane::Cg(1),
+            Lane::Bucket(0, 2),
+            Lane::Cluster,
+        ]
+        .iter()
+        .map(Lane::to_string)
+        .collect();
+        assert_eq!(shown, ["g3", "cg1", "cg0/b2", "cluster"]);
     }
 
     #[test]

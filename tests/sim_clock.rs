@@ -13,7 +13,7 @@ use socflow::planning::divide_communication_groups;
 use socflow::scheduler::GlobalScheduler;
 use socflow::sim::{simulate_socflow_schedule, SyncSchedule};
 use socflow::timemodel::TimeModel;
-use socflow_cluster::{timeline_stats, ClusterSpec};
+use socflow_cluster::{timeline_stats, ClusterSpec, TimelineStats};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::{ModelConfig, ModelKind};
 
@@ -73,6 +73,17 @@ fn paper_scale_plan_search_matches_the_golden_ranking() {
             );
         }
     }
+    // the events behind the bits: a refactor that keeps every price but
+    // steps, solves or reuses differently shows here (the same at any
+    // worker-pool size: each candidate counts its own timeline work)
+    assert_eq!(
+        report.timeline,
+        TimelineStats {
+            steps: 234_165,
+            rate_solves: 664,
+            rate_reuses: 143_411,
+        }
+    );
     let best = report.best();
     assert_eq!(best.predicted_s, 27.308673151790046);
     assert_eq!(
