@@ -591,6 +591,10 @@ pub fn tidal(opts: &Options) -> Result<(), String> {
 /// servers packing trace-driven job arrivals onto tidal-idle capacity,
 /// and print per-job outcomes plus throughput/JCT/utilization.
 pub fn fleet(opts: &Options) -> Result<(), String> {
+    // a run prices its cold full asks as one wave over the worker pool
+    if let Some(t) = opts.threads {
+        socflow_tensor::runtime::set_threads(t);
+    }
     let policy = FleetPolicy::parse(&opts.policy)?;
     let spec = FleetSpec {
         servers: opts.servers,

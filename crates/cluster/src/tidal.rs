@@ -40,6 +40,9 @@ pub struct TidalTrace {
     /// stays idle, wrapping midnight: 0 when busy at `hour`, at most 23
     /// when busy at some hour, [`WHOLE_DAY`] when never.
     runs: Vec<u8>,
+    /// `idle[hour * (WHOLE_DAY + 1) + len]` — how many SoCs stay idle
+    /// through `[hour, hour + len)`, i.e. have a run of at least `len`.
+    idle: Vec<u32>,
 }
 
 impl Serialize for TidalTrace {
@@ -132,7 +135,22 @@ impl TidalTrace {
                 runs[h * socs + s] = run as u8;
             }
         }
-        TidalTrace { busy, socs, runs }
+        // per hour, a histogram of run lengths summed from the longest down
+        let mut idle = vec![0u32; 24 * (WHOLE_DAY + 1)];
+        for (h, row) in idle.chunks_mut(WHOLE_DAY + 1).enumerate() {
+            for &run in &runs[h * socs..(h + 1) * socs] {
+                row[run as usize] += 1;
+            }
+            for len in (0..WHOLE_DAY).rev() {
+                row[len] += row[len + 1];
+            }
+        }
+        TidalTrace {
+            busy,
+            socs,
+            runs,
+            idle,
+        }
     }
 
     /// Number of SoCs in the trace.
@@ -177,6 +195,14 @@ impl TidalTrace {
     /// window test.
     pub fn idle_for(&self, soc: SocId, start_hour: usize, len: usize) -> bool {
         self.idle_run(soc, start_hour) >= len.min(WHOLE_DAY)
+    }
+
+    /// How many SoCs are idle for the *entire* window
+    /// `[start_hour, start_hour + len)` (wrapping midnight): the length of
+    /// [`Self::idle_through`], read off a table in O(1). With `len == 1`
+    /// it is the number of SoCs idle at `start_hour`.
+    pub fn idle_count(&self, start_hour: usize, len: usize) -> usize {
+        self.idle[(start_hour % 24) * (WHOLE_DAY + 1) + len.min(WHOLE_DAY)] as usize
     }
 
     /// SoCs idle for the *entire* window `[start_hour, start_hour + len)`
@@ -322,6 +348,26 @@ mod tests {
                         best,
                         "seed {seed}, {socs} SoCs"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_idle_count_table_is_the_window_count() {
+        for seed in [1, 5, 11, 42] {
+            for socs in [0, 1, 7, 32, 60] {
+                let t = TidalTrace::generate(socs, seed);
+                for start in 0..48 {
+                    for len in 0..=30 {
+                        assert_eq!(
+                            t.idle_count(start, len),
+                            brute_idle_through(&t, start % 24, len).len(),
+                            "seed {seed}, {socs} SoCs, {start}+{len}"
+                        );
+                    }
+                    let idle_now = (0..socs).filter(|&s| !t.is_busy(SocId(s), start % 24));
+                    assert_eq!(t.idle_count(start, 1), idle_now.count());
                 }
             }
         }
