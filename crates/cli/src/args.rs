@@ -71,8 +71,8 @@ pub struct Options {
     /// Autotune the parallelization plan on the simulated clock before
     /// training and adopt the winner (`train --auto`).
     pub auto: bool,
-    /// Max candidates the autotuner prices on the timeline (requires
-    /// `--auto`; `tune` accepts it standalone).
+    /// Optional cap on candidates the autotuner prices on the timeline
+    /// (requires `--auto`; `tune` accepts it standalone).
     pub auto_budget: Option<usize>,
 }
 

@@ -40,7 +40,7 @@ mod paper;
 use crate::commands::{default_width, PlanJson};
 use serde::Serialize;
 use serde_json::Value;
-use socflow::autotune::{autotune, TuneOptions, BUCKET_GRID_KB, DEFAULT_BUDGET};
+use socflow::autotune::{autotune, TuneOptions, BUCKET_GRID_KB};
 use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
 use socflow::mapping::integrity_greedy;
@@ -1140,7 +1140,6 @@ impl AutotuneRun {
 #[derive(Serialize)]
 struct AutotuneDoc {
     socs: usize,
-    budget: usize,
     results: Vec<AutotuneRun>,
 }
 
@@ -1208,11 +1207,7 @@ fn autotune_suite(fast: bool) -> Result<AutotuneDoc, String> {
     {
         return Err("no multi-CG arm reached the 1.05x tuned-vs-default bar".into());
     }
-    Ok(AutotuneDoc {
-        socs,
-        budget: DEFAULT_BUDGET,
-        results,
-    })
+    Ok(AutotuneDoc { socs, results })
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::args::Options;
 use serde::Serialize;
-use socflow::autotune::{PlanChoice, DEFAULT_BUDGET};
+use socflow::autotune::PlanChoice;
 use socflow::checkpoint::Checkpoint;
 use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::engine::Workload;
@@ -77,9 +77,12 @@ USAGE:
       before training and adopt the fastest predicted plan. Replaces
       --overlap/--bucket-kb — the winner decides them. The search is
       deterministic: bit-identical at any --threads setting
-  --auto-budget <N> (train --auto, tune): cap on candidate plans priced
-      on the fluid timeline (default 64). `tune` prints the ranked
-      candidate table without training; --json emits it on stdout
+  --auto-budget <N> (train --auto, tune): optional cap on candidate plans
+      priced on the fluid timeline. Without it the search prices
+      candidates best-first by a floor no schedule beats and stops when
+      the floor passes the best price, so it returns the optimum of the
+      space. `tune` prints the ranked candidate table without training;
+      --json emits it on stdout
   --streaming (train): ingest training data from live per-SoC streams
       instead of the static pre-partitioned corpus. Epoch shards come
       from a deterministic stream; supply deficits stall only the short
@@ -316,9 +319,7 @@ pub fn train(opts: &Options) -> Result<(), String> {
     }
     let spec = job_spec(opts, method_of(&opts.method, opts.groups)?)?;
     let plan = match (opts.auto, opts.auto_budget) {
-        (true, budget) => Plan::Auto {
-            budget: budget.unwrap_or(DEFAULT_BUDGET),
-        },
+        (true, budget) => Plan::Auto { budget },
         (false, Some(_)) => return Err("--auto-budget needs --auto (or the `tune` command)".into()),
         (false, None) => Plan::Fixed,
     };
@@ -393,7 +394,7 @@ pub fn train(opts: &Options) -> Result<(), String> {
 }
 
 /// A priced plan as `bench autotune --json` reports it, and (with the
-/// candidate's lower bound appended) as `tune --json` does.
+/// candidate's epoch floor appended) as `tune --json` does.
 #[derive(Serialize)]
 pub struct PlanJson {
     pub groups: usize,
@@ -415,8 +416,8 @@ impl From<&PlanChoice> for PlanJson {
     }
 }
 
-/// `tune --json`'s plan object: [`PlanJson`] plus `bound_s`, the analytic
-/// lower bound the candidate was admitted against.
+/// `tune --json`'s plan object: [`PlanJson`] plus `bound_s`, the epoch
+/// floor the candidate was ordered and admitted by.
 fn plan_choice_json(c: &PlanChoice) -> serde_json::Value {
     let mut plan = PlanJson::from(c).to_json();
     if let serde_json::Value::Object(fields) = &mut plan {
@@ -442,7 +443,7 @@ pub fn tune(opts: &Options) -> Result<(), String> {
         ..RunOptions::default()
     };
     let plan = Plan::Auto {
-        budget: opts.auto_budget.unwrap_or(DEFAULT_BUDGET),
+        budget: opts.auto_budget,
     };
     options.validate(&spec, plan).map_err(|e| e.to_string())?;
     // the search reads the model's gradient layout, not one sample
@@ -481,9 +482,13 @@ pub fn tune(opts: &Options) -> Result<(), String> {
         "plan search: {} on {} with {} over {} SoCs",
         model, preset, opts.method, opts.socs
     );
+    let skipped = match opts.auto_budget {
+        Some(_) => format!(", {} skipped (cap)", report.skipped),
+        None => String::new(),
+    };
     println!(
-        "{} candidates priced, {} pruned by the compute bound, {} skipped (budget)",
-        report.evaluated, report.pruned, report.skipped
+        "{} candidates priced, {} pruned by the epoch floor{skipped}",
+        report.evaluated, report.pruned
     );
     let work = report.timeline;
     println!(

@@ -301,6 +301,15 @@ impl ClusterNet {
         if makespan <= 0.0 {
             return 0.0;
         }
+        self.carried(flows)
+            .iter()
+            .zip(&self.caps)
+            .map(|(c, cap)| c / (cap * makespan))
+            .fold(0.0, f64::max)
+    }
+
+    /// The bytes each link carries when every flow moves in full.
+    fn carried(&self, flows: &[Flow]) -> Vec<f64> {
         let mut carried = vec![0.0f64; self.num_links()];
         for f in flows {
             for &l in self.path(f).links() {
@@ -308,9 +317,17 @@ impl ClusterNet {
             }
         }
         carried
+    }
+
+    /// The least time in which any schedule can move `flows`: the busiest
+    /// link's bytes over its capacity. Max-min sharing never gives a link
+    /// more than its capacity, so the flows cannot drain sooner — alone,
+    /// split into parts, or contending with other traffic.
+    pub fn drain_floor(&self, flows: &[Flow]) -> Seconds {
+        self.carried(flows)
             .iter()
             .zip(&self.caps)
-            .map(|(c, cap)| c / (cap * makespan))
+            .map(|(c, cap)| c / cap)
             .fold(0.0, f64::max)
     }
 

@@ -23,22 +23,31 @@
 //!   only for mixed-precision jobs when a profiled β is supplied (β
 //!   moves the CPU/NPU batch split and with it the compute term).
 //!
+//! ## Best-first search
+//!
+//! Every candidate has a floor, [`TimeModel::socflow_epoch_lower_bound`]:
+//! compute, its CG's sync and the update per iteration, plus the
+//! epoch-boundary phases, which no schedule can beat. It depends on the
+//! group count and β only, so it costs no simulation. Candidates are
+//! priced in order of their floors; the first floor above the incumbent
+//! proves that it and every later candidate lose, so they are pruned.
+//! The result is the optimum of the whole space, and on paper-scale
+//! spaces the search prices a few percent of it.
+//!
 //! ## Determinism
 //!
-//! Candidates are enumerated in a fixed order and evaluated in fixed
-//! *waves* of [`WAVE`] candidates: each wave fans out over the
-//! deterministic worker pool ([`socflow_tensor::runtime::run_scoped`])
-//! and is reduced in candidate order, so the incumbent — and therefore
-//! every pruning decision — is a pure function of the job spec, never of
-//! thread scheduling. The ranked report is bit-identical at any
+//! Candidates are enumerated in a fixed order, sorted by (floor,
+//! enumeration index), and priced in fixed *waves* of [`WAVE`]
+//! candidates: each wave fans out over the deterministic worker pool
+//! ([`socflow_tensor::runtime::run_scoped`]) and is reduced in wave
+//! order, so the incumbent — and therefore every pruning decision — is a
+//! pure function of the job spec, never of thread scheduling. Equal
+//! prices rank by enumeration index, so neither the floor order nor the
+//! waves decide a tie. The ranked report is bit-identical at any
 //! `SOCFLOW_THREADS` setting (property-tested in `tests/properties.rs`).
 //!
-//! ## Pruning and memoization
+//! ## Memoization
 //!
-//! Before paying for a timeline simulation, each candidate is checked
-//! against [`TimeModel::socflow_epoch_lower_bound`] — the Eq. 1 closed
-//! forms give `iters × (compute + update)` as a floor no schedule can
-//! beat. Candidates whose floor already exceeds the incumbent are cut.
 //! Priced candidates land in a process-wide plan-key memo
 //! ([`price_plan`]), so repeated pricing of identical topologies — by a
 //! second `tune` pass, by [`crate::scheduler::GlobalScheduler::run`]
@@ -62,12 +71,6 @@ use std::sync::{Mutex, OnceLock};
 /// (×4 per step). Shared with `bench timeline`'s bucket sweep so the
 /// two can never drift.
 pub const BUCKET_GRID_KB: &[usize] = &[512, 2048, 8192, 32768];
-
-/// Default cap on timeline evaluations per search (the `--auto-budget`
-/// default). Simulation cost grows as the group count shrinks (more
-/// iterations per epoch), so the budget mostly trims the expensive
-/// low-group tail of the space.
-pub const DEFAULT_BUDGET: usize = 64;
 
 /// Fixed evaluation-wave width. Waves are a *determinism* construct, not
 /// a throughput knob: pruning decisions only observe the incumbent at
@@ -107,7 +110,9 @@ pub struct PlanChoice {
     pub candidate: PlanCandidate,
     /// Predicted epoch time on the simulated clock, seconds.
     pub predicted_s: f64,
-    /// The analytic lower bound the candidate was admitted against.
+    /// The candidate's floor
+    /// ([`TimeModel::socflow_epoch_lower_bound`]), which ordered and
+    /// admitted it.
     pub bound_s: f64,
 }
 
@@ -123,13 +128,15 @@ pub struct TuneReport {
     pub default_plan: PlanChoice,
     /// Candidates priced on the timeline.
     pub evaluated: usize,
-    /// Candidates cut by the analytic lower bound.
+    /// Candidates whose floor proves they lose to the incumbent.
     pub pruned: usize,
-    /// Candidates left unpriced when the budget ran out.
+    /// Candidates left unpriced because a [`TuneOptions::budget`] cap ran
+    /// out (always 0 without a cap).
     pub skipped: usize,
-    /// Timeline work this search simulated itself, summed in candidate
-    /// order. A candidate answered by the plan memo adds nothing, so a
-    /// repeated search reports zeros where everything else is equal.
+    /// Timeline work this search simulated itself, summed over the
+    /// candidates it priced. A candidate answered by the plan memo adds
+    /// nothing, so a repeated search reports zeros where everything else
+    /// is equal.
     pub timeline: TimelineStats,
 }
 
@@ -158,9 +165,10 @@ impl TuneReport {
 /// Knobs of one [`autotune`] search.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TuneOptions {
-    /// Max candidates priced on the timeline (`None` =
-    /// [`DEFAULT_BUDGET`]). The default plan is always priced and does
-    /// not count against the budget.
+    /// Optional cap on candidates priced on the timeline (`None` = price
+    /// until the floors prove the rest lose, which returns the optimum of
+    /// the space). The default plan is always priced and does not count
+    /// against the cap.
     pub budget: Option<usize>,
     /// A profiled β to search *against* the calibrated one (the
     /// `--profiled-beta` value). Ignored for non-mixed jobs.
@@ -302,8 +310,8 @@ pub fn price_plan(spec: &TrainJobSpec, layout: &[GradReady], cand: &PlanCandidat
     })
 }
 
-/// The analytic admission floor of a candidate (schedule-independent:
-/// only the group count and β move it).
+/// The floor of a candidate (schedule-independent: only the group count
+/// and β move it).
 fn lower_bound(spec: &TrainJobSpec, groups: usize, profiled_beta: Option<f64>) -> f64 {
     let (mapping, _) = topology_for(spec, groups);
     let mut tm = TimeModel::new(spec);
@@ -331,11 +339,10 @@ pub fn default_candidate(spec: &TrainJobSpec) -> PlanCandidate {
     }
 }
 
-/// Enumerates the candidate space in the fixed search order: group
-/// counts *descending* (simulation cost grows as the group count
-/// shrinks, so cheap candidates run first — the incumbent drops early
-/// and the budget trims the expensive tail, not the informative head),
-/// then β source, then schedule, then bucket size.
+/// Enumerates the candidate space in its fixed order: group counts
+/// descending, then β source, then schedule, then bucket size. The index
+/// in this order breaks ties, between equal floors in the search order
+/// and between equal prices in the ranking.
 fn enumerate(spec: &TrainJobSpec, opts: &TuneOptions) -> Vec<PlanCandidate> {
     let socs = spec.socs.max(1);
     let max_groups = opts.max_groups.unwrap_or(socs).clamp(1, socs);
@@ -381,7 +388,7 @@ fn enumerate(spec: &TrainJobSpec, opts: &TuneOptions) -> Vec<PlanCandidate> {
 /// Panics if the spec's method is not a SoCFlow variant.
 pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -> TuneReport {
     let candidates = enumerate(spec, opts);
-    let budget = opts.budget.unwrap_or(DEFAULT_BUDGET).max(1);
+    let cap = opts.budget.unwrap_or(usize::MAX).max(1);
 
     // counters are per thread: each pricing is measured on the thread
     // that runs it
@@ -390,54 +397,48 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
         let price = price_plan(spec, layout, cand);
         (price, timeline_stats() - before)
     };
+    // Floors depend on (groups, β) only; compute each pair once.
+    let mut floor_of: HashMap<(usize, u64), f64> = HashMap::new();
+    let mut floor = |c: &PlanCandidate| {
+        let key = (c.groups, c.profiled_beta.unwrap_or(-1.0).to_bits());
+        *floor_of
+            .entry(key)
+            .or_insert_with(|| lower_bound(spec, c.groups, c.profiled_beta))
+    };
     let default_cand = default_candidate(spec);
     let (default_s, mut timeline) = measured(&default_cand);
     let default_plan = PlanChoice {
         candidate: default_cand,
         predicted_s: default_s,
-        bound_s: lower_bound(spec, default_cand.groups, None),
+        bound_s: floor(&default_cand),
     };
+    let floors: Vec<f64> = candidates.iter().map(floor).collect();
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by(|&a, &b| floors[a].total_cmp(&floors[b]).then(a.cmp(&b)));
 
-    // Bounds depend on (groups, β) only; compute each pair once.
-    let mut bound_of: HashMap<(usize, u64), f64> = HashMap::new();
-    let bounds: Vec<f64> = candidates
-        .iter()
-        .map(|c| {
-            let key = (c.groups, c.profiled_beta.unwrap_or(-1.0).to_bits());
-            *bound_of
-                .entry(key)
-                .or_insert_with(|| lower_bound(spec, c.groups, c.profiled_beta))
-        })
-        .collect();
-
-    let mut ranked: Vec<PlanChoice> = Vec::new();
+    // (enumeration index, priced plan), in pricing order
+    let mut priced: Vec<(usize, PlanChoice)> = Vec::new();
     let mut incumbent = default_s;
-    let mut evaluated = 0usize;
-    let mut pruned = 0usize;
-    let mut idx = 0usize;
-    while idx < candidates.len() && evaluated < budget {
-        // Assemble the next wave: fixed width, pruning against the
-        // incumbent as of the previous wave boundary.
-        let mut wave: Vec<usize> = Vec::new();
-        while idx < candidates.len() && wave.len() < WAVE && evaluated + wave.len() < budget {
-            if bounds[idx] > incumbent {
-                pruned += 1;
-            } else {
-                wave.push(idx);
-            }
-            idx += 1;
+    let mut next = 0usize;
+    // A floor above the incumbent proves its candidate, and every later
+    // one, loses; the incumbent is read at wave boundaries only.
+    let admits =
+        |next: usize, incumbent: f64| next < order.len() && floors[order[next]] <= incumbent;
+    while admits(next, incumbent) && priced.len() < cap {
+        let width = WAVE.min(cap - priced.len());
+        let start = next;
+        while next - start < width && admits(next, incumbent) {
+            next += 1;
         }
-        if wave.is_empty() {
-            continue;
-        }
+        let wave = &order[start..next];
         // Fan the wave out over the worker pool; each job writes its own
-        // slot, so the reduction below sees prices in candidate order no
+        // slot, so the reduction below sees prices in wave order no
         // matter which thread produced them.
         let mut prices = vec![(0.0, TimelineStats::default()); wave.len()];
         {
             let jobs: Vec<socflow_tensor::runtime::ScopedJob<'_>> = prices
                 .iter_mut()
-                .zip(&wave)
+                .zip(wave)
                 .map(|(slot, &ci)| {
                     let cand = candidates[ci];
                     Box::new(move || {
@@ -448,21 +449,31 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
             socflow_tensor::runtime::run_scoped(jobs);
         }
         for (&ci, &(price, work)) in wave.iter().zip(&prices) {
-            evaluated += 1;
             timeline += work;
             incumbent = incumbent.min(price);
-            ranked.push(PlanChoice {
-                candidate: candidates[ci],
-                predicted_s: price,
-                bound_s: bounds[ci],
-            });
+            priced.push((
+                ci,
+                PlanChoice {
+                    candidate: candidates[ci],
+                    predicted_s: price,
+                    bound_s: floors[ci],
+                },
+            ));
         }
     }
-    let skipped = candidates.len() - evaluated - pruned;
+    let evaluated = priced.len();
+    let rest = order.len() - next;
+    // stopped by a floor: the rest are proven losers; by the cap: unknown
+    let (pruned, skipped) = if admits(next, incumbent) {
+        (0, rest)
+    } else {
+        (rest, 0)
+    };
 
-    // Rank fastest-first; ties keep enumeration order (sort_by is
-    // stable), so the report is deterministic even on exact-tie prices.
-    ranked.sort_by(|a, b| a.predicted_s.total_cmp(&b.predicted_s));
+    // Rank fastest-first, equal prices in enumeration order, so neither
+    // the floor order nor the waves decide a tie.
+    priced.sort_by(|(ia, a), (ib, b)| a.predicted_s.total_cmp(&b.predicted_s).then(ia.cmp(ib)));
+    let ranked: Vec<PlanChoice> = priced.into_iter().map(|(_, c)| c).collect();
     TuneReport {
         ranked,
         default_plan,
@@ -521,21 +532,146 @@ mod tests {
         assert_eq!(space, report.evaluated + report.pruned + report.skipped);
     }
 
+    /// The floor holds over the tuner's own space: random models,
+    /// datasets, SoCFlow variants, cluster sizes and β sources, every
+    /// schedule of a random group count priced at or above its floor.
     #[test]
     fn lower_bound_never_exceeds_the_priced_time() {
-        let s = spec(12);
-        let lay = layout();
-        for cand in enumerate(&s, &TuneOptions::default())
-            .into_iter()
-            .step_by(7)
-        {
-            let bound = lower_bound(&s, cand.groups, cand.profiled_beta);
-            let priced = price_plan_uncached(&s, &lay, &cand);
-            assert!(
-                bound <= priced + 1e-9,
-                "bound {bound} > priced {priced} for {cand:?}"
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let presets = [
+            DatasetPreset::Cifar10,
+            DatasetPreset::CelebA,
+            DatasetPreset::FashionMnist,
+        ];
+        let cfg = SocFlowConfig::full();
+        let methods = [
+            MethodSpec::SocFlow(cfg),
+            MethodSpec::SocFlowInt8(cfg),
+            MethodSpec::SocFlowHalf(cfg),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xF100);
+        let mut min_slack = f64::INFINITY;
+        let mut pricings = 0;
+        for _ in 0..40 {
+            let model = ModelKind::ALL[rng.gen_range(0..ModelKind::ALL.len())];
+            let preset = presets[rng.gen_range(0..presets.len())];
+            let mut s = TrainJobSpec::new(model, preset, methods[rng.gen_range(0..methods.len())]);
+            s.socs = rng.gen_range(1..=60);
+            let opts = TuneOptions {
+                profiled_beta: rng.gen_bool(0.5).then(|| rng.gen_range(0.3..0.9)),
+                ..Default::default()
+            };
+            let geometry = preset.spec();
+            let lay = models::grad_layout(&model.layers(ModelConfig::new(
+                geometry.channels,
+                8,
+                geometry.classes,
+                0.25,
+            )));
+            let groups = rng.gen_range(1..=s.socs);
+            for cand in enumerate(&s, &opts)
+                .into_iter()
+                .filter(|c| c.groups == groups)
+            {
+                let floor = lower_bound(&s, groups, cand.profiled_beta);
+                let priced = price_plan_uncached(&s, &lay, &cand);
+                assert!(
+                    floor <= priced,
+                    "floor {floor} > priced {priced} for {cand:?} of {model} on {preset}, {} over {} SoCs",
+                    s.method.name(),
+                    s.socs
+                );
+                min_slack = min_slack.min((priced - floor) / priced);
+                pricings += 1;
+            }
+        }
+        println!("{pricings} pricings, min relative slack {min_slack:e}");
+    }
+
+    /// The search returns what pricing the whole space returns, bit for
+    /// bit, on every arm of `bench autotune --fast` (20 SoCs, hand-set 7
+    /// groups): the floors only ever prune losers.
+    #[test]
+    fn best_first_search_equals_exhaustive_pricing() {
+        let arms = [
+            (ModelKind::Vgg11, 0.22, None),
+            (ModelKind::ResNet18, 0.18, None),
+            (ModelKind::MobileNetV1, 0.22, None),
+            (ModelKind::Vgg11, 0.22, Some(0.62)),
+        ];
+        for (model, width, profiled_beta) in arms {
+            let mut s = TrainJobSpec::new(
+                model,
+                DatasetPreset::Cifar10,
+                MethodSpec::SocFlow(SocFlowConfig::with_groups(7)),
+            );
+            s.socs = 20;
+            let lay = models::grad_layout(&model.layers(ModelConfig::new(3, 32, 10, width)));
+            let opts = TuneOptions {
+                profiled_beta,
+                ..Default::default()
+            };
+            let report = autotune(&s, &lay, &opts);
+            let space = enumerate(&s, &opts);
+            assert_eq!(report.evaluated + report.pruned, space.len(), "{model}");
+            assert_eq!(report.skipped, 0, "{model}");
+
+            // the fastest candidate, equal prices in enumeration order,
+            // and the default plan unless something beats it
+            let mut best = report.default_plan.candidate;
+            let mut best_s = report.default_plan.predicted_s;
+            let mut top: Option<(PlanCandidate, f64)> = None;
+            for cand in space {
+                let price = price_plan_uncached(&s, &lay, &cand);
+                if top.is_none_or(|(_, t)| price < t) {
+                    top = Some((cand, price));
+                }
+            }
+            if let Some((cand, price)) = top.filter(|&(_, t)| t < best_s) {
+                (best, best_s) = (cand, price);
+            }
+            assert_eq!(report.best().candidate, best, "{model} {profiled_beta:?}");
+            assert_eq!(
+                report.best().predicted_s.to_bits(),
+                best_s.to_bits(),
+                "{model}"
             );
         }
+    }
+
+    /// In `tune --model resnet18 --socs 60`'s space, 12 groups interleaved
+    /// and 12 groups wait-free at 32768 KiB price to the same bits. The
+    /// plan enumerated first wins the tie: neither the floor order nor the
+    /// wave a candidate is priced in may decide it.
+    #[test]
+    fn a_price_tie_goes_to_the_earlier_enumerated_plan() {
+        let mut s = TrainJobSpec::new(
+            ModelKind::ResNet18,
+            DatasetPreset::Cifar10,
+            MethodSpec::SocFlow(SocFlowConfig::full()),
+        );
+        s.socs = 60;
+        let lay = models::grad_layout(
+            &s.model
+                .layers(crate::engine::Workload::model_config(&s, 8, 0.18)),
+        );
+        let plan = |schedule, bucket_kb| PlanCandidate {
+            groups: 12,
+            schedule,
+            bucket_kb,
+            profiled_beta: None,
+        };
+        let interleaved = plan(SyncSchedule::Interleaved, None);
+        let wait_free = plan(SyncSchedule::WaitFree, Some(32768));
+        assert_eq!(
+            price_plan(&s, &lay, &interleaved).to_bits(),
+            price_plan(&s, &lay, &wait_free).to_bits()
+        );
+        let report = autotune(&s, &lay, &TuneOptions::default());
+        let top: Vec<PlanCandidate> = report.ranked[..2].iter().map(|c| c.candidate).collect();
+        assert_eq!(top, [interleaved, wait_free]);
+        assert_eq!(report.best().candidate, interleaved);
     }
 
     #[test]

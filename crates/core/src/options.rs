@@ -92,8 +92,9 @@ pub enum Plan {
     /// the timeline it was tuned against, and a wait-free winner carries
     /// its bucket size and β source into the engine.
     Auto {
-        /// Max candidates priced on the timeline (`--auto-budget`).
-        budget: usize,
+        /// Optional cap on candidates priced on the timeline
+        /// (`--auto-budget`); `None` searches the space to its optimum.
+        budget: Option<usize>,
     },
 }
 
@@ -320,7 +321,7 @@ mod tests {
             ),
             (
                 RunOptions::default(),
-                Plan::Auto { budget: 8 },
+                Plan::Auto { budget: None },
                 "--auto (and `tune`)",
             ),
         ]

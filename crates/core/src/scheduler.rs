@@ -204,9 +204,8 @@ impl GlobalScheduler {
     /// telemetry: one [`Event::PlanEvaluated`] per priced candidate (in
     /// ranked order) and a closing [`Event::PlanChosen`]. Does not train —
     /// [`Self::run`] calls this under [`Plan::Auto`], and `socflow-cli
-    /// tune` calls it directly for the ranked table. The budget is
-    /// [`Plan::Auto`]'s ([`crate::autotune::DEFAULT_BUDGET`] under
-    /// [`Plan::Fixed`]).
+    /// tune` calls it directly for the ranked table. The pricing cap is
+    /// [`Plan::Auto`]'s (none under [`Plan::Fixed`]).
     ///
     /// # Panics
     /// Panics with the [`RunOptions::validate`] message if the options do
@@ -270,7 +269,7 @@ pub fn tune_job(
     let layout = models::grad_layout(&spec.model.layers(model_cfg));
     let opts = crate::autotune::TuneOptions {
         budget: match plan {
-            Plan::Auto { budget } => Some(budget),
+            Plan::Auto { budget } => budget,
             Plan::Fixed => None,
         },
         profiled_beta: options.profiled_beta,
@@ -362,7 +361,7 @@ mod tests {
             }
         }
         let s = spec(method);
-        let plan = Plan::Auto { budget: 8 };
+        let plan = Plan::Auto { budget: None };
         let sched = GlobalScheduler::new(
             s,
             Workload::standard(&s, 64, 8, 0.5),
@@ -593,7 +592,7 @@ mod tests {
                 sink: Some(sink.clone()),
                 ..RunOptions::default()
             },
-            Plan::Auto { budget: 8 },
+            Plan::Auto { budget: Some(8) },
         )
         .run();
         assert_eq!(r.epoch_accuracy.len(), 2);
@@ -631,7 +630,7 @@ mod tests {
         let s = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         let w = Workload::standard(&s, 128, 8, 0.5);
         let plain = GlobalScheduler::new(s, w.clone(), RunOptions::default(), Plan::Fixed).run();
-        let sched = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Auto { budget: 16 });
+        let sched = GlobalScheduler::new(s, w, RunOptions::default(), Plan::Auto { budget: None });
         let report = sched.tune();
         let tuned = sched.run();
         if report.best().candidate.groups == 2 {

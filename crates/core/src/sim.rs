@@ -36,13 +36,18 @@
 //! broadcast, cross-group shuffle — run as sequential flow batches on the
 //! same timeline, and the per-link bytes the timeline accumulated become
 //! the per-link-class utilization report.
+//!
+//! The slots' ring flows and the boundary batches are built by one pair of
+//! helpers that [`TimeModel::socflow_epoch_lower_bound`] shares, so the
+//! floor the plan search prunes by reads the very flow sets this module
+//! simulates.
 
 use crate::mapping::{GroupId, Mapping};
-use crate::planning::CommunicationGroups;
+use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::Breakdown;
 use crate::timemodel::{EpochCost, TimeModel};
 use socflow_cluster::{
-    calibration, Flow, FluidTimeline, LinkClassUtil, PowerState, Route, Seconds,
+    calibration, ClusterNet, Flow, FluidTimeline, LinkClassUtil, PowerState, Route, Seconds,
 };
 use std::fmt;
 
@@ -197,6 +202,7 @@ struct SlotState {
 
 /// One epoch-boundary flow batch (a leader-ring step, the broadcast, or
 /// the shuffle).
+#[derive(Clone, Copy)]
 struct BoundaryPhase {
     kind: &'static str,
     route: Route,
@@ -278,6 +284,66 @@ impl TimeModel {
         };
         simulate_socflow_schedule(self, mapping, cgs, planning, schedule, cpu_fraction)
     }
+
+    /// A floor under the price of one SoCFlow epoch over `mapping` with
+    /// its CGs as sync slots, valid for the serial, interleaved and
+    /// wait-free schedules alike:
+    ///
+    /// `(iters · max_g(max(c_g, sync_s(g)) + u) + boundary) · (1 − 1e-9)`
+    ///
+    /// - An iteration of group `g` holds its compute `c_g` and its slot's
+    ///   whole sync for that iteration: sync is released no earlier than
+    ///   the iteration begins, and the update `u` waits for both.
+    /// - `sync_s` is the larger of `steps · λ` (a sync is `steps`
+    ///   sequential ring batches, each waiting its latency λ before its
+    ///   flows join) and `steps ·` the busiest link's bytes over its
+    ///   capacity for one step's ring flows (no link moves faster than
+    ///   its capacity, and wait-free buckets split the bytes exactly).
+    /// - `boundary` is the standalone time of the leader ring, broadcast
+    ///   and shuffle, which run on an idle network after the last update.
+    ///
+    /// The margin covers the rounding of the timeline's clock. The plan
+    /// autotuner ([`crate::autotune`]) prices candidates in order of this
+    /// floor and stops at the first one above its incumbent.
+    pub fn socflow_epoch_lower_bound(&self, mapping: &Mapping, cpu_fraction: f64) -> Seconds {
+        let n_groups = mapping.num_groups();
+        if n_groups == 0 {
+            return 0.0;
+        }
+        let wire = self.wire_bytes(cpu_fraction);
+        let update = self.update_time();
+        let (cgs, _) = divide_or_serialize(mapping);
+        let mut period: Seconds = 0.0;
+        for cg in &cgs.cgs {
+            let ring = slot_ring(self, mapping, cg.iter().map(|g| g.0).collect(), wire);
+            let steps = ring.steps as f64;
+            let sync = (steps * ring.latency).max(steps * self.net().drain_floor(&ring.flows));
+            for &g in &ring.groups {
+                let compute = self.group_compute_time(mapping.group(GroupId(g)), cpu_fraction);
+                period = period.max(compute.max(sync) + update);
+            }
+        }
+        let boundary: Seconds = boundary_batches(self, mapping, wire)
+            .iter()
+            .map(|b| b.repeat as f64 * standalone_time(self.net(), &b.flows, b.latency))
+            .sum();
+        (epoch_iters(self, n_groups) as f64 * period + boundary) * (1.0 - 1e-9)
+    }
+}
+
+/// Iterations per epoch: each of `n_groups` groups takes one batch per
+/// iteration.
+fn epoch_iters(tm: &TimeModel, n_groups: usize) -> usize {
+    ((tm.ref_samples() as f64 / (n_groups as f64 * tm.batch() as f64)).ceil() as usize).max(1)
+}
+
+/// The time one flow batch takes alone on an idle network: its latency,
+/// then its flows' max-min drain.
+fn standalone_time(net: &ClusterNet, flows: &[Flow], latency: Seconds) -> Seconds {
+    let mut tl = FluidTimeline::new(net);
+    tl.start_flows(flows, latency);
+    while tl.advance().is_some() {}
+    tl.now()
 }
 
 /// How the event-driven simulation schedules sync against compute.
@@ -314,33 +380,80 @@ fn step_latency(tm: &TimeModel, flows: &[Flow]) -> Seconds {
     }
 }
 
-/// Builds the ordered epoch-boundary phases, resolved on `tl`: `2(L−1)`
-/// leader-ring steps, the weight broadcast, the cross-group data shuffle.
-/// Degenerate phases (single leader, singleton groups, lone participant)
-/// are omitted, like in the analytic model.
-fn boundary_phases(
-    tm: &TimeModel,
-    tl: &mut FluidTimeline<'_>,
-    mapping: &Mapping,
-    wire: f64,
-) -> Vec<BoundaryPhase> {
-    let mut plan = Vec::new();
+/// One sync slot's ring, as both the simulator and the floor see it.
+struct SlotRing {
+    /// Member logical groups.
+    groups: Vec<usize>,
+    /// The identical flow set of every ring step (empty ⇒ instant sync):
+    /// each syncing member group's member→successor chunks.
+    flows: Vec<Flow>,
+    /// Ring steps per sync (max over member groups of `2(n−1)`; 0 with no
+    /// flows).
+    steps: usize,
+    /// Protocol latency per step (intra- vs inter-board).
+    latency: Seconds,
+}
+
+/// The ring of the slot holding `groups`, each syncing member sending
+/// `wire` bytes per iteration.
+fn slot_ring(tm: &TimeModel, mapping: &Mapping, groups: Vec<usize>, wire: f64) -> SlotRing {
+    let steps = groups
+        .iter()
+        .map(|&g| mapping.group(GroupId(g)).len())
+        .filter(|&n| n >= 2)
+        .map(|n| 2 * (n - 1))
+        .max()
+        .unwrap_or(0);
+    let flows: Vec<Flow> = groups
+        .iter()
+        .flat_map(|&g| {
+            let members = mapping.group(GroupId(g));
+            let n = members.len();
+            let chunk = if n >= 2 { wire / n as f64 } else { 0.0 };
+            (0..n)
+                .filter(move |_| n >= 2)
+                .map(move |i| Flow::new(members[i], members[(i + 1) % n], chunk))
+        })
+        .collect();
+    SlotRing {
+        latency: step_latency(tm, &flows),
+        steps: if flows.is_empty() { 0 } else { steps },
+        flows,
+        groups,
+    }
+}
+
+/// `repeat` identical epoch-boundary flow batches, each waiting `latency`
+/// before its flows join.
+struct BoundaryBatch {
+    kind: &'static str,
+    flows: Vec<Flow>,
+    latency: Seconds,
+    repeat: usize,
+}
+
+/// The ordered epoch-boundary batches: `2(L−1)` leader-ring steps, the
+/// weight broadcast, the cross-group data shuffle. Degenerate phases
+/// (single leader, singleton groups, lone participant) are omitted, like
+/// in the analytic model.
+fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<BoundaryBatch> {
+    let mut batches = Vec::new();
+    let mut push = |kind, flows: Vec<Flow>, repeat| {
+        batches.push(BoundaryBatch {
+            kind,
+            latency: step_latency(tm, &flows),
+            flows,
+            repeat,
+        })
+    };
     let leaders = mapping.leaders();
     let l = leaders.len();
     if l >= 2 && wire > 0.0 {
         let chunk = wire / l as f64;
-        let flows: Vec<Flow> = (0..l)
+        let flows = (0..l)
             .map(|i| Flow::new(leaders[i], leaders[(i + 1) % l], chunk))
             .collect();
-        let latency = step_latency(tm, &flows);
-        let route = tl.route(&flows);
-        for _ in 0..2 * (l - 1) {
-            plan.push(BoundaryPhase {
-                kind: "leader_ring",
-                route,
-                latency,
-            });
-        }
+        push("leader_ring", flows, 2 * (l - 1));
     }
     let bcast: Vec<Flow> = mapping
         .groups()
@@ -351,12 +464,7 @@ fn boundary_phases(
         })
         .collect();
     if !bcast.is_empty() {
-        let latency = step_latency(tm, &bcast);
-        plan.push(BoundaryPhase {
-            kind: "broadcast",
-            route: tl.route(&bcast),
-            latency,
-        });
+        push("broadcast", bcast, 1);
     }
     let mut participants: Vec<socflow_cluster::SocId> =
         mapping.groups().iter().flatten().copied().collect();
@@ -364,7 +472,7 @@ fn boundary_phases(
     let n_part = participants.len();
     if n_part >= 2 {
         let shard = tm.ref_samples() as f64 / n_part as f64 * tm.sample_bytes();
-        let flows: Vec<Flow> = (0..n_part)
+        let flows = (0..n_part)
             .map(|i| {
                 Flow::new(
                     participants[i],
@@ -373,12 +481,26 @@ fn boundary_phases(
                 )
             })
             .collect();
-        let latency = step_latency(tm, &flows);
-        plan.push(BoundaryPhase {
-            kind: "shuffle",
-            route: tl.route(&flows),
-            latency,
-        });
+        push("shuffle", flows, 1);
+    }
+    batches
+}
+
+/// The epoch-boundary phases in order, each batch resolved once on `tl`.
+fn boundary_phases(
+    tm: &TimeModel,
+    tl: &mut FluidTimeline<'_>,
+    mapping: &Mapping,
+    wire: f64,
+) -> Vec<BoundaryPhase> {
+    let mut plan = Vec::new();
+    for b in boundary_batches(tm, mapping, wire) {
+        let phase = BoundaryPhase {
+            kind: b.kind,
+            route: tl.route(&b.flows),
+            latency: b.latency,
+        };
+        plan.extend(std::iter::repeat_n(phase, b.repeat));
     }
     plan
 }
@@ -410,8 +532,7 @@ pub fn simulate_socflow_schedule(
             bucket_flushes: Vec::new(),
         };
     }
-    let iters =
-        ((tm.ref_samples() as f64 / (n_groups as f64 * tm.batch() as f64)).ceil() as usize).max(1);
+    let iters = epoch_iters(tm, n_groups);
 
     // Per-group compute time: underclocking-aware re-balanced shares, the
     // slower of the CPU-FP32 and NPU-INT8 halves of the split batch.
@@ -433,40 +554,24 @@ pub fn simulate_socflow_schedule(
     };
     // every flow set the epoch admits is resolved once, on its timeline
     let mut tl = FluidTimeline::new(tm.net());
-    let wire = if cpu_fraction < 1.0 {
-        tm.payload() * calibration::INT8_WIRE_FRACTION
-    } else {
-        tm.payload()
-    };
+    let wire = tm.wire_bytes(cpu_fraction);
     let slots: Vec<SlotState> = slot_groups
         .into_iter()
         .map(|gs| {
-            let steps = gs
-                .iter()
-                .map(|&g| mapping.group(GroupId(g)).len())
-                .filter(|&n| n >= 2)
-                .map(|n| 2 * (n - 1))
-                .max()
-                .unwrap_or(0);
-            let flows: Vec<Flow> = gs
-                .iter()
-                .flat_map(|&g| {
-                    let members = mapping.group(GroupId(g));
-                    let n = members.len();
-                    let chunk = if n >= 2 { wire / n as f64 } else { 0.0 };
-                    (0..n)
-                        .filter(move |_| n >= 2)
-                        .map(move |i| Flow::new(members[i], members[(i + 1) % n], chunk))
-                })
-                .collect();
-            SlotState {
-                latency: step_latency(tm, &flows),
-                steps: if flows.is_empty() { 0 } else { steps },
-                route: tl.route(&flows),
+            let SlotRing {
+                groups,
                 flows,
+                steps,
+                latency,
+            } = slot_ring(tm, mapping, gs, wire);
+            SlotState {
+                route: tl.route(&flows),
+                groups,
+                flows,
+                steps,
+                latency,
                 ready_count: vec![0; iters],
                 done: vec![false; iters],
-                groups: gs,
             }
         })
         .collect();
@@ -1076,7 +1181,7 @@ mod tests {
         let cgs = divide_communication_groups(&mapping).unwrap();
         let wf = simulate_socflow_schedule(&m, &mapping, &cgs, true, SyncSchedule::WaitFree, 1.0);
         // every group syncs the full FP32 payload in this mapping
-        let slot_wire = m.payload() * 12.0;
+        let slot_wire = m.wire_bytes(1.0) * 12.0;
         let first_iter: Vec<f64> = wf.bucket_flushes[..n_buckets]
             .iter()
             .map(|f| f.bytes)

@@ -201,14 +201,19 @@ impl TimeModel {
         self.batch
     }
 
-    /// FP32 gradient/weight payload of the reference model, bytes.
-    pub(crate) fn payload(&self) -> f64 {
-        self.payload
-    }
-
     /// Bytes of one input sample on the wire.
     pub(crate) fn sample_bytes(&self) -> f64 {
         self.sample_bytes
+    }
+
+    /// Bytes one group member syncs per iteration: the reference model's
+    /// FP32 payload, or its INT8 (+scales) form in mixed-precision mode.
+    pub(crate) fn wire_bytes(&self, cpu_fraction: f64) -> f64 {
+        if cpu_fraction < 1.0 {
+            self.payload * calibration::INT8_WIRE_FRACTION
+        } else {
+            self.payload
+        }
     }
 
     /// Per-batch compute time of one logical group: re-balancing gives
@@ -473,12 +478,7 @@ impl TimeModel {
         } else {
             vec![(0..n_groups).map(crate::mapping::GroupId).collect()]
         };
-        // mixed-precision mode transmits merged weights in INT8 (+scales)
-        let wire = if cpu_fraction < 1.0 {
-            self.payload * calibration::INT8_WIRE_FRACTION
-        } else {
-            self.payload
-        };
+        let wire = self.wire_bytes(cpu_fraction);
         let cg_syncs: Vec<Seconds> = slots
             .iter()
             .map(|slot| self.joint_ring_time(mapping, slot, wire))
@@ -546,28 +546,6 @@ impl TimeModel {
             // delayed aggregation: leader ring + broadcast + shuffle
             aggregation: epoch_sync,
         }
-    }
-
-    /// Analytic lower bound on one SoCFlow epoch over `mapping`, valid for
-    /// *every* sync schedule the simulator can produce. Within each
-    /// group's iteration stream, the compute span and the weight update
-    /// are serial no matter how sync is scheduled against them (Eq. 1's
-    /// compute and update terms survive unchanged in the event-driven
-    /// model), so `iters × (max_g compute_g + update)` under-estimates
-    /// serial, interleaved and wait-free epochs alike — sync slots,
-    /// boundary aggregation and stalls only ever add time. The plan
-    /// autotuner ([`crate::autotune`]) prunes candidates whose bound
-    /// already exceeds the incumbent without paying for a simulation.
-    pub fn socflow_epoch_lower_bound(&self, mapping: &Mapping, cpu_fraction: f64) -> Seconds {
-        let n_groups = mapping.num_groups();
-        if n_groups == 0 {
-            return 0.0;
-        }
-        let iters = (self.ref_samples as f64 / (n_groups as f64 * self.batch as f64))
-            .ceil()
-            .max(1.0);
-        let compute = self.slowest_group_compute(mapping, cpu_fraction);
-        iters * (compute + self.update_time())
     }
 
     /// Stall charged when a SoC *crashes*: the survivors reload the latest

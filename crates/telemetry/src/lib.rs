@@ -320,8 +320,8 @@ pub enum Event {
     },
     /// The plan autotuner committed to a winner: the chosen plan, its
     /// predicted epoch seconds against the default plan's, and the search
-    /// totals (`evaluated` candidates priced, `pruned` cut by the
-    /// analytic lower bound, `skipped` left unpriced by the budget).
+    /// totals (`evaluated` candidates priced, `pruned` cut by the epoch
+    /// floor, `skipped` left unpriced by a pricing cap).
     PlanChosen {
         groups: usize,
         schedule: String,
@@ -525,12 +525,12 @@ pub struct Summary {
     pub rate_regroups: usize,
     /// Autotuner counters (`--auto` / `tune` traces only, all 0/None
     /// otherwise): candidates priced on the timeline, candidates cut by
-    /// the analytic lower bound, and candidates left unpriced by the
-    /// evaluation budget ([`Event::PlanEvaluated`] / [`Event::PlanChosen`]).
+    /// the epoch floor, and candidates left unpriced by a pricing cap
+    /// ([`Event::PlanEvaluated`] / [`Event::PlanChosen`]).
     pub plans_evaluated: usize,
-    /// Candidates pruned by the lower bound before pricing.
+    /// Candidates pruned by the epoch floor before pricing.
     pub plans_pruned: usize,
-    /// Candidates skipped when the evaluation budget ran out.
+    /// Candidates skipped when a pricing cap ran out.
     pub plans_skipped: usize,
     /// Predicted default-plan / chosen-plan epoch-time ratio (>1 means
     /// the tuned plan is predicted faster); 0 when no plan was chosen.

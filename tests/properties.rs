@@ -886,8 +886,8 @@ proptest! {
     /// The search is byte-deterministic across worker-pool sizes: the
     /// full ranked report at an 8-worker pool equals the 1-worker report
     /// bit-for-bit — candidate evaluation fans out over the pool but is
-    /// reduced in fixed candidate order, so the incumbent (and with it
-    /// every pruning decision) never depends on thread scheduling. CI
+    /// reduced in fixed wave order, so the incumbent (and with it every
+    /// pruning decision) never depends on thread scheduling. CI
     /// additionally `cmp`s `tune --json` output across SOCFLOW_THREADS
     /// values cross-process, where the plan memo starts cold each time.
     #[test]
