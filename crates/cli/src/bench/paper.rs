@@ -15,9 +15,8 @@
 //! quantities no trained network enters (Figs. 3, 4(a), 4(b), 11, the FP32
 //! arms of Fig. 13, extensions B–D) are priced with the time model directly.
 
-use super::{col, plan_groups, print_table, Cell};
+use super::{no_later, plan_groups, push, push_arm, ratio, Row};
 use crate::commands::default_width;
-use serde::Serialize;
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::mapping::sequential;
 use socflow::mixed::MixedPrecisionController;
@@ -137,11 +136,6 @@ const TARGET_OF_BEST: f64 = 0.95;
 /// that dominates these epochs about 3×, synchronization not at all.
 const GEN1_EPOCH_SPEEDUP: f64 = 2.5;
 
-/// Ordering rows that do not hold at the committed size. They stay in the
-/// document as reported rows (`holds` unset, so the gate passes them by)
-/// and EXPERIMENTS.md explains each under "Known gaps".
-const KNOWN_GAPS: [&str; 1] = ["fig10/LeNet5-FMNIST/ours_slimmest_lead"];
-
 /// Positions in [`comparison_methods`]' legend order.
 const RING: usize = 1;
 const HIPRESS: usize = 2;
@@ -149,85 +143,9 @@ const TWO_D: usize = 3;
 const FEDAVG: usize = 4;
 const OURS: usize = 6;
 
-/// One measured quantity of one experiment.
-#[derive(Serialize)]
-pub(super) struct PaperRow {
-    /// `<experiment>/<workload>/<quantity>`, unique in the document.
-    id: String,
-    workload: String,
-    quantity: String,
-    /// The paper's value (`lo == hi`), range, or one-sided bound.
-    paper_lo: Option<f64>,
-    paper_hi: Option<f64>,
-    /// `None` when this run has no such quantity (a target never reached).
-    measured: Option<f64>,
-    unit: &'static str,
-    /// Set on the paper's ordering claims: does this run keep the order?
-    holds: Option<bool>,
-}
-
-impl PaperRow {
-    fn paper(&mut self, lo: impl Into<Option<f64>>, hi: impl Into<Option<f64>>) -> &mut Self {
-        (self.paper_lo, self.paper_hi) = (lo.into(), hi.into());
-        self
-    }
-
-    fn holds(&mut self, holds: bool) {
-        if !KNOWN_GAPS.contains(&self.id.as_str()) {
-            self.holds = Some(holds);
-        }
-    }
-
-    fn cells(&self) -> Vec<Cell> {
-        let num = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
-        let paper = match (self.paper_lo, self.paper_hi) {
-            (None, None) => String::new(),
-            (lo, hi) if lo == hi => num(lo),
-            (lo, hi) => format!("{}..{}", num(lo), num(hi)),
-        };
-        let order = match self.holds {
-            None => "",
-            Some(true) => "holds",
-            Some(false) => "BROKEN",
-        };
-        vec![
-            col("id", -50, &self.id),
-            col("paper", 16, paper),
-            col("measured", 12, num(self.measured)),
-            col("unit", -7, self.unit),
-            col("order", -6, order),
-        ]
-    }
-}
-
-#[derive(Serialize)]
-pub(super) struct PaperDoc {
-    epochs: usize,
-    samples: usize,
-    target_of_best: f64,
-    /// Training runs the experiments asked for, and how many the
-    /// per-workload comparisons had to execute.
-    runs_requested: usize,
-    runs_trained: usize,
-    results: Vec<PaperRow>,
-}
-
-/// `Err` naming every ordering row that does not hold.
-pub(super) fn gate(rows: &[PaperRow]) -> Result<(), String> {
-    let broken: Vec<String> = rows
-        .iter()
-        .filter(|r| r.holds == Some(false))
-        .map(|r| format!("{} (measured {:?} {})", r.id, r.measured, r.unit))
-        .collect();
-    if broken.is_empty() {
-        return Ok(());
-    }
-    Err(format!("paper ordering broken: {}", broken.join(", ")))
-}
-
-/// Runs the suite: every experiment in DESIGN.md §3 order, the table, then
-/// the gate.
-pub(super) fn paper(fast: bool) -> Result<PaperDoc, String> {
+/// Runs the suite: the `paper/setup/*` rows, then every experiment in
+/// DESIGN.md §3 order.
+pub(super) fn paper(fast: bool) -> Vec<Row> {
     let mut p = Paper::new(if fast { &FAST } else { &FULL });
     p.fig3();
     p.fig4();
@@ -241,19 +159,21 @@ pub(super) fn paper(fast: bool) -> Result<PaperDoc, String> {
     p.ext_colocation();
     p.ext_underclock();
     p.ext_design_space();
-    print_table(&p.rows, PaperRow::cells);
+    // training runs the experiments asked for, and how many the
+    // per-workload comparisons had to execute
     let counts = p.comparisons.values().map(Comparison::counts);
     let (runs_requested, runs_trained) = counts.fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1));
-    println!("\n{runs_requested} training runs asked for, {runs_trained} trained");
-    gate(&p.rows)?;
-    Ok(PaperDoc {
-        epochs: p.size.epochs,
-        samples: p.size.samples,
-        target_of_best: TARGET_OF_BEST,
-        runs_requested,
-        runs_trained,
-        results: p.rows,
-    })
+    let mut rows = Vec::new();
+    let setup = [
+        ("epochs", p.size.epochs as f64, "epochs"),
+        ("samples", p.size.samples as f64, "samples"),
+        ("target_of_best", TARGET_OF_BEST, "ratio"),
+        ("runs_requested", runs_requested as f64, "runs"),
+        ("runs_trained", runs_trained as f64, "runs"),
+    ];
+    push_arm(&mut rows, "paper/setup", setup);
+    rows.extend(p.rows);
+    rows
 }
 
 /// SoCFlow as the comparisons run it: `groups` logical groups in the
@@ -278,28 +198,12 @@ fn fresh_epoch(tm: &TimeModel, socs: usize, groups: usize) -> EpochCost {
         .cost
 }
 
-/// Simulated times this close, relative to the larger, are one time: the
-/// timeline's step-by-step arithmetic (held bit for bit, DESIGN.md
-/// "Event-driven timeline") can put two epochs that cost the same in exact
-/// arithmetic a few ULP apart, either way round.
-const SIM_TIE: f64 = 1e-9;
-
-/// `a <= b` on the simulated clock, a tie within [`SIM_TIE`] included.
-fn no_later(a: f64, b: f64) -> bool {
-    a <= b + SIM_TIE * a.abs().max(b.abs())
-}
-
 fn pct(r: &RunResult) -> f64 {
     r.best_accuracy() as f64 * 100.0
 }
 
 fn hours(seconds: f64) -> f64 {
     seconds / 3600.0
-}
-
-/// `a / b` when both exist.
-fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    Some(a? / b?)
 }
 
 /// The shared convergence target of one seven-method comparison.
@@ -312,7 +216,7 @@ fn target(runs: &[RunResult]) -> f32 {
 struct Paper {
     size: &'static Size,
     comparisons: BTreeMap<&'static str, Comparison>,
-    rows: Vec<PaperRow>,
+    rows: Vec<Row>,
 }
 
 impl Paper {
@@ -330,20 +234,8 @@ impl Paper {
         id: String,
         measured: impl Into<Option<f64>>,
         unit: &'static str,
-    ) -> &mut PaperRow {
-        let mut parts = id.split('/').skip(1).map(str::to_string);
-        let (workload, quantity) = (parts.next(), parts.next());
-        self.rows.push(PaperRow {
-            workload: workload.expect("a workload in the id"),
-            quantity: quantity.expect("a quantity in the id"),
-            id,
-            paper_lo: None,
-            paper_hi: None,
-            measured: measured.into(),
-            unit,
-            holds: None,
-        });
-        self.rows.last_mut().expect("just pushed")
+    ) -> &mut Row {
+        push(&mut self.rows, id, measured, unit)
     }
 
     /// The job of `d` under `method` on `socs` SoCs.
@@ -759,8 +651,9 @@ impl Paper {
 }
 
 /// What the table-driven suite test asks of a `paper` document beyond the
-/// envelope: a row for every experiment of DESIGN.md §3 bar `micro` and
-/// the theorems, unique ids, and no ordering row that does not hold.
+/// envelope and unique ids: a row for every experiment of DESIGN.md §3 bar
+/// `micro` and the theorems, no id outside them and `paper/setup`, and no
+/// ordering row that does not hold.
 #[cfg(test)]
 pub(super) fn assert_rows_cover_every_experiment(results: &[serde_json::Value]) {
     let experiments = [
@@ -775,8 +668,11 @@ pub(super) fn assert_rows_cover_every_experiment(results: &[serde_json::Value]) 
         let prefix = format!("{experiment}/");
         assert!(ids.iter().any(|id| id.starts_with(&prefix)), "{experiment}");
     }
-    let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
-    assert_eq!(unique.len(), ids.len(), "row ids repeat");
+    let known = |id: &&str| {
+        let head = id.split('/').next();
+        id.starts_with("paper/setup/") || experiments.iter().any(|&e| head == Some(e))
+    };
+    assert_eq!(ids.iter().find(|id| !known(id)), None);
     let orderings: Vec<bool> = results
         .iter()
         .filter_map(|r| r.get("holds").as_bool())
@@ -787,6 +683,7 @@ pub(super) fn assert_rows_cover_every_experiment(results: &[serde_json::Value]) 
 
 #[cfg(test)]
 mod tests {
+    use super::super::{gate, write_json};
     use super::*;
 
     /// A broken ordering reaches `write_json` as the suite's `Err`: exit 1
@@ -803,7 +700,7 @@ mod tests {
         let path = std::env::temp_dir().join("socflow_bench_broken_ordering.json");
         std::fs::remove_file(&path).ok();
         let gated = || gate(&p.rows).map(|()| serde_json::Value::Null);
-        let err = super::super::write_json(path.to_str().unwrap(), gated).unwrap_err();
+        let err = write_json(path.to_str().unwrap(), gated).unwrap_err();
         assert!(err.contains("fig12/VGG11/ring_hipress_2d_margin"), "{err}");
         assert!(!err.contains("fig13"), "{err}");
         assert!(!path.exists(), "no file for a failed gate");

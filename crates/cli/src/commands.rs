@@ -393,37 +393,28 @@ pub fn train(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// A priced plan as `bench autotune --json` reports it, and (with the
-/// candidate's epoch floor appended) as `tune --json` does.
+/// `tune --json`'s plan object: the candidate, its predicted epoch seconds
+/// and `bound_s`, the epoch floor it was ordered and admitted by.
 #[derive(Serialize)]
-pub struct PlanJson {
-    pub groups: usize,
-    pub schedule: &'static str,
-    pub bucket_kb: Option<usize>,
-    pub profiled_beta: Option<f64>,
-    pub predicted_s: f64,
+struct PlanJson {
+    groups: usize,
+    schedule: &'static str,
+    bucket_kb: Option<usize>,
+    profiled_beta: Option<f64>,
+    predicted_s: f64,
+    bound_s: f64,
 }
 
-impl From<&PlanChoice> for PlanJson {
-    fn from(c: &PlanChoice) -> Self {
-        Self {
-            groups: c.candidate.groups,
-            schedule: c.candidate.schedule_name(),
-            bucket_kb: c.candidate.bucket_kb,
-            profiled_beta: c.candidate.profiled_beta,
-            predicted_s: c.predicted_s,
-        }
-    }
-}
-
-/// `tune --json`'s plan object: [`PlanJson`] plus `bound_s`, the epoch
-/// floor the candidate was ordered and admitted by.
 fn plan_choice_json(c: &PlanChoice) -> serde_json::Value {
-    let mut plan = PlanJson::from(c).to_json();
-    if let serde_json::Value::Object(fields) = &mut plan {
-        fields.push(("bound_s".into(), c.bound_s.to_json()));
+    PlanJson {
+        groups: c.candidate.groups,
+        schedule: c.candidate.schedule_name(),
+        bucket_kb: c.candidate.bucket_kb,
+        profiled_beta: c.candidate.profiled_beta,
+        predicted_s: c.predicted_s,
+        bound_s: c.bound_s,
     }
-    plan
+    .to_json()
 }
 
 /// `socflow-cli tune`: search the parallelization-plan space and print the
