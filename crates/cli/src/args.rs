@@ -195,8 +195,16 @@ impl Options {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        if o.socs == 0 {
-            return Err("--socs must be positive".into());
+        let counts = [
+            ("--socs", o.socs),
+            ("--samples", o.samples),
+            ("--epochs", o.epochs),
+            ("--servers", o.servers),
+            ("--jobs", o.jobs),
+            ("--horizon", o.horizon),
+        ];
+        if let Some((flag, _)) = counts.iter().find(|&&(_, n)| n == 0) {
+            return Err(format!("{flag} must be positive"));
         }
         if o.socs > MAX_SOCS {
             return Err(format!("--socs must be at most {MAX_SOCS}"));
@@ -219,15 +227,6 @@ impl Options {
         }
         if o.auto && o.pricing != Pricing::Timeline {
             return Err("--auto picks the schedule itself; drop --overlap/--bucket-kb".into());
-        }
-        if o.servers == 0 {
-            return Err("--servers must be positive".into());
-        }
-        if o.jobs == 0 {
-            return Err("--jobs must be positive".into());
-        }
-        if o.horizon == 0 {
-            return Err("--horizon must be positive".into());
         }
         if !o.streaming {
             let defaults = Options::default();
@@ -435,6 +434,10 @@ mod tests {
             "auto picks the schedule"
         );
         assert!(parse(&["--auto", "--overlap", "--bucket-kb", "64"]).is_err());
+        // β under the search is `RunOptions::validate`'s rule, which `train`
+        // and `tune` share; the parser leaves it to that one place
+        let b = parse(&["--auto", "--profiled-beta", "0.62"]).unwrap();
+        assert!(b.auto && b.profiled_beta == Some(0.62));
     }
 
     #[test]
@@ -445,6 +448,9 @@ mod tests {
     #[test]
     fn rejects_bad_number() {
         assert!(parse(&["--epochs", "lots"]).is_err());
+        assert!(parse(&["--epochs", "0"]).is_err());
+        assert!(parse(&["--samples", "0"]).is_err());
+        assert!(parse(&["--samples", "1", "--epochs", "1"]).is_ok());
     }
 
     #[test]

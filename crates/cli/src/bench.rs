@@ -1118,13 +1118,8 @@ fn streaming(fast: bool) -> Vec<Row> {
     rows
 }
 
-/// The β that `bench kernels` measured on the reference machine:
-/// `profiled_beta` of the committed `BENCH_kernels.json`, to four decimals
-/// (a unit test holds the two together).
-const REFERENCE_BETA: f64 = 0.6200;
-
-/// Runs the plan-space search for the three bundled model families (plus
-/// a profiled-β arm) on the bench server and reports tuned-vs-default
+/// Runs the plan-space search for the three bundled model families on
+/// the bench server and reports tuned-vs-default
 /// predicted epoch seconds; the winner's schedule names its time row
 /// (`best_wait-free_s`). Gated: the search beats the hand-set plan by
 /// ≥ 1.05× on every arm whose default maps to several CGs.
@@ -1136,15 +1131,14 @@ fn autotune_suite(fast: bool) -> Vec<Row> {
     let default_groups = if fast { 7 } else { 8 };
     let default_cgs = plan_groups(socs, default_groups).1.len();
     let arms = [
-        ("vgg11", ModelKind::Vgg11, None),
-        ("resnet18", ModelKind::ResNet18, None),
-        ("mobilenet", ModelKind::MobileNetV1, None),
-        ("vgg11-pbeta", ModelKind::Vgg11, Some(REFERENCE_BETA)),
+        ("vgg11", ModelKind::Vgg11),
+        ("resnet18", ModelKind::ResNet18),
+        ("mobilenet", ModelKind::MobileNetV1),
     ];
     println!("plan autotuner vs the hand-set default ({default_groups} groups, interleaved) on {socs} SoCs");
     let mut rows = Vec::new();
     push(&mut rows, "autotune/setup/socs".into(), socs as f64, "SoCs");
-    for (arm, kind, profiled_beta_in) in arms {
+    for (arm, kind) in arms {
         // the paper's hand-set plan: fixed groups, interleaved sync
         let mut spec = TrainJobSpec::new(
             kind,
@@ -1152,17 +1146,15 @@ fn autotune_suite(fast: bool) -> Vec<Row> {
             MethodSpec::SocFlow(SocFlowConfig::with_groups(default_groups)),
         );
         spec.socs = socs;
-        let opts = TuneOptions {
-            profiled_beta: profiled_beta_in,
-            ..TuneOptions::default()
-        };
-        let report = autotune(&spec, &grad_layout(kind, default_width(kind)), &opts);
+        let layout = grad_layout(kind, default_width(kind));
+        let report = autotune(&spec, &layout, &TuneOptions::default());
         let arm = format!("autotune/{arm}");
-        let head = [
-            ("profiled_beta_in", profiled_beta_in, "beta"),
-            ("default_cgs", Some(default_cgs as f64), "CGs"),
-        ];
-        push_arm(&mut rows, &arm, head);
+        push(
+            &mut rows,
+            format!("{arm}/default_cgs"),
+            default_cgs as f64,
+            "CGs",
+        );
         for (plan, choice) in [("default", &report.default_plan), ("best", &report.best())] {
             let c = &choice.candidate;
             push_arm(
@@ -1175,7 +1167,6 @@ fn autotune_suite(fast: bool) -> Vec<Row> {
                         c.bucket_kb.map(|kb| kb as f64),
                         "KiB",
                     ),
-                    (format!("{plan}_profiled_beta"), c.profiled_beta, "beta"),
                     (
                         format!("{plan}_{}_s", c.schedule_name()),
                         Some(choice.predicted_s),
@@ -1301,20 +1292,6 @@ mod tests {
         assert!(beta > 0.0 && beta < 1.0, "beta {beta}");
         assert_eq!(doc.profiled_beta, beta);
         assert_eq!(doc.isa, Isa::active().name());
-    }
-
-    #[test]
-    fn reference_beta_matches_the_committed_kernel_baseline() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-        let text = std::fs::read_to_string(path).expect("committed kernel baseline");
-        let doc: Value = serde_json::from_str(&text).unwrap();
-        let committed = doc.get("profiled_beta").as_f64().unwrap();
-        assert_eq!(
-            format!("{REFERENCE_BETA:.4}"),
-            format!("{committed:.4}"),
-            "the vgg11-pbeta arm searches a β that BENCH_kernels.json no longer records: \
-             update REFERENCE_BETA and regenerate BENCH_autotune.json"
-        );
     }
 
     /// Every known gap is a row of a committed baseline, reported rather
@@ -1486,7 +1463,7 @@ mod tests {
         assert!(doc.iter().any(gated), "no multi-CG arm was gated");
         assert_eq!(measured(&doc, "autotune/setup/socs"), Some(20.0));
         let arms = arms(&doc);
-        assert_eq!(arms.len(), 4, "three families + the profiled-β arm");
+        assert_eq!(arms.len(), 3, "the three model families");
         for arm in arms {
             let m = |q: &str| measured(&doc, &format!("autotune/{arm}/{q}")).expect(q);
             // the plan's predicted seconds sit under its schedule's name

@@ -36,8 +36,7 @@ USAGE:
                 [--streaming [--rates P] [--buffer-batches N]
                  [--on-full drop|block]]
   socflow-cli tune  [--model M] [--dataset D] [--method X] [--socs N]
-                [--groups G] [--seed S] [--auto-budget N]
-                [--profiled-beta F] [--json]
+                [--groups G] [--seed S] [--auto-budget N] [--json]
   socflow-cli compare [--model M] [--dataset D] [--socs N] [--epochs E]
   socflow-cli tidal [--socs N] [--seed S]
   socflow-cli fleet [--servers N] [--jobs M] [--policy tidal|fifo]
@@ -69,12 +68,12 @@ USAGE:
       bit-identical to a non-overlapped run
   --bucket-kb <N> (train): minimum gradient-bucket size in KiB of
       reference payload (default 4096; requires --overlap)
-  --profiled-beta <f> (train): override the calibrated β compute-power
-      ratio with a measured value in (0,1) — typically the β that
-      `bench kernels` reports from timing the f32 and i8 GEMMs
+  --profiled-beta <f> (train, not with --auto): override the calibrated
+      β compute-power ratio with a measured value in (0,1) — typically
+      the β that `bench kernels` reports from timing the f32 and i8 GEMMs
   --auto (train): search the parallelization-plan space (group count x
-      sync schedule x bucket size x β source) on the simulated clock
-      before training and adopt the fastest predicted plan. Replaces
+      sync schedule x bucket size) on the simulated clock before
+      training and adopt the fastest predicted plan. Replaces
       --overlap/--bucket-kb — the winner decides them. The search is
       deterministic: bit-identical at any --threads setting
   --auto-budget <N> (train --auto, tune): optional cap on candidate plans
@@ -400,7 +399,6 @@ struct PlanJson {
     groups: usize,
     schedule: &'static str,
     bucket_kb: Option<usize>,
-    profiled_beta: Option<f64>,
     predicted_s: f64,
     bound_s: f64,
 }
@@ -410,7 +408,6 @@ fn plan_choice_json(c: &PlanChoice) -> serde_json::Value {
         groups: c.candidate.groups,
         schedule: c.candidate.schedule_name(),
         bucket_kb: c.candidate.bucket_kb,
-        profiled_beta: c.candidate.profiled_beta,
         predicted_s: c.predicted_s,
         bound_s: c.bound_s,
     }
@@ -429,6 +426,7 @@ pub fn tune(opts: &Options) -> Result<(), String> {
     }
     let spec = job_spec(opts, method_of(&opts.method, opts.groups)?)?;
     let (model, preset) = (spec.model, spec.preset);
+    // carried only so that validation rejects it, as under `train --auto`
     let options = RunOptions {
         profiled_beta: opts.profiled_beta,
         ..RunOptions::default()
@@ -489,19 +487,26 @@ pub fn tune(opts: &Options) -> Result<(), String> {
         work.rate_reuses,
         100.0 * (1.0 - work.rate_solves as f64 / work.steps.max(1) as f64)
     );
-    println!("\nrank  groups  schedule     bucket   beta      predicted(s)");
-    for (i, c) in report.ranked.iter().take(10).enumerate() {
+    // the bucket column is as wide as its widest cell, the 6-wide header
+    // included
+    let top = &report.ranked[..report.ranked.len().min(10)];
+    let bucket = |c: &PlanChoice| {
+        c.candidate
+            .bucket_kb
+            .map_or("-".into(), |kb| format!("{kb} KiB"))
+    };
+    let w = top.iter().map(|c| bucket(c).len()).fold(6, usize::max);
+    println!(
+        "\nrank  groups  schedule     {:>w$}  predicted(s)",
+        "bucket"
+    );
+    for (i, c) in top.iter().enumerate() {
         println!(
-            "{:>4}  {:>6}  {:<11}  {:>7}  {:<8}  {:>12.3}",
+            "{:>4}  {:>6}  {:<11}  {:>w$}  {:>12.3}",
             i + 1,
             c.candidate.groups,
             c.candidate.schedule_name(),
-            c.candidate
-                .bucket_kb
-                .map_or("-".to_string(), |kb| format!("{kb} KiB")),
-            c.candidate
-                .profiled_beta
-                .map_or("calib".to_string(), |b| format!("{b:.3}")),
+            bucket(c),
             c.predicted_s,
         );
     }
@@ -1021,12 +1026,26 @@ mod tests {
                 },
                 "--groups",
             ),
+            // the plan search prices with the calibrated β, on any method
+            (
+                Options {
+                    auto: true,
+                    profiled_beta: Some(0.62),
+                    ..tiny.clone()
+                },
+                "--profiled-beta",
+            ),
         ];
         for (opts, flag) in cases {
             let err = train(&opts).unwrap_err();
             assert!(err.contains(flag), "`{err}` should name {flag}");
         }
         assert!(tune(&on("ring")).unwrap_err().contains("--auto"));
+        let beta = Options {
+            profiled_beta: Some(0.62),
+            ..tiny.clone()
+        };
+        assert!(tune(&beta).unwrap_err().contains("--profiled-beta"));
         // observing a baseline stays legal
         let path = std::env::temp_dir().join("socflow_cli_ring_trace.jsonl");
         let traced = Options {

@@ -83,11 +83,6 @@ impl ComputeModel {
         self.profiled_beta = Some(beta);
     }
 
-    /// The measured β override, if one is set.
-    pub fn profiled_beta(&self) -> Option<f64> {
-        self.profiled_beta
-    }
-
     /// Sets the DVFS frequency factor of one SoC.
     ///
     /// # Panics
@@ -192,7 +187,6 @@ mod tests {
         m.set_profiled_beta(0.42);
         assert_eq!(m.beta(), 0.42);
         assert_ne!(m.beta(), calibrated);
-        assert_eq!(m.profiled_beta(), Some(0.42));
     }
 
     #[test]

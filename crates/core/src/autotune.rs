@@ -18,17 +18,18 @@
 //!   [`SyncSchedule::Interleaved`] / [`SyncSchedule::WaitFree`],
 //! - **gradient-bucket size** over the log-spaced [`BUCKET_GRID_KB`]
 //!   grid (wait-free candidates only — monolithic schedules have no
-//!   bucket knob),
-//! - **β source** — calibrated vs profiled compute-power ratio, searched
-//!   only for mixed-precision jobs when a profiled β is supplied (β
-//!   moves the CPU/NPU batch split and with it the compute term).
+//!   bucket knob).
+//!
+//! The β compute-power ratio is not an axis: it is a fact about the
+//! hardware, an input to the cost model like every device speed, and the
+//! search prices every candidate with the calibrated one.
 //!
 //! ## Best-first search
 //!
 //! Every candidate has a floor, [`TimeModel::socflow_epoch_lower_bound`]:
 //! compute, its CG's sync and the update per iteration, plus the
 //! epoch-boundary phases, which no schedule can beat. It depends on the
-//! group count and β only, so it costs no simulation. Candidates are
+//! group count only, so it costs no simulation. Candidates are
 //! priced in order of their floors; the first floor above the incumbent
 //! proves that it and every later candidate lose, so they are pruned.
 //! The result is the optimum of the whole space, and on paper-scale
@@ -88,8 +89,11 @@ pub struct PlanCandidate {
     /// Wait-free gradient-bucket size, KiB of reference payload
     /// (`None` for the monolithic schedules).
     pub bucket_kb: Option<usize>,
-    /// Profiled β override; `None` prices with the calibrated β.
-    pub profiled_beta: Option<f64>,
+    /// Always `None`: β is not a plan axis, and no value can be stored
+    /// here, so no pricing reads it. Kept only because the benchmark
+    /// probe still writes it in its struct literals; it goes together with
+    /// [`TimeModel::set_simulated`] in the next benchmark change.
+    pub profiled_beta: Option<std::convert::Infallible>,
 }
 
 impl PlanCandidate {
@@ -123,8 +127,7 @@ pub struct TuneReport {
     /// order, so the ranking is deterministic).
     pub ranked: Vec<PlanChoice>,
     /// The default plan the search is measured against: the spec's own
-    /// group count (or [`DEFAULT_GROUPS`]) on the interleaved schedule
-    /// with the calibrated β.
+    /// group count (or [`DEFAULT_GROUPS`]) on the interleaved schedule.
     pub default_plan: PlanChoice,
     /// Candidates priced on the timeline.
     pub evaluated: usize,
@@ -170,9 +173,6 @@ pub struct TuneOptions {
     /// the space). The default plan is always priced and does not count
     /// against the cap.
     pub budget: Option<usize>,
-    /// A profiled β to search *against* the calibrated one (the
-    /// `--profiled-beta` value). Ignored for non-mixed jobs.
-    pub profiled_beta: Option<f64>,
     /// Cap on the group-count axis (`None` = the job's SoC count).
     pub max_groups: Option<usize>,
 }
@@ -186,9 +186,9 @@ fn socflow_cfg(spec: &TrainJobSpec) -> SocFlowConfig {
 }
 
 /// The CPU share of each batch the engine would run this spec with,
-/// given the time model's (possibly overridden) β — mirrors the
-/// engine's controller initialization exactly, so tuned predictions
-/// price the same split the adopted run will.
+/// given the time model's β — mirrors the engine's controller
+/// initialization exactly, so tuned predictions price the same split the
+/// adopted run will.
 fn cpu_fraction_for(spec: &TrainJobSpec, tm: &TimeModel) -> f64 {
     let beta = (tm.compute().beta() as f32).clamp(0.05, 0.95);
     let mut ctrl = crate::mixed::MixedPrecisionController::new(beta);
@@ -232,8 +232,6 @@ pub(crate) enum PlanKey {
         groups: usize,
         schedule: SyncSchedule,
         bucket_kb: Option<usize>,
-        /// Bits of the profiled β, `None` for the calibrated one.
-        profiled_beta: Option<u64>,
     },
     /// A fleet epoch ([`crate::fleet::priced_epoch_seconds`]): the fluid
     /// timeline on an integrity-greedy mapping, with the fleet's fixed 0.5
@@ -260,7 +258,6 @@ fn plan_key(spec: &TrainJobSpec, cand: &PlanCandidate) -> PlanKey {
         groups: cand.groups,
         schedule: cand.schedule,
         bucket_kb: cand.bucket_kb,
-        profiled_beta: cand.profiled_beta.map(f64::to_bits),
     }
 }
 
@@ -289,9 +286,6 @@ pub(crate) fn memoized(key: PlanKey, compute: impl FnOnce() -> f64) -> f64 {
 pub fn price_plan_uncached(spec: &TrainJobSpec, layout: &[GradReady], cand: &PlanCandidate) -> f64 {
     let (mapping, cgs) = topology_for(spec, cand.groups);
     let mut tm = TimeModel::new(spec);
-    if let Some(beta) = cand.profiled_beta {
-        tm.compute_mut().set_profiled_beta(beta);
-    }
     if let Some(kb) = cand.bucket_kb {
         tm.set_overlap(kb, layout);
     }
@@ -311,21 +305,17 @@ pub fn price_plan(spec: &TrainJobSpec, layout: &[GradReady], cand: &PlanCandidat
 }
 
 /// The floor of a candidate (schedule-independent: only the group count
-/// and β move it).
-fn lower_bound(spec: &TrainJobSpec, groups: usize, profiled_beta: Option<f64>) -> f64 {
+/// moves it).
+fn lower_bound(spec: &TrainJobSpec, groups: usize) -> f64 {
     let (mapping, _) = topology_for(spec, groups);
-    let mut tm = TimeModel::new(spec);
-    if let Some(beta) = profiled_beta {
-        tm.compute_mut().set_profiled_beta(beta);
-    }
+    let tm = TimeModel::new(spec);
     let cpu_fraction = cpu_fraction_for(spec, &tm);
     tm.socflow_epoch_lower_bound(&mapping, cpu_fraction)
 }
 
 /// The default plan [`autotune`] measures candidates against: the
 /// spec's own group count (or [`DEFAULT_GROUPS`]) on the interleaved
-/// schedule with no bucketing and the calibrated β — exactly what a
-/// plain `train` run prices.
+/// schedule with no bucketing — exactly what a plain `train` run prices.
 pub fn default_candidate(spec: &TrainJobSpec) -> PlanCandidate {
     let cfg = socflow_cfg(spec);
     PlanCandidate {
@@ -340,36 +330,29 @@ pub fn default_candidate(spec: &TrainJobSpec) -> PlanCandidate {
 }
 
 /// Enumerates the candidate space in its fixed order: group counts
-/// descending, then β source, then schedule, then bucket size. The index
+/// descending, then schedule, then bucket size. The index
 /// in this order breaks ties, between equal floors in the search order
 /// and between equal prices in the ranking.
 fn enumerate(spec: &TrainJobSpec, opts: &TuneOptions) -> Vec<PlanCandidate> {
     let socs = spec.socs.max(1);
     let max_groups = opts.max_groups.unwrap_or(socs).clamp(1, socs);
-    let mixed = cpu_fraction_for(spec, &TimeModel::new(spec)) < 1.0;
-    let betas: Vec<Option<f64>> = match opts.profiled_beta {
-        Some(b) if mixed => vec![None, Some(b)],
-        _ => vec![None],
-    };
     let mut out = Vec::new();
     for groups in (1..=max_groups).rev() {
-        for &beta in &betas {
-            for schedule in [SyncSchedule::Serial, SyncSchedule::Interleaved] {
-                out.push(PlanCandidate {
-                    groups,
-                    schedule,
-                    bucket_kb: None,
-                    profiled_beta: beta,
-                });
-            }
-            for &kb in BUCKET_GRID_KB {
-                out.push(PlanCandidate {
-                    groups,
-                    schedule: SyncSchedule::WaitFree,
-                    bucket_kb: Some(kb),
-                    profiled_beta: beta,
-                });
-            }
+        for schedule in [SyncSchedule::Serial, SyncSchedule::Interleaved] {
+            out.push(PlanCandidate {
+                groups,
+                schedule,
+                bucket_kb: None,
+                profiled_beta: None,
+            });
+        }
+        for &kb in BUCKET_GRID_KB {
+            out.push(PlanCandidate {
+                groups,
+                schedule: SyncSchedule::WaitFree,
+                bucket_kb: Some(kb),
+                profiled_beta: None,
+            });
         }
     }
     out
@@ -397,13 +380,12 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
         let price = price_plan(spec, layout, cand);
         (price, timeline_stats() - before)
     };
-    // Floors depend on (groups, β) only; compute each pair once.
-    let mut floor_of: HashMap<(usize, u64), f64> = HashMap::new();
+    // Floors depend on the group count only; compute each one once.
+    let mut floor_of: HashMap<usize, f64> = HashMap::new();
     let mut floor = |c: &PlanCandidate| {
-        let key = (c.groups, c.profiled_beta.unwrap_or(-1.0).to_bits());
         *floor_of
-            .entry(key)
-            .or_insert_with(|| lower_bound(spec, c.groups, c.profiled_beta))
+            .entry(c.groups)
+            .or_insert_with(|| lower_bound(spec, c.groups))
     };
     let default_cand = default_candidate(spec);
     let (default_s, mut timeline) = measured(&default_cand);
@@ -533,8 +515,8 @@ mod tests {
     }
 
     /// The floor holds over the tuner's own space: random models,
-    /// datasets, SoCFlow variants, cluster sizes and β sources, every
-    /// schedule of a random group count priced at or above its floor.
+    /// datasets, SoCFlow variants and cluster sizes, every schedule of a
+    /// random group count priced at or above its floor.
     #[test]
     fn lower_bound_never_exceeds_the_priced_time() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -558,10 +540,6 @@ mod tests {
             let preset = presets[rng.gen_range(0..presets.len())];
             let mut s = TrainJobSpec::new(model, preset, methods[rng.gen_range(0..methods.len())]);
             s.socs = rng.gen_range(1..=60);
-            let opts = TuneOptions {
-                profiled_beta: rng.gen_bool(0.5).then(|| rng.gen_range(0.3..0.9)),
-                ..Default::default()
-            };
             let geometry = preset.spec();
             let lay = models::grad_layout(&model.layers(ModelConfig::new(
                 geometry.channels,
@@ -570,11 +548,11 @@ mod tests {
                 0.25,
             )));
             let groups = rng.gen_range(1..=s.socs);
-            for cand in enumerate(&s, &opts)
+            for cand in enumerate(&s, &TuneOptions::default())
                 .into_iter()
                 .filter(|c| c.groups == groups)
             {
-                let floor = lower_bound(&s, groups, cand.profiled_beta);
+                let floor = lower_bound(&s, groups);
                 let priced = price_plan_uncached(&s, &lay, &cand);
                 assert!(
                     floor <= priced,
@@ -595,12 +573,11 @@ mod tests {
     #[test]
     fn best_first_search_equals_exhaustive_pricing() {
         let arms = [
-            (ModelKind::Vgg11, 0.22, None),
-            (ModelKind::ResNet18, 0.18, None),
-            (ModelKind::MobileNetV1, 0.22, None),
-            (ModelKind::Vgg11, 0.22, Some(0.62)),
+            (ModelKind::Vgg11, 0.22),
+            (ModelKind::ResNet18, 0.18),
+            (ModelKind::MobileNetV1, 0.22),
         ];
-        for (model, width, profiled_beta) in arms {
+        for (model, width) in arms {
             let mut s = TrainJobSpec::new(
                 model,
                 DatasetPreset::Cifar10,
@@ -608,10 +585,7 @@ mod tests {
             );
             s.socs = 20;
             let lay = models::grad_layout(&model.layers(ModelConfig::new(3, 32, 10, width)));
-            let opts = TuneOptions {
-                profiled_beta,
-                ..Default::default()
-            };
+            let opts = TuneOptions::default();
             let report = autotune(&s, &lay, &opts);
             let space = enumerate(&s, &opts);
             assert_eq!(report.evaluated + report.pruned, space.len(), "{model}");
@@ -631,7 +605,7 @@ mod tests {
             if let Some((cand, price)) = top.filter(|&(_, t)| t < best_s) {
                 (best, best_s) = (cand, price);
             }
-            assert_eq!(report.best().candidate, best, "{model} {profiled_beta:?}");
+            assert_eq!(report.best().candidate, best, "{model}");
             assert_eq!(
                 report.best().predicted_s.to_bits(),
                 best_s.to_bits(),
@@ -691,22 +665,27 @@ mod tests {
         assert_eq!(cold.to_bits(), raw.to_bits());
     }
 
+    /// Group count, schedule and bucket size are the whole space, for a
+    /// mixed-precision job and an FP32 one alike.
     #[test]
-    fn profiled_beta_axis_only_for_mixed_jobs() {
+    fn mixed_and_fp32_jobs_enumerate_the_same_space() {
         let opts = TuneOptions {
-            profiled_beta: Some(0.6),
-            max_groups: Some(2),
+            max_groups: Some(3),
             ..Default::default()
         };
-        let mixed = enumerate(&spec(8), &opts);
-        assert!(mixed.iter().any(|c| c.profiled_beta.is_some()));
         let mut fp32 = spec(8);
         fp32.method = MethodSpec::SocFlow(SocFlowConfig {
             mixed_precision: false,
             ..SocFlowConfig::with_groups(4)
         });
-        let plain = enumerate(&fp32, &opts);
-        assert!(plain.iter().all(|c| c.profiled_beta.is_none()));
+        for job in [spec(8), fp32] {
+            assert_eq!(
+                enumerate(&job, &opts).len(),
+                3 * (2 + BUCKET_GRID_KB.len()),
+                "{}",
+                job.method.name()
+            );
+        }
     }
 
     #[test]

@@ -90,7 +90,8 @@ pub enum Plan {
     /// Search the plan space first ([`crate::autotune`], `--auto`) and
     /// adopt the winner: its group count is pinned, the run is priced on
     /// the timeline it was tuned against, and a wait-free winner carries
-    /// its bucket size and β source into the engine.
+    /// its bucket size into the engine. The search prices every plan with
+    /// the calibrated β.
     Auto {
         /// Optional cap on candidates priced on the timeline
         /// (`--auto-budget`); `None` searches the space to its optimum.
@@ -133,7 +134,7 @@ pub struct RunOptions {
     /// Measured β compute-power ratio in `(0, 1)` replacing the calibrated
     /// one (`--profiled-beta`, typically from `bench kernels`). Drives the
     /// mixed-precision controller's initial CPU share and the time model's
-    /// NPU batch split.
+    /// NPU batch split. Not for the plan search ([`Plan::Auto`]).
     pub profiled_beta: Option<f64>,
     /// Live per-SoC streams instead of the static pre-partitioned corpus
     /// (`--streaming`): shards come from a deterministic stream, bounded
@@ -161,6 +162,9 @@ pub enum OptionsError {
         /// SoCs the job holds.
         socs: usize,
     },
+    /// A profiled β was given to the plan search, which prices every plan
+    /// with the calibrated β and would ignore it.
+    ProfiledBetaUnderAuto,
 }
 
 impl std::fmt::Display for OptionsError {
@@ -174,6 +178,11 @@ impl std::fmt::Display for OptionsError {
             OptionsError::GroupsOutOfRange { groups, socs } => write!(
                 f,
                 "--groups must be between 1 and the SoC count ({socs}), got {groups}"
+            ),
+            OptionsError::ProfiledBetaUnderAuto => write!(
+                f,
+                "--profiled-beta is a `train` input, not a plan axis: --auto (and `tune`) \
+                 price every plan with the calibrated β; drop one of the two"
             ),
         }
     }
@@ -201,12 +210,16 @@ impl RunOptions {
     ///
     /// [`Pricing::WaitFree`], `streaming`, `faults`, `checkpointing`,
     /// `resume` and [`Plan::Auto`] are rejected on every baseline method,
-    /// and a SoCFlow group count must lie in `1..=socs`. The sink,
-    /// `profiled_beta` and `preempt_after` are legal everywhere.
+    /// `profiled_beta` under [`Plan::Auto`] on every method, and a SoCFlow
+    /// group count must lie in `1..=socs`. The sink and `preempt_after`
+    /// are legal everywhere.
     ///
     /// # Errors
     /// Returns the first violated rule.
     pub fn validate(&self, spec: &TrainJobSpec, plan: Plan) -> Result<(), OptionsError> {
+        if self.profiled_beta.is_some() && plan != Plan::Fixed {
+            return Err(OptionsError::ProfiledBetaUnderAuto);
+        }
         let Some(cfg) = spec.method.socflow() else {
             let socflow_only = [
                 (
@@ -352,6 +365,7 @@ mod tests {
         }
     }
 
+    /// On every method with a fixed plan; β is not for the plan search.
     #[test]
     fn sink_beta_and_preemption_are_legal_everywhere() {
         let options = RunOptions {
@@ -362,6 +376,12 @@ mod tests {
         };
         for method in baselines().into_iter().chain(socflow_variants()) {
             assert_eq!(options.validate(&spec(method), Plan::Fixed), Ok(()));
+            assert_eq!(
+                options.validate(&spec(method), Plan::Auto { budget: None }),
+                Err(OptionsError::ProfiledBetaUnderAuto),
+                "{}",
+                method.name()
+            );
         }
     }
 
@@ -397,6 +417,11 @@ mod tests {
         assert!(msg.contains("--overlap") && msg.contains("RING"), "{msg}");
         let e = OptionsError::GroupsOutOfRange { groups: 0, socs: 8 };
         assert!(e.to_string().contains("--groups"), "{e}");
+        let msg = OptionsError::ProfiledBetaUnderAuto.to_string();
+        assert!(
+            msg.contains("--profiled-beta") && msg.contains("--auto"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -232,15 +232,14 @@ impl GlobalScheduler {
         if let Plan::Auto { .. } = self.plan {
             // Adopt the winner: pin its group count (the search replaces
             // the warm-up heuristic), price on the timeline it was tuned
-            // against, and carry the wait-free bucket / β source only when
-            // the winning plan actually uses them.
+            // against, and carry the wait-free bucket only when the
+            // winning plan uses one.
             let best = self.tune().best().candidate;
             self.spec.method = self.spec.method.pin_groups(best.groups);
             self.options.pricing = match best.bucket_kb {
                 Some(kb) => Pricing::wait_free_kb(kb),
                 None => Pricing::Timeline,
             };
-            self.options.profiled_beta = best.profiled_beta;
         }
         Engine::new(self.resolved_spec(), self.workload, self.options).run()
     }
@@ -272,7 +271,6 @@ pub fn tune_job(
             Plan::Auto { budget } => budget,
             Plan::Fixed => None,
         },
-        profiled_beta: options.profiled_beta,
         max_groups: None,
     };
     let report = crate::autotune::autotune(spec, &layout, &opts);
@@ -281,7 +279,6 @@ pub fn tune_job(
             groups: choice.candidate.groups,
             schedule: choice.candidate.schedule_name().to_string(),
             bucket_kb: choice.candidate.bucket_kb.unwrap_or(0),
-            profiled_beta: choice.candidate.profiled_beta.is_some(),
             predicted_s: choice.predicted_s,
         });
     }
@@ -290,7 +287,6 @@ pub fn tune_job(
         groups: best.candidate.groups,
         schedule: best.candidate.schedule_name().to_string(),
         bucket_kb: best.candidate.bucket_kb.unwrap_or(0),
-        profiled_beta: best.candidate.profiled_beta.is_some(),
         predicted_s: best.predicted_s,
         default_s: report.default_plan.predicted_s,
         evaluated: report.evaluated,

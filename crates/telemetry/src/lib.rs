@@ -309,13 +309,11 @@ pub enum Event {
     /// the simulated clock (`train --auto` / `tune`). `schedule` is the
     /// sync schedule name (`"serial"`, `"interleaved"`, `"wait-free"`),
     /// `bucket_kb` the wait-free gradient-bucket size (0 for monolithic
-    /// schedules), `profiled_beta` whether the candidate used the
-    /// profiled β override, and `predicted_s` the predicted epoch time.
+    /// schedules), and `predicted_s` the predicted epoch time.
     PlanEvaluated {
         groups: usize,
         schedule: String,
         bucket_kb: usize,
-        profiled_beta: bool,
         predicted_s: f64,
     },
     /// The plan autotuner committed to a winner: the chosen plan, its
@@ -326,7 +324,6 @@ pub enum Event {
         groups: usize,
         schedule: String,
         bucket_kb: usize,
-        profiled_beta: bool,
         predicted_s: f64,
         default_s: f64,
         evaluated: usize,
@@ -1485,21 +1482,18 @@ mod tests {
                 groups: 8,
                 schedule: "interleaved".into(),
                 bucket_kb: 0,
-                profiled_beta: false,
                 predicted_s: 120.0,
             },
             Event::PlanEvaluated {
                 groups: 12,
                 schedule: "wait-free".into(),
                 bucket_kb: 2048,
-                profiled_beta: false,
                 predicted_s: 100.0,
             },
             Event::PlanChosen {
                 groups: 12,
                 schedule: "wait-free".into(),
                 bucket_kb: 2048,
-                profiled_beta: false,
                 predicted_s: 100.0,
                 default_s: 120.0,
                 evaluated: 2,
