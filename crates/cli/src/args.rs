@@ -30,7 +30,7 @@ pub struct Options {
     pub faults: Option<String>,
     /// Directory for durable checkpoints (enables checkpointing).
     pub checkpoint_dir: Option<String>,
-    /// Persist a checkpoint every N epochs (defaults to 1 when a
+    /// Persist a checkpoint every N epochs, N ≥ 1 (defaults to 1 when a
     /// checkpoint dir is given).
     pub checkpoint_every: Option<usize>,
     /// Resume from the latest checkpoint in `--checkpoint-dir`.
@@ -63,11 +63,6 @@ pub struct Options {
     /// Per-SoC stream-rate profile: `uniform` | `hetero` | `bimodal`
     /// (requires `--streaming`).
     pub rates: String,
-    /// Per-group ingest-buffer capacity in multiples of the global batch
-    /// (requires `--streaming`).
-    pub buffer_batches: usize,
-    /// Full-buffer policy: `drop` | `block` (requires `--streaming`).
-    pub on_full: String,
     /// Autotune the parallelization plan on the simulated clock before
     /// training and adopt the winner (`train --auto`).
     pub auto: bool,
@@ -104,8 +99,6 @@ impl Default for Options {
             interarrival: 5400.0,
             streaming: false,
             rates: "uniform".into(),
-            buffer_batches: 2,
-            on_full: "block".into(),
             auto: false,
             auto_budget: None,
         }
@@ -166,8 +159,6 @@ impl Options {
                 "--bucket-kb" => bucket_kb = Some(parse_num(flag, value)?),
                 "--auto-budget" => o.auto_budget = Some(parse_num(flag, value)?),
                 "--rates" => o.rates = value.clone(),
-                "--buffer-batches" => o.buffer_batches = parse_num(flag, value)?,
-                "--on-full" => o.on_full = value.clone(),
                 "--servers" => o.servers = parse_num(flag, value)?,
                 "--jobs" => o.jobs = parse_num(flag, value)?,
                 "--policy" => o.policy = value.clone(),
@@ -215,6 +206,9 @@ impl Options {
         if o.threads == Some(0) {
             return Err("--threads must be positive".into());
         }
+        if o.checkpoint_every == Some(0) {
+            return Err("--checkpoint-every must be positive".into());
+        }
         o.pricing = match (overlap, bucket_kb.map(NonZeroUsize::new)) {
             (_, Some(None)) => return Err("--bucket-kb must be positive".into()),
             (true, Some(Some(bucket_kb))) => Pricing::WaitFree { bucket_kb },
@@ -228,23 +222,10 @@ impl Options {
         if o.auto && o.pricing != Pricing::Timeline {
             return Err("--auto picks the schedule itself; drop --overlap/--bucket-kb".into());
         }
-        if !o.streaming {
-            let defaults = Options::default();
-            if o.rates != defaults.rates {
-                return Err("--rates needs --streaming".into());
-            }
-            if o.buffer_batches != defaults.buffer_batches {
-                return Err("--buffer-batches needs --streaming".into());
-            }
-            if o.on_full != defaults.on_full {
-                return Err("--on-full needs --streaming".into());
-            }
+        if !o.streaming && o.rates != Options::default().rates {
+            return Err("--rates needs --streaming".into());
         }
         socflow_data::stream::RateProfile::parse(&o.rates)?;
-        socflow_data::stream::OnFull::parse(&o.on_full)?;
-        if o.buffer_batches == 0 {
-            return Err("--buffer-batches must be positive".into());
-        }
         Ok(o)
     }
 }
@@ -326,6 +307,8 @@ mod tests {
         assert_eq!(o.checkpoint_dir.as_deref(), Some("/tmp/ck"));
         assert_eq!(o.checkpoint_every, Some(3));
         assert!(!o.resume);
+        let zero = parse(&["--checkpoint-dir", "/tmp/ck", "--checkpoint-every", "0"]);
+        assert_eq!(zero.unwrap_err(), "--checkpoint-every must be positive");
     }
 
     #[test]
@@ -389,34 +372,19 @@ mod tests {
 
     #[test]
     fn streaming_flags_parse_and_validate() {
-        let o = parse(&[
-            "--streaming",
-            "--rates",
-            "hetero",
-            "--buffer-batches",
-            "4",
-            "--on-full",
-            "drop",
-        ])
-        .unwrap();
+        let o = parse(&["--streaming", "--rates", "hetero"]).unwrap();
         assert!(o.streaming);
         assert_eq!(o.rates, "hetero");
-        assert_eq!(o.buffer_batches, 4);
-        assert_eq!(o.on_full, "drop");
         let d = parse(&[]).unwrap();
         assert!(!d.streaming);
         assert_eq!(d.rates, "uniform");
-        assert_eq!(d.buffer_batches, 2);
-        assert_eq!(d.on_full, "block");
         assert!(parse(&["--rates", "hetero"]).is_err(), "needs --streaming");
-        assert!(parse(&["--on-full", "drop"]).is_err(), "needs --streaming");
-        assert!(
-            parse(&["--buffer-batches", "4"]).is_err(),
-            "needs --streaming"
-        );
         assert!(parse(&["--streaming", "--rates", "chaotic"]).is_err());
-        assert!(parse(&["--streaming", "--on-full", "explode"]).is_err());
-        assert!(parse(&["--streaming", "--buffer-batches", "0"]).is_err());
+        // the ingest buffer has one size and one policy: no flag sets them
+        for flag in ["--on-full", "--buffer-batches"] {
+            let err = parse(&["--streaming", flag, "2"]).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]

@@ -1096,7 +1096,6 @@ fn streaming(fast: bool) -> Vec<Row> {
                 ("time_to_acc_s", tta, "s"),
                 ("sim_time_s", Some(r.total_time()), "s"),
                 ("stall_s", Some(s.stream_stall_cost), "s"),
-                ("samples_dropped", Some(s.samples_dropped as f64), "samples"),
                 ("rate_regroups", Some(s.rate_regroups as f64), "count"),
             ],
         );

@@ -33,8 +33,7 @@ USAGE:
   socflow-cli train [--model M] [--dataset D] [--method X] [--socs N]
                 [--groups G] [--epochs E] [--samples S] [--seed S] [--json]
                 [--auto [--auto-budget N]]
-                [--streaming [--rates P] [--buffer-batches N]
-                 [--on-full drop|block]]
+                [--streaming [--rates P]]
   socflow-cli tune  [--model M] [--dataset D] [--method X] [--socs N]
                 [--groups G] [--seed S] [--auto-budget N] [--json]
   socflow-cli compare [--model M] [--dataset D] [--socs N] [--epochs E]
@@ -90,11 +89,6 @@ USAGE:
       uniform | hetero | bimodal (default uniform). Non-uniform spreads
       trigger rate-aware regrouping (fast SoCs group together and data
       shares follow observed rates)
-  --buffer-batches <N> (train): per-group ingest-buffer capacity in
-      multiples of the global batch (default 2; requires --streaming)
-  --on-full drop|block (train): what a full ingest buffer does with
-      fresh arrivals — shed them (drop) or exert backpressure (block,
-      the default; requires --streaming)
   --servers/--jobs/--policy/--horizon/--interarrival (fleet): size the
       simulated fleet (servers x --socs SoCs each), the Poisson arrival
       trace, and the admission policy (tidal = window-aware + priorities,
@@ -249,16 +243,14 @@ fn run_options(opts: &Options) -> Result<RunOptions, String> {
         ..RunOptions::default()
     };
     if opts.streaming {
-        let mut scfg = StreamingConfig::new(socflow_data::stream::RateProfile::parse(&opts.rates)?);
-        scfg.buffer_batches = opts.buffer_batches;
-        scfg.on_full = socflow_data::stream::OnFull::parse(&opts.on_full)?;
-        options.streaming = Some(scfg);
+        let profile = socflow_data::stream::RateProfile::parse(&opts.rates)?;
+        options.streaming = Some(StreamingConfig::new(profile));
     }
     if let Some(fspec) = &opts.faults {
         options.faults = Some(fault_plan_of(fspec, opts.socs, opts.seed)?);
     }
     if let Some(dir) = &opts.checkpoint_dir {
-        let every = opts.checkpoint_every.unwrap_or(1).max(1);
+        let every = opts.checkpoint_every.unwrap_or(1);
         let durable = Checkpointing::new(dir, Some(every))
             .map_err(|e| format!("cannot use checkpoint dir `{dir}`: {e}"))?;
         options.checkpointing = Some(durable);
@@ -871,8 +863,6 @@ mod tests {
             samples: 128,
             streaming: true,
             rates: "bimodal".into(),
-            on_full: "drop".into(),
-            buffer_batches: 1,
             ..Options::default()
         };
         train(&opts).unwrap();

@@ -3,10 +3,9 @@
 //! Collective-communication patterns for distributed training on the
 //! SoC-Cluster, with two faces:
 //!
-//! - **functional**: [`allreduce_mean`] / [`ring_allreduce_sum`] actually
-//!   combine per-worker gradient buffers (the chunked ring implementation is
-//!   the real reduce-scatter + all-gather algorithm, validated against the
-//!   direct sum);
+//! - **functional**: [`allreduce_sum`] / [`allreduce_mean`] actually
+//!   combine per-worker gradient buffers, giving every worker the direct
+//!   elementwise sum (or mean);
 //! - **temporal**: every [`Collective`] computes the wall-clock cost of its
 //!   step sequence on the [`socflow_cluster`] flow network, so contention on
 //!   the shared PCB NICs shapes the numbers exactly as in paper §2.3.
@@ -36,5 +35,5 @@ mod analytic;
 mod functional;
 mod patterns;
 
-pub use functional::{allreduce_mean, allreduce_sum, ring_allreduce_sum};
+pub use functional::{allreduce_mean, allreduce_sum};
 pub use patterns::{Collective, ParameterServer, RingAllReduce, TreeAggregate};

@@ -1,7 +1,7 @@
 //! Job specifications: which workload, which method, which knobs.
 
 use serde::{Deserialize, Serialize};
-use socflow_data::stream::{OnFull, RateProfile};
+use socflow_data::stream::RateProfile;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 
@@ -50,20 +50,16 @@ impl SocFlowConfig {
 ///
 /// Sample identity stays deterministic (a stateless position-indexed
 /// stream over the synthetic corpus); rates, buffers and stalls are
-/// priced on the simulated clock. See `socflow_data::stream`.
+/// priced on the simulated clock. The base rate self-calibrates from the
+/// first priced epoch to ≈1.05× the rate at which a uniform cluster
+/// exactly fills each epoch's data need — the regime where stream
+/// heterogeneity, not raw supply, is the story — and each group's
+/// two-batch ingest buffer backpressures the stream when full. See
+/// `socflow_data::stream`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamingConfig {
     /// Per-SoC stream-rate heterogeneity profile.
     pub profile: RateProfile,
-    /// Base stream rate in *reference-scale* samples/sec per SoC. `None`
-    /// self-calibrates from the first priced epoch to ≈1.05× the rate at
-    /// which a uniform cluster exactly fills each epoch's data need — the
-    /// regime where stream heterogeneity, not raw supply, is the story.
-    pub base_rate: Option<f64>,
-    /// Per-group ingest-buffer capacity, in multiples of the global batch.
-    pub buffer_batches: usize,
-    /// What a full ingest buffer does with fresh arrivals.
-    pub on_full: OnFull,
     /// Re-run grouping by observed stream rate (with rate-proportional
     /// data shares) when the per-SoC rate spread exceeds
     /// [`REGROUP_SPREAD`]. Off = topology-only grouping.
@@ -74,14 +70,10 @@ pub struct StreamingConfig {
 pub const REGROUP_SPREAD: f64 = 1.25;
 
 impl StreamingConfig {
-    /// Streaming defaults for a profile: self-calibrated base rate, a
-    /// two-batch buffer, backpressure on overflow, rate-aware regrouping.
+    /// Streaming with rate-aware regrouping for a profile.
     pub fn new(profile: RateProfile) -> Self {
         StreamingConfig {
             profile,
-            base_rate: None,
-            buffer_batches: 2,
-            on_full: OnFull::Block,
             rate_aware: true,
         }
     }

@@ -325,13 +325,6 @@ impl<'e> SocflowRun<'e> {
                     stall,
                 });
             }
-            for &(group, count) in &settled.drops {
-                engine.options.emit(Event::SamplesDropped {
-                    epoch,
-                    group,
-                    count,
-                });
-            }
             cost.time += settled.stall;
         }
         cost

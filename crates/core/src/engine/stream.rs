@@ -7,14 +7,15 @@ use crate::mapping::{GroupId, Mapping};
 use socflow_cluster::{ClusterSpec, SocId};
 use socflow_data::stream::{IngestBuffer, StreamSource};
 
+/// Per-group ingest-buffer capacity, in multiples of the global batch.
+const BUFFER_BATCHES: usize = 2;
+
 /// Outcome of settling one epoch's stream supply against its demand.
 pub(super) struct StreamEpoch {
     /// Barrier stall added to the epoch (the slowest group's deficit).
     pub(super) stall: f64,
     /// Per-group stalls, ascending group order (positive entries only).
     pub(super) stalls: Vec<(usize, f64)>,
-    /// Per-group samples dropped this epoch, ascending group order.
-    pub(super) drops: Vec<(usize, u64)>,
 }
 
 /// Live state of the streaming-ingestion mode for one SoCFlow run.
@@ -22,7 +23,7 @@ pub(super) struct StreamEpoch {
 /// All stream math runs on the coordinating thread at scaled-sample
 /// granularity: sample identity comes from the stateless position-indexed
 /// [`StreamSource`] through one global cursor (so shard contents are
-/// independent of thread count), and stalls/drops are settled against the
+/// independent of thread count), and stalls are settled against the
 /// simulated clock after each epoch is priced. Not checkpointed: a
 /// resumed run restarts the cursor and refills buffers from empty.
 pub(super) struct StreamState {
@@ -33,33 +34,25 @@ pub(super) struct StreamState {
     source: StreamSource,
     /// Next unconsumed stream position (global across groups).
     cursor: u64,
-    /// Scaled samples/sec per unit multiplier per SoC. Either the
-    /// configured reference rate mapped to the scaled corpus, or
-    /// calibrated from the first priced epoch (see [`Self::calibrate`]).
+    /// Scaled samples/sec per unit multiplier per SoC, calibrated from
+    /// the first priced epoch (see [`Self::calibrate`]).
     base_scaled: Option<f64>,
     /// One bounded ingest buffer per logical group; rebuilt empty on any
     /// topology change (accumulation belongs to the dead grouping).
     pub(super) buffers: Vec<IngestBuffer>,
-    /// Per-group dropped-sample watermarks for per-epoch drop deltas.
-    dropped_seen: Vec<u64>,
 }
 
 impl StreamState {
     /// Stream state for `spec`'s SoCs over a scaled corpus of `train_len`
     /// samples.
     pub(super) fn new(cfg: StreamingConfig, spec: &TrainJobSpec, train_len: usize) -> Self {
-        // a configured base rate is in reference samples/sec; the stream
-        // runs over the scaled corpus, so rescale by corpus ratio
-        let reference_samples = spec.preset.spec().reference_samples;
-        let scale = train_len as f64 / reference_samples.max(1) as f64;
         StreamState {
             cfg,
             multipliers: cfg.profile.multipliers(spec.socs, spec.seed),
             source: StreamSource::new(train_len, spec.seed ^ 0x57ea_4d1d),
             cursor: 0,
-            base_scaled: cfg.base_rate.map(|r| r * scale),
+            base_scaled: None,
             buffers: Vec::new(),
-            dropped_seen: Vec::new(),
         }
     }
 
@@ -164,11 +157,8 @@ impl StreamState {
 
     /// Resets the per-group ingest buffers for a (re)built topology.
     pub(super) fn rebuild_buffers(&mut self, groups: usize, global_batch: usize) {
-        let cap = (self.cfg.buffer_batches * global_batch).max(1) as u64;
-        self.buffers = (0..groups)
-            .map(|_| IngestBuffer::new(cap, self.cfg.on_full))
-            .collect();
-        self.dropped_seen = vec![0; groups];
+        let cap = (BUFFER_BATCHES * global_batch).max(1) as u64;
+        self.buffers = (0..groups).map(|_| IngestBuffer::new(cap)).collect();
     }
 
     /// Draws one epoch's shards from the stream: rate-proportional sizes
@@ -198,7 +188,7 @@ impl StreamState {
 
     /// Settles one priced epoch, group by group: buffered samples are
     /// consumed first, in-epoch arrivals drain through at line rate, any
-    /// leftover arrivals fill the bounded buffer (drop/block applies),
+    /// leftover arrivals fill the bounded buffer up to its capacity,
     /// and a remaining deficit becomes a stall priced at the group's line
     /// rate. The slowest group's stall is the epoch's barrier stall;
     /// faster groups bank their barrier wait as buffered samples.
@@ -242,7 +232,6 @@ impl StreamState {
         }
         let epoch_stall = per_group.iter().cloned().fold(0.0, f64::max);
         // groups done early keep ingesting while they wait at the barrier
-        let mut drops = Vec::new();
         for g in 0..n_groups {
             if rates[g] > 0.0 {
                 let wait = epoch_stall - per_group[g];
@@ -250,16 +239,10 @@ impl StreamState {
                     self.buffers[g].produce((rates[g] * wait).floor() as u64);
                 }
             }
-            let d = self.buffers[g].dropped() - self.dropped_seen[g];
-            if d > 0 {
-                drops.push((g, d));
-                self.dropped_seen[g] = self.buffers[g].dropped();
-            }
         }
         StreamEpoch {
             stall: epoch_stall,
             stalls,
-            drops,
         }
     }
 }
@@ -298,7 +281,7 @@ mod tests {
     use crate::config::{MethodSpec, SocFlowConfig, StreamingConfig};
     use crate::options::RunOptions;
     use crate::report::RunResult;
-    use socflow_data::stream::{OnFull, RateProfile};
+    use socflow_data::stream::RateProfile;
     use socflow_telemetry::Event;
     use std::sync::Arc;
 
@@ -331,16 +314,6 @@ mod tests {
             .sum()
     }
 
-    fn dropped_sum(events: &[Event]) -> u64 {
-        events
-            .iter()
-            .filter_map(|e| match e {
-                Event::SamplesDropped { count, .. } => Some(*count),
-                _ => None,
-            })
-            .sum()
-    }
-
     #[test]
     fn streaming_uniform_is_stall_free_and_deterministic() {
         let run = || {
@@ -363,7 +336,6 @@ mod tests {
             0.0,
             "1.05x calibrated supply covers a uniform cluster"
         );
-        assert_eq!(dropped_sum(&ev1), 0, "backpressure never drops");
         assert!(
             !ev1.iter()
                 .any(|e| matches!(e, Event::RegroupedByRate { .. })),
@@ -411,28 +383,5 @@ mod tests {
         );
         let total = |r: &RunResult| r.epoch_time.iter().sum::<f64>();
         assert!(total(&rb) < total(&ra), "less stall, faster run");
-    }
-
-    #[test]
-    fn drop_policy_sheds_oversupply_and_block_never_drops() {
-        let mut fast = StreamingConfig::new(RateProfile::Uniform);
-        fast.base_rate = Some(1.0e6); // reference samples/sec: vast oversupply
-        fast.on_full = OnFull::Drop;
-        let (mut ed, sink_d) = streaming_engine(fast, 2);
-        ed.run();
-        let mut blk = fast;
-        blk.on_full = OnFull::Block;
-        let (mut eb, sink_b) = streaming_engine(blk, 2);
-        eb.run();
-        assert!(
-            dropped_sum(&sink_d.events()) > 0,
-            "oversupply overflows a Drop buffer"
-        );
-        assert_eq!(stall_sum(&sink_d.events()), 0.0, "oversupply never stalls");
-        assert_eq!(
-            dropped_sum(&sink_b.events()),
-            0,
-            "Block sheds nothing, it just stops ingesting"
-        );
     }
 }

@@ -473,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn over_variants_match_prefix_forms_on_full_topology() {
+    fn over_variants_match_prefix_forms_on_a_full_topology() {
         let s = spec(7, 5);
         let alive: Vec<SocId> = (0..32).map(SocId).collect();
         assert_eq!(

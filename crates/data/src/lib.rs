@@ -23,8 +23,8 @@
 //! SoCs: IID shuffle-shards for SoCFlow and the synchronous baselines,
 //! Dirichlet non-IID clients for the federated ones. The [`stream`] module models live per-SoC
 //! ingestion: seeded rate-heterogeneity profiles, stateless
-//! position-indexed sample streams, and bounded ingest buffers with
-//! drop-vs-backpressure overflow policies.
+//! position-indexed sample streams, and bounded ingest buffers that
+//! backpressure the stream when full.
 //!
 //! ## Example
 //!
@@ -47,4 +47,4 @@ pub mod stream;
 pub use dataset::{Batch, BatchIter, Dataset, SyntheticSpec};
 pub use partition::{dirichlet_partition, iid_partition};
 pub use presets::{DatasetPreset, PresetSpec};
-pub use stream::{IngestBuffer, OnFull, RateProfile, StreamSource};
+pub use stream::{IngestBuffer, RateProfile, StreamSource};

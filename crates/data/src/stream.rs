@@ -12,11 +12,10 @@
 //! - [`StreamSource`]: a stateless position-indexed sample stream — sample
 //!   identity is a pure function of the stream position, so any consumer
 //!   can read any window without carrying RNG state;
-//! - [`IngestBuffer`]: a bounded integer ingest buffer with the two
-//!   overflow policies of [`OnFull`] (drop vs. backpressure) and exact
-//!   produced/consumed/dropped accounting.
+//! - [`IngestBuffer`]: a bounded integer ingest buffer that backpressures
+//!   its producer when full, with exact produced/consumed accounting.
 //!
-//! The engine prices stalls and drops on the simulated clock from these
+//! The engine prices stalls on the simulated clock from these
 //! integer models; nothing here depends on wall time or thread count.
 
 use rand::rngs::StdRng;
@@ -30,47 +29,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// What a bounded ingest buffer does when offered more samples than it has
-/// room for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OnFull {
-    /// Discard the overflow. Lost samples are counted in
-    /// [`IngestBuffer::dropped`]; the stream never pauses.
-    Drop,
-    /// Backpressure the producer: the overflow is deferred (the stream
-    /// pauses), never lost. [`IngestBuffer::dropped`] stays 0 and the
-    /// conservation law `produced == consumed + level` holds at all times.
-    Block,
-}
-
-impl OnFull {
-    /// Parses a CLI policy name (`"drop"` or `"block"`).
-    ///
-    /// # Errors
-    /// Returns a message naming the valid policies on anything else.
-    ///
-    /// ```
-    /// use socflow_data::stream::OnFull;
-    /// assert_eq!(OnFull::parse("drop"), Ok(OnFull::Drop));
-    /// assert!(OnFull::parse("spill").is_err());
-    /// ```
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "drop" => Ok(OnFull::Drop),
-            "block" => Ok(OnFull::Block),
-            other => Err(format!("unknown on-full policy `{other}` (drop|block)")),
-        }
-    }
-
-    /// The CLI/telemetry name of the policy.
-    pub fn name(self) -> &'static str {
-        match self {
-            OnFull::Drop => "drop",
-            OnFull::Block => "block",
-        }
-    }
 }
 
 /// Seeded per-SoC stream-rate heterogeneity profile.
@@ -216,70 +174,53 @@ impl StreamSource {
 /// A bounded per-group ingest buffer with exact integer accounting.
 ///
 /// Samples arriving from the stream are `produce`d into the buffer and
-/// `consume`d by training. When the buffer is full, [`OnFull::Drop`]
-/// discards the overflow and [`OnFull::Block`] defers it (backpressure —
-/// the rejected tail is *not* counted as produced). Samples a stalled
-/// consumer takes at line rate, bypassing the queue, are recorded with
+/// `consume`d by training. When the buffer is full it backpressures the
+/// producer: the rejected tail is deferred (the stream pauses), never
+/// lost, and is *not* counted as produced. Samples a stalled consumer
+/// takes at line rate, bypassing the queue, are recorded with
 /// [`IngestBuffer::drain_through`].
 ///
-/// The conservation law `produced == consumed + level + dropped` holds
-/// after every operation; under [`OnFull::Block`], `dropped` is always 0.
+/// The conservation law `produced == consumed + level` holds after every
+/// operation.
 ///
 /// ```
-/// use socflow_data::stream::{IngestBuffer, OnFull};
-/// let mut b = IngestBuffer::new(4, OnFull::Drop);
-/// assert_eq!(b.produce(6), 4);  // capacity 4: two samples dropped
-/// assert_eq!(b.dropped(), 2);
+/// use socflow_data::stream::IngestBuffer;
+/// let mut b = IngestBuffer::new(4);
+/// assert_eq!(b.produce(6), 4);  // backpressure: 2 deferred, none lost
 /// assert_eq!(b.consume(3), 3);
 /// assert_eq!(b.level(), 1);
-/// assert_eq!(b.produced(), b.consumed() + b.level() + b.dropped());
-///
-/// let mut b = IngestBuffer::new(4, OnFull::Block);
-/// assert_eq!(b.produce(6), 4);  // backpressure: 2 deferred, none lost
-/// assert_eq!(b.dropped(), 0);
 /// assert_eq!(b.produced(), b.consumed() + b.level());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestBuffer {
     capacity: u64,
-    policy: OnFull,
     level: u64,
     produced: u64,
     consumed: u64,
-    dropped: u64,
 }
 
 impl IngestBuffer {
-    /// A buffer holding at most `capacity` samples under `policy`.
+    /// A buffer holding at most `capacity` samples.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: u64, policy: OnFull) -> Self {
+    pub fn new(capacity: u64) -> Self {
         assert!(capacity > 0, "ingest buffer needs capacity");
         IngestBuffer {
             capacity,
-            policy,
             level: 0,
             produced: 0,
             consumed: 0,
-            dropped: 0,
         }
     }
 
     /// Offers `n` freshly streamed samples; returns how many entered the
-    /// buffer. Under [`OnFull::Drop`] the rejected overflow is counted as
-    /// produced-then-dropped; under [`OnFull::Block`] it is deferred and
-    /// counted as nothing (the stream pauses).
+    /// buffer. The rest are deferred and counted as nothing (the stream
+    /// pauses).
     pub fn produce(&mut self, n: u64) -> u64 {
         let accepted = n.min(self.capacity - self.level);
         self.level += accepted;
-        match self.policy {
-            OnFull::Drop => {
-                self.produced += n;
-                self.dropped += n - accepted;
-            }
-            OnFull::Block => self.produced += accepted,
-        }
+        self.produced += accepted;
         accepted
     }
 
@@ -309,14 +250,8 @@ impl IngestBuffer {
         self.capacity
     }
 
-    /// The overflow policy.
-    pub fn policy(&self) -> OnFull {
-        self.policy
-    }
-
-    /// Samples that entered the system (accepted + dropped for
-    /// [`OnFull::Drop`]; accepted only for [`OnFull::Block`], whose
-    /// rejected tail was never generated).
+    /// Samples that entered the buffer or drained through it (a deferred
+    /// tail was never generated).
     pub fn produced(&self) -> u64 {
         self.produced
     }
@@ -326,15 +261,9 @@ impl IngestBuffer {
         self.consumed
     }
 
-    /// Samples lost to overflow (always 0 under [`OnFull::Block`]).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// `true` iff the conservation law holds:
-    /// `produced == consumed + level + dropped`.
+    /// `true` iff the conservation law holds: `produced == consumed + level`.
     pub fn conserves(&self) -> bool {
-        self.produced == self.consumed + self.level + self.dropped
+        self.produced == self.consumed + self.level
     }
 }
 
@@ -345,9 +274,6 @@ mod tests {
 
     #[test]
     fn policies_parse_and_name() {
-        assert_eq!(OnFull::parse("block"), Ok(OnFull::Block));
-        assert_eq!(OnFull::Drop.name(), "drop");
-        assert!(OnFull::parse("").is_err());
         assert_eq!(RateProfile::parse("hetero"), Ok(RateProfile::Heterogeneous));
         assert_eq!(
             RateProfile::parse("heterogeneous"),
@@ -413,21 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn buffer_drop_accounts_overflow() {
-        let mut b = IngestBuffer::new(3, OnFull::Drop);
-        assert_eq!(b.produce(5), 3);
-        assert_eq!((b.level(), b.dropped(), b.produced()), (3, 2, 5));
-        assert_eq!(b.consume(2), 2);
-        assert_eq!(b.produce(3), 2);
-        assert_eq!(b.dropped(), 3);
-        assert!(b.conserves());
-    }
-
-    #[test]
     fn buffer_block_defers_without_loss() {
-        let mut b = IngestBuffer::new(3, OnFull::Block);
+        let mut b = IngestBuffer::new(3);
         assert_eq!(b.produce(5), 3);
-        assert_eq!((b.level(), b.dropped(), b.produced()), (3, 0, 3));
+        assert_eq!((b.level(), b.produced()), (3, 3));
         assert_eq!(b.consume(10), 3, "consume is capped at the level");
         b.drain_through(7);
         assert_eq!((b.produced(), b.consumed()), (10, 10));
@@ -437,7 +352,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn buffer_rejects_zero_capacity() {
-        let _ = IngestBuffer::new(0, OnFull::Drop);
+        let _ = IngestBuffer::new(0);
     }
 
     /// Decodes one drawn word into an ingest-buffer operation: the low
@@ -457,34 +372,27 @@ mod tests {
 
     proptest! {
         /// Conservation holds under arbitrary produce/consume/drain
-        /// interleavings for BOTH policies, and `block` never drops.
+        /// interleavings: backpressure never loses a sample.
         #[test]
         fn buffer_conservation(ops in proptest::collection::vec(0u64..6000, 1..64),
-                               capacity in 1u64..128,
-                               which in 0u8..2) {
-            let policy = if which == 0 { OnFull::Drop } else { OnFull::Block };
-            let mut b = IngestBuffer::new(capacity, policy);
+                               capacity in 1u64..128) {
+            let mut b = IngestBuffer::new(capacity);
             for word in ops {
                 apply_op(&mut b, word);
                 prop_assert!(b.conserves());
                 prop_assert!(b.level() <= b.capacity());
-                if policy == OnFull::Block {
-                    prop_assert_eq!(b.dropped(), 0, "block must never lose samples");
-                }
             }
         }
 
         /// The buffer is a pure state machine: replaying an op sequence
         /// reproduces the exact final state (the rerun-determinism half of
-        /// the buffer-policy contract; thread-count invariance is pinned
+        /// the buffer contract; thread-count invariance is pinned
         /// end-to-end in the repo-level trace tests).
         #[test]
         fn buffer_replay_is_deterministic(ops in proptest::collection::vec(0u64..6000, 1..64),
-                                          capacity in 1u64..128,
-                                          which in 0u8..2) {
-            let policy = if which == 0 { OnFull::Drop } else { OnFull::Block };
+                                          capacity in 1u64..128) {
             let run = || {
-                let mut b = IngestBuffer::new(capacity, policy);
+                let mut b = IngestBuffer::new(capacity);
                 for word in &ops {
                     apply_op(&mut b, *word);
                 }

@@ -288,14 +288,6 @@ pub enum Event {
         group: usize,
         stall: f64,
     },
-    /// A logical group's bounded ingest buffer overflowed under the
-    /// `drop` policy (streaming mode only): `count` freshly streamed
-    /// samples were discarded this epoch.
-    SamplesDropped {
-        epoch: usize,
-        group: usize,
-        count: u64,
-    },
     /// Grouping was re-run by observed stream rate (streaming mode with
     /// rate-aware grouping): the max/min per-SoC rate `spread` exceeded
     /// the regroup threshold, so the `groups` logical groups were
@@ -511,13 +503,10 @@ pub struct Summary {
     pub mean_jct: f64,
     /// Streaming-ingestion counters (streaming traces only, all 0
     /// otherwise): group-epoch stall events and their summed modelled
-    /// seconds, samples lost to `drop`-policy buffer overflow, and
-    /// rate-aware regrouping passes.
+    /// seconds, and rate-aware regrouping passes.
     pub stream_stalls: usize,
     /// Summed modelled seconds of [`Event::StreamStalled`] stalls.
     pub stream_stall_cost: f64,
-    /// Samples lost to buffer overflow ([`Event::SamplesDropped`] summed).
-    pub samples_dropped: u64,
     /// Rate-aware regrouping passes ([`Event::RegroupedByRate`] count).
     pub rate_regroups: usize,
     /// Autotuner counters (`--auto` / `tune` traces only, all 0/None
@@ -718,7 +707,6 @@ impl Summary {
                     s.stream_stalls += 1;
                     s.stream_stall_cost += stall;
                 }
-                Event::SamplesDropped { count, .. } => s.samples_dropped += count,
                 Event::RegroupedByRate { .. } => s.rate_regroups += 1,
                 Event::PlanEvaluated { .. } => s.plans_evaluated += 1,
                 Event::PlanChosen {
@@ -847,13 +835,10 @@ impl Summary {
                 ));
             }
         }
-        if self.stream_stalls > 0 || self.samples_dropped > 0 || self.rate_regroups > 0 {
+        if self.stream_stalls > 0 || self.rate_regroups > 0 {
             out.push_str(&format!(
-                "streaming        {} stalls ({:.3} s), {} samples dropped, {} rate regroups\n",
-                self.stream_stalls,
-                self.stream_stall_cost,
-                self.samples_dropped,
-                self.rate_regroups
+                "streaming        {} stalls ({:.3} s), {} rate regroups\n",
+                self.stream_stalls, self.stream_stall_cost, self.rate_regroups
             ));
         }
         if let Some(plan) = &self.plan_chosen {
@@ -1441,16 +1426,6 @@ mod tests {
                 group: 2,
                 stall: 0.5,
             },
-            Event::SamplesDropped {
-                epoch: 1,
-                group: 0,
-                count: 12,
-            },
-            Event::SamplesDropped {
-                epoch: 2,
-                group: 1,
-                count: 8,
-            },
         ];
         let text: String = events
             .iter()
@@ -1461,13 +1436,10 @@ mod tests {
         let s = Summary::from_events(&parsed);
         assert_eq!(s.stream_stalls, 2);
         assert!((s.stream_stall_cost - 2.0).abs() < 1e-12);
-        assert_eq!(s.samples_dropped, 20);
         assert_eq!(s.rate_regroups, 1);
         let report = s.render();
         assert!(
-            report.contains(
-                "streaming        2 stalls (2.000 s), 20 samples dropped, 1 rate regroups"
-            ),
+            report.contains("streaming        2 stalls (2.000 s), 1 rate regroups"),
             "{report}"
         );
         // non-streaming traces keep the section out of the report

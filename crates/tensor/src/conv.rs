@@ -2,8 +2,8 @@
 //!
 //! Convolution is implemented with the classic im2col lowering: each input
 //! window becomes a row of a patch matrix, the convolution becomes one
-//! [`matmul`](crate::linalg::matmul), and the backward pass reuses the same
-//! patch matrix (`dW = dYᵀ·patches`) plus a `col2im` scatter (`dX`).
+//! GEMM ([`linalg::matmul_a_bt_slices`]), and the backward pass reuses the
+//! same patch matrix (`dW = dYᵀ·patches`) plus a `col2im` scatter (`dX`).
 //!
 //! **Live taps.** The lowering walks only the kernel taps that can ever
 //! overlap the input ([`LiveTaps`]: a window `lh × lw` of the `kh × kw`
@@ -45,8 +45,8 @@
 //! every staging matrix in between, from the calling thread's step scratch
 //! ([`crate::pool`]): a caller that hands the results back when it is done
 //! with them runs without allocating, one that drops them pays what it
-//! always did. The lowering itself comes as allocating wrappers ([`im2col`],
-//! [`col2im`]) and `_into` variants that write into a caller's tensor.
+//! always did. The lowering itself ([`im2col_into`], [`col2im_into`])
+//! writes into a caller's tensor.
 //!
 //! All image tensors are NCHW.
 
@@ -354,17 +354,8 @@ fn with_const_width(w: usize, f: impl FnOnce(usize)) {
 /// Lowers NCHW `input` into a patch matrix of shape
 /// `(n·oh·ow, c·lh·lw)`, one column per channel and *live* tap
 /// ([`LiveTaps`]; `lh·lw = kh·kw` unless the map is smaller than the
-/// kernel's reach); returns `(patches, oh, ow)`.
-///
-/// # Panics
-/// Panics if `input` is not rank-4 or the window does not fit.
-pub fn im2col(input: &Tensor, kh: usize, kw: usize, p: ConvParams) -> (Tensor, usize, usize) {
-    let mut patches = Tensor::default();
-    let (oh, ow) = im2col_into(input, kh, kw, p, &mut patches);
-    (patches, oh, ow)
-}
-
-/// [`im2col`] writing into `patches`, reusing its storage; returns `(oh, ow)`.
+/// kernel's reach), written into `patches`, reusing its storage; returns
+/// `(oh, ow)`.
 ///
 /// # Panics
 /// Panics if `input` is not rank-4 or the window does not fit.
@@ -508,29 +499,10 @@ fn gather_row(
     }
 }
 
-/// Inverse of [`im2col`]: scatters (accumulates) a `(n·oh·ow, c·lh·lw)`
-/// patch-matrix gradient — live taps only, as [`im2col`] lays them out — back
-/// into an NCHW gradient of shape `(n, c, h, w)`.
-///
-/// # Panics
-/// Panics if the patch matrix shape is inconsistent with the arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im(
-    patches: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    p: ConvParams,
-) -> Tensor {
-    let mut out = Tensor::default();
-    col2im_into(patches, n, c, h, w, kh, kw, p, &mut out);
-    out
-}
-
-/// [`col2im`] writing into `grad`, reusing its storage.
+/// Inverse of [`im2col_into`]: scatters (accumulates) a
+/// `(n·oh·ow, c·lh·lw)` patch-matrix gradient — live taps only, as
+/// [`im2col_into`] lays them out — back into an NCHW gradient of shape
+/// `(n, c, h, w)`, written into `grad`, reusing its storage.
 ///
 /// # Panics
 /// Panics if the patch matrix shape is inconsistent with the arguments.
@@ -1071,7 +1043,8 @@ mod tests {
     fn im2col_identity_kernel() {
         // 1x1 kernel, stride 1: patches == input reordered (n*h*w, c)
         let x = seq_tensor([1, 2, 2, 2]);
-        let (p, oh, ow) = im2col(&x, 1, 1, ConvParams::default());
+        let mut p = Tensor::default();
+        let (oh, ow) = im2col_into(&x, 1, 1, ConvParams::default(), &mut p);
         assert_eq!((oh, ow), (2, 2));
         assert_eq!(p.shape().dims(), &[4, 2]);
         // row (y=0,x=0) should be [x[0,0,0,0], x[0,1,0,0]] = [0, 4]
@@ -1215,7 +1188,8 @@ mod tests {
         let (y8, deq, pp, pw) = conv2d_int8(&x, &w, p);
 
         // Reference: quantize the raw patches and weight, accumulate in i32.
-        let (patches, oh, ow) = im2col(&x, kh, kw, p);
+        let mut patches = Tensor::default();
+        let (oh, ow) = im2col_into(&x, kh, kw, p, &mut patches);
         assert_eq!(pp.scale, QuantParams::from_tensor(&patches).scale);
         let cols = ic * kh * kw;
         let (mut qp, mut qw) = (Vec::new(), Vec::new());
@@ -1256,7 +1230,8 @@ mod tests {
         // <im2col(x), p> == <x, col2im(p)> for all x, p (adjoint property).
         let p = ConvParams::new(2, 1);
         let x = seq_tensor([1, 2, 4, 4]);
-        let (patches, _, _) = im2col(&x, 3, 3, p);
+        let mut patches = Tensor::default();
+        im2col_into(&x, 3, 3, p, &mut patches);
         let probe = Tensor::from_vec(
             (0..patches.len())
                 .map(|i| ((i * 7 % 13) as f32) - 6.0)
@@ -1264,7 +1239,8 @@ mod tests {
             patches.shape().clone(),
         );
         let lhs = patches.dot(&probe);
-        let back = col2im(&probe, 1, 2, 4, 4, 3, 3, p);
+        let mut back = Tensor::default();
+        col2im_into(&probe, 1, 2, 4, 4, 3, 3, p, &mut back);
         let rhs = x.dot(&back);
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }

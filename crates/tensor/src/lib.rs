@@ -34,7 +34,8 @@
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], Shape::new(vec![2, 2]));
 //! let b = Tensor::ones(Shape::new(vec![2, 2]));
-//! let c = socflow_tensor::linalg::matmul(&a, &b);
+//! let mut c = Tensor::default();
+//! socflow_tensor::linalg::matmul_into(&a, &b, &mut c);
 //! assert_eq!(c.data(), &[3.0, 3.0, 7.0, 7.0]);
 //! ```
 

@@ -37,10 +37,9 @@
 //! are bit-identical to the single-threaded ones at any `SOCFLOW_THREADS`
 //! setting.
 //!
-//! Every entry point has an `_into` variant that writes into a caller-owned
+//! Every product has an `_into` entry point that writes into a caller-owned
 //! [`Tensor`] (resizing its storage as needed) and a `_slices` variant that
-//! operates on raw row-major buffers; the allocating wrappers remain for API
-//! compatibility.
+//! operates on raw row-major buffers; nothing here allocates its result.
 //!
 //! [`socflow_nn`]: https://docs.rs/socflow-nn
 
@@ -353,7 +352,8 @@ fn store_lanes(out: &mut [f32], lanes: [f32; NR]) {
 // C = A × B
 // ---------------------------------------------------------------------------
 
-/// `C = A × B` for row-major matrices `A: (m, k)`, `B: (k, n)`.
+/// `C = A × B` for row-major matrices `A: (m, k)`, `B: (k, n)`, written
+/// into `out`, reusing its storage (resized as needed).
 ///
 /// # Panics
 /// Panics if the operands are not rank-2 or the inner dimensions disagree.
@@ -362,18 +362,10 @@ fn store_lanes(out: &mut [f32], lanes: [f32; NR]) {
 /// use socflow_tensor::{Tensor, linalg};
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
 /// let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
-/// assert_eq!(linalg::matmul(&a, &i), a);
+/// let mut c = Tensor::default();
+/// linalg::matmul_into(&a, &i, &mut c);
+/// assert_eq!(c, a);
 /// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    matmul_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul`] writing into `out`, reusing its storage (resized as needed).
-///
-/// # Panics
-/// Panics if the operands are not rank-2 or the inner dimensions disagree.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (m, k) = a.shape().as_matrix();
     let (k2, n) = b.shape().as_matrix();
@@ -409,17 +401,8 @@ fn row_major(a: &[f32], k: usize) -> Lhs<'_> {
 // C = Aᵀ × B
 // ---------------------------------------------------------------------------
 
-/// `C = Aᵀ × B` for `A: (k, m)`, `B: (k, n)` without materializing `Aᵀ`.
-///
-/// # Panics
-/// Panics if the operands are not rank-2 or the shared dimension disagrees.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    matmul_at_b_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_at_b`] writing into `out`, reusing its storage.
+/// `C = Aᵀ × B` for `A: (k, m)`, `B: (k, n)` without materializing `Aᵀ`,
+/// written into `out`, reusing its storage.
 ///
 /// # Panics
 /// Panics if the operands are not rank-2 or the shared dimension disagrees.
@@ -457,18 +440,9 @@ pub fn matmul_at_b_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
 // C = A × Bᵀ
 // ---------------------------------------------------------------------------
 
-/// `C = A × Bᵀ` for `A: (m, k)`, `B: (n, k)`; `Bᵀ` only ever exists in
-/// reused scratch (see [`matmul_a_bt_slices`]).
-///
-/// # Panics
-/// Panics if the operands are not rank-2 or the shared dimension disagrees.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    matmul_a_bt_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_a_bt`] writing into `out`, reusing its storage.
+/// `C = A × Bᵀ` for `A: (m, k)`, `B: (n, k)`, written into `out`,
+/// reusing its storage; `Bᵀ` only ever exists in reused scratch (see
+/// [`matmul_a_bt_slices`]).
 ///
 /// # Panics
 /// Panics if the operands are not rank-2 or the shared dimension disagrees.
@@ -809,6 +783,27 @@ mod tests {
     use crate::isa::avx2_or_skip;
     use crate::Shape;
 
+    /// `A × B` through [`matmul_into`] into a fresh destination.
+    fn mm(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut c = Tensor::default();
+        matmul_into(a, b, &mut c);
+        c
+    }
+
+    /// `Aᵀ × B` through [`matmul_at_b_into`] into a fresh destination.
+    fn mm_at_b(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut c = Tensor::default();
+        matmul_at_b_into(a, b, &mut c);
+        c
+    }
+
+    /// `A × Bᵀ` through [`matmul_a_bt_into`] into a fresh destination.
+    fn mm_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut c = Tensor::default();
+        matmul_a_bt_into(a, b, &mut c);
+        c
+    }
+
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = a.shape().as_matrix();
         let (_, n) = b.shape().as_matrix();
@@ -848,7 +843,7 @@ mod tests {
     fn matmul_matches_naive() {
         let a = rand_matrix(7, 5, 1);
         let b = rand_matrix(5, 9, 2);
-        assert_close(&matmul(&a, &b), &naive_matmul(&a, &b));
+        assert_close(&mm(&a, &b), &naive_matmul(&a, &b));
     }
 
     #[test]
@@ -870,9 +865,9 @@ mod tests {
         ] {
             let a = rand_matrix(m, k, (m * 100 + k) as u64);
             let b = rand_matrix(k, n, (k * 100 + n) as u64);
-            assert_close(&matmul(&a, &b), &naive_matmul(&a, &b));
-            assert_close(&matmul_at_b(&transpose(&a), &b), &naive_matmul(&a, &b));
-            assert_close(&matmul_a_bt(&a, &transpose(&b)), &naive_matmul(&a, &b));
+            assert_close(&mm(&a, &b), &naive_matmul(&a, &b));
+            assert_close(&mm_at_b(&transpose(&a), &b), &naive_matmul(&a, &b));
+            assert_close(&mm_a_bt(&a, &transpose(&b)), &naive_matmul(&a, &b));
         }
     }
 
@@ -882,15 +877,15 @@ mod tests {
         let b = rand_matrix(21, 18, 12);
         let mut out = Tensor::from_vec(vec![7.0; 4], [2, 2]); // wrong shape: must resize
         matmul_into(&a, &b, &mut out);
-        assert_eq!(out, matmul(&a, &b));
+        assert_eq!(out, mm(&a, &b));
 
         let at = transpose(&a);
         matmul_at_b_into(&at, &b, &mut out);
-        assert_eq!(out, matmul_at_b(&at, &b));
+        assert_eq!(out, mm_at_b(&at, &b));
 
         let bt = transpose(&b);
         matmul_a_bt_into(&a, &bt, &mut out);
-        assert_eq!(out, matmul_a_bt(&a, &bt));
+        assert_eq!(out, mm_a_bt(&a, &bt));
 
         transpose_into(&a, &mut out);
         assert_eq!(out, transpose(&a));
@@ -903,22 +898,22 @@ mod tests {
         for i in 0..4 {
             id.set(&[i, i], 1.0);
         }
-        assert_close(&matmul(&a, &id), &a);
-        assert_close(&matmul(&id, &a), &a);
+        assert_close(&mm(&a, &id), &a);
+        assert_close(&mm(&id, &a), &a);
     }
 
     #[test]
     fn at_b_equals_explicit_transpose() {
         let a = rand_matrix(6, 3, 4);
         let b = rand_matrix(6, 5, 5);
-        assert_close(&matmul_at_b(&a, &b), &matmul(&transpose(&a), &b));
+        assert_close(&mm_at_b(&a, &b), &mm(&transpose(&a), &b));
     }
 
     #[test]
     fn a_bt_equals_explicit_transpose() {
         let a = rand_matrix(3, 6, 6);
         let b = rand_matrix(5, 6, 7);
-        assert_close(&matmul_a_bt(&a, &b), &matmul(&a, &transpose(&b)));
+        assert_close(&mm_a_bt(&a, &b), &mm(&a, &transpose(&b)));
     }
 
     #[test]
@@ -935,14 +930,14 @@ mod tests {
     fn matmul_dim_mismatch_panics() {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([4, 2]);
-        let _ = matmul(&a, &b);
+        let _ = mm(&a, &b);
     }
 
     #[test]
     fn one_by_one() {
         let a = Tensor::from_vec(vec![3.0], [1, 1]);
         let b = Tensor::from_vec(vec![4.0], [1, 1]);
-        assert_eq!(matmul(&a, &b).data(), &[12.0]);
+        assert_eq!(mm(&a, &b).data(), &[12.0]);
     }
 
     /// Deterministic pseudo-random i8 buffer covering the full [-128, 127]
@@ -1171,9 +1166,9 @@ mod tests {
                 assert_eq!(bits(&want_bt), bits(&want), "per-panel a_bt {m}x{k}x{n}");
 
                 let tag = format!("{m}x{k}x{n} at {threads} threads");
-                assert_eq!(bits(matmul(&a, &b).data()), bits(&want), "matmul {tag}");
-                assert_eq!(bits(matmul_at_b(&at, &b).data()), bits(&want), "at_b {tag}");
-                assert_eq!(bits(matmul_a_bt(&a, &bt).data()), bits(&want), "a_bt {tag}");
+                assert_eq!(bits(mm(&a, &b).data()), bits(&want), "matmul {tag}");
+                assert_eq!(bits(mm_at_b(&at, &b).data()), bits(&want), "at_b {tag}");
+                assert_eq!(bits(mm_a_bt(&a, &bt).data()), bits(&want), "a_bt {tag}");
             }
         }
     }
@@ -1191,9 +1186,9 @@ mod tests {
                     let (at, bt) = (transpose(&a), transpose(&b));
                     let want = bits(naive_matmul(&a, &b).data());
                     let tag = format!("{m}x{k}x{n}");
-                    assert_eq!(bits(matmul(&a, &b).data()), want, "matmul {tag}");
-                    assert_eq!(bits(matmul_at_b(&at, &b).data()), want, "at_b {tag}");
-                    assert_eq!(bits(matmul_a_bt(&a, &bt).data()), want, "a_bt {tag}");
+                    assert_eq!(bits(mm(&a, &b).data()), want, "matmul {tag}");
+                    assert_eq!(bits(mm_at_b(&at, &b).data()), want, "at_b {tag}");
+                    assert_eq!(bits(mm_a_bt(&a, &bt).data()), want, "a_bt {tag}");
                 }
             }
         }
@@ -1221,9 +1216,9 @@ mod tests {
                     let (at, bt) = (transpose(&a), transpose(&b));
                     let want = bits(&serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n));
                     let tag = format!("{m}x{k}x{n} at {threads} threads");
-                    assert_eq!(bits(matmul(&a, &b).data()), want, "matmul {tag}");
-                    assert_eq!(bits(matmul_at_b(&at, &b).data()), want, "at_b {tag}");
-                    assert_eq!(bits(matmul_a_bt(&a, &bt).data()), want, "a_bt {tag}");
+                    assert_eq!(bits(mm(&a, &b).data()), want, "matmul {tag}");
+                    assert_eq!(bits(mm_at_b(&at, &b).data()), want, "at_b {tag}");
+                    assert_eq!(bits(mm_a_bt(&a, &bt).data()), want, "a_bt {tag}");
                 }
             }
         }

@@ -379,7 +379,8 @@ mod tests {
         let qa = quantize(&a, pa);
         let qb = quantize(&b, pb);
         let qres = quantized_matmul(&qa, pa, &qb, pb, (m, k, n));
-        let fres = crate::linalg::matmul(&a, &b);
+        let mut fres = Tensor::default();
+        crate::linalg::matmul_into(&a, &b, &mut fres);
         // Error per output element is bounded by k * (sa*|b| + sb*|a| + sa*sb) / 2-ish;
         // for unit-magnitude inputs a loose bound of k * 2.5 * max_step suffices.
         let tol = k as f32 * 1.5 * (pa.scale + pb.scale);

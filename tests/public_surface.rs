@@ -35,10 +35,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "Gaussian inputs of the layer gradchecks and step-scratch properties",
     ),
     (
-        "ring_allreduce_sum",
-        "data-plane ring tests/properties.rs holds to the direct sum",
-    ),
-    (
         "tidal_fault_plan",
         "tidal preemption plan tests/checkpoint_preemption.rs resumes through",
     ),

@@ -184,38 +184,22 @@ fn faulted_runs_are_thread_count_invariant() {
 
 /// Streaming ingestion runs entirely on the coordinating thread — stream
 /// cursors, buffer levels, stall pricing and rate-aware regrouping must
-/// all be byte-identical at every pool size, for both overflow policies
-/// and with regrouping on and off.
+/// all be byte-identical at every pool size, with regrouping on and off.
 #[test]
 fn streaming_runs_are_thread_count_invariant() {
     use socflow::config::StreamingConfig;
-    use socflow_data::stream::{OnFull, RateProfile};
+    use socflow_data::stream::RateProfile;
 
-    let arms: [(&str, RateProfile, OnFull, bool); 3] = [
-        ("uniform-block", RateProfile::Uniform, OnFull::Block, true),
-        (
-            "bimodal-rate-aware",
-            RateProfile::Bimodal,
-            OnFull::Block,
-            true,
-        ),
-        (
-            "hetero-drop",
-            RateProfile::Heterogeneous,
-            OnFull::Drop,
-            false,
-        ),
+    let arms: [(&str, RateProfile, bool); 3] = [
+        ("uniform", RateProfile::Uniform, true),
+        ("bimodal-rate-aware", RateProfile::Bimodal, true),
+        ("hetero-topology", RateProfile::Heterogeneous, false),
     ];
-    for (label, profile, on_full, rate_aware) in arms {
+    for (label, profile, rate_aware) in arms {
         let spec = spec_of(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
         let workload = Workload::standard(&spec, 128, 8, 0.5);
         let mut scfg = StreamingConfig::new(profile);
-        scfg.on_full = on_full;
         scfg.rate_aware = rate_aware;
-        if on_full == OnFull::Drop {
-            // oversupply so the drop path actually sheds samples
-            scfg.base_rate = Some(1.0e6);
-        }
         assert_thread_invariant(label, &|sink| {
             Engine::new(
                 spec,
