@@ -488,7 +488,8 @@ struct KernelDoc {
     schema: &'static str,
     mode: &'static str,
     profiled_beta: f64,
-    /// Which kernel instantiation this host ran: "avx2" | "portable".
+    /// Which kernel instantiation this host ran: "avx512" | "avx2" |
+    /// "portable".
     isa: &'static str,
     results: Vec<KernelRow>,
 }
@@ -614,6 +615,47 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
     time("matmul_i8", big_shape, big_flops, &mut || {
         linalg::matmul_i8_a_bt_slices(&qa3, &qbt3, &mut ci3, m3, k3, n3);
     });
+
+    // --- The products the training ledger spends its GEMM time in --------
+    // `train_mixed`'s VGG-11 (0.25 width, 8×8 inputs): the 56-filter 2×2
+    // convolution's weight gradient `dYᵀ × patches`, input gradient
+    // `dY × W` (40 samples) and forward `patches × Wᵀ` (24 samples), and the
+    // first convolution's forward — 14 filters, all of them a padded tail.
+    // Then LeNet-5's first FMNIST convolution on the INT8 arm: `k = 9`, the
+    // i8 kernel's short-`k` path.
+    type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+    let ledger: [(&str, Gemm, usize, usize, usize); 4] = [
+        ("matmul_at_b", linalg::matmul_at_b_slices, 56, 160, 504),
+        ("matmul", linalg::matmul_slices, 160, 56, 504),
+        ("matmul_a_bt", linalg::matmul_a_bt_slices, 96, 504, 56),
+        ("matmul_a_bt", linalg::matmul_a_bt_slices, 2560, 27, 14),
+    ];
+    for (op, gemm, m, k, n) in ledger {
+        // `m·k` and `k·n` floats: what every orientation reads, as `A` or
+        // `Aᵀ` and as `B` or `Bᵀ`
+        let lhs = tensor([m, k], 0x5eed_0017);
+        let rhs = tensor([k, n], 0x5eed_0018);
+        let mut out = Tensor::zeros([m, n]);
+        let flops = 2.0 * (m * k * n) as f64;
+        time(op, format!("{m}x{k}x{n}"), flops, &mut || {
+            gemm(lhs.data(), rhs.data(), out.data_mut(), m, k, n);
+        });
+    }
+    let (m4, k4, n4) = (2560, 9, 3);
+    let a4 = tensor([m4, k4], 0x5eed_0019);
+    let bt4 = tensor([n4, k4], 0x5eed_001a);
+    let (mut qa4, mut qbt4) = (Vec::new(), Vec::new());
+    quant::quantize_into(&a4, QuantParams::from_tensor(&a4), &mut qa4);
+    quant::quantize_into(&bt4, QuantParams::from_tensor(&bt4), &mut qbt4);
+    let mut ci4 = vec![0i32; m4 * n4];
+    time(
+        "matmul_i8",
+        format!("{m4}x{k4}x{n4}"),
+        2.0 * (m4 * k4 * n4) as f64,
+        &mut || {
+            linalg::matmul_i8_a_bt_slices(&qa4, &qbt4, &mut ci4, m4, k4, n4);
+        },
+    );
 
     // --- Transpose (data movement; "flops" = elements moved) ------------
     let (tm, tn) = (256, 256);
@@ -1280,8 +1322,8 @@ mod tests {
         }
         assert_eq!(
             doc.results.iter().filter(|r| r.op == "matmul_i8").count(),
-            3,
-            "integer GEMM rows at all three shapes"
+            4,
+            "integer GEMM rows at all four shapes"
         );
         let ns = |op| {
             let cube = |r: &&KernelRow| r.op == op && r.shape == "128x128x128";

@@ -668,7 +668,8 @@ fn trace_summarize(path: &str, spans_full: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// `socflow-cli info`: models, datasets and calibration summary.
+/// `socflow-cli info`: models, datasets, calibration summary, and the
+/// kernel instantiation this host runs.
 pub fn info() -> Result<(), String> {
     println!(
         "models (reference params / FP32 payload | the layer table at the paper's input: \
@@ -702,6 +703,10 @@ pub fn info() -> Result<(), String> {
         c.soc_link_bps / 1e9,
         c.board_uplink_bps / 1e9,
         c.switch_bps / 1e9
+    );
+    println!(
+        "\nkernel isa: {} (from the host's CPU features)",
+        socflow_tensor::isa::Isa::active().name()
     );
     Ok(())
 }

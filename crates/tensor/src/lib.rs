@@ -18,8 +18,9 @@
 //! - the step scratch, a thread-local exact-size free-list that every
 //!   buffer of a training step is borrowed from ([`pool`]), and opt-in
 //!   kernel timing counters ([`profile`]);
-//! - one runtime decision between the portable and the AVX2 instantiation
-//!   of the hot kernels ([`isa`]), bit-identical either way;
+//! - one runtime decision between the portable, AVX2 and AVX-512
+//!   instantiations of the hot kernels ([`isa`]), bit-identical whichever
+//!   runs;
 //! - a deterministic intra-op parallel runtime ([`runtime`]): a persistent
 //!   worker pool whose output partitioning is fixed by problem shape, so
 //!   results are bit-identical at any thread count.

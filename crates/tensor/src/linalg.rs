@@ -2,13 +2,13 @@
 //! transposes.
 //!
 //! These routines are the compute kernels behind [`socflow_nn`]'s linear and
-//! (via im2col) convolution layers. Each product is computed by an
-//! `MR × NR` micro-kernel that keeps a fixed-size accumulator tile in
+//! (via im2col) convolution layers. Each product is computed by a
+//! register-tile micro-kernel that keeps a fixed-size accumulator tile in
 //! registers and streams contiguously over the operands, so rustc
 //! autovectorizes the inner loops without any nightly SIMD or external
-//! dependencies. The last `n % NR` columns run through the same tile over a
-//! zero-padded copy of `B`'s tail columns; the last `m % MR` rows run one
-//! row at a time. Either way the accumulation order is the same.
+//! dependencies. The last `n % NR` columns run through the 16-column tile
+//! over a zero-padded copy of `B`'s tail columns; the last `m % MR` rows run
+//! one row at a time. Either way the accumulation order is the same.
 //!
 //! **Numerics contract:** every kernel accumulates each output element
 //! strictly sequentially over the shared dimension `p` in ascending order —
@@ -17,25 +17,35 @@
 //! computed together, never the floating-point summation order, so results
 //! are bit-identical to the pre-tiled kernels and deterministic across runs.
 //!
-//! **Two instantiations:** the f32 panel kernel is one `#[inline(always)]`
-//! body compiled twice by `isa_kernel!` — for the crate's baseline target
-//! and under `#[target_feature(enable = "avx2")]` — and [`Isa::active`] picks
-//! one per call (see [`crate::isa`]). The lanes run across the *output*
-//! dimension, so both satisfy the contract above and agree bit for bit. All
-//! three products share it: `Aᵀ × B` is a stride choice on the left operand
-//! and `A × Bᵀ` transposes `B` once per call. The i8 GEMM is the one kernel
-//! with hand-written intrinsics; it is exact in `i32`, where no order can
+//! **Three instantiations, one tile each:** the f32 panel kernel is one
+//! `#[inline(always)]` body, generic over its tile's width, compiled three
+//! times by `isa_kernel!`, and [`Isa::active`] picks one per call (see
+//! [`crate::isa`]):
+//!
+//! | instantiation | full tile | accumulators | columns left over |
+//! |---|---|---|---|
+//! | portable, AVX2 | 4 × 16 | eight `ymm` on AVX2 | padded to one 4 × 16 tile |
+//! | AVX-512 | 4 × 32 | eight `zmm` | one 4 × 16 tile from `B` if 16 or more are left, then the padded 4 × 16 tile |
+//!
+//! so no tail pads more than 15 lanes at any width. The lanes run across
+//! the *output* dimension, so all three satisfy the contract above and
+//! agree bit for bit. All three products share the kernel: `Aᵀ × B` is a
+//! stride choice on the left operand and `A × Bᵀ` transposes `B` once per
+//! call. The i8 GEMM is the one kernel with hand-written intrinsics (AVX2;
+//! the AVX-512 level runs it too); it is exact in `i32`, where no order can
 //! matter.
 //!
 //! **Parallelism:** large products are cut into panels of the output and
 //! dispatched on the [`crate::runtime`] worker pool: `ROWS_PER_CHUNK` rows
 //! each when there is more than one such panel, otherwise (`m ≤ 32`: every
-//! convolution's weight gradient `Aᵀ × B`) groups of `NR`-column panels. The
-//! cut depends only on the shape — never on the thread count — and each
+//! convolution's weight gradient `Aᵀ × B`) groups of column panels as wide
+//! as the instantiation's tile — 16 or 32 columns, and 16 on AVX-512 too
+//! when one 32-column tile would cover the whole product. The cut depends
+//! only on the shape and the tile — never on the thread count — and each
 //! panel is computed by the same sequential micro-kernel writing its own
 //! cells, every element still the ascending-`p` sum, so the parallel kernels
 //! are bit-identical to the single-threaded ones at any `SOCFLOW_THREADS`
-//! setting.
+//! setting, on any instantiation.
 //!
 //! Every product has an `_into` entry point that writes into a caller-owned
 //! [`Tensor`] (resizing its storage as needed) and a `_slices` variant that
@@ -52,8 +62,24 @@ use std::ops::Range;
 
 /// Rows of the register accumulator tile.
 const MR: usize = 4;
-/// Columns of the register accumulator tile (two 8-lane vectors on AVX2).
+/// Columns of the portable and AVX2 register tile (two 8-lane vectors on
+/// AVX2), of the AVX-512 tile for the last `n % NR_WIDE` columns, and of
+/// the zero-padded tail panel on every level.
 const NR: usize = 16;
+/// Columns of the AVX-512 register tile: two 16-lane vectors a row, eight
+/// accumulators.
+const NR_WIDE: usize = 32;
+
+/// Columns of `isa`'s full register tile: what [`gemm_panel`] compiles for
+/// it, and the grain of a column cut ([`Split`]). Only the speed depends on
+/// the two agreeing: either body computes any panel on the `NR` grid.
+fn tile_cols(isa: Isa) -> usize {
+    if isa.has_avx512() {
+        NR_WIDE
+    } else {
+        NR
+    }
+}
 
 thread_local! {
     /// `Bᵀ` of the running [`matmul_a_bt_slices`] call (`k × n`), transposed
@@ -82,7 +108,13 @@ const ROWS_PER_CHUNK: usize = 32;
 /// `Aᵀ × B` 12×64×108 (2¹⁶·³) ×1.8, 12×256×108 (2¹⁸·³) ×0.81, 12×1024×108
 /// ×0.64. A product whose row panels are a few thousand multiply-adds each
 /// (4096×8×8) still loses above the threshold, ×1.1–1.3; no layer of the
-/// model zoo has one.
+/// model zoo has one. Re-measured on the AVX-512 panel (Sapphire Rapids
+/// reference host, two threads against one, three runs of fifteen
+/// interleaved rounds): 12×64×108 (2¹⁶·³) ×1.01–1.19, 64×64×32 (2¹⁷)
+/// ×0.84–0.87, 64³ ×0.70–0.80, 256×32×32 ×0.65–0.96, 12×256×108 ×0.76–0.84,
+/// 128×64×64 ×0.62–0.68, 128³ ×0.56–0.73: the break-even did not move far
+/// enough from 2¹⁷ to be told apart from the host's noise, so the constant
+/// stays.
 pub(crate) const PAR_MIN_WORK_F32: usize = 1 << 18;
 
 /// The same threshold for the i8 GEMM. The pool round-trip costs what it
@@ -120,28 +152,35 @@ fn worth_parallel(m: usize, k: usize, n: usize, min_work: usize) -> bool {
 }
 
 /// How an f32 product's output is cut into chunks for the pool — from the
-/// shape alone, like every partition here.
+/// shape and the register tile's width, never the thread count, like every
+/// partition here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Split {
     /// One panel, on the calling thread.
     Serial,
     /// Panels of [`ROWS_PER_CHUNK`] rows, all columns each.
     Rows,
-    /// All rows, this many columns a chunk (a multiple of `NR`): a product
-    /// with no second row panel — every weight gradient `Aᵀ × B` of a
-    /// convolution has as many rows as the layer has filters — still has
-    /// `n / NR` independent column panels.
+    /// All rows, this many columns a chunk: a product with no second row
+    /// panel — every weight gradient `Aᵀ × B` of a convolution has as many
+    /// rows as the layer has filters — still has independent column
+    /// panels. The width is a multiple of the widest tile that cuts the
+    /// product in two at least: the full tile, or `NR` for a product no
+    /// wider than one 32-column tile (the 27 columns of a 3-channel
+    /// convolution's gradient).
     Columns(usize),
 }
 
 impl Split {
-    fn of(m: usize, k: usize, n: usize) -> Split {
+    /// The cut for an `m × k × n` product whose full column panels are
+    /// `tile` wide ([`tile_cols`]).
+    fn of(m: usize, k: usize, n: usize, tile: usize) -> Split {
+        let grain = if n > tile { tile } else { NR };
         if !worth_parallel(m, k, n, PAR_MIN_WORK_F32) {
             Split::Serial
         } else if m > ROWS_PER_CHUNK {
             Split::Rows
-        } else if n > NR {
-            Split::Columns(n.div_ceil(NR).div_ceil(MAX_COLUMN_CHUNKS) * NR)
+        } else if n > grain {
+            Split::Columns(n.div_ceil(grain).div_ceil(MAX_COLUMN_CHUNKS) * grain)
         } else {
             Split::Serial
         }
@@ -158,13 +197,17 @@ impl Split {
 /// 15.0; with a long `k` the cut makes no difference one can measure —
 /// 12×1024×300 (19 panels) 110 / 106 / 109 / 111, 23×1024×207 166 / 186 /
 /// 166 / 168, 12×4096×108 (7 panels, the cap not reached past 4) 228 / 212 /
-/// 231 / 246.
+/// 231 / 246. Re-measured on the AVX-512 panel's 32-column chunks, best of
+/// two runs at a cap of 4 / 8 / 16 / 64: 32×64×1024 75 / 71 / 81 / 83,
+/// 10×64×512 15.4 / 11.1 / 18.0 / 17.1, 12×1024×300 146 / 129 / 137 / 126,
+/// 23×1024×207 202 / 165 / 240 / 206, 28×640×126 100 / 90 / 85 / 91 — 8
+/// still.
 const MAX_COLUMN_CHUNKS: usize = 8;
 
 /// The micro-kernels' accumulate step: `acc[c] += av * brow[c]` over the
-/// `NR` lanes — one multiply and one add per lane, in that order.
+/// tile's `T` lanes — one multiply and one add per lane, in that order.
 #[inline(always)]
-fn axpy_nr(acc: &mut [f32; NR], av: f32, brow: &[f32]) {
+fn axpy<const T: usize>(acc: &mut [f32; T], av: f32, brow: &[f32]) {
     for (c, &bv) in acc.iter_mut().zip(brow.iter()) {
         *c += av * bv;
     }
@@ -240,7 +283,7 @@ fn gemm_panels(isa: Isa, lhs: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usiz
             let cells = unsafe { Panel::new(&out, n, rows, cols) };
             gemm_panel(isa, lhs, b, tail, cells, k);
         };
-        match Split::of(m, k, n) {
+        match Split::of(m, k, n, tile_cols(isa)) {
             Split::Serial => panel(0..m, 0..n),
             Split::Rows => {
                 crate::runtime::parallel_for_chunks(m.div_ceil(ROWS_PER_CHUNK), &|c| {
@@ -273,32 +316,41 @@ fn pad_tail_columns(b: &[f32], tail: &mut Vec<f32>, k: usize, n: usize) {
 }
 
 isa_kernel! {
-    /// Sequential `MR × NR` kernel over the rows and columns of `cells`
-    /// (columns from a multiple of `NR` on): the single-threaded sweep,
-    /// reused verbatim by every parallel panel. `tail` is `b`'s
+    /// Sequential kernel over the rows and columns of `cells` (columns from
+    /// a multiple of `NR` on): the single-threaded sweep, reused verbatim by
+    /// every parallel panel. `MR × NR` tiles on the portable and AVX2
+    /// levels, `MR × NR_WIDE` on AVX-512 ([`tile_cols`]). `tail` is `b`'s
     /// [`pad_tail_columns`] panel.
-    fn gemm_panel(lhs: Lhs, b: &[f32], tail: &[f32], cells: Panel, k: usize) = gemm_panel_body;
+    fn gemm_panel(lhs: Lhs, b: &[f32], tail: &[f32], cells: Panel, k: usize)
+        = gemm_panel_body::<NR>, avx512: gemm_panel_body::<NR_WIDE>;
 }
 
+/// Full `W`-column panels, then — when `W` is wider than `NR` — at most one
+/// `NR` panel read straight from `b`, then the padded tail of fewer than
+/// `NR` columns on the `NR` tile, so no tail pads more than 15 lanes.
 #[inline(always)]
-fn gemm_panel_body(lhs: Lhs, b: &[f32], tail: &[f32], mut cells: Panel, k: usize) {
+fn gemm_panel_body<const W: usize>(lhs: Lhs, b: &[f32], tail: &[f32], mut cells: Panel, k: usize) {
     let (n, end) = (cells.n, cells.cols.end);
     let mut j = cells.cols.start;
-    while j + NR <= end {
-        column_panel(lhs, b, n, j, &mut cells, k, j, NR);
+    while j + W <= end {
+        column_panel::<W>(lhs, b, n, j, &mut cells, k, j, W);
+        j += W;
+    }
+    if W > NR && j + NR <= end {
+        column_panel::<NR>(lhs, b, n, j, &mut cells, k, j, NR);
         j += NR;
     }
     if j < end {
-        column_panel(lhs, tail, NR, 0, &mut cells, k, j, end - j);
+        column_panel::<NR>(lhs, tail, NR, 0, &mut cells, k, j, end - j);
     }
 }
 
-/// Output columns `j..j + w` (`w ≤ NR`) for the rows of `cells`: `MR × NR`
+/// Output columns `j..j + w` (`w ≤ T`) for the rows of `cells`: `MR × T`
 /// register tiles, then single rows. The tile reads row `p` of the `B`
-/// panel at `b[p * b_stride + b_off..][..NR]` and keeps its first `w` lanes.
+/// panel at `b[p * b_stride + b_off..][..T]` and keeps its first `w` lanes.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn column_panel(
+fn column_panel<const T: usize>(
     lhs: Lhs,
     b: &[f32],
     b_stride: usize,
@@ -311,12 +363,12 @@ fn column_panel(
     let a = lhs.data;
     let (mut i, m) = (cells.rows.start, cells.rows.end);
     while i + MR <= m {
-        let mut acc = [[0.0f32; NR]; MR];
+        let mut acc = [[0.0f32; T]; MR];
         for p in 0..k {
-            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + NR];
+            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + T];
             for (mi, accrow) in acc.iter_mut().enumerate() {
                 let av = a[(i + mi) * lhs.row_stride + p * lhs.p_stride];
-                axpy_nr(accrow, av, brow);
+                axpy(accrow, av, brow);
             }
         }
         for (mi, accrow) in acc.iter().enumerate() {
@@ -326,10 +378,10 @@ fn column_panel(
     }
     // Row tail: fewer than MR rows left.
     while i < m {
-        let mut acc = [0.0f32; NR];
+        let mut acc = [0.0f32; T];
         for p in 0..k {
-            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + NR];
-            axpy_nr(&mut acc, a[i * lhs.row_stride + p * lhs.p_stride], brow);
+            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + T];
+            axpy(&mut acc, a[i * lhs.row_stride + p * lhs.p_stride], brow);
         }
         store_lanes(cells.lanes(i, j, w), acc);
         i += 1;
@@ -344,7 +396,7 @@ fn column_panel(
 /// 4096×108×12 ran 466 µs against 299 µs for ×16; 320 µs this way), and no
 /// convolution of the width-scaled nets has a multiple of 16 filters.
 #[inline(always)]
-fn store_lanes(out: &mut [f32], lanes: [f32; NR]) {
+fn store_lanes<const T: usize>(out: &mut [f32], lanes: [f32; T]) {
     out.copy_from_slice(&lanes[..out.len()]);
 }
 
@@ -568,12 +620,12 @@ fn matmul_i8_panel_portable(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: us
 /// Register-blocked widening-dot micro-kernel: tiles of 2 `A` rows × 4 `B`
 /// rows (eight `i32×8` accumulators); an odd last row and the last `n % 4`
 /// columns run the narrower instantiations of the same tile. A `k` below
-/// one vector has nothing to block and takes the portable loop.
+/// one vector has nothing to block and runs [`i8_short_k_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn matmul_i8_panel_avx2(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
     if k < 16 {
-        return matmul_i8_panel_portable(a, b, out, m, k, n);
+        return i8_short_k_avx2(a, b, out, m, k, n);
     }
     let mut i = 0;
     while i + 2 <= m {
@@ -582,6 +634,52 @@ fn matmul_i8_panel_avx2(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize,
     }
     if i < m {
         i8_row_block_avx2::<1>(a, b, out, i, k, n);
+    }
+}
+
+/// The i8 panel for `k < 16` — a one-channel 3 × 3 convolution's `k = 9` —
+/// with eight rows of `A` in the lanes instead of `k`. Each block of eight
+/// rows is transposed once into `i16` lane pairs, lanes `2r` and `2r + 1`
+/// of vector `q` holding `A[i + r][2q]` and `A[i + r][2q + 1]` (zero past
+/// `k` and past `m`); then every column `j` is `⌈k / 2⌉` `madd_epi16`s
+/// against the broadcast pair `B[j][2q], B[j][2q + 1]`, eight finished
+/// sums with no horizontal reduction. Exact for the reason
+/// [`dot_tile_avx2`] is.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn i8_short_k_avx2(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+    use std::arch::x86_64::*;
+    const ROWS: usize = 8;
+    /// One vector per pair of `p`: `⌈15 / 2⌉` for the longest `k` here.
+    const PAIRS: usize = 8;
+    assert!(k < 16);
+    let pairs = k.div_ceil(2);
+    for i in (0..m).step_by(ROWS) {
+        let rows = (m - i).min(ROWS);
+        let mut block = [[0i16; 2 * ROWS]; PAIRS];
+        for r in 0..rows {
+            for (p, &v) in a[(i + r) * k..(i + r + 1) * k].iter().enumerate() {
+                block[p / 2][2 * r + p % 2] = v as i16;
+            }
+        }
+        // SAFETY: each row of `block` is sixteen `i16`s, one vector.
+        let av = block.map(|v| unsafe { _mm256_loadu_si256(v.as_ptr().cast()) });
+        for j in 0..n {
+            let brow = &b[j * k..(j + 1) * k];
+            let mut acc = _mm256_setzero_si256();
+            for (q, &aq) in av[..pairs].iter().enumerate() {
+                let lo = brow[2 * q] as i16 as u16 as u32;
+                let hi = brow.get(2 * q + 1).map_or(0, |&v| v as i16 as u16 as u32);
+                let bq = _mm256_set1_epi32((lo | hi << 16) as i32);
+                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(aq, bq));
+            }
+            let mut sums = [0i32; ROWS];
+            // SAFETY: `sums` is eight contiguous `i32`s, one vector.
+            unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), acc) };
+            for (r, &sum) in sums[..rows].iter().enumerate() {
+                out[(i + r) * n + j] = sum;
+            }
+        }
     }
 }
 
@@ -780,7 +878,7 @@ fn transpose_blocks(a: &[f32], out: &mut [f32], m: usize, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::avx2_or_skip;
+    use crate::isa::{avx2_or_skip, wide_or_skip};
     use crate::Shape;
 
     /// `A × B` through [`matmul_into`] into a fresh destination.
@@ -1036,7 +1134,7 @@ mod tests {
                     let brow = &panel[p * NR..(p + 1) * NR];
                     for (mi, accrow) in acc.iter_mut().enumerate() {
                         let av = a[(i + mi) * k + p];
-                        axpy_nr(accrow, av, brow);
+                        axpy(accrow, av, brow);
                     }
                 }
                 for (mi, accrow) in acc.iter().enumerate() {
@@ -1050,7 +1148,7 @@ mod tests {
                 for p in 0..k {
                     let av = a[i * k + p];
                     let brow = &panel[p * NR..(p + 1) * NR];
-                    axpy_nr(&mut acc, av, brow);
+                    axpy(&mut acc, av, brow);
                 }
                 out[i * n + j..i * n + j + NR].copy_from_slice(&acc);
                 i += 1;
@@ -1103,8 +1201,13 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Output widths around both tiles' grids — each tail width of the
+    /// 16- and 32-lane tiles, on and off one full panel — that include the
+    /// model zoo's channel counts (14, 28 at the CLI's widths).
+    const TILE_EDGE_N: [usize; 10] = [1, 12, 14, 16, 17, 23, 28, 31, 32, 33];
+
     /// Tile-edge torture list shared by the instantiation tests: `m`, `n`
-    /// off the 4/16 grid, `k` around one vector and at the conv shapes.
+    /// off the 4/16/32 grids, `k` around one vector and at the conv shapes.
     fn awkward_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = vec![
             (1, 1, 1),
@@ -1112,20 +1215,25 @@ mod tests {
             (5, 13, 17),
             (19, 29, 31),
             (40, 2, 48),
+            (6, 11, 63),
+            (9, 8, 65),
         ];
         for &k in &[0usize, 1, 15, 16, 17, 27, 31] {
             shapes.extend([(7, k, 33), (6, k, 16), (2, k, 5), (33, k, 50)]);
         }
+        for n in TILE_EDGE_N {
+            shapes.extend([(5, 9, n), (10, 27, n)]);
+        }
         shapes
     }
 
-    /// Portable and AVX2 instantiations of all three f32 panel kernels are
-    /// `to_bits()`-equal, and equal to the naive ascending-`p` triple loop.
+    /// Every instantiation of all three f32 panel kernels — portable, AVX2
+    /// and AVX-512, each with a printed skip where the host lacks it — is
+    /// `to_bits()`-equal to the others, and to the naive ascending-`p`
+    /// triple loop.
     #[test]
     fn f32_panels_agree_across_instantiations_bitwise() {
-        let Some(avx2) = avx2_or_skip("f32_panels_agree_across_instantiations_bitwise") else {
-            return;
-        };
+        let wide = wide_or_skip("f32_panels_agree_across_instantiations_bitwise");
         for (m, k, n) in awkward_shapes() {
             let a = rand_matrix(m, k, (m * 131 + k) as u64);
             let b = rand_matrix(k, n, (k * 137 + n) as u64);
@@ -1138,11 +1246,13 @@ mod tests {
                 )
             };
             let (p, p_at) = run(Isa::PORTABLE);
-            let (v, v_at) = run(avx2);
             assert_eq!(p, bits(naive.data()), "matmul vs naive {m}x{k}x{n}");
-            assert_eq!(p, v, "matmul {m}x{k}x{n}");
-            assert_eq!(p_at, v_at, "matmul_at_b {m}x{k}x{n}");
             assert_eq!(p, p_at, "matmul_at_b vs matmul {m}x{k}x{n}");
+            for &isa in &wide {
+                let (v, v_at) = run(isa);
+                assert_eq!(p, v, "matmul {m}x{k}x{n} {}", isa.name());
+                assert_eq!(p_at, v_at, "matmul_at_b {m}x{k}x{n} {}", isa.name());
+            }
         }
     }
 
@@ -1152,8 +1262,10 @@ mod tests {
     #[test]
     fn dispatched_gemms_match_portable_at_1_and_4_threads() {
         let mut shapes = awkward_shapes();
-        // above PAR_MIN_WORK_F32, rows off the panel grid
+        // above PAR_MIN_WORK_F32, rows off the panel grid, columns off both
+        // tile grids
         shapes.extend([(97, 64, 48), (130, 70, 33), (256, 64, 17), (64, 64, 64)]);
+        shapes.extend(TILE_EDGE_N.map(|n| (300, 40, n)));
         for threads in [1, 4] {
             crate::runtime::set_threads(threads);
             for &(m, k, n) in &shapes {
@@ -1173,13 +1285,16 @@ mod tests {
         }
     }
 
-    /// Every width of the tail panel — `n % NR` from 1 to 15, alone and
-    /// behind a full panel — with the row tails of the `MR` tile, in all
-    /// three orientations: bit for bit the naive ascending-`p` triple loop.
+    /// Every width left after the full panels of either tile — `n %
+    /// NR_WIDE` from 1 to 31, so the 16-lane panel and every padded tail
+    /// behind it, alone and behind a full panel — with the row tails of the
+    /// `MR` tile, in all three orientations and on every instantiation the
+    /// host runs: bit for bit the naive ascending-`p` triple loop.
     #[test]
     fn tail_panels_match_the_triple_loop_bitwise() {
-        for w in 1..NR {
-            for n in [w, NR + w] {
+        let wide = wide_or_skip("tail_panels_match_the_triple_loop_bitwise");
+        for w in 1..NR_WIDE {
+            for n in [w, NR_WIDE + w] {
                 for (m, k) in [(1, 5), (3, 1), (4, 17), (7, 9), (9, 33)] {
                     let a = rand_matrix(m, k, (m * 53 + k + w) as u64);
                     let b = rand_matrix(k, n, (k * 59 + n) as u64);
@@ -1189,6 +1304,10 @@ mod tests {
                     assert_eq!(bits(mm(&a, &b).data()), want, "matmul {tag}");
                     assert_eq!(bits(mm_at_b(&at, &b).data()), want, "at_b {tag}");
                     assert_eq!(bits(mm_a_bt(&a, &bt).data()), want, "a_bt {tag}");
+                    for isa in [Isa::PORTABLE].into_iter().chain(wide.iter().copied()) {
+                        let got = serial_matmul(isa, a.data(), b.data(), m, k, n);
+                        assert_eq!(bits(&got), want, "{} {tag}", isa.name());
+                    }
                 }
             }
         }
@@ -1196,20 +1315,22 @@ mod tests {
 
     /// Products with a single row panel — up to `ROWS_PER_CHUNK` rows, the
     /// weight gradients' shape — above the pool threshold are cut by
-    /// columns: equal to the serial panel bit for bit, in all three
-    /// orientations, for `n` on and off the `NR` grid, at pool sizes 1, 2
-    /// and 4.
+    /// columns once they are wider than one tile: equal to the serial
+    /// panel bit for bit, in all three orientations, for `n` on and off
+    /// both tile grids, at pool sizes 1, 2 and 4.
     #[test]
     fn column_split_matches_serial_bitwise() {
+        let tile = tile_cols(Isa::active());
         for threads in [1, 2, 4] {
             crate::runtime::set_threads(threads);
             for m in [1usize, 4, 12, 23, 32] {
-                for n in [17usize, 108, 130, 144] {
+                for n in TILE_EDGE_N.into_iter().chain([108, 130, 144]) {
                     let k = PAR_MIN_WORK_F32.div_ceil(m * n) + 3;
                     // another test may have resized the pool meanwhile; the
                     // bytes below must hold either way
                     if crate::runtime::threads() > 1 {
-                        assert!(matches!(Split::of(m, k, n), Split::Columns(_)));
+                        let split = Split::of(m, k, n, tile);
+                        assert_eq!(matches!(split, Split::Columns(_)), n > NR, "{split:?}");
                     }
                     let a = rand_matrix(m, k, (m * 41 + n) as u64);
                     let b = rand_matrix(k, n, (k * 43 + n) as u64);
@@ -1224,36 +1345,53 @@ mod tests {
         }
     }
 
-    /// The column cut is a function of the shape: whole `NR` panels, at
-    /// most `MAX_COLUMN_CHUNKS` chunks, nothing for a product too small or
-    /// one panel wide, rows first when there is more than one row panel.
+    /// The column cut is a function of the shape and the tile's width:
+    /// whole tile panels — `NR` ones when one wide tile would cover the
+    /// product — at most `MAX_COLUMN_CHUNKS` chunks, nothing for a product
+    /// too small or one `NR` panel wide, rows first when there is more than
+    /// one row panel — for the 16-column tile and the 32-column one.
     #[test]
     fn the_split_is_chosen_from_the_shape() {
         crate::runtime::set_threads(2);
         let big = PAR_MIN_WORK_F32;
         let cases = [
-            ((12, big, 108), Split::Columns(16)), // 7 panels, one each
-            ((12, big, 300), Split::Columns(48)), // 19 panels, 3 a chunk
-            ((32, big, 17), Split::Columns(16)),
-            ((32, big, 16), Split::Serial), // one panel wide
-            ((33, big, 17), Split::Rows),
-            ((12, 4, 108), Split::Serial), // below the threshold
+            ((12, big, 108, NR), Split::Columns(16)), // 7 panels, one each
+            ((12, big, 300, NR), Split::Columns(48)), // 19 panels, 3 a chunk
+            ((32, big, 17, NR), Split::Columns(16)),
+            ((32, big, 16, NR), Split::Serial), // one panel wide
+            ((33, big, 17, NR), Split::Rows),
+            ((12, 4, 108, NR), Split::Serial), // below the threshold
+            ((12, big, 108, NR_WIDE), Split::Columns(32)), // 4 panels, one each
+            ((12, big, 300, NR_WIDE), Split::Columns(64)), // 10 panels, 2 a chunk
+            ((32, big, 33, NR_WIDE), Split::Columns(32)),
+            ((32, big, 32, NR_WIDE), Split::Columns(16)), // one wide tile: cut at NR
+            ((14, big, 27, NR_WIDE), Split::Columns(16)),
+            ((32, big, 16, NR_WIDE), Split::Serial), // one panel wide
+            ((33, big, 17, NR_WIDE), Split::Rows),
+            ((12, 4, 108, NR_WIDE), Split::Serial), // below the threshold
         ];
-        for ((m, k, n), want) in cases {
+        for ((m, k, n, tile), want) in cases {
             if crate::runtime::threads() > 1 {
-                assert_eq!(Split::of(m, k, n), want, "{m}x{k}x{n}");
+                assert_eq!(
+                    Split::of(m, k, n, tile),
+                    want,
+                    "{m}x{k}x{n} on {tile} columns"
+                );
             }
         }
     }
 
     /// Both i8 panels equal the widened-`i32` triple loop exactly: random
-    /// operands, all `-128` (the largest products), `k` below one vector,
-    /// every row/column tail of the 2×4 tile.
+    /// operands, all `-128` (the largest products), `k` below one vector
+    /// with every row tail of its eight-row block, every row/column tail of
+    /// the 2×4 tile.
     #[test]
     fn i8_panels_match_widened_reference() {
         let avx2 = avx2_or_skip("i8_panels_match_widened_reference");
         let mut shapes = awkward_shapes();
         shapes.extend([(3, 144, 9), (5, 288, 6), (2, 300, 4)]);
+        // the short-`k` path's eight-row blocks: on and off the grid
+        shapes.extend([(17, 9, 3), (8, 15, 1), (24, 9, 14), (9, 2, 5), (40, 14, 12)]);
         for (m, k, n) in shapes {
             for fill in [None, Some(-128i8), Some(127)] {
                 let a =

@@ -18,10 +18,10 @@
 //! The NiTi-style integer optimizer in `socflow-nn` builds on these
 //! primitives.
 //!
-//! The elementwise sweeps are slice loops instantiated twice (portable and
-//! AVX2, see [`crate::isa`]); every element is computed independently with
-//! the same scalar operations — `round` is half-away-from-zero on both —
-//! so the two agree bit for bit.
+//! The elementwise sweeps are slice loops instantiated three times
+//! (portable, AVX2 and AVX-512, see [`crate::isa`]); every element is
+//! computed independently with the same scalar operations — `round` is
+//! half-away-from-zero on all three — so they agree bit for bit.
 
 use crate::isa::{isa_kernel, Isa};
 use crate::profile::{KernelOp, Timer};
@@ -540,21 +540,20 @@ mod tests {
         out
     }
 
-    /// Portable and AVX2 instantiations of every quant sweep are bitwise
-    /// equal on ties, signed zeros, infinities, NaNs, out-of-range values, an
-    /// all-zero tensor and a length that is not a multiple of 8.
+    /// The portable, AVX2 and AVX-512 instantiations of every quant sweep
+    /// are bitwise equal on ties, signed zeros, infinities, NaNs,
+    /// out-of-range values, an all-zero tensor and lengths that are not a
+    /// multiple of 8 or of 16.
     #[test]
     fn sweeps_agree_across_instantiations_bitwise() {
-        let Some(avx2) = crate::isa::avx2_or_skip("sweeps_agree_across_instantiations_bitwise")
-        else {
-            return;
-        };
-        for scale in [0.25, 0.0371, 1.0] {
-            for src in [edge_values(scale), vec![0.0; 1003], vec![-0.0; 13]] {
-                let portable = all_sweeps(Isa::PORTABLE, &src, scale);
-                let wide = all_sweeps(avx2, &src, scale);
-                for (i, (p, w)) in portable.iter().zip(&wide).enumerate() {
-                    assert_eq!(p, w, "sweep {i} at scale {scale}");
+        for isa in crate::isa::wide_or_skip("sweeps_agree_across_instantiations_bitwise") {
+            for scale in [0.25, 0.0371, 1.0] {
+                for src in [edge_values(scale), vec![0.0; 1003], vec![-0.0; 13]] {
+                    let portable = all_sweeps(Isa::PORTABLE, &src, scale);
+                    let wide = all_sweeps(isa, &src, scale);
+                    for (i, (p, w)) in portable.iter().zip(&wide).enumerate() {
+                        assert_eq!(p, w, "sweep {i} at scale {scale}, {}", isa.name());
+                    }
                 }
             }
         }
@@ -565,9 +564,8 @@ mod tests {
     /// saturates, NaN quantizes to 0 — whichever instantiation runs.
     #[test]
     fn sweeps_match_the_scalar_definitions() {
-        let avx2 = crate::isa::avx2_or_skip("sweeps_match_the_scalar_definitions");
-        let isas = [Some(Isa::PORTABLE), avx2];
-        for isa in isas.into_iter().flatten() {
+        let wide = crate::isa::wide_or_skip("sweeps_match_the_scalar_definitions");
+        for isa in [Isa::PORTABLE].into_iter().chain(wide) {
             for scale in [0.25, 0.0371] {
                 let src = edge_values(scale);
                 let mut q = vec![0i8; src.len()];

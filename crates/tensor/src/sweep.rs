@@ -9,10 +9,10 @@
 //! - [`replica_mean`]: the delayed aggregation's mean over one tensor of
 //!   every replica, written back into all of them.
 //!
-//! Like the [`crate::quant`] sweeps they are slice loops instantiated twice
-//! (portable and AVX2, see [`crate::isa`]); every element is computed
-//! independently by the same scalar operations in the same order, so the
-//! two agree bit for bit. None of them is timed by [`crate::profile`]: they
+//! Like the [`crate::quant`] sweeps they are slice loops instantiated three
+//! times (portable, AVX2 and AVX-512, see [`crate::isa`]); every element is
+//! computed independently by the same scalar operations in the same order,
+//! so the three agree bit for bit. None of them is timed by [`crate::profile`]: they
 //! are not kernels of the layer stack.
 
 use crate::isa::{isa_kernel, Isa};
@@ -216,7 +216,7 @@ mod tests {
         out
     }
 
-    const LENGTHS: [usize; 7] = [0, 1, 7, 8, 9, 31, 1027];
+    const LENGTHS: [usize; 12] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 63, 65, 1027];
 
     /// `len` values over a smooth ramp, by `lane` (0–3): every eighth one a
     /// signed zero, an infinity, a subnormal or a huge value — a different
@@ -282,20 +282,18 @@ mod tests {
         out
     }
 
-    /// Portable and AVX2 instantiations of every parameter sweep are
-    /// bitwise equal, on lengths around the lane widths and with signed
-    /// zeros, infinities and NaNs in every operand.
+    /// The portable, AVX2 and AVX-512 instantiations of every parameter
+    /// sweep are bitwise equal, on lengths around the lane widths and with
+    /// signed zeros, infinities and NaNs in every operand.
     #[test]
     fn sweeps_agree_across_instantiations_bitwise() {
-        let Some(avx2) = crate::isa::avx2_or_skip("sweeps_agree_across_instantiations_bitwise")
-        else {
-            return;
-        };
-        for len in LENGTHS {
-            let portable = all_sweeps(Isa::PORTABLE, len);
-            let wide = all_sweeps(avx2, len);
-            for (i, (p, w)) in portable.iter().zip(&wide).enumerate() {
-                assert_eq!(p, w, "sweep output {i} at length {len}");
+        for isa in crate::isa::wide_or_skip("sweeps_agree_across_instantiations_bitwise") {
+            for len in LENGTHS {
+                let portable = all_sweeps(Isa::PORTABLE, len);
+                let wide = all_sweeps(isa, len);
+                for (i, (p, w)) in portable.iter().zip(&wide).enumerate() {
+                    assert_eq!(p, w, "sweep output {i} at length {len}, {}", isa.name());
+                }
             }
         }
     }
@@ -305,8 +303,8 @@ mod tests {
     /// instantiation runs.
     #[test]
     fn sweeps_match_the_scalar_definitions() {
-        let avx2 = crate::isa::avx2_or_skip("sweeps_match_the_scalar_definitions");
-        for isa in [Some(Isa::PORTABLE), avx2].into_iter().flatten() {
+        let wide = crate::isa::wide_or_skip("sweeps_match_the_scalar_definitions");
+        for isa in [Isa::PORTABLE].into_iter().chain(wide) {
             for len in LENGTHS {
                 let got = all_sweeps(isa, len);
                 let (w0, g0, v0) = (

@@ -8,9 +8,9 @@ isa_kernel! {
 }
 
 /// Independent running maxima so the sweep vectorizes — four AVX2 vectors
-/// of them, which is what hides the latency of `max` and its NaN select;
-/// `max` over non-negative, non-NaN values is exact, so regrouping cannot
-/// change it.
+/// of them (two AVX-512 ones), which is what hides the latency of `max` and
+/// its NaN select; `max` over non-negative, non-NaN values is exact, so
+/// regrouping cannot change it.
 #[inline(always)]
 fn abs_max_body(d: &[f32]) -> f32 {
     const LANES: usize = 32;
@@ -462,15 +462,15 @@ mod tests {
         assert_eq!(t.at(&[1, 1]), 4.0);
     }
 
-    /// `abs_max` is the largest non-NaN magnitude on both instantiations:
+    /// `abs_max` is the largest non-NaN magnitude on every instantiation:
     /// NaNs are skipped wherever they sit, an all-NaN or empty tensor gives
     /// 0, and lengths around the 32-lane block agree with the plain fold.
     #[test]
     fn abs_max_agrees_across_instantiations_and_skips_nan() {
         let fold = |d: &[f32]| d.iter().fold(0.0f32, |m, &a| m.max(a.abs()));
-        let isas = [Some(Isa::PORTABLE), crate::isa::avx2_or_skip("abs_max")];
-        for isa in isas.into_iter().flatten() {
-            for len in [0usize, 1, 15, 31, 32, 33, 65, 1003] {
+        let wide = crate::isa::wide_or_skip("abs_max");
+        for isa in [Isa::PORTABLE].into_iter().chain(wide) {
+            for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1003] {
                 let mut d: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
                 assert_eq!(
                     abs_max_slice(isa, &d).to_bits(),
