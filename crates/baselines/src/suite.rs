@@ -61,12 +61,17 @@ impl Stream {
 }
 
 /// `trained`'s accuracy curve under `method`'s name and per-epoch `cost`,
-/// accumulated epoch by epoch exactly as the engine does — the result is
-/// bit-equal to training `method` itself.
+/// folded from the same [`EpochCost::completed`] events the engine folds —
+/// the result is bit-equal to training `method` itself. (The fold reads
+/// neither an epoch's group count nor its CPU share.)
 fn repriced(trained: &RunResult, method: MethodSpec, cost: &EpochCost) -> RunResult {
-    let mut result = RunResult::empty(method.name());
-    for (&accuracy, &alpha) in trained.epoch_accuracy.iter().zip(&trained.alpha_trace) {
-        result.push_epoch(accuracy, cost, alpha);
+    let mut result = RunResult {
+        method: method.name().to_string(),
+        ..RunResult::default()
+    };
+    let curve = trained.epoch_accuracy.iter().zip(&trained.alpha_trace);
+    for (epoch, (&accuracy, &alpha)) in curve.enumerate() {
+        result.absorb(&cost.completed(epoch, accuracy, 1, (alpha, 1.0)));
     }
     result
 }

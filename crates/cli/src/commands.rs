@@ -639,9 +639,9 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
 /// `socflow-cli trace <action> <path>`: inspect a recorded telemetry trace.
 ///
 /// `summarize` replays the JSONL events and prints the aggregate report —
-/// the same per-run Breakdown the engine computed, reproduced from the
-/// trace alone (Fig. 12-style compute/sync/update shares plus network and
-/// scheduler counters). With `--spans-full` it additionally prints every
+/// the run's own result, folded from the trace alone (total time,
+/// Fig. 12-style compute/sync/update and recovery shares) plus network and
+/// scheduler counters. With `--spans-full` it additionally prints every
 /// recorded timeline span (the summary otherwise reports only the span
 /// *count*, and the engine digest keeps the first 2 spans per lane×kind),
 /// with gradient-bucket lanes grouped by the model layers they carry.

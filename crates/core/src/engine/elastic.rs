@@ -104,18 +104,21 @@ impl SocflowRun<'_> {
                 stall,
             ));
             self.clock += stall;
-            self.result.recovery_time += stall;
         }
-        // graceful reclaims checkpoint before leaving
-        if reclaims > 0 {
-            self.persist(epoch + 1, |_| true);
-        }
-        engine.options.emit(Event::RecoveryCompleted {
+        let recovered = Event::RecoveryCompleted {
             epoch: epoch + 1,
             stall,
             socs_left: self.alive.len(),
             groups_left: self.groups,
-        });
+        };
+        // the stall is the run's before a reclaim's checkpoint captures it,
+        // and the event follows that checkpoint in the trace
+        self.result.absorb(&recovered);
+        // graceful reclaims checkpoint before leaving
+        if reclaims > 0 {
+            self.persist(epoch + 1, |_| true);
+        }
+        engine.options.emit(recovered);
     }
 
     /// User-workload preemption: surrender the last logical group's SoCs
@@ -263,8 +266,14 @@ mod tests {
         let restore = engine.time_model.restore_stall_time();
         let mut run = started(&mut engine);
         run.consume_faults(0, 10.0);
+        let saved = crate::checkpoint::Checkpoint::load(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(run.result.recovery_time, 2.0 * restore, "two crashes");
+        assert_eq!(
+            saved.partial.unwrap().recovery_time,
+            2.0 * restore,
+            "the reclaim's checkpoint carries the window's crash stalls"
+        );
         assert_eq!(run.clock, 10.0 + 2.0 * restore);
         assert_eq!(run.fault_cursor, 10.0, "the cursor stops at the window");
         let persisted = sink
@@ -299,7 +308,7 @@ mod tests {
     /// A started 4-group streaming run over 8 SoCs with an in-memory sink.
     fn started(engine: &mut Engine) -> SocflowRun<'_> {
         let cfg = engine.spec.method.socflow().expect("SoCFlow spec");
-        SocflowRun::start(engine, cfg, MixedMode::Adaptive).0
+        SocflowRun::start(engine, cfg, MixedMode::Adaptive, Default::default()).0
     }
 
     fn streaming_engine(sink: Arc<MemorySink>) -> Engine {

@@ -201,8 +201,9 @@ impl Engine {
 
     /// Runs the job to completion: really trains the scaled replicas,
     /// prices every epoch on the calibrated cluster simulation, and returns
-    /// the combined [`RunResult`] (accuracy curve, Fig. 12 breakdown,
-    /// energy, α trace).
+    /// the [`RunResult`] (accuracy curve, Fig. 12 breakdown, energy, α
+    /// trace, stalls) — the fold of the run's own events, so the summary
+    /// of its trace is the same result.
     ///
     /// # Examples
     ///
@@ -227,12 +228,14 @@ impl Engine {
     /// assert!(result.energy_joules > 0.0);
     /// ```
     pub fn run(&mut self) -> RunResult {
-        self.options.emit(Event::RunStarted {
+        let started = Event::RunStarted {
             method: self.spec.method.name().to_string(),
             socs: self.spec.socs,
             epochs: self.spec.epochs,
             seed: self.spec.seed,
-        });
+        };
+        let mut result = RunResult::default();
+        self.record(&mut result, started);
         // Snapshot the host kernel profiler and the worker pool (when on)
         // so the run can be attributed to matmul/conv/quant time and pool
         // activity by diffing at the end. Both are gated on the profiler so
@@ -245,14 +248,14 @@ impl Engine {
             | MethodSpec::ParameterServer
             | MethodSpec::Ring
             | MethodSpec::HiPress
-            | MethodSpec::TwoDParallel => self.run_single(),
-            MethodSpec::FedAvg | MethodSpec::TFedAvg => self.run_federated(),
+            | MethodSpec::TwoDParallel => self.run_single(result),
+            MethodSpec::FedAvg | MethodSpec::TFedAvg => self.run_federated(result),
             MethodSpec::SocFlow(cfg) if cfg.mixed_precision => {
-                self.run_socflow(cfg, MixedMode::Adaptive)
+                self.run_socflow(cfg, MixedMode::Adaptive, result)
             }
-            MethodSpec::SocFlow(cfg) => self.run_socflow(cfg, MixedMode::Fp32Only),
-            MethodSpec::SocFlowInt8(cfg) => self.run_socflow(cfg, MixedMode::Int8Only),
-            MethodSpec::SocFlowHalf(cfg) => self.run_socflow(cfg, MixedMode::Half),
+            MethodSpec::SocFlow(cfg) => self.run_socflow(cfg, MixedMode::Fp32Only, result),
+            MethodSpec::SocFlowInt8(cfg) => self.run_socflow(cfg, MixedMode::Int8Only, result),
+            MethodSpec::SocFlowHalf(cfg) => self.run_socflow(cfg, MixedMode::Half, result),
         };
         if let Some(base) = kernel_base {
             let now = socflow_tensor::profile::snapshot();
@@ -304,32 +307,29 @@ impl Engine {
 
     /// Single-stream methods (Local + all fully synchronous baselines):
     /// per-batch all-reduce makes the whole cluster one SGD stream.
-    fn run_single(&mut self) -> RunResult {
+    fn run_single(&mut self, mut result: RunResult) -> RunResult {
         let mut rng = StdRng::seed_from_u64(self.spec.seed);
         let mut replica = self.build_replicas(1, &mut rng, false).remove(0);
-        let mut result = self.empty_result();
         for epoch in 0..self.spec.epochs {
             self.single_stream_epoch(&mut replica, epoch);
             let acc = self.evaluate(&mut replica.net, Precision::Fp32);
             let cost = self.baseline_epoch();
-            self.push_epoch(&mut result, epoch, acc, &cost, 1, CPU_ONLY);
+            self.record(&mut result, cost.completed(epoch, acc, 1, CPU_ONLY));
             if Some(epoch + 1) == self.options.preempt_after {
                 // baselines stall for a checkpoint-restore round trip
                 let stall = self.checkpoint_stall_time();
-                self.options.emit(Event::BaselineStalled {
+                let stalled = Event::BaselineStalled {
                     epoch: epoch + 1,
                     stall,
-                });
-                result.epoch_time.push(stall);
-                result.epoch_accuracy.push(acc);
-                result.alpha_trace.push(f32::NAN);
+                };
+                self.record(&mut result, stalled);
             }
         }
         result
     }
 
     /// Federated methods: fixed IID client shards, per-epoch averaging.
-    fn run_federated(&mut self) -> RunResult {
+    fn run_federated(&mut self, mut result: RunResult) -> RunResult {
         let mut rng = StdRng::seed_from_u64(self.spec.seed);
         let clients = self.spec.socs.min(MAX_FL_REPLICAS);
         let mut replicas = self.build_replicas(clients, &mut rng, false);
@@ -354,7 +354,6 @@ impl Engine {
         // diverge before the first aggregation)
         let local_batch = self.spec.global_batch;
 
-        let mut result = self.empty_result();
         for epoch in 0..self.spec.epochs {
             // clients are independent between aggregations: train them as
             // persistent-pool jobs (no per-epoch thread spawns)
@@ -379,7 +378,7 @@ impl Engine {
             }
             let acc = self.evaluate(&mut replicas[0].net, Precision::Fp32);
             let cost = self.baseline_epoch();
-            self.push_epoch(&mut result, epoch, acc, &cost, clients, CPU_ONLY);
+            self.record(&mut result, cost.completed(epoch, acc, clients, CPU_ONLY));
         }
         result
     }
@@ -413,10 +412,6 @@ impl Engine {
         self.evaluate(&mut replicas[0].net, Precision::Fp32)
     }
 
-    fn empty_result(&self) -> RunResult {
-        RunResult::empty(self.spec.method.name())
-    }
-
     /// This epoch's price for a method whose price training cannot move.
     fn baseline_epoch(&self) -> EpochCost {
         self.time_model
@@ -424,31 +419,12 @@ impl Engine {
             .expect("only SoCFlow's price follows its training")
     }
 
-    /// Appends one epoch to `result` and reports it; `split` is the
-    /// mixed-precision controller's `(α, CPU share of each batch)`.
-    fn push_epoch(
-        &self,
-        result: &mut RunResult,
-        epoch: usize,
-        accuracy: f32,
-        cost: &EpochCost,
-        groups: usize,
-        (alpha, cpu_fraction): (f32, f64),
-    ) {
-        result.push_epoch(accuracy, cost, alpha);
-        self.options.emit(Event::EpochCompleted {
-            epoch,
-            accuracy,
-            time: cost.time,
-            compute: cost.breakdown.compute,
-            sync: cost.breakdown.sync,
-            update: cost.breakdown.update,
-            aggregation: cost.aggregation,
-            alpha,
-            cpu_fraction,
-            energy: cost.energy,
-            groups,
-        });
+    /// Folds an accounting event into `result`, then hands it to the sink:
+    /// the one way a run's result grows, so the result is exactly the fold
+    /// of the run's trace.
+    fn record(&self, result: &mut RunResult, event: Event) {
+        result.absorb(&event);
+        self.options.emit(event);
     }
 
     fn checkpoint_stall_time(&self) -> f64 {

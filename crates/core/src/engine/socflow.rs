@@ -57,9 +57,15 @@ impl Engine {
     /// SoCFlow proper: group replicas with per-epoch delayed aggregation,
     /// cross-group data shuffling, the mixed-precision controller, and the
     /// full fault-tolerance machinery (per-SoC fault consumption, elastic
-    /// remapping, durable checkpoint/resume).
-    pub(super) fn run_socflow(&mut self, cfg: SocFlowConfig, mixed: MixedMode) -> RunResult {
-        let (mut run, start_epoch) = SocflowRun::start(self, cfg, mixed);
+    /// remapping, durable checkpoint/resume). `result` holds the run's
+    /// start; a resume replaces it with the checkpoint's partial result.
+    pub(super) fn run_socflow(
+        &mut self,
+        cfg: SocFlowConfig,
+        mixed: MixedMode,
+        result: RunResult,
+    ) -> RunResult {
+        let (mut run, start_epoch) = SocflowRun::start(self, cfg, mixed, result);
         let engine = run.engine;
         for epoch in start_epoch..engine.spec.epochs {
             let shards = run.draw_shards(epoch);
@@ -67,7 +73,8 @@ impl Engine {
             let accuracy = run.aggregate_and_evaluate();
             let cost = run.price_epoch(epoch, &shards);
             let split = (run.ctrl.alpha(), run.cpu_fraction());
-            engine.push_epoch(&mut run.result, epoch, accuracy, &cost, run.groups, split);
+            let completed = cost.completed(epoch, accuracy, run.groups, split);
+            engine.record(&mut run.result, completed);
             run.consume_faults(epoch, cost.time);
             if Some(epoch + 1) == engine.options.preempt_after && run.groups > 1 {
                 run.preempt(epoch + 1);
@@ -117,13 +124,14 @@ impl Engine {
 }
 
 impl<'e> SocflowRun<'e> {
-    /// The starting state — fresh, or restored from
+    /// The starting state — fresh from `result`, or restored from
     /// [`RunOptions::resume`](crate::options::RunOptions::resume) — and
     /// the first epoch to run.
     pub(super) fn start(
         engine: &'e mut Engine,
         cfg: SocFlowConfig,
         mixed: MixedMode,
+        mut result: RunResult,
     ) -> (Self, usize) {
         let mut rng = StdRng::seed_from_u64(engine.spec.seed);
         let socs0 = engine.spec.socs;
@@ -170,7 +178,6 @@ impl<'e> SocflowRun<'e> {
         if mixed == MixedMode::Half {
             ctrl.set_alpha(0.7); // paper: Ours-Half is the fixed α = 0.7 case
         }
-        let mut result = engine.empty_result();
         if let Some(c) = &resume {
             durable::restore(&mut replicas, &mut ctrl, c);
             if let Some(partial) = &c.partial {

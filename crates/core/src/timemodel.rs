@@ -22,6 +22,7 @@ use socflow_cluster::{
 };
 use socflow_collectives::{Collective, ParameterServer, RingAllReduce, TreeAggregate};
 use socflow_nn::{bucketize, GradReady};
+use socflow_telemetry::Event;
 
 /// Default wait-free gradient bucket size, KiB of reference payload (the
 /// `--bucket-kb` default). Large enough that per-bucket ring latency stays
@@ -62,6 +63,33 @@ pub struct EpochCost {
     /// end-of-epoch aggregation for federated methods. 0 for purely
     /// synchronous methods (their sync is all per-batch).
     pub aggregation: Seconds,
+}
+
+impl EpochCost {
+    /// The [`Event::EpochCompleted`] of epoch `epoch` at this cost: the
+    /// accuracy it reached, its `groups` and the mixed-precision split
+    /// `(α, CPU share of each batch)` it trained at.
+    pub fn completed(
+        &self,
+        epoch: usize,
+        accuracy: f32,
+        groups: usize,
+        (alpha, cpu_fraction): (f32, f64),
+    ) -> Event {
+        Event::EpochCompleted {
+            epoch,
+            accuracy,
+            time: self.time,
+            compute: self.breakdown.compute,
+            sync: self.breakdown.sync,
+            update: self.breakdown.update,
+            aggregation: self.aggregation,
+            alpha,
+            cpu_fraction,
+            energy: self.energy,
+            groups,
+        }
+    }
 }
 
 /// The per-method time/energy model for one job.

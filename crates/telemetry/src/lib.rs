@@ -20,8 +20,13 @@
 //! - [`MemorySink`] — collects events in memory, for tests and benches;
 //! - [`TraceWriter`] — appends one compact JSON line per event to a file
 //!   (the `--trace run.jsonl` CLI flag);
-//! - [`Summary`] — aggregates a recorded stream back into Fig. 12-style
-//!   totals, the inverse of emission. `socflow trace summarize` is a thin
+//! - [`RunResult`] — a run's result, and nothing but the fold of its
+//!   events ([`RunResult::absorb`]): the engine folds each accounting event
+//!   as it emits it, so the result never holds a number the trace does not
+//!   show;
+//! - [`Summary`] — that same fold over a recorded stream plus network,
+//!   resilience and scheduler counters. `Summary::from_events(&trace).run`
+//!   is the run's result exactly; `socflow trace summarize` is a thin
 //!   wrapper over it.
 //!
 //! Events are only ever emitted from the coordinating thread of a run
@@ -36,6 +41,10 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
+
+mod report;
+
+pub use report::{Breakdown, RunResult};
 
 /// Why a SoC group left the cluster mid-run (SoCFlow fault/preemption
 /// handling, paper §5.3).
@@ -429,29 +438,16 @@ pub fn read_trace<P: AsRef<Path>>(path: P) -> Result<Vec<Event>, String> {
     parse_trace(&text).map_err(|e| format!("malformed trace: {e}"))
 }
 
-/// Fig. 12-style aggregate of one trace: per-phase time totals plus
-/// network and resilience counters.
+/// Fig. 12-style aggregate of one trace: the run's result, folded from the
+/// trace exactly as the engine folds it, plus network and resilience
+/// counters.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Summary {
-    /// Completed epochs (count of `EpochCompleted` events).
-    pub epochs: usize,
-    /// Sum of per-epoch wall time, seconds.
-    pub total_time: f64,
-    /// Compute share of `total_time`.
-    pub compute: f64,
-    /// Synchronization share of `total_time`.
-    pub sync: f64,
-    /// Weight-update share of `total_time`.
-    pub update: f64,
-    /// Delayed-aggregation share of `sync`.
+    /// The fold of the trace's accounting events: epochs, Fig. 12
+    /// breakdown, energy, α trace and stalls.
+    pub run: RunResult,
+    /// Delayed-aggregation share of the breakdown's `sync`.
     pub aggregation: f64,
-    /// Total modelled energy, joules.
-    pub energy: f64,
-    /// Best epoch accuracy seen.
-    pub best_accuracy: f32,
-    /// α at the first and last epoch that reported a finite value.
-    pub first_alpha: Option<f32>,
-    pub last_alpha: Option<f32>,
     /// Simulated network transfers.
     pub transfers: usize,
     /// Bytes moved across all transfers.
@@ -473,9 +469,6 @@ pub struct Summary {
     pub checkpoints_persisted: usize,
     pub persist_bytes: u64,
     pub persist_cost: f64,
-    /// Modelled seconds spent in crash-restore stalls
-    /// (`RecoveryCompleted::stall` summed).
-    pub recovery_cost: f64,
     /// Host kernel-profiling totals (one entry per op family, in emission
     /// order), present only for traces recorded with the profiler on.
     pub kernels: Vec<KernelTime>,
@@ -588,33 +581,9 @@ impl Summary {
     pub fn from_events(events: &[Event]) -> Self {
         let mut s = Summary::default();
         for event in events {
+            s.run.absorb(event);
             match event {
-                Event::EpochCompleted {
-                    accuracy,
-                    time,
-                    compute,
-                    sync,
-                    update,
-                    aggregation,
-                    alpha,
-                    energy,
-                    ..
-                } => {
-                    s.epochs += 1;
-                    s.total_time += time;
-                    s.compute += compute;
-                    s.sync += sync;
-                    s.update += update;
-                    s.aggregation += aggregation;
-                    s.energy += energy;
-                    s.best_accuracy = s.best_accuracy.max(*accuracy);
-                    if alpha.is_finite() {
-                        if s.first_alpha.is_none() {
-                            s.first_alpha = Some(*alpha);
-                        }
-                        s.last_alpha = Some(*alpha);
-                    }
-                }
+                Event::EpochCompleted { aggregation, .. } => s.aggregation += aggregation,
                 Event::Transfer {
                     total_bytes,
                     crossed_boards,
@@ -643,7 +612,6 @@ impl Summary {
                     s.persist_bytes += bytes;
                     s.persist_cost += cost;
                 }
-                Event::RecoveryCompleted { stall, .. } => s.recovery_cost += stall,
                 Event::KernelTotals { op, calls, nanos } => {
                     // A window can span several runs; merge rows per op.
                     match s.kernels.iter_mut().find(|k| k.op == *op) {
@@ -741,6 +709,7 @@ impl Summary {
                     s.jobs_completed += 1;
                 }
                 Event::RunStarted { .. }
+                | Event::RecoveryCompleted { .. }
                 | Event::PlanComputed { .. }
                 | Event::CgFallback { .. }
                 | Event::SpanEnd { .. }
@@ -754,34 +723,28 @@ impl Summary {
     /// prints).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let pct = |part: f64| {
-            if self.total_time > 0.0 {
-                100.0 * part / self.total_time
+        let run = &self.run;
+        let total = run.total_time();
+        let share = |name: &str, part: f64| {
+            let pct = if total > 0.0 {
+                100.0 * part / total
             } else {
                 0.0
-            }
+            };
+            format!("  {name:<15}{part:.3} s ({pct:.1}%)\n")
         };
-        out.push_str(&format!("epochs           {}\n", self.epochs));
-        out.push_str(&format!("total time       {:.3} s\n", self.total_time));
-        out.push_str(&format!(
-            "  compute        {:.3} s ({:.1}%)\n",
-            self.compute,
-            pct(self.compute)
-        ));
-        out.push_str(&format!(
-            "  sync           {:.3} s ({:.1}%)\n",
-            self.sync,
-            pct(self.sync)
-        ));
+        let b = run.breakdown;
+        out.push_str(&format!("epochs           {}\n", run.epoch_time.len()));
+        out.push_str(&format!("total time       {total:.3} s\n"));
+        out.push_str(&share("compute", b.compute));
+        out.push_str(&share("sync", b.sync));
         out.push_str(&format!("    aggregation  {:.3} s\n", self.aggregation));
-        out.push_str(&format!(
-            "  update         {:.3} s ({:.1}%)\n",
-            self.update,
-            pct(self.update)
-        ));
-        out.push_str(&format!("energy           {:.1} J\n", self.energy));
-        out.push_str(&format!("best accuracy    {:.4}\n", self.best_accuracy));
-        match (self.first_alpha, self.last_alpha) {
+        out.push_str(&share("update", b.update));
+        out.push_str(&share("recovery", run.recovery_time));
+        out.push_str(&format!("energy           {:.1} J\n", run.energy_joules));
+        out.push_str(&format!("best accuracy    {:.4}\n", run.best_accuracy()));
+        let alphas = || run.alpha_trace.iter().filter(|a| a.is_finite());
+        match (alphas().next(), alphas().next_back()) {
             (Some(a0), Some(a1)) => {
                 out.push_str(&format!("alpha            {a0:.4} -> {a1:.4}\n"));
             }
@@ -804,7 +767,7 @@ impl Summary {
         if self.faults > 0 || self.checkpoints_persisted > 0 {
             out.push_str(&format!(
                 "faults           {} ({} reclaims, {} crashes), {:.3} s recovery\n",
-                self.faults, self.reclaims, self.crashes, self.recovery_cost
+                self.faults, self.reclaims, self.crashes, run.recovery_time
             ));
             out.push_str(&format!(
                 "durable ckpts    {} ({:.1} KB, {:.3} s persist)\n",
@@ -1177,23 +1140,29 @@ mod tests {
             },
         ];
         let s = Summary::from_events(&events);
-        assert_eq!(s.epochs, 2);
-        assert_eq!(s.compute, 6.0);
-        assert_eq!(s.sync, 1.75);
-        assert_eq!(s.update, 1.0);
+        assert_eq!(s.run.epoch_time, [4.5, 4.25]);
+        let b = s.run.breakdown;
+        assert_eq!((b.compute, b.sync, b.update), (6.0, 1.75, 1.0));
         assert_eq!(s.aggregation, 0.875);
-        assert_eq!(s.total_time, 8.75);
+        assert_eq!(s.run.total_time(), 8.75);
+        assert_eq!(s.run.energy_joules, 20.0);
         assert_eq!(s.transfers, 2);
         assert_eq!(s.bytes_moved, 3e6);
         assert_eq!(s.cross_board_transfers, 1);
         assert_eq!(s.max_link_utilization, 0.7);
         assert_eq!(s.checkpoints, 1);
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.first_alpha, Some(0.2));
-        assert_eq!(s.last_alpha, Some(0.3));
-        assert!((s.sync / s.total_time - 1.75 / 8.75).abs() < 1e-12);
+        assert_eq!(s.run.alpha_trace, [0.2, 0.3]);
         let report = s.render();
         assert!(report.contains("epochs           2"));
+        assert!(
+            report.contains("  sync           1.750 s (20.0%)"),
+            "{report}"
+        );
+        assert!(
+            report.contains("  recovery       0.000 s (0.0%)"),
+            "{report}"
+        );
         assert!(report.contains("alpha            0.2000 -> 0.3000"));
     }
 
@@ -1282,8 +1251,13 @@ mod tests {
         assert_eq!(s.checkpoints_persisted, 2);
         assert_eq!(s.persist_bytes, 3072);
         assert!((s.persist_cost - 0.75).abs() < 1e-12);
-        assert!((s.recovery_cost - 1.5).abs() < 1e-12);
+        assert_eq!(s.run.recovery_time, 1.5);
         let report = s.render();
+        assert!(report.contains("total time       1.500 s"), "{report}");
+        assert!(
+            report.contains("  recovery       1.500 s (100.0%)"),
+            "{report}"
+        );
         assert!(
             report.contains("faults           2 (1 reclaims, 1 crashes)"),
             "{report}"
@@ -1505,8 +1479,6 @@ mod tests {
             *alpha = f32::NAN;
         }
         let s = Summary::from_events(&[e]);
-        assert_eq!(s.first_alpha, None);
-        assert_eq!(s.last_alpha, None);
         assert!(s.render().contains("alpha            n/a"));
     }
 }

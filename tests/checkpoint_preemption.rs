@@ -10,6 +10,8 @@ use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
 use socflow_cluster::SocId;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
+use socflow_telemetry::{Event, MemorySink};
+use std::sync::Arc;
 
 fn spec(groups: usize) -> TrainJobSpec {
     let mut s = TrainJobSpec::new(
@@ -296,28 +298,48 @@ fn tidal_preemption_resume_is_bit_identical_across_variants() {
     }
 }
 
+/// A gang-scheduled baseline's checkpoint-restore round trip is a stall,
+/// booked like SoCFlow's crash stalls: it is `recovery_time`, it lengthens
+/// the total by exactly its length, and it is not an epoch.
 #[test]
 fn baseline_preemption_costs_a_stall() {
     let mut s = spec(4);
     s.method = MethodSpec::Ring;
     let workload = Workload::standard(&s, 512, 8, 0.5);
     let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
+    let sink = Arc::new(MemorySink::new());
     let stalled = Engine::new(
         s,
         workload,
         RunOptions {
             preempt_after: Some(2),
+            sink: Some(sink.clone()),
             ..RunOptions::default()
         },
     )
     .run();
-    assert!(
-        stalled.total_time() > calm.total_time(),
+    let stalls: Vec<f64> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::BaselineStalled { epoch: 2, stall } => Some(*stall),
+            _ => None,
+        })
+        .collect();
+    let [stall] = stalls[..] else {
+        panic!("one stall after epoch 2, got {stalls:?}");
+    };
+    assert!(stall > 0.0);
+    assert_eq!(stalled.recovery_time, stall);
+    assert_eq!(
+        stalled.total_time(),
+        calm.total_time() + stall,
         "the checkpoint-restore stall must show up in the total time"
     );
     assert_eq!(
         stalled.epoch_accuracy.len(),
-        calm.epoch_accuracy.len() + 1,
-        "the stall appears as an extra timeline entry"
+        calm.epoch_accuracy.len(),
+        "the stall is not an epoch"
     );
+    assert_eq!(stalled.epoch_time, calm.epoch_time);
 }

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) over the core invariants:
 //! mapping optimality and the contention bound, CG coloring validity,
-//! max-min fairness of the flow network, quantization error bounds, and
-//! partitioner correctness.
+//! max-min fairness of the flow network, quantization error bounds,
+//! partitioner correctness, and run accounting (a run's result is the fold
+//! of its own trace).
 
 use proptest::prelude::*;
 use socflow::mapping::{brute_force_min_conflicts, group_sizes, integrity_greedy, GroupId};
@@ -900,5 +901,229 @@ proptest! {
             wide.default_plan.predicted_s.to_bits(),
             narrow.default_plan.predicted_s.to_bits()
         );
+    }
+}
+
+/// A tiny LeNet-5 job for the accounting properties: `method_draw` picks
+/// Ring, FedAvg or one of the four SoCFlow variants.
+fn accounting_spec(
+    method_draw: u8,
+    groups: usize,
+    epochs: usize,
+    seed: u64,
+) -> socflow::config::TrainJobSpec {
+    use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+    use socflow_data::DatasetPreset;
+    use socflow_nn::models::ModelKind;
+
+    let cfg = SocFlowConfig::with_groups(groups);
+    let method = [
+        MethodSpec::Ring,
+        MethodSpec::FedAvg,
+        MethodSpec::SocFlow(cfg),
+        MethodSpec::SocFlow(SocFlowConfig {
+            mixed_precision: false,
+            ..cfg
+        }),
+        MethodSpec::SocFlowInt8(cfg),
+        MethodSpec::SocFlowHalf(cfg),
+    ][method_draw as usize % 6];
+    let mut spec = TrainJobSpec::new(ModelKind::LeNet5, DatasetPreset::FashionMnist, method);
+    spec.socs = 8;
+    spec.epochs = epochs;
+    spec.global_batch = 32;
+    spec.seed = seed;
+    spec
+}
+
+/// A fault plan over 8 SoCs with a crash and a reclaim in the first
+/// epoch's window and a second crash at `late` seconds.
+fn crash_plan(seed: u64, late: f64) -> socflow_cluster::faults::FaultPlan {
+    use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
+    let soc = |k: u64| SocId(((seed + k) % 8) as usize);
+    FaultPlan::from_events(vec![
+        FaultEvent {
+            at: 1e-3,
+            soc: soc(0),
+            kind: FaultKind::Crashed,
+        },
+        FaultEvent {
+            at: 2e-3,
+            soc: soc(3),
+            kind: FaultKind::Reclaimed,
+        },
+        FaultEvent {
+            at: late,
+            soc: soc(5),
+            kind: FaultKind::Crashed,
+        },
+    ])
+}
+
+/// Runs `spec` under `options` with an in-memory sink; returns the result
+/// and the run's events.
+fn traced_run(
+    spec: socflow::config::TrainJobSpec,
+    options: socflow::options::RunOptions,
+) -> (socflow::RunResult, Vec<socflow_telemetry::Event>) {
+    use socflow::engine::{Engine, Workload};
+    use socflow::options::RunOptions;
+    use socflow_telemetry::MemorySink;
+    use std::sync::Arc;
+
+    let sink = Arc::new(MemorySink::new());
+    let workload = Workload::standard(&spec, 96, 8, 0.5);
+    let options = RunOptions {
+        sink: Some(sink.clone()),
+        ..options
+    };
+    let result = Engine::new(spec, workload, options).run();
+    (result, sink.take())
+}
+
+/// A value's JSON text, as `train --json` prints it (NaN as `null`), so
+/// two results compare bit for bit even where α is NaN.
+macro_rules! json {
+    ($value:expr) => {
+        serde_json::to_string(&$value).unwrap()
+    };
+}
+
+// The accounting properties run full (tiny) training jobs as well.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A run's result is the fold of its own events: the summary of its
+    /// trace serializes byte for byte to the `RunResult` the run returned,
+    /// for every method, with or without crashes, streaming, a preemption
+    /// and wait-free pricing. Crash stalls and a baseline's preemption
+    /// stall included.
+    #[test]
+    fn trace_fold_is_the_run_result(
+        seed in 0u64..1000,
+        method_draw in 0u8..6,
+        groups in 1usize..4,
+        faulted in 0u8..2,
+        streaming in 0u8..2,
+        preempt in 0u8..2,
+        wait_free in 0u8..2,
+        late in 0.0f64..600.0,
+    ) {
+        use socflow::config::StreamingConfig;
+        use socflow::options::{Pricing, RunOptions};
+        use socflow_data::stream::RateProfile;
+        use socflow_telemetry::Summary;
+
+        let spec = accounting_spec(method_draw, groups, 3, seed);
+        let socflow_only = spec.method.socflow().is_some();
+        let options = RunOptions {
+            faults: (socflow_only && faulted == 1).then(|| crash_plan(seed, late)),
+            streaming: (socflow_only && streaming == 1)
+                .then(|| StreamingConfig::new(RateProfile::Heterogeneous)),
+            pricing: if socflow_only && wait_free == 1 {
+                Pricing::wait_free_kb(32)
+            } else {
+                Pricing::Timeline
+            },
+            preempt_after: (preempt == 1).then_some(1),
+            ..RunOptions::default()
+        };
+        let (result, trace) = traced_run(spec, options);
+        prop_assert_eq!(json!(Summary::from_events(&trace).run), json!(result));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Kill and resume, as traces: folding the killed leg's trace and then
+    /// the resumed leg's gives the uninterrupted run's result, crash
+    /// stalls on both sides of the cut included.
+    #[test]
+    fn resumed_traces_fold_to_the_uninterrupted_run(
+        seed in 0u64..1000,
+        method_draw in 2u8..6,
+        groups in 1usize..4,
+        late in 0.0f64..600.0,
+    ) {
+        use socflow::checkpoint::Checkpoint;
+        use socflow::options::{Checkpointing, RunOptions};
+        use socflow_telemetry::Summary;
+
+        let faulted = || RunOptions {
+            faults: Some(crash_plan(seed, late)),
+            ..RunOptions::default()
+        };
+        let (full, _) = traced_run(accounting_spec(method_draw, groups, 4, seed), faulted());
+        let dir = std::env::temp_dir().join(format!("socflow_prop_fold_resume_{seed}_{groups}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let checkpointing = Checkpointing::new(dir.clone(), Some(2)).expect("usable checkpoint dir");
+        let (_, mut trace) = traced_run(
+            accounting_spec(method_draw, groups, 2, seed),
+            RunOptions { checkpointing: Some(checkpointing), ..faulted() },
+        );
+        let ckpt = Checkpoint::load(&dir).expect("checkpoint persisted");
+        std::fs::remove_dir_all(&dir).ok();
+        let (resumed, second) = traced_run(
+            accounting_spec(method_draw, groups, 4, seed),
+            RunOptions { resume: Some(ckpt), ..faulted() },
+        );
+        trace.extend(second);
+        prop_assert_eq!(json!(resumed), json!(full));
+        prop_assert_eq!(json!(Summary::from_events(&trace).run), json!(full));
+    }
+
+    /// Every byte-prefix of a recorded trace either fails to parse or
+    /// parses to a prefix of the run's events, whose fold is a prefix of
+    /// the run: never a panic, never a number the run did not have.
+    #[test]
+    fn every_trace_prefix_errs_or_folds_to_a_prefix_of_the_run(
+        seed in 0u64..1000,
+        method_draw in 0u8..6,
+    ) {
+        use socflow::options::RunOptions;
+        use socflow_telemetry::{parse_trace, EventSink, Summary, TraceWriter};
+
+        let spec = accounting_spec(method_draw, 2, 2, seed);
+        let options = RunOptions {
+            faults: spec.method.socflow().map(|_| crash_plan(seed, 1e9)),
+            preempt_after: Some(1),
+            ..RunOptions::default()
+        };
+        let (result, events) = traced_run(spec, options);
+        let path = std::env::temp_dir().join(format!("socflow_prop_prefix_{seed}.jsonl"));
+        let writer = TraceWriter::create(&path).unwrap();
+        events.iter().for_each(|e| writer.emit(e));
+        drop(writer);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let lines: Vec<String> = events.iter().map(|e| json!(e)).collect();
+        let series = |r: &socflow::RunResult| {
+            [json!(r.epoch_accuracy), json!(r.epoch_time), json!(r.alpha_trace)]
+        };
+        let whole = series(&result);
+        let mut parsed = 0;
+        for n in (0..=text.len()).filter(|&n| text.is_char_boundary(n)) {
+            let Ok(prefix) = parse_trace(&text[..n]) else {
+                continue;
+            };
+            parsed += 1;
+            prop_assert_eq!(&prefix.iter().map(|e| json!(e)).collect::<Vec<_>>()[..], &lines[..prefix.len()]);
+            let run = Summary::from_events(&prefix).run;
+            let k = run.epoch_time.len();
+            let head = series(&socflow::RunResult {
+                epoch_accuracy: result.epoch_accuracy[..k].to_vec(),
+                epoch_time: result.epoch_time[..k].to_vec(),
+                alpha_trace: result.alpha_trace[..k].to_vec(),
+                ..socflow::RunResult::default()
+            });
+            prop_assert_eq!(series(&run), head);
+            prop_assert!(run.recovery_time <= result.recovery_time);
+            if prefix.len() == events.len() {
+                prop_assert_eq!(series(&run), whole.clone());
+                prop_assert_eq!(json!(run), json!(result));
+            }
+        }
+        prop_assert!(parsed > events.len(), "every line boundary parses");
     }
 }
