@@ -29,8 +29,9 @@
 //!
 //! `kernels` is the host micro-kernel suite and keeps a document of its
 //! own: the tensor kernels the training hot path lives in (tiled GEMM
-//! variants, transpose, the pooled conv2d forward/backward, the lowering's
-//! im2col / col2im / reorder / max-pool, the fused fake-quantize pass, the
+//! variants, transpose, the pooled conv2d forward/backward, LeNet-5's two
+//! layers on the lowering (`conv2d`) and on the direct path
+//! (`conv_direct`), the lowering's im2col / col2im / reorder / max-pool, the fused fake-quantize pass, the
 //! two GEMMs of a ResNet-18 step on one and on two pool threads, a parallel
 //! region's round trip) on fixed shapes with deterministic inputs,
 //! reported as minimum wall time per iteration plus achieved GFLOP/s.
@@ -679,18 +680,55 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
     let conv_shape = format!("{cn}x{ic}x{hw}x{hw}->{oc}");
     let conv_flops = 2.0 * (cn * oh * oh * oc * ic * kk * kk) as f64;
     time("conv2d", conv_shape.clone(), conv_flops, &mut || {
-        let (y, patches) = conv::conv2d(&x, &w, p);
+        let (y, cache) = conv::conv2d(&x, &w, p);
         pool::recycle(y);
-        pool::recycle(patches);
+        cache.recycle();
     });
-    let (y, patches) = conv::conv2d(&x, &w, p);
+    let (y, cache) = conv::conv2d(&x, &w, p);
     let gy = tensor(y.shape().clone(), 0x5eed_000a);
     // two GEMMs of the forward's size
     time("conv2d_backward", conv_shape, 2.0 * conv_flops, &mut || {
-        let (gx, gw) = conv::conv2d_backward(&gy, &patches, &w, x.shape(), p, true);
+        let (gx, gw) = conv::conv2d_backward(&gy, &cache, &w, x.shape(), p, true);
         pool::recycle(gx.expect("asked for"));
         pool::recycle(gw);
     });
+
+    // --- LeNet-5's two layers on both paths --------------------------------
+    // A 40-sample step at the CLI's width: conv1 on FMNIST's one channel and
+    // conv2 on the pooled map. Rows `conv2d` run the lowering, rows
+    // `conv_direct` the direct path; `conv::conv2d` picks one per layer.
+    for (i, (ln, lic, lhw, loc)) in [(40, 1, 8, 3), (40, 3, 4, 8)].into_iter().enumerate() {
+        let lx = tensor([ln, lic, lhw, lhw], 0x5eed_0020 + i as u64);
+        let lw = tensor([loc, lic, kk, kk], 0x5eed_0022 + i as u64);
+        let lgy = tensor([ln, loc, lhw, lhw], 0x5eed_0024 + i as u64);
+        let flops = 2.0 * (ln * lhw * lhw * loc * lic * kk * kk) as f64;
+        let layer = format!("{ln}x{lic}x{lhw}x{lhw}->{loc}");
+        for (op, path) in [
+            ("conv2d", conv::ConvPath::Lowered),
+            ("conv_direct", conv::ConvPath::Direct),
+        ] {
+            time(op, format!("fwd {layer}"), flops, &mut || {
+                let (y, cache) = conv::conv2d_via(path, &lx, &lw, p);
+                pool::recycle(y);
+                cache.recycle();
+            });
+            time(op, format!("int8 {layer}"), flops, &mut || {
+                let (y, cache, _, _) = conv::conv2d_int8_via(path, &lx, &lw, p);
+                pool::recycle(y);
+                cache.recycle();
+            });
+            let (y, cache) = conv::conv2d_via(path, &lx, &lw, p);
+            pool::recycle(y);
+            for (dx, what, work) in [(true, "bwd", 2.0), (false, "bwd-dw", 1.0)] {
+                time(op, format!("{what} {layer}"), work * flops, &mut || {
+                    let (gx, gw) = conv::conv2d_backward(&lgy, &cache, &lw, lx.shape(), p, dx);
+                    pool::recycle_all(gx);
+                    pool::recycle(gw);
+                });
+            }
+            cache.recycle();
+        }
+    }
 
     // --- The lowering's data movement ("flops" = elements moved) ---------
     // At the repo benchmark's shapes: ResNet-18's stage 1 and LeNet-5's

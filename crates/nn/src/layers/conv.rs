@@ -1,18 +1,19 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
 use crate::layers::accumulate_grad;
 use rand::Rng;
-use socflow_tensor::conv::{conv2d, conv2d_backward, conv2d_int8, ConvParams};
-use socflow_tensor::{init, pool, Shape, Tensor};
+use socflow_tensor::conv::{conv2d, conv2d_backward, conv2d_int8, ConvCache, ConvParams};
+use socflow_tensor::{init, Shape, Tensor};
 
 /// 2-D convolution layer (no bias — models here always follow a conv with
 /// batch-norm or include bias via the linear head, matching the reference
 /// architectures).
 ///
-/// A training forward keeps its im2col patch matrix — `(n·oh·ow, ic·lh·lw)`,
-/// one column per channel and *live* kernel tap
-/// ([`socflow_tensor::conv::LiveTaps`]), so a 3×3 layer on a 1×1 map keeps a
-/// ninth of what it would over all nine taps — until its backward; the
-/// weight and its gradient keep their full `(oc, ic, k, k)` shape.
+/// A training forward keeps what its backward reads
+/// ([`socflow_tensor::conv::ConvCache`]) — the im2col patch matrix, one
+/// column per channel and *live* kernel tap, or on a narrow layer that runs
+/// direct the input inside its zero border — until its backward; the
+/// weight and its gradient keep their full `(oc, ic, k, k)` shape. Which
+/// path runs is `socflow_tensor::conv`'s choice.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Parameter,
@@ -20,7 +21,7 @@ pub struct Conv2d {
     out_channels: usize,
     kernel: usize,
     params: ConvParams,
-    cached: Option<(Tensor, Shape)>, // (patches, input shape)
+    cached: Option<(ConvCache, Shape)>, // (forward's cache, input shape)
     /// Quantized-backward counter seeding the gradient noise. Kept as f32
     /// so it rides [`Layer::state_buffers`] into checkpoints (exact up to
     /// 2^24 steps — far past any realistic run).
@@ -59,38 +60,38 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        // INT8 runs the integer im2col-GEMM path ([`conv2d_int8`]), which
-        // returns the dequantized patches, so the cache and the backward
+        // INT8 runs the integer kernel ([`conv2d_int8`]), which caches the
+        // dequantized input it consumed, so the cache and the backward
         // below are shared with FP32.
-        let (y, patches) = if mode.precision == Precision::Int8 {
-            let (y, patches, _, _) = conv2d_int8(input, &self.weight.value, self.params);
-            (y, patches)
+        let (y, cache) = if mode.precision == Precision::Int8 {
+            let (y, cache, _, _) = conv2d_int8(input, &self.weight.value, self.params);
+            (y, cache)
         } else {
             conv2d(input, &self.weight.value, self.params)
         };
         if mode.train {
             self.release();
-            self.cached = Some((patches, input.shape().clone()));
+            self.cached = Some((cache, input.shape().clone()));
         } else {
-            pool::recycle(patches);
+            cache.recycle();
         }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
-        let (patches, input_shape) = self
+        let (cache, input_shape) = self
             .cached
             .take()
             .expect("Conv2d::backward without training forward");
         let (gx, gw) = conv2d_backward(
             grad_out,
-            &patches,
+            &cache,
             &self.weight.value,
             &input_shape,
             self.params,
             want_gx,
         );
-        pool::recycle(patches);
+        cache.recycle();
         if mode.precision == Precision::Int8 {
             self.step += 1.0;
         }
@@ -100,8 +101,8 @@ impl Layer for Conv2d {
     }
 
     fn release(&mut self) {
-        if let Some((patches, _)) = self.cached.take() {
-            pool::recycle(patches);
+        if let Some((cache, _)) = self.cached.take() {
+            cache.recycle();
         }
     }
 
@@ -202,7 +203,8 @@ mod tests {
     }
 
     /// The layer's INT8 forward must route to the integer conv kernel and
-    /// cache the dequantized patches it produced.
+    /// cache what it produced — the dequantized input, on the direct path
+    /// this narrow layer takes — and its FP32 forward the raw input.
     #[test]
     fn int8_forward_routes_to_integer_kernel() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -210,11 +212,25 @@ mod tests {
         let x = init::normal([2, 2, 5, 5], 1.0, &mut rng);
         let y = c.forward(&x, Mode::train(Precision::Int8));
 
-        let (expect, deq, _, _) = conv2d_int8(&x, &c.weight.value, c.params);
+        let (expect, cache, _, _) = conv2d_int8(&x, &c.weight.value, c.params);
         assert_eq!(y, expect);
-        let (patches, shape) = c.cached.as_ref().unwrap();
-        assert_eq!(patches, &deq);
+        let (cached, shape) = c.cached.as_ref().unwrap();
+        assert_eq!(cached, &cache);
         assert_eq!(shape, x.shape());
+        let ConvCache::Direct { padded } = cached else {
+            panic!("a 2 -> 3 layer runs direct, cached {cached:?}");
+        };
+        assert_ne!(&padded.data()[8..13], &x.data()[..5], "quantized");
+
+        c.forward(&x, Mode::train(Precision::Fp32));
+        let ConvCache::Direct { padded } = &c.cached.as_ref().unwrap().0 else {
+            panic!("the path does not depend on the precision");
+        };
+        assert_eq!(
+            &padded.data()[8..13],
+            &x.data()[..5],
+            "row 0 inside its border"
+        );
     }
 
     /// The centre taps of a `(oc, ic, 3, 3)` tensor as the `(oc, ic, 1, 1)`
@@ -245,8 +261,11 @@ mod tests {
         for step in 0..2 {
             let (y3, y1) = (c3.forward(&x, train), c1.forward(&x, train));
             assert_eq!(bits(&y3), bits(&y1), "step {step}: y");
-            let cached = &c3.cached.as_ref().unwrap().0;
-            assert_eq!(cached.shape().dims(), &[6, 5], "live-tap patch matrix");
+            let ConvCache::Lowered { patches, view } = &c3.cached.as_ref().unwrap().0 else {
+                panic!("a 1x1 map has dead taps: the lowering");
+            };
+            assert_eq!(patches.shape().dims(), &[6, 5], "live-tap patch matrix");
+            assert_eq!(view.as_ref().unwrap().shape().dims(), &[7, 5], "live view");
             assert_eq!(
                 bits(&c3.forward(&other, eval)),
                 bits(&c1.forward(&other, eval)),

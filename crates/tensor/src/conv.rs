@@ -1,9 +1,50 @@
 //! 2-D convolution and pooling kernels with hand-written backward passes.
 //!
-//! Convolution is implemented with the classic im2col lowering: each input
-//! window becomes a row of a patch matrix, the convolution becomes one
-//! GEMM ([`linalg::matmul_a_bt_slices`]), and the backward pass reuses the
-//! same patch matrix (`dW = dYᵀ·patches`) plus a `col2im` scatter (`dX`).
+//! A convolution runs one of two ways ([`ConvPath`]), and both give every
+//! output element the same bits:
+//!
+//! - **The lowering** (every wide layer): each input window becomes a row
+//!   of a patch matrix, the convolution becomes one GEMM
+//!   ([`linalg::matmul_a_bt_slices`]), and the backward pass reuses the
+//!   same patch matrix (`dW = dYᵀ·patches`) plus a `col2im` scatter (`dX`).
+//! - **The direct path** (narrow layers): the forward, the INT8 forward,
+//!   `dX` and `dW` run straight over the input inside the zero border the
+//!   lowering builds anyway (the halo below), with no patch matrix; the
+//!   training forward caches that padded input, `(n, ic, h + 2p, w + 2p)` —
+//!   a ninth of a 3×3 layer's patch matrix. Its bodies are in `direct.rs`.
+//!
+//! **The rule** ([`ConvPath::of`]) reads the geometry and the channel
+//! counts, nothing else — no thread count, flag or configuration: a layer
+//! runs direct iff it has stride 1, every tap live ([`LiveTaps`]), a kernel
+//! larger than 1×1 and at most 256 output cells `oc · ic·kh·kw`. A narrow
+//! layer's patch matrix is a few columns wide, so im2col copies a map nine
+//! times to feed GEMMs that pad 3 or 8 columns to a 16-lane tile; a 1×1
+//! layer's patch matrix is its input, so it has nothing to save. Measured
+//! per call on the 2-vCPU AVX-512 reference host, 40 samples on 8×8 maps,
+//! one thread (two threads alike), lowering → direct: LeNet-5's 1 → 3
+//! forward 48 → 6 µs, INT8 forward 51 → 13 µs, `dW` 38 → 18 µs; its 3 → 3
+//! (three-channel datasets) 85 → 17, 89 → 35, 52 → 29 µs; its 3 → 8 on
+//! the 4×4 map (216 cells) 27 → 17, 30 → 33, `dX + dW` 38 → 36 µs, and
+//! `train_resilient` at one thread took 0.748 s with that layer direct
+//! against 0.769 s with it lowered (medians of eight alternating runs);
+//! the stems of ResNet-50 and MobileNetV1 (162 and 189 cells) 90 → 31,
+//! 107 → 66, 74 → 56 µs. The stems of ResNet-18 and VGG-11 (324 and 378
+//! cells) measured faster direct per call too, but the workloads that run
+//! them have not been measured on the direct path, so the bound keeps them
+//! on the lowering; a 1×1 layer ran ×1.5–×10 slower direct.
+//!
+//! **Why the bits agree.** The direct path computes every element from the
+//! operands the lowering fed its GEMM, in the GEMM's order: the same halo
+//! zeros are operands, taps run in ascending `(ci, ky, kx)`, each term is
+//! one multiply and then one add onto an accumulator started at `+0.0`
+//! ([`crate::linalg`]'s numerics contract), `dW` sums over the batch's
+//! positions in ascending `(n, oy, ox)` as `Aᵀ × B` summed over patch rows,
+//! and `dX` adds each tap's gradient into the halo in `col2im`'s `(oy, ox,
+//! ci, ky, kx)` order. The INT8 forward is exact in `i32`, where no order
+//! matters, and applies the same scale epilogue. Its input scale is that of
+//! the patch matrix: at stride 1 every input element lies in some window,
+//! and the border adds only zeros, which cannot raise max-|x|, so the
+//! padded input and the patch matrix have the same largest magnitude.
 //!
 //! **Live taps.** The lowering walks only the kernel taps that can ever
 //! overlap the input ([`LiveTaps`]: a window `lh × lw` of the `kh × kw`
@@ -11,19 +52,21 @@
 //! `(n·oh·ow, c·lh·lw)`. A tap outside the window reads padding at every
 //! output position: its patch column is `0.0` in every row, and dropping it
 //! removes from each GEMM accumulator — started at `+0.0`, summed in
-//! ascending `p`, multiply and add separate ([`crate::linalg`]'s numerics
-//! contract) — only terms `acc + (±0.0)`, which cannot change `acc`. The
-//! surviving taps keep their `(ci, ky, kx)` order, the weight gradient at a
-//! dropped tap is written `+0.0` (what a sum of `g·0.0` gives), and `col2im`
-//! never scattered such a column, so every output is bit-identical to the
-//! lowering over all `kh·kw` taps — **provided weights and output gradients
-//! are finite**: `0.0·∞` on a padding tap used to turn a diverged run's
-//! outputs to NaN, and a tap that is never read cannot. When the window is
-//! the whole kernel (any map larger than the kernel's reach) the patch
-//! matrix is the classic `(n·oh·ow, c·kh·kw)` one and the weight tensor is
-//! consumed as a raw `(oc, ic·kh·kw)` view of its storage — no
-//! clone/reshape; otherwise its live `(oc, ic·lh·lw)` view is gathered into
-//! a step-scratch buffer on every call.
+//! ascending `p`, multiply and add separate — only terms `acc + (±0.0)`,
+//! which cannot change `acc`. The surviving taps keep their `(ci, ky, kx)`
+//! order, the weight gradient at a dropped tap is written `+0.0` (what a
+//! sum of `g·0.0` gives), and `col2im` never scattered such a column, so
+//! every output is bit-identical to the lowering over all `kh·kw` taps —
+//! **provided weights and output gradients are finite**: `0.0·∞` on a
+//! padding tap used to turn a diverged run's outputs to NaN, and a tap that
+//! is never read cannot. When the window is the whole kernel (any map
+//! larger than the kernel's reach) the patch matrix is the classic
+//! `(n·oh·ow, c·kh·kw)` one and the weight tensor is consumed as a raw
+//! `(oc, ic·kh·kw)` view of its storage — no clone/reshape; otherwise the
+//! forward gathers its live `(oc, ic·lh·lw)` view into a step-scratch
+//! buffer and leaves it in the [`ConvCache`] for the backward, the weights
+//! not moving in between. The direct path takes only layers whose every tap
+//! is live.
 //!
 //! **The halo.** Neither lowering loop tests a bound. `im2col` copies each
 //! sample into a zero border `padding` cells wide (thread-local scratch, as
@@ -44,12 +87,16 @@
 //! [`conv2d_backward`]) and the pooling passes take what they return, and
 //! every staging matrix in between, from the calling thread's step scratch
 //! ([`crate::pool`]): a caller that hands the results back when it is done
-//! with them runs without allocating, one that drops them pays what it
-//! always did. The lowering itself ([`im2col_into`], [`col2im_into`])
-//! writes into a caller's tensor.
+//! with them ([`ConvCache::recycle`] for a forward's cache) runs without
+//! allocating, one that drops them pays what it always did. The lowering
+//! itself ([`im2col_into`], [`col2im_into`]) writes into a caller's tensor;
+//! the per-sample halos of `col2im` and the direct `dX` are thread-local.
 //!
 //! All image tensors are NCHW.
 
+mod direct;
+
+use crate::isa::Isa;
 use crate::profile::{KernelOp, Timer};
 use crate::quant::{self, QuantParams};
 use crate::runtime::{self, SendPtr};
@@ -217,9 +264,10 @@ impl LiveTaps {
     }
 
     /// The live `(oc, ic·lh·lw)` view of `weight: (oc, ic, kh, kw)`,
-    /// gathered into a step-scratch tensor — afresh on every call, the
-    /// weights having moved since the last one. `None` when every tap is
-    /// live: the tensor's own storage is that matrix already.
+    /// gathered into a step-scratch tensor — by every forward, the weights
+    /// having moved since the last one; its backward reads the same one
+    /// from the [`ConvCache`]. `None` when every tap is live: the tensor's
+    /// own storage is that matrix already.
     fn live_view(&self, weight: &Tensor) -> Option<Tensor> {
         if self.is_full() {
             return None;
@@ -623,8 +671,8 @@ fn scatter_body(rows: &[f32], dst: &mut [f32], g: &Lowering, lw: usize) {
     }
 }
 
-/// Shapes one convolution call works out once: `(n, oc, oh, ow)`, the live
-/// window, and the patch matrix's `(rows, cols)`.
+/// Shapes one lowered convolution call works out once: `(n, oc, oh, ow)`,
+/// the live window, and the patch matrix's `(rows, cols)`.
 struct ConvDims {
     n: usize,
     oc: usize,
@@ -654,15 +702,211 @@ impl ConvDims {
     }
 }
 
+/// Most output cells, `oc · ic·kh·kw`, a layer may have and still run
+/// direct (see the module docs for the measurement).
+const DIRECT_MAX_CELLS: usize = 256;
+
+/// The two ways a convolution runs (see the module docs). [`ConvPath::of`]
+/// is the rule; [`conv2d`] and [`conv2d_int8`] follow it, and the `_via`
+/// entry points take a path for the benchmarks and tests that compare the
+/// two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConvPath {
+    /// `im2col`, then one GEMM per product, and `col2im` for `dX`.
+    Lowered,
+    /// Straight over the input inside its zero border: no patch matrix.
+    Direct,
+}
+
+impl ConvPath {
+    /// The path a layer with this geometry takes: [`ConvPath::Direct`] iff
+    /// it runs at stride 1 with every tap live, its kernel is larger than
+    /// 1×1 and it has at most `DIRECT_MAX_CELLS` output cells
+    /// `oc · ic·kh·kw` in its weight gradient — the narrow layers whose
+    /// patch matrix is a few columns wide. Reads the shapes and `p` alone.
+    pub fn of(input_shape: &Shape, weight_shape: &Shape, p: ConvParams) -> ConvPath {
+        let (_, _, h, w) = input_shape.as_nchw();
+        let (oc, ic, kh, kw) = weight_shape.as_nchw();
+        let narrow = kh * kw > 1 && oc * ic * kh * kw <= DIRECT_MAX_CELLS;
+        if narrow && Direct::admits(h, w, ic, kh, kw, p) {
+            ConvPath::Direct
+        } else {
+            ConvPath::Lowered
+        }
+    }
+}
+
+/// What a convolution's forward leaves for its backward; the variant says
+/// which path ran. Its tensors come from the step scratch:
+/// [`ConvCache::recycle`] hands them back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ConvCache {
+    /// The lowering's `(n·oh·ow, ic·lh·lw)` patch matrix — dequantized
+    /// after the INT8 forward — and, on a layer with a dead tap, the live
+    /// `(oc, ic·lh·lw)` weight view the forward gathered: the weights do
+    /// not move between a forward and its backward, so the backward reads
+    /// this one instead of gathering its own.
+    Lowered {
+        /// The patch matrix.
+        patches: Tensor,
+        /// The gathered live weight view; `None` when every tap is live.
+        view: Option<Tensor>,
+    },
+    /// The direct path's input inside its zero border, `(n, ic, h + 2p,
+    /// w + 2p)` — dequantized after the INT8 forward.
+    Direct {
+        /// The padded input.
+        padded: Tensor,
+    },
+}
+
+impl ConvCache {
+    /// Hands every tensor back to the step scratch.
+    pub fn recycle(self) {
+        match self {
+            ConvCache::Lowered { patches, view } => {
+                pool::recycle(patches);
+                pool::recycle_all(view);
+            }
+            ConvCache::Direct { padded } => pool::recycle(padded),
+        }
+    }
+}
+
+/// The geometry of one direct convolution call: the batch, both channel
+/// counts, the kernel, the input and its padded extent, the output.
+#[derive(Debug, Clone, Copy)]
+struct Direct {
+    n: usize,
+    ic: usize,
+    oc: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    pad: usize,
+    hp: usize,
+    wp: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Direct {
+    /// Whether the direct path computes this geometry: stride 1, every tap
+    /// live, and a patch no wider than its widest register block.
+    fn admits(h: usize, w: usize, ic: usize, kh: usize, kw: usize, p: ConvParams) -> bool {
+        p.stride == 1 && LiveTaps::of(h, w, kh, kw, p).is_full() && ic * kh * kw <= direct::MAX_COLS
+    }
+
+    /// # Panics
+    /// Panics if channel counts disagree or the path does not admit the
+    /// geometry.
+    fn of(input_shape: &Shape, weight_shape: &Shape, p: ConvParams) -> Direct {
+        let (n, ic, h, w) = input_shape.as_nchw();
+        let (oc, ic2, kh, kw) = weight_shape.as_nchw();
+        assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
+        assert!(
+            Direct::admits(h, w, ic, kh, kw, p),
+            "the direct convolution takes stride 1, every tap live and at most {} patch \
+             columns: {kh}x{kw} at stride {} on {ic}x{h}x{w}",
+            direct::MAX_COLS,
+            p.stride
+        );
+        let pad = p.padding;
+        Direct {
+            n,
+            ic,
+            oc,
+            h,
+            w,
+            kh,
+            kw,
+            pad,
+            hp: h + 2 * pad,
+            wp: w + 2 * pad,
+            oh: p.out_size(h, kh),
+            ow: p.out_size(w, kw),
+        }
+    }
+
+    /// Patch columns, `ic·kh·kw`: a weight row.
+    fn cols(&self) -> usize {
+        self.ic * self.kh * self.kw
+    }
+
+    /// Floats of one sample's padded planes.
+    fn sample_padded(&self) -> usize {
+        self.ic * self.hp * self.wp
+    }
+
+    /// Floats of one sample's output.
+    fn sample_out(&self) -> usize {
+        self.oc * self.oh * self.ow
+    }
+
+    /// Runs `body(ni, region)` for every sample `ni`, `region` its `len`
+    /// elements of `out`: on the worker pool, one chunk per sample, at the
+    /// sizes where the lowering's `im2col` goes parallel (a patch matrix of
+    /// [`PAR_MIN_ELEMS`]), serially below. Each sample writes only its own
+    /// region, in the serial order, so the bytes are the same either way.
+    fn per_sample<T: Send>(
+        &self,
+        out: &mut [T],
+        len: usize,
+        body: &(dyn Fn(usize, &mut [T]) + Sync),
+    ) {
+        assert_eq!(out.len(), self.n * len);
+        let patch_elems = self.n * self.oh * self.ow * self.cols();
+        if self.n > 1 && patch_elems >= PAR_MIN_ELEMS && runtime::threads() > 1 {
+            let out_ptr = SendPtr::new(out);
+            runtime::parallel_for_chunks(self.n, &|ni| {
+                // Safety: per-sample regions are disjoint and in-bounds.
+                body(ni, unsafe { out_ptr.slice(ni * len, len) });
+            });
+        } else {
+            for ni in 0..self.n {
+                body(ni, &mut out[ni * len..(ni + 1) * len]);
+            }
+        }
+    }
+}
+
 /// Forward 2-D convolution.
 ///
-/// `input: (n, ic, h, w)`, `weight: (oc, ic, kh, kw)` → `(n, oc, oh, ow)`.
-/// Also returns the `(n·oh·ow, ic·lh·lw)` im2col patch matrix, which the
-/// backward pass reuses. Both come from the step scratch ([`crate::pool`]).
+/// `input: (n, ic, h, w)`, `weight: (oc, ic, kh, kw)` → `(n, oc, oh, ow)`,
+/// on the path [`ConvPath::of`] picks. Also returns what the backward pass
+/// reuses. Both come from the step scratch ([`crate::pool`]).
 ///
 /// # Panics
 /// Panics if channel counts disagree or the window does not fit.
-pub fn conv2d(input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, Tensor) {
+pub fn conv2d(input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, ConvCache) {
+    conv2d_via(
+        ConvPath::of(input.shape(), weight.shape(), p),
+        input,
+        weight,
+        p,
+    )
+}
+
+/// [`conv2d`] on the given path; both give the same bits.
+///
+/// # Panics
+/// As [`conv2d`], and if `path` is [`ConvPath::Direct`] on a geometry it
+/// does not admit (a stride above 1 or a dead tap).
+pub fn conv2d_via(
+    path: ConvPath,
+    input: &Tensor,
+    weight: &Tensor,
+    p: ConvParams,
+) -> (Tensor, ConvCache) {
+    match path {
+        ConvPath::Lowered => lowered_forward(input, weight, p),
+        ConvPath::Direct => direct_forward(Isa::active(), input, weight, p),
+    }
+}
+
+/// The lowering's f32 forward: `im2col`, then `patches × Wᵀ`.
+fn lowered_forward(input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, ConvCache) {
     let d = ConvDims::of(input.shape(), weight, p);
     let (_, _, kh, kw) = weight.shape().as_nchw();
     let mut patches = pool::tensor([d.rows, d.cols]);
@@ -683,26 +927,41 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, Tensor
     let mut out = pool::tensor([d.n, d.oc, d.oh, d.ow]);
     nhwc_rows_to_nchw_into(&mat, d.n, d.oc, d.oh, d.ow, &mut out);
     pool::recycle(mat);
-    pool::recycle_all(view);
-    (out, patches)
+    (out, ConvCache::Lowered { patches, view })
+}
+
+/// The direct f32 forward on instantiation `isa`.
+fn direct_forward(isa: Isa, input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, ConvCache) {
+    let g = Direct::of(input.shape(), weight.shape(), p);
+    let _t = Timer::start(KernelOp::ConvDirect);
+    let mut padded = pool::tensor([g.n, g.ic, g.hp, g.wp]);
+    direct::pad_into(input.data(), padded.data_mut(), &g);
+    let mut out = pool::tensor([g.n, g.oc, g.oh, g.ow]);
+    let sample = |ni: usize| &padded.data()[ni * g.sample_padded()..][..g.sample_padded()];
+    g.per_sample(out.data_mut(), g.sample_out(), &|ni, out| {
+        direct::forward(isa, sample(ni), weight.data(), out, &g)
+    });
+    (out, ConvCache::Direct { padded })
 }
 
 /// Integer-path forward convolution: the INT8 replica arm's conv kernel.
 ///
-/// Lowers the raw input with im2col, quantizes the patch matrix and the
-/// live `(oc, ic·lh·lw)` weight view to symmetric per-tensor INT8, runs the
-/// `i8×i8→i32` GEMM ([`linalg::matmul_i8_a_bt_slices`]) and applies both
-/// scales once at the i32→f32 epilogue — no f32 fake-quant matmul anywhere
-/// on this path. The patch scale is taken from the patch matrix itself
-/// (padding zeros cannot raise max-|x|, so it equals the in-window input
-/// scale, whichever taps are lowered). The weight scale is taken from the
-/// **whole** weight tensor: a tap that only ever reads padding still
-/// carries weight decay, momentum and gradient noise, so it is not zero
-/// and may well hold the maximum.
+/// Quantizes the input — as the lowering's patch matrix or, on the direct
+/// path, inside its zero border — and the weights to symmetric per-tensor
+/// INT8, accumulates `i8×i8` products exactly in `i32` (the lowering's
+/// [`linalg::matmul_i8_a_bt_slices`], or the direct path's own walk) and
+/// applies both scales once at the i32→f32 epilogue — no f32 fake-quant
+/// matmul anywhere. The input scale is taken from the patch matrix or the
+/// padded input, which hold the same non-zero values (padding zeros cannot
+/// raise max-|x|, so it equals the in-window input scale, whichever taps
+/// are lowered). The weight scale is taken from the **whole** weight
+/// tensor: a tap that only ever reads padding still carries weight decay,
+/// momentum and gradient noise, so it is not zero and may well hold the
+/// maximum.
 ///
-/// Returns `(out, patches, patch params, weight params)`, tensors from the
-/// step scratch as [`conv2d`]'s. `patches` is the **dequantized** patch
-/// matrix — the exact values the integer kernel consumed — so the standard
+/// Returns `(out, cache, input params, weight params)`, tensors from the
+/// step scratch as [`conv2d`]'s. The cache holds the **dequantized** input
+/// — the exact values the integer kernel consumed — so the standard
 /// [`conv2d_backward`] differentiates the function the integer kernel
 /// actually computed, unchanged.
 ///
@@ -712,7 +971,38 @@ pub fn conv2d_int8(
     input: &Tensor,
     weight: &Tensor,
     p: ConvParams,
-) -> (Tensor, Tensor, QuantParams, QuantParams) {
+) -> (Tensor, ConvCache, QuantParams, QuantParams) {
+    conv2d_int8_via(
+        ConvPath::of(input.shape(), weight.shape(), p),
+        input,
+        weight,
+        p,
+    )
+}
+
+/// [`conv2d_int8`] on the given path; both give the same bits.
+///
+/// # Panics
+/// As [`conv2d_via`].
+pub fn conv2d_int8_via(
+    path: ConvPath,
+    input: &Tensor,
+    weight: &Tensor,
+    p: ConvParams,
+) -> (Tensor, ConvCache, QuantParams, QuantParams) {
+    match path {
+        ConvPath::Lowered => lowered_forward_int8(input, weight, p),
+        ConvPath::Direct => direct_forward_int8(Isa::active(), input, weight, p),
+    }
+}
+
+/// The lowering's INT8 forward: `im2col`, quantize both operands, the
+/// integer GEMM, the scale epilogue.
+fn lowered_forward_int8(
+    input: &Tensor,
+    weight: &Tensor,
+    p: ConvParams,
+) -> (Tensor, ConvCache, QuantParams, QuantParams) {
     let d = ConvDims::of(input.shape(), weight, p);
     let (_, _, kh, kw) = weight.shape().as_nchw();
     let mut patches = pool::tensor([d.rows, d.cols]);
@@ -724,7 +1014,6 @@ pub fn conv2d_int8(
     let view = d.live.live_view(weight);
     let mut qweight = pool::take::<i8>(d.oc * d.cols);
     quant::quantize_into(view.as_ref().unwrap_or(weight), pw, &mut qweight);
-    pool::recycle_all(view);
     let mut imat = pool::take::<i32>(d.rows * d.oc);
     linalg::matmul_i8_a_bt_slices(&qpatches, &qweight, &mut imat, d.rows, d.cols, d.oc);
     pool::give(qweight);
@@ -737,24 +1026,96 @@ pub fn conv2d_int8(
     // Replace the raw patches with their dequantized INT8 values for backward.
     quant::dequantize_into(&qpatches, [d.rows, d.cols], pp, &mut patches);
     pool::give(qpatches);
-    (out, patches, pp, pw)
+    (out, ConvCache::Lowered { patches, view }, pp, pw)
+}
+
+/// The direct INT8 forward on instantiation `isa`: the padded input is
+/// quantized once, convolved in `i32`, scaled in the lowering's epilogue
+/// (element for element, in NCHW order instead of NHWC) and dequantized
+/// in place for the backward.
+fn direct_forward_int8(
+    isa: Isa,
+    input: &Tensor,
+    weight: &Tensor,
+    p: ConvParams,
+) -> (Tensor, ConvCache, QuantParams, QuantParams) {
+    let g = Direct::of(input.shape(), weight.shape(), p);
+    let mut padded = pool::tensor([g.n, g.ic, g.hp, g.wp]);
+    {
+        let _t = Timer::start(KernelOp::ConvDirect);
+        direct::pad_into(input.data(), padded.data_mut(), &g);
+    }
+    let pp = QuantParams::from_tensor(&padded);
+    let pw = QuantParams::from_tensor(weight);
+    let mut qx = pool::take::<i8>(padded.len());
+    quant::quantize_into(&padded, pp, &mut qx);
+    let mut qw = pool::take::<i8>(weight.len());
+    quant::quantize_into(weight, pw, &mut qw);
+    let mut acc = pool::take::<i32>(g.n * g.sample_out());
+    {
+        let _t = Timer::start(KernelOp::ConvDirect);
+        let sample = |ni: usize| &qx[ni * g.sample_padded()..][..g.sample_padded()];
+        g.per_sample(&mut acc, g.sample_out(), &|ni, out| {
+            direct::forward_i8(isa, sample(ni), &qw, out, &g)
+        });
+    }
+    pool::give(qw);
+    let mut out = pool::tensor([g.n, g.oc, g.oh, g.ow]);
+    quant::scale_i32_into(&acc, pp.scale * pw.scale, out.data_mut());
+    pool::give(acc);
+    quant::dequantize_into(&qx, [g.n, g.ic, g.hp, g.wp], pp, &mut padded);
+    pool::give(qx);
+    (out, ConvCache::Direct { padded }, pp, pw)
 }
 
 /// Backward 2-D convolution.
 ///
-/// Given `grad_out: (n, oc, oh, ow)`, the `(n·oh·ow, ic·lh·lw)` `patches`
-/// matrix of the matching forward pass, the `weight: (oc, ic, kh, kw)` and
-/// the input geometry, returns `(grad_input, grad_weight)`, both from the
-/// step scratch. The weight gradient is always the full `(oc, ic, kh, kw)`
-/// one; a tap outside the live window gets `+0.0`. The input gradient — one
-/// GEMM for the patch gradients and their `col2im` — is computed only when
-/// `want_gx`: the first layer of a network has nobody to hand it to.
+/// Given `grad_out: (n, oc, oh, ow)`, the `cache` of the matching forward
+/// pass (on the path it took), the `weight: (oc, ic, kh, kw)` that forward
+/// read and the input geometry, returns `(grad_input, grad_weight)`, both
+/// from the step scratch. The weight gradient is always the full `(oc, ic,
+/// kh, kw)` one; a tap outside the live window gets `+0.0`. The input
+/// gradient is computed only when `want_gx`: the first layer of a network
+/// has nobody to hand it to.
 ///
 /// # Panics
 /// Panics on any geometry inconsistency.
 pub fn conv2d_backward(
     grad_out: &Tensor,
+    cache: &ConvCache,
+    weight: &Tensor,
+    input_shape: &Shape,
+    p: ConvParams,
+    want_gx: bool,
+) -> (Option<Tensor>, Tensor) {
+    match cache {
+        ConvCache::Lowered { patches, view } => lowered_backward(
+            grad_out,
+            patches,
+            view.as_ref(),
+            weight,
+            input_shape,
+            p,
+            want_gx,
+        ),
+        ConvCache::Direct { padded } => direct_backward(
+            Isa::active(),
+            grad_out,
+            padded,
+            weight,
+            input_shape,
+            p,
+            want_gx,
+        ),
+    }
+}
+
+/// The lowering's backward: `dW = gmatᵀ × patches`, and for `dX` the patch
+/// gradients `gmat × W` scattered by `col2im`.
+fn lowered_backward(
+    grad_out: &Tensor,
     patches: &Tensor,
+    view: Option<&Tensor>,
     weight: &Tensor,
     input_shape: &Shape,
     p: ConvParams,
@@ -773,6 +1134,10 @@ pub fn conv2d_backward(
         "conv2d_backward: `patches` must be the forward pass's (n·oh·ow, ic·lh·lw) = \
          ({rows}, {cols}) patch matrix ({} of the {kh}x{kw} taps are live on a {h}x{w} input)",
         live.taps()
+    );
+    assert!(
+        view.map(|v| v.shape().dims()) == (!live.is_full()).then_some(&[d.oc, cols][..]),
+        "conv2d_backward: the forward's live weight view"
     );
     // (n·oh·ow, oc)
     let mut mat = pool::tensor([rows, d.oc]);
@@ -795,23 +1160,90 @@ pub fn conv2d_backward(
     }
     let gx = want_gx.then(|| {
         // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
-        let view = live.live_view(weight);
         let mut gpatches = pool::tensor([rows, cols]);
         linalg::matmul_slices(
             mat.data(),
-            view.as_ref().unwrap_or(weight).data(),
+            view.unwrap_or(weight).data(),
             gpatches.data_mut(),
             rows,
             d.oc,
             cols,
         );
-        pool::recycle_all(view);
         let mut gx = pool::tensor([n, ic, h, w]);
         col2im_into(&gpatches, n, ic, h, w, kh, kw, p, &mut gx);
         pool::recycle(gpatches);
         gx
     });
     pool::recycle(mat);
+    (gx, gw)
+}
+
+/// The direct backward on instantiation `isa`: `dW` over the cached padded
+/// input, cut only by output channels (on the worker pool at the size where
+/// the lowering's `Aᵀ × B` goes parallel), and `dX` one sample at a time.
+#[allow(clippy::too_many_arguments)]
+fn direct_backward(
+    isa: Isa,
+    grad_out: &Tensor,
+    padded: &Tensor,
+    weight: &Tensor,
+    input_shape: &Shape,
+    p: ConvParams,
+    want_gx: bool,
+) -> (Option<Tensor>, Tensor) {
+    let g = Direct::of(input_shape, weight.shape(), p);
+    assert_eq!(
+        grad_out.shape().dims(),
+        &[g.n, g.oc, g.oh, g.ow],
+        "grad_out shape mismatch"
+    );
+    assert_eq!(
+        padded.shape().dims(),
+        &[g.n, g.ic, g.hp, g.wp],
+        "conv2d_backward: the forward pass's padded input"
+    );
+    let _t = Timer::start(KernelOp::ConvDirect);
+    let (x, gy, cols) = (padded.data(), grad_out.data(), g.cols());
+    let mut gw = pool::tensor([g.oc, g.ic, g.kh, g.kw]);
+    // `dW` of output channels `o0..`, one sample's windows at a time
+    let (hw, lanes) = (g.oh * g.ow, direct::lanes(cols));
+    let weight_grad = |o0: usize, dw: &mut [f32]| {
+        let rows = dw.len() / cols;
+        direct::with_scratch((hw * lanes, rows * lanes), |windows, cells| {
+            cells.fill(0.0);
+            for ni in 0..g.n {
+                let sample = &x[ni * g.sample_padded()..][..g.sample_padded()];
+                direct::gather_windows(sample, windows, &g);
+                let gs = &gy[ni * g.sample_out()..][..g.sample_out()];
+                direct::weight_grad(isa, windows, gs, cells, o0, &g);
+            }
+            for (dst, sums) in dw.chunks_exact_mut(cols).zip(cells.chunks_exact(lanes)) {
+                dst.copy_from_slice(&sums[..cols]);
+            }
+        })
+    };
+    let block = direct::block_channels(cols);
+    let work = g.oc * g.n * hw * cols;
+    if g.oc > block && work >= linalg::PAR_MIN_WORK_F32 && runtime::threads() > 1 {
+        let gw_ptr = SendPtr::new(gw.data_mut());
+        runtime::parallel_for_chunks(g.oc.div_ceil(block), &|b| {
+            let (o0, rows) = (b * block, block.min(g.oc - b * block));
+            // Safety: blocks of output channels are disjoint rows of `gw`.
+            weight_grad(o0, unsafe { gw_ptr.slice(o0 * cols, rows * cols) });
+        });
+    } else {
+        weight_grad(0, gw.data_mut());
+    }
+    let gx = want_gx.then(|| {
+        let mut gx = pool::tensor(input_shape.clone());
+        let sample = |ni: usize| &gy[ni * g.sample_out()..][..g.sample_out()];
+        g.per_sample(gx.data_mut(), g.ic * g.h * g.w, &|ni, gx| {
+            direct::with_scratch((g.sample_padded(), g.oh * g.ow), |halo, plane| {
+                direct::input_grad(isa, sample(ni), weight.data(), gx, halo, plane, &g)
+            })
+        });
+        gx
+    });
     (gx, gw)
 }
 
@@ -1022,6 +1454,7 @@ pub fn global_avg_pool_backward(grad_out: &Tensor, input_shape: &Shape) -> Tenso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::wide_or_skip;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1092,9 +1525,9 @@ mod tests {
         );
         let loss =
             |x: &Tensor, w: &Tensor| conv2d(x, w, p).0.data().iter().map(|v| v * v).sum::<f32>();
-        let (y, patches) = conv2d(&x, &w, p);
+        let (y, cache) = conv2d(&x, &w, p);
         let grad_y = y.scale(2.0); // d(sum y^2)/dy
-        let (gx, gw) = conv2d_backward(&grad_y, &patches, &w, x.shape(), p, true);
+        let (gx, gw) = conv2d_backward(&grad_y, &cache, &w, x.shape(), p, true);
         let gx = gx.unwrap();
 
         let eps = 1e-3;
@@ -1126,7 +1559,7 @@ mod tests {
 
     /// A run whose every buffer comes out of the step scratch with stale
     /// contents equals a run on fresh allocations, forward and backward,
-    /// with and without the input gradient.
+    /// with and without the input gradient, on both paths.
     #[test]
     fn scratch_variants_match_allocating() {
         let p = ConvParams::new(1, 1);
@@ -1140,35 +1573,43 @@ mod tests {
                 .collect(),
             [3, 2, 3, 3],
         );
-        let run = || {
-            let (y, patches) = conv2d(&x, &w, p);
-            let gy = y.scale(2.0);
-            let (gx, gw) = conv2d_backward(&gy, &patches, &w, x.shape(), p, true);
-            let (none, gw_only) = conv2d_backward(&gy, &patches, &w, x.shape(), p, false);
-            assert!(none.is_none());
-            assert_eq!(bits(&gw_only), bits(&gw), "dW without dX");
-            (y, patches, gx.unwrap(), gw)
-        };
-        let fresh = pool::transient(run);
-        // Prime the scratch by running a *different* shape first, then hand
-        // the first run's buffers over: the second run finds every size it
-        // asks for parked, poisoned.
-        let (y0, p0) = conv2d(&Tensor::ones([1, 2, 4, 4]), &w, p);
-        pool::recycle(y0);
-        pool::recycle(p0);
-        let (y, patches, gx, gw) = run();
-        let ptr = patches.data().as_ptr(); // the one 50 x 18 buffer of a run
-        for t in [y, patches, gx, gw] {
-            pool::recycle(t);
+        for path in [ConvPath::Lowered, ConvPath::Direct] {
+            let run = || {
+                let (y, cache) = conv2d_via(path, &x, &w, p);
+                let gy = y.scale(2.0);
+                let (gx, gw) = conv2d_backward(&gy, &cache, &w, x.shape(), p, true);
+                let (none, gw_only) = conv2d_backward(&gy, &cache, &w, x.shape(), p, false);
+                assert!(none.is_none());
+                assert_eq!(bits(&gw_only), bits(&gw), "dW without dX");
+                (y, cache, gx.unwrap(), gw)
+            };
+            let fresh = pool::transient(run);
+            // Prime the scratch by running a *different* shape first, then
+            // hand the first run's buffers over: the second run finds every
+            // size it asks for parked, poisoned.
+            let (y0, c0) = conv2d_via(path, &Tensor::ones([1, 2, 4, 4]), &w, p);
+            pool::recycle(y0);
+            c0.recycle();
+            let (y, cache, gx, gw) = run();
+            // the patch matrix (50 x 18) or the padded input (2 x 2 x 7 x 7)
+            let cached = |c: &ConvCache| match c {
+                ConvCache::Lowered { patches, .. } => patches.data().as_ptr(),
+                ConvCache::Direct { padded } => padded.data().as_ptr(),
+            };
+            let ptr = cached(&cache);
+            for t in [y, gx, gw] {
+                pool::recycle(t);
+            }
+            cache.recycle();
+            let again = run();
+            assert_eq!(cached(&again.1), ptr, "{path:?}: the parked cache");
+            assert_eq!(again, fresh, "{path:?}");
         }
-        let again = run();
-        assert_eq!(again.1.data().as_ptr(), ptr, "the parked patch matrix");
-        assert_eq!(again, fresh);
     }
 
     /// The integer conv forward must reproduce the widened-i32 reference
-    /// bit for bit, leave dequantized patches behind for backward, and stay
-    /// close to the f32 convolution.
+    /// bit for bit on both paths, leave the dequantized values it consumed
+    /// behind for backward, and stay close to the f32 convolution.
     #[test]
     fn int8_conv_matches_widened_reference_exactly() {
         let p = ConvParams::new(1, 1);
@@ -1185,12 +1626,11 @@ mod tests {
                 .collect(),
             [oc, ic, kh, kw],
         );
-        let (y8, deq, pp, pw) = conv2d_int8(&x, &w, p);
-
         // Reference: quantize the raw patches and weight, accumulate in i32.
         let mut patches = Tensor::default();
         let (oh, ow) = im2col_into(&x, kh, kw, p, &mut patches);
-        assert_eq!(pp.scale, QuantParams::from_tensor(&patches).scale);
+        let pp = QuantParams::from_tensor(&patches);
+        let pw = QuantParams::from_tensor(&w);
         let cols = ic * kh * kw;
         let (mut qp, mut qw) = (Vec::new(), Vec::new());
         quant::quantize_into(&patches, pp, &mut qp);
@@ -1211,18 +1651,30 @@ mod tests {
                 }
             }
         }
-        assert_eq!(y8, expect);
-
-        // Patches left behind are the dequantized values the kernel saw.
         let mut want = Tensor::default();
         quant::dequantize_into(&qp, patches.shape().clone(), pp, &mut want);
-        assert_eq!(deq, want);
 
-        // And the whole thing stays close to the f32 convolution.
-        let (y32, _) = conv2d(&x, &w, p);
-        let dot: f32 = y8.data().iter().zip(y32.data()).map(|(a, b)| a * b).sum();
-        let cos = dot / (y8.l2_norm() * y32.l2_norm());
-        assert!(cos > 0.98, "cos {cos}");
+        for path in [ConvPath::Lowered, ConvPath::Direct] {
+            let (y8, cache, cpp, cpw) = conv2d_int8_via(path, &x, &w, p);
+            assert_eq!((cpp.scale, cpw.scale), (pp.scale, pw.scale), "{path:?}");
+            assert_eq!(y8, expect, "{path:?}");
+            // What is left behind is what the kernel saw: the dequantized
+            // patches, or the padded input they are lowered from.
+            let cached = match &cache {
+                ConvCache::Lowered { patches, .. } => patches.clone(),
+                ConvCache::Direct { padded } => {
+                    let mut lowered = Tensor::default();
+                    im2col_into(padded, kh, kw, ConvParams::new(1, 0), &mut lowered);
+                    lowered
+                }
+            };
+            assert_eq!(cached, want, "{path:?}");
+            // And the whole thing stays close to the f32 convolution.
+            let (y32, _) = conv2d_via(path, &x, &w, p);
+            let dot: f32 = y8.data().iter().zip(y32.data()).map(|(a, b)| a * b).sum();
+            let cos = dot / (y8.l2_norm() * y32.l2_norm());
+            assert!(cos > 0.98, "{path:?}: cos {cos}");
+        }
     }
 
     #[test]
@@ -1246,26 +1698,12 @@ mod tests {
     }
 
     /// The oracle: the bounds-tested per-sample bodies over a tap window,
-    /// the index-arithmetic reorders and the bounds-tested pool exactly as
-    /// production ran them before the halo, and — over the window that is
-    /// the whole kernel — the three convolutions as they stood before the
-    /// live-tap window (batch loops serial, which the pool path equalled
-    /// byte for byte). The halo bodies must equal the former and the
-    /// live-tap lowering the latter, bit for bit.
+    /// the index-arithmetic reorders and the bounds-tested pool, and the
+    /// convolution over all `kh·kw` taps built from them (batch loops
+    /// serial). The halo bodies must equal the former, and both paths of
+    /// every convolution the latter, bit for bit.
     mod reference {
         use super::super::*;
-
-        /// The buffers a convolution layer kept for itself before the step
-        /// scratch: the oracle still runs on them.
-        #[derive(Debug, Default)]
-        pub struct ConvScratch {
-            pub patches: Tensor,
-            mat: Tensor,
-            gpatches: Tensor,
-            qpatches: Vec<i8>,
-            qweight: Vec<i8>,
-            imat: Vec<i32>,
-        }
 
         /// All `kh × kw` taps as a window.
         fn all_taps(kh: usize, kw: usize) -> LiveTaps {
@@ -1498,109 +1936,75 @@ mod tests {
             (Tensor::from_vec(out, Shape::from([n, c, oh, ow])), arg)
         }
 
-        pub fn conv2d_scratch(
-            input: &Tensor,
-            weight: &Tensor,
-            p: ConvParams,
-            scratch: &mut ConvScratch,
-            out: &mut Tensor,
-        ) {
-            let (n, ic, _h, _w) = input.shape().as_nchw();
+        /// The convolution over all `kh·kw` taps: the bounds-tested
+        /// lowering, one GEMM per product, batch loops serial. Returns `y`
+        /// and the patch matrix.
+        pub fn conv2d(input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, Tensor) {
+            let (n, ic, _, _) = input.shape().as_nchw();
             let (oc, ic2, kh, kw) = weight.shape().as_nchw();
-            assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
-            let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
-            let rows = n * oh * ow;
-            let cols = ic * kh * kw;
-            // (n·oh·ow, cols) × (oc, cols)ᵀ = (n·oh·ow, oc); the weight storage is
-            // already the row-major (oc, cols) matrix — no clone/reshape needed.
-            scratch.mat.resize([rows, oc]);
-            linalg::matmul_a_bt_slices(
-                scratch.patches.data(),
-                weight.data(),
-                scratch.mat.data_mut(),
-                rows,
-                cols,
-                oc,
-            );
-            nhwc_rows_to_nchw_into(&scratch.mat, n, oc, oh, ow, out);
+            assert_eq!(ic, ic2);
+            let mut patches = Tensor::default();
+            let (oh, ow) = im2col_into(input, kh, kw, p, &mut patches);
+            let (rows, cols) = (n * oh * ow, ic * kh * kw);
+            let mut mat = Tensor::zeros([rows, oc]);
+            let (a, b) = (patches.data(), weight.data());
+            linalg::matmul_a_bt_slices(a, b, mat.data_mut(), rows, cols, oc);
+            let mut y = Tensor::default();
+            nhwc_rows_to_nchw_into(&mat, n, oc, oh, ow, &mut y);
+            (y, patches)
         }
 
-        pub fn conv2d_int8_scratch(
+        /// The INT8 forward over all taps: both operands quantized whole,
+        /// accumulated in `i32`, scaled once. Returns `y`, the dequantized
+        /// patch matrix and both scales.
+        pub fn conv2d_int8(
             input: &Tensor,
             weight: &Tensor,
             p: ConvParams,
-            scratch: &mut ConvScratch,
-            out: &mut Tensor,
-        ) -> (QuantParams, QuantParams) {
-            let (n, ic, _h, _w) = input.shape().as_nchw();
-            let (oc, ic2, kh, kw) = weight.shape().as_nchw();
-            assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
-            let (oh, ow) = im2col_into(input, kh, kw, p, &mut scratch.patches);
-            let rows = n * oh * ow;
-            let cols = ic * kh * kw;
-            let pp = QuantParams::from_tensor(&scratch.patches);
+        ) -> (Tensor, Tensor, QuantParams, QuantParams) {
+            let (n, ic, _, _) = input.shape().as_nchw();
+            let (oc, _, kh, kw) = weight.shape().as_nchw();
+            let mut patches = Tensor::default();
+            let (oh, ow) = im2col_into(input, kh, kw, p, &mut patches);
+            let (rows, cols) = (n * oh * ow, ic * kh * kw);
+            let pp = QuantParams::from_tensor(&patches);
             let pw = QuantParams::from_tensor(weight);
-            quant::quantize_into(&scratch.patches, pp, &mut scratch.qpatches);
-            quant::quantize_into(weight, pw, &mut scratch.qweight);
-            scratch.imat.clear();
-            scratch.imat.resize(rows * oc, 0);
-            linalg::matmul_i8_a_bt_slices(
-                &scratch.qpatches,
-                &scratch.qweight,
-                &mut scratch.imat,
-                rows,
-                cols,
-                oc,
-            );
-            scratch.mat.resize([rows, oc]);
-            quant::scale_i32_into(&scratch.imat, pp.scale * pw.scale, scratch.mat.data_mut());
-            nhwc_rows_to_nchw_into(&scratch.mat, n, oc, oh, ow, out);
-            // Replace the raw patches with their dequantized INT8 values for backward.
-            let shape = scratch.patches.shape().clone();
-            quant::dequantize_into(&scratch.qpatches, shape, pp, &mut scratch.patches);
-            (pp, pw)
+            let (mut qp, mut qw) = (Vec::new(), Vec::new());
+            quant::quantize_into(&patches, pp, &mut qp);
+            quant::quantize_into(weight, pw, &mut qw);
+            let mut imat = vec![0i32; rows * oc];
+            linalg::matmul_i8_a_bt_slices(&qp, &qw, &mut imat, rows, cols, oc);
+            let mut mat = Tensor::zeros([rows, oc]);
+            quant::scale_i32_into(&imat, pp.scale * pw.scale, mat.data_mut());
+            let mut y = Tensor::default();
+            nhwc_rows_to_nchw_into(&mat, n, oc, oh, ow, &mut y);
+            quant::dequantize_into(&qp, [rows, cols], pp, &mut patches);
+            (y, patches, pp, pw)
         }
 
-        #[allow(clippy::too_many_arguments)]
-        pub fn conv2d_backward_scratch(
+        /// The backward over all taps: `dW = gmatᵀ × patches` and `dX` the
+        /// bounds-tested `col2im` of `gmat × W`.
+        pub fn conv2d_backward(
             grad_out: &Tensor,
             patches: &Tensor,
             weight: &Tensor,
             input_shape: &Shape,
             p: ConvParams,
-            scratch: &mut ConvScratch,
-            gx: &mut Tensor,
-            gw: &mut Tensor,
-        ) {
+        ) -> (Tensor, Tensor) {
             let (n, ic, h, w) = input_shape.as_nchw();
-            let (oc, _ic, kh, kw) = weight.shape().as_nchw();
-            let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
-            assert_eq!((gn, goc), (n, oc), "grad_out batch/channel mismatch");
-            let rows = n * oh * ow;
-            let cols = ic * kh * kw;
-            // (n·oh·ow, oc)
-            nchw_to_nhwc_rows_into(grad_out, &mut scratch.mat);
-            // dW = gmatᵀ × patches  →  (oc, ic·kh·kw)
-            gw.resize([oc, ic, kh, kw]);
-            linalg::matmul_at_b_slices(
-                scratch.mat.data(),
-                patches.data(),
-                gw.data_mut(),
-                oc,
-                rows,
-                cols,
-            );
-            // dPatches = gmat × Wmat  →  (n·oh·ow, ic·kh·kw)
-            scratch.gpatches.resize([rows, cols]);
-            linalg::matmul_slices(
-                scratch.mat.data(),
-                weight.data(),
-                scratch.gpatches.data_mut(),
-                rows,
-                oc,
-                cols,
-            );
-            col2im_into(&scratch.gpatches, n, ic, h, w, kh, kw, p, gx);
+            let (oc, _, kh, kw) = weight.shape().as_nchw();
+            let (_, _, oh, ow) = grad_out.shape().as_nchw();
+            let (rows, cols) = (n * oh * ow, ic * kh * kw);
+            let mut mat = Tensor::default();
+            nchw_to_nhwc_rows_into(grad_out, &mut mat);
+            let mut gw = Tensor::zeros([oc, ic, kh, kw]);
+            let (g, x) = (mat.data(), patches.data());
+            linalg::matmul_at_b_slices(g, x, gw.data_mut(), oc, rows, cols);
+            let mut gpatches = Tensor::zeros([rows, cols]);
+            linalg::matmul_slices(g, weight.data(), gpatches.data_mut(), rows, oc, cols);
+            let mut gx = Tensor::default();
+            col2im_into(&gpatches, n, ic, h, w, kh, kw, p, &mut gx);
+            (gx, gw)
         }
     }
 
@@ -1639,51 +2043,118 @@ mod tests {
         Tensor::from_vec(vec![f32::NAN; shape.len()], shape)
     }
 
-    /// One convolution through the live-tap lowering and through the
-    /// reference, forward (f32 or INT8) and backward, the lowering on the
-    /// step scratch (whose parked buffers are poisoned in this build) and
-    /// the reference recycling its own; asserts `y`, the scales, `dX` and
-    /// `dW` equal bit for bit. `what` names the case in a failure.
+    /// A convolution's forward on `path` — the direct one on instantiation
+    /// `isa` — in f32 or INT8: `(y, cache, scales)`.
+    fn forward_on(
+        path: ConvPath,
+        isa: Isa,
+        x: &Tensor,
+        w: &Tensor,
+        p: ConvParams,
+        int8: bool,
+    ) -> (Tensor, ConvCache, Option<(QuantParams, QuantParams)>) {
+        match (path, int8) {
+            (ConvPath::Lowered, false) => {
+                let (y, cache) = lowered_forward(x, w, p);
+                (y, cache, None)
+            }
+            (ConvPath::Lowered, true) => {
+                let (y, cache, pp, pw) = lowered_forward_int8(x, w, p);
+                (y, cache, Some((pp, pw)))
+            }
+            (ConvPath::Direct, false) => {
+                let (y, cache) = direct_forward(isa, x, w, p);
+                (y, cache, None)
+            }
+            (ConvPath::Direct, true) => {
+                let (y, cache, pp, pw) = direct_forward_int8(isa, x, w, p);
+                (y, cache, Some((pp, pw)))
+            }
+        }
+    }
+
+    /// [`conv2d_backward`] with the direct path on instantiation `isa`.
+    fn backward_on(
+        isa: Isa,
+        gy: &Tensor,
+        cache: &ConvCache,
+        w: &Tensor,
+        x_shape: &Shape,
+        p: ConvParams,
+        want_gx: bool,
+    ) -> (Option<Tensor>, Tensor) {
+        match cache {
+            ConvCache::Direct { padded } => {
+                direct_backward(isa, gy, padded, w, x_shape, p, want_gx)
+            }
+            lowered => conv2d_backward(gy, lowered, w, x_shape, p, want_gx),
+        }
+    }
+
+    /// One convolution on `path` (the direct one on instantiation `isa`)
+    /// and through the all-taps oracle, forward (f32 or INT8) and backward,
+    /// the path on the step scratch (whose parked buffers are poisoned in
+    /// this build); asserts `y`, the scales, `dX` and `dW` — with and
+    /// without `dX` — equal bit for bit. `what` names the case.
+    #[allow(clippy::too_many_arguments)]
     fn assert_matches_reference(
         x: &Tensor,
         w: &Tensor,
         gy_of: &dyn Fn(&Tensor) -> Tensor,
         p: ConvParams,
         int8: bool,
-        r: &mut reference::ConvScratch,
+        path: ConvPath,
+        isa: Isa,
         what: &str,
     ) {
-        let mut ry = Tensor::default();
-        let (y, patches) = if int8 {
-            let (y, patches, pp, pw) = conv2d_int8(x, w, p);
-            let rscales = reference::conv2d_int8_scratch(x, w, p, r, &mut ry);
-            assert_eq!((pp, pw), rscales, "{what}: quantization scales");
-            (y, patches)
+        let what = format!("{what}, {path:?} on {}", isa.name());
+        let (y, cache, scales) = forward_on(path, isa, x, w, p, int8);
+        let direct = matches!(cache, ConvCache::Direct { .. });
+        assert_eq!(
+            direct,
+            path == ConvPath::Direct,
+            "{what}: the cache says which path ran"
+        );
+        let (ry, rpatches) = if int8 {
+            let (ry, rpatches, pp, pw) = reference::conv2d_int8(x, w, p);
+            assert_eq!(scales, Some((pp, pw)), "{what}: quantization scales");
+            (ry, rpatches)
         } else {
-            reference::conv2d_scratch(x, w, p, r, &mut ry);
-            conv2d(x, w, p)
+            reference::conv2d(x, w, p)
         };
         assert_eq!(y.shape(), ry.shape(), "{what}: output shape");
         assert_eq!(bits(&y), bits(&ry), "{what}: y");
 
         let gy = gy_of(&y);
-        let (oc, ic, kh, kw) = w.shape().as_nchw();
-        let (gx, gw) = conv2d_backward(&gy, &patches, w, x.shape(), p, true);
-        let (mut rgx, mut rgw) = (stale(x.shape().clone()), stale([oc, ic, kh, kw]));
-        let rpatches = std::mem::take(&mut r.patches);
-        reference::conv2d_backward_scratch(&gy, &rpatches, w, x.shape(), p, r, &mut rgx, &mut rgw);
-        r.patches = rpatches;
+        let (rgx, rgw) = reference::conv2d_backward(&gy, &rpatches, w, x.shape(), p);
+        let (gx, gw) = backward_on(isa, &gy, &cache, w, x.shape(), p, true);
         let gx = gx.expect("asked for");
         assert_eq!(bits(&gx), bits(&rgx), "{what}: dX");
         assert_eq!(gw.shape(), rgw.shape(), "{what}: dW shape");
         assert_eq!(bits(&gw), bits(&rgw), "{what}: dW");
         // without the input gradient the weight gradient is the same one
-        let (none, gw_only) = conv2d_backward(&gy, &patches, w, x.shape(), p, false);
+        let (none, gw_only) = backward_on(isa, &gy, &cache, w, x.shape(), p, false);
         assert!(none.is_none(), "{what}: dX nobody asked for");
         assert_eq!(bits(&gw_only), bits(&rgw), "{what}: dW without dX");
-        for t in [y, patches, gx, gw, gw_only] {
+        for t in [y, gx, gw, gw_only] {
             pool::recycle(t);
         }
+        cache.recycle();
+    }
+
+    /// The paths a geometry can run on, each at every instantiation this
+    /// host has: the lowering (on the active one: its GEMMs pick their
+    /// own), and — where it admits the geometry — the direct path on the
+    /// portable body and on every wider one.
+    fn paths(h: usize, w: usize, ic: usize, k: usize, p: ConvParams) -> Vec<(ConvPath, Isa)> {
+        let mut paths = vec![(ConvPath::Lowered, Isa::active())];
+        if Direct::admits(h, w, ic, k, k, p) {
+            let isas = [Isa::PORTABLE]
+                .into_iter()
+                .chain(wide_or_skip("direct conv"));
+            paths.extend(isas.map(|isa| (ConvPath::Direct, isa)));
+        }
+        paths
     }
 
     /// The window rule on the geometries the model zoo meets at 8×8 inputs
@@ -1716,6 +2187,45 @@ mod tests {
         assert_eq!(window(1, 1, 3, 2, 2), (0..3, 0..3, true));
         // no live tap at all (k1, pad 1, stride 2 on 1×1): whole kernel
         assert_eq!(window(1, 1, 1, 2, 1), (0..1, 0..1, true));
+    }
+
+    /// The path rule on every conv layer of the model zoo at the CLI's
+    /// widths and 8×8 inputs: LeNet-5's two layers and the 3-channel stems
+    /// of ResNet-50 and MobileNetV1 run direct; the stems of VGG-11 and
+    /// ResNet-18, every wider layer, every 1×1 and every strided layer keep
+    /// the lowering.
+    #[test]
+    fn the_path_is_chosen_from_the_geometry() {
+        let path = |ic, h, oc, k, stride, pad| {
+            ConvPath::of(
+                &Shape::from([40, ic, h, h]),
+                &Shape::from([oc, ic, k, k]),
+                ConvParams::new(stride, pad),
+            )
+        };
+        use ConvPath::{Direct, Lowered};
+        // LeNet-5 on one channel and on three, and its conv2 on the pooled map
+        assert_eq!(path(1, 8, 3, 3, 1, 1), Direct);
+        assert_eq!(path(3, 8, 3, 3, 1, 1), Direct);
+        assert_eq!(path(3, 4, 8, 3, 1, 1), Direct);
+        // ResNet-50's and MobileNetV1's stems
+        assert_eq!(path(3, 8, 6, 3, 1, 1), Direct);
+        assert_eq!(path(3, 8, 7, 3, 1, 1), Direct);
+        // VGG-11's and ResNet-18's stems, ResNet-50's 6 → 6
+        assert_eq!(path(3, 8, 14, 3, 1, 1), Lowered);
+        assert_eq!(path(3, 8, 12, 3, 1, 1), Lowered);
+        assert_eq!(path(6, 8, 6, 3, 1, 1), Lowered);
+        // a 1×1 has no window to lower; stride 2 and dead taps are refused
+        assert_eq!(path(7, 8, 14, 1, 1, 0), Lowered);
+        assert_eq!(path(1, 8, 3, 3, 2, 1), Lowered);
+        assert_eq!(path(1, 1, 3, 3, 1, 1), Lowered);
+        // the batch does not enter the rule
+        let one = ConvPath::of(
+            &Shape::from([1, 1, 8, 8]),
+            &Shape::from([3, 1, 3, 3]),
+            ConvParams::new(1, 1),
+        );
+        assert_eq!(one, Direct);
     }
 
     /// The window is exactly the hull of the live taps, by brute force over
@@ -1755,53 +2265,82 @@ mod tests {
     /// {1, 2}, padding 0…2 and rectangular input 1…6 × 1…6 that fits — batch
     /// 1…5 and odd channel counts drawn per case, inputs and gradients
     /// holding `-0.0` — the f32 and the INT8 forward, the returned scales,
-    /// `dX` and `dW` equal the all-taps reference bit for bit, with one
-    /// scratch recycled across every case.
+    /// `dX` and `dW` of the live-tap lowering and, on every geometry it
+    /// admits, of the direct path at every instantiation equal the all-taps
+    /// oracle bit for bit, with one step scratch recycled across every
+    /// case, at pool sizes 1 and 4.
     #[test]
     fn live_tap_lowering_matches_the_all_taps_reference_bitwise() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let mut scratch = Default::default();
-        let (mut cases, mut trimmed) = (0, 0);
-        for (k, stride, pad, h) in geometries() {
-            for w in (1..=6).filter(|w| w + 2 * pad >= k) {
-                let p = ConvParams::new(stride, pad);
-                let n = rng.gen_range(1..=5usize);
-                let ic = 2 * rng.gen_range(0..3usize) + 1;
-                let oc = 2 * rng.gen_range(0..3usize) + 1;
-                let x = signed_zero_values([n, ic, h, w], &mut rng);
-                let wt = weights([oc, ic, k, k], &mut rng);
-                let gy = |y: &Tensor| {
-                    signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(cases))
-                };
-                for int8 in [false, true] {
-                    let what = format!(
-                        "k{k} s{stride} p{pad} on {n}x{ic}x{h}x{w} -> {oc}, {}",
-                        if int8 { "INT8" } else { "f32" }
-                    );
-                    assert_matches_reference(&x, &wt, &gy, p, int8, &mut scratch, &what);
+        for threads in [1, 4] {
+            crate::runtime::set_threads(threads);
+            let mut rng = StdRng::seed_from_u64(18);
+            let (mut cases, mut trimmed, mut direct) = (0, 0, 0);
+            for (k, stride, pad, h) in geometries() {
+                for w in (1..=6).filter(|w| w + 2 * pad >= k) {
+                    let p = ConvParams::new(stride, pad);
+                    let n = rng.gen_range(1..=5usize);
+                    let ic = 2 * rng.gen_range(0..3usize) + 1;
+                    let oc = 2 * rng.gen_range(0..3usize) + 1;
+                    let x = signed_zero_values([n, ic, h, w], &mut rng);
+                    let wt = weights([oc, ic, k, k], &mut rng);
+                    let gy = |y: &Tensor| {
+                        signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(cases))
+                    };
+                    for (path, isa) in paths(h, w, ic, k, p) {
+                        for int8 in [false, true] {
+                            let what = format!(
+                                "k{k} s{stride} p{pad} on {n}x{ic}x{h}x{w} -> {oc}, {}, {threads} threads",
+                                if int8 { "INT8" } else { "f32" }
+                            );
+                            assert_matches_reference(&x, &wt, &gy, p, int8, path, isa, &what);
+                        }
+                    }
+                    cases += 1;
+                    trimmed += usize::from(!LiveTaps::of(h, w, k, k, p).is_full());
+                    direct += usize::from(Direct::admits(h, w, ic, k, k, p));
                 }
-                cases += 1;
-                trimmed += usize::from(!LiveTaps::of(h, w, k, k, p).is_full());
             }
+            println!("{trimmed} of {cases} geometries had a dead tap to drop, {direct} ran direct");
+            assert!(trimmed >= 50, "only {trimmed} of {cases} were trimmed");
+            assert!(direct >= 100, "only {direct} of {cases} ran direct");
         }
-        println!("{trimmed} of {cases} geometries had a dead tap to drop");
-        assert!(trimmed >= 50, "only {trimmed} of {cases} were trimmed");
     }
 
-    /// The live weight view is gathered on every call: the same scratch must
-    /// follow the weights through an optimizer step, forward and backward.
+    /// A non-finite weight on a geometry the direct path admits (every tap
+    /// live): NaN and ∞ reach the outputs of both paths through the same
+    /// operations, so the two still agree with the oracle bit for bit.
+    #[test]
+    fn a_non_finite_weight_gives_both_paths_the_same_bits() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let p = ConvParams::new(1, 1);
+        let x = signed_zero_values([3, 2, 5, 4], &mut rng);
+        let mut wt = weights([3, 2, 3, 3], &mut rng);
+        wt.data_mut()[4] = f32::INFINITY;
+        wt.data_mut()[13] = f32::NEG_INFINITY;
+        let gy = |y: &Tensor| y.scale(0.5);
+        for (path, isa) in paths(5, 4, 2, 3, p) {
+            for int8 in [false, true] {
+                let what = format!("inf weights, int8 {int8}");
+                assert_matches_reference(&x, &wt, &gy, p, int8, path, isa, &what);
+            }
+        }
+    }
+
+    /// The live weight view is gathered by every forward and read by its
+    /// backward: the layer must follow the weights through an optimizer
+    /// step, forward and backward.
     #[test]
     fn live_weight_view_follows_the_weights() {
         let mut rng = StdRng::seed_from_u64(7);
         let p = ConvParams::new(1, 1);
         let x = signed_zero_values([3, 5, 1, 1], &mut rng);
         let gy = |y: &Tensor| y.scale(2.0);
-        let mut scratch = Default::default();
         for step in 0..3 {
             let wt = weights([7, 5, 3, 3], &mut rng);
             for int8 in [false, true] {
                 let what = format!("step {step}, int8 {int8}");
-                assert_matches_reference(&x, &wt, &gy, p, int8, &mut scratch, &what);
+                let (path, isa) = (ConvPath::Lowered, Isa::active());
+                assert_matches_reference(&x, &wt, &gy, p, int8, path, isa, &what);
             }
         }
     }
@@ -1815,10 +2354,12 @@ mod tests {
         let x = signed_zero_values([2, 3, 1, 1], &mut rng);
         let mut wt = weights([3, 3, 3, 3], &mut rng);
         wt.data_mut()[0] = 40.0; // tap (0, 0): dead on a 1×1 map
-        let (_, _, _, pw) = conv2d_int8(&x, &wt, p);
+        let (_, cache, _, pw) = conv2d_int8(&x, &wt, p);
+        cache.recycle();
         assert_eq!(pw.scale, 40.0 / 127.0);
         let gy = |y: &Tensor| y.scale(0.5);
-        assert_matches_reference(&x, &wt, &gy, p, true, &mut Default::default(), "dead max");
+        let (path, isa) = (ConvPath::Lowered, Isa::active());
+        assert_matches_reference(&x, &wt, &gy, p, true, path, isa, "dead max");
     }
 
     /// The stated precondition, pinned: a non-finite weight on a dead tap
@@ -1837,11 +2378,9 @@ mod tests {
 
         let mut dead = clean.clone();
         dead.data_mut()[0] = f32::INFINITY; // (ci 0, tap (0, 0))
-        let (y, patches) = conv2d(&x, &dead, p);
+        let (y, cache) = conv2d(&x, &dead, p);
         assert_eq!(bits(&y), bits(&y_clean));
-        let mut r = reference::ConvScratch::default();
-        let mut ry = Tensor::default();
-        reference::conv2d_scratch(&x, &dead, p, &mut r, &mut ry);
+        let (ry, _) = reference::conv2d(&x, &dead, p);
         assert!(ry.data()[0].is_nan(), "the all-taps lowering did read it");
 
         let mut live = clean.clone();
@@ -1849,7 +2388,7 @@ mod tests {
         assert_eq!(conv2d(&x, &live, p).0.data(), &[f32::INFINITY]);
 
         let gy = Tensor::from_vec(vec![f32::INFINITY], [1, 1, 1, 1]);
-        let (gx, gw) = conv2d_backward(&gy, &patches, &clean, x.shape(), p, true);
+        let (gx, gw) = conv2d_backward(&gy, &cache, &clean, x.shape(), p, true);
         assert!(gx.unwrap().data().iter().all(|v| v.is_infinite()));
         for (i, g) in gw.data().iter().enumerate() {
             if i % 9 == 4 {
@@ -1868,15 +2407,20 @@ mod tests {
         let p = ConvParams::new(1, 1);
         let x = Tensor::ones([2, 3, 1, 1]);
         let w = Tensor::ones([4, 3, 3, 3]);
-        let all_taps = Tensor::zeros([2, 27]);
+        let all_taps = ConvCache::Lowered {
+            patches: Tensor::zeros([2, 27]),
+            view: Some(Tensor::zeros([4, 3])),
+        };
         let gy = Tensor::ones([2, 4, 1, 1]);
         conv2d_backward(&gy, &all_taps, &w, x.shape(), p, true);
     }
 
     /// One trimmed shape (2×2 → 1×1 at stride 2: a 2×2 window) that crosses
-    /// `PAR_MIN_ELEMS` and both GEMM pool thresholds, at pool sizes 1, 2 and
-    /// 8: the pool paths of the lowering, the scatter and all four products
-    /// equal the serial all-taps reference bit for bit.
+    /// `PAR_MIN_ELEMS` and both GEMM pool thresholds, and one shape the
+    /// direct path admits that crosses them and cuts `dW` into several
+    /// blocks, at pool sizes 1, 2 and 8: the pool paths of the lowering,
+    /// the scatter, all four products and the direct bodies equal the
+    /// serial all-taps oracle bit for bit.
     #[test]
     fn trimmed_lowering_matches_the_reference_on_the_pool() {
         let (n, ic, oc) = (176usize, 96, 128);
@@ -1890,11 +2434,24 @@ mod tests {
         let x = signed_zero_values([n, ic, 2, 2], &mut rng);
         let wt = weights([oc, ic, 3, 3], &mut rng);
         let gy = |y: &Tensor| y.scale(0.25);
+
+        let (dn, dic, dhw, doc) = (64usize, 3, 8, 8);
+        let dp = ConvParams::new(1, 1);
+        let dcols = dic * 9;
+        assert!(dn * dhw * dhw * dcols >= PAR_MIN_ELEMS);
+        assert!(doc * dn * dhw * dhw * dcols >= linalg::PAR_MIN_WORK_F32);
+        assert!(doc > direct::block_channels(dcols));
+        let dx = signed_zero_values([dn, dic, dhw, dhw], &mut rng);
+        let dwt = weights([doc, dic, 3, 3], &mut rng);
         for threads in [1, 2, 8] {
             crate::runtime::set_threads(threads);
             for int8 in [false, true] {
                 let what = format!("{threads} threads, int8 {int8}");
-                assert_matches_reference(&x, &wt, &gy, p, int8, &mut Default::default(), &what);
+                let lowered = (ConvPath::Lowered, Isa::active());
+                assert_matches_reference(&x, &wt, &gy, p, int8, lowered.0, lowered.1, &what);
+                for (path, isa) in paths(dhw, dhw, dic, 3, dp) {
+                    assert_matches_reference(&dx, &dwt, &gy, dp, int8, path, isa, &what);
+                }
             }
         }
     }

@@ -37,9 +37,12 @@ pub enum KernelOp {
     Col2im,
     /// Fake-quantize (quantize → dequantize) passes.
     Quant,
+    /// The direct convolution of a narrow layer: forward, INT8 forward and
+    /// backward with no patch matrix ([`crate::conv::ConvPath::Direct`]).
+    ConvDirect,
 }
 
-const OP_COUNT: usize = 8;
+const OP_COUNT: usize = 9;
 
 /// All attributed kernel families, in reporting order.
 pub const ALL_OPS: [KernelOp; OP_COUNT] = [
@@ -51,6 +54,7 @@ pub const ALL_OPS: [KernelOp; OP_COUNT] = [
     KernelOp::Im2col,
     KernelOp::Col2im,
     KernelOp::Quant,
+    KernelOp::ConvDirect,
 ];
 
 impl KernelOp {
@@ -65,6 +69,7 @@ impl KernelOp {
             KernelOp::Im2col => "im2col",
             KernelOp::Col2im => "col2im",
             KernelOp::Quant => "quant",
+            KernelOp::ConvDirect => "conv_direct",
         }
     }
 
@@ -78,6 +83,7 @@ impl KernelOp {
             KernelOp::Im2col => 5,
             KernelOp::Col2im => 6,
             KernelOp::Quant => 7,
+            KernelOp::ConvDirect => 8,
         }
     }
 }

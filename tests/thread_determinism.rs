@@ -227,38 +227,52 @@ fn streaming_runs_are_thread_count_invariant() {
 /// logits that moves with any weight bit). The files were last re-written
 /// when every SoCFlow epoch came to be priced on the fluid timeline, which
 /// moved their simulated times by at most 7e-12 relative and their
-/// accuracies and α traces not at all.
-/// CI `cmp`s the CLI against the same three files.
+/// accuracies and α traces not at all. The fourth is the LeNet-5 workload
+/// the direct convolution was claimed on, as the binary before it wrote
+/// it: eight mixed groups over 32 SoCs with wait-free pricing, three
+/// epochs of 2,048 FMNIST samples, so both convolution paths, the pool
+/// and a multi-shard evaluation are all crossed.
+/// CI `cmp`s the CLI against the same four files.
 #[test]
 fn mixed_training_matches_the_parent_commit_goldens_at_1_and_4_threads() {
     use socflow::options::Plan;
     use socflow::scheduler::GlobalScheduler;
+    use socflow::timemodel::DEFAULT_BUCKET_KB;
 
-    // (golden, model, preset, the CLI's width for it, socs, groups, epochs, samples)
+    // (golden, model, preset, the CLI's width for it, socs, groups, epochs,
+    // samples, the pricing `--overlap` selects or not)
+    let timeline = Pricing::Timeline;
     let goldens = [
         (
             include_str!("golden/train_lenet5_mixed_e1_s11.json"),
             ModelKind::LeNet5,
             DatasetPreset::FashionMnist,
             0.5,
-            (4, 2, 1, 128),
+            (4, 2, 1, 128, timeline),
         ),
         (
             include_str!("golden/train_vgg11_mixed_g4_e3_s11.json"),
             ModelKind::Vgg11,
             DatasetPreset::Cifar10,
             0.22,
-            (8, 4, 3, 768),
+            (8, 4, 3, 768, timeline),
         ),
         (
             include_str!("golden/train_resnet18_mixed_g2_e3_s11.json"),
             ModelKind::ResNet18,
             DatasetPreset::Cifar10,
             0.18,
-            (8, 2, 3, 768),
+            (8, 2, 3, 768, timeline),
+        ),
+        (
+            include_str!("golden/train_lenet5_mixed_g8_e3_s11.json"),
+            ModelKind::LeNet5,
+            DatasetPreset::FashionMnist,
+            0.5,
+            (32, 8, 3, 2048, Pricing::wait_free_kb(DEFAULT_BUCKET_KB)),
         ),
     ];
-    for (golden, model, preset, width, (socs, groups, epochs, samples)) in goldens {
+    for (golden, model, preset, width, (socs, groups, epochs, samples, pricing)) in goldens {
         // the CLI's `train` set-up
         let method = MethodSpec::SocFlow(SocFlowConfig::with_groups(groups));
         let mut spec = TrainJobSpec::new(model, preset, method);
@@ -269,8 +283,11 @@ fn mixed_training_matches_the_parent_commit_goldens_at_1_and_4_threads() {
         for threads in [1, 4] {
             runtime::set_threads(threads);
             let workload = Workload::standard(&spec, samples, 8, width);
-            let result =
-                GlobalScheduler::new(spec, workload, RunOptions::default(), Plan::Fixed).run();
+            let options = RunOptions {
+                pricing,
+                ..RunOptions::default()
+            };
+            let result = GlobalScheduler::new(spec, workload, options, Plan::Fixed).run();
             let printed = serde_json::to_string_pretty(&result).unwrap() + "\n";
             assert_eq!(printed, golden, "{model} at {threads} threads");
         }
