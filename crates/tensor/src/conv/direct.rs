@@ -287,7 +287,8 @@ fn input_grad_body(
     }
 }
 
-/// [`input_grad_body`] at a kernel size.
+/// [`input_grad_body`] at a kernel size, the tap plane a stack array — in
+/// registers — at the plane sizes the model zoo meets (4×4 and 8×8).
 #[inline(always)]
 fn input_grad_kernel(
     gy: &[f32],
@@ -299,52 +300,18 @@ fn input_grad_kernel(
     kw: usize,
 ) {
     match (g.oh * g.ow, g.ow) {
-        (16, 4) => input_grad_taps::<16>(gy, w, halo, g, kh, kw, 4),
-        (64, 8) => input_grad_taps::<64>(gy, w, halo, g, kh, kw, 8),
-        (_, ow) => input_grad_any(gy, w, halo, plane, g, kh, kw, ow),
+        (16, 4) => input_grad_taps(gy, w, halo, &mut [0.0; 16], g, kh, kw, 4),
+        (64, 8) => input_grad_taps(gy, w, halo, &mut [0.0; 64], g, kh, kw, 8),
+        (_, ow) => input_grad_taps(gy, w, halo, plane, g, kh, kw, ow),
     }
 }
 
-/// The taps of [`input_grad_body`] in descending `(ky, kx)` per channel,
-/// each tap's gradient plane — `HW` output positions, `ow` a row — held in
-/// registers and added into the halo row by row.
-#[inline(always)]
-fn input_grad_taps<const HW: usize>(
-    gy: &[f32],
-    w: &[f32],
-    halo: &mut [f32],
-    g: &Direct,
-    kh: usize,
-    kw: usize,
-    ow: usize,
-) {
-    let cols = g.ic * kh * kw;
-    for ci in 0..g.ic {
-        for ky in (0..kh).rev() {
-            for kx in (0..kw).rev() {
-                let c = (ci * kh + ky) * kw + kx;
-                let mut plane = [0.0f32; HW];
-                for (o, go) in gy.chunks_exact(HW).enumerate() {
-                    let wv = w[o * cols + c];
-                    for (p, &v) in plane.iter_mut().zip(go) {
-                        *p += v * wv;
-                    }
-                }
-                for (y, src) in plane.chunks_exact(ow).enumerate() {
-                    let at = (ci * g.hp + y + ky) * g.wp + kx;
-                    for (d, &v) in halo[at..at + ow].iter_mut().zip(src) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`input_grad_taps`] at any plane size, the plane in scratch.
+/// The taps of [`input_grad_body`] in descending `(ky, kx)` per channel:
+/// each tap's gradient over the output plane, `ow` a row, is summed in
+/// `plane` and added into the halo row by row.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn input_grad_any(
+fn input_grad_taps(
     gy: &[f32],
     w: &[f32],
     halo: &mut [f32],
