@@ -7,44 +7,57 @@
 //!   of a patch matrix, the convolution becomes one GEMM
 //!   ([`linalg::matmul_a_bt_slices`]), and the backward pass reuses the
 //!   same patch matrix (`dW = dYᵀ·patches`) plus a `col2im` scatter (`dX`).
-//! - **The direct path** (narrow layers): the forward, the INT8 forward,
-//!   `dX` and `dW` run straight over the input inside the zero border the
+//! - **The direct path** (narrow layers): the forward, the INT8 forward
+//!   and `dW` run straight over the input inside the zero border the
 //!   lowering builds anyway (the halo below), with no patch matrix; the
 //!   training forward caches that padded input, `(n, ic, h + 2p, w + 2p)` —
 //!   a ninth of a 3×3 layer's patch matrix. Its bodies are in `direct.rs`.
+//!   `dX` reads only the output gradient and the weights, never the patch
+//!   matrix, so both paths run the lowering's `dY·W` and `col2im`.
 //!
 //! **The rule** ([`ConvPath::of`]) reads the geometry and the channel
 //! counts, nothing else — no thread count, flag or configuration: a layer
 //! runs direct iff it has stride 1, every tap live ([`LiveTaps`]), a kernel
-//! larger than 1×1 and at most 256 output cells `oc · ic·kh·kw`. A narrow
-//! layer's patch matrix is a few columns wide, so im2col copies a map nine
-//! times to feed GEMMs that pad 3 or 8 columns to a 16-lane tile; a 1×1
-//! layer's patch matrix is its input, so it has nothing to save. Measured
-//! per call on the 2-vCPU AVX-512 reference host, 40 samples on 8×8 maps,
-//! one thread (two threads alike), lowering → direct: LeNet-5's 1 → 3
-//! forward 48 → 6 µs, INT8 forward 51 → 13 µs, `dW` 38 → 18 µs; its 3 → 3
-//! (three-channel datasets) 85 → 17, 89 → 35, 52 → 29 µs; its 3 → 8 on
-//! the 4×4 map (216 cells) 27 → 17, 30 → 33, `dX + dW` 38 → 36 µs, and
-//! `train_resilient` at one thread took 0.748 s with that layer direct
-//! against 0.769 s with it lowered (medians of eight alternating runs);
-//! the stems of ResNet-50 and MobileNetV1 (162 and 189 cells) 90 → 31,
-//! 107 → 66, 74 → 56 µs. The stems of ResNet-18 and VGG-11 (324 and 378
-//! cells) measured faster direct per call too, but the workloads that run
-//! them have not been measured on the direct path, so the bound keeps them
-//! on the lowering; a 1×1 layer ran ×1.5–×10 slower direct.
+//! larger than 1×1, at most 32 patch columns `ic·kh·kw` and at most 256
+//! output cells `oc · ic·kh·kw`. A narrow layer's patch matrix is a few
+//! columns wide, so im2col copies a map nine times to feed GEMMs that pad
+//! 3 or 8 columns to a 16-lane tile; a 1×1 layer's patch matrix is its
+//! input, so it has nothing to save (it ran ×1.5–×10 slower direct).
+//!
+//! The bound sits below the break-even on the smallest map the zoo meets.
+//! Measured per call on the 2-vCPU AVX-512 reference host, 40 samples,
+//! best of three runs of 200 calls, at one and at two threads, as the
+//! share of a training step that differs between the paths (f32 forward +
+//! INT8 forward + two `dW`; `dX` is the same code on both), direct against
+//! lowering: on LeNet-5's 4×4 map, 3 → 8 (216 cells) ×0.88–0.90, 3 → 11
+//! (297) ×0.83–0.87, 3 → 12 (324) ×0.99–1.02, 3 → 16 ×1.11–1.20, 3 → 32
+//! ×1.34; on 8×8 maps the direct path wins at every width measured, 1 → 3
+//! ×0.29, 3 → 8 ×0.62–0.63, 3 → 14 ×0.69–0.71, 3 → 96 ×0.84–0.87. The rule
+//! reads no map size, so it stays below the 4×4 break-even. At the CLI's
+//! widths that sends LeNet-5's two layers direct and the stems of
+//! ResNet-50 and MobileNetV1 (162 and 189 cells, ×0.43–0.55 per call; no
+//! benchmark workload runs those models, so that choice rests on the
+//! per-call numbers alone). The stems of ResNet-18 and VGG-11 (324 and 378
+//! cells) would gain per call on their 8×8 maps, but with them direct,
+//! `train_ring_fp32` and `train_mixed` moved ×1.00 and ×0.97 in `wall_s`
+//! (6 of 10 paired runs each, inside the spread), so no map-aware rule
+//! was added for them. With LeNet-5's 3 → 8 layer direct against lowered,
+//! `train_resilient` moved ×0.98 / ×0.97 in `wall_s` on seeds 11 / 12 (8
+//! and 7 of 10 pairs, inside the spread) and ×0.97 in `peak_rss_mb` (10 of
+//! 10: the padded input is a ninth of the patch matrix).
 //!
 //! **Why the bits agree.** The direct path computes every element from the
 //! operands the lowering fed its GEMM, in the GEMM's order: the same halo
 //! zeros are operands, taps run in ascending `(ci, ky, kx)`, each term is
 //! one multiply and then one add onto an accumulator started at `+0.0`
-//! ([`crate::linalg`]'s numerics contract), `dW` sums over the batch's
-//! positions in ascending `(n, oy, ox)` as `Aᵀ × B` summed over patch rows,
-//! and `dX` adds each tap's gradient into the halo in `col2im`'s `(oy, ox,
-//! ci, ky, kx)` order. The INT8 forward is exact in `i32`, where no order
-//! matters, and applies the same scale epilogue. Its input scale is that of
-//! the patch matrix: at stride 1 every input element lies in some window,
-//! and the border adds only zeros, which cannot raise max-|x|, so the
-//! padded input and the patch matrix have the same largest magnitude.
+//! ([`crate::linalg`]'s numerics contract), and `dW` sums over the batch's
+//! positions in ascending `(n, oy, ox)` as `Aᵀ × B` summed over patch rows;
+//! `dX` is the same code on both paths. The INT8 forward is exact in
+//! `i32`, where no order matters, and applies the same scale epilogue. Its
+//! input scale is that of the patch matrix: at stride 1 every input element
+//! lies in some window, and the border adds only zeros, which cannot raise
+//! max-|x|, so the padded input and the patch matrix have the same largest
+//! magnitude.
 //!
 //! **Live taps.** The lowering walks only the kernel taps that can ever
 //! overlap the input ([`LiveTaps`]: a window `lh × lw` of the `kh × kw`
@@ -90,7 +103,8 @@
 //! with them ([`ConvCache::recycle`] for a forward's cache) runs without
 //! allocating, one that drops them pays what it always did. The lowering
 //! itself ([`im2col_into`], [`col2im_into`]) writes into a caller's tensor;
-//! the per-sample halos of `col2im` and the direct `dX` are thread-local.
+//! the per-sample halos of `col2im` and the direct `dW`'s windows are
+//! thread-local.
 //!
 //! All image tensors are NCHW.
 
@@ -703,7 +717,8 @@ impl ConvDims {
 }
 
 /// Most output cells, `oc · ic·kh·kw`, a layer may have and still run
-/// direct (see the module docs for the measurement).
+/// direct: below the break-even on a 4×4 map, about 300 cells (see the
+/// module docs for the measurement).
 const DIRECT_MAX_CELLS: usize = 256;
 
 /// The two ways a convolution runs (see the module docs). [`ConvPath::of`]
@@ -721,9 +736,10 @@ pub enum ConvPath {
 impl ConvPath {
     /// The path a layer with this geometry takes: [`ConvPath::Direct`] iff
     /// it runs at stride 1 with every tap live, its kernel is larger than
-    /// 1×1 and it has at most `DIRECT_MAX_CELLS` output cells
-    /// `oc · ic·kh·kw` in its weight gradient — the narrow layers whose
-    /// patch matrix is a few columns wide. Reads the shapes and `p` alone.
+    /// 1×1, its patch has at most 32 columns `ic·kh·kw` and it has at most
+    /// `DIRECT_MAX_CELLS` output cells `oc · ic·kh·kw` in its weight
+    /// gradient — the narrow layers whose patch matrix is a few columns
+    /// wide. Reads the shapes and `p` alone.
     pub fn of(input_shape: &Shape, weight_shape: &Shape, p: ConvParams) -> ConvPath {
         let (_, _, h, w) = input_shape.as_nchw();
         let (oc, ic, kh, kw) = weight_shape.as_nchw();
@@ -1158,29 +1174,46 @@ fn lowered_backward(
         live.scatter(gwlive.data(), gw.data_mut());
         pool::recycle(gwlive);
     }
-    let gx = want_gx.then(|| {
-        // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
-        let mut gpatches = pool::tensor([rows, cols]);
-        linalg::matmul_slices(
-            mat.data(),
-            view.unwrap_or(weight).data(),
-            gpatches.data_mut(),
-            rows,
-            d.oc,
-            cols,
-        );
-        let mut gx = pool::tensor([n, ic, h, w]);
-        col2im_into(&gpatches, n, ic, h, w, kh, kw, p, &mut gx);
-        pool::recycle(gpatches);
-        gx
-    });
+    let gx = want_gx.then(|| input_grad(&mat, view.unwrap_or(weight), input_shape, kh, kw, p));
     pool::recycle(mat);
     (gx, gw)
 }
 
+/// `dX` on either path: the patch gradients `gmat × W` scattered by
+/// `col2im`. `gmat` is the output gradient as `(n·oh·ow, oc)` NHWC rows,
+/// `wmat` the `(oc, ic·lh·lw)` weights the forward read. Neither step reads
+/// the patch matrix, so the direct path runs this one too.
+fn input_grad(
+    gmat: &Tensor,
+    wmat: &Tensor,
+    input_shape: &Shape,
+    kh: usize,
+    kw: usize,
+    p: ConvParams,
+) -> Tensor {
+    let (n, ic, h, w) = input_shape.as_nchw();
+    let (rows, oc) = (gmat.shape().dims()[0], gmat.shape().dims()[1]);
+    let cols = ic * LiveTaps::of(h, w, kh, kw, p).taps();
+    // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
+    let mut gpatches = pool::tensor([rows, cols]);
+    linalg::matmul_slices(
+        gmat.data(),
+        wmat.data(),
+        gpatches.data_mut(),
+        rows,
+        oc,
+        cols,
+    );
+    let mut gx = pool::tensor([n, ic, h, w]);
+    col2im_into(&gpatches, n, ic, h, w, kh, kw, p, &mut gx);
+    pool::recycle(gpatches);
+    gx
+}
+
 /// The direct backward on instantiation `isa`: `dW` over the cached padded
 /// input, cut only by output channels (on the worker pool at the size where
-/// the lowering's `Aᵀ × B` goes parallel), and `dX` one sample at a time.
+/// the lowering's `Aᵀ × B` goes parallel), and the lowering's `dX`, which
+/// reads only the output gradient and the weights.
 #[allow(clippy::too_many_arguments)]
 fn direct_backward(
     isa: Isa,
@@ -1202,7 +1235,6 @@ fn direct_backward(
         &[g.n, g.ic, g.hp, g.wp],
         "conv2d_backward: the forward pass's padded input"
     );
-    let _t = Timer::start(KernelOp::ConvDirect);
     let (x, gy, cols) = (padded.data(), grad_out.data(), g.cols());
     let mut gw = pool::tensor([g.oc, g.ic, g.kh, g.kw]);
     // `dW` of output channels `o0..`, one sample's windows at a time
@@ -1222,26 +1254,27 @@ fn direct_backward(
             }
         })
     };
-    let block = direct::block_channels(cols);
-    let work = g.oc * g.n * hw * cols;
-    if g.oc > block && work >= linalg::PAR_MIN_WORK_F32 && runtime::threads() > 1 {
-        let gw_ptr = SendPtr::new(gw.data_mut());
-        runtime::parallel_for_chunks(g.oc.div_ceil(block), &|b| {
-            let (o0, rows) = (b * block, block.min(g.oc - b * block));
-            // Safety: blocks of output channels are disjoint rows of `gw`.
-            weight_grad(o0, unsafe { gw_ptr.slice(o0 * cols, rows * cols) });
-        });
-    } else {
-        weight_grad(0, gw.data_mut());
+    {
+        let _t = Timer::start(KernelOp::ConvDirect);
+        let block = direct::BLOCK_ROWS;
+        let work = g.oc * g.n * hw * cols;
+        if g.oc > block && work >= linalg::PAR_MIN_WORK_F32 && runtime::threads() > 1 {
+            let gw_ptr = SendPtr::new(gw.data_mut());
+            runtime::parallel_for_chunks(g.oc.div_ceil(block), &|b| {
+                let (o0, rows) = (b * block, block.min(g.oc - b * block));
+                // Safety: blocks of output channels are disjoint rows of `gw`.
+                weight_grad(o0, unsafe { gw_ptr.slice(o0 * cols, rows * cols) });
+            });
+        } else {
+            weight_grad(0, gw.data_mut());
+        }
     }
     let gx = want_gx.then(|| {
-        let mut gx = pool::tensor(input_shape.clone());
-        let sample = |ni: usize| &gy[ni * g.sample_out()..][..g.sample_out()];
-        g.per_sample(gx.data_mut(), g.ic * g.h * g.w, &|ni, gx| {
-            direct::with_scratch((g.sample_padded(), g.oh * g.ow), |halo, plane| {
-                direct::input_grad(isa, sample(ni), weight.data(), gx, halo, plane, &g)
-            })
-        });
+        let mut mat = pool::tensor([g.n * hw, g.oc]);
+        nchw_to_nhwc_rows_into(grad_out, &mut mat);
+        // every tap is live: the weight storage is the `(oc, cols)` matrix
+        let gx = input_grad(&mat, weight, input_shape, g.kh, g.kw, p);
+        pool::recycle(mat);
         gx
     });
     (gx, gw)
@@ -2211,10 +2244,14 @@ mod tests {
         // ResNet-50's and MobileNetV1's stems
         assert_eq!(path(3, 8, 6, 3, 1, 1), Direct);
         assert_eq!(path(3, 8, 7, 3, 1, 1), Direct);
-        // VGG-11's and ResNet-18's stems, ResNet-50's 6 → 6
+        // VGG-11's and ResNet-18's stems, ResNet-50's 6 → 6, and a 4×4 layer
+        // past the break-even
         assert_eq!(path(3, 8, 14, 3, 1, 1), Lowered);
         assert_eq!(path(3, 8, 12, 3, 1, 1), Lowered);
         assert_eq!(path(6, 8, 6, 3, 1, 1), Lowered);
+        assert_eq!(path(3, 4, 12, 3, 1, 1), Lowered);
+        // few cells but more than 32 patch columns
+        assert_eq!(path(4, 8, 2, 3, 1, 1), Lowered);
         // a 1×1 has no window to lower; stride 2 and dead taps are refused
         assert_eq!(path(7, 8, 14, 1, 1, 0), Lowered);
         assert_eq!(path(1, 8, 3, 3, 2, 1), Lowered);
@@ -2440,7 +2477,7 @@ mod tests {
         let dcols = dic * 9;
         assert!(dn * dhw * dhw * dcols >= PAR_MIN_ELEMS);
         assert!(doc * dn * dhw * dhw * dcols >= linalg::PAR_MIN_WORK_F32);
-        assert!(doc > direct::block_channels(dcols));
+        assert!(doc > direct::BLOCK_ROWS);
         let dx = signed_zero_values([dn, dic, dhw, dhw], &mut rng);
         let dwt = weights([doc, dic, 3, 3], &mut rng);
         for threads in [1, 2, 8] {

@@ -1,6 +1,7 @@
-//! The direct convolution: a narrow layer's forward, INT8 forward, `dX` and
-//! `dW` computed straight from the input inside its zero border, with no
-//! patch matrix (the rule and why the bits agree are in [`super`]'s docs).
+//! The direct convolution: a narrow layer's forward, INT8 forward and `dW`
+//! computed straight from the input inside its zero border, with no patch
+//! matrix (the rule and why the bits agree are in [`super`]'s docs; `dX`
+//! never reads the patch matrix, so both paths share the lowering's).
 //!
 //! Every body here is an `isa_kernel!` instantiation, and every output
 //! element is the lowering's, operation for operation:
@@ -11,12 +12,6 @@
 //!   row of [`crate::linalg::matmul_a_bt_slices`] did;
 //! - **INT8 forward** — the same walk over the quantized halo, exact in
 //!   `i32`;
-//! - **`dX`** — per tap, lanes run across the output plane: the tap's
-//!   gradient `Σ_o g · w` (ascending `o`, from `+0.0`, as
-//!   [`crate::linalg::matmul_slices`] summed a patch-gradient cell) is
-//!   added into the zeroed halo. Taps are visited in *descending* `(ky,
-//!   kx)`, so each halo cell receives its terms in ascending `(oy, ox)` —
-//!   the order `col2im` added them in;
 //! - **`dW`** — lanes run across a block of output cells `(oc, tap)`, each
 //!   cell one chain over the batch's positions in ascending `(n, oy, ox)`
 //!   adding `g · x`, as [`crate::linalg::matmul_at_b_slices`] did over the
@@ -28,30 +23,20 @@ use super::Direct;
 use crate::isa::isa_kernel;
 use std::cell::RefCell;
 
-/// Most patch columns (`ic·kh·kw`) the direct path takes: the widest
-/// register block [`weight_grad_body`] instantiates.
-pub(super) const MAX_COLS: usize = 128;
+/// Most patch columns (`ic·kh·kw`) the direct path takes: the wider of the
+/// two register rows [`weight_grad_body`] instantiates. Every 3×3 layer of
+/// the model zoo the rule admits has at most 27.
+pub(super) const MAX_COLS: usize = 32;
 
-/// Output channels one `dW` register block holds at `C` lanes a row, the
-/// unit a parallel `dW` is cut in. Measured on the AVX-512 host at 40
-/// samples: blocks of four rows spill and run ×4–×7 slower than three.
-const fn block_rows(c: usize) -> usize {
-    match c {
-        8 => 6,
-        16 | 32 => 3,
-        _ => 1,
-    }
-}
+/// Output channels one `dW` register block holds, the unit a parallel `dW`
+/// is cut in. Measured on the AVX-512 host at 40 samples: blocks of four
+/// rows spill and run ×4–×7 slower than three.
+pub(super) const BLOCK_ROWS: usize = 3;
 
-/// [`block_rows`] at `cols` patch columns.
-pub(super) fn block_channels(cols: usize) -> usize {
-    block_rows(lanes(cols))
-}
-
-/// The register row a `dW` block gives `cols` patch columns: the next
-/// power of two from 8.
+/// The register row a `dW` block gives `cols` patch columns: 16 or
+/// [`MAX_COLS`] lanes.
 pub(super) fn lanes(cols: usize) -> usize {
-    cols.next_power_of_two().max(8)
+    cols.next_power_of_two().max(16)
 }
 
 /// Copies every sample of `input` into `padded` inside a zero border
@@ -83,20 +68,6 @@ isa_kernel! {
 isa_kernel! {
     /// [`forward`] over the quantized halo and weights, into `i32`.
     pub(super) fn forward_i8(x: &[i8], w: &[i8], out: &mut [i32], g: &Direct) = forward_i8_body;
-}
-
-isa_kernel! {
-    /// One sample's `dX`: `gy` is its `(oc, oh, ow)` output gradient, `gx`
-    /// its `(ic, h, w)` input gradient, `halo` and `plane` scratch of
-    /// `ic·hp·wp` and `oh·ow` floats.
-    pub(super) fn input_grad(
-        gy: &[f32],
-        w: &[f32],
-        gx: &mut [f32],
-        halo: &mut [f32],
-        plane: &mut [f32],
-        g: &Direct,
-    ) = input_grad_body;
 }
 
 isa_kernel! {
@@ -262,88 +233,6 @@ fn forward_any<T: Operand>(
     }
 }
 
-#[inline(always)]
-fn input_grad_body(
-    gy: &[f32],
-    w: &[f32],
-    gx: &mut [f32],
-    halo: &mut [f32],
-    plane: &mut [f32],
-    g: &Direct,
-) {
-    check(g, halo);
-    assert_eq!((w.len(), gy.len()), (g.oc * g.cols(), g.sample_out()));
-    assert_eq!((gx.len(), plane.len()), (g.ic * g.h * g.w, g.oh * g.ow));
-    halo.fill(0.0);
-    with_const_kernel!(g, input_grad_kernel(gy, w, halo, plane, g));
-    if g.w == 0 {
-        return;
-    }
-    let interior = halo
-        .chunks_exact(g.hp * g.wp)
-        .flat_map(|p| p[g.pad * g.wp..].chunks_exact(g.wp).take(g.h));
-    for (row, dst) in interior.zip(gx.chunks_exact_mut(g.w)) {
-        dst.copy_from_slice(&row[g.pad..g.pad + g.w]);
-    }
-}
-
-/// [`input_grad_body`] at a kernel size, the tap plane a stack array — in
-/// registers — at the plane sizes the model zoo meets (4×4 and 8×8).
-#[inline(always)]
-fn input_grad_kernel(
-    gy: &[f32],
-    w: &[f32],
-    halo: &mut [f32],
-    plane: &mut [f32],
-    g: &Direct,
-    kh: usize,
-    kw: usize,
-) {
-    match (g.oh * g.ow, g.ow) {
-        (16, 4) => input_grad_taps(gy, w, halo, &mut [0.0; 16], g, kh, kw, 4),
-        (64, 8) => input_grad_taps(gy, w, halo, &mut [0.0; 64], g, kh, kw, 8),
-        (_, ow) => input_grad_taps(gy, w, halo, plane, g, kh, kw, ow),
-    }
-}
-
-/// The taps of [`input_grad_body`] in descending `(ky, kx)` per channel:
-/// each tap's gradient over the output plane, `ow` a row, is summed in
-/// `plane` and added into the halo row by row.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn input_grad_taps(
-    gy: &[f32],
-    w: &[f32],
-    halo: &mut [f32],
-    plane: &mut [f32],
-    g: &Direct,
-    kh: usize,
-    kw: usize,
-    ow: usize,
-) {
-    let (cols, hw) = (g.ic * kh * kw, plane.len());
-    for ci in 0..g.ic {
-        for ky in (0..kh).rev() {
-            for kx in (0..kw).rev() {
-                let c = (ci * kh + ky) * kw + kx;
-                plane.fill(0.0);
-                for (o, go) in gy.chunks_exact(hw.max(1)).enumerate() {
-                    let wv = w[o * cols + c];
-                    for (p, &v) in plane.iter_mut().zip(go) {
-                        *p += v * wv;
-                    }
-                }
-                for (y, src) in plane.chunks_exact(ow.max(1)).enumerate() {
-                    let at = (ci * g.hp + y + ky) * g.wp + kx;
-                    for (d, &v) in halo[at..at + ow].iter_mut().zip(src) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Copies the window of every output position of one sample — `x` its
 /// padded planes — into `windows`, one [`lanes`]-float row each in
 /// `(ci, ky, kx)` order; the lanes past `ic·kh·kw` are left as they were.
@@ -374,7 +263,7 @@ fn gather_kernel(x: &[f32], windows: &mut [f32], g: &Direct, kh: usize, kw: usiz
     }
 }
 
-/// Instantiates [`weight_grad_blocks`] at [`lanes`] and [`block_rows`].
+/// Instantiates [`weight_grad_blocks`] at [`lanes`].
 #[inline(always)]
 fn weight_grad_body(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g: &Direct) {
     let (cols, hw, c) = (g.cols(), g.oh * g.ow, lanes(g.cols()));
@@ -382,20 +271,17 @@ fn weight_grad_body(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g
     assert!(o0 + cells.len() / c <= g.oc && gy.len() == g.sample_out());
     assert_eq!(windows.len(), hw * c);
     match c {
-        8 => weight_grad_blocks::<8, { block_rows(8) }>(windows, gy, cells, o0, g),
-        16 => weight_grad_blocks::<16, { block_rows(16) }>(windows, gy, cells, o0, g),
-        32 => weight_grad_blocks::<32, { block_rows(32) }>(windows, gy, cells, o0, g),
-        64 => weight_grad_blocks::<64, { block_rows(64) }>(windows, gy, cells, o0, g),
-        _ => weight_grad_blocks::<MAX_COLS, { block_rows(MAX_COLS) }>(windows, gy, cells, o0, g),
+        16 => weight_grad_blocks::<16>(windows, gy, cells, o0, g),
+        _ => weight_grad_blocks::<MAX_COLS>(windows, gy, cells, o0, g),
     }
 }
 
-/// The sums of `OB` output channels at a time in registers, `C ≥ cols`
-/// lanes a row, through the sample's positions in order; the lanes past
-/// `cols` read whatever the windows' padding holds and are never copied
-/// out.
+/// The sums of [`BLOCK_ROWS`] output channels at a time in registers, `C ≥
+/// cols` lanes a row, through the sample's positions in order; the lanes
+/// past `cols` read whatever the windows' padding holds and are never
+/// copied out.
 #[inline(always)]
-fn weight_grad_blocks<const C: usize, const OB: usize>(
+fn weight_grad_blocks<const C: usize>(
     windows: &[f32],
     gy: &[f32],
     cells: &mut [f32],
@@ -403,17 +289,17 @@ fn weight_grad_blocks<const C: usize, const OB: usize>(
     g: &Direct,
 ) {
     let hw = g.oh * g.ow;
-    for (b, block) in cells.chunks_mut(OB * C).enumerate() {
+    for (b, block) in cells.chunks_mut(BLOCK_ROWS * C).enumerate() {
         let live = block.len() / C;
-        let gs = &gy[(o0 + b * OB) * hw..][..live * hw];
-        let mut acc = [[0.0f32; C]; OB];
+        let gs = &gy[(o0 + b * BLOCK_ROWS) * hw..][..live * hw];
+        let mut acc = [[0.0f32; C]; BLOCK_ROWS];
         for (row, sums) in acc.iter_mut().zip(block.chunks_exact(C)) {
             row.copy_from_slice(sums);
         }
         for pos in 0..hw {
             let window: &[f32; C] = windows[pos * C..(pos + 1) * C].try_into().unwrap();
             // the rows past `live` add `0 · x` into sums nobody stores
-            let mut gv = [0.0f32; OB];
+            let mut gv = [0.0f32; BLOCK_ROWS];
             for (r, v) in gv.iter_mut().enumerate().take(live) {
                 *v = gs[r * hw + pos];
             }
@@ -430,27 +316,27 @@ fn weight_grad_blocks<const C: usize, const OB: usize>(
 }
 
 thread_local! {
-    /// The direct path's per-sample scratch, grown to the largest layer's
-    /// once; thread-local because pool workers run the per-sample bodies.
+    /// `dW`'s per-sample scratch, grown to the largest layer's once;
+    /// thread-local because pool workers run blocks of output channels.
     static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on this thread's scratch cut into two buffers of `halo` and
-/// `plane` floats, contents unspecified: `dX`'s halo and tap plane, or
-/// `dW`'s windows and sums. The bodies never call into the pool, so the
-/// borrow is not re-entered.
+/// Runs `f` on this thread's scratch cut into `dW`'s windows and sums, of
+/// `windows` and `cells` floats, contents unspecified. The bodies never
+/// call into the pool, so the borrow is not re-entered.
 pub(super) fn with_scratch<R>(
-    (halo, plane): (usize, usize),
+    (windows, cells): (usize, usize),
     f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
 ) -> R {
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
-        if s.len() < halo + plane {
-            let grow = halo + plane - s.len();
+        let len = windows + cells;
+        if s.len() < len {
+            let grow = len - s.len();
             s.reserve_exact(grow);
-            s.resize(halo + plane, 0.0);
+            s.resize(len, 0.0);
         }
-        let (h, p) = s[..halo + plane].split_at_mut(halo);
-        f(h, p)
+        let (w, c) = s[..len].split_at_mut(windows);
+        f(w, c)
     })
 }
