@@ -14,8 +14,18 @@
 //! the 32-SoC row of Fig. 10 read the same three runs per workload, and
 //! quantities no trained network enters (Figs. 3, 4(a), 4(b), 11, the FP32
 //! arms of Fig. 13, extensions B–D) are priced with the time model directly.
+//!
+//! The last rows are the reproduction score ([`score`]), derived from the
+//! rows before them with no run of its own: per figure and over all of
+//! them, how many rows lie inside the paper's band and how far the others
+//! miss it. A row is scored when it has both bounds and a measurement. Its
+//! miss is 0 inside the band, and otherwise the distance to the nearer edge
+//! over that edge's magnitude. A point band (`lo == hi`) counts strictly,
+//! with no tolerance: only the paper's exact value is in it, and a near
+//! miss shows in the median instead. The gate holds `score/all/in_band`
+//! and `score/all/median_rel_err` to [`SCORE_FLOOR`].
 
-use super::{no_later, plan_groups, push, push_arm, ratio, Row};
+use super::{claim, no_later, plan_groups, push, push_arm, ratio, Row, SCORE_FLOOR};
 use crate::commands::default_width;
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::mapping::sequential;
@@ -23,13 +33,12 @@ use socflow::mixed::MixedPrecisionController;
 use socflow::options::{Plan, RunOptions};
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
 use socflow::scheduler::GlobalScheduler;
-use socflow::timemodel::{EpochCost, TimeModel};
+use socflow::timemodel::{Collective, EpochCost, TimeModel};
 use socflow::{Engine, Mapping, RunResult, Workload};
 use socflow_baselines::suite::{comparison_methods, Comparison};
 use socflow_cluster::tidal::{TidalTrace, DAILY_IDLE_WINDOW, HOURLY_BUSY_FRACTION};
 use socflow_cluster::Processor::{GpuA100, GpuV100, SocCpuFp32, SocNpuInt8};
 use socflow_cluster::{ClusterNet, ClusterSpec, SocId};
-use socflow_collectives::{Collective, ParameterServer, RingAllReduce};
 use socflow_data::DatasetPreset::{self, CelebA, Cifar10, Cinic10, Emnist, FashionMnist};
 use socflow_nn::models::ModelKind::{self, LeNet5, MobileNetV1, ResNet18, ResNet50, Vgg11};
 use std::collections::BTreeMap;
@@ -173,7 +182,58 @@ pub(super) fn paper(fast: bool) -> Vec<Row> {
     ];
     push_arm(&mut rows, "paper/setup", setup);
     rows.extend(p.rows);
+    let score = score(&rows, SCORE_FLOOR[usize::from(fast)]);
+    rows.extend(score);
     rows
+}
+
+/// The `score/<figure>/*` rows of `rows` in figure order, then `score/all/*`,
+/// with `score/all/in_band` gated at no less than `floor.0` and
+/// `score/all/median_rel_err` at no more than `floor.1`.
+fn score(rows: &[Row], floor: (usize, f64)) -> Vec<Row> {
+    let mut figures: Vec<(&str, Vec<f64>)> = Vec::new();
+    for r in rows {
+        let (Some(lo), Some(hi), Some(m)) = (r.paper_lo, r.paper_hi, r.measured) else {
+            continue;
+        };
+        let miss = if m < lo {
+            (lo - m) / lo.abs()
+        } else if m > hi {
+            (m - hi) / hi.abs()
+        } else {
+            0.0
+        };
+        let figure = r.id.split('/').next().expect("an id");
+        match figures.iter_mut().find(|(f, _)| *f == figure) {
+            Some((_, misses)) => misses.push(miss),
+            None => figures.push((figure, vec![miss])),
+        }
+    }
+    let all = figures
+        .iter()
+        .flat_map(|(_, m)| m.iter().copied())
+        .collect();
+    figures.push(("all", all));
+    let mut out = Vec::new();
+    let mut gate = (false, false);
+    for (figure, mut misses) in figures {
+        misses.sort_by(f64::total_cmp);
+        let n = misses.len();
+        let in_band = misses.iter().filter(|&&m| m == 0.0).count();
+        let median = (n > 0).then(|| (misses[(n - 1) / 2] + misses[n / 2]) / 2.0);
+        gate = (in_band >= floor.0, median.is_some_and(|m| m <= floor.1));
+        let quantities = [
+            ("in_band", Some(in_band as f64), "rows"),
+            ("banded", Some(n as f64), "rows"),
+            ("median_rel_err", median, "ratio"),
+            ("worst_rel_err", misses.last().copied(), "ratio"),
+        ];
+        push_arm(&mut out, &format!("score/{figure}"), quantities);
+    }
+    // the loop ends on `all`
+    claim(&mut out, "score/all/in_band", gate.0);
+    claim(&mut out, "score/all/median_rel_err", gate.1);
+    out
 }
 
 /// SoCFlow as the comparisons run it: `groups` logical groups in the
@@ -324,11 +384,11 @@ impl Paper {
                     32 => Some(on_32),
                     _ => None,
                 };
-                let ring = RingAllReduce.time(&net, &members, payload) * 1e3;
+                let ring = Collective::Ring.time(&net, &members, payload) * 1e3;
                 let at = anchor(latency_ms[0], latency_ms[1]);
                 self.row(format!("fig4b/{name}/ring_{socs}_socs"), ring, "ms")
                     .paper(at, at);
-                let ps = ParameterServer.time(&net, &members, payload) * 1e3;
+                let ps = Collective::Ps.time(&net, &members, payload) * 1e3;
                 let at = anchor(latency_ms[2], latency_ms[3]);
                 self.row(format!("fig4b/{name}/ps_{socs}_socs"), ps, "ms")
                     .paper(at, at);
@@ -658,7 +718,7 @@ impl Paper {
 pub(super) fn assert_rows_cover_every_experiment(results: &[serde_json::Value]) {
     let experiments = [
         "fig3", "fig4a", "fig4b", "fig4c", "fig6", "tab3", "fig8", "fig9", "fig10", "fig11",
-        "fig12", "fig13", "fig14", "extB", "extC", "extD",
+        "fig12", "fig13", "fig14", "extB", "extC", "extD", "score",
     ];
     let ids: Vec<&str> = results
         .iter()
@@ -704,6 +764,45 @@ mod tests {
         assert!(err.contains("fig12/VGG11/ring_hipress_2d_margin"), "{err}");
         assert!(!err.contains("fig13"), "{err}");
         assert!(!path.exists(), "no file for a failed gate");
+    }
+
+    /// The score of a hand-built row set: a range, a point band hit and
+    /// missed, a one-sided bound and an unmeasured row, which are not
+    /// scored; then one row leaving its band fails the ratchet.
+    #[test]
+    fn the_score_counts_rows_in_band_and_gates_the_ratchet() {
+        let mut rows = Vec::new();
+        push(&mut rows, "fig8/VGG11/speedup".into(), 3.0, "x").paper(2.0, 4.0);
+        push(&mut rows, "fig4a/VGG11/cpu".into(), 29.1, "h").paper(29.1, 29.1);
+        push(&mut rows, "fig4a/ResNet18/cpu".into(), 240.0, "h").paper(200.0, 200.0);
+        push(&mut rows, "fig3/server/swing".into(), 1.0, "x").paper(10.0, None);
+        push(&mut rows, "fig9/VGG11/energy".into(), None, "x").paper(1.0, 2.0);
+        push(&mut rows, "tab3/average/loss".into(), -1.0, "pp").paper(-0.5, -0.5);
+        let value = |rows: &[Row], id: &str| {
+            let row = rows.iter().find(|r| r.id == id);
+            row.unwrap_or_else(|| panic!("{id}")).measured
+        };
+        let scored = score(&rows, (2, 0.5));
+        let ids: Vec<&str> = scored.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids.len(), 4 * 4, "fig8, fig4a, tab3 and all: {ids:?}");
+        assert_eq!(value(&scored, "score/fig4a/in_band"), Some(1.0));
+        assert_eq!(value(&scored, "score/fig4a/banded"), Some(2.0));
+        assert_eq!(value(&scored, "score/fig4a/worst_rel_err"), Some(0.2));
+        assert_eq!(value(&scored, "score/fig4a/median_rel_err"), Some(0.1));
+        // the negative point band misses by its magnitude
+        assert_eq!(value(&scored, "score/tab3/median_rel_err"), Some(1.0));
+        assert_eq!(value(&scored, "score/all/in_band"), Some(2.0));
+        assert_eq!(value(&scored, "score/all/banded"), Some(4.0));
+        assert_eq!(value(&scored, "score/all/median_rel_err"), Some(0.1));
+        assert_eq!(gate(&scored), Ok(()));
+
+        rows[0].measured = Some(4.4);
+        let scored = score(&rows, (2, 0.5));
+        let worst = value(&scored, "score/fig8/worst_rel_err").unwrap();
+        assert!((worst - 0.1).abs() < 1e-12, "{worst}");
+        let err = gate(&scored).unwrap_err();
+        assert!(err.contains("score/all/in_band"), "{err}");
+        assert!(!err.contains("median"), "{err}");
     }
 
     /// VGG-11 is sync-bound, so its mixed and INT8 epochs cost the same and

@@ -1,7 +1,8 @@
-//! Closed-form ring and parameter-server costs: the reference the tests
-//! below hold the simulated [`crate::RingAllReduce`] and
-//! [`crate::ParameterServer`] to on one board, where nothing contends.
+//! Closed-form ring and parameter-server costs: the oracles the tests
+//! below hold [`Collective::Ring`] and [`Collective::Ps`] to on one board,
+//! where nothing contends.
 
+use crate::timemodel::Collective;
 use socflow_cluster::Seconds;
 
 /// Analytic Ring-AllReduce time: `2(n−1)` steps of `bytes/n` at
@@ -23,10 +24,8 @@ fn ps_time(n: usize, bytes: f64, bandwidth_bytes_per_s: f64, step_latency: Secon
     2.0 * ((n - 1) as f64 * bytes / bandwidth_bytes_per_s + step_latency)
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Collective, ParameterServer, RingAllReduce};
     use socflow_cluster::{calibration, ClusterNet, ClusterSpec, SocId};
 
     const BW: f64 = 1e9 / 8.0;
@@ -45,7 +44,7 @@ mod tests {
         // equal the closed form.
         let net = ClusterNet::new(ClusterSpec::paper_server());
         let members: Vec<SocId> = (0..5).map(SocId).collect();
-        let sim = RingAllReduce.time(&net, &members, 36.9e6);
+        let sim = Collective::Ring.time(&net, &members, 36.9e6);
         let ana = ring_time(5, 36.9e6, BW, calibration::STEP_LATENCY_INTRA);
         assert!(
             (sim - ana).abs() / ana < 0.01,
@@ -57,7 +56,7 @@ mod tests {
     fn analytic_ps_matches_simulator_intra_board() {
         let net = ClusterNet::new(ClusterSpec::paper_server());
         let members: Vec<SocId> = (0..5).map(SocId).collect();
-        let sim = ParameterServer.time(&net, &members, 36.9e6);
+        let sim = Collective::Ps.time(&net, &members, 36.9e6);
         let ana = ps_time(5, 36.9e6, BW, calibration::STEP_LATENCY_INTRA);
         assert!(
             (sim - ana).abs() / ana < 0.01,

@@ -106,7 +106,7 @@ pub enum MethodSpec {
     /// FedAvg: per-epoch central weight averaging, fixed local shards.
     FedAvg,
     /// Tree-aggregation hierarchical FedAvg, over a binary tree
-    /// (`socflow_collectives::TreeAggregate`).
+    /// ([`crate::timemodel::Collective::Tree`]).
     TFedAvg,
     /// SoCFlow (this paper).
     SocFlow(SocFlowConfig),

@@ -48,6 +48,8 @@
 
 #![deny(missing_docs)]
 
+#[cfg(test)]
+mod analytic;
 pub mod autotune;
 pub mod checkpoint;
 pub mod config;
@@ -57,6 +59,8 @@ pub mod grouping;
 pub mod mapping;
 pub mod mixed;
 pub mod options;
+#[cfg(test)]
+mod patterns;
 pub mod planning;
 pub mod report;
 pub mod scheduler;

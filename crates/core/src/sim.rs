@@ -38,14 +38,17 @@
 //! the per-link-class utilization report.
 //!
 //! The slots' ring flows and the boundary batches are built by one pair of
-//! helpers that [`TimeModel::socflow_epoch_lower_bound`] shares, so the
-//! floor the plan search prunes by reads the very flow sets this module
-//! simulates.
+//! helpers that [`TimeModel::socflow_epoch_lower_bound`] and Eq. 1
+//! ([`TimeModel::socflow_epoch`]) share, so the floor the plan search
+//! prunes by and the closed form both read the very flow sets this module
+//! simulates. Each ring step among them, a slot's or the leader ring's,
+//! comes from the time model's one ring builder, which also serves
+//! [`Collective::Ring`](crate::timemodel::Collective::Ring).
 
 use crate::mapping::{GroupId, Mapping};
 use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::Breakdown;
-use crate::timemodel::{EpochCost, TimeModel};
+use crate::timemodel::{ring_flows, EpochCost, TimeModel};
 use socflow_cluster::{
     calibration, ClusterNet, Flow, FluidTimeline, LinkClassUtil, PowerState, Route, Seconds,
 };
@@ -314,8 +317,8 @@ impl TimeModel {
         let update = self.update_time();
         let (cgs, _) = divide_or_serialize(mapping);
         let mut period: Seconds = 0.0;
-        for cg in &cgs.cgs {
-            let ring = slot_ring(self, mapping, cg.iter().map(|g| g.0).collect(), wire);
+        for slot in sync_slots(mapping, &cgs, true) {
+            let ring = slot_ring(self, mapping, slot, wire);
             let steps = ring.steps as f64;
             let sync = (steps * ring.latency).max(steps * self.net().drain_floor(&ring.flows));
             for &g in &ring.groups {
@@ -380,23 +383,43 @@ fn step_latency(tm: &TimeModel, flows: &[Flow]) -> Seconds {
     }
 }
 
-/// One sync slot's ring, as both the simulator and the floor see it.
-struct SlotRing {
+/// The sync slots' member groups: the CGs with `planning`, one slot of
+/// every group without.
+pub(crate) fn sync_slots(
+    mapping: &Mapping,
+    cgs: &CommunicationGroups,
+    planning: bool,
+) -> Vec<Vec<usize>> {
+    if planning {
+        let cg_groups = |cg: &Vec<GroupId>| cg.iter().map(|g| g.0).collect();
+        cgs.cgs.iter().map(cg_groups).collect()
+    } else {
+        vec![(0..mapping.num_groups()).collect()]
+    }
+}
+
+/// One sync slot's ring, as the simulator, the floor and Eq. 1 see it.
+pub(crate) struct SlotRing {
     /// Member logical groups.
     groups: Vec<usize>,
     /// The identical flow set of every ring step (empty ⇒ instant sync):
-    /// each syncing member group's member→successor chunks.
-    flows: Vec<Flow>,
+    /// each syncing member group's [`ring_flows`].
+    pub(crate) flows: Vec<Flow>,
     /// Ring steps per sync (max over member groups of `2(n−1)`; 0 with no
     /// flows).
-    steps: usize,
+    pub(crate) steps: usize,
     /// Protocol latency per step (intra- vs inter-board).
     latency: Seconds,
 }
 
 /// The ring of the slot holding `groups`, each syncing member sending
 /// `wire` bytes per iteration.
-fn slot_ring(tm: &TimeModel, mapping: &Mapping, groups: Vec<usize>, wire: f64) -> SlotRing {
+pub(crate) fn slot_ring(
+    tm: &TimeModel,
+    mapping: &Mapping,
+    groups: Vec<usize>,
+    wire: f64,
+) -> SlotRing {
     let steps = groups
         .iter()
         .map(|&g| mapping.group(GroupId(g)).len())
@@ -406,18 +429,11 @@ fn slot_ring(tm: &TimeModel, mapping: &Mapping, groups: Vec<usize>, wire: f64) -
         .unwrap_or(0);
     let flows: Vec<Flow> = groups
         .iter()
-        .flat_map(|&g| {
-            let members = mapping.group(GroupId(g));
-            let n = members.len();
-            let chunk = if n >= 2 { wire / n as f64 } else { 0.0 };
-            (0..n)
-                .filter(move |_| n >= 2)
-                .map(move |i| Flow::new(members[i], members[(i + 1) % n], chunk))
-        })
+        .flat_map(|&g| ring_flows(mapping.group(GroupId(g)), wire))
         .collect();
     SlotRing {
         latency: step_latency(tm, &flows),
-        steps: if flows.is_empty() { 0 } else { steps },
+        steps,
         flows,
         groups,
     }
@@ -425,18 +441,18 @@ fn slot_ring(tm: &TimeModel, mapping: &Mapping, groups: Vec<usize>, wire: f64) -
 
 /// `repeat` identical epoch-boundary flow batches, each waiting `latency`
 /// before its flows join.
-struct BoundaryBatch {
+pub(crate) struct BoundaryBatch {
     kind: &'static str,
-    flows: Vec<Flow>,
+    pub(crate) flows: Vec<Flow>,
     latency: Seconds,
-    repeat: usize,
+    pub(crate) repeat: usize,
 }
 
-/// The ordered epoch-boundary batches: `2(L−1)` leader-ring steps, the
-/// weight broadcast, the cross-group data shuffle. Degenerate phases
-/// (single leader, singleton groups, lone participant) are omitted, like
-/// in the analytic model.
-fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<BoundaryBatch> {
+/// The ordered epoch-boundary batches over the participating SoCs: `2(L−1)`
+/// leader-ring steps, the weight broadcast, the cross-group data shuffle.
+/// Degenerate phases (single leader, singleton groups, lone participant)
+/// are omitted.
+pub(crate) fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<BoundaryBatch> {
     let mut batches = Vec::new();
     let mut push = |kind, flows: Vec<Flow>, repeat| {
         batches.push(BoundaryBatch {
@@ -449,10 +465,7 @@ fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<Boundar
     let leaders = mapping.leaders();
     let l = leaders.len();
     if l >= 2 && wire > 0.0 {
-        let chunk = wire / l as f64;
-        let flows = (0..l)
-            .map(|i| Flow::new(leaders[i], leaders[(i + 1) % l], chunk))
-            .collect();
+        let flows = ring_flows(&leaders, wire).collect();
         push("leader_ring", flows, 2 * (l - 1));
     }
     let bcast: Vec<Flow> = mapping
@@ -542,20 +555,10 @@ pub fn simulate_socflow_schedule(
         .map(|g| tm.group_compute_time(g, cpu_fraction))
         .collect();
 
-    // Sync slots: the CGs with planning, one all-groups slot without —
-    // identical to the analytic model's slot construction.
-    let slot_groups: Vec<Vec<usize>> = if planning_slots {
-        cgs.cgs
-            .iter()
-            .map(|cg| cg.iter().map(|g| g.0).collect())
-            .collect()
-    } else {
-        vec![(0..n_groups).collect()]
-    };
     // every flow set the epoch admits is resolved once, on its timeline
     let mut tl = FluidTimeline::new(tm.net());
     let wire = tm.wire_bytes(cpu_fraction);
-    let slots: Vec<SlotState> = slot_groups
+    let slots: Vec<SlotState> = sync_slots(mapping, cgs, planning_slots)
         .into_iter()
         .map(|gs| {
             let SlotRing {
@@ -967,7 +970,9 @@ mod tests {
     use crate::config::{MethodSpec, TrainJobSpec};
     use crate::mapping::{integrity_greedy, sequential};
     use crate::planning::divide_communication_groups;
-    use socflow_cluster::ClusterSpec;
+    use crate::timemodel::Collective;
+    use proptest::prelude::*;
+    use socflow_cluster::{ClusterSpec, SocId};
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
 
@@ -976,6 +981,42 @@ mod tests {
             TrainJobSpec::new(ModelKind::Vgg11, DatasetPreset::Cifar10, MethodSpec::Ring);
         spec.socs = socs;
         TimeModel::new(&spec)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The closed form prices a batch as its protocol latency plus its
+        /// flows' max-min drain; an idle timeline drains the same flows
+        /// after the same latency. The two agree to rounding on every ring
+        /// and PS batch, on one board or spread over the server, so pricing
+        /// Fig. 4(b) and the baselines on the timeline instead would move
+        /// their prices in the last bits only.
+        #[test]
+        fn closed_form_steps_equal_an_idle_timeline_drain(
+            picks in proptest::collection::vec(0usize..60, 2..24),
+            board in 0usize..13,
+            mb in 1usize..200,
+        ) {
+            // boards 0..12 fold the picks onto that board; 12 spreads them
+            let mut members: Vec<SocId> = Vec::new();
+            for s in picks {
+                let soc = SocId(if board < 12 { board * 5 + s % 5 } else { s });
+                if !members.contains(&soc) {
+                    members.push(soc);
+                }
+            }
+            prop_assume!(members.len() >= 2);
+            let tm = model(60);
+            for c in [Collective::Ring, Collective::Ps] {
+                for (flows, _) in c.batches(&members, mb as f64 * 1e6) {
+                    let closed = tm.net().collective_step_time(&flows);
+                    let drained = standalone_time(tm.net(), &flows, step_latency(&tm, &flows));
+                    let rel = (closed - drained).abs() / closed;
+                    prop_assert!(rel <= 1e-12, "{c:?} over {members:?}: {closed} vs {drained}");
+                }
+            }
+        }
     }
 
     /// Board-aligned groups (no split LGs): event-driven and analytic

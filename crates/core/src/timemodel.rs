@@ -7,6 +7,15 @@
 //! primitives, so comparisons inherit the cluster's real contention
 //! behaviour.
 //!
+//! Every collective's flows are built here once. [`Collective`] is the
+//! ring, parameter server and tree of Fig. 4(b) and the baselines, and
+//! `ring_flows` is the one builder of a ring step, which SoCFlow's sync
+//! slots and leader ring ([`crate::sim`]) read as well. Flow batches that
+//! run one after another are priced by one closed-form fold: Σ
+//! [`ClusterNet::collective_step_time`] × repeat. Eq. 1
+//! ([`TimeModel::socflow_epoch`]) folds the very slot rings and boundary
+//! batches the timeline simulates.
+//!
 //! All methods benefit from the paper's two implementation optimizations
 //! where applicable: layer-by-layer compute/communication overlap (periods
 //! are `max(compute, sync)` rather than sums) and underclocking-aware
@@ -16,11 +25,11 @@ use crate::config::{MethodSpec, TrainJobSpec, PIPELINE_GROUP};
 use crate::mapping::Mapping;
 use crate::planning::{iteration_time, CommunicationGroups};
 use crate::report::Breakdown;
+use crate::sim::{boundary_batches, slot_ring, sync_slots};
 use socflow_cluster::{
     calibration, ClusterNet, ClusterSpec, ComputeModel, EnergyMeter, Flow, PowerState, Processor,
-    Seconds,
+    Seconds, SocId,
 };
-use socflow_collectives::{Collective, ParameterServer, RingAllReduce, TreeAggregate};
 use socflow_nn::{bucketize, GradReady};
 use socflow_telemetry::Event;
 
@@ -330,7 +339,7 @@ impl TimeModel {
     ///   of [`PIPELINE_GROUP`]; only unit leaders join the inter-unit ring.
     pub fn sync_epoch(
         &self,
-        collective: SyncCollective,
+        collective: Collective,
         wire_fraction: f64,
         extra_flops_per_param: f64,
         pipelined: bool,
@@ -355,13 +364,10 @@ impl TimeModel {
         let compute = compute + extra_flops_per_param * self.params / calibration::SOC_CPU_FLOPS;
 
         let wire = self.payload * wire_fraction;
-        let sync = match collective {
-            SyncCollective::Ring => RingAllReduce.time(&self.net, &sync_members, wire),
-            SyncCollective::Ps => ParameterServer.time(&self.net, &sync_members, wire),
-        };
+        let sync = collective.time(&self.net, &sync_members, wire);
         // PS cannot overlap (centralized blocking aggregation); ring-style
         // methods use layer-by-layer overlap.
-        let overlap = matches!(collective, SyncCollective::Ring);
+        let overlap = collective == Collective::Ring;
         let update = self.update_time();
         let (period, bd) = iteration_time(compute, &[sync], update, overlap);
         let time = period * iters;
@@ -391,7 +397,7 @@ impl TimeModel {
         // FedAvg aggregates on the control board (20 Gb/s switch path);
         // T-FedAvg reduces over an in-cluster tree first.
         let sync = if tree {
-            TreeAggregate.time(&self.net, &all, self.payload)
+            Collective::Tree.time(&self.net, &all, self.payload)
         } else {
             2.0 * calibration::STEP_LATENCY_INTER
                 + self.net.control_transfer(&all, self.payload, true).makespan
@@ -423,15 +429,15 @@ impl TimeModel {
     pub fn baseline_epoch(&self, method: MethodSpec) -> Option<EpochCost> {
         Some(match method {
             MethodSpec::Local => self.local_epoch(Processor::SocCpuFp32),
-            MethodSpec::ParameterServer => self.sync_epoch(SyncCollective::Ps, 1.0, 0.0, false),
-            MethodSpec::Ring => self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false),
+            MethodSpec::ParameterServer => self.sync_epoch(Collective::Ps, 1.0, 0.0, false),
+            MethodSpec::Ring => self.sync_epoch(Collective::Ring, 1.0, 0.0, false),
             MethodSpec::HiPress => self.sync_epoch(
-                SyncCollective::Ring,
+                Collective::Ring,
                 calibration::DGC_WIRE_FRACTION,
                 calibration::DGC_OVERHEAD_FLOPS_PER_PARAM,
                 false,
             ),
-            MethodSpec::TwoDParallel => self.sync_epoch(SyncCollective::Ring, 1.0, 0.0, true),
+            MethodSpec::TwoDParallel => self.sync_epoch(Collective::Ring, 1.0, 0.0, true),
             MethodSpec::FedAvg => self.federated_epoch(false),
             MethodSpec::TFedAvg => self.federated_epoch(true),
             MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_) => {
@@ -501,56 +507,25 @@ impl TimeModel {
         // materializes here. With planning the slots are the CGs
         // (contention-free by construction); without it every group syncs
         // at once, and whatever conflicts the mapping left contend.
-        let slots: Vec<Vec<crate::mapping::GroupId>> = if planning {
-            cgs.cgs.clone()
-        } else {
-            vec![(0..n_groups).map(crate::mapping::GroupId).collect()]
-        };
         let wire = self.wire_bytes(cpu_fraction);
-        let cg_syncs: Vec<Seconds> = slots
-            .iter()
-            .map(|slot| self.joint_ring_time(mapping, slot, wire))
+        let cg_syncs: Vec<Seconds> = sync_slots(mapping, cgs, planning)
+            .into_iter()
+            .map(|slot| {
+                let ring = slot_ring(self, mapping, slot, wire);
+                step_sum(&self.net, [(&ring.flows[..], ring.steps)])
+            })
             .collect();
 
         let update = self.update_time();
         let (period, bd) = iteration_time(compute, &cg_syncs, update, planning);
         let batch_time = period * iters;
 
-        // epoch boundary: leader ring + weight broadcast + data shuffle
-        let leaders = mapping.leaders();
-        let inter = RingAllReduce.time(&self.net, &leaders, wire);
-        let bcast: Vec<Flow> = mapping
-            .groups()
-            .iter()
-            .flat_map(|g| {
-                let leader = g[0];
-                g[1..].iter().map(move |&m| Flow::new(leader, m, wire))
-            })
-            .collect();
-        let bcast_t = self.net.collective_step_time(&bcast);
-        // shuffle: every *participating* SoC forwards its shard to a rotated
-        // peer. Participants come from the mapping, not `0..self.socs` — an
-        // elastically shrunk job must not price (or power) SoCs it lost.
-        let mut participants: Vec<socflow_cluster::SocId> =
-            mapping.groups().iter().flatten().copied().collect();
-        participants.sort();
-        let n_part = participants.len();
-        let shuffle_t = if n_part >= 2 {
-            let shard_bytes = self.ref_samples as f64 / n_part as f64 * self.sample_bytes;
-            let shuffle: Vec<Flow> = (0..n_part)
-                .map(|i| {
-                    Flow::new(
-                        participants[i],
-                        participants[(i + n_part / 2) % n_part],
-                        shard_bytes,
-                    )
-                })
-                .collect();
-            self.net.collective_step_time(&shuffle)
-        } else {
-            0.0
-        };
-        let epoch_sync = inter + bcast_t + shuffle_t;
+        // epoch boundary: leader ring + weight broadcast + data shuffle,
+        // over the participating SoCs only — an elastically shrunk job
+        // must not price (or power) SoCs it lost
+        let boundary = boundary_batches(self, mapping, wire);
+        let epoch_sync = step_sum(&self.net, boundary.iter().map(|b| (&b.flows[..], b.repeat)));
+        let n_part: usize = mapping.groups().iter().map(Vec::len).sum();
 
         let time = batch_time + epoch_sync;
         let mut breakdown = bd.scaled(iters);
@@ -593,40 +568,6 @@ impl TimeModel {
         self.payload / (1e9 / 8.0) + 0.5
     }
 
-    /// Wall-clock time for a set of logical groups to run their intra-group
-    /// Ring-AllReduces *simultaneously*: per ring step, every group's
-    /// member→successor chunk flows enter one joint max-min simulation, so
-    /// groups that share a board NIC genuinely contend.
-    fn joint_ring_time(
-        &self,
-        mapping: &Mapping,
-        slot: &[crate::mapping::GroupId],
-        wire_bytes: f64,
-    ) -> Seconds {
-        let steps = slot
-            .iter()
-            .map(|&g| mapping.group(g).len())
-            .filter(|&n| n >= 2)
-            .map(|n| 2 * (n - 1))
-            .max()
-            .unwrap_or(0);
-        if steps == 0 {
-            return 0.0;
-        }
-        let flows: Vec<Flow> = slot
-            .iter()
-            .flat_map(|&g| {
-                let members = mapping.group(g);
-                let n = members.len();
-                let chunk = if n >= 2 { wire_bytes / n as f64 } else { 0.0 };
-                (0..n)
-                    .filter(move |_| n >= 2)
-                    .map(move |i| Flow::new(members[i], members[(i + 1) % n], chunk))
-            })
-            .collect();
-        self.net.collective_step_time(&flows) * steps as f64
-    }
-
     /// Re-balances per-SoC sample shares inside one group when SoCs are
     /// underclocked (the paper's underclocking-aware re-balancing): shares
     /// proportional to each SoC's current speed, so the group's batch
@@ -657,13 +598,102 @@ impl TimeModel {
     }
 }
 
-/// Which synchronous collective a [`TimeModel::sync_epoch`] uses.
+/// A collective over a member set, as flow batches that run one after
+/// another. [`Collective::time`] prices them by one closed-form fold: each
+/// batch's [`ClusterNet::collective_step_time`] times its repeat count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncCollective {
-    /// Ring-AllReduce over the members.
+pub enum Collective {
+    /// Horovod-style Ring-AllReduce: `2(n−1)` identical steps, each moving
+    /// one `bytes/n` chunk per member to its ring successor. Bandwidth-
+    /// optimal, but every step pays the protocol latency — the
+    /// linear-in-`n` latency growth of Fig. 4(b).
     Ring,
-    /// Centralized parameter server.
+    /// Parameter server: every worker pushes `bytes` to the first member,
+    /// the server, which then sends the aggregate back. The server's
+    /// single 1 Gb/s link is the incast bottleneck.
     Ps,
+    /// Tree aggregation (T-FedAvg): reduce up a binary tree rooted at the
+    /// first member, deepest level first, then broadcast down the same
+    /// levels in reverse.
+    Tree,
+}
+
+impl Collective {
+    /// Wall-clock time for `members` to combine `bytes` each (every member
+    /// ends with the result); 0 for fewer than two members or no bytes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use socflow::timemodel::Collective;
+    /// use socflow_cluster::{ClusterNet, ClusterSpec, SocId};
+    ///
+    /// let net = ClusterNet::new(ClusterSpec::paper_server());
+    /// let members: Vec<SocId> = (0..32).map(SocId).collect();
+    /// let ring = Collective::Ring.time(&net, &members, 36.9e6);
+    /// let ps = Collective::Ps.time(&net, &members, 36.9e6);
+    /// assert!(ring < ps, "at 32 SoCs the ring beats the incast-bound PS");
+    /// ```
+    pub fn time(self, net: &ClusterNet, members: &[SocId], bytes: f64) -> Seconds {
+        if members.len() < 2 || bytes == 0.0 {
+            return 0.0;
+        }
+        let batches = self.batches(members, bytes);
+        step_sum(net, batches.iter().map(|(flows, n)| (&flows[..], *n)))
+    }
+
+    /// The pattern's flow batches in order, each with its repeat count.
+    /// `members` holds at least two SoCs.
+    pub(crate) fn batches(self, members: &[SocId], bytes: f64) -> Vec<(Vec<Flow>, usize)> {
+        let n = members.len();
+        match self {
+            Collective::Ring => vec![(ring_flows(members, bytes).collect(), 2 * (n - 1))],
+            Collective::Ps => {
+                let server = members[0];
+                let workers = members.iter().filter(|&&m| m != server);
+                let push = workers.clone().map(|&m| Flow::new(m, server, bytes));
+                let pull = workers.map(|&m| Flow::new(server, m, bytes));
+                vec![(push.collect(), 1), (pull.collect(), 1)]
+            }
+            Collective::Tree => {
+                // heap order: node i's parent is (i−1)/2, and level d holds
+                // nodes 2^d − 1 ..= 2^(d+1) − 2
+                let level = |d: u32| {
+                    let nodes = (1 << d) - 1..((2 << d) - 1).min(n);
+                    nodes.map(|i| (members[i], members[(i - 1) / 2]))
+                };
+                let depth = (n as u32).ilog2();
+                let up = |d| level(d).map(|(c, p)| Flow::new(c, p, bytes)).collect();
+                let down = |d| level(d).map(|(c, p)| Flow::new(p, c, bytes)).collect();
+                let levels = (1..=depth).rev().map(up).chain((1..=depth).map(down));
+                levels.map(|l| (l, 1)).collect()
+            }
+        }
+    }
+}
+
+/// One ring step's flows: each of `members` sends its `bytes / n` chunk
+/// to its ring successor; none for fewer than two members. The one
+/// builder of a ring step: [`Collective::Ring`], every sync slot and the
+/// epoch boundary's leader ring ([`crate::sim`]) read it.
+pub(crate) fn ring_flows(members: &[SocId], bytes: f64) -> impl Iterator<Item = Flow> + '_ {
+    let n = members.len();
+    let chunk = bytes / n as f64;
+    let senders = if n >= 2 { n } else { 0 };
+    (0..senders).map(move |i| Flow::new(members[i], members[(i + 1) % n], chunk))
+}
+
+/// Flow batches run one after another, priced in closed form: the sum of
+/// each batch's [`ClusterNet::collective_step_time`] times its repeat
+/// count, in order. Folded from `+0.0`, never `Iterator::sum`, whose empty
+/// `f64` sum is `-0.0`.
+fn step_sum<'a>(
+    net: &ClusterNet,
+    batches: impl IntoIterator<Item = (&'a [Flow], usize)>,
+) -> Seconds {
+    batches.into_iter().fold(0.0, |t, (flows, repeat)| {
+        t + net.collective_step_time(flows) * repeat as f64
+    })
 }
 
 #[cfg(test)]
@@ -703,17 +733,17 @@ mod tests {
     #[test]
     fn ring_beats_ps() {
         let m = model();
-        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false);
-        let ps = m.sync_epoch(SyncCollective::Ps, 1.0, 0.0, false);
+        let ring = m.sync_epoch(Collective::Ring, 1.0, 0.0, false);
+        let ps = m.sync_epoch(Collective::Ps, 1.0, 0.0, false);
         assert!(ring.time < ps.time, "ring {} vs ps {}", ring.time, ps.time);
     }
 
     #[test]
     fn hipress_beats_plain_ring() {
         let m = model();
-        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false);
+        let ring = m.sync_epoch(Collective::Ring, 1.0, 0.0, false);
         let hipress = m.sync_epoch(
-            SyncCollective::Ring,
+            Collective::Ring,
             calibration::DGC_WIRE_FRACTION,
             calibration::DGC_OVERHEAD_FLOPS_PER_PARAM,
             false,
@@ -728,8 +758,8 @@ mod tests {
         let mapping = integrity_greedy(&spec, 32, 8);
         let cgs = divide_communication_groups(&mapping).unwrap();
         let ours = m.socflow_epoch(&mapping, &cgs, true, 0.3);
-        let ring = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, false);
-        let two_d = m.sync_epoch(SyncCollective::Ring, 1.0, 0.0, true);
+        let ring = m.sync_epoch(Collective::Ring, 1.0, 0.0, false);
+        let two_d = m.sync_epoch(Collective::Ring, 1.0, 0.0, true);
         assert!(
             ours.time < ring.time / 5.0,
             "ours {} ring {}",

@@ -5,7 +5,9 @@
 //! written by the commit before the timeline learned to reuse rates; the
 //! file was rewritten when the search went best-first by the epoch floor,
 //! which priced a different subset and kept the best plan's bits. CI also
-//! `cmp`s a fresh `tune --json` against the same file.
+//! `cmp`s a fresh `tune --json` against the same file. The closed forms
+//! that price Local, the six baselines and Fig. 4(b) are held the same way
+//! to a second file.
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::Workload;
@@ -14,14 +16,19 @@ use socflow::options::{Plan, RunOptions};
 use socflow::planning::divide_communication_groups;
 use socflow::scheduler::GlobalScheduler;
 use socflow::sim::{simulate_socflow_schedule, SyncSchedule};
-use socflow::timemodel::TimeModel;
-use socflow_cluster::{timeline_stats, ClusterSpec, TimelineStats};
+use socflow::timemodel::{Collective, TimeModel};
+use socflow_cluster::{timeline_stats, ClusterNet, ClusterSpec, SocId, TimelineStats};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::{ModelConfig, ModelKind};
 
 /// `tune --model resnet18 --dataset cifar10 --socs 60 --auto-budget 100
 /// --seed 11 --json`.
 const GOLDEN: &str = include_str!("golden/tune_resnet18_60_b100.json");
+
+/// `baseline_epoch` of Local and the six baselines for VGG-11 and
+/// ResNet-18 on 32 SoCs, and Fig. 4(b)'s ring and PS latencies, one
+/// `<model>/<method>/<field> <bits> <value>` line each.
+const BASELINE_GOLDEN: &str = include_str!("golden/baseline_prices_32socs.txt");
 
 #[test]
 fn paper_scale_plan_search_matches_the_golden_ranking() {
@@ -127,4 +134,67 @@ fn an_epoch_solves_rates_once_per_configuration() {
     assert!(work.steps > 1000, "{work:?}");
     assert!(work.rate_solves > 0 && work.rate_reuses > 0, "{work:?}");
     assert!(work.rate_solves <= work.steps / 20, "{work:?}");
+}
+
+/// Tier-1 otherwise checks only the baselines' orderings: a change to their
+/// closed forms that moves a price shows here, to the bit.
+#[test]
+fn baseline_and_fig4b_prices_match_the_golden_bits() {
+    let mut got = Vec::new();
+    let net = ClusterNet::new(ClusterSpec::paper_server());
+    for model in [ModelKind::Vgg11, ModelKind::ResNet18] {
+        let mut spec = TrainJobSpec::new(model, DatasetPreset::Cifar10, MethodSpec::Ring);
+        spec.socs = 32;
+        let tm = TimeModel::new(&spec);
+        for method in [
+            MethodSpec::Local,
+            MethodSpec::ParameterServer,
+            MethodSpec::Ring,
+            MethodSpec::HiPress,
+            MethodSpec::TwoDParallel,
+            MethodSpec::FedAvg,
+            MethodSpec::TFedAvg,
+        ] {
+            let c = tm.baseline_epoch(method).expect("a baseline");
+            let fields = [
+                ("time", c.time),
+                ("compute", c.breakdown.compute),
+                ("sync", c.breakdown.sync),
+                ("update", c.breakdown.update),
+                ("energy", c.energy),
+                ("aggregation", c.aggregation),
+            ];
+            for (field, v) in fields {
+                got.push((format!("{model}/{}/{field}", method.name()), v));
+            }
+        }
+        let payload = model.payload_bytes_fp32() as f64;
+        for socs in [4, 8, 16, 24, 32] {
+            let members: Vec<SocId> = (0..socs).map(SocId).collect();
+            for (name, c) in [("ring", Collective::Ring), ("ps", Collective::Ps)] {
+                let v = c.time(&net, &members, payload);
+                got.push((format!("{model}/fig4b/{name}_{socs}_socs"), v));
+            }
+        }
+    }
+    let want: Vec<(&str, u64)> = BASELINE_GOLDEN
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let mut cells = l.split_whitespace();
+            let id = cells.next().expect("an id");
+            let bits = u64::from_str_radix(cells.next().expect("bits"), 16).expect("hex bits");
+            (id, bits)
+        })
+        .collect();
+    assert_eq!(got.len(), want.len());
+    assert_eq!(
+        got.len(),
+        104,
+        "2 models × (7 methods × 6 fields + 10 latencies)"
+    );
+    for ((id, v), (want_id, want_bits)) in got.iter().zip(&want) {
+        assert_eq!(id, want_id);
+        assert_eq!(v.to_bits(), *want_bits, "{id}: {v}");
+    }
 }
