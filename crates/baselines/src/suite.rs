@@ -53,9 +53,7 @@ impl Stream {
             MethodSpec::FedAvg | MethodSpec::TFedAvg => Stream::Federated {
                 clients: socs.min(MAX_FL_REPLICAS),
             },
-            MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_) => {
-                Stream::SocFlow { method, socs }
-            }
+            MethodSpec::SocFlow(_) => Stream::SocFlow { method, socs },
         }
     }
 }

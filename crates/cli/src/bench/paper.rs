@@ -27,9 +27,8 @@
 
 use super::{claim, no_later, plan_groups, push, push_arm, ratio, Row, SCORE_FLOOR};
 use crate::commands::default_width;
-use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::mapping::sequential;
-use socflow::mixed::MixedPrecisionController;
 use socflow::options::{Plan, RunOptions};
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
 use socflow::scheduler::GlobalScheduler;
@@ -246,15 +245,23 @@ fn ours_cfg(groups: usize) -> SocFlowConfig {
     }
 }
 
-/// One SoCFlow epoch at the CPU share of a fresh controller (α = 1): the
+/// SoCFlow on `arms` as the paper's 32-SoC runs train it: [`GROUPS`]
+/// logical groups, configured by [`ours_cfg`].
+fn ours(arms: Arms) -> MethodSpec {
+    MethodSpec::SocFlow(SocFlowConfig {
+        arms,
+        ..ours_cfg(GROUPS)
+    })
+}
+
+/// One SoCFlow epoch at the CPU share a Mixed run starts at (α = 1): the
 /// split SoCFlow trains at while the INT8 model still tracks the FP32 one.
 /// Priced on the timeline, like every trained SoCFlow run it is set
 /// against.
 fn fresh_epoch(tm: &TimeModel, socs: usize, groups: usize) -> EpochCost {
-    let beta = (tm.compute().beta() as f32).clamp(0.05, 0.95);
-    let cpu_fraction = MixedPrecisionController::new(beta).cpu_fraction();
+    let ctrl = Arms::Mixed.controller(tm.compute().beta());
     let (mapping, cgs) = plan_groups(socs, groups);
-    tm.socflow_epoch_timeline(&mapping, &cgs, true, cpu_fraction as f64)
+    tm.socflow_epoch_timeline(&mapping, &cgs, true, Arms::Mixed.cpu_fraction(&ctrl))
         .cost
 }
 
@@ -396,10 +403,9 @@ impl Paper {
             if !self.size.models.contains(&name) {
                 continue;
             }
-            let int8_only = MethodSpec::SocFlowInt8(ours_cfg(GROUPS));
             let c = self.comparison(name);
             let fp32 = pct(&c.run(MethodSpec::Ring, SOCS));
-            let int8 = pct(&c.run(int8_only, SOCS));
+            let int8 = pct(&c.run(ours(Arms::Int8), SOCS));
             self.row(format!("fig4c/{name}/fp32_acc"), fp32, "%");
             self.row(format!("fig4c/{name}/int8_acc"), int8, "%");
             self.row(format!("fig4c/{name}/int8_loss"), fp32 - int8, "pp")
@@ -414,7 +420,7 @@ impl Paper {
         let fp32 = |groups| {
             MethodSpec::SocFlow(SocFlowConfig {
                 groups,
-                mixed_precision: false,
+                arms: Arms::Fp32,
                 ..SocFlowConfig::full()
             })
         };
@@ -613,16 +619,11 @@ impl Paper {
     /// Fig. 14: the mixed-precision arms. Mixed lands between FP32 and
     /// INT8 on the clock; the row says how much of that gap it closes.
     fn fig14(&mut self) {
-        let cfg = ours_cfg(GROUPS);
-        let fp32_only = SocFlowConfig {
-            mixed_precision: false,
-            ..cfg
-        };
         let arms = [
-            ("fp32", MethodSpec::SocFlow(fp32_only)),
-            ("mixed", MethodSpec::SocFlow(cfg)),
-            ("half", MethodSpec::SocFlowHalf(cfg)),
-            ("int8", MethodSpec::SocFlowInt8(cfg)),
+            ("fp32", ours(Arms::Fp32)),
+            ("mixed", ours(Arms::Mixed)),
+            ("half", ours(Arms::Half)),
+            ("int8", ours(Arms::Int8)),
         ];
         for &name in self.size.models {
             let methods = arms.map(|(_, method)| method);

@@ -4,7 +4,7 @@ use crate::args::Options;
 use serde::Serialize;
 use socflow::autotune::PlanChoice;
 use socflow::checkpoint::Checkpoint;
-use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
+use socflow::config::{Arms, MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::engine::Workload;
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
 use socflow::options::{Checkpointing, Plan, RunOptions};
@@ -131,14 +131,17 @@ fn dataset_of(name: &str) -> Result<DatasetPreset, String> {
 }
 
 fn method_of(name: &str, groups: Option<usize>) -> Result<MethodSpec, String> {
-    let cfg = SocFlowConfig {
-        groups,
-        ..SocFlowConfig::full()
+    let socflow = |arms| {
+        MethodSpec::SocFlow(SocFlowConfig {
+            groups,
+            arms,
+            ..SocFlowConfig::full()
+        })
     };
     Ok(match name {
-        "ours" | "socflow" => MethodSpec::SocFlow(cfg),
-        "ours-int8" => MethodSpec::SocFlowInt8(cfg),
-        "ours-half" => MethodSpec::SocFlowHalf(cfg),
+        "ours" | "socflow" => socflow(Arms::Mixed),
+        "ours-int8" => socflow(Arms::Int8),
+        "ours-half" => socflow(Arms::Half),
         "ring" => MethodSpec::Ring,
         "ps" => MethodSpec::ParameterServer,
         "hipress" => MethodSpec::HiPress,
@@ -270,9 +273,10 @@ fn run_options(opts: &Options) -> Result<RunOptions, String> {
 }
 
 /// Whether `ckpt` can continue the job the flags describe: the same
-/// parameter count per replica, surviving SoCs inside `--socs`, and no
-/// `--groups` other than the one the snapshot's run started with (the
-/// snapshot's group counts win, so another value would be ignored).
+/// parameter count per replica, the same method, surviving SoCs inside
+/// `--socs`, and no `--groups` other than the one the snapshot's run
+/// started with (the snapshot's group counts win, so another value would
+/// be ignored).
 fn resumable(
     ckpt: &Checkpoint,
     spec: &TrainJobSpec,
@@ -285,6 +289,17 @@ fn resumable(
         return Err(format!(
             "the checkpoint holds {saved} parameters per replica, \
              but {model} on {preset} has {params}"
+        ));
+    }
+    if let Some(partial) = ckpt
+        .partial
+        .as_ref()
+        .filter(|p| p.method != spec.method.name())
+    {
+        return Err(format!(
+            "the checkpoint's run trained {}, but --method is {}",
+            partial.method,
+            spec.method.name()
         ));
     }
     if ckpt.alive.iter().any(|&s| s >= spec.socs) {
@@ -1090,9 +1105,10 @@ mod tests {
 
     /// A two-group snapshot of an 8-SoC run in `dir`, and the options
     /// that resume it.
-    fn resumable_snapshot(dir: &std::path::Path) -> Options {
+    fn resumable_snapshot(dir: &std::path::Path, method: &str) -> Options {
         std::fs::remove_dir_all(dir).ok();
         let base = Options {
+            method: method.into(),
             socs: 8,
             groups: Some(2),
             epochs: 2,
@@ -1114,7 +1130,7 @@ mod tests {
     #[test]
     fn resume_rejects_socs_that_drop_the_snapshots_survivors() {
         let dir = std::env::temp_dir().join("socflow_cli_resume_socs_test");
-        let resume = resumable_snapshot(&dir);
+        let resume = resumable_snapshot(&dir, "ours");
         let err = train(&Options { socs: 4, ..resume }).unwrap_err();
         std::fs::remove_dir_all(&dir).ok();
         assert!(err.starts_with("cannot resume"), "{err}");
@@ -1129,7 +1145,7 @@ mod tests {
     #[test]
     fn resume_rejects_a_group_count_the_snapshot_would_override() {
         let dir = std::env::temp_dir().join("socflow_cli_resume_groups_test");
-        let resume = resumable_snapshot(&dir);
+        let resume = resumable_snapshot(&dir, "ours");
         let err = train(&Options {
             groups: Some(4),
             ..resume.clone()
@@ -1147,5 +1163,35 @@ mod tests {
             "{err}"
         );
         same.expect("the snapshot's own group count resumes");
+    }
+
+    /// A snapshot's partial result carries its method's name; resuming it
+    /// under another SoCFlow variant used to panic on the missing INT8
+    /// arm's zero learning rate (exit 101) or label the run with the wrong
+    /// method.
+    #[test]
+    fn resume_rejects_another_socflow_variant() {
+        for (saved, asked, names) in [
+            ("ours-int8", "ours", ["Ours-INT8", "Ours"]),
+            ("ours", "ours-int8", ["Ours", "Ours-INT8"]),
+            ("ours-half", "ours", ["Ours-Half", "Ours"]),
+        ] {
+            let dir = std::env::temp_dir().join(format!("socflow_cli_resume_{saved}_test"));
+            let resume = resumable_snapshot(&dir, saved);
+            let err = train(&Options {
+                method: asked.into(),
+                ..resume.clone()
+            });
+            let same = train(&Options {
+                json: true,
+                ..resume
+            });
+            std::fs::remove_dir_all(&dir).ok();
+            let err = err.unwrap_err();
+            assert!(err.starts_with("cannot resume"), "{err}");
+            let want = format!("trained {}, but --method is {}", names[0], names[1]);
+            assert!(err.contains(&want), "{err}");
+            same.expect("the snapshot's own method resumes");
+        }
     }
 }

@@ -55,7 +55,7 @@
 //! re-adopting the plan, or by the fleet scheduler re-pricing a job on
 //! every arrival/shrink/resume — is a hash lookup.
 
-use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use crate::config::{Arms, SocFlowConfig, TrainJobSpec};
 use crate::engine::DEFAULT_GROUPS;
 use crate::mapping;
 use crate::planning::{divide_or_serialize, CommunicationGroups};
@@ -185,22 +185,13 @@ fn socflow_cfg(spec: &TrainJobSpec) -> SocFlowConfig {
         .unwrap_or_else(|| panic!("autotune on non-SoCFlow method {}", spec.method.name()))
 }
 
-/// The CPU share of each batch the engine would run this spec with,
-/// given the time model's β — mirrors the engine's controller
-/// initialization exactly, so tuned predictions price the same split the
+/// The CPU share of each batch a fresh run of this spec starts at, given
+/// the time model's β: the engine's own starting controller
+/// ([`Arms::controller`]), so tuned predictions price the same split the
 /// adopted run will.
 fn cpu_fraction_for(spec: &TrainJobSpec, tm: &TimeModel) -> f64 {
-    let beta = (tm.compute().beta() as f32).clamp(0.05, 0.95);
-    let mut ctrl = crate::mixed::MixedPrecisionController::new(beta);
-    match spec.method {
-        MethodSpec::SocFlowInt8(_) => 0.0,
-        MethodSpec::SocFlowHalf(_) => {
-            ctrl.set_alpha(0.7);
-            ctrl.cpu_fraction() as f64
-        }
-        MethodSpec::SocFlow(c) if c.mixed_precision => ctrl.cpu_fraction() as f64,
-        _ => 1.0,
-    }
+    let arms = socflow_cfg(spec).arms;
+    arms.cpu_fraction(&arms.controller(tm.compute().beta()))
 }
 
 /// Builds the integrity-greedy mapping + CGs for a group count, with the
@@ -225,8 +216,7 @@ pub(crate) enum PlanKey {
     Tuned {
         model: ModelKind,
         preset: DatasetPreset,
-        method: &'static str,
-        mixed_precision: bool,
+        arms: Arms,
         socs: usize,
         global_batch: usize,
         groups: usize,
@@ -235,24 +225,22 @@ pub(crate) enum PlanKey {
     },
     /// A fleet epoch ([`crate::fleet::priced_epoch_seconds`]): the fluid
     /// timeline on an integrity-greedy mapping, with the fleet's fixed 0.5
-    /// CPU share for `mixed` jobs where the tuner derives the share from β.
+    /// CPU share for `half` jobs where the tuner derives the share from β.
     Fleet {
         model: ModelKind,
         preset: DatasetPreset,
         global_batch: usize,
         socs: usize,
         groups: usize,
-        mixed: bool,
+        half: bool,
     },
 }
 
 fn plan_key(spec: &TrainJobSpec, cand: &PlanCandidate) -> PlanKey {
-    let cfg = socflow_cfg(spec);
     PlanKey::Tuned {
         model: spec.model,
         preset: spec.preset,
-        method: spec.method.name(),
-        mixed_precision: cfg.mixed_precision,
+        arms: socflow_cfg(spec).arms,
         socs: spec.socs,
         global_batch: spec.global_batch,
         groups: cand.groups,
@@ -469,7 +457,7 @@ pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TrainJobSpec;
+    use crate::config::{MethodSpec, TrainJobSpec};
     use socflow_data::DatasetPreset;
     use socflow_nn::models::{self, ModelConfig, ModelKind};
 
@@ -526,12 +514,12 @@ mod tests {
             DatasetPreset::CelebA,
             DatasetPreset::FashionMnist,
         ];
-        let cfg = SocFlowConfig::full();
-        let methods = [
-            MethodSpec::SocFlow(cfg),
-            MethodSpec::SocFlowInt8(cfg),
-            MethodSpec::SocFlowHalf(cfg),
-        ];
+        let methods = [Arms::Mixed, Arms::Fp32, Arms::Int8, Arms::Half].map(|arms| {
+            MethodSpec::SocFlow(SocFlowConfig {
+                arms,
+                ..SocFlowConfig::full()
+            })
+        });
         let mut rng = StdRng::seed_from_u64(0xF100);
         let mut min_slack = f64::INFINITY;
         let mut pricings = 0;
@@ -675,7 +663,7 @@ mod tests {
         };
         let mut fp32 = spec(8);
         fp32.method = MethodSpec::SocFlow(SocFlowConfig {
-            mixed_precision: false,
+            arms: Arms::Fp32,
             ..SocFlowConfig::with_groups(4)
         });
         for job in [spec(8), fp32] {
@@ -684,6 +672,39 @@ mod tests {
                 3 * (2 + BUCKET_GRID_KB.len()),
                 "{}",
                 job.method.name()
+            );
+        }
+    }
+
+    /// The split a run starts at, per arm: INT8 none on the CPU, FP32
+    /// all, Half `max(e^-0.7, 1-β)`, Mixed `max(e^-1, 1-β)` at a fresh
+    /// α = 1. The tuner prices the very split the engine starts with.
+    #[test]
+    fn each_arm_starts_at_its_paper_split() {
+        let mut s = spec(8);
+        let tm = TimeModel::new(&s);
+        let beta = (tm.compute().beta() as f32).clamp(0.05, 0.95);
+        let at = |alpha: f32| (-alpha).exp().max(1.0 - beta) as f64;
+        for (arms, share) in [
+            (Arms::Int8, 0.0),
+            (Arms::Fp32, 1.0),
+            (Arms::Half, at(0.7)),
+            (Arms::Mixed, at(1.0)),
+        ] {
+            s.method = MethodSpec::SocFlow(SocFlowConfig {
+                arms,
+                ..SocFlowConfig::with_groups(4)
+            });
+            let ctrl = arms.controller(tm.compute().beta());
+            assert_eq!(
+                arms.cpu_fraction(&ctrl).to_bits(),
+                share.to_bits(),
+                "{arms:?}"
+            );
+            assert_eq!(
+                cpu_fraction_for(&s, &tm).to_bits(),
+                share.to_bits(),
+                "{arms:?}"
             );
         }
     }

@@ -1,9 +1,60 @@
 //! Job specifications: which workload, which method, which knobs.
 
+use crate::mixed::MixedPrecisionController;
 use serde::{Deserialize, Serialize};
 use socflow_data::stream::RateProfile;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
+use socflow_nn::Precision;
+
+/// The processor arms a SoCFlow run trains on (paper §3.2): the four arms
+/// of Fig. 14. Every decision that differs between them is a method here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Arms {
+    /// CPU-FP32 and NPU-INT8 split every batch under the adaptive α/β
+    /// controller (the paper's full design).
+    Mixed,
+    /// CPU-FP32 only (Fig. 14 "FP32", e.g. the ablation bench's arms).
+    Fp32,
+    /// NPU-INT8 only (Fig. 14 "Ours-INT8", and Fig. 4(c)'s NPU bar).
+    Int8,
+    /// Both processors at the fixed α = 0.7 split (Fig. 14 "Ours-Half").
+    Half,
+}
+
+impl Arms {
+    /// The one precision every batch trains at, or `None` for the arms
+    /// that split each batch across both processors and so carry the
+    /// NPU-side INT8 model next to the FP32 one.
+    pub fn step_precision(self) -> Option<Precision> {
+        match self {
+            Arms::Mixed | Arms::Half => None,
+            Arms::Int8 => Some(Precision::Int8),
+            Arms::Fp32 => Some(Precision::Fp32),
+        }
+    }
+
+    /// The controller a run starts with, given the time model's compute
+    /// ratio β: β clamped to [0.05, 0.95] at α = 1, or the fixed α = 0.7
+    /// for Half. The engine trains from it, and the tuner and `bench
+    /// paper` price its [`Self::cpu_fraction`].
+    pub fn controller(self, beta: f64) -> MixedPrecisionController {
+        let mut ctrl = MixedPrecisionController::new((beta as f32).clamp(0.05, 0.95));
+        if self == Arms::Half {
+            ctrl.set_alpha(0.7); // paper: Ours-Half is the fixed α = 0.7 case
+        }
+        ctrl
+    }
+
+    /// The share of each batch on the CPU-FP32 arm under `ctrl`.
+    pub fn cpu_fraction(self, ctrl: &MixedPrecisionController) -> f64 {
+        match self {
+            Arms::Mixed | Arms::Half => ctrl.cpu_fraction() as f64,
+            Arms::Int8 => 0.0,
+            Arms::Fp32 => 1.0,
+        }
+    }
+}
 
 /// Configuration of the SoCFlow method proper. Integrity-greedy mapping
 /// and communication-group planning are not settings: every SoCFlow run
@@ -14,8 +65,8 @@ pub struct SocFlowConfig {
     /// Number of logical groups; `None` lets the scheduler choose via the
     /// first-epoch heuristic (paper §3.1 "determining group size").
     pub groups: Option<usize>,
-    /// Enable data-parallel mixed-precision training (CPU FP32 + NPU INT8).
-    pub mixed_precision: bool,
+    /// The processors each batch trains on.
+    pub arms: Arms,
     /// Number of independent SGD streams the *accuracy* simulation runs
     /// (`None` = one per logical group). Scaled datasets compress the
     /// steps-per-aggregation ratio (DESIGN.md §6): capping the stream
@@ -26,11 +77,12 @@ pub struct SocFlowConfig {
 }
 
 impl SocFlowConfig {
-    /// Full SoCFlow: all techniques on, group count auto-selected.
+    /// Full SoCFlow: both processors under the adaptive controller, group
+    /// count auto-selected.
     pub fn full() -> Self {
         SocFlowConfig {
             groups: None,
-            mixed_precision: true,
+            arms: Arms::Mixed,
             accuracy_streams: None,
         }
     }
@@ -108,13 +160,8 @@ pub enum MethodSpec {
     /// Tree-aggregation hierarchical FedAvg, over a binary tree
     /// ([`crate::timemodel::Collective::Tree`]).
     TFedAvg,
-    /// SoCFlow (this paper).
+    /// SoCFlow (this paper), on the arms its config names.
     SocFlow(SocFlowConfig),
-    /// SoCFlow variant training only on NPUs in INT8 (the "Ours-INT8"
-    /// ablation arm of Fig. 14, and Fig. 4(c)'s NPU bar).
-    SocFlowInt8(SocFlowConfig),
-    /// SoCFlow variant with a fixed 50/50 CPU/NPU split ("Ours-Half").
-    SocFlowHalf(SocFlowConfig),
 }
 
 impl MethodSpec {
@@ -128,19 +175,18 @@ impl MethodSpec {
             MethodSpec::TwoDParallel => "2D-Paral",
             MethodSpec::FedAvg => "FedAvg",
             MethodSpec::TFedAvg => "T-FedAvg",
-            MethodSpec::SocFlow(_) => "Ours",
-            MethodSpec::SocFlowInt8(_) => "Ours-INT8",
-            MethodSpec::SocFlowHalf(_) => "Ours-Half",
+            MethodSpec::SocFlow(c) => match c.arms {
+                Arms::Mixed | Arms::Fp32 => "Ours",
+                Arms::Int8 => "Ours-INT8",
+                Arms::Half => "Ours-Half",
+            },
         }
     }
 
-    /// The SoCFlow configuration of the three SoCFlow variants; `None`
-    /// for the baselines.
+    /// The SoCFlow configuration; `None` for the baselines.
     pub fn socflow(&self) -> Option<SocFlowConfig> {
         match *self {
-            MethodSpec::SocFlow(c) | MethodSpec::SocFlowInt8(c) | MethodSpec::SocFlowHalf(c) => {
-                Some(c)
-            }
+            MethodSpec::SocFlow(c) => Some(c),
             _ => None,
         }
     }
@@ -148,14 +194,11 @@ impl MethodSpec {
     /// The same method with its logical-group count pinned to `groups`
     /// (baselines have none and come back unchanged).
     pub fn pin_groups(self, groups: usize) -> Self {
-        let pin = |c: SocFlowConfig| SocFlowConfig {
-            groups: Some(groups),
-            ..c
-        };
         match self {
-            MethodSpec::SocFlow(c) => MethodSpec::SocFlow(pin(c)),
-            MethodSpec::SocFlowInt8(c) => MethodSpec::SocFlowInt8(pin(c)),
-            MethodSpec::SocFlowHalf(c) => MethodSpec::SocFlowHalf(pin(c)),
+            MethodSpec::SocFlow(c) => MethodSpec::SocFlow(SocFlowConfig {
+                groups: Some(groups),
+                ..c
+            }),
             other => other,
         }
     }
@@ -217,8 +260,20 @@ mod tests {
     #[test]
     fn names_match_paper_legends() {
         assert_eq!(MethodSpec::Ring.name(), "RING");
-        assert_eq!(MethodSpec::SocFlow(SocFlowConfig::full()).name(), "Ours");
         assert_eq!(MethodSpec::TFedAvg.name(), "T-FedAvg");
+        for (arms, name) in [
+            (Arms::Mixed, "Ours"),
+            (Arms::Fp32, "Ours"),
+            (Arms::Int8, "Ours-INT8"),
+            (Arms::Half, "Ours-Half"),
+        ] {
+            let cfg = SocFlowConfig {
+                arms,
+                ..SocFlowConfig::full()
+            };
+            assert_eq!(MethodSpec::SocFlow(cfg).name(), name, "{arms:?}");
+        }
+        assert_eq!(SocFlowConfig::full().arms, Arms::Mixed);
     }
 
     #[test]

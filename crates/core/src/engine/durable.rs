@@ -114,9 +114,9 @@ impl SocflowRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{easy_workload, tiny_spec};
-    use super::super::{Engine, MixedMode};
+    use super::super::Engine;
     use super::*;
-    use crate::config::{MethodSpec, SocFlowConfig};
+    use crate::config::{Arms, MethodSpec, SocFlowConfig};
     use crate::options::RunOptions;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -125,7 +125,7 @@ mod tests {
     /// Two trained replicas of a batch-norm model (so BN running stats,
     /// momenta and — for INT8-arm modes — quant-noise counters are all
     /// non-trivial), with their controller.
-    fn trained(mixed: MixedMode, seed: u64) -> (Vec<Replica>, MixedPrecisionController) {
+    fn trained(arms: Arms, seed: u64) -> (Vec<Replica>, MixedPrecisionController) {
         let mut spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
         spec.model = ModelKind::ResNet18;
         spec.seed = seed;
@@ -133,7 +133,7 @@ mod tests {
         workload.model_cfg = ModelConfig::new(1, 8, 10, 0.1);
         let engine = Engine::new(spec, workload, RunOptions::default());
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut replicas = engine.build_replicas(2, &mut rng, mixed.step_precision().is_none());
+        let mut replicas = engine.build_replicas(2, &mut rng, arms.step_precision().is_none());
         let mut ctrl = MixedPrecisionController::new(0.4);
         ctrl.set_alpha(0.61);
         let batches: Vec<_> = engine
@@ -144,7 +144,7 @@ mod tests {
             .collect();
         for (i, r) in replicas.iter_mut().enumerate() {
             for b in &batches[i..] {
-                match mixed.step_precision() {
+                match arms.step_precision() {
                     None => r.mixed_step(b, &ctrl),
                     Some(precision) => {
                         r.step(b, precision);
@@ -158,13 +158,8 @@ mod tests {
 
     #[test]
     fn capture_save_load_restore_is_bit_exact_for_every_mixed_mode() {
-        for mixed in [
-            MixedMode::Adaptive,
-            MixedMode::Int8Only,
-            MixedMode::Half,
-            MixedMode::Fp32Only,
-        ] {
-            let (replicas, ctrl) = trained(mixed, 5);
+        for arms in [Arms::Mixed, Arms::Int8, Arms::Half, Arms::Fp32] {
+            let (replicas, ctrl) = trained(arms, 5);
             let snap = capture(7, &replicas, ctrl.alpha());
             assert!(
                 snap.states[0].iter().any(|v| *v != 0.0),
@@ -173,10 +168,10 @@ mod tests {
             assert!(snap.velocities[0].iter().any(|v| *v != 0.0));
             assert_eq!(
                 !snap.velocities_int8.is_empty(),
-                mixed.step_precision().is_none()
+                arms.step_precision().is_none()
             );
 
-            let dir = std::env::temp_dir().join(format!("socflow_durable_{mixed:?}"));
+            let dir = std::env::temp_dir().join(format!("socflow_durable_{arms:?}"));
             std::fs::remove_dir_all(&dir).ok();
             snap.save(&dir).expect("save");
             let loaded = Checkpoint::load(&dir).expect("load");
@@ -184,7 +179,7 @@ mod tests {
 
             // fresh replicas from a *different* seed: every restored
             // section must come from the file, not from the init
-            let (mut fresh, mut fresh_ctrl) = trained(mixed, 6);
+            let (mut fresh, mut fresh_ctrl) = trained(arms, 6);
             restore(&mut fresh, &mut fresh_ctrl, &loaded);
             let again = capture(7, &fresh, fresh_ctrl.alpha());
             let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
@@ -192,7 +187,7 @@ mod tests {
                     .map(|r| r.iter().map(|v| v.to_bits()).collect())
                     .collect()
             };
-            assert_eq!(bits(&again.replicas), bits(&snap.replicas), "{mixed:?}");
+            assert_eq!(bits(&again.replicas), bits(&snap.replicas), "{arms:?}");
             assert_eq!(bits(&again.velocities), bits(&snap.velocities));
             assert_eq!(bits(&again.velocities_int8), bits(&snap.velocities_int8));
             assert_eq!(bits(&again.states), bits(&snap.states));

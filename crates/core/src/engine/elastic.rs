@@ -182,7 +182,7 @@ impl SocflowRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{easy_workload, tiny_spec};
-    use super::super::{Engine, MixedMode};
+    use super::super::Engine;
     use super::*;
     use crate::config::{MethodSpec, SocFlowConfig, StreamingConfig};
     use crate::options::RunOptions;
@@ -308,7 +308,7 @@ mod tests {
     /// A started 4-group streaming run over 8 SoCs with an in-memory sink.
     fn started(engine: &mut Engine) -> SocflowRun<'_> {
         let cfg = engine.spec.method.socflow().expect("SoCFlow spec");
-        SocflowRun::start(engine, cfg, MixedMode::Adaptive, Default::default()).0
+        SocflowRun::start(engine, cfg, Default::default()).0
     }
 
     fn streaming_engine(sink: Arc<MemorySink>) -> Engine {

@@ -250,12 +250,7 @@ impl Engine {
             | MethodSpec::HiPress
             | MethodSpec::TwoDParallel => self.run_single(result),
             MethodSpec::FedAvg | MethodSpec::TFedAvg => self.run_federated(result),
-            MethodSpec::SocFlow(cfg) if cfg.mixed_precision => {
-                self.run_socflow(cfg, MixedMode::Adaptive, result)
-            }
-            MethodSpec::SocFlow(cfg) => self.run_socflow(cfg, MixedMode::Fp32Only, result),
-            MethodSpec::SocFlowInt8(cfg) => self.run_socflow(cfg, MixedMode::Int8Only, result),
-            MethodSpec::SocFlowHalf(cfg) => self.run_socflow(cfg, MixedMode::Half, result),
+            MethodSpec::SocFlow(cfg) => self.run_socflow(cfg, result),
         };
         if let Some(base) = kernel_base {
             let now = socflow_tensor::profile::snapshot();
@@ -431,33 +426,6 @@ impl Engine {
         // write + restore a full model snapshot over one SoC link
         let payload = self.spec.model.payload_bytes_fp32() as f64;
         2.0 * payload / (1e9 / 8.0) + 1.0
-    }
-}
-
-/// How the SoCFlow run drives its heterogeneous processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MixedMode {
-    /// Adaptive α/β mixed precision (the paper's full design).
-    Adaptive,
-    /// NPU-only INT8 (Fig. 14 "Ours-INT8").
-    Int8Only,
-    /// Fixed 50/50 split at α = 0.7 (Fig. 14 "Ours-Half").
-    Half,
-    /// CPU-only FP32 (Fig. 14 "Ours-FP32": a SoCFlow job with mixed
-    /// precision off, e.g. the ablation bench's arms).
-    Fp32Only,
-}
-
-impl MixedMode {
-    /// The one precision every batch trains at, or `None` for the modes
-    /// that split each batch across both arms ([`Replica::mixed_step`]) and
-    /// so carry the NPU-side INT8 model next to the FP32 one.
-    fn step_precision(self) -> Option<Precision> {
-        match self {
-            MixedMode::Adaptive | MixedMode::Half => None,
-            MixedMode::Int8Only => Some(Precision::Int8),
-            MixedMode::Fp32Only => Some(Precision::Fp32),
-        }
     }
 }
 

@@ -10,8 +10,8 @@
 
 use super::replica::{average_replicas, Replica};
 use super::stream::StreamState;
-use super::{digest, durable, Engine, MixedMode, DEFAULT_GROUPS, LR_DECAY, LR_FLOOR};
-use crate::config::SocFlowConfig;
+use super::{digest, durable, Engine, DEFAULT_GROUPS, LR_DECAY, LR_FLOOR};
+use crate::config::{Arms, SocFlowConfig};
 use crate::mapping::{integrity_greedy_over, Mapping};
 use crate::mixed::MixedPrecisionController;
 use crate::options::Pricing;
@@ -28,7 +28,7 @@ use socflow_telemetry::Event;
 /// Everything one SoCFlow run carries from epoch to epoch.
 pub(super) struct SocflowRun<'e> {
     pub(super) engine: &'e Engine,
-    pub(super) mixed: MixedMode,
+    pub(super) arms: Arms,
     /// Logical-group count the job started with: the anchor of the
     /// elastic shrink target.
     pub(super) initial_groups: usize,
@@ -59,13 +59,8 @@ impl Engine {
     /// full fault-tolerance machinery (per-SoC fault consumption, elastic
     /// remapping, durable checkpoint/resume). `result` holds the run's
     /// start; a resume replaces it with the checkpoint's partial result.
-    pub(super) fn run_socflow(
-        &mut self,
-        cfg: SocFlowConfig,
-        mixed: MixedMode,
-        result: RunResult,
-    ) -> RunResult {
-        let (mut run, start_epoch) = SocflowRun::start(self, cfg, mixed, result);
+    pub(super) fn run_socflow(&mut self, cfg: SocFlowConfig, result: RunResult) -> RunResult {
+        let (mut run, start_epoch) = SocflowRun::start(self, cfg, result);
         let engine = run.engine;
         for epoch in start_epoch..engine.spec.epochs {
             let shards = run.draw_shards(epoch);
@@ -130,7 +125,6 @@ impl<'e> SocflowRun<'e> {
     pub(super) fn start(
         engine: &'e mut Engine,
         cfg: SocFlowConfig,
-        mixed: MixedMode,
         mut result: RunResult,
     ) -> (Self, usize) {
         let mut rng = StdRng::seed_from_u64(engine.spec.seed);
@@ -164,7 +158,7 @@ impl<'e> SocflowRun<'e> {
         // the base network regardless of the replica count, then the
         // restored state overwrites everything
         let mut replicas =
-            engine.build_replicas(streams, &mut rng, mixed.step_precision().is_none());
+            engine.build_replicas(streams, &mut rng, cfg.arms.step_precision().is_none());
         if let Pricing::WaitFree { bucket_kb } = engine.options.pricing {
             // bucketize the trained network's actual gradient layout; the
             // plan maps its per-layer byte fractions onto the reference
@@ -173,11 +167,7 @@ impl<'e> SocflowRun<'e> {
             engine.time_model.set_overlap(bucket_kb.get(), &layout);
         }
         let engine: &'e Engine = engine;
-        let beta = engine.time_model.compute().beta() as f32;
-        let mut ctrl = MixedPrecisionController::new(beta.clamp(0.05, 0.95));
-        if mixed == MixedMode::Half {
-            ctrl.set_alpha(0.7); // paper: Ours-Half is the fixed α = 0.7 case
-        }
+        let mut ctrl = cfg.arms.controller(engine.time_model.compute().beta());
         if let Some(c) = &resume {
             durable::restore(&mut replicas, &mut ctrl, c);
             if let Some(partial) = &c.partial {
@@ -195,7 +185,7 @@ impl<'e> SocflowRun<'e> {
         }
         let run = SocflowRun {
             engine,
-            mixed,
+            arms: cfg.arms,
             initial_groups,
             groups,
             alive,
@@ -233,7 +223,7 @@ impl<'e> SocflowRun<'e> {
         let train = &self.engine.workload.train;
         let spec = self.engine.spec;
         let ctrl = &self.ctrl;
-        let precision = self.mixed.step_precision();
+        let precision = self.arms.step_precision();
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = self
             .replicas
             .iter_mut()
@@ -272,26 +262,19 @@ impl<'e> SocflowRun<'e> {
         }
         let net = &mut self.replicas[0].net;
         // refresh α on the probe set (Eq. 4) with the merged weights
-        if self.mixed == MixedMode::Adaptive {
+        if self.arms == Arms::Mixed {
             let p = &engine.workload.probe;
             let l32 = net.forward(&p.images, Mode::eval(Precision::Fp32));
             let l8 = net.forward(&p.images, Mode::eval(Precision::Int8));
             self.ctrl.update_alpha(&l32, &l8);
         }
-        let eval_precision = match self.mixed {
-            MixedMode::Int8Only => Precision::Int8,
-            _ => Precision::Fp32,
-        };
+        let eval_precision = self.arms.step_precision().unwrap_or(Precision::Fp32);
         engine.evaluate(net, eval_precision)
     }
 
     /// The share of each batch on the CPU-FP32 stream.
     fn cpu_fraction(&self) -> f64 {
-        match self.mixed {
-            MixedMode::Adaptive | MixedMode::Half => self.ctrl.cpu_fraction() as f64,
-            MixedMode::Int8Only => 0.0,
-            MixedMode::Fp32Only => 1.0,
-        }
+        self.arms.cpu_fraction(&self.ctrl)
     }
 
     /// Prices the epoch on the simulated clock (with the timeline's
@@ -374,7 +357,10 @@ mod tests {
         s32.epochs = 5;
         let w = easy_workload(&s32, 512);
         let fp = Engine::new(s32, w.clone(), RunOptions::default()).run();
-        let mut s8 = tiny_spec(MethodSpec::SocFlowInt8(SocFlowConfig::with_groups(2)));
+        let mut s8 = tiny_spec(MethodSpec::SocFlow(SocFlowConfig {
+            arms: Arms::Int8,
+            ..SocFlowConfig::with_groups(2)
+        }));
         s8.epochs = 5;
         let int8 = Engine::new(s8, w, RunOptions::default()).run();
         // INT8's trajectory must genuinely differ (quantization noise)

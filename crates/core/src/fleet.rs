@@ -25,10 +25,9 @@
 //! - **preemption** models the PR-3 checkpoint/reclaim machinery: a job
 //!   squeezed below its SoC floor checkpoints at the last epoch boundary
 //!   (the partial epoch is lost), re-queues, and pays a restore stall
-//!   when re-admitted. [`tidal_fault_plan`] maps the same tidal
-//!   transitions onto an engine [`FaultPlan`] so a *real* training run
-//!   preempted by the trace resumes bit-exactly (see
-//!   `tests/checkpoint_preemption.rs`).
+//!   when re-admitted. `tests/checkpoint_preemption.rs` maps the same
+//!   tidal transitions onto an engine fault plan, so a *real* training
+//!   run preempted by the trace resumes bit-exactly.
 //!
 //! Epochs are priced with [`TimeModel`] in simulated mode, i.e. on the
 //! event-driven fluid timeline — the FlexFlow-style "simulator as cost
@@ -46,14 +45,13 @@
 //! same seeds, same report, at any host thread count.
 
 use crate::autotune::PlanKey;
-use crate::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use crate::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::engine::Workload;
 use crate::mapping;
 use crate::planning::divide_or_serialize;
 use crate::scheduler::{memory_estimate, NetworkShape};
 use crate::timemodel::TimeModel;
 use serde::Serialize;
-use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
 use socflow_cluster::tidal::TidalTrace;
 use socflow_cluster::{ClusterSpec, Seconds, SocId};
 use socflow_data::DatasetPreset;
@@ -178,11 +176,11 @@ pub fn standard_job_mix(jobs: usize, mean_interarrival_s: Seconds, seed: u64) ->
                 2 => (ModelKind::MobileNetV1, 32, 120),
                 _ => (ModelKind::ResNet18, 16, 36),
             };
-            let method = match id % 3 {
-                0 => MethodSpec::SocFlow(SocFlowConfig::with_groups(socs / 4)),
-                1 => MethodSpec::SocFlowInt8(SocFlowConfig::with_groups(socs / 4)),
-                _ => MethodSpec::SocFlowHalf(SocFlowConfig::with_groups(socs / 4)),
-            };
+            let arms = [Arms::Mixed, Arms::Int8, Arms::Half][id % 3];
+            let method = MethodSpec::SocFlow(SocFlowConfig {
+                arms,
+                ..SocFlowConfig::with_groups(socs / 4)
+            });
             let mut spec = TrainJobSpec::new(model, DatasetPreset::Cifar10, method);
             spec.socs = socs;
             spec.epochs = epochs;
@@ -198,66 +196,39 @@ pub fn standard_job_mix(jobs: usize, mean_interarrival_s: Seconds, seed: u64) ->
         .collect()
 }
 
-/// Maps a server's tidal trace onto a job-local [`FaultPlan`]: the job
-/// starts at `start_hour` on the server SoCs `assigned` (listed in
-/// job-rank order), and whenever an assigned SoC turns busy at a later
-/// hour boundary within `hours`, the plan records a graceful
-/// [`FaultKind::Reclaimed`] event for that job rank at
-/// `h * hour_seconds` on the job clock (pass `3600.0` for real tidal
-/// hours; tests compress the clock to fit short runs). Only the first
-/// transition per SoC matters — a reclaimed SoC does not rejoin the
-/// job. Feeding this plan to the engine preempts a real training run
-/// exactly where the fleet simulation would, so checkpointed jobs
-/// evicted by the tide resume bit-exactly.
-pub fn tidal_fault_plan(
-    trace: &TidalTrace,
-    assigned: &[SocId],
-    start_hour: usize,
-    hours: usize,
-    hour_seconds: Seconds,
-) -> FaultPlan {
-    let mut events = Vec::new();
-    for (rank, &soc) in assigned.iter().enumerate() {
-        for h in 1..=hours {
-            if trace.is_busy(soc, (start_hour + h) % 24) {
-                events.push(FaultEvent {
-                    at: h as Seconds * hour_seconds,
-                    soc: SocId(rank),
-                    kind: FaultKind::Reclaimed,
-                });
-                break;
-            }
-        }
-    }
-    FaultPlan::from_events(events)
-}
-
 /// The plan-memo key of one epoch of `spec` over `socs` SoCs, with the
-/// scaled group count and whether the split is mixed.
+/// scaled group count and whether the fleet prices it at the half split.
+///
+/// The fleet keeps its own share rule: Mixed and FP32 at a CPU share of
+/// 1.0, INT8 and Half at 0.5. The engine and the tuner start Mixed at the
+/// controller's share, INT8 at 0.0 and Half at the α = 0.7 share
+/// ([`Arms::controller`]); the fleet goldens pin the fleet's rule.
 ///
 /// # Panics
 /// Panics if the spec's method is not a SoCFlow variant.
 fn fleet_plan(spec: &TrainJobSpec, socs: usize) -> (PlanKey, usize, bool) {
-    let (cfg, mixed) = match spec.method {
-        MethodSpec::SocFlow(c) => (c, false),
-        MethodSpec::SocFlowInt8(c) | MethodSpec::SocFlowHalf(c) => (c, true),
-        other => panic!("fleet jobs must be SoCFlow variants, got {}", other.name()),
+    let Some(cfg) = spec.method.socflow() else {
+        panic!(
+            "fleet jobs must be SoCFlow variants, got {}",
+            spec.method.name()
+        );
     };
+    let half = matches!(cfg.arms, Arms::Int8 | Arms::Half);
     let asked_groups = cfg.groups.unwrap_or(1).clamp(1, spec.socs.max(1));
     let groups = (asked_groups * socs)
         .div_ceil(spec.socs.max(1))
         .clamp(1, socs);
     // Everything the priced time depends on: model/preset/batch shape the
-    // time model, socs+groups shape the topology, mixed picks the split.
+    // time model, socs+groups shape the topology, half picks the split.
     let key = PlanKey::Fleet {
         model: spec.model,
         preset: spec.preset,
         global_batch: spec.global_batch,
         socs,
         groups,
-        mixed,
+        half,
     };
-    (key, groups, mixed)
+    (key, groups, half)
 }
 
 /// Prices one epoch of a SoCFlow-variant job over `socs` SoCs on the
@@ -275,7 +246,7 @@ fn fleet_plan(spec: &TrainJobSpec, socs: usize) -> (PlanKey, usize, bool) {
 /// # Panics
 /// Panics if the spec's method is not a SoCFlow variant.
 pub fn priced_epoch_seconds(spec: &TrainJobSpec, socs: usize) -> Seconds {
-    let (key, groups, mixed) = fleet_plan(spec, socs);
+    let (key, groups, half) = fleet_plan(spec, socs);
     let mut spec = *spec;
     spec.socs = socs;
     crate::autotune::memoized(key, || {
@@ -283,7 +254,7 @@ pub fn priced_epoch_seconds(spec: &TrainJobSpec, socs: usize) -> Seconds {
         let mapping = mapping::integrity_greedy(&cluster, socs, groups);
         let (cgs, _) = divide_or_serialize(&mapping);
         let tm = TimeModel::new(&spec);
-        let cpu_fraction = if mixed { 0.5 } else { 1.0 };
+        let cpu_fraction = if half { 0.5 } else { 1.0 };
         tm.socflow_epoch_timeline(&mapping, &cgs, true, cpu_fraction)
             .cost
             .time
@@ -406,8 +377,8 @@ struct Shape {
     socs: usize,
     global_batch: usize,
     method: &'static str,
-    /// Groups, mixed precision and accuracy streams of a SoCFlow method.
-    socflow: Option<(Option<usize>, bool, Option<usize>)>,
+    /// Groups, arms and accuracy streams of a SoCFlow method.
+    socflow: Option<(Option<usize>, Arms, Option<usize>)>,
 }
 
 impl Shape {
@@ -421,7 +392,7 @@ impl Shape {
             socflow: spec
                 .method
                 .socflow()
-                .map(|c| (c.groups, c.mixed_precision, c.accuracy_streams)),
+                .map(|c| (c.groups, c.arms, c.accuracy_streams)),
         }
     }
 }
@@ -1210,28 +1181,6 @@ mod tests {
             tidal.utilization,
             fifo.utilization
         );
-    }
-
-    #[test]
-    fn tidal_fault_plan_marks_first_busy_transition_per_rank() {
-        let trace = TidalTrace::generate(60, 3);
-        let (start, len) = trace.best_idle_window(16);
-        assert!(len >= 1);
-        let assigned: Vec<SocId> = trace
-            .idle_through(start, len)
-            .into_iter()
-            .take(16)
-            .collect();
-        let plan = tidal_fault_plan(&trace, &assigned, start, len + 6, 3600.0);
-        // job-local ranks only, each at an hour boundary after the start
-        for e in plan.events() {
-            assert!(e.soc.0 < 16);
-            assert_eq!(e.kind, FaultKind::Reclaimed);
-            assert!(e.at >= 3600.0);
-            assert_eq!(e.at % 3600.0, 0.0);
-        }
-        // inside the idle window nothing is reclaimed
-        assert!(plan.events().iter().all(|e| e.at >= len as f64 * 3600.0));
     }
 
     #[test]

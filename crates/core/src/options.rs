@@ -264,7 +264,7 @@ impl RunOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MethodSpec, SocFlowConfig};
+    use crate::config::{Arms, MethodSpec, SocFlowConfig};
     use socflow_data::stream::RateProfile;
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
@@ -287,13 +287,21 @@ mod tests {
         ]
     }
 
-    fn socflow_variants() -> [MethodSpec; 4] {
+    fn socflow_variants() -> [MethodSpec; 5] {
         [
-            MethodSpec::SocFlow(SocFlowConfig::with_groups(2)),
-            MethodSpec::SocFlowInt8(SocFlowConfig::with_groups(8)),
-            MethodSpec::SocFlowHalf(SocFlowConfig::with_groups(1)),
-            MethodSpec::SocFlow(SocFlowConfig::full()),
+            (Arms::Mixed, Some(2)),
+            (Arms::Int8, Some(8)),
+            (Arms::Half, Some(1)),
+            (Arms::Fp32, Some(4)),
+            (Arms::Mixed, None),
         ]
+        .map(|(arms, groups)| {
+            MethodSpec::SocFlow(SocFlowConfig {
+                groups,
+                arms,
+                ..SocFlowConfig::full()
+            })
+        })
     }
 
     /// One `RunOptions` per SoCFlow-only option, with the variant its
@@ -389,14 +397,12 @@ mod tests {
     fn group_counts_outside_the_cluster_are_rejected() {
         let options = RunOptions::default();
         for (groups, ok) in [(0, false), (1, true), (8, true), (9, false), (99, false)] {
-            let variants: [fn(SocFlowConfig) -> MethodSpec; 3] = [
-                MethodSpec::SocFlow,
-                MethodSpec::SocFlowInt8,
-                MethodSpec::SocFlowHalf,
-            ];
-            for make in variants {
-                let got =
-                    options.validate(&spec(make(SocFlowConfig::with_groups(groups))), Plan::Fixed);
+            for arms in [Arms::Mixed, Arms::Fp32, Arms::Int8, Arms::Half] {
+                let method = MethodSpec::SocFlow(SocFlowConfig {
+                    arms,
+                    ..SocFlowConfig::with_groups(groups)
+                });
+                let got = options.validate(&spec(method), Plan::Fixed);
                 let want = if ok {
                     Ok(())
                 } else {

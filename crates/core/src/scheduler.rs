@@ -300,7 +300,7 @@ pub fn tune_job(
 mod tests {
     use super::*;
     use crate::checkpoint::Checkpoint;
-    use crate::config::{MethodSpec, SocFlowConfig, StreamingConfig};
+    use crate::config::{Arms, MethodSpec, SocFlowConfig, StreamingConfig};
     use socflow_data::DatasetPreset;
 
     fn spec(method: MethodSpec) -> TrainJobSpec {
@@ -325,11 +325,6 @@ mod tests {
             let built = Workload::standard(&s, 64, 8, 0.5).model_cfg;
             assert_eq!(Workload::model_config(&s, 8, 0.5), built, "{preset}");
         }
-        let variants: [fn(SocFlowConfig) -> MethodSpec; 3] = [
-            MethodSpec::SocFlow,
-            MethodSpec::SocFlowInt8,
-            MethodSpec::SocFlowHalf,
-        ];
         for preset in DatasetPreset::ALL {
             for model in [
                 ModelKind::Vgg11,
@@ -339,9 +334,12 @@ mod tests {
                 let mut s = TrainJobSpec::new(model, preset, method);
                 let geometry = Workload::model_config(&s, 8, 0.5);
                 let shape = NetworkShape::of(s.model, geometry);
-                for make in variants {
+                for arms in [Arms::Mixed, Arms::Int8, Arms::Half] {
                     for ask in [16, 24, 32] {
-                        s.method = make(SocFlowConfig::with_groups(ask / 4));
+                        s.method = MethodSpec::SocFlow(SocFlowConfig {
+                            arms,
+                            ..SocFlowConfig::with_groups(ask / 4)
+                        });
                         s.socs = ask;
                         s.global_batch = 64;
                         let built = Workload::standard(&s, 64, 8, 0.5).model_cfg;
@@ -520,7 +518,11 @@ mod tests {
             16
         );
         assert_eq!(
-            mk(MethodSpec::SocFlowInt8(SocFlowConfig::with_groups(8))).per_soc_batch(),
+            mk(MethodSpec::SocFlow(SocFlowConfig {
+                arms: Arms::Int8,
+                ..SocFlowConfig::with_groups(8)
+            }))
+            .per_soc_batch(),
             64
         );
         // unplanned jobs are admitted against the heuristic's worst case
@@ -535,21 +537,19 @@ mod tests {
         assert_eq!(mk(MethodSpec::FedAvg).per_soc_batch(), 64);
     }
 
-    /// Regression (ISSUE 8): resumed `SocFlowInt8`/`SocFlowHalf` jobs with
-    /// `groups: None` used to fall through `_ => self.spec`, skipping the
-    /// snapshot's `initial_groups` pin (the engine would then run its
-    /// default group count instead of the topology the job started with).
+    /// Regression: resumed INT8 and Half jobs with `groups: None` used to
+    /// fall through `_ => self.spec`, skipping the snapshot's
+    /// `initial_groups` pin (the engine would then run its default group
+    /// count instead of the topology the job started with).
     #[test]
     fn resume_pins_groups_for_every_socflow_variant() {
         let mut ckpt = Checkpoint::new(1, vec![vec![0.0; 4]; 3], 0.8);
         ckpt.initial_groups = 3;
-        let variants: [fn(SocFlowConfig) -> MethodSpec; 3] = [
-            MethodSpec::SocFlow,
-            MethodSpec::SocFlowInt8,
-            MethodSpec::SocFlowHalf,
-        ];
-        for make in variants {
-            let s = spec(make(SocFlowConfig::full()));
+        for arms in [Arms::Mixed, Arms::Fp32, Arms::Int8, Arms::Half] {
+            let s = spec(MethodSpec::SocFlow(SocFlowConfig {
+                arms,
+                ..SocFlowConfig::full()
+            }));
             let w = Workload::standard(&s, 128, 8, 0.5);
             let resolved = GlobalScheduler::new(
                 s,
@@ -561,18 +561,9 @@ mod tests {
                 Plan::Fixed,
             )
             .resolved_spec();
-            let got = match resolved.method {
-                MethodSpec::SocFlow(c)
-                | MethodSpec::SocFlowInt8(c)
-                | MethodSpec::SocFlowHalf(c) => c.groups,
-                other => panic!("variant changed to {other:?}"),
-            };
-            assert_eq!(got, Some(3), "{:?}", s.method);
-            assert_eq!(
-                std::mem::discriminant(&resolved.method),
-                std::mem::discriminant(&s.method),
-                "pinning must not change the method variant"
-            );
+            let got = resolved.method.socflow().expect("still SoCFlow");
+            assert_eq!(got.groups, Some(3), "{arms:?}");
+            assert_eq!(got.arms, arms, "pinning must not change the arms");
         }
     }
 

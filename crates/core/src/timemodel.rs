@@ -440,9 +440,7 @@ impl TimeModel {
             MethodSpec::TwoDParallel => self.sync_epoch(Collective::Ring, 1.0, 0.0, true),
             MethodSpec::FedAvg => self.federated_epoch(false),
             MethodSpec::TFedAvg => self.federated_epoch(true),
-            MethodSpec::SocFlow(_) | MethodSpec::SocFlowInt8(_) | MethodSpec::SocFlowHalf(_) => {
-                return None
-            }
+            MethodSpec::SocFlow(_) => return None,
         })
     }
 

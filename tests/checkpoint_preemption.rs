@@ -3,11 +3,12 @@
 //! training job.
 
 use socflow::checkpoint::Checkpoint;
-use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::{Checkpointing, RunOptions};
 use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
-use socflow_cluster::SocId;
+use socflow_cluster::tidal::TidalTrace;
+use socflow_cluster::{Seconds, SocId};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_telemetry::{Event, MemorySink};
@@ -210,29 +211,85 @@ fn checkpoint_states_roundtrip_and_redistribute() {
     assert_eq!(shrunk.states_int8, ckpt.states_int8[..2]);
 }
 
+/// Maps a server's tidal trace onto a job-local [`FaultPlan`]: the job
+/// starts at `start_hour` on the server SoCs `assigned` (listed in
+/// job-rank order), and whenever an assigned SoC turns busy at a later
+/// hour boundary within `hours`, the plan records a graceful
+/// [`FaultKind::Reclaimed`] event for that job rank at
+/// `h * hour_seconds` on the job clock (pass `3600.0` for real tidal
+/// hours; tests compress the clock to fit short runs). Only the first
+/// transition per SoC matters — a reclaimed SoC does not rejoin the
+/// job. Feeding this plan to the engine preempts a real training run
+/// exactly where the fleet simulation would, so checkpointed jobs
+/// evicted by the tide resume bit-exactly.
+fn tidal_fault_plan(
+    trace: &TidalTrace,
+    assigned: &[SocId],
+    start_hour: usize,
+    hours: usize,
+    hour_seconds: Seconds,
+) -> FaultPlan {
+    let mut events = Vec::new();
+    for (rank, &soc) in assigned.iter().enumerate() {
+        for h in 1..=hours {
+            if trace.is_busy(soc, (start_hour + h) % 24) {
+                events.push(FaultEvent {
+                    at: h as Seconds * hour_seconds,
+                    soc: SocId(rank),
+                    kind: FaultKind::Reclaimed,
+                });
+                break;
+            }
+        }
+    }
+    FaultPlan::from_events(events)
+}
+
+#[test]
+fn tidal_fault_plan_marks_first_busy_transition_per_rank() {
+    let trace = TidalTrace::generate(60, 3);
+    let (start, len) = trace.best_idle_window(16);
+    assert!(len >= 1);
+    let assigned: Vec<SocId> = trace
+        .idle_through(start, len)
+        .into_iter()
+        .take(16)
+        .collect();
+    let plan = tidal_fault_plan(&trace, &assigned, start, len + 6, 3600.0);
+    // job-local ranks only, each at an hour boundary after the start
+    for e in plan.events() {
+        assert!(e.soc.0 < 16);
+        assert_eq!(e.kind, FaultKind::Reclaimed);
+        assert!(e.at >= 3600.0);
+        assert_eq!(e.at % 3600.0, 0.0);
+    }
+    // inside the idle window nothing is reclaimed
+    assert!(plan.events().iter().all(|e| e.at >= len as f64 * 3600.0));
+}
+
 /// Fleet-style tidal preemption end to end: derive a fault plan from a
 /// diurnal utilization trace (the idle window closing takes SoCs back),
 /// kill the checkpointed run at an epoch boundary, and the resumed
 /// accuracy stream must be byte-identical to an uninterrupted run of the
-/// same preempted job — for every SoCFlow method variant.
+/// same preempted job — for every SoCFlow arm.
 #[test]
 fn tidal_preemption_resume_is_bit_identical_across_variants() {
-    use socflow::fleet::{priced_epoch_seconds, tidal_fault_plan};
-    use socflow_cluster::tidal::TidalTrace;
+    use socflow::fleet::priced_epoch_seconds;
 
     let trace = TidalTrace::generate(60, 5);
     let (start, len) = trace.best_idle_window(8);
     assert!(len >= 1, "trace must have an idle window for 8 SoCs");
     let assigned: Vec<SocId> = trace.idle_through(start, len).into_iter().take(8).collect();
 
-    let variants: [fn(SocFlowConfig) -> MethodSpec; 3] = [
-        MethodSpec::SocFlow,
-        MethodSpec::SocFlowInt8,
-        MethodSpec::SocFlowHalf,
-    ];
-    for (i, variant) in variants.into_iter().enumerate() {
+    for (i, arms) in [Arms::Mixed, Arms::Fp32, Arms::Int8, Arms::Half]
+        .into_iter()
+        .enumerate()
+    {
         let mut s = small_spec(4);
-        s.method = variant(SocFlowConfig::with_groups(4));
+        s.method = MethodSpec::SocFlow(SocFlowConfig {
+            arms,
+            ..SocFlowConfig::with_groups(4)
+        });
         let w = Workload::standard(&s, 512, 8, 0.5);
 
         // compress the tidal clock so the window's closing edge lands
@@ -293,7 +350,7 @@ fn tidal_preemption_resume_is_bit_identical_across_variants() {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(
             resumed, full,
-            "variant {i}: tidal-preempted resume must be bit-identical"
+            "{arms:?}: tidal-preempted resume must be bit-identical"
         );
     }
 }

@@ -4,7 +4,7 @@
 //! simulation and asserts the *shape* of the paper's results — who wins,
 //! in what order, and by roughly what kind of factor.
 
-use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::{Plan, RunOptions};
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
@@ -178,12 +178,16 @@ fn mixed_precision_beats_int8_only() {
 
     let mixed = Engine::new(spec, workload.clone(), RunOptions::default()).run();
     let mut int8_spec = spec;
-    int8_spec.method = MethodSpec::SocFlowInt8(cfg);
+    int8_spec.method = MethodSpec::SocFlow(SocFlowConfig {
+        arms: Arms::Int8,
+        ..cfg
+    });
     let int8 = Engine::new(int8_spec, workload.clone(), RunOptions::default()).run();
-    let mut fp_cfg = cfg;
-    fp_cfg.mixed_precision = false;
     let mut fp_spec = spec;
-    fp_spec.method = MethodSpec::SocFlow(fp_cfg);
+    fp_spec.method = MethodSpec::SocFlow(SocFlowConfig {
+        arms: Arms::Fp32,
+        ..cfg
+    });
     let fp32 = Engine::new(fp_spec, workload, RunOptions::default()).run();
 
     assert!(

@@ -2,7 +2,7 @@
 //! core reproduction: the α trace, accuracy-stream decoupling, fault-driven
 //! eviction and the INT8 wire effect.
 
-use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::RunOptions;
 use socflow_cluster::faults::FaultPlan;
@@ -28,10 +28,11 @@ fn alpha_trace_semantics() {
     assert_eq!(adaptive.alpha_trace.len(), 6);
     assert!(adaptive.alpha_trace.iter().all(|a| (0.0..=1.0).contains(a)));
 
-    let mut fp_cfg = SocFlowConfig::with_groups(4);
-    fp_cfg.mixed_precision = false;
     let mut fs = s;
-    fs.method = MethodSpec::SocFlow(fp_cfg);
+    fs.method = MethodSpec::SocFlow(SocFlowConfig {
+        arms: Arms::Fp32,
+        ..SocFlowConfig::with_groups(4)
+    });
     let fp32 = Engine::new(fs, w.clone(), RunOptions::default()).run();
     // FP32-only runs keep α pinned at its initial value (no probe updates)
     assert!(fp32.alpha_trace.iter().all(|a| (*a - 1.0).abs() < 1e-6));
@@ -105,10 +106,11 @@ fn fault_plan_edge_cases() {
 #[test]
 fn mixed_precision_epoch_is_faster() {
     let mixed = spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
-    let mut fp_cfg = SocFlowConfig::with_groups(4);
-    fp_cfg.mixed_precision = false;
     let mut fp = mixed;
-    fp.method = MethodSpec::SocFlow(fp_cfg);
+    fp.method = MethodSpec::SocFlow(SocFlowConfig {
+        arms: Arms::Fp32,
+        ..SocFlowConfig::with_groups(4)
+    });
     let w = Workload::standard(&mixed, 512, 8, 0.5);
     let m = Engine::new(mixed, w.clone(), RunOptions::default()).run();
     let f = Engine::new(fp, w, RunOptions::default()).run();

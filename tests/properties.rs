@@ -912,21 +912,23 @@ fn accounting_spec(
     epochs: usize,
     seed: u64,
 ) -> socflow::config::TrainJobSpec {
-    use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+    use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
 
-    let cfg = SocFlowConfig::with_groups(groups);
+    let socflow = |arms| {
+        MethodSpec::SocFlow(SocFlowConfig {
+            arms,
+            ..SocFlowConfig::with_groups(groups)
+        })
+    };
     let method = [
         MethodSpec::Ring,
         MethodSpec::FedAvg,
-        MethodSpec::SocFlow(cfg),
-        MethodSpec::SocFlow(SocFlowConfig {
-            mixed_precision: false,
-            ..cfg
-        }),
-        MethodSpec::SocFlowInt8(cfg),
-        MethodSpec::SocFlowHalf(cfg),
+        socflow(Arms::Mixed),
+        socflow(Arms::Fp32),
+        socflow(Arms::Int8),
+        socflow(Arms::Half),
     ][method_draw as usize % 6];
     let mut spec = TrainJobSpec::new(ModelKind::LeNet5, DatasetPreset::FashionMnist, method);
     spec.socs = 8;

@@ -34,10 +34,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "normal",
         "Gaussian inputs of the layer gradchecks and step-scratch properties",
     ),
-    (
-        "tidal_fault_plan",
-        "tidal preemption plan tests/checkpoint_preemption.rs resumes through",
-    ),
     ("mobilenet_v1_depthwise", "owned by ROADMAP item 11(c)"),
 ];
 

@@ -6,7 +6,7 @@
 //! mixed-precision and INT8 arms) and the fault / checkpoint-resume paths.
 
 use socflow::checkpoint::Checkpoint;
-use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
+use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::{Checkpointing, Pricing, RunOptions};
 use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
@@ -65,16 +65,13 @@ fn assert_thread_invariant(label: &str, build: &dyn Fn(Arc<MemorySink>) -> Engin
 
 #[test]
 fn socflow_arms_are_thread_count_invariant() {
-    let cfg = SocFlowConfig::with_groups(2);
-    let arms = [
-        ("ours", MethodSpec::SocFlow(cfg)),
-        ("ours-int8", MethodSpec::SocFlowInt8(cfg)),
-        ("ours-half", MethodSpec::SocFlowHalf(cfg)),
-    ];
-    for (label, arm) in arms {
-        let spec = spec_of(arm);
+    for arms in [Arms::Mixed, Arms::Fp32, Arms::Int8, Arms::Half] {
+        let spec = spec_of(MethodSpec::SocFlow(SocFlowConfig {
+            arms,
+            ..SocFlowConfig::with_groups(2)
+        }));
         let workload = Workload::standard(&spec, 96, 8, 0.5);
-        assert_thread_invariant(label, &|sink| {
+        assert_thread_invariant(&format!("{arms:?}"), &|sink| {
             Engine::new(
                 spec,
                 workload.clone(),
