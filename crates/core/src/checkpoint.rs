@@ -12,11 +12,14 @@
 //! the engine continues after a preemption.
 //!
 //! The on-disk format is a versioned little-endian binary layout
-//! (`SFCK` magic + version tag), not JSON: float values must round-trip
-//! bit-exactly or a resumed run cannot reproduce the uninterrupted run's
-//! `RunResult` byte-for-byte. [`Checkpoint::save`] writes atomically
-//! (temp file + rename) so a crash mid-write never corrupts the latest
-//! usable checkpoint.
+//! (`SFCK` magic + version tag, the fields, a 64-bit checksum of everything
+//! before it), not JSON: float values must round-trip bit-exactly or a
+//! resumed run cannot reproduce the uninterrupted run's `RunResult`
+//! byte-for-byte. [`Checkpoint::save`] writes atomically (temp file +
+//! rename) so a crash mid-write never corrupts the latest usable
+//! checkpoint, and [`Checkpoint::from_bytes`] refuses a file whose checksum
+//! does not match before it reads a field, so a flipped bit or a cut file
+//! is an error, never a resume from wrong weights.
 
 use crate::report::{Breakdown, RunResult};
 use socflow_cluster::SocId;
@@ -24,8 +27,8 @@ use std::path::Path;
 
 /// Magic bytes prefixing every serialized checkpoint.
 const MAGIC: &[u8; 4] = b"SFCK";
-/// Current on-disk format version.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current on-disk format version (3: the trailing checksum; 2 had none).
+pub const FORMAT_VERSION: u32 = 3;
 /// File name of the most recent checkpoint inside a checkpoint directory.
 pub const LATEST_FILE: &str = "latest.ckpt";
 
@@ -154,18 +157,18 @@ impl Checkpoint {
     pub fn to_bytes(&self) -> Result<Vec<u8>, String> {
         let mut w = Vec::new();
         w.extend_from_slice(MAGIC);
-        put_u32(&mut w, FORMAT_VERSION);
-        put_u64(&mut w, self.epoch as u64);
-        put_f32(&mut w, self.alpha);
-        put_f32(&mut w, self.lr);
-        put_f32(&mut w, self.lr_int8);
-        put_u64(&mut w, self.initial_groups as u64);
-        put_u64(&mut w, self.groups as u64);
-        put_f64(&mut w, self.clock);
-        put_f64(&mut w, self.fault_cursor);
-        put_u64(&mut w, self.alive.len() as u64);
+        put(&mut w, FORMAT_VERSION.to_le_bytes());
+        put(&mut w, (self.epoch as u64).to_le_bytes());
+        put(&mut w, self.alpha.to_le_bytes());
+        put(&mut w, self.lr.to_le_bytes());
+        put(&mut w, self.lr_int8.to_le_bytes());
+        put(&mut w, (self.initial_groups as u64).to_le_bytes());
+        put(&mut w, (self.groups as u64).to_le_bytes());
+        put(&mut w, self.clock.to_le_bytes());
+        put(&mut w, self.fault_cursor.to_le_bytes());
+        put(&mut w, (self.alive.len() as u64).to_le_bytes());
         for &s in &self.alive {
-            put_u64(&mut w, s as u64);
+            put(&mut w, (s as u64).to_le_bytes());
         }
         put_f32_matrix(&mut w, &self.replicas);
         put_f32_matrix(&mut w, &self.velocities);
@@ -179,14 +182,15 @@ impl Checkpoint {
                 put_run_result(&mut w, r);
             }
         }
+        w.extend_from_slice(&checksum(&w).to_le_bytes());
         Ok(w)
     }
 
     /// Deserializes from the versioned binary format.
     ///
     /// # Errors
-    /// Returns a message when the bytes are truncated, carry the wrong
-    /// magic, or a future format version.
+    /// Returns a message on the wrong magic or version, then on a checksum
+    /// mismatch (before any field is read), then on truncation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader { buf: bytes, pos: 0 };
         let magic = r.take(4)?;
@@ -199,6 +203,11 @@ impl Checkpoint {
                 "unsupported checkpoint version {version} (this build reads v{FORMAT_VERSION})"
             ));
         }
+        let (body, sum) = bytes.split_at(bytes.len().saturating_sub(8).max(r.pos));
+        if sum.try_into().ok().map(u64::from_le_bytes) != Some(checksum(body)) {
+            return Err("checkpoint checksum mismatch: the file is corrupt or truncated".into());
+        }
+        r.buf = body;
         let epoch = r.u64()? as usize;
         let alpha = r.f32()?;
         let lr = r.f32()?;
@@ -282,6 +291,30 @@ impl Checkpoint {
     }
 }
 
+/// The checksum that ends a serialized checkpoint, over `bytes` (all that
+/// comes before it). Four lanes, the first starting from the length, each
+/// fold in every fourth little-endian 8-byte word (the last 32-byte block
+/// zero-padded) as `h ← mix(h, w) = rotl((h ⊕ w)·K, 29)` with `K` odd, and
+/// the lanes are mixed into one. `mix` is a bijection of `h` for a given
+/// `w` and of `w` for a given `h`, so two inputs of one length that differ
+/// in a single word — any one flipped bit — never share a checksum. The
+/// lanes are independent chains, so the sum costs a fraction of the copy.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+    let mut lanes = [bytes.len() as u64, 1, 2, 3];
+    let mut fold = |block: &[u8]| {
+        for (h, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *h = mix(*h, u64::from_le_bytes(w.try_into().expect("8-byte words")));
+        }
+    };
+    let mut blocks = bytes.chunks_exact(32);
+    blocks.by_ref().for_each(&mut fold);
+    let mut tail = [0u8; 32];
+    tail[..blocks.remainder().len()].copy_from_slice(blocks.remainder());
+    fold(&tail);
+    lanes.into_iter().fold(0, mix)
+}
+
 /// Averages rows `keep..total` into rows `0..keep` with the proportional
 /// survivor weighting the paper's preemption path uses.
 fn merge_evicted(rows: &[Vec<f32>], keep: usize, total: usize) -> Vec<Vec<f32>> {
@@ -307,58 +340,39 @@ fn merge_evicted(rows: &[Vec<f32>], keep: usize, total: usize) -> Vec<Vec<f32>> 
 
 // --- little-endian primitives -------------------------------------------
 
-fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
+/// Appends one value's little-endian bytes (`x.to_le_bytes()`).
+fn put<const N: usize>(w: &mut Vec<u8>, bytes: [u8; N]) {
+    w.extend_from_slice(&bytes);
 }
 
-fn put_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(w: &mut Vec<u8>, v: f32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(w: &mut Vec<u8>, v: f64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32_vec(w: &mut Vec<u8>, v: &[f32]) {
-    put_u64(w, v.len() as u64);
-    for &x in v {
-        put_f32(w, x);
-    }
-}
-
-fn put_f64_vec(w: &mut Vec<u8>, v: &[f64]) {
-    put_u64(w, v.len() as u64);
-    for &x in v {
-        put_f64(w, x);
-    }
+/// Appends a `u64` length prefix, then each element's `to_le` bytes.
+fn put_vec<T: Copy, const N: usize>(w: &mut Vec<u8>, v: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    put(w, (v.len() as u64).to_le_bytes());
+    v.iter().for_each(|&x| put(w, to_le(x)));
 }
 
 fn put_f32_matrix(w: &mut Vec<u8>, m: &[Vec<f32>]) {
-    put_u64(w, m.len() as u64);
+    put(w, (m.len() as u64).to_le_bytes());
     for row in m {
-        put_f32_vec(w, row);
+        put_vec(w, row, f32::to_le_bytes);
     }
 }
 
 fn put_str(w: &mut Vec<u8>, s: &str) {
-    put_u64(w, s.len() as u64);
+    put(w, (s.len() as u64).to_le_bytes());
     w.extend_from_slice(s.as_bytes());
 }
 
 fn put_run_result(w: &mut Vec<u8>, r: &RunResult) {
     put_str(w, &r.method);
-    put_f32_vec(w, &r.epoch_accuracy);
-    put_f64_vec(w, &r.epoch_time);
-    put_f64(w, r.breakdown.compute);
-    put_f64(w, r.breakdown.sync);
-    put_f64(w, r.breakdown.update);
-    put_f64(w, r.energy_joules);
-    put_f64(w, r.recovery_time);
-    put_f32_vec(w, &r.alpha_trace);
+    put_vec(w, &r.epoch_accuracy, f32::to_le_bytes);
+    put_vec(w, &r.epoch_time, f64::to_le_bytes);
+    put(w, r.breakdown.compute.to_le_bytes());
+    put(w, r.breakdown.sync.to_le_bytes());
+    put(w, r.breakdown.update.to_le_bytes());
+    put(w, r.energy_joules.to_le_bytes());
+    put(w, r.recovery_time.to_le_bytes());
+    put_vec(w, &r.alpha_trace, f32::to_le_bytes);
 }
 
 struct Reader<'a> {
@@ -401,21 +415,18 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f32_vec(&mut self) -> Result<Vec<f32>, String> {
+    /// A `u64` length prefix, then that many `item`s of `width` bytes.
+    fn vec<T>(
+        &mut self,
+        width: usize,
+        item: impl Fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
         let n = self.u64()? as usize;
-        // a length prefix can never exceed the remaining bytes / 4
-        if n > (self.buf.len() - self.pos) / 4 {
+        // a length prefix can never exceed the remaining bytes / width
+        if n > (self.buf.len() - self.pos) / width {
             return Err("truncated checkpoint (vector length)".into());
         }
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.u64()? as usize;
-        if n > (self.buf.len() - self.pos) / 8 {
-            return Err("truncated checkpoint (vector length)".into());
-        }
-        (0..n).map(|_| self.f64()).collect()
+        (0..n).map(|_| item(self)).collect()
     }
 
     fn f32_matrix(&mut self) -> Result<Vec<Vec<f32>>, String> {
@@ -423,7 +434,7 @@ impl<'a> Reader<'a> {
         if n > self.buf.len() - self.pos {
             return Err("truncated checkpoint (matrix length)".into());
         }
-        (0..n).map(|_| self.f32_vec()).collect()
+        (0..n).map(|_| self.vec(4, Self::f32)).collect()
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -435,8 +446,8 @@ impl<'a> Reader<'a> {
     fn run_result(&mut self) -> Result<RunResult, String> {
         Ok(RunResult {
             method: self.string()?,
-            epoch_accuracy: self.f32_vec()?,
-            epoch_time: self.f64_vec()?,
+            epoch_accuracy: self.vec(4, Self::f32)?,
+            epoch_time: self.vec(8, Self::f64)?,
             breakdown: Breakdown {
                 compute: self.f64()?,
                 sync: self.f64()?,
@@ -444,7 +455,7 @@ impl<'a> Reader<'a> {
             },
             energy_joules: self.f64()?,
             recovery_time: self.f64()?,
-            alpha_trace: self.f32_vec()?,
+            alpha_trace: self.vec(4, Self::f32)?,
         })
     }
 }
@@ -522,24 +533,66 @@ mod tests {
         }
     }
 
+    /// `body` with the checksum it would be saved with: a file that passes
+    /// the checksum, so the parser behind it is what a case exercises.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        body.extend_from_slice(&checksum(&body).to_le_bytes());
+        body
+    }
+
     /// Any one byte of a checkpoint set to 0x00, 0x80 or 0xFF parses or
     /// fails with a message, never a panic — and so does a string length
-    /// prefix of `u64::MAX`, whose end offset used to overflow.
+    /// prefix of `u64::MAX`, whose end offset used to overflow. Each case
+    /// is re-sealed with a matching checksum, so the fields are read.
     #[test]
     fn corrupt_bytes_never_panic() {
         let bytes = full_checkpoint().to_bytes().unwrap();
-        for i in 0..bytes.len() {
+        let body = &bytes[..bytes.len() - 8];
+        for i in 0..body.len() {
             for v in [0x00, 0x80, 0xFF] {
-                let mut bad = bytes.clone();
+                let mut bad = body.to_vec();
                 bad[i] = v;
-                let _ = Checkpoint::from_bytes(&bad);
+                let _ = Checkpoint::from_bytes(&sealed(bad));
             }
         }
-        let method = bytes.windows(4).position(|w| w == b"Ours").unwrap();
-        let mut bad = bytes;
+        let method = body.windows(4).position(|w| w == b"Ours").unwrap();
+        let mut bad = body.to_vec();
         bad[method - 8..method].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = Checkpoint::from_bytes(&bad).unwrap_err();
+        let err = Checkpoint::from_bytes(&sealed(bad)).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
+    }
+
+    /// No flipped bit and no cut gets past `from_bytes`: each is an `Err`
+    /// (past the 8-byte header, the checksum's), never a panic and never a
+    /// load. Every bit and every length of a small checkpoint, and bits and
+    /// lengths spread over a 160 KB one.
+    #[test]
+    fn a_flipped_bit_or_a_cut_file_is_refused() {
+        let mut big = Checkpoint::new(7, vec![vec![0.0; 10_000]; 4], 0.5);
+        for (r, row) in big.replicas.iter_mut().enumerate() {
+            for (i, w) in row.iter_mut().enumerate() {
+                *w = ((r * 10_000 + i) as f32 * 0.37).sin();
+            }
+        }
+        big.velocities = big.replicas.clone();
+        for (c, stride) in [(full_checkpoint(), 1), (big, 997)] {
+            let bytes = c.to_bytes().unwrap();
+            assert_eq!(Checkpoint::from_bytes(&bytes).unwrap(), c);
+            for bit in (0..bytes.len() * 8).step_by(stride) {
+                let mut bad = bytes.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                let err = Checkpoint::from_bytes(&bad).unwrap_err();
+                if bit >= 64 {
+                    assert!(err.contains("checksum"), "bit {bit}: {err}");
+                }
+            }
+            for cut in (0..bytes.len()).step_by(stride) {
+                assert!(
+                    Checkpoint::from_bytes(&bytes[..cut]).is_err(),
+                    "cut at {cut}"
+                );
+            }
+        }
     }
 
     #[test]

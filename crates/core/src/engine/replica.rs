@@ -43,7 +43,8 @@ fn optimizer_for(net: &Network, lr: f32) -> Sgd {
 /// One job on one thread from the first layer's forward to the optimizer:
 /// everything the step makes on the way is borrowed from that thread's step
 /// scratch ([`socflow_tensor::pool`]) and back there when this returns —
-/// the logits and the loss gradient from here, the rest by the layers — so
+/// the logits and the loss gradient from here, the rest by the layers and
+/// the optimizer — so
 /// after its thread's first step of a shape a step allocates nothing. The
 /// backward pass stops at the first parameterised layer: nobody reads the
 /// gradient with respect to the images.
@@ -60,7 +61,7 @@ fn sgd_step(
     pool::recycle(logits);
     net.backward_parameters(&grad, mode);
     pool::recycle(grad);
-    opt.step_zero_grad(net);
+    opt.step(net);
     l
 }
 
@@ -139,7 +140,7 @@ impl Replica {
     /// disjoint batch parts from the same starting weights, then merge
     /// (paper Eq. 5). Four passes over the model, each parameter by
     /// parameter in its own storage: the INT8 arm takes the merged
-    /// weights, either arm steps and clears its gradients, the merge.
+    /// weights, either arm steps (on the thread's one gradient set), the merge.
     ///
     /// # Panics
     /// Panics if the replica was built without the INT8 arm.

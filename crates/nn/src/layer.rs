@@ -1,5 +1,5 @@
 use serde::{Deserialize, Serialize};
-use socflow_tensor::{pool, Tensor};
+use socflow_tensor::{pool, quant, Tensor};
 
 /// Numeric precision a forward/backward pass executes in.
 ///
@@ -44,20 +44,50 @@ impl Mode {
     }
 }
 
-/// A learnable tensor together with its accumulated gradient.
+/// A learnable tensor together with the gradient of the step in flight.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Parameter {
     /// Current value.
     pub value: Tensor,
-    /// Gradient accumulated by the most recent backward pass(es).
-    pub grad: Tensor,
+    /// This step's gradient, borrowed from the step scratch until the
+    /// optimizer hands it back; `None` (read as all `+0.0`) between steps.
+    pub grad: Option<Tensor>,
 }
 
 impl Parameter {
-    /// Wraps an initialized value with a zeroed gradient of the same shape.
+    /// Wraps an initialized value, with no gradient.
     pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape().clone());
-        Parameter { value, grad }
+        Parameter { value, grad: None }
+    }
+
+    /// Adds `g`, a step-scratch tensor of the parameter's shape, to this
+    /// step's gradient — plus [`quant::gradient_quant_noise_into`] with
+    /// `seed` at INT8, modelling low-precision gradient storage on the NPU.
+    /// A step's first `g` becomes the gradient as `+0.0 + g`, the bits
+    /// adding it to a zero tensor gives; a later one is added and handed
+    /// back. Panics on a shape mismatch.
+    pub fn accumulate_grad(&mut self, g: Tensor, precision: Precision, seed: u64) {
+        assert_eq!(g.shape(), self.value.shape(), "gradient shape mismatch");
+        let mut g = match precision {
+            Precision::Fp32 => g,
+            Precision::Int8 => {
+                let mut noisy = pool::tensor(g.shape().clone());
+                quant::gradient_quant_noise_into(&g, seed, &mut noisy);
+                pool::recycle(g);
+                noisy
+            }
+        };
+        match &mut self.grad {
+            Some(grad) => {
+                grad.add_inplace(&g);
+                pool::recycle(g);
+            }
+            None => {
+                // not a no-op: `−0.0 + 0.0` is `+0.0`
+                g.data_mut().iter_mut().for_each(|x| *x += 0.0);
+                self.grad = Some(g);
+            }
+        }
     }
 
     /// Number of scalar elements in the parameter.
@@ -81,11 +111,12 @@ impl Parameter {
 /// second training `forward` with no `backward` in between.
 ///
 /// **Whose memory.** Everything a layer makes during a pass — its output,
-/// its input gradient, what it caches, its staging — is borrowed from the
-/// calling thread's step scratch ([`socflow_tensor::pool`]). The tensors it
-/// returns are the caller's, to hand back once consumed ([`Network`]
-/// does); what it caches it hands back by the end of `backward`. Between
-/// steps a layer owns its parameters, their gradients and its running
+/// its input gradient, what it caches, its staging, its parameters'
+/// gradients — is borrowed from the calling thread's step scratch
+/// ([`socflow_tensor::pool`]). The tensors it returns are the caller's, to
+/// hand back once consumed ([`Network`] does); what it caches it hands
+/// back by the end of `backward`; the gradients go back with the optimizer
+/// step. Between steps a layer owns its parameters' values and its running
 /// state, nothing else.
 ///
 /// `Send + Sync` is part of the contract: replicas move across the worker
@@ -99,7 +130,7 @@ pub trait Layer: Send + Sync {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
 
     /// Propagates `grad_out` backwards, accumulating parameter gradients
-    /// (into [`Parameter::grad`]), and hands the caches of the training
+    /// ([`Parameter::accumulate_grad`]), and hands the caches of the training
     /// forward back ([`Layer::release`]). Returns the input gradient when
     /// `want_gx`, and `None` — without computing it — when nobody
     /// will read it: the first parameterised layer of a training step.
@@ -228,13 +259,35 @@ impl Clone for Box<dyn Layer> {
 mod tests {
     use super::*;
 
+    /// A parameter holds a gradient from its first backward pass to the
+    /// optimizer step, and none outside that window.
     #[test]
     fn parameter_tracks_shapes() {
+        use crate::layers::Linear;
+        use crate::optim::Sgd;
+        use crate::{loss, Network};
+        use rand::{rngs::StdRng, SeedableRng};
+
         let p = Parameter::new(Tensor::ones([2, 3]));
         assert_eq!(p.len(), 6);
         assert!(!p.is_empty());
-        assert_eq!(p.grad.shape(), p.value.shape());
-        assert_eq!(p.grad.sum(), 0.0);
+        assert!(p.grad.is_none(), "no gradient at construction");
+
+        let mut net = Network::new(vec![Box::new(Linear::new(
+            3,
+            2,
+            &mut StdRng::seed_from_u64(1),
+        ))]);
+        net.for_each_parameter(|p| assert!(p.grad.is_none()));
+        let mode = Mode::train(Precision::Fp32);
+        let logits = net.forward(&Tensor::ones([4, 3]), mode);
+        let (_, g) = loss::softmax_cross_entropy(&logits, &[0, 1, 1, 0]);
+        net.backward_parameters(&g, mode);
+        net.for_each_parameter(|p| {
+            assert_eq!(p.grad.as_ref().map(Tensor::shape), Some(p.value.shape()));
+        });
+        Sgd::new(0.1, 0.9, 5e-4).step(&mut net);
+        net.for_each_parameter(|p| assert!(p.grad.is_none(), "none after the step"));
     }
 
     #[test]

@@ -1,5 +1,4 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::accumulate_grad;
 use rand::Rng;
 use socflow_tensor::conv::{conv2d, conv2d_backward, conv2d_int8, ConvCache, ConvParams};
 use socflow_tensor::{init, Shape, Tensor};
@@ -96,7 +95,7 @@ impl Layer for Conv2d {
             self.step += 1.0;
         }
         let seed = (self.step as u64).wrapping_mul(0xC2B2);
-        accumulate_grad(&mut self.weight, gw, mode.precision, seed);
+        self.weight.accumulate_grad(gw, mode.precision, seed);
         gx
     }
 
@@ -184,9 +183,9 @@ mod tests {
             c.weight.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             assert!(
-                (num - c.weight.grad.data()[idx]).abs() < 3e-2,
+                (num - c.weight.grad.as_ref().unwrap().data()[idx]).abs() < 3e-2,
                 "dW[{idx}]: {num} vs {}",
-                c.weight.grad.data()[idx]
+                c.weight.grad.as_ref().unwrap().data()[idx]
             );
         }
     }
@@ -271,19 +270,21 @@ mod tests {
                 bits(&c1.forward(&other, eval)),
                 "step {step}: eval forward in between"
             );
-            c3.weight.grad.data_mut().fill(0.0);
-            c1.weight.grad.data_mut().fill(0.0);
+            c3.weight.grad = None;
+            c1.weight.grad = None;
             let gx3 = c3.backward(&gy, train, true).unwrap();
             let gx1 = c1.backward(&gy, train, true).unwrap();
             assert_eq!(bits(&gx3), bits(&gx1), "step {step}: dX");
             assert_eq!(
-                bits(&centre_taps(&c3.weight.grad)),
-                bits(&c1.weight.grad),
+                bits(&centre_taps(c3.weight.grad.as_ref().unwrap())),
+                bits(c1.weight.grad.as_ref().unwrap()),
                 "step {step}: dW"
             );
             let dead = c3
                 .weight
                 .grad
+                .as_ref()
+                .unwrap()
                 .data()
                 .iter()
                 .enumerate()
@@ -314,6 +315,8 @@ mod tests {
         let dead = c
             .weight
             .grad
+            .as_ref()
+            .unwrap()
             .data()
             .iter()
             .enumerate()

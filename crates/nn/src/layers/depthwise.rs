@@ -1,5 +1,5 @@
 use crate::layer::{Layer, Mode, Parameter};
-use crate::layers::{accumulate_grad, staged};
+use crate::layers::staged;
 use rand::Rng;
 use socflow_tensor::conv::ConvParams;
 use socflow_tensor::{init, pool, Tensor};
@@ -141,7 +141,7 @@ impl Layer for DepthwiseConv2d {
             }
         }
         pool::recycle(x);
-        accumulate_grad(&mut self.weight, gw_t, mode.precision, 0xD3AD);
+        self.weight.accumulate_grad(gw_t, mode.precision, 0xD3AD);
         gx_t
     }
 
@@ -256,9 +256,9 @@ mod tests {
             dw.weight.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
             assert!(
-                (num - dw.weight.grad.data()[idx]).abs() < 3e-2,
+                (num - dw.weight.grad.as_ref().unwrap().data()[idx]).abs() < 3e-2,
                 "dW[{idx}]: {num} vs {}",
-                dw.weight.grad.data()[idx]
+                dw.weight.grad.as_ref().unwrap().data()[idx]
             );
         }
     }

@@ -1,5 +1,4 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
-use crate::layers::accumulate_grad;
 use rand::Rng;
 use socflow_tensor::quant::{self, QuantParams};
 use socflow_tensor::{init, linalg, pool, Tensor};
@@ -109,18 +108,10 @@ impl Layer for Linear {
             self.step += 1.0;
         }
         let step = self.step as u64;
-        accumulate_grad(
-            &mut self.weight,
-            gw,
-            mode.precision,
-            step.wrapping_mul(0x9E37),
-        );
-        accumulate_grad(
-            &mut self.bias,
-            gb,
-            mode.precision,
-            step.wrapping_mul(0x79B9),
-        );
+        self.weight
+            .accumulate_grad(gw, mode.precision, step.wrapping_mul(0x9E37));
+        self.bias
+            .accumulate_grad(gb, mode.precision, step.wrapping_mul(0x79B9));
         want_gx.then(|| {
             let mut gx = pool::tensor([grad_out.shape().dim(0), self.in_features]);
             linalg::matmul_a_bt_into(grad_out, &self.weight.value, &mut gx);
@@ -214,7 +205,10 @@ mod tests {
             let lm = loss(&mut l, &x);
             l.weight.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
-            assert!((num - l.weight.grad.data()[idx]).abs() < 1e-2, "dW[{idx}]");
+            assert!(
+                (num - l.weight.grad.as_ref().unwrap().data()[idx]).abs() < 1e-2,
+                "dW[{idx}]"
+            );
         }
     }
 
@@ -274,9 +268,9 @@ mod tests {
         let y = l.forward(&x, mode);
         let g = Tensor::ones(y.shape().clone());
         l.backward(&g, mode, true);
-        let g1 = l.weight.grad.clone();
+        let g1 = l.weight.grad.clone().unwrap();
         l.forward(&x, mode);
         l.backward(&g, mode, true);
-        assert_eq!(l.weight.grad, g1.scale(2.0));
+        assert_eq!(l.weight.grad, Some(g1.scale(2.0)));
     }
 }

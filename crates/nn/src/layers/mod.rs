@@ -19,4 +19,4 @@ pub use norm::BatchNorm2d;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use reshape::Flatten;
 pub use residual::Residual;
-pub(crate) use staging::{accumulate_grad, mapped, product, staged};
+pub(crate) use staging::{mapped, product, staged};

@@ -144,6 +144,10 @@ impl Layer for BatchNorm2d {
         let gy = grad_out.data();
         let xh = cache.xhat.data();
         let mut gx = want_gx.then(|| pool::tensor(grad_out.shape().clone()));
+        // the gradients this step accumulates into: zeroed scratch if none
+        // has arrived yet, so each `+=` below is the one it always was
+        let g_gamma = self.gamma.grad.get_or_insert_with(|| pool::zeroed([c]));
+        let g_beta = self.beta.grad.get_or_insert_with(|| pool::zeroed([c]));
 
         for ci in 0..c {
             // channel-wise sums
@@ -155,8 +159,8 @@ impl Layer for BatchNorm2d {
                     sum_gy_xh += gy * xh;
                 }
             }
-            self.gamma.grad.data_mut()[ci] += sum_gy_xh;
-            self.beta.grad.data_mut()[ci] += sum_gy;
+            g_gamma.data_mut()[ci] += sum_gy_xh;
+            g_beta.data_mut()[ci] += sum_gy;
 
             let Some(gx) = &mut gx else { continue };
             let g = self.gamma.value.data()[ci];
@@ -368,8 +372,13 @@ mod tests {
                         sum_gy_xh += gy[i] * xh[i];
                     }
                 }
-                bn.gamma.grad.data_mut()[ci] += sum_gy_xh;
-                bn.beta.grad.data_mut()[ci] += sum_gy;
+                // the gradients as they stood: resident, zeroed, added to
+                for (p, sum) in [(&mut bn.gamma, sum_gy_xh), (&mut bn.beta, sum_gy)] {
+                    let shape = p.value.shape().clone();
+                    p.grad
+                        .get_or_insert_with(|| Tensor::zeros(shape))
+                        .data_mut()[ci] += sum;
+                }
                 let g = bn.gamma.value.data()[ci];
                 let k = g * inv_stds[ci] / per;
                 for ni in 0..n {
@@ -457,7 +466,8 @@ mod tests {
                         "the cache goes back with the backward"
                     );
                     for (a, b) in new.parameters().iter().zip(old.parameters()) {
-                        assert_eq!(bits(a.grad.data()), bits(b.grad.data()), "{what}: grads");
+                        let (a, b) = (a.grad.as_ref().unwrap(), b.grad.as_ref().unwrap());
+                        assert_eq!(bits(a.data()), bits(b.data()), "{what}: grads");
                     }
                     assert_eq!(bits(&new.running_mean), bits(&old.running_mean), "{what}");
                     assert_eq!(bits(&new.running_var), bits(&old.running_var), "{what}");

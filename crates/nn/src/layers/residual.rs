@@ -195,7 +195,10 @@ mod tests {
         assert_eq!(gx.shape(), x.shape());
         assert!(gx.sum().is_finite());
         // parameter grads must be populated
-        assert!(r.parameters().iter().any(|p| p.grad.l2_norm() > 0.0));
+        assert!(r
+            .parameters()
+            .iter()
+            .any(|p| p.grad.as_ref().is_some_and(|g| g.l2_norm() > 0.0)));
     }
 
     #[test]

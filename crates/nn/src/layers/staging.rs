@@ -1,7 +1,7 @@
-//! What the layers share of a pass's staging: quantized operand copies,
-//! masked gradients, gradient accumulation — all on the step scratch.
+//! What the layers share of a pass's staging: quantized operand copies and
+//! masked gradients, all on the step scratch.
 
-use crate::layer::{Parameter, Precision};
+use crate::layer::Precision;
 use socflow_tensor::quant;
 use socflow_tensor::{pool, Tensor};
 
@@ -46,19 +46,4 @@ pub(crate) fn product(a: &Tensor, b: &Tensor) -> Tensor {
         *o = x * y;
     }
     out
-}
-
-/// `param.grad += g` — plus [`quant::gradient_quant_noise_into`] with
-/// `seed` when the pass is INT8, modelling low-precision gradient storage on
-/// the NPU — and hands `g` back to the step scratch.
-pub(crate) fn accumulate_grad(param: &mut Parameter, g: Tensor, precision: Precision, seed: u64) {
-    if precision == Precision::Int8 {
-        let mut noisy = pool::tensor(g.shape().clone());
-        quant::gradient_quant_noise_into(&g, seed, &mut noisy);
-        param.grad.add_inplace(&noisy);
-        pool::recycle(noisy);
-    } else {
-        param.grad.add_inplace(&g);
-    }
-    pool::recycle(g);
 }

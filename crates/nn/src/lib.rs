@@ -11,7 +11,9 @@
 //! - [`Layer`]: the forward/backward/parameters contract; layers cache what
 //!   their backward needs — in buffers borrowed from the calling thread's
 //!   step scratch ([`socflow_tensor::pool`]) and handed back by the end of
-//!   `backward`, which is told whether its input gradient is wanted.
+//!   `backward`, which is told whether its input gradient is wanted. The
+//!   parameter gradients are borrowed the same way and go back with the
+//!   optimizer step: between steps a network holds no gradient.
 //! - [`Network`]: an owned stack of layers with flat parameter and state
 //!   views, the unit that SoC workers replicate and synchronize.
 //! - [`GradReady`] / [`Network::grad_layout`]: the flat-gradient layout
@@ -29,7 +31,8 @@
 //!   walking the table; plus the *reference* (full-size) parameter counts
 //!   used by the cluster simulator for communication volume.
 //! - [`loss`]: softmax cross-entropy with logits.
-//! - [`optim::Sgd`]: SGD with momentum and weight decay.
+//! - [`optim::Sgd`]: SGD with momentum and weight decay; a step consumes
+//!   the gradients.
 //!
 //! ## Example: two SGD steps on a tiny MLP
 //!
@@ -53,8 +56,7 @@
 //!     let (l, grad) = loss::softmax_cross_entropy(&logits, &y);
 //!     assert!(l.is_finite());
 //!     net.backward(&grad, Mode::train(Precision::Fp32));
-//!     opt.step(&mut net);
-//!     net.zero_grad();
+//!     opt.step(&mut net); // and the gradients go back to the scratch
 //! }
 //! ```
 

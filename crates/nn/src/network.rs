@@ -255,9 +255,10 @@ impl Network {
         count
     }
 
-    /// Zeroes all accumulated gradients.
+    /// Hands every gradient back to the step scratch (zero again); a no-op
+    /// after [`crate::optim::Sgd::step`], which does so itself.
     pub fn zero_grad(&mut self) {
-        self.for_each_parameter_mut(|p| p.grad.fill_zero());
+        self.for_each_parameter_mut(|p| pool::recycle_all(p.grad.take()));
     }
 
     /// Concatenates all parameter values into one flat vector.
@@ -324,11 +325,15 @@ impl Network {
         });
     }
 
-    /// All gradients concatenated in layer order, for the unit tests.
+    /// All gradients concatenated in layer order, zeros for a parameter
+    /// that holds none, for the unit tests.
     #[cfg(test)]
     pub(crate) fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::new();
-        self.for_each_parameter(|p| out.extend_from_slice(p.grad.data()));
+        self.for_each_parameter(|p| match &p.grad {
+            Some(g) => out.extend_from_slice(g.data()),
+            None => out.resize(out.len() + p.len(), 0.0),
+        });
         out
     }
 

@@ -2,9 +2,9 @@
 //! INT8 path's integer optimizer is modelled by the gradient quantization in
 //! the layers, so the update rule itself is shared.
 
-use crate::{Network, Parameter};
+use crate::Network;
 use socflow_tensor::sweep::{self, SgdStep};
-use socflow_tensor::Tensor;
+use socflow_tensor::{pool, Tensor};
 
 /// Stochastic gradient descent with classical momentum and (decoupled) L2
 /// weight decay:
@@ -107,7 +107,8 @@ impl Sgd {
         }
     }
 
-    /// Applies one update step using the gradients accumulated in `net`.
+    /// Applies one update step using the gradients accumulated in `net`
+    /// (all `+0.0` for a parameter that has none) and hands them back.
     ///
     /// The first call lazily allocates one velocity buffer per parameter;
     /// the parameter structure must not change between calls.
@@ -115,29 +116,6 @@ impl Sgd {
     /// # Panics
     /// Panics if the network's parameter count changed since the first step.
     pub fn step(&mut self, net: &mut Network) {
-        self.step_with(net, |p, v, h| {
-            sweep::sgd_momentum(p.value.data_mut(), p.grad.data(), v, h)
-        });
-    }
-
-    /// [`Sgd::step`] followed by [`Network::zero_grad`], as one pass over
-    /// each parameter instead of two.
-    ///
-    /// # Panics
-    /// Panics if the network's parameter count changed since the first step.
-    pub fn step_zero_grad(&mut self, net: &mut Network) {
-        self.step_with(net, |p, v, h| {
-            sweep::sgd_momentum_zero_grad(p.value.data_mut(), p.grad.data_mut(), v, h)
-        });
-    }
-
-    /// One step: `update` on every parameter of `net` and its velocity
-    /// buffer.
-    fn step_with(
-        &mut self,
-        net: &mut Network,
-        update: impl Fn(&mut Parameter, &mut [f32], SgdStep),
-    ) {
         const CHANGED: &str = "parameter structure changed between optimizer steps";
         self.ensure_velocity(net);
         let h = SgdStep {
@@ -146,7 +124,15 @@ impl Sgd {
             weight_decay: self.weight_decay,
         };
         let mut velocity = self.velocity.iter_mut();
-        net.for_each_parameter_mut(|p| update(p, velocity.next().expect(CHANGED).data_mut(), h));
+        net.for_each_parameter_mut(|p| {
+            let v = velocity.next().expect(CHANGED).data_mut();
+            let g = p
+                .grad
+                .take()
+                .unwrap_or_else(|| pool::zeroed(p.value.shape().clone()));
+            sweep::sgd_momentum(p.value.data_mut(), g.data(), v, h);
+            pool::recycle(g);
+        });
         assert!(velocity.next().is_none(), "{CHANGED}");
     }
 }
@@ -247,20 +233,77 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `Sgd::step` does what a `zero_grad` after it did: it hands every
+    /// gradient back. And a second step with no backward pass in between is
+    /// a step on all-`+0.0` gradients.
     #[test]
     fn fused_step_is_step_then_zero_grad() {
         let (mut a, mut b) = (net_with_grads(), net_with_grads());
         let (mut opt_a, mut opt_b) = (Sgd::new(0.1, 0.9, 5e-4), Sgd::new(0.1, 0.9, 5e-4));
         for _ in 0..3 {
             opt_a.step(&mut a);
+            a.for_each_parameter(|p| assert!(p.grad.is_none()));
             a.zero_grad();
-            opt_b.step_zero_grad(&mut b);
+            opt_b.step(&mut b);
             assert_eq!(bits(&a.flat_weights()), bits(&b.flat_weights()));
             assert_eq!(bits(&opt_a.flat_velocity()), bits(&opt_b.flat_velocity()));
-            assert_eq!(bits(&b.flat_grads()), bits(&[0.0; 6]));
             // the next round steps on real gradients again
             backprop(&mut a);
             backprop(&mut b);
+        }
+        // no gradient, or an explicit zero one: the same step
+        let mut zeroed = a.clone();
+        let mut opt_zeroed = opt_a.clone();
+        a.zero_grad();
+        zeroed.for_each_parameter_mut(|p| p.grad = Some(Tensor::zeros(p.value.shape().clone())));
+        opt_a.step(&mut a);
+        opt_zeroed.step(&mut zeroed);
+        assert_eq!(bits(&a.flat_weights()), bits(&zeroed.flat_weights()));
+        assert_eq!(
+            bits(&opt_a.flat_velocity()),
+            bits(&opt_zeroed.flat_velocity())
+        );
+    }
+
+    /// Two networks of one architecture stepping in turn on one thread
+    /// hold their gradients in the same storage: one set per thread, not
+    /// one per network.
+    #[test]
+    fn networks_stepping_in_turn_share_one_gradient_set() {
+        let grad_ptrs = |net: &Network| {
+            let mut out = Vec::new();
+            net.for_each_parameter(|p| out.push(p.grad.as_ref().unwrap().data().as_ptr()));
+            out
+        };
+        // gradient lengths 15, 5, 10 and 2 are no activation's (7 × 3, 7 × 5, 7 × 2)
+        let net = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            Network::new(vec![
+                Box::new(Linear::new(3, 5, &mut rng)),
+                Box::new(crate::layers::Relu::new()),
+                Box::new(Linear::new(5, 2, &mut rng)),
+            ])
+        };
+        let (mut a, mut b) = (net(1), net(2));
+        let (mut opt_a, mut opt_b) = (Sgd::new(0.1, 0.9, 5e-4), Sgd::new(0.1, 0.9, 5e-4));
+        let x = Tensor::from_vec((0..21).map(|i| i as f32 * 0.1 - 1.0).collect(), [7, 3]);
+        let pass = |net: &mut Network| {
+            let mode = Mode::train(Precision::Fp32);
+            let logits = net.forward(&x, mode);
+            let (_, g) = loss::softmax_cross_entropy(&logits, &[0, 1, 1, 0, 1, 0, 0]);
+            net.backward_parameters(&g, mode);
+            socflow_tensor::pool::recycle_all([logits, g]);
+        };
+        pass(&mut a);
+        let first = grad_ptrs(&a);
+        opt_a.step(&mut a);
+        for _ in 0..2 {
+            pass(&mut b);
+            assert_eq!(grad_ptrs(&b), first);
+            opt_b.step(&mut b);
+            pass(&mut a);
+            assert_eq!(grad_ptrs(&a), first);
+            opt_a.step(&mut a);
         }
     }
 

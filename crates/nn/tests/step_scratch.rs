@@ -16,6 +16,14 @@
 //! between. Each sequence is run on fresh allocations
 //! ([`pool::transient`]) and then twice on the scratch — whose parked
 //! buffers this build poisons with NaN — and must observe the same bits.
+//!
+//! **Gradients are step scratch.** A parameter holds no gradient between
+//! steps: the first backward pass of a step adopts its gradient buffer, a
+//! second adds onto it, and the optimizer hands it back. The gradients,
+//! weights and momentum must be the bits the resident gradient gave — an
+//! all-`+0.0` tensor from construction, each pass added into it, the step
+//! reading it and zeroing it — signed zeros, infinities and NaN payloads
+//! included.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,8 +32,10 @@ use socflow_nn::layers::{
     BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu, Residual,
 };
 use socflow_nn::models::{ModelConfig, ModelKind};
-use socflow_nn::{Layer, Mode, Network, Precision};
-use socflow_tensor::{init, pool, Tensor};
+use socflow_nn::optim::Sgd;
+use socflow_nn::{Layer, Mode, Network, Parameter, Precision};
+use socflow_tensor::sweep::{self, SgdStep};
+use socflow_tensor::{init, pool, quant, Tensor};
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -34,7 +44,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// Every parameter gradient of `net`, in layer order.
 fn grads(net: &Network) -> Vec<f32> {
     let mut out = Vec::new();
-    net.for_each_parameter(|p| out.extend_from_slice(p.grad.data()));
+    net.for_each_parameter(|p| out.extend_from_slice(p.grad.as_ref().unwrap().data()));
     out
 }
 
@@ -254,5 +264,152 @@ fn passes_interleave_on_one_thread() {
             }
             seen
         });
+    }
+}
+
+/// A parameterised layer whose `k`-th backward pass hands its parameter
+/// `given[k]`, through [`Parameter::accumulate_grad`] as every layer does,
+/// with the pass count as the INT8 noise seed.
+#[derive(Clone)]
+struct Given {
+    param: Parameter,
+    given: Vec<Tensor>,
+    passes: usize,
+}
+
+impl Layer for Given {
+    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+        pool::copy_of(input)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor, mode: Mode, want_gx: bool) -> Option<Tensor> {
+        let g = pool::copy_of(&self.given[self.passes]);
+        self.passes += 1;
+        self.param
+            .accumulate_grad(g, mode.precision, self.passes as u64);
+        want_gx.then(|| pool::copy_of(grad_out))
+    }
+
+    fn visit_parameters<'a>(&'a self, visit: &mut dyn FnMut(&'a Parameter)) {
+        visit(&self.param);
+    }
+
+    fn visit_parameters_mut<'a>(&'a mut self, visit: &mut dyn FnMut(&'a mut Parameter)) {
+        visit(&mut self.param);
+    }
+
+    fn describe(&self) -> String {
+        "given".into()
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+/// `len` values, about one in three of them special: signed zeros, a
+/// subnormal, infinities when `infinite` — and NaNs of several payloads (a
+/// signalling one among them) when `nan` says so for the index. Index 0 is
+/// `−0.0`, the value whose sign the adoption's `+0.0 + g` decides.
+fn sprinkled_values(
+    len: usize,
+    rng: &mut StdRng,
+    infinite: bool,
+    nan: impl Fn(usize) -> bool,
+) -> Vec<f32> {
+    use rand::Rng;
+    let specials = [
+        0.0,
+        -0.0,
+        f32::MIN_POSITIVE / 8.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    let specials = &specials[..if infinite { 5 } else { 3 }];
+    let nans = [
+        f32::NAN,
+        f32::from_bits(0x7FC0_1234),
+        f32::from_bits(0xFFC0_0042),
+        f32::from_bits(0x7F80_0001),
+    ];
+    (0..len)
+        .map(|i| match (i, rng.gen_range(0..6)) {
+            (0, _) => -0.0,
+            (_, 0) if nan(i) => nans[rng.gen_range(0..nans.len())],
+            (_, 0 | 1) => specials[rng.gen_range(0..specials.len())],
+            _ => rng.gen_range(-2.0f32..2.0),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The adopted gradient against the resident one it replaced, over two
+    /// steps of one or two backward passes each, at both precisions.
+    #[test]
+    fn an_adopted_gradient_steps_as_the_resident_one_did(
+        seed in 0u64..1_000_000,
+        len in 1usize..40,
+        passes in 1usize..3,
+        int8 in 0u8..2,
+    ) {
+        let precision = [Precision::Fp32, Precision::Int8][int8 as usize];
+        let steps = 2;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w0 = sprinkled_values(len, &mut rng, true, |_| false);
+        let v0 = sprinkled_values(len, &mut rng, true, |_| false);
+        // a NaN in one pass's gradient per index: what NaN + NaN gives
+        // depends on operand order, which is not part of the contract. And
+        // no infinity at INT8: it would scale the noise to NaN everywhere
+        let infinite = precision == Precision::Fp32;
+        let given: Vec<Tensor> = (0..steps * passes)
+            .map(|k| {
+                let nan = |i| i % (steps * passes) == k;
+                Tensor::from_vec(sprinkled_values(len, &mut rng, infinite, nan), [len])
+            })
+            .collect();
+        let (lr, momentum, weight_decay) = (0.05, 0.9, 5e-4);
+
+        let layer = Given {
+            param: Parameter::new(Tensor::from_vec(w0.clone(), [len])),
+            given: given.clone(),
+            passes: 0,
+        };
+        let mut net = Network::new(vec![Box::new(layer)]);
+        let mut opt = Sgd::new(lr, momentum, weight_decay);
+        opt.ensure_velocity(&net);
+        opt.set_flat_velocity(&v0);
+
+        // the resident gradient: zero from construction, added into, read,
+        // zeroed
+        let h = SgdStep { lr, momentum, weight_decay };
+        let (mut w, mut v, mut resident) = (w0, v0, Tensor::zeros([len]));
+        let mode = Mode::train(precision);
+        let what = format!("seed {seed}, length {len}, {passes} passes, {precision:?}");
+        for (step, step_given) in given.chunks(passes).enumerate() {
+            for (k, g) in step_given.iter().enumerate() {
+                let pass = step * passes + k;
+                match precision {
+                    Precision::Fp32 => resident.add_inplace(g),
+                    Precision::Int8 => {
+                        let mut noisy = Tensor::zeros([len]);
+                        quant::gradient_quant_noise_into(g, pass as u64 + 1, &mut noisy);
+                        resident.add_inplace(&noisy);
+                    }
+                }
+                let y = net.forward(&Tensor::zeros([1]), mode);
+                net.backward_parameters(&y, mode);
+                pool::recycle(y);
+            }
+            let adopted = net.parameters()[0].grad.as_ref().map(|g| bits(g.data()));
+            prop_assert_eq!(adopted, Some(bits(resident.data())), "{}, step {}: gradient", what, step);
+            sweep::sgd_momentum(&mut w, resident.data(), &mut v, h);
+            resident.fill_zero();
+            opt.step(&mut net);
+            prop_assert!(net.parameters()[0].grad.is_none(), "{}: handed back", what);
+            prop_assert_eq!(bits(&net.flat_weights()), bits(&w), "{}, step {}: weights", what, step);
+            prop_assert_eq!(bits(&opt.flat_velocity()), bits(&v), "{}, step {}: momentum", what, step);
+        }
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! A step — forward, loss, backward, optimizer — is one job on one thread,
 //! and it asks for the same buffer sizes every time: activations, patch
-//! matrices, masks, GEMM staging, weight-gradient staging. A layer
+//! matrices, masks, GEMM staging, the parameter gradients. A layer
 //! [`take`]s what it needs and [`give`]s it back by the end of its
-//! `backward`; between steps a network owns its parameters, gradients,
-//! optimizer state and running statistics and nothing else, so the scratch
-//! a process holds follows the steps in flight (its threads), not the
-//! networks it keeps (`groups × 2` in a mixed-precision run).
+//! `backward`, except the gradients, which the optimizer gives back; between
+//! steps a network owns its parameters' values, optimizer state and running
+//! statistics and nothing else, so the scratch a process holds follows the
+//! steps in flight (its threads, one gradient set each), not the networks
+//! it keeps (`groups × 2` in a mixed-precision run).
 //!
 //! ## Rules
 //!

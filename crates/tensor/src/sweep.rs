@@ -2,9 +2,8 @@
 //! aggregation make over a model's parameters, each one in-place pass over
 //! the caller's own slices.
 //!
-//! - [`sgd_momentum`] / [`sgd_momentum_zero_grad`]: the SGD-with-momentum
-//!   update over one parameter's `(w, g, v)`, the second zeroing `g` in the
-//!   same pass;
+//! - [`sgd_momentum`]: the SGD-with-momentum update over one parameter's
+//!   `(w, g, v)`;
 //! - [`lerp`]: the CPU/NPU weight merge of the paper's Eq. 5;
 //! - [`replica_mean`]: the delayed aggregation's mean over one tensor of
 //!   every replica, written back into all of them.
@@ -49,19 +48,6 @@ fn sgd_momentum_body(w: &mut [f32], g: &[f32], v: &mut [f32], h: SgdStep) {
     }
 }
 
-isa_kernel! {
-    fn sgd_momentum_zero_grad_slices(w: &mut [f32], g: &mut [f32], v: &mut [f32], h: SgdStep)
-        = sgd_momentum_zero_grad_body;
-}
-
-#[inline(always)]
-fn sgd_momentum_zero_grad_body(w: &mut [f32], g: &mut [f32], v: &mut [f32], h: SgdStep) {
-    for ((w, g), v) in w.iter_mut().zip(g).zip(v) {
-        sgd_element(w, *g, v, h);
-        *g = 0.0;
-    }
-}
-
 /// SGD with classical momentum and L2 weight decay over one parameter:
 /// `v ← μ·v + (g + λ·w)`, then `w ← w − lr·v`, element by element.
 ///
@@ -73,20 +59,6 @@ pub fn sgd_momentum(w: &mut [f32], g: &[f32], v: &mut [f32], h: SgdStep) {
         "sgd_momentum: value, gradient and velocity lengths differ"
     );
     sgd_momentum_slices(Isa::active(), w, g, v, h);
-}
-
-/// [`sgd_momentum`] that also leaves `g` all `+0.0`, in the same pass — the
-/// step and the `zero_grad` after it touch the gradient once instead of
-/// twice.
-///
-/// # Panics
-/// Panics if the three slices differ in length.
-pub fn sgd_momentum_zero_grad(w: &mut [f32], g: &mut [f32], v: &mut [f32], h: SgdStep) {
-    assert!(
-        w.len() == g.len() && w.len() == v.len(),
-        "sgd_momentum_zero_grad: value, gradient and velocity lengths differ"
-    );
-    sgd_momentum_zero_grad_slices(Isa::active(), w, g, v, h);
 }
 
 isa_kernel! {
@@ -255,8 +227,8 @@ mod tests {
     };
 
     /// Every sweep on `isa` over edge-valued inputs of `len` elements, as
-    /// comparable bits: SGD `(w, v)`, fused SGD `(w, g, v)`, lerp, and the
-    /// mean over 1, 3 and 4 rows.
+    /// comparable bits: SGD `(w, v)`, lerp, and the mean over 1, 3 and 4
+    /// rows.
     fn all_sweeps(isa: Isa, len: usize) -> Vec<Vec<u32>> {
         let (w0, g0, v0) = (
             edge_values(len, 0),
@@ -267,9 +239,6 @@ mod tests {
         let (mut w, mut v) = (w0.clone(), v0.clone());
         sgd_momentum_slices(isa, &mut w, &g0, &mut v, STEP);
         out.extend([bits(&w), bits(&v)]);
-        let (mut w, mut g, mut v) = (w0.clone(), g0.clone(), v0.clone());
-        sgd_momentum_zero_grad_slices(isa, &mut w, &mut g, &mut v, STEP);
-        out.extend([bits(&w), bits(&g), bits(&v)]);
         let mut a = w0.clone();
         lerp_slices(isa, &mut a, &g0, 0.3679);
         out.push(bits(&a));
@@ -317,13 +286,10 @@ mod tests {
                 let what = |sweep: &str| format!("{sweep}, length {len}, {}", isa.name());
                 assert_eq!(got[0], bits(&w), "{}", what("sgd w"));
                 assert_eq!(got[1], bits(&v), "{}", what("sgd v"));
-                assert_eq!(got[2], bits(&w), "{}", what("fused sgd w"));
-                assert_eq!(got[3], bits(&vec![0.0; len]), "{}", what("fused sgd g"));
-                assert_eq!(got[4], bits(&v), "{}", what("fused sgd v"));
                 let mut a = w0.clone();
                 merge_reference(&mut a, &g0, 0.3679);
-                assert_eq!(got[5], bits(&a), "{}", what("lerp"));
-                let mut next = 6;
+                assert_eq!(got[2], bits(&a), "{}", what("lerp"));
+                let mut next = 3;
                 for n in [1, 3, 4] {
                     let rows: Vec<Vec<f32>> = (0..n).map(|r| edge_values(len, r)).collect();
                     let mean = bits(&mean_of(&rows));
@@ -360,18 +326,12 @@ mod tests {
             edge_values(len, 1),
             edge_values(len, 2),
         );
-        let (mut w, mut v) = (w0.clone(), v0.clone());
+        let (mut w, mut v) = (w0.clone(), v0);
         sgd_momentum(&mut w, &g0, &mut v, STEP);
         assert_eq!((bits(&w), bits(&v)), (want[0].clone(), want[1].clone()));
-        let (mut w, mut g, mut v) = (w0.clone(), g0.clone(), v0);
-        sgd_momentum_zero_grad(&mut w, &mut g, &mut v, STEP);
-        assert_eq!(
-            [bits(&w), bits(&g), bits(&v)],
-            [want[2].clone(), want[3].clone(), want[4].clone()]
-        );
         let mut a = w0;
         lerp(&mut a, &g0, 0.3679);
-        assert_eq!(bits(&a), want[5]);
+        assert_eq!(bits(&a), want[2]);
 
         let rows: Vec<Vec<f32>> = (0..4).map(|r| edge_values(len, r)).collect();
         let mean = bits(&mean_of(&rows));
