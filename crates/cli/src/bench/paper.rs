@@ -32,9 +32,9 @@ use socflow::mapping::sequential;
 use socflow::options::{Plan, RunOptions};
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
 use socflow::scheduler::GlobalScheduler;
+use socflow::suite::{comparison_methods, Comparison};
 use socflow::timemodel::{Collective, EpochCost, TimeModel};
 use socflow::{Engine, Mapping, RunResult, Workload};
-use socflow_baselines::suite::{comparison_methods, Comparison};
 use socflow_cluster::tidal::{TidalTrace, DAILY_IDLE_WINDOW, HOURLY_BUSY_FRACTION};
 use socflow_cluster::Processor::{GpuA100, GpuV100, SocCpuFp32, SocNpuInt8};
 use socflow_cluster::{ClusterNet, ClusterSpec, SocId};

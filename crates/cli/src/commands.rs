@@ -9,7 +9,7 @@ use socflow::engine::Workload;
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
 use socflow::options::{Checkpointing, Plan, RunOptions};
 use socflow::scheduler::{GlobalScheduler, NetworkShape};
-use socflow_baselines::suite::{comparison_methods, Comparison};
+use socflow::suite::{comparison_methods, Comparison};
 use socflow_cluster::faults::FaultPlan;
 use socflow_cluster::tidal::TidalTrace;
 use socflow_cluster::ClusterSpec;

@@ -15,14 +15,16 @@
 //! (`SFCK` magic + version tag, the fields, a 64-bit checksum of everything
 //! before it), not JSON: float values must round-trip bit-exactly or a
 //! resumed run cannot reproduce the uninterrupted run's `RunResult`
-//! byte-for-byte. [`Checkpoint::save`] writes atomically (temp file +
-//! rename) so a crash mid-write never corrupts the latest usable
+//! byte-for-byte. [`Checkpoint::save`] writes atomically and durably (a
+//! synced temp file, a rename, a synced directory) so neither a crash
+//! mid-write nor a host crash after it corrupts the latest usable
 //! checkpoint, and [`Checkpoint::from_bytes`] refuses a file whose checksum
 //! does not match before it reads a field, so a flipped bit or a cut file
 //! is an error, never a resume from wrong weights.
 
 use crate::report::{Breakdown, RunResult};
 use socflow_cluster::SocId;
+use std::io::Write;
 use std::path::Path;
 
 /// Magic bytes prefixing every serialized checkpoint.
@@ -261,8 +263,11 @@ impl Checkpoint {
         self.alive.iter().map(|&s| SocId(s)).collect()
     }
 
-    /// Writes the checkpoint atomically to `<dir>/latest.ckpt` (temp file
-    /// + rename) and returns the serialized size in bytes.
+    /// Writes the checkpoint atomically and durably to `<dir>/latest.ckpt`
+    /// and returns the serialized size in bytes: the temp file is synced
+    /// before it is renamed over the previous snapshot, and the directory
+    /// after, so a host crash leaves either the old snapshot or the whole
+    /// new one — never a torn file in place of both.
     ///
     /// # Errors
     /// Returns a message on I/O failure.
@@ -272,9 +277,11 @@ impl Checkpoint {
             .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
         let tmp = dir.join(format!("{LATEST_FILE}.tmp"));
         let fin = dir.join(LATEST_FILE);
-        std::fs::write(&tmp, &bytes)
+        std::fs::File::create(&tmp)
+            .and_then(|mut file| file.write_all(&bytes).and_then(|()| file.sync_all()))
             .map_err(|e| format!("cannot write checkpoint {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &fin)
+            .and_then(|()| std::fs::File::open(dir)?.sync_all())
             .map_err(|e| format!("cannot finalize checkpoint {}: {e}", fin.display()))?;
         Ok(bytes.len() as u64)
     }

@@ -2,7 +2,7 @@
 //! them from one, and persisting snapshots to disk.
 
 use super::replica::Replica;
-use super::socflow::SocflowRun;
+use super::run::Run;
 use crate::checkpoint::Checkpoint;
 use crate::mixed::MixedPrecisionController;
 use crate::options::Checkpointing;
@@ -70,7 +70,7 @@ pub(super) fn restore(
     ctrl.set_alpha(c.alpha);
 }
 
-impl SocflowRun<'_> {
+impl Run<'_> {
     /// Persists a durable checkpoint of the run as of `epoch_done` when
     /// checkpointing is on and says this one is `due`, and
     /// reports it via telemetry. Write-behind: the persist overlaps

@@ -3,7 +3,8 @@
 //! topology — one path for faults and for user-workload preemption.
 
 use super::durable::capture;
-use super::socflow::SocflowRun;
+use super::run::Run;
+use super::Streams;
 use socflow_cluster::faults::{FaultEvent, FaultKind};
 use socflow_cluster::SocId;
 use socflow_telemetry::{Event, EvictionCause, FaultClass};
@@ -43,7 +44,7 @@ pub(super) fn shrink_target(
         .clamp(1, alive.min(groups))
 }
 
-impl SocflowRun<'_> {
+impl Run<'_> {
     /// Consumes the fault events of the epoch that just took `epoch_time`
     /// against the simulated clock, then recovers: shrink, remap, charge
     /// crash stalls, checkpoint graceful reclaims.
@@ -121,13 +122,25 @@ impl SocflowRun<'_> {
         engine.options.emit(recovered);
     }
 
-    /// User-workload preemption: surrender the last logical group's SoCs
-    /// and keep training on the rest.
+    /// User-workload preemption: SoCFlow surrenders the last logical
+    /// group's SoCs and keeps training on the rest (a single group keeps
+    /// its SoCs); a gang-scheduled baseline stalls for a checkpoint-restore
+    /// round trip instead.
     pub(super) fn preempt(&mut self, epoch_done: usize) {
-        let lost = self.mapping.groups()[self.groups - 1].clone();
-        self.alive.retain(|s| !lost.contains(s));
-        self.evict_group(epoch_done, EvictionCause::Preemption);
-        self.retopologize(epoch_done);
+        let engine = self.engine;
+        if !matches!(self.streams, Streams::SocFlow { .. }) {
+            let stall = engine.checkpoint_stall_time();
+            let stalled = Event::BaselineStalled {
+                epoch: epoch_done,
+                stall,
+            };
+            engine.record(&mut self.result, stalled);
+        } else if self.groups > 1 {
+            let lost = self.mapping.groups()[self.groups - 1].clone();
+            self.alive.retain(|s| !lost.contains(s));
+            self.evict_group(epoch_done, EvictionCause::Preemption);
+            self.retopologize(epoch_done);
+        }
     }
 
     /// Evicts one logical group: checkpoint the streams, merge the evicted
@@ -167,7 +180,7 @@ impl SocflowRun<'_> {
     pub(super) fn retopologize(&mut self, epoch: usize) {
         let engine = self.engine;
         (self.mapping, self.cgs) =
-            engine.socflow_topology(&self.alive, self.groups, self.stream.as_ref(), epoch);
+            engine.topology(&self.alive, self.groups, self.stream.as_ref(), epoch);
         if let Some(st) = self.stream.as_mut() {
             st.rebuild_buffers(self.groups, engine.spec.global_batch);
         }
@@ -306,9 +319,8 @@ mod tests {
     }
 
     /// A started 4-group streaming run over 8 SoCs with an in-memory sink.
-    fn started(engine: &mut Engine) -> SocflowRun<'_> {
-        let cfg = engine.spec.method.socflow().expect("SoCFlow spec");
-        SocflowRun::start(engine, cfg, Default::default()).0
+    fn started(engine: &mut Engine) -> Run<'_> {
+        Run::start(engine, Default::default()).0
     }
 
     fn streaming_engine(sink: Arc<MemorySink>) -> Engine {

@@ -15,7 +15,10 @@
 //!   the calibrated cluster simulation (reference dataset and model sizes),
 //!   producing wall-clock time, the Fig. 12 breakdown and energy.
 //!
-//! Federated accuracy streams are capped at [`MAX_FL_REPLICAS`] model
+//! Every method runs through one epoch loop: a method lowers once to its
+//! `Streams` — how many replicas, which shard each sees, whether they
+//! are averaged at the epoch boundary — and the loop does the rest.
+//! Federated accuracy streams are capped at `MAX_FL_REPLICAS` model
 //! replicas (time/energy still use the full SoC count) so laptop-scale runs
 //! stay tractable; DESIGN.md documents this substitution.
 
@@ -23,13 +26,13 @@ mod digest;
 mod durable;
 mod elastic;
 mod replica;
-mod socflow;
+mod run;
 mod stream;
 
-use crate::config::{MethodSpec, TrainJobSpec};
+use crate::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::options::{Plan, RunOptions};
 use crate::report::RunResult;
-use crate::timemodel::{EpochCost, TimeModel};
+use crate::timemodel::TimeModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use replica::average_replicas;
@@ -40,7 +43,7 @@ use socflow_nn::{metrics, Mode, Network, Precision};
 use socflow_telemetry::Event;
 
 /// Maximum number of model replicas simulated for federated methods.
-pub const MAX_FL_REPLICAS: usize = 8;
+const MAX_FL_REPLICAS: usize = 8;
 
 /// Default logical-group count when a SoCFlow job leaves it unspecified and
 /// no warm-up profiling runs (the paper's experiments use 8 groups).
@@ -66,9 +69,71 @@ const MOMENTUM: f32 = 0.9;
 /// converge, and unbounded decay would freeze them first.
 const LR_FLOOR: f32 = 0.15;
 
-/// The `(α, CPU share)` of single-stream and federated methods: they train
-/// CPU-FP32 only, so there is no α and the whole batch is on the CPU stream.
+/// The `(α, CPU share)` of the baselines: they train CPU-FP32 only, so
+/// there is no α and the whole batch is on the CPU stream.
 const CPU_ONLY: (f32, f64) = (f32::NAN, 1.0);
+
+/// What of a method and SoC count reaches the host clock: the SGD streams
+/// the engine trains. Runs with equal streams on one workload train the
+/// same weights, epoch for epoch, so [`crate::suite::Comparison`] trains
+/// each once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Streams {
+    /// Local and the fully synchronous baselines: per-batch all-reduce
+    /// makes the cluster one replica over the whole corpus at the global
+    /// batch, whatever the SoC count; never averaged.
+    One,
+    /// FedAvg and T-FedAvg: `min(socs, MAX_FL_REPLICAS)` clients on fixed
+    /// Dirichlet shards, averaged every epoch. Each steps at the job's
+    /// batch size: smaller per-client batches at momentum-amplified rates
+    /// diverge before the first aggregation.
+    Federated { clients: usize },
+    /// SoCFlow on `socs` SoCs: one replica per accuracy stream, on shards
+    /// reshuffled (or streamed) every epoch, averaged every epoch. α steers
+    /// the training and the price together, so the whole method is the key.
+    SocFlow { cfg: SocFlowConfig, socs: usize },
+}
+
+impl Streams {
+    /// The one lowering of a method on `socs` SoCs to its streams.
+    pub(crate) fn of(method: MethodSpec, socs: usize) -> Self {
+        match method {
+            MethodSpec::Local
+            | MethodSpec::ParameterServer
+            | MethodSpec::Ring
+            | MethodSpec::HiPress
+            | MethodSpec::TwoDParallel => Streams::One,
+            MethodSpec::FedAvg | MethodSpec::TFedAvg => Streams::Federated {
+                clients: socs.min(MAX_FL_REPLICAS),
+            },
+            MethodSpec::SocFlow(cfg) => Streams::SocFlow { cfg, socs },
+        }
+    }
+
+    /// A fresh run's `(arms, logical groups, replicas)`: baselines train
+    /// CPU-FP32 with one topology group per replica.
+    fn shape(self) -> (Arms, usize, usize) {
+        match self {
+            Streams::One => (Arms::Fp32, 1, 1),
+            Streams::Federated { clients } => (Arms::Fp32, clients, clients),
+            Streams::SocFlow { cfg, socs } => {
+                let groups = cfg.groups.unwrap_or(DEFAULT_GROUPS).clamp(1, socs);
+                let streams = cfg.accuracy_streams.unwrap_or(groups).clamp(1, groups);
+                (cfg.arms, groups, streams)
+            }
+        }
+    }
+
+    /// `(stride, offset)` of the seed `seed ^ (epoch·stride + replica +
+    /// offset)` that shuffles a replica's batches each epoch.
+    fn shuffle(self) -> (usize, u64) {
+        match self {
+            Streams::One => (1, 1),
+            Streams::Federated { .. } => (131, 7),
+            Streams::SocFlow { .. } => (61, 3),
+        }
+    }
+}
 
 /// The learnable part of one training job: scaled datasets + model config.
 #[derive(Debug, Clone)]
@@ -243,15 +308,7 @@ impl Engine {
         let kernel_base =
             socflow_tensor::profile::enabled().then(socflow_tensor::profile::snapshot);
         let pool_base = kernel_base.is_some().then(socflow_tensor::runtime::stats);
-        let result = match self.spec.method {
-            MethodSpec::Local
-            | MethodSpec::ParameterServer
-            | MethodSpec::Ring
-            | MethodSpec::HiPress
-            | MethodSpec::TwoDParallel => self.run_single(result),
-            MethodSpec::FedAvg | MethodSpec::TFedAvg => self.run_federated(result),
-            MethodSpec::SocFlow(cfg) => self.run_socflow(cfg, result),
-        };
+        let result = self.run_epochs(result);
         if let Some(base) = kernel_base {
             let now = socflow_tensor::profile::snapshot();
             for (b, n) in base.iter().zip(&now) {
@@ -290,102 +347,18 @@ impl Engine {
         result
     }
 
-    /// One FP32 epoch of the single-stream training loop: the job's batches
-    /// in the epoch's shuffled order, then the learning-rate decay.
-    fn single_stream_epoch(&self, replica: &mut Replica, epoch: usize) {
-        let mut erng = StdRng::seed_from_u64(self.spec.seed ^ (epoch as u64 + 1));
-        let train = &self.workload.train;
-        let batches = train.epoch_batches(self.spec.global_batch, &mut erng);
-        replica.step_all(batches, Precision::Fp32);
-        replica.decay_lr_floored(LR_DECAY, self.spec.lr * LR_FLOOR);
-    }
-
-    /// Single-stream methods (Local + all fully synchronous baselines):
-    /// per-batch all-reduce makes the whole cluster one SGD stream.
-    fn run_single(&mut self, mut result: RunResult) -> RunResult {
-        let mut rng = StdRng::seed_from_u64(self.spec.seed);
-        let mut replica = self.build_replicas(1, &mut rng, false).remove(0);
-        for epoch in 0..self.spec.epochs {
-            self.single_stream_epoch(&mut replica, epoch);
-            let acc = self.evaluate(&mut replica.net, Precision::Fp32);
-            let cost = self.baseline_epoch();
-            self.record(&mut result, cost.completed(epoch, acc, 1, CPU_ONLY));
-            if Some(epoch + 1) == self.options.preempt_after {
-                // baselines stall for a checkpoint-restore round trip
-                let stall = self.checkpoint_stall_time();
-                let stalled = Event::BaselineStalled {
-                    epoch: epoch + 1,
-                    stall,
-                };
-                self.record(&mut result, stalled);
-            }
-        }
-        result
-    }
-
-    /// Federated methods: fixed IID client shards, per-epoch averaging.
-    fn run_federated(&mut self, mut result: RunResult) -> RunResult {
-        let mut rng = StdRng::seed_from_u64(self.spec.seed);
-        let clients = self.spec.socs.min(MAX_FL_REPLICAS);
-        let mut replicas = self.build_replicas(clients, &mut rng, false);
-        // Federated clients keep FIXED local shards all training (no
-        // cross-client shuffling — the contrast to SoCFlow). Client data is
-        // mildly heterogeneous (Dirichlet α = 0.5): at the reduced accuracy
-        // scale a perfectly IID split hides the client-drift phenomenon the
-        // paper measures, while per-user edge data is non-IID in deployment.
-        let shards = socflow_data::dirichlet_partition(
-            self.workload.train.labels(),
-            self.workload.train.classes(),
-            clients,
-            0.5,
-            self.spec.seed,
-        );
-        let client_data: Vec<Dataset> = shards
-            .iter()
-            .map(|s| self.workload.train.subset(s))
-            .collect();
-        // federated local batch: FedAvg clients run the job's batch size
-        // locally (tiny per-client batches at momentum-amplified rates
-        // diverge before the first aggregation)
-        let local_batch = self.spec.global_batch;
-
-        for epoch in 0..self.spec.epochs {
-            // clients are independent between aggregations: train them as
-            // persistent-pool jobs (no per-epoch thread spawns)
-            let seed0 = self.spec.seed;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = replicas
-                .iter_mut()
-                .enumerate()
-                .map(|(c, replica)| {
-                    let data = &client_data[c];
-                    let seed = seed0 ^ ((epoch * 131 + c) as u64 + 7);
-                    Box::new(move || {
-                        let mut erng = StdRng::seed_from_u64(seed);
-                        replica
-                            .step_all(data.epoch_batches(local_batch, &mut erng), Precision::Fp32);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            socflow_tensor::runtime::run_scoped(jobs);
-            average_replicas(&mut replicas);
-            for r in replicas.iter_mut() {
-                r.decay_lr_floored(LR_DECAY, self.spec.lr * LR_FLOOR);
-            }
-            let acc = self.evaluate(&mut replicas[0].net, Precision::Fp32);
-            let cost = self.baseline_epoch();
-            self.record(&mut result, cost.completed(epoch, acc, clients, CPU_ONLY));
-        }
-        result
-    }
-
     /// Runs this job's training locally (single stream, FP32) and returns
     /// the final flat weights — the pretraining stage of the transfer-
     /// learning workload.
     pub fn pretrain_weights(&mut self) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(self.spec.seed);
         let mut replica = self.build_replicas(1, &mut rng, false).remove(0);
+        let train = &self.workload.train;
         for epoch in 0..self.spec.epochs {
-            self.single_stream_epoch(&mut replica, epoch);
+            let mut erng = StdRng::seed_from_u64(self.spec.seed ^ (epoch as u64 + 1));
+            let batches = train.epoch_batches(self.spec.global_batch, &mut erng);
+            replica.step_all(batches, Precision::Fp32);
+            replica.decay_lr_floored(LR_DECAY, self.spec.lr * LR_FLOOR);
         }
         replica.net.flat_weights()
     }
@@ -407,13 +380,6 @@ impl Engine {
         self.evaluate(&mut replicas[0].net, Precision::Fp32)
     }
 
-    /// This epoch's price for a method whose price training cannot move.
-    fn baseline_epoch(&self) -> EpochCost {
-        self.time_model
-            .baseline_epoch(self.spec.method)
-            .expect("only SoCFlow's price follows its training")
-    }
-
     /// Folds an accounting event into `result`, then hands it to the sink:
     /// the one way a run's result grows, so the result is exactly the fold
     /// of the run's trace.
@@ -428,6 +394,9 @@ impl Engine {
         2.0 * payload / (1e9 / 8.0) + 1.0
     }
 }
+
+#[cfg(test)]
+mod socflow;
 
 #[cfg(test)]
 mod tests {

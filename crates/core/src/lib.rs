@@ -24,8 +24,8 @@
 //! per-epoch delayed inter-group aggregation with cross-group data
 //! shuffling — while a calibrated [`socflow_cluster`] simulation charges
 //! wall-clock time and energy at paper scale. All six baselines of the
-//! paper run through the same engine (see `socflow-baselines`), so the
-//! comparisons are apples-to-apples.
+//! paper run through the same engine and the same epoch loop ([`suite`]
+//! compares them), so the comparisons are apples-to-apples.
 //!
 //! [`scheduler`] is the global scheduler that sits on the control board:
 //! it profiles, picks the topology, runs training, and handles preemption
@@ -65,6 +65,7 @@ pub mod planning;
 pub mod report;
 pub mod scheduler;
 pub mod sim;
+pub mod suite;
 pub mod timemodel;
 
 pub use config::{MethodSpec, SocFlowConfig, TrainJobSpec};

@@ -103,7 +103,7 @@ pub enum Plan {
 /// plain timeline-priced run.
 ///
 /// `pricing`, `streaming`, `faults`, `checkpointing` and `resume` act on
-/// the SoCFlow epoch loop only. [`Self::validate`] rejects them on a
+/// SoCFlow runs only. [`Self::validate`] rejects them on a
 /// baseline method rather than letting the baseline ignore them: a run
 /// that silently drops a fault plan reports a number that does not mean
 /// what its command line says.
@@ -147,7 +147,7 @@ pub struct RunOptions {
 /// Why a ([`TrainJobSpec`], [`RunOptions`], [`Plan`]) triple cannot run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptionsError {
-    /// An option only the SoCFlow epoch loop acts on was set for a
+    /// An option only SoCFlow runs act on was set for a
     /// baseline method.
     SocflowOnly {
         /// The CLI flag that sets the option.

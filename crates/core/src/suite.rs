@@ -1,17 +1,29 @@
 //! The method comparison of the paper's evaluation (Table 3, Figs. 8–13):
-//! one workload under SoCFlow and every baseline.
+//! one workload under SoCFlow and the six baselines, all through the same
+//! [`Engine`] so the comparison is apples-to-apples.
+//!
+//! | Baseline | Category | Topology |
+//! |---|---|---|
+//! | PS | distributed ML | centralized FP32 parameter server |
+//! | RING | distributed ML | Horovod-style Ring-AllReduce |
+//! | HiPress | distributed ML | ring + DGC top-k gradient compression |
+//! | 2D-Paral | distributed ML | intra-group pipeline + inter-group ring |
+//! | FedAvg | federated | per-epoch control-board averaging |
+//! | T-FedAvg | federated | tree-aggregation hierarchical FedAvg |
 //!
 //! Several methods are the *same* SGD stream at different prices — per-batch
 //! all-reduce makes PS, RING, HiPress and 2D-Paral (and Local) one replica
-//! stepping at the global batch, and T-FedAvg is FedAvg with a cheaper
-//! aggregation — so a [`Comparison`] trains each distinct stream once and
-//! prices the other methods of its class from that run.
+//! stepping at the global batch, HiPress's DGC compression is priced on the
+//! wire (`calibration::DGC_WIRE_FRACTION`), and T-FedAvg is FedAvg with a
+//! cheaper aggregation — so a [`Comparison`] trains each distinct stream
+//! once, keyed by the lowering the engine itself trains from, and prices
+//! the other methods of its class from that run.
 
-use socflow::config::{MethodSpec, TrainJobSpec};
-use socflow::engine::{Engine, Workload, MAX_FL_REPLICAS};
-use socflow::options::RunOptions;
-use socflow::report::RunResult;
-use socflow::timemodel::{EpochCost, TimeModel};
+use crate::config::{MethodSpec, TrainJobSpec};
+use crate::engine::{Engine, Streams, Workload};
+use crate::options::RunOptions;
+use crate::report::RunResult;
+use crate::timemodel::{EpochCost, TimeModel};
 
 /// The methods of the paper's end-to-end comparison, in legend order:
 /// PS, RING, HiPress, 2D-Paral (pipeline groups of 4), FedAvg, T-FedAvg
@@ -26,36 +38,6 @@ pub fn comparison_methods(ours: MethodSpec) -> [MethodSpec; 7] {
         MethodSpec::TFedAvg,
         ours,
     ]
-}
-
-/// What of a method and SoC count reaches the SGD stream of one job on one
-/// workload: runs with equal keys train the same weights, epoch for epoch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Stream {
-    /// Local and the fully synchronous baselines: one replica at the global
-    /// batch, whatever the SoC count.
-    Single,
-    /// FedAvg and T-FedAvg: this many clients on fixed shards.
-    Federated { clients: usize },
-    /// A SoCFlow variant: α steers the training and the price together, so
-    /// the run is kept whole.
-    SocFlow { method: MethodSpec, socs: usize },
-}
-
-impl Stream {
-    fn of(method: MethodSpec, socs: usize) -> Self {
-        match method {
-            MethodSpec::Local
-            | MethodSpec::ParameterServer
-            | MethodSpec::Ring
-            | MethodSpec::HiPress
-            | MethodSpec::TwoDParallel => Stream::Single,
-            MethodSpec::FedAvg | MethodSpec::TFedAvg => Stream::Federated {
-                clients: socs.min(MAX_FL_REPLICAS),
-            },
-            MethodSpec::SocFlow(_) => Stream::SocFlow { method, socs },
-        }
-    }
 }
 
 /// `trained`'s accuracy curve under `method`'s name and per-epoch `cost`,
@@ -80,7 +62,7 @@ fn repriced(trained: &RunResult, method: MethodSpec, cost: &EpochCost) -> RunRes
 pub struct Comparison {
     base: TrainJobSpec,
     workload: Workload,
-    trained: Vec<(Stream, RunResult)>,
+    trained: Vec<(Streams, RunResult)>,
     requested: usize,
 }
 
@@ -118,12 +100,12 @@ impl Comparison {
     pub fn run(&mut self, method: MethodSpec, socs: usize) -> RunResult {
         self.requested += 1;
         let spec = self.spec(method, socs);
-        let stream = Stream::of(method, socs);
-        let at = match self.trained.iter().position(|(s, _)| *s == stream) {
+        let streams = Streams::of(method, socs);
+        let at = match self.trained.iter().position(|(s, _)| *s == streams) {
             Some(at) => at,
             None => {
                 let run = Engine::new(spec, self.workload.clone(), RunOptions::default()).run();
-                self.trained.push((stream, run));
+                self.trained.push((streams, run));
                 self.trained.len() - 1
             }
         };
@@ -148,7 +130,7 @@ impl Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socflow::config::SocFlowConfig;
+    use crate::config::SocFlowConfig;
     use socflow_data::DatasetPreset;
     use socflow_nn::models::ModelKind;
 
@@ -267,5 +249,42 @@ mod tests {
         // one synchronous stream, one federated (8 clients at either SoC
         // count), Ours once per SoC count
         assert_eq!(c.counts(), (2 * all.len(), 4));
+    }
+
+    #[test]
+    fn comparison_produces_seven_methods() {
+        let mut spec = TrainJobSpec::new(
+            ModelKind::LeNet5,
+            DatasetPreset::FashionMnist,
+            MethodSpec::Ring,
+        );
+        spec.epochs = 2;
+        let workload = Workload::standard(&spec, 256, 8, 0.5);
+        let methods = comparison_methods(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
+        let mut comparison = Comparison::new(spec, workload);
+        let runs = comparison.run_all(&methods, 8);
+        let names: Vec<&str> = runs.iter().map(|r| r.method.as_str()).collect();
+        assert_eq!(
+            names,
+            vec!["PS", "RING", "HiPress", "2D-Paral", "FedAvg", "T-FedAvg", "Ours"]
+        );
+        // sync methods share RING's accuracy
+        assert_eq!(runs[0].epoch_accuracy, runs[1].epoch_accuracy);
+        assert_eq!(runs[2].epoch_accuracy, runs[1].epoch_accuracy);
+        // but not its timing
+        assert_ne!(runs[0].total_time(), runs[1].total_time());
+        // three SGD streams behind the seven
+        assert_eq!(comparison.counts(), (7, 3));
+    }
+
+    #[test]
+    fn six_baselines() {
+        let all = comparison_methods(MethodSpec::SocFlow(SocFlowConfig::full()));
+        let names: Vec<&str> = all[..6].iter().map(|m| m.name()).collect();
+        assert_eq!(
+            names,
+            vec!["PS", "RING", "HiPress", "2D-Paral", "FedAvg", "T-FedAvg"]
+        );
+        assert!(all[..6].iter().all(|m| m.socflow().is_none()));
     }
 }

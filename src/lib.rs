@@ -4,7 +4,6 @@
 //! dependency. Library users should depend on the individual crates
 //! ([`socflow`], [`socflow_cluster`], ...) directly.
 pub use socflow;
-pub use socflow_baselines;
 pub use socflow_cluster;
 pub use socflow_collectives;
 pub use socflow_data;

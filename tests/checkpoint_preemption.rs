@@ -357,46 +357,49 @@ fn tidal_preemption_resume_is_bit_identical_across_variants() {
 
 /// A gang-scheduled baseline's checkpoint-restore round trip is a stall,
 /// booked like SoCFlow's crash stalls: it is `recovery_time`, it lengthens
-/// the total by exactly its length, and it is not an epoch.
+/// the total by exactly its length, and it is not an epoch — for the
+/// synchronous baselines and the federated ones alike.
 #[test]
 fn baseline_preemption_costs_a_stall() {
-    let mut s = spec(4);
-    s.method = MethodSpec::Ring;
-    let workload = Workload::standard(&s, 512, 8, 0.5);
-    let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
-    let sink = Arc::new(MemorySink::new());
-    let stalled = Engine::new(
-        s,
-        workload,
-        RunOptions {
-            preempt_after: Some(2),
-            sink: Some(sink.clone()),
-            ..RunOptions::default()
-        },
-    )
-    .run();
-    let stalls: Vec<f64> = sink
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::BaselineStalled { epoch: 2, stall } => Some(*stall),
-            _ => None,
-        })
-        .collect();
-    let [stall] = stalls[..] else {
-        panic!("one stall after epoch 2, got {stalls:?}");
-    };
-    assert!(stall > 0.0);
-    assert_eq!(stalled.recovery_time, stall);
-    assert_eq!(
-        stalled.total_time(),
-        calm.total_time() + stall,
-        "the checkpoint-restore stall must show up in the total time"
-    );
-    assert_eq!(
-        stalled.epoch_accuracy.len(),
-        calm.epoch_accuracy.len(),
-        "the stall is not an epoch"
-    );
-    assert_eq!(stalled.epoch_time, calm.epoch_time);
+    for method in [MethodSpec::Ring, MethodSpec::FedAvg, MethodSpec::TFedAvg] {
+        let mut s = spec(4);
+        s.method = method;
+        let workload = Workload::standard(&s, 512, 8, 0.5);
+        let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
+        let sink = Arc::new(MemorySink::new());
+        let stalled = Engine::new(
+            s,
+            workload,
+            RunOptions {
+                preempt_after: Some(2),
+                sink: Some(sink.clone()),
+                ..RunOptions::default()
+            },
+        )
+        .run();
+        let stalls: Vec<f64> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::BaselineStalled { epoch: 2, stall } => Some(*stall),
+                _ => None,
+            })
+            .collect();
+        let name = method.name();
+        let [stall] = stalls[..] else {
+            panic!("{name}: one stall after epoch 2, got {stalls:?}");
+        };
+        assert!(stall > 0.0, "{name}");
+        assert_eq!(stalled.recovery_time, stall, "{name}");
+        assert_eq!(
+            stalled.total_time(),
+            calm.total_time() + stall,
+            "{name}: the checkpoint-restore stall must show up in the total time"
+        );
+        assert_eq!(
+            stalled.epoch_accuracy, calm.epoch_accuracy,
+            "{name}: the stall is not an epoch and moves no weight"
+        );
+        assert_eq!(stalled.epoch_time, calm.epoch_time, "{name}");
+    }
 }

@@ -8,7 +8,7 @@ use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
 use socflow::options::{Plan, RunOptions};
 use socflow::report::REFERENCE_CONVERGENCE_SCALE;
-use socflow_baselines::suite::Comparison;
+use socflow::suite::Comparison;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 
