@@ -35,7 +35,7 @@ pub(super) fn capture(epoch_done: usize, replicas: &[Replica], alpha: f32) -> Ch
         assert_eq!(arms.len(), replicas.len(), "uniform INT8 arms");
         ckpt.lr_int8 = arm0.opt.lr();
         ckpt.velocities_int8 = arms.iter().map(|a| flat_velocity(&a.opt)).collect();
-        ckpt.states_int8 = arms.iter().map(|a| a.net.flat_state()).collect();
+        ckpt.states_int8 = arms.iter().map(|a| a.state.clone()).collect();
     }
     ckpt
 }
@@ -63,7 +63,8 @@ pub(super) fn restore(
                 arm.opt.set_flat_velocity(v);
             }
             if let Some(s) = c.states_int8.get(i).filter(|s| !s.is_empty()) {
-                arm.net.set_flat_state(s);
+                assert_eq!(s.len(), arm.state.len(), "flat state length mismatch");
+                arm.state.copy_from_slice(s);
             }
         }
     }

@@ -123,24 +123,32 @@ impl Run<'_> {
     }
 
     /// User-workload preemption: SoCFlow surrenders the last logical
-    /// group's SoCs and keeps training on the rest (a single group keeps
-    /// its SoCs); a gang-scheduled baseline stalls for a checkpoint-restore
-    /// round trip instead.
+    /// group's SoCs and keeps training on the rest. A gang-scheduled
+    /// baseline stalls for a checkpoint-restore round trip instead, and so
+    /// does a SoCFlow run down to one group, which can give up neither a
+    /// group nor its SoCs — on SoCFlow's run clock, as a crash stall is.
     pub(super) fn preempt(&mut self, epoch_done: usize) {
         let engine = self.engine;
-        if !matches!(self.streams, Streams::SocFlow { .. }) {
-            let stall = engine.checkpoint_stall_time();
-            let stalled = Event::BaselineStalled {
-                epoch: epoch_done,
-                stall,
-            };
-            engine.record(&mut self.result, stalled);
-        } else if self.groups > 1 {
+        let socflow = matches!(self.streams, Streams::SocFlow { .. });
+        if socflow && self.groups > 1 {
             let lost = self.mapping.groups()[self.groups - 1].clone();
             self.alive.retain(|s| !lost.contains(s));
             self.evict_group(epoch_done, EvictionCause::Preemption);
             self.retopologize(epoch_done);
+            return;
         }
+        let stall = engine.checkpoint_stall_time();
+        if socflow {
+            engine.options.emit_all(super::digest::cluster_span(
+                epoch_done, "stall", self.clock, stall,
+            ));
+            self.clock += stall;
+        }
+        let stalled = Event::BaselineStalled {
+            epoch: epoch_done,
+            stall,
+        };
+        engine.record(&mut self.result, stalled);
     }
 
     /// Evicts one logical group: checkpoint the streams, merge the evicted

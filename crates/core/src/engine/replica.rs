@@ -10,22 +10,27 @@ use socflow_data::Batch;
 use socflow_nn::{loss, optim::Sgd, Mode, Network, Precision};
 use socflow_tensor::{pool, Tensor};
 
-/// The NPU-side half of a mixed-precision replica.
+/// The NPU-side half of a mixed-precision replica: its momentum and its
+/// non-learnable state (batch-norm running statistics, quant-noise
+/// counters). It has no weights: both arms start every step from the
+/// replica's merged ones, and it trains on those.
 pub(super) struct Int8Arm {
-    pub(super) net: Network,
+    /// In [`Network::flat_state`] order; in the replica's network only for
+    /// the INT8 pass ([`Network::swap_state`]).
+    pub(super) state: Vec<f32>,
     pub(super) opt: Sgd,
 }
 
 /// One independent SGD stream (a group replica): the engine's training
 /// step. Public so that the step can be driven, and measured, without an
 /// [`Engine`](super::Engine) around it — `tests/steady_state_alloc.rs`
-/// counts its allocations.
+/// counts its allocations. Between steps it holds its weights and its
+/// momentum — and, to run mixed steps, the INT8 arm's momentum and state:
+/// two model-sized families, or three.
 pub struct Replica {
     pub(super) net: Network,
     pub(super) opt: Sgd,
-    /// INT8-side model + optimizer, built only for methods that run mixed
-    /// steps — every other method is spared a full `Network` clone per
-    /// replica.
+    /// The INT8 arm, built only for methods that run mixed steps.
     pub(super) int8: Option<Box<Int8Arm>>,
 }
 
@@ -38,63 +43,55 @@ fn optimizer_for(net: &Network, lr: f32) -> Sgd {
     opt
 }
 
-/// One SGD step of `net` on `images` and their `labels`; returns the loss.
+/// The forward and backward pass of one SGD step of `net` on `images` and
+/// their `labels`: leaves the parameter gradients in `net` for the
+/// optimizer and returns the loss.
 ///
 /// One job on one thread from the first layer's forward to the optimizer:
 /// everything the step makes on the way is borrowed from that thread's step
-/// scratch ([`socflow_tensor::pool`]) and back there when this returns —
-/// the logits and the loss gradient from here, the rest by the layers and
-/// the optimizer — so
+/// scratch ([`socflow_tensor::pool`]) and back there when the optimizer has
+/// run — the logits and the loss gradient from here, the rest by the layers
+/// and the optimizer — so
 /// after its thread's first step of a shape a step allocates nothing. The
 /// backward pass stops at the first parameterised layer: nobody reads the
 /// gradient with respect to the images.
-fn sgd_step(
-    net: &mut Network,
-    opt: &mut Sgd,
-    images: &Tensor,
-    labels: &[usize],
-    precision: Precision,
-) -> f32 {
+fn backprop(net: &mut Network, images: &Tensor, labels: &[usize], precision: Precision) -> f32 {
     let mode = Mode::train(precision);
     let logits = net.forward(images, mode);
     let (l, grad) = loss::softmax_cross_entropy(&logits, labels);
     pool::recycle(logits);
     net.backward_parameters(&grad, mode);
     pool::recycle(grad);
-    opt.step(net);
     l
 }
 
-/// One SGD step of `net` on samples `range` of `batch`, if there are any:
+/// [`backprop`] on samples `range` of `batch`, which must not be empty:
 /// their images are copied into a step-scratch tensor, as a split batch's
 /// always were into one of their own.
-fn sgd_step_on(
+fn backprop_on(
     net: &mut Network,
-    opt: &mut Sgd,
     batch: &Batch,
     range: std::ops::Range<usize>,
     precision: Precision,
 ) {
-    if range.is_empty() {
-        return;
-    }
     let (_, c, h, w) = batch.images.shape().as_nchw();
     let per = c * h * w;
     let mut images = pool::tensor([range.len(), c, h, w]);
     let samples = &batch.images.data()[range.start * per..range.end * per];
     images.data_mut().copy_from_slice(samples);
-    sgd_step(net, opt, &images, &batch.labels[range], precision);
+    backprop(net, &images, &batch.labels[range], precision);
     pool::recycle(images);
 }
 
 impl Replica {
     /// A stream training `net` by SGD with momentum 0.9 (weight decay
-    /// 5e-4); `with_int8` adds the INT8 arm [`Replica::mixed_step`] needs.
+    /// 5e-4); `with_int8` adds the INT8 arm [`Replica::mixed_step`] needs,
+    /// its state starting as `net`'s.
     pub fn new(net: Network, lr: f32, with_int8: bool) -> Self {
         let int8 = with_int8.then(|| {
             Box::new(Int8Arm {
+                state: net.flat_state(),
                 opt: optimizer_for(&net, lr),
-                net: net.clone(),
             })
         });
         Replica {
@@ -118,13 +115,9 @@ impl Replica {
         if batch.is_empty() {
             return 0.0;
         }
-        sgd_step(
-            &mut self.net,
-            &mut self.opt,
-            &batch.images,
-            &batch.labels,
-            precision,
-        )
+        let l = backprop(&mut self.net, &batch.images, &batch.labels, precision);
+        self.opt.step(&mut self.net);
+        l
     }
 
     /// Plain SGD steps over `batches`, in order. The batches are
@@ -136,11 +129,15 @@ impl Replica {
         }
     }
 
-    /// One mixed-precision step: CPU-FP32 and NPU-INT8 models train on
+    /// One mixed-precision step: CPU-FP32 and NPU-INT8 arms train on
     /// disjoint batch parts from the same starting weights, then merge
-    /// (paper Eq. 5). Four passes over the model, each parameter by
-    /// parameter in its own storage: the INT8 arm takes the merged
-    /// weights, either arm steps (on the thread's one gradient set), the merge.
+    /// (paper Eq. 5). Both passes run on the replica's one network: the
+    /// FP32 arm's forward and backward and its velocity update
+    /// ([`Sgd::step_velocity`], weights untouched); the INT8 arm's forward
+    /// and backward with its own state swapped in — skipped when the split
+    /// gives it no samples, which leaves it stepless; then one sweep over
+    /// the model steps the INT8 arm and both arms' weights and merges them
+    /// ([`Sgd::step_merged`]).
     ///
     /// # Panics
     /// Panics if the replica was built without the INT8 arm.
@@ -152,17 +149,18 @@ impl Replica {
             .int8
             .as_mut()
             .expect("mixed_step on a replica built without the INT8 arm");
-        let (cpu_n, _npu_n) = ctrl.split_batch(batch.len());
-        // both sides start from the merged weights
-        arm.net.zip_parameters_mut(&self.net, |w8, w| {
-            w8.value.data_mut().copy_from_slice(w.value.data())
+        let (cpu_n, npu_n) = ctrl.split_batch(batch.len());
+        // `split_batch` keeps the CPU side of a non-empty batch non-empty
+        backprop_on(&mut self.net, batch, 0..cpu_n, Precision::Fp32);
+        self.opt.step_velocity(&mut self.net);
+        let int8 = (npu_n > 0).then(|| {
+            self.net.swap_state(&mut arm.state);
+            backprop_on(&mut self.net, batch, cpu_n..batch.len(), Precision::Int8);
+            self.net.swap_state(&mut arm.state);
+            &mut arm.opt
         });
-        let (cpu, npu) = (0..cpu_n, cpu_n..batch.len());
-        sgd_step_on(&mut self.net, &mut self.opt, batch, cpu, Precision::Fp32);
-        sgd_step_on(&mut arm.net, &mut arm.opt, batch, npu, Precision::Int8);
-        self.net.zip_parameters_mut(&arm.net, |w, w8| {
-            ctrl.merge_weights_inplace(w.value.data_mut(), w8.value.data())
-        });
+        self.opt
+            .step_merged(&mut self.net, int8, ctrl.fp32_merge_weight());
     }
 }
 
@@ -216,9 +214,11 @@ pub(super) fn average_replicas(replicas: &mut [Replica]) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::durable::capture;
     use super::super::tests::{easy_workload, tiny_spec};
     use super::super::Engine;
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::config::{MethodSpec, SocFlowConfig};
     use crate::options::RunOptions;
     use rand::rngs::StdRng;
@@ -330,6 +330,147 @@ mod tests {
                 ]
             })
             .collect()
+    }
+
+    /// A mixed replica as it was, the oracle of [`Replica::mixed_step`]:
+    /// the INT8 arm a network of its own, and a step four passes over the
+    /// model — the arm takes the merged weights, either arm takes an
+    /// [`Sgd::step`], the FP32 weights lerp towards the INT8 ones.
+    struct FourPass {
+        net: Network,
+        opt: Sgd,
+        net8: Network,
+        opt8: Sgd,
+    }
+
+    /// One whole SGD step of `net` on samples `range` of `batch`, if there
+    /// are any.
+    fn sgd_step_on(
+        net: &mut Network,
+        opt: &mut Sgd,
+        batch: &Batch,
+        range: std::ops::Range<usize>,
+        precision: Precision,
+    ) {
+        if !range.is_empty() {
+            backprop_on(net, batch, range, precision);
+            opt.step(net);
+        }
+    }
+
+    impl FourPass {
+        /// The oracle of a freshly built mixed replica.
+        fn of(r: &Replica) -> Self {
+            let arm = r.int8.as_ref().expect("a mixed replica");
+            let mut net8 = r.net.clone();
+            net8.set_flat_state(&arm.state);
+            FourPass {
+                net: r.net.clone(),
+                opt: r.opt.clone(),
+                net8,
+                opt8: arm.opt.clone(),
+            }
+        }
+
+        fn mixed_step(&mut self, batch: &Batch, ctrl: &MixedPrecisionController) {
+            if batch.is_empty() {
+                return;
+            }
+            let (cpu_n, _npu_n) = ctrl.split_batch(batch.len());
+            self.net8.set_flat_weights(&self.net.flat_weights());
+            let (cpu, npu) = (0..cpu_n, cpu_n..batch.len());
+            sgd_step_on(&mut self.net, &mut self.opt, batch, cpu, Precision::Fp32);
+            sgd_step_on(&mut self.net8, &mut self.opt8, batch, npu, Precision::Int8);
+            let mut w = self.net.flat_weights();
+            ctrl.merge_weights_inplace(&mut w, &self.net8.flat_weights());
+            self.net.set_flat_weights(&w);
+        }
+
+        /// What `capture` would snapshot of this replica.
+        fn checkpoint(&self, alpha: f32) -> Checkpoint {
+            let mut ckpt = Checkpoint::new(0, vec![self.net.flat_weights()], alpha);
+            ckpt.lr = self.opt.lr();
+            ckpt.velocities = vec![self.opt.flat_velocity()];
+            ckpt.states = vec![self.net.flat_state()];
+            ckpt.lr_int8 = self.opt8.lr();
+            ckpt.velocities_int8 = vec![self.opt8.flat_velocity()];
+            ckpt.states_int8 = vec![self.net8.flat_state()];
+            ckpt
+        }
+    }
+
+    /// Every section of a checkpoint that holds floats, as bits.
+    fn sections(c: &Checkpoint) -> Vec<Vec<u32>> {
+        let rows = [
+            &c.replicas,
+            &c.velocities,
+            &c.states,
+            &c.velocities_int8,
+            &c.states_int8,
+        ];
+        let mut out: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|r| r[0].iter().map(|x| x.to_bits()).collect())
+            .collect();
+        out.push(vec![c.lr.to_bits(), c.lr_int8.to_bits(), c.alpha.to_bits()]);
+        out
+    }
+
+    /// The two-sweep mixed step is the four-pass one bit for bit, on a
+    /// batch-norm ResNet: weights, both arms' momentum and non-learnable
+    /// state, and the checkpoint `capture` takes of them — over splits
+    /// that give the INT8 arm samples, splits that give it none (α = 0,
+    /// and a one-sample batch), decayed learning rates of the two arms,
+    /// and the α probe's eval forwards in between, which must find the
+    /// FP32 arm's state in place.
+    #[test]
+    fn fused_mixed_step_is_the_four_pass_one_bit_for_bit() {
+        let mut spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(1)));
+        spec.model = ModelKind::ResNet18;
+        let mut workload = easy_workload(&spec, 96);
+        workload.model_cfg = ModelConfig::new(1, 8, 10, 0.1);
+        let engine = Engine::new(spec, workload, RunOptions::default());
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut replica = engine.build_replicas(1, &mut rng, true).remove(0);
+        let mut oracle = FourPass::of(&replica);
+        let train = &engine.workload.train;
+        let mut batches: Vec<Batch> = train.epoch_batches(16, &mut rng).take(4).collect();
+        let one = train.epoch_batches(1, &mut rng).next().expect("a sample");
+        batches.insert(2, one);
+        let mut ctrl = MixedPrecisionController::new(0.4);
+        let mut npu_steps = 0;
+        for (round, alpha) in [0.61, 0.0, 0.93].into_iter().enumerate() {
+            ctrl.set_alpha(alpha);
+            for b in &batches {
+                npu_steps += usize::from(ctrl.split_batch(b.len()).1 > 0);
+                replica.mixed_step(b, &ctrl);
+                oracle.mixed_step(b, &ctrl);
+                let snap = capture(0, std::slice::from_ref(&replica), alpha);
+                let want = oracle.checkpoint(alpha);
+                let n = b.len();
+                assert_eq!(sections(&snap), sections(&want), "α {alpha}, {n} samples");
+            }
+            let probe = &engine.workload.probe.images;
+            for precision in [Precision::Fp32, Precision::Int8] {
+                let bits = |t: Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let got = bits(replica.net.forward(probe, Mode::eval(precision)));
+                let want = bits(oracle.net.forward(probe, Mode::eval(precision)));
+                assert_eq!(got, want, "round {round}: {precision:?} probe");
+            }
+            replica.decay_lr_floored(0.7, 1e-3);
+            oracle.opt.set_lr((oracle.opt.lr() * 0.7).max(1e-3));
+            let lr8 = 0.02 + round as f32 * 0.01;
+            replica.int8.as_mut().unwrap().opt.set_lr(lr8);
+            oracle.opt8.set_lr(lr8);
+        }
+        // the INT8 arm stepped in two rounds of five batches, bar the one sample
+        assert_eq!(npu_steps, 8);
+        let arm = replica.int8.as_ref().unwrap();
+        assert_ne!(
+            arm.state,
+            replica.net.flat_state(),
+            "the arms' states differ"
+        );
     }
 
     #[test]

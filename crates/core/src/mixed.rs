@@ -99,15 +99,22 @@ impl MixedPrecisionController {
         (cpu, n - cpu)
     }
 
+    /// The FP32 arm's weight `k = e^{-α}` in the merge of Eq. 5 (the INT8
+    /// arm's is `1 − k`).
+    pub fn fp32_merge_weight(&self) -> f32 {
+        (-self.alpha).exp()
+    }
+
     /// Merges per-parameter weights (Eq. 5),
     /// `w = e^{-α}·w_FP32 + (1−e^{-α})·w_INT8`, into the FP32 slice in
-    /// place — the per-batch merge runs it over each parameter's own
-    /// storage.
+    /// place. The per-batch step fuses the merge into its INT8 arm's update
+    /// instead ([`socflow_nn::optim::Sgd::step_merged`]), with the same
+    /// arithmetic.
     ///
     /// # Panics
     /// Panics if the slices differ in length.
     pub fn merge_weights_inplace(&self, w_fp32: &mut [f32], w_int8: &[f32]) {
-        socflow_tensor::sweep::lerp(w_fp32, w_int8, (-self.alpha).exp());
+        socflow_tensor::sweep::lerp(w_fp32, w_int8, self.fp32_merge_weight());
     }
 }
 

@@ -122,8 +122,8 @@ pub struct RunOptions {
     /// the surviving topology.
     pub faults: Option<FaultPlan>,
     /// User-workload preemption after this many epochs: SoCFlow gives up
-    /// one logical group and continues; baselines stall for a
-    /// checkpoint-restore round trip.
+    /// one logical group and continues; baselines, and a SoCFlow run with
+    /// one group left, stall for a checkpoint-restore round trip.
     pub preempt_after: Option<usize>,
     /// Durable checkpoints (`None` disables durability entirely).
     pub checkpointing: Option<Checkpointing>,

@@ -172,16 +172,18 @@ pub trait Layer: Send + Sync {
         out
     }
 
-    /// Flattened views of the layer's non-learnable state carried across
-    /// steps (batch-norm running statistics and the like) — the part of a
-    /// model snapshot that `parameters` misses. Empty by default.
-    fn state_buffers(&self) -> Vec<&[f32]> {
-        Vec::new()
+    /// Hands `visit` a flat view of each buffer of the layer's
+    /// non-learnable state carried across steps (batch-norm running
+    /// statistics, quant-noise step counters), in a fixed order — the part
+    /// of a model snapshot that the parameters miss. The default is a
+    /// layer without any.
+    fn visit_state(&self, visit: &mut dyn FnMut(&[f32])) {
+        let _ = visit;
     }
 
-    /// Mutable views of [`Layer::state_buffers`], same order and shapes.
-    fn state_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        Vec::new()
+    /// [`Layer::visit_state`] with mutable access, same order and shapes.
+    fn visit_state_mut(&mut self, visit: &mut dyn FnMut(&mut [f32])) {
+        let _ = visit;
     }
 
     /// A short human-readable layer descriptor, e.g. `conv2d(3->16, k3)`.

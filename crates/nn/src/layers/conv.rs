@@ -22,7 +22,7 @@ pub struct Conv2d {
     params: ConvParams,
     cached: Option<(ConvCache, Shape)>, // (forward's cache, input shape)
     /// Quantized-backward counter seeding the gradient noise. Kept as f32
-    /// so it rides [`Layer::state_buffers`] into checkpoints (exact up to
+    /// so it rides [`Layer::visit_state`] into checkpoints (exact up to
     /// 2^24 steps — far past any realistic run).
     step: f32,
 }
@@ -113,12 +113,12 @@ impl Layer for Conv2d {
         visit(&mut self.weight);
     }
 
-    fn state_buffers(&self) -> Vec<&[f32]> {
-        vec![std::slice::from_ref(&self.step)]
+    fn visit_state(&self, visit: &mut dyn FnMut(&[f32])) {
+        visit(std::slice::from_ref(&self.step));
     }
 
-    fn state_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![std::slice::from_mut(&mut self.step)]
+    fn visit_state_mut(&mut self, visit: &mut dyn FnMut(&mut [f32])) {
+        visit(std::slice::from_mut(&mut self.step));
     }
 
     fn describe(&self) -> String {

@@ -15,7 +15,7 @@ pub struct Linear {
     out_features: usize,
     cached_input: Option<Tensor>,
     /// Quantized-backward counter seeding the gradient noise. Kept as f32
-    /// so it rides [`Layer::state_buffers`] into checkpoints (exact up to
+    /// so it rides [`Layer::visit_state`] into checkpoints (exact up to
     /// 2^24 steps — far past any realistic run).
     step: f32,
 }
@@ -133,12 +133,12 @@ impl Layer for Linear {
         visit(&mut self.bias);
     }
 
-    fn state_buffers(&self) -> Vec<&[f32]> {
-        vec![std::slice::from_ref(&self.step)]
+    fn visit_state(&self, visit: &mut dyn FnMut(&[f32])) {
+        visit(std::slice::from_ref(&self.step));
     }
 
-    fn state_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![std::slice::from_mut(&mut self.step)]
+    fn visit_state_mut(&mut self, visit: &mut dyn FnMut(&mut [f32])) {
+        visit(std::slice::from_mut(&mut self.step));
     }
 
     fn describe(&self) -> String {

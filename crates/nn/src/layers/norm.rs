@@ -195,15 +195,14 @@ impl Layer for BatchNorm2d {
         visit(&mut self.beta);
     }
 
-    fn state_buffers(&self) -> Vec<&[f32]> {
-        vec![self.running_mean.as_slice(), self.running_var.as_slice()]
+    fn visit_state(&self, visit: &mut dyn FnMut(&[f32])) {
+        visit(&self.running_mean);
+        visit(&self.running_var);
     }
 
-    fn state_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![
-            self.running_mean.as_mut_slice(),
-            self.running_var.as_mut_slice(),
-        ]
+    fn visit_state_mut(&mut self, visit: &mut dyn FnMut(&mut [f32])) {
+        visit(&mut self.running_mean);
+        visit(&mut self.running_var);
     }
 
     fn describe(&self) -> String {

@@ -102,24 +102,20 @@ impl Layer for Residual {
         }
     }
 
-    fn state_buffers(&self) -> Vec<&[f32]> {
-        let mut out: Vec<&[f32]> = self.body.iter().flat_map(|l| l.state_buffers()).collect();
-        if let Some(s) = &self.shortcut {
-            out.extend(s.iter().flat_map(|l| l.state_buffers()));
+    fn visit_state(&self, visit: &mut dyn FnMut(&[f32])) {
+        for l in self.body.iter().chain(self.shortcut.iter().flatten()) {
+            l.visit_state(visit);
         }
-        out
     }
 
-    fn state_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        let mut out: Vec<&mut [f32]> = self
+    fn visit_state_mut(&mut self, visit: &mut dyn FnMut(&mut [f32])) {
+        for l in self
             .body
             .iter_mut()
-            .flat_map(|l| l.state_buffers_mut())
-            .collect();
-        if let Some(s) = &mut self.shortcut {
-            out.extend(s.iter_mut().flat_map(|l| l.state_buffers_mut()));
+            .chain(self.shortcut.iter_mut().flatten())
+        {
+            l.visit_state_mut(visit);
         }
-        out
     }
 
     fn describe(&self) -> String {

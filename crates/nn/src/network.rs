@@ -201,39 +201,6 @@ impl Network {
         }
     }
 
-    /// Walks this network's parameters and those of `other`, a network of
-    /// the same architecture, in step: `visit(mine, theirs)` for every
-    /// parameter, in layer order, without building a list of either.
-    ///
-    /// # Panics
-    /// Panics if the two networks do not have the same number of layers
-    /// with the same number of parameters each.
-    pub fn zip_parameters_mut(
-        &mut self,
-        other: &Network,
-        mut visit: impl FnMut(&mut Parameter, &Parameter),
-    ) {
-        const MISMATCH: &str = "zip_parameters_mut: the networks differ in architecture";
-        assert_eq!(self.layers.len(), other.layers.len(), "{MISMATCH}");
-        for (mine, theirs) in self.layers.iter_mut().zip(&other.layers) {
-            // a layer holds a handful of parameters: for each of mine, walk
-            // theirs and stop at the one in the same position
-            let (mut seen, mut theirs_count) = (0, 0);
-            theirs.visit_parameters(&mut |_| theirs_count += 1);
-            mine.visit_parameters_mut(&mut |p| {
-                let mut at = 0;
-                theirs.visit_parameters(&mut |q| {
-                    if at == seen {
-                        visit(p, q);
-                    }
-                    at += 1;
-                });
-                seen += 1;
-            });
-            assert_eq!(seen, theirs_count, "{MISMATCH}");
-        }
-    }
-
     /// All parameters, in layer order.
     pub fn parameters(&self) -> Vec<&Parameter> {
         let mut out = Vec::new();
@@ -284,14 +251,27 @@ impl Network {
         });
     }
 
+    /// Hands every buffer of non-learnable layer state to `visit`, in
+    /// layer order — the walk every flat state view is made of.
+    fn for_each_state(&self, mut visit: impl FnMut(&[f32])) {
+        for l in &self.layers {
+            l.visit_state(&mut visit);
+        }
+    }
+
+    /// [`Network::for_each_state`] with mutable access.
+    fn for_each_state_mut(&mut self, mut visit: impl FnMut(&mut [f32])) {
+        for l in &mut self.layers {
+            l.visit_state_mut(&mut visit);
+        }
+    }
+
     /// Total number of non-learnable state scalars (batch-norm running
     /// statistics etc.).
     pub fn state_count(&self) -> usize {
-        self.layers
-            .iter()
-            .flat_map(|l| l.state_buffers())
-            .map(|s| s.len())
-            .sum()
+        let mut count = 0;
+        self.for_each_state(|s| count += s.len());
+        count
     }
 
     /// Concatenates all non-learnable layer state into one flat vector —
@@ -307,9 +287,7 @@ impl Network {
     pub fn flat_state_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.state_count());
-        for s in self.layers.iter().flat_map(|l| l.state_buffers()) {
-            out.extend_from_slice(s);
-        }
+        self.for_each_state(|s| out.extend_from_slice(s));
     }
 
     /// Overwrites all non-learnable layer state from a flat vector.
@@ -317,12 +295,34 @@ impl Network {
     /// # Panics
     /// Panics if `flat.len() != state_count()`.
     pub fn set_flat_state(&mut self, flat: &[f32]) {
-        scatter(flat, "state", |put| {
-            self.layers
-                .iter_mut()
-                .flat_map(|l| l.state_buffers_mut())
-                .for_each(put)
+        scatter(flat, "state", |put| self.for_each_state_mut(put));
+    }
+
+    /// Exchanges all non-learnable layer state with `flat`, laid out as
+    /// [`Network::flat_state`] lays it out, scalar for scalar and without
+    /// allocating: a second call swaps it back. A mixed-precision replica
+    /// trains its INT8 arm on its own weights this way, with the arm's
+    /// running statistics and noise counters in place of the FP32 arm's.
+    ///
+    /// # Panics
+    /// Panics if `flat.len() != state_count()`.
+    pub fn swap_state(&mut self, flat: &mut [f32]) {
+        let total = flat.len();
+        let mut rest = flat;
+        self.for_each_state_mut(|s| {
+            assert!(
+                s.len() <= rest.len(),
+                "swapped state length mismatch: {total} scalars are too few"
+            );
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(s.len());
+            s.swap_with_slice(head);
+            rest = tail;
         });
+        assert!(
+            rest.is_empty(),
+            "swapped state length mismatch: {} of {total} scalars left over",
+            rest.len()
+        );
     }
 
     /// All gradients concatenated in layer order, zeros for a parameter
@@ -431,38 +431,6 @@ mod tests {
         let mut count = 0;
         n.for_each_parameter(|p| count += p.len());
         assert_eq!(count, n.param_count());
-    }
-
-    #[test]
-    fn zipped_walk_pairs_parameters_by_position() {
-        let (mut a, b) = (nested_net(1), nested_net(2));
-        let theirs: Vec<*const Parameter> = b.parameters().into_iter().map(|p| p as _).collect();
-        let mine: Vec<*const Parameter> = a.parameters().into_iter().map(|p| p as _).collect();
-        let mut pairs = Vec::new();
-        a.zip_parameters_mut(&b, |p, q| {
-            assert_eq!(p.value.shape(), q.value.shape());
-            pairs.push((p as *const Parameter, q as *const Parameter));
-        });
-        let want: Vec<_> = mine.into_iter().zip(theirs).collect();
-        assert_eq!(pairs, want);
-
-        // the per-parameter copy is the flat copy
-        a.zip_parameters_mut(&b, |p, q| {
-            p.value.data_mut().copy_from_slice(q.value.data())
-        });
-        assert_eq!(a.flat_weights(), b.flat_weights());
-    }
-
-    #[test]
-    #[should_panic(expected = "differ in architecture")]
-    fn zipped_walk_refuses_another_architecture() {
-        let mut a = nested_net(1);
-        let b = Network::new(vec![
-            Box::new(Relu::new()),
-            Box::new(Relu::new()),
-            Box::new(Relu::new()),
-        ]);
-        a.zip_parameters_mut(&b, |_, _| {});
     }
 
     #[test]
@@ -633,6 +601,35 @@ mod tests {
         b.set_flat_state(&snap);
         let yb = b.forward(&probe, Mode::eval(Precision::Fp32));
         assert_eq!(ya.data(), yb.data());
+    }
+
+    /// `swap_state` exchanges the state `flat_state` reads, in its order,
+    /// through nested layers; a second swap puts both sides back.
+    #[test]
+    fn swapping_state_twice_is_the_identity() {
+        let mut n = nested_net(1);
+        // conv, [conv, BN(3)] body, [conv, BN(3)] shortcut: 1 + 1 + 6 + 1 + 6
+        assert_eq!(n.state_count(), 15);
+        let before = n.flat_state();
+        let other: Vec<f32> = (0..15).map(|i| i as f32 + 0.5).collect();
+        let mut flat = other.clone();
+        n.swap_state(&mut flat);
+        assert_eq!(n.flat_state(), other);
+        assert_eq!(flat, before);
+        n.swap_state(&mut flat);
+        assert_eq!((n.flat_state(), flat), (before, other));
+    }
+
+    #[test]
+    fn swap_state_refuses_both_too_few_and_too_many_scalars() {
+        for len in [0, 14, 16] {
+            let caught = std::panic::catch_unwind(|| nested_net(1).swap_state(&mut vec![0.0; len]));
+            let msg = *caught.unwrap_err().downcast::<String>().unwrap();
+            assert!(
+                msg.contains("swapped state length mismatch"),
+                "{len}: {msg}"
+            );
+        }
     }
 
     #[test]

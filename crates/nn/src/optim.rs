@@ -1,8 +1,11 @@
-//! Optimizers. SoCFlow uses plain SGD with momentum on the CPU path; the
-//! INT8 path's integer optimizer is modelled by the gradient quantization in
-//! the layers, so the update rule itself is shared.
+//! Optimizers. SoCFlow uses plain SGD with momentum on both of a SoC's
+//! arms: the INT8 path's integer optimizer is modelled by the gradient
+//! quantization in the layers, so the update rule itself is shared. A
+//! mixed-precision step runs it in two halves on the one network both arms
+//! train: [`Sgd::step_velocity`] for the FP32 arm, then
+//! [`Sgd::step_merged`], which steps the INT8 arm and merges the two.
 
-use crate::Network;
+use crate::{Network, Parameter};
 use socflow_tensor::sweep::{self, SgdStep};
 use socflow_tensor::{pool, Tensor};
 
@@ -107,6 +110,40 @@ impl Sgd {
         }
     }
 
+    fn hyper(&self) -> SgdStep {
+        SgdStep {
+            lr: self.lr,
+            momentum: self.momentum,
+            weight_decay: self.weight_decay,
+        }
+    }
+
+    /// Runs `update(parameter, its gradient, its velocity)` over every
+    /// parameter of `net` and hands the gradients (all `+0.0` for a
+    /// parameter that has none) back, allocating the velocity first if
+    /// need be.
+    ///
+    /// # Panics
+    /// Panics if the network's parameter count changed since the first step.
+    fn for_each_gradient(
+        &mut self,
+        net: &mut Network,
+        mut update: impl FnMut(&mut Parameter, &Tensor, &mut [f32]),
+    ) {
+        self.ensure_velocity(net);
+        let mut velocity = self.velocity.iter_mut();
+        net.for_each_parameter_mut(|p| {
+            let v = velocity.next().expect(CHANGED).data_mut();
+            let g = p
+                .grad
+                .take()
+                .unwrap_or_else(|| pool::zeroed(p.value.shape().clone()));
+            update(p, &g, v);
+            pool::recycle(g);
+        });
+        assert!(velocity.next().is_none(), "{CHANGED}");
+    }
+
     /// Applies one update step using the gradients accumulated in `net`
     /// (all `+0.0` for a parameter that has none) and hands them back.
     ///
@@ -116,26 +153,55 @@ impl Sgd {
     /// # Panics
     /// Panics if the network's parameter count changed since the first step.
     pub fn step(&mut self, net: &mut Network) {
-        const CHANGED: &str = "parameter structure changed between optimizer steps";
-        self.ensure_velocity(net);
-        let h = SgdStep {
-            lr: self.lr,
-            momentum: self.momentum,
-            weight_decay: self.weight_decay,
-        };
-        let mut velocity = self.velocity.iter_mut();
-        net.for_each_parameter_mut(|p| {
-            let v = velocity.next().expect(CHANGED).data_mut();
-            let g = p
-                .grad
-                .take()
-                .unwrap_or_else(|| pool::zeroed(p.value.shape().clone()));
-            sweep::sgd_momentum(p.value.data_mut(), g.data(), v, h);
-            pool::recycle(g);
+        let h = self.hyper();
+        self.for_each_gradient(net, |p, g, v| {
+            sweep::sgd_momentum(p.value.data_mut(), g.data(), v, h)
         });
+    }
+
+    /// The velocity half of [`Sgd::step`]: `v ← μ·v + (g + λ·w)` on the
+    /// gradients accumulated in `net`, which it hands back; the weights
+    /// are not touched. [`Sgd::step_merged`] takes the weight step.
+    ///
+    /// # Panics
+    /// Panics if the network's parameter count changed since the first step.
+    pub fn step_velocity(&mut self, net: &mut Network) {
+        let h = self.hyper();
+        self.for_each_gradient(net, |p, g, v| {
+            sweep::sgd_velocity(p.value.data(), g.data(), v, h)
+        });
+    }
+
+    /// Moves `net` from its weights `w` to the blend (the paper's Eq. 5)
+    /// of two SGD steps from `w`, in one sweep per parameter
+    /// ([`sweep::sgd_merge`]): `w ← k·(w − lr·v) + (1 − k)·w₈`, where `v`
+    /// is this optimizer's velocity as [`Sgd::step_velocity`] left it and
+    /// `w₈` is `int8`'s [`Sgd::step`] on the gradients `net` holds, which
+    /// it hands back — or, for `None`, an arm that takes no step, `w`
+    /// itself. Every element is the one two [`Sgd::step`]s of two copies
+    /// of `net` and a lerp of their weights give, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if [`Sgd::step_velocity`] has not run on `net`'s parameter
+    /// structure.
+    pub fn step_merged(&self, net: &mut Network, int8: Option<&mut Sgd>, k: f32) {
+        let mut velocity = self.velocity.iter();
+        let mut merge = |p: &mut Parameter, arm: Option<sweep::ArmStep<'_>>| {
+            let v = velocity.next().expect(CHANGED).data();
+            sweep::sgd_merge(p.value.data_mut(), v, self.lr, arm, k);
+        };
+        match int8 {
+            Some(arm) => {
+                let h8 = arm.hyper();
+                arm.for_each_gradient(net, |p, g8, v8| merge(p, Some((g8.data(), v8, h8))));
+            }
+            None => net.for_each_parameter_mut(|p| merge(p, None)),
+        }
         assert!(velocity.next().is_none(), "{CHANGED}");
     }
 }
+
+const CHANGED: &str = "parameter structure changed between optimizer steps";
 
 #[cfg(test)]
 mod tests {

@@ -169,7 +169,8 @@ pub enum Event {
         socs_left: usize,
     },
     /// A gang-scheduled baseline stalled on a preempted member and paid a
-    /// checkpoint/restore penalty (Fig. 3's tidal argument).
+    /// checkpoint/restore penalty (Fig. 3's tidal argument) — or a SoCFlow
+    /// run did, down to one logical group and so with no group to give up.
     BaselineStalled { epoch: usize, stall: f64 },
     /// A simulated timeline span opened (SoCFlow runs only). `kind`
     /// names the activity (`"compute"`, `"sync"`, `"update"`,

@@ -4,6 +4,9 @@
 //!
 //! - [`sgd_momentum`]: the SGD-with-momentum update over one parameter's
 //!   `(w, g, v)`;
+//! - [`sgd_velocity`]: that update's velocity half alone, `w` untouched;
+//! - [`sgd_merge`]: a mixed-precision step's end — the INT8 arm's update,
+//!   both arms' weight steps and the Eq. 5 merge, in one pass;
 //! - [`lerp`]: the CPU/NPU weight merge of the paper's Eq. 5;
 //! - [`replica_mean`]: the delayed aggregation's mean over one tensor of
 //!   every replica, written back into all of them.
@@ -28,11 +31,19 @@ pub struct SgdStep {
     pub weight_decay: f32,
 }
 
+/// The velocity half of one element's update: `v ← μ·v + (g + λ·w)`;
+/// returns the new `v`.
+#[inline(always)]
+fn velocity_element(w: f32, g: f32, v: &mut f32, h: SgdStep) -> f32 {
+    let vel = h.momentum * *v + (g + h.weight_decay * w);
+    *v = vel;
+    vel
+}
+
 /// One element of the update: `v ← μ·v + (g + λ·w)`, `w ← w − lr·v`.
 #[inline(always)]
 fn sgd_element(w: &mut f32, g: f32, v: &mut f32, h: SgdStep) {
-    let vel = h.momentum * *v + (g + h.weight_decay * *w);
-    *v = vel;
+    let vel = velocity_element(*w, g, v, h);
     *w -= h.lr * vel;
 }
 
@@ -59,6 +70,80 @@ pub fn sgd_momentum(w: &mut [f32], g: &[f32], v: &mut [f32], h: SgdStep) {
         "sgd_momentum: value, gradient and velocity lengths differ"
     );
     sgd_momentum_slices(Isa::active(), w, g, v, h);
+}
+
+isa_kernel! {
+    fn sgd_velocity_slices(w: &[f32], g: &[f32], v: &mut [f32], h: SgdStep)
+        = sgd_velocity_body;
+}
+
+#[inline(always)]
+fn sgd_velocity_body(w: &[f32], g: &[f32], v: &mut [f32], h: SgdStep) {
+    for ((&w, &g), v) in w.iter().zip(g).zip(v) {
+        velocity_element(w, g, v, h);
+    }
+}
+
+/// The velocity half of [`sgd_momentum`]: `v ← μ·v + (g + λ·w)`, element
+/// by element, with `w` read only (`h.lr` is not used).
+///
+/// # Panics
+/// Panics if the three slices differ in length.
+pub fn sgd_velocity(w: &[f32], g: &[f32], v: &mut [f32], h: SgdStep) {
+    assert!(
+        w.len() == g.len() && w.len() == v.len(),
+        "sgd_velocity: value, gradient and velocity lengths differ"
+    );
+    sgd_velocity_slices(Isa::active(), w, g, v, h);
+}
+
+/// The INT8 arm's side of an [`sgd_merge`]: its gradient, its velocity and
+/// its step's hyper-parameters.
+pub type ArmStep<'a> = (&'a [f32], &'a mut [f32], SgdStep);
+
+isa_kernel! {
+    fn sgd_merge_slices(w: &mut [f32], v: &[f32], lr: f32, int8: Option<ArmStep<'_>>, k: f32)
+        = sgd_merge_body;
+}
+
+#[inline(always)]
+fn sgd_merge_body(w: &mut [f32], v: &[f32], lr: f32, int8: Option<ArmStep<'_>>, k: f32) {
+    let rest = 1.0 - k;
+    match int8 {
+        Some((g8, v8, h8)) => {
+            for (((w, &v), &g8), v8) in w.iter_mut().zip(v).zip(g8).zip(v8) {
+                let vel8 = velocity_element(*w, g8, v8, h8);
+                *w = k * (*w - lr * v) + rest * (*w - h8.lr * vel8);
+            }
+        }
+        None => {
+            for (w, &v) in w.iter_mut().zip(v) {
+                *w = k * (*w - lr * v) + rest * *w;
+            }
+        }
+    }
+}
+
+/// The end of a mixed-precision step over one parameter, whose FP32 arm's
+/// velocity `v` [`sgd_velocity`] has already updated: element by element,
+/// `v₈ ← μ₈·v₈ + (g₈ + λ₈·w)` and then
+/// `w ← k·(w − lr·v) + (1 − k)·(w − lr₈·v₈)` for `int8 = Some((g₈, v₈,
+/// h₈))`, or `w ← k·(w − lr·v) + (1 − k)·w` for `None`, an INT8 arm that
+/// takes no step. Each value is the one the two arms' [`sgd_momentum`]s
+/// from a shared `w` and [`lerp`] over their results give, bit for bit.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn sgd_merge(w: &mut [f32], v: &[f32], lr: f32, int8: Option<ArmStep<'_>>, k: f32) {
+    let len = w.len();
+    assert!(
+        v.len() == len
+            && int8
+                .as_ref()
+                .is_none_or(|a| a.0.len() == len && a.1.len() == len),
+        "sgd_merge: value, gradient and velocity lengths differ"
+    );
+    sgd_merge_slices(Isa::active(), w, v, lr, int8, k);
 }
 
 isa_kernel! {
@@ -226,9 +311,21 @@ mod tests {
         weight_decay: 5e-4,
     };
 
+    /// The INT8 arm's step in the merge sweeps: a learning rate of its own.
+    const STEP8: SgdStep = SgdStep {
+        lr: 0.03,
+        momentum: 0.8,
+        weight_decay: 1e-3,
+    };
+
+    /// The merge weight `k` of the lerp and merge sweeps.
+    const K: f32 = 0.3679;
+
     /// Every sweep on `isa` over edge-valued inputs of `len` elements, as
-    /// comparable bits: SGD `(w, v)`, lerp, and the mean over 1, 3 and 4
-    /// rows.
+    /// comparable bits: SGD `(w, v)`, lerp, the mean over 1, 3 and 4 rows,
+    /// then the velocity update `v`, the merge with an INT8 step `(w, v₈)`
+    /// (INT8 gradient and velocity from lanes 3 and 4) and the merge
+    /// without one `w`.
     fn all_sweeps(isa: Isa, len: usize) -> Vec<Vec<u32>> {
         let (w0, g0, v0) = (
             edge_values(len, 0),
@@ -240,7 +337,7 @@ mod tests {
         sgd_momentum_slices(isa, &mut w, &g0, &mut v, STEP);
         out.extend([bits(&w), bits(&v)]);
         let mut a = w0.clone();
-        lerp_slices(isa, &mut a, &g0, 0.3679);
+        lerp_slices(isa, &mut a, &g0, K);
         out.push(bits(&a));
         for n in [1, 3, 4] {
             let mut rows: Vec<Vec<f32>> = (0..n).map(|r| edge_values(len, r)).collect();
@@ -248,7 +345,39 @@ mod tests {
             replica_mean_slices(isa, &mut views, 1.0 / n as f32);
             out.extend(rows.iter().map(|r| bits(r)));
         }
+        let mut v = v0;
+        sgd_velocity_slices(isa, &w0, &g0, &mut v, STEP);
+        out.push(bits(&v));
+        let (g8, mut v8) = (edge_values(len, 3), edge_values(len, 4));
+        let mut w = w0.clone();
+        sgd_merge_slices(isa, &mut w, &v, STEP.lr, Some((&g8, &mut v8, STEP8)), K);
+        out.extend([bits(&w), bits(&v8)]);
+        let mut w = w0;
+        sgd_merge_slices(isa, &mut w, &v, STEP.lr, None, K);
+        out.push(bits(&w));
         out
+    }
+
+    /// A mixed-precision step's four passes over one parameter as they
+    /// were, from step-start weights `w0`: the INT8 arm takes a copy of
+    /// them, each arm takes its [`sgd_reference`] step (the INT8 one only
+    /// with `Some` gradient), the FP32 weights lerp towards the INT8 ones.
+    /// Returns `(w, v, v₈)`.
+    fn mixed_reference(
+        w0: &[f32],
+        (g, v0): (&[f32], &[f32]),
+        int8: Option<(&[f32], &[f32])>,
+    ) -> [Vec<f32>; 3] {
+        let (mut w, mut v) = (w0.to_vec(), v0.to_vec());
+        let mut w8 = w0.to_vec();
+        sgd_reference(&mut w, g, &mut v, STEP);
+        let mut v8 = Vec::new();
+        if let Some((g8, v8_0)) = int8 {
+            v8 = v8_0.to_vec();
+            sgd_reference(&mut w8, g8, &mut v8, STEP8);
+        }
+        merge_reference(&mut w, &w8, K);
+        [w, v, v8]
     }
 
     /// The portable, AVX2 and AVX-512 instantiations of every parameter
@@ -287,7 +416,7 @@ mod tests {
                 assert_eq!(got[0], bits(&w), "{}", what("sgd w"));
                 assert_eq!(got[1], bits(&v), "{}", what("sgd v"));
                 let mut a = w0.clone();
-                merge_reference(&mut a, &g0, 0.3679);
+                merge_reference(&mut a, &g0, K);
                 assert_eq!(got[2], bits(&a), "{}", what("lerp"));
                 let mut next = 3;
                 for n in [1, 3, 4] {
@@ -298,6 +427,13 @@ mod tests {
                     }
                     next += n;
                 }
+                assert_eq!(got[next], bits(&v), "{}", what("velocity"));
+                let (g8, v8) = (edge_values(len, 3), edge_values(len, 4));
+                let [w, _, v8] = mixed_reference(&w0, (&g0, &v0), Some((&g8, &v8)));
+                assert_eq!(got[next + 1], bits(&w), "{}", what("merge w"));
+                assert_eq!(got[next + 2], bits(&v8), "{}", what("merge v8"));
+                let [w, ..] = mixed_reference(&w0, (&g0, &v0), None);
+                assert_eq!(got[next + 3], bits(&w), "{}", what("merge w, no INT8 step"));
             }
         }
     }
@@ -329,9 +465,18 @@ mod tests {
         let (mut w, mut v) = (w0.clone(), v0);
         sgd_momentum(&mut w, &g0, &mut v, STEP);
         assert_eq!((bits(&w), bits(&v)), (want[0].clone(), want[1].clone()));
-        let mut a = w0;
-        lerp(&mut a, &g0, 0.3679);
+        let mut a = w0.clone();
+        lerp(&mut a, &g0, K);
         assert_eq!(bits(&a), want[2]);
+        let mut v = edge_values(len, 2);
+        sgd_velocity(&w0, &g0, &mut v, STEP);
+        let (g8, mut v8) = (edge_values(len, 3), edge_values(len, 4));
+        let mut w = w0.clone();
+        sgd_merge(&mut w, &v, STEP.lr, Some((&g8, &mut v8, STEP8)), K);
+        let mut w_alone = w0;
+        sgd_merge(&mut w_alone, &v, STEP.lr, None, K);
+        let tail = &want[want.len() - 4..];
+        assert_eq!([bits(&v), bits(&w), bits(&v8), bits(&w_alone)], tail);
 
         let rows: Vec<Vec<f32>> = (0..4).map(|r| edge_values(len, r)).collect();
         let mean = bits(&mean_of(&rows));

@@ -403,3 +403,43 @@ fn baseline_preemption_costs_a_stall() {
         assert_eq!(stalled.epoch_time, calm.epoch_time, "{name}");
     }
 }
+
+/// A SoCFlow run with one logical group can give up neither a group nor
+/// its SoCs: preempted, it pays a baseline's checkpoint-restore stall, on
+/// its own clock, and trains on unchanged.
+#[test]
+fn single_group_socflow_preemption_costs_a_stall() {
+    let s = small_spec(1);
+    let workload = Workload::standard(&s, 512, 8, 0.5);
+    let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
+    let sink = Arc::new(MemorySink::new());
+    let stalled = Engine::new(
+        s,
+        workload,
+        RunOptions {
+            preempt_after: Some(2),
+            sink: Some(sink.clone()),
+            ..RunOptions::default()
+        },
+    )
+    .run();
+    let events = sink.events();
+    let stalls: Vec<f64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::BaselineStalled { epoch: 2, stall } => Some(*stall),
+            _ => None,
+        })
+        .collect();
+    let [stall] = stalls[..] else {
+        panic!("one stall after epoch 2, got {stalls:?}");
+    };
+    assert!(stall > 0.0);
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, Event::GroupEvicted { .. })));
+    assert_eq!(stalled.recovery_time, stall);
+    assert_eq!(stalled.total_time(), calm.total_time() + stall);
+    assert_eq!(stalled.epoch_accuracy, calm.epoch_accuracy);
+    assert_eq!(stalled.epoch_time, calm.epoch_time);
+}

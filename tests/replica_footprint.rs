@@ -6,9 +6,13 @@
 //! CIFAR-10 inputs, batches of 64) and steps it, so that this thread's step
 //! scratch ([`socflow_tensor::pool`]) meets every buffer a step asks for —
 //! one set of parameter gradients among them. Then it builds and steps a
-//! second replica, and counts what that one leaves live: the weights of its
-//! two arms and the momentum of their two optimizers, four model-sized
-//! families. A gradient kept between steps would be a fifth and a sixth.
+//! second replica, and counts what that one leaves live: its weights, which
+//! both arms train on, and the momentum of the two arms' optimizers, three
+//! model-sized families (the INT8 arm's batch-norm statistics and noise
+//! counters are a few scalars). A weight copy for the INT8 arm would be a
+//! fourth, a gradient kept between steps a fifth. A plain FP32 replica,
+//! built and stepped after both on the same warm thread, must leave two:
+//! its weights and its momentum.
 //!
 //! The pool is pinned to one thread, so every step runs here. One `#[test]`
 //! only: the allocator is global to the process.
@@ -20,6 +24,7 @@ use socflow::engine::{Replica, Workload};
 use socflow::mixed::MixedPrecisionController;
 use socflow_data::{Batch, DatasetPreset};
 use socflow_nn::models::ModelKind;
+use socflow_nn::Precision;
 use socflow_tensor::runtime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
@@ -73,21 +78,41 @@ fn a_replica_holds_no_gradient_between_steps() {
 
     let mut warm = Replica::new(net.clone(), spec.lr, true);
     batches.iter().for_each(|b| warm.mixed_step(b, &ctrl));
-
-    let before = LIVE.load(Relaxed);
-    let mut second = Replica::new(net.clone(), spec.lr, true);
-    batches.iter().for_each(|b| second.mixed_step(b, &ctrl));
-    let resident = LIVE.load(Relaxed) - before;
+    let mut warm_plain = Replica::new(net.clone(), spec.lr, false);
+    for b in &batches {
+        warm_plain.step(b, Precision::Fp32);
+    }
 
     let family = (net.param_count() * std::mem::size_of::<f32>()) as f64;
-    let families = resident as f64 / family;
-    println!(
-        "a mixed VGG-11 replica holds {resident} bytes between steps: \
-         {families:.3} families of {family} bytes"
-    );
+    let families_of = |with_int8: bool| {
+        let before = LIVE.load(Relaxed);
+        let mut second = Replica::new(net.clone(), spec.lr, with_int8);
+        for b in &batches {
+            if with_int8 {
+                second.mixed_step(b, &ctrl);
+            } else {
+                second.step(b, Precision::Fp32);
+            }
+        }
+        let resident = LIVE.load(Relaxed) - before;
+        let families = resident as f64 / family;
+        let kind = if with_int8 { "mixed" } else { "plain" };
+        println!(
+            "a {kind} VGG-11 replica holds {resident} bytes between steps: \
+             {families:.3} families of {family} bytes"
+        );
+        (second, families)
+    };
+    let (_mixed, mixed) = families_of(true);
     assert!(
-        families <= 4.0 * 1.05,
-        "a mixed replica holds {families:.3} model-sized families between steps; \
-         its weights and momentum are 4"
+        mixed <= 3.0 * 1.05,
+        "a mixed replica holds {mixed:.3} model-sized families between steps; \
+         its weights and its two arms' momentum are 3"
+    );
+    let (_plain, plain) = families_of(false);
+    assert!(
+        plain <= 2.0 * 1.05,
+        "a plain replica holds {plain:.3} model-sized families between steps; \
+         its weights and momentum are 2"
     );
 }
