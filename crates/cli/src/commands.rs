@@ -55,7 +55,10 @@ USAGE:
       kernels (matmul/conv/quant) — printed after the run and recorded
       in the trace as KernelTotals events
   --faults <reclaim_s>:<crash_s> (train): sample a fault timeline with
-      these mean inter-arrival times (e.g. 600:3600) and inject it
+      these mean inter-arrival times (e.g. 600:3600) and inject it.
+      SoCFlow sheds the lost SoCs and pays a restore stall per crash; a
+      baseline keeps its SoCs and also pays a checkpoint-restore round
+      trip per epoch in which any SoC is reclaimed
   --checkpoint-dir <dir> (train): persist durable checkpoints there
   --checkpoint-every <N> (train): checkpoint cadence in epochs
       (default 1 when --checkpoint-dir is set)
@@ -391,7 +394,7 @@ pub fn train(opts: &Options) -> Result<(), String> {
     );
     if result.recovery_time > 0.0 {
         println!(
-            "crash recovery stalls: {:.1} s ({:.2}% of run time)",
+            "recovery stalls: {:.1} s ({:.2}% of run time)",
             result.recovery_time,
             result.recovery_time / result.total_time().max(1e-9) * 100.0
         );
@@ -964,6 +967,29 @@ mod tests {
         train(&opts).unwrap();
     }
 
+    /// A gang-scheduled baseline takes a fault plan too: it keeps its SoCs
+    /// and its run pays the recovery stalls.
+    #[test]
+    fn train_ring_with_faults_pays_recovery_stalls() {
+        let path = std::env::temp_dir().join("socflow_cli_ring_faults.jsonl");
+        let opts = Options {
+            method: "ring".into(),
+            socs: 8,
+            epochs: 2,
+            samples: 128,
+            faults: Some("100:100".into()),
+            trace: Some(path.to_string_lossy().into_owned()),
+            json: true,
+            ..Options::default()
+        };
+        let ran = train(&opts);
+        let trace = read_trace(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(ran, Ok(()));
+        let run = Summary::from_events(&trace.unwrap()).run;
+        assert!(run.recovery_time > 0.0, "{run:?}");
+    }
+
     #[test]
     fn unusable_checkpoint_dir_is_an_error_before_training() {
         let opts = Options {
@@ -1007,13 +1033,6 @@ mod tests {
                     ..on("ring")
                 },
                 "--streaming",
-            ),
-            (
-                Options {
-                    faults: Some("100:100".into()),
-                    ..on("fedavg")
-                },
-                "--faults",
             ),
             (
                 Options {

@@ -1,13 +1,15 @@
 //! Elastic membership: consuming fault windows, shrinking the group count
 //! with the surviving capacity, evicting groups, and re-deriving the
-//! topology — one path for faults and for user-workload preemption.
+//! topology. The fault plan is the one way a run loses capacity: a
+//! reclaim (user-workload preemption) or a crash costs SoCFlow SoCs and
+//! perhaps a logical group, and costs a gang-scheduled baseline a stall.
 
 use super::durable::capture;
 use super::run::Run;
 use super::Streams;
 use socflow_cluster::faults::{FaultEvent, FaultKind};
 use socflow_cluster::SocId;
-use socflow_telemetry::{Event, EvictionCause, FaultClass};
+use socflow_telemetry::{Event, FaultClass};
 
 /// Applies a window of fault events to `alive` and returns the ones that
 /// took a SoC away, in plan order. Only SoCs the job still holds can fault
@@ -46,24 +48,34 @@ pub(super) fn shrink_target(
 
 impl Run<'_> {
     /// Consumes the fault events of the epoch that just took `epoch_time`
-    /// against the simulated clock, then recovers: shrink, remap, charge
-    /// crash stalls, checkpoint graceful reclaims.
+    /// against the simulated clock, then recovers. SoCFlow shrinks,
+    /// remaps, charges crash stalls and checkpoints graceful reclaims. A
+    /// gang-scheduled baseline cannot shrink: it keeps its SoCs and
+    /// stalls for one checkpoint-restore round trip per window that
+    /// reclaims any of them, plus a restore per crash (Fig. 3's tidal
+    /// argument).
     ///
     /// A running clock (not a per-epoch prefix sum) keeps this O(E)
     /// overall and accounts for recovery stalls: events landing inside a
     /// stall interval are consumed at the next boundary, never skipped,
     /// because `fault_cursor` only advances over windows actually
-    /// examined (crash stalls push `clock` past it).
+    /// examined (stalls push `clock` past it).
     pub(super) fn consume_faults(&mut self, epoch: usize, epoch_time: f64) {
         let engine = self.engine;
         let window_end = self.clock + epoch_time;
-        let events = match &engine.options.faults {
+        let mut events = match &engine.options.faults {
             Some(plan) => plan.between(self.fault_cursor, window_end),
             None => Vec::new(),
         };
         self.clock = window_end;
         self.fault_cursor = window_end;
-        let applied = consume_window(&mut self.alive, &events);
+        let elastic = matches!(self.streams, Streams::SocFlow { .. });
+        let applied = if elastic {
+            consume_window(&mut self.alive, &events)
+        } else {
+            events.retain(|e| self.alive.contains(&e.soc));
+            events
+        };
         for e in &applied {
             engine.options.emit(Event::FaultInjected {
                 at: e.at,
@@ -83,20 +95,24 @@ impl Run<'_> {
             .filter(|e| e.kind == FaultKind::Crashed)
             .count();
         let reclaims = applied.len() - crashes;
-        // elastic remapping over the *actual* survivors
-        let target = shrink_target(
-            self.initial_groups,
-            self.alive.len(),
-            engine.spec.socs,
-            self.groups,
-        );
-        while self.groups > target {
-            self.evict_group(epoch + 1, EvictionCause::Fault);
-        }
-        self.retopologize(epoch + 1);
         // crashes lose the in-flight batch: survivors reload the latest
         // snapshot and redo it — a real stall on the clock
-        let stall = crashes as f64 * engine.time_model.restore_stall_time();
+        let mut stall = crashes as f64 * engine.time_model.restore_stall_time();
+        if elastic {
+            // elastic remapping over the *actual* survivors
+            let target = shrink_target(
+                self.initial_groups,
+                self.alive.len(),
+                engine.spec.socs,
+                self.groups,
+            );
+            while self.groups > target {
+                self.evict_group(epoch + 1);
+            }
+            self.retopologize(epoch + 1);
+        } else if reclaims > 0 {
+            stall += engine.checkpoint_stall_time();
+        }
         if stall > 0.0 {
             engine.options.emit_all(super::digest::cluster_span(
                 epoch + 1,
@@ -122,41 +138,11 @@ impl Run<'_> {
         engine.options.emit(recovered);
     }
 
-    /// User-workload preemption: SoCFlow surrenders the last logical
-    /// group's SoCs and keeps training on the rest. A gang-scheduled
-    /// baseline stalls for a checkpoint-restore round trip instead, and so
-    /// does a SoCFlow run down to one group, which can give up neither a
-    /// group nor its SoCs — on SoCFlow's run clock, as a crash stall is.
-    pub(super) fn preempt(&mut self, epoch_done: usize) {
-        let engine = self.engine;
-        let socflow = matches!(self.streams, Streams::SocFlow { .. });
-        if socflow && self.groups > 1 {
-            let lost = self.mapping.groups()[self.groups - 1].clone();
-            self.alive.retain(|s| !lost.contains(s));
-            self.evict_group(epoch_done, EvictionCause::Preemption);
-            self.retopologize(epoch_done);
-            return;
-        }
-        let stall = engine.checkpoint_stall_time();
-        if socflow {
-            engine.options.emit_all(super::digest::cluster_span(
-                epoch_done, "stall", self.clock, stall,
-            ));
-            self.clock += stall;
-        }
-        let stalled = Event::BaselineStalled {
-            epoch: epoch_done,
-            stall,
-        };
-        engine.record(&mut self.result, stalled);
-    }
-
     /// Evicts one logical group: checkpoint the streams, merge the evicted
     /// replica (weights *and* momentum) into the survivors, shrink the
-    /// stream count. One shared shrink rule for the fault and preemption
-    /// paths — the stream count never exceeds the surviving group count
-    /// and never reaches zero.
-    pub(super) fn evict_group(&mut self, epoch_done: usize, cause: EvictionCause) {
+    /// stream count. The stream count never exceeds the surviving group
+    /// count and never reaches zero.
+    pub(super) fn evict_group(&mut self, epoch_done: usize) {
         debug_assert!(self.groups > 1, "cannot evict the last group");
         let engine = self.engine;
         let keep = (self.replicas.len() - 1).max(1);
@@ -168,7 +154,6 @@ impl Run<'_> {
         self.groups -= 1;
         engine.options.emit(Event::GroupEvicted {
             epoch: epoch_done,
-            cause,
             groups_left: self.groups,
             socs_left: self.alive.len(),
         });
@@ -183,8 +168,8 @@ impl Run<'_> {
     }
 
     /// Re-derives mapping, CGs and (empty) stream buffers from the current
-    /// `(alive, groups)` and announces the new plan — the one rebuild both
-    /// membership changes go through.
+    /// `(alive, groups)` and announces the new plan — the one rebuild every
+    /// membership change goes through.
     pub(super) fn retopologize(&mut self, epoch: usize) {
         let engine = self.engine;
         (self.mapping, self.cgs) =
@@ -206,10 +191,12 @@ mod tests {
     use super::super::Engine;
     use super::*;
     use crate::config::{MethodSpec, SocFlowConfig, StreamingConfig};
+    use crate::mapping::integrity_greedy_over;
     use crate::options::RunOptions;
     use crate::timemodel::TimeModel;
     use proptest::prelude::*;
     use socflow_cluster::faults::FaultPlan;
+    use socflow_cluster::ClusterSpec;
     use socflow_data::stream::RateProfile;
     use socflow_telemetry::MemorySink;
     use std::sync::Arc;
@@ -305,6 +292,53 @@ mod tests {
         assert_eq!(persisted, 1, "one graceful reclaim, one checkpoint");
     }
 
+    /// A gang-scheduled run cannot shrink: a window that reclaims one of
+    /// its SoCs keeps every SoC and puts one checkpoint-restore round trip
+    /// on the run clock, as a SoCFlow crash stall is; a second reclaim
+    /// landing inside that stall is consumed at the next boundary, never
+    /// skipped.
+    #[test]
+    fn a_baseline_reclaim_stalls_on_the_run_clock() {
+        let spec = tiny_spec(MethodSpec::Ring);
+        let sink = Arc::new(MemorySink::new());
+        let options = RunOptions {
+            sink: Some(sink.clone()),
+            ..RunOptions::default()
+        };
+        let mut engine = Engine::new(spec, easy_workload(&spec, 256), options);
+        let stall = engine.checkpoint_stall_time();
+        engine.options.faults = Some(plan_of(vec![
+            (5.0, 3, FaultKind::Reclaimed),
+            (10.0 + stall / 2.0, 4, FaultKind::Reclaimed),
+        ]));
+        let mut run = started(&mut engine);
+        run.consume_faults(0, 10.0);
+        assert_eq!(run.clock, 10.0 + stall);
+        assert_eq!(run.fault_cursor, 10.0, "the cursor stops at the window");
+        assert_eq!(run.result.recovery_time, stall);
+        assert_eq!(
+            run.alive,
+            socs(&[0, 1, 2, 3, 4, 5, 6, 7]),
+            "a gang keeps its SoCs"
+        );
+        run.consume_faults(1, 10.0);
+        assert_eq!(run.result.recovery_time, 2.0 * stall);
+        assert_eq!(run.clock, 20.0 + 2.0 * stall);
+        let fired: Vec<(usize, usize)> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::FaultInjected { soc, epoch, .. } => Some((*soc, *epoch)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fired,
+            [(3, 1), (4, 2)],
+            "the stalled-over reclaim fires next"
+        );
+    }
+
     proptest! {
         #[test]
         fn shrink_target_is_bounded_and_monotone_in_survivors(
@@ -342,65 +376,82 @@ mod tests {
     }
 
     #[test]
-    fn retopologize_announces_one_plan_and_resets_buffers_for_both_causes() {
-        for cause in [EvictionCause::Fault, EvictionCause::Preemption] {
-            let sink = Arc::new(MemorySink::new());
-            let mut engine = streaming_engine(sink.clone());
-            let mut run = started(&mut engine);
-            // bank some samples so a reset is observable
-            for b in run.stream.as_mut().unwrap().buffers.iter_mut() {
-                b.produce(5);
-            }
-            sink.take();
-            match cause {
-                EvictionCause::Fault => {
-                    run.alive.truncate(6);
-                    run.evict_group(1, cause);
-                    run.retopologize(1);
-                }
-                EvictionCause::Preemption => run.preempt(1),
-            }
-            let events = sink.take();
-            let plans: Vec<_> = events
-                .iter()
-                .filter(|e| matches!(e, Event::PlanComputed { .. }))
-                .collect();
-            assert_eq!(plans.len(), 1, "{cause:?}: {events:?}");
-            assert!(matches!(
-                plans[0],
-                Event::PlanComputed {
-                    groups: 3,
-                    probes: 0,
-                    ..
-                }
-            ));
-            assert!(events.iter().any(
-                |e| matches!(e, Event::GroupEvicted { cause: c, groups_left: 3, socs_left: 6, .. } if *c == cause)
-            ));
-            assert_eq!(run.groups, 3);
-            assert_eq!(run.mapping.num_groups(), 3);
-            let buffers = &run.stream.as_ref().unwrap().buffers;
-            assert_eq!(buffers.len(), 3, "one buffer per surviving group");
-            assert!(
-                buffers.iter().all(|b| b.level() == 0),
-                "accumulation belongs to the dead grouping"
-            );
+    fn retopologize_announces_one_plan_and_resets_buffers() {
+        let sink = Arc::new(MemorySink::new());
+        let mut engine = streaming_engine(sink.clone());
+        let mut run = started(&mut engine);
+        // bank some samples so a reset is observable
+        for b in run.stream.as_mut().unwrap().buffers.iter_mut() {
+            b.produce(5);
         }
+        sink.take();
+        run.alive.truncate(6);
+        run.evict_group(1);
+        run.retopologize(1);
+        let events = sink.take();
+        let plans: Vec<_> = events
+            .iter()
+            .filter(|e| matches!(e, Event::PlanComputed { .. }))
+            .collect();
+        assert_eq!(plans.len(), 1, "{events:?}");
+        assert!(matches!(
+            plans[0],
+            Event::PlanComputed {
+                groups: 3,
+                probes: 0,
+                ..
+            }
+        ));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            Event::GroupEvicted {
+                groups_left: 3,
+                socs_left: 6,
+                ..
+            }
+        )));
+        assert_eq!(run.groups, 3);
+        assert_eq!(run.mapping.num_groups(), 3);
+        let buffers = &run.stream.as_ref().unwrap().buffers;
+        assert_eq!(buffers.len(), 3, "one buffer per surviving group");
+        assert!(
+            buffers.iter().all(|b| b.level() == 0),
+            "accumulation belongs to the dead grouping"
+        );
     }
 
+    /// A user-workload burst that reclaims one whole logical group in the
+    /// first epoch costs SoCFlow that group, not the job.
     #[test]
     fn preemption_shrinks_but_continues() {
         let spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(4)));
-        let workload = easy_workload(&spec, 512);
-        let mut e = Engine::new(
+        let calm = Engine::new(spec, easy_workload(&spec, 512), RunOptions::default()).run();
+        let everyone = socs(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let mapping = integrity_greedy_over(&ClusterSpec::for_socs(8), &everyone, 4);
+        let at = 0.5 * calm.epoch_time[0];
+        let reclaims = mapping.groups()[3]
+            .iter()
+            .map(|s| (at, s.0, FaultKind::Reclaimed))
+            .collect();
+        let sink = Arc::new(MemorySink::new());
+        let r = Engine::new(
             spec,
-            workload,
+            easy_workload(&spec, 512),
             RunOptions {
-                preempt_after: Some(1),
+                sink: Some(sink.clone()),
+                faults: Some(plan_of(reclaims)),
                 ..RunOptions::default()
             },
-        );
-        let r = e.run();
+        )
+        .run();
+        assert!(sink.events().iter().any(|e| matches!(
+            e,
+            Event::GroupEvicted {
+                epoch: 1,
+                groups_left: 3,
+                socs_left: 6,
+            }
+        )));
         assert_eq!(r.epoch_accuracy.len(), 4, "run continues after preemption");
         assert!(r.best_accuracy() > 0.15, "acc {}", r.best_accuracy());
     }
@@ -479,7 +530,6 @@ mod tests {
         assert!(events.iter().any(|ev| matches!(
             ev,
             Event::GroupEvicted {
-                cause: EvictionCause::Fault,
                 groups_left: 3,
                 socs_left: 6,
                 ..
@@ -574,22 +624,37 @@ mod tests {
 
     #[test]
     fn faults_on_socs_the_job_does_not_hold_are_ignored() {
-        let spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
-        let clean = Engine::new(spec, easy_workload(&spec, 512), RunOptions::default()).run();
-        let plan = plan_of(vec![
-            (0.0, 100, FaultKind::Crashed),
-            (0.0, 101, FaultKind::Reclaimed),
-        ]);
-        let faulty = Engine::new(
-            spec,
-            easy_workload(&spec, 512),
-            RunOptions {
-                faults: Some(plan),
-                ..RunOptions::default()
-            },
-        )
-        .run();
-        assert_eq!(faulty, clean, "out-of-range SoCs must not perturb the run");
+        // SoCs past the cluster, and two of the seven SoCs Local (priced on
+        // one SoC) does not train on
+        for (method, foreign) in [
+            (
+                MethodSpec::SocFlow(SocFlowConfig::with_groups(2)),
+                [100, 101],
+            ),
+            (MethodSpec::Local, [3, 7]),
+        ] {
+            let spec = tiny_spec(method);
+            let clean = Engine::new(spec, easy_workload(&spec, 512), RunOptions::default()).run();
+            let plan = plan_of(vec![
+                (0.0, foreign[0], FaultKind::Crashed),
+                (0.0, foreign[1], FaultKind::Reclaimed),
+            ]);
+            let faulty = Engine::new(
+                spec,
+                easy_workload(&spec, 512),
+                RunOptions {
+                    faults: Some(plan),
+                    ..RunOptions::default()
+                },
+            )
+            .run();
+            // Debug text, since a baseline's α trace is NaN
+            assert_eq!(
+                format!("{faulty:?}"),
+                format!("{clean:?}"),
+                "SoCs the job does not hold must not perturb it"
+            );
+        }
     }
 
     #[test]

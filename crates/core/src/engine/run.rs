@@ -12,7 +12,7 @@
 use super::replica::{average_replicas, Replica};
 use super::stream::StreamState;
 use super::{digest, durable, Engine, Streams, CPU_ONLY, LR_DECAY, LR_FLOOR};
-use crate::config::Arms;
+use crate::config::{Arms, MethodSpec};
 use crate::mapping::{integrity_greedy_over, Mapping};
 use crate::mixed::MixedPrecisionController;
 use crate::options::Pricing;
@@ -41,7 +41,7 @@ pub(super) struct Run<'e> {
     pub(super) alive: Vec<SocId>,
     /// The simulated wall-clock.
     pub(super) clock: f64,
-    /// Watermark up to which fault-plan events were consumed (crash
+    /// Watermark up to which fault-plan events were consumed (recovery
     /// stalls push the clock past the consumed window, so the two
     /// genuinely differ).
     pub(super) fault_cursor: f64,
@@ -62,10 +62,10 @@ pub(super) struct Run<'e> {
 impl Engine {
     /// The epoch loop of every method: replicas trained on their shards,
     /// averaged at the epoch boundary (SoCFlow's delayed aggregation,
-    /// FedAvg's round), evaluated and priced; SoCFlow adds the
-    /// mixed-precision controller and the fault-tolerance machinery
-    /// (per-SoC fault consumption, elastic remapping, durable
-    /// checkpoint/resume). `result` holds the run's start; a resume
+    /// FedAvg's round), evaluated and priced, then its fault window
+    /// consumed (a baseline stalls, SoCFlow remaps elastically); SoCFlow
+    /// adds the mixed-precision controller and durable
+    /// checkpoint/resume. `result` holds the run's start; a resume
     /// replaces it with the checkpoint's partial result.
     pub(super) fn run_epochs(&mut self, result: RunResult) -> RunResult {
         let (mut run, start_epoch) = Run::start(self, result);
@@ -78,9 +78,6 @@ impl Engine {
             let completed = cost.completed(epoch, accuracy, run.groups, run.split());
             engine.record(&mut run.result, completed);
             run.consume_faults(epoch, cost.time);
-            if Some(epoch + 1) == engine.options.preempt_after {
-                run.preempt(epoch + 1);
-            }
             let periodic = |n: usize| n > 0 && (epoch + 1) % n == 0;
             run.persist(epoch + 1, |c| c.every_epochs.is_some_and(periodic));
         }
@@ -135,7 +132,14 @@ impl<'e> Run<'e> {
         let streams = Streams::of(engine.spec.method, socs0);
         let (arms, groups0, replicas0) = streams.shape();
         let resume = engine.options.resume.take();
-        let everyone = || (0..socs0).map(SocId).collect::<Vec<_>>();
+        // Local trains and is priced on one SoC whatever the job's size, so
+        // that is the one SoC a fault can take from it
+        let held = if engine.spec.method == MethodSpec::Local {
+            1
+        } else {
+            socs0
+        };
+        let everyone = || (0..held).map(SocId).collect::<Vec<_>>();
         // `replicas`: accuracy streams may be capped independently of the
         // topology
         let (start_epoch, replicas, initial_groups, groups, alive, clock, fault_cursor) =

@@ -102,11 +102,10 @@ pub enum Plan {
 /// Everything about a run that is not the job itself; the defaults are a
 /// plain timeline-priced run.
 ///
-/// `pricing`, `streaming`, `faults`, `checkpointing` and `resume` act on
-/// SoCFlow runs only. [`Self::validate`] rejects them on a
-/// baseline method rather than letting the baseline ignore them: a run
-/// that silently drops a fault plan reports a number that does not mean
-/// what its command line says.
+/// `pricing`, `streaming`, `checkpointing` and `resume` act on SoCFlow
+/// runs only. [`Self::validate`] rejects them on a baseline method rather
+/// than letting the baseline ignore them: a run that silently drops an
+/// option reports a number that does not mean what its command line says.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// How SoCFlow epochs are priced.
@@ -116,15 +115,14 @@ pub struct RunOptions {
     /// records and a SoCFlow run's timeline digest land in the same stream.
     pub sink: Option<Arc<dyn EventSink>>,
     /// Fault timeline, consumed per SoC against the simulated clock at
-    /// every epoch boundary: a reclaimed SoC leaves gracefully (checkpoint
-    /// taken, no time lost), a crashed one loses its in-flight batch and
-    /// the survivors pay a restore stall. Either way the job remaps onto
-    /// the surviving topology.
+    /// every epoch boundary — the one way a run loses capacity. On
+    /// SoCFlow a reclaimed SoC leaves gracefully (checkpoint taken, no
+    /// time lost), a crashed one loses its in-flight batch and the
+    /// survivors pay a restore stall; either way the job remaps onto the
+    /// surviving topology. A gang-scheduled baseline keeps its SoCs and
+    /// stalls instead: one checkpoint-restore round trip per window that
+    /// reclaims any of them, plus a restore per crash.
     pub faults: Option<FaultPlan>,
-    /// User-workload preemption after this many epochs: SoCFlow gives up
-    /// one logical group and continues; baselines, and a SoCFlow run with
-    /// one group left, stall for a checkpoint-restore round trip.
-    pub preempt_after: Option<usize>,
     /// Durable checkpoints (`None` disables durability entirely).
     pub checkpointing: Option<Checkpointing>,
     /// Continue from a restored checkpoint, bit-exactly: weights, momentum,
@@ -208,11 +206,11 @@ impl RunOptions {
     /// The one rule for which options a method accepts: the CLI prints the
     /// error, the scheduler and the engine panic with it.
     ///
-    /// [`Pricing::WaitFree`], `streaming`, `faults`, `checkpointing`,
-    /// `resume` and [`Plan::Auto`] are rejected on every baseline method,
+    /// [`Pricing::WaitFree`], `streaming`, `checkpointing`, `resume` and
+    /// [`Plan::Auto`] are rejected on every baseline method,
     /// `profiled_beta` under [`Plan::Auto`] on every method, and a SoCFlow
-    /// group count must lie in `1..=socs`. The sink and `preempt_after`
-    /// are legal everywhere.
+    /// group count must lie in `1..=socs`. The sink and `faults` are legal
+    /// everywhere.
     ///
     /// # Errors
     /// Returns the first violated rule.
@@ -227,7 +225,6 @@ impl RunOptions {
                     "--overlap",
                 ),
                 (self.streaming.is_some(), "--streaming"),
-                (self.faults.is_some(), "--faults"),
                 (self.checkpointing.is_some(), "--checkpoint-dir"),
                 (self.resume.is_some(), "--resume"),
                 (plan != Plan::Fixed, "--auto (and `tune`)"),
@@ -329,11 +326,6 @@ mod tests {
                 Plan::Fixed,
                 "--streaming",
             ),
-            (
-                with(|o| o.faults = Some(FaultPlan::from_events(Vec::new()))),
-                Plan::Fixed,
-                "--faults",
-            ),
             (ckpt, Plan::Fixed, "--checkpoint-dir"),
             (
                 with(|o| o.resume = Some(Checkpoint::new(1, vec![vec![0.0; 4]], 0.5))),
@@ -373,12 +365,13 @@ mod tests {
         }
     }
 
-    /// On every method with a fixed plan; β is not for the plan search.
+    /// Sink, β and faults (the one preemption path), on every method
+    /// with a fixed plan; β is not for the plan search.
     #[test]
     fn sink_beta_and_preemption_are_legal_everywhere() {
         let options = RunOptions {
             sink: Some(Arc::new(socflow_telemetry::NullSink)),
-            preempt_after: Some(1),
+            faults: Some(FaultPlan::from_events(Vec::new())),
             profiled_beta: Some(0.4),
             ..RunOptions::default()
         };

@@ -5,8 +5,9 @@
 //! via the first-epoch accuracy heuristic, (2) maps logical groups onto
 //! PCBs with integrity-greedy mapping, (3) divides the groups into
 //! communication groups, and then (4) dispatches the training job to the
-//! engine. It also owns the preemption policy: when user workload returns
-//! during training, one logical group is surrendered.
+//! engine. Preemption reaches the engine as the run's fault plan: when
+//! user workload returns during training, the reclaimed SoCs leave and
+//! the logical-group count shrinks with them.
 
 use crate::config::{SocFlowConfig, TrainJobSpec};
 use crate::engine::{Engine, Workload};

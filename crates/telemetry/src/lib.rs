@@ -46,16 +46,6 @@ mod report;
 
 pub use report::{Breakdown, RunResult};
 
-/// Why a SoC group left the cluster mid-run (SoCFlow fault/preemption
-/// handling, paper §5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EvictionCause {
-    /// The fault plan killed the group's board.
-    Fault,
-    /// A tidal-traffic preemption reclaimed the SoCs for serving.
-    Preemption,
-}
-
 /// How a SoC left the cluster (mirrors the cluster crate's `FaultKind`;
 /// redeclared here because telemetry sits below cluster in the dependency
 /// graph).
@@ -151,10 +141,12 @@ pub enum Event {
         bytes: u64,
         cost: f64,
     },
-    /// The engine finished reacting to a batch of membership changes:
-    /// survivors remapped (integrity-greedy + CG planning re-run) and any
-    /// crash-restore stall charged. `stall` is the modelled restore time
-    /// (0 when every fault in the batch was a graceful reclaim).
+    /// The engine finished reacting to a window of faults and charged its
+    /// recovery stall to the run clock. SoCFlow remapped its survivors
+    /// (integrity-greedy + CG planning re-run) and stalls a restore per
+    /// crash (0 when every fault was a graceful reclaim); a gang-scheduled
+    /// baseline kept its SoCs and stalls a restore per crash plus one
+    /// checkpoint-restore round trip if any SoC was reclaimed.
     RecoveryCompleted {
         epoch: usize,
         stall: f64,
@@ -164,14 +156,9 @@ pub enum Event {
     /// A group left the cluster; the survivors continue.
     GroupEvicted {
         epoch: usize,
-        cause: EvictionCause,
         groups_left: usize,
         socs_left: usize,
     },
-    /// A gang-scheduled baseline stalled on a preempted member and paid a
-    /// checkpoint/restore penalty (Fig. 3's tidal argument) — or a SoCFlow
-    /// run did, down to one logical group and so with no group to give up.
-    BaselineStalled { epoch: usize, stall: f64 },
     /// A simulated timeline span opened (SoCFlow runs only). `kind`
     /// names the activity (`"compute"`, `"sync"`, `"update"`,
     /// `"leader_ring"`, `"broadcast"`, `"shuffle"`, `"stall"`,
@@ -445,7 +432,7 @@ pub fn read_trace<P: AsRef<Path>>(path: P) -> Result<Vec<Event>, String> {
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Summary {
     /// The fold of the trace's accounting events: epochs, Fig. 12
-    /// breakdown, energy, α trace and stalls.
+    /// breakdown, energy, α trace and recovery stalls.
     pub run: RunResult,
     /// Delayed-aggregation share of the breakdown's `sync`.
     pub aggregation: f64,
@@ -457,10 +444,9 @@ pub struct Summary {
     pub cross_board_transfers: usize,
     /// Peak per-link utilization over all transfers (0..=1).
     pub max_link_utilization: f64,
-    /// Checkpoints taken / groups evicted / baseline stalls.
+    /// Checkpoints taken / groups evicted.
     pub checkpoints: usize,
     pub evictions: usize,
-    pub stalls: usize,
     /// Fault events applied, split by kind.
     pub faults: usize,
     pub reclaims: usize,
@@ -600,7 +586,6 @@ impl Summary {
                 }
                 Event::CheckpointTaken { .. } => s.checkpoints += 1,
                 Event::GroupEvicted { .. } => s.evictions += 1,
-                Event::BaselineStalled { .. } => s.stalls += 1,
                 Event::FaultInjected { kind, .. } => {
                     s.faults += 1;
                     match kind {
@@ -762,8 +747,8 @@ impl Summary {
             100.0 * self.max_link_utilization
         ));
         out.push_str(&format!(
-            "resilience       {} checkpoints, {} evictions, {} stalls\n",
-            self.checkpoints, self.evictions, self.stalls
+            "resilience       {} checkpoints, {} evictions\n",
+            self.checkpoints, self.evictions
         ));
         if self.faults > 0 || self.checkpoints_persisted > 0 {
             out.push_str(&format!(
@@ -996,7 +981,6 @@ mod tests {
             },
             Event::GroupEvicted {
                 epoch: 1,
-                cause: EvictionCause::Preemption,
                 groups_left: 3,
                 socs_left: 24,
             },
@@ -1007,6 +991,29 @@ mod tests {
             .collect();
         let parsed = parse_trace(&text).unwrap();
         assert_eq!(parsed, events);
+    }
+
+    /// Traces written when `GroupEvicted` still named a cause parse, and
+    /// fold as they did.
+    #[test]
+    fn older_traces_with_an_eviction_cause_still_parse_and_fold() {
+        let text = concat!(
+            r#"{"GroupEvicted":{"epoch":6,"cause":"Fault","groups_left":7,"socs_left":28}}"#,
+            "\n",
+            r#"{"RecoveryCompleted":{"epoch":6,"stall":1.5,"socs_left":28,"groups_left":7}}"#,
+            "\n",
+        );
+        let events = parse_trace(text).unwrap();
+        assert_eq!(
+            events[0],
+            Event::GroupEvicted {
+                epoch: 6,
+                groups_left: 7,
+                socs_left: 28,
+            }
+        );
+        let s = Summary::from_events(&events);
+        assert_eq!((s.evictions, s.run.recovery_time), (1, 1.5));
     }
 
     #[test]
@@ -1135,7 +1142,6 @@ mod tests {
             },
             Event::GroupEvicted {
                 epoch: 1,
-                cause: EvictionCause::Fault,
                 groups_left: 3,
                 socs_left: 24,
             },

@@ -59,10 +59,11 @@ pub struct RunResult {
     /// α trajectory (NaN for methods without a controller), one entry per
     /// epoch.
     pub alpha_trace: Vec<f32>,
-    /// Simulated wall-clock lost to stalls, seconds: SoCFlow's
-    /// crash-restore stalls and a gang-scheduled baseline's
-    /// checkpoint-restore round trip. Graceful reclaims checkpoint before
-    /// leaving and charge nothing here.
+    /// Simulated wall-clock lost to recovery stalls, seconds: a restore
+    /// per crash, and a gang-scheduled baseline's checkpoint-restore
+    /// round trip per fault window that reclaims any of its SoCs. A
+    /// SoCFlow reclaim checkpoints before the SoC leaves and charges
+    /// nothing here.
     pub recovery_time: f64,
 }
 
@@ -70,9 +71,8 @@ impl RunResult {
     /// Folds one event into the result. [`Event::RunStarted`] names the
     /// method; [`Event::EpochCompleted`] appends the epoch's accuracy, time
     /// and α and adds its breakdown and energy;
-    /// [`Event::RecoveryCompleted`] and [`Event::BaselineStalled`] charge
-    /// their stall to `recovery_time`. Every other event leaves the result
-    /// as it is.
+    /// [`Event::RecoveryCompleted`] charges its stall to `recovery_time`.
+    /// Every other event leaves the result as it is.
     pub fn absorb(&mut self, event: &Event) {
         match event {
             Event::RunStarted { method, .. } => self.method.clone_from(method),
@@ -96,9 +96,7 @@ impl RunResult {
                 self.energy_joules += energy;
                 self.alpha_trace.push(*alpha);
             }
-            Event::RecoveryCompleted { stall, .. } | Event::BaselineStalled { stall, .. } => {
-                self.recovery_time += stall;
-            }
+            Event::RecoveryCompleted { stall, .. } => self.recovery_time += stall,
             _ => {}
         }
     }
@@ -202,8 +200,10 @@ mod tests {
         assert_eq!(s.sync, 4.0);
     }
 
-    /// Both kinds of stall land in `recovery_time`, never in the epoch
-    /// series; events that are not accounting leave the result alone.
+    /// Recovery stalls — a baseline's checkpoint-restore round trip and a
+    /// SoCFlow crash's restore alike — land in `recovery_time`, never in
+    /// the epoch series; events that are not accounting leave the result
+    /// alone.
     #[test]
     fn stalls_are_recovery_time_not_epochs() {
         let mut r = RunResult::default();
@@ -214,9 +214,11 @@ mod tests {
                 epochs: 1,
                 seed: 0,
             },
-            Event::BaselineStalled {
+            Event::RecoveryCompleted {
                 epoch: 1,
                 stall: 2.5,
+                socs_left: 8,
+                groups_left: 1,
             },
             Event::RecoveryCompleted {
                 epoch: 1,

@@ -1,14 +1,18 @@
 //! Integration tests of the checkpoint / preemption machinery: SoCFlow's
 //! claim that a user-workload burst only costs one logical group, not the
-//! training job.
+//! training job, while a gang-scheduled baseline pays a checkpoint-restore
+//! stall. A preemption is a fault plan that reclaims SoCs — the one way a
+//! run loses capacity — placed inside the target epoch's window.
 
 use socflow::checkpoint::Checkpoint;
 use socflow::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::{Engine, Workload};
+use socflow::mapping::integrity_greedy_over;
 use socflow::options::{Checkpointing, RunOptions};
+use socflow::RunResult;
 use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
 use socflow_cluster::tidal::TidalTrace;
-use socflow_cluster::{Seconds, SocId};
+use socflow_cluster::{ClusterSpec, Seconds, SocId};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_telemetry::{Event, MemorySink};
@@ -49,16 +53,34 @@ fn plan_of(events: Vec<(f64, usize, FaultKind)>) -> FaultPlan {
     )
 }
 
+/// Halfway through the calm run's epoch `epoch` (1-based): the moment a
+/// preemption lands in that epoch's fault window.
+fn mid_epoch(calm: &RunResult, epoch: usize) -> Seconds {
+    calm.epoch_time[..epoch - 1].iter().sum::<f64>() + 0.5 * calm.epoch_time[epoch - 1]
+}
+
+/// A fault plan that reclaims `socs` at `at`.
+fn reclaim_at(at: Seconds, socs: &[SocId]) -> FaultPlan {
+    plan_of(
+        socs.iter()
+            .map(|s| (at, s.0, FaultKind::Reclaimed))
+            .collect(),
+    )
+}
+
 #[test]
 fn preempted_run_still_converges() {
     let s = spec(4);
     let workload = Workload::standard(&s, 1024, 8, 0.5);
     let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
+    // the user workload takes the last logical group's SoCs in epoch 3
+    let everyone: Vec<SocId> = (0..s.socs).map(SocId).collect();
+    let mapping = integrity_greedy_over(&ClusterSpec::for_socs(s.socs), &everyone, 4);
     let preempted = Engine::new(
         s,
         workload,
         RunOptions {
-            preempt_after: Some(3),
+            faults: Some(reclaim_at(mid_epoch(&calm, 3), &mapping.groups()[3])),
             ..RunOptions::default()
         },
     )
@@ -76,6 +98,9 @@ fn preempted_run_still_converges() {
         preempted.best_accuracy(),
         calm.best_accuracy()
     );
+    // the reclaim lands in epoch 3's window: the plan changes from epoch 4
+    assert_eq!(preempted.epoch_time[..3], calm.epoch_time[..3]);
+    assert_ne!(preempted.epoch_time[3], calm.epoch_time[3]);
     // and reduces per-epoch time after the eviction (fewer SoCs => fewer
     // groups running in parallel, but the epoch must remain bounded)
     assert!(preempted.total_time() > 0.0);
@@ -357,8 +382,9 @@ fn tidal_preemption_resume_is_bit_identical_across_variants() {
 
 /// A gang-scheduled baseline's checkpoint-restore round trip is a stall,
 /// booked like SoCFlow's crash stalls: it is `recovery_time`, it lengthens
-/// the total by exactly its length, and it is not an epoch — for the
-/// synchronous baselines and the federated ones alike.
+/// the total by exactly its length, it lands on the run clock, and it is
+/// not an epoch — for the synchronous baselines and the federated ones
+/// alike.
 #[test]
 fn baseline_preemption_costs_a_stall() {
     for method in [MethodSpec::Ring, MethodSpec::FedAvg, MethodSpec::TFedAvg] {
@@ -371,7 +397,7 @@ fn baseline_preemption_costs_a_stall() {
             s,
             workload,
             RunOptions {
-                preempt_after: Some(2),
+                faults: Some(reclaim_at(mid_epoch(&calm, 2), &[SocId(3)])),
                 sink: Some(sink.clone()),
                 ..RunOptions::default()
             },
@@ -381,13 +407,18 @@ fn baseline_preemption_costs_a_stall() {
             .events()
             .iter()
             .filter_map(|e| match e {
-                Event::BaselineStalled { epoch: 2, stall } => Some(*stall),
+                Event::RecoveryCompleted {
+                    epoch: 2,
+                    stall,
+                    socs_left,
+                    ..
+                } if *socs_left == s.socs => Some(*stall),
                 _ => None,
             })
             .collect();
         let name = method.name();
         let [stall] = stalls[..] else {
-            panic!("{name}: one stall after epoch 2, got {stalls:?}");
+            panic!("{name}: one whole-gang recovery after epoch 2, got {stalls:?}");
         };
         assert!(stall > 0.0, "{name}");
         assert_eq!(stalled.recovery_time, stall, "{name}");
@@ -401,45 +432,70 @@ fn baseline_preemption_costs_a_stall() {
             "{name}: the stall is not an epoch and moves no weight"
         );
         assert_eq!(stalled.epoch_time, calm.epoch_time, "{name}");
+        // on the run clock: the stall lengthens epoch 3's fault window, so
+        // a reclaim at the calm run's third boundary falls inside it
+        let third = calm.epoch_time[..3].iter().sum::<f64>();
+        let later = plan_of(vec![
+            (mid_epoch(&calm, 2), 3, FaultKind::Reclaimed),
+            (third, 5, FaultKind::Reclaimed),
+        ]);
+        let sink = Arc::new(MemorySink::new());
+        Engine::new(
+            s,
+            Workload::standard(&s, 512, 8, 0.5),
+            RunOptions {
+                faults: Some(later),
+                sink: Some(sink.clone()),
+                ..RunOptions::default()
+            },
+        )
+        .run();
+        assert!(
+            sink.events().iter().any(|e| matches!(
+                e,
+                Event::FaultInjected {
+                    soc: 5,
+                    epoch: 3,
+                    ..
+                }
+            )),
+            "{name}: the stall is on the run clock"
+        );
     }
 }
 
-/// A SoCFlow run with one logical group can give up neither a group nor
-/// its SoCs: preempted, it pays a baseline's checkpoint-restore stall, on
-/// its own clock, and trains on unchanged.
+/// A SoCFlow run with one logical group has no group to give up: reclaimed
+/// whole, it keeps one SoC, evicts nothing, charges no stall and trains on.
 #[test]
-fn single_group_socflow_preemption_costs_a_stall() {
+fn single_group_socflow_reclaimed_whole_keeps_one_soc() {
     let s = small_spec(1);
     let workload = Workload::standard(&s, 512, 8, 0.5);
     let calm = Engine::new(s, workload.clone(), RunOptions::default()).run();
+    let everyone: Vec<SocId> = (0..s.socs).map(SocId).collect();
     let sink = Arc::new(MemorySink::new());
-    let stalled = Engine::new(
+    let reclaimed = Engine::new(
         s,
         workload,
         RunOptions {
-            preempt_after: Some(2),
+            faults: Some(reclaim_at(mid_epoch(&calm, 2), &everyone)),
             sink: Some(sink.clone()),
             ..RunOptions::default()
         },
     )
     .run();
     let events = sink.events();
-    let stalls: Vec<f64> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::BaselineStalled { epoch: 2, stall } => Some(*stall),
-            _ => None,
-        })
-        .collect();
-    let [stall] = stalls[..] else {
-        panic!("one stall after epoch 2, got {stalls:?}");
-    };
-    assert!(stall > 0.0);
     assert!(!events
         .iter()
         .any(|e| matches!(e, Event::GroupEvicted { .. })));
-    assert_eq!(stalled.recovery_time, stall);
-    assert_eq!(stalled.total_time(), calm.total_time() + stall);
-    assert_eq!(stalled.epoch_accuracy, calm.epoch_accuracy);
-    assert_eq!(stalled.epoch_time, calm.epoch_time);
+    assert!(events.iter().any(|e| matches!(
+        e,
+        Event::RecoveryCompleted {
+            epoch: 2,
+            socs_left: 1,
+            groups_left: 1,
+            ..
+        }
+    )));
+    assert_eq!(reclaimed.recovery_time, 0.0, "graceful exits are free");
+    assert_eq!(reclaimed.epoch_accuracy, calm.epoch_accuracy);
 }

@@ -962,6 +962,27 @@ fn crash_plan(seed: u64, late: f64) -> socflow_cluster::faults::FaultPlan {
     ])
 }
 
+/// `plan` plus a user-workload preemption: the reclaim of a whole logical
+/// group, the last of `groups` over the 8 SoCs of [`accounting_spec`], in
+/// the first epoch's window.
+fn with_group_reclaim(
+    plan: Option<socflow_cluster::faults::FaultPlan>,
+    groups: usize,
+) -> socflow_cluster::faults::FaultPlan {
+    use socflow::mapping::integrity_greedy_over;
+    use socflow_cluster::faults::{FaultEvent, FaultKind, FaultPlan};
+    use socflow_cluster::ClusterSpec;
+    let everyone: Vec<SocId> = (0..8).map(SocId).collect();
+    let mapping = integrity_greedy_over(&ClusterSpec::for_socs(8), &everyone, groups);
+    let mut events = plan.map_or_else(Vec::new, |p| p.events().to_vec());
+    events.extend(mapping.groups()[groups - 1].iter().map(|&soc| FaultEvent {
+        at: 3e-3,
+        soc,
+        kind: FaultKind::Reclaimed,
+    }));
+    FaultPlan::from_events(events)
+}
+
 /// Runs `spec` under `options` with an in-memory sink; returns the result
 /// and the run's events.
 fn traced_run(
@@ -998,8 +1019,8 @@ proptest! {
     /// A run's result is the fold of its own events: the summary of its
     /// trace serializes byte for byte to the `RunResult` the run returned,
     /// for every method, with or without crashes, streaming, a preemption
-    /// and wait-free pricing. Crash stalls and a baseline's preemption
-    /// stall included.
+    /// (a whole logical group reclaimed) and wait-free pricing. Crash
+    /// stalls and a baseline's checkpoint-restore stall included.
     #[test]
     fn trace_fold_is_the_run_result(
         seed in 0u64..1000,
@@ -1018,8 +1039,13 @@ proptest! {
 
         let spec = accounting_spec(method_draw, groups, 3, seed);
         let socflow_only = spec.method.socflow().is_some();
+        let crashes = (faulted == 1).then(|| crash_plan(seed, late));
         let options = RunOptions {
-            faults: (socflow_only && faulted == 1).then(|| crash_plan(seed, late)),
+            faults: if preempt == 1 {
+                Some(with_group_reclaim(crashes, groups))
+            } else {
+                crashes
+            },
             streaming: (socflow_only && streaming == 1)
                 .then(|| StreamingConfig::new(RateProfile::Heterogeneous)),
             pricing: if socflow_only && wait_free == 1 {
@@ -1027,7 +1053,6 @@ proptest! {
             } else {
                 Pricing::Timeline
             },
-            preempt_after: (preempt == 1).then_some(1),
             ..RunOptions::default()
         };
         let (result, trace) = traced_run(spec, options);
@@ -1088,8 +1113,7 @@ proptest! {
 
         let spec = accounting_spec(method_draw, 2, 2, seed);
         let options = RunOptions {
-            faults: spec.method.socflow().map(|_| crash_plan(seed, 1e9)),
-            preempt_after: Some(1),
+            faults: Some(with_group_reclaim(Some(crash_plan(seed, 1e9)), 2)),
             ..RunOptions::default()
         };
         let (result, events) = traced_run(spec, options);
