@@ -41,6 +41,7 @@ use socflow_cluster::{ClusterNet, ClusterSpec, SocId};
 use socflow_data::DatasetPreset::{self, CelebA, Cifar10, Cinic10, Emnist, FashionMnist};
 use socflow_nn::models::ModelKind::{self, LeNet5, MobileNetV1, ResNet18, ResNet50, Vgg11};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// One of the paper's eight evaluation workloads (a Table 3 row); the model
 /// trains at [`default_width`].
@@ -155,18 +156,23 @@ const OURS: usize = 6;
 /// DESIGN.md §3 order.
 pub(super) fn paper(fast: bool) -> Vec<Row> {
     let mut p = Paper::new(if fast { &FAST } else { &FULL });
-    p.fig3();
-    p.fig4();
-    p.fig6();
-    p.tab3_fig8_fig9();
-    p.fig10();
-    p.fig11();
-    p.fig12();
-    p.fig13();
-    p.fig14();
-    p.ext_colocation();
-    p.ext_underclock();
-    p.ext_design_space();
+    let sections: [(&str, Section); 12] = [
+        ("fig3", Paper::fig3),
+        ("fig4", Paper::fig4),
+        ("fig6", Paper::fig6),
+        ("tab3_fig8_fig9", Paper::tab3_fig8_fig9),
+        ("fig10", Paper::fig10),
+        ("fig11", Paper::fig11),
+        ("fig12", Paper::fig12),
+        ("fig13", Paper::fig13),
+        ("fig14", Paper::fig14),
+        ("extB", Paper::ext_colocation),
+        ("extC", Paper::ext_underclock),
+        ("extD", Paper::ext_design_space),
+    ];
+    for (name, section) in sections {
+        p.section(name, section);
+    }
     // training runs the experiments asked for, and how many the
     // per-workload comparisons had to execute
     let counts = p.comparisons.values().map(Comparison::counts);
@@ -278,6 +284,9 @@ fn target(runs: &[RunResult]) -> f32 {
     runs[RING].best_accuracy().min(runs[OURS].best_accuracy()) * TARGET_OF_BEST as f32
 }
 
+/// One experiment of the suite, appending its rows to a [`Paper`].
+type Section = fn(&mut Paper);
+
 /// One run of the suite: the size, the per-workload comparisons (the run
 /// cache) and the rows so far.
 struct Paper {
@@ -293,6 +302,19 @@ impl Paper {
             comparisons: BTreeMap::new(),
             rows: Vec::new(),
         }
+    }
+
+    /// Runs `section` of the suite and prints its host seconds and the
+    /// training runs it added to stderr, never into the document: where
+    /// the suite's wall time goes, without a byte of the rows depending on
+    /// the host.
+    fn section(&mut self, name: &str, section: Section) {
+        let trained = |p: &Paper| p.comparisons.values().map(|c| c.counts().1).sum::<usize>();
+        let (t0, before) = (Instant::now(), trained(self));
+        section(self);
+        let seconds = t0.elapsed().as_secs_f64();
+        let runs = trained(self) - before;
+        eprintln!("bench paper: {name:<15} {seconds:>8.2} s host, {runs:>3} runs trained");
     }
 
     /// Appends the row `id` (`<experiment>/<workload>/<quantity>`).

@@ -51,7 +51,7 @@ pub mod topology;
 
 pub use compute::{ComputeModel, Processor};
 pub use energy::{EnergyMeter, PowerState};
-pub use net::{ClusterNet, Flow, TransferStats};
+pub use net::{ClusterNet, ClusterTooLarge, Flow, TransferStats};
 pub use timeline::{
     reset_scratch_stats, scratch_stats, timeline_stats, Completion, FluidTimeline, LinkClassUtil,
     Route, ScratchStats, TaskId, TimelineStats,

@@ -76,7 +76,8 @@ impl LinkPath {
         let mut path = LinkPath::default();
         debug_assert!(links.len() <= path.links.len());
         for (slot, &l) in path.links.iter_mut().zip(links) {
-            *slot = u16::try_from(l).expect("link indices fit u16 (checked in ClusterNet::new)");
+            *slot = u16::try_from(l)
+                .expect("a ClusterNet has at most MAX_LINKS links (ClusterNet::try_new)");
         }
         path.len = links.len() as u8;
         path
@@ -96,6 +97,30 @@ pub(crate) struct MaxMinScratch {
     counts: Vec<usize>,
     frozen: Vec<bool>,
 }
+
+/// Most link resources a [`ClusterNet`] may have: paths store link indices
+/// as `u16`.
+pub const MAX_LINKS: usize = u16::MAX as usize + 1;
+
+/// A cluster spec with more link resources than [`MAX_LINKS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusterTooLarge {
+    /// The spec's link resources: SoC tx/rx pairs, board uplink tx/rx
+    /// pairs and the switch backplane.
+    pub links: usize,
+}
+
+impl std::fmt::Display for ClusterTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cluster too large: {} links, at most {MAX_LINKS} (a path indexes its links with 16 bits)",
+            self.links
+        )
+    }
+}
+
+impl std::error::Error for ClusterTooLarge {}
 
 /// The simulated cluster network.
 #[derive(Clone)]
@@ -124,21 +149,29 @@ impl std::fmt::Debug for ClusterNet {
 impl ClusterNet {
     /// Builds the network for a cluster spec (no background traffic).
     ///
-    /// # Panics
-    /// Panics if the cluster has more than 65 536 link resources (paths
-    /// store link indices as `u16`).
-    pub fn new(spec: ClusterSpec) -> Self {
-        let caps = Self::caps_for(&spec, 0.0);
-        assert!(
-            caps.len() <= usize::from(u16::MAX) + 1,
-            "cluster too large: {} links",
-            caps.len()
-        );
-        ClusterNet {
-            caps,
+    /// # Errors
+    /// [`ClusterTooLarge`] if the cluster has more than [`MAX_LINKS`] link
+    /// resources.
+    pub fn try_new(spec: ClusterSpec) -> Result<Self, ClusterTooLarge> {
+        let links = 2 * spec.total_socs() + 2 * spec.boards + 1;
+        if links > MAX_LINKS {
+            return Err(ClusterTooLarge { links });
+        }
+        Ok(ClusterNet {
+            caps: Self::caps_for(&spec, 0.0),
             spec,
             sink: None,
-        }
+        })
+    }
+
+    /// [`ClusterNet::try_new`] of a spec known to fit: the paper's server,
+    /// or `ClusterSpec::for_socs` of at most 16,384 SoCs (39,325 links),
+    /// the most the CLI's `--socs` accepts.
+    ///
+    /// # Panics
+    /// Panics with the [`ClusterTooLarge`] message if it does not fit.
+    pub fn new(spec: ClusterSpec) -> Self {
+        Self::try_new(spec).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Attaches a telemetry sink: every simulated transfer emits one
@@ -424,6 +457,27 @@ mod tests {
 
     fn net() -> ClusterNet {
         ClusterNet::new(ClusterSpec::paper_server())
+    }
+
+    /// A spec past the link limit is an error that names its link count,
+    /// not a panic; the largest one the CLI builds fits.
+    #[test]
+    fn a_cluster_past_the_link_limit_is_an_error() {
+        let too_large = ClusterNet::try_new(ClusterSpec::for_socs(30_000));
+        let err = too_large.expect_err("72,001 links");
+        assert_eq!(err, ClusterTooLarge { links: 72_001 });
+        assert!(err.to_string().contains("72001 links"), "{err}");
+        let largest = ClusterNet::try_new(ClusterSpec::for_socs(16_384)).expect("fits");
+        assert_eq!(largest.num_links(), 39_325);
+        // the largest spec that fits, and the first that does not
+        let mut spec = ClusterSpec::for_socs(5);
+        spec.boards = (MAX_LINKS - 1) / 12;
+        assert_eq!(
+            ClusterNet::try_new(spec).map(|n| n.num_links()),
+            Ok(MAX_LINKS - 3)
+        );
+        spec.boards += 1;
+        assert!(ClusterNet::try_new(spec).is_err());
     }
 
     const MB: f64 = 1e6;

@@ -1,6 +1,8 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
 use rand::Rng;
-use socflow_tensor::conv::{conv2d, conv2d_backward, conv2d_int8, ConvCache, ConvParams};
+use socflow_tensor::conv::{
+    conv2d, conv2d_backward, conv2d_eval, conv2d_int8, ConvCache, ConvParams,
+};
 use socflow_tensor::{init, Shape, Tensor};
 
 /// 2-D convolution layer (no bias — models here always follow a conv with
@@ -11,8 +13,11 @@ use socflow_tensor::{init, Shape, Tensor};
 /// ([`socflow_tensor::conv::ConvCache`]) — the im2col patch matrix, one
 /// column per channel and *live* kernel tap, or on a narrow layer that runs
 /// direct the input inside its zero border — until its backward; the
-/// weight and its gradient keep their full `(oc, ic, k, k)` shape. Which
-/// path runs is `socflow_tensor::conv`'s choice.
+/// weight and its gradient keep their full `(oc, ic, k, k)` shape. An FP32
+/// evaluation forward keeps nothing and, on the lowering, makes no patch
+/// matrix ([`socflow_tensor::conv::conv2d_eval`]); an INT8 one still
+/// quantizes the whole patch matrix, whose largest magnitude is its scale.
+/// Which path runs is `socflow_tensor::conv`'s choice.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Parameter,
@@ -61,12 +66,16 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         // INT8 runs the integer kernel ([`conv2d_int8`]), which caches the
         // dequantized input it consumed, so the cache and the backward
-        // below are shared with FP32.
-        let (y, cache) = if mode.precision == Precision::Int8 {
-            let (y, cache, _, _) = conv2d_int8(input, &self.weight.value, self.params);
-            (y, cache)
-        } else {
-            conv2d(input, &self.weight.value, self.params)
+        // below are shared with FP32. An FP32 evaluation keeps nothing.
+        let (y, cache) = match (mode.precision, mode.train) {
+            (Precision::Int8, _) => {
+                let (y, cache, _, _) = conv2d_int8(input, &self.weight.value, self.params);
+                (y, cache)
+            }
+            (Precision::Fp32, true) => conv2d(input, &self.weight.value, self.params),
+            (Precision::Fp32, false) => {
+                return conv2d_eval(input, &self.weight.value, self.params);
+            }
         };
         if mode.train {
             self.release();

@@ -145,7 +145,10 @@ impl Network {
     /// it back to the step scratch ([`socflow_tensor::pool`]) once the loss
     /// has read it. An evaluation forward borrows nothing from the scratch
     /// and leaves nothing there ([`pool::transient`]): its shapes come by
-    /// once an epoch and must not crowd out the training step's.
+    /// once an epoch and must not crowd out the training step's. What it
+    /// allocates instead is its activations: an FP32 convolution on the
+    /// lowering makes no patch matrix, its patch rows living a few samples
+    /// at a time in its lanes' thread-local panels.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         match mode.train {
             true => forward_chain(&mut self.layers, input, mode),

@@ -4,9 +4,10 @@
 //! output element the same bits:
 //!
 //! - **The lowering** (every wide layer): each input window becomes a row
-//!   of a patch matrix, the convolution becomes one GEMM
-//!   ([`linalg::matmul_a_bt_slices`]), and the backward pass reuses the
-//!   same patch matrix (`dW = dYᵀ·patches`) plus a `col2im` scatter (`dX`).
+//!   of a patch matrix, and the convolution becomes a GEMM against the
+//!   weights. The f32 forward and `dX` each run as one pass of whole-sample
+//!   row panels (below); the backward's `dW = dYᵀ·patches` reads the patch
+//!   matrix the training forward cached.
 //! - **The direct path** (narrow layers): the forward, the INT8 forward
 //!   and `dW` run straight over the input inside the zero border the
 //!   lowering builds anyway (the halo below), with no patch matrix; the
@@ -96,15 +97,30 @@
 //! exact width). The bounds-tested bodies live on in this module's tests as
 //! the oracle.
 //!
-//! **Whose memory.** The convolutions ([`conv2d`], [`conv2d_int8`],
-//! [`conv2d_backward`]) and the pooling passes take what they return, and
-//! every staging matrix in between, from the calling thread's step scratch
-//! ([`crate::pool`]): a caller that hands the results back when it is done
-//! with them ([`ConvCache::recycle`] for a forward's cache) runs without
-//! allocating, one that drops them pays what it always did. The lowering
-//! itself ([`im2col_into`], [`col2im_into`]) writes into a caller's tensor;
-//! the per-sample halos of `col2im` and the direct `dW`'s windows are
-//! thread-local.
+//! **Sample panels.** A lowered f32 forward or `dX` is one pool region whose
+//! chunks are panels of whole samples, at least `PANEL_ROWS` patch rows
+//! each (`Panels`). A forward panel runs `im2col` of its samples, their
+//! GEMM rows against `Wᵀ` — packed once per call, with its padded tail,
+//! before the region — and the reorder of those rows to NCHW; a `dX` panel
+//! runs its samples' rows of the patch gradient `dY·W` and then `col2im` of
+//! exactly those samples. So the patch gradient never exists whole, and
+//! neither does an evaluation's patch matrix: a training forward writes its
+//! panels into the patch matrix its backward reads, an evaluation forward
+//! ([`conv2d_eval`]) into the lane's panel scratch. Each element is still
+//! the ascending-`p` GEMM sum and each `col2im` cell receives its adds in
+//! `(oy, ox, ci, ky, kx)` order, so every output is bit-identical to the
+//! whole-matrix lowering. The INT8 forward keeps the whole patch matrix: its
+//! input scale is the whole matrix's largest magnitude.
+//!
+//! **Whose memory.** The convolutions ([`conv2d`], [`conv2d_eval`],
+//! [`conv2d_int8`], [`conv2d_backward`]) and the pooling passes take what
+//! they return, and every staging matrix in between, from the calling
+//! thread's step scratch ([`crate::pool`]): a caller that hands the results
+//! back when it is done with them ([`ConvCache::recycle`] for a forward's
+//! cache) runs without allocating, one that drops them pays what it always
+//! did. The lowering itself ([`im2col_into`], [`col2im_into`]) writes into a
+//! caller's tensor; the per-sample halos, the lanes' panels and the direct
+//! `dW`'s windows are thread-local, each grown once to the largest layer's.
 //!
 //! All image tensors are NCHW.
 
@@ -116,9 +132,13 @@ use crate::quant::{self, QuantParams};
 use crate::runtime::{self, SendPtr};
 use crate::{linalg, pool, Shape, Tensor};
 use std::cell::RefCell;
+use std::ops::Range;
+use std::thread::LocalKey;
 
 /// Fewest patch-matrix elements an `im2col`/`col2im` call (one chunk per
-/// batch sample) moves before it is dispatched on the worker pool. Serial and
+/// batch sample) moves before it is dispatched on the worker pool; a lowered
+/// pass of [`Panels`] goes there at this size or at the GEMM's
+/// [`linalg::PAR_MIN_WORK_F32`], whichever its shape reaches. Serial and
 /// parallel paths produce the same bytes, so the threshold affects
 /// wall-clock only. Measured with the second lane polling
 /// ([`crate::runtime`]), 3×3 lowering of 64 samples, `im2col` / `col2im` on
@@ -368,17 +388,41 @@ const SPILL: usize = 1;
 /// re-entered.
 fn with_halo<R>(g: &Lowering, f: impl FnOnce(&mut [f32]) -> R) -> R {
     let (hp, wp) = g.padded();
-    let len = g.c * hp * wp + SPILL;
-    HALO.with(|halo| {
-        let mut halo = halo.borrow_mut();
-        if halo.len() < len {
-            // exactly: the largest layer's planes, not twice the last one's
-            let grow = len - halo.len();
-            halo.reserve_exact(grow);
-            halo.resize(len, 0.0);
+    with_scratch(&HALO, g.c * hp * wp + SPILL, f)
+}
+
+/// Runs `f` on the first `len` floats of the thread-local `scratch`, grown
+/// to exactly `len` when shorter: the largest caller's, not twice the last
+/// one's.
+fn with_scratch<R>(
+    scratch: &'static LocalKey<RefCell<Vec<f32>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f32]) -> R,
+) -> R {
+    scratch.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        if buf.len() < len {
+            let grow = len - buf.len();
+            buf.reserve_exact(grow);
+            buf.resize(len, 0.0);
         }
-        f(&mut halo[..len])
+        f(&mut buf[..len])
     })
+}
+
+thread_local! {
+    /// One panel of a lowered pass ([`Panels`]) on this lane: the patch rows
+    /// of an evaluation forward and the GEMM rows of every forward, or the
+    /// patch-gradient rows of `dX`. Same ownership rules as [`HALO`]; grown
+    /// to the largest panel's once.
+    static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the first `len` floats of this lane's panel scratch, their
+/// contents unspecified. A panel body calls no other panel body, so the
+/// borrow is not re-entered.
+fn with_panel<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    with_scratch(&PANEL, len, f)
 }
 
 /// The `w`-float rows of the halo's interior, plane by plane, top to bottom
@@ -716,6 +760,53 @@ impl ConvDims {
     }
 }
 
+/// Fewest patch rows in a panel of a lowered pass ([`Panels`]): whole
+/// samples are added until a panel holds this many, so that a 1×1 map's
+/// one row per sample still fills the GEMM's register tiles. The row grain
+/// of the GEMM's own pool split.
+const PANEL_ROWS: usize = 32;
+
+/// How a lowered pass cuts its batch: panels of whole samples, each of at
+/// least [`PANEL_ROWS`] patch rows but the last, run as one region on the
+/// worker pool when either half of the pass — the `im2col`/`col2im` moves
+/// ([`PAR_MIN_ELEMS`]) or the GEMM ([`linalg::PAR_MIN_WORK_F32`]) — is large
+/// enough to have gone parallel on its own, serially otherwise. Cut from the
+/// shape alone, never the thread count, and each panel writes only its own
+/// samples' regions in the serial order, so the bytes are the same at any
+/// pool size.
+#[derive(Debug, Clone, Copy)]
+struct Panels {
+    n: usize,
+    per: usize,
+    parallel: bool,
+}
+
+impl Panels {
+    /// The panels of `n` samples of `hw` patch rows each, the rows `cols`
+    /// wide and the GEMM's other side `oc`.
+    fn of(n: usize, hw: usize, cols: usize, oc: usize) -> Panels {
+        let per = PANEL_ROWS.div_ceil(hw.max(1)).min(n.max(1));
+        let elems = n * hw * cols;
+        let big = elems >= PAR_MIN_ELEMS || elems * oc >= linalg::PAR_MIN_WORK_F32;
+        Panels {
+            n,
+            per,
+            parallel: big && n > per && runtime::threads() > 1,
+        }
+    }
+
+    /// Runs `body(samples)` for every panel.
+    fn run(&self, body: &(dyn Fn(Range<usize>) + Sync)) {
+        let panel = |i: usize| body(i * self.per..((i + 1) * self.per).min(self.n));
+        let count = self.n.div_ceil(self.per);
+        if self.parallel {
+            runtime::parallel_for_chunks(count, &panel);
+        } else {
+            (0..count).for_each(panel);
+        }
+    }
+}
+
 /// Most output cells, `oc · ic·kh·kw`, a layer may have and still run
 /// direct: below the break-even on a 4×4 map, about 300 cells (see the
 /// module docs for the measurement).
@@ -727,7 +818,8 @@ const DIRECT_MAX_CELLS: usize = 256;
 /// two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvPath {
-    /// `im2col`, then one GEMM per product, and `col2im` for `dX`.
+    /// `im2col`, a GEMM per product and `col2im` for `dX`; the f32 forward
+    /// and `dX` in whole-sample panels.
     Lowered,
     /// Straight over the input inside its zero border: no patch matrix.
     Direct,
@@ -752,9 +844,11 @@ impl ConvPath {
     }
 }
 
-/// What a convolution's forward leaves for its backward; the variant says
-/// which path ran. Its tensors come from the step scratch:
-/// [`ConvCache::recycle`] hands them back.
+/// What a training forward leaves for its backward; the variant says which
+/// path ran. Its tensors come from the step scratch:
+/// [`ConvCache::recycle`] hands them back. An evaluation forward
+/// ([`conv2d_eval`]) leaves none, and on the lowering makes no patch
+/// matrix at all.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConvCache {
     /// The lowering's `(n·oh·ow, ic·lh·lw)` patch matrix — dequantized
@@ -887,11 +981,12 @@ impl Direct {
     }
 }
 
-/// Forward 2-D convolution.
+/// Training forward 2-D convolution.
 ///
 /// `input: (n, ic, h, w)`, `weight: (oc, ic, kh, kw)` → `(n, oc, oh, ow)`,
 /// on the path [`ConvPath::of`] picks. Also returns what the backward pass
-/// reuses. Both come from the step scratch ([`crate::pool`]).
+/// reuses. Both come from the step scratch ([`crate::pool`]). An
+/// evaluation, which has no backward, runs [`conv2d_eval`].
 ///
 /// # Panics
 /// Panics if channel counts disagree or the window does not fit.
@@ -916,34 +1011,95 @@ pub fn conv2d_via(
     p: ConvParams,
 ) -> (Tensor, ConvCache) {
     match path {
-        ConvPath::Lowered => lowered_forward(input, weight, p),
+        ConvPath::Lowered => {
+            let (y, cache) = lowered_forward(Isa::active(), input, weight, p, true);
+            (y, cache.expect("a kept patch matrix"))
+        }
         ConvPath::Direct => direct_forward(Isa::active(), input, weight, p),
     }
 }
 
-/// The lowering's f32 forward: `im2col`, then `patches × Wᵀ`.
-fn lowered_forward(input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, ConvCache) {
+/// Evaluation forward 2-D convolution: [`conv2d`]'s output, bit for bit,
+/// with nothing kept for a backward. On the lowering no patch matrix
+/// exists: each panel's patch rows live in the lane's scratch only.
+///
+/// # Panics
+/// As [`conv2d`].
+pub fn conv2d_eval(input: &Tensor, weight: &Tensor, p: ConvParams) -> Tensor {
+    match ConvPath::of(input.shape(), weight.shape(), p) {
+        ConvPath::Lowered => lowered_forward(Isa::active(), input, weight, p, false).0,
+        ConvPath::Direct => {
+            let (y, cache) = direct_forward(Isa::active(), input, weight, p);
+            cache.recycle();
+            y
+        }
+    }
+}
+
+/// The lowering's f32 forward on instantiation `isa`, one pass of
+/// [`Panels`]: each panel is `im2col` of its samples, their rows of
+/// `patches × Wᵀ` and the reorder of those rows to NCHW. `Wᵀ` and its
+/// padded tail are packed once, before the pass. With `keep` — a training
+/// forward, whose backward reads the patch matrix — the panels' patch rows
+/// are written into the patch matrix the cache returns; without, into the
+/// lane's panel scratch, and no patch matrix exists.
+fn lowered_forward(
+    isa: Isa,
+    input: &Tensor,
+    weight: &Tensor,
+    p: ConvParams,
+    keep: bool,
+) -> (Tensor, Option<ConvCache>) {
     let d = ConvDims::of(input.shape(), weight, p);
+    let (_, c, h, w) = input.shape().as_nchw();
     let (_, _, kh, kw) = weight.shape().as_nchw();
-    let mut patches = pool::tensor([d.rows, d.cols]);
-    im2col_into(input, kh, kw, p, &mut patches);
-    // (n·oh·ow, cols) × (oc, cols)ᵀ = (n·oh·ow, oc); with every tap live the
-    // weight storage is already the row-major (oc, cols) matrix — no
-    // clone/reshape needed.
+    let g = Lowering::new(c, h, w, kh, kw, p);
+    let (hw, cols, oc) = (d.oh * d.ow, d.cols, d.oc);
+    let (image, sample) = (g.sample_image(), g.sample_patches());
+    // with every tap live the weight storage is already the row-major
+    // (oc, cols) matrix — no clone/reshape needed
     let view = d.live.live_view(weight);
-    let mut mat = pool::tensor([d.rows, d.oc]);
-    linalg::matmul_a_bt_slices(
-        patches.data(),
-        view.as_ref().unwrap_or(weight).data(),
-        mat.data_mut(),
-        d.rows,
-        d.cols,
-        d.oc,
-    );
-    let mut out = pool::tensor([d.n, d.oc, d.oh, d.ow]);
-    nhwc_rows_to_nchw_into(&mat, d.n, d.oc, d.oh, d.ow, &mut out);
-    pool::recycle(mat);
-    (out, ConvCache::Lowered { patches, view })
+    let mut patches = keep.then(|| pool::tensor([d.rows, cols]));
+    let mut out = pool::tensor([d.n, oc, d.oh, d.ow]);
+    let kept = patches.as_mut().map(|t| SendPtr::new(t.data_mut()));
+    let out_ptr = SendPtr::new(out.data_mut());
+    let wmat = view.as_ref().unwrap_or(weight).data();
+    linalg::with_rhs_t(wmat, oc, cols, |rhs| {
+        Panels::of(d.n, hw, cols, oc).run(&|samples| {
+            let rows = samples.len() * hw;
+            let own = if keep { 0 } else { rows * cols };
+            with_panel(rows * oc + own, |panel| {
+                let (mat, own) = panel.split_at_mut(rows * oc);
+                let patch_rows = match &kept {
+                    // Safety: panels hold disjoint samples, so disjoint rows.
+                    Some(kept) => unsafe { kept.slice(samples.start * sample, rows * cols) },
+                    None => own,
+                };
+                {
+                    let _t = Timer::panel(KernelOp::Im2col, samples.start == 0);
+                    for (i, ni) in samples.clone().enumerate() {
+                        let x = &input.data()[ni * image..][..image];
+                        im2col_sample(x, &mut patch_rows[i * sample..][..sample], &g);
+                    }
+                }
+                {
+                    let _t = Timer::panel(KernelOp::MatmulABt, samples.start == 0);
+                    rhs.rows(isa, patch_rows, mat);
+                }
+                // Safety: as above, disjoint samples of `out`.
+                let y = unsafe { out_ptr.slice(samples.start * oc * hw, rows * oc) };
+                transpose_samples(mat, y, hw, oc);
+            });
+        });
+    });
+    let cache = match patches {
+        Some(patches) => Some(ConvCache::Lowered { patches, view }),
+        None => {
+            pool::recycle_all(view);
+            None
+        }
+    };
+    (out, cache)
 }
 
 /// The direct f32 forward on instantiation `isa`.
@@ -1106,6 +1262,7 @@ pub fn conv2d_backward(
 ) -> (Option<Tensor>, Tensor) {
     match cache {
         ConvCache::Lowered { patches, view } => lowered_backward(
+            Isa::active(),
             grad_out,
             patches,
             view.as_ref(),
@@ -1126,9 +1283,11 @@ pub fn conv2d_backward(
     }
 }
 
-/// The lowering's backward: `dW = gmatᵀ × patches`, and for `dX` the patch
-/// gradients `gmat × W` scattered by `col2im`.
+/// The lowering's backward on instantiation `isa` (`dX`'s GEMM; `dW` runs
+/// on the active one): `dW = gmatᵀ × patches`, and [`input_grad`].
+#[allow(clippy::too_many_arguments)]
 fn lowered_backward(
+    isa: Isa,
     grad_out: &Tensor,
     patches: &Tensor,
     view: Option<&Tensor>,
@@ -1174,16 +1333,21 @@ fn lowered_backward(
         live.scatter(gwlive.data(), gw.data_mut());
         pool::recycle(gwlive);
     }
-    let gx = want_gx.then(|| input_grad(&mat, view.unwrap_or(weight), input_shape, kh, kw, p));
+    let wmat = view.unwrap_or(weight);
+    let gx = want_gx.then(|| input_grad(isa, &mat, wmat, input_shape, kh, kw, p));
     pool::recycle(mat);
     (gx, gw)
 }
 
-/// `dX` on either path: the patch gradients `gmat × W` scattered by
-/// `col2im`. `gmat` is the output gradient as `(n·oh·ow, oc)` NHWC rows,
-/// `wmat` the `(oc, ic·lh·lw)` weights the forward read. Neither step reads
-/// the patch matrix, so the direct path runs this one too.
+/// `dX` on either path, one pass of [`Panels`]: each panel is its samples'
+/// rows of the patch gradient `gmat × W`, in the lane's panel scratch, then
+/// `col2im` of exactly those samples — no patch-gradient matrix exists.
+/// `gmat` is the output gradient as `(n·oh·ow, oc)` NHWC rows, `wmat` the
+/// `(oc, ic·lh·lw)` weights the forward read, the GEMM runs on `isa`.
+/// Neither step reads the patch matrix, so the direct path runs this one
+/// too.
 fn input_grad(
+    isa: Isa,
     gmat: &Tensor,
     wmat: &Tensor,
     input_shape: &Shape,
@@ -1192,21 +1356,31 @@ fn input_grad(
     p: ConvParams,
 ) -> Tensor {
     let (n, ic, h, w) = input_shape.as_nchw();
-    let (rows, oc) = (gmat.shape().dims()[0], gmat.shape().dims()[1]);
-    let cols = ic * LiveTaps::of(h, w, kh, kw, p).taps();
-    // dPatches = gmat × Wmat  →  (n·oh·ow, ic·lh·lw)
-    let mut gpatches = pool::tensor([rows, cols]);
-    linalg::matmul_slices(
-        gmat.data(),
-        wmat.data(),
-        gpatches.data_mut(),
-        rows,
-        oc,
-        cols,
-    );
+    let g = Lowering::new(ic, h, w, kh, kw, p);
+    let (hw, cols, oc) = (g.oh * g.ow, g.cols(), gmat.shape().dims()[1]);
+    assert_eq!(gmat.shape().dims(), &[n * hw, oc], "dX: gmat shape");
+    let (image, sample) = (g.sample_image(), g.sample_patches());
     let mut gx = pool::tensor([n, ic, h, w]);
-    col2im_into(&gpatches, n, ic, h, w, kh, kw, p, &mut gx);
-    pool::recycle(gpatches);
+    let gx_ptr = SendPtr::new(gx.data_mut());
+    linalg::with_rhs(wmat.data(), oc, cols, |rhs| {
+        Panels::of(n, hw, cols, oc).run(&|samples| {
+            let rows = samples.len() * hw;
+            with_panel(rows * cols, |gpatches| {
+                {
+                    let _t = Timer::panel(KernelOp::Matmul, samples.start == 0);
+                    let gy = &gmat.data()[samples.start * hw * oc..][..rows * oc];
+                    rhs.rows(isa, gy, gpatches);
+                }
+                let _t = Timer::panel(KernelOp::Col2im, samples.start == 0);
+                // Safety: panels hold disjoint samples of `gx`.
+                let grads = unsafe { gx_ptr.slice(samples.start * image, samples.len() * image) };
+                for i in 0..samples.len() {
+                    let rows = &gpatches[i * sample..][..sample];
+                    col2im_sample(rows, &mut grads[i * image..][..image], &g);
+                }
+            });
+        });
+    });
     gx
 }
 
@@ -1273,7 +1447,7 @@ fn direct_backward(
         let mut mat = pool::tensor([g.n * hw, g.oc]);
         nchw_to_nhwc_rows_into(grad_out, &mut mat);
         // every tap is live: the weight storage is the `(oc, cols)` matrix
-        let gx = input_grad(&mat, weight, input_shape, g.kh, g.kw, p);
+        let gx = input_grad(isa, &mat, weight, input_shape, g.kh, g.kw, p);
         pool::recycle(mat);
         gx
     });
@@ -2076,8 +2250,9 @@ mod tests {
         Tensor::from_vec(vec![f32::NAN; shape.len()], shape)
     }
 
-    /// A convolution's forward on `path` — the direct one on instantiation
-    /// `isa` — in f32 or INT8: `(y, cache, scales)`.
+    /// A convolution's training forward on `path` — on instantiation `isa`,
+    /// but for the lowering's INT8 GEMM — in f32 or INT8: `(y, cache,
+    /// scales)`.
     fn forward_on(
         path: ConvPath,
         isa: Isa,
@@ -2088,8 +2263,8 @@ mod tests {
     ) -> (Tensor, ConvCache, Option<(QuantParams, QuantParams)>) {
         match (path, int8) {
             (ConvPath::Lowered, false) => {
-                let (y, cache) = lowered_forward(x, w, p);
-                (y, cache, None)
+                let (y, cache) = lowered_forward(isa, x, w, p, true);
+                (y, cache.expect("kept"), None)
             }
             (ConvPath::Lowered, true) => {
                 let (y, cache, pp, pw) = lowered_forward_int8(x, w, p);
@@ -2106,7 +2281,24 @@ mod tests {
         }
     }
 
-    /// [`conv2d_backward`] with the direct path on instantiation `isa`.
+    /// [`conv2d_eval`] on `path` and instantiation `isa`.
+    fn eval_on(path: ConvPath, isa: Isa, x: &Tensor, w: &Tensor, p: ConvParams) -> Tensor {
+        match path {
+            ConvPath::Lowered => {
+                let (y, cache) = lowered_forward(isa, x, w, p, false);
+                assert!(cache.is_none(), "an eval forward keeps nothing");
+                y
+            }
+            ConvPath::Direct => {
+                let (y, cache) = direct_forward(isa, x, w, p);
+                cache.recycle();
+                y
+            }
+        }
+    }
+
+    /// [`conv2d_backward`] on instantiation `isa` (`dX` on either path, the
+    /// direct path's `dW`).
     fn backward_on(
         isa: Isa,
         gy: &Tensor,
@@ -2120,15 +2312,17 @@ mod tests {
             ConvCache::Direct { padded } => {
                 direct_backward(isa, gy, padded, w, x_shape, p, want_gx)
             }
-            lowered => conv2d_backward(gy, lowered, w, x_shape, p, want_gx),
+            ConvCache::Lowered { patches, view } => {
+                lowered_backward(isa, gy, patches, view.as_ref(), w, x_shape, p, want_gx)
+            }
         }
     }
 
-    /// One convolution on `path` (the direct one on instantiation `isa`)
-    /// and through the all-taps oracle, forward (f32 or INT8) and backward,
-    /// the path on the step scratch (whose parked buffers are poisoned in
-    /// this build); asserts `y`, the scales, `dX` and `dW` — with and
-    /// without `dX` — equal bit for bit. `what` names the case.
+    /// One convolution on `path` and instantiation `isa` and through the
+    /// all-taps oracle, forward (f32 or INT8; at f32 the eval forward too)
+    /// and backward, the path on the step scratch (whose parked buffers are
+    /// poisoned in this build); asserts `y`, the scales, `dX` and `dW` —
+    /// with and without `dX` — equal bit for bit. `what` names the case.
     #[allow(clippy::too_many_arguments)]
     fn assert_matches_reference(
         x: &Tensor,
@@ -2157,6 +2351,11 @@ mod tests {
         };
         assert_eq!(y.shape(), ry.shape(), "{what}: output shape");
         assert_eq!(bits(&y), bits(&ry), "{what}: y");
+        if !int8 {
+            let ye = eval_on(path, isa, x, w, p);
+            assert_eq!(bits(&ye), bits(&ry), "{what}: eval y");
+            pool::recycle(ye);
+        }
 
         let gy = gy_of(&y);
         let (rgx, rgw) = reference::conv2d_backward(&gy, &rpatches, w, x.shape(), p);
@@ -2490,6 +2689,75 @@ mod tests {
                     assert_matches_reference(&dx, &dwt, &gy, dp, int8, path, isa, &what);
                 }
             }
+        }
+    }
+
+    /// The panel passes against the whole-matrix oracle: the f32 training
+    /// forward, the f32 eval forward, `dX` and `dW` of both paths, on every
+    /// instantiation this host has, at pool sizes 1, 2 and 4 — kernels 1×1
+    /// and 3×3, strides 1 and 2, padding 0 and 1, square maps 1, 2, 3, 4 and
+    /// 8 wide (dead taps on the 1×1 and 2×2 ones), batches 1…5 and odd
+    /// channel counts drawn — plus two batches of five large enough for the
+    /// pool, 8×8 (a sample a panel) and 4×4 (two a panel, the last one
+    /// short).
+    #[test]
+    fn panel_passes_match_the_whole_matrix_oracle_bitwise() {
+        let isas: Vec<Isa> = [Isa::PORTABLE]
+            .into_iter()
+            .chain(wide_or_skip("panel passes"))
+            .collect();
+        for threads in [1, 2, 4] {
+            crate::runtime::set_threads(threads);
+            let mut rng = StdRng::seed_from_u64(47);
+            let mut cases = Vec::new();
+            for (k, stride, pad, hw) in [1, 3].into_iter().flat_map(|k| {
+                let maps = [1, 2, 3, 4, 8].into_iter();
+                let geometry =
+                    move |(stride, pad)| maps.clone().map(move |hw| (k, stride, pad, hw));
+                [(1, 0), (1, 1), (2, 0), (2, 1)]
+                    .into_iter()
+                    .flat_map(geometry)
+            }) {
+                if hw + 2 * pad < k {
+                    continue;
+                }
+                let n = rng.gen_range(1..=5usize);
+                let ic = 2 * rng.gen_range(0..3usize) + 1;
+                let oc = 2 * rng.gen_range(0..3usize) + 1;
+                cases.push((n, ic, hw, oc, k, ConvParams::new(stride, pad)));
+            }
+            cases.push((5, 16, 8, 8, 3, ConvParams::new(1, 1)));
+            cases.push((5, 32, 4, 16, 3, ConvParams::new(1, 1)));
+            let (mut short, mut pooled, mut dead) = (0, 0, 0);
+            for (case, &(n, ic, hw, oc, k, p)) in cases.iter().enumerate() {
+                let x = signed_zero_values([n, ic, hw, hw], &mut rng);
+                let wt = weights([oc, ic, k, k], &mut rng);
+                let gy = |y: &Tensor| {
+                    signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(case as u64))
+                };
+                let g = Lowering::new(ic, hw, hw, k, k, p);
+                let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc);
+                short += usize::from(n > panels.per && n % panels.per != 0);
+                pooled += usize::from(panels.parallel);
+                dead += usize::from(!g.live.is_full());
+                let direct = Direct::admits(hw, hw, ic, k, k, p);
+                for &isa in &isas {
+                    for path in [ConvPath::Lowered, ConvPath::Direct] {
+                        if path == ConvPath::Direct && !direct {
+                            continue;
+                        }
+                        let what = format!(
+                            "k{k} s{} p{} on {n}x{ic}x{hw}x{hw} -> {oc}, {threads} threads",
+                            p.stride, p.padding
+                        );
+                        assert_matches_reference(&x, &wt, &gy, p, false, path, isa, &what);
+                    }
+                }
+            }
+            assert!(short >= 2, "{short} batches ended in a short panel");
+            assert_eq!(dead, 3, "geometries with a dead tap");
+            let want = if threads > 1 { 2 } else { 0 };
+            assert_eq!(pooled, want, "passes on the pool at {threads} threads");
         }
     }
 

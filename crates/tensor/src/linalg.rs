@@ -31,9 +31,11 @@
 //! the *output* dimension, so all three satisfy the contract above and
 //! agree bit for bit. All three products share the kernel: `Aᵀ × B` is a
 //! stride choice on the left operand and `A × Bᵀ` transposes `B` once per
-//! call. The i8 GEMM is the one kernel with hand-written intrinsics (AVX2;
-//! the AVX-512 level runs it too); it is exact in `i32`, where no order can
-//! matter.
+//! call. A pass that cuts its own rows — the convolution lowering's sample
+//! panels — packs `B` once the same way and has each of its chunks run the
+//! serial kernel over its rows (`Rhs::rows`). The i8 GEMM is the one kernel
+//! with hand-written intrinsics (AVX2; the AVX-512 level runs it too); it is
+//! exact in `i32`, where no order can matter.
 //!
 //! **Parallelism:** large products are cut into panels of the output and
 //! dispatched on the [`crate::runtime`] worker pool: `ROWS_PER_CHUNK` rows
@@ -82,10 +84,10 @@ fn tile_cols(isa: Isa) -> usize {
 }
 
 thread_local! {
-    /// `Bᵀ` of the running [`matmul_a_bt_slices`] call (`k × n`), transposed
-    /// once on the calling thread and read by every row panel. Thread-local
-    /// so replica jobs never contend; reused across calls so steady-state
-    /// matmuls allocate nothing.
+    /// `Bᵀ` of the running `A × Bᵀ` product (`k × n`, [`with_rhs_t`]),
+    /// transposed once on the calling thread and read by every row panel.
+    /// Thread-local so replica jobs never contend; reused across calls so
+    /// steady-state matmuls allocate nothing.
     static PACKED_BT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// The last `n % NR` columns of the running product's `B`, zero-padded
     /// to a `k × NR` panel (see [`pad_tail_columns`]); same ownership rules.
@@ -266,22 +268,28 @@ impl<'a> Panel<'a> {
     }
 }
 
-/// `C = lhs × B` for `B: (k, n)` row-major, by panels — on the pool when
-/// [`Split::of`] the shape says so. The `n % NR` tail columns of `B` are
-/// padded once, here, and shared by every panel.
-fn gemm_panels(isa: Isa, lhs: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    PADDED_TAIL.with(|tail| {
-        // the submitting thread only ever runs its own panels while it
-        // waits, so the borrow cannot be re-entered
-        let mut tail = tail.borrow_mut();
-        pad_tail_columns(b, &mut tail, k, n);
-        let tail = &tail[..];
+/// The right operand `B: (k, n)` of a product, row-major, with its
+/// [`pad_tail_columns`] panel: built once per call, on the calling thread,
+/// and read by every panel of the product — also by the panels of a pass
+/// that computes its rows a few at a time ([`with_rhs`], [`with_rhs_t`]).
+pub(crate) struct Rhs<'a> {
+    b: &'a [f32],
+    tail: &'a [f32],
+    k: usize,
+    n: usize,
+}
+
+impl Rhs<'_> {
+    /// `C = lhs × B` into the `m × n` `out`, by panels — on the pool when
+    /// [`Split::of`] the shape says so.
+    fn product(&self, isa: Isa, lhs: Lhs, out: &mut [f32], m: usize) {
+        let (k, n) = (self.k, self.n);
         let out = SendPtr::new(out);
         let panel = |rows: Range<usize>, cols: Range<usize>| {
             // SAFETY: `out` is the whole `m × n` output, and each arm below
             // cuts `0..m × 0..n` into panels that share no cell.
             let cells = unsafe { Panel::new(&out, n, rows, cols) };
-            gemm_panel(isa, lhs, b, tail, cells, k);
+            gemm_panel(isa, lhs, self.b, self.tail, cells, k);
         };
         match Split::of(m, k, n, tile_cols(isa)) {
             Split::Serial => panel(0..m, 0..n),
@@ -298,7 +306,54 @@ fn gemm_panels(isa: Isa, lhs: Lhs, b: &[f32], out: &mut [f32], m: usize, k: usiz
                 });
             }
         }
-    });
+    }
+
+    /// `out = a × B` for the `m` rows `a: (m, k)`, `out: (m, n)`, serially on
+    /// the calling lane: one row panel of a pass that cuts its rows itself.
+    /// Each element is the ascending-`p` sum it is in the whole product.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths do not match `B`'s dimensions.
+    pub(crate) fn rows(&self, isa: Isa, a: &[f32], out: &mut [f32]) {
+        let m = out.len() / self.n.max(1);
+        assert_eq!(out.len(), m * self.n, "Rhs::rows: out length");
+        assert_eq!(a.len(), m * self.k, "Rhs::rows: a length");
+        let out = SendPtr::new(out);
+        // SAFETY: the one panel of the whole `m × n` output.
+        let cells = unsafe { Panel::new(&out, self.n, 0..m, 0..self.n) };
+        gemm_panel(isa, row_major(a, self.k), self.b, self.tail, cells, self.k);
+    }
+}
+
+/// Runs `f` with `b: (k, n)`, row-major, as a product's right operand; its
+/// tail columns are padded into this thread's scratch for the duration.
+/// `f` and the chunks it dispatches must not start another product on this
+/// thread, whose scratch is borrowed; a submitter waiting on the pool runs
+/// only its own task's chunks, so that holds for the panels of `f`.
+pub(crate) fn with_rhs<R>(b: &[f32], k: usize, n: usize, f: impl FnOnce(&Rhs) -> R) -> R {
+    assert_eq!(b.len(), k * n, "with_rhs: b length");
+    PADDED_TAIL.with(|tail| {
+        let mut tail = tail.borrow_mut();
+        pad_tail_columns(b, &mut tail, k, n);
+        f(&Rhs {
+            b,
+            tail: &tail,
+            k,
+            n,
+        })
+    })
+}
+
+/// [`with_rhs`] for the `B` of `A × Bᵀ`, `b: (n, k)`: transposed once into
+/// this thread's scratch, so no panel packs anything.
+pub(crate) fn with_rhs_t<R>(b: &[f32], n: usize, k: usize, f: impl FnOnce(&Rhs) -> R) -> R {
+    assert_eq!(b.len(), n * k, "with_rhs_t: b length");
+    PACKED_BT.with(|bt| {
+        let mut bt = bt.borrow_mut();
+        bt.resize(k * n, 0.0);
+        transpose_blocks(b, &mut bt, n, k);
+        with_rhs(&bt, k, n, f)
+    })
 }
 
 /// Copies the last `n % NR` columns of `b: (k, n)` into `tail` as a
@@ -437,7 +492,9 @@ pub fn matmul_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
     assert_eq!(b.len(), k * n, "matmul_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_slices: out length");
     let _t = Timer::start(KernelOp::Matmul);
-    gemm_panels(Isa::active(), row_major(a, k), b, out, m, k, n);
+    with_rhs(b, k, n, |rhs| {
+        rhs.product(Isa::active(), row_major(a, k), out, m)
+    });
 }
 
 /// `a: (m, k)` row-major as a left operand.
@@ -485,7 +542,7 @@ pub fn matmul_at_b_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
         row_stride: 1,
         p_stride: m,
     };
-    gemm_panels(Isa::active(), at, b, out, m, k, n);
+    with_rhs(b, k, n, |rhs| rhs.product(Isa::active(), at, out, m));
 }
 
 // ---------------------------------------------------------------------------
@@ -522,12 +579,8 @@ pub fn matmul_a_bt_slices(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     assert_eq!(b.len(), n * k, "matmul_a_bt_slices: b length");
     assert_eq!(out.len(), m * n, "matmul_a_bt_slices: out length");
     let _t = Timer::start(KernelOp::MatmulABt);
-    PACKED_BT.with(|bt| {
-        // not re-entered, for the reason given in `gemm_panels`
-        let mut bt = bt.borrow_mut();
-        bt.resize(k * n, 0.0);
-        transpose_blocks(b, &mut bt, n, k);
-        gemm_panels(Isa::active(), row_major(a, k), &bt, out, m, k, n);
+    with_rhs_t(b, n, k, |rhs| {
+        rhs.product(Isa::active(), row_major(a, k), out, m)
     });
 }
 

@@ -36,7 +36,10 @@
 //!   forward parks nothing: inside [`transient`] a take is a plain
 //!   allocation and a give a plain drop, so an eval-shaped family — one
 //!   buffer per layer, used once an epoch — is never hoarded beside the
-//!   train-shaped one and never ages it out.
+//!   train-shaped one and never ages it out. That family is activations
+//!   only: an FP32 evaluation's convolutions make no patch matrix
+//!   ([`crate::conv::conv2d_eval`]), so the largest buffer an evaluation
+//!   allocates is an activation, not a patch matrix nine inputs wide.
 //!
 //! ```
 //! use socflow_tensor::pool;

@@ -183,13 +183,24 @@ pub fn snapshot() -> Vec<KernelTotal> {
 pub(crate) struct Timer {
     op: KernelOp,
     start: Option<Instant>,
+    calls: u64,
 }
 
 impl Timer {
+    /// Times one call of `op`.
     #[inline]
     pub(crate) fn start(op: KernelOp) -> Timer {
+        Timer::panel(op, true)
+    }
+
+    /// Times one panel of a pass that runs `op` in chunks of its own, on
+    /// the lane that runs it: the time is added to `op`, and only the
+    /// `first` panel counts a call, so a pass is one call of each op.
+    #[inline]
+    pub(crate) fn panel(op: KernelOp, first: bool) -> Timer {
         let start = enabled().then(Instant::now);
-        Timer { op, start }
+        let calls = u64::from(first);
+        Timer { op, start, calls }
     }
 }
 
@@ -199,7 +210,7 @@ impl Drop for Timer {
             let i = self.op.index();
             let elapsed = start.elapsed().as_nanos() as u64;
             LOCAL.with(|counters| {
-                counters.calls[i].fetch_add(1, Ordering::Relaxed);
+                counters.calls[i].fetch_add(self.calls, Ordering::Relaxed);
                 counters.nanos[i].fetch_add(elapsed, Ordering::Relaxed);
             });
         }

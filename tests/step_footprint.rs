@@ -1,0 +1,219 @@
+//! The lowering keeps no patch gradient between steps, and an evaluation
+//! forward makes no patch matrix.
+//!
+//! This test binary counts, through its own `#[global_allocator]`, the
+//! buffers of a few exact sizes: the patch matrices of ResNet-18's lowered
+//! 3×3 convolutions at the geometry of the benchmark's `train_ring_fp32`
+//! workload (width 0.18, 8×8 CIFAR-10 inputs, batches of 64), and the same
+//! layers' patch matrices at the engine's 128-sample evaluation shard.
+//!
+//! A training forward caches each lowered layer's patch matrix for its
+//! backward, so after a step the step scratch ([`socflow_tensor::pool`])
+//! parks one buffer of that size per layer that has it. A layer's patch
+//! gradient `gmat × W` is exactly as large; the backward computes it a few
+//! samples at a time in a thread-local panel, so no further buffer of the
+//! size may be live. An FP32 evaluation forward of 128 samples must make no
+//! allocation of any of those layers' patch-matrix sizes, and none as large
+//! as the widest one.
+//!
+//! The pool is pinned to one thread, so every step runs here. One test
+//! only: the allocator is global to the process.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use socflow::config::{MethodSpec, TrainJobSpec};
+use socflow::engine::Workload;
+use socflow_data::{Batch, DatasetPreset};
+use socflow_nn::models::{LayerKind, LayerSpec, ModelKind};
+use socflow_nn::optim::Sgd;
+use socflow_nn::{loss, Mode, Precision};
+use socflow_tensor::conv::{ConvParams, ConvPath, LiveTaps};
+use socflow_tensor::{pool, runtime, Shape};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering::Relaxed};
+
+/// Slots for the watched sizes, in bytes; `0` is a free slot.
+const SLOTS: usize = 32;
+static WATCHED: [AtomicUsize; SLOTS] = [const { AtomicUsize::new(0) }; SLOTS];
+/// Live buffers of each watched size.
+static LIVE: [AtomicIsize; SLOTS] = [const { AtomicIsize::new(0) }; SLOTS];
+/// Allocations of each watched size made while armed.
+static MADE: [AtomicUsize; SLOTS] = [const { AtomicUsize::new(0) }; SLOTS];
+/// Whether allocations are being counted in `MADE` and `LARGEST`.
+static ARMED: AtomicBool = AtomicBool::new(false);
+/// The largest allocation made while armed.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+/// Books `count` buffers of `size` bytes — without allocating.
+fn book(size: usize, count: isize) {
+    let armed = count > 0 && ARMED.load(Relaxed);
+    if armed {
+        LARGEST.fetch_max(size, Relaxed);
+    }
+    for (slot, watched) in WATCHED.iter().enumerate() {
+        if watched.load(Relaxed) == size {
+            LIVE[slot].fetch_add(count, Relaxed);
+            if armed {
+                MADE[slot].fetch_add(1, Relaxed);
+            }
+        }
+    }
+}
+
+struct Tracking;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// bookkeeping only touches atomics.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        book(layout.size(), 1);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        book(layout.size(), 1);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        book(layout.size(), -1);
+        book(new_size, 1);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book(layout.size(), -1);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Tracking = Tracking;
+
+/// Starts watching buffers of `size` bytes; returns the slot.
+fn watch(size: usize) -> usize {
+    let slot = WATCHED
+        .iter()
+        .position(|w| w.load(Relaxed) == size || w.load(Relaxed) == 0)
+        .expect("a free slot");
+    WATCHED[slot].store(size, Relaxed);
+    slot
+}
+
+/// The lowered convolutions of a layer table whose live window is a whole
+/// `k × k` kernel, `k > 1`: `(name, patch matrix bytes at a batch of one)`.
+/// Their patch matrices are `k²` inputs wide, so no activation shares their
+/// size; a 1×1 kernel's or a 1×1 map's patch matrix is as large as an
+/// activation, and a 2×2 window's on a 2×2 map as large as its input.
+fn widened_convs(table: &[LayerSpec], out: &mut Vec<(String, usize)>) {
+    for layer in table {
+        match &layer.kind {
+            &LayerKind::Conv {
+                in_channels,
+                out_channels,
+                kernel,
+                stride,
+                padding,
+            } => {
+                let [c, h, w] = layer.input;
+                let p = ConvParams::new(stride, padding);
+                let input = Shape::from([1, c, h, w]);
+                let weight = Shape::from([out_channels, in_channels, kernel, kernel]);
+                let live = LiveTaps::of(h, w, kernel, kernel, p);
+                let lowered = ConvPath::of(&input, &weight, p) == ConvPath::Lowered;
+                if lowered && kernel > 1 && live.is_full() {
+                    let rows = p.out_size(h, kernel) * p.out_size(w, kernel);
+                    let name = format!("{c}->{out_channels} k{kernel} s{stride} on {h}x{w}");
+                    out.push((name, rows * c * live.taps() * 4));
+                }
+            }
+            LayerKind::Residual { body, shortcut } => {
+                widened_convs(body, out);
+                widened_convs(shortcut.as_deref().unwrap_or_default(), out);
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_step_keeps_no_patch_gradient_and_an_evaluation_no_patch_matrix() {
+    runtime::set_threads(1);
+    let mut spec = TrainJobSpec::new(
+        ModelKind::ResNet18,
+        DatasetPreset::Cifar10,
+        MethodSpec::Ring,
+    );
+    spec.seed = 11;
+    let batch = spec.global_batch;
+    assert_eq!(batch, 64);
+    // 512 training samples leave the 128 test samples of one shard
+    let workload = Workload::standard(&spec, 8 * batch, 8, 0.18);
+    let mut convs = Vec::new();
+    widened_convs(&spec.model.layers(workload.model_cfg), &mut convs);
+    assert_eq!(
+        convs.len(),
+        13,
+        "the stem and the 3x3 convolutions of stages 1-3"
+    );
+
+    // a training step: one parked patch matrix per layer of a size, and
+    // nothing more of that size
+    let mut cached: BTreeMap<usize, usize> = BTreeMap::new();
+    for &(_, bytes) in &convs {
+        *cached.entry(batch * bytes).or_default() += 1;
+    }
+    let slots: Vec<(usize, usize, usize)> = cached
+        .iter()
+        .map(|(&size, &layers)| (watch(size), size, layers))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut net = spec.model.build(workload.model_cfg, &mut rng);
+    let batches: Vec<Batch> = workload.train.epoch_batches(batch, &mut rng).collect();
+    let mut opt = Sgd::new(spec.lr, 0.9, 5e-4);
+    for b in &batches {
+        // one SGD step, as the engine's replica takes it
+        let mode = Mode::train(Precision::Fp32);
+        let logits = net.forward(&b.images, mode);
+        let (_, grad) = loss::softmax_cross_entropy(&logits, &b.labels);
+        pool::recycle(logits);
+        net.backward_parameters(&grad, mode);
+        pool::recycle(grad);
+        opt.step(&mut net);
+    }
+    for &(slot, size, layers) in &slots {
+        let live = LIVE[slot].load(Relaxed);
+        println!("{size} bytes: {live} live, the forward caches of {layers} layers");
+        assert_eq!(
+            live, layers as isize,
+            "after a step, {live} buffers of {size} bytes are live: the patch matrices \
+             the forward cached are {layers}, and a patch gradient would be one more"
+        );
+    }
+
+    // an evaluation forward of the engine's 128-sample shard
+    let shard: Vec<usize> = (0..128).collect();
+    let eval = workload.test.batch(&shard);
+    let widened: Vec<(&str, usize, usize)> = convs
+        .iter()
+        .map(|(name, bytes)| (name.as_str(), 128 * bytes, watch(128 * bytes)))
+        .collect();
+    let widest = widened.iter().map(|&(_, bytes, _)| bytes).max().unwrap();
+    ARMED.store(true, Relaxed);
+    let logits = net.forward(&eval.images, Mode::eval(Precision::Fp32));
+    ARMED.store(false, Relaxed);
+    assert_eq!(logits.shape().dims()[0], 128);
+    for &(name, bytes, slot) in &widened {
+        let made = MADE[slot].load(Relaxed);
+        assert_eq!(
+            made, 0,
+            "a 128-sample evaluation made {made} buffers of {bytes} bytes, the patch matrix of {name}"
+        );
+    }
+    let largest = LARGEST.load(Relaxed);
+    println!(
+        "the largest allocation of the evaluation: {largest} bytes, widest patch matrix {widest}"
+    );
+    assert!(
+        largest < widest,
+        "a 128-sample evaluation allocated {largest} bytes at once, the widest patch matrix is {widest}"
+    );
+}
