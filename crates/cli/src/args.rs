@@ -43,9 +43,6 @@ pub struct Options {
     /// Results are bit-identical at any thread count; this only changes
     /// wall-clock time.
     pub threads: Option<usize>,
-    /// Measured β compute-power ratio override in (0,1) — typically the
-    /// value `bench kernels` reports from timing the f32 and i8 GEMMs.
-    pub profiled_beta: Option<f64>,
     /// Number of servers in the simulated fleet (`fleet`).
     pub servers: usize,
     /// Number of jobs on the fleet arrival trace (`fleet`).
@@ -91,7 +88,6 @@ impl Default for Options {
             resume: false,
             pricing: Pricing::Timeline,
             threads: None,
-            profiled_beta: None,
             servers: 4,
             jobs: 12,
             policy: "tidal".into(),
@@ -171,17 +167,6 @@ impl Options {
                         return Err(format!("`{flag}` must be positive, got `{value}`"));
                     }
                     o.interarrival = v;
-                }
-                "--profiled-beta" => {
-                    let beta: f64 = value
-                        .parse()
-                        .map_err(|_| format!("`{flag}` expects a number, got `{value}`"))?;
-                    if !(beta > 0.0 && beta < 1.0) {
-                        return Err(format!(
-                            "`{flag}` must be strictly between 0 and 1, got `{value}`"
-                        ));
-                    }
-                    o.profiled_beta = Some(beta);
                 }
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -328,17 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_beta_parses_and_rejects_out_of_range() {
-        let o = parse(&["--profiled-beta", "0.78"]).unwrap();
-        assert_eq!(o.profiled_beta, Some(0.78));
-        assert_eq!(parse(&[]).unwrap().profiled_beta, None);
-        assert!(parse(&["--profiled-beta", "0"]).is_err());
-        assert!(parse(&["--profiled-beta", "1.0"]).is_err());
-        assert!(parse(&["--profiled-beta", "nan"]).is_err());
-        assert!(parse(&["--profiled-beta", "big"]).is_err());
-    }
-
-    #[test]
     fn fleet_flags_parse_and_validate() {
         let o = parse(&[
             "--servers",
@@ -402,10 +376,6 @@ mod tests {
             "auto picks the schedule"
         );
         assert!(parse(&["--auto", "--overlap", "--bucket-kb", "64"]).is_err());
-        // β under the search is `RunOptions::validate`'s rule, which `train`
-        // and `tune` share; the parser leaves it to that one place
-        let b = parse(&["--auto", "--profiled-beta", "0.62"]).unwrap();
-        assert!(b.auto && b.profiled_beta == Some(0.62));
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! `kernels` is the host micro-kernel suite and keeps a document of its
 //! own: the tensor kernels the training hot path lives in (tiled GEMM
 //! variants, transpose, the pooled conv2d forward/backward, LeNet-5's two
-//! layers on the lowering (`conv2d`) and on the direct path
-//! (`conv_direct`), the lowering's im2col / col2im / reorder / max-pool, the fused fake-quantize pass, the
-//! two GEMMs of a ResNet-18 step on one and on two pool threads, a parallel
-//! region's round trip) on fixed shapes with deterministic inputs,
+//! layers on the lowering (`conv2d`, whose f32 and INT8 forwards are one
+//! pass of sample panels) and on the direct path (`conv_direct`), max
+//! pooling, the fused fake-quantize pass, the two GEMMs of a ResNet-18
+//! step on one and on two pool threads, a parallel region's round trip) on fixed shapes with deterministic inputs,
 //! reported as minimum wall time per iteration plus achieved GFLOP/s.
 //! Minimum-of-N timing is used instead of the mean: the minimum estimates
 //! the noise-free cost of the kernel, which is the number optimization
@@ -114,7 +114,7 @@ impl Suite {
 const SUITES: &[Suite] = &[
     Suite {
         name: "kernels",
-        schema: "socflow-kernel-bench/v1",
+        schema: "socflow-kernel-bench/v2",
         rows: None,
     },
     Suite {
@@ -493,7 +493,6 @@ impl KernelRow {
 struct KernelDoc {
     schema: &'static str,
     mode: &'static str,
-    profiled_beta: f64,
     /// Which kernel instantiation this host ran: "avx512" | "avx2" |
     /// "portable".
     isa: &'static str,
@@ -560,7 +559,7 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
     let mut c = Tensor::zeros([m, n]);
     let gemm_shape = format!("{m}x{k}x{n}");
     let gemm_flops = 2.0 * (m * k * n) as f64;
-    let f32_ns = time("matmul", gemm_shape.clone(), gemm_flops, &mut || {
+    time("matmul", gemm_shape.clone(), gemm_flops, &mut || {
         linalg::matmul_slices(a.data(), b.data(), c.data_mut(), m, k, n);
     });
     let at = tensor([k, m], 0x5eed_0003); // Aᵀ stored (k, m)
@@ -589,7 +588,7 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
     quant::quantize_into(&a, QuantParams::from_tensor(&a), &mut qa);
     quant::quantize_into(&bt, QuantParams::from_tensor(&bt), &mut qbt);
     let mut ci = vec![0i32; m * n];
-    let i8_ns = time("matmul_i8", gemm_shape, gemm_flops, &mut || {
+    time("matmul_i8", gemm_shape, gemm_flops, &mut || {
         linalg::matmul_i8_a_bt_slices(&qa, &qbt, &mut ci, m, k, n);
     });
     let bt2 = tensor([n2, k2], 0x5eed_000c); // Bᵀ stored (n, k)
@@ -735,34 +734,8 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
         }
     }
 
-    // --- The lowering's data movement ("flops" = elements moved) ---------
-    // At the repo benchmark's shapes: ResNet-18's stage 1 and LeNet-5's
-    // first pool at the CLI's widths, one 64-sample step.
-    let (ln, lc, lhw) = (64, 12, 8);
-    let lx = tensor([ln, lc, lhw, lhw], 0x5eed_000f);
-    let lowering_shape = format!("{ln}x{lc}x{lhw}x{lhw} k{kk}");
-    let mut lpatches = Tensor::default();
-    conv::im2col_into(&lx, kk, kk, p, &mut lpatches);
-    let moved = lpatches.len() as f64;
-    time("im2col", lowering_shape.clone(), moved, &mut || {
-        conv::im2col_into(&lx, kk, kk, p, &mut lpatches);
-    });
-    let gpatches = tensor(lpatches.shape().clone(), 0x5eed_0010);
-    let mut lgx = Tensor::default();
-    time("col2im", lowering_shape, moved, &mut || {
-        conv::col2im_into(&gpatches, ln, lc, lhw, lhw, kk, kk, p, &mut lgx);
-    });
-    let rows = tensor([ln * lhw * lhw, lc], 0x5eed_0011);
-    let mut nchw = Tensor::default();
-    let reorder_shape = format!("{}x{lc}", ln * lhw * lhw);
-    time(
-        "nchw_reorder",
-        reorder_shape,
-        rows.len() as f64,
-        &mut || {
-            conv::nhwc_rows_to_nchw_into(&rows, ln, lc, lhw, lhw, &mut nchw);
-        },
-    );
+    // --- Max pooling ("flops" = elements read) ----------------------------
+    // LeNet-5's first pool at the CLI's width, one 64-sample step.
     let px = tensor([64, 3, 8, 8], 0x5eed_0012);
     let (mut pooled, mut argmax) = (Tensor::default(), Vec::new());
     time(
@@ -839,17 +812,9 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
     let isa = Isa::active().name();
     println!("kernel isa: {isa}");
     print_table(&results, KernelRow::cells);
-    // The measured β compute-power ratio from the 128³ GEMM pair:
-    // β = t_f32 / (t_f32 + t_i8), the host analogue of the paper's
-    // CPU-vs-NPU split. Feed it back via `train --profiled-beta`.
-    let beta = (f32_ns + i8_ns > 0.0).then(|| f32_ns / (f32_ns + i8_ns));
-    if let Some(beta) = beta {
-        println!("\nmeasured beta = {beta:.4} (f32 vs i8 GEMM at 128x128x128; feed back via `train --profiled-beta {beta:.4}`)");
-    }
     KernelDoc {
         schema,
         mode,
-        profiled_beta: beta.unwrap_or(0.0),
         isa,
         results,
     }
@@ -1346,10 +1311,7 @@ mod tests {
     #[test]
     fn kernel_document_key_order_is_pinned() {
         let doc = SUITES[0].document(true).unwrap();
-        assert_eq!(
-            keys(&doc),
-            ["schema", "mode", "profiled_beta", "isa", "results"]
-        );
+        assert_eq!(keys(&doc), ["schema", "mode", "isa", "results"]);
         for row in doc.get("results").as_array().unwrap() {
             assert_eq!(keys(row), ["op", "shape", "iters", "ns_per_iter", "gflops"]);
         }
@@ -1368,13 +1330,6 @@ mod tests {
             4,
             "integer GEMM rows at all four shapes"
         );
-        let ns = |op| {
-            let cube = |r: &&KernelRow| r.op == op && r.shape == "128x128x128";
-            doc.results.iter().find(cube).expect(op).ns_per_iter
-        };
-        let beta = ns("matmul") / (ns("matmul") + ns("matmul_i8"));
-        assert!(beta > 0.0 && beta < 1.0, "beta {beta}");
-        assert_eq!(doc.profiled_beta, beta);
         assert_eq!(doc.isa, Isa::active().name());
     }
 

@@ -70,9 +70,6 @@ USAGE:
       bit-identical to a non-overlapped run
   --bucket-kb <N> (train): minimum gradient-bucket size in KiB of
       reference payload (default 4096; requires --overlap)
-  --profiled-beta <f> (train, not with --auto): override the calibrated
-      β compute-power ratio with a measured value in (0,1) — typically
-      the β that `bench kernels` reports from timing the f32 and i8 GEMMs
   --auto (train): search the parallelization-plan space (group count x
       sync schedule x bucket size) on the simulated clock before
       training and adopt the fastest predicted plan. Replaces
@@ -245,7 +242,6 @@ fn scheduler(
 fn run_options(opts: &Options) -> Result<RunOptions, String> {
     let mut options = RunOptions {
         pricing: opts.pricing,
-        profiled_beta: opts.profiled_beta,
         ..RunOptions::default()
     };
     if opts.streaming {
@@ -436,11 +432,7 @@ pub fn tune(opts: &Options) -> Result<(), String> {
     }
     let spec = job_spec(opts, method_of(&opts.method, opts.groups)?)?;
     let (model, preset) = (spec.model, spec.preset);
-    // carried only so that validation rejects it, as under `train --auto`
-    let options = RunOptions {
-        profiled_beta: opts.profiled_beta,
-        ..RunOptions::default()
-    };
+    let options = RunOptions::default();
     let plan = Plan::Auto {
         budget: opts.auto_budget,
     };
@@ -1055,26 +1047,12 @@ mod tests {
                 },
                 "--groups",
             ),
-            // the plan search prices with the calibrated β, on any method
-            (
-                Options {
-                    auto: true,
-                    profiled_beta: Some(0.62),
-                    ..tiny.clone()
-                },
-                "--profiled-beta",
-            ),
         ];
         for (opts, flag) in cases {
             let err = train(&opts).unwrap_err();
             assert!(err.contains(flag), "`{err}` should name {flag}");
         }
         assert!(tune(&on("ring")).unwrap_err().contains("--auto"));
-        let beta = Options {
-            profiled_beta: Some(0.62),
-            ..tiny.clone()
-        };
-        assert!(tune(&beta).unwrap_err().contains("--profiled-beta"));
         // observing a baseline stays legal
         let path = std::env::temp_dir().join("socflow_cli_ring_trace.jsonl");
         let traced = Options {

@@ -50,9 +50,6 @@ impl std::fmt::Display for Processor {
 pub struct ComputeModel {
     model: String,
     underclock: Vec<f64>, // per-SoC frequency factor, 1.0 = full speed
-    /// Measured β override (e.g. from `bench kernels` on the host); `None`
-    /// falls back to the calibrated per-sample anchors.
-    profiled_beta: Option<f64>,
 }
 
 impl ComputeModel {
@@ -66,21 +63,7 @@ impl ComputeModel {
         Ok(ComputeModel {
             model: model.to_string(),
             underclock: vec![1.0; socs],
-            profiled_beta: None,
         })
-    }
-
-    /// Overrides the calibrated β with a measured value (see
-    /// [`ComputeModel::beta`]); pass the β reported by `bench kernels`.
-    ///
-    /// # Panics
-    /// Panics if `beta` is not strictly inside `(0, 1)`.
-    pub fn set_profiled_beta(&mut self, beta: f64) {
-        assert!(
-            beta > 0.0 && beta < 1.0,
-            "profiled beta must be in (0,1), got {beta}"
-        );
-        self.profiled_beta = Some(beta);
     }
 
     /// Sets the DVFS frequency factor of one SoC.
@@ -126,15 +109,7 @@ impl ComputeModel {
     /// `β = (1/t_NPU) / (1/t_NPU + 1/t_CPU) = t_CPU / (t_CPU + t_NPU)`.
     /// Feeding a β fraction of the batch to the NPU equalizes both sides'
     /// finish times, so no processor idles.
-    ///
-    /// A measured override set via [`ComputeModel::set_profiled_beta`]
-    /// (`--profiled-beta` at the CLI, typically the β that `bench kernels`
-    /// measured from the f32-vs-i8 GEMM timings) takes precedence over the
-    /// calibrated anchors.
     pub fn beta(&self) -> f64 {
-        if let Some(b) = self.profiled_beta {
-            return b;
-        }
         let t_cpu = self.per_sample(Processor::SocCpuFp32);
         let t_npu = self.per_sample(Processor::SocNpuInt8);
         t_cpu / (t_npu + t_cpu)
@@ -178,15 +153,6 @@ mod tests {
         let t_npu = m.batch_time(0, Processor::SocNpuInt8, npu_n);
         let ratio = t_cpu / t_npu;
         assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn profiled_beta_overrides_calibrated() {
-        let mut m = ComputeModel::new("VGG-11", 1).unwrap();
-        let calibrated = m.beta();
-        m.set_profiled_beta(0.42);
-        assert_eq!(m.beta(), 0.42);
-        assert_ne!(m.beta(), calibrated);
     }
 
     #[test]

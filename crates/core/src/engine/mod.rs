@@ -210,16 +210,12 @@ impl Engine {
     ///
     /// # Panics
     /// Panics with the [`RunOptions::validate`] message if `options` sets
-    /// something the job's method cannot act on, and if
-    /// `options.profiled_beta` is not strictly inside `(0, 1)`.
+    /// something the job's method cannot act on.
     pub fn new(spec: TrainJobSpec, workload: Workload, options: RunOptions) -> Self {
         options.assert_valid(&spec, Plan::Fixed);
         let mut time_model = TimeModel::new(&spec);
         if let Some(sink) = &options.sink {
             time_model.set_sink(sink.clone());
-        }
-        if let Some(beta) = options.profiled_beta {
-            time_model.compute_mut().set_profiled_beta(beta);
         }
         Engine {
             spec,
@@ -514,17 +510,6 @@ mod tests {
         let warm = workload.with_init_weights(trained);
         let r = Engine::new(spec, warm, RunOptions::default()).run();
         assert!(r.best_accuracy() > 0.2, "warm start should learn fast");
-    }
-
-    #[test]
-    fn profiled_beta_reaches_the_compute_model() {
-        let spec = tiny_spec(MethodSpec::SocFlow(SocFlowConfig::with_groups(2)));
-        let options = RunOptions {
-            profiled_beta: Some(0.42),
-            ..RunOptions::default()
-        };
-        let e = Engine::new(spec, easy_workload(&spec, 128), options);
-        assert_eq!(e.time_model.compute().beta(), 0.42);
     }
 
     #[test]

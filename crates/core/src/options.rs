@@ -129,11 +129,6 @@ pub struct RunOptions {
     /// learning rates, α, the surviving topology, the simulated clock and
     /// the partial result all come from the snapshot.
     pub resume: Option<Checkpoint>,
-    /// Measured β compute-power ratio in `(0, 1)` replacing the calibrated
-    /// one (`--profiled-beta`, typically from `bench kernels`). Drives the
-    /// mixed-precision controller's initial CPU share and the time model's
-    /// NPU batch split. Not for the plan search ([`Plan::Auto`]).
-    pub profiled_beta: Option<f64>,
     /// Live per-SoC streams instead of the static pre-partitioned corpus
     /// (`--streaming`): shards come from a deterministic stream, bounded
     /// ingest buffers settle supply against demand on the simulated clock,
@@ -160,9 +155,6 @@ pub enum OptionsError {
         /// SoCs the job holds.
         socs: usize,
     },
-    /// A profiled β was given to the plan search, which prices every plan
-    /// with the calibrated β and would ignore it.
-    ProfiledBetaUnderAuto,
 }
 
 impl std::fmt::Display for OptionsError {
@@ -176,11 +168,6 @@ impl std::fmt::Display for OptionsError {
             OptionsError::GroupsOutOfRange { groups, socs } => write!(
                 f,
                 "--groups must be between 1 and the SoC count ({socs}), got {groups}"
-            ),
-            OptionsError::ProfiledBetaUnderAuto => write!(
-                f,
-                "--profiled-beta is a `train` input, not a plan axis: --auto (and `tune`) \
-                 price every plan with the calibrated β; drop one of the two"
             ),
         }
     }
@@ -207,17 +194,13 @@ impl RunOptions {
     /// error, the scheduler and the engine panic with it.
     ///
     /// [`Pricing::WaitFree`], `streaming`, `checkpointing`, `resume` and
-    /// [`Plan::Auto`] are rejected on every baseline method,
-    /// `profiled_beta` under [`Plan::Auto`] on every method, and a SoCFlow
+    /// [`Plan::Auto`] are rejected on every baseline method, and a SoCFlow
     /// group count must lie in `1..=socs`. The sink and `faults` are legal
     /// everywhere.
     ///
     /// # Errors
     /// Returns the first violated rule.
     pub fn validate(&self, spec: &TrainJobSpec, plan: Plan) -> Result<(), OptionsError> {
-        if self.profiled_beta.is_some() && plan != Plan::Fixed {
-            return Err(OptionsError::ProfiledBetaUnderAuto);
-        }
         let Some(cfg) = spec.method.socflow() else {
             let socflow_only = [
                 (
@@ -365,24 +348,17 @@ mod tests {
         }
     }
 
-    /// Sink, β and faults (the one preemption path), on every method
-    /// with a fixed plan; β is not for the plan search.
+    /// The sink and faults (the one preemption path), on every method with
+    /// a fixed plan.
     #[test]
-    fn sink_beta_and_preemption_are_legal_everywhere() {
+    fn sink_and_preemption_are_legal_everywhere() {
         let options = RunOptions {
             sink: Some(Arc::new(socflow_telemetry::NullSink)),
             faults: Some(FaultPlan::from_events(Vec::new())),
-            profiled_beta: Some(0.4),
             ..RunOptions::default()
         };
         for method in baselines().into_iter().chain(socflow_variants()) {
             assert_eq!(options.validate(&spec(method), Plan::Fixed), Ok(()));
-            assert_eq!(
-                options.validate(&spec(method), Plan::Auto { budget: None }),
-                Err(OptionsError::ProfiledBetaUnderAuto),
-                "{}",
-                method.name()
-            );
         }
     }
 
@@ -416,11 +392,6 @@ mod tests {
         assert!(msg.contains("--overlap") && msg.contains("RING"), "{msg}");
         let e = OptionsError::GroupsOutOfRange { groups: 0, socs: 8 };
         assert!(e.to_string().contains("--groups"), "{e}");
-        let msg = OptionsError::ProfiledBetaUnderAuto.to_string();
-        assert!(
-            msg.contains("--profiled-beta") && msg.contains("--auto"),
-            "{msg}"
-        );
     }
 
     #[test]

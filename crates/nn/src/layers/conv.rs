@@ -1,7 +1,7 @@
 use crate::layer::{Layer, Mode, Parameter, Precision};
 use rand::Rng;
 use socflow_tensor::conv::{
-    conv2d, conv2d_backward, conv2d_eval, conv2d_int8, ConvCache, ConvParams,
+    conv2d, conv2d_backward, conv2d_eval, conv2d_int8, conv2d_int8_eval, ConvCache, ConvParams,
 };
 use socflow_tensor::{init, Shape, Tensor};
 
@@ -13,11 +13,11 @@ use socflow_tensor::{init, Shape, Tensor};
 /// ([`socflow_tensor::conv::ConvCache`]) — the im2col patch matrix, one
 /// column per channel and *live* kernel tap, or on a narrow layer that runs
 /// direct the input inside its zero border — until its backward; the
-/// weight and its gradient keep their full `(oc, ic, k, k)` shape. An FP32
-/// evaluation forward keeps nothing and, on the lowering, makes no patch
-/// matrix ([`socflow_tensor::conv::conv2d_eval`]); an INT8 one still
-/// quantizes the whole patch matrix, whose largest magnitude is its scale.
-/// Which path runs is `socflow_tensor::conv`'s choice.
+/// weight and its gradient keep their full `(oc, ic, k, k)` shape. An
+/// evaluation forward, FP32 or INT8, keeps nothing and, on the lowering,
+/// makes no patch matrix ([`socflow_tensor::conv::conv2d_eval`],
+/// [`socflow_tensor::conv::conv2d_int8_eval`]). Which path runs is
+/// `socflow_tensor::conv`'s choice.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Parameter,
@@ -66,23 +66,19 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         // INT8 runs the integer kernel ([`conv2d_int8`]), which caches the
         // dequantized input it consumed, so the cache and the backward
-        // below are shared with FP32. An FP32 evaluation keeps nothing.
+        // below are shared with FP32. An evaluation keeps nothing.
+        let (w, p) = (&self.weight.value, self.params);
         let (y, cache) = match (mode.precision, mode.train) {
-            (Precision::Int8, _) => {
-                let (y, cache, _, _) = conv2d_int8(input, &self.weight.value, self.params);
+            (Precision::Fp32, false) => return conv2d_eval(input, w, p),
+            (Precision::Int8, false) => return conv2d_int8_eval(input, w, p),
+            (Precision::Fp32, true) => conv2d(input, w, p),
+            (Precision::Int8, true) => {
+                let (y, cache, _, _) = conv2d_int8(input, w, p);
                 (y, cache)
             }
-            (Precision::Fp32, true) => conv2d(input, &self.weight.value, self.params),
-            (Precision::Fp32, false) => {
-                return conv2d_eval(input, &self.weight.value, self.params);
-            }
         };
-        if mode.train {
-            self.release();
-            self.cached = Some((cache, input.shape().clone()));
-        } else {
-            cache.recycle();
-        }
+        self.release();
+        self.cached = Some((cache, input.shape().clone()));
         y
     }
 

@@ -5,9 +5,9 @@
 //!
 //! - **The lowering** (every wide layer): each input window becomes a row
 //!   of a patch matrix, and the convolution becomes a GEMM against the
-//!   weights. The f32 forward and `dX` each run as one pass of whole-sample
-//!   row panels (below); the backward's `dW = dYᵀ·patches` reads the patch
-//!   matrix the training forward cached.
+//!   weights. The forward, f32 and INT8 alike, and `dX` each run as one
+//!   pass of whole-sample row panels (below); the backward's
+//!   `dW = dYᵀ·patches` reads the patch matrix the training forward cached.
 //! - **The direct path** (narrow layers): the forward, the INT8 forward
 //!   and `dW` run straight over the input inside the zero border the
 //!   lowering builds anyway (the halo below), with no patch matrix; the
@@ -60,6 +60,19 @@
 //! max-|x|, so the padded input and the patch matrix have the same largest
 //! magnitude.
 //!
+//! **The lowering's INT8 scale.** A lowered INT8 forward quantizes its patch
+//! rows a panel at a time, so its input scale — the whole patch matrix's
+//! largest magnitude — is worked out before the pass, from the input
+//! (`Lowering::input_scale`). The patch matrix holds border zeros and
+//! exactly the input elements that some live window reads, and those form a
+//! product set: a row of a plane is read iff some output row's live taps
+//! reach it, a column likewise, whatever the other coordinate. At stride 1
+//! that is every element; on ResNet's 1×1 stride-2 shortcut it is every
+//! other row and column. `abs_max` folds `|x|` with `max` from `0.0` and
+//! skips NaN, so it gives the largest non-NaN magnitude of the set,
+//! whatever the order and however often an element repeats, and the zeros
+//! cannot raise it: the pre-pass gives the whole matrix's scale, to the bit.
+//!
 //! **Live taps.** The lowering walks only the kernel taps that can ever
 //! overlap the input ([`LiveTaps`]: a window `lh × lw` of the `kh × kw`
 //! kernel, a function of the geometry alone), so the patch matrix is
@@ -97,30 +110,35 @@
 //! exact width). The bounds-tested bodies live on in this module's tests as
 //! the oracle.
 //!
-//! **Sample panels.** A lowered f32 forward or `dX` is one pool region whose
+//! **Sample panels.** A lowered forward or `dX` is one pool region whose
 //! chunks are panels of whole samples, at least `PANEL_ROWS` patch rows
 //! each (`Panels`). A forward panel runs `im2col` of its samples, their
-//! GEMM rows against `Wᵀ` — packed once per call, with its padded tail,
-//! before the region — and the reorder of those rows to NCHW; a `dX` panel
-//! runs its samples' rows of the patch gradient `dY·W` and then `col2im` of
-//! exactly those samples. So the patch gradient never exists whole, and
-//! neither does an evaluation's patch matrix: a training forward writes its
-//! panels into the patch matrix its backward reads, an evaluation forward
-//! ([`conv2d_eval`]) into the lane's panel scratch. Each element is still
-//! the ascending-`p` GEMM sum and each `col2im` cell receives its adds in
-//! `(oy, ox, ci, ky, kx)` order, so every output is bit-identical to the
-//! whole-matrix lowering. The INT8 forward keeps the whole patch matrix: its
-//! input scale is the whole matrix's largest magnitude.
+//! GEMM rows and the reorder of those rows to NCHW. The f32 GEMM is against
+//! `Wᵀ`, packed once per call, with its padded tail, before the region. The
+//! INT8 panel quantizes its rows at the pass's input scale (above), runs the
+//! integer GEMM against the weights quantized once before the region and
+//! applies the scale epilogue; a training forward then dequantizes the rows
+//! in place, the values the integer GEMM consumed, for its backward. A `dX`
+//! panel runs its samples' rows of the patch gradient `dY·W` and then
+//! `col2im` of exactly those samples. So the patch gradient never exists
+//! whole, and neither does an evaluation's patch matrix: a training forward
+//! writes its panels into the patch matrix its backward reads, an
+//! evaluation forward ([`conv2d_eval`], [`conv2d_int8_eval`]) into the
+//! lane's panel scratch, and an INT8 evaluation makes no patch-sized buffer
+//! of any element type. Each f32 element is still the ascending-`p` GEMM
+//! sum, each `i32` sum is exact, and each `col2im` cell receives its adds
+//! in `(oy, ox, ci, ky, kx)` order, so every output is bit-identical to the
+//! whole-matrix lowering, which lives on as the tests' oracle.
 //!
 //! **Whose memory.** The convolutions ([`conv2d`], [`conv2d_eval`],
-//! [`conv2d_int8`], [`conv2d_backward`]) and the pooling passes take what
-//! they return, and every staging matrix in between, from the calling
-//! thread's step scratch ([`crate::pool`]): a caller that hands the results
-//! back when it is done with them ([`ConvCache::recycle`] for a forward's
-//! cache) runs without allocating, one that drops them pays what it always
-//! did. The lowering itself ([`im2col_into`], [`col2im_into`]) writes into a
-//! caller's tensor; the per-sample halos, the lanes' panels and the direct
-//! `dW`'s windows are thread-local, each grown once to the largest layer's.
+//! [`conv2d_int8`], [`conv2d_int8_eval`], [`conv2d_backward`]) and the
+//! pooling passes take what they return, and every staging matrix in
+//! between, from the calling thread's step scratch ([`crate::pool`]): a
+//! caller that hands the results back when it is done with them
+//! ([`ConvCache::recycle`] for a forward's cache) runs without allocating,
+//! one that drops them pays what it always did. The per-sample halos, the
+//! lanes' panels — f32, INT8 and `i32` — and the direct `dW`'s windows are
+//! thread-local, each grown once to the largest layer's.
 //!
 //! All image tensors are NCHW.
 
@@ -135,16 +153,16 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::thread::LocalKey;
 
-/// Fewest patch-matrix elements an `im2col`/`col2im` call (one chunk per
-/// batch sample) moves before it is dispatched on the worker pool; a lowered
-/// pass of [`Panels`] goes there at this size or at the GEMM's
-/// [`linalg::PAR_MIN_WORK_F32`], whichever its shape reaches. Serial and
-/// parallel paths produce the same bytes, so the threshold affects
-/// wall-clock only. Measured with the second lane polling
-/// ([`crate::runtime`]), 3×3 lowering of 64 samples, `im2col` / `col2im` on
-/// two threads against one: 2¹⁴·⁸ elements ×1.4 / ×1.4, 2¹⁵·⁸ ×1.1–1.2 /
-/// ×1.1–1.2 (slower), 2¹⁶·⁷⁻¹⁶·⁸ ×0.7–0.9 / ×0.8–1.0, 2¹⁷·⁷ ×0.73 / ×0.72,
-/// 2¹⁸·⁸ ×0.65 / ×0.6.
+/// Fewest patch-matrix elements a lowered pass ([`Panels`]) moves through
+/// `im2col` or `col2im` before it is dispatched on the worker pool; it goes
+/// there at this size or at its GEMM's threshold, whichever its shape
+/// reaches. Serial and parallel paths produce the same bytes, so the
+/// threshold affects wall-clock only. Measured when `im2col` and `col2im`
+/// were passes of their own (one chunk per sample), with the second lane
+/// polling ([`crate::runtime`]), 3×3 lowering of 64 samples, `im2col` /
+/// `col2im` on two threads against one: 2¹⁴·⁸ elements ×1.4 / ×1.4, 2¹⁵·⁸
+/// ×1.1–1.2 / ×1.1–1.2 (slower), 2¹⁶·⁷⁻¹⁶·⁸ ×0.7–0.9 / ×0.8–1.0, 2¹⁷·⁷
+/// ×0.73 / ×0.72, 2¹⁸·⁸ ×0.65 / ×0.6.
 const PAR_MIN_ELEMS: usize = 1 << 16;
 
 /// Stride and zero-padding of a convolution or pooling window.
@@ -313,8 +331,8 @@ impl LiveTaps {
     }
 }
 
-/// The geometry of one lowering call — what [`im2col_into`] and
-/// [`col2im_into`] work out once and every sample of the batch reads.
+/// The geometry of one lowered pass — what it works out once and every
+/// sample of the batch reads.
 #[derive(Debug, Clone, Copy)]
 struct Lowering {
     c: usize,
@@ -327,6 +345,18 @@ struct Lowering {
 }
 
 impl Lowering {
+    /// The lowering of a convolution with weights `weight_shape: (oc, ic,
+    /// kh, kw)` over an input of `input_shape`, and `oc`.
+    ///
+    /// # Panics
+    /// Panics if the channel counts disagree or the window does not fit.
+    fn of(input_shape: &Shape, weight_shape: &Shape, p: ConvParams) -> (Self, usize) {
+        let (_, ic, h, w) = input_shape.as_nchw();
+        let (oc, ic2, kh, kw) = weight_shape.as_nchw();
+        assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
+        (Lowering::new(ic, h, w, kh, kw, p), oc)
+    }
+
     fn new(c: usize, h: usize, w: usize, kh: usize, kw: usize, p: ConvParams) -> Self {
         Lowering {
             c,
@@ -367,6 +397,34 @@ impl Lowering {
         self.oh * self.ow == 1
             && (self.live.rows(), self.live.cols()) == (pad..pad + self.h, pad..pad + self.w)
     }
+
+    /// Whether some live window reads input position `i` of an axis with
+    /// `out` output positions and live taps `taps`: `o·stride + t = i + p`
+    /// for some `o < out` and `t` in `taps`.
+    fn reads(&self, i: usize, out: usize, taps: Range<usize>) -> bool {
+        let (stride, at) = (self.p.stride, i + self.p.padding);
+        taps.into_iter()
+            .any(|t| at >= t && (at - t) % stride == 0 && (at - t) / stride < out)
+    }
+
+    /// The INT8 scale of the patch matrix of `input` — its largest
+    /// magnitude — from the input elements some live window reads, before
+    /// any patch row exists (see the module docs). Every element at stride
+    /// 1, so one sweep of the input; otherwise the rows and columns read.
+    fn input_scale(&self, input: &Tensor) -> QuantParams {
+        let row = |y: usize| self.reads(y, self.oh, self.live.rows());
+        let col = |x: usize| self.reads(x, self.ow, self.live.cols());
+        let max = if (0..self.h).all(row) && (0..self.w).all(col) {
+            input.abs_max()
+        } else {
+            let rows = input.data().chunks_exact(self.w.max(1)).enumerate();
+            let read = rows.filter(|(r, _)| row(r % self.h));
+            read.flat_map(|(_, cells)| cells.iter().enumerate())
+                .filter(|&(x, _)| col(x))
+                .fold(0.0f32, |m, (_, v)| m.max(v.abs()))
+        };
+        QuantParams::from_abs_max(max)
+    }
 }
 
 thread_local! {
@@ -391,20 +449,20 @@ fn with_halo<R>(g: &Lowering, f: impl FnOnce(&mut [f32]) -> R) -> R {
     with_scratch(&HALO, g.c * hp * wp + SPILL, f)
 }
 
-/// Runs `f` on the first `len` floats of the thread-local `scratch`, grown
-/// to exactly `len` when shorter: the largest caller's, not twice the last
-/// one's.
-fn with_scratch<R>(
-    scratch: &'static LocalKey<RefCell<Vec<f32>>>,
+/// Runs `f` on the first `len` elements of the thread-local `scratch`,
+/// grown to exactly `len` when shorter: the largest caller's, not twice the
+/// last one's.
+fn with_scratch<T: Copy + Default, R>(
+    scratch: &'static LocalKey<RefCell<Vec<T>>>,
     len: usize,
-    f: impl FnOnce(&mut [f32]) -> R,
+    f: impl FnOnce(&mut [T]) -> R,
 ) -> R {
     scratch.with(|buf| {
         let mut buf = buf.borrow_mut();
         if buf.len() < len {
             let grow = len - buf.len();
             buf.reserve_exact(grow);
-            buf.resize(len, 0.0);
+            buf.resize(len, T::default());
         }
         f(&mut buf[..len])
     })
@@ -416,6 +474,10 @@ thread_local! {
     /// patch-gradient rows of `dX`. Same ownership rules as [`HALO`]; grown
     /// to the largest panel's once.
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// An INT8 forward panel's quantized patch rows, beside [`PANEL`].
+    static PANEL_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
+    /// An INT8 forward panel's `i32` GEMM sums, beside [`PANEL`].
+    static PANEL_I32: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on the first `len` floats of this lane's panel scratch, their
@@ -455,49 +517,6 @@ fn with_const_width(w: usize, f: impl FnOnce(usize)) {
         8 => f(8),
         w => f(w),
     }
-}
-
-/// Lowers NCHW `input` into a patch matrix of shape
-/// `(n·oh·ow, c·lh·lw)`, one column per channel and *live* tap
-/// ([`LiveTaps`]; `lh·lw = kh·kw` unless the map is smaller than the
-/// kernel's reach), written into `patches`, reusing its storage; returns
-/// `(oh, ow)`.
-///
-/// # Panics
-/// Panics if `input` is not rank-4 or the window does not fit.
-pub fn im2col_into(
-    input: &Tensor,
-    kh: usize,
-    kw: usize,
-    p: ConvParams,
-    patches: &mut Tensor,
-) -> (usize, usize) {
-    let (n, c, h, w) = input.shape().as_nchw();
-    let g = Lowering::new(c, h, w, kh, kw, p);
-    let rows = n * g.oh * g.ow;
-    let _t = Timer::start(KernelOp::Im2col);
-    patches.resize([rows, g.cols()]);
-    let out = patches.data_mut();
-    let image = |ni: usize| &input.data()[ni * g.sample_image()..][..g.sample_image()];
-    let sample_rows = g.sample_patches();
-    if n > 1 && rows * g.cols() >= PAR_MIN_ELEMS && runtime::threads() > 1 {
-        // One chunk per batch sample: sample `ni` owns exactly the patch
-        // rows `[ni·oh·ow, (ni+1)·oh·ow)` — disjoint output regions, and
-        // the per-sample body below is the same code the serial path runs,
-        // so the bytes are identical at any thread count.
-        let out_ptr = SendPtr::new(out);
-        runtime::parallel_for_chunks(n, &|ni| {
-            // Safety: per-sample regions are disjoint and in-bounds.
-            let sample = unsafe { out_ptr.slice(ni * sample_rows, sample_rows) };
-            im2col_sample(image(ni), sample, &g);
-        });
-    } else {
-        for ni in 0..n {
-            let sample = &mut out[ni * sample_rows..(ni + 1) * sample_rows];
-            im2col_sample(image(ni), sample, &g);
-        }
-    }
-    (g.oh, g.ow)
 }
 
 /// Extracts the patch rows of one batch sample — `image`, its `c·h·w`
@@ -605,55 +624,6 @@ fn gather_row(
     }
 }
 
-/// Inverse of [`im2col_into`]: scatters (accumulates) a
-/// `(n·oh·ow, c·lh·lw)` patch-matrix gradient — live taps only, as
-/// [`im2col_into`] lays them out — back into an NCHW gradient of shape
-/// `(n, c, h, w)`, written into `grad`, reusing its storage.
-///
-/// # Panics
-/// Panics if the patch matrix shape is inconsistent with the arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn col2im_into(
-    patches: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    p: ConvParams,
-    grad: &mut Tensor,
-) {
-    let g = Lowering::new(c, h, w, kh, kw, p);
-    assert_eq!(
-        patches.shape().dims(),
-        &[n * g.oh * g.ow, g.cols()],
-        "patch matrix shape mismatch (rows n·oh·ow, one column per channel and live tap)"
-    );
-    let _t = Timer::start(KernelOp::Col2im);
-    grad.resize([n, c, h, w]);
-    let out = grad.data_mut();
-    let rows = |ni: usize| &patches.data()[ni * g.sample_patches()..][..g.sample_patches()];
-    let sample_len = g.sample_image();
-    if n > 1 && patches.len() >= PAR_MIN_ELEMS && runtime::threads() > 1 {
-        // One chunk per batch sample: sample `ni`'s patch rows scatter only
-        // into its own `c·h·w` gradient region, and within a sample the
-        // accumulation order is the serial one — bit-identical at any
-        // thread count.
-        let out_ptr = SendPtr::new(out);
-        runtime::parallel_for_chunks(n, &|ni| {
-            // Safety: per-sample regions are disjoint and in-bounds.
-            let sample = unsafe { out_ptr.slice(ni * sample_len, sample_len) };
-            col2im_sample(rows(ni), sample, &g);
-        });
-    } else {
-        for ni in 0..n {
-            let sample = &mut out[ni * sample_len..(ni + 1) * sample_len];
-            col2im_sample(rows(ni), sample, &g);
-        }
-    }
-}
-
 /// Scatters one batch sample's patch-row gradients `rows` into `out` (that
 /// sample's `c·h·w` region of the NCHW gradient): every live tap of every
 /// window is added into the zeroed halo, unconditionally and in `(oy, ox,
@@ -729,37 +699,6 @@ fn scatter_body(rows: &[f32], dst: &mut [f32], g: &Lowering, lw: usize) {
     }
 }
 
-/// Shapes one lowered convolution call works out once: `(n, oc, oh, ow)`,
-/// the live window, and the patch matrix's `(rows, cols)`.
-struct ConvDims {
-    n: usize,
-    oc: usize,
-    oh: usize,
-    ow: usize,
-    live: LiveTaps,
-    rows: usize,
-    cols: usize,
-}
-
-impl ConvDims {
-    fn of(input_shape: &Shape, weight: &Tensor, p: ConvParams) -> Self {
-        let (n, ic, h, w) = input_shape.as_nchw();
-        let (oc, ic2, kh, kw) = weight.shape().as_nchw();
-        assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
-        let (oh, ow) = (p.out_size(h, kh), p.out_size(w, kw));
-        let live = LiveTaps::of(h, w, kh, kw, p);
-        ConvDims {
-            n,
-            oc,
-            oh,
-            ow,
-            live,
-            rows: n * oh * ow,
-            cols: ic * live.taps(),
-        }
-    }
-}
-
 /// Fewest patch rows in a panel of a lowered pass ([`Panels`]): whole
 /// samples are added until a panel holds this many, so that a 1×1 map's
 /// one row per sample still fills the GEMM's register tiles. The row grain
@@ -769,7 +708,8 @@ const PANEL_ROWS: usize = 32;
 /// How a lowered pass cuts its batch: panels of whole samples, each of at
 /// least [`PANEL_ROWS`] patch rows but the last, run as one region on the
 /// worker pool when either half of the pass — the `im2col`/`col2im` moves
-/// ([`PAR_MIN_ELEMS`]) or the GEMM ([`linalg::PAR_MIN_WORK_F32`]) — is large
+/// ([`PAR_MIN_ELEMS`]) or the GEMM (its kernel's threshold,
+/// [`linalg::PAR_MIN_WORK_F32`] or [`linalg::PAR_MIN_WORK_I8`]) — is large
 /// enough to have gone parallel on its own, serially otherwise. Cut from the
 /// shape alone, never the thread count, and each panel writes only its own
 /// samples' regions in the serial order, so the bytes are the same at any
@@ -783,11 +723,12 @@ struct Panels {
 
 impl Panels {
     /// The panels of `n` samples of `hw` patch rows each, the rows `cols`
-    /// wide and the GEMM's other side `oc`.
-    fn of(n: usize, hw: usize, cols: usize, oc: usize) -> Panels {
+    /// wide and the GEMM's other side `oc`; the GEMM goes parallel on its
+    /// own at `min_work` multiply-adds.
+    fn of(n: usize, hw: usize, cols: usize, oc: usize, min_work: usize) -> Panels {
         let per = PANEL_ROWS.div_ceil(hw.max(1)).min(n.max(1));
         let elems = n * hw * cols;
-        let big = elems >= PAR_MIN_ELEMS || elems * oc >= linalg::PAR_MIN_WORK_F32;
+        let big = elems >= PAR_MIN_ELEMS || elems * oc >= min_work;
         Panels {
             n,
             per,
@@ -813,12 +754,12 @@ impl Panels {
 const DIRECT_MAX_CELLS: usize = 256;
 
 /// The two ways a convolution runs (see the module docs). [`ConvPath::of`]
-/// is the rule; [`conv2d`] and [`conv2d_int8`] follow it, and the `_via`
-/// entry points take a path for the benchmarks and tests that compare the
-/// two.
+/// is the rule; [`conv2d`], [`conv2d_eval`], [`conv2d_int8`] and
+/// [`conv2d_int8_eval`] follow it, and the `_via` entry points take a path
+/// for the benchmarks and tests that compare the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvPath {
-    /// `im2col`, a GEMM per product and `col2im` for `dX`; the f32 forward
+    /// `im2col`, a GEMM per product and `col2im` for `dX`; both forwards
     /// and `dX` in whole-sample panels.
     Lowered,
     /// Straight over the input inside its zero border: no patch matrix.
@@ -847,8 +788,8 @@ impl ConvPath {
 /// What a training forward leaves for its backward; the variant says which
 /// path ran. Its tensors come from the step scratch:
 /// [`ConvCache::recycle`] hands them back. An evaluation forward
-/// ([`conv2d_eval`]) leaves none, and on the lowering makes no patch
-/// matrix at all.
+/// ([`conv2d_eval`], [`conv2d_int8_eval`]) leaves none, and on the lowering
+/// makes no patch matrix at all.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConvCache {
     /// The lowering's `(n·oh·ow, ic·lh·lw)` patch matrix — dequantized
@@ -1012,7 +953,7 @@ pub fn conv2d_via(
 ) -> (Tensor, ConvCache) {
     match path {
         ConvPath::Lowered => {
-            let (y, cache) = lowered_forward(Isa::active(), input, weight, p, true);
+            let (y, cache, _) = lowered_forward(Isa::active(), input, weight, p, true, false);
             (y, cache.expect("a kept patch matrix"))
         }
         ConvPath::Direct => direct_forward(Isa::active(), input, weight, p),
@@ -1027,7 +968,7 @@ pub fn conv2d_via(
 /// As [`conv2d`].
 pub fn conv2d_eval(input: &Tensor, weight: &Tensor, p: ConvParams) -> Tensor {
     match ConvPath::of(input.shape(), weight.shape(), p) {
-        ConvPath::Lowered => lowered_forward(Isa::active(), input, weight, p, false).0,
+        ConvPath::Lowered => lowered_forward(Isa::active(), input, weight, p, false, false).0,
         ConvPath::Direct => {
             let (y, cache) = direct_forward(Isa::active(), input, weight, p);
             cache.recycle();
@@ -1036,62 +977,71 @@ pub fn conv2d_eval(input: &Tensor, weight: &Tensor, p: ConvParams) -> Tensor {
     }
 }
 
-/// The lowering's f32 forward on instantiation `isa`, one pass of
-/// [`Panels`]: each panel is `im2col` of its samples, their rows of
-/// `patches × Wᵀ` and the reorder of those rows to NCHW. `Wᵀ` and its
-/// padded tail are packed once, before the pass. With `keep` — a training
-/// forward, whose backward reads the patch matrix — the panels' patch rows
-/// are written into the patch matrix the cache returns; without, into the
-/// lane's panel scratch, and no patch matrix exists.
+/// The lowering's forward on instantiation `isa`, f32 or (`int8`) INT8, as
+/// one [`lowered_pass`]. The f32 arm packs `Wᵀ` and its padded tail once,
+/// before the pass. The INT8 arm works out both scales first — the input's
+/// by [`Lowering::input_scale`], the weights' from the **whole** tensor —
+/// and quantizes the live weights once; each panel quantizes its rows,
+/// sums their exact `i32` products in the lane's scratch and applies the
+/// epilogue, and with `keep` leaves its rows dequantized: the values the
+/// integer GEMM consumed, which the backward differentiates. With `keep` —
+/// a training forward — the cache holds the patch matrix; without, none
+/// exists. Returns the output, the cache when `keep`, and the INT8 arm's
+/// `(input, weight)` scales.
 fn lowered_forward(
     isa: Isa,
     input: &Tensor,
     weight: &Tensor,
     p: ConvParams,
     keep: bool,
-) -> (Tensor, Option<ConvCache>) {
-    let d = ConvDims::of(input.shape(), weight, p);
-    let (_, c, h, w) = input.shape().as_nchw();
-    let (_, _, kh, kw) = weight.shape().as_nchw();
-    let g = Lowering::new(c, h, w, kh, kw, p);
-    let (hw, cols, oc) = (d.oh * d.ow, d.cols, d.oc);
-    let (image, sample) = (g.sample_image(), g.sample_patches());
+    int8: bool,
+) -> (
+    Tensor,
+    Option<ConvCache>,
+    Option<(QuantParams, QuantParams)>,
+) {
+    let (g, oc) = Lowering::of(input.shape(), weight.shape(), p);
+    let cols = g.cols();
     // with every tap live the weight storage is already the row-major
     // (oc, cols) matrix — no clone/reshape needed
-    let view = d.live.live_view(weight);
-    let mut patches = keep.then(|| pool::tensor([d.rows, cols]));
-    let mut out = pool::tensor([d.n, oc, d.oh, d.ow]);
-    let kept = patches.as_mut().map(|t| SendPtr::new(t.data_mut()));
-    let out_ptr = SendPtr::new(out.data_mut());
-    let wmat = view.as_ref().unwrap_or(weight).data();
-    linalg::with_rhs_t(wmat, oc, cols, |rhs| {
-        Panels::of(d.n, hw, cols, oc).run(&|samples| {
-            let rows = samples.len() * hw;
-            let own = if keep { 0 } else { rows * cols };
-            with_panel(rows * oc + own, |panel| {
-                let (mat, own) = panel.split_at_mut(rows * oc);
-                let patch_rows = match &kept {
-                    // Safety: panels hold disjoint samples, so disjoint rows.
-                    Some(kept) => unsafe { kept.slice(samples.start * sample, rows * cols) },
-                    None => own,
-                };
+    let view = g.live.live_view(weight);
+    let wmat = view.as_ref().unwrap_or(weight);
+    let (out, patches, scales) = if int8 {
+        let (pp, pw) = (g.input_scale(input), QuantParams::from_tensor(weight));
+        let mut qw = pool::take::<i8>(oc * cols);
+        quant::quantize_into(wmat, pw, &mut qw);
+        let gemm = |rows: &mut [f32], mat: &mut [f32], first: bool| {
+            with_scratch(&PANEL_I8, rows.len(), |q| {
                 {
-                    let _t = Timer::panel(KernelOp::Im2col, samples.start == 0);
-                    for (i, ni) in samples.clone().enumerate() {
-                        let x = &input.data()[ni * image..][..image];
-                        im2col_sample(x, &mut patch_rows[i * sample..][..sample], &g);
+                    let _t = Timer::panel(KernelOp::Quant, first);
+                    quant::quantize_slices(isa, rows, q, pp.scale);
+                }
+                with_scratch(&PANEL_I32, mat.len(), |acc| {
+                    {
+                        let _t = Timer::panel(KernelOp::MatmulI8, first);
+                        linalg::matmul_i8_a_bt_rows(isa, q, &qw, acc, cols, oc);
                     }
+                    quant::scale_i32_slices(isa, acc, mat, pp.scale * pw.scale);
+                });
+                if keep {
+                    let _t = Timer::panel(KernelOp::Quant, first);
+                    quant::dequantize_slices(isa, q, rows, pp.scale);
                 }
-                {
-                    let _t = Timer::panel(KernelOp::MatmulABt, samples.start == 0);
-                    rhs.rows(isa, patch_rows, mat);
-                }
-                // Safety: as above, disjoint samples of `out`.
-                let y = unsafe { out_ptr.slice(samples.start * oc * hw, rows * oc) };
-                transpose_samples(mat, y, hw, oc);
             });
+        };
+        let (out, patches) = lowered_pass(input, &g, oc, keep, linalg::PAR_MIN_WORK_I8, &gemm);
+        pool::give(qw);
+        (out, patches, Some((pp, pw)))
+    } else {
+        let (out, patches) = linalg::with_rhs_t(wmat.data(), oc, cols, |rhs| {
+            let gemm = |rows: &mut [f32], mat: &mut [f32], first: bool| {
+                let _t = Timer::panel(KernelOp::MatmulABt, first);
+                rhs.rows(isa, rows, mat);
+            };
+            lowered_pass(input, &g, oc, keep, linalg::PAR_MIN_WORK_F32, &gemm)
         });
-    });
+        (out, patches, None)
+    };
     let cache = match patches {
         Some(patches) => Some(ConvCache::Lowered { patches, view }),
         None => {
@@ -1099,7 +1049,57 @@ fn lowered_forward(
             None
         }
     };
-    (out, cache)
+    (out, cache, scales)
+}
+
+/// The GEMM of a forward panel: `(patch rows, GEMM rows, first panel)`.
+type PanelGemm<'a> = dyn Fn(&mut [f32], &mut [f32], bool) + Sync + 'a;
+
+/// One pass of [`Panels`] over `input`: each panel is `im2col` of its
+/// samples, `gemm(patch rows, GEMM rows, first)` of those samples into the
+/// lane's `(rows, oc)` panel scratch — `first` on the pass's first panel,
+/// which counts the call — and the reorder of the GEMM rows to NCHW. With
+/// `keep` the patch rows are written into the patch matrix returned beside
+/// the output, and `gemm` may rewrite them; without, into the lane's panel
+/// scratch. The GEMM goes parallel on its own at `min_work`.
+fn lowered_pass(
+    input: &Tensor,
+    g: &Lowering,
+    oc: usize,
+    keep: bool,
+    min_work: usize,
+    gemm: &PanelGemm,
+) -> (Tensor, Option<Tensor>) {
+    let (n, hw, cols) = (input.shape().dims()[0], g.oh * g.ow, g.cols());
+    let (image, sample) = (g.sample_image(), g.sample_patches());
+    let mut patches = keep.then(|| pool::tensor([n * hw, cols]));
+    let mut out = pool::tensor([n, oc, g.oh, g.ow]);
+    let kept = patches.as_mut().map(|t| SendPtr::new(t.data_mut()));
+    let out_ptr = SendPtr::new(out.data_mut());
+    Panels::of(n, hw, cols, oc, min_work).run(&|samples| {
+        let rows = samples.len() * hw;
+        let own = if keep { 0 } else { rows * cols };
+        with_panel(rows * oc + own, |panel| {
+            let (mat, own) = panel.split_at_mut(rows * oc);
+            let patch_rows = match &kept {
+                // Safety: panels hold disjoint samples, so disjoint rows.
+                Some(kept) => unsafe { kept.slice(samples.start * sample, rows * cols) },
+                None => own,
+            };
+            {
+                let _t = Timer::panel(KernelOp::Im2col, samples.start == 0);
+                for (i, ni) in samples.clone().enumerate() {
+                    let x = &input.data()[ni * image..][..image];
+                    im2col_sample(x, &mut patch_rows[i * sample..][..sample], g);
+                }
+            }
+            gemm(patch_rows, mat, samples.start == 0);
+            // Safety: as above, disjoint samples of `out`.
+            let y = unsafe { out_ptr.slice(samples.start * oc * hw, rows * oc) };
+            transpose_samples(mat, y, hw, oc);
+        });
+    });
+    (out, patches)
 }
 
 /// The direct f32 forward on instantiation `isa`.
@@ -1116,20 +1116,21 @@ fn direct_forward(isa: Isa, input: &Tensor, weight: &Tensor, p: ConvParams) -> (
     (out, ConvCache::Direct { padded })
 }
 
-/// Integer-path forward convolution: the INT8 replica arm's conv kernel.
+/// Integer-path training forward convolution: the INT8 replica arm's conv
+/// kernel.
 ///
-/// Quantizes the input — as the lowering's patch matrix or, on the direct
-/// path, inside its zero border — and the weights to symmetric per-tensor
-/// INT8, accumulates `i8×i8` products exactly in `i32` (the lowering's
-/// [`linalg::matmul_i8_a_bt_slices`], or the direct path's own walk) and
-/// applies both scales once at the i32→f32 epilogue — no f32 fake-quant
-/// matmul anywhere. The input scale is taken from the patch matrix or the
-/// padded input, which hold the same non-zero values (padding zeros cannot
-/// raise max-|x|, so it equals the in-window input scale, whichever taps
-/// are lowered). The weight scale is taken from the **whole** weight
-/// tensor: a tap that only ever reads padding still carries weight decay,
-/// momentum and gradient noise, so it is not zero and may well hold the
-/// maximum.
+/// Quantizes the input — as the lowering's patch rows, a panel at a time,
+/// or on the direct path inside its zero border — and the weights to
+/// symmetric per-tensor INT8, accumulates `i8×i8` products exactly in `i32`
+/// (the lowering's integer GEMM, or the direct path's own walk) and applies
+/// both scales once at the i32→f32 epilogue — no f32 fake-quant matmul
+/// anywhere. The input scale is that of the patch matrix, which holds the
+/// same non-zero values as the padded input (padding zeros cannot raise
+/// max-|x|, so it equals the in-window input scale, whichever taps are
+/// lowered; the lowering works it out from the input before its pass). The
+/// weight scale is taken from the **whole** weight tensor: a tap that only
+/// ever reads padding still carries weight decay, momentum and gradient
+/// noise, so it is not zero and may well hold the maximum.
 ///
 /// Returns `(out, cache, input params, weight params)`, tensors from the
 /// step scratch as [`conv2d`]'s. The cache holds the **dequantized** input
@@ -1163,42 +1164,31 @@ pub fn conv2d_int8_via(
     p: ConvParams,
 ) -> (Tensor, ConvCache, QuantParams, QuantParams) {
     match path {
-        ConvPath::Lowered => lowered_forward_int8(input, weight, p),
+        ConvPath::Lowered => {
+            let (y, cache, scales) = lowered_forward(Isa::active(), input, weight, p, true, true);
+            let (pp, pw) = scales.expect("the INT8 arm's scales");
+            (y, cache.expect("a kept patch matrix"), pp, pw)
+        }
         ConvPath::Direct => direct_forward_int8(Isa::active(), input, weight, p),
     }
 }
 
-/// The lowering's INT8 forward: `im2col`, quantize both operands, the
-/// integer GEMM, the scale epilogue.
-fn lowered_forward_int8(
-    input: &Tensor,
-    weight: &Tensor,
-    p: ConvParams,
-) -> (Tensor, ConvCache, QuantParams, QuantParams) {
-    let d = ConvDims::of(input.shape(), weight, p);
-    let (_, _, kh, kw) = weight.shape().as_nchw();
-    let mut patches = pool::tensor([d.rows, d.cols]);
-    im2col_into(input, kh, kw, p, &mut patches);
-    let pp = QuantParams::from_tensor(&patches);
-    let pw = QuantParams::from_tensor(weight);
-    let mut qpatches = pool::take::<i8>(d.rows * d.cols);
-    quant::quantize_into(&patches, pp, &mut qpatches);
-    let view = d.live.live_view(weight);
-    let mut qweight = pool::take::<i8>(d.oc * d.cols);
-    quant::quantize_into(view.as_ref().unwrap_or(weight), pw, &mut qweight);
-    let mut imat = pool::take::<i32>(d.rows * d.oc);
-    linalg::matmul_i8_a_bt_slices(&qpatches, &qweight, &mut imat, d.rows, d.cols, d.oc);
-    pool::give(qweight);
-    let mut mat = pool::tensor([d.rows, d.oc]);
-    quant::scale_i32_into(&imat, pp.scale * pw.scale, mat.data_mut());
-    pool::give(imat);
-    let mut out = pool::tensor([d.n, d.oc, d.oh, d.ow]);
-    nhwc_rows_to_nchw_into(&mat, d.n, d.oc, d.oh, d.ow, &mut out);
-    pool::recycle(mat);
-    // Replace the raw patches with their dequantized INT8 values for backward.
-    quant::dequantize_into(&qpatches, [d.rows, d.cols], pp, &mut patches);
-    pool::give(qpatches);
-    (out, ConvCache::Lowered { patches, view }, pp, pw)
+/// Evaluation INT8 forward convolution: [`conv2d_int8`]'s output, bit for
+/// bit, with nothing kept for a backward. On the lowering no patch-sized
+/// buffer exists: each panel's patch rows, their INT8 values and their
+/// `i32` sums live in the lane's scratch only, and none is dequantized.
+///
+/// # Panics
+/// As [`conv2d_int8`].
+pub fn conv2d_int8_eval(input: &Tensor, weight: &Tensor, p: ConvParams) -> Tensor {
+    match ConvPath::of(input.shape(), weight.shape(), p) {
+        ConvPath::Lowered => lowered_forward(Isa::active(), input, weight, p, false, true).0,
+        ConvPath::Direct => {
+            let (y, cache, _, _) = direct_forward_int8(Isa::active(), input, weight, p);
+            cache.recycle();
+            y
+        }
+    }
 }
 
 /// The direct INT8 forward on instantiation `isa`: the padded input is
@@ -1296,13 +1286,13 @@ fn lowered_backward(
     p: ConvParams,
     want_gx: bool,
 ) -> (Option<Tensor>, Tensor) {
-    let d = ConvDims::of(input_shape, weight, p);
+    let (g, oc) = Lowering::of(input_shape, weight.shape(), p);
     let (n, ic, h, w) = input_shape.as_nchw();
     let (_, _, kh, kw) = weight.shape().as_nchw();
     let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
-    assert_eq!((gn, goc), (n, d.oc), "grad_out batch/channel mismatch");
-    assert_eq!((oh, ow), (d.oh, d.ow), "grad_out spatial mismatch");
-    let (rows, cols, live) = (d.rows, d.cols, d.live);
+    assert_eq!((gn, goc), (n, oc), "grad_out batch/channel mismatch");
+    assert_eq!((oh, ow), (g.oh, g.ow), "grad_out spatial mismatch");
+    let (rows, cols, live) = (n * oh * ow, g.cols(), g.live);
     assert_eq!(
         patches.shape().dims(),
         &[rows, cols],
@@ -1311,20 +1301,20 @@ fn lowered_backward(
         live.taps()
     );
     assert!(
-        view.map(|v| v.shape().dims()) == (!live.is_full()).then_some(&[d.oc, cols][..]),
+        view.map(|v| v.shape().dims()) == (!live.is_full()).then_some(&[oc, cols][..]),
         "conv2d_backward: the forward's live weight view"
     );
     // (n·oh·ow, oc)
-    let mut mat = pool::tensor([rows, d.oc]);
+    let mut mat = pool::tensor([rows, oc]);
     nchw_to_nhwc_rows_into(grad_out, &mut mat);
     // dW = gmatᵀ × patches  →  (oc, ic·lh·lw)
-    let mut gw = pool::tensor([d.oc, ic, kh, kw]);
-    let mut gwlive = (!live.is_full()).then(|| pool::tensor([d.oc, cols]));
+    let mut gw = pool::tensor([oc, ic, kh, kw]);
+    let mut gwlive = (!live.is_full()).then(|| pool::tensor([oc, cols]));
     linalg::matmul_at_b_slices(
         mat.data(),
         patches.data(),
         gwlive.as_mut().unwrap_or(&mut gw).data_mut(),
-        d.oc,
+        oc,
         rows,
         cols,
     );
@@ -1363,7 +1353,7 @@ fn input_grad(
     let mut gx = pool::tensor([n, ic, h, w]);
     let gx_ptr = SendPtr::new(gx.data_mut());
     linalg::with_rhs(wmat.data(), oc, cols, |rhs| {
-        Panels::of(n, hw, cols, oc).run(&|samples| {
+        Panels::of(n, hw, cols, oc, linalg::PAR_MIN_WORK_F32).run(&|samples| {
             let rows = samples.len() * hw;
             with_panel(rows * cols, |gpatches| {
                 {
@@ -1454,27 +1444,8 @@ fn direct_backward(
     (gx, gw)
 }
 
-/// Reorders a `(n·oh·ow, c)` matrix (rows in NHWC order) into NCHW: one
-/// `(oh·ow, c) → (c, oh·ow)` transpose per sample, and a plain copy on a 1×1
-/// map, where the two orders are the same.
-///
-/// # Panics
-/// Panics if `mat` does not hold `n·oh·ow·c` elements.
-pub fn nhwc_rows_to_nchw_into(
-    mat: &Tensor,
-    n: usize,
-    c: usize,
-    oh: usize,
-    ow: usize,
-    t: &mut Tensor,
-) {
-    assert_eq!(mat.len(), n * oh * ow * c, "nhwc_rows_to_nchw_into: size");
-    t.resize([n, c, oh, ow]);
-    transpose_samples(mat.data(), t.data_mut(), oh * ow, c);
-}
-
 /// Reorders an NCHW tensor into a `(n·h·w, c)` matrix (rows in NHWC order),
-/// the inverse of [`nhwc_rows_to_nchw_into`].
+/// the inverse of the forward's reorder (one [`transpose_samples`] each).
 fn nchw_to_nhwc_rows_into(t: &Tensor, mat: &mut Tensor) {
     let (n, c, h, w) = t.shape().as_nchw();
     mat.resize([n * h * w, c]);
@@ -1482,7 +1453,8 @@ fn nchw_to_nhwc_rows_into(t: &Tensor, mat: &mut Tensor) {
 }
 
 /// Transposes every `(m, k)` sample of `src` into the `(k, m)` sample of
-/// `dst` beside it. A sample is a few KB and stays in L1, so nothing is
+/// `dst` beside it: a forward's `(oh·ow, oc)` GEMM rows into NCHW (a plain
+/// copy on a 1×1 map, where the two orders are the same), and back. A sample is a few KB and stays in L1, so nothing is
 /// blocked: each destination row is one strided pass over its sample,
 /// written contiguously, with no index tested inside it.
 fn transpose_samples(src: &[f32], dst: &mut [f32], m: usize, k: usize) {
@@ -1681,14 +1653,15 @@ mod tests {
 
     #[test]
     fn im2col_identity_kernel() {
-        // 1x1 kernel, stride 1: patches == input reordered (n*h*w, c)
+        // 1x1 kernel, stride 1: a sample's patch rows are its input
+        // reordered (h*w, c)
         let x = seq_tensor([1, 2, 2, 2]);
-        let mut p = Tensor::default();
-        let (oh, ow) = im2col_into(&x, 1, 1, ConvParams::default(), &mut p);
-        assert_eq!((oh, ow), (2, 2));
-        assert_eq!(p.shape().dims(), &[4, 2]);
+        let g = Lowering::new(2, 2, 2, 1, 1, ConvParams::default());
+        assert_eq!((g.oh, g.ow, g.cols()), (2, 2, 2));
+        let mut rows = vec![f32::NAN; g.sample_patches()];
+        im2col_sample(x.data(), &mut rows, &g);
         // row (y=0,x=0) should be [x[0,0,0,0], x[0,1,0,0]] = [0, 4]
-        assert_eq!(&p.data()[0..2], &[0.0, 4.0]);
+        assert_eq!(rows, [0.0, 4.0, 1.0, 5.0, 2.0, 6.0, 3.0, 7.0]);
     }
 
     #[test]
@@ -1835,7 +1808,7 @@ mod tests {
         );
         // Reference: quantize the raw patches and weight, accumulate in i32.
         let mut patches = Tensor::default();
-        let (oh, ow) = im2col_into(&x, kh, kw, p, &mut patches);
+        let (oh, ow) = reference::im2col_into(&x, kh, kw, p, &mut patches);
         let pp = QuantParams::from_tensor(&patches);
         let pw = QuantParams::from_tensor(&w);
         let cols = ic * kh * kw;
@@ -1871,7 +1844,7 @@ mod tests {
                 ConvCache::Lowered { patches, .. } => patches.clone(),
                 ConvCache::Direct { padded } => {
                     let mut lowered = Tensor::default();
-                    im2col_into(padded, kh, kw, ConvParams::new(1, 0), &mut lowered);
+                    reference::im2col_into(padded, kh, kw, ConvParams::new(1, 0), &mut lowered);
                     lowered
                 }
             };
@@ -1886,21 +1859,19 @@ mod tests {
 
     #[test]
     fn col2im_adjoint_of_im2col() {
-        // <im2col(x), p> == <x, col2im(p)> for all x, p (adjoint property).
-        let p = ConvParams::new(2, 1);
+        // <im2col(x), p> == <x, col2im(p)> for all x, p (adjoint property),
+        // on one sample's bodies as a panel runs them
+        let g = Lowering::new(2, 4, 4, 3, 3, ConvParams::new(2, 1));
         let x = seq_tensor([1, 2, 4, 4]);
-        let mut patches = Tensor::default();
-        im2col_into(&x, 3, 3, p, &mut patches);
-        let probe = Tensor::from_vec(
-            (0..patches.len())
-                .map(|i| ((i * 7 % 13) as f32) - 6.0)
-                .collect(),
-            patches.shape().clone(),
-        );
-        let lhs = patches.dot(&probe);
-        let mut back = Tensor::default();
-        col2im_into(&probe, 1, 2, 4, 4, 3, 3, p, &mut back);
-        let rhs = x.dot(&back);
+        let mut patches = vec![f32::NAN; g.sample_patches()];
+        im2col_sample(x.data(), &mut patches, &g);
+        let probe: Vec<f32> = (0..patches.len())
+            .map(|i| ((i * 7 % 13) as f32) - 6.0)
+            .collect();
+        let lhs: f32 = patches.iter().zip(&probe).map(|(a, b)| a * b).sum();
+        let mut back = vec![f32::NAN; g.sample_image()];
+        col2im_sample(&probe, &mut back, &g);
+        let rhs: f32 = x.data().iter().zip(&back).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
@@ -2250,9 +2221,8 @@ mod tests {
         Tensor::from_vec(vec![f32::NAN; shape.len()], shape)
     }
 
-    /// A convolution's training forward on `path` — on instantiation `isa`,
-    /// but for the lowering's INT8 GEMM — in f32 or INT8: `(y, cache,
-    /// scales)`.
+    /// A convolution's training forward on `path` and instantiation `isa`,
+    /// in f32 or INT8: `(y, cache, scales)`.
     fn forward_on(
         path: ConvPath,
         isa: Isa,
@@ -2262,13 +2232,10 @@ mod tests {
         int8: bool,
     ) -> (Tensor, ConvCache, Option<(QuantParams, QuantParams)>) {
         match (path, int8) {
-            (ConvPath::Lowered, false) => {
-                let (y, cache) = lowered_forward(isa, x, w, p, true);
-                (y, cache.expect("kept"), None)
-            }
-            (ConvPath::Lowered, true) => {
-                let (y, cache, pp, pw) = lowered_forward_int8(x, w, p);
-                (y, cache, Some((pp, pw)))
+            (ConvPath::Lowered, _) => {
+                let (y, cache, scales) = lowered_forward(isa, x, w, p, true, int8);
+                assert_eq!(scales.is_some(), int8, "the INT8 arm's scales");
+                (y, cache.expect("kept"), scales)
             }
             (ConvPath::Direct, false) => {
                 let (y, cache) = direct_forward(isa, x, w, p);
@@ -2281,16 +2248,29 @@ mod tests {
         }
     }
 
-    /// [`conv2d_eval`] on `path` and instantiation `isa`.
-    fn eval_on(path: ConvPath, isa: Isa, x: &Tensor, w: &Tensor, p: ConvParams) -> Tensor {
-        match path {
-            ConvPath::Lowered => {
-                let (y, cache) = lowered_forward(isa, x, w, p, false);
+    /// [`conv2d_eval`] or [`conv2d_int8_eval`] on `path` and instantiation
+    /// `isa`.
+    fn eval_on(
+        path: ConvPath,
+        isa: Isa,
+        x: &Tensor,
+        w: &Tensor,
+        p: ConvParams,
+        int8: bool,
+    ) -> Tensor {
+        match (path, int8) {
+            (ConvPath::Lowered, _) => {
+                let (y, cache, _) = lowered_forward(isa, x, w, p, false, int8);
                 assert!(cache.is_none(), "an eval forward keeps nothing");
                 y
             }
-            ConvPath::Direct => {
+            (ConvPath::Direct, false) => {
                 let (y, cache) = direct_forward(isa, x, w, p);
+                cache.recycle();
+                y
+            }
+            (ConvPath::Direct, true) => {
+                let (y, cache, _, _) = direct_forward_int8(isa, x, w, p);
                 cache.recycle();
                 y
             }
@@ -2319,10 +2299,12 @@ mod tests {
     }
 
     /// One convolution on `path` and instantiation `isa` and through the
-    /// all-taps oracle, forward (f32 or INT8; at f32 the eval forward too)
-    /// and backward, the path on the step scratch (whose parked buffers are
-    /// poisoned in this build); asserts `y`, the scales, `dX` and `dW` —
-    /// with and without `dX` — equal bit for bit. `what` names the case.
+    /// all-taps oracle, forward (f32 or INT8, training and evaluation) and
+    /// backward, the path on the step scratch (whose parked buffers are
+    /// poisoned in this build); asserts `y` of both forwards, the scales,
+    /// the lowering's cached patch matrix (the oracle's live-tap columns),
+    /// `dX` and `dW` — with and without `dX` — equal bit for bit. `what`
+    /// names the case.
     #[allow(clippy::too_many_arguments)]
     fn assert_matches_reference(
         x: &Tensor,
@@ -2351,10 +2333,15 @@ mod tests {
         };
         assert_eq!(y.shape(), ry.shape(), "{what}: output shape");
         assert_eq!(bits(&y), bits(&ry), "{what}: y");
-        if !int8 {
-            let ye = eval_on(path, isa, x, w, p);
-            assert_eq!(bits(&ye), bits(&ry), "{what}: eval y");
-            pool::recycle(ye);
+        let ye = eval_on(path, isa, x, w, p, int8);
+        assert_eq!(bits(&ye), bits(&ry), "{what}: eval y");
+        pool::recycle(ye);
+        if let ConvCache::Lowered { patches, .. } = &cache {
+            let (_, _, h, wd) = x.shape().as_nchw();
+            let (_, _, kh, kw) = w.shape().as_nchw();
+            let mut live = stale(patches.shape().clone());
+            LiveTaps::of(h, wd, kh, kw, p).gather(rpatches.data(), live.data_mut());
+            assert_eq!(bits(patches), bits(&live), "{what}: cached patches");
         }
 
         let gy = gy_of(&y);
@@ -2692,14 +2679,18 @@ mod tests {
         }
     }
 
-    /// The panel passes against the whole-matrix oracle: the f32 training
-    /// forward, the f32 eval forward, `dX` and `dW` of both paths, on every
-    /// instantiation this host has, at pool sizes 1, 2 and 4 — kernels 1×1
-    /// and 3×3, strides 1 and 2, padding 0 and 1, square maps 1, 2, 3, 4 and
-    /// 8 wide (dead taps on the 1×1 and 2×2 ones), batches 1…5 and odd
-    /// channel counts drawn — plus two batches of five large enough for the
-    /// pool, 8×8 (a sample a panel) and 4×4 (two a panel, the last one
-    /// short).
+    /// The panel passes against the whole-matrix oracle: the training and
+    /// the eval forward, f32 and INT8 (output, cached patches and both
+    /// scales), `dX` and `dW` of both paths, on every instantiation this host
+    /// has, at pool sizes 1, 2 and 4 — kernels 1×1 and 3×3, strides 1 and 2
+    /// (the 1×1 stride-2 shortcut among them), padding 0 and 1, square maps
+    /// 1, 2, 3, 4 and 8 wide (dead taps on the 1×1 and 2×2 ones), batches
+    /// 1…5 and odd channel counts drawn — plus three batches of five large
+    /// enough for the pool, 8×8 (a sample a panel; the wider one for the
+    /// INT8 GEMM's threshold too) and 4×4 (two a panel, the last one short).
+    /// The INT8 arm's inputs also hold a NaN and, in every third case, an
+    /// infinity, so that the pre-pass scale meets both, on rows and columns
+    /// a window reads and — at stride 2 — on ones none reads.
     #[test]
     fn panel_passes_match_the_whole_matrix_oracle_bitwise() {
         let isas: Vec<Isa> = [Isa::PORTABLE]
@@ -2727,18 +2718,34 @@ mod tests {
                 cases.push((n, ic, hw, oc, k, ConvParams::new(stride, pad)));
             }
             cases.push((5, 16, 8, 8, 3, ConvParams::new(1, 1)));
+            cases.push((5, 32, 8, 8, 3, ConvParams::new(1, 1)));
             cases.push((5, 32, 4, 16, 3, ConvParams::new(1, 1)));
-            let (mut short, mut pooled, mut dead) = (0, 0, 0);
+            let (mut short, mut dead) = (0, 0);
+            let mut pooled = [0; 2];
             for (case, &(n, ic, hw, oc, k, p)) in cases.iter().enumerate() {
                 let x = signed_zero_values([n, ic, hw, hw], &mut rng);
+                let mut x8 = x.clone();
+                let mut spike = |v: f32| {
+                    let at = rng.gen_range(0..x8.len());
+                    x8.data_mut()[at] = v;
+                };
+                spike(f32::NAN);
+                if case % 3 == 0 {
+                    spike([f32::INFINITY, f32::NEG_INFINITY][case % 2]);
+                }
                 let wt = weights([oc, ic, k, k], &mut rng);
                 let gy = |y: &Tensor| {
                     signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(case as u64))
                 };
                 let g = Lowering::new(ic, hw, hw, k, k, p);
-                let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc);
-                short += usize::from(n > panels.per && n % panels.per != 0);
-                pooled += usize::from(panels.parallel);
+                let work = [linalg::PAR_MIN_WORK_F32, linalg::PAR_MIN_WORK_I8];
+                for (pooled, min_work) in pooled.iter_mut().zip(work) {
+                    let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc, min_work);
+                    *pooled += usize::from(panels.parallel);
+                    if min_work == linalg::PAR_MIN_WORK_F32 {
+                        short += usize::from(n > panels.per && n % panels.per != 0);
+                    }
+                }
                 dead += usize::from(!g.live.is_full());
                 let direct = Direct::admits(hw, hw, ic, k, k, p);
                 for &isa in &isas {
@@ -2746,19 +2753,72 @@ mod tests {
                         if path == ConvPath::Direct && !direct {
                             continue;
                         }
-                        let what = format!(
-                            "k{k} s{} p{} on {n}x{ic}x{hw}x{hw} -> {oc}, {threads} threads",
-                            p.stride, p.padding
-                        );
-                        assert_matches_reference(&x, &wt, &gy, p, false, path, isa, &what);
+                        for (int8, x) in [(false, &x), (true, &x8)] {
+                            let what = format!(
+                                "k{k} s{} p{} on {n}x{ic}x{hw}x{hw} -> {oc}, {}, {threads} threads",
+                                p.stride,
+                                p.padding,
+                                if int8 { "INT8" } else { "f32" }
+                            );
+                            assert_matches_reference(x, &wt, &gy, p, int8, path, isa, &what);
+                        }
                     }
                 }
             }
             assert!(short >= 2, "{short} batches ended in a short panel");
             assert_eq!(dead, 3, "geometries with a dead tap");
-            let want = if threads > 1 { 2 } else { 0 };
-            assert_eq!(pooled, want, "passes on the pool at {threads} threads");
+            let want = if threads > 1 { [3, 1] } else { [0, 0] };
+            assert_eq!(
+                pooled, want,
+                "f32 and INT8 passes on the pool at {threads} threads"
+            );
         }
+    }
+
+    /// The lowering's INT8 input scale, worked out before its pass from the
+    /// rows and columns some live window reads, equals the scale of the
+    /// whole all-taps patch matrix bit for bit: kernels 1…5, strides 1…3,
+    /// padding 0…2, rectangular maps 1…6 × 1…6, batches and channels drawn,
+    /// the inputs holding `±0.0`, a spike of 50 at a drawn position — read
+    /// or not — and in some cases a NaN or an infinity.
+    #[test]
+    fn input_scale_equals_the_patch_matrix_scale() {
+        let mut rng = StdRng::seed_from_u64(48);
+        let (mut cases, mut sparse) = (0, 0);
+        for k in 1..=5usize {
+            for stride in 1..=3 {
+                for pad in 0..=2 {
+                    for (h, w) in (1..=6).flat_map(|h| (1..=6).map(move |w| (h, w))) {
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        let p = ConvParams::new(stride, pad);
+                        let (n, c) = (rng.gen_range(1..=3usize), rng.gen_range(1..=3usize));
+                        let mut x = signed_zero_values([n, c, h, w], &mut rng);
+                        let len = x.len();
+                        x.data_mut()[rng.gen_range(0..len)] = 50.0;
+                        match rng.gen_range(0..4u32) {
+                            0 => x.data_mut()[rng.gen_range(0..len)] = f32::NAN,
+                            1 => x.data_mut()[rng.gen_range(0..len)] = f32::NEG_INFINITY,
+                            _ => {}
+                        }
+                        let mut patches = Tensor::default();
+                        reference::im2col_into(&x, k, k, p, &mut patches);
+                        let want = QuantParams::from_tensor(&patches);
+                        let g = Lowering::new(c, h, w, k, k, p);
+                        let got = g.input_scale(&x);
+                        let what = format!("k{k} s{stride} p{pad} on {n}x{c}x{h}x{w}");
+                        assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{what}");
+                        let all = (0..h).all(|y| g.reads(y, g.oh, g.live.rows()))
+                            && (0..w).all(|x| g.reads(x, g.ow, g.live.cols()));
+                        sparse += usize::from(!all);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        println!("{sparse} of {cases} geometries leave an input row or column unread");
+        assert!(sparse >= 100, "only {sparse} of {cases} were sparse");
     }
 
     /// A value no kernel under test produces: a NaN with its own payload.
@@ -2873,14 +2933,15 @@ mod tests {
         }
     }
 
-    /// The batch-parallel im2col/col2im paths must be bitwise-identical to
-    /// composing the bounds-tested per-sample body serially — the shape is
-    /// chosen to cross `PAR_MIN_ELEMS` so the pool path actually runs, on
-    /// worker threads whose halo starts empty.
+    /// The panel passes' `im2col` (into the training forward's patch
+    /// matrix) and `col2im` (of `dX`'s patch-gradient panels) on the pool
+    /// must be bitwise-identical to composing the bounds-tested per-sample
+    /// bodies serially — the shape is chosen to cross `PAR_MIN_ELEMS` so the
+    /// pool path actually runs, on worker threads whose halo starts empty.
     #[test]
     fn parallel_im2col_and_col2im_match_serial_bitwise() {
         crate::runtime::set_threads(8);
-        let (n, c, h, w, kh, kw) = (4usize, 8, 16, 16, 3, 3);
+        let (n, c, h, w, k, oc) = (4usize, 8, 16, 16, 3, 8);
         let p = ConvParams::new(1, 1);
         let x = Tensor::from_vec(
             (0..n * c * h * w)
@@ -2888,43 +2949,40 @@ mod tests {
                 .collect(),
             [n, c, h, w],
         );
-        let mut patches = Tensor::default();
-        let (oh, ow) = im2col_into(&x, kh, kw, p, &mut patches);
-        let live = LiveTaps::of(h, w, kh, kw, p);
-        let cols = c * kh * kw;
+        let wt = Tensor::from_vec(
+            (0..oc * c * k * k)
+                .map(|i| ((i * 7 % 13) as f32) * 0.25 - 1.5)
+                .collect(),
+            [oc, c, k, k],
+        );
+        let g = Lowering::new(c, h, w, k, k, p);
+        let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc, linalg::PAR_MIN_WORK_F32);
         assert!(
-            n * oh * ow * cols >= PAR_MIN_ELEMS,
+            n * g.sample_patches() >= PAR_MIN_ELEMS && panels.parallel,
             "shape must cross the parallel threshold"
         );
-        let sample_rows = oh * ow * cols;
-        let mut expect = vec![f32::NAN; n * sample_rows];
-        for (ni, sample) in expect.chunks_mut(sample_rows).enumerate() {
-            reference::im2col_sample(x.data(), sample, ni, c, h, w, live, oh, ow, p);
-        }
-        assert_eq!(patches.data(), &expect[..]);
+        let (y, cache) = conv2d_via(ConvPath::Lowered, &x, &wt, p);
+        let ConvCache::Lowered { patches, .. } = &cache else {
+            panic!("the lowering")
+        };
+        let mut expect = Tensor::default();
+        reference::im2col_into(&x, k, k, p, &mut expect);
+        assert_eq!(bits(patches), bits(&expect));
 
-        let probe = Tensor::from_vec(
-            (0..patches.len())
-                .map(|i| ((i * 7 % 13) as f32) - 6.0)
-                .collect(),
-            patches.shape().clone(),
-        );
-        let mut grad = Tensor::default();
-        col2im_into(&probe, n, c, h, w, kh, kw, p, &mut grad);
-        let mut gexpect = vec![f32::NAN; n * c * h * w];
-        for (ni, sample) in gexpect.chunks_mut(c * h * w).enumerate() {
-            reference::col2im_sample(probe.data(), sample, ni, c, h, w, live, oh, ow, p);
-        }
-        assert_eq!(grad.data(), &gexpect[..]);
+        let gy = y.scale(0.5);
+        let (gx, _) = conv2d_backward(&gy, &cache, &wt, x.shape(), p, true);
+        let (rgx, _) = reference::conv2d_backward(&gy, &expect, &wt, x.shape(), p);
+        assert_eq!(bits(&gx.expect("asked for")), bits(&rgx));
     }
 
-    /// Both reorders against their index-arithmetic references, bit for
-    /// bit, on 1×1 maps (a plain copy), one-channel matrices and ragged
-    /// shapes, into recycled buffers.
+    /// Both reorders — a forward panel's GEMM rows to NCHW and the output
+    /// gradient back to rows — against their index-arithmetic references,
+    /// bit for bit, on 1×1 maps (a plain copy), one-channel matrices and
+    /// ragged shapes, into buffers with stale contents.
     #[test]
     fn reorders_match_the_index_arithmetic_ones_bitwise() {
         let mut rng = StdRng::seed_from_u64(21);
-        let (mut t, mut rt) = (stale([7]), stale([3]));
+        let mut rt = stale([3]);
         for (n, c, oh, ow) in [
             (1, 1, 1, 1),
             (5, 7, 1, 1),
@@ -2936,7 +2994,8 @@ mod tests {
             let specials = [f32::from_bits(0x7fa0_0001), f32::NEG_INFINITY];
             let rows = sprinkled(n * oh * ow * c, &specials, &mut rng);
             let mat = Tensor::from_vec(rows, [n * oh * ow, c]);
-            nhwc_rows_to_nchw_into(&mat, n, c, oh, ow, &mut t);
+            let mut t = stale([n, c, oh, ow]);
+            transpose_samples(mat.data(), t.data_mut(), oh * ow, c);
             reference::nhwc_rows_to_nchw_into(&mat, n, c, oh, ow, &mut rt);
             assert_eq!(t.shape(), rt.shape());
             assert_eq!(bits(&t), bits(&rt), "{n}x{c}x{oh}x{ow} to NCHW");

@@ -608,14 +608,7 @@ const I8_GEMM_MAX_K: usize = (1 << 17) - 1;
 /// Panics if the slice lengths do not match the given dimensions, or if
 /// `k ≥ 2¹⁷` (the accumulator bound; far above any layer in the model zoo).
 pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "matmul_i8_a_bt_slices: a length");
-    assert_eq!(b.len(), n * k, "matmul_i8_a_bt_slices: b length");
-    assert_eq!(out.len(), m * n, "matmul_i8_a_bt_slices: out length");
-    assert!(
-        k <= I8_GEMM_MAX_K,
-        "matmul_i8_a_bt_slices: k = {k} of ({m},{k}) x ({n},{k})ᵀ can overflow the i32 \
-         accumulator (k must stay below 2^17)"
-    );
+    assert_i8_operands(a, b, out, m, k, n);
     let _t = Timer::start(KernelOp::MatmulI8);
     let isa = Isa::active();
     if m > ROWS_PER_CHUNK && worth_parallel(m, k, n, PAR_MIN_WORK_I8) {
@@ -625,6 +618,37 @@ pub fn matmul_i8_a_bt_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: u
     } else {
         matmul_i8_panel(isa, a, b, out, m, k, n);
     }
+}
+
+/// [`matmul_i8_a_bt_slices`] for the `out.len() / n` rows of `a`, serially
+/// on the calling lane and untimed: one row panel of a pass that cuts its
+/// rows, and times them, itself.
+///
+/// # Panics
+/// As [`matmul_i8_a_bt_slices`].
+pub(crate) fn matmul_i8_a_bt_rows(
+    isa: Isa,
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i32],
+    k: usize,
+    n: usize,
+) {
+    let m = out.len() / n.max(1);
+    assert_i8_operands(a, b, out, m, k, n);
+    matmul_i8_panel(isa, a, b, out, m, k, n);
+}
+
+/// The operand checks of the i8 GEMM: lengths, and the accumulator bound.
+fn assert_i8_operands(a: &[i8], b: &[i8], out: &[i32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "matmul_i8_a_bt_slices: a length");
+    assert_eq!(b.len(), n * k, "matmul_i8_a_bt_slices: b length");
+    assert_eq!(out.len(), m * n, "matmul_i8_a_bt_slices: out length");
+    assert!(
+        k <= I8_GEMM_MAX_K,
+        "matmul_i8_a_bt_slices: k = {k} of ({m},{k}) x ({n},{k})ᵀ can overflow the i32 \
+         accumulator (k must stay below 2^17)"
+    );
 }
 
 /// Sequential i8 kernel over an `m`-row slice of `A`/`out`. The one kernel

@@ -43,7 +43,12 @@ impl QuantParams {
     ///
     /// An all-zero tensor gets a scale of 1.0 (any scale round-trips zeros).
     pub fn from_tensor(t: &Tensor) -> Self {
-        let m = t.abs_max();
+        QuantParams::from_abs_max(t.abs_max())
+    }
+
+    /// The scale that maps the largest magnitude `m` to ±127; `1.0` when
+    /// `m` is zero.
+    pub(crate) fn from_abs_max(m: f32) -> Self {
         QuantParams {
             scale: if m == 0.0 { 1.0 } else { m / INT8_MAX },
         }
@@ -81,7 +86,7 @@ fn to_i8_grid(v: f32, scale: f32) -> i8 {
 
 isa_kernel! {
     /// `dst[i] = to_i8_grid(src[i])`.
-    fn quantize_slices(src: &[f32], dst: &mut [i8], scale: f32) = quantize_body;
+    pub(crate) fn quantize_slices(src: &[f32], dst: &mut [i8], scale: f32) = quantize_body;
 }
 
 #[inline(always)]
@@ -117,7 +122,7 @@ fn quantize_transposed_body(src: &[f32], dst: &mut [i8], r: usize, c: usize, sca
 
 isa_kernel! {
     /// `dst[i] = src[i] as f32 * scale`.
-    fn dequantize_slices(src: &[i8], dst: &mut [f32], scale: f32) = dequantize_body;
+    pub(crate) fn dequantize_slices(src: &[i8], dst: &mut [f32], scale: f32) = dequantize_body;
 }
 
 #[inline(always)]
@@ -129,7 +134,7 @@ fn dequantize_body(src: &[i8], dst: &mut [f32], scale: f32) {
 
 isa_kernel! {
     /// `dst[i] = src[i] as f32 * scale` over `i32` accumulators.
-    fn scale_i32_slices(src: &[i32], dst: &mut [f32], scale: f32) = scale_i32_body;
+    pub(crate) fn scale_i32_slices(src: &[i32], dst: &mut [f32], scale: f32) = scale_i32_body;
 }
 
 #[inline(always)]

@@ -1,20 +1,23 @@
 //! The lowering keeps no patch gradient between steps, and an evaluation
-//! forward makes no patch matrix.
+//! forward makes no patch matrix, in FP32 and in INT8.
 //!
 //! This test binary counts, through its own `#[global_allocator]`, the
 //! buffers of a few exact sizes: the patch matrices of ResNet-18's lowered
 //! 3×3 convolutions at the geometry of the benchmark's `train_ring_fp32`
 //! workload (width 0.18, 8×8 CIFAR-10 inputs, batches of 64), and the same
-//! layers' patch matrices at the engine's 128-sample evaluation shard.
+//! layers' patch matrices at the engine's 128-sample evaluation shard —
+//! as f32 (or `i32`, the same bytes) and as INT8 values.
 //!
 //! A training forward caches each lowered layer's patch matrix for its
 //! backward, so after a step the step scratch ([`socflow_tensor::pool`])
 //! parks one buffer of that size per layer that has it. A layer's patch
 //! gradient `gmat × W` is exactly as large; the backward computes it a few
 //! samples at a time in a thread-local panel, so no further buffer of the
-//! size may be live. An FP32 evaluation forward of 128 samples must make no
-//! allocation of any of those layers' patch-matrix sizes, and none as large
-//! as the widest one.
+//! size may be live. An INT8 step quantizes its patch rows a panel at a
+//! time in thread-local scratch too, so it parks the same buffers and no
+//! patch-sized INT8 one. An evaluation forward of 128 samples, FP32 or
+//! INT8, must make no allocation of any of those layers' patch-matrix
+//! sizes, of either element width, and none as large as the widest one.
 //!
 //! The pool is pinned to one thread, so every step runs here. One test
 //! only: the allocator is global to the process.
@@ -26,7 +29,7 @@ use socflow::engine::Workload;
 use socflow_data::{Batch, DatasetPreset};
 use socflow_nn::models::{LayerKind, LayerSpec, ModelKind};
 use socflow_nn::optim::Sgd;
-use socflow_nn::{loss, Mode, Precision};
+use socflow_nn::{loss, Mode, Network, Precision};
 use socflow_tensor::conv::{ConvParams, ConvPath, LiveTaps};
 use socflow_tensor::{pool, runtime, Shape};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -134,6 +137,24 @@ fn widened_convs(table: &[LayerSpec], out: &mut Vec<(String, usize)>) {
     }
 }
 
+/// One SGD step per batch, as the engine's replica takes it.
+fn train(net: &mut Network, opt: &mut Sgd, batches: &[Batch], precision: Precision) {
+    for b in batches {
+        let mode = Mode::train(precision);
+        let logits = net.forward(&b.images, mode);
+        let (_, grad) = loss::softmax_cross_entropy(&logits, &b.labels);
+        pool::recycle(logits);
+        net.backward_parameters(&grad, mode);
+        pool::recycle(grad);
+        opt.step(net);
+    }
+}
+
+/// Allocations made in slot `slot` while armed, so far.
+fn made(slot: usize) -> usize {
+    MADE[slot].load(Relaxed)
+}
+
 #[test]
 fn a_step_keeps_no_patch_gradient_and_an_evaluation_no_patch_matrix() {
     runtime::set_threads(1);
@@ -169,16 +190,7 @@ fn a_step_keeps_no_patch_gradient_and_an_evaluation_no_patch_matrix() {
     let mut net = spec.model.build(workload.model_cfg, &mut rng);
     let batches: Vec<Batch> = workload.train.epoch_batches(batch, &mut rng).collect();
     let mut opt = Sgd::new(spec.lr, 0.9, 5e-4);
-    for b in &batches {
-        // one SGD step, as the engine's replica takes it
-        let mode = Mode::train(Precision::Fp32);
-        let logits = net.forward(&b.images, mode);
-        let (_, grad) = loss::softmax_cross_entropy(&logits, &b.labels);
-        pool::recycle(logits);
-        net.backward_parameters(&grad, mode);
-        pool::recycle(grad);
-        opt.step(&mut net);
-    }
+    train(&mut net, &mut opt, &batches, Precision::Fp32);
     for &(slot, size, layers) in &slots {
         let live = LIVE[slot].load(Relaxed);
         println!("{size} bytes: {live} live, the forward caches of {layers} layers");
@@ -215,5 +227,61 @@ fn a_step_keeps_no_patch_gradient_and_an_evaluation_no_patch_matrix() {
     assert!(
         largest < widest,
         "a 128-sample evaluation allocated {largest} bytes at once, the widest patch matrix is {widest}"
+    );
+
+    // the INT8 arm: a step parks the same patch matrices — dequantized —
+    // and no INT8 copy of one (an INT8 matrix as large as another layer's
+    // f32 one would show in that layer's count)
+    let quantized: Vec<(usize, usize)> = cached
+        .keys()
+        .map(|size| size / 4)
+        .filter(|size| !cached.contains_key(size))
+        .map(|size| (watch(size), size))
+        .collect();
+    assert!(quantized.len() >= 3, "INT8 patch sizes of their own");
+    train(&mut net, &mut opt, &batches, Precision::Int8);
+    for &(slot, size, layers) in &slots {
+        let live = LIVE[slot].load(Relaxed);
+        println!("INT8: {size} bytes: {live} live, the forward caches of {layers} layers");
+        assert_eq!(
+            live, layers as isize,
+            "after an INT8 step, {live} buffers of {size} bytes are live, the cached patch \
+             matrices are {layers}"
+        );
+    }
+    for &(slot, size) in &quantized {
+        let live = LIVE[slot].load(Relaxed);
+        assert_eq!(
+            live, 0,
+            "after an INT8 step, {live} buffers of {size} bytes are live: INT8 patch matrices"
+        );
+    }
+
+    // and an INT8 evaluation of the same shard: no patch matrix of either
+    // width, nothing as large as the widest
+    let quantized = convs
+        .iter()
+        .map(|(name, bytes)| (name.as_str(), 128 * bytes / 4, watch(128 * bytes / 4)));
+    let watched: Vec<(&str, usize, usize)> = widened.iter().copied().chain(quantized).collect();
+    let before: Vec<usize> = watched.iter().map(|&(_, _, slot)| made(slot)).collect();
+    LARGEST.store(0, Relaxed);
+    ARMED.store(true, Relaxed);
+    let logits = net.forward(&eval.images, Mode::eval(Precision::Int8));
+    ARMED.store(false, Relaxed);
+    assert_eq!(logits.shape().dims()[0], 128);
+    for (&(name, bytes, slot), before) in watched.iter().zip(before) {
+        let made = made(slot) - before;
+        assert_eq!(
+            made, 0,
+            "a 128-sample INT8 evaluation made {made} buffers of {bytes} bytes, the f32, \
+             i32 or INT8 patch matrix of {name}"
+        );
+    }
+    let largest = LARGEST.load(Relaxed);
+    println!("the largest allocation of the INT8 evaluation: {largest} bytes");
+    assert!(
+        largest < widest,
+        "a 128-sample INT8 evaluation allocated {largest} bytes at once, the widest patch \
+         matrix is {widest}"
     );
 }
