@@ -3,11 +3,11 @@
 //! Seven suites behind one harness. [`SUITES`] lists them, and dispatch,
 //! the usage string and the table-driven tests all read that list.
 //!
+//! Every suite writes one document format: a suite is one function that
+//! runs its experiment and returns [`Row`]s, and the harness prints them as
+//! one table, applies one [`gate`] and writes `{schema, mode, results}`.
 //! Six suites run on the simulated clock, seeded, so their numbers are
-//! machine-independent and byte-identical at any worker-pool size. They
-//! share one document format: a suite is one function that runs its
-//! experiment and returns [`Row`]s, and the harness prints them as one
-//! table, applies one [`gate`] and writes `{schema, mode, results}`. A row
+//! machine-independent and byte-identical at any worker-pool size. A row
 //! id is `<suite>/<arm>/<quantity>` (`paper` names the experiment instead
 //! of the suite: `fig13/VGG11/least_gain`), and a suite's top-level
 //! numbers are its `<suite>/setup/<field>` rows. A row whose `holds` is set
@@ -27,14 +27,17 @@
 //! evaluation, every table and figure as rows of paper value against
 //! measured value.
 //!
-//! `kernels` is the host micro-kernel suite and keeps a document of its
-//! own: the tensor kernels the training hot path lives in (tiled GEMM
+//! `kernels` is the host micro-kernel suite: the tensor kernels the
+//! training hot path lives in (tiled GEMM
 //! variants, transpose, the pooled conv2d forward/backward, LeNet-5's two
 //! layers on the lowering (`conv2d`, whose f32 and INT8 forwards are one
 //! pass of sample panels) and on the direct path (`conv_direct`), max
 //! pooling, the fused fake-quantize pass, the two GEMMs of a ResNet-18
-//! step on one and on two pool threads, a parallel region's round trip) on fixed shapes with deterministic inputs,
-//! reported as minimum wall time per iteration plus achieved GFLOP/s.
+//! step on one and on two pool threads, a parallel region's round trip) on
+//! fixed shapes with deterministic inputs. Each is two rows,
+//! `kernels/<op> <shape>/ns_per_iter` — the minimum wall time per
+//! iteration — and `…/gflops`; `kernels/isa/<name>` names the instantiation
+//! the host ran and `kernels/setup/iters` the timed runs per kernel.
 //! Minimum-of-N timing is used instead of the mean: the minimum estimates
 //! the noise-free cost of the kernel, which is the number optimization
 //! work should be judged against. It is the only suite that reads the host
@@ -76,13 +79,12 @@ struct Suite {
     name: &'static str,
     /// The `schema` string its JSON document opens with.
     schema: &'static str,
-    /// Runs a simulated-clock suite (`fast` trims it to smoke-test size)
-    /// and returns its rows; `None` for `kernels`, whose host-clock
-    /// document has a shape of its own.
-    rows: Option<fn(fast: bool) -> Vec<Row>>,
+    /// Runs the suite (`fast` trims it to smoke-test size) and returns its
+    /// rows.
+    rows: fn(fast: bool) -> Vec<Row>,
 }
 
-/// A simulated-clock suite's `--json` document.
+/// A suite's `--json` document.
 #[derive(Serialize)]
 struct Doc {
     schema: &'static str,
@@ -95,11 +97,8 @@ impl Suite {
     /// `Err` naming every gated row that does not hold.
     fn document(&self, fast: bool) -> Result<Value, String> {
         let mode = if fast { "fast" } else { "full" };
-        let Some(rows) = self.rows else {
-            return Ok(kernels(self.schema, mode, fast).to_json());
-        };
-        let results = rows(fast);
-        print_table(&results, Row::cells);
+        let results = (self.rows)(fast);
+        print_table(&results);
         gate(&results)?;
         let schema = self.schema;
         Ok(Doc {
@@ -114,38 +113,38 @@ impl Suite {
 const SUITES: &[Suite] = &[
     Suite {
         name: "kernels",
-        schema: "socflow-kernel-bench/v2",
-        rows: None,
+        schema: "socflow-kernel-bench/v3",
+        rows: kernels,
     },
     Suite {
         name: "faults",
         schema: "socflow-fault-bench/v2",
-        rows: Some(faults),
+        rows: faults,
     },
     Suite {
         name: "timeline",
         schema: "socflow-timeline-bench/v4",
-        rows: Some(timeline),
+        rows: timeline,
     },
     Suite {
         name: "fleet",
         schema: "socflow-fleet-bench/v2",
-        rows: Some(fleet),
+        rows: fleet,
     },
     Suite {
         name: "streaming",
         schema: "socflow-streaming-bench/v2",
-        rows: Some(streaming),
+        rows: streaming,
     },
     Suite {
         name: "autotune",
         schema: "socflow-autotune-bench/v2",
-        rows: Some(autotune_suite),
+        rows: autotune_suite,
     },
     Suite {
         name: "paper",
         schema: "socflow-paper-bench/v2",
-        rows: Some(paper::paper),
+        rows: paper::paper,
     },
 ];
 
@@ -228,8 +227,8 @@ fn col(head: &'static str, width: isize, text: impl ToString) -> Cell {
 }
 
 /// Prints `rows` as one space-separated table: the header line of the
-/// columns `cells` names, then one line per row.
-fn print_table<R>(rows: &[R], cells: fn(&R) -> Vec<Cell>) {
+/// columns [`Row::cells`] names, then one line per row.
+fn print_table(rows: &[Row]) {
     let pad = |c: &Cell, text: &str| {
         let w = c.width.unsigned_abs();
         if c.width < 0 {
@@ -240,7 +239,7 @@ fn print_table<R>(rows: &[R], cells: fn(&R) -> Vec<Cell>) {
     };
     let line = |cells: Vec<String>| println!("{}", cells.join(" "));
     for (i, row) in rows.iter().enumerate() {
-        let cells = cells(row);
+        let cells = row.cells();
         if i == 0 {
             line(cells.iter().map(|c| pad(c, c.head)).collect());
         }
@@ -465,40 +464,6 @@ fn run_job(spec: TrainJobSpec, samples: usize, options: RunOptions) -> (RunResul
     (result, Summary::from_events(&sink.events()))
 }
 
-/// One kernel measurement.
-#[derive(Serialize)]
-struct KernelRow {
-    op: &'static str,
-    shape: String,
-    iters: u32,
-    ns_per_iter: f64,
-    /// Floating-point (or element, for data-movement ops; chunk, for the
-    /// pool's round trip) operations per nanosecond.
-    gflops: f64,
-}
-
-impl KernelRow {
-    fn cells(&self) -> Vec<Cell> {
-        vec![
-            col("op", -16, self.op),
-            col("shape", -18, &self.shape),
-            col("iters", 6, self.iters),
-            col("ns/iter", 12, format!("{:.0}", self.ns_per_iter)),
-            col("GFLOP/s", 9, format!("{:.3}", self.gflops)),
-        ]
-    }
-}
-
-#[derive(Serialize)]
-struct KernelDoc {
-    schema: &'static str,
-    mode: &'static str,
-    /// Which kernel instantiation this host ran: "avx512" | "avx2" |
-    /// "portable".
-    isa: &'static str,
-    results: Vec<KernelRow>,
-}
-
 /// Deterministic pseudo-random fill (splitmix-style), so every run of the
 /// suite — on any machine — benches identical inputs.
 fn fill(data: &mut [f32], mut seed: u64) {
@@ -530,11 +495,32 @@ fn time_min(iters: u32, warmup: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Runs the kernel suite and returns its document under `schema` and
-/// `mode`. `fast` trims iteration counts to smoke-test level.
-fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
+/// Appends the two rows of one kernel measurement: `ns_per_iter` and
+/// `per_ns` operations per nanosecond, floating-point (or element, for
+/// data-movement ops; chunk, for the pool's round trip).
+fn push_kernel(rows: &mut Vec<Row>, kernel: &str, ns_per_iter: f64, per_ns: f64) {
+    let quantities = [
+        ("ns_per_iter", ns_per_iter, "ns"),
+        ("gflops", per_ns, "GFLOP/s"),
+    ];
+    push_arm(rows, &format!("kernels/{kernel}"), quantities);
+}
+
+/// Runs the kernel suite and returns its rows. `fast` trims iteration
+/// counts to smoke-test level.
+fn kernels(fast: bool) -> Vec<Row> {
     let (iters, warmup) = if fast { (3, 1) } else { (20, 3) };
     let mut results = Vec::new();
+    push_arm(
+        &mut results,
+        "kernels/setup",
+        [("iters", f64::from(iters), "runs")],
+    );
+    push_arm(
+        &mut results,
+        "kernels/isa",
+        [(Isa::active().name(), 1.0, "active")],
+    );
     let mut time = |op: &'static str, shape: String, flops: f64, kernel: &mut dyn FnMut()| {
         let ns_per_iter = time_min(iters, warmup, kernel);
         let gflops = if ns_per_iter > 0.0 {
@@ -542,14 +528,7 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
         } else {
             0.0
         };
-        results.push(KernelRow {
-            op,
-            shape,
-            iters,
-            ns_per_iter,
-            gflops,
-        });
-        ns_per_iter
+        push_kernel(&mut results, &format!("{op} {shape}"), ns_per_iter, gflops);
     };
 
     // --- GEMM family at the transformer/classifier-head scale -----------
@@ -798,26 +777,12 @@ fn kernels(schema: &'static str, mode: &'static str, fast: bool) -> KernelDoc {
             .map(|_| region())
             .skip(warmup as usize)
             .fold(f64::INFINITY, f64::min);
-        results.push(KernelRow {
-            op: "pool_region",
-            shape: format!("t2, idle {idle_us} us"),
-            iters,
-            ns_per_iter,
-            // chunks per nanosecond
-            gflops: 2.0 / ns_per_iter,
-        });
+        let kernel = format!("pool_region t2, idle {idle_us} us");
+        // chunks per nanosecond
+        push_kernel(&mut results, &kernel, ns_per_iter, 2.0 / ns_per_iter);
     }
     runtime::set_threads(budget);
-
-    let isa = Isa::active().name();
-    println!("kernel isa: {isa}");
-    print_table(&results, KernelRow::cells);
-    KernelDoc {
-        schema,
-        mode,
-        isa,
-        results,
-    }
+    results
 }
 
 /// Runs the fault-tolerance recovery experiment: a fault-free baseline
@@ -1276,13 +1241,9 @@ mod tests {
             assert_eq!(keys(&doc)[..2], ["schema", "mode"], "{}", suite.name);
             assert_eq!(doc.get("schema").as_str(), Some(suite.schema));
             assert_eq!(doc.get("mode").as_str(), Some("fast"), "{}", suite.name);
+            assert_eq!(keys(&doc), ["schema", "mode", "results"]);
             let results = doc.get("results").as_array().expect(suite.name);
             assert!(!results.is_empty(), "{}", suite.name);
-            // kernels is the one suite that reads the host clock
-            if suite.name == "kernels" {
-                continue;
-            }
-            assert_eq!(keys(&doc), ["schema", "mode", "results"]);
             let ids: Vec<&str> = results
                 .iter()
                 .map(|r| r.get("id").as_str().expect("a row id"))
@@ -1296,6 +1257,10 @@ mod tests {
                 let foreign = ids.iter().find(|id| !id.starts_with(&prefix));
                 assert_eq!(foreign, None, "{}", suite.name);
             }
+            // kernels is the one suite that reads the host clock
+            if suite.name == "kernels" {
+                continue;
+            }
             let again = suite.document(true).expect(suite.name);
             assert_eq!(
                 serde_json::to_string_pretty(&doc).unwrap(),
@@ -1307,30 +1272,47 @@ mod tests {
     }
 
     /// `BENCH_kernels.json` holds host timings and cannot be `cmp`'d, so its
-    /// shape is pinned here instead.
+    /// shape is pinned here instead: the one row format, keys in order.
     #[test]
     fn kernel_document_key_order_is_pinned() {
         let doc = SUITES[0].document(true).unwrap();
-        assert_eq!(keys(&doc), ["schema", "mode", "isa", "results"]);
-        for row in doc.get("results").as_array().unwrap() {
-            assert_eq!(keys(row), ["op", "shape", "iters", "ns_per_iter", "gflops"]);
+        assert_eq!(keys(&doc), ["schema", "mode", "results"]);
+        let row = [
+            "id", "workload", "quantity", "paper_lo", "paper_hi", "measured", "unit", "holds",
+        ];
+        for r in doc.get("results").as_array().unwrap() {
+            assert_eq!(keys(r), row);
         }
     }
 
     #[test]
     fn fast_kernel_suite_covers_every_family() {
-        let doc = kernels(SUITES[0].schema, "fast", true);
-        assert!(doc.results.len() >= 9, "suite covers every kernel family");
-        for r in &doc.results {
-            assert!(r.ns_per_iter.is_finite() && r.ns_per_iter > 0.0, "{}", r.op);
-            assert!(r.gflops > 0.0, "{}", r.op);
-        }
-        assert_eq!(
-            doc.results.iter().filter(|r| r.op == "matmul_i8").count(),
-            4,
-            "integer GEMM rows at all four shapes"
+        let rows = kernels(true);
+        let timed = |quantity: &'static str| rows.iter().filter(move |r| r.quantity == quantity);
+        assert!(
+            timed("ns_per_iter").count() >= 9,
+            "suite covers every kernel family"
         );
-        assert_eq!(doc.isa, Isa::active().name());
+        // every kernel has both rows, one after the other
+        for (ns, gflops) in timed("ns_per_iter").zip(timed("gflops")) {
+            assert_eq!(ns.workload, gflops.workload);
+            for r in [ns, gflops] {
+                let v = r.measured.unwrap_or(f64::NAN);
+                assert!(v.is_finite() && v > 0.0, "{}", r.id);
+            }
+        }
+        assert_eq!(timed("ns_per_iter").count(), timed("gflops").count());
+        let ops = |op: &str| {
+            timed("ns_per_iter")
+                .filter(|r| r.workload.starts_with(op))
+                .count()
+        };
+        assert_eq!(ops("matmul_i8 "), 4, "integer GEMM rows at all four shapes");
+        for op in ["conv2d ", "conv_direct ", "max_pool2d "] {
+            assert!(ops(op) > 0, "{op}");
+        }
+        let isa = format!("kernels/isa/{}", Isa::active().name());
+        assert!(rows.iter().any(|r| r.id == isa), "{isa}");
     }
 
     /// Every known gap is a row of a committed baseline, reported rather
@@ -1413,11 +1395,11 @@ mod tests {
         let suite = Suite {
             name: "faults",
             schema: "socflow-fault-bench/v2",
-            rows: Some(|_| {
+            rows: |_| {
                 let mut rows = Vec::new();
                 slowdown(&mut rows, "squall", 112.9, 120.3);
                 rows
-            }),
+            },
         };
         let path = std::env::temp_dir().join("socflow_bench_faster_storm.json");
         std::fs::remove_file(&path).ok();

@@ -14,8 +14,8 @@ use socflow_tensor::{init, Shape, Tensor};
 /// column per channel and *live* kernel tap, or on a narrow layer that runs
 /// direct the input inside its zero border — until its backward; the
 /// weight and its gradient keep their full `(oc, ic, k, k)` shape. An
-/// evaluation forward, FP32 or INT8, keeps nothing and, on the lowering,
-/// makes no patch matrix ([`socflow_tensor::conv::conv2d_eval`],
+/// evaluation forward, FP32 or INT8, keeps nothing and makes neither a
+/// patch matrix nor a padded input ([`socflow_tensor::conv::conv2d_eval`],
 /// [`socflow_tensor::conv::conv2d_int8_eval`]). Which path runs is
 /// `socflow_tensor::conv`'s choice.
 #[derive(Debug, Clone)]

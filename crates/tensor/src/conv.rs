@@ -8,13 +8,15 @@
 //!   weights. The forward, f32 and INT8 alike, and `dX` each run as one
 //!   pass of whole-sample row panels (below); the backward's
 //!   `dW = dYᵀ·patches` reads the patch matrix the training forward cached.
-//! - **The direct path** (narrow layers): the forward, the INT8 forward
+//! - **The direct path** (narrow layers): the forward, f32 and INT8 alike,
 //!   and `dW` run straight over the input inside the zero border the
-//!   lowering builds anyway (the halo below), with no patch matrix; the
-//!   training forward caches that padded input, `(n, ic, h + 2p, w + 2p)` —
-//!   a ninth of a 3×3 layer's patch matrix. Its bodies are in `direct.rs`.
-//!   `dX` reads only the output gradient and the weights, never the patch
-//!   matrix, so both paths run the lowering's `dY·W` and `col2im`.
+//!   lowering builds anyway (the halo below), with no patch matrix. The
+//!   forward is the same pass of sample panels as the lowering's, on the
+//!   same geometry (`Lowering`); a training forward caches the padded
+//!   input, `(n, ic, h + 2p, w + 2p)` — a ninth of a 3×3 layer's patch
+//!   matrix. Its bodies are in `direct.rs`. `dX` reads only the output
+//!   gradient and the weights, never the patch matrix, so both paths run
+//!   the lowering's `dY·W` and `col2im`.
 //!
 //! **The rule** ([`ConvPath::of`]) reads the geometry and the channel
 //! counts, nothing else — no thread count, flag or configuration: a layer
@@ -54,24 +56,24 @@
 //! ([`crate::linalg`]'s numerics contract), and `dW` sums over the batch's
 //! positions in ascending `(n, oy, ox)` as `Aᵀ × B` summed over patch rows;
 //! `dX` is the same code on both paths. The INT8 forward is exact in
-//! `i32`, where no order matters, and applies the same scale epilogue. Its
-//! input scale is that of the patch matrix: at stride 1 every input element
-//! lies in some window, and the border adds only zeros, which cannot raise
-//! max-|x|, so the padded input and the patch matrix have the same largest
-//! magnitude.
+//! `i32`, where no order matters, and applies the same scale epilogue at
+//! the same input scale (below).
 //!
-//! **The lowering's INT8 scale.** A lowered INT8 forward quantizes its patch
-//! rows a panel at a time, so its input scale — the whole patch matrix's
-//! largest magnitude — is worked out before the pass, from the input
-//! (`Lowering::input_scale`). The patch matrix holds border zeros and
-//! exactly the input elements that some live window reads, and those form a
-//! product set: a row of a plane is read iff some output row's live taps
-//! reach it, a column likewise, whatever the other coordinate. At stride 1
-//! that is every element; on ResNet's 1×1 stride-2 shortcut it is every
-//! other row and column. `abs_max` folds `|x|` with `max` from `0.0` and
-//! skips NaN, so it gives the largest non-NaN magnitude of the set,
-//! whatever the order and however often an element repeats, and the zeros
-//! cannot raise it: the pre-pass gives the whole matrix's scale, to the bit.
+//! **The INT8 input scale.** An INT8 forward quantizes its input a panel at
+//! a time — the lowering its patch rows, the direct path its padded samples
+//! — so its input scale, the whole patch matrix's largest magnitude, is
+//! worked out before the pass, from the input (`Lowering::input_scale`), on
+//! both paths. The patch matrix holds border zeros and exactly the input
+//! elements that some live window reads, and those form a product set: a
+//! row of a plane is read iff some output row's live taps reach it, a
+//! column likewise, whatever the other coordinate. At stride 1 with every
+//! tap live — every direct layer — that is every element, one sweep of the
+//! input; on ResNet's 1×1 stride-2 shortcut it is every other row and
+//! column. `abs_max` folds `|x|` with `max` from `0.0` and skips NaN, so it
+//! gives the largest non-NaN magnitude of the set, whatever the order and
+//! however often an element repeats, and zeros cannot raise it: the
+//! pre-pass gives the whole matrix's scale, and the whole padded input's,
+//! to the bit.
 //!
 //! **Live taps.** The lowering walks only the kernel taps that can ever
 //! overlap the input ([`LiveTaps`]: a window `lh × lw` of the `kh × kw`
@@ -110,25 +112,31 @@
 //! exact width). The bounds-tested bodies live on in this module's tests as
 //! the oracle.
 //!
-//! **Sample panels.** A lowered forward or `dX` is one pool region whose
-//! chunks are panels of whole samples, at least `PANEL_ROWS` patch rows
-//! each (`Panels`). A forward panel runs `im2col` of its samples, their
-//! GEMM rows and the reorder of those rows to NCHW. The f32 GEMM is against
-//! `Wᵀ`, packed once per call, with its padded tail, before the region. The
-//! INT8 panel quantizes its rows at the pass's input scale (above), runs the
-//! integer GEMM against the weights quantized once before the region and
-//! applies the scale epilogue; a training forward then dequantizes the rows
-//! in place, the values the integer GEMM consumed, for its backward. A `dX`
-//! panel runs its samples' rows of the patch gradient `dY·W` and then
-//! `col2im` of exactly those samples. So the patch gradient never exists
-//! whole, and neither does an evaluation's patch matrix: a training forward
-//! writes its panels into the patch matrix its backward reads, an
+//! **Sample panels.** Every forward — either path, f32 or INT8, training
+//! or evaluation — and every `dX` is one pool region whose chunks are
+//! panels of whole samples, at least `PANEL_ROWS` output positions each
+//! (`Panels`), run by one driver (`forward`). A lowering panel runs
+//! `im2col` of its samples, their GEMM rows and the reorder of those rows to
+//! NCHW; the f32 GEMM is against `Wᵀ`, packed once per call, with its padded
+//! tail, before the region. A direct panel takes its samples one at a time:
+//! it embeds the sample in the zero border, with the routine `im2col` fills
+//! the halo with, and convolves it straight into its NCHW output. The INT8
+//! arm of either quantizes the staged input — the patch rows, or the padded
+//! sample — at the pass's input scale (above), runs the integer product
+//! against the weights quantized once before the region and applies the
+//! scale epilogue; a training forward then dequantizes the staged values in
+//! place, the values the product consumed, for its backward. A `dX` panel
+//! runs its samples' rows of the patch gradient `dY·W` and then `col2im` of
+//! exactly those samples. So the patch gradient never exists whole, and
+//! neither does an evaluation's staged input: a training forward writes its
+//! panels into the patch matrix or padded input its backward reads, an
 //! evaluation forward ([`conv2d_eval`], [`conv2d_int8_eval`]) into the
-//! lane's panel scratch, and an INT8 evaluation makes no patch-sized buffer
-//! of any element type. Each f32 element is still the ascending-`p` GEMM
-//! sum, each `i32` sum is exact, and each `col2im` cell receives its adds
-//! in `(oy, ox, ci, ky, kx)` order, so every output is bit-identical to the
-//! whole-matrix lowering, which lives on as the tests' oracle.
+//! lane's panel scratch or halo, and an INT8 evaluation makes no
+//! input-sized buffer of any element type. Each f32 element is still the
+//! ascending-`p` sum, each `i32` sum is exact, and each `col2im` cell
+//! receives its adds in `(oy, ox, ci, ky, kx)` order, so every output is
+//! bit-identical to the whole-matrix lowering, which lives on as the tests'
+//! oracle.
 //!
 //! **Whose memory.** The convolutions ([`conv2d`], [`conv2d_eval`],
 //! [`conv2d_int8`], [`conv2d_int8_eval`], [`conv2d_backward`]) and the
@@ -136,8 +144,9 @@
 //! between, from the calling thread's step scratch ([`crate::pool`]): a
 //! caller that hands the results back when it is done with them
 //! ([`ConvCache::recycle`] for a forward's cache) runs without allocating,
-//! one that drops them pays what it always did. The per-sample halos, the
-//! lanes' panels — f32, INT8 and `i32` — and the direct `dW`'s windows are
+//! one that drops them pays what it always did. The per-sample halos (a
+//! direct evaluation's padded sample among them), the lanes' panels — f32,
+//! INT8 and `i32`, of either path — and the direct `dW`'s windows are
 //! thread-local, each grown once to the largest layer's.
 //!
 //! All image tensors are NCHW.
@@ -153,10 +162,10 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::thread::LocalKey;
 
-/// Fewest patch-matrix elements a lowered pass ([`Panels`]) moves through
-/// `im2col` or `col2im` before it is dispatched on the worker pool; it goes
-/// there at this size or at its GEMM's threshold, whichever its shape
-/// reaches. Serial and parallel paths produce the same bytes, so the
+/// Fewest patch-matrix elements a pass ([`Panels`]) moves through `im2col`
+/// or `col2im` — or, on the direct path, stands for — before it is
+/// dispatched on the worker pool; it goes there at this size or at its
+/// product's threshold, whichever its shape reaches. Serial and parallel paths produce the same bytes, so the
 /// threshold affects wall-clock only. Measured when `im2col` and `col2im`
 /// were passes of their own (one chunk per sample), with the second lane
 /// polling ([`crate::runtime`]), 3×3 lowering of 64 samples, `im2col` /
@@ -331,13 +340,14 @@ impl LiveTaps {
     }
 }
 
-/// The geometry of one lowered pass — what it works out once and every
-/// sample of the batch reads.
+/// The geometry of one convolution — what a pass works out once and every
+/// sample of the batch reads, on either path.
 #[derive(Debug, Clone, Copy)]
 struct Lowering {
     c: usize,
     h: usize,
     w: usize,
+    oc: usize,
     oh: usize,
     ow: usize,
     live: LiveTaps,
@@ -345,23 +355,24 @@ struct Lowering {
 }
 
 impl Lowering {
-    /// The lowering of a convolution with weights `weight_shape: (oc, ic,
-    /// kh, kw)` over an input of `input_shape`, and `oc`.
+    /// The geometry of a convolution with weights `weight_shape: (oc, ic,
+    /// kh, kw)` over an input of `input_shape`.
     ///
     /// # Panics
     /// Panics if the channel counts disagree or the window does not fit.
-    fn of(input_shape: &Shape, weight_shape: &Shape, p: ConvParams) -> (Self, usize) {
+    fn of(input_shape: &Shape, weight_shape: &Shape, p: ConvParams) -> Self {
         let (_, ic, h, w) = input_shape.as_nchw();
         let (oc, ic2, kh, kw) = weight_shape.as_nchw();
         assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
-        (Lowering::new(ic, h, w, kh, kw, p), oc)
+        Lowering::new(ic, h, w, oc, kh, kw, p)
     }
 
-    fn new(c: usize, h: usize, w: usize, kh: usize, kw: usize, p: ConvParams) -> Self {
+    fn new(c: usize, h: usize, w: usize, oc: usize, kh: usize, kw: usize, p: ConvParams) -> Self {
         Lowering {
             c,
             h,
             w,
+            oc,
             oh: p.out_size(h, kh),
             ow: p.out_size(w, kw),
             live: LiveTaps::of(h, w, kh, kw, p),
@@ -387,6 +398,40 @@ impl Lowering {
     /// Extent of one zero-bordered plane of the halo, `(h + 2p, w + 2p)`.
     fn padded(&self) -> (usize, usize) {
         (self.h + 2 * self.p.padding, self.w + 2 * self.p.padding)
+    }
+
+    /// Floats of one sample's zero-bordered planes, `c × padded()`.
+    fn sample_padded(&self) -> usize {
+        let (hp, wp) = self.padded();
+        self.c * hp * wp
+    }
+
+    /// Floats of one sample's output, `oc·oh·ow`.
+    fn sample_out(&self) -> usize {
+        self.oc * self.oh * self.ow
+    }
+
+    /// Whether the direct path computes this geometry: stride 1, every tap
+    /// live, and a patch no wider than its widest register block.
+    fn admits_direct(&self) -> bool {
+        self.p.stride == 1 && self.live.is_full() && self.cols() <= direct::MAX_COLS
+    }
+
+    /// # Panics
+    /// Panics unless the direct path computes this geometry.
+    fn assert_direct(&self) {
+        assert!(
+            self.admits_direct(),
+            "the direct convolution takes stride 1, every tap live and at most {} patch \
+             columns: {}x{} at stride {} on {}x{}x{}",
+            direct::MAX_COLS,
+            self.live.kh,
+            self.live.kw,
+            self.p.stride,
+            self.c,
+            self.h,
+            self.w
+        );
     }
 
     /// `true` when a sample's patch rows *are* its image, float for float:
@@ -432,9 +477,10 @@ thread_local! {
     /// `(c, h + 2p, w + 2p)` floats and [`SPILL`] more — so that neither
     /// lowering loop tests a bound: [`im2col_sample`] reads its windows out
     /// of it, [`col2im_sample`] accumulates its windows into it and copies
-    /// the interior out. Thread-local because pool workers run the
-    /// per-sample bodies (same ownership rules as the GEMM's packed
-    /// panels in [`crate::linalg`]); grown to the largest layer's once.
+    /// the interior out, and an evaluation's [`direct_panel`] convolves it.
+    /// Thread-local because pool workers run the per-sample bodies (same
+    /// ownership rules as the GEMM's packed panels in [`crate::linalg`]);
+    /// grown to the largest layer's once.
     static HALO: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -445,8 +491,7 @@ const SPILL: usize = 1;
 /// The per-sample bodies never call into the pool, so the borrow is not
 /// re-entered.
 fn with_halo<R>(g: &Lowering, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let (hp, wp) = g.padded();
-    with_scratch(&HALO, g.c * hp * wp + SPILL, f)
+    with_scratch(&HALO, g.sample_padded() + SPILL, f)
 }
 
 /// Runs `f` on the first `len` elements of the thread-local `scratch`,
@@ -474,10 +519,14 @@ thread_local! {
     /// patch-gradient rows of `dX`. Same ownership rules as [`HALO`]; grown
     /// to the largest panel's once.
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// An INT8 forward panel's quantized patch rows, beside [`PANEL`].
+    /// An INT8 forward's quantized patch rows or padded sample, beside
+    /// [`PANEL`] and [`HALO`].
     static PANEL_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
-    /// An INT8 forward panel's `i32` GEMM sums, beside [`PANEL`].
+    /// An INT8 forward's `i32` sums of those, beside [`PANEL_I8`].
     static PANEL_I32: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
+    /// The direct `dW`'s windows of one sample and its running sums
+    /// ([`direct_backward`]): pool workers run blocks of output channels.
+    static DW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on the first `len` floats of this lane's panel scratch, their
@@ -531,15 +580,21 @@ fn im2col_sample(image: &[f32], out: &mut [f32], g: &Lowering) {
         gather_windows(image, out, g, false);
     } else {
         with_halo(g, |halo| {
-            halo.fill(0.0);
-            with_const_width(g.w, |w| {
-                for (row, src) in interior(halo, g, w).zip(image.chunks_exact(w.max(1))) {
-                    row.copy_from_slice(src);
-                }
-            });
+            embed(image, halo, g);
             gather_windows(halo, out, g, true);
         });
     }
+}
+
+/// Embeds one sample's `image` in a zero border: `padded` is its `c` planes
+/// of [`Lowering::padded`] extent, and any floats past them are zeroed too.
+fn embed(image: &[f32], padded: &mut [f32], g: &Lowering) {
+    padded.fill(0.0);
+    with_const_width(g.w, |w| {
+        for (row, src) in interior(padded, g, w).zip(image.chunks_exact(w.max(1))) {
+            row.copy_from_slice(src);
+        }
+    });
 }
 
 /// Instantiates [`gather_body`] for the run lengths the model zoo meets.
@@ -699,19 +754,21 @@ fn scatter_body(rows: &[f32], dst: &mut [f32], g: &Lowering, lw: usize) {
     }
 }
 
-/// Fewest patch rows in a panel of a lowered pass ([`Panels`]): whole
-/// samples are added until a panel holds this many, so that a 1×1 map's
-/// one row per sample still fills the GEMM's register tiles. The row grain
-/// of the GEMM's own pool split.
+/// Fewest output positions (patch rows) in a panel of a pass ([`Panels`]):
+/// whole samples are added until a panel holds this many, so that a 1×1
+/// map's one row per sample still fills the GEMM's register tiles. The row
+/// grain of the GEMM's own pool split.
 const PANEL_ROWS: usize = 32;
 
-/// How a lowered pass cuts its batch: panels of whole samples, each of at
-/// least [`PANEL_ROWS`] patch rows but the last, run as one region on the
-/// worker pool when either half of the pass — the `im2col`/`col2im` moves
-/// ([`PAR_MIN_ELEMS`]) or the GEMM (its kernel's threshold,
-/// [`linalg::PAR_MIN_WORK_F32`] or [`linalg::PAR_MIN_WORK_I8`]) — is large
-/// enough to have gone parallel on its own, serially otherwise. Cut from the
-/// shape alone, never the thread count, and each panel writes only its own
+/// How a pass of either path cuts its batch: panels of whole samples, each
+/// of at least [`PANEL_ROWS`] output positions (patch rows) but the last,
+/// run as one region on the worker pool (inline at a one-thread budget) when
+/// either half of the pass — the `im2col`/`col2im` moves ([`PAR_MIN_ELEMS`]
+/// patch elements) or the product (the GEMM's threshold,
+/// [`linalg::PAR_MIN_WORK_F32`] or [`linalg::PAR_MIN_WORK_I8`], which the
+/// direct walk's equal count of multiply-adds takes too) — is large enough to
+/// have gone parallel on its own, serially otherwise. Cut from the shape
+/// alone, never the thread count, and each panel writes only its own
 /// samples' regions in the serial order, so the bytes are the same at any
 /// pool size.
 #[derive(Debug, Clone, Copy)]
@@ -732,7 +789,7 @@ impl Panels {
         Panels {
             n,
             per,
-            parallel: big && n > per && runtime::threads() > 1,
+            parallel: big && n > per,
         }
     }
 
@@ -777,7 +834,7 @@ impl ConvPath {
         let (_, _, h, w) = input_shape.as_nchw();
         let (oc, ic, kh, kw) = weight_shape.as_nchw();
         let narrow = kh * kw > 1 && oc * ic * kh * kw <= DIRECT_MAX_CELLS;
-        if narrow && Direct::admits(h, w, ic, kh, kw, p) {
+        if narrow && Lowering::new(ic, h, w, oc, kh, kw, p).admits_direct() {
             ConvPath::Direct
         } else {
             ConvPath::Lowered
@@ -824,104 +881,6 @@ impl ConvCache {
     }
 }
 
-/// The geometry of one direct convolution call: the batch, both channel
-/// counts, the kernel, the input and its padded extent, the output.
-#[derive(Debug, Clone, Copy)]
-struct Direct {
-    n: usize,
-    ic: usize,
-    oc: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    pad: usize,
-    hp: usize,
-    wp: usize,
-    oh: usize,
-    ow: usize,
-}
-
-impl Direct {
-    /// Whether the direct path computes this geometry: stride 1, every tap
-    /// live, and a patch no wider than its widest register block.
-    fn admits(h: usize, w: usize, ic: usize, kh: usize, kw: usize, p: ConvParams) -> bool {
-        p.stride == 1 && LiveTaps::of(h, w, kh, kw, p).is_full() && ic * kh * kw <= direct::MAX_COLS
-    }
-
-    /// # Panics
-    /// Panics if channel counts disagree or the path does not admit the
-    /// geometry.
-    fn of(input_shape: &Shape, weight_shape: &Shape, p: ConvParams) -> Direct {
-        let (n, ic, h, w) = input_shape.as_nchw();
-        let (oc, ic2, kh, kw) = weight_shape.as_nchw();
-        assert_eq!(ic, ic2, "conv2d channel mismatch: input {ic}, weight {ic2}");
-        assert!(
-            Direct::admits(h, w, ic, kh, kw, p),
-            "the direct convolution takes stride 1, every tap live and at most {} patch \
-             columns: {kh}x{kw} at stride {} on {ic}x{h}x{w}",
-            direct::MAX_COLS,
-            p.stride
-        );
-        let pad = p.padding;
-        Direct {
-            n,
-            ic,
-            oc,
-            h,
-            w,
-            kh,
-            kw,
-            pad,
-            hp: h + 2 * pad,
-            wp: w + 2 * pad,
-            oh: p.out_size(h, kh),
-            ow: p.out_size(w, kw),
-        }
-    }
-
-    /// Patch columns, `ic·kh·kw`: a weight row.
-    fn cols(&self) -> usize {
-        self.ic * self.kh * self.kw
-    }
-
-    /// Floats of one sample's padded planes.
-    fn sample_padded(&self) -> usize {
-        self.ic * self.hp * self.wp
-    }
-
-    /// Floats of one sample's output.
-    fn sample_out(&self) -> usize {
-        self.oc * self.oh * self.ow
-    }
-
-    /// Runs `body(ni, region)` for every sample `ni`, `region` its `len`
-    /// elements of `out`: on the worker pool, one chunk per sample, at the
-    /// sizes where the lowering's `im2col` goes parallel (a patch matrix of
-    /// [`PAR_MIN_ELEMS`]), serially below. Each sample writes only its own
-    /// region, in the serial order, so the bytes are the same either way.
-    fn per_sample<T: Send>(
-        &self,
-        out: &mut [T],
-        len: usize,
-        body: &(dyn Fn(usize, &mut [T]) + Sync),
-    ) {
-        assert_eq!(out.len(), self.n * len);
-        let patch_elems = self.n * self.oh * self.ow * self.cols();
-        if self.n > 1 && patch_elems >= PAR_MIN_ELEMS && runtime::threads() > 1 {
-            let out_ptr = SendPtr::new(out);
-            runtime::parallel_for_chunks(self.n, &|ni| {
-                // Safety: per-sample regions are disjoint and in-bounds.
-                body(ni, unsafe { out_ptr.slice(ni * len, len) });
-            });
-        } else {
-            for ni in 0..self.n {
-                body(ni, &mut out[ni * len..(ni + 1) * len]);
-            }
-        }
-    }
-}
-
 /// Training forward 2-D convolution.
 ///
 /// `input: (n, ic, h, w)`, `weight: (oc, ic, kh, kw)` → `(n, oc, oh, ow)`,
@@ -951,45 +910,34 @@ pub fn conv2d_via(
     weight: &Tensor,
     p: ConvParams,
 ) -> (Tensor, ConvCache) {
-    match path {
-        ConvPath::Lowered => {
-            let (y, cache, _) = lowered_forward(Isa::active(), input, weight, p, true, false);
-            (y, cache.expect("a kept patch matrix"))
-        }
-        ConvPath::Direct => direct_forward(Isa::active(), input, weight, p),
-    }
+    let (y, cache, _) = forward(Isa::active(), path, input, weight, p, true, false);
+    (y, cache.expect("a kept cache"))
 }
 
 /// Evaluation forward 2-D convolution: [`conv2d`]'s output, bit for bit,
-/// with nothing kept for a backward. On the lowering no patch matrix
-/// exists: each panel's patch rows live in the lane's scratch only.
+/// with nothing kept for a backward: no patch matrix and no padded input
+/// exists, each panel's staging living in the lane's scratch only.
 ///
 /// # Panics
 /// As [`conv2d`].
 pub fn conv2d_eval(input: &Tensor, weight: &Tensor, p: ConvParams) -> Tensor {
-    match ConvPath::of(input.shape(), weight.shape(), p) {
-        ConvPath::Lowered => lowered_forward(Isa::active(), input, weight, p, false, false).0,
-        ConvPath::Direct => {
-            let (y, cache) = direct_forward(Isa::active(), input, weight, p);
-            cache.recycle();
-            y
-        }
-    }
+    let path = ConvPath::of(input.shape(), weight.shape(), p);
+    forward(Isa::active(), path, input, weight, p, false, false).0
 }
 
-/// The lowering's forward on instantiation `isa`, f32 or (`int8`) INT8, as
-/// one [`lowered_pass`]. The f32 arm packs `Wᵀ` and its padded tail once,
-/// before the pass. The INT8 arm works out both scales first — the input's
-/// by [`Lowering::input_scale`], the weights' from the **whole** tensor —
-/// and quantizes the live weights once; each panel quantizes its rows,
-/// sums their exact `i32` products in the lane's scratch and applies the
-/// epilogue, and with `keep` leaves its rows dequantized: the values the
-/// integer GEMM consumed, which the backward differentiates. With `keep` —
-/// a training forward — the cache holds the patch matrix; without, none
+/// Every convolution forward, on `path` and instantiation `isa`, f32 or
+/// (`int8`) INT8, as one [`forward_pass`]. The f32 lowering packs `Wᵀ` and
+/// its padded tail once, before the pass; the direct path reads the weights
+/// in place. The INT8 arm works out both scales first — the input's by
+/// [`Lowering::input_scale`], the weights' from the **whole** tensor —
+/// quantizes the live weights once and runs [`int8_arm`] on every panel's
+/// patch rows or direct sample. With `keep` — a training forward — the
+/// cache holds the patch matrix or the padded input; without, neither
 /// exists. Returns the output, the cache when `keep`, and the INT8 arm's
 /// `(input, weight)` scales.
-fn lowered_forward(
+fn forward(
     isa: Isa,
+    path: ConvPath,
     input: &Tensor,
     weight: &Tensor,
     p: ConvParams,
@@ -1000,49 +948,51 @@ fn lowered_forward(
     Option<ConvCache>,
     Option<(QuantParams, QuantParams)>,
 ) {
-    let (g, oc) = Lowering::of(input.shape(), weight.shape(), p);
-    let cols = g.cols();
+    let g = Lowering::of(input.shape(), weight.shape(), p);
+    let direct = path == ConvPath::Direct;
+    if direct {
+        g.assert_direct();
+    }
+    let (cols, oc) = (g.cols(), g.oc);
     // with every tap live the weight storage is already the row-major
     // (oc, cols) matrix — no clone/reshape needed
     let view = g.live.live_view(weight);
     let wmat = view.as_ref().unwrap_or(weight);
-    let (out, patches, scales) = if int8 {
-        let (pp, pw) = (g.input_scale(input), QuantParams::from_tensor(weight));
+    let scales = int8.then(|| (g.input_scale(input), QuantParams::from_tensor(weight)));
+    let (out, kept) = if let Some((pp, pw)) = scales {
         let mut qw = pool::take::<i8>(oc * cols);
         quant::quantize_into(wmat, pw, &mut qw);
-        let gemm = |rows: &mut [f32], mat: &mut [f32], first: bool| {
-            with_scratch(&PANEL_I8, rows.len(), |q| {
-                {
-                    let _t = Timer::panel(KernelOp::Quant, first);
-                    quant::quantize_slices(isa, rows, q, pp.scale);
-                }
-                with_scratch(&PANEL_I32, mat.len(), |acc| {
-                    {
-                        let _t = Timer::panel(KernelOp::MatmulI8, first);
-                        linalg::matmul_i8_a_bt_rows(isa, q, &qw, acc, cols, oc);
-                    }
-                    quant::scale_i32_slices(isa, acc, mat, pp.scale * pw.scale);
-                });
-                if keep {
-                    let _t = Timer::panel(KernelOp::Quant, first);
-                    quant::dequantize_slices(isa, q, rows, pp.scale);
+        let arm = |staged: &mut [f32], out: &mut [f32], first: bool| {
+            int8_arm(isa, staged, out, (pp, pw), keep, first, |q, acc| {
+                if direct {
+                    let _t = Timer::panel(KernelOp::ConvDirect, false);
+                    direct::forward_i8(isa, q, &qw, acc, &g);
+                } else {
+                    let _t = Timer::panel(KernelOp::MatmulI8, first);
+                    linalg::matmul_i8_a_bt_rows(isa, q, &qw, acc, cols, oc);
                 }
             });
         };
-        let (out, patches) = lowered_pass(input, &g, oc, keep, linalg::PAR_MIN_WORK_I8, &gemm);
+        let pass = forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_I8, &arm);
         pool::give(qw);
-        (out, patches, Some((pp, pw)))
+        pass
+    } else if direct {
+        let arm = |padded: &mut [f32], out: &mut [f32], _: bool| {
+            let _t = Timer::panel(KernelOp::ConvDirect, false);
+            direct::forward(isa, padded, wmat.data(), out, &g);
+        };
+        forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_F32, &arm)
     } else {
-        let (out, patches) = linalg::with_rhs_t(wmat.data(), oc, cols, |rhs| {
-            let gemm = |rows: &mut [f32], mat: &mut [f32], first: bool| {
+        linalg::with_rhs_t(wmat.data(), oc, cols, |rhs| {
+            let arm = |rows: &mut [f32], mat: &mut [f32], first: bool| {
                 let _t = Timer::panel(KernelOp::MatmulABt, first);
                 rhs.rows(isa, rows, mat);
             };
-            lowered_pass(input, &g, oc, keep, linalg::PAR_MIN_WORK_F32, &gemm)
-        });
-        (out, patches, None)
+            forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_F32, &arm)
+        })
     };
-    let cache = match patches {
+    let cache = match kept {
+        Some(padded) if direct => Some(ConvCache::Direct { padded }),
         Some(patches) => Some(ConvCache::Lowered { patches, view }),
         None => {
             pool::recycle_all(view);
@@ -1052,85 +1002,166 @@ fn lowered_forward(
     (out, cache, scales)
 }
 
-/// The GEMM of a forward panel: `(patch rows, GEMM rows, first panel)`.
-type PanelGemm<'a> = dyn Fn(&mut [f32], &mut [f32], bool) + Sync + 'a;
+/// The product of a forward panel, `(staged input, output, first)`: the
+/// lowering's patch rows into their `(rows, oc)` GEMM rows, or one direct
+/// sample's padded planes into its NCHW output. `first` is set on the
+/// pass's first panel, which counts the call.
+type Arm<'a> = dyn Fn(&mut [f32], &mut [f32], bool) + Sync + 'a;
 
-/// One pass of [`Panels`] over `input`: each panel is `im2col` of its
-/// samples, `gemm(patch rows, GEMM rows, first)` of those samples into the
-/// lane's `(rows, oc)` panel scratch — `first` on the pass's first panel,
-/// which counts the call — and the reorder of the GEMM rows to NCHW. With
-/// `keep` the patch rows are written into the patch matrix returned beside
-/// the output, and `gemm` may rewrite them; without, into the lane's panel
-/// scratch. The GEMM goes parallel on its own at `min_work`.
-fn lowered_pass(
+/// One pass of [`Panels`] over `input` on `path`: each panel stages its
+/// samples — their patch rows on the lowering ([`lowered_panel`]), their
+/// images in the zero border on the direct path ([`direct_panel`]) — and
+/// runs `arm` on them into its samples' region of the output. With `keep`
+/// the staged input is written into the patch matrix or padded input
+/// returned beside the output, and `arm` may rewrite it; without, into the
+/// lane's scratch. The product goes parallel on its own at `min_work`.
+fn forward_pass(
+    path: ConvPath,
     input: &Tensor,
     g: &Lowering,
-    oc: usize,
     keep: bool,
     min_work: usize,
-    gemm: &PanelGemm,
+    arm: &Arm,
 ) -> (Tensor, Option<Tensor>) {
-    let (n, hw, cols) = (input.shape().dims()[0], g.oh * g.ow, g.cols());
-    let (image, sample) = (g.sample_image(), g.sample_patches());
-    let mut patches = keep.then(|| pool::tensor([n * hw, cols]));
-    let mut out = pool::tensor([n, oc, g.oh, g.ow]);
-    let kept = patches.as_mut().map(|t| SendPtr::new(t.data_mut()));
+    let (n, hw, (hp, wp)) = (input.shape().dims()[0], g.oh * g.ow, g.padded());
+    let (stage, kept_shape) = match path {
+        ConvPath::Lowered => (g.sample_patches(), Shape::from([n * hw, g.cols()])),
+        ConvPath::Direct => (g.sample_padded(), Shape::from([n, g.c, hp, wp])),
+    };
+    let mut kept = keep.then(|| pool::tensor(kept_shape));
+    let mut out = pool::tensor([n, g.oc, g.oh, g.ow]);
+    let kept_ptr = kept.as_mut().map(|t| SendPtr::new(t.data_mut()));
     let out_ptr = SendPtr::new(out.data_mut());
-    Panels::of(n, hw, cols, oc, min_work).run(&|samples| {
-        let rows = samples.len() * hw;
-        let own = if keep { 0 } else { rows * cols };
-        with_panel(rows * oc + own, |panel| {
-            let (mat, own) = panel.split_at_mut(rows * oc);
-            let patch_rows = match &kept {
-                // Safety: panels hold disjoint samples, so disjoint rows.
-                Some(kept) => unsafe { kept.slice(samples.start * sample, rows * cols) },
-                None => own,
-            };
-            {
-                let _t = Timer::panel(KernelOp::Im2col, samples.start == 0);
-                for (i, ni) in samples.clone().enumerate() {
-                    let x = &input.data()[ni * image..][..image];
-                    im2col_sample(x, &mut patch_rows[i * sample..][..sample], g);
-                }
-            }
-            gemm(patch_rows, mat, samples.start == 0);
-            // Safety: as above, disjoint samples of `out`.
-            let y = unsafe { out_ptr.slice(samples.start * oc * hw, rows * oc) };
-            transpose_samples(mat, y, hw, oc);
-        });
+    let (image, sample_out) = (g.sample_image(), g.sample_out());
+    Panels::of(n, hw, g.cols(), g.oc, min_work).run(&|samples| {
+        let (at, len) = (samples.start, samples.len());
+        let x = &input.data()[at * image..][..len * image];
+        // Safety: panels hold disjoint samples, so disjoint regions of the
+        // output and of the kept input.
+        let y = unsafe { out_ptr.slice(at * sample_out, len * sample_out) };
+        let kept = kept_ptr
+            .as_ref()
+            .map(|k| unsafe { k.slice(at * stage, len * stage) });
+        let panel = match path {
+            ConvPath::Lowered => lowered_panel,
+            ConvPath::Direct => direct_panel,
+        };
+        panel(x, kept, y, len, g, at == 0, arm);
     });
-    (out, patches)
+    (out, kept)
 }
 
-/// The direct f32 forward on instantiation `isa`.
-fn direct_forward(isa: Isa, input: &Tensor, weight: &Tensor, p: ConvParams) -> (Tensor, ConvCache) {
-    let g = Direct::of(input.shape(), weight.shape(), p);
-    let _t = Timer::start(KernelOp::ConvDirect);
-    let mut padded = pool::tensor([g.n, g.ic, g.hp, g.wp]);
-    direct::pad_into(input.data(), padded.data_mut(), &g);
-    let mut out = pool::tensor([g.n, g.oc, g.oh, g.ow]);
-    let sample = |ni: usize| &padded.data()[ni * g.sample_padded()..][..g.sample_padded()];
-    g.per_sample(out.data_mut(), g.sample_out(), &|ni, out| {
-        direct::forward(isa, sample(ni), weight.data(), out, &g)
+/// A lowering panel of `len` samples `x`: `im2col` into `kept`, their rows
+/// of the patch matrix, or into the lane's panel scratch; `arm` of those
+/// rows into the `(rows, oc)` GEMM rows beside them; and the reorder of
+/// those rows to the NCHW output `y`.
+fn lowered_panel(
+    x: &[f32],
+    kept: Option<&mut [f32]>,
+    y: &mut [f32],
+    len: usize,
+    g: &Lowering,
+    first: bool,
+    arm: &Arm,
+) {
+    let (hw, image, sample) = (g.oh * g.ow, g.sample_image(), g.sample_patches());
+    let rows = len * hw;
+    let own = if kept.is_some() { 0 } else { len * sample };
+    with_panel(rows * g.oc + own, |panel| {
+        let (mat, own) = panel.split_at_mut(rows * g.oc);
+        let patch_rows = kept.unwrap_or(own);
+        {
+            let _t = Timer::panel(KernelOp::Im2col, first);
+            for i in 0..len {
+                im2col_sample(
+                    &x[i * image..][..image],
+                    &mut patch_rows[i * sample..][..sample],
+                    g,
+                );
+            }
+        }
+        arm(patch_rows, mat, first);
+        transpose_samples(mat, y, hw, g.oc);
     });
-    (out, ConvCache::Direct { padded })
+}
+
+/// A direct panel of `len` samples `x`, one at a time: the sample embedded
+/// in the zero border — in its region of `kept`, the padded input, or in
+/// the lane's halo — and `arm` of those planes into its NCHW output. The
+/// staging counts the pass's `conv_direct` call.
+fn direct_panel(
+    x: &[f32],
+    mut kept: Option<&mut [f32]>,
+    y: &mut [f32],
+    len: usize,
+    g: &Lowering,
+    first: bool,
+    arm: &Arm,
+) {
+    let (image, padded, sample_out) = (g.sample_image(), g.sample_padded(), g.sample_out());
+    for i in 0..len {
+        let first = first && i == 0;
+        let y = &mut y[i * sample_out..][..sample_out];
+        let mut run = |staged: &mut [f32]| {
+            {
+                let _t = Timer::panel(KernelOp::ConvDirect, first);
+                embed(&x[i * image..][..image], staged, g);
+            }
+            arm(staged, y, first);
+        };
+        match kept.as_deref_mut() {
+            Some(kept) => run(&mut kept[i * padded..][..padded]),
+            None => with_halo(g, |halo| run(&mut halo[..padded])),
+        }
+    }
+}
+
+/// The INT8 arm of a forward panel: quantizes `staged` — a panel's patch
+/// rows or one direct sample's padded planes — at the input scale into the
+/// lane's [`PANEL_I8`], runs `product` of those values into `out.len()`
+/// sums in [`PANEL_I32`], and applies the scale epilogue into `out`. With
+/// `keep`, leaves `staged` dequantized: the values the product consumed,
+/// which the backward differentiates. `first` counts the quantize calls.
+fn int8_arm(
+    isa: Isa,
+    staged: &mut [f32],
+    out: &mut [f32],
+    (pp, pw): (QuantParams, QuantParams),
+    keep: bool,
+    first: bool,
+    product: impl FnOnce(&[i8], &mut [i32]),
+) {
+    with_scratch(&PANEL_I8, staged.len(), |q| {
+        {
+            let _t = Timer::panel(KernelOp::Quant, first);
+            quant::quantize_slices(isa, staged, q, pp.scale);
+        }
+        with_scratch(&PANEL_I32, out.len(), |acc| {
+            product(q, acc);
+            quant::scale_i32_slices(isa, acc, out, pp.scale * pw.scale);
+        });
+        if keep {
+            let _t = Timer::panel(KernelOp::Quant, first);
+            quant::dequantize_slices(isa, q, staged, pp.scale);
+        }
+    });
 }
 
 /// Integer-path training forward convolution: the INT8 replica arm's conv
 /// kernel.
 ///
-/// Quantizes the input — as the lowering's patch rows, a panel at a time,
-/// or on the direct path inside its zero border — and the weights to
-/// symmetric per-tensor INT8, accumulates `i8×i8` products exactly in `i32`
-/// (the lowering's integer GEMM, or the direct path's own walk) and applies
-/// both scales once at the i32→f32 epilogue — no f32 fake-quant matmul
-/// anywhere. The input scale is that of the patch matrix, which holds the
-/// same non-zero values as the padded input (padding zeros cannot raise
-/// max-|x|, so it equals the in-window input scale, whichever taps are
-/// lowered; the lowering works it out from the input before its pass). The
-/// weight scale is taken from the **whole** weight tensor: a tap that only
-/// ever reads padding still carries weight decay, momentum and gradient
-/// noise, so it is not zero and may well hold the maximum.
+/// Quantizes the input — the lowering's patch rows or the direct path's
+/// padded samples, a panel at a time — and the weights to symmetric
+/// per-tensor INT8, accumulates `i8×i8` products exactly in `i32` (the
+/// lowering's integer GEMM, or the direct path's own walk) and applies both
+/// scales once at the i32→f32 epilogue — no f32 fake-quant matmul anywhere.
+/// The input scale is that of the patch matrix, which holds the same
+/// non-zero values as the padded input (padding zeros cannot raise max-|x|,
+/// so it equals the in-window input scale, whichever taps are lowered);
+/// both paths work it out from the input before their pass. The weight
+/// scale is taken from the **whole** weight tensor: a tap that only ever
+/// reads padding still carries weight decay, momentum and gradient noise,
+/// so it is not zero and may well hold the maximum.
 ///
 /// Returns `(out, cache, input params, weight params)`, tensors from the
 /// step scratch as [`conv2d`]'s. The cache holds the **dequantized** input
@@ -1163,71 +1194,21 @@ pub fn conv2d_int8_via(
     weight: &Tensor,
     p: ConvParams,
 ) -> (Tensor, ConvCache, QuantParams, QuantParams) {
-    match path {
-        ConvPath::Lowered => {
-            let (y, cache, scales) = lowered_forward(Isa::active(), input, weight, p, true, true);
-            let (pp, pw) = scales.expect("the INT8 arm's scales");
-            (y, cache.expect("a kept patch matrix"), pp, pw)
-        }
-        ConvPath::Direct => direct_forward_int8(Isa::active(), input, weight, p),
-    }
+    let (y, cache, scales) = forward(Isa::active(), path, input, weight, p, true, true);
+    let (pp, pw) = scales.expect("the INT8 arm's scales");
+    (y, cache.expect("a kept cache"), pp, pw)
 }
 
 /// Evaluation INT8 forward convolution: [`conv2d_int8`]'s output, bit for
-/// bit, with nothing kept for a backward. On the lowering no patch-sized
-/// buffer exists: each panel's patch rows, their INT8 values and their
+/// bit, with nothing kept for a backward. No input-sized buffer exists:
+/// each panel's patch rows or padded sample, their INT8 values and their
 /// `i32` sums live in the lane's scratch only, and none is dequantized.
 ///
 /// # Panics
 /// As [`conv2d_int8`].
 pub fn conv2d_int8_eval(input: &Tensor, weight: &Tensor, p: ConvParams) -> Tensor {
-    match ConvPath::of(input.shape(), weight.shape(), p) {
-        ConvPath::Lowered => lowered_forward(Isa::active(), input, weight, p, false, true).0,
-        ConvPath::Direct => {
-            let (y, cache, _, _) = direct_forward_int8(Isa::active(), input, weight, p);
-            cache.recycle();
-            y
-        }
-    }
-}
-
-/// The direct INT8 forward on instantiation `isa`: the padded input is
-/// quantized once, convolved in `i32`, scaled in the lowering's epilogue
-/// (element for element, in NCHW order instead of NHWC) and dequantized
-/// in place for the backward.
-fn direct_forward_int8(
-    isa: Isa,
-    input: &Tensor,
-    weight: &Tensor,
-    p: ConvParams,
-) -> (Tensor, ConvCache, QuantParams, QuantParams) {
-    let g = Direct::of(input.shape(), weight.shape(), p);
-    let mut padded = pool::tensor([g.n, g.ic, g.hp, g.wp]);
-    {
-        let _t = Timer::start(KernelOp::ConvDirect);
-        direct::pad_into(input.data(), padded.data_mut(), &g);
-    }
-    let pp = QuantParams::from_tensor(&padded);
-    let pw = QuantParams::from_tensor(weight);
-    let mut qx = pool::take::<i8>(padded.len());
-    quant::quantize_into(&padded, pp, &mut qx);
-    let mut qw = pool::take::<i8>(weight.len());
-    quant::quantize_into(weight, pw, &mut qw);
-    let mut acc = pool::take::<i32>(g.n * g.sample_out());
-    {
-        let _t = Timer::start(KernelOp::ConvDirect);
-        let sample = |ni: usize| &qx[ni * g.sample_padded()..][..g.sample_padded()];
-        g.per_sample(&mut acc, g.sample_out(), &|ni, out| {
-            direct::forward_i8(isa, sample(ni), &qw, out, &g)
-        });
-    }
-    pool::give(qw);
-    let mut out = pool::tensor([g.n, g.oc, g.oh, g.ow]);
-    quant::scale_i32_into(&acc, pp.scale * pw.scale, out.data_mut());
-    pool::give(acc);
-    quant::dequantize_into(&qx, [g.n, g.ic, g.hp, g.wp], pp, &mut padded);
-    pool::give(qx);
-    (out, ConvCache::Direct { padded }, pp, pw)
+    let path = ConvPath::of(input.shape(), weight.shape(), p);
+    forward(Isa::active(), path, input, weight, p, false, true).0
 }
 
 /// Backward 2-D convolution.
@@ -1286,9 +1267,9 @@ fn lowered_backward(
     p: ConvParams,
     want_gx: bool,
 ) -> (Option<Tensor>, Tensor) {
-    let (g, oc) = Lowering::of(input_shape, weight.shape(), p);
+    let g = Lowering::of(input_shape, weight.shape(), p);
     let (n, ic, h, w) = input_shape.as_nchw();
-    let (_, _, kh, kw) = weight.shape().as_nchw();
+    let (oc, _, kh, kw) = weight.shape().as_nchw();
     let (gn, goc, oh, ow) = grad_out.shape().as_nchw();
     assert_eq!((gn, goc), (n, oc), "grad_out batch/channel mismatch");
     assert_eq!((oh, ow), (g.oh, g.ow), "grad_out spatial mismatch");
@@ -1324,33 +1305,23 @@ fn lowered_backward(
         pool::recycle(gwlive);
     }
     let wmat = view.unwrap_or(weight);
-    let gx = want_gx.then(|| input_grad(isa, &mat, wmat, input_shape, kh, kw, p));
+    let gx = want_gx.then(|| input_grad(isa, &mat, wmat, &g, n));
     pool::recycle(mat);
     (gx, gw)
 }
 
-/// `dX` on either path, one pass of [`Panels`]: each panel is its samples'
-/// rows of the patch gradient `gmat × W`, in the lane's panel scratch, then
-/// `col2im` of exactly those samples — no patch-gradient matrix exists.
-/// `gmat` is the output gradient as `(n·oh·ow, oc)` NHWC rows, `wmat` the
-/// `(oc, ic·lh·lw)` weights the forward read, the GEMM runs on `isa`.
-/// Neither step reads the patch matrix, so the direct path runs this one
-/// too.
-fn input_grad(
-    isa: Isa,
-    gmat: &Tensor,
-    wmat: &Tensor,
-    input_shape: &Shape,
-    kh: usize,
-    kw: usize,
-    p: ConvParams,
-) -> Tensor {
-    let (n, ic, h, w) = input_shape.as_nchw();
-    let g = Lowering::new(ic, h, w, kh, kw, p);
-    let (hw, cols, oc) = (g.oh * g.ow, g.cols(), gmat.shape().dims()[1]);
+/// `dX` of `n` samples on either path, one pass of [`Panels`]: each panel
+/// is its samples' rows of the patch gradient `gmat × W`, in the lane's
+/// panel scratch, then `col2im` of exactly those samples — no
+/// patch-gradient matrix exists. `gmat` is the output gradient as
+/// `(n·oh·ow, oc)` NHWC rows, `wmat` the `(oc, ic·lh·lw)` weights the
+/// forward read, the GEMM runs on `isa`. Neither step reads the patch
+/// matrix, so the direct path runs this one too.
+fn input_grad(isa: Isa, gmat: &Tensor, wmat: &Tensor, g: &Lowering, n: usize) -> Tensor {
+    let (hw, cols, oc) = (g.oh * g.ow, g.cols(), g.oc);
     assert_eq!(gmat.shape().dims(), &[n * hw, oc], "dX: gmat shape");
     let (image, sample) = (g.sample_image(), g.sample_patches());
-    let mut gx = pool::tensor([n, ic, h, w]);
+    let mut gx = pool::tensor([n, g.c, g.h, g.w]);
     let gx_ptr = SendPtr::new(gx.data_mut());
     linalg::with_rhs(wmat.data(), oc, cols, |rhs| {
         Panels::of(n, hw, cols, oc, linalg::PAR_MIN_WORK_F32).run(&|samples| {
@@ -1366,7 +1337,7 @@ fn input_grad(
                 let grads = unsafe { gx_ptr.slice(samples.start * image, samples.len() * image) };
                 for i in 0..samples.len() {
                     let rows = &gpatches[i * sample..][..sample];
-                    col2im_sample(rows, &mut grads[i * image..][..image], &g);
+                    col2im_sample(rows, &mut grads[i * image..][..image], g);
                 }
             });
         });
@@ -1388,26 +1359,29 @@ fn direct_backward(
     p: ConvParams,
     want_gx: bool,
 ) -> (Option<Tensor>, Tensor) {
-    let g = Direct::of(input_shape, weight.shape(), p);
+    let g = Lowering::of(input_shape, weight.shape(), p);
+    g.assert_direct();
+    let (n, (hp, wp)) = (input_shape.dims()[0], g.padded());
     assert_eq!(
         grad_out.shape().dims(),
-        &[g.n, g.oc, g.oh, g.ow],
+        &[n, g.oc, g.oh, g.ow],
         "grad_out shape mismatch"
     );
     assert_eq!(
         padded.shape().dims(),
-        &[g.n, g.ic, g.hp, g.wp],
+        &[n, g.c, hp, wp],
         "conv2d_backward: the forward pass's padded input"
     );
     let (x, gy, cols) = (padded.data(), grad_out.data(), g.cols());
-    let mut gw = pool::tensor([g.oc, g.ic, g.kh, g.kw]);
+    let mut gw = pool::tensor([g.oc, g.c, g.live.kh, g.live.kw]);
     // `dW` of output channels `o0..`, one sample's windows at a time
     let (hw, lanes) = (g.oh * g.ow, direct::lanes(cols));
     let weight_grad = |o0: usize, dw: &mut [f32]| {
         let rows = dw.len() / cols;
-        direct::with_scratch((hw * lanes, rows * lanes), |windows, cells| {
+        with_scratch(&DW, (hw + rows) * lanes, |scratch| {
+            let (windows, cells) = scratch.split_at_mut(hw * lanes);
             cells.fill(0.0);
-            for ni in 0..g.n {
+            for ni in 0..n {
                 let sample = &x[ni * g.sample_padded()..][..g.sample_padded()];
                 direct::gather_windows(sample, windows, &g);
                 let gs = &gy[ni * g.sample_out()..][..g.sample_out()];
@@ -1421,7 +1395,7 @@ fn direct_backward(
     {
         let _t = Timer::start(KernelOp::ConvDirect);
         let block = direct::BLOCK_ROWS;
-        let work = g.oc * g.n * hw * cols;
+        let work = g.oc * n * hw * cols;
         if g.oc > block && work >= linalg::PAR_MIN_WORK_F32 && runtime::threads() > 1 {
             let gw_ptr = SendPtr::new(gw.data_mut());
             runtime::parallel_for_chunks(g.oc.div_ceil(block), &|b| {
@@ -1434,10 +1408,10 @@ fn direct_backward(
         }
     }
     let gx = want_gx.then(|| {
-        let mut mat = pool::tensor([g.n * hw, g.oc]);
+        let mut mat = pool::tensor([n * hw, g.oc]);
         nchw_to_nhwc_rows_into(grad_out, &mut mat);
         // every tap is live: the weight storage is the `(oc, cols)` matrix
-        let gx = input_grad(isa, &mat, weight, input_shape, g.kh, g.kw, p);
+        let gx = input_grad(isa, &mat, weight, &g, n);
         pool::recycle(mat);
         gx
     });
@@ -1656,7 +1630,7 @@ mod tests {
         // 1x1 kernel, stride 1: a sample's patch rows are its input
         // reordered (h*w, c)
         let x = seq_tensor([1, 2, 2, 2]);
-        let g = Lowering::new(2, 2, 2, 1, 1, ConvParams::default());
+        let g = Lowering::new(2, 2, 2, 1, 1, 1, ConvParams::default());
         assert_eq!((g.oh, g.ow, g.cols()), (2, 2, 2));
         let mut rows = vec![f32::NAN; g.sample_patches()];
         im2col_sample(x.data(), &mut rows, &g);
@@ -1861,7 +1835,7 @@ mod tests {
     fn col2im_adjoint_of_im2col() {
         // <im2col(x), p> == <x, col2im(p)> for all x, p (adjoint property),
         // on one sample's bodies as a panel runs them
-        let g = Lowering::new(2, 4, 4, 3, 3, ConvParams::new(2, 1));
+        let g = Lowering::new(2, 4, 4, 1, 3, 3, ConvParams::new(2, 1));
         let x = seq_tensor([1, 2, 4, 4]);
         let mut patches = vec![f32::NAN; g.sample_patches()];
         im2col_sample(x.data(), &mut patches, &g);
@@ -2231,21 +2205,9 @@ mod tests {
         p: ConvParams,
         int8: bool,
     ) -> (Tensor, ConvCache, Option<(QuantParams, QuantParams)>) {
-        match (path, int8) {
-            (ConvPath::Lowered, _) => {
-                let (y, cache, scales) = lowered_forward(isa, x, w, p, true, int8);
-                assert_eq!(scales.is_some(), int8, "the INT8 arm's scales");
-                (y, cache.expect("kept"), scales)
-            }
-            (ConvPath::Direct, false) => {
-                let (y, cache) = direct_forward(isa, x, w, p);
-                (y, cache, None)
-            }
-            (ConvPath::Direct, true) => {
-                let (y, cache, pp, pw) = direct_forward_int8(isa, x, w, p);
-                (y, cache, Some((pp, pw)))
-            }
-        }
+        let (y, cache, scales) = forward(isa, path, x, w, p, true, int8);
+        assert_eq!(scales.is_some(), int8, "the INT8 arm's scales");
+        (y, cache.expect("kept"), scales)
     }
 
     /// [`conv2d_eval`] or [`conv2d_int8_eval`] on `path` and instantiation
@@ -2258,23 +2220,9 @@ mod tests {
         p: ConvParams,
         int8: bool,
     ) -> Tensor {
-        match (path, int8) {
-            (ConvPath::Lowered, _) => {
-                let (y, cache, _) = lowered_forward(isa, x, w, p, false, int8);
-                assert!(cache.is_none(), "an eval forward keeps nothing");
-                y
-            }
-            (ConvPath::Direct, false) => {
-                let (y, cache) = direct_forward(isa, x, w, p);
-                cache.recycle();
-                y
-            }
-            (ConvPath::Direct, true) => {
-                let (y, cache, _, _) = direct_forward_int8(isa, x, w, p);
-                cache.recycle();
-                y
-            }
-        }
+        let (y, cache, _) = forward(isa, path, x, w, p, false, int8);
+        assert!(cache.is_none(), "an eval forward keeps nothing");
+        y
     }
 
     /// [`conv2d_backward`] on instantiation `isa` (`dX` on either path, the
@@ -2367,7 +2315,7 @@ mod tests {
     /// portable body and on every wider one.
     fn paths(h: usize, w: usize, ic: usize, k: usize, p: ConvParams) -> Vec<(ConvPath, Isa)> {
         let mut paths = vec![(ConvPath::Lowered, Isa::active())];
-        if Direct::admits(h, w, ic, k, k, p) {
+        if Lowering::new(ic, h, w, 1, k, k, p).admits_direct() {
             let isas = [Isa::PORTABLE]
                 .into_iter()
                 .chain(wide_or_skip("direct conv"));
@@ -2520,7 +2468,7 @@ mod tests {
                     }
                     cases += 1;
                     trimmed += usize::from(!LiveTaps::of(h, w, k, k, p).is_full());
-                    direct += usize::from(Direct::admits(h, w, ic, k, k, p));
+                    direct += usize::from(Lowering::new(ic, h, w, oc, k, k, p).admits_direct());
                 }
             }
             println!("{trimmed} of {cases} geometries had a dead tap to drop, {direct} ran direct");
@@ -2687,10 +2635,13 @@ mod tests {
     /// 1, 2, 3, 4 and 8 wide (dead taps on the 1×1 and 2×2 ones), batches
     /// 1…5 and odd channel counts drawn — plus three batches of five large
     /// enough for the pool, 8×8 (a sample a panel; the wider one for the
-    /// INT8 GEMM's threshold too) and 4×4 (two a panel, the last one short).
-    /// The INT8 arm's inputs also hold a NaN and, in every third case, an
-    /// infinity, so that the pre-pass scale meets both, on rows and columns
-    /// a window reads and — at stride 2 — on ones none reads.
+    /// INT8 GEMM's threshold too) and 4×4 (two a panel, the last one short),
+    /// and LeNet-5's two layers on both paths: 64 and 3 samples on 8×8 (the
+    /// pool at both precisions, and serial) and 77 on 4×4 (the pool at f32,
+    /// the last panel short). The INT8 arm's inputs also hold a NaN and, in
+    /// every third case, an infinity, so that the pre-pass scale meets both,
+    /// on rows and columns a window reads, at stride 2 on ones none reads,
+    /// and on direct geometries.
     #[test]
     fn panel_passes_match_the_whole_matrix_oracle_bitwise() {
         let isas: Vec<Isa> = [Isa::PORTABLE]
@@ -2720,9 +2671,20 @@ mod tests {
             cases.push((5, 16, 8, 8, 3, ConvParams::new(1, 1)));
             cases.push((5, 32, 8, 8, 3, ConvParams::new(1, 1)));
             cases.push((5, 32, 4, 16, 3, ConvParams::new(1, 1)));
-            let (mut short, mut dead) = (0, 0);
-            let mut pooled = [0; 2];
+            // LeNet-5's two layers, which the direct path admits: the first
+            // on a batch the pool takes at both precisions and on one it
+            // does not, the second with f32 on the pool and the last of its
+            // two-sample panels short
+            cases.push((64, 3, 8, 8, 3, ConvParams::new(1, 1)));
+            cases.push((3, 3, 8, 8, 3, ConvParams::new(1, 1)));
+            cases.push((77, 3, 4, 8, 3, ConvParams::new(1, 1)));
+            // by path, lowering then direct: short last panels, passes on
+            // the pool (f32, INT8) and INT8 inputs holding an infinity
+            let (mut short, mut pooled, mut infinite) = ([0; 2], [[0; 2]; 2], [0; 2]);
+            let mut dead = 0;
             for (case, &(n, ic, hw, oc, k, p)) in cases.iter().enumerate() {
+                let g = Lowering::new(ic, hw, hw, oc, k, k, p);
+                let direct = g.admits_direct();
                 let x = signed_zero_values([n, ic, hw, hw], &mut rng);
                 let mut x8 = x.clone();
                 let mut spike = |v: f32| {
@@ -2737,17 +2699,19 @@ mod tests {
                 let gy = |y: &Tensor| {
                     signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(case as u64))
                 };
-                let g = Lowering::new(ic, hw, hw, k, k, p);
+                // both paths cut the batch alike
                 let work = [linalg::PAR_MIN_WORK_F32, linalg::PAR_MIN_WORK_I8];
-                for (pooled, min_work) in pooled.iter_mut().zip(work) {
-                    let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc, min_work);
-                    *pooled += usize::from(panels.parallel);
-                    if min_work == linalg::PAR_MIN_WORK_F32 {
-                        short += usize::from(n > panels.per && n % panels.per != 0);
+                let panels =
+                    work.map(|min_work| Panels::of(n, g.oh * g.ow, g.cols(), oc, min_work));
+                for path in [false, true].into_iter().filter(|&d| !d || direct) {
+                    let path = usize::from(path);
+                    short[path] += usize::from(n > panels[0].per && n % panels[0].per != 0);
+                    for (pooled, panels) in pooled[path].iter_mut().zip(&panels) {
+                        *pooled += usize::from(panels.parallel);
                     }
+                    infinite[path] += usize::from(case % 3 == 0);
                 }
                 dead += usize::from(!g.live.is_full());
-                let direct = Direct::admits(hw, hw, ic, k, k, p);
                 for &isa in &isas {
                     for path in [ConvPath::Lowered, ConvPath::Direct] {
                         if path == ConvPath::Direct && !direct {
@@ -2765,12 +2729,19 @@ mod tests {
                     }
                 }
             }
-            assert!(short >= 2, "{short} batches ended in a short panel");
+            assert!(
+                short[0] >= 2 && short[1] >= 1,
+                "{short:?} batches ended short"
+            );
+            assert!(
+                infinite[1] >= 2,
+                "{infinite:?} INT8 inputs held an infinity"
+            );
             assert_eq!(dead, 3, "geometries with a dead tap");
-            let want = if threads > 1 { [3, 1] } else { [0, 0] };
             assert_eq!(
-                pooled, want,
-                "f32 and INT8 passes on the pool at {threads} threads"
+                pooled,
+                [[5, 2], [2, 1]],
+                "lowering and direct, f32 and INT8 passes for the pool"
             );
         }
     }
@@ -2805,7 +2776,7 @@ mod tests {
                         let mut patches = Tensor::default();
                         reference::im2col_into(&x, k, k, p, &mut patches);
                         let want = QuantParams::from_tensor(&patches);
-                        let g = Lowering::new(c, h, w, k, k, p);
+                        let g = Lowering::new(c, h, w, 1, k, k, p);
                         let got = g.input_scale(&x);
                         let what = format!("k{k} s{stride} p{pad} on {n}x{c}x{h}x{w}");
                         assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{what}");
@@ -2870,7 +2841,7 @@ mod tests {
     ) {
         let what = format!("k{k} s{} p{} on {c}x{h}x{w}", p.stride, p.padding);
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = Lowering::new(c, h, w, k, k, p);
+        let g = Lowering::new(c, h, w, 1, k, k, p);
         let (n, ni) = (3, 1);
         let odd_nans = [0x7fa0_0001, 0xffc1_2345, 0x7fc0_0000].map(f32::from_bits);
         let specials = [&odd_nans[..], &[f32::INFINITY, f32::NEG_INFINITY]].concat();
@@ -2955,7 +2926,7 @@ mod tests {
                 .collect(),
             [oc, c, k, k],
         );
-        let g = Lowering::new(c, h, w, k, k, p);
+        let g = Lowering::new(c, h, w, 1, k, k, p);
         let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc, linalg::PAR_MIN_WORK_F32);
         assert!(
             n * g.sample_patches() >= PAR_MIN_ELEMS && panels.parallel,

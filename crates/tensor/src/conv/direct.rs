@@ -1,7 +1,8 @@
 //! The direct convolution: a narrow layer's forward, INT8 forward and `dW`
 //! computed straight from the input inside its zero border, with no patch
-//! matrix (the rule and why the bits agree are in [`super`]'s docs; `dX`
-//! never reads the patch matrix, so both paths share the lowering's).
+//! matrix (the rule, the pass that stages each sample and why the bits
+//! agree are in [`super`]'s docs; `dX` never reads the patch matrix, so
+//! both paths share the lowering's).
 //!
 //! Every body here is an `isa_kernel!` instantiation, and every output
 //! element is the lowering's, operation for operation:
@@ -19,9 +20,8 @@
 //!   thread-local scratch, a register row each; the sums wait in scratch
 //!   between samples.
 
-use super::Direct;
+use super::Lowering;
 use crate::isa::isa_kernel;
-use std::cell::RefCell;
 
 /// Most patch columns (`ic·kh·kw`) the direct path takes: the wider of the
 /// two register rows [`weight_grad_body`] instantiates. Every 3×3 layer of
@@ -39,35 +39,15 @@ pub(super) fn lanes(cols: usize) -> usize {
     cols.next_power_of_two().max(16)
 }
 
-/// Copies every sample of `input` into `padded` inside a zero border
-/// `g.pad` cells wide.
-pub(super) fn pad_into(input: &[f32], padded: &mut [f32], g: &Direct) {
-    let (image, plane) = (g.ic * g.h * g.w, g.ic * g.hp * g.wp);
-    assert_eq!((input.len(), padded.len()), (g.n * image, g.n * plane));
-    if g.pad == 0 {
-        return padded.copy_from_slice(input);
-    }
-    padded.fill(0.0);
-    if g.w == 0 {
-        return;
-    }
-    let rows = padded
-        .chunks_exact_mut(g.hp * g.wp)
-        .flat_map(|p| p[g.pad * g.wp..].chunks_exact_mut(g.wp).take(g.h));
-    for (row, src) in rows.zip(input.chunks_exact(g.w)) {
-        row[g.pad..g.pad + g.w].copy_from_slice(src);
-    }
-}
-
 isa_kernel! {
     /// One sample's f32 forward: `x` is its padded `(ic, hp, wp)` planes,
     /// `w` the `(oc, ic·kh·kw)` weights, `out` its `(oc, oh, ow)` output.
-    pub(super) fn forward(x: &[f32], w: &[f32], out: &mut [f32], g: &Direct) = forward_body;
+    pub(super) fn forward(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering) = forward_body;
 }
 
 isa_kernel! {
     /// [`forward`] over the quantized halo and weights, into `i32`.
-    pub(super) fn forward_i8(x: &[i8], w: &[i8], out: &mut [i32], g: &Direct) = forward_i8_body;
+    pub(super) fn forward_i8(x: &[i8], w: &[i8], out: &mut [i32], g: &Lowering) = forward_i8_body;
 }
 
 isa_kernel! {
@@ -75,14 +55,15 @@ isa_kernel! {
     /// `o0..`: `windows` holds the sample's `oh·ow` windows, [`lanes`]
     /// floats apart ([`gather_windows`]), `gy` its `(oc, oh, ow)` output
     /// gradient, `cells` the sums, [`lanes`] a row.
-    pub(super) fn weight_grad(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g: &Direct)
+    pub(super) fn weight_grad(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g: &Lowering)
         = weight_grad_body;
 }
 
 /// What every body's reads of one sample's padded planes `x` rest on: it
 /// holds them all, and the furthest window ends inside a plane.
-fn check(g: &Direct, x: &[impl Copy]) {
-    assert!(g.oh + g.kh - 1 <= g.hp && g.ow + g.kw - 1 <= g.wp);
+fn check(g: &Lowering, x: &[impl Copy]) {
+    let (hp, wp) = g.padded();
+    assert!(g.oh + g.live.kh - 1 <= hp && g.ow + g.live.kw - 1 <= wp);
     assert_eq!(x.len(), g.sample_padded());
 }
 
@@ -111,12 +92,12 @@ impl Operand for i8 {
 }
 
 #[inline(always)]
-fn forward_body(x: &[f32], w: &[f32], out: &mut [f32], g: &Direct) {
+fn forward_body(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering) {
     forward_widths(x, w, out, g);
 }
 
 #[inline(always)]
-fn forward_i8_body(x: &[i8], w: &[i8], out: &mut [i32], g: &Direct) {
+fn forward_i8_body(x: &[i8], w: &[i8], out: &mut [i32], g: &Lowering) {
     forward_widths(x, w, out, g);
 }
 
@@ -126,7 +107,7 @@ fn forward_i8_body(x: &[i8], w: &[i8], out: &mut [i32], g: &Direct) {
 /// `#[target_feature]` entry point it is called from.
 macro_rules! with_const_kernel {
     ($g:expr, $body:ident($($arg:expr),*)) => {
-        match ($g.kh, $g.kw) {
+        match ($g.live.kh, $g.live.kw) {
             (3, 3) => $body($($arg,)* 3, 3),
             (kh, kw) => $body($($arg,)* kh, kw),
         }
@@ -136,7 +117,7 @@ macro_rules! with_const_kernel {
 /// Instantiates [`forward_rows`] at the output widths the model zoo meets,
 /// so an accumulator row is a constant number of lanes.
 #[inline(always)]
-fn forward_widths<T: Operand>(x: &[T], w: &[T], out: &mut [T::Acc], g: &Direct) {
+fn forward_widths<T: Operand>(x: &[T], w: &[T], out: &mut [T::Acc], g: &Lowering) {
     check(g, x);
     assert_eq!((w.len(), out.len()), (g.oc * g.cols(), g.sample_out()));
     with_const_kernel!(g, forward_kernel(x, w, out, g))
@@ -148,7 +129,7 @@ fn forward_kernel<T: Operand>(
     x: &[T],
     w: &[T],
     out: &mut [T::Acc],
-    g: &Direct,
+    g: &Lowering,
     kh: usize,
     kw: usize,
 ) {
@@ -167,17 +148,17 @@ fn forward_rows<T: Operand, const OW: usize>(
     x: &[T],
     w: &[T],
     out: &mut [T::Acc],
-    g: &Direct,
+    g: &Lowering,
     kh: usize,
     kw: usize,
 ) {
-    let cols = g.ic * kh * kw;
+    let (cols, (hp, wp)) = (g.c * kh * kw, g.padded());
     for (wo, plane) in w.chunks_exact(cols).zip(out.chunks_exact_mut(g.oh * OW)) {
         for (y, row) in plane.chunks_exact_mut(OW).enumerate() {
             let mut acc = [T::Acc::default(); OW];
-            for ci in 0..g.ic {
+            for ci in 0..g.c {
                 for ky in 0..kh {
-                    let base = (ci * g.hp + y + ky) * g.wp;
+                    let base = (ci * hp + y + ky) * wp;
                     for kx in 0..kw {
                         debug_assert!(base + kx + OW <= x.len());
                         // SAFETY: by `check`, `y + ky < hp` and `kx + OW ≤
@@ -206,12 +187,12 @@ fn forward_any<T: Operand>(
     x: &[T],
     w: &[T],
     out: &mut [T::Acc],
-    g: &Direct,
+    g: &Lowering,
     kh: usize,
     kw: usize,
     ow: usize,
 ) {
-    let cols = g.ic * kh * kw;
+    let (cols, (hp, wp)) = (g.c * kh * kw, g.padded());
     for (wo, plane) in w
         .chunks_exact(cols)
         .zip(out.chunks_exact_mut((g.oh * ow).max(1)))
@@ -219,9 +200,9 @@ fn forward_any<T: Operand>(
         for (y, row) in plane.chunks_exact_mut(ow.max(1)).enumerate() {
             row.fill(T::Acc::default());
             let mut taps = wo.iter();
-            for ci in 0..g.ic {
+            for ci in 0..g.c {
                 for ky in 0..kh {
-                    let src = &x[(ci * g.hp + y + ky) * g.wp..][..g.wp];
+                    let src = &x[(ci * hp + y + ky) * wp..][..wp];
                     for (kx, &wv) in (0..kw).zip(&mut taps) {
                         for (a, &v) in row.iter_mut().zip(&src[kx..kx + ow]) {
                             *a = T::mul_add(*a, v, wv);
@@ -236,7 +217,7 @@ fn forward_any<T: Operand>(
 /// Copies the window of every output position of one sample — `x` its
 /// padded planes — into `windows`, one [`lanes`]-float row each in
 /// `(ci, ky, kx)` order; the lanes past `ic·kh·kw` are left as they were.
-pub(super) fn gather_windows(x: &[f32], windows: &mut [f32], g: &Direct) {
+pub(super) fn gather_windows(x: &[f32], windows: &mut [f32], g: &Lowering) {
     check(g, x);
     assert_eq!(windows.len(), g.oh * g.ow * lanes(g.cols()));
     with_const_kernel!(g, gather_kernel(x, windows, g))
@@ -244,13 +225,13 @@ pub(super) fn gather_windows(x: &[f32], windows: &mut [f32], g: &Direct) {
 
 /// [`gather_windows`] at a kernel size.
 #[inline(always)]
-fn gather_kernel(x: &[f32], windows: &mut [f32], g: &Direct, kh: usize, kw: usize) {
-    let mut rows = windows.chunks_exact_mut(lanes(g.cols()));
+fn gather_kernel(x: &[f32], windows: &mut [f32], g: &Lowering, kh: usize, kw: usize) {
+    let (mut rows, (hp, wp)) = (windows.chunks_exact_mut(lanes(g.cols())), g.padded());
     let positions = (0..g.oh).flat_map(|oy| (0..g.ow).map(move |ox| (oy, ox)));
     for ((oy, ox), window) in positions.zip(&mut rows) {
-        for ci in 0..g.ic {
+        for ci in 0..g.c {
             for ky in 0..kh {
-                let (at, t) = ((ci * g.hp + oy + ky) * g.wp + ox, (ci * kh + ky) * kw);
+                let (at, t) = ((ci * hp + oy + ky) * wp + ox, (ci * kh + ky) * kw);
                 debug_assert!(at + kw <= x.len() && t + kw <= window.len());
                 for kx in 0..kw {
                     // SAFETY: by `check`, the window of output `(oy, ox)`
@@ -265,7 +246,7 @@ fn gather_kernel(x: &[f32], windows: &mut [f32], g: &Direct, kh: usize, kw: usiz
 
 /// Instantiates [`weight_grad_blocks`] at [`lanes`].
 #[inline(always)]
-fn weight_grad_body(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g: &Direct) {
+fn weight_grad_body(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g: &Lowering) {
     let (cols, hw, c) = (g.cols(), g.oh * g.ow, lanes(g.cols()));
     assert!(cols <= MAX_COLS && cells.len().is_multiple_of(c));
     assert!(o0 + cells.len() / c <= g.oc && gy.len() == g.sample_out());
@@ -286,7 +267,7 @@ fn weight_grad_blocks<const C: usize>(
     gy: &[f32],
     cells: &mut [f32],
     o0: usize,
-    g: &Direct,
+    g: &Lowering,
 ) {
     let hw = g.oh * g.ow;
     for (b, block) in cells.chunks_mut(BLOCK_ROWS * C).enumerate() {
@@ -313,30 +294,4 @@ fn weight_grad_blocks<const C: usize>(
             sums.copy_from_slice(row);
         }
     }
-}
-
-thread_local! {
-    /// `dW`'s per-sample scratch, grown to the largest layer's once;
-    /// thread-local because pool workers run blocks of output channels.
-    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` on this thread's scratch cut into `dW`'s windows and sums, of
-/// `windows` and `cells` floats, contents unspecified. The bodies never
-/// call into the pool, so the borrow is not re-entered.
-pub(super) fn with_scratch<R>(
-    (windows, cells): (usize, usize),
-    f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
-) -> R {
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        let len = windows + cells;
-        if s.len() < len {
-            let grow = len - s.len();
-            s.reserve_exact(grow);
-            s.resize(len, 0.0);
-        }
-        let (w, c) = s[..len].split_at_mut(windows);
-        f(w, c)
-    })
 }

@@ -38,8 +38,9 @@
 //!   buffer per layer, used once an epoch — is never hoarded beside the
 //!   train-shaped one and never ages it out. That family is activations
 //!   only: an evaluation's convolutions, FP32 or INT8, make no patch matrix
-//!   ([`crate::conv::conv2d_eval`], [`crate::conv::conv2d_int8_eval`]) and
-//!   no INT8 or `i32` copy of one, so the largest buffer an evaluation
+//!   or padded input ([`crate::conv::conv2d_eval`],
+//!   [`crate::conv::conv2d_int8_eval`]) and no INT8 or `i32` copy of
+//!   either, so the largest buffer an evaluation
 //!   allocates is an activation, not a patch matrix nine inputs wide.
 //!
 //! ```

@@ -1,5 +1,6 @@
-//! The lowering keeps no patch gradient between steps, and an evaluation
-//! forward makes no patch matrix, in FP32 and in INT8.
+//! The lowering keeps no patch gradient between steps, the direct path
+//! nothing beside its padded input, and an evaluation forward of either
+//! makes no patch matrix and no padded batch, in FP32 and in INT8.
 //!
 //! This test binary counts, through its own `#[global_allocator]`, the
 //! buffers of a few exact sizes: the patch matrices of ResNet-18's lowered
@@ -19,12 +20,22 @@
 //! INT8, must make no allocation of any of those layers' patch-matrix
 //! sizes, of either element width, and none as large as the widest one.
 //!
+//! The direct path is watched on LeNet-5 at the geometry of the benchmark's
+//! `train_resilient` workload (FMNIST, width 0.5, 8×8 inputs, batches of
+//! 64), whose two convolutions both run direct. A training forward caches
+//! each one's input inside its zero border, f32, so after a step, FP32 or
+//! INT8, exactly one buffer of that size is live per layer, and no INT8
+//! copy of it: the INT8 forward quantizes one padded sample at a time in
+//! thread-local scratch. An evaluation of 128 samples, FP32 or INT8, pads
+//! one sample at a time in thread-local scratch, so it makes no buffer of
+//! either layer's padded-batch size, f32 or INT8.
+//!
 //! The pool is pinned to one thread, so every step runs here. One test
 //! only: the allocator is global to the process.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use socflow::config::{MethodSpec, TrainJobSpec};
+use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::Workload;
 use socflow_data::{Batch, DatasetPreset};
 use socflow_nn::models::{LayerKind, LayerSpec, ModelKind};
@@ -135,6 +146,29 @@ fn widened_convs(table: &[LayerSpec], out: &mut Vec<(String, usize)>) {
             _ => {}
         }
     }
+}
+
+/// The floats of one sample's input inside its zero border,
+/// `c·(h + 2p)·(w + 2p)`, of every convolution of a flat layer table, with
+/// the path it runs on.
+fn padded_inputs(table: &[LayerSpec]) -> Vec<(ConvPath, usize)> {
+    let conv = |layer: &LayerSpec| match layer.kind {
+        LayerKind::Conv {
+            in_channels,
+            out_channels,
+            kernel,
+            stride,
+            padding,
+        } => {
+            let [c, h, w] = layer.input;
+            let input = Shape::from([1, c, h, w]);
+            let weight = Shape::from([out_channels, in_channels, kernel, kernel]);
+            let path = ConvPath::of(&input, &weight, ConvParams::new(stride, padding));
+            Some((path, c * (h + 2 * padding) * (w + 2 * padding)))
+        }
+        _ => None,
+    };
+    table.iter().filter_map(conv).collect()
 }
 
 /// One SGD step per batch, as the engine's replica takes it.
@@ -284,4 +318,76 @@ fn a_step_keeps_no_patch_gradient_and_an_evaluation_no_patch_matrix() {
         "a 128-sample INT8 evaluation allocated {largest} bytes at once, the widest patch \
          matrix is {widest}"
     );
+
+    // the direct path: LeNet-5 as `train_resilient` trains it
+    let mut spec = TrainJobSpec::new(
+        ModelKind::LeNet5,
+        DatasetPreset::FashionMnist,
+        MethodSpec::SocFlow(SocFlowConfig::with_groups(8)),
+    );
+    spec.seed = 11;
+    assert_eq!(spec.global_batch, batch);
+    let workload = Workload::standard(&spec, 8 * batch, 8, 0.5);
+    let layers = padded_inputs(&spec.model.layers(workload.model_cfg));
+    assert!(
+        layers.len() == 2 && layers.iter().all(|&(path, _)| path == ConvPath::Direct),
+        "LeNet-5's two convolutions run direct: {layers:?}"
+    );
+    // each layer's padded batch, as f32 and as INT8 values, in slots that
+    // no earlier buffer fills
+    let padded: Vec<(usize, usize, usize)> = layers
+        .iter()
+        .map(|&(_, floats)| {
+            (
+                batch * floats,
+                watch(4 * batch * floats),
+                watch(batch * floats),
+            )
+        })
+        .collect();
+    for &(floats, f32s, i8s) in &padded {
+        let live = (LIVE[f32s].load(Relaxed), LIVE[i8s].load(Relaxed));
+        assert_eq!(live, (0, 0), "{floats} elements: live before LeNet-5");
+    }
+    let mut net = spec.model.build(workload.model_cfg, &mut rng);
+    let batches: Vec<Batch> = workload.train.epoch_batches(batch, &mut rng).collect();
+    let mut opt = Sgd::new(spec.lr, 0.9, 5e-4);
+    for precision in [Precision::Fp32, Precision::Int8] {
+        train(&mut net, &mut opt, &batches, precision);
+        for &(floats, f32s, i8s) in &padded {
+            let live = (LIVE[f32s].load(Relaxed), LIVE[i8s].load(Relaxed));
+            println!("{precision:?}: padded batch of {floats}: (f32, INT8) {live:?} live");
+            assert_eq!(
+                live,
+                (1, 0),
+                "after a {precision:?} step, (f32, INT8) buffers of a direct layer's padded \
+                 batch ({floats} elements) live: the forward caches one f32 one"
+            );
+        }
+    }
+
+    // and a 128-sample evaluation at both precisions pads no batch
+    let eval = workload.test.batch(&shard);
+    let watched: Vec<(usize, usize)> = layers
+        .iter()
+        .flat_map(|&(_, floats)| [4, 1].map(|width| (width, watch(128 * floats * width))))
+        .collect();
+    let before: Vec<usize> = watched.iter().map(|&(_, slot)| made(slot)).collect();
+    ARMED.store(true, Relaxed);
+    for precision in [Precision::Fp32, Precision::Int8] {
+        let logits = net.forward(&eval.images, Mode::eval(precision));
+        assert_eq!(logits.shape().dims()[0], 128);
+    }
+    ARMED.store(false, Relaxed);
+    for (&(width, slot), before) in watched.iter().zip(before) {
+        let made = made(slot) - before;
+        assert_eq!(
+            made,
+            0,
+            "128-sample evaluations made {made} buffers of {} bytes, a direct layer's \
+             padded batch of {}-byte elements",
+            WATCHED[slot].load(Relaxed),
+            width
+        );
+    }
 }
