@@ -726,18 +726,6 @@ fn kernels(fast: bool) -> Vec<Row> {
         },
     );
 
-    // --- Fused quantize→dequantize ---------------------------------------
-    let q_in = tensor([256, 256], 0x5eed_000b);
-    let mut q_out = Tensor::default();
-    time(
-        "fake_quant_int8",
-        "65536".into(),
-        (256 * 256) as f64,
-        &mut || {
-            quant::fake_quant_into(&q_in, &mut q_out);
-        },
-    );
-
     // --- The pool itself, and the two GEMMs a ResNet-18 step lives in ----
     // On one and on two pool threads, whatever the process was started
     // with: stage 1's `dY × Wᵀ` (row panels) and its weight gradient

@@ -564,7 +564,7 @@ impl Paper {
             let tm = TimeModel::new(&spec);
             let ours = fresh_epoch(&tm, 60, 12);
             for (gpu, proc, soc_speedup, paper) in gpus {
-                let g = tm.gpu_epoch(proc);
+                let g = tm.local_epoch(proc);
                 let gains = [
                     ("speedup", g.time / ours.time),
                     ("energy_saving", g.energy / ours.energy),
@@ -697,7 +697,7 @@ impl Paper {
                 let factor = clock_pct as f64 / 100.0;
                 tm.compute_mut().set_underclock(soc, factor);
             }
-            let gain = tm.equal_share_compute_time(&group) / tm.rebalanced_compute_time(&group);
+            let gain = tm.equal_share_compute_time(&group) / tm.group_compute_time(&group, 1.0);
             let id = format!("extC/VGG11/gain_{throttled}_socs_at_{clock_pct}pct_clock");
             self.row(id, gain, "x");
         }

@@ -19,7 +19,7 @@
 //! All methods benefit from the paper's two implementation optimizations
 //! where applicable: layer-by-layer compute/communication overlap (periods
 //! are `max(compute, sync)` rather than sums) and underclocking-aware
-//! re-balancing (see [`TimeModel::rebalanced_compute_time`]).
+//! re-balancing (see [`TimeModel::group_compute_time`]).
 
 use crate::config::{MethodSpec, TrainJobSpec, PIPELINE_GROUP};
 use crate::mapping::Mapping;
@@ -253,10 +253,14 @@ impl TimeModel {
         }
     }
 
-    /// Per-batch compute time of one logical group: re-balancing gives
-    /// each SoC a share proportional to its clock, so the group finishes
-    /// together, at the slower of the CPU-FP32 and NPU-INT8 batch halves.
-    pub(crate) fn group_compute_time(
+    /// Per-batch compute time of one logical group whose CPUs take the
+    /// `cpu_fraction` share of the batch (1.0 = pure FP32) and whose NPUs
+    /// the rest: the paper's underclocking-aware re-balancing gives each
+    /// SoC a share proportional to its current clock, so the group finishes
+    /// together, at the slower of the two halves. Without re-balancing the
+    /// slowest SoC's equal share would dominate
+    /// ([`Self::equal_share_compute_time`]).
+    pub fn group_compute_time(
         &self,
         group: &[socflow_cluster::SocId],
         cpu_fraction: f64,
@@ -300,8 +304,9 @@ impl TimeModel {
         m.joules()
     }
 
-    /// Single-SoC training (Local reference / Fig. 4(a)): the whole dataset
-    /// on one processor, no synchronization.
+    /// Single-processor training: the whole dataset on `proc`, no
+    /// synchronization — one SoC for the Local reference and Fig. 4(a),
+    /// one datacenter GPU for Fig. 11.
     pub fn local_epoch(&self, proc: Processor) -> EpochCost {
         let compute = self.compute.per_sample(proc) * self.ref_samples as f64;
         let iters = (self.ref_samples as f64 / self.batch as f64).ceil();
@@ -458,7 +463,7 @@ impl TimeModel {
     /// re-balancing is applied: within each group, per-SoC shares are
     /// proportional to current clocks, so a throttled SoC slows its group
     /// by the *average* deficit, not the worst one (see
-    /// [`Self::rebalanced_compute_time`]).
+    /// [`Self::group_compute_time`]).
     ///
     /// # Examples
     ///
@@ -566,20 +571,9 @@ impl TimeModel {
         self.payload / (1e9 / 8.0) + 0.5
     }
 
-    /// Re-balances per-SoC sample shares inside one group when SoCs are
-    /// underclocked (the paper's underclocking-aware re-balancing): shares
-    /// proportional to each SoC's current speed, so the group's batch
-    /// finishes simultaneously everywhere. Returns the balanced per-batch
-    /// compute time; without re-balancing the slowest SoC's equal share
-    /// would dominate.
-    pub fn rebalanced_compute_time(&self, group: &[socflow_cluster::SocId]) -> Seconds {
-        let speed: f64 = group.iter().map(|s| self.compute.underclock(s.0)).sum();
-        let t_sample = self.compute.per_sample(Processor::SocCpuFp32);
-        self.batch as f64 * t_sample / speed
-    }
-
-    /// The equal-share compute time for comparison with
-    /// [`Self::rebalanced_compute_time`].
+    /// The FP32 per-batch compute time of one group whose SoCs take equal
+    /// shares whatever their clocks, for comparison with the re-balanced
+    /// [`Self::group_compute_time`].
     pub fn equal_share_compute_time(&self, group: &[socflow_cluster::SocId]) -> Seconds {
         let per_soc = self.batch as f64 / group.len() as f64;
         let t_sample = self.compute.per_sample(Processor::SocCpuFp32);
@@ -587,12 +581,6 @@ impl TimeModel {
             .iter()
             .map(|s| per_soc * t_sample / self.compute.underclock(s.0))
             .fold(0.0, f64::max)
-    }
-
-    /// GPU epoch (Fig. 11 comparison): the full dataset on one datacenter
-    /// GPU.
-    pub fn gpu_epoch(&self, proc: Processor) -> EpochCost {
-        self.local_epoch(proc)
     }
 }
 
@@ -824,7 +812,7 @@ mod tests {
         let mut m = model();
         m.compute_mut().set_underclock(0, 0.5);
         let group: Vec<_> = (0..4).map(socflow_cluster::SocId).collect();
-        let balanced = m.rebalanced_compute_time(&group);
+        let balanced = m.group_compute_time(&group, 1.0);
         let equal = m.equal_share_compute_time(&group);
         assert!(balanced < equal, "balanced {balanced} vs equal {equal}");
     }
@@ -861,9 +849,9 @@ mod tests {
     }
 
     #[test]
-    fn gpu_epoch_power_hungry() {
+    fn a_gpu_local_epoch_is_power_hungry() {
         let m = model();
-        let v100 = m.gpu_epoch(Processor::GpuV100);
+        let v100 = m.local_epoch(Processor::GpuV100);
         let soc = m.local_epoch(Processor::SocNpuInt8);
         assert!(v100.time < soc.time, "V100 faster than one SoC");
         // but joules per epoch are not 60x better (energy-efficiency story)

@@ -4,11 +4,11 @@ use socflow_tensor::{pool, quant, Tensor};
 /// Numeric precision a forward/backward pass executes in.
 ///
 /// `Fp32` models the mobile CPU training path; `Int8` models the mobile NPU
-/// path: weights and input activations are fake-quantized (symmetric
-/// per-tensor INT8) before each matmul/conv, and parameter gradients receive
-/// bounded quantization noise — the numeric behaviour of NiTi-style integer
-/// training that causes the accuracy degradation SoCFlow's mixed-precision
-/// controller manages.
+/// path: every conv and linear forward quantizes its weights and input
+/// activations (symmetric per-tensor INT8) and multiplies them on the
+/// `i8×i8→i32` kernel, and parameter gradients receive bounded quantization
+/// noise — the numeric behaviour of NiTi-style integer training that causes
+/// the accuracy degradation SoCFlow's mixed-precision controller manages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// Full 32-bit floating point (mobile CPU).

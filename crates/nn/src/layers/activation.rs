@@ -1,5 +1,4 @@
 use crate::layer::{Layer, Mode};
-use crate::layers::{mapped, product};
 use socflow_tensor::{pool, Tensor};
 
 /// Rectified linear unit, `y = max(0, x)`.
@@ -42,6 +41,30 @@ impl Layer for Relu {
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
+}
+
+/// `f` of every element of `src`, in a step-scratch tensor.
+fn mapped(src: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    let mut out = pool::tensor(src.shape().clone());
+    for (o, &v) in out.data_mut().iter_mut().zip(src.data()) {
+        *o = f(v);
+    }
+    out
+}
+
+/// The elementwise product `a ⊙ b` in a step-scratch tensor: a gradient
+/// through a mask.
+///
+/// # Panics
+/// Panics on a shape mismatch.
+fn product(a: &Tensor, b: &Tensor) -> Tensor {
+    assert_eq!(a.shape(), b.shape(), "shape mismatch in `product`");
+    let mut out = pool::tensor(a.shape().clone());
+    let operands = a.data().iter().zip(b.data());
+    for (o, (x, y)) in out.data_mut().iter_mut().zip(operands) {
+        *o = x * y;
+    }
+    out
 }
 
 #[cfg(test)]

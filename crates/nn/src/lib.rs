@@ -22,9 +22,9 @@
 //!   the hooks wait-free communication overlap builds on.
 //! - [`Precision`]: FP32 (mobile CPU path) or INT8 quantization-aware
 //!   training (mobile NPU path, NiTi-style): weights and activations are
-//!   fake-quantized in the forward pass and gradients receive bounded
-//!   quantization noise in the backward pass, so INT8 runs genuinely lose
-//!   accuracy the way NPU training does.
+//!   quantized and multiplied on the integer kernel in the forward pass and
+//!   gradients receive bounded quantization noise in the backward pass, so
+//!   INT8 runs genuinely lose accuracy the way NPU training does.
 //! - [`models`]: LeNet-5, VGG-11, ResNet-18/50 and MobileNetV1, each one
 //!   layer table with a width multiplier ([`models::ModelKind::layers`]),
 //!   which counts and lays out a model without a weight and builds it by

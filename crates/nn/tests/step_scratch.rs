@@ -4,8 +4,8 @@
 //! **The unread gradient.** `Network::backward_parameters` does not ask the
 //! first parameterised layer for its input gradient, and does not run the
 //! parameterless layers in front of it at all. Whatever comes first —
-//! convolution, linear, depthwise convolution, a residual block, a
-//! `Flatten` that passes the bit on — every parameter gradient and every
+//! convolution, linear, a residual block, a `Flatten` that passes the bit
+//! on — every parameter gradient and every
 //! state buffer must end up bit-identical to `Network::backward`'s, at
 //! every precision.
 //!
@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socflow_nn::layers::{
-    BatchNorm2d, Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu, Residual,
+    BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Relu, Residual,
 };
 use socflow_nn::models::{ModelConfig, ModelKind};
 use socflow_nn::optim::Sgd;
@@ -72,16 +72,6 @@ fn first_layer_cases(rng: &mut StdRng) -> Vec<(&'static str, Network, [usize; 3]
                 Box::new(Linear::new(32, 6, rng)),
                 Box::new(Relu::new()),
                 Box::new(Linear::new(6, 5, rng)),
-            ]),
-            [2, 4, 4],
-        ),
-        (
-            "depthwise",
-            boxed(vec![
-                Box::new(DepthwiseConv2d::new(2, 3, 1, 1, rng)),
-                Box::new(Conv2d::new(2, 4, 1, 1, 0, rng)),
-                Box::new(GlobalAvgPool::new()),
-                Box::new(Linear::new(4, 5, rng)),
             ]),
             [2, 4, 4],
         ),

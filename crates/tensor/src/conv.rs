@@ -121,14 +121,14 @@
 //! tail, before the region. A direct panel takes its samples one at a time:
 //! it embeds the sample in the zero border, with the routine `im2col` fills
 //! the halo with, and convolves it straight into its NCHW output. The INT8
-//! arm of either quantizes the staged input — the patch rows, or the padded
+//! arm of either quantizes the lowered input — the patch rows, or the padded
 //! sample — at the pass's input scale (above), runs the integer product
 //! against the weights quantized once before the region and applies the
-//! scale epilogue; a training forward then dequantizes the staged values in
+//! scale epilogue; a training forward then dequantizes the lowered values in
 //! place, the values the product consumed, for its backward. A `dX` panel
 //! runs its samples' rows of the patch gradient `dY·W` and then `col2im` of
 //! exactly those samples. So the patch gradient never exists whole, and
-//! neither does an evaluation's staged input: a training forward writes its
+//! neither does an evaluation's lowered input: a training forward writes its
 //! panels into the patch matrix or padded input its backward reads, an
 //! evaluation forward ([`conv2d_eval`], [`conv2d_int8_eval`]) into the
 //! lane's panel scratch or halo, and an INT8 evaluation makes no
@@ -962,8 +962,8 @@ fn forward(
     let (out, kept) = if let Some((pp, pw)) = scales {
         let mut qw = pool::take::<i8>(oc * cols);
         quant::quantize_into(wmat, pw, &mut qw);
-        let arm = |staged: &mut [f32], out: &mut [f32], first: bool| {
-            int8_arm(isa, staged, out, (pp, pw), keep, first, |q, acc| {
+        let arm = |lowered: &mut [f32], out: &mut [f32], first: bool| {
+            int8_arm(isa, lowered, out, (pp, pw), keep, first, |q, acc| {
                 if direct {
                     let _t = Timer::panel(KernelOp::ConvDirect, false);
                     direct::forward_i8(isa, q, &qw, acc, &g);
@@ -1002,7 +1002,7 @@ fn forward(
     (out, cache, scales)
 }
 
-/// The product of a forward panel, `(staged input, output, first)`: the
+/// The product of a forward panel, `(lowered input, output, first)`: the
 /// lowering's patch rows into their `(rows, oc)` GEMM rows, or one direct
 /// sample's padded planes into its NCHW output. `first` is set on the
 /// pass's first panel, which counts the call.
@@ -1012,7 +1012,7 @@ type Arm<'a> = dyn Fn(&mut [f32], &mut [f32], bool) + Sync + 'a;
 /// samples — their patch rows on the lowering ([`lowered_panel`]), their
 /// images in the zero border on the direct path ([`direct_panel`]) — and
 /// runs `arm` on them into its samples' region of the output. With `keep`
-/// the staged input is written into the patch matrix or padded input
+/// the lowered input is written into the patch matrix or padded input
 /// returned beside the output, and `arm` may rewrite it; without, into the
 /// lane's scratch. The product goes parallel on its own at `min_work`.
 fn forward_pass(
@@ -1102,12 +1102,12 @@ fn direct_panel(
     for i in 0..len {
         let first = first && i == 0;
         let y = &mut y[i * sample_out..][..sample_out];
-        let mut run = |staged: &mut [f32]| {
+        let mut run = |lowered: &mut [f32]| {
             {
                 let _t = Timer::panel(KernelOp::ConvDirect, first);
-                embed(&x[i * image..][..image], staged, g);
+                embed(&x[i * image..][..image], lowered, g);
             }
-            arm(staged, y, first);
+            arm(lowered, y, first);
         };
         match kept.as_deref_mut() {
             Some(kept) => run(&mut kept[i * padded..][..padded]),
@@ -1116,25 +1116,25 @@ fn direct_panel(
     }
 }
 
-/// The INT8 arm of a forward panel: quantizes `staged` — a panel's patch
+/// The INT8 arm of a forward panel: quantizes `lowered` — a panel's patch
 /// rows or one direct sample's padded planes — at the input scale into the
 /// lane's [`PANEL_I8`], runs `product` of those values into `out.len()`
 /// sums in [`PANEL_I32`], and applies the scale epilogue into `out`. With
-/// `keep`, leaves `staged` dequantized: the values the product consumed,
+/// `keep`, leaves `lowered` dequantized: the values the product consumed,
 /// which the backward differentiates. `first` counts the quantize calls.
 fn int8_arm(
     isa: Isa,
-    staged: &mut [f32],
+    lowered: &mut [f32],
     out: &mut [f32],
     (pp, pw): (QuantParams, QuantParams),
     keep: bool,
     first: bool,
     product: impl FnOnce(&[i8], &mut [i32]),
 ) {
-    with_scratch(&PANEL_I8, staged.len(), |q| {
+    with_scratch(&PANEL_I8, lowered.len(), |q| {
         {
             let _t = Timer::panel(KernelOp::Quant, first);
-            quant::quantize_slices(isa, staged, q, pp.scale);
+            quant::quantize_slices(isa, lowered, q, pp.scale);
         }
         with_scratch(&PANEL_I32, out.len(), |acc| {
             product(q, acc);
@@ -1142,7 +1142,7 @@ fn int8_arm(
         });
         if keep {
             let _t = Timer::panel(KernelOp::Quant, first);
-            quant::dequantize_slices(isa, q, staged, pp.scale);
+            quant::dequantize_slices(isa, q, lowered, pp.scale);
         }
     });
 }
@@ -2443,37 +2443,40 @@ mod tests {
     #[test]
     fn live_tap_lowering_matches_the_all_taps_reference_bitwise() {
         for threads in [1, 4] {
-            crate::runtime::set_threads(threads);
-            let mut rng = StdRng::seed_from_u64(18);
-            let (mut cases, mut trimmed, mut direct) = (0, 0, 0);
-            for (k, stride, pad, h) in geometries() {
-                for w in (1..=6).filter(|w| w + 2 * pad >= k) {
-                    let p = ConvParams::new(stride, pad);
-                    let n = rng.gen_range(1..=5usize);
-                    let ic = 2 * rng.gen_range(0..3usize) + 1;
-                    let oc = 2 * rng.gen_range(0..3usize) + 1;
-                    let x = signed_zero_values([n, ic, h, w], &mut rng);
-                    let wt = weights([oc, ic, k, k], &mut rng);
-                    let gy = |y: &Tensor| {
-                        signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(cases))
-                    };
-                    for (path, isa) in paths(h, w, ic, k, p) {
-                        for int8 in [false, true] {
-                            let what = format!(
+            crate::runtime::with_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(18);
+                let (mut cases, mut trimmed, mut direct) = (0, 0, 0);
+                for (k, stride, pad, h) in geometries() {
+                    for w in (1..=6).filter(|w| w + 2 * pad >= k) {
+                        let p = ConvParams::new(stride, pad);
+                        let n = rng.gen_range(1..=5usize);
+                        let ic = 2 * rng.gen_range(0..3usize) + 1;
+                        let oc = 2 * rng.gen_range(0..3usize) + 1;
+                        let x = signed_zero_values([n, ic, h, w], &mut rng);
+                        let wt = weights([oc, ic, k, k], &mut rng);
+                        let gy = |y: &Tensor| {
+                            signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(cases))
+                        };
+                        for (path, isa) in paths(h, w, ic, k, p) {
+                            for int8 in [false, true] {
+                                let what = format!(
                                 "k{k} s{stride} p{pad} on {n}x{ic}x{h}x{w} -> {oc}, {}, {threads} threads",
                                 if int8 { "INT8" } else { "f32" }
                             );
-                            assert_matches_reference(&x, &wt, &gy, p, int8, path, isa, &what);
+                                assert_matches_reference(&x, &wt, &gy, p, int8, path, isa, &what);
+                            }
                         }
+                        cases += 1;
+                        trimmed += usize::from(!LiveTaps::of(h, w, k, k, p).is_full());
+                        direct += usize::from(Lowering::new(ic, h, w, oc, k, k, p).admits_direct());
                     }
-                    cases += 1;
-                    trimmed += usize::from(!LiveTaps::of(h, w, k, k, p).is_full());
-                    direct += usize::from(Lowering::new(ic, h, w, oc, k, k, p).admits_direct());
                 }
-            }
-            println!("{trimmed} of {cases} geometries had a dead tap to drop, {direct} ran direct");
-            assert!(trimmed >= 50, "only {trimmed} of {cases} were trimmed");
-            assert!(direct >= 100, "only {direct} of {cases} ran direct");
+                println!(
+                    "{trimmed} of {cases} geometries had a dead tap to drop, {direct} ran direct"
+                );
+                assert!(trimmed >= 50, "only {trimmed} of {cases} were trimmed");
+                assert!(direct >= 100, "only {direct} of {cases} ran direct");
+            });
         }
     }
 
@@ -2615,15 +2618,16 @@ mod tests {
         let dx = signed_zero_values([dn, dic, dhw, dhw], &mut rng);
         let dwt = weights([doc, dic, 3, 3], &mut rng);
         for threads in [1, 2, 8] {
-            crate::runtime::set_threads(threads);
-            for int8 in [false, true] {
-                let what = format!("{threads} threads, int8 {int8}");
-                let lowered = (ConvPath::Lowered, Isa::active());
-                assert_matches_reference(&x, &wt, &gy, p, int8, lowered.0, lowered.1, &what);
-                for (path, isa) in paths(dhw, dhw, dic, 3, dp) {
-                    assert_matches_reference(&dx, &dwt, &gy, dp, int8, path, isa, &what);
+            crate::runtime::with_threads(threads, || {
+                for int8 in [false, true] {
+                    let what = format!("{threads} threads, int8 {int8}");
+                    let lowered = (ConvPath::Lowered, Isa::active());
+                    assert_matches_reference(&x, &wt, &gy, p, int8, lowered.0, lowered.1, &what);
+                    for (path, isa) in paths(dhw, dhw, dic, 3, dp) {
+                        assert_matches_reference(&dx, &dwt, &gy, dp, int8, path, isa, &what);
+                    }
                 }
-            }
+            });
         }
     }
 
@@ -2649,100 +2653,104 @@ mod tests {
             .chain(wide_or_skip("panel passes"))
             .collect();
         for threads in [1, 2, 4] {
-            crate::runtime::set_threads(threads);
-            let mut rng = StdRng::seed_from_u64(47);
-            let mut cases = Vec::new();
-            for (k, stride, pad, hw) in [1, 3].into_iter().flat_map(|k| {
-                let maps = [1, 2, 3, 4, 8].into_iter();
-                let geometry =
-                    move |(stride, pad)| maps.clone().map(move |hw| (k, stride, pad, hw));
-                [(1, 0), (1, 1), (2, 0), (2, 1)]
-                    .into_iter()
-                    .flat_map(geometry)
-            }) {
-                if hw + 2 * pad < k {
-                    continue;
-                }
-                let n = rng.gen_range(1..=5usize);
-                let ic = 2 * rng.gen_range(0..3usize) + 1;
-                let oc = 2 * rng.gen_range(0..3usize) + 1;
-                cases.push((n, ic, hw, oc, k, ConvParams::new(stride, pad)));
-            }
-            cases.push((5, 16, 8, 8, 3, ConvParams::new(1, 1)));
-            cases.push((5, 32, 8, 8, 3, ConvParams::new(1, 1)));
-            cases.push((5, 32, 4, 16, 3, ConvParams::new(1, 1)));
-            // LeNet-5's two layers, which the direct path admits: the first
-            // on a batch the pool takes at both precisions and on one it
-            // does not, the second with f32 on the pool and the last of its
-            // two-sample panels short
-            cases.push((64, 3, 8, 8, 3, ConvParams::new(1, 1)));
-            cases.push((3, 3, 8, 8, 3, ConvParams::new(1, 1)));
-            cases.push((77, 3, 4, 8, 3, ConvParams::new(1, 1)));
-            // by path, lowering then direct: short last panels, passes on
-            // the pool (f32, INT8) and INT8 inputs holding an infinity
-            let (mut short, mut pooled, mut infinite) = ([0; 2], [[0; 2]; 2], [0; 2]);
-            let mut dead = 0;
-            for (case, &(n, ic, hw, oc, k, p)) in cases.iter().enumerate() {
-                let g = Lowering::new(ic, hw, hw, oc, k, k, p);
-                let direct = g.admits_direct();
-                let x = signed_zero_values([n, ic, hw, hw], &mut rng);
-                let mut x8 = x.clone();
-                let mut spike = |v: f32| {
-                    let at = rng.gen_range(0..x8.len());
-                    x8.data_mut()[at] = v;
-                };
-                spike(f32::NAN);
-                if case % 3 == 0 {
-                    spike([f32::INFINITY, f32::NEG_INFINITY][case % 2]);
-                }
-                let wt = weights([oc, ic, k, k], &mut rng);
-                let gy = |y: &Tensor| {
-                    signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(case as u64))
-                };
-                // both paths cut the batch alike
-                let work = [linalg::PAR_MIN_WORK_F32, linalg::PAR_MIN_WORK_I8];
-                let panels =
-                    work.map(|min_work| Panels::of(n, g.oh * g.ow, g.cols(), oc, min_work));
-                for path in [false, true].into_iter().filter(|&d| !d || direct) {
-                    let path = usize::from(path);
-                    short[path] += usize::from(n > panels[0].per && n % panels[0].per != 0);
-                    for (pooled, panels) in pooled[path].iter_mut().zip(&panels) {
-                        *pooled += usize::from(panels.parallel);
+            crate::runtime::with_threads(threads, || {
+                let mut rng = StdRng::seed_from_u64(47);
+                let mut cases = Vec::new();
+                for (k, stride, pad, hw) in [1, 3].into_iter().flat_map(|k| {
+                    let maps = [1, 2, 3, 4, 8].into_iter();
+                    let geometry =
+                        move |(stride, pad)| maps.clone().map(move |hw| (k, stride, pad, hw));
+                    [(1, 0), (1, 1), (2, 0), (2, 1)]
+                        .into_iter()
+                        .flat_map(geometry)
+                }) {
+                    if hw + 2 * pad < k {
+                        continue;
                     }
-                    infinite[path] += usize::from(case % 3 == 0);
+                    let n = rng.gen_range(1..=5usize);
+                    let ic = 2 * rng.gen_range(0..3usize) + 1;
+                    let oc = 2 * rng.gen_range(0..3usize) + 1;
+                    cases.push((n, ic, hw, oc, k, ConvParams::new(stride, pad)));
                 }
-                dead += usize::from(!g.live.is_full());
-                for &isa in &isas {
-                    for path in [ConvPath::Lowered, ConvPath::Direct] {
-                        if path == ConvPath::Direct && !direct {
-                            continue;
+                cases.push((5, 16, 8, 8, 3, ConvParams::new(1, 1)));
+                cases.push((5, 32, 8, 8, 3, ConvParams::new(1, 1)));
+                cases.push((5, 32, 4, 16, 3, ConvParams::new(1, 1)));
+                // LeNet-5's two layers, which the direct path admits: the first
+                // on a batch the pool takes at both precisions and on one it
+                // does not, the second with f32 on the pool and the last of its
+                // two-sample panels short
+                cases.push((64, 3, 8, 8, 3, ConvParams::new(1, 1)));
+                cases.push((3, 3, 8, 8, 3, ConvParams::new(1, 1)));
+                cases.push((77, 3, 4, 8, 3, ConvParams::new(1, 1)));
+                // by path, lowering then direct: short last panels, passes on
+                // the pool (f32, INT8) and INT8 inputs holding an infinity
+                let (mut short, mut pooled, mut infinite) = ([0; 2], [[0; 2]; 2], [0; 2]);
+                let mut dead = 0;
+                for (case, &(n, ic, hw, oc, k, p)) in cases.iter().enumerate() {
+                    let g = Lowering::new(ic, hw, hw, oc, k, k, p);
+                    let direct = g.admits_direct();
+                    let x = signed_zero_values([n, ic, hw, hw], &mut rng);
+                    let mut x8 = x.clone();
+                    let mut spike = |v: f32| {
+                        let at = rng.gen_range(0..x8.len());
+                        x8.data_mut()[at] = v;
+                    };
+                    spike(f32::NAN);
+                    if case % 3 == 0 {
+                        spike([f32::INFINITY, f32::NEG_INFINITY][case % 2]);
+                    }
+                    let wt = weights([oc, ic, k, k], &mut rng);
+                    let gy = |y: &Tensor| {
+                        signed_zero_values(
+                            y.shape().clone(),
+                            &mut StdRng::seed_from_u64(case as u64),
+                        )
+                    };
+                    // both paths cut the batch alike
+                    let work = [linalg::PAR_MIN_WORK_F32, linalg::PAR_MIN_WORK_I8];
+                    let panels =
+                        work.map(|min_work| Panels::of(n, g.oh * g.ow, g.cols(), oc, min_work));
+                    for path in [false, true].into_iter().filter(|&d| !d || direct) {
+                        let path = usize::from(path);
+                        short[path] += usize::from(n > panels[0].per && n % panels[0].per != 0);
+                        for (pooled, panels) in pooled[path].iter_mut().zip(&panels) {
+                            *pooled += usize::from(panels.parallel);
                         }
-                        for (int8, x) in [(false, &x), (true, &x8)] {
-                            let what = format!(
+                        infinite[path] += usize::from(case % 3 == 0);
+                    }
+                    dead += usize::from(!g.live.is_full());
+                    for &isa in &isas {
+                        for path in [ConvPath::Lowered, ConvPath::Direct] {
+                            if path == ConvPath::Direct && !direct {
+                                continue;
+                            }
+                            for (int8, x) in [(false, &x), (true, &x8)] {
+                                let what = format!(
                                 "k{k} s{} p{} on {n}x{ic}x{hw}x{hw} -> {oc}, {}, {threads} threads",
                                 p.stride,
                                 p.padding,
                                 if int8 { "INT8" } else { "f32" }
                             );
-                            assert_matches_reference(x, &wt, &gy, p, int8, path, isa, &what);
+                                assert_matches_reference(x, &wt, &gy, p, int8, path, isa, &what);
+                            }
                         }
                     }
                 }
-            }
-            assert!(
-                short[0] >= 2 && short[1] >= 1,
-                "{short:?} batches ended short"
-            );
-            assert!(
-                infinite[1] >= 2,
-                "{infinite:?} INT8 inputs held an infinity"
-            );
-            assert_eq!(dead, 3, "geometries with a dead tap");
-            assert_eq!(
-                pooled,
-                [[5, 2], [2, 1]],
-                "lowering and direct, f32 and INT8 passes for the pool"
-            );
+                assert!(
+                    short[0] >= 2 && short[1] >= 1,
+                    "{short:?} batches ended short"
+                );
+                assert!(
+                    infinite[1] >= 2,
+                    "{infinite:?} INT8 inputs held an infinity"
+                );
+                assert_eq!(dead, 3, "geometries with a dead tap");
+                assert_eq!(
+                    pooled,
+                    [[5, 2], [2, 1]],
+                    "lowering and direct, f32 and INT8 passes for the pool"
+                );
+            });
         }
     }
 
@@ -2911,39 +2919,40 @@ mod tests {
     /// pool path actually runs, on worker threads whose halo starts empty.
     #[test]
     fn parallel_im2col_and_col2im_match_serial_bitwise() {
-        crate::runtime::set_threads(8);
-        let (n, c, h, w, k, oc) = (4usize, 8, 16, 16, 3, 8);
-        let p = ConvParams::new(1, 1);
-        let x = Tensor::from_vec(
-            (0..n * c * h * w)
-                .map(|i| ((i * 31 % 97) as f32) * 0.37 - 5.0)
-                .collect(),
-            [n, c, h, w],
-        );
-        let wt = Tensor::from_vec(
-            (0..oc * c * k * k)
-                .map(|i| ((i * 7 % 13) as f32) * 0.25 - 1.5)
-                .collect(),
-            [oc, c, k, k],
-        );
-        let g = Lowering::new(c, h, w, 1, k, k, p);
-        let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc, linalg::PAR_MIN_WORK_F32);
-        assert!(
-            n * g.sample_patches() >= PAR_MIN_ELEMS && panels.parallel,
-            "shape must cross the parallel threshold"
-        );
-        let (y, cache) = conv2d_via(ConvPath::Lowered, &x, &wt, p);
-        let ConvCache::Lowered { patches, .. } = &cache else {
-            panic!("the lowering")
-        };
-        let mut expect = Tensor::default();
-        reference::im2col_into(&x, k, k, p, &mut expect);
-        assert_eq!(bits(patches), bits(&expect));
+        crate::runtime::with_threads(8, || {
+            let (n, c, h, w, k, oc) = (4usize, 8, 16, 16, 3, 8);
+            let p = ConvParams::new(1, 1);
+            let x = Tensor::from_vec(
+                (0..n * c * h * w)
+                    .map(|i| ((i * 31 % 97) as f32) * 0.37 - 5.0)
+                    .collect(),
+                [n, c, h, w],
+            );
+            let wt = Tensor::from_vec(
+                (0..oc * c * k * k)
+                    .map(|i| ((i * 7 % 13) as f32) * 0.25 - 1.5)
+                    .collect(),
+                [oc, c, k, k],
+            );
+            let g = Lowering::new(c, h, w, 1, k, k, p);
+            let panels = Panels::of(n, g.oh * g.ow, g.cols(), oc, linalg::PAR_MIN_WORK_F32);
+            assert!(
+                n * g.sample_patches() >= PAR_MIN_ELEMS && panels.parallel,
+                "shape must cross the parallel threshold"
+            );
+            let (y, cache) = conv2d_via(ConvPath::Lowered, &x, &wt, p);
+            let ConvCache::Lowered { patches, .. } = &cache else {
+                panic!("the lowering")
+            };
+            let mut expect = Tensor::default();
+            reference::im2col_into(&x, k, k, p, &mut expect);
+            assert_eq!(bits(patches), bits(&expect));
 
-        let gy = y.scale(0.5);
-        let (gx, _) = conv2d_backward(&gy, &cache, &wt, x.shape(), p, true);
-        let (rgx, _) = reference::conv2d_backward(&gy, &expect, &wt, x.shape(), p);
-        assert_eq!(bits(&gx.expect("asked for")), bits(&rgx));
+            let gy = y.scale(0.5);
+            let (gx, _) = conv2d_backward(&gy, &cache, &wt, x.shape(), p, true);
+            let (rgx, _) = reference::conv2d_backward(&gy, &expect, &wt, x.shape(), p);
+            assert_eq!(bits(&gx.expect("asked for")), bits(&rgx));
+        });
     }
 
     /// Both reorders — a forward panel's GEMM rows to NCHW and the output

@@ -1168,26 +1168,27 @@ mod tests {
     /// the smaller ones that now stay serial.
     #[test]
     fn parallel_i8_matches_serial() {
-        crate::runtime::set_threads(8);
-        let shapes = [
-            (161, 200, 136),
-            (97, 512, 96),
-            (97, 64, 48),
-            (130, 70, 33),
-            (256, 64, 17),
-        ];
-        assert!(shapes[..2]
-            .iter()
-            .all(|(m, k, n)| m * k * n >= PAR_MIN_WORK_I8));
-        for &(m, k, n) in &shapes {
-            let a = rand_i8(m * k, (m + k) as u64);
-            let b = rand_i8(n * k, (k + n + 7) as u64);
-            let mut serial = vec![0i32; m * n];
-            matmul_i8_panel(Isa::active(), &a, &b, &mut serial, m, k, n);
-            let mut par = vec![0i32; m * n];
-            matmul_i8_a_bt_slices(&a, &b, &mut par, m, k, n);
-            assert_eq!(par, serial, "matmul_i8 {m}x{k}x{n}");
-        }
+        crate::runtime::with_threads(8, || {
+            let shapes = [
+                (161, 200, 136),
+                (97, 512, 96),
+                (97, 64, 48),
+                (130, 70, 33),
+                (256, 64, 17),
+            ];
+            assert!(shapes[..2]
+                .iter()
+                .all(|(m, k, n)| m * k * n >= PAR_MIN_WORK_I8));
+            for &(m, k, n) in &shapes {
+                let a = rand_i8(m * k, (m + k) as u64);
+                let b = rand_i8(n * k, (k + n + 7) as u64);
+                let mut serial = vec![0i32; m * n];
+                matmul_i8_panel(Isa::active(), &a, &b, &mut serial, m, k, n);
+                let mut par = vec![0i32; m * n];
+                matmul_i8_a_bt_slices(&a, &b, &mut par, m, k, n);
+                assert_eq!(par, serial, "matmul_i8 {m}x{k}x{n}");
+            }
+        });
     }
 
     /// The per-panel `A × Bᵀ` kernel that pack-once replaced, kept verbatim
@@ -1344,21 +1345,22 @@ mod tests {
         shapes.extend([(97, 64, 48), (130, 70, 33), (256, 64, 17), (64, 64, 64)]);
         shapes.extend(TILE_EDGE_N.map(|n| (300, 40, n)));
         for threads in [1, 4] {
-            crate::runtime::set_threads(threads);
-            for &(m, k, n) in &shapes {
-                let a = rand_matrix(m, k, (m * 31 + k) as u64);
-                let b = rand_matrix(k, n, (k * 37 + n) as u64);
-                let (at, bt) = (transpose(&a), transpose(&b));
-                let want = serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n);
-                let mut want_bt = vec![f32::NAN; m * n];
-                matmul_a_bt_per_panel(a.data(), bt.data(), &mut want_bt, m, k, n);
-                assert_eq!(bits(&want_bt), bits(&want), "per-panel a_bt {m}x{k}x{n}");
+            crate::runtime::with_threads(threads, || {
+                for &(m, k, n) in &shapes {
+                    let a = rand_matrix(m, k, (m * 31 + k) as u64);
+                    let b = rand_matrix(k, n, (k * 37 + n) as u64);
+                    let (at, bt) = (transpose(&a), transpose(&b));
+                    let want = serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n);
+                    let mut want_bt = vec![f32::NAN; m * n];
+                    matmul_a_bt_per_panel(a.data(), bt.data(), &mut want_bt, m, k, n);
+                    assert_eq!(bits(&want_bt), bits(&want), "per-panel a_bt {m}x{k}x{n}");
 
-                let tag = format!("{m}x{k}x{n} at {threads} threads");
-                assert_eq!(bits(mm(&a, &b).data()), bits(&want), "matmul {tag}");
-                assert_eq!(bits(mm_at_b(&at, &b).data()), bits(&want), "at_b {tag}");
-                assert_eq!(bits(mm_a_bt(&a, &bt).data()), bits(&want), "a_bt {tag}");
-            }
+                    let tag = format!("{m}x{k}x{n} at {threads} threads");
+                    assert_eq!(bits(mm(&a, &b).data()), bits(&want), "matmul {tag}");
+                    assert_eq!(bits(mm_at_b(&at, &b).data()), bits(&want), "at_b {tag}");
+                    assert_eq!(bits(mm_a_bt(&a, &bt).data()), bits(&want), "a_bt {tag}");
+                }
+            });
         }
     }
 
@@ -1399,26 +1401,25 @@ mod tests {
     fn column_split_matches_serial_bitwise() {
         let tile = tile_cols(Isa::active());
         for threads in [1, 2, 4] {
-            crate::runtime::set_threads(threads);
-            for m in [1usize, 4, 12, 23, 32] {
-                for n in TILE_EDGE_N.into_iter().chain([108, 130, 144]) {
-                    let k = PAR_MIN_WORK_F32.div_ceil(m * n) + 3;
-                    // another test may have resized the pool meanwhile; the
-                    // bytes below must hold either way
-                    if crate::runtime::threads() > 1 {
-                        let split = Split::of(m, k, n, tile);
-                        assert_eq!(matches!(split, Split::Columns(_)), n > NR, "{split:?}");
+            crate::runtime::with_threads(threads, || {
+                for m in [1usize, 4, 12, 23, 32] {
+                    for n in TILE_EDGE_N.into_iter().chain([108, 130, 144]) {
+                        let k = PAR_MIN_WORK_F32.div_ceil(m * n) + 3;
+                        if threads > 1 {
+                            let split = Split::of(m, k, n, tile);
+                            assert_eq!(matches!(split, Split::Columns(_)), n > NR, "{split:?}");
+                        }
+                        let a = rand_matrix(m, k, (m * 41 + n) as u64);
+                        let b = rand_matrix(k, n, (k * 43 + n) as u64);
+                        let (at, bt) = (transpose(&a), transpose(&b));
+                        let want = bits(&serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n));
+                        let tag = format!("{m}x{k}x{n} at {threads} threads");
+                        assert_eq!(bits(mm(&a, &b).data()), want, "matmul {tag}");
+                        assert_eq!(bits(mm_at_b(&at, &b).data()), want, "at_b {tag}");
+                        assert_eq!(bits(mm_a_bt(&a, &bt).data()), want, "a_bt {tag}");
                     }
-                    let a = rand_matrix(m, k, (m * 41 + n) as u64);
-                    let b = rand_matrix(k, n, (k * 43 + n) as u64);
-                    let (at, bt) = (transpose(&a), transpose(&b));
-                    let want = bits(&serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n));
-                    let tag = format!("{m}x{k}x{n} at {threads} threads");
-                    assert_eq!(bits(mm(&a, &b).data()), want, "matmul {tag}");
-                    assert_eq!(bits(mm_at_b(&at, &b).data()), want, "at_b {tag}");
-                    assert_eq!(bits(mm_a_bt(&a, &bt).data()), want, "a_bt {tag}");
                 }
-            }
+            });
         }
     }
 
@@ -1429,33 +1430,29 @@ mod tests {
     /// one row panel — for the 16-column tile and the 32-column one.
     #[test]
     fn the_split_is_chosen_from_the_shape() {
-        crate::runtime::set_threads(2);
-        let big = PAR_MIN_WORK_F32;
-        let cases = [
-            ((12, big, 108, NR), Split::Columns(16)), // 7 panels, one each
-            ((12, big, 300, NR), Split::Columns(48)), // 19 panels, 3 a chunk
-            ((32, big, 17, NR), Split::Columns(16)),
-            ((32, big, 16, NR), Split::Serial), // one panel wide
-            ((33, big, 17, NR), Split::Rows),
-            ((12, 4, 108, NR), Split::Serial), // below the threshold
-            ((12, big, 108, NR_WIDE), Split::Columns(32)), // 4 panels, one each
-            ((12, big, 300, NR_WIDE), Split::Columns(64)), // 10 panels, 2 a chunk
-            ((32, big, 33, NR_WIDE), Split::Columns(32)),
-            ((32, big, 32, NR_WIDE), Split::Columns(16)), // one wide tile: cut at NR
-            ((14, big, 27, NR_WIDE), Split::Columns(16)),
-            ((32, big, 16, NR_WIDE), Split::Serial), // one panel wide
-            ((33, big, 17, NR_WIDE), Split::Rows),
-            ((12, 4, 108, NR_WIDE), Split::Serial), // below the threshold
-        ];
-        for ((m, k, n, tile), want) in cases {
-            if crate::runtime::threads() > 1 {
-                assert_eq!(
-                    Split::of(m, k, n, tile),
-                    want,
-                    "{m}x{k}x{n} on {tile} columns"
-                );
+        crate::runtime::with_threads(2, || {
+            let big = PAR_MIN_WORK_F32;
+            let cases = [
+                ((12, big, 108, NR), Split::Columns(16)), // 7 panels, one each
+                ((12, big, 300, NR), Split::Columns(48)), // 19 panels, 3 a chunk
+                ((32, big, 17, NR), Split::Columns(16)),
+                ((32, big, 16, NR), Split::Serial), // one panel wide
+                ((33, big, 17, NR), Split::Rows),
+                ((12, 4, 108, NR), Split::Serial), // below the threshold
+                ((12, big, 108, NR_WIDE), Split::Columns(32)), // 4 panels, one each
+                ((12, big, 300, NR_WIDE), Split::Columns(64)), // 10 panels, 2 a chunk
+                ((32, big, 33, NR_WIDE), Split::Columns(32)),
+                ((32, big, 32, NR_WIDE), Split::Columns(16)), // one wide tile: cut at NR
+                ((14, big, 27, NR_WIDE), Split::Columns(16)),
+                ((32, big, 16, NR_WIDE), Split::Serial), // one panel wide
+                ((33, big, 17, NR_WIDE), Split::Rows),
+                ((12, 4, 108, NR_WIDE), Split::Serial), // below the threshold
+            ];
+            for ((m, k, n, tile), want) in cases {
+                let got = Split::of(m, k, n, tile);
+                assert_eq!(got, want, "{m}x{k}x{n} on {tile} columns");
             }
-        }
+        });
     }
 
     /// Both i8 panels equal the widened-`i32` triple loop exactly: random

@@ -194,8 +194,8 @@ pub fn recycle(t: Tensor) {
     give(t.into_vec());
 }
 
-/// [`recycle`]s every tensor of `tensors` — an `Option` of one, the staged
-/// copies of a pass.
+/// [`recycle`]s every tensor of `tensors` — an `Option` of one, the copies
+/// a pass borrowed.
 pub fn recycle_all(tensors: impl IntoIterator<Item = Tensor>) {
     tensors.into_iter().for_each(recycle);
 }

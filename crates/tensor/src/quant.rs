@@ -209,20 +209,6 @@ pub fn fake_quant(t: &Tensor, p: QuantParams) -> Tensor {
     out
 }
 
-/// [`fake_quant`] at `t`'s own scale ([`QuantParams::from_tensor`]),
-/// writing into `out` and reusing its storage — how the NPU arm stages an
-/// operand.
-///
-/// The quantize→dequantize round-trip is fused into a single output pass
-/// (one read of `t` for the scale, one read-transform-write), so the INT8
-/// side of mixed precision produces no intermediate tensor.
-pub fn fake_quant_into(t: &Tensor, out: &mut Tensor) {
-    let _timer = Timer::start(KernelOp::Quant);
-    let p = QuantParams::from_tensor(t);
-    out.resize(t.shape().clone());
-    fake_quant_slices(Isa::active(), t.data(), out.data_mut(), p.scale);
-}
-
 /// Worst-case absolute rounding error of [`fake_quant`] for in-range values:
 /// half a quantization step.
 pub fn max_rounding_error(p: QuantParams) -> f32 {
@@ -357,10 +343,6 @@ mod tests {
     fn fused_variants_match_allocating() {
         let t = Tensor::from_vec((0..96).map(|i| (i as f32 * 0.37).sin()).collect(), [96]);
         // recycled buffers of the wrong shape must be resized + overwritten
-        let mut out = Tensor::full([3], 9.0);
-        fake_quant_into(&t, &mut out);
-        assert_eq!(out, fake_quant(&t, QuantParams::from_tensor(&t)));
-
         let mut noisy = Tensor::full([5], -1.0);
         gradient_quant_noise_into(&t, 42, &mut noisy);
         assert_eq!(noisy, gradient_quant_noise(&t, 42));
@@ -455,15 +437,15 @@ mod tests {
         assert_eq!(qt, quantize(&tt, p));
     }
 
+    /// An operand fake-quantized at its own scale is, bit for bit, what
+    /// the integer path computes with: its INT8 values dequantized.
     #[test]
     fn format_fake_quant_matches_int8_path() {
         let t = Tensor::from_vec((0..64).map(|i| (i as f32 * 0.37).sin()).collect(), [64]);
-        let mut via_own_scale = Tensor::default();
-        fake_quant_into(&t, &mut via_own_scale);
-        let via_params = fake_quant(&t, QuantParams::from_tensor(&t));
-        for (a, b) in via_own_scale.data().iter().zip(via_params.data()) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        let p = QuantParams::from_tensor(&t);
+        let fq = fake_quant(&t, p);
+        let int8 = dequantize(&quantize(&t, p), [64], p);
+        assert_eq!(bits(fq.data()), bits(int8.data()));
     }
 
     #[test]
@@ -629,15 +611,14 @@ mod tests {
         dequantize_into(&q, [n], p, &mut dq);
         assert_eq!(bits(dq.data()), want[3]);
 
-        // The own-scale fake quant picks its scale from max-|x|; finite
-        // input only (an infinite max makes every quotient NaN or 0).
+        // A tensor's own scale comes from its max-|x|; finite input only
+        // (an infinite max makes every quotient NaN or 0).
         let finite: Vec<f32> = src.iter().copied().filter(|v| v.is_finite()).collect();
         let tf = Tensor::from_vec(finite.clone(), [finite.len()]);
         let s = tf.abs_max() / INT8_MAX;
         let mut want = vec![0.0; finite.len()];
         fake_quant_slices(Isa::PORTABLE, &finite, &mut want, s);
-        let mut got = Tensor::default();
-        fake_quant_into(&tf, &mut got);
+        let got = fake_quant(&tf, QuantParams::from_tensor(&tf));
         assert_eq!(bits(got.data()), bits(&want));
     }
 }

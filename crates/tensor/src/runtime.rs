@@ -610,62 +610,118 @@ pub fn stats() -> PoolStats {
     }
 }
 
+/// Runs `f` at a worker budget of `n`, then restores the budget it found.
+/// One process-wide lock is held throughout, so tests that claim a pool
+/// size run one at a time and no concurrent test resizes the pool under
+/// them. Not reentrant: `f` must not call it again.
+#[cfg(test)]
+pub(crate) fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    static BUDGET: Mutex<()> = Mutex::new(());
+    /// Puts the budget back, on a panic in `f` too.
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_threads(self.0);
+        }
+    }
+    // the lock guards no data: a test that panicked holding it left
+    // nothing half-written, and its `Restore` has put the budget back
+    let _held = BUDGET
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _restore = Restore(threads());
+    set_threads(n);
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// Two threads claiming different budgets at once each see their own
+    /// throughout. Inside its claim each reads the budget twice, each time
+    /// after telling the other it got there and waiting a bounded time to
+    /// hear the same: were both claims in at once, both would hear both
+    /// times, and the second read would find the later claim's budget on
+    /// both sides, neither having restored yet.
+    #[test]
+    fn concurrent_budgets_do_not_interleave() {
+        let (a_in, from_a) = std::sync::mpsc::channel();
+        let (b_in, from_b) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            for (n, tell, hear) in [(2, a_in, from_b), (3, b_in, from_a)] {
+                s.spawn(move || {
+                    with_threads(n, || {
+                        let mut seen = Vec::new();
+                        for _ in 0..2 {
+                            // the other side may be done and gone
+                            let _ = tell.send(());
+                            let _ = hear.recv_timeout(Duration::from_millis(100));
+                            seen.push(threads());
+                        }
+                        assert_eq!(seen, [n, n]);
+                    })
+                });
+            }
+        });
+    }
+
     #[test]
     fn covers_every_chunk_exactly_once() {
-        set_threads(4);
-        let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_chunks(hits.len(), &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        with_threads(4, || {
+            let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
+            parallel_for_chunks(hits.len(), &|i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn disjoint_writes_land() {
-        set_threads(4);
-        let mut out = vec![0u64; 64];
-        let base = out.as_mut_ptr() as usize;
-        parallel_for_chunks(64, &|i| {
-            // Safety: each chunk writes only its own element.
-            unsafe { *(base as *mut u64).add(i) = i as u64 * 3 };
+        with_threads(4, || {
+            let mut out = vec![0u64; 64];
+            let base = out.as_mut_ptr() as usize;
+            parallel_for_chunks(64, &|i| {
+                // Safety: each chunk writes only its own element.
+                unsafe { *(base as *mut u64).add(i) = i as u64 * 3 };
+            });
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
         });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
     }
 
     #[test]
     fn nested_calls_run_inline_without_deadlock() {
-        set_threads(4);
-        let total = AtomicUsize::new(0);
-        parallel_for_chunks(8, &|_| {
+        with_threads(4, || {
+            let total = AtomicUsize::new(0);
             parallel_for_chunks(8, &|_| {
-                total.fetch_add(1, Ordering::Relaxed);
+                parallel_for_chunks(8, &|_| {
+                    total.fetch_add(1, Ordering::Relaxed);
+                });
             });
+            assert_eq!(total.load(Ordering::Relaxed), 64);
         });
-        assert_eq!(total.load(Ordering::Relaxed), 64);
     }
 
     #[test]
     fn run_scoped_executes_all_jobs_and_allows_borrows() {
-        set_threads(4);
-        let mut results = [0usize; 10];
-        {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                .iter_mut()
-                .enumerate()
-                .map(|(i, slot)| {
-                    Box::new(move || {
-                        *slot = i + 1;
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            run_scoped(jobs);
-        }
-        assert_eq!(results, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        with_threads(4, || {
+            let mut results = [0usize; 10];
+            {
+                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, slot)| {
+                        Box::new(move || {
+                            *slot = i + 1;
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect();
+                run_scoped(jobs);
+            }
+            assert_eq!(results, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        });
     }
 
     /// A chunk that panics on the submitting thread takes the call down
@@ -673,49 +729,49 @@ mod tests {
     /// task — instead of leaving it waiting for a count that cannot end.
     #[test]
     fn a_panic_in_the_submitters_chunk_reaches_the_caller() {
-        set_threads(4);
-        let ran = AtomicUsize::new(0);
-        let submitter = std::thread::current().id();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_for_chunks(64, &|_| {
-                if std::thread::current().id() == submitter {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    panic!("chunk");
-                }
-                // a helper leaves the submitter a chunk to panic in
-                while ran.load(Ordering::Relaxed) == 0 {
-                    std::thread::yield_now();
-                }
+        with_threads(4, || {
+            let ran = AtomicUsize::new(0);
+            let submitter = std::thread::current().id();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_for_chunks(64, &|_| {
+                    if std::thread::current().id() == submitter {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        panic!("chunk");
+                    }
+                    // a helper leaves the submitter a chunk to panic in
+                    while ran.load(Ordering::Relaxed) == 0 {
+                        std::thread::yield_now();
+                    }
+                });
+            }));
+            assert!(caught.is_err());
+            assert_eq!(ran.load(Ordering::Relaxed), 1);
+            // the pool still works
+            let again = AtomicUsize::new(0);
+            parallel_for_chunks(16, &|_| {
+                again.fetch_add(1, Ordering::Relaxed);
             });
-        }));
-        assert!(caught.is_err());
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-        // the pool still works
-        let again = AtomicUsize::new(0);
-        parallel_for_chunks(16, &|_| {
-            again.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(again.load(Ordering::Relaxed), 16);
         });
-        assert_eq!(again.load(Ordering::Relaxed), 16);
     }
 
     /// Handles nobody picked up leave the queue with their task: a busy
     /// pool does not collect them.
     #[test]
     fn finished_tasks_leave_no_handles_queued() {
-        set_threads(4);
-        for _ in 0..200 {
-            parallel_for_chunks(2, &|_| {});
-        }
-        let queued = pool().queue().handles.len();
-        // other tests' tasks may be in flight; this one's 200 are not
-        assert!(queued < 50, "{queued} handles queued");
+        with_threads(4, || {
+            for _ in 0..200 {
+                parallel_for_chunks(2, &|_| {});
+            }
+            let queued = pool().queue().handles.len();
+            // other tests' tasks may be in flight; this one's 200 are not
+            assert!(queued < 50, "{queued} handles queued");
+        });
     }
 
     #[test]
     fn thread_budget_is_clamped_and_grows() {
-        set_threads(0);
-        assert_eq!(threads(), 1);
-        set_threads(3);
-        assert_eq!(threads(), 3);
+        with_threads(0, || assert_eq!(threads(), 1));
+        with_threads(3, || assert_eq!(threads(), 3));
     }
 }

@@ -481,13 +481,14 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..4).map(|r| edge_values(len, r)).collect();
         let mean = bits(&mean_of(&rows));
         for threads in [1, 2, 4] {
-            crate::runtime::set_threads(threads);
-            let mut rows = rows.clone();
-            let mut views: Vec<&mut [f32]> = rows.iter_mut().map(|r| &mut r[..]).collect();
-            replica_mean(&mut views);
-            for row in &rows {
-                assert_eq!(bits(row), mean, "{threads} threads");
-            }
+            crate::runtime::with_threads(threads, || {
+                let mut rows = rows.clone();
+                let mut views: Vec<&mut [f32]> = rows.iter_mut().map(|r| &mut r[..]).collect();
+                replica_mean(&mut views);
+                for row in &rows {
+                    assert_eq!(bits(row), mean, "{threads} threads");
+                }
+            });
         }
         replica_mean(&mut []);
     }

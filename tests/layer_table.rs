@@ -6,9 +6,9 @@
 //! counts must be the built network's on every model, preset and width the
 //! product trains. And building walks the table: the goldens train VGG-11,
 //! ResNet-18 and LeNet-5, so a change in the order in which those three
-//! draw their initial weights shows there; no golden trains ResNet-50 or
-//! either MobileNetV1, so this file holds all six builds to the exact bits
-//! of their initial weights at one seed and one geometry.
+//! draw their initial weights shows there; ResNet-50 and MobileNetV1 are
+//! in no golden, so this file holds all five builds to the exact bits of
+//! their initial weights at one seed and one geometry.
 
 use rand::{rngs::StdRng, SeedableRng};
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
@@ -16,19 +16,6 @@ use socflow::engine::Workload;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::{self, LayerSpec, ModelConfig, ModelKind};
 use socflow_nn::Network;
-
-/// The six tables: every model kind, then the depthwise MobileNetV1.
-fn tables(cfg: ModelConfig) -> Vec<(String, Vec<LayerSpec>)> {
-    let mut out: Vec<(String, Vec<LayerSpec>)> = ModelKind::ALL
-        .into_iter()
-        .map(|kind| (kind.to_string(), kind.layers(cfg)))
-        .collect();
-    out.push((
-        "MobileNetV1 depthwise".into(),
-        models::mobilenet_v1_depthwise(cfg),
-    ));
-    out
-}
 
 /// FNV-1a over the bits of every initial weight, in flat order.
 fn weight_hash(net: &Network) -> u64 {
@@ -43,7 +30,7 @@ fn weight_hash(net: &Network) -> u64 {
 #[test]
 fn every_builder_draws_its_weights_in_the_pinned_order() {
     let cfg = ModelConfig::new(3, 8, 10, 0.25);
-    let mut builds: Vec<(String, Network)> = ModelKind::ALL
+    let builds: Vec<(String, Network)> = ModelKind::ALL
         .into_iter()
         .map(|kind| {
             (
@@ -52,11 +39,6 @@ fn every_builder_draws_its_weights_in_the_pinned_order() {
             )
         })
         .collect();
-    let depthwise = models::mobilenet_v1_depthwise(cfg);
-    builds.push((
-        "MobileNetV1 depthwise".into(),
-        models::instantiate(&depthwise, &mut StdRng::seed_from_u64(7)),
-    ));
     let got: Vec<(String, usize, u64)> = builds
         .iter()
         .map(|(name, net)| (name.clone(), net.param_count(), weight_hash(net)))
@@ -67,7 +49,6 @@ fn every_builder_draws_its_weights_in_the_pinned_order() {
         ("ResNet-18", 701_466, 0x1f24_9788_d311_e9f8),
         ("ResNet-50", 1_484_186, 0x4503_07ef_8a57_d8e3),
         ("MobileNetV1", 278_018, 0x8efc_cb33_9c97_9640),
-        ("MobileNetV1 depthwise", 215_642, 0xe25c_a04c_5ae5_8454),
     ];
     let want: Vec<(String, usize, u64)> = want
         .iter()
@@ -83,9 +64,10 @@ fn the_table_counts_and_lays_out_the_network_built_from_it() {
         for width in [0.125, 0.18, 0.22, 0.5] {
             let spec = TrainJobSpec::new(ModelKind::Vgg11, preset, method);
             let cfg = Workload::model_config(&spec, 8, width);
-            for (name, table) in tables(cfg) {
+            for kind in ModelKind::ALL {
+                let table = kind.layers(cfg);
                 let net = models::instantiate(&table, &mut StdRng::seed_from_u64(0));
-                let at = format!("{name}, {preset}, width {width}");
+                let at = format!("{kind}, {preset}, width {width}");
                 let params: usize = table.iter().map(LayerSpec::params).sum();
                 assert_eq!(params, net.param_count(), "{at}");
                 // one span per top-level layer: equal layouts are equal

@@ -34,7 +34,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "normal",
         "Gaussian inputs of the layer gradchecks and step-scratch properties",
     ),
-    ("mobilenet_v1_depthwise", "owned by ROADMAP item 11(c)"),
 ];
 
 fn root() -> PathBuf {
