@@ -101,6 +101,12 @@ impl Default for Options {
     }
 }
 
+/// Whether the arguments after a command ask for the usage banner: a bare
+/// `--help` or `-h` among them, wherever it stands.
+pub fn asks_for_help(argv: &[String]) -> bool {
+    argv.iter().any(|a| a == "--help" || a == "-h")
+}
+
 impl Options {
     /// Parses `--flag value` pairs (plus the bare `--json` switch).
     ///
@@ -376,6 +382,22 @@ mod tests {
             "auto picks the schedule"
         );
         assert!(parse(&["--auto", "--overlap", "--bucket-kb", "64"]).is_err());
+    }
+
+    #[test]
+    fn help_after_a_command_asks_for_the_usage() {
+        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["--epochs", "3", "--help"],
+            &["--json", "-h"],
+        ] {
+            assert!(asks_for_help(&argv(args)), "{args:?}");
+        }
+        for args in [&[][..], &["--epochs", "3"], &["--helpful", "1"]] {
+            assert!(!asks_for_help(&argv(args)), "{args:?}");
+        }
     }
 
     #[test]

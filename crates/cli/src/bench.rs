@@ -32,8 +32,9 @@
 //! variants, transpose, the pooled conv2d forward/backward, LeNet-5's two
 //! layers on the lowering (`conv2d`, whose f32 and INT8 forwards are one
 //! pass of sample panels) and on the direct path (`conv_direct`), max
-//! pooling, the fused fake-quantize pass, the two GEMMs of a ResNet-18
-//! step on one and on two pool threads, a parallel region's round trip) on
+//! pooling, batch norm's sweeps (`batch_norm`), the two GEMMs of a
+//! ResNet-18 step on one and on two pool threads, a parallel region's
+//! round trip) on
 //! fixed shapes with deterministic inputs. Each is two rows,
 //! `kernels/<op> <shape>/ns_per_iter` — the minimum wall time per
 //! iteration — and `…/gflops`; `kernels/isa/<name>` names the instantiation
@@ -69,7 +70,7 @@ use socflow_telemetry::{MemorySink, Summary};
 use socflow_tensor::conv::{self, ConvParams};
 use socflow_tensor::isa::Isa;
 use socflow_tensor::quant::{self, QuantParams};
-use socflow_tensor::{linalg, pool, runtime, Tensor};
+use socflow_tensor::{linalg, norm, pool, runtime, Tensor};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -726,6 +727,54 @@ fn kernels(fast: bool) -> Vec<Row> {
         },
     );
 
+    // --- Batch norm ("flops" = elements of the batch) ---------------------
+    // A 64-sample step of ResNet-18's first stage at the CLI's width and of
+    // a 113-channel map of one position: the planes path and the flat one.
+    // `fwd` is a training forward (statistics, normalise keeping x̂), `eval`
+    // a normalise with given statistics, `bwd` the gradient sums and the
+    // input gradient.
+    for shape in [[64, 12, 8, 8], [64, 113, 1, 1]] {
+        let p = norm::Planes::of(&shape.into());
+        let len = p.n * p.c * p.hw;
+        let (x, gy) = (tensor(shape, 0x5eed_0030), tensor(shape, 0x5eed_0031));
+        let (gamma, beta) = (tensor([p.c], 0x5eed_0032), tensor([p.c], 0x5eed_0033));
+        let (mut mean, mut var) = (vec![0.0; p.c], vec![0.0; p.c]);
+        let (mut xhat, mut y) = (vec![0.0; len], vec![0.0; len]);
+        norm::moments(x.data(), p, &mut mean, &mut var);
+        let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + 1e-5).sqrt()).collect();
+        let affine = norm::Affine {
+            mean: &mean,
+            inv_std: &inv_std,
+            gamma: gamma.data(),
+            beta: beta.data(),
+        };
+        let name = shape.map(|d| d.to_string()).join("x");
+        let (mut m, mut v) = (vec![0.0; p.c], vec![0.0; p.c]);
+        time("batch_norm", format!("fwd {name}"), len as f64, &mut || {
+            norm::moments(x.data(), p, &mut m, &mut v);
+            norm::normalize(x.data(), p, affine, Some(&mut xhat), &mut y);
+        });
+        time(
+            "batch_norm",
+            format!("eval {name}"),
+            len as f64,
+            &mut || {
+                norm::normalize(x.data(), p, affine, None, &mut y);
+            },
+        );
+        let (mut gx, mut sum_gy, mut sum_gy_xh) = (vec![0.0; len], vec![0.0; p.c], vec![0.0; p.c]);
+        time("batch_norm", format!("bwd {name}"), len as f64, &mut || {
+            norm::grad_sums(gy.data(), &xhat, p, &mut sum_gy, &mut sum_gy_xh);
+            let s = norm::GradSums {
+                gamma: gamma.data(),
+                inv_std: &inv_std,
+                sum_gy: &sum_gy,
+                sum_gy_xh: &sum_gy_xh,
+            };
+            norm::input_grad(gy.data(), &xhat, p, s, &mut gx);
+        });
+    }
+
     // --- The pool itself, and the two GEMMs a ResNet-18 step lives in ----
     // On one and on two pool threads, whatever the process was started
     // with: stage 1's `dY × Wᵀ` (row panels) and its weight gradient
@@ -1299,6 +1348,11 @@ mod tests {
         for op in ["conv2d ", "conv_direct ", "max_pool2d "] {
             assert!(ops(op) > 0, "{op}");
         }
+        assert_eq!(
+            ops("batch_norm "),
+            6,
+            "training, evaluation and backward at two shapes"
+        );
         let isa = format!("kernels/isa/{}", Isa::active().name());
         assert!(rows.iter().any(|r| r.id == isa), "{isa}");
     }

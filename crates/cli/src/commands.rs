@@ -52,8 +52,8 @@ USAGE:
       SoCFlow run's trace carries the fluid timeline's span digest and
       link utilization of every epoch
   --profile-kernels (train): attribute host compute time to tensor
-      kernels (matmul/conv/quant) — printed after the run and recorded
-      in the trace as KernelTotals events
+      kernels (matmul/conv/batch norm/quant) — printed after the run and
+      recorded in the trace as KernelTotals events
   --faults <reclaim_s>:<crash_s> (train): sample a fault timeline with
       these mean inter-arrival times (e.g. 600:3600) and inject it.
       SoCFlow sheds the lost SoCs and pays a restore stall per crash; a

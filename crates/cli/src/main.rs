@@ -27,6 +27,10 @@ fn main() {
         std::process::exit(2);
     }
     let cmd = argv.remove(0);
+    if args::asks_for_help(&argv) {
+        commands::print_usage();
+        return;
+    }
     // `trace` and `bench` take positional operands, not `--flag value` pairs
     if cmd == "trace" || cmd == "bench" {
         let outcome = if cmd == "trace" {

@@ -61,32 +61,26 @@ impl Parameter {
     }
 
     /// Adds `g`, a step-scratch tensor of the parameter's shape, to this
-    /// step's gradient — plus [`quant::gradient_quant_noise_into`] with
+    /// step's gradient — plus [`quant::add_gradient_quant_noise`] with
     /// `seed` at INT8, modelling low-precision gradient storage on the NPU.
     /// A step's first `g` becomes the gradient as `+0.0 + g`, the bits
-    /// adding it to a zero tensor gives; a later one is added and handed
-    /// back. Panics on a shape mismatch.
-    pub fn accumulate_grad(&mut self, g: Tensor, precision: Precision, seed: u64) {
+    /// adding it to a zero tensor gives (at INT8 in the noise's own pass);
+    /// a later one is added and handed back. Panics on a shape mismatch.
+    pub fn accumulate_grad(&mut self, mut g: Tensor, precision: Precision, seed: u64) {
         assert_eq!(g.shape(), self.value.shape(), "gradient shape mismatch");
-        let mut g = match precision {
-            Precision::Fp32 => g,
-            Precision::Int8 => {
-                let mut noisy = pool::tensor(g.shape().clone());
-                quant::gradient_quant_noise_into(&g, seed, &mut noisy);
-                pool::recycle(g);
-                noisy
-            }
-        };
+        let first = self.grad.is_none();
+        match precision {
+            Precision::Int8 => quant::add_gradient_quant_noise(&mut g, seed, first),
+            // not a no-op: `−0.0 + 0.0` is `+0.0`
+            Precision::Fp32 if first => g.data_mut().iter_mut().for_each(|x| *x += 0.0),
+            Precision::Fp32 => {}
+        }
         match &mut self.grad {
             Some(grad) => {
                 grad.add_inplace(&g);
                 pool::recycle(g);
             }
-            None => {
-                // not a no-op: `−0.0 + 0.0` is `+0.0`
-                g.data_mut().iter_mut().for_each(|x| *x += 0.0);
-                self.grad = Some(g);
-            }
+            None => self.grad = Some(g),
         }
     }
 

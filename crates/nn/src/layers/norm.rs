@@ -1,4 +1,5 @@
 use crate::layer::{Layer, Mode, Parameter};
+use socflow_tensor::norm::{self, Affine, GradSums, Planes};
 use socflow_tensor::{pool, Tensor};
 
 /// Batch normalization over NCHW activations (per-channel statistics).
@@ -52,83 +53,62 @@ impl BatchNorm2d {
     }
 }
 
-/// The `hw`-float planes of channel `ci`, sample by sample, in a
-/// `(n, c, h, w)` buffer.
-fn planes(data: &[f32], c: usize, hw: usize, ci: usize) -> impl Iterator<Item = &[f32]> {
-    data.chunks_exact(hw.max(1)).skip(ci).step_by(c)
-}
-
-/// [`planes`], mutably.
-fn planes_mut(
-    data: &mut [f32],
-    c: usize,
-    hw: usize,
-    ci: usize,
-) -> impl Iterator<Item = &mut [f32]> {
-    data.chunks_exact_mut(hw.max(1)).skip(ci).step_by(c)
+/// `acc + s`, keeping `acc`'s NaN when both are NaN — what an add with the
+/// accumulator as its first operand gives on x86. Spelt out because codegen
+/// may commute a plain `acc + s` (to fold a load), and then `s`'s NaN would
+/// win; the running statistics and the parameter gradients add this way.
+#[inline]
+fn accumulated(acc: f32, s: f32) -> f32 {
+    if acc.is_nan() {
+        acc + acc
+    } else {
+        acc + s
+    }
 }
 
 impl Layer for BatchNorm2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let (n, c, h, w) = input.shape().as_nchw();
-        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
-        let (hw, per) = (h * w, n * h * w);
-        let data = input.data();
+        let p = Planes::of(input.shape());
+        assert_eq!(p.c, self.channels, "BatchNorm2d channel mismatch");
         let mut out = pool::tensor(input.shape().clone());
-        // eval mode normalizes and keeps nothing
-        let mut cache = mode.train.then(|| Cache {
-            xhat: pool::tensor(input.shape().clone()),
-            inv_std: pool::take::<f32>(c),
-        });
-
-        for ci in 0..c {
-            let (mean, var) = if mode.train {
-                let mut sum = 0.0f64;
-                let mut sum_sq = 0.0f64;
-                for plane in planes(data, c, hw, ci) {
-                    for &v in plane {
-                        sum += v as f64;
-                        sum_sq += (v as f64) * (v as f64);
-                    }
-                }
-                let mean = (sum / per as f64) as f32;
-                let var = ((sum_sq / per as f64) - (mean as f64) * (mean as f64)).max(0.0) as f32;
-                self.running_mean[ci] =
-                    (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean;
-                self.running_var[ci] =
-                    (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var;
-                (mean, var)
-            } else {
-                (self.running_mean[ci], self.running_var[ci])
-            };
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            let g = self.gamma.value.data()[ci];
-            let b = self.beta.value.data()[ci];
-            let rows = planes_mut(out.data_mut(), c, hw, ci).zip(planes(data, c, hw, ci));
-            match &mut cache {
-                Some(cache) => {
-                    cache.inv_std[ci] = inv_std;
-                    let xhat = planes_mut(cache.xhat.data_mut(), c, hw, ci);
-                    for ((out, x), xhat) in rows.zip(xhat) {
-                        for ((o, &x), xh) in out.iter_mut().zip(x).zip(xhat) {
-                            *xh = (x - mean) * inv_std;
-                            *o = g * *xh + b;
-                        }
-                    }
-                }
-                None => {
-                    for (out, x) in rows {
-                        for (o, &x) in out.iter_mut().zip(x) {
-                            let xh = (x - mean) * inv_std;
-                            *o = g * xh + b;
-                        }
-                    }
-                }
+        // the variance, then 1/√(var + ε) in place
+        let mut inv_std = pool::take::<f32>(p.c);
+        let batch_mean = if mode.train {
+            let mut mean = pool::take::<f32>(p.c);
+            norm::moments(input.data(), p, &mut mean, &mut inv_std);
+            let m = self.momentum;
+            let running = self.running_mean.iter_mut().zip(&mut self.running_var);
+            for ((rm, rv), (&mean, &var)) in running.zip(mean.iter().zip(&inv_std)) {
+                *rm = accumulated((1.0 - m) * *rm, m * mean);
+                *rv = accumulated((1.0 - m) * *rv, m * var);
             }
+            Some(mean)
+        } else {
+            inv_std.copy_from_slice(&self.running_var);
+            None
+        };
+        for v in &mut inv_std {
+            *v = 1.0 / (*v + self.eps).sqrt();
         }
-        if mode.train {
-            self.release();
-            self.cached = cache;
+        let affine = Affine {
+            mean: batch_mean.as_deref().unwrap_or(&self.running_mean),
+            inv_std: &inv_std,
+            gamma: self.gamma.value.data(),
+            beta: self.beta.value.data(),
+        };
+        // eval mode normalizes and keeps nothing
+        let mut xhat = mode.train.then(|| pool::tensor(input.shape().clone()));
+        let keep = xhat.as_mut().map(|t| t.data_mut());
+        norm::normalize(input.data(), p, affine, keep, out.data_mut());
+        if let Some(mean) = batch_mean {
+            pool::give(mean);
+        }
+        match xhat {
+            Some(xhat) => {
+                self.release();
+                self.cached = Some(Cache { xhat, inv_std });
+            }
+            None => pool::give(inv_std),
         }
         out
     }
@@ -138,41 +118,31 @@ impl Layer for BatchNorm2d {
             .cached
             .take()
             .expect("BatchNorm2d::backward without training forward");
-        let (n, c, h, w) = grad_out.shape().as_nchw();
-        let hw = h * w;
-        let per = (n * hw) as f32;
-        let gy = grad_out.data();
-        let xh = cache.xhat.data();
-        let mut gx = want_gx.then(|| pool::tensor(grad_out.shape().clone()));
+        let p = Planes::of(grad_out.shape());
+        let (gy, xh) = (grad_out.data(), cache.xhat.data());
+        let mut sums = pool::take::<f32>(2 * p.c);
+        let (sum_gy, sum_gy_xh) = sums.split_at_mut(p.c);
+        norm::grad_sums(gy, xh, p, sum_gy, sum_gy_xh);
         // the gradients this step accumulates into: zeroed scratch if none
-        // has arrived yet, so each `+=` below is the one it always was
-        let g_gamma = self.gamma.grad.get_or_insert_with(|| pool::zeroed([c]));
-        let g_beta = self.beta.grad.get_or_insert_with(|| pool::zeroed([c]));
-
-        for ci in 0..c {
-            // channel-wise sums
-            let mut sum_gy = 0.0f32;
-            let mut sum_gy_xh = 0.0f32;
-            for (gy, xh) in planes(gy, c, hw, ci).zip(planes(xh, c, hw, ci)) {
-                for (&gy, &xh) in gy.iter().zip(xh) {
-                    sum_gy += gy;
-                    sum_gy_xh += gy * xh;
-                }
-            }
-            g_gamma.data_mut()[ci] += sum_gy_xh;
-            g_beta.data_mut()[ci] += sum_gy;
-
-            let Some(gx) = &mut gx else { continue };
-            let g = self.gamma.value.data()[ci];
-            let inv_std = cache.inv_std[ci];
-            let k = g * inv_std / per;
-            let operands = planes(gy, c, hw, ci).zip(planes(xh, c, hw, ci));
-            for (gx, (gy, xh)) in planes_mut(gx.data_mut(), c, hw, ci).zip(operands) {
-                for ((o, &gy), &xh) in gx.iter_mut().zip(gy).zip(xh) {
-                    *o = k * (per * gy - sum_gy - xh * sum_gy_xh);
-                }
+        // has arrived yet, so each add below is the one it always was
+        for (param, sums) in [(&mut self.gamma, &*sum_gy_xh), (&mut self.beta, &*sum_gy)] {
+            let grad = param.grad.get_or_insert_with(|| pool::zeroed([p.c]));
+            for (g, &s) in grad.data_mut().iter_mut().zip(sums) {
+                *g = accumulated(*g, s);
             }
         }
+        let gx = want_gx.then(|| {
+            let mut gx = pool::tensor(grad_out.shape().clone());
+            let s = GradSums {
+                gamma: self.gamma.value.data(),
+                inv_std: &cache.inv_std,
+                sum_gy,
+                sum_gy_xh,
+            };
+            norm::input_grad(gy, xh, p, s, gx.data_mut());
+            gx
+        });
+        pool::give(sums);
         pool::recycle(cache.xhat);
         pool::give(cache.inv_std);
         gx
@@ -421,15 +391,21 @@ mod tests {
     /// gradient) against the old bodies, bit for bit — outputs, the cache,
     /// running statistics and parameter gradients — over clean inputs and
     /// over ones holding `±0`, `±∞` and NaN payloads, on the step scratch
-    /// with its parked buffers poisoned.
+    /// with its parked buffers poisoned. Beside four small shapes, the
+    /// workloads' geometries: channel counts around and between the
+    /// sweeps' channel blocks, maps of 1 to 64 positions (both sides of the
+    /// flat-run threshold) and 1 to 64 samples.
     #[test]
     fn passes_match_the_old_bodies_bitwise() {
         let mut rng = StdRng::seed_from_u64(21);
         let train = Mode::train(Precision::Fp32);
-        for (case, shape) in [[3, 4, 2, 2], [1, 3, 1, 1], [5, 2, 3, 1], [2, 1, 4, 4]]
-            .into_iter()
-            .enumerate()
-        {
+        let small = [[3, 4, 2, 2], [1, 3, 1, 1], [5, 2, 3, 1], [2, 1, 4, 4]];
+        let workloads = [1, 5, 64].into_iter().flat_map(|n| {
+            [12, 23, 46, 92, 113]
+                .into_iter()
+                .flat_map(move |c| [1, 2, 4, 8].into_iter().map(move |side| [n, c, side, side]))
+        });
+        for (case, shape) in small.into_iter().chain(workloads).enumerate() {
             for special in [false, true] {
                 let what = format!("case {case}, special values {special}");
                 let (mut new, mut old) = (BatchNorm2d::new(shape[1]), BatchNorm2d::new(shape[1]));

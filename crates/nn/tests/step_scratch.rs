@@ -383,8 +383,8 @@ proptest! {
                 match precision {
                     Precision::Fp32 => resident.add_inplace(g),
                     Precision::Int8 => {
-                        let mut noisy = Tensor::zeros([len]);
-                        quant::gradient_quant_noise_into(g, pass as u64 + 1, &mut noisy);
+                        let mut noisy = g.clone();
+                        quant::add_gradient_quant_noise(&mut noisy, pass as u64 + 1, false);
                         resident.add_inplace(&noisy);
                     }
                 }

@@ -9,6 +9,7 @@
 //! - blocked matrix multiplication ([`linalg`]);
 //! - im2col-based 2-D convolution and pooling with hand-written backward
 //!   passes ([`conv`]);
+//! - batch normalisation's four sweeps over an NCHW batch ([`norm`]);
 //! - symmetric per-tensor INT8 quantization for quantization-aware
 //!   training and the integer GEMM's operands ([`quant`]);
 //! - the in-place parameter sweeps of a training step and a delayed
@@ -44,6 +45,7 @@ pub mod conv;
 pub mod init;
 pub mod isa;
 pub mod linalg;
+pub mod norm;
 pub mod pool;
 pub mod profile;
 pub mod quant;

@@ -1,9 +1,9 @@
 //! Opt-in kernel timing counters.
 //!
-//! Every hot kernel in [`crate::linalg`], [`crate::conv`] and [`crate::quant`]
-//! reports its wall-clock time here. Profiling is **off by default** and the
-//! disabled path costs a single relaxed atomic load per kernel call, so
-//! normal runs (and their byte-identical telemetry traces) are unaffected.
+//! Every hot kernel in [`crate::linalg`], [`crate::conv`], [`crate::norm`]
+//! and [`crate::quant`] reports its wall-clock time here. Profiling is **off
+//! by default** and the disabled path costs a single relaxed atomic load per
+//! kernel call, so normal runs (and their byte-identical telemetry traces) are unaffected.
 //! Call [`set_enabled`] to start collecting, [`snapshot`] to read the totals
 //! and [`reset`] to zero them between measurement windows.
 //!
@@ -40,9 +40,12 @@ pub enum KernelOp {
     /// The direct convolution of a narrow layer: forward, INT8 forward and
     /// backward with no patch matrix ([`crate::conv::ConvPath::Direct`]).
     ConvDirect,
+    /// Batch normalisation's sweeps: statistics, normalise, gradient sums
+    /// and input gradient ([`crate::norm`]).
+    BatchNorm,
 }
 
-const OP_COUNT: usize = 9;
+const OP_COUNT: usize = 10;
 
 /// All attributed kernel families, in reporting order.
 pub const ALL_OPS: [KernelOp; OP_COUNT] = [
@@ -55,6 +58,7 @@ pub const ALL_OPS: [KernelOp; OP_COUNT] = [
     KernelOp::Col2im,
     KernelOp::Quant,
     KernelOp::ConvDirect,
+    KernelOp::BatchNorm,
 ];
 
 impl KernelOp {
@@ -70,6 +74,7 @@ impl KernelOp {
             KernelOp::Col2im => "col2im",
             KernelOp::Quant => "quant",
             KernelOp::ConvDirect => "conv_direct",
+            KernelOp::BatchNorm => "batch_norm",
         }
     }
 
@@ -84,6 +89,7 @@ impl KernelOp {
             KernelOp::Col2im => 6,
             KernelOp::Quant => 7,
             KernelOp::ConvDirect => 8,
+            KernelOp::BatchNorm => 9,
         }
     }
 }

@@ -215,35 +215,44 @@ pub fn max_rounding_error(p: QuantParams) -> f32 {
     p.scale * 0.5
 }
 
-/// Adds simulated quantization noise to a gradient tensor, as integer
-/// training does when gradients themselves are kept in INT8, writing into
-/// `out` and reusing its storage.
+/// Adds simulated quantization noise to a gradient tensor in place, as
+/// integer training does when gradients themselves are kept in INT8.
 ///
 /// The noise is deterministic (hash of the index and `seed`), uniform in
 /// ±half a quantization step of the gradient's own scale — the worst-case
-/// rounding error model used in integer-training analyses.
-pub fn gradient_quant_noise_into(grad: &Tensor, seed: u64, out: &mut Tensor) {
+/// rounding error model used in integer-training analyses. With `settle`
+/// every noisy value is also added to `+0.0`, in the same pass: the bits a
+/// step's first gradient takes when it is added to a zeroed accumulator
+/// (`−0.0` becomes `+0.0`).
+pub fn add_gradient_quant_noise(grad: &mut Tensor, seed: u64, settle: bool) {
     let _timer = Timer::start(KernelOp::Quant);
-    let p = QuantParams::from_tensor(grad);
-    let half = max_rounding_error(p);
-    out.resize(grad.shape().clone());
-    quant_noise_slices(Isa::active(), grad.data(), out.data_mut(), seed, half);
+    let half = max_rounding_error(QuantParams::from_tensor(grad));
+    quant_noise_slices(Isa::active(), grad.data_mut(), seed, half, settle);
 }
 
 isa_kernel! {
-    /// `dst[i] = src[i] + noise(i, seed)`, uniform in `±half`.
-    fn quant_noise_slices(src: &[f32], dst: &mut [f32], seed: u64, half: f32) = quant_noise_body;
+    /// `g[i] += noise(i, seed)`, uniform in `±half`, then `+ 0.0` when
+    /// `settle`.
+    fn quant_noise_slices(g: &mut [f32], seed: u64, half: f32, settle: bool) = quant_noise_body;
 }
 
 #[inline(always)]
-fn quant_noise_body(src: &[f32], dst: &mut [f32], seed: u64, half: f32) {
-    for (i, (o, &g)) in dst.iter_mut().zip(src).enumerate() {
+fn quant_noise_body(g: &mut [f32], seed: u64, half: f32, settle: bool) {
+    match settle {
+        true => quant_noise_run(g, seed, half, |v| v + 0.0),
+        false => quant_noise_run(g, seed, half, |v| v),
+    }
+}
+
+#[inline(always)]
+fn quant_noise_run(g: &mut [f32], seed: u64, half: f32, then: impl Fn(f32) -> f32) {
+    for (i, g) in g.iter_mut().enumerate() {
         let mut h = seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
         h ^= h >> 33;
         h = h.wrapping_mul(0xFF51AFD7ED558CCD);
         h ^= h >> 33;
         let u = (h >> 11) as f32 / (1u64 << 53) as f32; // [0,1)
-        *o = g + (2.0 * u - 1.0) * half;
+        *g = then(*g + (2.0 * u - 1.0) * half);
     }
 }
 
@@ -265,10 +274,10 @@ mod tests {
         out
     }
 
-    /// [`gradient_quant_noise_into`] into a fresh tensor.
+    /// [`add_gradient_quant_noise`] on a copy of `grad`, not settled.
     fn gradient_quant_noise(grad: &Tensor, seed: u64) -> Tensor {
-        let mut out = Tensor::default();
-        gradient_quant_noise_into(grad, seed, &mut out);
+        let mut out = grad.clone();
+        add_gradient_quant_noise(&mut out, seed, false);
         out
     }
 
@@ -339,13 +348,33 @@ mod tests {
         }
     }
 
+    /// The settled noise is the noisy gradient plus `+0.0`, one pass
+    /// instead of two, bit for bit. A gradient whose largest magnitude is
+    /// the smallest subnormal has a zero noise step, so its `−0.0`s stay
+    /// `−0.0` unsettled — the one case the `+0.0` changes.
     #[test]
     fn fused_variants_match_allocating() {
-        let t = Tensor::from_vec((0..96).map(|i| (i as f32 * 0.37).sin()).collect(), [96]);
-        // recycled buffers of the wrong shape must be resized + overwritten
-        let mut noisy = Tensor::full([5], -1.0);
-        gradient_quant_noise_into(&t, 42, &mut noisy);
-        assert_eq!(noisy, gradient_quant_noise(&t, 42));
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let smooth = (0..96).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut tiny = vec![-0.0f32; 96];
+        tiny[95] = f32::from_bits(1);
+        for values in [smooth, tiny] {
+            let t = Tensor::from_vec(values, [96]);
+            let mut settled = t.clone();
+            add_gradient_quant_noise(&mut settled, 42, true);
+            let mut twice = gradient_quant_noise(&t, 42);
+            let negative_zeros = twice
+                .data()
+                .iter()
+                .filter(|x| x.to_bits() == 1 << 31)
+                .count();
+            twice.data_mut().iter_mut().for_each(|x| *x += 0.0);
+            assert_eq!(bits(&settled), bits(&twice));
+            assert!(settled.data().iter().all(|x| x.to_bits() != 1 << 31));
+            if t.data()[0].to_bits() == 1 << 31 {
+                assert!(negative_zeros > 0, "unsettled noise keeps some −0.0");
+            }
+        }
     }
 
     #[test]
@@ -500,7 +529,7 @@ mod tests {
 
     /// Every slice sweep on `isa`, over `src` at `scale`, as comparable bits:
     /// fake quant, quantize, quantized transpose, dequantize, the i32
-    /// epilogue and gradient noise, in that order.
+    /// epilogue and gradient noise, unsettled and settled, in that order.
     fn all_sweeps(isa: Isa, src: &[f32], scale: f32) -> Vec<Vec<u32>> {
         let n = src.len();
         let mut out = Vec::new();
@@ -521,9 +550,11 @@ mod tests {
         let mut scaled = vec![f32::NAN; n];
         scale_i32_slices(isa, &acc, &mut scaled, scale);
         out.push(bits(&scaled));
-        let mut noisy = vec![f32::NAN; n];
-        quant_noise_slices(isa, src, &mut noisy, 0xC0FFEE, scale * 0.5);
-        out.push(bits(&noisy));
+        for settle in [false, true] {
+            let mut noisy = src.to_vec();
+            quant_noise_slices(isa, &mut noisy, 0xC0FFEE, scale * 0.5, settle);
+            out.push(bits(&noisy));
+        }
         out
     }
 
