@@ -35,6 +35,7 @@ use socflow::scheduler::GlobalScheduler;
 use socflow::suite::{comparison_methods, Comparison};
 use socflow::timemodel::{Collective, EpochCost, TimeModel};
 use socflow::{Engine, Mapping, RunResult, Workload};
+use socflow_cluster::calibration::GEN1_EPOCH_SPEEDUP;
 use socflow_cluster::tidal::{TidalTrace, DAILY_IDLE_WINDOW, HOURLY_BUSY_FRACTION};
 use socflow_cluster::Processor::{GpuA100, GpuV100, SocCpuFp32, SocNpuInt8};
 use socflow_cluster::{ClusterNet, ClusterSpec, SocId};
@@ -140,10 +141,6 @@ const REFERENCE_EPOCHS: f64 = 200.0;
 /// synchronous baselines and Ours reached in its comparison — the highest
 /// bar both sides of the paper's headline speedups clear (Figs. 8–10).
 const TARGET_OF_BEST: f64 = 0.95;
-/// Epoch-time scale of a Snapdragon 8gen1 cluster against the 865 one
-/// (Fig. 11, A100 side): CPU 1.6× and NPU 4× faster shrink the compute
-/// that dominates these epochs about 3×, synchronization not at all.
-const GEN1_EPOCH_SPEEDUP: f64 = 2.5;
 
 /// Positions in [`comparison_methods`]' legend order.
 const RING: usize = 1;

@@ -18,13 +18,9 @@ use socflow_nn::models::{LayerSpec, ModelKind};
 use socflow_telemetry::{read_trace, Summary, TraceWriter};
 use std::sync::Arc;
 
-/// Prints the usage banner.
-pub fn print_usage() {
-    eprintln!("{}", usage());
-}
-
 /// The usage banner; the `bench` line is generated from the suite table.
-fn usage() -> String {
+/// Asked-for help prints it on stdout, a usage error on stderr.
+pub fn usage() -> String {
     format!(
         "socflow-cli — SoCFlow reproduction CLI
 
@@ -45,9 +41,9 @@ USAGE:
   {bench}
   socflow-cli info
 
-  --threads <N> (train, compare): size of the host worker pool
-      (default: SOCFLOW_THREADS env var, else all cores). Results are
-      bit-identical at any thread count; only wall-clock time changes.
+  --threads <N> (train, tune, compare, fleet): size of the host worker
+      pool (default: SOCFLOW_THREADS env var, else all cores). Results
+      are bit-identical at any thread count; only wall-clock time changes.
   --trace <path> (train): write a JSONL telemetry trace of the run; a
       SoCFlow run's trace carries the fluid timeline's span digest and
       link utilization of every epoch
@@ -319,9 +315,6 @@ fn resumable(
 
 /// `socflow-cli train`: run one training job and report the results.
 pub fn train(opts: &Options) -> Result<(), String> {
-    if let Some(t) = opts.threads {
-        socflow_tensor::runtime::set_threads(t);
-    }
     let spec = job_spec(opts, method_of(&opts.method, opts.groups)?)?;
     let plan = match (opts.auto, opts.auto_budget) {
         (true, budget) => Plan::Auto { budget },
@@ -427,9 +420,6 @@ fn plan_choice_json(c: &PlanChoice) -> serde_json::Value {
 /// the `--json` output is byte-identical across reruns and any `--threads`
 /// setting (CI diffs it across `SOCFLOW_THREADS` values).
 pub fn tune(opts: &Options) -> Result<(), String> {
-    if let Some(t) = opts.threads {
-        socflow_tensor::runtime::set_threads(t);
-    }
     let spec = job_spec(opts, method_of(&opts.method, opts.groups)?)?;
     let (model, preset) = (spec.model, spec.preset);
     let options = RunOptions::default();
@@ -541,9 +531,6 @@ pub fn compare(opts: &Options) -> Result<(), String> {
 /// [`compare`], handing each output line to `print` as soon as its method
 /// has run.
 fn compare_to(opts: &Options, mut print: impl FnMut(String)) -> Result<(), String> {
-    if let Some(t) = opts.threads {
-        socflow_tensor::runtime::set_threads(t);
-    }
     let spec = job_spec(opts, method_of("ours", opts.groups)?)?;
     let ours = scheduler(opts, spec, RunOptions::default(), Plan::Fixed)?
         .resolved_spec()
@@ -594,10 +581,6 @@ pub fn tidal(opts: &Options) -> Result<(), String> {
 /// servers packing trace-driven job arrivals onto tidal-idle capacity,
 /// and print per-job outcomes plus throughput/JCT/utilization.
 pub fn fleet(opts: &Options) -> Result<(), String> {
-    // a run prices its cold full asks as one wave over the worker pool
-    if let Some(t) = opts.threads {
-        socflow_tensor::runtime::set_threads(t);
-    }
     let policy = FleetPolicy::parse(&opts.policy)?;
     let spec = FleetSpec {
         servers: opts.servers,

@@ -23,12 +23,12 @@ mod commands;
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        commands::print_usage();
+        eprintln!("{}", commands::usage());
         std::process::exit(2);
     }
     let cmd = argv.remove(0);
     if args::asks_for_help(&argv) {
-        commands::print_usage();
+        println!("{}", commands::usage());
         return;
     }
     // `trace` and `bench` take positional operands, not `--flag value` pairs
@@ -48,10 +48,14 @@ fn main() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            commands::print_usage();
+            eprintln!("{}", commands::usage());
             std::process::exit(2);
         }
     };
+    // the pool size never changes a result, only wall-clock time
+    if let Some(t) = opts.threads {
+        socflow_tensor::runtime::set_threads(t);
+    }
     let outcome = match cmd.as_str() {
         "plan" => commands::plan(&opts),
         "train" => commands::train(&opts),
@@ -61,7 +65,7 @@ fn main() {
         "fleet" => commands::fleet(&opts),
         "info" => commands::info(),
         "help" | "--help" | "-h" => {
-            commands::print_usage();
+            println!("{}", commands::usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`")),

@@ -435,19 +435,24 @@ impl ClusterNet {
         }
     }
 
-    /// Wall-clock time of one collective step: protocol latency (intra- or
-    /// inter-board, from [`calibration`]) plus the fluid transfer makespan.
+    /// The per-step protocol latency of a collective step over `flows`:
+    /// inter-board if any flow crosses boards, else intra-board (from
+    /// [`calibration`]).
+    pub fn step_latency(&self, flows: &[Flow]) -> Seconds {
+        if flows.iter().any(|f| self.crosses_boards(f)) {
+            calibration::STEP_LATENCY_INTER
+        } else {
+            calibration::STEP_LATENCY_INTRA
+        }
+    }
+
+    /// Wall-clock time of one collective step: its [`Self::step_latency`]
+    /// plus the fluid transfer makespan.
     pub fn collective_step_time(&self, flows: &[Flow]) -> Seconds {
         if flows.is_empty() {
             return 0.0;
         }
-        let stats = self.transfer(flows);
-        let latency = if stats.crossed_boards {
-            calibration::STEP_LATENCY_INTER
-        } else {
-            calibration::STEP_LATENCY_INTRA
-        };
-        latency + stats.makespan
+        self.step_latency(flows) + self.transfer(flows).makespan
     }
 }
 
@@ -655,9 +660,11 @@ mod tests {
     #[test]
     fn step_latency_selected_by_locality() {
         let n = net();
-        let intra = n.collective_step_time(&[Flow::new(SocId(0), SocId(1), 0.0)]);
-        let inter = n.collective_step_time(&[Flow::new(SocId(0), SocId(5), 0.0)]);
-        assert!(inter > intra);
+        let intra = [Flow::new(SocId(0), SocId(1), 0.0)];
+        let inter = [Flow::new(SocId(0), SocId(5), 0.0)];
+        assert_eq!(n.step_latency(&intra), calibration::STEP_LATENCY_INTRA);
+        assert_eq!(n.step_latency(&inter), calibration::STEP_LATENCY_INTER);
+        assert!(n.collective_step_time(&inter) > n.collective_step_time(&intra));
     }
 
     #[test]

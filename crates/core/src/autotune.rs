@@ -12,7 +12,7 @@
 //!
 //! One [`PlanCandidate`] per point of
 //!
-//! - **group count** `1..=max_groups` (more groups = fewer iterations
+//! - **group count** `1..=socs` (more groups = fewer iterations
 //!   but more sync contention),
 //! - **sync schedule** [`SyncSchedule::Serial`] /
 //!   [`SyncSchedule::Interleaved`] / [`SyncSchedule::WaitFree`],
@@ -173,8 +173,6 @@ pub struct TuneOptions {
     /// the space). The default plan is always priced and does not count
     /// against the cap.
     pub budget: Option<usize>,
-    /// Cap on the group-count axis (`None` = the job's SoC count).
-    pub max_groups: Option<usize>,
 }
 
 /// The SoCFlow config of a spec, or a panic for baseline methods — the
@@ -321,11 +319,10 @@ pub fn default_candidate(spec: &TrainJobSpec) -> PlanCandidate {
 /// descending, then schedule, then bucket size. The index
 /// in this order breaks ties, between equal floors in the search order
 /// and between equal prices in the ranking.
-fn enumerate(spec: &TrainJobSpec, opts: &TuneOptions) -> Vec<PlanCandidate> {
+fn enumerate(spec: &TrainJobSpec) -> Vec<PlanCandidate> {
     let socs = spec.socs.max(1);
-    let max_groups = opts.max_groups.unwrap_or(socs).clamp(1, socs);
     let mut out = Vec::new();
-    for groups in (1..=max_groups).rev() {
+    for groups in (1..=socs).rev() {
         for schedule in [SyncSchedule::Serial, SyncSchedule::Interleaved] {
             out.push(PlanCandidate {
                 groups,
@@ -358,7 +355,7 @@ fn enumerate(spec: &TrainJobSpec, opts: &TuneOptions) -> Vec<PlanCandidate> {
 /// # Panics
 /// Panics if the spec's method is not a SoCFlow variant.
 pub fn autotune(spec: &TrainJobSpec, layout: &[GradReady], opts: &TuneOptions) -> TuneReport {
-    let candidates = enumerate(spec, opts);
+    let candidates = enumerate(spec);
     let cap = opts.budget.unwrap_or(usize::MAX).max(1);
 
     // counters are per thread: each pricing is measured on the thread
@@ -487,10 +484,7 @@ mod tests {
     #[test]
     fn ranked_is_sorted_and_counts_reconcile() {
         let s = spec(12);
-        let opts = TuneOptions {
-            budget: Some(10),
-            ..Default::default()
-        };
+        let opts = TuneOptions { budget: Some(10) };
         let report = autotune(&s, &layout(), &opts);
         assert!(report
             .ranked
@@ -498,7 +492,7 @@ mod tests {
             .all(|w| w[0].predicted_s <= w[1].predicted_s));
         assert_eq!(report.evaluated, report.ranked.len());
         assert!(report.evaluated <= 10);
-        let space = enumerate(&s, &opts).len();
+        let space = enumerate(&s).len();
         assert_eq!(space, report.evaluated + report.pruned + report.skipped);
     }
 
@@ -536,10 +530,7 @@ mod tests {
                 0.25,
             )));
             let groups = rng.gen_range(1..=s.socs);
-            for cand in enumerate(&s, &TuneOptions::default())
-                .into_iter()
-                .filter(|c| c.groups == groups)
-            {
+            for cand in enumerate(&s).into_iter().filter(|c| c.groups == groups) {
                 let floor = lower_bound(&s, groups);
                 let priced = price_plan_uncached(&s, &lay, &cand);
                 assert!(
@@ -573,9 +564,8 @@ mod tests {
             );
             s.socs = 20;
             let lay = models::grad_layout(&model.layers(ModelConfig::new(3, 32, 10, width)));
-            let opts = TuneOptions::default();
-            let report = autotune(&s, &lay, &opts);
-            let space = enumerate(&s, &opts);
+            let report = autotune(&s, &lay, &TuneOptions::default());
+            let space = enumerate(&s);
             assert_eq!(report.evaluated + report.pruned, space.len(), "{model}");
             assert_eq!(report.skipped, 0, "{model}");
 
@@ -657,18 +647,14 @@ mod tests {
     /// mixed-precision job and an FP32 one alike.
     #[test]
     fn mixed_and_fp32_jobs_enumerate_the_same_space() {
-        let opts = TuneOptions {
-            max_groups: Some(3),
-            ..Default::default()
-        };
-        let mut fp32 = spec(8);
+        let mut fp32 = spec(3);
         fp32.method = MethodSpec::SocFlow(SocFlowConfig {
             arms: Arms::Fp32,
             ..SocFlowConfig::with_groups(4)
         });
-        for job in [spec(8), fp32] {
+        for job in [spec(3), fp32] {
             assert_eq!(
-                enumerate(&job, &opts).len(),
+                enumerate(&job).len(),
                 3 * (2 + BUCKET_GRID_KB.len()),
                 "{}",
                 job.method.name()

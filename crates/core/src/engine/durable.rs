@@ -6,14 +6,7 @@ use super::run::Run;
 use crate::checkpoint::Checkpoint;
 use crate::mixed::MixedPrecisionController;
 use crate::options::Checkpointing;
-use socflow_nn::optim::Sgd;
 use socflow_telemetry::Event;
-
-fn flat_velocity(opt: &Sgd) -> Vec<f32> {
-    let mut v = Vec::new();
-    opt.flat_velocity_into(&mut v);
-    v
-}
 
 /// Snapshots the full stream state (weights, momentum, learning rates,
 /// non-learnable model state) into a [`Checkpoint`]; the caller fills in
@@ -25,7 +18,7 @@ pub(super) fn capture(epoch_done: usize, replicas: &[Replica], alpha: f32) -> Ch
         alpha,
     );
     ckpt.lr = replicas[0].opt.lr();
-    ckpt.velocities = replicas.iter().map(|r| flat_velocity(&r.opt)).collect();
+    ckpt.velocities = replicas.iter().map(|r| r.opt.flat_velocity()).collect();
     // non-learnable model state must ride along for a bit-exact resume:
     // batch-norm running stats feed eval-mode forwards (accuracy and the
     // α probe), and the quant-noise step counters seed every INT8 backward
@@ -34,7 +27,7 @@ pub(super) fn capture(epoch_done: usize, replicas: &[Replica], alpha: f32) -> Ch
     if let Some(arm0) = arms.first() {
         assert_eq!(arms.len(), replicas.len(), "uniform INT8 arms");
         ckpt.lr_int8 = arm0.opt.lr();
-        ckpt.velocities_int8 = arms.iter().map(|a| flat_velocity(&a.opt)).collect();
+        ckpt.velocities_int8 = arms.iter().map(|a| a.opt.flat_velocity()).collect();
         ckpt.states_int8 = arms.iter().map(|a| a.state.clone()).collect();
     }
     ckpt

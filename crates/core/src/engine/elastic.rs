@@ -111,7 +111,7 @@ impl Run<'_> {
             }
             self.retopologize(epoch + 1);
         } else if reclaims > 0 {
-            stall += engine.checkpoint_stall_time();
+            stall += engine.time_model.checkpoint_stall_time();
         }
         if stall > 0.0 {
             engine.options.emit_all(super::digest::cluster_span(
@@ -306,7 +306,7 @@ mod tests {
             ..RunOptions::default()
         };
         let mut engine = Engine::new(spec, easy_workload(&spec, 256), options);
-        let stall = engine.checkpoint_stall_time();
+        let stall = engine.time_model.checkpoint_stall_time();
         engine.options.faults = Some(plan_of(vec![
             (5.0, 3, FaultKind::Reclaimed),
             (10.0 + stall / 2.0, 4, FaultKind::Reclaimed),

@@ -383,12 +383,6 @@ impl Engine {
         result.absorb(&event);
         self.options.emit(event);
     }
-
-    fn checkpoint_stall_time(&self) -> f64 {
-        // write + restore a full model snapshot over one SoC link
-        let payload = self.spec.model.payload_bytes_fp32() as f64;
-        2.0 * payload / (1e9 / 8.0) + 1.0
-    }
 }
 
 #[cfg(test)]

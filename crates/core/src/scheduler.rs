@@ -272,7 +272,6 @@ pub fn tune_job(
             Plan::Auto { budget } => budget,
             Plan::Fixed => None,
         },
-        max_groups: None,
     };
     let report = crate::autotune::autotune(spec, &layout, &opts);
     for choice in &report.ranked {

@@ -49,9 +49,7 @@ use crate::mapping::{GroupId, Mapping};
 use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::Breakdown;
 use crate::timemodel::{ring_flows, EpochCost, TimeModel};
-use socflow_cluster::{
-    calibration, ClusterNet, Flow, FluidTimeline, LinkClassUtil, PowerState, Route, Seconds,
-};
+use socflow_cluster::{ClusterNet, Flow, FluidTimeline, LinkClassUtil, PowerState, Route, Seconds};
 use std::fmt;
 
 /// Where a [`Span`] ran. Displays as the lane strings of traces, which
@@ -373,16 +371,6 @@ pub enum SyncSchedule {
     WaitFree,
 }
 
-/// The per-step protocol latency `ClusterNet::collective_step_time` would
-/// charge this flow set.
-fn step_latency(tm: &TimeModel, flows: &[Flow]) -> Seconds {
-    if flows.iter().any(|f| tm.net().crosses_boards(f)) {
-        calibration::STEP_LATENCY_INTER
-    } else {
-        calibration::STEP_LATENCY_INTRA
-    }
-}
-
 /// The sync slots' member groups: the CGs with `planning`, one slot of
 /// every group without.
 pub(crate) fn sync_slots(
@@ -432,7 +420,7 @@ pub(crate) fn slot_ring(
         .flat_map(|&g| ring_flows(mapping.group(GroupId(g)), wire))
         .collect();
     SlotRing {
-        latency: step_latency(tm, &flows),
+        latency: tm.net().step_latency(&flows),
         steps,
         flows,
         groups,
@@ -457,7 +445,7 @@ pub(crate) fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> 
     let mut push = |kind, flows: Vec<Flow>, repeat| {
         batches.push(BoundaryBatch {
             kind,
-            latency: step_latency(tm, &flows),
+            latency: tm.net().step_latency(&flows),
             flows,
             repeat,
         })
@@ -1011,7 +999,7 @@ mod tests {
             for c in [Collective::Ring, Collective::Ps] {
                 for (flows, _) in c.batches(&members, mb as f64 * 1e6) {
                     let closed = tm.net().collective_step_time(&flows);
-                    let drained = standalone_time(tm.net(), &flows, step_latency(&tm, &flows));
+                    let drained = standalone_time(tm.net(), &flows, tm.net().step_latency(&flows));
                     let rel = (closed - drained).abs() / closed;
                     prop_assert!(rel <= 1e-12, "{c:?} over {members:?}: {closed} vs {drained}");
                 }

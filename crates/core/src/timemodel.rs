@@ -30,6 +30,7 @@ use socflow_cluster::{
     calibration, ClusterNet, ClusterSpec, ComputeModel, EnergyMeter, Flow, PowerState, Processor,
     Seconds, SocId,
 };
+use socflow_nn::models::ModelKind;
 use socflow_nn::{bucketize, GradReady};
 use socflow_telemetry::Event;
 
@@ -125,13 +126,16 @@ impl TimeModel {
     pub fn new(spec: &TrainJobSpec) -> Self {
         let cluster = ClusterSpec::for_socs(spec.socs);
         let preset = spec.preset.spec();
+        let anchors = match spec.model {
+            ModelKind::LeNet5 => calibration::LENET5,
+            ModelKind::Vgg11 => calibration::VGG11,
+            ModelKind::ResNet18 => calibration::RESNET18,
+            ModelKind::ResNet50 => calibration::RESNET50,
+            ModelKind::MobileNetV1 => calibration::MOBILENET_V1,
+        };
         TimeModel {
             net: ClusterNet::new(cluster),
-            // ModelKind's display names are a closed set and every one has a
-            // calibration row (pinned by the model_of tests), so this cannot
-            // fail for a spec built through the public API.
-            compute: ComputeModel::new(&spec.model.to_string(), spec.socs)
-                .expect("every ModelKind has a calibration row"),
+            compute: ComputeModel::new(anchors, spec.socs),
             payload: spec.model.payload_bytes_fp32() as f64,
             ref_samples: preset.reference_samples,
             sample_bytes: (preset.channels * preset.size * preset.size) as f64,
@@ -156,8 +160,6 @@ impl TimeModel {
     /// [`Self::socflow_epoch_timeline`] prices planned epochs with
     /// [`crate::sim::SyncSchedule::WaitFree`] instead of
     /// [`crate::sim::SyncSchedule::Interleaved`].
-    ///
-    /// [`ModelKind::payload_bytes_fp32`]: socflow_nn::models::ModelKind::payload_bytes_fp32
     ///
     /// # Panics
     /// Panics if `bucket_kb` is zero.
@@ -313,10 +315,10 @@ impl TimeModel {
         let update = self.update_time() * iters;
         let time = compute + update;
         let state = match proc {
-            Processor::SocNpuInt8 | Processor::Gen1NpuInt8 => PowerState::SocNpuTrain,
+            Processor::SocCpuFp32 => PowerState::SocCpuTrain,
+            Processor::SocNpuInt8 => PowerState::SocNpuTrain,
             Processor::GpuV100 => PowerState::GpuV100,
             Processor::GpuA100 => PowerState::GpuA100,
-            _ => PowerState::SocCpuTrain,
         };
         let energy = match proc {
             Processor::GpuV100 | Processor::GpuA100 => state.watts() * time,
@@ -559,7 +561,7 @@ impl TimeModel {
     /// in-flight batch, and pay a fixed re-coordination latency. Graceful
     /// reclaims never pay this — they checkpoint before leaving.
     pub fn restore_stall_time(&self) -> Seconds {
-        let reload = self.payload / (1e9 / 8.0);
+        let reload = self.payload / calibration::FLASH_BYTES_PER_S;
         let redo_batch = self.compute.per_sample(Processor::SocCpuFp32) * self.batch as f64;
         reload + redo_batch + 1.0
     }
@@ -568,7 +570,14 @@ impl TimeModel {
     /// asynchronous (write-behind), so this is *reported* via telemetry but
     /// never charged to the training clock.
     pub fn checkpoint_persist_time(&self) -> Seconds {
-        self.payload / (1e9 / 8.0) + 0.5
+        self.payload / calibration::FLASH_BYTES_PER_S + 0.5
+    }
+
+    /// Stall a baseline pays per epoch in which any of its SoCs is
+    /// reclaimed: it keeps its SoCs, so it writes a full model snapshot and
+    /// restores it, plus a fixed re-coordination latency.
+    pub fn checkpoint_stall_time(&self) -> Seconds {
+        2.0 * self.payload / calibration::FLASH_BYTES_PER_S + 1.0
     }
 
     /// The FP32 per-batch compute time of one group whose SoCs take equal
@@ -689,7 +698,6 @@ mod tests {
     use crate::mapping::integrity_greedy;
     use crate::planning::divide_communication_groups;
     use socflow_data::DatasetPreset;
-    use socflow_nn::models::ModelKind;
 
     fn model() -> TimeModel {
         TimeModel::new(&TrainJobSpec::new(

@@ -804,7 +804,7 @@ proptest! {
 
         prop_assume!(groups <= socs);
         let (spec, layout) = autotune_spec_and_layout(model_ix, socs, groups);
-        let opts = TuneOptions { budget: Some(12), ..Default::default() };
+        let opts = TuneOptions { budget: Some(12) };
         let report = autotune(&spec, &layout, &opts);
         prop_assert!(
             report.best().predicted_s <= report.default_plan.predicted_s,
@@ -876,7 +876,7 @@ proptest! {
 
         prop_assume!(groups <= socs);
         let (spec, layout) = autotune_spec_and_layout(model_ix, socs, groups);
-        let opts = TuneOptions { budget: Some(budget), ..Default::default() };
+        let opts = TuneOptions { budget: Some(budget) };
         runtime::set_threads(8);
         let wide = autotune(&spec, &layout, &opts);
         runtime::set_threads(1);

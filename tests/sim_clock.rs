@@ -7,7 +7,8 @@
 //! which priced a different subset and kept the best plan's bits. CI also
 //! `cmp`s a fresh `tune --json` against the same file. The closed forms
 //! that price Local, the six baselines and Fig. 4(b) are held the same way
-//! to a second file.
+//! to a second file, and the compute anchors every price starts from to
+//! bits written down in this file.
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::Workload;
@@ -17,7 +18,7 @@ use socflow::planning::divide_communication_groups;
 use socflow::scheduler::GlobalScheduler;
 use socflow::sim::{simulate_socflow_schedule, SyncSchedule};
 use socflow::timemodel::{Collective, TimeModel};
-use socflow_cluster::{timeline_stats, ClusterNet, ClusterSpec, SocId, TimelineStats};
+use socflow_cluster::{timeline_stats, ClusterNet, ClusterSpec, Processor, SocId, TimelineStats};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::{ModelConfig, ModelKind};
 
@@ -196,5 +197,82 @@ fn baseline_and_fig4b_prices_match_the_golden_bits() {
     for ((id, v), (want_id, want_bits)) in got.iter().zip(&want) {
         assert_eq!(id, want_id);
         assert_eq!(v.to_bits(), *want_bits, "{id}: {v}");
+    }
+}
+
+/// Per model in [`ModelKind::ALL`] order: `per_sample` on the 865 CPU, the
+/// 865 NPU, the V100 and the A100, then β, as `f64::to_bits`.
+const ANCHOR_BITS: [([u64; 4], u64); 5] = [
+    (
+        [
+            0x3f4a36e2eb1c432d,
+            0x3f33a92a30553261,
+            0x3f14f8b588e368f1,
+            0x3f0cd5f99c38b04b,
+        ],
+        0x3fe745d1745d1746,
+    ),
+    (
+        [
+            0x3f85810624dd2f1b,
+            0x3f6d7dbf487fcb92,
+            0x3f2cd5f99c38b04b,
+            0x3f24f8b588e368f1,
+        ],
+        0x3fe7d46cefa8d9df,
+    ),
+    (
+        [
+            0x3fb57a786c22680a,
+            0x3f8a9fbe76c8b439,
+            0x3f43a92a30553261,
+            0x3f3b866e43aa79bb,
+        ],
+        0x3febb4f856a77f14,
+    ),
+    (
+        [
+            0x3fc47ae147ae147b,
+            0x3f9a9fbe76c8b439,
+            0x3f554c985f06f694,
+            0x3f4d7dbf487fcb92,
+        ],
+        0x3feb86e1b86e1b87,
+    ),
+    (
+        [
+            0x3f719ce075f6fd22,
+            0x3f589374bc6a7efa,
+            0x3f2797cc39ffd60e,
+            0x3f210a137f38c544,
+        ],
+        0x3fe7b9611a7b9612,
+    ),
+];
+
+/// Every model's compute anchors on every processor, and its β, bit for
+/// bit: the anchors feed every price on the simulated clock.
+#[test]
+fn compute_anchors_match_the_written_bits() {
+    let procs = [
+        Processor::SocCpuFp32,
+        Processor::SocNpuInt8,
+        Processor::GpuV100,
+        Processor::GpuA100,
+    ];
+    for (model, (per_sample, beta)) in ModelKind::ALL.into_iter().zip(ANCHOR_BITS) {
+        let spec = TrainJobSpec::new(model, DatasetPreset::Cifar10, MethodSpec::Ring);
+        let tm = TimeModel::new(&spec);
+        let compute = tm.compute();
+        for (proc, bits) in procs.into_iter().zip(per_sample) {
+            let got = compute.per_sample(proc);
+            assert_eq!(got.to_bits(), bits, "{model} on {proc:?}: {got}");
+        }
+        assert_eq!(
+            compute.beta().to_bits(),
+            beta,
+            "{model}: β {}",
+            compute.beta()
+        );
     }
 }
