@@ -54,15 +54,14 @@ use serde_json::Value;
 use socflow::autotune::{autotune, TuneOptions, BUCKET_GRID_KB};
 use socflow::config::{MethodSpec, SocFlowConfig, StreamingConfig, TrainJobSpec};
 use socflow::fleet::{standard_job_mix, FleetPolicy, FleetSim, FleetSpec};
-use socflow::mapping::integrity_greedy;
 use socflow::options::{Plan, RunOptions};
-use socflow::planning::{divide_communication_groups, CommunicationGroups};
+use socflow::planning::{topology, CommunicationGroups};
 use socflow::scheduler::GlobalScheduler;
 use socflow::sim::{simulate_socflow_schedule, SyncSchedule};
 use socflow::timemodel::{TimeModel, DEFAULT_BUCKET_KB};
 use socflow::{GroupId, Mapping, RunResult};
 use socflow_cluster::faults::FaultPlan;
-use socflow_cluster::{ClusterSpec, ScratchStats};
+use socflow_cluster::ScratchStats;
 use socflow_data::stream::RateProfile;
 use socflow_data::DatasetPreset;
 use socflow_nn::models::{self, ModelConfig, ModelKind};
@@ -412,14 +411,6 @@ fn paper_socs(fast: bool) -> usize {
     } else {
         60
     }
-}
-
-/// Integrity-greedy mapping of `groups` logical groups onto `socs` SoCs,
-/// and its communication groups.
-fn plan_groups(socs: usize, groups: usize) -> (Mapping, CommunicationGroups) {
-    let mapping = integrity_greedy(&ClusterSpec::for_socs(socs), socs, groups);
-    let cgs = divide_communication_groups(&mapping).expect("integrity-greedy mappings 2-color");
-    (mapping, cgs)
 }
 
 /// The job the fault and streaming suites train: LeNet-5 on Fashion-MNIST
@@ -938,7 +929,7 @@ fn timeline(fast: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     push(&mut rows, "timeline/setup/socs".into(), socs as f64, "SoCs");
     for &groups in group_counts {
-        let (mapping, cgs) = plan_groups(socs, groups);
+        let (mapping, cgs, _) = topology(socs, groups);
         let analytic_s = tm.socflow_epoch(&mapping, &cgs, true, 1.0).time;
         let simulated_s = epoch_s(&tm, &mapping, &cgs, SyncSchedule::Interleaved);
         let no_overlap_s = epoch_s(&tm, &mapping, &cgs, SyncSchedule::Serial);
@@ -972,7 +963,7 @@ fn timeline(fast: bool) -> Vec<Row> {
         }
     }
 
-    let (mapping, cgs) = plan_groups(socs, sweep_groups);
+    let (mapping, cgs, _) = topology(socs, sweep_groups);
     // cold pass parks a scratch in this thread's pool
     epoch_s(&tm, &mapping, &cgs, SyncSchedule::WaitFree);
     socflow_cluster::reset_scratch_stats();
@@ -1180,7 +1171,7 @@ fn autotune_suite(fast: bool) -> Vec<Row> {
     // topology; on the 20-SoC slice 7 groups is the multi-CG count (as in
     // the timeline suite's sweep)
     let default_groups = if fast { 7 } else { 8 };
-    let default_cgs = plan_groups(socs, default_groups).1.len();
+    let default_cgs = topology(socs, default_groups).1.len();
     let arms = [
         ("vgg11", ModelKind::Vgg11),
         ("resnet18", ModelKind::ResNet18),

@@ -169,7 +169,7 @@ pub fn plan(opts: &Options) -> Result<(), String> {
         "cluster: {} boards x {} SoCs — planning {} logical groups over {} SoCs",
         cluster.boards, cluster.socs_per_board, groups, opts.socs
     );
-    let mapping = socflow::mapping::integrity_greedy(&cluster, opts.socs, groups);
+    let (mapping, cgs, fallback) = socflow::planning::topology(opts.socs, groups);
     for g in 0..mapping.num_groups() {
         let gid = socflow::mapping::GroupId(g);
         let members: Vec<String> = mapping.group(gid).iter().map(|s| s.to_string()).collect();
@@ -184,16 +184,14 @@ pub fn plan(opts: &Options) -> Result<(), String> {
         );
     }
     println!("conflict count C = {}", mapping.conflict_count());
-    match socflow::planning::divide_communication_groups(&mapping) {
-        Ok(cgs) => {
-            for (i, cg) in cgs.cgs.iter().enumerate() {
-                let names: Vec<String> = cg.iter().map(|g| g.to_string()).collect();
-                println!("CG{}: {}", i + 1, names.join(", "));
-            }
-            Ok(())
-        }
-        Err(e) => Err(e.to_string()),
+    if let Some(e) = fallback {
+        return Err(e.to_string());
     }
+    for (i, cg) in cgs.cgs.iter().enumerate() {
+        let names: Vec<String> = cg.iter().map(|g| g.to_string()).collect();
+        println!("CG{}: {}", i + 1, names.join(", "));
+    }
+    Ok(())
 }
 
 /// Parses a `--faults` spec `<mean_reclaim_s>:<mean_crash_s>`.
@@ -219,18 +217,6 @@ fn job_spec(opts: &Options, method: MethodSpec) -> Result<TrainJobSpec, String> 
     spec.seed = opts.seed;
     spec.lr = 0.05;
     Ok(spec)
-}
-
-/// The scheduler for a job whose options [`RunOptions::validate`] accepts.
-fn scheduler(
-    opts: &Options,
-    spec: TrainJobSpec,
-    options: RunOptions,
-    plan: Plan,
-) -> Result<GlobalScheduler, String> {
-    options.validate(&spec, plan).map_err(|e| e.to_string())?;
-    let workload = Workload::standard(&spec, opts.samples, 8, default_width(spec.model));
-    Ok(GlobalScheduler::new(spec, workload, options, plan))
 }
 
 /// The [`RunOptions`] the `train` flags describe, minus the trace sink
@@ -344,14 +330,13 @@ pub fn train(opts: &Options) -> Result<(), String> {
         socflow_tensor::profile::set_enabled(false);
         // stderr keeps `--json` stdout machine-readable
         eprintln!("\nhost kernel time:");
-        for (b, n) in base.iter().zip(socflow_tensor::profile::snapshot()) {
-            let calls = n.calls.saturating_sub(b.calls);
-            if calls > 0 {
+        for t in socflow_tensor::profile::since(&base) {
+            if t.calls > 0 {
                 eprintln!(
                     "  {:<14} {:>10.3} ms  {:>8} calls",
-                    n.op,
-                    n.nanos.saturating_sub(b.nanos) as f64 / 1e6,
-                    calls
+                    t.op,
+                    t.nanos as f64 / 1e6,
+                    t.calls
                 );
             }
         }
@@ -402,7 +387,7 @@ struct PlanJson {
     bound_s: f64,
 }
 
-fn plan_choice_json(c: &PlanChoice) -> serde_json::Value {
+fn plan_json(c: &PlanChoice) -> PlanJson {
     PlanJson {
         groups: c.candidate.groups,
         schedule: c.candidate.schedule_name(),
@@ -410,7 +395,25 @@ fn plan_choice_json(c: &PlanChoice) -> serde_json::Value {
         predicted_s: c.predicted_s,
         bound_s: c.bound_s,
     }
-    .to_json()
+}
+
+/// The `tune --json` document (`socflow-tune/v1`): the job as asked for on
+/// the command line, the search's counts and speedup, the default and the
+/// best plan, and every priced plan in rank order.
+#[derive(Serialize)]
+struct TuneJson {
+    schema: &'static str,
+    model: String,
+    dataset: String,
+    method: String,
+    socs: usize,
+    evaluated: usize,
+    pruned: usize,
+    skipped: usize,
+    speedup: f64,
+    default: PlanJson,
+    best: PlanJson,
+    ranked: Vec<PlanJson>,
 }
 
 /// `socflow-cli tune`: search the parallelization-plan space and print the
@@ -434,24 +437,20 @@ pub fn tune(opts: &Options) -> Result<(), String> {
     let best = report.best();
 
     if opts.json {
-        use serde_json::Value;
-        let doc = Value::Object(vec![
-            ("schema".into(), Value::Str("socflow-tune/v1".into())),
-            ("model".into(), Value::Str(opts.model.clone())),
-            ("dataset".into(), Value::Str(opts.dataset.clone())),
-            ("method".into(), Value::Str(opts.method.clone())),
-            ("socs".into(), Value::U64(opts.socs as u64)),
-            ("evaluated".into(), Value::U64(report.evaluated as u64)),
-            ("pruned".into(), Value::U64(report.pruned as u64)),
-            ("skipped".into(), Value::U64(report.skipped as u64)),
-            ("speedup".into(), Value::F64(report.speedup())),
-            ("default".into(), plan_choice_json(&default)),
-            ("best".into(), plan_choice_json(&best)),
-            (
-                "ranked".into(),
-                Value::Array(report.ranked.iter().map(plan_choice_json).collect()),
-            ),
-        ]);
+        let doc = TuneJson {
+            schema: "socflow-tune/v1",
+            model: opts.model.clone(),
+            dataset: opts.dataset.clone(),
+            method: opts.method.clone(),
+            socs: opts.socs,
+            evaluated: report.evaluated,
+            pruned: report.pruned,
+            skipped: report.skipped,
+            speedup: report.speedup(),
+            default: plan_json(&default),
+            best: plan_json(&best),
+            ranked: report.ranked.iter().map(plan_json).collect(),
+        };
         println!(
             "{}",
             serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?
@@ -532,7 +531,10 @@ pub fn compare(opts: &Options) -> Result<(), String> {
 /// has run.
 fn compare_to(opts: &Options, mut print: impl FnMut(String)) -> Result<(), String> {
     let spec = job_spec(opts, method_of("ours", opts.groups)?)?;
-    let ours = scheduler(opts, spec, RunOptions::default(), Plan::Fixed)?
+    let (options, plan) = (RunOptions::default(), Plan::Fixed);
+    options.validate(&spec, plan).map_err(|e| e.to_string())?;
+    let workload = Workload::standard(&spec, opts.samples, 8, default_width(spec.model));
+    let ours = GlobalScheduler::new(spec, workload.clone(), options, plan)
         .resolved_spec()
         .method;
     print(format!(
@@ -543,7 +545,6 @@ fn compare_to(opts: &Options, mut print: impl FnMut(String)) -> Result<(), Strin
         "{:<10} {:>9} {:>11} {:>10}",
         "method", "best acc", "sim time h", "energy kJ"
     ));
-    let workload = Workload::standard(&spec, opts.samples, 8, default_width(spec.model));
     let mut comparison = Comparison::new(spec, workload);
     for method in comparison_methods(ours) {
         let r = comparison.run(method, opts.socs);

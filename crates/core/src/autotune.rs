@@ -57,11 +57,10 @@
 
 use crate::config::{Arms, SocFlowConfig, TrainJobSpec};
 use crate::engine::DEFAULT_GROUPS;
-use crate::mapping;
-use crate::planning::{divide_or_serialize, CommunicationGroups};
+use crate::planning::topology;
 use crate::sim::{simulate_socflow_schedule, SyncSchedule};
 use crate::timemodel::TimeModel;
-use socflow_cluster::{timeline_stats, ClusterSpec, TimelineStats};
+use socflow_cluster::{timeline_stats, TimelineStats};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_nn::GradReady;
@@ -192,18 +191,6 @@ fn cpu_fraction_for(spec: &TrainJobSpec, tm: &TimeModel) -> f64 {
     arms.cpu_fraction(&arms.controller(tm.compute().beta()))
 }
 
-/// Builds the integrity-greedy mapping + CGs for a group count, with the
-/// same silent one-CG-per-group fallback the fleet cost model uses
-/// (non-bipartite conflict graphs are possible for ad-hoc mappings; the
-/// fallback is correct, just serial).
-fn topology_for(spec: &TrainJobSpec, groups: usize) -> (mapping::Mapping, CommunicationGroups) {
-    let socs = spec.socs.max(1);
-    let groups = groups.clamp(1, socs);
-    let mapping = mapping::integrity_greedy(&ClusterSpec::for_socs(socs), socs, groups);
-    let (cgs, _) = divide_or_serialize(&mapping);
-    (mapping, cgs)
-}
-
 /// Memo key of one pricing — every input the priced time depends on,
 /// and nothing else (seed, epochs and LR don't move the clock model, so
 /// jobs differing only there share entries). A lookup hashes the fields
@@ -270,7 +257,7 @@ pub(crate) fn memoized(key: PlanKey, compute: impl FnOnce() -> f64) -> f64 {
 /// plan-key memo — the reference [`price_plan`] is property-tested
 /// against.
 pub fn price_plan_uncached(spec: &TrainJobSpec, layout: &[GradReady], cand: &PlanCandidate) -> f64 {
-    let (mapping, cgs) = topology_for(spec, cand.groups);
+    let (mapping, cgs, _) = topology(spec.socs, cand.groups);
     let mut tm = TimeModel::new(spec);
     if let Some(kb) = cand.bucket_kb {
         tm.set_overlap(kb, layout);
@@ -293,7 +280,7 @@ pub fn price_plan(spec: &TrainJobSpec, layout: &[GradReady], cand: &PlanCandidat
 /// The floor of a candidate (schedule-independent: only the group count
 /// moves it).
 fn lower_bound(spec: &TrainJobSpec, groups: usize) -> f64 {
-    let (mapping, _) = topology_for(spec, groups);
+    let (mapping, _, _) = topology(spec.socs, groups);
     let tm = TimeModel::new(spec);
     let cpu_fraction = cpu_fraction_for(spec, &tm);
     tm.socflow_epoch_lower_bound(&mapping, cpu_fraction)

@@ -306,14 +306,12 @@ impl Engine {
         let pool_base = kernel_base.is_some().then(socflow_tensor::runtime::stats);
         let result = self.run_epochs(result);
         if let Some(base) = kernel_base {
-            let now = socflow_tensor::profile::snapshot();
-            for (b, n) in base.iter().zip(&now) {
-                let calls = n.calls.saturating_sub(b.calls);
-                if calls > 0 {
+            for t in socflow_tensor::profile::since(&base) {
+                if t.calls > 0 {
                     self.options.emit(Event::KernelTotals {
-                        op: n.op.to_string(),
-                        calls,
-                        nanos: n.nanos.saturating_sub(b.nanos),
+                        op: t.op.to_string(),
+                        calls: t.calls,
+                        nanos: t.nanos,
                     });
                 }
             }

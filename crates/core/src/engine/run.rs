@@ -330,7 +330,7 @@ impl<'e> Run<'e> {
             return cost;
         }
         let cpu_fraction = self.arms.cpu_fraction(&self.ctrl);
-        let sim = tm.socflow_epoch_timeline(&self.mapping, &self.cgs, true, cpu_fraction);
+        let sim = tm.socflow_epoch_timeline(&self.mapping, &self.cgs, cpu_fraction);
         if engine.options.sink.is_some() {
             engine
                 .options

@@ -47,13 +47,12 @@
 use crate::autotune::PlanKey;
 use crate::config::{Arms, MethodSpec, SocFlowConfig, TrainJobSpec};
 use crate::engine::Workload;
-use crate::mapping;
-use crate::planning::divide_or_serialize;
+use crate::planning::topology;
 use crate::scheduler::{memory_estimate, NetworkShape};
 use crate::timemodel::TimeModel;
 use serde::Serialize;
 use socflow_cluster::tidal::TidalTrace;
-use socflow_cluster::{ClusterSpec, Seconds, SocId};
+use socflow_cluster::{Seconds, SocId};
 use socflow_data::DatasetPreset;
 use socflow_nn::models::ModelKind;
 use socflow_telemetry::{Event, EventSink};
@@ -250,12 +249,10 @@ pub fn priced_epoch_seconds(spec: &TrainJobSpec, socs: usize) -> Seconds {
     let mut spec = *spec;
     spec.socs = socs;
     crate::autotune::memoized(key, || {
-        let cluster = ClusterSpec::for_socs(socs);
-        let mapping = mapping::integrity_greedy(&cluster, socs, groups);
-        let (cgs, _) = divide_or_serialize(&mapping);
-        let tm = TimeModel::new(&spec);
+        let (mapping, cgs, _) = topology(socs, groups);
         let cpu_fraction = if half { 0.5 } else { 1.0 };
-        tm.socflow_epoch_timeline(&mapping, &cgs, true, cpu_fraction)
+        TimeModel::new(&spec)
+            .socflow_epoch_timeline(&mapping, &cgs, cpu_fraction)
             .cost
             .time
     })

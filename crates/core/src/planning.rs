@@ -11,10 +11,10 @@
 //! bipartite, hence 2-colorable by a simple DFS — the general minimum graph
 //! coloring being NP-hard (paper cites [Pardalos et al.]).
 
-use crate::mapping::{GroupId, Mapping};
+use crate::mapping::{integrity_greedy, GroupId, Mapping};
 use crate::Breakdown;
 use serde::{Deserialize, Serialize};
-use socflow_cluster::Seconds;
+use socflow_cluster::{ClusterSpec, Seconds};
 
 /// A division of logical groups into communication groups.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,6 +135,17 @@ pub fn divide_or_serialize(mapping: &Mapping) -> (CommunicationGroups, Option<Pl
             (CommunicationGroups { cgs }, Some(e))
         }
     }
+}
+
+/// The topology of `groups` logical groups on a `socs`-SoC server: the
+/// integrity-greedy mapping and its CGs, with the serialized fallback of
+/// [`divide_or_serialize`] and its reason. The counts are clamped to a
+/// real topology: at least one SoC, and between one group and one per SoC.
+pub fn topology(socs: usize, groups: usize) -> (Mapping, CommunicationGroups, Option<PlanError>) {
+    let socs = socs.max(1);
+    let mapping = integrity_greedy(&ClusterSpec::for_socs(socs), socs, groups.clamp(1, socs));
+    let (cgs, fallback) = divide_or_serialize(&mapping);
+    (mapping, cgs, fallback)
 }
 
 /// Steady-state wall-clock time of one training iteration under the Fig. 7

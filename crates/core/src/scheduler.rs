@@ -14,9 +14,8 @@ use crate::engine::{Engine, Workload};
 use crate::grouping::{choose_group_count, GroupChoice};
 use crate::mapping::{self, Mapping};
 use crate::options::{Plan, Pricing, RunOptions};
-use crate::planning::{divide_or_serialize, CommunicationGroups};
+use crate::planning::{topology, CommunicationGroups};
 use crate::report::RunResult;
-use socflow_cluster::ClusterSpec;
 use socflow_nn::memory::MemoryEstimate;
 use socflow_nn::models::{self, LayerSpec, ModelConfig, ModelKind};
 use socflow_telemetry::Event;
@@ -144,11 +143,9 @@ impl GlobalScheduler {
                 (choice.groups, Some(choice))
             }
         };
-        let cluster = ClusterSpec::for_socs(self.spec.socs);
-        let mapping = mapping::integrity_greedy(&cluster, self.spec.socs, groups);
+        let (mapping, cgs, fallback) = topology(self.spec.socs, groups);
         // a silent serialized fallback would make the slow sync
         // unexplainable from traces
-        let (cgs, fallback) = divide_or_serialize(&mapping);
         if let Some(e) = fallback {
             self.options.emit(Event::CgFallback {
                 groups: cgs.len(),

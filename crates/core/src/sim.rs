@@ -37,18 +37,20 @@
 //! same timeline, and the per-link bytes the timeline accumulated become
 //! the per-link-class utilization report.
 //!
-//! The slots' ring flows and the boundary batches are built by one pair of
-//! helpers that [`TimeModel::socflow_epoch_lower_bound`] and Eq. 1
-//! ([`TimeModel::socflow_epoch`]) share, so the floor the plan search
-//! prunes by and the closed form both read the very flow sets this module
-//! simulates. Each ring step among them, a slot's or the leader ring's,
-//! comes from the time model's one ring builder, which also serves
+//! One epoch plan (`EpochPlan`) holds everything the three prices of an
+//! epoch read — iterations, per-group compute, update, the slots' ring
+//! flows, the boundary batches, power state and participants — and
+//! assembles each one's energy and cost. So the floor the plan search
+//! prunes by ([`TimeModel::socflow_epoch_lower_bound`]) and the closed
+//! form (Eq. 1, [`TimeModel::socflow_epoch`]) read the very flow sets this
+//! module simulates. Each ring step among them, a slot's or the leader
+//! ring's, comes from the time model's one ring builder, which also serves
 //! [`Collective::Ring`](crate::timemodel::Collective::Ring).
 
 use crate::mapping::{GroupId, Mapping};
 use crate::planning::{divide_or_serialize, CommunicationGroups};
 use crate::report::Breakdown;
-use crate::timemodel::{ring_flows, EpochCost, TimeModel};
+use crate::timemodel::{ring_flows, soc_epoch_energy, EpochCost, TimeModel};
 use socflow_cluster::{ClusterNet, Flow, FluidTimeline, LinkClassUtil, PowerState, Route, Seconds};
 use std::fmt;
 
@@ -182,20 +184,13 @@ struct GroupState {
     finished: bool,
 }
 
-/// Per-slot (communication-group) driver state.
+/// Per-slot (communication-group) driver state; the slot's ring is the
+/// plan's.
 struct SlotState {
-    /// Member logical groups.
-    groups: Vec<usize>,
-    /// The identical flow set of every ring step (empty ⇒ instant sync).
-    flows: Vec<Flow>,
-    /// `flows`, resolved once on the epoch's timeline.
+    /// The ring's flows, resolved once on the epoch's timeline.
     route: Route,
-    /// Ring steps per sync (max over member groups of `2(n−1)`).
-    steps: usize,
-    /// Protocol latency per step (intra- vs inter-board).
-    latency: Seconds,
     /// How many member groups have reached each iteration's readiness
-    /// condition (begun with planning; finished compute without).
+    /// condition (begun with overlap; finished compute without).
     ready_count: Vec<usize>,
     /// Sync completion flags per iteration.
     done: Vec<bool>,
@@ -233,15 +228,14 @@ struct WaitFreeState {
     slots: Vec<WfSlot>,
 }
 
-struct Driver {
+struct Driver<'p> {
+    /// The epoch being simulated: iterations, compute, update, slot rings.
+    plan: &'p EpochPlan,
     /// `true` for the interleaved and wait-free schedules, `false` for
     /// the serial one (sync readiness at iteration begin vs compute end).
     overlap: bool,
     /// Wait-free bucket state; `None` for the monolithic schedules.
     wf: Option<WaitFreeState>,
-    iters: usize,
-    compute_t: Vec<Seconds>,
-    update_t: Seconds,
     slots: Vec<SlotState>,
     slot_of: Vec<usize>,
     groups: Vec<GroupState>,
@@ -260,30 +254,133 @@ struct Driver {
     boundary_next: usize,
 }
 
+/// One SoCFlow epoch as every price reads it: worked out once from the
+/// time model, the mapping, its CGs, whether the CGs are the sync slots,
+/// and the CPU share of each batch. Eq. 1 ([`TimeModel::socflow_epoch`]),
+/// the timeline ([`simulate_socflow_schedule`]) and the plan search's
+/// floor ([`TimeModel::socflow_epoch_lower_bound`]) each fold the same
+/// iterations, compute, slot rings and boundary batches, and
+/// [`EpochPlan::cost`] turns each one's time into its [`EpochCost`].
+pub(crate) struct EpochPlan {
+    /// Iterations per epoch: each group takes one batch per iteration
+    /// (none without groups).
+    pub(crate) iters: usize,
+    /// Per-group compute time of one batch: underclocking-aware
+    /// re-balanced shares, the slower of the CPU-FP32 and NPU-INT8 halves
+    /// of the split batch ([`TimeModel::group_compute_time`]).
+    compute: Vec<Seconds>,
+    /// Bytes one syncing group member sends per iteration.
+    wire: f64,
+    /// One parameter update.
+    pub(crate) update: Seconds,
+    /// The sync slots' rings: the CGs when they plan sync, one slot of
+    /// every group when they do not.
+    pub(crate) slots: Vec<SlotRing>,
+    /// The epoch-boundary batches, in order.
+    pub(crate) boundary: Vec<BoundaryBatch>,
+    /// What a SoC draws while it computes at this CPU share.
+    state: PowerState,
+    /// SoCs that take part: an elastically shrunk job must not price (or
+    /// power) SoCs it lost.
+    participants: usize,
+}
+
+impl EpochPlan {
+    /// The plan of one epoch over `mapping`, syncing in `cgs` when
+    /// `planning` (all groups in one slot when not), each batch's CPU
+    /// share `cpu_fraction`.
+    pub(crate) fn new(
+        tm: &TimeModel,
+        mapping: &Mapping,
+        cgs: &CommunicationGroups,
+        planning: bool,
+        cpu_fraction: f64,
+    ) -> Self {
+        let n_groups = mapping.num_groups();
+        let iters = match n_groups {
+            0 => 0,
+            n => (tm.ref_samples() as f64 / (n as f64 * tm.batch() as f64)).ceil() as usize,
+        };
+        let members: Vec<Vec<usize>> = if planning {
+            let cg_groups = |cg: &Vec<GroupId>| cg.iter().map(|g| g.0).collect();
+            cgs.cgs.iter().map(cg_groups).collect()
+        } else {
+            vec![(0..n_groups).collect()]
+        };
+        let wire = tm.wire_bytes(cpu_fraction);
+        EpochPlan {
+            iters,
+            compute: mapping
+                .groups()
+                .iter()
+                .map(|g| tm.group_compute_time(g, cpu_fraction))
+                .collect(),
+            wire,
+            update: tm.update_time(),
+            slots: members
+                .into_iter()
+                .map(|groups| slot_ring(tm, mapping, groups, wire))
+                .collect(),
+            boundary: boundary_batches(tm, mapping, wire),
+            state: if cpu_fraction >= 1.0 {
+                PowerState::SocCpuTrain
+            } else if cpu_fraction <= 0.0 {
+                PowerState::SocNpuTrain
+            } else {
+                PowerState::SocMixedTrain
+            },
+            participants: mapping.groups().iter().map(Vec::len).sum(),
+        }
+    }
+
+    /// The slowest group's compute time of one batch (groups run in
+    /// parallel).
+    pub(crate) fn slowest_compute(&self) -> Seconds {
+        self.compute.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// The cost of an epoch that took `time`, split as `breakdown`, with
+    /// the network busy for `sync_busy` of it and `aggregation` of it spent
+    /// on the epoch boundary: every participant draws its compute state
+    /// for `breakdown.compute`, its radio for `sync_busy`, and idles the
+    /// rest.
+    pub(crate) fn cost(
+        &self,
+        time: Seconds,
+        breakdown: Breakdown,
+        sync_busy: Seconds,
+        aggregation: Seconds,
+    ) -> EpochCost {
+        let per_soc = soc_epoch_energy(time, breakdown.compute, sync_busy, self.state);
+        EpochCost {
+            time,
+            breakdown,
+            energy: self.participants as f64 * per_soc,
+            aggregation,
+        }
+    }
+}
+
 impl TimeModel {
     /// Simulates one SoCFlow epoch on the event-driven timeline (see the
     /// [module docs](crate::sim)): the price of every SoCFlow run. Returns
     /// the same cost shape as the closed-form [`TimeModel::socflow_epoch`]
     /// plus the full span schedule and the per-link-class utilization.
     ///
-    /// `planning` selects the closed form's semantics wholesale: CG slots
-    /// and interleaving (wait-free once [`TimeModel::set_overlap`] set a
-    /// plan) when `true`, one joint slot and serial sync when `false`.
+    /// The CGs are the sync slots, interleaved with compute, or wait-free
+    /// once [`TimeModel::set_overlap`] set a plan.
     pub fn socflow_epoch_timeline(
         &self,
         mapping: &Mapping,
         cgs: &CommunicationGroups,
-        planning: bool,
         cpu_fraction: f64,
     ) -> SimulatedEpoch {
-        let schedule = if !planning {
-            SyncSchedule::Serial
-        } else if self.overlap().is_some() {
+        let schedule = if self.overlap().is_some() {
             SyncSchedule::WaitFree
         } else {
             SyncSchedule::Interleaved
         };
-        simulate_socflow_schedule(self, mapping, cgs, planning, schedule, cpu_fraction)
+        simulate_socflow_schedule(self, mapping, cgs, true, schedule, cpu_fraction)
     }
 
     /// A floor under the price of one SoCFlow epoch over `mapping` with
@@ -307,35 +404,23 @@ impl TimeModel {
     /// autotuner ([`crate::autotune`]) prices candidates in order of this
     /// floor and stops at the first one above its incumbent.
     pub fn socflow_epoch_lower_bound(&self, mapping: &Mapping, cpu_fraction: f64) -> Seconds {
-        let n_groups = mapping.num_groups();
-        if n_groups == 0 {
-            return 0.0;
-        }
-        let wire = self.wire_bytes(cpu_fraction);
-        let update = self.update_time();
         let (cgs, _) = divide_or_serialize(mapping);
+        let plan = EpochPlan::new(self, mapping, &cgs, true, cpu_fraction);
         let mut period: Seconds = 0.0;
-        for slot in sync_slots(mapping, &cgs, true) {
-            let ring = slot_ring(self, mapping, slot, wire);
+        for ring in &plan.slots {
             let steps = ring.steps as f64;
             let sync = (steps * ring.latency).max(steps * self.net().drain_floor(&ring.flows));
             for &g in &ring.groups {
-                let compute = self.group_compute_time(mapping.group(GroupId(g)), cpu_fraction);
-                period = period.max(compute.max(sync) + update);
+                period = period.max(plan.compute[g].max(sync) + plan.update);
             }
         }
-        let boundary: Seconds = boundary_batches(self, mapping, wire)
+        let boundary: Seconds = plan
+            .boundary
             .iter()
             .map(|b| b.repeat as f64 * standalone_time(self.net(), &b.flows, b.latency))
             .sum();
-        (epoch_iters(self, n_groups) as f64 * period + boundary) * (1.0 - 1e-9)
+        (plan.iters as f64 * period + boundary) * (1.0 - 1e-9)
     }
-}
-
-/// Iterations per epoch: each of `n_groups` groups takes one batch per
-/// iteration.
-fn epoch_iters(tm: &TimeModel, n_groups: usize) -> usize {
-    ((tm.ref_samples() as f64 / (n_groups as f64 * tm.batch() as f64)).ceil() as usize).max(1)
 }
 
 /// The time one flow batch takes alone on an idle network: its latency,
@@ -371,21 +456,6 @@ pub enum SyncSchedule {
     WaitFree,
 }
 
-/// The sync slots' member groups: the CGs with `planning`, one slot of
-/// every group without.
-pub(crate) fn sync_slots(
-    mapping: &Mapping,
-    cgs: &CommunicationGroups,
-    planning: bool,
-) -> Vec<Vec<usize>> {
-    if planning {
-        let cg_groups = |cg: &Vec<GroupId>| cg.iter().map(|g| g.0).collect();
-        cgs.cgs.iter().map(cg_groups).collect()
-    } else {
-        vec![(0..mapping.num_groups()).collect()]
-    }
-}
-
 /// One sync slot's ring, as the simulator, the floor and Eq. 1 see it.
 pub(crate) struct SlotRing {
     /// Member logical groups.
@@ -402,12 +472,7 @@ pub(crate) struct SlotRing {
 
 /// The ring of the slot holding `groups`, each syncing member sending
 /// `wire` bytes per iteration.
-pub(crate) fn slot_ring(
-    tm: &TimeModel,
-    mapping: &Mapping,
-    groups: Vec<usize>,
-    wire: f64,
-) -> SlotRing {
+fn slot_ring(tm: &TimeModel, mapping: &Mapping, groups: Vec<usize>, wire: f64) -> SlotRing {
     let steps = groups
         .iter()
         .map(|&g| mapping.group(GroupId(g)).len())
@@ -440,7 +505,7 @@ pub(crate) struct BoundaryBatch {
 /// leader-ring steps, the weight broadcast, the cross-group data shuffle.
 /// Degenerate phases (single leader, singleton groups, lone participant)
 /// are omitted.
-pub(crate) fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<BoundaryBatch> {
+fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> Vec<BoundaryBatch> {
     let mut batches = Vec::new();
     let mut push = |kind, flows: Vec<Flow>, repeat| {
         batches.push(BoundaryBatch {
@@ -487,30 +552,12 @@ pub(crate) fn boundary_batches(tm: &TimeModel, mapping: &Mapping, wire: f64) -> 
     batches
 }
 
-/// The epoch-boundary phases in order, each batch resolved once on `tl`.
-fn boundary_phases(
-    tm: &TimeModel,
-    tl: &mut FluidTimeline<'_>,
-    mapping: &Mapping,
-    wire: f64,
-) -> Vec<BoundaryPhase> {
-    let mut plan = Vec::new();
-    for b in boundary_batches(tm, mapping, wire) {
-        let phase = BoundaryPhase {
-            kind: b.kind,
-            route: tl.route(&b.flows),
-            latency: b.latency,
-        };
-        plan.extend(std::iter::repeat_n(phase, b.repeat));
-    }
-    plan
-}
-
 /// The fully-parameterized simulation: `planning_slots` picks the sync
 /// slot structure (the 2-colored CGs vs one joint all-groups slot) and
 /// `schedule` picks whether sync interleaves with compute. The no-overlap
 /// comparator of `bench timeline` is `(true, SyncSchedule::Serial)` —
-/// same CG turn-taking, no hiding.
+/// same CG turn-taking, no hiding — and the unplanned schedule Eq. 1's
+/// `planning = false` prices is `(false, SyncSchedule::Serial)`.
 pub fn simulate_socflow_schedule(
     tm: &TimeModel,
     mapping: &Mapping,
@@ -519,56 +566,23 @@ pub fn simulate_socflow_schedule(
     schedule: SyncSchedule,
     cpu_fraction: f64,
 ) -> SimulatedEpoch {
-    let n_groups = mapping.num_groups();
-    if n_groups == 0 {
-        return SimulatedEpoch {
-            cost: EpochCost {
-                time: 0.0,
-                breakdown: Breakdown::default(),
-                energy: 0.0,
-                aggregation: 0.0,
-            },
-            spans: Vec::new(),
-            link_util: LinkClassUtil::default(),
-            bucket_flushes: Vec::new(),
-        };
-    }
-    let iters = epoch_iters(tm, n_groups);
-
-    // Per-group compute time: underclocking-aware re-balanced shares, the
-    // slower of the CPU-FP32 and NPU-INT8 halves of the split batch.
-    let compute_t: Vec<Seconds> = mapping
-        .groups()
-        .iter()
-        .map(|g| tm.group_compute_time(g, cpu_fraction))
-        .collect();
+    let plan = EpochPlan::new(tm, mapping, cgs, planning_slots, cpu_fraction);
+    let (n_groups, iters) = (mapping.num_groups(), plan.iters);
 
     // every flow set the epoch admits is resolved once, on its timeline
     let mut tl = FluidTimeline::new(tm.net());
-    let wire = tm.wire_bytes(cpu_fraction);
-    let slots: Vec<SlotState> = sync_slots(mapping, cgs, planning_slots)
-        .into_iter()
-        .map(|gs| {
-            let SlotRing {
-                groups,
-                flows,
-                steps,
-                latency,
-            } = slot_ring(tm, mapping, gs, wire);
-            SlotState {
-                route: tl.route(&flows),
-                groups,
-                flows,
-                steps,
-                latency,
-                ready_count: vec![0; iters],
-                done: vec![false; iters],
-            }
+    let slots: Vec<SlotState> = plan
+        .slots
+        .iter()
+        .map(|ring| SlotState {
+            route: tl.route(&ring.flows),
+            ready_count: vec![0; iters],
+            done: vec![false; iters],
         })
         .collect();
     let mut slot_of = vec![0usize; n_groups];
-    for (si, s) in slots.iter().enumerate() {
-        for &g in &s.groups {
+    for (si, ring) in plan.slots.iter().enumerate() {
+        for &g in &ring.groups {
             slot_of[g] = si;
         }
     }
@@ -578,7 +592,7 @@ pub fn simulate_socflow_schedule(
     // each flow's bucket parts telescope back to the monolithic bytes.
     let wf = if schedule == SyncSchedule::WaitFree {
         let shares: Vec<f64> = match tm.overlap() {
-            Some(plan) => plan.shares.clone(),
+            Some(overlap) => overlap.shares.clone(),
             None => vec![1.0], // degenerate single bucket
         };
         let mut release_frac = Vec::with_capacity(shares.len());
@@ -587,22 +601,27 @@ pub fn simulate_socflow_schedule(
             release_frac.push(cum);
             cum += s;
         }
-        let wf_slots: Vec<WfSlot> = slots
+        let wf_slots: Vec<WfSlot> = plan
+            .slots
             .iter()
-            .map(|s| {
-                let n_buckets = if s.flows.is_empty() { 0 } else { shares.len() };
+            .map(|ring| {
+                let n_buckets = if ring.flows.is_empty() {
+                    0
+                } else {
+                    shares.len()
+                };
                 let mut flows: Vec<Vec<Flow>> = vec![Vec::new(); n_buckets];
-                for f in &s.flows {
+                for f in &ring.flows {
                     for (b, part) in partition_exact(f.bytes, &shares).into_iter().enumerate() {
                         flows[b].push(Flow::new(f.src, f.dst, part));
                     }
                 }
-                let syncing = s
+                let syncing = ring
                     .groups
                     .iter()
                     .filter(|&&g| mapping.group(GroupId(g)).len() >= 2)
                     .count();
-                let slot_wire = wire * syncing as f64;
+                let slot_wire = plan.wire * syncing as f64;
                 let bytes = if n_buckets == 0 {
                     Vec::new()
                 } else {
@@ -625,12 +644,19 @@ pub fn simulate_socflow_schedule(
         None
     };
 
+    let mut boundary_plan = Vec::new();
+    for b in &plan.boundary {
+        let phase = BoundaryPhase {
+            kind: b.kind,
+            route: tl.route(&b.flows),
+            latency: b.latency,
+        };
+        boundary_plan.extend(std::iter::repeat_n(phase, b.repeat));
+    }
     let mut drv = Driver {
+        plan: &plan,
         overlap: schedule != SyncSchedule::Serial,
         wf,
-        iters,
-        compute_t,
-        update_t: tm.update_time(),
         slots,
         slot_of,
         groups: (0..n_groups)
@@ -649,7 +675,7 @@ pub fn simulate_socflow_schedule(
         queue: Vec::new(),
         sync_busy: 0.0,
         finished_groups: 0,
-        boundary_plan: boundary_phases(tm, &mut tl, mapping, wire),
+        boundary_plan,
         boundary_next: 0,
     };
 
@@ -700,38 +726,22 @@ pub fn simulate_socflow_schedule(
     // Cost assembly mirrors the analytic model: compute is the slowest
     // group's (groups run in parallel), visible sync is whatever wall
     // clock neither compute nor updates account for.
-    let c_max = drv.compute_t.iter().copied().fold(0.0, f64::max);
-    let compute_total = c_max * iters as f64;
-    let update_total = drv.update_t * iters as f64;
-    let aggregation = time - batch_end;
+    let compute_total = plan.slowest_compute() * iters as f64;
+    let update_total = plan.update * iters as f64;
     let breakdown = Breakdown {
         compute: compute_total,
         sync: (time - compute_total - update_total).max(0.0),
         update: update_total,
     };
-    let state = if cpu_fraction >= 1.0 {
-        PowerState::SocCpuTrain
-    } else if cpu_fraction <= 0.0 {
-        PowerState::SocNpuTrain
-    } else {
-        PowerState::SocMixedTrain
-    };
-    let n_part: usize = mapping.groups().iter().map(|g| g.len()).sum();
-    let energy = n_part as f64 * tm.soc_epoch_energy(time, compute_total, drv.sync_busy, state);
     SimulatedEpoch {
-        cost: EpochCost {
-            time,
-            breakdown,
-            energy,
-            aggregation,
-        },
+        cost: plan.cost(time, breakdown, drv.sync_busy, time - batch_end),
         spans: drv.spans,
         link_util: tl.class_utilization(time),
         bucket_flushes: drv.bucket_flushes,
     }
 }
 
-impl Driver {
+impl Driver<'_> {
     fn begin_iteration(&mut self, tl: &mut FluidTimeline<'_>, g: usize) {
         let now = tl.now();
         let gs = &mut self.groups[g];
@@ -739,7 +749,7 @@ impl Driver {
         gs.compute_done = false;
         gs.updating = false;
         let iter = gs.iter;
-        let id = tl.start_span(self.compute_t[g]);
+        let id = tl.start_span(self.plan.compute[g]);
         debug_assert_eq!(id.0, self.tags.len());
         self.tags.push(Tag::Compute { g });
         if self.overlap {
@@ -767,8 +777,9 @@ impl Driver {
 
     fn count_ready(&mut self, tl: &mut FluidTimeline<'_>, slot: usize, iter: usize) {
         self.slots[slot].ready_count[iter] += 1;
-        if self.slots[slot].ready_count[iter] == self.slots[slot].groups.len() {
-            if self.slots[slot].steps == 0 {
+        let ring = &self.plan.slots[slot];
+        if self.slots[slot].ready_count[iter] == ring.groups.len() {
+            if ring.steps == 0 {
                 self.finish_sync(tl, slot, iter);
             } else if self.wf.is_some() {
                 self.release_buckets(tl, slot);
@@ -795,12 +806,12 @@ impl Driver {
             .expect("non-empty queue");
         let (_, slot, _) = self.queue.remove(best);
         let now = tl.now();
-        self.token = Some((slot, now, self.slots[slot].steps));
+        self.token = Some((slot, now, self.plan.slots[slot].steps));
         self.start_sync_step(tl, slot);
     }
 
     fn start_sync_step(&mut self, tl: &mut FluidTimeline<'_>, slot: usize) {
-        let id = tl.start_route(self.slots[slot].route, self.slots[slot].latency);
+        let id = tl.start_route(self.slots[slot].route, self.plan.slots[slot].latency);
         debug_assert_eq!(id.0, self.tags.len());
         self.tags.push(Tag::SyncStep { slot });
     }
@@ -816,7 +827,7 @@ impl Driver {
         self.token = None;
         // the iteration this sync served is its members' current one (no
         // member can advance past it before the sync completes)
-        let iter = self.groups[self.slots[slot].groups[0]].iter;
+        let iter = self.groups[self.plan.slots[slot].groups[0]].iter;
         self.spans.push(Span {
             kind: "sync",
             lane: Lane::Cg(slot),
@@ -836,16 +847,17 @@ impl Driver {
     /// iteration begin).
     fn release_buckets(&mut self, tl: &mut FluidTimeline<'_>, slot: usize) {
         let now = tl.now();
-        let lead = self.slots[slot].steps as f64 * self.slots[slot].latency;
+        let ring = &self.plan.slots[slot];
+        let lead = ring.steps as f64 * ring.latency;
         let wf = self.wf.as_mut().expect("wait-free state");
         wf.slots[slot].done = 0;
         let n_buckets = wf.slots[slot].routes.len();
         for b in 0..n_buckets {
             let frac = wf.release_frac[b];
-            let release_at = self.slots[slot]
+            let release_at = ring
                 .groups
                 .iter()
-                .map(|&g| self.groups[g].begun_at + self.compute_t[g] * frac)
+                .map(|&g| self.groups[g].begun_at + self.plan.compute[g] * frac)
                 .fold(0.0f64, f64::max)
                 - lead;
             let id = tl.start_span((release_at - now).max(0.0));
@@ -861,7 +873,7 @@ impl Driver {
         bucket: usize,
         at: Seconds,
     ) {
-        let steps = self.slots[slot].steps;
+        let steps = self.plan.slots[slot].steps;
         let ws = &mut self.wf.as_mut().expect("wait-free state").slots[slot];
         ws.started[bucket] = at;
         ws.steps_left[bucket] = steps;
@@ -870,7 +882,7 @@ impl Driver {
 
     fn start_bucket_step(&mut self, tl: &mut FluidTimeline<'_>, slot: usize, bucket: usize) {
         let wf = self.wf.as_ref().expect("wait-free state");
-        let id = tl.start_route(wf.slots[slot].routes[bucket], self.slots[slot].latency);
+        let id = tl.start_route(wf.slots[slot].routes[bucket], self.plan.slots[slot].latency);
         debug_assert_eq!(id.0, self.tags.len());
         self.tags.push(Tag::BucketStep { slot, bucket });
     }
@@ -906,15 +918,14 @@ impl Driver {
             at,
         });
         if all_done {
-            let iter = self.groups[self.slots[slot].groups[0]].iter;
+            let iter = self.groups[self.plan.slots[slot].groups[0]].iter;
             self.finish_sync(tl, slot, iter);
         }
     }
 
     fn finish_sync(&mut self, tl: &mut FluidTimeline<'_>, slot: usize, iter: usize) {
         self.slots[slot].done[iter] = true;
-        for gi in 0..self.slots[slot].groups.len() {
-            let g = self.slots[slot].groups[gi];
+        for &g in &self.plan.slots[slot].groups {
             if !self.groups[g].finished && self.groups[g].iter == iter {
                 self.try_update(tl, g);
             }
@@ -929,7 +940,7 @@ impl Driver {
             && self.slots[self.slot_of[g]].done[iter];
         if ready {
             self.groups[g].updating = true;
-            let id = tl.start_span(self.update_t);
+            let id = tl.start_span(self.plan.update);
             debug_assert_eq!(id.0, self.tags.len());
             self.tags.push(Tag::Update { g });
         }
@@ -939,11 +950,11 @@ impl Driver {
         self.spans.push(Span {
             kind: "update",
             lane: Lane::Group(g),
-            start: at - self.update_t,
+            start: at - self.plan.update,
             end: at,
         });
         self.groups[g].iter += 1;
-        if self.groups[g].iter < self.iters {
+        if self.groups[g].iter < self.plan.iters {
             self.begin_iteration(tl, g);
         } else {
             self.groups[g].finished = true;
@@ -1021,7 +1032,7 @@ mod tests {
             );
             let cgs = divide_communication_groups(&mapping).unwrap();
             let analytic = m.socflow_epoch(&mapping, &cgs, true, 1.0);
-            let sim = m.socflow_epoch_timeline(&mapping, &cgs, true, 1.0);
+            let sim = m.socflow_epoch_timeline(&mapping, &cgs, 1.0);
             let rel = (sim.cost.time - analytic.time).abs() / analytic.time;
             assert!(
                 rel < 1e-12,
@@ -1059,7 +1070,7 @@ mod tests {
         let cluster = ClusterSpec::for_socs(20);
         let mapping = integrity_greedy(&cluster, 20, 4);
         let cgs = divide_communication_groups(&mapping).unwrap();
-        let sim = m.socflow_epoch_timeline(&mapping, &cgs, true, 1.0);
+        let sim = m.socflow_epoch_timeline(&mapping, &cgs, 1.0);
         assert!(!sim.spans.is_empty());
         let mut last_start = 0.0;
         for s in &sim.spans {
@@ -1084,7 +1095,7 @@ mod tests {
         let cluster = ClusterSpec::for_socs(8);
         let mapping = integrity_greedy(&cluster, 8, 8);
         let cgs = divide_communication_groups(&mapping).unwrap();
-        let sim = m.socflow_epoch_timeline(&mapping, &cgs, true, 1.0);
+        let sim = m.socflow_epoch_timeline(&mapping, &cgs, 1.0);
         assert!(sim.spans.iter().all(|s| s.kind != "sync"));
         let analytic = m.socflow_epoch(&mapping, &cgs, true, 1.0);
         let rel = (sim.cost.time - analytic.time).abs() / analytic.time;
@@ -1239,14 +1250,43 @@ mod tests {
         assert_eq!(shown, ["g3", "cg1", "cg0/b2", "cluster"]);
     }
 
+    /// A job that lost every SoC prices to nothing on all three paths:
+    /// its plan has no iterations, no slot ring moves bytes and there is
+    /// no boundary.
+    #[test]
+    fn an_empty_mapping_costs_nothing() {
+        let m = model(8);
+        let mapping = Mapping::from_members(Vec::new(), &ClusterSpec::for_socs(8));
+        let (cgs, _) = divide_or_serialize(&mapping);
+        let zero = EpochCost {
+            time: 0.0,
+            breakdown: Breakdown::default(),
+            energy: 0.0,
+            aggregation: 0.0,
+        };
+        for planning in [true, false] {
+            assert_eq!(m.socflow_epoch(&mapping, &cgs, planning, 1.0), zero);
+        }
+        for schedule in [
+            SyncSchedule::Interleaved,
+            SyncSchedule::Serial,
+            SyncSchedule::WaitFree,
+        ] {
+            let sim = simulate_socflow_schedule(&m, &mapping, &cgs, true, schedule, 0.5);
+            assert_eq!(sim.cost, zero);
+            assert!(sim.spans.is_empty() && sim.bucket_flushes.is_empty());
+        }
+        assert_eq!(m.socflow_epoch_lower_bound(&mapping, 1.0), 0.0);
+    }
+
     #[test]
     fn simulation_is_deterministic() {
         let m = model(15);
         let cluster = ClusterSpec::for_socs(15);
         let mapping = integrity_greedy(&cluster, 15, 5);
         let cgs = divide_communication_groups(&mapping).unwrap();
-        let a = m.socflow_epoch_timeline(&mapping, &cgs, true, 0.4);
-        let b = m.socflow_epoch_timeline(&mapping, &cgs, true, 0.4);
+        let a = m.socflow_epoch_timeline(&mapping, &cgs, 0.4);
+        let b = m.socflow_epoch_timeline(&mapping, &cgs, 0.4);
         assert_eq!(a, b);
     }
 }

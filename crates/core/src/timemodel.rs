@@ -25,7 +25,7 @@ use crate::config::{MethodSpec, TrainJobSpec, PIPELINE_GROUP};
 use crate::mapping::Mapping;
 use crate::planning::{iteration_time, CommunicationGroups};
 use crate::report::Breakdown;
-use crate::sim::{boundary_batches, slot_ring, sync_slots};
+use crate::sim::EpochPlan;
 use socflow_cluster::{
     calibration, ClusterNet, ClusterSpec, ComputeModel, EnergyMeter, Flow, PowerState, Processor,
     Seconds, SocId,
@@ -47,8 +47,6 @@ pub const DEFAULT_BUCKET_KB: usize = 4096;
 /// reference payload so the simulator prices paper-scale transfers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapPlan {
-    /// Requested bucket size, KiB of reference payload.
-    pub bucket_kb: usize,
     /// Per-bucket share of the wire payload, in release order (output-most
     /// layers first — the order backprop produces gradients). The shares
     /// sum to exactly 1: the last share is computed as the residual, so
@@ -189,7 +187,6 @@ impl TimeModel {
         let head: f64 = shares[..shares.len() - 1].iter().sum();
         *shares.last_mut().expect("bucketize never returns empty") = (1.0 - head).max(0.0);
         self.overlap = Some(OverlapPlan {
-            bucket_kb,
             shares,
             layers: buckets
                 .iter()
@@ -275,35 +272,8 @@ impl TimeModel {
         t_cpu.max(t_npu)
     }
 
-    /// The slowest group's compute time (groups run in parallel).
-    fn slowest_group_compute(&self, mapping: &Mapping, cpu_fraction: f64) -> Seconds {
-        mapping
-            .groups()
-            .iter()
-            .map(|g| self.group_compute_time(g, cpu_fraction))
-            .fold(0.0, f64::max)
-    }
-
     pub(crate) fn update_time(&self) -> Seconds {
         self.params * calibration::UPDATE_FLOPS_PER_PARAM / calibration::SOC_CPU_FLOPS
-    }
-
-    pub(crate) fn soc_epoch_energy(
-        &self,
-        wall: Seconds,
-        compute_s: Seconds,
-        sync_s: Seconds,
-        state: PowerState,
-    ) -> f64 {
-        let mut m = EnergyMeter::new();
-        let busy = (compute_s + sync_s).min(wall);
-        m.charge(state, compute_s.min(wall));
-        m.charge(
-            PowerState::SocNetwork,
-            sync_s.min(wall - compute_s.min(wall)),
-        );
-        m.charge(PowerState::SocIdle, (wall - busy).max(0.0));
-        m.joules()
     }
 
     /// Single-processor training: the whole dataset on `proc`, no
@@ -322,7 +292,7 @@ impl TimeModel {
         };
         let energy = match proc {
             Processor::GpuV100 | Processor::GpuA100 => state.watts() * time,
-            _ => self.soc_epoch_energy(time, compute, 0.0, state),
+            _ => soc_epoch_energy(time, compute, 0.0, state),
         };
         EpochCost {
             time,
@@ -379,7 +349,7 @@ impl TimeModel {
         let (period, bd) = iteration_time(compute, &[sync], update, overlap);
         let time = period * iters;
         let energy = self.socs as f64
-            * self.soc_epoch_energy(
+            * soc_epoch_energy(
                 time,
                 bd.compute * iters,
                 sync * iters,
@@ -415,7 +385,7 @@ impl TimeModel {
         };
         let time = compute + update + sync;
         let energy =
-            self.socs as f64 * self.soc_epoch_energy(time, compute, sync, PowerState::SocCpuTrain);
+            self.socs as f64 * soc_epoch_energy(time, compute, sync, PowerState::SocCpuTrain);
         EpochCost {
             time,
             breakdown: Breakdown {
@@ -501,10 +471,8 @@ impl TimeModel {
         planning: bool,
         cpu_fraction: f64,
     ) -> EpochCost {
-        let n_groups = mapping.num_groups();
-        let iters = (self.ref_samples as f64 / (n_groups as f64 * self.batch as f64)).ceil();
-
-        let compute = self.slowest_group_compute(mapping, cpu_fraction);
+        let plan = EpochPlan::new(self, mapping, cgs, planning, cpu_fraction);
+        let iters = plan.iters as f64;
 
         // Intra-group sync. All groups of one "communication slot" run
         // their ring steps simultaneously, so each slot is priced as a
@@ -512,48 +480,23 @@ impl TimeModel {
         // materializes here. With planning the slots are the CGs
         // (contention-free by construction); without it every group syncs
         // at once, and whatever conflicts the mapping left contend.
-        let wire = self.wire_bytes(cpu_fraction);
-        let cg_syncs: Vec<Seconds> = sync_slots(mapping, cgs, planning)
-            .into_iter()
-            .map(|slot| {
-                let ring = slot_ring(self, mapping, slot, wire);
-                step_sum(&self.net, [(&ring.flows[..], ring.steps)])
-            })
+        let cg_syncs: Vec<Seconds> = plan
+            .slots
+            .iter()
+            .map(|ring| step_sum(&self.net, [(&ring.flows[..], ring.steps)]))
             .collect();
+        let (period, bd) = iteration_time(plan.slowest_compute(), &cg_syncs, plan.update, planning);
 
-        let update = self.update_time();
-        let (period, bd) = iteration_time(compute, &cg_syncs, update, planning);
-        let batch_time = period * iters;
+        // delayed aggregation at the epoch boundary: leader ring + weight
+        // broadcast + data shuffle
+        let boundary = plan.boundary.iter().map(|b| (&b.flows[..], b.repeat));
+        let epoch_sync = step_sum(&self.net, boundary);
 
-        // epoch boundary: leader ring + weight broadcast + data shuffle,
-        // over the participating SoCs only — an elastically shrunk job
-        // must not price (or power) SoCs it lost
-        let boundary = boundary_batches(self, mapping, wire);
-        let epoch_sync = step_sum(&self.net, boundary.iter().map(|b| (&b.flows[..], b.repeat)));
-        let n_part: usize = mapping.groups().iter().map(Vec::len).sum();
-
-        let time = batch_time + epoch_sync;
+        let time = period * iters + epoch_sync;
         let mut breakdown = bd.scaled(iters);
         breakdown.sync += epoch_sync;
-
-        let state = if cpu_fraction >= 1.0 {
-            PowerState::SocCpuTrain
-        } else if cpu_fraction <= 0.0 {
-            PowerState::SocNpuTrain
-        } else {
-            PowerState::SocMixedTrain
-        };
-        let sync_per_soc = cg_syncs.iter().sum::<f64>() * iters + epoch_sync;
-        let energy =
-            n_part as f64 * self.soc_epoch_energy(time, compute * iters, sync_per_soc, state);
-
-        EpochCost {
-            time,
-            breakdown,
-            energy,
-            // delayed aggregation: leader ring + broadcast + shuffle
-            aggregation: epoch_sync,
-        }
+        let sync_busy = cg_syncs.iter().sum::<f64>() * iters + epoch_sync;
+        plan.cost(time, breakdown, sync_busy, epoch_sync)
     }
 
     /// Stall charged when a SoC *crashes*: the survivors reload the latest
@@ -665,6 +608,26 @@ impl Collective {
             }
         }
     }
+}
+
+/// One SoC's energy over an epoch of `wall` seconds: `compute_s` in its
+/// training `state`, then up to `sync_s` with its radio on, idle for the
+/// rest.
+pub(crate) fn soc_epoch_energy(
+    wall: Seconds,
+    compute_s: Seconds,
+    sync_s: Seconds,
+    state: PowerState,
+) -> f64 {
+    let mut m = EnergyMeter::new();
+    let busy = (compute_s + sync_s).min(wall);
+    m.charge(state, compute_s.min(wall));
+    m.charge(
+        PowerState::SocNetwork,
+        sync_s.min(wall - compute_s.min(wall)),
+    );
+    m.charge(PowerState::SocIdle, (wall - busy).max(0.0));
+    m.joules()
 }
 
 /// One ring step's flows: each of `members` sends its `bytes / n` chunk

@@ -185,6 +185,20 @@ pub fn snapshot() -> Vec<KernelTotal> {
         .collect()
 }
 
+/// The calls and nanoseconds of every kernel family since `base`, a
+/// [`snapshot`] taken earlier, in [`snapshot`]'s order: the totals of one
+/// measurement window, each saturating at zero.
+pub fn since(base: &[KernelTotal]) -> Vec<KernelTotal> {
+    base.iter()
+        .zip(snapshot())
+        .map(|(b, now)| KernelTotal {
+            calls: now.calls.saturating_sub(b.calls),
+            nanos: now.nanos.saturating_sub(b.nanos),
+            ..now
+        })
+        .collect()
+}
+
 /// RAII guard that attributes the enclosed scope to `op` when profiling is on.
 pub(crate) struct Timer {
     op: KernelOp,
@@ -276,6 +290,39 @@ mod tests {
         let after = snapshot();
         let t = after.iter().find(|t| t.op == "transpose").unwrap();
         assert!(t.calls >= 3);
+        reset();
+    }
+
+    /// A window is the snapshot minus its base, field by field, and never
+    /// underflows.
+    #[test]
+    fn since_subtracts_the_base_and_saturates() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        set_enabled(true);
+        {
+            let _t = Timer::start(KernelOp::Quant);
+        }
+        set_enabled(false);
+        let now = snapshot();
+        let zeroed: Vec<KernelTotal> = now
+            .iter()
+            .map(|t| KernelTotal {
+                calls: 0,
+                nanos: 0,
+                ..*t
+            })
+            .collect();
+        let ahead: Vec<KernelTotal> = now
+            .iter()
+            .map(|t| KernelTotal {
+                calls: t.calls + 1,
+                nanos: t.nanos + 1,
+                ..*t
+            })
+            .collect();
+        assert_eq!(since(&zeroed), now);
+        assert_eq!(since(&now), zeroed);
+        assert_eq!(since(&ahead), zeroed);
         reset();
     }
 }

@@ -476,7 +476,7 @@ proptest! {
         let cgs = divide_communication_groups(&mapping).unwrap();
         let cpu_fraction = cpu_pct as f64 / 100.0;
         let analytic = tm.socflow_epoch(&mapping, &cgs, true, cpu_fraction);
-        let sim = tm.socflow_epoch_timeline(&mapping, &cgs, true, cpu_fraction);
+        let sim = tm.socflow_epoch_timeline(&mapping, &cgs, cpu_fraction);
         let rel = (sim.cost.time - analytic.time).abs() / analytic.time;
         prop_assert!(
             rel < 1e-12,
@@ -563,6 +563,7 @@ proptest! {
         shape in 0u8..3,
     ) {
         use socflow::config::{MethodSpec, TrainJobSpec};
+        use socflow::sim::{simulate_socflow_schedule, SyncSchedule};
         use socflow::timemodel::TimeModel;
         use socflow_data::DatasetPreset;
         use socflow_nn::models::ModelKind;
@@ -584,7 +585,10 @@ proptest! {
         let planning = planning_draw == 1;
         let cpu_fraction = cpu_pct as f64 / 100.0;
         let analytic = tm.socflow_epoch(&mapping, &cgs, planning, cpu_fraction).time;
-        let sim = tm.socflow_epoch_timeline(&mapping, &cgs, planning, cpu_fraction).cost.time;
+        let schedule = if planning { SyncSchedule::Interleaved } else { SyncSchedule::Serial };
+        let sim = simulate_socflow_schedule(&tm, &mapping, &cgs, planning, schedule, cpu_fraction)
+            .cost
+            .time;
         let ratio = sim / analytic;
         let floor = if planning { EQ1_BAND_FLOOR } else { 1.0 - EQ1_ROUNDING };
         prop_assert!(

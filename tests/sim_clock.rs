@@ -7,8 +7,9 @@
 //! which priced a different subset and kept the best plan's bits. CI also
 //! `cmp`s a fresh `tune --json` against the same file. The closed forms
 //! that price Local, the six baselines and Fig. 4(b) are held the same way
-//! to a second file, and the compute anchors every price starts from to
-//! bits written down in this file.
+//! to a second file, SoCFlow's Eq. 1, timeline and floor prices to a
+//! third, and the compute anchors every price starts from to bits written
+//! down in this file.
 
 use socflow::config::{MethodSpec, SocFlowConfig, TrainJobSpec};
 use socflow::engine::Workload;
@@ -17,10 +18,10 @@ use socflow::options::{Plan, RunOptions};
 use socflow::planning::divide_communication_groups;
 use socflow::scheduler::GlobalScheduler;
 use socflow::sim::{simulate_socflow_schedule, SyncSchedule};
-use socflow::timemodel::{Collective, TimeModel};
+use socflow::timemodel::{Collective, TimeModel, DEFAULT_BUCKET_KB};
 use socflow_cluster::{timeline_stats, ClusterNet, ClusterSpec, Processor, SocId, TimelineStats};
 use socflow_data::DatasetPreset;
-use socflow_nn::models::{ModelConfig, ModelKind};
+use socflow_nn::models::{self, ModelConfig, ModelKind};
 
 /// `tune --model resnet18 --dataset cifar10 --socs 60 --auto-budget 100
 /// --seed 11 --json`.
@@ -30,6 +31,34 @@ const GOLDEN: &str = include_str!("golden/tune_resnet18_60_b100.json");
 /// ResNet-18 on 32 SoCs, and Fig. 4(b)'s ring and PS latencies, one
 /// `<model>/<method>/<field> <bits> <value>` line each.
 const BASELINE_GOLDEN: &str = include_str!("golden/baseline_prices_32socs.txt");
+
+/// SoCFlow's Eq. 1, its timeline under the three schedules and its floor
+/// for VGG-11 and ResNet-18 on 32 SoCs, one
+/// `<model>/g<groups>/cpu<share>/<price>/<field> <bits> <value>` line each.
+const SOCFLOW_GOLDEN: &str = include_str!("golden/socflow_prices_32socs.txt");
+
+/// A price golden's `(id, f64 bits)` pairs, comment lines skipped.
+fn golden_bits(text: &str) -> Vec<(&str, u64)> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let mut cells = l.split_whitespace();
+            let id = cells.next().expect("an id");
+            let bits = u64::from_str_radix(cells.next().expect("bits"), 16).expect("hex bits");
+            (id, bits)
+        })
+        .collect()
+}
+
+/// Holds `got` to a price golden, id for id and bit for bit.
+fn assert_golden_bits(got: &[(String, f64)], golden: &str) {
+    let want = golden_bits(golden);
+    assert_eq!(got.len(), want.len());
+    for ((id, v), (want_id, want_bits)) in got.iter().zip(&want) {
+        assert_eq!(id, want_id);
+        assert_eq!(v.to_bits(), *want_bits, "{id}: {v}");
+    }
+}
 
 #[test]
 fn paper_scale_plan_search_matches_the_golden_ranking() {
@@ -178,26 +207,80 @@ fn baseline_and_fig4b_prices_match_the_golden_bits() {
             }
         }
     }
-    let want: Vec<(&str, u64)> = BASELINE_GOLDEN
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .map(|l| {
-            let mut cells = l.split_whitespace();
-            let id = cells.next().expect("an id");
-            let bits = u64::from_str_radix(cells.next().expect("bits"), 16).expect("hex bits");
-            (id, bits)
-        })
-        .collect();
-    assert_eq!(got.len(), want.len());
     assert_eq!(
         got.len(),
         104,
         "2 models × (7 methods × 6 fields + 10 latencies)"
     );
-    for ((id, v), (want_id, want_bits)) in got.iter().zip(&want) {
-        assert_eq!(id, want_id);
-        assert_eq!(v.to_bits(), *want_bits, "{id}: {v}");
+    assert_golden_bits(&got, BASELINE_GOLDEN);
+}
+
+/// Every SoCFlow price the repo computes, on the paper's 32-SoC server:
+/// Eq. 1's whole cost, the timeline's time, energy and delayed aggregation
+/// under each schedule (wait-free at the default bucket size) and the
+/// plan search's floor, at 4 and 8 groups and the FP32, mixed and INT8
+/// CPU shares.
+fn socflow_prices() -> Vec<(String, f64)> {
+    let mut got = Vec::new();
+    for model in [ModelKind::Vgg11, ModelKind::ResNet18] {
+        let method = MethodSpec::SocFlow(SocFlowConfig::full());
+        let mut spec = TrainJobSpec::new(model, DatasetPreset::Cifar10, method);
+        spec.socs = 32;
+        let mut tm = TimeModel::new(&spec);
+        let layout = models::grad_layout(&model.layers(ModelConfig::new(3, 32, 10, 0.25)));
+        tm.set_overlap(DEFAULT_BUCKET_KB, &layout);
+        for groups in [4, 8] {
+            let mapping = integrity_greedy(&ClusterSpec::for_socs(32), 32, groups);
+            let cgs = divide_communication_groups(&mapping).unwrap();
+            for share in [1.0, 0.37, 0.0] {
+                let at = format!("{model}/g{groups}/cpu{share}");
+                let eq1 = tm.socflow_epoch(&mapping, &cgs, true, share);
+                let fields = [
+                    ("time", eq1.time),
+                    ("compute", eq1.breakdown.compute),
+                    ("sync", eq1.breakdown.sync),
+                    ("update", eq1.breakdown.update),
+                    ("energy", eq1.energy),
+                    ("aggregation", eq1.aggregation),
+                ];
+                for (field, v) in fields {
+                    got.push((format!("{at}/eq1/{field}"), v));
+                }
+                for (name, schedule) in [
+                    ("interleaved", SyncSchedule::Interleaved),
+                    ("serial", SyncSchedule::Serial),
+                    ("wait-free", SyncSchedule::WaitFree),
+                ] {
+                    let c = simulate_socflow_schedule(&tm, &mapping, &cgs, true, schedule, share);
+                    let fields = [
+                        ("time", c.cost.time),
+                        ("energy", c.cost.energy),
+                        ("aggregation", c.cost.aggregation),
+                    ];
+                    for (field, v) in fields {
+                        got.push((format!("{at}/{name}/{field}"), v));
+                    }
+                }
+                let floor = tm.socflow_epoch_lower_bound(&mapping, share);
+                got.push((format!("{at}/floor/time"), floor));
+            }
+        }
     }
+    got
+}
+
+/// No other test pins SoCFlow's energy or breakdown at bit level: a change
+/// to how Eq. 1, the timeline or the floor assembles an epoch that moves
+/// any of them shows here.
+#[test]
+fn socflow_prices_match_the_golden_bits() {
+    let got = socflow_prices();
+    assert_eq!(
+        got.len(),
+        192,
+        "2 models × 2 group counts × 3 shares × (6 + 3 × 3 + 1)"
+    );
+    assert_golden_bits(&got, SOCFLOW_GOLDEN);
 }
 
 /// Per model in [`ModelKind::ALL`] order: `per_sample` on the 865 CPU, the
