@@ -31,14 +31,16 @@
 //! training hot path lives in (tiled GEMM
 //! variants, transpose, the pooled conv2d forward/backward, LeNet-5's two
 //! layers on the lowering (`conv2d`, whose f32 and INT8 forwards are one
-//! pass of sample panels) and on the direct path (`conv_direct`), max
-//! pooling, batch norm's sweeps (`batch_norm`), the two GEMMs of a
-//! ResNet-18 step on one and on two pool threads, a parallel region's
-//! round trip) on
-//! fixed shapes with deterministic inputs. Each is two rows,
-//! `kernels/<op> <shape>/ns_per_iter` — the minimum wall time per
-//! iteration — and `…/gflops`; `kernels/isa/<name>` names the instantiation
-//! the host ran and `kernels/setup/iters` the timed runs per kernel.
+//! pass of sample panels) and on the direct path (`conv_direct`), LeNet-5's
+//! first fully connected layer on both arms (`linear`), max pooling, batch
+//! norm's sweeps (`batch_norm`), the two GEMMs of a ResNet-18 step on one
+//! and on two pool threads, a parallel region's round trip, and the INT8
+//! arm's gradient noise) on fixed shapes with deterministic inputs. Each is
+//! two rows, `kernels/<op> <shape>/ns_per_iter` — the minimum wall time per
+//! iteration — and `…/gflops`, but the noise, one row
+//! `kernels/quant_noise <len>/ns_per_elem`; `kernels/isa/<name>` names the
+//! instantiation the host ran and `kernels/setup/iters` the timed runs per
+//! kernel.
 //! Minimum-of-N timing is used instead of the mean: the minimum estimates
 //! the noise-free cost of the kernel, which is the number optimization
 //! work should be judged against. It is the only suite that reads the host
@@ -49,6 +51,8 @@
 mod paper;
 
 use crate::commands::default_width;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Serialize;
 use serde_json::Value;
 use socflow::autotune::{autotune, TuneOptions, BUCKET_GRID_KB};
@@ -64,7 +68,9 @@ use socflow_cluster::faults::FaultPlan;
 use socflow_cluster::ScratchStats;
 use socflow_data::stream::RateProfile;
 use socflow_data::DatasetPreset;
+use socflow_nn::layers::Linear;
 use socflow_nn::models::{self, ModelConfig, ModelKind};
+use socflow_nn::{Layer, Mode, Precision};
 use socflow_telemetry::{MemorySink, Summary};
 use socflow_tensor::conv::{self, ConvParams};
 use socflow_tensor::isa::Isa;
@@ -705,6 +711,26 @@ fn kernels(fast: bool) -> Vec<Row> {
         }
     }
 
+    // --- LeNet-5's first fully connected layer on both arms ----------------
+    // A 40-sample training forward, 32 features into 60 at the CLI's width:
+    // `fwd` the FP32 arm, `int8` the INT8 arm (its quantize, i8 GEMM and
+    // epilogue, and the dequantized cache).
+    let (fm, fk, fn_) = (40, 32, 60);
+    let mut fc = Linear::new(fk, fn_, &mut StdRng::seed_from_u64(0x5eed_0040));
+    let fx = tensor([fm, fk], 0x5eed_0041);
+    for (what, precision) in [("fwd", Precision::Fp32), ("int8", Precision::Int8)] {
+        let flops = 2.0 * (fm * fk * fn_) as f64;
+        time(
+            "linear",
+            format!("{what} {fm}x{fk}->{fn_}"),
+            flops,
+            &mut || {
+                pool::recycle(fc.forward(&fx, Mode::train(precision)));
+            },
+        );
+    }
+    fc.release();
+
     // --- Max pooling ("flops" = elements read) ----------------------------
     // LeNet-5's first pool at the CLI's width, one 64-sample step.
     let px = tensor([64, 3, 8, 8], 0x5eed_0012);
@@ -810,6 +836,21 @@ fn kernels(fast: bool) -> Vec<Row> {
         push_kernel(&mut results, &kernel, ns_per_iter, 2.0 / ns_per_iter);
     }
     runtime::set_threads(budget);
+
+    // --- Gradient noise of the INT8 arm ("per elem" = ns an element) -------
+    // VGG-11's widest weight gradient at the CLI's width, 113 × 113 × 3 × 3:
+    // the scale's max-|x| sweep and the noise sweep, as a layer's backward
+    // runs them.
+    let mut grad = tensor([113, 113, 3, 3], 0x5eed_0042);
+    let len = grad.len();
+    let ns = time_min(iters, warmup, || {
+        quant::add_gradient_quant_noise(&mut grad, 0xC0FFEE, false);
+    });
+    push_arm(
+        &mut results,
+        &format!("kernels/quant_noise {len}"),
+        [("ns_per_elem", ns / len as f64, "ns")],
+    );
     results
 }
 
@@ -1344,6 +1385,11 @@ mod tests {
             6,
             "training, evaluation and backward at two shapes"
         );
+        assert_eq!(ops("linear "), 2, "the FP32 and the INT8 arm");
+        let noise: Vec<_> = timed("ns_per_elem").collect();
+        assert_eq!(noise.len(), 1, "one gradient-noise row");
+        assert_eq!(noise[0].id, "kernels/quant_noise 114921/ns_per_elem");
+        assert!(noise[0].measured.is_some_and(|v| v.is_finite() && v > 0.0));
         let isa = format!("kernels/isa/{}", Isa::active().name());
         assert!(rows.iter().any(|r| r.id == isa), "{isa}");
     }

@@ -34,11 +34,13 @@ impl Linear {
         }
     }
 
-    /// Integer forward: quantize the activations and the transposed weight
-    /// to symmetric INT8, run the `i8×i8→i32` GEMM and apply both scales
-    /// once at the i32→f32 epilogue (the bias stays f32). In train mode the
-    /// cached input is the *dequantized* activations — bitwise-identical to
-    /// the fake-quant cache — so [`Layer::backward`] is shared unchanged.
+    /// Integer forward: quantize the activations and the weight to
+    /// symmetric INT8, run the `i8×i8→i32` GEMM against the weight in its
+    /// own `(in, out)` layout and apply both scales and the f32 bias at the
+    /// i32→f32 epilogue. In train mode the cached input is the
+    /// *dequantized* activations — bitwise-identical to the fake-quant
+    /// cache, written by the same sweep that quantizes them — so
+    /// [`Layer::backward`] is shared unchanged.
     fn forward_int8(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (m, k) = input.shape().as_matrix();
         assert_eq!(k, self.in_features, "Linear input width mismatch");
@@ -46,23 +48,27 @@ impl Linear {
         let px = QuantParams::from_tensor(input);
         let pw = QuantParams::from_tensor(&self.weight.value);
         let mut qx = pool::take::<i8>(m * k);
-        quant::quantize_into(input, px, &mut qx);
-        let mut qwt = pool::take::<i8>(k * n);
-        quant::quantize_transposed_into(&self.weight.value, pw, &mut qwt);
-        let mut iacc = pool::take::<i32>(m * n);
-        linalg::matmul_i8_a_bt_slices(&qx, &qwt, &mut iacc, m, k, n);
-        pool::give(qwt);
-        let mut y = pool::tensor([m, n]);
-        quant::scale_i32_into(&iacc, px.scale * pw.scale, y.data_mut());
-        pool::give(iacc);
-        y.add_row_broadcast_inplace(&self.bias.value);
-        if mode.train {
+        let cache = if mode.train {
             let mut cache = pool::tensor(input.shape().clone());
-            quant::dequantize_into(&qx, input.shape().clone(), px, &mut cache);
+            quant::quantize_dequantize_into(input, px, &mut qx, &mut cache);
+            Some(cache)
+        } else {
+            quant::quantize_into(input, px, &mut qx);
+            None
+        };
+        let mut qw = pool::take::<i8>(k * n);
+        quant::quantize_into(&self.weight.value, pw, &mut qw);
+        let mut iacc = pool::take::<i32>(m * n);
+        linalg::matmul_i8_slices(&qx, &qw, &mut iacc, m, k, n);
+        pool::give(qw);
+        pool::give(qx);
+        let mut y = pool::tensor([m, n]);
+        quant::scale_i32_bias_into(&iacc, px.scale * pw.scale, &self.bias.value, &mut y);
+        pool::give(iacc);
+        if let Some(cache) = cache {
             self.release();
             self.cached_input = Some(cache);
         }
-        pool::give(qx);
         y
     }
 

@@ -55,9 +55,10 @@
 //! one multiply and then one add onto an accumulator started at `+0.0`
 //! ([`crate::linalg`]'s numerics contract), and `dW` sums over the batch's
 //! positions in ascending `(n, oy, ox)` as `Aᵀ × B` summed over patch rows;
-//! `dX` is the same code on both paths. The INT8 forward is exact in
-//! `i32`, where no order matters, and applies the same scale epilogue at
-//! the same input scale (below).
+//! `dX` is the same code on both paths. The INT8 forward is exact, where
+//! no order matters — in `i32` on the lowering, in `f32` integers on the
+//! direct path (`direct.rs`) — and applies the same scale epilogue at the
+//! same input scale (below).
 //!
 //! **The INT8 input scale.** An INT8 forward quantizes its input a panel at
 //! a time — the lowering its patch rows, the direct path its padded samples
@@ -121,11 +122,15 @@
 //! tail, before the region. A direct panel takes its samples one at a time:
 //! it embeds the sample in the zero border, with the routine `im2col` fills
 //! the halo with, and convolves it straight into its NCHW output. The INT8
-//! arm of either quantizes the lowered input — the patch rows, or the padded
-//! sample — at the pass's input scale (above), runs the integer product
-//! against the weights quantized once before the region and applies the
-//! scale epilogue; a training forward then dequantizes the lowered values in
-//! place, the values the product consumed, for its backward. A `dX` panel
+//! arm of the lowering quantizes the patch rows at the pass's input scale
+//! (above) — a training forward dequantizing them in place in the same
+//! sweep, the values the product consumed, for its backward — runs the
+//! integer product against the weights quantized once before the region and
+//! applies the scale epilogue. The direct INT8 forward embeds each sample
+//! on the INT8 grid of the input scale (`embed_grid`), runs the direct body
+//! on it against the weights' INT8 values, scaling each sum as it is
+//! stored, and a training forward dequantizes the kept padded batch in one
+//! sweep after the region. A `dX` panel
 //! runs its samples' rows of the patch gradient `dY·W` and then `col2im` of
 //! exactly those samples. So the patch gradient never exists whole, and
 //! neither does an evaluation's lowered input: a training forward writes its
@@ -146,14 +151,14 @@
 //! ([`ConvCache::recycle`] for a forward's cache) runs without allocating,
 //! one that drops them pays what it always did. The per-sample halos (a
 //! direct evaluation's padded sample among them), the lanes' panels — f32,
-//! INT8 and `i32`, of either path — and the direct `dW`'s windows are
+//! and the lowering's INT8 and `i32` — and the direct `dW`'s windows are
 //! thread-local, each grown once to the largest layer's.
 //!
 //! All image tensors are NCHW.
 
 mod direct;
 
-use crate::isa::Isa;
+use crate::isa::{isa_kernel, Isa};
 use crate::profile::{KernelOp, Timer};
 use crate::quant::{self, QuantParams};
 use crate::runtime::{self, SendPtr};
@@ -519,10 +524,9 @@ thread_local! {
     /// patch-gradient rows of `dX`. Same ownership rules as [`HALO`]; grown
     /// to the largest panel's once.
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// An INT8 forward's quantized patch rows or padded sample, beside
-    /// [`PANEL`] and [`HALO`].
+    /// An INT8 lowering panel's quantized patch rows, beside [`PANEL`].
     static PANEL_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
-    /// An INT8 forward's `i32` sums of those, beside [`PANEL_I8`].
+    /// Their `i32` GEMM rows, beside [`PANEL_I8`].
     static PANEL_I32: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
     /// The direct `dW`'s windows of one sample and its running sums
     /// ([`direct_backward`]): pool workers run blocks of output channels.
@@ -595,6 +599,50 @@ fn embed(image: &[f32], padded: &mut [f32], g: &Lowering) {
             row.copy_from_slice(src);
         }
     });
+}
+
+isa_kernel! {
+    /// [`embed`] with every image value put on the INT8 grid of `scale` on
+    /// the way in ([`quant::grid_value`]); the border stays `+0.0`, what a
+    /// zero quantizes to.
+    fn embed_grid(image: &[f32], padded: &mut [f32], g: &Lowering, scale: f32) = embed_grid_body;
+}
+
+/// [`embed_grid`] at the map widths an 8×8 input meets, so that a row is a
+/// constant number of lanes.
+#[inline(always)]
+fn embed_grid_body(image: &[f32], padded: &mut [f32], g: &Lowering, scale: f32) {
+    match g.w {
+        4 => embed_grid_rows::<4>(image, padded, g, scale),
+        8 => embed_grid_rows::<8>(image, padded, g, scale),
+        _ => embed_grid_rows::<0>(image, padded, g, scale),
+    }
+}
+
+/// [`embed_grid_body`] at width `W`, or at `g.w` when `W` is 0: a row at a
+/// constant width is one fixed-size array, a register or two.
+#[inline(always)]
+fn embed_grid_rows<const W: usize>(image: &[f32], padded: &mut [f32], g: &Lowering, scale: f32) {
+    padded.fill(0.0);
+    let ((hp, wp), pad, w) = (g.padded(), g.p.padding, g.w);
+    let planes = padded.chunks_exact_mut(hp * wp);
+    for (plane, src) in planes.zip(image.chunks_exact((g.h * w).max(1))) {
+        let rows = plane[pad * wp..].chunks_exact_mut(wp);
+        for (row, src) in rows.zip(src.chunks_exact(w.max(1))) {
+            let row = &mut row[pad..pad + w];
+            if W == 0 {
+                for (o, &v) in row.iter_mut().zip(src) {
+                    *o = quant::grid_value(v, scale);
+                }
+            } else {
+                let (row, src): (&mut [f32; W], &[f32; W]) =
+                    (row.try_into().unwrap(), src.try_into().unwrap());
+                for (o, &v) in row.iter_mut().zip(src) {
+                    *o = quant::grid_value(v, scale);
+                }
+            }
+        }
+    }
 }
 
 /// Instantiates [`gather_body`] for the run lengths the model zoo meets.
@@ -930,8 +978,10 @@ pub fn conv2d_eval(input: &Tensor, weight: &Tensor, p: ConvParams) -> Tensor {
 /// its padded tail once, before the pass; the direct path reads the weights
 /// in place. The INT8 arm works out both scales first — the input's by
 /// [`Lowering::input_scale`], the weights' from the **whole** tensor —
-/// quantizes the live weights once and runs [`int8_arm`] on every panel's
-/// patch rows or direct sample. With `keep` — a training forward — the
+/// and quantizes the live weights once; the lowering runs [`int8_arm`] on
+/// every panel's patch rows, the direct path the f32 body on samples
+/// embedded on the grid (see the module docs). With `keep` — a training
+/// forward — the
 /// cache holds the patch matrix or the padded input; without, neither
 /// exists. Returns the output, the cache when `keep`, and the INT8 arm's
 /// `(input, weight)` scales.
@@ -959,37 +1009,54 @@ fn forward(
     let view = g.live.live_view(weight);
     let wmat = view.as_ref().unwrap_or(weight);
     let scales = int8.then(|| (g.input_scale(input), QuantParams::from_tensor(weight)));
-    let (out, kept) = if let Some((pp, pw)) = scales {
-        let mut qw = pool::take::<i8>(oc * cols);
-        quant::quantize_into(wmat, pw, &mut qw);
-        let arm = |lowered: &mut [f32], out: &mut [f32], first: bool| {
-            int8_arm(isa, lowered, out, (pp, pw), keep, first, |q, acc| {
-                if direct {
-                    let _t = Timer::panel(KernelOp::ConvDirect, false);
-                    direct::forward_i8(isa, q, &qw, acc, &g);
-                } else {
+    let (out, kept) = match scales {
+        Some((pp, pw)) if direct => {
+            let mut qw = pool::take::<f32>(oc * cols);
+            {
+                let _t = Timer::start(KernelOp::Quant);
+                quant::grid_slices(isa, wmat.data(), &mut qw, pw.scale);
+            }
+            let arm = |padded: &mut [f32], out: &mut [f32], first: bool| {
+                let _t = Timer::panel(KernelOp::ConvDirect, first);
+                direct::forward(isa, padded, &qw, out, &g, pp.scale * pw.scale);
+            };
+            let grid = Some((isa, pp.scale));
+            let (out, mut kept) =
+                forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_F32, grid, &arm);
+            pool::give(qw);
+            if let Some(padded) = kept.as_mut() {
+                let _t = Timer::start(KernelOp::Quant);
+                quant::scale_slices(isa, padded.data_mut(), pp.scale);
+            }
+            (out, kept)
+        }
+        Some((pp, pw)) => {
+            let mut qw = pool::take::<i8>(oc * cols);
+            quant::quantize_into(wmat, pw, &mut qw);
+            let arm = |rows: &mut [f32], mat: &mut [f32], first: bool| {
+                int8_arm(isa, rows, mat, (pp, pw), keep, first, |q, acc| {
                     let _t = Timer::panel(KernelOp::MatmulI8, first);
                     linalg::matmul_i8_a_bt_rows(isa, q, &qw, acc, cols, oc);
-                }
-            });
-        };
-        let pass = forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_I8, &arm);
-        pool::give(qw);
-        pass
-    } else if direct {
-        let arm = |padded: &mut [f32], out: &mut [f32], _: bool| {
-            let _t = Timer::panel(KernelOp::ConvDirect, false);
-            direct::forward(isa, padded, wmat.data(), out, &g);
-        };
-        forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_F32, &arm)
-    } else {
-        linalg::with_rhs_t(wmat.data(), oc, cols, |rhs| {
+                });
+            };
+            let pass = forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_I8, None, &arm);
+            pool::give(qw);
+            pass
+        }
+        None if direct => {
+            let arm = |padded: &mut [f32], out: &mut [f32], _: bool| {
+                let _t = Timer::panel(KernelOp::ConvDirect, false);
+                direct::forward(isa, padded, wmat.data(), out, &g, 1.0);
+            };
+            forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_F32, None, &arm)
+        }
+        None => linalg::with_rhs_t(wmat.data(), oc, cols, |rhs| {
             let arm = |rows: &mut [f32], mat: &mut [f32], first: bool| {
                 let _t = Timer::panel(KernelOp::MatmulABt, first);
                 rhs.rows(isa, rows, mat);
             };
-            forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_F32, &arm)
-        })
+            forward_pass(path, input, &g, keep, linalg::PAR_MIN_WORK_F32, None, &arm)
+        }),
     };
     let cache = match kept {
         Some(padded) if direct => Some(ConvCache::Direct { padded }),
@@ -1015,12 +1082,15 @@ type Arm<'a> = dyn Fn(&mut [f32], &mut [f32], bool) + Sync + 'a;
 /// the lowered input is written into the patch matrix or padded input
 /// returned beside the output, and `arm` may rewrite it; without, into the
 /// lane's scratch. The product goes parallel on its own at `min_work`.
+/// `grid` is the direct INT8 forward's instantiation and input scale: its
+/// samples are embedded on the INT8 grid ([`embed_grid`]).
 fn forward_pass(
     path: ConvPath,
     input: &Tensor,
     g: &Lowering,
     keep: bool,
     min_work: usize,
+    grid: Option<(Isa, f32)>,
     arm: &Arm,
 ) -> (Tensor, Option<Tensor>) {
     let (n, hw, (hp, wp)) = (input.shape().dims()[0], g.oh * g.ow, g.padded());
@@ -1042,11 +1112,10 @@ fn forward_pass(
         let kept = kept_ptr
             .as_ref()
             .map(|k| unsafe { k.slice(at * stage, len * stage) });
-        let panel = match path {
-            ConvPath::Lowered => lowered_panel,
-            ConvPath::Direct => direct_panel,
-        };
-        panel(x, kept, y, len, g, at == 0, arm);
+        match path {
+            ConvPath::Lowered => lowered_panel(x, kept, y, len, g, at == 0, arm),
+            ConvPath::Direct => direct_panel(x, kept, y, len, g, at == 0, grid, arm),
+        }
     });
     (out, kept)
 }
@@ -1087,8 +1156,11 @@ fn lowered_panel(
 
 /// A direct panel of `len` samples `x`, one at a time: the sample embedded
 /// in the zero border — in its region of `kept`, the padded input, or in
-/// the lane's halo — and `arm` of those planes into its NCHW output. The
-/// staging counts the pass's `conv_direct` call.
+/// the lane's halo — and `arm` of those planes into its NCHW output. The f32
+/// staging counts the pass's `conv_direct` call; with `grid` (the INT8
+/// forward) the sample is embedded on the grid and counts its `quant` call,
+/// and the arm the `conv_direct` one.
+#[allow(clippy::too_many_arguments)]
 fn direct_panel(
     x: &[f32],
     mut kept: Option<&mut [f32]>,
@@ -1096,16 +1168,24 @@ fn direct_panel(
     len: usize,
     g: &Lowering,
     first: bool,
+    grid: Option<(Isa, f32)>,
     arm: &Arm,
 ) {
     let (image, padded, sample_out) = (g.sample_image(), g.sample_padded(), g.sample_out());
     for i in 0..len {
         let first = first && i == 0;
         let y = &mut y[i * sample_out..][..sample_out];
+        let x = &x[i * image..][..image];
         let mut run = |lowered: &mut [f32]| {
-            {
-                let _t = Timer::panel(KernelOp::ConvDirect, first);
-                embed(&x[i * image..][..image], lowered, g);
+            match grid {
+                Some((isa, scale)) => {
+                    let _t = Timer::panel(KernelOp::Quant, first);
+                    embed_grid(isa, x, lowered, g, scale);
+                }
+                None => {
+                    let _t = Timer::panel(KernelOp::ConvDirect, first);
+                    embed(x, lowered, g);
+                }
             }
             arm(lowered, y, first);
         };
@@ -1116,34 +1196,34 @@ fn direct_panel(
     }
 }
 
-/// The INT8 arm of a forward panel: quantizes `lowered` — a panel's patch
-/// rows or one direct sample's padded planes — at the input scale into the
-/// lane's [`PANEL_I8`], runs `product` of those values into `out.len()`
-/// sums in [`PANEL_I32`], and applies the scale epilogue into `out`. With
-/// `keep`, leaves `lowered` dequantized: the values the product consumed,
-/// which the backward differentiates. `first` counts the quantize calls.
+/// The INT8 arm of a lowering panel: quantizes its patch `rows` at the
+/// input scale into the lane's [`PANEL_I8`] — with `keep` leaving them
+/// dequantized in the same sweep: the values the product consumed, which
+/// the backward differentiates — runs `product` of those values into
+/// `mat.len()` sums in [`PANEL_I32`] and applies the scale epilogue into the
+/// panel's GEMM rows `mat`. `first` counts the quantize call.
 fn int8_arm(
     isa: Isa,
-    lowered: &mut [f32],
-    out: &mut [f32],
+    rows: &mut [f32],
+    mat: &mut [f32],
     (pp, pw): (QuantParams, QuantParams),
     keep: bool,
     first: bool,
     product: impl FnOnce(&[i8], &mut [i32]),
 ) {
-    with_scratch(&PANEL_I8, lowered.len(), |q| {
+    with_scratch(&PANEL_I8, rows.len(), |q| {
         {
             let _t = Timer::panel(KernelOp::Quant, first);
-            quant::quantize_slices(isa, lowered, q, pp.scale);
+            if keep {
+                quant::quantize_dequantize_slices(isa, rows, q, pp.scale);
+            } else {
+                quant::quantize_slices(isa, rows, q, pp.scale);
+            }
         }
-        with_scratch(&PANEL_I32, out.len(), |acc| {
+        with_scratch(&PANEL_I32, mat.len(), |acc| {
             product(q, acc);
-            quant::scale_i32_slices(isa, acc, out, pp.scale * pw.scale);
+            quant::scale_i32_slices(isa, acc, mat, pp.scale * pw.scale);
         });
-        if keep {
-            let _t = Timer::panel(KernelOp::Quant, first);
-            quant::dequantize_slices(isa, q, lowered, pp.scale);
-        }
     });
 }
 
@@ -1152,9 +1232,10 @@ fn int8_arm(
 ///
 /// Quantizes the input — the lowering's patch rows or the direct path's
 /// padded samples, a panel at a time — and the weights to symmetric
-/// per-tensor INT8, accumulates `i8×i8` products exactly in `i32` (the
-/// lowering's integer GEMM, or the direct path's own walk) and applies both
-/// scales once at the i32→f32 epilogue — no f32 fake-quant matmul anywhere.
+/// per-tensor INT8, accumulates `i8×i8` products exactly (in `i32` in the
+/// lowering's integer GEMM, in `f32` integers in the direct path's walk)
+/// and applies both scales once at the epilogue — no f32 fake-quant matmul
+/// anywhere.
 /// The input scale is that of the patch matrix, which holds the same
 /// non-zero values as the padded input (padding zeros cannot raise max-|x|,
 /// so it equals the in-window input scale, whichever taps are lowered);
@@ -1201,8 +1282,9 @@ pub fn conv2d_int8_via(
 
 /// Evaluation INT8 forward convolution: [`conv2d_int8`]'s output, bit for
 /// bit, with nothing kept for a backward. No input-sized buffer exists:
-/// each panel's patch rows or padded sample, their INT8 values and their
-/// `i32` sums live in the lane's scratch only, and none is dequantized.
+/// each panel's patch rows, their INT8 values and their `i32` sums, or
+/// each direct sample's padded grid values, live in the lane's scratch
+/// only, and none is dequantized.
 ///
 /// # Panics
 /// As [`conv2d_int8`].
@@ -1761,34 +1843,25 @@ mod tests {
         }
     }
 
-    /// The integer conv forward must reproduce the widened-i32 reference
-    /// bit for bit on both paths, leave the dequantized values it consumed
-    /// behind for backward, and stay close to the f32 convolution.
-    #[test]
-    fn int8_conv_matches_widened_reference_exactly() {
-        let p = ConvParams::new(1, 1);
-        let (n, ic, h, w_, oc, kh, kw) = (2usize, 2, 5, 5, 3, 3, 3);
-        let x = Tensor::from_vec(
-            (0..n * ic * h * w_)
-                .map(|i| (i as f32 * 0.7).sin())
-                .collect(),
-            [n, ic, h, w_],
-        );
-        let w = Tensor::from_vec(
-            (0..oc * ic * kh * kw)
-                .map(|i| (i as f32 * 0.3).cos() * 0.5)
-                .collect(),
-            [oc, ic, kh, kw],
-        );
-        // Reference: quantize the raw patches and weight, accumulate in i32.
+    /// The widened-`i32` INT8 convolution: the raw patch matrix and the
+    /// weights quantized at their own scales, each output one exact `i32`
+    /// sum scaled once. Returns the output, the dequantized patches the
+    /// kernel consumed, and the scales.
+    fn widened_int8_reference(
+        x: &Tensor,
+        w: &Tensor,
+        p: ConvParams,
+    ) -> (Tensor, Tensor, QuantParams, QuantParams) {
+        let (n, _, _, _) = x.shape().as_nchw();
+        let (oc, ic, kh, kw) = w.shape().as_nchw();
         let mut patches = Tensor::default();
-        let (oh, ow) = reference::im2col_into(&x, kh, kw, p, &mut patches);
+        let (oh, ow) = reference::im2col_into(x, kh, kw, p, &mut patches);
         let pp = QuantParams::from_tensor(&patches);
-        let pw = QuantParams::from_tensor(&w);
+        let pw = QuantParams::from_tensor(w);
         let cols = ic * kh * kw;
         let (mut qp, mut qw) = (Vec::new(), Vec::new());
         quant::quantize_into(&patches, pp, &mut qp);
-        quant::quantize_into(&w, pw, &mut qw);
+        quant::quantize_into(w, pw, &mut qw);
         let scale = pp.scale * pw.scale;
         let mut expect = Tensor::zeros([n, oc, oh, ow]);
         for ni in 0..n {
@@ -1805,29 +1878,85 @@ mod tests {
                 }
             }
         }
-        let mut want = Tensor::default();
-        quant::dequantize_into(&qp, patches.shape().clone(), pp, &mut want);
+        let mut consumed = Tensor::default();
+        quant::dequantize_into(&qp, patches.shape().clone(), pp, &mut consumed);
+        (expect, consumed, pp, pw)
+    }
 
-        for path in [ConvPath::Lowered, ConvPath::Direct] {
-            let (y8, cache, cpp, cpw) = conv2d_int8_via(path, &x, &w, p);
-            assert_eq!((cpp.scale, cpw.scale), (pp.scale, pw.scale), "{path:?}");
-            assert_eq!(y8, expect, "{path:?}");
-            // What is left behind is what the kernel saw: the dequantized
-            // patches, or the padded input they are lowered from.
-            let cached = match &cache {
-                ConvCache::Lowered { patches, .. } => patches.clone(),
-                ConvCache::Direct { padded } => {
-                    let mut lowered = Tensor::default();
-                    reference::im2col_into(padded, kh, kw, ConvParams::new(1, 0), &mut lowered);
-                    lowered
+    /// The INT8 forward on both paths reproduces the widened-`i32`
+    /// reference bit for bit, training and evaluation, and leaves the
+    /// dequantized values it consumed behind for backward — the patch
+    /// matrix, or the padded input the direct path lowers it from — on
+    /// LeNet-5's two layers (1 → 3 on 8×8, 3 → 8 on 4×4), a width off the
+    /// direct path's constant rows (6) and 60 random geometries the direct
+    /// path admits, with signed zeros, a NaN and an infinity among the
+    /// inputs, at every instantiation this host has. And the whole thing
+    /// stays close to the f32 convolution.
+    #[test]
+    fn int8_conv_matches_widened_reference_exactly() {
+        let mut rng = StdRng::seed_from_u64(0x1278);
+        // (n, ic, h, w, oc, k, padding)
+        let mut cases = vec![
+            (4, 1, 8, 8, 3, 3, 1),
+            (4, 3, 4, 4, 8, 3, 1),
+            (3, 3, 6, 6, 5, 3, 1),
+            (2, 2, 5, 5, 3, 3, 1),
+        ];
+        while cases.len() < 64 {
+            let (ic, k, pad) = (
+                rng.gen_range(1..=3),
+                rng.gen_range(2..=3),
+                rng.gen_range(0..=1),
+            );
+            let (h, w) = (rng.gen_range(k..=9), rng.gen_range(k..=9));
+            let case = (rng.gen_range(1..=4), ic, h, w, rng.gen_range(1..=9), k, pad);
+            if Lowering::new(ic, h, w, case.4, k, k, ConvParams::new(1, pad)).admits_direct() {
+                cases.push(case);
+            }
+        }
+        let isas = [Isa::PORTABLE]
+            .into_iter()
+            .chain(wide_or_skip("INT8 direct conv"));
+        let isas: Vec<Isa> = isas.collect();
+        for (i, &(n, ic, h, w, oc, k, pad)) in cases.iter().enumerate() {
+            let p = ConvParams::new(1, pad);
+            let mut x = signed_zero_values([n, ic, h, w], &mut rng);
+            if i % 3 == 1 {
+                x.data_mut()[0] = f32::NAN;
+            }
+            if i % 7 == 2 {
+                let last = x.len() - 1;
+                x.data_mut()[last] = f32::INFINITY;
+            }
+            let wt = weights([oc, ic, k, k], &mut rng);
+            let (expect, consumed, pp, pw) = widened_int8_reference(&x, &wt, p);
+            let what = format!("{n}x{ic}x{h}x{w} -> {oc}, {k}x{k} pad {pad}");
+            let lowered = [(ConvPath::Lowered, Isa::active())];
+            let direct = isas.iter().map(|&isa| (ConvPath::Direct, isa));
+            for (path, isa) in lowered.into_iter().chain(direct) {
+                let what = format!("{what}, {path:?} on {}", isa.name());
+                let (y8, cache, scales) = forward_on(path, isa, &x, &wt, p, true);
+                assert_eq!(scales, Some((pp, pw)), "{what}: scales");
+                assert_eq!(bits(&y8), bits(&expect), "{what}: y");
+                let ye = eval_on(path, isa, &x, &wt, p, true);
+                assert_eq!(bits(&ye), bits(&expect), "{what}: eval y");
+                let cached = match &cache {
+                    ConvCache::Lowered { patches, .. } => patches.clone(),
+                    ConvCache::Direct { padded } => {
+                        let mut lowered = Tensor::default();
+                        reference::im2col_into(padded, k, k, ConvParams::new(1, 0), &mut lowered);
+                        lowered
+                    }
+                };
+                assert_eq!(bits(&cached), bits(&consumed), "{what}: cache");
+                if x.data().iter().all(|v| v.is_finite()) {
+                    let (y32, _) = conv2d_via(path, &x, &wt, p);
+                    let dot: f32 = y8.data().iter().zip(y32.data()).map(|(a, b)| a * b).sum();
+                    let cos = dot / (y8.l2_norm() * y32.l2_norm());
+                    assert!(cos > 0.98 || y32.l2_norm() < 1e-3, "{what}: cos {cos}");
                 }
-            };
-            assert_eq!(cached, want, "{path:?}");
-            // And the whole thing stays close to the f32 convolution.
-            let (y32, _) = conv2d_via(path, &x, &w, p);
-            let dot: f32 = y8.data().iter().zip(y32.data()).map(|(a, b)| a * b).sum();
-            let cos = dot / (y8.l2_norm() * y32.l2_norm());
-            assert!(cos > 0.98, "{path:?}: cos {cos}");
+                cache.recycle();
+            }
         }
     }
 
@@ -2127,7 +2256,7 @@ mod tests {
             let mut imat = vec![0i32; rows * oc];
             linalg::matmul_i8_a_bt_slices(&qp, &qw, &mut imat, rows, cols, oc);
             let mut mat = Tensor::zeros([rows, oc]);
-            quant::scale_i32_into(&imat, pp.scale * pw.scale, mat.data_mut());
+            quant::scale_i32_slices(Isa::PORTABLE, &imat, mat.data_mut(), pp.scale * pw.scale);
             let mut y = Tensor::default();
             nhwc_rows_to_nchw_into(&mat, n, oc, oh, ow, &mut y);
             quant::dequantize_into(&qp, [rows, cols], pp, &mut patches);

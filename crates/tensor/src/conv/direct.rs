@@ -10,9 +10,16 @@
 //! - **forward** — lanes run across an output row; each element starts at
 //!   `+0.0` and adds `x · w` over the taps in ascending `(ci, ky, kx)`
 //!   order, the halo's zeros included, as the patch row times the weight
-//!   row of [`crate::linalg::matmul_a_bt_slices`] did;
-//! - **INT8 forward** — the same walk over the quantized halo, exact in
-//!   `i32`;
+//!   row of [`crate::linalg::matmul_a_bt_slices`] did, and is multiplied by
+//!   the forward's scale as it is stored (`1.0`, which changes no bit);
+//! - **INT8 forward** — the same body over the INT8 values of the halo and
+//!   the weights, held as `f32` integers, with the epilogue's scale. The
+//!   INT8 product is the one free of order: each term is at most `127²` and
+//!   every partial sum at most `127² ·` [`MAX_COLS`] `< 2²⁴` in magnitude,
+//!   so every sum of them, in any order and any grouping, is an exact
+//!   integer in `f32` — the `i32` sum the lowering's integer GEMM forms —
+//!   and `sum · scale` is its epilogue's bits. So the INT8 forward costs
+//!   what the f32 one does;
 //! - **`dW`** — lanes run across a block of output cells `(oc, tap)`, each
 //!   cell one chain over the batch's positions in ascending `(n, oy, ox)`
 //!   adding `g · x`, as [`crate::linalg::matmul_at_b_slices`] did over the
@@ -40,14 +47,12 @@ pub(super) fn lanes(cols: usize) -> usize {
 }
 
 isa_kernel! {
-    /// One sample's f32 forward: `x` is its padded `(ic, hp, wp)` planes,
-    /// `w` the `(oc, ic·kh·kw)` weights, `out` its `(oc, oh, ow)` output.
-    pub(super) fn forward(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering) = forward_body;
-}
-
-isa_kernel! {
-    /// [`forward`] over the quantized halo and weights, into `i32`.
-    pub(super) fn forward_i8(x: &[i8], w: &[i8], out: &mut [i32], g: &Lowering) = forward_i8_body;
+    /// One sample's forward: `x` is its padded `(ic, hp, wp)` planes, `w`
+    /// the `(oc, ic·kh·kw)` weights, `out` its `(oc, oh, ow)` output, each
+    /// sum multiplied by `scale` as it is stored — `1.0` on the f32 arm,
+    /// the INT8 arm's epilogue scale on its grid values.
+    pub(super) fn forward(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32)
+        = forward_body;
 }
 
 isa_kernel! {
@@ -67,40 +72,6 @@ fn check(g: &Lowering, x: &[impl Copy]) {
     assert_eq!(x.len(), g.sample_padded());
 }
 
-/// The element type of a forward: `f32` summed in `f32`, or `i8` summed
-/// exactly in `i32`.
-trait Operand: Copy {
-    type Acc: Copy + Default;
-    fn mul_add(acc: Self::Acc, x: Self, w: Self) -> Self::Acc;
-}
-
-impl Operand for f32 {
-    type Acc = f32;
-    #[inline(always)]
-    fn mul_add(acc: f32, x: f32, w: f32) -> f32 {
-        acc + x * w
-    }
-}
-
-impl Operand for i8 {
-    type Acc = i32;
-    #[inline(always)]
-    fn mul_add(acc: i32, x: i8, w: i8) -> i32 {
-        // `|x·w| ≤ 128²` fits an `i16` lane: widen once, after the multiply
-        acc + i32::from(i16::from(x) * i16::from(w))
-    }
-}
-
-#[inline(always)]
-fn forward_body(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering) {
-    forward_widths(x, w, out, g);
-}
-
-#[inline(always)]
-fn forward_i8_body(x: &[i8], w: &[i8], out: &mut [i32], g: &Lowering) {
-    forward_widths(x, w, out, g);
-}
-
 /// Calls `$body(args…, kh, kw)` with both constants for the 3×3 kernels
 /// every conv layer of the model zoo has, so that tap loops unroll. A
 /// macro, not a closure: a closure would be compiled outside the
@@ -114,48 +85,55 @@ macro_rules! with_const_kernel {
     };
 }
 
-/// Instantiates [`forward_rows`] at the output widths the model zoo meets,
-/// so an accumulator row is a constant number of lanes.
+/// Largest magnitude an INT8 product can reach: `127²` a tap, over at
+/// most [`MAX_COLS`] taps. Below `2²⁴`, so every partial sum of grid
+/// values is an integer an `f32` holds exactly.
+const _: () = assert!(127 * 127 * MAX_COLS < 1 << 24);
+
 #[inline(always)]
-fn forward_widths<T: Operand>(x: &[T], w: &[T], out: &mut [T::Acc], g: &Lowering) {
+fn forward_body(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32) {
     check(g, x);
     assert_eq!((w.len(), out.len()), (g.oc * g.cols(), g.sample_out()));
-    with_const_kernel!(g, forward_kernel(x, w, out, g))
+    with_const_kernel!(g, forward_kernel(x, w, out, g, scale))
 }
 
-/// [`forward_widths`] at a kernel size.
+/// [`forward_body`] at a kernel size, instantiated at the output widths
+/// the model zoo meets so that an accumulator row is a constant number of
+/// lanes.
 #[inline(always)]
-fn forward_kernel<T: Operand>(
-    x: &[T],
-    w: &[T],
-    out: &mut [T::Acc],
+fn forward_kernel(
+    x: &[f32],
+    w: &[f32],
+    out: &mut [f32],
     g: &Lowering,
+    scale: f32,
     kh: usize,
     kw: usize,
 ) {
     match g.ow {
-        4 => forward_rows::<T, 4>(x, w, out, g, kh, kw),
-        8 => forward_rows::<T, 8>(x, w, out, g, kh, kw),
-        ow => forward_any(x, w, out, g, kh, kw, ow),
+        4 => forward_rows::<4>(x, w, out, g, scale, kh, kw),
+        8 => forward_rows::<8>(x, w, out, g, scale, kh, kw),
+        _ => forward_any(x, w, out, g, scale, kh, kw),
     }
 }
 
-/// [`forward_widths`]' body at a constant width `OW`: one register row of
+/// [`forward_body`] at a constant width `OW`: one register row of
 /// accumulators per output row, fed one tap at a time by an `OW`-wide load
 /// from the halo.
 #[inline(always)]
-fn forward_rows<T: Operand, const OW: usize>(
-    x: &[T],
-    w: &[T],
-    out: &mut [T::Acc],
+fn forward_rows<const OW: usize>(
+    x: &[f32],
+    w: &[f32],
+    out: &mut [f32],
     g: &Lowering,
+    scale: f32,
     kh: usize,
     kw: usize,
 ) {
     let (cols, (hp, wp)) = (g.c * kh * kw, g.padded());
     for (wo, plane) in w.chunks_exact(cols).zip(out.chunks_exact_mut(g.oh * OW)) {
         for (y, row) in plane.chunks_exact_mut(OW).enumerate() {
-            let mut acc = [T::Acc::default(); OW];
+            let mut acc = [0.0f32; OW];
             for ci in 0..g.c {
                 for ky in 0..kh {
                     let base = (ci * hp + y + ky) * wp;
@@ -166,49 +144,55 @@ fn forward_rows<T: Operand, const OW: usize>(
                         // the tap index is below `cols = wo.len()`.
                         let (src, wv) = unsafe {
                             (
-                                &*x.as_ptr().add(base + kx).cast::<[T; OW]>(),
+                                &*x.as_ptr().add(base + kx).cast::<[f32; OW]>(),
                                 *wo.get_unchecked((ci * kh + ky) * kw + kx),
                             )
                         };
                         for (a, &v) in acc.iter_mut().zip(src) {
-                            *a = T::mul_add(*a, v, wv);
+                            *a += v * wv;
                         }
                     }
                 }
             }
-            row.copy_from_slice(&acc);
+            for (o, &a) in row.iter_mut().zip(&acc) {
+                *o = a * scale;
+            }
         }
     }
 }
 
 /// [`forward_rows`] at any width, accumulating in the output row itself.
 #[inline(always)]
-fn forward_any<T: Operand>(
-    x: &[T],
-    w: &[T],
-    out: &mut [T::Acc],
+fn forward_any(
+    x: &[f32],
+    w: &[f32],
+    out: &mut [f32],
     g: &Lowering,
+    scale: f32,
     kh: usize,
     kw: usize,
-    ow: usize,
 ) {
+    let ow = g.ow;
     let (cols, (hp, wp)) = (g.c * kh * kw, g.padded());
     for (wo, plane) in w
         .chunks_exact(cols)
         .zip(out.chunks_exact_mut((g.oh * ow).max(1)))
     {
         for (y, row) in plane.chunks_exact_mut(ow.max(1)).enumerate() {
-            row.fill(T::Acc::default());
+            row.fill(0.0);
             let mut taps = wo.iter();
             for ci in 0..g.c {
                 for ky in 0..kh {
                     let src = &x[(ci * hp + y + ky) * wp..][..wp];
                     for (kx, &wv) in (0..kw).zip(&mut taps) {
                         for (a, &v) in row.iter_mut().zip(&src[kx..kx + ow]) {
-                            *a = T::mul_add(*a, v, wv);
+                            *a += v * wv;
                         }
                     }
                 }
+            }
+            for a in row.iter_mut() {
+                *a *= scale;
             }
         }
     }

@@ -9,8 +9,9 @@
 //! point — so wider lanes change which elements are computed together,
 //! never any element's sequence of roundings. The f32 GEMM panel is the one
 //! body that takes a parameter per level: the width of its register tile
-//! ([`crate::linalg`]). The one hand-written kernel is the i8 GEMM of
-//! [`crate::linalg`].
+//! ([`crate::linalg`]); the gradient noise of [`crate::quant`] takes one
+//! too, its AVX-512 `i64` conversion. The hand-written kernels are the two
+//! i8 GEMMs of [`crate::linalg`].
 //!
 //! **Three levels, one rule:** AVX-512 when the host reports F, DQ, BW and
 //! VL (every AVX-512 server since Skylake-SP has all four; the entry point
@@ -130,8 +131,8 @@ fn host_has_avx512() -> bool {
 /// `#[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]` one,
 /// where the inlined body is compiled with 256- and 512-bit lanes. `isa`
 /// picks between them once per call. `= body, avx512: wide;` compiles
-/// `wide` at the AVX-512 level instead, for a body that takes its tile
-/// width as a const parameter.
+/// `wide` at the AVX-512 level instead, for a body that takes a const
+/// parameter per level (a tile width, or an instruction only AVX-512 has).
 macro_rules! isa_kernel {
     (
         $(#[$meta:meta])*

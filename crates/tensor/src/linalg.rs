@@ -33,9 +33,11 @@
 //! stride choice on the left operand and `A × Bᵀ` transposes `B` once per
 //! call. A pass that cuts its own rows — the convolution lowering's sample
 //! panels — packs `B` once the same way and has each of its chunks run the
-//! serial kernel over its rows (`Rhs::rows`). The i8 GEMM is the one kernel
-//! with hand-written intrinsics (AVX2; the AVX-512 level runs it too); it is
-//! exact in `i32`, where no order can matter.
+//! serial kernel over its rows (`Rhs::rows`). The two i8 GEMMs — `A × Bᵀ`
+//! for the convolution lowering, `A × B` for a fully connected layer's
+//! `(in, out)` weight — are the kernels with hand-written intrinsics (AVX2;
+//! the AVX-512 level runs them too); they are exact in `i32`, where no
+//! order can matter.
 //!
 //! **Parallelism:** large products are cut into panels of the output and
 //! dispatched on the [`crate::runtime`] worker pool: `ROWS_PER_CHUNK` rows
@@ -602,7 +604,7 @@ const I8_GEMM_MAX_K: usize = (1 << 17) - 1;
 /// rounding at any summation order), so the portable, AVX2 and row-parallel
 /// paths are bitwise-identical by construction. Per-tensor scales are *not*
 /// applied here; callers apply `sa·sb` once at the i32→f32 epilogue
-/// ([`crate::quant::scale_i32_into`]).
+/// ([`crate::quant::scale_i32_bias_into`]).
 ///
 /// # Panics
 /// Panics if the slice lengths do not match the given dimensions, or if
@@ -641,18 +643,18 @@ pub(crate) fn matmul_i8_a_bt_rows(
 
 /// The operand checks of the i8 GEMM: lengths, and the accumulator bound.
 fn assert_i8_operands(a: &[i8], b: &[i8], out: &[i32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "matmul_i8_a_bt_slices: a length");
-    assert_eq!(b.len(), n * k, "matmul_i8_a_bt_slices: b length");
-    assert_eq!(out.len(), m * n, "matmul_i8_a_bt_slices: out length");
+    assert_eq!(a.len(), m * k, "matmul_i8: a length");
+    assert_eq!(b.len(), n * k, "matmul_i8: b length");
+    assert_eq!(out.len(), m * n, "matmul_i8: out length");
     assert!(
         k <= I8_GEMM_MAX_K,
-        "matmul_i8_a_bt_slices: k = {k} of ({m},{k}) x ({n},{k})ᵀ can overflow the i32 \
-         accumulator (k must stay below 2^17)"
+        "matmul_i8: k = {k} of ({m},{k}) x ({k},{n}) can overflow the i32 accumulator (k must \
+         stay below 2^17)"
     );
 }
 
-/// Sequential i8 kernel over an `m`-row slice of `A`/`out`. The one kernel
-/// that is written twice rather than instantiated twice: autovectorizing
+/// Sequential i8 kernel over an `m`-row slice of `A`/`out`. Written twice
+/// rather than instantiated twice, as the `A × B` kernel is: autovectorizing
 /// the widening dot product stops well short of the f32 kernel's AVX2 time.
 fn matmul_i8_panel(isa: Isa, a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
@@ -868,6 +870,178 @@ unsafe fn dot_tile_avx2<const R: usize, const C: usize>(
                 *sum = _mm_cvtsi128_si32(v);
             }
         }
+    }
+    sums
+}
+
+// ---------------------------------------------------------------------------
+// Integer GEMM: C(i32) = A(i8) × B(i8), B in a layer's (in, out) layout
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// The rows of `A` one block of the AVX2 [`matmul_i8_slices`] runs,
+    /// sign-extended to `i16`, each an even number of lanes, so that a pair
+    /// of them is one 32-bit broadcast; then `B`'s last `n % 16` columns,
+    /// zero-padded to a `k × 16` panel. Same ownership rules as
+    /// [`PACKED_BT`].
+    static AB_SCRATCH: RefCell<(Vec<i16>, Vec<i8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Rows of `A` one block of the AVX2 `A × B` kernel holds: eight `i32×8`
+/// accumulators over 16 columns.
+const AB_ROWS: usize = 4;
+
+/// Columns of the AVX2 `A × B` kernel's block: two vectors of eight `i32`.
+const AB_COLS: usize = 16;
+
+/// `C = A × B` over `i8` operands with exact `i32` accumulation: `a: (m, k)`
+/// and `b: (k, n)` row-major — `B` in the `(in, out)` layout a fully
+/// connected layer keeps its weights in, so nothing is transposed — writing
+/// `out: (m, n)`, fully overwritten. Exact in `i32` like
+/// [`matmul_i8_a_bt_slices`] (the same bound on `k`), so the portable, AVX2
+/// and row-parallel paths agree by construction.
+///
+/// # Panics
+/// As [`matmul_i8_a_bt_slices`], with `b` of `k × n` elements.
+pub fn matmul_i8_slices(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+    assert_i8_operands(a, b, out, m, k, n);
+    let _t = Timer::start(KernelOp::MatmulI8);
+    let isa = Isa::active();
+    if m > ROWS_PER_CHUNK && worth_parallel(m, k, n, PAR_MIN_WORK_I8) {
+        par_row_panels(out, m, n, &|i0, i1, out_rows| {
+            matmul_i8_ab_panel(isa, &a[i0 * k..i1 * k], b, out_rows, i1 - i0, k, n);
+        });
+    } else {
+        matmul_i8_ab_panel(isa, a, b, out, m, k, n);
+    }
+}
+
+/// Sequential `A × B` kernel over an `m`-row slice of `A`/`out`.
+fn matmul_i8_ab_panel(isa: Isa, a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if isa.has_avx2() {
+        return AB_SCRATCH.with(|scratch| {
+            let (a16, tail) = &mut *scratch.borrow_mut();
+            a16.resize(AB_ROWS * k.div_ceil(2) * 2, 0);
+            tail.resize(k * AB_COLS, 0);
+            // SAFETY: an `Isa` reports AVX2 only after
+            // `is_x86_feature_detected!("avx2")` held on this host.
+            unsafe { matmul_i8_ab_panel_avx2(a, b, out, (m, k, n), a16, tail) }
+        });
+    }
+    let _ = isa;
+    matmul_i8_ab_panel_portable(a, b, out, m, k, n);
+}
+
+/// The widened-`i32` reference: each output row accumulated over `p`, a
+/// row of `B` at a time.
+fn matmul_i8_ab_panel_portable(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
+    for (i, orow) in out.chunks_exact_mut(n.max(1)).enumerate().take(m) {
+        orow.fill(0);
+        for (&x, brow) in a[i * k..(i + 1) * k].iter().zip(b.chunks_exact(n.max(1))) {
+            for (o, &y) in orow.iter_mut().zip(brow) {
+                *o += i32::from(x) * i32::from(y);
+            }
+        }
+    }
+}
+
+/// [`AB_ROWS`] rows of `A` at a time, each sign-extended once into `a16`
+/// (its `i16` lane pairs; an odd `k`'s last pair has a stale lane, which
+/// [`i8_ab_block_avx2`] multiplies by zero), and [`i8_ab_block_avx2`] over every 16 columns of `B` for them; the last
+/// `n % 16` columns run the same block over their zero-padded copy in
+/// `tail`, of which only the live columns are stored.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_i8_ab_panel_avx2(
+    a: &[i8],
+    b: &[i8],
+    out: &mut [i32],
+    (m, k, n): (usize, usize, usize),
+    a16: &mut [i16],
+    tail: &mut [i8],
+) {
+    let (kp, n16) = (k.div_ceil(2) * 2, n - n % AB_COLS);
+    if n16 < n {
+        for (pad, row) in tail.chunks_exact_mut(AB_COLS).zip(b.chunks_exact(n)) {
+            pad.fill(0);
+            pad[..n - n16].copy_from_slice(&row[n16..]);
+        }
+    }
+    for i in (0..m).step_by(AB_ROWS) {
+        let rows = (m - i).min(AB_ROWS);
+        for (r, wide) in a16.chunks_exact_mut(kp.max(1)).take(rows).enumerate() {
+            for (w, &v) in wide.iter_mut().zip(&a[(i + r) * k..(i + r + 1) * k]) {
+                *w = i16::from(v);
+            }
+        }
+        let out = &mut out[i * n..(i + rows) * n];
+        for j in (0..n16).step_by(AB_COLS) {
+            // SAFETY: `a16` holds `rows` rows of `kp` lanes; columns `j..j
+            // + 16` of `B`'s `k` rows and of `out`'s `rows` rows exist.
+            let block = unsafe { i8_ab_block_avx2(a16, kp, b.as_ptr().wrapping_add(j), n, k) };
+            for (r, sums) in block.iter().take(rows).enumerate() {
+                out[r * n + j..r * n + j + AB_COLS].copy_from_slice(sums);
+            }
+        }
+        if n16 < n {
+            // SAFETY: as above, on the `k × 16` padded copy.
+            let block = unsafe { i8_ab_block_avx2(a16, kp, tail.as_ptr(), AB_COLS, k) };
+            for (r, sums) in block.iter().take(rows).enumerate() {
+                out[r * n + n16..(r + 1) * n].copy_from_slice(&sums[..n - n16]);
+            }
+        }
+    }
+}
+
+/// [`AB_ROWS`] × 16 sums of `A × B` from the rows' `i16` pairs `a16` (`kp`
+/// lanes a row; rows past the live ones hold stale pairs and yield sums
+/// nobody stores) and 16 columns of `B` at `b`, rows `ldb` bytes apart. For
+/// each pair of rows `p, p + 1` of `B` their 16 bytes are interleaved and
+/// sign-extended into two vectors of `i16` lane pairs `(B[p][j], B[p +
+/// 1][j])`; `madd_epi16` against the broadcast pair `(A[i][p], A[i][p +
+/// 1])` adds both products into column `j`'s `i32` lane, so no sum needs a
+/// horizontal reduction. An odd `k`'s last row of `B` pairs with a row of
+/// zeros, so the lane past `k` in `a16` adds nothing. Exact for the reason
+/// [`dot_tile_avx2`] is.
+///
+/// # Safety
+/// `a16` must hold [`AB_ROWS`] rows of `kp = k` rounded up to even lanes,
+/// and `b` must be valid for 16-byte reads at `p · ldb` for every `p < k`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn i8_ab_block_avx2(
+    a16: &[i16],
+    kp: usize,
+    b: *const i8,
+    ldb: usize,
+    k: usize,
+) -> [[i32; AB_COLS]; AB_ROWS] {
+    use std::arch::x86_64::*;
+    assert!(a16.len() >= AB_ROWS * kp && kp >= k);
+    let mut acc = [[_mm256_setzero_si256(); 2]; AB_ROWS];
+    for p in (0..k).step_by(2) {
+        let b0 = _mm_loadu_si128(b.add(p * ldb).cast());
+        let b1 = if p + 1 < k {
+            _mm_loadu_si128(b.add((p + 1) * ldb).cast())
+        } else {
+            _mm_setzero_si128()
+        };
+        let lo = _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(b0, b1));
+        let hi = _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(b0, b1));
+        for (r, acc) in acc.iter_mut().enumerate() {
+            // the pair `(A[r][p], A[r][p + 1])` in every 32-bit lane
+            let pair = a16.as_ptr().add(r * kp + p).cast::<i32>().read_unaligned();
+            let av = _mm256_set1_epi32(pair);
+            acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(lo, av));
+            acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(hi, av));
+        }
+    }
+    let mut sums = [[0i32; AB_COLS]; AB_ROWS];
+    for (sums, acc) in sums.iter_mut().zip(&acc) {
+        _mm256_storeu_si256(sums.as_mut_ptr().cast(), acc[0]);
+        _mm256_storeu_si256(sums.as_mut_ptr().add(8).cast(), acc[1]);
     }
     sums
 }
@@ -1489,6 +1663,51 @@ mod tests {
         }
     }
 
+    /// Both `A × B` panels equal the widened-`i32` triple loop exactly:
+    /// random operands, all `-128` and all `127`, odd and even `k` down to
+    /// one, every row tail of the four-row block and every column tail of
+    /// the 16- and 8-column steps — LeNet-5's classifier among them — and
+    /// the row-parallel entry point at 8 workers.
+    #[test]
+    fn i8_ab_panels_match_widened_reference() {
+        let avx2 = avx2_or_skip("i8_ab_panels_match_widened_reference");
+        let mut shapes = awkward_shapes();
+        shapes.extend([(40, 32, 60), (40, 60, 42), (40, 42, 10), (64, 113, 10)]);
+        shapes.extend([
+            (5, 1, 17),
+            (3, 2, 8),
+            (6, 7, 24),
+            (1, 33, 31),
+            (4, 16, 16),
+            (7, 5, 7),
+        ]);
+        shapes.push((130, 300, 40)); // above the pool threshold, rows off the panel grid
+        for (m, k, n) in shapes {
+            for fill in [None, Some(-128i8), Some(127)] {
+                let a =
+                    fill.map_or_else(|| rand_i8(m * k, (m * 100 + k) as u64), |v| vec![v; m * k]);
+                let b =
+                    fill.map_or_else(|| rand_i8(k * n, (k * 100 + n) as u64), |v| vec![v; k * n]);
+                let mut want = vec![0i32; m * n];
+                for i in 0..m {
+                    for j in 0..n {
+                        for p in 0..k {
+                            want[i * n + j] += a[i * k + p] as i32 * b[p * n + j] as i32;
+                        }
+                    }
+                }
+                for isa in [Some(Isa::PORTABLE), avx2].into_iter().flatten() {
+                    let mut got = vec![i32::MIN; m * n];
+                    matmul_i8_ab_panel(isa, &a, &b, &mut got, m, k, n);
+                    assert_eq!(got, want, "{} {m}x{k}x{n} fill {fill:?}", isa.name());
+                }
+                let mut got = vec![i32::MIN; m * n];
+                crate::runtime::with_threads(8, || matmul_i8_slices(&a, &b, &mut got, m, k, n));
+                assert_eq!(got, want, "parallel {m}x{k}x{n} fill {fill:?}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "can overflow the i32 accumulator")]
     fn i8_gemm_rejects_k_that_can_overflow() {
@@ -1507,5 +1726,9 @@ mod tests {
         assert_eq!(out[0] as i64, k as i64 * 128 * 128);
         matmul_i8_panel(Isa::PORTABLE, &a, &b, &mut out, 1, k, 1);
         assert_eq!(out[0] as i64, k as i64 * 128 * 128);
+        for isa in [Isa::PORTABLE, Isa::active()] {
+            matmul_i8_ab_panel(isa, &a, &b, &mut out, 1, k, 1);
+            assert_eq!(out[0] as i64, k as i64 * 128 * 128, "{}", isa.name());
+        }
     }
 }

@@ -6,14 +6,17 @@
 //! weights, activations and gradients. We implement:
 //!
 //! - [`QuantParams`]: a symmetric scale chosen from the tensor's max-|x|;
-//! - [`quantize_into`] / [`dequantize_into`] round-trips;
+//! - [`quantize_into`] / [`dequantize_into`] round-trips, and
+//!   [`quantize_dequantize_into`], both in one sweep — what an INT8 layer
+//!   feeds its integer kernel and caches for its backward;
 //! - [`fake_quant`]: quantize-dequantize in f32, the standard
 //!   quantization-aware-training forward transform whose backward is the
 //!   straight-through estimator (identity inside the clip range);
-//! - [`scale_i32_into`]: the i32→f32 epilogue of the INT8×INT8→i32 GEMM
-//!   (the register-blocked integer kernel in [`crate::linalg`], the
-//!   execution path of the mixed-precision INT8 replica arm), applying both
-//!   per-tensor scales once.
+//! - [`scale_i32_bias_into`]: the i32→f32 epilogue of the INT8×INT8→i32
+//!   GEMMs (the integer kernels in [`crate::linalg`], the execution path of
+//!   the mixed-precision INT8 replica arm), applying both per-tensor scales
+//!   once and a layer's bias;
+//! - [`add_gradient_quant_noise`]: the INT8 arm's gradient noise.
 //!
 //! The NiTi-style integer optimizer in `socflow-nn` builds on these
 //! primitives.
@@ -22,6 +25,20 @@
 //! (portable, AVX2 and AVX-512, see [`crate::isa`]); every element is
 //! computed independently with the same scalar operations — `round` is
 //! half-away-from-zero on all three — so they agree bit for bit.
+//!
+//! **The noise sweep blocks lanes.** Its hash of element `i` starts from
+//! `seed ^ i·G` and runs a 64-bit finalizer (`xor-shift`, a multiply,
+//! `xor-shift`); the top 53 bits become `u` in `[0, 1)`. Written one
+//! element at a time that vectorizes at no level: `i·G` is a second 64-bit
+//! multiply and `u64 → f32` has no lane instruction below AVX-512. So the
+//! sweep runs blocks of 16 lanes, each lane keeping its own `i·G` and
+//! adding `16·G` per block — the same product mod 2⁶⁴ — and converts the
+//! 53-bit value exactly: `x < 2⁵³` is below `2⁶³`, so `x as i64 as f32`
+//! (one AVX-512 DQ instruction) rounds exactly as `x as f32`, and below
+//! AVX-512 the low 52 bits become an `f64` through the exponent of `2⁵²`
+//! (exact), bit 52 adds `2⁵²` (exact), and the one rounding is the `f64 →
+//! f32` conversion of that exact value. A test holds every instantiation
+//! to the scalar loop it replaced, bit for bit.
 
 use crate::isa::{isa_kernel, Isa};
 use crate::profile::{KernelOp, Timer};
@@ -97,26 +114,58 @@ fn quantize_body(src: &[f32], dst: &mut [i8], scale: f32) {
 }
 
 isa_kernel! {
-    /// `dst: (c, r)` = quantized transpose of `src: (r, c)`.
-    fn quantize_transposed_slices(src: &[f32], dst: &mut [i8], r: usize, c: usize, scale: f32)
-        = quantize_transposed_body;
+    /// `q[i] = to_i8_grid(v[i])`, then `v[i] = q[i] as f32 * scale`, one
+    /// sweep: [`quantize_slices`] and [`dequantize_slices`] back into `v`,
+    /// fused.
+    pub(crate) fn quantize_dequantize_slices(v: &mut [f32], q: &mut [i8], scale: f32)
+        = quantize_dequantize_body;
 }
 
-/// Blocked like [`crate::linalg::transpose_slices`]: a plain row sweep
-/// writes every element `r` bytes from the last one.
 #[inline(always)]
-fn quantize_transposed_body(src: &[f32], dst: &mut [i8], r: usize, c: usize, scale: f32) {
-    use crate::linalg::TR;
-    for ib in (0..r).step_by(TR) {
-        let i_end = (ib + TR).min(r);
-        for jb in (0..c).step_by(TR) {
-            let j_end = (jb + TR).min(c);
-            for j in jb..j_end {
-                for i in ib..i_end {
-                    dst[j * r + i] = to_i8_grid(src[i * c + j], scale);
-                }
-            }
-        }
+fn quantize_dequantize_body(v: &mut [f32], q: &mut [i8], scale: f32) {
+    for (x, o) in v.iter_mut().zip(q.iter_mut()) {
+        *o = to_i8_grid(*x, scale);
+        *x = *o as f32 * scale;
+    }
+}
+
+isa_kernel! {
+    /// `dst[i] = grid_value(src[i])`.
+    pub(crate) fn grid_slices(src: &[f32], dst: &mut [f32], scale: f32) = grid_body;
+}
+
+#[inline(always)]
+fn grid_body(src: &[f32], dst: &mut [f32], scale: f32) {
+    for (o, &v) in dst.iter_mut().zip(src) {
+        *o = grid_value(v, scale);
+    }
+}
+
+/// `to_i8_grid(v) as f32`: the INT8 value of `v` as an `f32` integer, the
+/// operand of a product that is exact in `f32` ([`crate::conv`]'s direct
+/// INT8 forward). The clamped `q` is that integer already, or NaN, or
+/// `−0.0`; NaN becomes `0.0` and `+ 0.0` turns `−0.0` into `+0.0`, as the
+/// `i8`, which has one zero, does.
+#[inline(always)]
+pub(crate) fn grid_value(v: f32, scale: f32) -> f32 {
+    let q = (v / scale).round().clamp(-INT8_MAX, INT8_MAX);
+    if q.is_nan() {
+        0.0
+    } else {
+        q + 0.0
+    }
+}
+
+isa_kernel! {
+    /// `v[i] *= scale`, in place: [`grid_value`]s dequantized, `q as f32 *
+    /// scale` as [`dequantize_slices`] computes it.
+    pub(crate) fn scale_slices(v: &mut [f32], scale: f32) = scale_body;
+}
+
+#[inline(always)]
+fn scale_body(v: &mut [f32], scale: f32) {
+    for x in v.iter_mut() {
+        *x *= scale;
     }
 }
 
@@ -144,6 +193,23 @@ fn scale_i32_body(src: &[i32], dst: &mut [f32], scale: f32) {
     }
 }
 
+isa_kernel! {
+    /// `dst[r][c] = src[r][c] as f32 * scale + bias[c]`, rows of
+    /// `bias.len()`: the epilogue and a layer's bias in one sweep.
+    fn scale_i32_bias_slices(src: &[i32], bias: &[f32], dst: &mut [f32], scale: f32)
+        = scale_i32_bias_body;
+}
+
+#[inline(always)]
+fn scale_i32_bias_body(src: &[i32], bias: &[f32], dst: &mut [f32], scale: f32) {
+    let cols = bias.len().max(1);
+    for (orow, arow) in dst.chunks_exact_mut(cols).zip(src.chunks_exact(cols)) {
+        for ((o, &v), &b) in orow.iter_mut().zip(arow).zip(bias) {
+            *o = v as f32 * scale + b;
+        }
+    }
+}
+
 /// Quantizes an f32 tensor to INT8 with the given parameters, into a
 /// caller-owned buffer (cleared and refilled), so steady-state integer
 /// forwards allocate nothing.
@@ -151,20 +217,6 @@ pub fn quantize_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
     let _timer = Timer::start(KernelOp::Quant);
     out.resize(t.len(), 0);
     quantize_slices(Isa::active(), t.data(), out, p.scale);
-}
-
-/// Quantizes a rank-2 tensor's *transpose* into `out`: `t: (r, c)` yields a
-/// row-major `(c, r)` i8 buffer. This feeds the `(n, k)` operand of
-/// [`crate::linalg::matmul_i8_a_bt_slices`] without materializing an f32
-/// transpose first.
-///
-/// # Panics
-/// Panics if `t` is not rank-2.
-pub fn quantize_transposed_into(t: &Tensor, p: QuantParams, out: &mut Vec<i8>) {
-    let _timer = Timer::start(KernelOp::Quant);
-    let (r, c) = t.shape().as_matrix();
-    out.resize(r * c, 0);
-    quantize_transposed_slices(Isa::active(), t.data(), out, r, c, p.scale);
 }
 
 /// Dequantizes an INT8 buffer into `out` at the given shape, reusing its
@@ -187,14 +239,38 @@ pub fn dequantize_into(q: &[i8], shape: impl Into<Shape>, p: QuantParams, out: &
     dequantize_slices(Isa::active(), q, od, p.scale);
 }
 
-/// The integer GEMM's epilogue: `out[i] = acc[i] as f32 * scale`, with
-/// `scale` the product of both operands' quantization scales.
+/// [`quantize_into`] that also leaves the dequantized values — what the
+/// integer kernel consumes, as `f32` — in `dequantized`, at `t`'s shape: a
+/// copy of `t` quantized and dequantized in place in one sweep, bit for bit
+/// [`dequantize_into`] of the quantized values.
+pub fn quantize_dequantize_into(
+    t: &Tensor,
+    p: QuantParams,
+    out: &mut Vec<i8>,
+    dequantized: &mut Tensor,
+) {
+    let _timer = Timer::start(KernelOp::Quant);
+    out.resize(t.len(), 0);
+    dequantized.resize(t.shape().clone());
+    dequantized.data_mut().copy_from_slice(t.data());
+    quantize_dequantize_slices(Isa::active(), dequantized.data_mut(), out, p.scale);
+}
+
+/// The integer GEMM's epilogue with a layer's bias: `out[r][c] = acc[r][c]
+/// as f32 * scale + bias[c]`, with `scale` the product of both operands'
+/// quantization scales — the epilogue and a row-broadcast add of `bias`,
+/// in one sweep and the same two roundings.
 ///
 /// # Panics
-/// Panics if the lengths differ.
-pub fn scale_i32_into(acc: &[i32], scale: f32, out: &mut [f32]) {
-    assert_eq!(acc.len(), out.len(), "scale_i32_into: length mismatch");
-    scale_i32_slices(Isa::active(), acc, out, scale);
+/// Panics if `out` is not `acc.len()` elements in rows of `bias.len()`.
+pub fn scale_i32_bias_into(acc: &[i32], scale: f32, bias: &Tensor, out: &mut Tensor) {
+    let (_, cols) = out.shape().as_matrix();
+    assert_eq!(
+        (acc.len(), cols),
+        (out.len(), bias.len()),
+        "scale_i32_bias_into: shapes"
+    );
+    scale_i32_bias_slices(Isa::active(), acc, bias.data(), out.data_mut(), scale);
 }
 
 /// Quantize-dequantize in f32 (the QAT "fake quantization" transform).
@@ -232,28 +308,83 @@ pub fn add_gradient_quant_noise(grad: &mut Tensor, seed: u64, settle: bool) {
 
 isa_kernel! {
     /// `g[i] += noise(i, seed)`, uniform in `±half`, then `+ 0.0` when
-    /// `settle`.
-    fn quant_noise_slices(g: &mut [f32], seed: u64, half: f32, settle: bool) = quant_noise_body;
+    /// `settle`. The AVX-512 level converts the hash with its own `i64`
+    /// lanes ([`u53_to_f32`]).
+    fn quant_noise_slices(g: &mut [f32], seed: u64, half: f32, settle: bool)
+        = quant_noise_body::<false>, avx512: quant_noise_body::<true>;
 }
 
 #[inline(always)]
-fn quant_noise_body(g: &mut [f32], seed: u64, half: f32, settle: bool) {
+fn quant_noise_body<const I64: bool>(g: &mut [f32], seed: u64, half: f32, settle: bool) {
     match settle {
-        true => quant_noise_run(g, seed, half, |v| v + 0.0),
-        false => quant_noise_run(g, seed, half, |v| v),
+        true => quant_noise_run::<I64>(g, seed, half, |v| v + 0.0),
+        false => quant_noise_run::<I64>(g, seed, half, |v| v),
     }
 }
 
+/// Lanes of one block of the noise sweep: sixteen `u64` hashes, two
+/// AVX-512 registers or four AVX2 ones.
+const NOISE_LANES: usize = 16;
+
+/// The index multiplier of the noise hash (the golden ratio in 64 bits).
+const NOISE_INDEX_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `g[i] = then(g[i] + noise)`, [`NOISE_LANES`] elements a block: each
+/// lane keeps its `i · NOISE_INDEX_MUL` and adds `NOISE_LANES ·
+/// NOISE_INDEX_MUL` per block, the same product mod 2⁶⁴ without a second
+/// 64-bit multiply; the tail's lanes hold their products when the blocks
+/// run out.
 #[inline(always)]
-fn quant_noise_run(g: &mut [f32], seed: u64, half: f32, then: impl Fn(f32) -> f32) {
-    for (i, g) in g.iter_mut().enumerate() {
-        let mut h = seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
-        h ^= h >> 33;
-        let u = (h >> 11) as f32 / (1u64 << 53) as f32; // [0,1)
-        *g = then(*g + (2.0 * u - 1.0) * half);
+fn quant_noise_run<const I64: bool>(
+    g: &mut [f32],
+    seed: u64,
+    half: f32,
+    then: impl Fn(f32) -> f32,
+) {
+    let mut index: [u64; NOISE_LANES] =
+        std::array::from_fn(|l| (l as u64).wrapping_mul(NOISE_INDEX_MUL));
+    let advance = (NOISE_LANES as u64).wrapping_mul(NOISE_INDEX_MUL);
+    let mut blocks = g.chunks_exact_mut(NOISE_LANES);
+    for block in &mut blocks {
+        let block: &mut [f32; NOISE_LANES] = block.try_into().unwrap();
+        for (v, i) in block.iter_mut().zip(&mut index) {
+            *v = then(*v + noise::<I64>(seed ^ *i, half));
+            *i = i.wrapping_add(advance);
+        }
     }
+    for (v, &i) in blocks.into_remainder().iter_mut().zip(&index) {
+        *v = then(*v + noise::<I64>(seed ^ i, half));
+    }
+}
+
+/// The noise of hash input `h` (the seed xor the index product): a 64-bit
+/// finalizer, its top 53 bits as a uniform `u` in `[0, 1)`, and `(2u − 1)
+/// · half`.
+#[inline(always)]
+fn noise<const I64: bool>(mut h: u64, half: f32) -> f32 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    let u = u53_to_f32::<I64>(h >> 11) / (1u64 << 53) as f32; // [0,1)
+    (2.0 * u - 1.0) * half
+}
+
+/// `x as f32` for `x < 2⁵³`, rounded to nearest even as `u64 as f32` is.
+/// With `I64` it is `x as i64 as f32` — the same value, `x` being below
+/// `2⁶³` — one instruction at AVX-512 (DQ), lane by lane below it.
+/// Without, it is built from lane operations every level has: the low 52
+/// bits become an `f64` through the exponent of `2⁵²` (`2⁵² + m` has
+/// mantissa `m`, so the subtraction is exact), bit 52 adds `2⁵²` exactly,
+/// and the one rounding is the `f64 → f32` conversion of that exact value.
+#[inline(always)]
+fn u53_to_f32<const I64: bool>(x: u64) -> f32 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    if I64 {
+        return x as i64 as f32;
+    }
+    let low = f64::from_bits(TWO_52.to_bits() | (x & ((1 << 52) - 1))) - TWO_52;
+    let top = if x >> 52 != 0 { TWO_52 } else { 0.0 };
+    (low + top) as f32
 }
 
 #[cfg(test)]
@@ -300,7 +431,7 @@ mod tests {
         let mut acc = vec![0i32; m * n];
         crate::linalg::matmul_i8_a_bt_slices(a, &bt, &mut acc, m, k, n);
         let mut out = Tensor::zeros([m, n]);
-        scale_i32_into(&acc, pa.scale * pb.scale, out.data_mut());
+        scale_i32_slices(Isa::active(), &acc, out.data_mut(), pa.scale * pb.scale);
         out
     }
 
@@ -459,11 +590,12 @@ mod tests {
             fq.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         );
 
-        // transposed quantization == quantize(transpose)
-        let mut qt = Vec::new();
-        quantize_transposed_into(&t, p, &mut qt);
-        let tt = crate::linalg::transpose(&t);
-        assert_eq!(qt, quantize(&tt, p));
+        // the fused sweep leaves both, into wrongly sized buffers
+        let (mut q2, mut back2) = (vec![5i8; 3], Tensor::full([2], 9.0));
+        quantize_dequantize_into(&t, p, &mut q2, &mut back2);
+        assert_eq!(q2, q);
+        assert_eq!(bits(back2.data()), bits(back.data()));
+        assert_eq!(back2.shape(), t.shape());
     }
 
     /// An operand fake-quantized at its own scale is, bit for bit, what
@@ -528,8 +660,9 @@ mod tests {
     }
 
     /// Every slice sweep on `isa`, over `src` at `scale`, as comparable bits:
-    /// fake quant, quantize, quantized transpose, dequantize, the i32
-    /// epilogue and gradient noise, unsettled and settled, in that order.
+    /// fake quant, quantize, the grid values, dequantize, the i32 epilogue,
+    /// gradient noise, unsettled and settled, the in-place scale, the fused
+    /// quantize and dequantize, and the epilogue with a bias, in that order.
     fn all_sweeps(isa: Isa, src: &[f32], scale: f32) -> Vec<Vec<u32>> {
         let n = src.len();
         let mut out = Vec::new();
@@ -539,14 +672,13 @@ mod tests {
         let mut q = vec![55i8; n];
         quantize_slices(isa, src, &mut q, scale);
         out.push(q.iter().map(|&b| b as u32).collect());
-        let (r, c) = (17, n / 17); // 17 × 59: both off the 32-tile grid
-        let mut qt = vec![55i8; r * c];
-        quantize_transposed_slices(isa, &src[..r * c], &mut qt, r, c, scale);
-        out.push(qt.iter().map(|&b| b as u32).collect());
+        let mut grid = vec![f32::NAN; n];
+        grid_slices(isa, src, &mut grid, scale);
+        out.push(bits(&grid));
         let mut dq = vec![f32::NAN; n];
         dequantize_slices(isa, &q, &mut dq, scale);
         out.push(bits(&dq));
-        let acc: Vec<i32> = (0..n as i32).map(|i| (i - 500) * 16_411).collect();
+        let (acc, _) = epilogue_operands(n);
         let mut scaled = vec![f32::NAN; n];
         scale_i32_slices(isa, &acc, &mut scaled, scale);
         out.push(bits(&scaled));
@@ -555,7 +687,27 @@ mod tests {
             quant_noise_slices(isa, &mut noisy, 0xC0FFEE, scale * 0.5, settle);
             out.push(bits(&noisy));
         }
+        let mut scaled = src.to_vec();
+        scale_slices(isa, &mut scaled, scale);
+        out.push(bits(&scaled));
+        let (mut q, mut dq) = (vec![55i8; n], src.to_vec());
+        quantize_dequantize_slices(isa, &mut dq, &mut q, scale);
+        out.push(q.iter().map(|&b| b as u32).chain(bits(&dq)).collect());
+        let (acc, bias) = epilogue_operands(n);
+        let rows = n / 17 * 17;
+        let mut biased = vec![f32::NAN; rows];
+        scale_i32_bias_slices(isa, &acc[..rows], &bias, &mut biased, scale);
+        out.push(bits(&biased));
         out
+    }
+
+    /// `i32` sums across the epilogue's range for `n` outputs, and a bias
+    /// for rows of 17 — off every lane grid — with a NaN, ±∞ and ±0.
+    fn epilogue_operands(n: usize) -> (Vec<i32>, Vec<f32>) {
+        let acc = (0..n as i32).map(|i| (i - 500) * 16_411).collect();
+        let mut bias: Vec<f32> = (0..17).map(|i| (i as f32 * 0.77).sin()).collect();
+        bias[..5].copy_from_slice(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0]);
+        (acc, bias)
     }
 
     /// The portable, AVX2 and AVX-512 instantiations of every quant sweep
@@ -577,6 +729,83 @@ mod tests {
         }
     }
 
+    /// The scalar noise loop the lane-blocked sweep replaced, verbatim: the
+    /// oracle it is held to.
+    fn scalar_quant_noise_run(g: &mut [f32], seed: u64, half: f32, then: impl Fn(f32) -> f32) {
+        for (i, g) in g.iter_mut().enumerate() {
+            let mut h = seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+            h ^= h >> 33;
+            let u = (h >> 11) as f32 / (1u64 << 53) as f32; // [0,1)
+            *g = then(*g + (2.0 * u - 1.0) * half);
+        }
+    }
+
+    /// Every instantiation of the noise sweep equals the scalar loop bit
+    /// for bit: every length up to 97 and 1003, settled and not, three
+    /// seeds, over NaN, ±∞, ±0, ties and a ramp, at three steps.
+    #[test]
+    fn noise_sweep_matches_the_scalar_loop_bitwise() {
+        let wide = crate::isa::wide_or_skip("noise_sweep_matches_the_scalar_loop_bitwise");
+        let lengths = (0..=97).chain([1003]);
+        for (isa, len) in [Isa::PORTABLE]
+            .into_iter()
+            .chain(wide)
+            .flat_map(|isa| lengths.clone().map(move |len| (isa, len)))
+        {
+            for half in [0.125, 0.0371 * 0.5, 3.0e-39] {
+                let src = &edge_values(half * 2.0)[..len];
+                for seed in [0, 0xC0FFEE, u64::MAX] {
+                    for settle in [false, true] {
+                        let mut want = src.to_vec();
+                        match settle {
+                            true => scalar_quant_noise_run(&mut want, seed, half, |v| v + 0.0),
+                            false => scalar_quant_noise_run(&mut want, seed, half, |v| v),
+                        }
+                        let mut got = src.to_vec();
+                        quant_noise_slices(isa, &mut got, seed, half, settle);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "len {len}, seed {seed:#x}, settle {settle}, {}",
+                            isa.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both conversions the noise sweep rounds with are `u64 as f32` on
+    /// every 53-bit value: around each power of two, at ties to even and odd, and
+    /// at the ends of the range.
+    #[test]
+    fn u53_conversion_rounds_as_the_cast() {
+        let mut xs = vec![0, 1, (1 << 53) - 1, (1 << 52) - 1, 1 << 52, (1 << 52) + 1];
+        for e in 20..53 {
+            let p = 1u64 << e;
+            xs.extend([
+                p - 1,
+                p,
+                p + 1,
+                p + (p >> 24),
+                p + (p >> 24) * 3,
+                p - (p >> 25),
+            ]);
+        }
+        let mut state = 0x5EEDu64;
+        xs.extend((0..10_000).map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 11
+        }));
+        for x in xs {
+            let want = (x as f32).to_bits();
+            assert_eq!(u53_to_f32::<false>(x).to_bits(), want, "{x}");
+            assert_eq!(u53_to_f32::<true>(x).to_bits(), want, "{x}");
+        }
+    }
+
     /// The slice kernels compute exactly the documented scalar formulas —
     /// `round` is half away from zero (not `cvtps`'s half-even), the clamp
     /// saturates, NaN quantizes to 0 — whichever instantiation runs.
@@ -590,7 +819,14 @@ mod tests {
                 quantize_slices(isa, &src, &mut q, scale);
                 let mut fq = vec![0.0; src.len()];
                 fake_quant_slices(isa, &src, &mut fq, scale);
-                for ((&v, &qi), &f) in src.iter().zip(&q).zip(&fq) {
+                let mut grid = vec![0.0; src.len()];
+                grid_slices(isa, &src, &mut grid, scale);
+                let mut dq = grid.clone();
+                scale_slices(isa, &mut dq, scale);
+                for (i, ((&v, &qi), &f)) in src.iter().zip(&q).zip(&fq).enumerate() {
+                    // the direct path multiplies these, and caches them scaled
+                    assert_eq!(grid[i].to_bits(), (qi as f32).to_bits(), "grid({v})");
+                    assert_eq!(dq[i].to_bits(), (qi as f32 * scale).to_bits(), "{v}");
                     assert_eq!(
                         qi,
                         quantize_value(v, scale),
@@ -633,14 +869,22 @@ mod tests {
         let mut q = vec![1i8; 3];
         quantize_into(&t, p, &mut q);
         assert_eq!(q.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[1]);
-        let (r, c) = (17, n / 17);
-        let mut qt = Vec::new();
-        let t2 = Tensor::from_vec(src[..r * c].to_vec(), [r, c]);
-        quantize_transposed_into(&t2, p, &mut qt);
-        assert_eq!(qt.iter().map(|&b| b as u32).collect::<Vec<_>>(), want[2]);
         let mut dq = Tensor::default();
         dequantize_into(&q, [n], p, &mut dq);
         assert_eq!(bits(dq.data()), want[3]);
+        let (mut q2, mut dq2) = (Vec::new(), Tensor::default());
+        quantize_dequantize_into(&t, p, &mut q2, &mut dq2);
+        let fused = q2.iter().map(|&b| b as u32).chain(bits(dq2.data()));
+        assert_eq!(fused.collect::<Vec<_>>(), want[8]);
+        let (acc, bias) = epilogue_operands(n);
+        let mut out = Tensor::zeros([n / 17, 17]);
+        scale_i32_bias_into(
+            &acc[..out.len()],
+            scale,
+            &Tensor::from_vec(bias, [17]),
+            &mut out,
+        );
+        assert_eq!(bits(out.data()), want[9]);
 
         // A tensor's own scale comes from its max-|x|; finite input only
         // (an infinite max makes every quotient NaN or 0).

@@ -199,12 +199,14 @@ proptest! {
         prop_assert_eq!(linalg::transpose(&at), a);
     }
 
-    /// The packed INT8 GEMM — the execution path of the INT8 replica arm,
-    /// fed a transposed-quantized `B` as the layers feed it — equals a naive
-    /// widened-i32 reference **exactly** on arbitrary shapes and scales: i32
+    /// Both INT8 GEMMs — the execution path of the INT8 replica arm — equal
+    /// a naive widened-i32 reference **exactly** on arbitrary shapes and
+    /// scales: `A × B` with `B` in the `(in, out)` layout a fully connected
+    /// layer feeds it, with its bias epilogue, and `A × Bᵀ` with a
+    /// transposed `B`, as the convolution lowering feeds it. i32
     /// accumulation is associative, so there is no rounding to order, and
-    /// the per-tensor scales are applied once at the epilogue in the same
-    /// operand order as the reference.
+    /// the per-tensor scales and the bias are applied once at the epilogue
+    /// in the same operand order as the reference.
     #[test]
     fn int8_gemm_matches_widened_reference_exactly(
         m in 1usize..24,
@@ -214,28 +216,32 @@ proptest! {
     ) {
         let a = lcg_tensor(m, k, seed).scale(3.0);
         let b = lcg_tensor(k, n, seed ^ 0x1117).scale(0.4);
+        let bias = lcg_tensor(1, n, seed ^ 0x2227).reshape([n]);
         let pa = QuantParams::from_tensor(&a);
         let pb = QuantParams::from_tensor(&b);
         let (mut qa, mut qb, mut qbt) = (Vec::new(), Vec::new(), Vec::new());
         quant::quantize_into(&a, pa, &mut qa);
         quant::quantize_into(&b, pb, &mut qb);
-        quant::quantize_transposed_into(&b, pb, &mut qbt);
+        quant::quantize_into(&socflow_tensor::linalg::transpose(&b), pb, &mut qbt);
         let s = pa.scale * pb.scale;
         let mut acc = vec![0i32; m * n];
-        socflow_tensor::linalg::matmul_i8_a_bt_slices(&qa, &qbt, &mut acc, m, k, n);
-        let mut got = vec![0.0f32; m * n];
-        quant::scale_i32_into(&acc, s, &mut got);
+        socflow_tensor::linalg::matmul_i8_slices(&qa, &qb, &mut acc, m, k, n);
+        let mut got = Tensor::zeros([m, n]);
+        quant::scale_i32_bias_into(&acc, s, &bias, &mut got);
+        let mut acc_bt = vec![0i32; m * n];
+        socflow_tensor::linalg::matmul_i8_a_bt_slices(&qa, &qbt, &mut acc_bt, m, k, n);
         let mut expect = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
-                let mut acc = 0i32;
+                let mut sum = 0i32;
                 for p in 0..k {
-                    acc += i32::from(qa[i * k + p]) * i32::from(qb[p * n + j]);
+                    sum += i32::from(qa[i * k + p]) * i32::from(qb[p * n + j]);
                 }
-                expect[i * n + j] = acc as f32 * s;
+                prop_assert_eq!(acc_bt[i * n + j], sum);
+                expect[i * n + j] = sum as f32 * s + bias.data()[j];
             }
         }
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(got.data(), &expect[..]);
     }
 
     /// The `_into` kernels equal the naive reference (and `transpose`)
