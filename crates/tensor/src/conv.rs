@@ -119,16 +119,17 @@
 //! (`Panels`), run by one driver (`forward`). A lowering panel runs
 //! `im2col` of its samples, their GEMM rows and the reorder of those rows to
 //! NCHW; the f32 GEMM is against `Wᵀ`, packed once per call, with its padded
-//! tail, before the region. A direct panel takes its samples one at a time:
-//! it embeds the sample in the zero border, with the routine `im2col` fills
-//! the halo with, and convolves it straight into its NCHW output. The INT8
+//! tail, before the region. A direct panel embeds all its samples in the
+//! zero border at once, with the row routine `im2col` fills the halo with,
+//! and convolves them straight into their NCHW output in one call of the
+//! direct body. The INT8
 //! arm of the lowering quantizes the patch rows at the pass's input scale
 //! (above) — a training forward dequantizing them in place in the same
 //! sweep, the values the product consumed, for its backward — runs the
 //! integer product against the weights quantized once before the region and
 //! applies the scale epilogue. The direct INT8 forward embeds each sample
 //! on the INT8 grid of the input scale (`embed_grid`), runs the direct body
-//! on it against the weights' INT8 values, scaling each sum as it is
+//! on them against the weights' INT8 values, scaling each sum as it is
 //! stored, and a training forward dequantizes the kept padded batch in one
 //! sweep after the region. A `dX` panel
 //! runs its samples' rows of the patch gradient `dY·W` and then `col2im` of
@@ -149,10 +150,10 @@
 //! between, from the calling thread's step scratch ([`crate::pool`]): a
 //! caller that hands the results back when it is done with them
 //! ([`ConvCache::recycle`] for a forward's cache) runs without allocating,
-//! one that drops them pays what it always did. The per-sample halos (a
-//! direct evaluation's padded sample among them), the lanes' panels — f32,
-//! and the lowering's INT8 and `i32` — and the direct `dW`'s windows are
-//! thread-local, each grown once to the largest layer's.
+//! one that drops them pays what it always did. The halos (a direct
+//! evaluation's padded panel among them) and the lanes' panels — f32, and
+//! the lowering's INT8 and `i32` — are thread-local, each grown once to the
+//! largest layer's; the direct `dW` builds its windows in registers.
 //!
 //! All image tensors are NCHW.
 
@@ -482,7 +483,8 @@ thread_local! {
     /// `(c, h + 2p, w + 2p)` floats and [`SPILL`] more — so that neither
     /// lowering loop tests a bound: [`im2col_sample`] reads its windows out
     /// of it, [`col2im_sample`] accumulates its windows into it and copies
-    /// the interior out, and an evaluation's [`direct_panel`] convolves it.
+    /// the interior out, and an evaluation's [`direct_panel`] convolves a
+    /// panel of such samples in it.
     /// Thread-local because pool workers run the per-sample bodies (same
     /// ownership rules as the GEMM's packed panels in [`crate::linalg`]);
     /// grown to the largest layer's once.
@@ -492,11 +494,11 @@ thread_local! {
 /// Floats past the halo's last plane that a wide move may read.
 const SPILL: usize = 1;
 
-/// Runs `f` on this thread's halo, cut to `g`'s planes plus [`SPILL`].
-/// The per-sample bodies never call into the pool, so the borrow is not
-/// re-entered.
-fn with_halo<R>(g: &Lowering, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    with_scratch(&HALO, g.sample_padded() + SPILL, f)
+/// Runs `f` on this thread's halo, cut to `samples` of `g`'s planes plus
+/// [`SPILL`]. The bodies that use it never call into the pool, so the
+/// borrow is not re-entered.
+fn with_halo<R>(g: &Lowering, samples: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    with_scratch(&HALO, samples * g.sample_padded() + SPILL, f)
 }
 
 /// Runs `f` on the first `len` elements of the thread-local `scratch`,
@@ -528,9 +530,6 @@ thread_local! {
     static PANEL_I8: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
     /// Their `i32` GEMM rows, beside [`PANEL_I8`].
     static PANEL_I32: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
-    /// The direct `dW`'s windows of one sample and its running sums
-    /// ([`direct_backward`]): pool workers run blocks of output channels.
-    static DW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on the first `len` floats of this lane's panel scratch, their
@@ -583,65 +582,80 @@ fn im2col_sample(image: &[f32], out: &mut [f32], g: &Lowering) {
     } else if g.p.padding == 0 {
         gather_windows(image, out, g, false);
     } else {
-        with_halo(g, |halo| {
+        with_halo(g, 1, |halo| {
             embed(image, halo, g);
             gather_windows(halo, out, g, true);
         });
     }
 }
 
-/// Embeds one sample's `image` in a zero border: `padded` is its `c` planes
-/// of [`Lowering::padded`] extent, and any floats past them are zeroed too.
-fn embed(image: &[f32], padded: &mut [f32], g: &Lowering) {
-    padded.fill(0.0);
-    with_const_width(g.w, |w| {
-        for (row, src) in interior(padded, g, w).zip(image.chunks_exact(w.max(1))) {
-            row.copy_from_slice(src);
-        }
-    });
+/// Embeds each sample of `images` in a zero border: `padded` is their `c`
+/// planes of [`Lowering::padded`] extent a sample, and any floats past them
+/// are zeroed too.
+fn embed(images: &[f32], padded: &mut [f32], g: &Lowering) {
+    embed_body::<false>(images, padded, g, 1.0);
 }
 
 isa_kernel! {
     /// [`embed`] with every image value put on the INT8 grid of `scale` on
     /// the way in ([`quant::grid_value`]); the border stays `+0.0`, what a
     /// zero quantizes to.
-    fn embed_grid(image: &[f32], padded: &mut [f32], g: &Lowering, scale: f32) = embed_grid_body;
+    fn embed_grid(images: &[f32], padded: &mut [f32], g: &Lowering, scale: f32)
+        = embed_body::<true>;
 }
 
-/// [`embed_grid`] at the map widths an 8×8 input meets, so that a row is a
-/// constant number of lanes.
+/// [`embed`], or with `GRID` [`embed_grid`], at the map widths an 8×8
+/// input meets, so that a row is a constant number of lanes.
 #[inline(always)]
-fn embed_grid_body(image: &[f32], padded: &mut [f32], g: &Lowering, scale: f32) {
+fn embed_body<const GRID: bool>(images: &[f32], padded: &mut [f32], g: &Lowering, scale: f32) {
     match g.w {
-        4 => embed_grid_rows::<4>(image, padded, g, scale),
-        8 => embed_grid_rows::<8>(image, padded, g, scale),
-        _ => embed_grid_rows::<0>(image, padded, g, scale),
+        1 => embed_rows::<1, GRID>(images, padded, g, scale),
+        2 => embed_rows::<2, GRID>(images, padded, g, scale),
+        4 => embed_rows::<4, GRID>(images, padded, g, scale),
+        8 => embed_rows::<8, GRID>(images, padded, g, scale),
+        _ => embed_rows::<0, GRID>(images, padded, g, scale),
     }
 }
 
-/// [`embed_grid_body`] at width `W`, or at `g.w` when `W` is 0: a row at a
-/// constant width is one fixed-size array, a register or two.
+/// [`embed_body`] at width `W`, or at `g.w` when `W` is 0: a row at a
+/// constant width is one fixed-size array, a register or two, each value
+/// mapped on its way — kept as it is, or with `GRID` put on the grid.
 #[inline(always)]
-fn embed_grid_rows<const W: usize>(image: &[f32], padded: &mut [f32], g: &Lowering, scale: f32) {
+fn embed_rows<const W: usize, const GRID: bool>(
+    images: &[f32],
+    padded: &mut [f32],
+    g: &Lowering,
+    scale: f32,
+) {
     padded.fill(0.0);
     let ((hp, wp), pad, w) = (g.padded(), g.p.padding, g.w);
     let planes = padded.chunks_exact_mut(hp * wp);
-    for (plane, src) in planes.zip(image.chunks_exact((g.h * w).max(1))) {
+    for (plane, src) in planes.zip(images.chunks_exact((g.h * w).max(1))) {
         let rows = plane[pad * wp..].chunks_exact_mut(wp);
         for (row, src) in rows.zip(src.chunks_exact(w.max(1))) {
             let row = &mut row[pad..pad + w];
             if W == 0 {
                 for (o, &v) in row.iter_mut().zip(src) {
-                    *o = quant::grid_value(v, scale);
+                    *o = embedded::<GRID>(v, scale);
                 }
             } else {
                 let (row, src): (&mut [f32; W], &[f32; W]) =
                     (row.try_into().unwrap(), src.try_into().unwrap());
                 for (o, &v) in row.iter_mut().zip(src) {
-                    *o = quant::grid_value(v, scale);
+                    *o = embedded::<GRID>(v, scale);
                 }
             }
         }
+    }
+}
+
+/// The value [`embed_rows`] stores for an image value `v`.
+#[inline(always)]
+fn embedded<const GRID: bool>(v: f32, scale: f32) -> f32 {
+    if GRID {
+        quant::grid_value(v, scale)
+    } else {
+        v
     }
 }
 
@@ -743,7 +757,7 @@ fn col2im_sample(rows: &[f32], out: &mut [f32], g: &Lowering) {
         out.fill(0.0);
         scatter_windows(rows, out, g);
     } else {
-        with_halo(g, |halo| {
+        with_halo(g, 1, |halo| {
             halo.fill(0.0);
             scatter_windows(rows, halo, g);
             with_const_width(g.w, |w| {
@@ -1154,16 +1168,16 @@ fn lowered_panel(
     });
 }
 
-/// A direct panel of `len` samples `x`, one at a time: the sample embedded
-/// in the zero border — in its region of `kept`, the padded input, or in
-/// the lane's halo — and `arm` of those planes into its NCHW output. The f32
+/// A direct panel of `len` samples `x`: the samples embedded in the zero
+/// border — in their region of `kept`, the padded input, or in the lane's
+/// halo — and `arm` of those planes into their NCHW output. The f32
 /// staging counts the pass's `conv_direct` call; with `grid` (the INT8
-/// forward) the sample is embedded on the grid and counts its `quant` call,
-/// and the arm the `conv_direct` one.
+/// forward) the samples are embedded on the grid and count its `quant`
+/// call, and the arm the `conv_direct` one.
 #[allow(clippy::too_many_arguments)]
 fn direct_panel(
     x: &[f32],
-    mut kept: Option<&mut [f32]>,
+    kept: Option<&mut [f32]>,
     y: &mut [f32],
     len: usize,
     g: &Lowering,
@@ -1171,28 +1185,22 @@ fn direct_panel(
     grid: Option<(Isa, f32)>,
     arm: &Arm,
 ) {
-    let (image, padded, sample_out) = (g.sample_image(), g.sample_padded(), g.sample_out());
-    for i in 0..len {
-        let first = first && i == 0;
-        let y = &mut y[i * sample_out..][..sample_out];
-        let x = &x[i * image..][..image];
-        let mut run = |lowered: &mut [f32]| {
-            match grid {
-                Some((isa, scale)) => {
-                    let _t = Timer::panel(KernelOp::Quant, first);
-                    embed_grid(isa, x, lowered, g, scale);
-                }
-                None => {
-                    let _t = Timer::panel(KernelOp::ConvDirect, first);
-                    embed(x, lowered, g);
-                }
+    let mut run = |lowered: &mut [f32]| {
+        match grid {
+            Some((isa, scale)) => {
+                let _t = Timer::panel(KernelOp::Quant, first);
+                embed_grid(isa, x, lowered, g, scale);
             }
-            arm(lowered, y, first);
-        };
-        match kept.as_deref_mut() {
-            Some(kept) => run(&mut kept[i * padded..][..padded]),
-            None => with_halo(g, |halo| run(&mut halo[..padded])),
+            None => {
+                let _t = Timer::panel(KernelOp::ConvDirect, first);
+                embed(x, lowered, g);
+            }
         }
+        arm(lowered, y, first);
+    };
+    match kept {
+        Some(kept) => run(kept),
+        None => with_halo(g, len, |halo| run(&mut halo[..len * g.sample_padded()])),
     }
 }
 
@@ -1456,24 +1464,7 @@ fn direct_backward(
     );
     let (x, gy, cols) = (padded.data(), grad_out.data(), g.cols());
     let mut gw = pool::tensor([g.oc, g.c, g.live.kh, g.live.kw]);
-    // `dW` of output channels `o0..`, one sample's windows at a time
-    let (hw, lanes) = (g.oh * g.ow, direct::lanes(cols));
-    let weight_grad = |o0: usize, dw: &mut [f32]| {
-        let rows = dw.len() / cols;
-        with_scratch(&DW, (hw + rows) * lanes, |scratch| {
-            let (windows, cells) = scratch.split_at_mut(hw * lanes);
-            cells.fill(0.0);
-            for ni in 0..n {
-                let sample = &x[ni * g.sample_padded()..][..g.sample_padded()];
-                direct::gather_windows(sample, windows, &g);
-                let gs = &gy[ni * g.sample_out()..][..g.sample_out()];
-                direct::weight_grad(isa, windows, gs, cells, o0, &g);
-            }
-            for (dst, sums) in dw.chunks_exact_mut(cols).zip(cells.chunks_exact(lanes)) {
-                dst.copy_from_slice(&sums[..cols]);
-            }
-        })
-    };
+    let hw = g.oh * g.ow;
     {
         let _t = Timer::start(KernelOp::ConvDirect);
         let block = direct::BLOCK_ROWS;
@@ -1483,10 +1474,11 @@ fn direct_backward(
             runtime::parallel_for_chunks(g.oc.div_ceil(block), &|b| {
                 let (o0, rows) = (b * block, block.min(g.oc - b * block));
                 // Safety: blocks of output channels are disjoint rows of `gw`.
-                weight_grad(o0, unsafe { gw_ptr.slice(o0 * cols, rows * cols) });
+                let dw = unsafe { gw_ptr.slice(o0 * cols, rows * cols) };
+                direct::weight_grad(isa, x, gy, dw, o0, &g);
             });
         } else {
-            weight_grad(0, gw.data_mut());
+            direct::weight_grad(isa, x, gy, gw.data_mut(), 0, &g);
         }
     }
     let gx = want_gx.then(|| {
@@ -2580,7 +2572,7 @@ mod tests {
                         let p = ConvParams::new(stride, pad);
                         let n = rng.gen_range(1..=5usize);
                         let ic = 2 * rng.gen_range(0..3usize) + 1;
-                        let oc = 2 * rng.gen_range(0..3usize) + 1;
+                        let oc = rng.gen_range(1..=9usize);
                         let x = signed_zero_values([n, ic, h, w], &mut rng);
                         let wt = weights([oc, ic, k, k], &mut rng);
                         let gy = |y: &Tensor| {
@@ -2599,6 +2591,34 @@ mod tests {
                         trimmed += usize::from(!LiveTaps::of(h, w, k, k, p).is_full());
                         direct += usize::from(Lowering::new(ic, h, w, oc, k, k, p).admits_direct());
                     }
+                }
+                // the direct bodies' strips and channel blocks: maps up to 9
+                // (`ow = 8`, heights no strip divides) and 1..=9 channels out
+                let wide = [
+                    (1, 9, 8),
+                    (1, 8, 8),
+                    (1, 3, 8),
+                    (1, 7, 9),
+                    (0, 9, 10),
+                    (0, 8, 9),
+                ];
+                for (pad, h, w) in wide {
+                    let p = ConvParams::new(1, pad);
+                    let (n, ic) = (rng.gen_range(1..=3usize), 2 * rng.gen_range(0..2usize) + 1);
+                    let oc = rng.gen_range(1..=9usize);
+                    let x = signed_zero_values([n, ic, h, w], &mut rng);
+                    let wt = weights([oc, ic, 3, 3], &mut rng);
+                    let gy = |y: &Tensor| {
+                        signed_zero_values(y.shape().clone(), &mut StdRng::seed_from_u64(cases))
+                    };
+                    for (path, isa) in paths(h, w, ic, 3, p) {
+                        for int8 in [false, true] {
+                            let what = format!("p{pad} on {n}x{ic}x{h}x{w} -> {oc}, int8 {int8}");
+                            assert_matches_reference(&x, &wt, &gy, p, int8, path, isa, &what);
+                        }
+                    }
+                    cases += 1;
+                    direct += usize::from(Lowering::new(ic, h, w, oc, 3, 3, p).admits_direct());
                 }
                 println!(
                     "{trimmed} of {cases} geometries had a dead tap to drop, {direct} ran direct"

@@ -7,11 +7,23 @@
 //! Every body here is an `isa_kernel!` instantiation, and every output
 //! element is the lowering's, operation for operation:
 //!
-//! - **forward** — lanes run across an output row; each element starts at
-//!   `+0.0` and adds `x · w` over the taps in ascending `(ci, ky, kx)`
-//!   order, the halo's zeros included, as the patch row times the weight
-//!   row of [`crate::linalg::matmul_a_bt_slices`] did, and is multiplied by
-//!   the forward's scale as it is stored (`1.0`, which changes no bit);
+//! - **forward** — the lanes hold a *strip* of [`LANES`] output positions,
+//!   whole output rows: a 4 × 4 plane at width 4, two rows at width 8. For
+//!   each tap `(ci, ky, kx)` the strip's inputs — the same rows of the halo,
+//!   shifted by the tap — are loaded once and multiplied into the
+//!   accumulators of a block of output channels, a broadcast weight each:
+//!   one strip and eight channels at width 4, four strips and three
+//!   channels at width 8 on AVX-512, fewer where there are fewer registers.
+//!   A lane is one output element, so each element still starts at `+0.0`
+//!   and adds `x · w` over the taps in ascending `(ci, ky, kx)` order, the
+//!   halo's zeros included, as the patch row times the weight row of
+//!   [`crate::linalg::matmul_a_bt_slices`] did, and is multiplied by the
+//!   forward's scale as it is stored (`1.0`, which changes no bit). Which
+//!   elements share a register changes, no element's operations do: the
+//!   last strip of a plane whose height the strip does not divide starts
+//!   lower and computes some rows twice, and a block's channels past the
+//!   layer's repeat its last one; both write nothing twice that differs.
+//!   Other widths, and planes lower than a strip, run one row at a time;
 //! - **INT8 forward** — the same body over the INT8 values of the halo and
 //!   the weights, held as `f32` integers, with the epilogue's scale. The
 //!   INT8 product is the one free of order: each term is at most `127²` and
@@ -20,12 +32,18 @@
 //!   integer in `f32` — the `i32` sum the lowering's integer GEMM forms —
 //!   and `sum · scale` is its epilogue's bits. So the INT8 forward costs
 //!   what the f32 one does;
-//! - **`dW`** — lanes run across a block of output cells `(oc, tap)`, each
+//! - **`dW`** — lanes run across a row of output cells `(oc, tap)`, each
 //!   cell one chain over the batch's positions in ascending `(n, oy, ox)`
 //!   adding `g · x`, as [`crate::linalg::matmul_at_b_slices`] did over the
-//!   patch rows. One sample's windows at a time are copied into
-//!   thread-local scratch, a register row each; the sums wait in scratch
-//!   between samples.
+//!   patch rows. Each position's window is built in registers from the
+//!   halo, a run of `kw` floats per `(ci, ky)`: on AVX-512 one masked load
+//!   per run and register, the geometry constant for 3×3 kernels on one
+//!   and three channels; a block holds eight output channels' sums (16
+//!   registers of 32 lanes at most), and a call's last block the fewest
+//!   rows that cover what is left (three on LeNet-5's 1 → 3 layer). The
+//!   portable and AVX2 bodies build an array per window and hold
+//!   [`BLOCK_ROWS`] channels. The sums stay in registers through the
+//!   whole batch, and a lane is still one cell's chain, so the bits agree.
 
 use super::Lowering;
 use crate::isa::isa_kernel;
@@ -35,41 +53,52 @@ use crate::isa::isa_kernel;
 /// the model zoo the rule admits has at most 27.
 pub(super) const MAX_COLS: usize = 32;
 
-/// Output channels one `dW` register block holds, the unit a parallel `dW`
-/// is cut in. Measured on the AVX-512 host at 40 samples: blocks of four
-/// rows spill and run ×4–×7 slower than three.
+/// Output channels one portable or AVX2 `dW` register block holds, and the
+/// unit a parallel `dW` is cut in. Measured on the AVX-512 host at 40
+/// samples: blocks of four rows spill and run ×4–×7 slower than three.
 pub(super) const BLOCK_ROWS: usize = 3;
+
+/// `f32` lanes of an AVX-512 register: the output positions of a forward
+/// strip, the cells of a `dW` register.
+const LANES: usize = 16;
 
 /// The register row a `dW` block gives `cols` patch columns: 16 or
 /// [`MAX_COLS`] lanes.
-pub(super) fn lanes(cols: usize) -> usize {
+fn lanes(cols: usize) -> usize {
     cols.next_power_of_two().max(16)
 }
 
 isa_kernel! {
-    /// One sample's forward: `x` is its padded `(ic, hp, wp)` planes, `w`
-    /// the `(oc, ic·kh·kw)` weights, `out` its `(oc, oh, ow)` output, each
-    /// sum multiplied by `scale` as it is stored — `1.0` on the f32 arm,
-    /// the INT8 arm's epilogue scale on its grid values.
+    /// A panel's forward: `x` is its samples' padded `(ic, hp, wp)`
+    /// planes, `w` the `(oc, ic·kh·kw)` weights, `out` their `(oc, oh, ow)`
+    /// outputs, each sum multiplied by `scale` as it is stored — `1.0` on
+    /// the f32 arm, the INT8 arm's epilogue scale on its grid values.
     pub(super) fn forward(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32)
-        = forward_body;
+        = forward_body, avx512: forward_avx512;
 }
 
 isa_kernel! {
-    /// Adds one sample's terms to the running `dW` sums of output channels
-    /// `o0..`: `windows` holds the sample's `oh·ow` windows, [`lanes`]
-    /// floats apart ([`gather_windows`]), `gy` its `(oc, oh, ow)` output
-    /// gradient, `cells` the sums, [`lanes`] a row.
-    pub(super) fn weight_grad(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g: &Lowering)
-        = weight_grad_body;
+    /// The `dW` sums of output channels `o0..` over a whole batch: `x` is
+    /// its padded samples, `gy` its `(n, oc, oh, ow)` output gradient and
+    /// `dw` the channels' `(rows, ic·kh·kw)` sums, overwritten.
+    pub(super) fn weight_grad(x: &[f32], gy: &[f32], dw: &mut [f32], o0: usize, g: &Lowering)
+        = weight_grad_body, avx512: weight_grad_avx512;
 }
 
-/// What every body's reads of one sample's padded planes `x` rest on: it
-/// holds them all, and the furthest window ends inside a plane.
-fn check(g: &Lowering, x: &[impl Copy]) {
+/// What every body's reads of the padded planes `x` rest on: it holds
+/// whole samples, and the furthest window ends inside a plane. Returns the
+/// number of samples.
+fn check(g: &Lowering, x: &[f32]) -> usize {
     let (hp, wp) = g.padded();
     assert!(g.oh + g.live.kh - 1 <= hp && g.ow + g.live.kw - 1 <= wp);
-    assert_eq!(x.len(), g.sample_padded());
+    assert!(x.len().is_multiple_of(g.sample_padded()));
+    x.len() / g.sample_padded()
+}
+
+/// [`check`] for a forward, and the weights and outputs it writes.
+fn check_forward(x: &[f32], w: &[f32], out: &[f32], g: &Lowering) {
+    let n = check(g, x);
+    assert_eq!((w.len(), out.len()), (g.oc * g.cols(), n * g.sample_out()));
 }
 
 /// Calls `$body(args…, kh, kw)` with both constants for the 3×3 kernels
@@ -77,7 +106,7 @@ fn check(g: &Lowering, x: &[impl Copy]) {
 /// macro, not a closure: a closure would be compiled outside the
 /// `#[target_feature]` entry point it is called from.
 macro_rules! with_const_kernel {
-    ($g:expr, $body:ident($($arg:expr),*)) => {
+    ($g:expr, $body:path, ($($arg:expr),*)) => {
         match ($g.live.kh, $g.live.kw) {
             (3, 3) => $body($($arg,)* 3, 3),
             (kh, kw) => $body($($arg,)* kh, kw),
@@ -90,11 +119,14 @@ macro_rules! with_const_kernel {
 /// values is an integer an `f32` holds exactly.
 const _: () = assert!(127 * 127 * MAX_COLS < 1 << 24);
 
+/// The portable and AVX2 forward.
 #[inline(always)]
 fn forward_body(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32) {
-    check(g, x);
-    assert_eq!((w.len(), out.len()), (g.oc * g.cols(), g.sample_out()));
-    with_const_kernel!(g, forward_kernel(x, w, out, g, scale))
+    check_forward(x, w, out, g);
+    let samples = x.chunks_exact(g.sample_padded());
+    for (x, out) in samples.zip(out.chunks_exact_mut(g.sample_out())) {
+        with_const_kernel!(g, forward_kernel, (x, w, out, g, scale))
+    }
 }
 
 /// [`forward_body`] at a kernel size, instantiated at the output widths
@@ -198,84 +230,328 @@ fn forward_any(
     }
 }
 
-/// Copies the window of every output position of one sample — `x` its
-/// padded planes — into `windows`, one [`lanes`]-float row each in
-/// `(ci, ky, kx)` order; the lanes past `ic·kh·kw` are left as they were.
-pub(super) fn gather_windows(x: &[f32], windows: &mut [f32], g: &Lowering) {
-    check(g, x);
-    assert_eq!(windows.len(), g.oh * g.ow * lanes(g.cols()));
-    with_const_kernel!(g, gather_kernel(x, windows, g))
+/// The AVX-512 forward: strips at output widths 4 and 8, [`forward_body`]
+/// at 512 bits on every other geometry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
+fn forward_avx512(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32) {
+    check_forward(x, w, out, g);
+    // SAFETY: this entry point runs with AVX-512F enabled.
+    match g.ow {
+        4 if g.oh >= LANES / 4 => unsafe {
+            with_const_kernel!(g, forward_strips::<4, 1, 8>, (x, w, out, g, scale))
+        },
+        8 if g.oh >= LANES / 8 => unsafe {
+            with_const_kernel!(g, forward_strips::<8, 4, 3>, (x, w, out, g, scale))
+        },
+        _ => forward_body(x, w, out, g, scale),
+    }
 }
 
-/// [`gather_windows`] at a kernel size.
+/// The AVX-512 forward at output width `OW`, whose strip is `LANES / OW`
+/// whole rows: a register tile of `S` strips of a plane × `B` output
+/// channels. Each tap's strips are built once for the block, a masked load
+/// per row, and multiplied into the block's accumulators by a broadcast
+/// weight each. The last strip of a plane ends on its last row, and a
+/// block's channels past `oc` repeat the last one; neither is stored twice.
+///
+/// # Safety
+/// The host runs AVX-512F: [`forward_avx512`], which inlines it, is its
+/// one caller.
+#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn gather_kernel(x: &[f32], windows: &mut [f32], g: &Lowering, kh: usize, kw: usize) {
-    let (mut rows, (hp, wp)) = (windows.chunks_exact_mut(lanes(g.cols())), g.padded());
-    let positions = (0..g.oh).flat_map(|oy| (0..g.ow).map(move |ox| (oy, ox)));
-    for ((oy, ox), window) in positions.zip(&mut rows) {
-        for ci in 0..g.c {
-            for ky in 0..kh {
-                let (at, t) = ((ci * hp + oy + ky) * wp + ox, (ci * kh + ky) * kw);
-                debug_assert!(at + kw <= x.len() && t + kw <= window.len());
-                for kx in 0..kw {
-                    // SAFETY: by `check`, the window of output `(oy, ox)`
-                    // ends inside plane `ci` of `x`, and `t + kw ≤ cols`,
-                    // at most the row's `lanes` floats.
-                    unsafe { *window.get_unchecked_mut(t + kx) = *x.get_unchecked(at + kx) };
+#[allow(clippy::too_many_arguments)]
+unsafe fn forward_strips<const OW: usize, const S: usize, const B: usize>(
+    x: &[f32],
+    w: &[f32],
+    out: &mut [f32],
+    g: &Lowering,
+    scale: f32,
+    kh: usize,
+    kw: usize,
+) {
+    use std::arch::x86_64::*;
+    let rows = LANES / OW;
+    let (cols, (hp, wp), plane) = (g.c * kh * kw, g.padded(), g.oh * OW);
+    debug_assert!(g.ow == OW && g.oh >= rows && OW * rows == LANES);
+    let strips = g.oh.div_ceil(rows);
+    let top = |s: usize| (s.min(strips - 1) * rows).min(g.oh - rows);
+    let scale = _mm512_set1_ps(scale);
+    let samples = x.chunks_exact(g.sample_padded());
+    for (x, out) in samples.zip(out.chunks_exact_mut(g.sample_out())) {
+        for o0 in (0..g.oc).step_by(B) {
+            let wrow: [usize; B] = std::array::from_fn(|b| (o0 + b).min(g.oc - 1) * cols);
+            for s0 in (0..strips).step_by(S) {
+                let y0: [usize; S] = std::array::from_fn(|s| top(s0 + s));
+                let mut acc = [[_mm512_setzero_ps(); S]; B];
+                for ci in 0..g.c {
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let t = (ci * kh + ky) * kw + kx;
+                            let mut strip = [_mm512_setzero_ps(); S];
+                            for (v, &y) in strip.iter_mut().zip(&y0) {
+                                let at = (ci * hp + y + ky) * wp + kx;
+                                for r in 0..rows {
+                                    let mask = (((1u32 << OW) - 1) << (r * OW)) as u16;
+                                    debug_assert!(at + r * wp + OW <= x.len());
+                                    // SAFETY: row `y + r + ky ≤ oh − 1 + kh − 1 <
+                                    // hp` and columns `kx + OW ≤ wp` (`check`), so
+                                    // the enabled lanes read inside plane `ci`;
+                                    // lane 0's address `at + r·(wp − OW) ≥ at` is
+                                    // inside `x` too.
+                                    *v = unsafe {
+                                        _mm512_mask_loadu_ps(
+                                            *v,
+                                            mask,
+                                            x.as_ptr().add(at + r * wp - r * OW),
+                                        )
+                                    };
+                                }
+                            }
+                            for (acc, &r) in acc.iter_mut().zip(&wrow) {
+                                // SAFETY: `r ≤ (oc − 1)·cols` and `t < cols`, and
+                                // `w.len() = oc·cols`.
+                                let wv = _mm512_set1_ps(unsafe { *w.get_unchecked(r + t) });
+                                for (a, &v) in acc.iter_mut().zip(&strip) {
+                                    *a = _mm512_add_ps(*a, _mm512_mul_ps(v, wv));
+                                }
+                            }
+                        }
+                    }
+                }
+                for (b, acc) in acc.iter().enumerate().take(g.oc - o0) {
+                    for (&y, &a) in y0.iter().zip(acc).take(strips - s0) {
+                        let dst = &mut out[(o0 + b) * plane + y * OW..][..LANES];
+                        // SAFETY: `dst` is `LANES` floats.
+                        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), _mm512_mul_ps(a, scale)) };
+                    }
                 }
             }
         }
     }
 }
 
-/// Instantiates [`weight_grad_blocks`] at [`lanes`].
+/// What both `dW` bodies rest on: `x` holds `n` padded samples, `gy` their
+/// output gradient, and `dw` whole rows of channels `o0..oc`. Returns `n`.
+fn weight_grad_check(x: &[f32], gy: &[f32], dw: &[f32], o0: usize, g: &Lowering) -> usize {
+    let (cols, n) = (g.cols(), check(g, x));
+    assert!(cols <= MAX_COLS && dw.len().is_multiple_of(cols));
+    assert!(o0 + dw.len() / cols <= g.oc);
+    assert_eq!(
+        (x.len(), gy.len()),
+        (n * g.sample_padded(), n * g.sample_out())
+    );
+    n
+}
+
+/// The portable and AVX2 `dW`: [`weight_grad_blocks`] at [`lanes`].
 #[inline(always)]
-fn weight_grad_body(windows: &[f32], gy: &[f32], cells: &mut [f32], o0: usize, g: &Lowering) {
-    let (cols, hw, c) = (g.cols(), g.oh * g.ow, lanes(g.cols()));
-    assert!(cols <= MAX_COLS && cells.len().is_multiple_of(c));
-    assert!(o0 + cells.len() / c <= g.oc && gy.len() == g.sample_out());
-    assert_eq!(windows.len(), hw * c);
-    match c {
-        16 => weight_grad_blocks::<16>(windows, gy, cells, o0, g),
-        _ => weight_grad_blocks::<MAX_COLS>(windows, gy, cells, o0, g),
+fn weight_grad_body(x: &[f32], gy: &[f32], dw: &mut [f32], o0: usize, g: &Lowering) {
+    let n = weight_grad_check(x, gy, dw, o0, g);
+    match lanes(g.cols()) {
+        16 => with_const_kernel!(g, weight_grad_blocks::<16>, (x, gy, dw, o0, g, n)),
+        _ => with_const_kernel!(g, weight_grad_blocks::<MAX_COLS>, (x, gy, dw, o0, g, n)),
     }
 }
 
 /// The sums of [`BLOCK_ROWS`] output channels at a time in registers, `C ≥
-/// cols` lanes a row, through the sample's positions in order; the lanes
-/// past `cols` read whatever the windows' padding holds and are never
-/// copied out.
+/// cols` lanes a row, through the batch's positions in order; each
+/// position's window is an array whose lanes past `cols` are `0.0`, and the
+/// rows past the block's last channel add `0 · x` into sums nobody stores.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn weight_grad_blocks<const C: usize>(
-    windows: &[f32],
+    x: &[f32],
     gy: &[f32],
-    cells: &mut [f32],
+    dw: &mut [f32],
     o0: usize,
     g: &Lowering,
+    n: usize,
+    kh: usize,
+    kw: usize,
 ) {
-    let hw = g.oh * g.ow;
-    for (b, block) in cells.chunks_mut(BLOCK_ROWS * C).enumerate() {
-        let live = block.len() / C;
-        let gs = &gy[(o0 + b * BLOCK_ROWS) * hw..][..live * hw];
+    let (cols, hw, (hp, wp)) = (g.cols(), g.oh * g.ow, g.padded());
+    let (padded, sample_out) = (g.sample_padded(), g.sample_out());
+    for (b, block) in dw.chunks_mut(BLOCK_ROWS * cols).enumerate() {
+        let (first, live) = (o0 + b * BLOCK_ROWS, block.len() / cols);
         let mut acc = [[0.0f32; C]; BLOCK_ROWS];
-        for (row, sums) in acc.iter_mut().zip(block.chunks_exact(C)) {
-            row.copy_from_slice(sums);
-        }
-        for pos in 0..hw {
-            let window: &[f32; C] = windows[pos * C..(pos + 1) * C].try_into().unwrap();
-            // the rows past `live` add `0 · x` into sums nobody stores
-            let mut gv = [0.0f32; BLOCK_ROWS];
-            for (r, v) in gv.iter_mut().enumerate().take(live) {
-                *v = gs[r * hw + pos];
-            }
-            for (row, &v) in acc.iter_mut().zip(&gv) {
-                for (a, &p) in row.iter_mut().zip(window) {
-                    *a += v * p;
+        for ni in 0..n {
+            let xs = &x[ni * padded..][..padded];
+            let gs = &gy[ni * sample_out + first * hw..][..live * hw];
+            for oy in 0..g.oh {
+                for ox in 0..g.ow {
+                    let mut window = [0.0f32; C];
+                    for ci in 0..g.c {
+                        for ky in 0..kh {
+                            let (at, t) = ((ci * hp + oy + ky) * wp + ox, (ci * kh + ky) * kw);
+                            debug_assert!(at + kw <= xs.len() && t + kw <= C);
+                            // SAFETY: by `check`, the window of output `(oy,
+                            // ox)` ends inside plane `ci` of `xs`, and `t + kw
+                            // ≤ cols ≤ C`.
+                            unsafe {
+                                std::ptr::copy_nonoverlapping(
+                                    xs.as_ptr().add(at),
+                                    window.as_mut_ptr().add(t),
+                                    kw,
+                                );
+                            }
+                        }
+                    }
+                    let pos = oy * g.ow + ox;
+                    let mut gv = [0.0f32; BLOCK_ROWS];
+                    for (r, v) in gv.iter_mut().enumerate().take(live) {
+                        *v = gs[r * hw + pos];
+                    }
+                    for (row, &v) in acc.iter_mut().zip(&gv) {
+                        for (a, &p) in row.iter_mut().zip(&window) {
+                            *a += v * p;
+                        }
+                    }
                 }
             }
         }
-        for (sums, row) in block.chunks_exact_mut(C).zip(&acc) {
-            sums.copy_from_slice(row);
+        for (dst, row) in block.chunks_exact_mut(cols).zip(&acc) {
+            dst.copy_from_slice(&row[..cols]);
+        }
+    }
+}
+
+/// The AVX-512 `dW`: one or two 16-lane registers a row of cells, at
+/// constant geometry for the 3×3 kernels on one and three channels.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
+fn weight_grad_avx512(x: &[f32], gy: &[f32], dw: &mut [f32], o0: usize, g: &Lowering) {
+    let n = weight_grad_check(x, gy, dw, o0, g);
+    // SAFETY: this entry point runs with AVX-512F enabled.
+    unsafe {
+        match (g.c, g.live.kh, g.live.kw) {
+            (1, 3, 3) => weight_grad_avx512_rows::<1, true>(x, gy, dw, o0, g, n, 1, 3, 3),
+            (3, 3, 3) => weight_grad_avx512_rows::<2, true>(x, gy, dw, o0, g, n, 3, 3, 3),
+            (c, kh, kw) if g.cols() <= LANES => {
+                weight_grad_avx512_rows::<1, false>(x, gy, dw, o0, g, n, c, kh, kw)
+            }
+            (c, kh, kw) => weight_grad_avx512_rows::<2, false>(x, gy, dw, o0, g, n, c, kh, kw),
+        }
+    }
+}
+
+/// Output channels a full AVX-512 `dW` block holds: `8 · J ≤ 16` registers
+/// of sums, beside the `J` of the window.
+#[cfg(target_arch = "x86_64")]
+const AVX512_ROWS: usize = 8;
+
+/// [`weight_grad_avx512_blocks`] over blocks of [`AVX512_ROWS`] channels;
+/// with `TAIL` the last block holds as few rows as cover what is left.
+///
+/// # Safety
+/// As [`weight_grad_avx512_blocks`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn weight_grad_avx512_rows<const J: usize, const TAIL: bool>(
+    x: &[f32],
+    gy: &[f32],
+    dw: &mut [f32],
+    o0: usize,
+    g: &Lowering,
+    n: usize,
+    c: usize,
+    kh: usize,
+    kw: usize,
+) {
+    let cols = c * kh * kw;
+    let full = if TAIL {
+        dw.len() / cols / AVX512_ROWS * AVX512_ROWS * cols
+    } else {
+        dw.len()
+    };
+    let (head, tail) = dw.split_at_mut(full);
+    let o1 = o0 + head.len() / cols;
+    let shape = (c, kh, kw);
+    // SAFETY: the caller's.
+    unsafe {
+        weight_grad_avx512_blocks::<J, AVX512_ROWS>(x, gy, head, o0, g, n, shape);
+        match tail.len() / cols {
+            0 => {}
+            1 | 2 => weight_grad_avx512_blocks::<J, 2>(x, gy, tail, o1, g, n, shape),
+            3 => weight_grad_avx512_blocks::<J, 3>(x, gy, tail, o1, g, n, shape),
+            4 => weight_grad_avx512_blocks::<J, 4>(x, gy, tail, o1, g, n, shape),
+            _ => weight_grad_avx512_blocks::<J, AVX512_ROWS>(x, gy, tail, o1, g, n, shape),
+        }
+    }
+}
+
+/// The AVX-512 `dW` with `J` registers a row and `R` rows a block: each
+/// position's window is built by one masked load per run of `kw` floats
+/// and register it touches — lane `(ci·kh + ky)·kw + kx` of the row reads
+/// `x` at `(ci, oy + ky, ox + kx)` — and multiplied into the sums of `R`
+/// channels at a time, through every sample in order. A block's channels
+/// past `dw`'s rows read the last row's gradient and are not stored.
+///
+/// # Safety
+/// The host runs AVX-512F: [`weight_grad_avx512`], which inlines it, is
+/// its one caller.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn weight_grad_avx512_blocks<const J: usize, const R: usize>(
+    x: &[f32],
+    gy: &[f32],
+    dw: &mut [f32],
+    o0: usize,
+    g: &Lowering,
+    n: usize,
+    (c, kh, kw): (usize, usize, usize),
+) {
+    use std::arch::x86_64::*;
+    let (cols, hw, (hp, wp)) = (c * kh * kw, g.oh * g.ow, g.padded());
+    let (padded, sample_out) = (g.sample_padded(), g.sample_out());
+    for (b, block) in dw.chunks_mut(R * cols).enumerate() {
+        let (first, live) = (o0 + b * R, block.len() / cols);
+        let grow: [usize; R] = std::array::from_fn(|r| r.min(live - 1) * hw);
+        let mut acc = [[_mm512_setzero_ps(); J]; R];
+        for ni in 0..n {
+            let xs = &x[ni * padded..][..padded];
+            let gs = &gy[ni * sample_out + first * hw..][..live * hw];
+            for oy in 0..g.oh {
+                for ox in 0..g.ow {
+                    let mut window = [_mm512_setzero_ps(); J];
+                    for ci in 0..c {
+                        for ky in 0..kh {
+                            let (at, lane) = ((ci * hp + oy + ky) * wp + ox, (ci * kh + ky) * kw);
+                            for (j, v) in window.iter_mut().enumerate() {
+                                let mask = ((((1u64 << kw) - 1) << lane) >> (LANES * j)) as u16;
+                                if mask != 0 {
+                                    // SAFETY: the lanes `mask` enables read
+                                    // the run `x[(ci, oy + ky, ox..ox + kw)]`,
+                                    // inside plane `ci` of `xs` by `check`; a
+                                    // masked load reads no other lane, so lane
+                                    // 0's address may lie outside `xs`.
+                                    let src = xs.as_ptr().wrapping_add(at + LANES * j);
+                                    *v = unsafe {
+                                        _mm512_mask_loadu_ps(*v, mask, src.wrapping_sub(lane))
+                                    };
+                                }
+                            }
+                        }
+                    }
+                    let pos = oy * g.ow + ox;
+                    for (acc, &r) in acc.iter_mut().zip(&grow) {
+                        // SAFETY: `r + pos < live·hw = gs.len()`.
+                        let gv = _mm512_set1_ps(unsafe { *gs.get_unchecked(r + pos) });
+                        for (a, &p) in acc.iter_mut().zip(&window) {
+                            *a = _mm512_add_ps(*a, _mm512_mul_ps(gv, p));
+                        }
+                    }
+                }
+            }
+        }
+        for (dst, row) in block.chunks_exact_mut(cols).zip(&acc) {
+            let mut sums = [0.0f32; MAX_COLS];
+            for (j, &v) in row.iter().enumerate() {
+                // SAFETY: `sums` holds `LANES · J ≤ MAX_COLS` floats.
+                unsafe { _mm512_storeu_ps(sums.as_mut_ptr().add(LANES * j), v) };
+            }
+            dst.copy_from_slice(&sums[..cols]);
         }
     }
 }
