@@ -1084,8 +1084,8 @@ fn forward(
 }
 
 /// The product of a forward panel, `(lowered input, output, first)`: the
-/// lowering's patch rows into their `(rows, oc)` GEMM rows, or one direct
-/// sample's padded planes into its NCHW output. `first` is set on the
+/// lowering's patch rows into their `(rows, oc)` GEMM rows, or a direct
+/// panel's padded samples into their NCHW outputs. `first` is set on the
 /// pass's first panel, which counts the call.
 type Arm<'a> = dyn Fn(&mut [f32], &mut [f32], bool) + Sync + 'a;
 

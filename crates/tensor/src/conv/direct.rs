@@ -13,8 +13,7 @@
 //!   shifted by the tap — are loaded once and multiplied into the
 //!   accumulators of a block of output channels, a broadcast weight each:
 //!   one strip and eight channels at width 4, four strips and three
-//!   channels at width 8 on AVX-512, fewer where there are fewer registers.
-//!   A lane is one output element, so each element still starts at `+0.0`
+//!   channels at width 8 on AVX-512. A lane is one output element, so each element still starts at `+0.0`
 //!   and adds `x · w` over the taps in ascending `(ci, ky, kx)` order, the
 //!   halo's zeros included, as the patch row times the weight row of
 //!   [`crate::linalg::matmul_a_bt_slices`] did, and is multiplied by the
@@ -23,7 +22,8 @@
 //!   last strip of a plane whose height the strip does not divide starts
 //!   lower and computes some rows twice, and a block's channels past the
 //!   layer's repeat its last one; both write nothing twice that differs.
-//!   Other widths, and planes lower than a strip, run one row at a time;
+//!   The portable and AVX2 bodies, other widths and planes lower than a
+//!   strip run one output row at a time;
 //! - **INT8 forward** — the same body over the INT8 values of the halo and
 //!   the weights, held as `f32` integers, with the epilogue's scale. The
 //!   INT8 product is the one free of order: each term is at most `127²` and
@@ -39,11 +39,14 @@
 //!   halo, a run of `kw` floats per `(ci, ky)`: on AVX-512 one masked load
 //!   per run and register, the geometry constant for 3×3 kernels on one
 //!   and three channels; a block holds eight output channels' sums (16
-//!   registers of 32 lanes at most), and a call's last block the fewest
-//!   rows that cover what is left (three on LeNet-5's 1 → 3 layer). The
-//!   portable and AVX2 bodies build an array per window and hold
-//!   [`BLOCK_ROWS`] channels. The sums stay in registers through the
-//!   whole batch, and a lane is still one cell's chain, so the bits agree.
+//!   registers of 32 lanes at most), and a call's last one to three
+//!   channels a block of three (LeNet-5's 1 → 3 layer, a parallel `dW`'s
+//!   [`BLOCK_ROWS`]); the sums stay in registers through the whole batch.
+//!   The portable and AVX2 bodies gather each sample's windows once,
+//!   [`CHUNK`] positions at a time, into an array of rows, and run
+//!   [`BLOCK_ROWS`] channels' sums through them in registers, carried from
+//!   chunk to chunk in `dW` itself. A lane is still one cell's chain, and a
+//!   stored and reloaded `f32` keeps its bits, so the bits agree.
 
 use super::Lowering;
 use crate::isa::isa_kernel;
@@ -57,6 +60,10 @@ pub(super) const MAX_COLS: usize = 32;
 /// unit a parallel `dW` is cut in. Measured on the AVX-512 host at 40
 /// samples: blocks of four rows spill and run ×4–×7 slower than three.
 pub(super) const BLOCK_ROWS: usize = 3;
+
+/// Output positions whose windows the portable and AVX2 `dW` gathers at a
+/// time: one sample of LeNet-5's 8 × 8 maps.
+const CHUNK: usize = 64;
 
 /// `f32` lanes of an AVX-512 register: the output positions of a forward
 /// strip, the cells of a `dW` register.
@@ -123,13 +130,19 @@ const _: () = assert!(127 * 127 * MAX_COLS < 1 << 24);
 #[inline(always)]
 fn forward_body(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32) {
     check_forward(x, w, out, g);
+    forward_samples(x, w, out, g, scale);
+}
+
+/// [`forward_kernel`] on each sample of a panel.
+#[inline(always)]
+fn forward_samples(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32) {
     let samples = x.chunks_exact(g.sample_padded());
     for (x, out) in samples.zip(out.chunks_exact_mut(g.sample_out())) {
         with_const_kernel!(g, forward_kernel, (x, w, out, g, scale))
     }
 }
 
-/// [`forward_body`] at a kernel size, instantiated at the output widths
+/// One sample's forward at a kernel size, instantiated at the output widths
 /// the model zoo meets so that an accumulator row is a constant number of
 /// lanes.
 #[inline(always)]
@@ -149,7 +162,7 @@ fn forward_kernel(
     }
 }
 
-/// [`forward_body`] at a constant width `OW`: one register row of
+/// [`forward_kernel`] at a constant width `OW`: one register row of
 /// accumulators per output row, fed one tap at a time by an `OW`-wide load
 /// from the halo.
 #[inline(always)]
@@ -230,8 +243,8 @@ fn forward_any(
     }
 }
 
-/// The AVX-512 forward: strips at output widths 4 and 8, [`forward_body`]
-/// at 512 bits on every other geometry.
+/// The AVX-512 forward: strips at output widths 4 and 8, the rows of
+/// [`forward_samples`] at 512 bits on every other geometry.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
 fn forward_avx512(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f32) {
@@ -244,7 +257,7 @@ fn forward_avx512(x: &[f32], w: &[f32], out: &mut [f32], g: &Lowering, scale: f3
         8 if g.oh >= LANES / 8 => unsafe {
             with_const_kernel!(g, forward_strips::<8, 4, 3>, (x, w, out, g, scale))
         },
-        _ => forward_body(x, w, out, g, scale),
+        _ => forward_samples(x, w, out, g, scale),
     }
 }
 
@@ -344,23 +357,25 @@ fn weight_grad_check(x: &[f32], gy: &[f32], dw: &[f32], o0: usize, g: &Lowering)
     n
 }
 
-/// The portable and AVX2 `dW`: [`weight_grad_blocks`] at [`lanes`].
+/// The portable and AVX2 `dW`: [`weight_grad_gathered`] at [`lanes`].
 #[inline(always)]
 fn weight_grad_body(x: &[f32], gy: &[f32], dw: &mut [f32], o0: usize, g: &Lowering) {
     let n = weight_grad_check(x, gy, dw, o0, g);
     match lanes(g.cols()) {
-        16 => with_const_kernel!(g, weight_grad_blocks::<16>, (x, gy, dw, o0, g, n)),
-        _ => with_const_kernel!(g, weight_grad_blocks::<MAX_COLS>, (x, gy, dw, o0, g, n)),
+        16 => with_const_kernel!(g, weight_grad_gathered::<16>, (x, gy, dw, o0, g, n)),
+        _ => with_const_kernel!(g, weight_grad_gathered::<MAX_COLS>, (x, gy, dw, o0, g, n)),
     }
 }
 
-/// The sums of [`BLOCK_ROWS`] output channels at a time in registers, `C ≥
-/// cols` lanes a row, through the batch's positions in order; each
-/// position's window is an array whose lanes past `cols` are `0.0`, and the
-/// rows past the block's last channel add `0 · x` into sums nobody stores.
+/// The sums of `dw`'s channels, `C ≥ cols` lanes a row, a sample and
+/// [`CHUNK`] of its positions at a time: the chunk's windows are gathered
+/// once into rows whose lanes past `cols` stay `0.0`, and each block of
+/// [`BLOCK_ROWS`] channels runs its sums through all of them in registers,
+/// reloaded from `dw` before and stored back after. The rows past a block's
+/// last channel add `0 · x` into sums nobody stores.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn weight_grad_blocks<const C: usize>(
+fn weight_grad_gathered<const C: usize>(
     x: &[f32],
     gy: &[f32],
     dw: &mut [f32],
@@ -372,46 +387,62 @@ fn weight_grad_blocks<const C: usize>(
 ) {
     let (cols, hw, (hp, wp)) = (g.cols(), g.oh * g.ow, g.padded());
     let (padded, sample_out) = (g.sample_padded(), g.sample_out());
-    for (b, block) in dw.chunks_mut(BLOCK_ROWS * cols).enumerate() {
-        let (first, live) = (o0 + b * BLOCK_ROWS, block.len() / cols);
-        let mut acc = [[0.0f32; C]; BLOCK_ROWS];
-        for ni in 0..n {
-            let xs = &x[ni * padded..][..padded];
-            let gs = &gy[ni * sample_out + first * hw..][..live * hw];
-            for oy in 0..g.oh {
-                for ox in 0..g.ow {
-                    let mut window = [0.0f32; C];
-                    for ci in 0..g.c {
-                        for ky in 0..kh {
-                            let (at, t) = ((ci * hp + oy + ky) * wp + ox, (ci * kh + ky) * kw);
-                            debug_assert!(at + kw <= xs.len() && t + kw <= C);
-                            // SAFETY: by `check`, the window of output `(oy,
-                            // ox)` ends inside plane `ci` of `xs`, and `t + kw
-                            // ≤ cols ≤ C`.
-                            unsafe {
-                                std::ptr::copy_nonoverlapping(
-                                    xs.as_ptr().add(at),
-                                    window.as_mut_ptr().add(t),
-                                    kw,
-                                );
-                            }
+    let mut windows = [[0.0f32; C]; CHUNK];
+    dw.fill(0.0);
+    for ni in 0..n {
+        let xs = &x[ni * padded..][..padded];
+        let gs = &gy[ni * sample_out + o0 * hw..][..dw.len() / cols * hw];
+        for p0 in (0..hw).step_by(CHUNK) {
+            let chunk = &mut windows[..CHUNK.min(hw - p0)];
+            let (mut oy, mut ox) = (p0 / g.ow, p0 % g.ow);
+            for window in chunk.iter_mut() {
+                for ci in 0..g.c {
+                    for ky in 0..kh {
+                        let (at, t) = ((ci * hp + oy + ky) * wp + ox, (ci * kh + ky) * kw);
+                        debug_assert!(at + kw <= xs.len() && t + kw <= C);
+                        // SAFETY: by `check`, the window of output `(oy,
+                        // ox)` ends inside plane `ci` of `xs`, and `t + kw
+                        // ≤ cols ≤ C`.
+                        unsafe {
+                            std::ptr::copy_nonoverlapping(
+                                xs.as_ptr().add(at),
+                                window.as_mut_ptr().add(t),
+                                kw,
+                            );
                         }
                     }
-                    let pos = oy * g.ow + ox;
+                }
+                ox += 1;
+                if ox == g.ow {
+                    (oy, ox) = (oy + 1, 0);
+                }
+            }
+            for (b, block) in dw.chunks_mut(BLOCK_ROWS * cols).enumerate() {
+                let live = block.len() / cols;
+                let gs = &gs[b * BLOCK_ROWS * hw..][..live * hw];
+                let mut acc = [[0.0f32; C]; BLOCK_ROWS];
+                for (row, sums) in acc.iter_mut().zip(block.chunks_exact(cols)) {
+                    for (a, &s) in row.iter_mut().zip(sums) {
+                        *a = s;
+                    }
+                }
+                for (pos, window) in (p0..).zip(chunk.iter()) {
                     let mut gv = [0.0f32; BLOCK_ROWS];
                     for (r, v) in gv.iter_mut().enumerate().take(live) {
                         *v = gs[r * hw + pos];
                     }
                     for (row, &v) in acc.iter_mut().zip(&gv) {
-                        for (a, &p) in row.iter_mut().zip(&window) {
+                        for (a, &p) in row.iter_mut().zip(window) {
                             *a += v * p;
                         }
                     }
                 }
+                for (sums, row) in block.chunks_exact_mut(cols).zip(&acc) {
+                    for (s, &a) in sums.iter_mut().zip(row) {
+                        *s = a;
+                    }
+                }
             }
-        }
-        for (dst, row) in block.chunks_exact_mut(cols).zip(&acc) {
-            dst.copy_from_slice(&row[..cols]);
         }
     }
 }
@@ -425,12 +456,12 @@ fn weight_grad_avx512(x: &[f32], gy: &[f32], dw: &mut [f32], o0: usize, g: &Lowe
     // SAFETY: this entry point runs with AVX-512F enabled.
     unsafe {
         match (g.c, g.live.kh, g.live.kw) {
-            (1, 3, 3) => weight_grad_avx512_rows::<1, true>(x, gy, dw, o0, g, n, 1, 3, 3),
-            (3, 3, 3) => weight_grad_avx512_rows::<2, true>(x, gy, dw, o0, g, n, 3, 3, 3),
+            (1, 3, 3) => weight_grad_avx512_rows::<1>(x, gy, dw, o0, g, n, 1, 3, 3),
+            (3, 3, 3) => weight_grad_avx512_rows::<2>(x, gy, dw, o0, g, n, 3, 3, 3),
             (c, kh, kw) if g.cols() <= LANES => {
-                weight_grad_avx512_rows::<1, false>(x, gy, dw, o0, g, n, c, kh, kw)
+                weight_grad_avx512_rows::<1>(x, gy, dw, o0, g, n, c, kh, kw)
             }
-            (c, kh, kw) => weight_grad_avx512_rows::<2, false>(x, gy, dw, o0, g, n, c, kh, kw),
+            (c, kh, kw) => weight_grad_avx512_rows::<2>(x, gy, dw, o0, g, n, c, kh, kw),
         }
     }
 }
@@ -440,15 +471,15 @@ fn weight_grad_avx512(x: &[f32], gy: &[f32], dw: &mut [f32], o0: usize, g: &Lowe
 #[cfg(target_arch = "x86_64")]
 const AVX512_ROWS: usize = 8;
 
-/// [`weight_grad_avx512_blocks`] over blocks of [`AVX512_ROWS`] channels;
-/// with `TAIL` the last block holds as few rows as cover what is left.
+/// [`weight_grad_avx512_blocks`] over blocks of [`AVX512_ROWS`] channels,
+/// the last one to three of them in a block of three.
 ///
 /// # Safety
 /// As [`weight_grad_avx512_blocks`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn weight_grad_avx512_rows<const J: usize, const TAIL: bool>(
+unsafe fn weight_grad_avx512_rows<const J: usize>(
     x: &[f32],
     gy: &[f32],
     dw: &mut [f32],
@@ -459,24 +490,16 @@ unsafe fn weight_grad_avx512_rows<const J: usize, const TAIL: bool>(
     kh: usize,
     kw: usize,
 ) {
-    let cols = c * kh * kw;
-    let full = if TAIL {
-        dw.len() / cols / AVX512_ROWS * AVX512_ROWS * cols
-    } else {
-        dw.len()
-    };
-    let (head, tail) = dw.split_at_mut(full);
-    let o1 = o0 + head.len() / cols;
-    let shape = (c, kh, kw);
+    let (cols, shape) = (c * kh * kw, (c, kh, kw));
+    let full = dw.len() / cols / AVX512_ROWS * AVX512_ROWS;
+    let (head, tail) = dw.split_at_mut(full * cols);
     // SAFETY: the caller's.
     unsafe {
         weight_grad_avx512_blocks::<J, AVX512_ROWS>(x, gy, head, o0, g, n, shape);
         match tail.len() / cols {
             0 => {}
-            1 | 2 => weight_grad_avx512_blocks::<J, 2>(x, gy, tail, o1, g, n, shape),
-            3 => weight_grad_avx512_blocks::<J, 3>(x, gy, tail, o1, g, n, shape),
-            4 => weight_grad_avx512_blocks::<J, 4>(x, gy, tail, o1, g, n, shape),
-            _ => weight_grad_avx512_blocks::<J, AVX512_ROWS>(x, gy, tail, o1, g, n, shape),
+            1..=3 => weight_grad_avx512_blocks::<J, 3>(x, gy, tail, o0 + full, g, n, shape),
+            _ => weight_grad_avx512_blocks::<J, AVX512_ROWS>(x, gy, tail, o0 + full, g, n, shape),
         }
     }
 }
