@@ -49,6 +49,17 @@
 //! and 7 of 10 pairs, inside the spread) and ×0.97 in `peak_rss_mb` (10 of
 //! 10: the padded input is a ninth of the patch matrix).
 //!
+//! Re-measured after the full-width direct bodies and the explicit
+//! AVX-512 GEMM tile, same host and step share, best of three runs of 200
+//! calls at one / two threads: the direct path now wins at every width
+//! measured on the 4×4 map too — 3 → 8 ×0.45–0.46 / ×0.39–0.43, 3 → 11
+//! ×0.54–0.56 / ×0.53–0.54, 3 → 12 (324 cells) ×0.68–0.69 / ×0.63–0.71,
+//! 3 → 16 ×0.61–0.62 / ×0.72–0.75, 3 → 32 (864) ×0.79 / ×0.82–0.87 — and
+//! on 8×8 maps 1 → 3 ×0.18, 3 → 8 ×0.46 / ×0.68–0.77, 3 → 14 ×0.58–0.60 /
+//! ×0.73–0.75. The bound of 256 cells is therefore no longer the 4×4
+//! break-even but a conservative choice. It stays until paired training
+//! runs with the ResNet-18 and VGG-11 stems direct show a gain.
+//!
 //! **Why the bits agree.** The direct path computes every element from the
 //! operands the lowering fed its GEMM, in the GEMM's order: the same halo
 //! zeros are operands, taps run in ascending `(ci, ky, kx)`, each term is
@@ -599,7 +610,9 @@ fn embed(images: &[f32], padded: &mut [f32], g: &Lowering) {
 isa_kernel! {
     /// [`embed`] with every image value put on the INT8 grid of `scale` on
     /// the way in ([`quant::grid_value`]); the border stays `+0.0`, what a
-    /// zero quantizes to.
+    /// zero quantizes to. The dispatch is inlined into its one caller, so
+    /// the default build does here what a `codegen-units = 1` one does.
+    #[inline(always)]
     fn embed_grid(images: &[f32], padded: &mut [f32], g: &Lowering, scale: f32)
         = embed_body::<true>;
 }
@@ -868,8 +881,8 @@ impl Panels {
 }
 
 /// Most output cells, `oc · ic·kh·kw`, a layer may have and still run
-/// direct: below the break-even on a 4×4 map, about 300 cells (see the
-/// module docs for the measurement).
+/// direct: below the break-even on a 4×4 map, which was about 300 cells
+/// and is now above 864 (see the module docs for the measurements).
 const DIRECT_MAX_CELLS: usize = 256;
 
 /// The two ways a convolution runs (see the module docs). [`ConvPath::of`]

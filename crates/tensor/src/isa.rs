@@ -7,20 +7,28 @@
 //! one. All three are the *same* `#[inline(always)]` source — `isa_kernel!`
 //! inlines it once plainly and once into each `#[target_feature]` entry
 //! point — so wider lanes change which elements are computed together,
-//! never any element's sequence of roundings. The f32 GEMM panel is the one
-//! body that takes a parameter per level: the width of its register tile
-//! ([`crate::linalg`]); the gradient noise of [`crate::quant`] takes one
-//! too, its AVX-512 `i64` conversion. The hand-written kernels are the two
-//! i8 GEMMs of [`crate::linalg`].
+//! never any element's sequence of roundings. The gradient noise of
+//! [`crate::quant`] takes a parameter per level, its AVX-512 `i64`
+//! conversion. The hand-written kernels are the two i8 GEMMs of
+//! [`crate::linalg`] (AVX2), the AVX-512 bodies of the direct
+//! convolution ([`crate::conv`]) and the AVX-512 f32 GEMM panel: the
+//! `= body, avx512: wide;` form of `isa_kernel!` gives that level its own
+//! body, an explicit register tile (up to 8 × 32, 12 × 32 for `Aᵀ × B`,
+//! 12 × 16 on the last columns) whose every output is still the
+//! ascending-`p` sum of a separate multiply and add.
 //!
 //! **Three levels, one rule:** AVX-512 when the host reports F, DQ, BW and
 //! VL (every AVX-512 server since Skylake-SP has all four; the entry point
 //! enables them together), else AVX2 when it reports AVX2, else portable.
-//! The third level pays where the ledger is hot: the f32 panel's 4 × 32
-//! tile does twice the work of AVX2's 4 × 16 per multiply and per add, the
-//! three f32 GEMMs are 55–59 % of `train_mixed`'s kernel time, and on the
-//! 2-vCPU Sapphire Rapids reference host its `wall_s` fell ×0.87 and ×0.89
-//! on seeds 11 and 12 (ten alternating pairs each, `benchmark/README.md`).
+//! The third level pays where the ledger is hot: a 512-bit multiply and
+//! add do twice the work of AVX2's, the three f32 GEMMs are 55–59 % of
+//! `train_mixed`'s kernel time, and on the 2-vCPU Sapphire Rapids
+//! reference host the first AVX-512 panel (an autovectorized 4 × 32 tile)
+//! took its `wall_s` to ×0.87 and ×0.89 on seeds 11 and 12 (ten
+//! alternating pairs each, `benchmark/README.md`). The explicit tiles that
+//! replaced it hold 16 or 24 accumulators (12 on the last columns) instead
+//! of eight and check their bounds once per panel: serially ×0.52–0.84 of its time on
+//! `train_ring_fp32`'s GEMM shapes, the same in every codegen partition.
 //!
 //! **No `fma`, although AVX-512F implies it.** The AVX2 entry point enables
 //! `avx2` alone, so there is no fused instruction to select; the AVX-512

@@ -4,11 +4,11 @@
 //! These routines are the compute kernels behind [`socflow_nn`]'s linear and
 //! (via im2col) convolution layers. Each product is computed by a
 //! register-tile micro-kernel that keeps a fixed-size accumulator tile in
-//! registers and streams contiguously over the operands, so rustc
-//! autovectorizes the inner loops without any nightly SIMD or external
-//! dependencies. The last `n % NR` columns run through the 16-column tile
-//! over a zero-padded copy of `B`'s tail columns; the last `m % MR` rows run
-//! one row at a time. Either way the accumulation order is the same.
+//! registers and streams contiguously over the operands: on the portable
+//! and AVX2 levels rustc autovectorizes its inner loops, on AVX-512 the
+//! tile is written in `std::arch` intrinsics. The last `n % NR` columns
+//! run through a 16-column tile over a zero-padded copy of `B`'s tail
+//! columns. Either way the accumulation order is the same.
 //!
 //! **Numerics contract:** every kernel accumulates each output element
 //! strictly sequentially over the shared dimension `p` in ascending order —
@@ -17,33 +17,42 @@
 //! computed together, never the floating-point summation order, so results
 //! are bit-identical to the pre-tiled kernels and deterministic across runs.
 //!
-//! **Three instantiations, one tile each:** the f32 panel kernel is one
-//! `#[inline(always)]` body, generic over its tile's width, compiled three
-//! times by `isa_kernel!`, and [`Isa::active`] picks one per call (see
-//! [`crate::isa`]):
+//! **Three instantiations, two bodies:** `isa_kernel!` compiles the f32
+//! panel three times and [`Isa::active`] picks one per call (see
+//! [`crate::isa`]). The portable and AVX2 levels inline one
+//! autovectorized `#[inline(always)]` body; the AVX-512 level runs an
+//! explicit register tile, with every bound of `A`, `B` and the padded
+//! tail checked once per panel instead of once per step of `p`:
 //!
-//! | instantiation | full tile | accumulators | columns left over |
+//! | instantiation | full tile | columns left over | rows |
 //! |---|---|---|---|
-//! | portable, AVX2 | 4 × 16 | eight `ymm` on AVX2 | padded to one 4 × 16 tile |
-//! | AVX-512 | 4 × 32 | eight `zmm` | one 4 × 16 tile from `B` if 16 or more are left, then the padded 4 × 16 tile |
+//! | portable, AVX2 | 4 × 16, eight `ymm` accumulators on AVX2 | padded to one 4 × 16 tile | last `m % 4` one at a time |
+//! | AVX-512 | up to 8 × 32 (16 `zmm` accumulators); 12 × 32 (24) for `Aᵀ × B` | one 16-lane panel from `B` if 16 or more are left, then the padded one, both on tiles up to 12 × 16 (12 `zmm`) | split into the fewest tiles of near-equal height |
 //!
-//! so no tail pads more than 15 lanes at any width. The lanes run across
-//! the *output* dimension, so all three satisfy the contract above and
-//! agree bit for bit. All three products share the kernel: `Aᵀ × B` is a
+//! so no tail pads more than 15 lanes at any width. Serially on one
+//! thread of the AVX-512 reference host the explicit tile reads ×0.71–0.84
+//! of the autovectorized 4 × 32 tile's time on the convolution lowering's
+//! `A × Bᵀ` rows (64×108×12 6.24 → 4.85 µs), ×0.72–0.83 on `A × B`
+//! (256×12×108 14.5 → 11.6 µs) and ×0.52–0.79 on the weight gradients'
+//! `Aᵀ × B` (12×4096×108 258 → 169 µs), and it no longer depends on how
+//! the crate is partitioned into codegen units (DESIGN.md, "Runtime ISA
+//! dispatch"). The lanes run across the *output* dimension, so every
+//! instantiation satisfies the contract above and they agree bit for
+//! bit. All three products share the kernel: `Aᵀ × B` is a
 //! stride choice on the left operand and `A × Bᵀ` transposes `B` once per
 //! call. A pass that cuts its own rows — the convolution lowering's sample
 //! panels — packs `B` once the same way and has each of its chunks run the
 //! serial kernel over its rows (`Rhs::rows`). The two i8 GEMMs — `A × Bᵀ`
 //! for the convolution lowering, `A × B` for a fully connected layer's
-//! `(in, out)` weight — are the kernels with hand-written intrinsics (AVX2;
-//! the AVX-512 level runs them too); they are exact in `i32`, where no
-//! order can matter.
+//! `(in, out)` weight — have hand-written AVX2 intrinsics (the AVX-512
+//! level runs them too); they are exact in `i32`, where no order can
+//! matter.
 //!
 //! **Parallelism:** large products are cut into panels of the output and
 //! dispatched on the [`crate::runtime`] worker pool: `ROWS_PER_CHUNK` rows
 //! each when there is more than one such panel, otherwise (`m ≤ 32`: every
 //! convolution's weight gradient `Aᵀ × B`) groups of column panels as wide
-//! as the instantiation's tile — 16 or 32 columns, and 16 on AVX-512 too
+//! as the instantiation's full panel — 16 or 32 columns, and 16 on AVX-512 too
 //! when one 32-column tile would cover the whole product. The cut depends
 //! only on the shape and the tile — never on the thread count — and each
 //! panel is computed by the same sequential micro-kernel writing its own
@@ -64,14 +73,14 @@ use crate::Tensor;
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Rows of the register accumulator tile.
+/// Rows of the portable and AVX2 register tile.
 const MR: usize = 4;
 /// Columns of the portable and AVX2 register tile (two 8-lane vectors on
 /// AVX2), of the AVX-512 tile for the last `n % NR_WIDE` columns, and of
 /// the zero-padded tail panel on every level.
 const NR: usize = 16;
-/// Columns of the AVX-512 register tile: two 16-lane vectors a row, eight
-/// accumulators.
+/// Columns of the AVX-512 tile over a full column panel: two 16-lane
+/// vectors a row.
 const NR_WIDE: usize = 32;
 
 /// Columns of `isa`'s full register tile: what [`gemm_panel`] compiles for
@@ -118,7 +127,15 @@ const ROWS_PER_CHUNK: usize = 32;
 /// ×0.84–0.87, 64³ ×0.70–0.80, 256×32×32 ×0.65–0.96, 12×256×108 ×0.76–0.84,
 /// 128×64×64 ×0.62–0.68, 128³ ×0.56–0.73: the break-even did not move far
 /// enough from 2¹⁷ to be told apart from the host's noise, so the constant
-/// stays.
+/// stays. Re-measured on the explicit AVX-512 tiles (same host, the
+/// threshold at 1 in a scratch build, medians of nine interleaved rounds,
+/// three runs): row splits 64×64×32 ×0.84–0.97, 64³ ×0.66–0.76,
+/// 256×32×32 ×0.73–0.80, 128×64×64 ×0.64–0.73, 128³ ×0.54–0.74 — still
+/// below 2¹⁸, so the constant stays. The column split of a 12-row
+/// `Aᵀ × B`, whose serial time the 12 × 32 tile cut by a third, now
+/// breaks even only near 2²⁰: 12×64×108 ×2.0–2.2, 12×256×108 (2¹⁸·³)
+/// ×1.48–1.62, 12×1024×108 (2²⁰·³) ×0.93–1.06; the weight gradients of
+/// the benchmark workloads that take it are 2²⁰·⁴ and up.
 pub(crate) const PAR_MIN_WORK_F32: usize = 1 << 18;
 
 /// The same threshold for the i8 GEMM. The pool round-trip costs what it
@@ -226,6 +243,18 @@ struct Lhs<'a> {
     data: &'a [f32],
     row_stride: usize,
     p_stride: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lhs<'_> {
+    /// Whether `data` holds every element `(i, p)` with `i < rows`, `p < k`.
+    fn covers(&self, rows: usize, k: usize) -> bool {
+        let last = |i: usize, p: usize| {
+            let at = i.checked_mul(self.row_stride)?;
+            at.checked_add(p.checked_mul(self.p_stride)?)
+        };
+        rows == 0 || k == 0 || last(rows - 1, k - 1).is_some_and(|at| at < self.data.len())
+    }
 }
 
 /// The cells `rows × cols` of a product's row-major `m × n` output: what
@@ -375,39 +404,35 @@ fn pad_tail_columns(b: &[f32], tail: &mut Vec<f32>, k: usize, n: usize) {
 isa_kernel! {
     /// Sequential kernel over the rows and columns of `cells` (columns from
     /// a multiple of `NR` on): the single-threaded sweep, reused verbatim by
-    /// every parallel panel. `MR × NR` tiles on the portable and AVX2
-    /// levels, `MR × NR_WIDE` on AVX-512 ([`tile_cols`]). `tail` is `b`'s
-    /// [`pad_tail_columns`] panel.
+    /// every parallel panel. `tail` is `b`'s [`pad_tail_columns`] panel. The
+    /// portable and AVX2 levels autovectorize [`gemm_panel_body`]'s `MR × NR`
+    /// tile; AVX-512 runs the explicit tiles of [`gemm_panel_avx512`], whose
+    /// full column panel is `NR_WIDE` wide ([`tile_cols`]).
     fn gemm_panel(lhs: Lhs, b: &[f32], tail: &[f32], cells: Panel, k: usize)
-        = gemm_panel_body::<NR>, avx512: gemm_panel_body::<NR_WIDE>;
+        = gemm_panel_body, avx512: gemm_panel_avx512;
 }
 
-/// Full `W`-column panels, then — when `W` is wider than `NR` — at most one
-/// `NR` panel read straight from `b`, then the padded tail of fewer than
-/// `NR` columns on the `NR` tile, so no tail pads more than 15 lanes.
+/// Full `NR`-column panels, then the padded tail of fewer than `NR`
+/// columns on the same tile.
 #[inline(always)]
-fn gemm_panel_body<const W: usize>(lhs: Lhs, b: &[f32], tail: &[f32], mut cells: Panel, k: usize) {
+fn gemm_panel_body(lhs: Lhs, b: &[f32], tail: &[f32], mut cells: Panel, k: usize) {
     let (n, end) = (cells.n, cells.cols.end);
     let mut j = cells.cols.start;
-    while j + W <= end {
-        column_panel::<W>(lhs, b, n, j, &mut cells, k, j, W);
-        j += W;
-    }
-    if W > NR && j + NR <= end {
-        column_panel::<NR>(lhs, b, n, j, &mut cells, k, j, NR);
+    while j + NR <= end {
+        column_panel(lhs, b, n, j, &mut cells, k, j, NR);
         j += NR;
     }
     if j < end {
-        column_panel::<NR>(lhs, tail, NR, 0, &mut cells, k, j, end - j);
+        column_panel(lhs, tail, NR, 0, &mut cells, k, j, end - j);
     }
 }
 
-/// Output columns `j..j + w` (`w ≤ T`) for the rows of `cells`: `MR × T`
+/// Output columns `j..j + w` (`w ≤ NR`) for the rows of `cells`: `MR × NR`
 /// register tiles, then single rows. The tile reads row `p` of the `B`
-/// panel at `b[p * b_stride + b_off..][..T]` and keeps its first `w` lanes.
+/// panel at `b[p * b_stride + b_off..][..NR]` and keeps its first `w` lanes.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn column_panel<const T: usize>(
+fn column_panel(
     lhs: Lhs,
     b: &[f32],
     b_stride: usize,
@@ -420,9 +445,9 @@ fn column_panel<const T: usize>(
     let a = lhs.data;
     let (mut i, m) = (cells.rows.start, cells.rows.end);
     while i + MR <= m {
-        let mut acc = [[0.0f32; T]; MR];
+        let mut acc = [[0.0f32; NR]; MR];
         for p in 0..k {
-            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + T];
+            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + NR];
             for (mi, accrow) in acc.iter_mut().enumerate() {
                 let av = a[(i + mi) * lhs.row_stride + p * lhs.p_stride];
                 axpy(accrow, av, brow);
@@ -435,9 +460,9 @@ fn column_panel<const T: usize>(
     }
     // Row tail: fewer than MR rows left.
     while i < m {
-        let mut acc = [0.0f32; T];
+        let mut acc = [0.0f32; NR];
         for p in 0..k {
-            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + T];
+            let brow = &b[p * b_stride + b_off..p * b_stride + b_off + NR];
             axpy(&mut acc, a[i * lhs.row_stride + p * lhs.p_stride], brow);
         }
         store_lanes(cells.lanes(i, j, w), acc);
@@ -453,8 +478,178 @@ fn column_panel<const T: usize>(
 /// 4096×108×12 ran 466 µs against 299 µs for ×16; 320 µs this way), and no
 /// convolution of the width-scaled nets has a multiple of 16 filters.
 #[inline(always)]
-fn store_lanes<const T: usize>(out: &mut [f32], lanes: [f32; T]) {
+fn store_lanes(out: &mut [f32], lanes: [f32; NR]) {
     out.copy_from_slice(&lanes[..out.len()]);
+}
+
+/// Most rows of the AVX-512 tile over a full `NR_WIDE`-column panel of
+/// `A × B` and `A × Bᵀ`: two vectors a row, so 16 accumulators, and one
+/// `A` row pointer a row beside them.
+const MR_WIDE: usize = 8;
+/// The same for `Aᵀ × B`, whose left operand has row stride 1: a tile's
+/// `A` elements at one `p` are adjacent, read through one pointer, so 24
+/// accumulators fit. Its rows are the layer's filters (12, 23, 46, 92 on
+/// ResNet-18's stages), one or a few tiles each.
+const MR_WIDE_AT: usize = 12;
+/// Most rows of the AVX-512 tile over an `NR`-column panel — the one read
+/// from `B` and the padded tail: one vector a row, so it stands taller
+/// than [`MR_WIDE`] for as many accumulators.
+const MR_NARROW: usize = 12;
+
+/// The AVX-512 panel: full `NR_WIDE`-column panels, then at most one `NR`
+/// panel read straight from `b`, then the padded tail of fewer than `NR`
+/// columns, so no tail pads more than 15 lanes. Each column panel runs
+/// [`column_panel_avx512`]'s tiles down its rows. Every bound of `A`, `b`
+/// and `tail` is checked here, once per panel.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
+fn gemm_panel_avx512(lhs: Lhs, b: &[f32], tail: &[f32], mut cells: Panel, k: usize) {
+    let rows = cells.rows.end;
+    assert!(
+        lhs.covers(rows, k),
+        "gemm: A lacks rows ..{rows} over k = {k}"
+    );
+    // `Panel::new` holds the columns to `..n`, so every row `p < k` of
+    // every column panel lies inside `b`, and of the padded one in `tail`
+    assert!(
+        b.len() / cells.n.max(1) >= k,
+        "gemm: b lacks {k} rows of {}",
+        cells.n
+    );
+    let padded = !cells.cols.len().is_multiple_of(NR);
+    assert!(
+        !padded || tail.len() / NR >= k,
+        "gemm: tail lacks {k} rows of {NR}"
+    );
+    // SAFETY: the entry point enables AVX-512F, and the operands hold
+    // every element the tiles read (checked above).
+    unsafe {
+        if lhs.row_stride == 1 {
+            column_panels_avx512::<true, MR_WIDE_AT>(lhs, b, tail, &mut cells, k)
+        } else {
+            column_panels_avx512::<false, MR_WIDE>(lhs, b, tail, &mut cells, k)
+        }
+    }
+}
+
+/// # Safety
+/// As [`column_panel_avx512`], for every panel of `cells`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn column_panels_avx512<const UNIT: bool, const RW: usize>(
+    lhs: Lhs,
+    b: &[f32],
+    tail: &[f32],
+    cells: &mut Panel,
+    k: usize,
+) {
+    let (n, end) = (cells.n, cells.cols.end);
+    let mut j = cells.cols.start;
+    while j + NR_WIDE <= end {
+        column_panel_avx512::<2, RW, UNIT>(lhs, b.as_ptr().add(j), n, cells, k, j, NR_WIDE);
+        j += NR_WIDE;
+    }
+    if j + NR <= end {
+        column_panel_avx512::<1, MR_NARROW, UNIT>(lhs, b.as_ptr().add(j), n, cells, k, j, NR);
+        j += NR;
+    }
+    if j < end {
+        column_panel_avx512::<1, MR_NARROW, UNIT>(lhs, tail.as_ptr(), NR, cells, k, j, end - j);
+    }
+}
+
+/// Output columns `j..j + w` (`w ≤ 16·V`) of `cells`' rows from the `B`
+/// panel at `b`, row `p` at `b + p · bs`: the fewest tiles of at most `R`
+/// rows, their heights as equal as they come (14 rows on 8-row tiles are
+/// 7 + 7, not 8 + 6), so no tile is left with too few accumulators to hide
+/// an add's latency.
+///
+/// # Safety
+/// The host runs AVX-512F, `lhs` covers `cells`' rows over `k`, and `b`
+/// holds `k` rows of `16·V` lanes `bs` apart.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn column_panel_avx512<const V: usize, const R: usize, const UNIT: bool>(
+    lhs: Lhs,
+    b: *const f32,
+    bs: usize,
+    cells: &mut Panel,
+    k: usize,
+    j: usize,
+    w: usize,
+) {
+    /// `tile_avx512::<h, V>` for a run-time `h` in the listed heights.
+    macro_rules! by_height {
+        ($h:expr, $i:expr; $($r:literal)*) => {
+            match $h {
+                $($r => tile_avx512::<$r, V, UNIT>(lhs, b, bs, cells, k, $i, j, w),)*
+                _ => unreachable!(),
+            }
+        };
+    }
+    let (mut i, m) = (cells.rows.start, cells.rows.end);
+    for left in (1..=cells.rows.len().div_ceil(R)).rev() {
+        // at most `R` (so the arms past it fold away), and within one row
+        // of every other tile of the panel
+        let h = (m - i).div_ceil(left).min(R);
+        by_height!(h, i; 1 2 3 4 5 6 7 8 9 10 11 12);
+        i += h;
+    }
+}
+
+/// One `H × 16·V` register tile at row `i`, column `j` of `cells`, of which
+/// the first `w` lanes are stored: `H · V` accumulators, each lane the
+/// ascending-`p` sum of `A[i][p] · B[p][j]` by a multiply, then an add.
+/// Row `p` of `B` is `V` loads at `b + p · bs`; each `A` element is one
+/// broadcast, read at `(i + r) · row_stride + p · p_stride`.
+///
+/// # Safety
+/// As [`column_panel_avx512`], for rows `i..i + H` of `cells`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_avx512<const H: usize, const V: usize, const UNIT: bool>(
+    lhs: Lhs,
+    b: *const f32,
+    bs: usize,
+    cells: &mut Panel,
+    k: usize,
+    i: usize,
+    j: usize,
+    w: usize,
+) {
+    use std::arch::x86_64::*;
+    let rs = if UNIT { 1 } else { lhs.row_stride };
+    let a: [*const f32; H] = std::array::from_fn(|r| lhs.data.as_ptr().wrapping_add((i + r) * rs));
+    let mut acc = [[_mm512_setzero_ps(); V]; H];
+    for p in 0..k {
+        // SAFETY: row `p < k` of the `B` panel and element `(i + r, p)` of
+        // `A`, both inside their operand (the caller's contract).
+        let bv: [__m512; V] =
+            std::array::from_fn(|v| unsafe { _mm512_loadu_ps(b.add(p * bs + 16 * v)) });
+        for (acc, &a) in acc.iter_mut().zip(&a) {
+            let av = _mm512_set1_ps(unsafe { *a.add(p * lhs.p_stride) });
+            for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                *acc = _mm512_add_ps(*acc, _mm512_mul_ps(av, bv));
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        let out = cells.lanes(i + r, j, w);
+        for (v, &acc) in acc.iter().enumerate() {
+            let lanes = w.saturating_sub(16 * v).min(16);
+            // SAFETY: the store writes only the first `lanes` of the 16
+            // floats from `16·v`, all inside `out`'s `w`.
+            unsafe {
+                _mm512_mask_storeu_ps(
+                    out.as_mut_ptr().wrapping_add(16 * v),
+                    ((1u32 << lanes) - 1) as u16,
+                    acc,
+                )
+            };
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1458,6 +1653,17 @@ mod tests {
     /// model zoo's channel counts (14, 28 at the CLI's widths).
     const TILE_EDGE_N: [usize; 10] = [1, 12, 14, 16, 17, 23, 28, 31, 32, 33];
 
+    /// Every row count from one row to two full tiles and one row of the
+    /// tallest AVX-512 tile, so each residue of `m` modulo every tile
+    /// height occurs, on and off a second tile.
+    fn tile_rows() -> std::ops::RangeInclusive<usize> {
+        1..=2 * MR_NARROW.max(MR_WIDE_AT) + 1
+    }
+
+    /// The shared dimensions each row count runs with: none, one, and one
+    /// long enough to span many vectors.
+    const TILE_K: [usize; 3] = [0, 1, 37];
+
     /// Tile-edge torture list shared by the instantiation tests: `m`, `n`
     /// off the 4/16/32 grids, `k` around one vector and at the conv shapes.
     fn awkward_shapes() -> Vec<(usize, usize, usize)> {
@@ -1486,7 +1692,15 @@ mod tests {
     #[test]
     fn f32_panels_agree_across_instantiations_bitwise() {
         let wide = wide_or_skip("f32_panels_agree_across_instantiations_bitwise");
-        for (m, k, n) in awkward_shapes() {
+        let mut shapes = awkward_shapes();
+        // every tile height down the rows of a padded tail alone (12) and
+        // of a wide, a 16-lane and a padded panel side by side (53)
+        for m in tile_rows() {
+            for k in TILE_K {
+                shapes.extend([(m, k, 12), (m, k, 53)]);
+            }
+        }
+        for (m, k, n) in shapes {
             let a = rand_matrix(m, k, (m * 131 + k) as u64);
             let b = rand_matrix(k, n, (k * 137 + n) as u64);
             let naive = naive_matmul(&a, &b);
@@ -1540,15 +1754,19 @@ mod tests {
 
     /// Every width left after the full panels of either tile — `n %
     /// NR_WIDE` from 1 to 31, so the 16-lane panel and every padded tail
-    /// behind it, alone and behind a full panel — with the row tails of the
-    /// `MR` tile, in all three orientations and on every instantiation the
-    /// host runs: bit for bit the naive ascending-`p` triple loop.
+    /// behind it, alone and behind a full panel — with every row tail of
+    /// each tile height ([`tile_rows`]), in all three orientations and on
+    /// every instantiation the host runs: bit for bit the naive
+    /// ascending-`p` triple loop. (`A × Bᵀ` runs the `A × B` panel on the
+    /// transposed `B`, so the serial `A × B` stands for it per level.)
     #[test]
     fn tail_panels_match_the_triple_loop_bitwise() {
         let wide = wide_or_skip("tail_panels_match_the_triple_loop_bitwise");
+        let mut rows = vec![(1, 5), (3, 1), (4, 17), (7, 9), (9, 33)];
+        rows.extend(tile_rows().flat_map(|m| TILE_K.map(|k| (m, k))));
         for w in 1..NR_WIDE {
             for n in [w, NR_WIDE + w] {
-                for (m, k) in [(1, 5), (3, 1), (4, 17), (7, 9), (9, 33)] {
+                for &(m, k) in &rows {
                     let a = rand_matrix(m, k, (m * 53 + k + w) as u64);
                     let b = rand_matrix(k, n, (k * 59 + n) as u64);
                     let (at, bt) = (transpose(&a), transpose(&b));
@@ -1560,6 +1778,8 @@ mod tests {
                     for isa in [Isa::PORTABLE].into_iter().chain(wide.iter().copied()) {
                         let got = serial_matmul(isa, a.data(), b.data(), m, k, n);
                         assert_eq!(bits(&got), want, "{} {tag}", isa.name());
+                        let got = serial_at_b(isa, at.data(), b.data(), m, k, n);
+                        assert_eq!(bits(&got), want, "{} at_b {tag}", isa.name());
                     }
                 }
             }
@@ -1567,30 +1787,34 @@ mod tests {
     }
 
     /// Products with a single row panel — up to `ROWS_PER_CHUNK` rows, the
-    /// weight gradients' shape — above the pool threshold are cut by
-    /// columns once they are wider than one tile: equal to the serial
-    /// panel bit for bit, in all three orientations, for `n` on and off
-    /// both tile grids, at pool sizes 1, 2 and 4.
+    /// weight gradients' shape, every row count of [`tile_rows`] among them
+    /// — above the pool threshold are cut by columns once they are wider
+    /// than one tile: equal to the serial panel bit for bit, in all three
+    /// orientations, for `n` on and off both tile grids, at pool sizes 1,
+    /// 2 and 4. With `k` 0 and 1 the same shapes run serially.
     #[test]
     fn column_split_matches_serial_bitwise() {
         let tile = tile_cols(Isa::active());
         for threads in [1, 2, 4] {
             crate::runtime::with_threads(threads, || {
-                for m in [1usize, 4, 12, 23, 32] {
+                for m in tile_rows().chain([32]) {
                     for n in TILE_EDGE_N.into_iter().chain([108, 130, 144]) {
-                        let k = PAR_MIN_WORK_F32.div_ceil(m * n) + 3;
-                        if threads > 1 {
-                            let split = Split::of(m, k, n, tile);
-                            assert_eq!(matches!(split, Split::Columns(_)), n > NR, "{split:?}");
+                        let long = PAR_MIN_WORK_F32.div_ceil(m * n) + 3;
+                        for k in [0, 1, long] {
+                            if threads > 1 && k == long {
+                                let split = Split::of(m, k, n, tile);
+                                assert_eq!(matches!(split, Split::Columns(_)), n > NR, "{split:?}");
+                            }
+                            let a = rand_matrix(m, k, (m * 41 + n) as u64);
+                            let b = rand_matrix(k, n, (k * 43 + n) as u64);
+                            let (at, bt) = (transpose(&a), transpose(&b));
+                            let want =
+                                bits(&serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n));
+                            let tag = format!("{m}x{k}x{n} at {threads} threads");
+                            assert_eq!(bits(mm(&a, &b).data()), want, "matmul {tag}");
+                            assert_eq!(bits(mm_at_b(&at, &b).data()), want, "at_b {tag}");
+                            assert_eq!(bits(mm_a_bt(&a, &bt).data()), want, "a_bt {tag}");
                         }
-                        let a = rand_matrix(m, k, (m * 41 + n) as u64);
-                        let b = rand_matrix(k, n, (k * 43 + n) as u64);
-                        let (at, bt) = (transpose(&a), transpose(&b));
-                        let want = bits(&serial_matmul(Isa::PORTABLE, a.data(), b.data(), m, k, n));
-                        let tag = format!("{m}x{k}x{n} at {threads} threads");
-                        assert_eq!(bits(mm(&a, &b).data()), want, "matmul {tag}");
-                        assert_eq!(bits(mm_at_b(&at, &b).data()), want, "at_b {tag}");
-                        assert_eq!(bits(mm_a_bt(&a, &bt).data()), want, "a_bt {tag}");
                     }
                 }
             });
